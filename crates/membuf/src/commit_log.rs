@@ -1,12 +1,16 @@
 //! The shared commit log: the versioned view of main memory that makes
 //! cross-thread conflict detection *real* instead of injected.
 //!
-//! Every write that reaches main memory — a direct store by the
-//! non-speculative thread or a committed speculative write-set — is
-//! recorded here as one *commit batch*.  A speculative read stamps its
-//! read-set entry with the version snapshot observed at read time;
-//! join-time validation then asks, per read entry, whether any logically
-//! earlier work committed a write covering that address *after* the read
+//! Every write that reaches main memory while any speculative read set
+//! is exposed — a direct store by the non-speculative thread or a
+//! committed speculative write-set — is recorded here as one *commit
+//! batch*.  (With no read set exposed nobody holds a snapshot a stamp
+//! could invalidate, and the runtime's non-speculative thread skips the
+//! log entirely; see `ThreadManager`'s exposure count.)  A speculative
+//! read stamps its read-set entry with the version snapshot observed at
+//! read time; join-time validation then asks, per read entry, whether any
+//! logically earlier work committed a write covering that address *after*
+//! the read
 //! ([`CommitLog::written_after`]).  This detects exactly the
 //! read-before-predecessor-write dependences MUTLS read-set validation is
 //! specified to catch (paper §IV-F), including the value-ABA case a pure
@@ -808,9 +812,16 @@ pub struct CommitLog {
     /// Grain every region starts at (and returns to on
     /// [`clear`](Self::clear)); clamped to `[grain_log2, region_log2]`.
     initial_grain: u32,
-    /// Commit batches recorded (monotone; survives shard distribution).
-    commits: AtomicU64,
-    /// Range stamps written across all batches.
+    /// Multi-address commit batches recorded (monotone; survives shard
+    /// distribution).  Doubles as the batch path's lock-time sampling
+    /// clock.
+    batches: AtomicU64,
+    /// Single-address commits recorded (the non-speculative direct-store
+    /// path).  Each is exactly one batch, one range stamp and one tick of
+    /// the sampling clock, so this is the only telemetry RMW that path
+    /// pays; the public totals add it in.
+    singles: AtomicU64,
+    /// Range stamps written across all multi-address batches.
     stamped: AtomicU64,
     /// Regions regrained (grain actually flipped).
     regrains: AtomicU64,
@@ -820,8 +831,6 @@ pub struct CommitLog {
     /// the `grain` sweep is built on costs the hot publish path almost
     /// nothing; all counters use relaxed atomics.
     lock_ns: AtomicU64,
-    /// Monotone batch counter driving the lock-time sampling.
-    lock_samples: AtomicU64,
     /// Reader registrations that spilled past the bitmask window.
     reader_spills: AtomicU64,
     /// CAS retries on the lock-free stamp path (same-slot losses plus
@@ -830,6 +839,14 @@ pub struct CommitLog {
     /// Ring probes that fell back to single-version conservatism
     /// ([`RingCheck::Overflow`]); relaxed, telemetry only.
     ring_overflows: AtomicU64,
+}
+
+/// Whether the commit that drew ticket `nth` from its path's counter has
+/// its lock-hold time measured: one in `2^LOCK_SAMPLE_LOG2` is timed and
+/// its duration scaled up, so the hot publish path pays the two clock
+/// reads only on a small fraction of commits.
+fn lock_time_sampled(nth: u64) -> bool {
+    nth & ((1 << LOCK_SAMPLE_LOG2) - 1) == 0
 }
 
 impl Default for CommitLog {
@@ -915,11 +932,11 @@ impl CommitLog {
             region_seqs,
             region_stats,
             initial_grain,
-            commits: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            singles: AtomicU64::new(0),
             stamped: AtomicU64::new(0),
             regrains: AtomicU64::new(0),
             lock_ns: AtomicU64::new(0),
-            lock_samples: AtomicU64::new(0),
             reader_spills: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
             ring_overflows: AtomicU64::new(0),
@@ -1233,8 +1250,7 @@ impl CommitLog {
         let mask = self.shard_mask;
         addrs.sort_unstable_by_key(|a| ((a >> region_log2) & mask, *a));
         addrs.dedup();
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        let sample = self.lock_time_sampled();
+        let sample = lock_time_sampled(self.batches.fetch_add(1, Ordering::Relaxed));
         let mut max_version = 0;
         let mut retries = 0u64;
         let mut start = 0;
@@ -1469,15 +1485,6 @@ impl CommitLog {
         }
     }
 
-    /// Whether this batch's lock-hold time should be measured: every
-    /// `2^LOCK_SAMPLE_LOG2`-th batch is timed and its duration scaled up,
-    /// so the hot publish path (every non-speculative store goes through
-    /// [`record_word`](Self::record_word)) pays the two clock reads only
-    /// on a small fraction of commits.
-    fn lock_time_sampled(&self) -> bool {
-        self.lock_samples.fetch_add(1, Ordering::Relaxed) & ((1 << LOCK_SAMPLE_LOG2) - 1) == 0
-    }
-
     fn bump_region_stamps(&self, region: RegionId) {
         self.bump_region_stamps_by(region, 1);
     }
@@ -1496,9 +1503,7 @@ impl CommitLog {
     }
 
     fn record_single(&self, addr: Addr) -> (CommitVersion, u64) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.stamped.fetch_add(1, Ordering::Relaxed);
-        let sample = self.lock_time_sampled();
+        let sample = lock_time_sampled(self.singles.fetch_add(1, Ordering::Relaxed));
         let region = self.region_of(addr);
         let shard_idx = self.shard_of_region(region);
         let shard = &self.shards[shard_idx];
@@ -1993,7 +1998,7 @@ impl CommitLog {
 
     /// Number of commit batches recorded so far.
     pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
+        self.batches.load(Ordering::Relaxed) + self.singles.load(Ordering::Relaxed)
     }
 
     /// Number of regions whose grain was flipped at runtime.
@@ -2025,8 +2030,9 @@ impl CommitLog {
     /// [`clear`](Self::clear).
     pub fn stats(&self) -> CommitLogStats {
         CommitLogStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            stamp_writes: self.stamped.load(Ordering::Relaxed),
+            commits: self.commits(),
+            stamp_writes: self.stamped.load(Ordering::Relaxed)
+                + self.singles.load(Ordering::Relaxed),
             lock_ns: self.lock_ns.load(Ordering::Relaxed),
             cas_retries: self.cas_retries.load(Ordering::Relaxed),
             regrains: self.regrains.load(Ordering::Relaxed),
@@ -2071,11 +2077,11 @@ impl CommitLog {
             stats.false_sharing.store(0, Ordering::Relaxed);
             stats.retries.store(0, Ordering::Relaxed);
         }
-        self.commits.store(0, Ordering::Relaxed);
+        self.batches.store(0, Ordering::Relaxed);
+        self.singles.store(0, Ordering::Relaxed);
         self.stamped.store(0, Ordering::Relaxed);
         self.regrains.store(0, Ordering::Relaxed);
         self.lock_ns.store(0, Ordering::Relaxed);
-        self.lock_samples.store(0, Ordering::Relaxed);
         self.reader_spills.store(0, Ordering::Relaxed);
         self.cas_retries.store(0, Ordering::Relaxed);
         self.ring_overflows.store(0, Ordering::Relaxed);

@@ -229,10 +229,13 @@ impl SpecContext {
     ///
     /// Speculatively the store lands in the thread's write-set and stays
     /// private until the join commits it; non-speculatively the store is
-    /// published immediately **and recorded in the commit log**, which is
-    /// what dooms any in-flight logical successor that already read the
-    /// address (the store is a commit by definition — the non-speculative
-    /// thread is always logically earliest).
+    /// published immediately and, **while any speculative read set is
+    /// exposed**, recorded in the commit log, which is what dooms any
+    /// in-flight logical successor that already read the address (the
+    /// store is a commit by definition — the non-speculative thread is
+    /// always logically earliest).  With no read set exposed nobody holds
+    /// a snapshot the stamp could invalidate, so the store runs at native
+    /// speed (see `ThreadManager`'s exposure count).
     pub fn spec_write(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.stats.counters.stores += 1;
         self.poll_abort()?;
@@ -241,12 +244,15 @@ impl SpecContext {
                 // Memory first, then the version bump (see `CommitLog`'s
                 // ordering protocol).
                 self.mgr.memory().write_word(addr, value);
-                self.mgr.commit_log().record_word(addr);
-                // The store is a commit by definition (rank 0 is always
-                // logically earliest): doom its registered readers now —
-                // surgically, instead of letting them burn their whole
-                // conflict window before failing validation.
-                self.stats.counters.targeted_dooms += self.mgr.doom_readers([addr], self.rank);
+                if self.mgr.exposed_speculations() != 0 {
+                    self.mgr.commit_log().record_word(addr);
+                    // The store is a commit by definition (rank 0 is
+                    // always logically earliest): doom its registered
+                    // readers now — surgically, instead of letting them
+                    // burn their whole conflict window before failing
+                    // validation.
+                    self.stats.counters.targeted_dooms += self.mgr.doom_readers([addr], self.rank);
+                }
                 Ok(())
             }
             Some(buffer) => {
@@ -366,6 +372,10 @@ impl SpecContext {
     }
 
     fn poll_abort(&mut self) -> SpecResult<()> {
+        // Rank 0 is never aborted or doomed: nothing to count or poll.
+        if self.global.is_none() {
+            return Ok(());
+        }
         self.op_counter = self.op_counter.wrapping_add(1);
         if self.op_counter.is_multiple_of(ABORT_POLL_INTERVAL) {
             self.check_abort()?;
@@ -790,5 +800,60 @@ impl TlsContext for SpecContext {
 
     fn rank(&self) -> Rank {
         self.rank
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RuntimeConfig;
+
+    /// Hand-driven (no worker threads), so "deposited but unjoined" is a
+    /// program point, not a race: rank 0's direct store is stamped exactly
+    /// while the child's read set can still be validated.
+    #[test]
+    fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
+        let (mgr, _receivers) =
+            ThreadManager::new(RuntimeConfig::with_cpus(1).memory_bytes(1 << 16));
+        let mut rank0 = SpecContext::non_speculative(Arc::clone(&mgr));
+        let cell = rank0.alloc::<u64>(1);
+        let addr = cell.addr_of(0);
+        let deposit = |status: TaskStatus| {
+            let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
+            let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child, Vec::new());
+            ctx.spec_read(addr).expect("registered address");
+            assert!(mgr.deposit_outcome(child, ctx.into_outcome(status, Instant::now())));
+            child
+        };
+
+        rank0.spec_write(addr, 1).unwrap();
+        assert_eq!(mgr.commit_log().commits(), 0, "quiescent: memory only");
+        assert_eq!(mgr.memory().read_word(addr), 1);
+
+        // A failed child parked at its join exposes nothing.
+        let failed = deposit(TaskStatus::Failed(SpecFailure::BufferOverflow));
+        rank0.spec_write(addr, 2).unwrap();
+        assert_eq!(mgr.commit_log().commits(), 0, "dead read set: memory only");
+        let mut outcome = mgr.wait_outcome(failed);
+        assert_eq!(
+            mgr.validate_and_commit(failed, &mut outcome, None),
+            Err(SpecFailure::BufferOverflow)
+        );
+        mgr.release_cpu(failed, 0);
+
+        // A completed child parked at its join is validated later: the
+        // store under it must be stamped, and the join must conflict.
+        let parked = deposit(TaskStatus::Completed);
+        rank0.spec_write(addr, 3).unwrap();
+        assert_eq!(mgr.commit_log().commits(), 1, "exposed: published");
+        let mut outcome = mgr.wait_outcome(parked);
+        assert_eq!(
+            mgr.validate_and_commit(parked, &mut outcome, None),
+            Err(SpecFailure::ReadConflict)
+        );
+        mgr.release_cpu(parked, 0);
+
+        rank0.spec_write(addr, 4).unwrap();
+        assert_eq!(mgr.commit_log().commits(), 1, "quiescent again");
     }
 }

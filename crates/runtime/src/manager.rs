@@ -108,6 +108,10 @@ pub(crate) struct Slot {
     /// Set when nobody will ever join this thread; the worker cleans up
     /// after itself in that case.
     orphaned: AtomicBool,
+    /// Whether this slot currently counts towards
+    /// [`ThreadManager::exposed`]; `swap(false)` makes the retire
+    /// idempotent.
+    exposed: AtomicBool,
     /// Fork-site ID the running task was launched from (governor key).
     site: AtomicU32,
     /// `ForkModel::index()` of the model the task was launched under.
@@ -137,6 +141,7 @@ impl Slot {
             doomed: AtomicBool::new(false),
             doomed_hard: AtomicBool::new(false),
             orphaned: AtomicBool::new(false),
+            exposed: AtomicBool::new(false),
             site: AtomicU32::new(0),
             model: AtomicU8::new(ForkModel::Mixed.index() as u8),
             forked_ns: AtomicU64::new(0),
@@ -234,6 +239,37 @@ pub struct ThreadManager {
     most_speculative: AtomicUsize,
     /// Number of speculative threads currently in flight.
     active: AtomicUsize,
+    /// **Exposure count**: speculative threads whose read set may still be
+    /// validated, absorbed or adopted.  While it is zero the
+    /// non-speculative thread stores at native speed — memory only, no
+    /// commit-log stamp, no reader dooming (`SpecContext::spec_write`).
+    ///
+    /// A slot is raised in [`try_acquire_cpu`](Self::try_acquire_cpu) and
+    /// retired at the first of a `Failed` deposit or
+    /// [`release_cpu`](Self::release_cpu).  Why skipping a stamp at zero
+    /// can remove spurious dooms but never hide a conflict:
+    ///
+    /// 1. a stamp only matters to a snapshot taken *before* it;
+    /// 2. zero means no task code runs on any speculative CPU (a slot
+    ///    retires only after its task returned), so only rank 0 can fork;
+    /// 3. hence every 0→1 transition is program-ordered after rank 0's own
+    ///    earlier stores, and the child's reads happen-after `dispatch`:
+    ///    it sees those values and snapshots after them;
+    /// 4. every 1→0 transition by another thread is a `Release` RMW, so
+    ///    rank 0's `Acquire` load of the zero happens-after everything the
+    ///    retired threads did — and since only rank 0 raises the count
+    ///    from zero, a zero it reads is the current value, never a stale
+    ///    one.
+    ///
+    /// A `Failed` outcome is never validated, absorbed or adopted — its
+    /// joiner re-executes inline — so its read set is dead the instant it
+    /// is deposited.  `Completed`/`Barrier` outcomes are validated against
+    /// the log when consumed, possibly long after the task stopped, so they
+    /// stay exposed until `release_cpu`; a child absorbed by a speculative
+    /// parent hands its reads to that (still exposed) parent.  This is why
+    /// the gate cannot be `active`: a dead-but-unjoined child keeps
+    /// `active` raised for almost all of rank 0's stores.
+    exposed: AtomicUsize,
     accum: Mutex<RunAccumulators>,
     rng: Mutex<SmallRng>,
     /// Monotone counter of speculation events (diagnostics).
@@ -315,6 +351,7 @@ impl ThreadManager {
             slots,
             most_speculative: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
+            exposed: AtomicUsize::new(0),
             accum: Mutex::new(RunAccumulators::default()),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             speculations: AtomicU64::new(0),
@@ -504,6 +541,33 @@ impl ThreadManager {
         self.active.load(Ordering::Relaxed)
     }
 
+    /// Number of speculative threads whose read set is still exposed (see
+    /// the protocol on the `exposed` field).  The `Acquire` pairs with
+    /// the `Release` decrement of a retire.
+    #[inline]
+    pub fn exposed_speculations(&self) -> usize {
+        self.exposed.load(Ordering::Acquire)
+    }
+
+    /// Retire `slot`'s exposure; a no-op when it already was.  Must run
+    /// before the event that lets the slot be re-acquired (publishing the
+    /// outcome, marking the CPU idle), or it could retire the next task's
+    /// exposure instead.
+    fn retire_exposure(&self, slot: &Slot) {
+        if slot.exposed.swap(false, Ordering::AcqRel) {
+            self.exposed.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// Invariant the elision rests on: an outcome is consumed (committed,
+    /// absorbed, retried) only while still exposed, and a `Failed` one was
+    /// retired at its deposit.
+    fn exposure_matches(&self, rank: Rank, status: TaskStatus) -> bool {
+        rank == 0
+            || self.slots[rank - 1].exposed.load(Ordering::Acquire)
+                != matches!(status, TaskStatus::Failed(_))
+    }
+
     // ----- fork path -------------------------------------------------
 
     /// Whether `model` permits `forker` to fork right now — the ordering
@@ -551,6 +615,8 @@ impl ThreadManager {
                     Ordering::Release,
                 );
                 *slot.result.lock() = None;
+                self.exposed.fetch_add(1, Ordering::AcqRel);
+                slot.exposed.store(true, Ordering::Release);
                 self.active.fetch_add(1, Ordering::AcqRel);
                 self.most_speculative.store(rank, Ordering::Release);
                 self.speculations.fetch_add(1, Ordering::Relaxed);
@@ -771,6 +837,9 @@ impl ThreadManager {
     /// must clean up after itself.
     pub fn deposit_outcome(&self, rank: Rank, outcome: SpecOutcome) -> bool {
         let slot = &self.slots[rank - 1];
+        if matches!(outcome.status, TaskStatus::Failed(_)) {
+            self.retire_exposure(slot);
+        }
         {
             let mut guard = slot.result.lock();
             *guard = Some(outcome);
@@ -790,6 +859,7 @@ impl ThreadManager {
     /// Release a virtual CPU after its outcome has been consumed.
     pub fn release_cpu(&self, rank: Rank, joiner: Rank) {
         let slot = &self.slots[rank - 1];
+        self.retire_exposure(slot);
         slot.state.store(CPU_IDLE, Ordering::Release);
         self.active.fetch_sub(1, Ordering::AcqRel);
         self.metrics
@@ -1011,6 +1081,11 @@ impl ThreadManager {
         outcome: &mut SpecOutcome,
         parent_buffer: Option<&mut GlobalBuffer>,
     ) -> Result<CommitKind, SpecFailure> {
+        debug_assert!(
+            self.exposure_matches(child, outcome.status),
+            "rank {child}: a {:?} outcome reached the join with the wrong exposure",
+            outcome.status
+        );
         let started = Instant::now();
         let mem: &GlobalMemory = &self.memory;
         let site = self.site_of(child);
@@ -1443,6 +1518,13 @@ impl ThreadManager {
     /// Reset the per-run accumulators, the commit log and the governor's
     /// site profiles (called at the start of `Runtime::run`).
     pub fn reset_run(&self) {
+        // Orphans of the previous run were aborted by their reaper and
+        // stop within one poll interval; wait them out so none straddles
+        // the reset and folds its discard into this run's totals.
+        while self.active.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
+        debug_assert_eq!(self.exposed_speculations(), 0, "an exposure leaked");
         *self.accum.lock() = RunAccumulators::default();
         self.commit_log.clear();
         self.governor.reset();
@@ -1599,6 +1681,14 @@ mod tests {
         m
     }
 
+    /// A one-CPU manager whose CPU (rank 1) is acquired: the join protocol
+    /// only consumes outcomes of an acquired CPU.
+    fn mgr_with_child() -> Arc<ThreadManager> {
+        let m = mgr(1);
+        assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Some(1));
+        m
+    }
+
     #[test]
     fn acquire_respects_cpu_count() {
         let m = mgr(2);
@@ -1689,9 +1779,102 @@ mod tests {
         }
     }
 
+    /// An empty outcome of `rank` that stopped with `status`.
+    fn stopped(m: &ThreadManager, rank: Rank, status: TaskStatus) -> SpecOutcome {
+        SpecOutcome {
+            status,
+            ..completed(m.make_buffers(rank))
+        }
+    }
+
+    #[test]
+    fn exposure_is_raised_at_acquire_and_retired_at_a_failed_deposit_or_release() {
+        let m = mgr(3);
+        assert_eq!(m.exposed_speculations(), 0);
+        let failed = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        let done = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        let parked = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        assert_eq!(m.exposed_speculations(), 3, "acquire exposes");
+
+        // A failed outcome is never validated: dead at its deposit.
+        let overflow = TaskStatus::Failed(SpecFailure::BufferOverflow);
+        assert!(m.deposit_outcome(failed, stopped(&m, failed, overflow)));
+        assert_eq!(m.exposed_speculations(), 2, "a Failed deposit retires");
+
+        // Completed and Barrier outcomes are validated when consumed.
+        assert!(m.deposit_outcome(done, stopped(&m, done, TaskStatus::Completed)));
+        assert!(m.deposit_outcome(parked, stopped(&m, parked, TaskStatus::Barrier)));
+        assert_eq!(
+            m.exposed_speculations(),
+            2,
+            "consumable outcomes stay exposed"
+        );
+
+        // Releasing the already-retired slot must not retire a second time.
+        m.release_cpu(failed, 0);
+        assert_eq!(m.exposed_speculations(), 2, "double retire is a no-op");
+        m.release_cpu(done, 0);
+        m.release_cpu(parked, 0);
+        assert_eq!(m.exposed_speculations(), 0, "release retires");
+        assert_eq!(m.active_speculations(), 0);
+
+        // A re-acquired slot is exposed afresh.
+        let again = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+        assert_eq!(m.exposed_speculations(), 1);
+        m.release_cpu(again, 0);
+        m.reset_run();
+    }
+
+    #[test]
+    fn every_discard_path_ends_with_no_exposure() {
+        let cascaded = TaskStatus::Failed(SpecFailure::Cascaded);
+        for status in [TaskStatus::Completed, TaskStatus::Barrier, cascaded] {
+            let m = mgr(2);
+
+            // Orphaned before it deposits: the worker cleans up itself.
+            let orphan = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+            m.reap_subtree(orphan);
+            assert_eq!(m.exposed_speculations(), 1, "still running");
+            assert!(!m.deposit_outcome(orphan, stopped(&m, orphan, status)));
+            assert_eq!(m.exposed_speculations(), 0, "orphaned deposit, {status:?}");
+
+            // Reaped after it deposited, with a child of its own.
+            let parent = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+            let child = m.try_acquire_cpu(parent, ForkModel::Mixed).unwrap();
+            assert!(m.deposit_outcome(child, stopped(&m, child, status)));
+            let mut outcome = stopped(&m, parent, status);
+            outcome.children.push(child);
+            assert!(m.deposit_outcome(parent, outcome));
+            m.reap_subtree(parent);
+            assert_eq!(m.exposed_speculations(), 0, "reap_subtree, {status:?}");
+
+            // Drained at the end of a region.
+            let unjoined = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+            assert!(m.deposit_outcome(unjoined, stopped(&m, unjoined, status)));
+            m.drain_subtree(unjoined);
+            assert_eq!(m.exposed_speculations(), 0, "drain_subtree, {status:?}");
+
+            // Adopted (committed when Completed, discarded otherwise),
+            // with a still-running grandchild that adoption reaps.
+            let adoptee = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+            let running = m.try_acquire_cpu(adoptee, ForkModel::Mixed).unwrap();
+            let mut outcome = stopped(&m, adoptee, status);
+            outcome.children.push(running);
+            assert!(m.deposit_outcome(adoptee, outcome));
+            let adopted = m.adopt_subtree(adoptee, None);
+            assert_eq!(adopted, u64::from(status == TaskStatus::Completed));
+            assert_eq!(m.exposed_speculations(), 1, "the grandchild still runs");
+            assert!(!m.deposit_outcome(running, stopped(&m, running, cascaded)));
+            assert_eq!(m.exposed_speculations(), 0, "adopt_subtree, {status:?}");
+
+            assert_eq!(m.active_speculations(), 0);
+            m.reset_run();
+        }
+    }
+
     #[test]
     fn validate_and_commit_detects_a_real_predecessor_write() {
-        let m = mgr(1);
+        let m = mgr_with_child();
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1);
         mem.set(&cell, 0, 7);
@@ -1719,7 +1902,7 @@ mod tests {
 
     #[test]
     fn validate_and_commit_publishes_writes_into_the_log() {
-        let m = mgr(1);
+        let m = mgr_with_child();
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1);
 
@@ -1739,7 +1922,7 @@ mod tests {
 
     #[test]
     fn value_predict_retry_commits_without_reexecution() {
-        let m = mgr(1);
+        let m = mgr_with_child();
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(2);
         mem.set(&cell, 0, 7);
@@ -1772,6 +1955,7 @@ mod tests {
                 .memory_bytes(1 << 16)
                 .value_predict(false),
         );
+        assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Some(1));
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1);
         mem.set(&cell, 0, 7);
@@ -2054,6 +2238,7 @@ mod tests {
         assert!(m.commit_log().regrains() > 0);
 
         // reset_run restores the initial grain and controller state.
+        m.release_cpu(reader, 0);
         m.reset_run();
         assert_eq!(m.commit_log().grain_of(cell.addr_of(0)), PAGE_GRAIN_LOG2);
         assert_eq!(m.commit_log().regrains(), 0);

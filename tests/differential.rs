@@ -29,7 +29,8 @@
 use proptest::prelude::*;
 
 use mutls::membuf::{
-    CommitLogConfig, RollbackReason, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
+    BufferConfig, CommitLogConfig, RollbackReason, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2,
+    WORD_GRAIN_LOG2,
 };
 use mutls::runtime::{GrainControlConfig, RecoveryConfig, RunReport, Runtime, RuntimeConfig};
 use mutls::workloads::conflict::{self, ChainConfig, HistConfig};
@@ -63,13 +64,31 @@ fn registry() -> impl Iterator<Item = WorkloadKind> {
         .chain(WorkloadKind::CONFLICT_FAMILY)
 }
 
+/// The speculative buffer sizes the registry-wide pass sweeps: the
+/// default, and a tiny one under which nearly every child overflows — an
+/// overflow storm that keeps flapping the runtime's exposure count, and
+/// with it whether the non-speculative thread's stores reach the commit
+/// log.
+fn buffers() -> [(&'static str, BufferConfig); 2] {
+    [
+        ("default", BufferConfig::default()),
+        ("tiny", BufferConfig::tiny()),
+    ]
+}
+
 /// Run `kind` on the native runtime at the given commit-log grain and
-/// return its checksum plus the run report.
-fn native_at_grain(kind: WorkloadKind, grain_log2: u32, cpus: usize) -> (u64, RunReport) {
+/// speculative buffer size and return its checksum plus the run report.
+fn native_at_grain(
+    kind: WorkloadKind,
+    grain_log2: u32,
+    buffer: BufferConfig,
+    cpus: usize,
+) -> (u64, RunReport) {
     let runtime = Runtime::new(
         RuntimeConfig::with_cpus(cpus)
             .memory_bytes(arena_bytes(kind, Scale::Tiny))
-            .commit_grain_log2(grain_log2),
+            .commit_grain_log2(grain_log2)
+            .buffer(buffer),
     );
     let memory = runtime.memory();
     let data = setup(kind, Scale::Tiny, &memory);
@@ -87,22 +106,24 @@ fn every_registry_workload_matches_sequential_at_every_grain() {
     for kind in registry() {
         let expected = reference_checksum(kind, Scale::Tiny);
         for grain_log2 in GRAINS {
-            let (got, report) = native_at_grain(kind, grain_log2, 3);
-            assert_eq!(
-                got,
-                expected,
-                "{} diverged from the sequential reference at grain 2^{grain_log2}B \
-                 ({} rollbacks: {})",
-                kind.name(),
-                report.rolled_back_threads,
-                report.rollback_breakdown()
-            );
-            assert_eq!(
-                report.rollbacks_with(RollbackReason::Injected),
-                0,
-                "{}: injected rollbacks without opting in",
-                kind.name()
-            );
+            for (buffer_name, buffer) in buffers() {
+                let (got, report) = native_at_grain(kind, grain_log2, buffer, 3);
+                assert_eq!(
+                    got,
+                    expected,
+                    "{} diverged from the sequential reference at grain 2^{grain_log2}B, \
+                     {buffer_name} buffers ({} rollbacks: {})",
+                    kind.name(),
+                    report.rolled_back_threads,
+                    report.rollback_breakdown()
+                );
+                assert_eq!(
+                    report.rollbacks_with(RollbackReason::Injected),
+                    0,
+                    "{}: injected rollbacks without opting in",
+                    kind.name()
+                );
+            }
         }
     }
 }
