@@ -5,6 +5,15 @@
 //! from the write-set if present, else from the read-set, else the value is
 //! loaded from main memory and recorded in the read-set.
 //!
+//! The two hot accessors, [`GlobalBuffer::load_logged`] and
+//! [`GlobalBuffer::store`], probe each [`WordMap`] at most once per call —
+//! one cache line per probe — and are `#[inline]`, so the size/alignment
+//! checks fold away for the constant word-sized accesses the runtime
+//! issues.  Everything that happens once per *word* rather than once per
+//! *access* (the first touch that registers the reader, snapshots the log,
+//! reads main memory and inserts; the overflow bookkeeping) lives in
+//! `#[cold]` out-of-line arms.
+//!
 //! Conflicts only occur when a speculative thread reads an address before a
 //! logically earlier thread writes it, so validation simply re-reads every
 //! read-set entry from main memory and compares; commit then publishes the
@@ -162,7 +171,10 @@ impl GlobalBuffer {
         self.read_set.overflow_pending() || self.write_set.overflow_pending()
     }
 
-    fn split(addr: Addr, size: u64) -> Result<(Addr, u64), BufferError> {
+    /// The word holding `addr`, the access's byte offset in it and its
+    /// byte mask — or why the access is unsupported.
+    #[inline]
+    fn split(addr: Addr, size: u64) -> Result<(Addr, u64, u64), BufferError> {
         if size == 0 || (size < WORD_BYTES && !WORD_BYTES.is_multiple_of(size)) {
             return Err(BufferError::UnsupportedSize);
         }
@@ -171,7 +183,7 @@ impl GlobalBuffer {
         }
         let word_addr = addr & !(WORD_BYTES - 1);
         let offset = addr - word_addr;
-        Ok((word_addr, offset))
+        Ok((word_addr, offset, byte_mask(offset, size.min(WORD_BYTES))?))
     }
 
     /// Speculatively load `size` bytes (1, 2, 4 or 8) at `addr`.
@@ -192,6 +204,15 @@ impl GlobalBuffer {
     /// Speculatively load `size` bytes at `addr`, stamping any new
     /// read-set entry with the commit-log epoch observed *before* the
     /// memory read (see the ordering protocol in [`CommitLog`]).
+    ///
+    /// Probe order: **one** write-set probe (skipped outright while the
+    /// thread has written nothing), whose result serves both the
+    /// fully-written shortcut — such a word carries no read dependence, so
+    /// the read-set is not consulted and no false conflict can arise — and
+    /// the overlay of the thread's own bytes; then **one** read-set probe.
+    /// Only a read-set miss leaves the inlined path, for the `#[cold]`
+    /// first touch.
+    #[inline]
     pub fn load_logged(
         &mut self,
         mem: &dyn MainMemory,
@@ -200,34 +221,35 @@ impl GlobalBuffer {
         size: u64,
     ) -> Result<u64, BufferError> {
         self.stats.loads += 1;
-        let (word_addr, offset) = Self::split(addr, size)?;
-        let mask = byte_mask(offset, size.min(WORD_BYTES))?;
-        let word = self.load_word(mem, log, word_addr)?;
-        // Overlay any bytes the thread itself has written.
-        let word = match self.write_set.get(word_addr) {
-            Some(w) => (word & !w.mask) | (w.data & w.mask),
-            None => word,
+        let (word_addr, offset, mask) = Self::split(addr, size)?;
+        let written = if self.write_set.is_empty() {
+            None
+        } else {
+            self.write_set.get(word_addr)
+        };
+        let word = match written {
+            Some(w) if w.mask == u64::MAX => w.data,
+            _ => {
+                let read = match self.read_set.get(word_addr) {
+                    Some(r) => r.data,
+                    None => self.first_touch(mem, log, word_addr)?,
+                };
+                // Overlay any bytes the thread itself has written.
+                written.map_or(read, |w| (read & !w.mask) | (w.data & w.mask))
+            }
         };
         Ok((word & mask) >> (offset * 8))
     }
 
-    /// Load a full word, recording it in the read-set on first access.
-    fn load_word(
+    /// First access to a word: read it from main memory and record it in
+    /// the read-set.
+    #[cold]
+    fn first_touch(
         &mut self,
         mem: &dyn MainMemory,
         log: Option<&CommitLog>,
         word_addr: Addr,
     ) -> Result<u64, BufferError> {
-        // A word fully covered by the thread's own writes carries no read
-        // dependence; skip the read-set so no false conflict can arise.
-        if let Some(w) = self.write_set.get(word_addr) {
-            if w.mask == u64::MAX {
-                return Ok(w.data);
-            }
-        }
-        if let Some(r) = self.read_set.get(word_addr) {
-            return Ok(r.data);
-        }
         self.stats.memory_loads += 1;
         // Sample the owning shard's epoch BEFORE reading the word: a
         // commit racing in between then stamps a higher version and
@@ -245,30 +267,34 @@ impl GlobalBuffer {
             })
             .unwrap_or(0);
         let value = mem.read_word(word_addr);
-        match self
+        let inserted = self
             .read_set
-            .insert_word_versioned(word_addr, value, version)
-        {
-            Ok(()) => {}
-            Err(BufferError::OverflowPending) => self.stats.overflow_events += 1,
-            Err(e) => return Err(e),
-        }
+            .insert_word_versioned(word_addr, value, version);
+        self.note_overflow(inserted)?;
         Ok(value)
     }
 
-    /// Speculatively store the low `size` bytes of `value` at `addr`.
+    /// Speculatively store the low `size` bytes of `value` at `addr`: one
+    /// write-set probe; the overflow bookkeeping is out of line.
+    #[inline]
     pub fn store(&mut self, addr: Addr, value: u64, size: u64) -> Result<(), BufferError> {
         self.stats.stores += 1;
-        let (word_addr, offset) = Self::split(addr, size)?;
-        let mask = byte_mask(offset, size.min(WORD_BYTES))?;
+        let (word_addr, offset, mask) = Self::split(addr, size)?;
         match self.write_set.merge(word_addr, value << (offset * 8), mask) {
             Ok(()) => Ok(()),
-            Err(BufferError::OverflowPending) => {
-                self.stats.overflow_events += 1;
-                Ok(())
-            }
-            Err(e) => Err(e),
+            overflowed => self.note_overflow(overflowed),
         }
+    }
+
+    /// Count an insert that landed in the overflow area (the data *is*
+    /// buffered, so the access succeeds); pass any other result through.
+    #[cold]
+    fn note_overflow(&mut self, inserted: Result<(), BufferError>) -> Result<(), BufferError> {
+        if inserted == Err(BufferError::OverflowPending) {
+            self.stats.overflow_events += 1;
+            return Ok(());
+        }
+        inserted
     }
 
     /// Validate the read-set against main memory.

@@ -6,8 +6,8 @@
 //!
 //! * [`WordMap`] — the *static-memory* word-granular hash map used for both
 //!   the read-set and the write-set of a speculative thread.  It is built
-//!   from a data `buffer`, an `addresses` array, an `offsets` stack and a
-//!   per-byte `mark` array, plus a small linear *overflow* buffer used when
+//!   from one array of slot records (address, data, per-byte mark, version),
+//!   the stack of used slots, and a small linear *overflow* buffer used when
 //!   a hash slot collision occurs.
 //! * [`GlobalBuffer`] — read-set/write-set pair with load/store redirection,
 //!   validation against main memory and (masked) commit.

@@ -295,16 +295,16 @@ impl LocalBuffer {
         None
     }
 
-    /// Drop all frames except a fresh bottom frame and clear mappings.
+    /// Drop all frames except the bottom one, reset that frame in place
+    /// and clear mappings.  Allocation-free: a buffer recycled across
+    /// forks keeps its bottom frame's register array.
     pub fn clear(&mut self) {
-        let slots = self.config.register_slots;
-        self.frames.clear();
-        self.frames.push(Frame {
-            function: 0,
-            sync_counter: 0,
-            registers: RegisterBuffer::new(slots),
-            stack_vars: Vec::new(),
-        });
+        self.frames.truncate(1);
+        let bottom = self.current_frame_mut();
+        bottom.function = 0;
+        bottom.sync_counter = 0;
+        bottom.registers.slots.fill(None);
+        bottom.stack_vars.clear();
         self.ptr_map.clear();
         self.stack_range = None;
     }
@@ -417,13 +417,19 @@ mod tests {
     #[test]
     fn clear_resets_to_single_frame() {
         let mut b = lb();
+        b.set_regvar(1, RegisterValue::Int(4)).unwrap();
+        b.set_stackvar(0, 0x100, vec![1]).unwrap();
+        let bottom_registers = b.current_frame().registers.slots.as_ptr();
         b.push_frame(1, 1).unwrap();
         b.set_regvar(0, RegisterValue::Int(5)).unwrap();
         b.register_stack_space(0, 100);
         b.clear();
         assert_eq!(b.frame_count(), 1);
-        assert_eq!(b.get_regvar(0), None);
+        assert_eq!(b.current_frame().registers.occupied(), 0);
+        assert!(b.get_stackvar(0).is_none());
         assert!(!b.in_stack_space(10));
+        // The bottom frame was reset in place, not rebuilt.
+        assert_eq!(b.current_frame().registers.slots.as_ptr(), bottom_registers);
     }
 
     #[test]

@@ -99,6 +99,7 @@ impl GlobalMemory {
     }
 
     /// Number of bytes currently allocated (including the reserved base).
+    #[inline]
     pub fn allocated_bytes(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
     }

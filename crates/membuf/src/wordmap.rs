@@ -1,28 +1,32 @@
 //! The static-memory, word-granular hash map of MUTLS (paper §IV-G2).
 //!
 //! The paper avoids dynamically growing hash maps (whose rehashing cost
-//! would land on the speculative fast path) by using three statically sized
-//! arrays:
+//! would land on the speculative fast path) with statically sized parallel
+//! arrays (`buffer`, `addresses`, a per-byte `mark`) plus the `offsets`
+//! stack of used slots.  This map keeps the static sizing and the stack but
+//! stores a word as **one 32-byte record per slot** ([`WordEntry`]; address
+//! 0 = empty): a probe reads the address and a hit reads the rest, so
+//! parallel arrays cost one cache line per array on every access, records
+//! one line in all — and validate, commit and clear walk a single array.
 //!
-//! * `buffer`    — one data word per slot,
-//! * `addresses` — the word-aligned address occupying a slot (0 = empty),
-//! * `offsets`   — a stack of used slot indices so that validation, commit
-//!   and finalization of threads touching little data stay proportional to
-//!   the amount of data actually touched, not the capacity,
-//!
-//! plus a per-byte `mark` array recording which bytes of a buffered word
-//! have actually been written (needed for sub-word stores), and a small
-//! *temporary overflow buffer* used when two distinct addresses hash to the
-//! same slot.  When the overflow buffer is used the thread should stop at
-//! the next check point and wait to be joined; when it is full the thread
-//! rolls back.
+//! * `slots` — the records, allocated zeroed, so slots never touched stay
+//!   non-resident however large the configured capacity;
+//! * `used` — the stack of used slot indices (the paper's `offsets`): join
+//!   work stays proportional to the data touched, not to the capacity;
+//! * a small *temporary overflow buffer* for an address whose home slot
+//!   holds a different one: once used, the thread should stop at its next
+//!   check point and wait to be joined; once full, the thread rolls back.
+//!   Entries only enter it on such a conflict and slots are only emptied
+//!   by [`WordMap::clear`], which empties it too — so an address whose
+//!   home slot is *empty* is in neither, and only a conflict scans it.
 
 use crate::error::BufferError;
 use crate::memory::{Addr, WORD_BYTES};
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 
 /// One buffered word: its address, data, per-byte write mask and the
 /// commit-log version observed when the word was first buffered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WordEntry {
     /// Word-aligned byte address in the global address space.
     pub addr: Addr,
@@ -43,26 +47,11 @@ pub struct WordEntry {
     pub version: u64,
 }
 
-/// Result of probing the direct-mapped array for an address.
-enum Probe {
-    /// Slot index is empty.
-    Empty(usize),
-    /// Slot index holds this very address.
-    Found(usize),
-    /// Slot index holds a *different* address (hash conflict).
-    Conflict,
-}
-
 /// Statically sized word-granular hash map with linear overflow area.
 #[derive(Debug)]
 pub struct WordMap {
-    capacity: usize,
-    slot_mask: u64,
-    data: Vec<u64>,
-    marks: Vec<u64>,
-    addresses: Vec<Addr>,
-    /// Commit-log version stamped at first insertion (read-set snapshot).
-    versions: Vec<u64>,
+    /// Direct-mapped slot records (a power of two of them).
+    slots: Box<[WordEntry]>,
     /// Stack of used slot indices ("offsets" in the paper).
     used: Vec<u32>,
     overflow: Vec<WordEntry>,
@@ -73,18 +62,29 @@ pub struct WordMap {
     overflow_pending: bool,
 }
 
+/// `capacity` empty slots straight from the allocator's zeroed pages.
+fn zeroed_slots(capacity: usize) -> Box<[WordEntry]> {
+    assert!(capacity > 0, "the allocator takes no zero-sized layout");
+    let layout = Layout::array::<WordEntry>(capacity).expect("slot array fits in memory");
+    // SAFETY: the layout is not zero-sized (asserted above); all-zero bytes
+    // are a valid `WordEntry` (four `u64`s: the empty slot); and a
+    // `Box<[WordEntry]>` of this length frees under this very layout.
+    unsafe {
+        let ptr = alloc_zeroed(layout).cast::<WordEntry>();
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity))
+    }
+}
+
 impl WordMap {
     /// Create a map with `capacity_words` direct-mapped slots (rounded up
     /// to the next power of two) and `overflow_capacity` overflow entries.
     pub fn new(capacity_words: usize, overflow_capacity: usize) -> Self {
         let capacity = capacity_words.max(8).next_power_of_two();
         WordMap {
-            capacity,
-            slot_mask: (capacity as u64) - 1,
-            data: vec![0; capacity],
-            marks: vec![0; capacity],
-            addresses: vec![0; capacity],
-            versions: vec![0; capacity],
+            slots: zeroed_slots(capacity),
             used: Vec::with_capacity(capacity.min(1024)),
             overflow: Vec::with_capacity(overflow_capacity.min(64)),
             overflow_capacity,
@@ -94,7 +94,7 @@ impl WordMap {
 
     /// Number of direct-mapped slots.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Number of distinct words currently buffered (direct + overflow).
@@ -103,8 +103,9 @@ impl WordMap {
     }
 
     /// True when no word is buffered.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.used.is_empty() && self.overflow.is_empty()
     }
 
     /// True once a hash conflict has pushed an entry into the overflow
@@ -118,34 +119,32 @@ impl WordMap {
         self.overflow.len()
     }
 
-    fn slot_of(&self, addr: Addr) -> usize {
-        ((addr / WORD_BYTES) & self.slot_mask) as usize
+    /// `addr`'s home slot and the address occupying it (0 = none): the
+    /// address itself on a hit, a different one on a hash conflict.
+    #[inline]
+    fn probe(&self, addr: Addr) -> (usize, Addr) {
+        let slot = (addr / WORD_BYTES) as usize & (self.slots.len() - 1);
+        (slot, self.slots[slot].addr)
     }
 
-    fn probe(&self, addr: Addr) -> Probe {
-        let slot = self.slot_of(addr);
-        let occupant = self.addresses[slot];
-        if occupant == 0 {
-            Probe::Empty(slot)
-        } else if occupant == addr {
-            Probe::Found(slot)
-        } else {
-            Probe::Conflict
-        }
-    }
-
-    /// Look up the buffered word for `addr` (word aligned).
+    /// Look up the buffered word for `addr` (word aligned).  An empty home
+    /// slot is a definite miss (see the module docs).
+    #[inline]
     pub fn get(&self, addr: Addr) -> Option<WordEntry> {
         debug_assert_eq!(addr % WORD_BYTES, 0);
         match self.probe(addr) {
-            Probe::Found(slot) => Some(WordEntry {
-                addr,
-                data: self.data[slot],
-                mask: self.marks[slot],
-                version: self.versions[slot],
-            }),
-            Probe::Empty(_) => self.overflow.iter().find(|e| e.addr == addr).copied(),
-            Probe::Conflict => self.overflow.iter().find(|e| e.addr == addr).copied(),
+            (_, 0) => None,
+            (slot, occupant) if occupant == addr => Some(self.slots[slot]),
+            _ => self.overflow.iter().find(|e| e.addr == addr).copied(),
+        }
+    }
+
+    /// [`get`](Self::get), for updating the entry in place.
+    fn entry_mut(&mut self, addr: Addr) -> Option<&mut WordEntry> {
+        match self.probe(addr) {
+            (_, 0) => None,
+            (slot, occupant) if occupant == addr => Some(&mut self.slots[slot]),
+            _ => self.overflow.iter_mut().find(|e| e.addr == addr),
         }
     }
 
@@ -155,6 +154,7 @@ impl WordMap {
     /// Returns [`BufferError::OverflowPending`] when the insert had to use
     /// the overflow area (the data *is* recorded) and
     /// [`BufferError::OverflowFull`] when it could not be recorded at all.
+    #[inline]
     pub fn merge(&mut self, addr: Addr, value: u64, mask: u64) -> Result<(), BufferError> {
         self.merge_versioned(addr, value, mask, 0)
     }
@@ -164,6 +164,7 @@ impl WordMap {
     /// time).  Updating an existing entry keeps the *original* version:
     /// for the read-set, the first read's snapshot is the one dependence
     /// validation must check.
+    #[inline]
     pub fn merge_versioned(
         &mut self,
         addr: Addr,
@@ -172,40 +173,41 @@ impl WordMap {
         version: u64,
     ) -> Result<(), BufferError> {
         debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
+        let new = WordEntry {
+            addr,
+            data: value & mask,
+            mask,
+            version,
+        };
         match self.probe(addr) {
-            Probe::Found(slot) => {
-                self.data[slot] = (self.data[slot] & !mask) | (value & mask);
-                self.marks[slot] |= mask;
-                Ok(())
-            }
-            Probe::Empty(slot) => {
-                self.addresses[slot] = addr;
-                self.data[slot] = value & mask;
-                self.marks[slot] = mask;
-                self.versions[slot] = version;
+            (slot, 0) => {
+                self.slots[slot] = new;
                 self.used.push(slot as u32);
                 Ok(())
             }
-            Probe::Conflict => {
-                if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == addr) {
-                    e.data = (e.data & !mask) | (value & mask);
-                    e.mask |= mask;
-                    self.overflow_pending = true;
-                    return Err(BufferError::OverflowPending);
-                }
-                if self.overflow.len() >= self.overflow_capacity {
-                    return Err(BufferError::OverflowFull);
-                }
-                self.overflow.push(WordEntry {
-                    addr,
-                    data: value & mask,
-                    mask,
-                    version,
-                });
-                self.overflow_pending = true;
-                Err(BufferError::OverflowPending)
+            (slot, occupant) if occupant == addr => {
+                let entry = &mut self.slots[slot];
+                entry.data = (entry.data & !mask) | new.data;
+                entry.mask |= mask;
+                Ok(())
             }
+            _ => self.merge_overflow(new),
         }
+    }
+
+    /// The hash-conflict arm of [`merge_versioned`](Self::merge_versioned).
+    #[cold]
+    fn merge_overflow(&mut self, new: WordEntry) -> Result<(), BufferError> {
+        if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == new.addr) {
+            e.data = (e.data & !new.mask) | new.data;
+            e.mask |= new.mask;
+        } else if self.overflow.len() >= self.overflow_capacity {
+            return Err(BufferError::OverflowFull);
+        } else {
+            self.overflow.push(new);
+        }
+        self.overflow_pending = true;
+        Err(BufferError::OverflowPending)
     }
 
     /// Insert a whole word (mask = all bytes).  Convenience for the
@@ -229,16 +231,8 @@ impl WordMap {
     /// sets are merged: the *oldest* snapshot is the one every later
     /// commit must be checked against.
     pub fn weaken_version(&mut self, addr: Addr, version: u64) {
-        if let Probe::Found(slot) = self.probe(addr) {
-            if self.versions[slot] > version {
-                self.versions[slot] = version;
-            }
-            return;
-        }
-        if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == addr) {
-            if e.version > version {
-                e.version = version;
-            }
+        if let Some(e) = self.entry_mut(addr) {
+            e.version = e.version.min(version);
         }
     }
 
@@ -249,16 +243,8 @@ impl WordMap {
     /// re-validation time, so only commits *after* the retry can flag it
     /// again.  (The dual of [`weaken_version`](Self::weaken_version).)
     pub fn refresh_version(&mut self, addr: Addr, version: u64) {
-        if let Probe::Found(slot) = self.probe(addr) {
-            if self.versions[slot] < version {
-                self.versions[slot] = version;
-            }
-            return;
-        }
-        if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == addr) {
-            if e.version < version {
-                e.version = version;
-            }
+        if let Some(e) = self.entry_mut(addr) {
+            e.version = e.version.max(version);
         }
     }
 
@@ -267,12 +253,7 @@ impl WordMap {
     pub fn iter(&self) -> impl Iterator<Item = WordEntry> + '_ {
         self.used
             .iter()
-            .map(move |&slot| WordEntry {
-                addr: self.addresses[slot as usize],
-                data: self.data[slot as usize],
-                mask: self.marks[slot as usize],
-                version: self.versions[slot as usize],
-            })
+            .map(move |&slot| self.slots[slot as usize])
             .chain(self.overflow.iter().copied())
     }
 
@@ -280,10 +261,7 @@ impl WordMap {
     /// (finalization cost is proportional to the data accessed).
     pub fn clear(&mut self) {
         for &slot in &self.used {
-            self.addresses[slot as usize] = 0;
-            self.data[slot as usize] = 0;
-            self.marks[slot as usize] = 0;
-            self.versions[slot as usize] = 0;
+            self.slots[slot as usize] = WordEntry::default();
         }
         self.used.clear();
         self.overflow.clear();
@@ -296,6 +274,7 @@ impl WordMap {
 /// on a little-endian layout.
 ///
 /// `size` must be 1, 2, 4 or 8 and the access must not straddle the word.
+#[inline]
 pub fn byte_mask(offset_in_word: u64, size: u64) -> Result<u64, BufferError> {
     if !matches!(size, 1 | 2 | 4 | 8) {
         return Err(BufferError::UnsupportedSize);
@@ -384,6 +363,27 @@ mod tests {
         );
         assert_eq!(m.get(b).unwrap().data, 9);
         assert_eq!(m.overflow_len(), 1);
+    }
+
+    #[test]
+    fn overflow_entries_keep_an_occupied_home_slot() {
+        assert_eq!(std::mem::size_of::<WordEntry>(), 32, "one slot, one record");
+        let mut m = WordMap::new(8, 4);
+        for shift in [0, 3] {
+            // Two addresses in each of four slots; the other four stay empty.
+            for i in 0..8u64 {
+                let _ = m.insert_word(0x80 + ((i % 4 + shift) % 8 + i / 4 * 8) * WORD_BYTES, i);
+            }
+            assert_eq!(m.overflow_len(), 4);
+            for e in &m.overflow {
+                let (_, occupant) = m.probe(e.addr);
+                assert!(occupant != 0 && occupant != e.addr, "{e:?}");
+            }
+            // …which is why an empty home slot is a miss without a scan.
+            assert!(m.get(0x80 + (4 + shift) % 8 * WORD_BYTES).is_none());
+            m.clear();
+            assert_eq!(m.overflow_len(), 0, "clear empties both together");
+        }
     }
 
     #[test]

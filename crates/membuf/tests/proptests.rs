@@ -7,8 +7,9 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use mutls_membuf::{
-    AddressSpace, BufferConfig, CommitLog, CommitLogConfig, GlobalBuffer, GlobalMemory, MainMemory,
-    WordMap, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_BYTES, WORD_GRAIN_LOG2,
+    AddressSpace, BufferConfig, BufferError, CommitLog, CommitLogConfig, GlobalBuffer,
+    GlobalMemory, MainMemory, WordEntry, WordMap, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_BYTES,
+    WORD_GRAIN_LOG2,
 };
 
 /// Arbitrary word-aligned address within a small arena.
@@ -27,21 +28,100 @@ fn word_log() -> CommitLog {
     CommitLog::with_config(CommitLogConfig::word_grain(), 0)
 }
 
-proptest! {
-    /// The WordMap behaves like a HashMap for whole-word inserts as long
-    /// as its overflow area is not exhausted.
-    #[test]
-    fn wordmap_matches_hashmap_model(ops in proptest::collection::vec((addr_strategy(), any::<u64>()), 1..200)) {
-        let mut map = WordMap::new(1024, 1024);
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        for (addr, value) in ops {
-            // Overflow never triggers because capacity ≥ distinct addresses.
-            let _ = map.insert_word(addr, value);
-            model.insert(addr, value);
+/// Reference model of a 16-slot, 4-overflow-entry [`WordMap`].
+#[derive(Default)]
+struct WordMapModel {
+    entries: HashMap<u64, WordEntry>,
+    /// Occupant of each direct-mapped slot.
+    home: HashMap<u64, u64>,
+    /// Addresses in their home slot, in insertion order.
+    direct: Vec<u64>,
+    /// Addresses in the overflow area, in insertion order.
+    overflow: Vec<u64>,
+    pending: bool,
+}
+
+impl WordMapModel {
+    fn merge(&mut self, new: WordEntry) -> Result<(), BufferError> {
+        let occupant = *self
+            .home
+            .entry((new.addr / WORD_BYTES) % 16)
+            .or_insert(new.addr);
+        if let Some(e) = self.entries.get_mut(&new.addr) {
+            e.data = (e.data & !new.mask) | new.data;
+            e.mask |= new.mask;
+        } else if occupant == new.addr {
+            self.direct.push(new.addr);
+            self.entries.insert(new.addr, new);
+        } else if self.overflow.len() == 4 {
+            return Err(BufferError::OverflowFull);
+        } else {
+            self.overflow.push(new.addr);
+            self.entries.insert(new.addr, new);
         }
-        prop_assert_eq!(map.len(), model.len());
-        for (addr, value) in &model {
-            prop_assert_eq!(map.get(*addr).map(|e| e.data), Some(*value));
+        if occupant == new.addr {
+            return Ok(());
+        }
+        self.pending = true;
+        Err(BufferError::OverflowPending)
+    }
+}
+
+proptest! {
+    /// The WordMap behaves like a model built from `HashMap`s through
+    /// every operation of its API — partial-mask merges, version
+    /// weakening/refreshing, clear-then-reuse — including hash conflicts
+    /// that spill into the overflow area and fill it: 64 addresses share
+    /// 16 slots and 4 overflow entries.
+    #[test]
+    fn wordmap_matches_hashmap_model(
+        ops in proptest::collection::vec((0u32..16, 1u64..65, any::<u64>(), 0u64..8), 1..300)
+    ) {
+        const MASKS: [u64; 4] = [u64::MAX, 0xFF, 0xFFFF_0000, 0xFFFF_FFFF_0000_0000];
+        let mut map = WordMap::new(16, 4);
+        let mut model = WordMapModel::default();
+        for (kind, word, value, version) in ops {
+            let addr = word * WORD_BYTES;
+            match kind {
+                0 => {
+                    map.clear();
+                    model = WordMapModel::default();
+                }
+                1 | 2 => {
+                    map.weaken_version(addr, version);
+                    if let Some(e) = model.entries.get_mut(&addr) {
+                        e.version = e.version.min(version);
+                    }
+                }
+                3 | 4 => {
+                    map.refresh_version(addr, version);
+                    if let Some(e) = model.entries.get_mut(&addr) {
+                        e.version = e.version.max(version);
+                    }
+                }
+                _ => {
+                    let mask = MASKS[(value % 4) as usize];
+                    prop_assert_eq!(
+                        map.merge_versioned(addr, value, mask, version),
+                        model.merge(WordEntry { addr, data: value & mask, mask, version })
+                    );
+                }
+            }
+            prop_assert_eq!(map.len(), model.entries.len());
+            prop_assert_eq!(map.overflow_len(), model.overflow.len());
+            prop_assert_eq!(map.overflow_pending(), model.pending);
+        }
+        // Direct-mapped entries in insertion order, then the overflow area.
+        let expected: Vec<WordEntry> = model
+            .direct
+            .iter()
+            .chain(&model.overflow)
+            .map(|addr| model.entries[addr])
+            .collect();
+        prop_assert_eq!(map.iter().collect::<Vec<_>>(), expected);
+        for word in 1..65 {
+            let addr = word * WORD_BYTES;
+            prop_assert_eq!(map.get(addr), model.entries.get(&addr).copied());
         }
     }
 

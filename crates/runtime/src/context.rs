@@ -105,7 +105,7 @@ impl SpecContext {
         rank: Rank,
         regvars: Vec<(usize, RegisterValue)>,
     ) -> Self {
-        let buffers = mgr.make_buffers(rank);
+        let buffers = mgr.take_buffers(rank);
         let mut local = buffers.local;
         for (offset, value) in regvars {
             // Offsets were validated on the parent side; ignore overflow.
@@ -134,7 +134,7 @@ impl SpecContext {
             buffers: ThreadBuffers {
                 global: self
                     .global
-                    .unwrap_or_else(|| GlobalBuffer::new(self.mgr.config().buffer)),
+                    .expect("only a speculative context deposits an outcome"),
                 local: self.local,
             },
             children: self.children,
@@ -204,6 +204,7 @@ impl SpecContext {
     /// join-time validation can detect writes committed by logical
     /// predecessors *after* this read; non-speculatively it reads main
     /// memory directly.
+    #[inline]
     pub fn spec_read(&mut self, addr: Addr) -> SpecResult<u64> {
         self.stats.counters.loads += 1;
         self.poll_abort()?;
@@ -236,6 +237,7 @@ impl SpecContext {
     /// always logically earliest).  With no read set exposed nobody holds
     /// a snapshot the stamp could invalidate, so the store runs at native
     /// speed (see `ThreadManager`'s exposure count).
+    #[inline]
     pub fn spec_write(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.stats.counters.stores += 1;
         self.poll_abort()?;
@@ -287,20 +289,28 @@ impl SpecContext {
                     && self.mgr.commit_log().grain_of(addr) == mutls_membuf::WORD_GRAIN_LOG2
                     && !buffer.has_read(addr)
                 {
-                    let doomed = self.mgr.doom_readers_hard([addr], self.rank);
-                    self.stats.counters.targeted_dooms += doomed;
-                    if doomed > 0 {
-                        self.mgr.trace_event(
-                            self.rank,
-                            0,
-                            EventKind::Doom {
-                                source: DoomSource::Buffered,
-                            },
-                        );
-                    }
+                    self.doom_overlaid_readers(addr);
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// Hard-doom the registered readers of a word this re-executing thread
+    /// just stored blindly.  [`spec_write`](Self::spec_write) holds the
+    /// gates; this arm is out of line so a store site inlines only those.
+    #[cold]
+    fn doom_overlaid_readers(&mut self, addr: Addr) {
+        let doomed = self.mgr.doom_readers_hard([addr], self.rank);
+        self.stats.counters.targeted_dooms += doomed;
+        if doomed > 0 {
+            self.mgr.trace_event(
+                self.rank,
+                0,
+                EventKind::Doom {
+                    source: DoomSource::Buffered,
+                },
+            );
         }
     }
 
@@ -371,6 +381,7 @@ impl SpecContext {
         Ok(())
     }
 
+    #[inline]
     fn poll_abort(&mut self) -> SpecResult<()> {
         // Rank 0 is never aborted or doomed: nothing to count or poll.
         if self.global.is_none() {
@@ -500,10 +511,11 @@ impl SpecContext {
         // child's written/read region, for the per-site grain column.
         let observed_grain = self.mgr.observed_grain(&outcome);
 
-        // Finalize the child's buffers (clearing cost is charged to the
-        // speculative path, as in the paper's breakdown).
+        // Finalize the child's buffers — clear them and park them for its
+        // CPU's next task (the cost is charged to the speculative path, as
+        // in the paper's breakdown).
         let finalize_started = Instant::now();
-        outcome.buffers.global.clear();
+        self.mgr.return_buffers(child, outcome.buffers);
         outcome.stats.add(
             Phase::Finalize,
             finalize_started.elapsed().as_nanos() as u64,

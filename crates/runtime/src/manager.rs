@@ -3,9 +3,11 @@
 //! forking model bookkeeping.
 //!
 //! Each virtual CPU (rank 1..=N) is backed by one worker OS thread and owns
-//! a *slot* holding its dispatch channel, status flags and — once its task
-//! finishes — the resulting buffers, statistics and list of unjoined
-//! children.  Rank 0 is the non-speculative thread (the caller).
+//! a *slot* holding its dispatch channel, status flags, its buffers while
+//! no task holds them (see [`ThreadBuffers`] for who does when) and — once
+//! its task finishes — the outcome: those buffers, the statistics and the
+//! list of unjoined children.  Rank 0 is the non-speculative thread (the
+//! caller).
 //!
 //! The synchronization protocol mirrors the paper's flag-based barrier:
 //! the joining thread signals the child (`sync_status` ≙ the `abort` /
@@ -25,8 +27,8 @@ use rand::{Rng, SeedableRng};
 
 use mutls_adaptive::{Governor, GrainController, SiteId, SiteOutcome};
 use mutls_membuf::{
-    Addr, AddressSpace, CommitLog, GlobalBuffer, GlobalMemory, LocalBuffer, MainMemory,
-    RollbackReason, SpecFailure, Validation,
+    Addr, AddressSpace, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, LocalBuffer,
+    MainMemory, RollbackReason, SpecFailure, Validation,
 };
 use mutls_metrics::{
     phase_share_gauges, CounterId, GaugeId, HistId, LabeledGauge, MetricsHub, MetricsSnapshot,
@@ -43,13 +45,63 @@ use crate::fork_model::ForkModel;
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{Rank, SpecAbort, TaskRef, TaskStatus};
 
-/// Buffers owned by one speculative thread.
+/// The buffers of one virtual CPU, reused by every task that runs on it.
+///
+/// **Ownership.**  A CPU's buffers are built once, at its first
+/// speculation, and from then on are always in exactly one place:
+///
+/// 1. *idle CPU* — parked, cleared, in the CPU's slot;
+/// 2. *running context* — `SpecContext::speculative` takes them when the
+///    worker starts a task, building them if the CPU never speculated;
+/// 3. *deposited outcome* — the finished task's [`SpecOutcome`] carries
+///    them (read set, write set and all) to whoever consumes it;
+/// 4. *back* — every path that consumes or discards an outcome (join,
+///    `adopt_subtree`, `reap_subtree`, `drain_subtree`, an orphaned
+///    deposit) hands them to [`ThreadManager::return_buffers`], which
+///    clears and parks them **before** the CPU is released, so the CPU's
+///    next task finds them.
+///
+/// Because buffers never change CPU, the rank a [`GlobalBuffer`] registers
+/// its reads under is always the rank of the CPU running it.
 #[derive(Debug)]
 pub struct ThreadBuffers {
     /// Buffered global (static/heap) accesses.
     pub global: GlobalBuffer,
     /// Buffered local (register/stack) variables and frame chain.
     pub local: LocalBuffer,
+}
+
+impl ThreadBuffers {
+    /// The identity CPU `rank`'s global buffer registers its first-touch
+    /// reads under: the rank itself under targeted recovery, 0 (anonymous,
+    /// snapshot only) in cascade mode, which bypasses the registry
+    /// entirely — the true pre-registry baseline.
+    fn reader(config: &RuntimeConfig, rank: Rank) -> Rank {
+        if config.recovery.mode == RecoveryMode::Targeted {
+            rank
+        } else {
+            0
+        }
+    }
+
+    /// Empty buffers for virtual CPU `rank`.
+    fn new(config: &RuntimeConfig, rank: Rank) -> Self {
+        ThreadBuffers {
+            global: GlobalBuffer::for_reader(config.buffer, Self::reader(config, rank)),
+            local: LocalBuffer::new(config.local_buffer),
+        }
+    }
+
+    /// Whether nothing of an earlier task is left behind.
+    fn is_clean(&self) -> bool {
+        let global = &self.global;
+        !global.overflow_pending()
+            && global.read_set_len() == 0
+            && global.write_set_len() == 0
+            && global.stats() == BufferStats::default()
+            && self.local.frame_count() == 1
+            && self.local.current_frame().registers.occupied() == 0
+    }
 }
 
 /// Everything a finished speculative task deposits for its joiner.
@@ -131,6 +183,9 @@ pub(crate) struct Slot {
     sender: Sender<WorkerMsg>,
     result: Mutex<Option<SpecOutcome>>,
     result_cv: Condvar,
+    /// This CPU's buffers while no task holds them (see
+    /// [`ThreadBuffers`]); `None` until the CPU's first speculation.
+    buffers: Mutex<Option<ThreadBuffers>>,
 }
 
 impl Slot {
@@ -149,6 +204,7 @@ impl Slot {
             sender,
             result: Mutex::new(None),
             result_cv: Condvar::new(),
+            buffers: Mutex::new(None),
         }
     }
 
@@ -274,6 +330,9 @@ pub struct ThreadManager {
     rng: Mutex<SmallRng>,
     /// Monotone counter of speculation events (diagnostics).
     speculations: AtomicU64,
+    /// [`ThreadBuffers`] built since construction (diagnostics): at most
+    /// one per virtual CPU while every outcome's buffers are returned.
+    buffers_created: AtomicUsize,
     /// Fork clock: source of the per-slot logical-rank stamps.  Starts at
     /// 1 so stamp 0 uniquely means "the non-speculative thread" (rank 0),
     /// which is logically earliest and whose commits doom unfiltered.
@@ -355,6 +414,7 @@ impl ThreadManager {
             accum: Mutex::new(RunAccumulators::default()),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             speculations: AtomicU64::new(0),
+            buffers_created: AtomicUsize::new(0),
             fork_clock: AtomicU64::new(1),
             governor: Governor::new(config.governor),
             grain,
@@ -453,6 +513,7 @@ impl ThreadManager {
     /// registered (allocation *is* registration, as in §IV-G1 where heap
     /// allocation calls are intercepted); explicitly registered ranges are
     /// honoured in addition.
+    #[inline]
     pub fn range_registered(&self, addr: Addr, len: u64) -> bool {
         if addr >= GlobalMemory::BASE_ADDR && addr + len <= self.memory.allocated_bytes() {
             return true;
@@ -534,6 +595,39 @@ impl ThreadManager {
     /// Total number of speculation events since construction.
     pub fn total_speculations(&self) -> u64 {
         self.speculations.load(Ordering::Relaxed)
+    }
+
+    /// Number of [`ThreadBuffers`] built since construction.
+    pub fn buffers_created(&self) -> usize {
+        self.buffers_created.load(Ordering::Relaxed)
+    }
+
+    /// Take virtual CPU `rank`'s buffers for the task it is about to run,
+    /// building them if this is the CPU's first speculation (so a runtime
+    /// that never speculates on a CPU never pays for its buffers).
+    pub(crate) fn take_buffers(&self, rank: Rank) -> ThreadBuffers {
+        let parked = self.slots[rank - 1].buffers.lock().take();
+        let buffers = parked.unwrap_or_else(|| {
+            self.buffers_created.fetch_add(1, Ordering::Relaxed);
+            ThreadBuffers::new(&self.config, rank)
+        });
+        debug_assert!(buffers.is_clean(), "rank {rank}: dirty buffers handed out");
+        debug_assert_eq!(
+            buffers.global.reader(),
+            ThreadBuffers::reader(&self.config, rank),
+            "buffers changed CPU"
+        );
+        buffers
+    }
+
+    /// Clear the buffers a finished task of virtual CPU `rank` left behind
+    /// and park them for the CPU's next task.  Must run before
+    /// [`release_cpu`](Self::release_cpu), or that task could start
+    /// without them.
+    pub fn return_buffers(&self, rank: Rank, mut buffers: ThreadBuffers) {
+        buffers.global.clear();
+        buffers.local.clear();
+        *self.slots[rank - 1].buffers.lock() = Some(buffers);
     }
 
     /// Number of speculative threads currently in flight.
@@ -882,6 +976,7 @@ impl ThreadManager {
         // Dead registrations only cause spurious dooms.
         self.commit_log
             .unregister_reader(outcome.buffers.global.read_addresses(), rank);
+        self.return_buffers(rank, outcome.buffers);
         let mut stats = outcome.stats;
         let wasted = stats.mark_work_wasted();
         self.push_rollback_metrics(rank, RollbackReason::from(reason), wasted, stats.total());
@@ -937,6 +1032,7 @@ impl ThreadManager {
         }
         self.commit_log
             .unregister_reader(outcome.buffers.global.read_addresses(), rank);
+        self.return_buffers(rank, outcome.buffers);
         let mut stats = outcome.stats;
         let wasted = stats.mark_work_wasted();
         self.push_rollback_metrics(
@@ -992,7 +1088,7 @@ impl ThreadManager {
             return 0;
         }
         let verdict = self.validate_and_commit(rank, &mut outcome, parent_buffer.as_deref_mut());
-        outcome.buffers.global.clear();
+        self.return_buffers(rank, outcome.buffers);
         let children = std::mem::take(&mut outcome.children);
         let (site, model) = self.slots[rank - 1].launch_info();
         match verdict {
@@ -1617,23 +1713,6 @@ impl ThreadManager {
             by_reason: accum.rolled_back_by_reason,
         }
     }
-
-    /// Build the buffers for a new speculative thread running on virtual
-    /// CPU `rank`.  Under targeted recovery the global buffer registers
-    /// the rank in the commit log's reader registry on every first-touch
-    /// read; in cascade mode the registry is bypassed entirely (the true
-    /// pre-registry baseline, zero registration overhead).
-    pub fn make_buffers(&self, rank: Rank) -> ThreadBuffers {
-        let global = if self.config.recovery.mode == RecoveryMode::Targeted {
-            GlobalBuffer::for_reader(self.config.buffer, rank)
-        } else {
-            GlobalBuffer::new(self.config.buffer)
-        };
-        ThreadBuffers {
-            global,
-            local: LocalBuffer::new(self.config.local_buffer),
-        }
-    }
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -1779,11 +1858,17 @@ mod tests {
         }
     }
 
-    /// An empty outcome of `rank` that stopped with `status`.
+    /// Buffers for a hand-driven thread (rank 0 stands in for "some
+    /// writer" in the commit tests, so these bypass the per-CPU slots).
+    fn fresh_buffers(m: &ThreadManager, rank: Rank) -> ThreadBuffers {
+        ThreadBuffers::new(m.config(), rank)
+    }
+
+    /// An empty outcome of the acquired CPU `rank`, stopped with `status`.
     fn stopped(m: &ThreadManager, rank: Rank, status: TaskStatus) -> SpecOutcome {
         SpecOutcome {
             status,
-            ..completed(m.make_buffers(rank))
+            ..completed(m.take_buffers(rank))
         }
     }
 
@@ -1868,8 +1953,41 @@ mod tests {
             assert_eq!(m.exposed_speculations(), 0, "adopt_subtree, {status:?}");
 
             assert_eq!(m.active_speculations(), 0);
+            // Each path above handed the buffers back before releasing
+            // the CPU, so no `stopped` ever had to build a second set.
+            assert_eq!(m.buffers_created(), 2, "one per CPU, {status:?}");
             m.reset_run();
         }
+    }
+
+    #[test]
+    fn buffers_are_built_at_first_use_and_come_back_clean() {
+        let (m, _rx) = ThreadManager::new(
+            RuntimeConfig::with_cpus(2)
+                .memory_bytes(1 << 16)
+                .buffer(mutls_membuf::BufferConfig::tiny()),
+        );
+        assert_eq!(m.buffers_created(), 0, "not before a CPU speculates");
+        let mem = Arc::clone(m.memory());
+        let data = mem.alloc::<u64>(32);
+        let mut dirty = m.take_buffers(2);
+        for i in 0..20 {
+            let addr = data.addr_of(i);
+            let _ = dirty
+                .global
+                .load_logged(&*mem, Some(m.commit_log()), addr, 8);
+            let _ = dirty.global.store(addr, 1, 8);
+        }
+        dirty
+            .local
+            .set_regvar(3, mutls_membuf::RegisterValue::Int(7))
+            .unwrap();
+        assert!(dirty.global.overflow_pending() && !dirty.is_clean());
+        m.return_buffers(2, dirty);
+        let again = m.take_buffers(2);
+        assert!(again.is_clean());
+        assert_eq!(again.global.reader(), 2, "still bound to its CPU");
+        assert_eq!(m.buffers_created(), 1);
     }
 
     #[test]
@@ -1880,7 +1998,7 @@ mod tests {
         mem.set(&cell, 0, 7);
 
         // A speculative child reads the cell…
-        let mut buffers = m.make_buffers(1);
+        let mut buffers = fresh_buffers(&m, 1);
         let value = buffers
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
@@ -1906,7 +2024,7 @@ mod tests {
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1);
 
-        let mut buffers = m.make_buffers(1);
+        let mut buffers = fresh_buffers(&m, 1);
         buffers.global.store(cell.addr_of(0), 42, 8).unwrap();
         let mut outcome = completed(buffers);
         let epoch_before = m.commit_log().epoch();
@@ -1927,7 +2045,7 @@ mod tests {
         let cell = mem.alloc::<u64>(2);
         mem.set(&cell, 0, 7);
 
-        let mut buffers = m.make_buffers(1);
+        let mut buffers = fresh_buffers(&m, 1);
         let _ = buffers
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
@@ -1959,7 +2077,7 @@ mod tests {
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1);
         mem.set(&cell, 0, 7);
-        let mut buffers = m.make_buffers(1);
+        let mut buffers = fresh_buffers(&m, 1);
         let _ = buffers
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
@@ -1984,19 +2102,19 @@ mod tests {
 
         // `reader` reads word 0 (registering); `bystander` reads word 32 —
         // far enough to be a different range even at line grain.
-        let mut reader_buf = m.make_buffers(reader);
+        let mut reader_buf = fresh_buffers(&m, reader);
         let _ = reader_buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
             .unwrap();
-        let mut bystander_buf = m.make_buffers(bystander);
+        let mut bystander_buf = fresh_buffers(&m, bystander);
         let _ = bystander_buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(32), 8)
             .unwrap();
 
         // A third thread commits a write covering word 0.
-        let mut writer = m.make_buffers(0);
+        let mut writer = fresh_buffers(&m, 0);
         writer.global.store(cell.addr_of(0), 5, 8).unwrap();
         let mut outcome = completed(writer);
         assert_eq!(
@@ -2026,12 +2144,12 @@ mod tests {
         let successor = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
 
         // Both bystanders read the word the writer will commit.
-        let mut pred_buf = m.make_buffers(predecessor);
+        let mut pred_buf = fresh_buffers(&m, predecessor);
         let _ = pred_buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
             .unwrap();
-        let mut succ_buf = m.make_buffers(successor);
+        let mut succ_buf = fresh_buffers(&m, successor);
         let _ = succ_buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
@@ -2045,7 +2163,7 @@ mod tests {
         assert!(m.doom_requested(successor), "the successor's read is stale");
 
         // The writer's own rollback plan applies the same filter.
-        let mut writer_buf = m.make_buffers(writer);
+        let mut writer_buf = fresh_buffers(&m, writer);
         writer_buf.global.store(cell.addr_of(0), 9, 8).unwrap();
         let _ = pred_buf
             .global
@@ -2073,7 +2191,7 @@ mod tests {
         // A grandchild finished and deposited before its (committed)
         // parent was joined — the classic orphan the old code reaped.
         let gc = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-        let mut buffers = m.make_buffers(gc);
+        let mut buffers = fresh_buffers(&m, gc);
         buffers.global.store(cell.addr_of(0), 42, 8).unwrap();
         assert!(m.deposit_outcome(gc, completed(buffers)));
 
@@ -2095,14 +2213,14 @@ mod tests {
         // Grandchild A read the cell before a predecessor overwrote it:
         // adoption must validate, fail, and discard — not blindly commit.
         let stale = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-        let mut stale_buf = m.make_buffers(stale);
+        let mut stale_buf = fresh_buffers(&m, stale);
         let _ = stale_buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
             .unwrap();
         stale_buf.global.store(cell.addr_of(0), 99, 8).unwrap();
 
-        let mut pred = m.make_buffers(0);
+        let mut pred = fresh_buffers(&m, 0);
         pred.global.store(cell.addr_of(0), 13, 8).unwrap();
         let mut pred_outcome = completed(pred);
         m.validate_and_commit(0, &mut pred_outcome, None).unwrap();
@@ -2130,7 +2248,7 @@ mod tests {
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1);
         let reader = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-        let mut buf = m.make_buffers(reader);
+        let mut buf = fresh_buffers(&m, reader);
         let _ = buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
@@ -2154,7 +2272,7 @@ mod tests {
         let victim = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
 
         // The victim speculatively read the word the failing child wrote.
-        let mut victim_buf = m.make_buffers(victim);
+        let mut victim_buf = fresh_buffers(&m, victim);
         let _ = victim_buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(32), 8)
@@ -2163,7 +2281,7 @@ mod tests {
         // The child read word 0, then a predecessor committed a different
         // value there: genuine conflict, no retry.  The child also wrote
         // word 32 — which the victim read.
-        let mut child_buf = m.make_buffers(0);
+        let mut child_buf = fresh_buffers(&m, 0);
         let _ = child_buf
             .global
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
@@ -2215,7 +2333,7 @@ mod tests {
         // but its page-grain range is committed by a neighbour write.
         let reader = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
         for _ in 0..4 {
-            let mut buf = m.make_buffers(reader);
+            let mut buf = fresh_buffers(&m, reader);
             let _ = buf
                 .global
                 .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
@@ -2250,7 +2368,7 @@ mod tests {
         let m = mgr(1);
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1);
-        let mut buf = m.make_buffers(1);
+        let mut buf = fresh_buffers(&m, 1);
         buf.global.store(cell.addr_of(0), 1, 8).unwrap();
         let outcome = completed(buf);
         assert_eq!(m.observed_grain(&outcome), m.config().commit_log.grain_log2);
