@@ -7,29 +7,74 @@
 //! speculative, forks acquire a virtual CPU and dispatch the continuation,
 //! and joins perform the synchronize/validate/commit-or-rollback protocol
 //! of paper §IV-E/F.
+//!
+//! **Fork.**  A fork acquires an idle virtual CPU and queues the
+//! continuation for whichever OS thread is idle.  A *speculative* forker
+//! denied for want of a CPU keeps the request (`LateFork`): if the forker
+//! is promoted before the matching join, the CPU it frees takes the fork
+//! after all.
+//!
+//! **Join.**  A speculative joiner blocks until its child stops.  The
+//! non-speculative thread does not: if the child is still running it asks
+//! the child to synchronize early — commit where it stands and continue
+//! as the non-speculative thread — and, once the child has, runs
+//! dispatched tasks on its own OS thread until the child's closure hands
+//! the role back.  A context can therefore *stop being speculative* at any
+//! of its polls (a memory operation, a check point, a fork, a join, or
+//! while blocked in a join): [`TlsContext::is_speculative`] and
+//! [`TlsContext::rank`] answer for the moment they are called.  See the
+//! [`manager`](crate::manager) docs for who runs what, why nobody
+//! starves, and when synchronizing pays.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mutls_membuf::{
     Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, LocalBuffer, MainMemory, RegisterValue,
     RollbackReason, SpecFailure, WORD_BYTES,
 };
 
-use mutls_adaptive::{ForkDecision, SiteOutcome};
+use mutls_adaptive::ForkDecision;
 use mutls_metrics::CounterId;
 use mutls_trace::{DenyPolicy, DoomSource, EventKind, LatencyPhase};
 
 use crate::config::RecoveryMode;
 use crate::fork_model::ForkModel;
-use crate::manager::{SpecOutcome, SpecRequest, ThreadBuffers, ThreadManager};
+use crate::manager::{
+    CommitKind, Handoff, PromotedOutcome, SpecOutcome, SpecRequest, ThreadBuffers, ThreadManager,
+};
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{
     failure, JoinOutcome, Rank, SpecAbort, SpecResult, TaskRef, TaskStatus, TlsContext, Word,
 };
 
-/// How often speculative memory operations poll the abort flag.
+/// How often speculative memory operations poll the abort flag (and,
+/// with it, the doom flags and the sync request).
 const ABORT_POLL_INTERVAL: u32 = 256;
+
+/// A synchronization may cost at most one part in this many of the
+/// fork→join region it overlaps (see `ThreadManager::sync_pays`).
+pub(crate) const SYNC_PAYBACK: u64 = 8;
+
+/// How long a thread with nothing to run — a worker between tasks, a
+/// joiner at its join — spins before it parks.  Long enough that an empty
+/// fork→join round trip wakes nobody through the kernel, short against
+/// any task worth forking.
+pub(crate) const IDLE_SPIN: Duration = Duration::from_micros(30);
+
+/// Dispatch→start hand-off assumed until a faster one is measured.
+pub(crate) const COLD_HANDOFF_NS: u64 = 20_000;
+
+/// What a promotion costs before its first buffered entry — validation
+/// set-up, the site and run bookkeeping, publishing, releasing the CPU
+/// (1.5–4 µs measured on the 2-core reference box).  A constant, not a
+/// measurement: the first promotion of a run is its slowest, and a
+/// promotion priced out is never measured again.
+pub(crate) const SYNC_BASE_NS: u64 = 2_000;
+
+/// Cost of validating, committing and clearing one buffered entry assumed
+/// until the first promotion of a non-empty buffer is measured.
+pub(crate) const COLD_SYNC_ENTRY_NS: u64 = 25;
 
 /// Handle returned by a fork point and consumed by the matching join point.
 pub struct SpecHandle {
@@ -40,6 +85,13 @@ pub struct SpecHandle {
     model: ForkModel,
     /// True when the governor suppressed speculation at this fork point.
     throttled: bool,
+    /// Id of the [`LateFork`] a speculative forker kept when no CPU was
+    /// free: the join looks there for a child dispatched after all.
+    late: Option<u32>,
+    /// When the fork point returned; the join measures S1 from it.  (Not
+    /// from its start: waking a parked worker can preempt the forker
+    /// inside the dispatch, which is no evidence of a long region.)
+    forked_at: Instant,
 }
 
 impl SpecHandle {
@@ -48,7 +100,9 @@ impl SpecHandle {
         self.point
     }
 
-    /// True if a speculative thread was actually launched.
+    /// True if a speculative thread was launched at the fork point (a
+    /// fork denied there and dispatched late, after its forker's
+    /// promotion, still reads false).
     pub fn speculated(&self) -> bool {
         self.child.is_some()
     }
@@ -57,6 +111,30 @@ impl SpecHandle {
     pub fn throttled(&self) -> bool {
         self.throttled
     }
+}
+
+/// A fork a *speculative* thread was denied for want of a CPU, kept in
+/// case the thread is promoted before the matching join: the promotion
+/// frees the CPU the thread itself was holding, which is the one its own
+/// continuation fork just missed.
+struct LateFork {
+    id: u32,
+    point: u32,
+    model: ForkModel,
+    task: TaskRef<SpecContext>,
+    /// Register variables as they were at the fork point.
+    regvars: Vec<(usize, RegisterValue)>,
+    /// `children.len()` at the fork point: a child forked later is joined
+    /// earlier, so while one is live this fork cannot go on top of it.
+    children_at_fork: usize,
+    /// The child, once dispatched.
+    child: Option<Rank>,
+}
+
+/// A promoted context's way back to the joiner it displaced.
+struct Promotion {
+    handoff: Arc<Handoff>,
+    kind: CommitKind,
 }
 
 /// Per-thread execution context of the native runtime.
@@ -70,7 +148,13 @@ pub struct SpecContext {
     /// regvar transfer API is uniform.
     local: LocalBuffer,
     children: Vec<Rank>,
+    /// Forks denied for want of a CPU while speculative, oldest first.
+    late_forks: Vec<LateFork>,
+    next_late_id: u32,
     stats: ThreadStats,
+    /// Since when `stats` accounts for this thread's time: the start of
+    /// the context, or its promotion.
+    started: Instant,
     last_mark: Instant,
     op_counter: u32,
     /// Depth of rollback-triggered inline re-executions currently on the
@@ -79,23 +163,42 @@ pub struct SpecContext {
     /// range this thread rewrites is doomed from birth (it reads main
     /// memory underneath the uncommitted overlay) and should stop now.
     reexec_depth: u32,
+    /// Set once this context, born speculative, was promoted.
+    promotion: Option<Promotion>,
+    /// A promotion attempt failed validation (see [`SpecOutcome::settled`]).
+    settled: bool,
 }
 
 impl SpecContext {
+    fn new(
+        mgr: Arc<ThreadManager>,
+        rank: Rank,
+        global: Option<GlobalBuffer>,
+        local: LocalBuffer,
+    ) -> Self {
+        let now = Instant::now();
+        SpecContext {
+            mgr,
+            rank,
+            global,
+            local,
+            children: Vec::new(),
+            late_forks: Vec::new(),
+            next_late_id: 0,
+            stats: ThreadStats::new(),
+            started: now,
+            last_mark: now,
+            op_counter: 0,
+            reexec_depth: 0,
+            promotion: None,
+            settled: false,
+        }
+    }
+
     /// Create the non-speculative (rank 0) context.
     pub(crate) fn non_speculative(mgr: Arc<ThreadManager>) -> Self {
         let local = LocalBuffer::new(mgr.config().local_buffer);
-        SpecContext {
-            mgr,
-            rank: 0,
-            global: None,
-            local,
-            children: Vec::new(),
-            stats: ThreadStats::new(),
-            last_mark: Instant::now(),
-            op_counter: 0,
-            reexec_depth: 0,
-        }
+        Self::new(mgr, 0, None, local)
     }
 
     /// Create a speculative context for virtual CPU `rank`, installing the
@@ -111,24 +214,19 @@ impl SpecContext {
             // Offsets were validated on the parent side; ignore overflow.
             let _ = local.set_regvar(offset, value);
         }
-        SpecContext {
-            mgr,
-            rank,
-            global: Some(buffers.global),
-            local,
-            children: Vec::new(),
-            stats: ThreadStats::new(),
-            last_mark: Instant::now(),
-            op_counter: 0,
-            reexec_depth: 0,
-        }
+        Self::new(mgr, rank, Some(buffers.global), local)
+    }
+
+    /// Charge to `Work` whatever of `[started, now]` no phase has claimed.
+    fn close_books(&mut self, now: Instant) {
+        let total = now.duration_since(self.started).as_nanos() as u64;
+        let claimed = self.stats.total();
+        self.stats.add(Phase::Work, total.saturating_sub(claimed));
     }
 
     /// Consume the context into the outcome deposited for the joiner.
-    pub(crate) fn into_outcome(mut self, status: TaskStatus, started: Instant) -> SpecOutcome {
-        let total = started.elapsed().as_nanos() as u64;
-        let overhead = self.stats.total();
-        self.stats.add(Phase::Work, total.saturating_sub(overhead));
+    pub(crate) fn into_outcome(mut self, status: TaskStatus) -> SpecOutcome {
+        self.close_books(Instant::now());
         SpecOutcome {
             status,
             buffers: ThreadBuffers {
@@ -140,16 +238,40 @@ impl SpecContext {
             children: self.children,
             stats: self.stats,
             finished_at: Instant::now(),
+            settled: self.settled,
         }
     }
 
-    /// Finish the non-speculative root context: drain any unjoined
-    /// children and return the critical-path statistics.
-    pub(crate) fn finish(mut self, started: Instant) -> (ThreadStats, Vec<Rank>) {
-        let total = started.elapsed().as_nanos() as u64;
-        let overhead = self.stats.total();
-        self.stats.add(Phase::Work, total.saturating_sub(overhead));
-        (self.stats, std::mem::take(&mut self.children))
+    /// The task's closure returned `status`: deposit the outcome for the
+    /// joiner or, if the task was promoted on the way, hand the
+    /// non-speculative role back to the joiner it displaced.
+    pub(crate) fn conclude(mut self, status: TaskStatus) {
+        let mgr = Arc::clone(&self.mgr);
+        let Some(promotion) = self.promotion.take() else {
+            let rank = self.rank;
+            mgr.deposit_outcome(rank, self.into_outcome(status));
+            return;
+        };
+        let finished_at = Instant::now();
+        self.close_books(finished_at);
+        mgr.hand_back(
+            &promotion.handoff,
+            PromotedOutcome {
+                status,
+                kind: promotion.kind,
+                children: self.children,
+                stats: self.stats,
+                promoted_at: self.started,
+                finished_at,
+            },
+        );
+    }
+
+    /// Finish the non-speculative root context: return the critical-path
+    /// statistics and the children left for the caller to drain.
+    pub(crate) fn finish(mut self) -> (ThreadStats, Vec<Rank>) {
+        self.close_books(Instant::now());
+        (self.stats, self.children)
     }
 
     /// Shared memory arena.
@@ -377,8 +499,126 @@ impl SpecContext {
                 // conflict rollback.
                 return Err(failure(SpecFailure::ReadConflict));
             }
+            if self.mgr.sync_posted(self.rank) {
+                return self.synchronize_early();
+            }
         }
         Ok(())
+    }
+
+    /// Early synchronization, child side (paper §IV-E/H): the
+    /// non-speculative joiner reached the join while this task still runs
+    /// and asks it to stop being speculative *here* — validate and commit
+    /// what it has, release its CPU, and carry on as the non-speculative
+    /// thread itself.  Taken only when it pays (`ThreadManager::sync_pays`);
+    /// a request turned down is gone, and the joiner simply waits for the
+    /// deposit as if it had never asked.
+    ///
+    /// On success the context is rank 0 from here on — `global` gone,
+    /// fresh (critical-path) statistics — but keeps its local frames and
+    /// its unjoined children: those read underneath this thread's
+    /// write-set, which the commit just stamped into the log, so their
+    /// own joins catch every stale read.  On a failed validation the task
+    /// is doomed and unwinds like any conflict; its joiner's rollback and
+    /// re-execution is the only recovery path.
+    #[cold]
+    fn synchronize_early(&mut self) -> SpecResult<()> {
+        let Some(handoff) = self.mgr.take_sync(self.rank) else {
+            return Ok(());
+        };
+        let global = self.global.as_ref().expect("only speculative tasks poll");
+        let entries = global.read_set_len() + global.write_set_len();
+        if !self.mgr.sync_pays(entries, handoff.s1_ns()) {
+            return Ok(());
+        }
+        let rank = self.rank;
+        let sync_started = Instant::now();
+        self.close_books(sync_started);
+        let global = self.global.take().expect("checked above");
+        // What a joiner would find deposited had the task ended here; the
+        // frames stay with the context, the CPU gets a fresh local buffer.
+        let mut outcome = SpecOutcome {
+            status: TaskStatus::Completed,
+            buffers: ThreadBuffers {
+                global,
+                local: LocalBuffer::new(self.mgr.config().local_buffer),
+            },
+            children: Vec::new(),
+            stats: std::mem::take(&mut self.stats),
+            finished_at: sync_started,
+            settled: false,
+        };
+        let verdict = self.mgr.validate_and_commit(rank, &mut outcome, None);
+        let kind = match verdict {
+            Ok(kind) => kind,
+            Err(reason) => {
+                self.global = Some(outcome.buffers.global);
+                self.stats = outcome.stats;
+                self.settled = true;
+                self.mgr.doom_hard(rank);
+                return Err(failure(reason));
+            }
+        };
+        let (site, model) = self.mgr.launch_info(rank);
+        self.mgr.settle_child(rank, site, model, outcome, verdict);
+        let promoted_at = Instant::now();
+        self.mgr.publish_promotion(rank, &handoff);
+        self.mgr.release_cpu(rank, 0);
+        self.mgr.record_sync(
+            promoted_at.duration_since(sync_started).as_nanos() as u64,
+            entries,
+        );
+        self.rank = 0;
+        self.started = promoted_at;
+        self.last_mark = promoted_at;
+        self.promotion = Some(Promotion { handoff, kind });
+        self.dispatch_late_fork();
+        Ok(())
+    }
+
+    /// Right after a promotion: the CPU this thread held is free, so the
+    /// newest fork it was denied for want of one — its own continuation,
+    /// whose join is still ahead — is dispatched after all, unless a
+    /// younger child is live (see [`LateFork::children_at_fork`]).
+    fn dispatch_late_fork(&mut self) {
+        let live = self.children.len();
+        let Some(late) = self
+            .late_forks
+            .last_mut()
+            .filter(|late| live <= late.children_at_fork)
+        else {
+            return;
+        };
+        let fork_started = Instant::now();
+        let Some(child) = self.mgr.try_acquire_cpu(0, late.model) else {
+            return;
+        };
+        late.child = Some(child);
+        let (point, model) = (late.point, late.model);
+        let request = SpecRequest {
+            task: Arc::clone(&late.task),
+            regvars: std::mem::take(&mut late.regvars),
+        };
+        self.launch(child, point, model, request);
+        self.end_overhead(Phase::Fork, fork_started);
+    }
+
+    /// Dispatch `request` to the acquired CPU `child` and push it on the
+    /// children stack.
+    fn launch(&mut self, child: Rank, point: u32, model: ForkModel, request: SpecRequest) {
+        // Emitted on the child's lane *before* the dispatch: the queue
+        // push orders this write before anything the child emits, keeping
+        // the ring single-producer.
+        self.mgr.trace_event(
+            child,
+            point,
+            EventKind::SpecStart {
+                parent: self.rank as u32,
+            },
+        );
+        self.mgr.dispatch(child, point, model, request);
+        self.children.push(child);
+        self.stats.counters.forks += 1;
     }
 
     #[inline]
@@ -408,6 +648,32 @@ impl SpecContext {
         }
     }
 
+    /// The current frame's register variables, as a forked child receives
+    /// them (MUTLS_save_local / set_regvar on the parent side).
+    fn fork_regvars(&self) -> Vec<(usize, RegisterValue)> {
+        self.local.current_frame().registers.iter().collect()
+    }
+
+    /// The handle of a fork point that launched nothing: the join runs
+    /// `task` inline.
+    fn inline_handle(
+        &self,
+        point: u32,
+        task: TaskRef<SpecContext>,
+        model: ForkModel,
+        throttled: bool,
+    ) -> SpecHandle {
+        SpecHandle {
+            point,
+            task,
+            child: None,
+            model,
+            throttled,
+            late: None,
+            forked_at: self.last_mark,
+        }
+    }
+
     /// Execute a task inline (the parent running the continuation itself).
     fn run_inline(&mut self, task: &TaskRef<SpecContext>) -> SpecResult<()> {
         match task(self) {
@@ -418,14 +684,40 @@ impl SpecContext {
 
     /// Join a speculative child: synchronize, validate, commit (possibly
     /// via value-predict retry) or roll back, and release its CPU.
-    /// Returns the decision.  `site` and `model` identify the fork point
-    /// for governor feedback.
+    /// `site` and `model` identify the fork point for governor feedback,
+    /// `forked_at` is when it ran.  The inner result is the decision; the
+    /// outer error is a promoted child's own failure *as the
+    /// non-speculative thread*, which nothing can roll back and the caller
+    /// propagates.
+    ///
+    /// Accounts for its own time, so that the phases partition the
+    /// thread's wall time: waiting is `Idle`, the interval a promoted child
+    /// held the non-speculative role is charged by that child (its
+    /// statistics are merged in), and only what remains — bookkeeping — is
+    /// `Join`.
     fn join_child(
         &mut self,
         child: Rank,
         site: u32,
         model: ForkModel,
-    ) -> Result<crate::manager::CommitKind, SpecFailure> {
+        forked_at: Instant,
+    ) -> SpecResult<Result<CommitKind, SpecFailure>> {
+        let mut bookkeeping = self.begin_overhead();
+        let verdict = self.join_child_from(child, site, model, forked_at, &mut bookkeeping);
+        self.end_overhead(Phase::Join, bookkeeping);
+        verdict
+    }
+
+    /// [`join_child`](Self::join_child) proper.  `*bookkeeping` is the
+    /// start of the stretch of `Join` time not yet charged.
+    fn join_child_from(
+        &mut self,
+        child: Rank,
+        site: u32,
+        model: ForkModel,
+        forked_at: Instant,
+        bookkeeping: &mut Instant,
+    ) -> SpecResult<Result<CommitKind, SpecFailure>> {
         // Children-stack discipline (paper §IV-F): pop until the expected
         // child is found; anything popped in between violated the
         // mixed-model ordering assumption and is discarded (NOSYNC).
@@ -437,98 +729,113 @@ impl SpecContext {
                     // The child was already discarded (e.g. by a cascading
                     // rollback); treat as a rollback so the caller
                     // re-executes inline.
-                    return Err(SpecFailure::NoSync);
+                    return Ok(Err(SpecFailure::NoSync));
                 }
             }
         }
 
         // Wait for the child to stop (its closure completed, reached a
-        // barrier or failed); this is idle time on the joining thread.
-        // A *speculative* joiner keeps watching its own doom flags while
-        // blocked: if a committing writer dooms it mid-wait, waiting out
-        // the child's (equally doomed) subtree would waste the whole
-        // window, so the join is abandoned and the subtree reaped now.
+        // barrier or failed) or — early synchronization — to take over.
         let wait_started = Instant::now();
-        let outcome = if self.rank == 0 {
-            Some(self.mgr.wait_outcome(child))
-        } else {
-            let mgr = Arc::clone(&self.mgr);
-            let rank = self.rank;
-            let global = &mut self.global;
-            let stats = &mut self.stats;
-            mgr.wait_outcome_where(child, || {
-                if mgr.abort_requested(rank) || mgr.hard_doom_requested(rank) {
-                    return true;
+        self.stats.add(
+            Phase::Join,
+            wait_started.duration_since(*bookkeeping).as_nanos() as u64,
+        );
+        let mgr = Arc::clone(&self.mgr);
+        let mut outcome = loop {
+            if self.rank == 0 {
+                // The non-speculative thread does not sit a running child
+                // out: it asks the child to synchronize here and, if the
+                // child does, serves dispatched tasks on this OS thread
+                // until the child's closure hands the role back.
+                let s1_ns = wait_started.duration_since(forked_at).as_nanos() as u64;
+                let handoff = mgr
+                    .sync_pays(0, s1_ns)
+                    .then(|| Arc::new(Handoff::new(s1_ns)));
+                if let Some(handoff) = &handoff {
+                    mgr.post_sync(child, Arc::clone(handoff));
                 }
-                if !mgr.doom_requested(rank) {
-                    return false;
-                }
-                // In-flight value-predict retry, as in `check_abort`.
-                if mgr.config().recovery.value_predict {
-                    if let Some(buffer) = global.as_mut() {
-                        let memory = mgr.memory();
-                        let retry_started = Instant::now();
-                        if buffer.revalidate_by_value(mgr.commit_log(), memory.as_ref()) {
-                            mgr.clear_doom(rank);
-                            stats.counters.retries_succeeded += 1;
-                            mgr.recorder().latency().record(
-                                LatencyPhase::RepairRetry,
-                                retry_started.elapsed().as_nanos() as u64,
-                            );
-                            mgr.trace_event(rank, 0, EventKind::RetryInFlight);
-                            return false;
-                        }
+                if let Some(outcome) = mgr.wait_outcome_or_promotion(child, handoff.as_deref()) {
+                    if handoff.is_some() {
+                        // The child finished without taking the request.
+                        mgr.take_sync(child);
                     }
+                    break outcome;
                 }
-                true
-            })
+                let handoff = handoff.expect("only a posted request is taken");
+                let promoted = mgr.serve_until_handed_back(&handoff);
+                // A context promoted while it waited opened fresh books.
+                let idle_since = wait_started.max(self.started);
+                return self.resume_after(promoted, idle_since, bookkeeping);
+            }
+            // A *speculative* joiner keeps polling while blocked: a doom or
+            // an abort abandons the join (waiting out the child's equally
+            // doomed subtree would waste the whole window), and a sync
+            // request from its own joiner promotes it right here, after
+            // which it waits as the non-speculative thread it now is.
+            let mut stop = None;
+            let waited = mgr.wait_outcome_where(child, || match self.check_abort() {
+                Ok(()) => self.rank == 0,
+                Err(abort) => {
+                    stop = Some(abort);
+                    true
+                }
+            });
+            match (waited, stop) {
+                (Some(outcome), _) => break outcome,
+                (None, None) => continue,
+                (None, Some(abort)) => {
+                    // Reap the child's subtree and unwind; this thread's
+                    // own joiner re-executes.
+                    self.mgr.reap_subtree(child);
+                    let now = Instant::now();
+                    self.stats.add(
+                        Phase::Idle,
+                        now.duration_since(wait_started).as_nanos() as u64,
+                    );
+                    *bookkeeping = now;
+                    return Ok(Err(match abort {
+                        SpecAbort::Failed(reason) => reason,
+                        SpecAbort::BarrierReached => unreachable!("polls never reach a barrier"),
+                    }));
+                }
+            }
         };
-        self.stats
-            .add(Phase::Idle, wait_started.elapsed().as_nanos() as u64);
-        let Some(mut outcome) = outcome else {
-            // Doomed (or aborted) while blocked: reap the child's subtree
-            // and unwind; the joiner's own joiner re-executes.
-            self.mgr.reap_subtree(child);
-            let reason = if self.mgr.abort_requested(self.rank) {
-                SpecFailure::Cascaded
-            } else {
-                SpecFailure::ReadConflict
-            };
-            return Err(reason);
-        };
+        let waited_until = Instant::now();
+        let idle_since = wait_started.max(self.started);
+        self.stats.add(
+            Phase::Idle,
+            waited_until.duration_since(idle_since).as_nanos() as u64,
+        );
+        *bookkeeping = waited_until;
         // Time the child spent waiting to be joined is speculative idle.
         outcome.stats.add(
             Phase::Idle,
-            Instant::now()
-                .duration_since(outcome.finished_at)
-                .as_nanos() as u64,
+            waited_until.duration_since(outcome.finished_at).as_nanos() as u64,
         );
 
-        let verdict = self
-            .mgr
-            .validate_and_commit(child, &mut outcome, self.global.as_mut());
-        // Observed before the buffers are cleared: the live grain of the
-        // child's written/read region, for the per-site grain column.
-        let observed_grain = self.mgr.observed_grain(&outcome);
+        let verdict = match outcome.status {
+            TaskStatus::Failed(reason) if outcome.settled => Err(reason),
+            _ => self
+                .mgr
+                .validate_and_commit(child, &mut outcome, self.global.as_mut()),
+        };
+        let grandchildren = std::mem::take(&mut outcome.children);
+        self.mgr.settle_child(child, site, model, outcome, verdict);
+        self.inherit_children(grandchildren, verdict.is_ok());
+        self.mgr.release_cpu(child, self.rank);
+        Ok(verdict)
+    }
 
-        // Finalize the child's buffers — clear them and park them for its
-        // CPU's next task (the cost is charged to the speculative path, as
-        // in the paper's breakdown).
-        let finalize_started = Instant::now();
-        self.mgr.return_buffers(child, outcome.buffers);
-        outcome.stats.add(
-            Phase::Finalize,
-            finalize_started.elapsed().as_nanos() as u64,
-        );
-
-        // The unjoined children of a finished child: when the child
-        // *committed*, its state already reached the commit log (or the
-        // parent's overlay), so the grandchildren ran on top of valid
-        // state — adopt the completed ones into this joiner instead of
-        // re-speculating their work (see README "Recovery pipeline").
-        // A child that rolled back invalidates the subtree as before.
-        for grandchild in std::mem::take(&mut outcome.children) {
-            if verdict.is_ok() {
+    /// The unjoined children of a finished child: when the child
+    /// *committed*, its state already reached the commit log (or the
+    /// parent's overlay), so the grandchildren ran on top of valid state —
+    /// adopt the completed ones into this joiner instead of
+    /// re-speculating their work (see README "Recovery pipeline").  A
+    /// child that rolled back invalidates the subtree.
+    fn inherit_children(&mut self, grandchildren: Vec<Rank>, committed: bool) {
+        for grandchild in grandchildren {
+            if committed {
                 let adopted = self.mgr.adopt_subtree(grandchild, self.global.as_mut());
                 self.stats.counters.adopted_threads += adopted;
                 self.mgr
@@ -539,43 +846,44 @@ impl SpecContext {
                 self.mgr.reap_subtree(grandchild);
             }
         }
+    }
 
-        let committed = verdict.is_ok();
-        if !committed {
-            outcome.stats.mark_work_wasted();
+    /// Back in the non-speculative role after the child promoted at this
+    /// join ran its closure to the end: `[idle_since, promoted_at]` and
+    /// `[finished_at, now]` were idle here, the stretch between is the
+    /// child's critical-path time, and what this OS thread did meanwhile
+    /// is on the books of the speculative tasks it served.
+    fn resume_after(
+        &mut self,
+        promoted: PromotedOutcome,
+        idle_since: Instant,
+        bookkeeping: &mut Instant,
+    ) -> SpecResult<Result<CommitKind, SpecFailure>> {
+        let now = Instant::now();
+        let idle = promoted.promoted_at.saturating_duration_since(idle_since)
+            + now.saturating_duration_since(promoted.finished_at);
+        self.stats.add(Phase::Idle, idle.as_nanos() as u64);
+        self.stats.merge(&promoted.stats);
+        *bookkeeping = now;
+        self.inherit_children(promoted.children, true);
+        match promoted.status {
+            TaskStatus::Failed(reason) => Err(failure(reason)),
+            TaskStatus::Completed | TaskStatus::Barrier => Ok(Ok(promoted.kind)),
         }
-        // Feed the join outcome back into the governor's site profile,
-        // carrying the false-sharing classification and the retry verdict
-        // `validate_and_commit` recorded, so Throttle can back off
-        // differently on grain-induced conflicts and treat a retried
-        // conflict as the cheap repair it is.
-        let site_outcome = match verdict {
-            Ok(kind) => SiteOutcome::committed(
-                outcome.stats.get(Phase::Work),
-                outcome.stats.get(Phase::Idle),
-                model,
-            )
-            .with_retry(kind.retried())
-            .with_grain(observed_grain),
-            Err(reason) => SiteOutcome::rolled_back(
-                reason,
-                outcome.stats.get(Phase::WastedWork),
-                outcome.stats.get(Phase::Idle),
-                model,
-            )
-            .with_false_sharing(outcome.stats.counters.false_sharing_suspects > 0)
-            .with_grain(observed_grain),
-        };
-        self.mgr.governor().record_outcome(site, &site_outcome);
-        self.mgr.record_speculative(
-            &outcome.stats,
-            verdict.err(),
-            verdict
-                .map(crate::manager::CommitKind::retried)
-                .unwrap_or(false),
-        );
-        self.mgr.release_cpu(child, self.rank);
-        verdict
+    }
+
+    /// The child a fork point's [`LateFork`] was dispatched as, if it was;
+    /// either way the entry (and any younger one, whose join was skipped)
+    /// is done with.
+    fn resolve_late_fork(&mut self, id: u32) -> Option<Rank> {
+        let mut child = None;
+        while self.late_forks.last().is_some_and(|late| late.id >= id) {
+            let late = self.late_forks.pop().expect("just seen");
+            if late.id == id {
+                child = late.child;
+            }
+        }
+        child
     }
 }
 
@@ -631,13 +939,7 @@ impl TlsContext for SpecContext {
                     policy: DenyPolicy::Reexec,
                 },
             );
-            return Ok(SpecHandle {
-                point,
-                task,
-                child: None,
-                model,
-                throttled: false,
-            });
+            return Ok(self.inline_handle(point, task, model, false));
         }
 
         // Ask the adaptive governor whether this fork site may speculate
@@ -669,13 +971,7 @@ impl TlsContext for SpecContext {
                         policy: DenyPolicy::Governor,
                     },
                 );
-                return Ok(SpecHandle {
-                    point,
-                    task,
-                    child: None,
-                    model,
-                    throttled: true,
-                });
+                return Ok(self.inline_handle(point, task, model, true));
             }
         };
 
@@ -696,41 +992,32 @@ impl TlsContext for SpecContext {
             };
             self.mgr
                 .trace_event(self.rank, point, EventKind::ForkDenied { policy });
-            return Ok(SpecHandle {
-                point,
-                task,
-                child: None,
-                model,
-                throttled: false,
-            });
+            let mut handle = self.inline_handle(point, task, model, false);
+            // Only a speculative thread can be promoted, and only a
+            // promotion frees a CPU for a fork that found none.
+            if policy == DenyPolicy::NoCpu && self.global.is_some() {
+                let id = self.next_late_id;
+                self.next_late_id += 1;
+                self.late_forks.push(LateFork {
+                    id,
+                    point,
+                    model,
+                    task: Arc::clone(&handle.task),
+                    regvars: self.fork_regvars(),
+                    children_at_fork: self.children.len(),
+                    child: None,
+                });
+                handle.late = Some(id);
+            }
+            return Ok(handle);
         };
 
         let fork_started = self.begin_overhead();
-        // Transfer the current frame's register variables to the child
-        // (MUTLS_save_local / set_regvar on the parent side).
-        let regvars: Vec<(usize, RegisterValue)> =
-            self.local.current_frame().registers.iter().collect();
-        // Emitted on the child's lane *before* the dispatch: the channel
-        // send orders this write before anything the child emits, keeping
-        // the ring single-producer.
-        self.mgr.trace_event(
-            child,
-            point,
-            EventKind::SpecStart {
-                parent: self.rank as u32,
-            },
-        );
-        self.mgr.dispatch(
-            child,
-            point,
-            model,
-            SpecRequest {
-                task: Arc::clone(&task),
-                regvars,
-            },
-        );
-        self.children.push(child);
-        self.stats.counters.forks += 1;
+        let request = SpecRequest {
+            task: Arc::clone(&task),
+            regvars: self.fork_regvars(),
+        };
+        self.launch(child, point, model, request);
         self.end_overhead(Phase::Fork, fork_started);
 
         Ok(SpecHandle {
@@ -739,6 +1026,8 @@ impl TlsContext for SpecContext {
             child: Some(child),
             model,
             throttled: false,
+            late: None,
+            forked_at: self.last_mark,
         })
     }
 
@@ -749,20 +1038,20 @@ impl TlsContext for SpecContext {
             task,
             child,
             model,
+            late,
+            forked_at,
             ..
         } = handle;
 
+        // A fork denied for want of a CPU may have been dispatched since.
+        let child = child.or_else(|| self.resolve_late_fork(late?));
         let Some(child) = child else {
             // Speculation never happened: execute the continuation inline.
             self.run_inline(&task)?;
             return Ok(JoinOutcome::NotSpeculated);
         };
 
-        let join_started = self.begin_overhead();
-        let verdict = self.join_child(child, point, model);
-        self.end_overhead(Phase::Join, join_started);
-
-        match verdict {
+        match self.join_child(child, point, model, forked_at)? {
             Ok(_kind) => {
                 self.stats.counters.commits += 1;
                 Ok(JoinOutcome::Committed)
@@ -825,8 +1114,7 @@ mod tests {
     /// while the child's read set can still be validated.
     #[test]
     fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
-        let (mgr, _receivers) =
-            ThreadManager::new(RuntimeConfig::with_cpus(1).memory_bytes(1 << 16));
+        let mgr = ThreadManager::new(RuntimeConfig::with_cpus(1).memory_bytes(1 << 16));
         let mut rank0 = SpecContext::non_speculative(Arc::clone(&mgr));
         let cell = rank0.alloc::<u64>(1);
         let addr = cell.addr_of(0);
@@ -834,7 +1122,7 @@ mod tests {
             let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
             let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child, Vec::new());
             ctx.spec_read(addr).expect("registered address");
-            assert!(mgr.deposit_outcome(child, ctx.into_outcome(status, Instant::now())));
+            assert!(mgr.deposit_outcome(child, ctx.into_outcome(status)));
             child
         };
 

@@ -1,11 +1,13 @@
 //! # mutls-runtime — the MUTLS software-TLS runtime
 //!
 //! Native implementation of the MUTLS thread-level-speculation runtime
-//! (Cao & Verbrugge, ICPP 2013): virtual CPUs backed by worker threads,
-//! programmer-directed fork/join/barrier points, speculative memory
-//! buffering with validation and commit/rollback, the three forking models
-//! (in-order, out-of-order and tree-form mixed), per-thread phase
-//! statistics and rollback injection for sensitivity experiments.
+//! (Cao & Verbrugge, ICPP 2013): virtual CPUs served by a pool of worker
+//! threads, programmer-directed fork/join/barrier points, speculative
+//! memory buffering with validation and commit/rollback, early
+//! synchronization of a running child by the non-speculative thread, the
+//! three forking models (in-order, out-of-order and tree-form mixed),
+//! per-thread phase statistics and rollback injection for sensitivity
+//! experiments.
 //!
 //! The typical entry point is [`Runtime`]:
 //!

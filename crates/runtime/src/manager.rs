@@ -1,26 +1,111 @@
 //! The `ThreadManager` (paper §IV-B): virtual CPUs, speculative thread
-//! dispatch, the join/validation/commit protocol and the tree-form mixed
-//! forking model bookkeeping.
+//! dispatch, the join/validation/commit protocol, early synchronization
+//! and the tree-form mixed forking model bookkeeping.
 //!
-//! Each virtual CPU (rank 1..=N) is backed by one worker OS thread and owns
-//! a *slot* holding its dispatch channel, status flags, its buffers while
-//! no task holds them (see [`ThreadBuffers`] for who does when) and — once
-//! its task finishes — the outcome: those buffers, the statistics and the
-//! list of unjoined children.  Rank 0 is the non-speculative thread (the
-//! caller).
+//! # Virtual CPUs, OS threads and the non-speculative role
+//!
+//! A virtual CPU (rank 1..=N) is a *slot*: status flags, the sync-request
+//! mailbox, the CPU's buffers while no task holds them (see
+//! [`ThreadBuffers`]) and — once its task finishes — the outcome: those
+//! buffers, the statistics and the list of unjoined children.  A slot is
+//! what a fork acquires and a join releases; it is **not** an OS thread.
+//! The runtime has N + 1 OS threads — the N workers [`Runtime`] spawns and
+//! the caller of `run` — and **any of them whose top frame is idle runs
+//! any dispatched task**: forks push `(rank, request)` on one dispatch
+//! queue, and idle threads pop from it.
+//!
+//! Rank 0 is not a thread either but a *role*, the non-speculative thread
+//! of the paper: whoever holds it reads and writes main memory directly,
+//! is logically earliest, and is the only one whose joins publish.  It
+//! starts with the caller of `run` and moves by **early synchronization**
+//! (paper §IV-E/H).  When its holder reaches a join and the child is still
+//! running, it posts a sync request on the child's slot instead of sitting
+//! the child out.  The child notices where it polls anyway
+//! (`SpecContext::check_abort`, also while blocked in a nested join), runs
+//! the ordinary [`validate_and_commit`](ThreadManager::validate_and_commit)
+//! on its own buffers, releases its CPU and *carries on as the
+//! non-speculative thread* — it is **promoted**.  The joiner is
+//! *displaced*: until the promoted closure returns and
+//! hands the role back (`hand_back`) it serves the dispatch queue like a
+//! worker (`serve_until_handed_back`).
+//! The first task it finds there is usually the promoted child's own
+//! continuation: a fork the child was denied an instant earlier, *because
+//! it held the last CPU itself*, is dispatched late on the CPU the
+//! promotion freed.  That is how a loop of 64 chunks runs two at a time on
+//! one speculative CPU: the role ping-pongs between the two OS threads,
+//! one chunk each.  A promotion whose validation fails dooms the child,
+//! which unwinds like any conflict; the joiner's rollback-and-re-execute
+//! path is the only recovery.
+//!
+//! # Nobody starves
+//!
+//! Every OS thread's stack alternates *displaced join* frames with *task*
+//! frames, and only its top frame can act.  Exactly one thread's top frame
+//! holds the non-speculative role (or none, for the instant between a
+//! request and its answer), and that thread never helps: it runs, or waits
+//! for the one child it joins.  A speculative task's frame is always a top
+//! frame — a speculative joiner blocks, it does not help.  So of N + 1
+//! threads, one holds rank 0, `s` run speculative tasks, and the other
+//! `N − s` have an idle top frame: a parked worker or a displaced joiner.
+//! Each queued, started or deposited task holds one of the N slots, hence
+//! `queued ≤ N − s`: **queued tasks ≤ threads with an idle top frame**, and
+//! a push wakes one of them (a woken thread that leaves empty-handed
+//! passes the wake-up on).  A displaced joiner running a task on top of
+//! its join cannot take the role back until that task ends; that delays
+//! the hand-back by at most the task, whose own completion needs no
+//! thread below it.
+//!
+//! Waiting is the paper's flag barrier, in two steps: a bounded spin
+//! (`IDLE_SPIN`, yielding the core each round so that a thread woken
+//! onto the spinner's core runs at once), then parked on a condition
+//! variable.  With both sides of a fork→join round trip inside their spin
+//! nobody is woken through the kernel.
+//!
+//! # Synchronize only when it pays
+//!
+//! A promotion costs two hand-offs on the critical path (the late fork's
+//! dispatch, the hand-back), its own bookkeeping, and validating,
+//! committing and clearing every buffered entry; and the displaced
+//! thread's fresh task pays its first-touch loads again.  What it buys is
+//! overlap for as long as the region after the join resembles the one
+//! before it.  The request therefore carries **S1**, the joiner's own
+//! fork→join time, and the child takes it only while
+//!
+//! ```text
+//! 8 × (2 × hand-off + 2 µs + entries × ns/entry) ≤ S1
+//! ```
+//!
+//! — synchronizing may cost at most an eighth of the region it overlaps.
+//! The hand-off is the fastest dispatch→start the runtime has observed
+//! (the fastest, not the mean: one slow first wake-up would price
+//! synchronization out for a whole run, and a sync not taken is never
+//! measured) and the per-entry cost is that of its own earlier promotions;
+//! the 8 and the 2 µs are constants (`sync_pays`).  A request turned down
+//! is gone, and the joiner waits for the deposit as it always did.  There
+//! is no switch because the measurements decide: on `compute_loop` (16 ms
+//! chunks, nothing buffered) every join synchronizes; on `dense_reads`
+//! (md: 12 µs chunks, ≈ 650 read entries a task) none does —
+//! synchronizing there unconditionally was measured at 0.55–0.80 s a run
+//! against 0.69 s, with `cpu_ratio` 1.9 → 4.0, every sync paying ≈ 14 µs
+//! of validation and 768 fresh first-touch loads to overlap 12 µs.  A task
+//! forked and joined at once has S1 ≈ 0 and stays speculative to its end.
+//!
+//! # The join protocol
 //!
 //! The synchronization protocol mirrors the paper's flag-based barrier:
 //! the joining thread signals the child (`sync_status` ≙ the `abort` /
-//! result handshake here) and then waits for the child's outcome
-//! (`valid_status` ≙ the deposited [`SpecOutcome`]), after which validation
-//! and commit/rollback are performed and charged to the speculative
-//! thread's statistics.
+//! sync-request / result handshake here) and then waits for the child's
+//! outcome (`valid_status` ≙ the deposited [`SpecOutcome`]) or promotion,
+//! after which validation and commit/rollback are performed and charged to
+//! the speculative thread's statistics.
+//!
+//! [`Runtime`]: crate::Runtime
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +125,9 @@ use mutls_trace::{
 };
 
 use crate::config::{RecoveryMode, RollbackSource, RuntimeConfig};
-use crate::context::SpecContext;
+use crate::context::{
+    SpecContext, COLD_HANDOFF_NS, COLD_SYNC_ENTRY_NS, IDLE_SPIN, SYNC_BASE_NS, SYNC_PAYBACK,
+};
 use crate::fork_model::ForkModel;
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{Rank, SpecAbort, TaskRef, TaskStatus};
@@ -51,15 +138,15 @@ use crate::task::{Rank, SpecAbort, TaskRef, TaskStatus};
 /// speculation, and from then on are always in exactly one place:
 ///
 /// 1. *idle CPU* — parked, cleared, in the CPU's slot;
-/// 2. *running context* — `SpecContext::speculative` takes them when the
-///    worker starts a task, building them if the CPU never speculated;
+/// 2. *running context* — `SpecContext::speculative` takes them when an
+///    OS thread starts a task, building them if the CPU never speculated;
 /// 3. *deposited outcome* — the finished task's [`SpecOutcome`] carries
 ///    them (read set, write set and all) to whoever consumes it;
 /// 4. *back* — every path that consumes or discards an outcome (join,
 ///    `adopt_subtree`, `reap_subtree`, `drain_subtree`, an orphaned
-///    deposit) hands them to [`ThreadManager::return_buffers`], which
-///    clears and parks them **before** the CPU is released, so the CPU's
-///    next task finds them.
+///    deposit), and a task that is promoted, hands them to
+///    [`ThreadManager::return_buffers`], which clears and parks them
+///    **before** the CPU is released, so the CPU's next task finds them.
 ///
 /// Because buffers never change CPU, the rank a [`GlobalBuffer`] registers
 /// its reads under is always the rank of the CPU running it.
@@ -117,14 +204,12 @@ pub struct SpecOutcome {
     /// When the task stopped (used to charge the waiting-to-be-joined time
     /// as speculative idle).
     pub finished_at: Instant,
-}
-
-/// Message sent to a worker thread.
-pub enum WorkerMsg {
-    /// Run a speculative task.
-    Run(SpecRequest),
-    /// Shut the worker down.
-    Shutdown,
+    /// The task already ran [`ThreadManager::validate_and_commit`] on
+    /// these buffers itself — a promotion attempt that failed — so the
+    /// `Failed` status *is* the verdict: it is traced, its readers are
+    /// unregistered and its precise passes counted.  The joiner rolls back
+    /// without validating a second time.
+    pub settled: bool,
 }
 
 /// A dispatch request for a speculative task.
@@ -134,6 +219,86 @@ pub struct SpecRequest {
     /// Register variables transferred from the parent at fork time
     /// (offset, raw value), installed in the child's bottom frame.
     pub regvars: Vec<(usize, mutls_membuf::RegisterValue)>,
+}
+
+/// Tasks dispatched to a virtual CPU and not yet started by an OS thread.
+struct DispatchQueue {
+    tasks: VecDeque<(Rank, SpecRequest)>,
+    /// Threads parked on [`Dispatch::wake`]: a push or a hand-back only
+    /// pays for a wake-up when somebody sleeps.
+    sleepers: usize,
+    shutdown: bool,
+}
+
+/// The one dispatch queue, drained by every OS thread whose top frame is
+/// idle (see the module docs).
+struct Dispatch {
+    queue: Mutex<DispatchQueue>,
+    wake: Condvar,
+    /// `queue.tasks.len()`, readable without the lock by a spinning thread.
+    queued: AtomicUsize,
+}
+
+const SYNC_REQUESTED: u8 = 0;
+const SYNC_PROMOTED: u8 = 1;
+const SYNC_FINISHED: u8 = 2;
+
+/// Mailbox of one early synchronization, shared by the non-speculative
+/// joiner that asked for it and the child that may take it.  It belongs
+/// to the *join*, not to the child's slot, which is recycled the moment
+/// the promoted child releases its CPU.
+pub(crate) struct Handoff {
+    /// The joiner's own fork→join time: how long the parallelism a sync
+    /// buys lasted last time round.
+    s1_ns: u64,
+    state: AtomicU8,
+    result: Mutex<Option<PromotedOutcome>>,
+}
+
+impl Handoff {
+    pub(crate) fn new(s1_ns: u64) -> Self {
+        Handoff {
+            s1_ns,
+            state: AtomicU8::new(SYNC_REQUESTED),
+            result: Mutex::new(None),
+        }
+    }
+
+    pub(crate) fn s1_ns(&self) -> u64 {
+        self.s1_ns
+    }
+
+    /// The child committed and holds the non-speculative role (or already
+    /// gave it back).  `Acquire` pairs with the `Release` stores of
+    /// [`ThreadManager::publish_promotion`] and
+    /// [`ThreadManager::hand_back`].
+    fn promoted(&self) -> bool {
+        self.state.load(Ordering::Acquire) != SYNC_REQUESTED
+    }
+
+    fn finished(&self) -> bool {
+        self.state.load(Ordering::Acquire) == SYNC_FINISHED
+    }
+}
+
+/// What a promoted closure hands back to the joiner it displaced.
+pub(crate) struct PromotedOutcome {
+    /// How the closure stopped.  `Failed` is the closure's own error as
+    /// the non-speculative thread: its effects are committed, so the
+    /// joiner propagates it like an inline execution's instead of rolling
+    /// anything back.
+    pub status: TaskStatus,
+    /// How the promotion's validation finished.
+    pub kind: CommitKind,
+    /// Children the closure forked (before or after the promotion) and
+    /// never joined.
+    pub children: Vec<Rank>,
+    /// Critical-path statistics of `[promoted_at, finished_at]`.
+    pub stats: ThreadStats,
+    /// When the child took over the non-speculative role.
+    pub promoted_at: Instant,
+    /// When its closure returned.
+    pub finished_at: Instant,
 }
 
 const CPU_IDLE: u8 = 0;
@@ -180,16 +345,25 @@ pub(crate) struct Slot {
     /// reads legitimately precede the write (the RMW-predecessor
     /// over-rollback bug).
     logical: AtomicU64,
-    sender: Sender<WorkerMsg>,
+    /// A non-speculative joiner posted a sync request in `sync` — the one
+    /// flag the running task polls.
+    sync_posted: AtomicBool,
+    /// The posted request.  Empty whenever the CPU is released: the task
+    /// takes it when it notices, and a joiner whose child finished without
+    /// noticing takes it back.
+    sync: Mutex<Option<Arc<Handoff>>>,
     result: Mutex<Option<SpecOutcome>>,
     result_cv: Condvar,
+    /// Bumped after every deposit and promotion, so a joiner can spin on
+    /// it without taking `result`'s lock.
+    signals: AtomicU64,
     /// This CPU's buffers while no task holds them (see
     /// [`ThreadBuffers`]); `None` until the CPU's first speculation.
     buffers: Mutex<Option<ThreadBuffers>>,
 }
 
 impl Slot {
-    fn new(sender: Sender<WorkerMsg>) -> Self {
+    fn new() -> Self {
         Slot {
             state: AtomicU8::new(CPU_IDLE),
             abort: AtomicBool::new(false),
@@ -201,9 +375,11 @@ impl Slot {
             model: AtomicU8::new(ForkModel::Mixed.index() as u8),
             forked_ns: AtomicU64::new(0),
             logical: AtomicU64::new(0),
-            sender,
+            sync_posted: AtomicBool::new(false),
+            sync: Mutex::new(None),
             result: Mutex::new(None),
             result_cv: Condvar::new(),
+            signals: AtomicU64::new(0),
             buffers: Mutex::new(None),
         }
     }
@@ -361,19 +537,27 @@ pub struct ThreadManager {
     /// fills.  Disabled (the default) it is a single always-false branch
     /// per push, mirroring the recorder's no-op discipline.
     metrics: Arc<MetricsHub>,
+    dispatch: Dispatch,
+    /// Fastest dispatch→start hand-off seen since construction, starting
+    /// from [`COLD_HANDOFF_NS`].  The fastest, not the mean, and never more
+    /// than the cold estimate: a chain's first join has one sample to go
+    /// by, the wake-up of a worker that may still have been starting, and
+    /// that must not price synchronization out for the whole run.
+    fastest_handoff_ns: AtomicU64,
+    /// Time spent in, and buffered entries handled by, the promotions of
+    /// non-empty buffers so far: their ratio prices an entry (that it
+    /// re-counts those promotions' fixed part errs on the side of not
+    /// synchronizing).
+    sync_ns: AtomicU64,
+    sync_entries: AtomicU64,
 }
 
 impl ThreadManager {
-    /// Create the manager plus the receivers its workers will consume.
-    pub fn new(config: RuntimeConfig) -> (Arc<Self>, Vec<Receiver<WorkerMsg>>) {
+    /// Create the manager; the OS threads that serve its dispatch queue are
+    /// spawned by [`Runtime::new`](crate::Runtime::new).
+    pub fn new(config: RuntimeConfig) -> Arc<Self> {
         let memory = Arc::new(GlobalMemory::new(config.memory_bytes));
-        let mut slots = Vec::with_capacity(config.num_cpus);
-        let mut receivers = Vec::with_capacity(config.num_cpus);
-        for _ in 0..config.num_cpus {
-            let (tx, rx) = unbounded();
-            slots.push(Slot::new(tx));
-            receivers.push(rx);
-        }
+        let slots = (0..config.num_cpus).map(|_| Slot::new()).collect();
         let mut space = AddressSpace::new();
         // The whole arena below the allocation cursor grows as the program
         // allocates; individual allocations register themselves.
@@ -402,7 +586,7 @@ impl ThreadManager {
                 commit_log.config().grain_log2,
             ))
         });
-        let mgr = Arc::new(ThreadManager {
+        Arc::new(ThreadManager {
             config,
             memory,
             commit_log,
@@ -424,8 +608,19 @@ impl ThreadManager {
             // Shards for ranks 0..=num_cpus plus the hub's own control
             // shard for unranked pushes.
             metrics: Arc::new(MetricsHub::new(config.metrics, config.num_cpus + 1)),
-        });
-        (mgr, receivers)
+            dispatch: Dispatch {
+                queue: Mutex::new(DispatchQueue {
+                    tasks: VecDeque::new(),
+                    sleepers: 0,
+                    shutdown: false,
+                }),
+                wake: Condvar::new(),
+                queued: AtomicUsize::new(0),
+            },
+            fastest_handoff_ns: AtomicU64::new(COLD_HANDOFF_NS),
+            sync_ns: AtomicU64::new(0),
+            sync_entries: AtomicU64::new(0),
+        })
     }
 
     /// The adaptive speculation governor.
@@ -731,16 +926,209 @@ impl ThreadManager {
         slot.model.store(model.index() as u8, Ordering::Relaxed);
         slot.forked_ns.store(self.trace_now_ns(), Ordering::Relaxed);
         self.governor.record_fork(site, model);
-        slot.sender
-            .send(WorkerMsg::Run(request))
-            .expect("worker thread alive");
+        let dispatch = &self.dispatch;
+        let mut queue = dispatch.queue.lock();
+        queue.tasks.push_back((rank, request));
+        dispatch.queued.fetch_add(1, Ordering::Release);
+        let wake = queue.sleepers > 0;
+        drop(queue);
+        if wake {
+            dispatch.wake.notify_one();
+        }
     }
 
     /// Signal every worker to shut down (used by `Runtime::drop`).
     pub fn shutdown_workers(&self) {
-        for slot in &self.slots {
-            let _ = slot.sender.send(WorkerMsg::Shutdown);
+        self.dispatch.queue.lock().shutdown = true;
+        self.dispatch.wake.notify_all();
+    }
+
+    /// Take the next dispatched task, waiting for one — a bounded spin,
+    /// then parked (the paper's flag barrier).  `None` once `done()`
+    /// holds or the runtime shuts down; `done` must only turn true through
+    /// [`hand_back`](Self::hand_back), which wakes the sleepers.
+    fn next_task(&self, done: impl Fn() -> bool) -> Option<(Rank, SpecRequest)> {
+        let dispatch = &self.dispatch;
+        let deadline = Instant::now() + IDLE_SPIN;
+        while dispatch.queued.load(Ordering::Acquire) == 0 && !done() && Instant::now() < deadline {
+            std::thread::yield_now();
         }
+        let mut queue = dispatch.queue.lock();
+        loop {
+            if done() || queue.shutdown {
+                // A push wakes one sleeper; if that was this thread and it
+                // leaves empty-handed, the wake-up moves on.
+                if !queue.tasks.is_empty() && queue.sleepers > 0 {
+                    dispatch.wake.notify_one();
+                }
+                return None;
+            }
+            if let Some(next) = queue.tasks.pop_front() {
+                dispatch.queued.fetch_sub(1, Ordering::Release);
+                return Some(next);
+            }
+            queue.sleepers += 1;
+            dispatch.wake.wait(&mut queue);
+            queue.sleepers -= 1;
+        }
+    }
+
+    /// Run one dispatched task to its end on the calling OS thread: a
+    /// worker's, or a displaced joiner's.
+    fn run_task(self: &Arc<Self>, rank: Rank, request: SpecRequest) {
+        let slot = &self.slots[rank - 1];
+        let handoff = self
+            .trace_now_ns()
+            .saturating_sub(slot.forked_ns.load(Ordering::Relaxed));
+        self.fastest_handoff_ns
+            .fetch_min(handoff.max(1), Ordering::Relaxed);
+        let mut ctx = SpecContext::speculative(Arc::clone(self), rank, request.regvars);
+        let status = match (request.task)(&mut ctx) {
+            Ok(()) => TaskStatus::Completed,
+            Err(SpecAbort::BarrierReached) => TaskStatus::Barrier,
+            Err(SpecAbort::Failed(reason)) => TaskStatus::Failed(reason),
+        };
+        ctx.conclude(status);
+    }
+
+    // ----- early synchronization ---------------------------------------
+
+    /// Estimated cost of synchronizing a task that buffers `entries`
+    /// words: the two hand-offs a promotion puts on the critical path (the
+    /// late fork's dispatch and the hand-back), the promotion itself, and
+    /// validating, committing and clearing the entries — hand-off and
+    /// per-entry cost as the runtime measured them.
+    fn sync_cost_ns(&self, entries: usize) -> u64 {
+        let handoff = self.fastest_handoff_ns.load(Ordering::Relaxed);
+        let per_entry = match self.sync_entries.load(Ordering::Relaxed) {
+            0 => COLD_SYNC_ENTRY_NS,
+            handled => self.sync_ns.load(Ordering::Relaxed) / handled,
+        };
+        2 * handoff + SYNC_BASE_NS + entries as u64 * per_entry
+    }
+
+    /// Rule (4) of the module docs: synchronizing may cost at most
+    /// 1/[`SYNC_PAYBACK`] of the region it overlaps.
+    pub(crate) fn sync_pays(&self, entries: usize, s1_ns: u64) -> bool {
+        SYNC_PAYBACK.saturating_mul(self.sync_cost_ns(entries)) <= s1_ns
+    }
+
+    /// Feed one promotion's measured cost back into the estimate.
+    pub(crate) fn record_sync(&self, ns: u64, entries: usize) {
+        if entries > 0 {
+            self.sync_ns.fetch_add(ns, Ordering::Relaxed);
+            self.sync_entries
+                .fetch_add(entries as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Ask the task running on `rank` to synchronize early.  Only the
+    /// task's joiner posts, and only while it waits at the join.
+    pub(crate) fn post_sync(&self, rank: Rank, handoff: Arc<Handoff>) {
+        let slot = &self.slots[rank - 1];
+        *slot.sync.lock() = Some(handoff);
+        // `Release`: the task that sees the flag finds the request.
+        slot.sync_posted.store(true, Ordering::Release);
+    }
+
+    /// Whether a sync request waits on `rank`'s slot (the task's poll).
+    #[inline]
+    pub(crate) fn sync_posted(&self, rank: Rank) -> bool {
+        self.slots[rank - 1].sync_posted.load(Ordering::Acquire)
+    }
+
+    /// Take the request posted on `rank`'s slot: the task that noticed it,
+    /// or the joiner whose child finished without noticing.
+    pub(crate) fn take_sync(&self, rank: Rank) -> Option<Arc<Handoff>> {
+        let slot = &self.slots[rank - 1];
+        slot.sync_posted.store(false, Ordering::Relaxed);
+        slot.sync.lock().take()
+    }
+
+    /// Tell the joiner that the task on `rank` committed and took over the
+    /// non-speculative role.  Must precede [`release_cpu`](Self::release_cpu):
+    /// published under the lock the joiner takes outcomes under, it lets
+    /// the joiner tell its own child's deposit from one a later task made
+    /// on the recycled slot.
+    pub(crate) fn publish_promotion(&self, rank: Rank, handoff: &Handoff) {
+        let slot = &self.slots[rank - 1];
+        {
+            let _outcomes = slot.result.lock();
+            handoff.state.store(SYNC_PROMOTED, Ordering::Release);
+        }
+        slot.signals.fetch_add(1, Ordering::Release);
+        slot.result_cv.notify_all();
+    }
+
+    /// The promoted closure returned: give the non-speculative role back
+    /// to the joiner it displaced.
+    pub(crate) fn hand_back(&self, handoff: &Handoff, outcome: PromotedOutcome) {
+        *handoff.result.lock() = Some(outcome);
+        handoff.state.store(SYNC_FINISHED, Ordering::Release);
+        // Under the queue lock the joiner checks `finished` and parks
+        // under, so the wake-up cannot fall between the two.
+        let queue = self.dispatch.queue.lock();
+        if queue.sleepers > 0 {
+            self.dispatch.wake.notify_all();
+        }
+    }
+
+    /// The displaced joiner's wait: serve dispatched tasks on this OS
+    /// thread until the promoted closure hands the role back.
+    pub(crate) fn serve_until_handed_back(self: &Arc<Self>, handoff: &Handoff) -> PromotedOutcome {
+        while let Some((rank, request)) = self.next_task(|| handoff.finished()) {
+            self.run_task(rank, request);
+        }
+        let outcome = handoff.result.lock().take();
+        outcome.expect("a finished hand-off carries its outcome")
+    }
+
+    /// The non-speculative joiner's wait — a bounded spin, then parked:
+    /// `rank`'s outcome, or `None` once the task took `handoff`'s sync
+    /// request and holds the non-speculative role.
+    pub(crate) fn wait_outcome_or_promotion(
+        &self,
+        rank: Rank,
+        handoff: Option<&Handoff>,
+    ) -> Option<SpecOutcome> {
+        let slot = &self.slots[rank - 1];
+        let deadline = Instant::now() + IDLE_SPIN;
+        let mut seen = slot.signals.load(Ordering::Acquire);
+        let mut outcomes = slot.result.lock();
+        loop {
+            // Promotion first: once promoted, whatever sits in the slot
+            // belongs to a later task (see `publish_promotion`).
+            if handoff.is_some_and(Handoff::promoted) {
+                return None;
+            }
+            if let Some(outcome) = outcomes.take() {
+                return Some(outcome);
+            }
+            if Instant::now() < deadline {
+                drop(outcomes);
+                while slot.signals.load(Ordering::Acquire) == seen && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                seen = slot.signals.load(Ordering::Acquire);
+                outcomes = slot.result.lock();
+            } else {
+                slot.result_cv.wait(&mut outcomes);
+            }
+        }
+    }
+
+    /// Hard-doom `rank`'s own task (a promotion that failed validation):
+    /// every later poll fails too, so the task unwinds even if its code
+    /// swallows the first error.
+    pub(crate) fn doom_hard(&self, rank: Rank) {
+        self.slots[rank - 1]
+            .doomed_hard
+            .store(true, Ordering::Release);
+    }
+
+    /// The (site, model) `rank`'s running task was dispatched with.
+    pub(crate) fn launch_info(&self, rank: Rank) -> (SiteId, ForkModel) {
+        self.slots[rank - 1].launch_info()
     }
 
     // ----- join path -------------------------------------------------
@@ -914,15 +1302,20 @@ impl ThreadManager {
     ) -> Option<SpecOutcome> {
         const DOOM_POLL: std::time::Duration = std::time::Duration::from_micros(100);
         let slot = &self.slots[rank - 1];
-        let mut guard = slot.result.lock();
         loop {
-            if let Some(outcome) = guard.take() {
+            if let Some(outcome) = slot.result.lock().take() {
                 return Some(outcome);
             }
+            // Outside the lock: a waiter that takes a sync request here
+            // validates and commits, and the child must stay free to
+            // deposit meanwhile.
             if abandon() {
                 return None;
             }
-            let _ = slot.result_cv.wait_for(&mut guard, DOOM_POLL);
+            let mut guard = slot.result.lock();
+            if guard.is_none() {
+                let _ = slot.result_cv.wait_for(&mut guard, DOOM_POLL);
+            }
         }
     }
 
@@ -938,6 +1331,7 @@ impl ThreadManager {
             let mut guard = slot.result.lock();
             *guard = Some(outcome);
         }
+        slot.signals.fetch_add(1, Ordering::Release);
         slot.result_cv.notify_all();
         if slot.orphaned.load(Ordering::Acquire) {
             // Re-take it; if the canceller got there first we are done.
@@ -1088,51 +1482,25 @@ impl ThreadManager {
             return 0;
         }
         let verdict = self.validate_and_commit(rank, &mut outcome, parent_buffer.as_deref_mut());
-        self.return_buffers(rank, outcome.buffers);
         let children = std::mem::take(&mut outcome.children);
         let (site, model) = self.slots[rank - 1].launch_info();
-        match verdict {
-            Ok(kind) => {
-                self.governor.record_outcome(
-                    site,
-                    &SiteOutcome::committed(
-                        outcome.stats.get(Phase::Work),
-                        outcome.stats.get(Phase::Idle),
-                        model,
-                    )
-                    .with_retry(kind.retried()),
-                );
-                self.record_speculative(&outcome.stats, None, kind.retried());
-                self.release_cpu(rank, 0);
-                let mut adopted = 1;
-                for grandchild in children {
-                    adopted += self.adopt_subtree(grandchild, parent_buffer.as_deref_mut());
-                }
-                adopted
+        self.settle_child(rank, site, model, outcome, verdict);
+        self.release_cpu(rank, 0);
+        if verdict.is_err() {
+            // `validate_and_commit` already unregistered the readers and
+            // planned the rollback recovery; the subtree below a
+            // conflicting thread read underneath it and only
+            // re-speculation repairs it.
+            for grandchild in children {
+                self.reap_subtree(grandchild);
             }
-            Err(reason) => {
-                // `validate_and_commit` already unregistered the readers
-                // and planned the rollback recovery; the subtree below a
-                // conflicting thread read underneath it and only
-                // re-speculation repairs it.
-                outcome.stats.mark_work_wasted();
-                self.governor.record_outcome(
-                    site,
-                    &SiteOutcome::rolled_back(
-                        reason,
-                        outcome.stats.get(Phase::WastedWork),
-                        outcome.stats.get(Phase::Idle),
-                        model,
-                    ),
-                );
-                self.record_speculative(&outcome.stats, Some(reason), false);
-                self.release_cpu(rank, 0);
-                for grandchild in children {
-                    self.reap_subtree(grandchild);
-                }
-                0
-            }
+            return 0;
         }
+        let mut adopted = 1;
+        for grandchild in children {
+            adopted += self.adopt_subtree(grandchild, parent_buffer.as_deref_mut());
+        }
+        adopted
     }
 
     /// Validate a finished child and either publish, retry or discard its
@@ -1528,6 +1896,52 @@ impl ThreadManager {
         }
     }
 
+    /// Close the books of a child whose verdict is in: park its buffers
+    /// for its CPU's next task (finalization is charged to the speculative
+    /// path, as in the paper's breakdown), feed the verdict to the
+    /// governor's site profile — with the false-sharing classification,
+    /// the retry verdict and the live grain, so Throttle can tell the
+    /// regimes apart — and fold the statistics into the run's totals.
+    /// The caller still owns the CPU and releases it.
+    pub(crate) fn settle_child(
+        &self,
+        child: Rank,
+        site: SiteId,
+        model: ForkModel,
+        outcome: SpecOutcome,
+        verdict: Result<CommitKind, SpecFailure>,
+    ) {
+        // Observed before the buffers are cleared.
+        let observed_grain = self.observed_grain(&outcome);
+        let finalize_started = Instant::now();
+        self.return_buffers(child, outcome.buffers);
+        let mut stats = outcome.stats;
+        stats.add(Phase::Finalize, elapsed_ns(finalize_started));
+        let site_outcome = match verdict {
+            Ok(kind) => {
+                SiteOutcome::committed(stats.get(Phase::Work), stats.get(Phase::Idle), model)
+                    .with_retry(kind.retried())
+            }
+            Err(reason) => {
+                stats.mark_work_wasted();
+                SiteOutcome::rolled_back(
+                    reason,
+                    stats.get(Phase::WastedWork),
+                    stats.get(Phase::Idle),
+                    model,
+                )
+                .with_false_sharing(stats.counters.false_sharing_suspects > 0)
+            }
+        };
+        self.governor
+            .record_outcome(site, &site_outcome.with_grain(observed_grain));
+        self.record_speculative(
+            &stats,
+            verdict.err(),
+            verdict.map(CommitKind::retried).unwrap_or(false),
+        );
+    }
+
     /// Apply a [`RecoveryPlan::DoomSet`]: set the doom flag of every
     /// listed rank that is still running.  Returns how many were doomed.
     fn doom_ranks(&self, ranks: &[Rank]) -> u64 {
@@ -1611,16 +2025,21 @@ impl ThreadManager {
         }
     }
 
-    /// Reset the per-run accumulators, the commit log and the governor's
-    /// site profiles (called at the start of `Runtime::run`).
-    pub fn reset_run(&self) {
-        // Orphans of the previous run were aborted by their reaper and
-        // stop within one poll interval; wait them out so none straddles
-        // the reset and folds its discard into this run's totals.
+    /// Wait until no speculative thread is in flight.  Orphans were
+    /// aborted by their reaper and stop within one poll interval; waiting
+    /// them out keeps them from folding their discard into the totals
+    /// after the run's report was taken, or into the next run's.
+    pub(crate) fn wait_quiescent(&self) {
         while self.active.load(Ordering::Acquire) != 0 {
             std::thread::yield_now();
         }
         debug_assert_eq!(self.exposed_speculations(), 0, "an exposure leaked");
+    }
+
+    /// Reset the per-run accumulators, the commit log and the governor's
+    /// site profiles (called at the start of `Runtime::run`).
+    pub fn reset_run(&self) {
+        self.wait_quiescent();
         *self.accum.lock() = RunAccumulators::default();
         self.commit_log.clear();
         self.governor.reset();
@@ -1731,23 +2150,11 @@ pub(crate) fn rollback_cause(reason: SpecFailure) -> RollbackCause {
     }
 }
 
-/// Worker loop executed by each virtual CPU's OS thread.
-pub fn worker_loop(mgr: Arc<ThreadManager>, rank: Rank, rx: Receiver<WorkerMsg>) {
-    while let Ok(msg) = rx.recv() {
-        let request = match msg {
-            WorkerMsg::Run(request) => request,
-            WorkerMsg::Shutdown => break,
-        };
-        let mut ctx = SpecContext::speculative(Arc::clone(&mgr), rank, request.regvars);
-        let started = Instant::now();
-        let result = (request.task)(&mut ctx);
-        let status = match result {
-            Ok(()) => TaskStatus::Completed,
-            Err(SpecAbort::BarrierReached) => TaskStatus::Barrier,
-            Err(SpecAbort::Failed(reason)) => TaskStatus::Failed(reason),
-        };
-        let outcome = ctx.into_outcome(status, started);
-        mgr.deposit_outcome(rank, outcome);
+/// Loop of the `num_cpus` OS threads [`Runtime`](crate::Runtime) spawns:
+/// run dispatched tasks until shutdown.
+pub(crate) fn worker_loop(mgr: Arc<ThreadManager>) {
+    while let Some((rank, request)) = mgr.next_task(|| false) {
+        mgr.run_task(rank, request);
     }
 }
 
@@ -1756,8 +2163,7 @@ mod tests {
     use super::*;
 
     fn mgr(cpus: usize) -> Arc<ThreadManager> {
-        let (m, _rx) = ThreadManager::new(RuntimeConfig::with_cpus(cpus).memory_bytes(1 << 16));
-        m
+        ThreadManager::new(RuntimeConfig::with_cpus(cpus).memory_bytes(1 << 16))
     }
 
     /// A one-CPU manager whose CPU (rank 1) is acquired: the join protocol
@@ -1777,6 +2183,31 @@ mod tests {
         assert!(m.try_acquire_cpu(0, ForkModel::Mixed).is_none());
         m.release_cpu(a, 0);
         assert!(m.try_acquire_cpu(0, ForkModel::Mixed).is_some());
+    }
+
+    #[test]
+    fn synchronizing_may_cost_an_eighth_of_the_region_it_overlaps() {
+        let m = mgr(1);
+        // Nothing measured yet: two cold hand-offs, the base cost, and a
+        // cold price per entry.
+        let cold = 2 * COLD_HANDOFF_NS + SYNC_BASE_NS;
+        assert!(m.sync_pays(0, SYNC_PAYBACK * cold));
+        assert!(!m.sync_pays(0, SYNC_PAYBACK * cold - 1));
+        assert!(!m.sync_pays(0, 0), "forked and joined at once");
+        assert!(m.sync_pays(0, 16_000_000), "compute_loop's chunks");
+        assert!(!m.sync_pays(650, 12_000), "md's chunks");
+        // 650 entries measured at 14 µs: 21 ns each from now on.
+        m.record_sync(14_000, 650);
+        m.record_sync(3_000, 0);
+        let measured = cold + 650 * 21;
+        assert!(m.sync_pays(650, SYNC_PAYBACK * measured));
+        assert!(!m.sync_pays(650, SYNC_PAYBACK * measured - 1));
+        // A hand-off between running threads replaces the cold estimate; a
+        // slower one (a first wake-up) never raises it.
+        m.fastest_handoff_ns.fetch_min(1_000, Ordering::Relaxed);
+        m.fastest_handoff_ns.fetch_min(90_000, Ordering::Relaxed);
+        assert!(m.sync_pays(0, SYNC_PAYBACK * (2_000 + SYNC_BASE_NS)));
+        assert!(!m.sync_pays(650, 12_000), "md's chunks, warmed up");
     }
 
     #[test]
@@ -1821,13 +2252,13 @@ mod tests {
 
     #[test]
     fn rollback_injection_extremes() {
-        let (m, _rx) = ThreadManager::new(
+        let m = ThreadManager::new(
             RuntimeConfig::with_cpus(1)
                 .memory_bytes(1 << 12)
                 .rollback_probability(0.0),
         );
         assert!(!m.draw_injected_rollback());
-        let (m, _rx) = ThreadManager::new(
+        let m = ThreadManager::new(
             RuntimeConfig::with_cpus(1)
                 .memory_bytes(1 << 12)
                 .rollback_probability(1.0),
@@ -1843,7 +2274,7 @@ mod tests {
         let mut config = RuntimeConfig::with_cpus(1).memory_bytes(1 << 12);
         config.rollback_probability = 1.0;
         assert_eq!(config.rollback_source, crate::RollbackSource::Real);
-        let (m, _rx) = ThreadManager::new(config);
+        let m = ThreadManager::new(config);
         assert!(!m.draw_injected_rollback());
     }
 
@@ -1855,6 +2286,7 @@ mod tests {
             children: Vec::new(),
             stats: ThreadStats::new(),
             finished_at: Instant::now(),
+            settled: false,
         }
     }
 
@@ -1962,7 +2394,7 @@ mod tests {
 
     #[test]
     fn buffers_are_built_at_first_use_and_come_back_clean() {
-        let (m, _rx) = ThreadManager::new(
+        let m = ThreadManager::new(
             RuntimeConfig::with_cpus(2)
                 .memory_bytes(1 << 16)
                 .buffer(mutls_membuf::BufferConfig::tiny()),
@@ -2068,7 +2500,7 @@ mod tests {
 
     #[test]
     fn value_predict_can_be_disabled() {
-        let (m, _rx) = ThreadManager::new(
+        let m = ThreadManager::new(
             RuntimeConfig::with_cpus(1)
                 .memory_bytes(1 << 16)
                 .value_predict(false),
@@ -2240,7 +2672,7 @@ mod tests {
 
     #[test]
     fn cascade_mode_never_registers_or_dooms() {
-        let (m, _rx) = ThreadManager::new(
+        let m = ThreadManager::new(
             RuntimeConfig::with_cpus(2)
                 .memory_bytes(1 << 16)
                 .recovery(crate::config::RecoveryConfig::cascade_only()),
@@ -2306,7 +2738,7 @@ mod tests {
     fn grain_controller_ticks_regrain_and_doom_outstanding_readers() {
         use mutls_adaptive::GrainControlConfig;
         use mutls_membuf::{PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
-        let (m, _rx) = ThreadManager::new(
+        let m = ThreadManager::new(
             RuntimeConfig::with_cpus(2)
                 .memory_bytes(1 << 16)
                 .adaptive_grain()

@@ -1,4 +1,5 @@
-//! The [`Runtime`] facade: owns the virtual CPUs (worker threads), the
+//! The [`Runtime`] facade: owns the virtual CPUs, the worker threads that
+//! (with the caller of `run`) execute what is dispatched to them, the
 //! shared memory arena and the speculative region entry point.
 
 use std::sync::Arc;
@@ -56,19 +57,19 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Create a runtime with `config.num_cpus` speculative virtual CPUs,
-    /// each backed by a worker OS thread.
+    /// Create a runtime with `config.num_cpus` speculative virtual CPUs and
+    /// as many worker OS threads.  Any of them — and, while it is displaced
+    /// at a join, the thread calling [`run`](Self::run) — executes any
+    /// dispatched task (see the [`manager`](crate::manager) docs).
     pub fn new(config: RuntimeConfig) -> Self {
-        let (mgr, receivers) = ThreadManager::new(config);
-        let workers = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
+        let mgr = ThreadManager::new(config);
+        let workers = (1..=config.num_cpus)
+            .map(|i| {
                 let mgr = Arc::clone(&mgr);
                 std::thread::Builder::new()
-                    .name(format!("mutls-cpu-{}", i + 1))
-                    .spawn(move || worker_loop(mgr, i + 1, rx))
-                    .expect("spawn virtual CPU worker")
+                    .name(format!("mutls-worker-{i}"))
+                    .spawn(move || worker_loop(mgr))
+                    .expect("spawn worker thread")
             })
             .collect();
         let sampler =
@@ -136,12 +137,16 @@ impl Runtime {
         let started = Instant::now();
         let mut ctx = SpecContext::non_speculative(Arc::clone(&self.mgr));
         let result = f(&mut ctx);
-        let (critical, unjoined) = ctx.finish(started);
+        let (critical, unjoined) = ctx.finish();
         // Anything never joined is drained so its CPU is reclaimed and its
         // (wasted) work is accounted for.
         for child in unjoined {
             self.mgr.drain_subtree(child);
         }
+        // Threads orphaned by a reap were aborted and stop within one poll
+        // interval; only then are the totals final, and the report equal
+        // to any later scrape.
+        self.mgr.wait_quiescent();
         let runtime = started.elapsed().as_nanos() as u64;
         let totals = self.mgr.run_snapshot();
         let report = RunReport {
@@ -157,6 +162,11 @@ impl Runtime {
             region_grains: self.mgr.commit_log().grain_census(),
             latency: self.mgr.recorder().latency_report(),
         };
+        if self.mgr.config().metrics.enabled {
+            // The series ends with the run's final scrape however few
+            // sampler ticks the run outlasted.
+            self.mgr.sample_metrics();
+        }
         (result, report)
     }
 

@@ -101,9 +101,13 @@ impl Deserialize for Phase {
 /// Event counters of one thread.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThreadCounters {
-    /// Speculative threads forked by this thread.
+    /// Speculative threads forked by this thread.  A fork denied for want
+    /// of a CPU and dispatched late, after its forker's promotion, counts
+    /// once — here, when it is dispatched.
     pub forks: u64,
     /// Fork attempts that found no idle CPU or were denied by the model.
+    /// A fork dispatched late keeps the tick of its earlier denial, so
+    /// `forks + failed_forks` can exceed the fork points executed.
     pub failed_forks: u64,
     /// Fork attempts suppressed by the adaptive speculation governor.
     pub throttled_forks: u64,
