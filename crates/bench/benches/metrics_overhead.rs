@@ -3,18 +3,12 @@
 //! The metrics registry's contract is "free when off": with
 //! `MetricsConfig` disabled every instrumentation site costs one branch,
 //! no sampler thread is spawned, and nothing about speculation behaviour
-//! or accounting may change.  That contract is asserted two ways before
-//! the timing groups run:
-//!
-//! 1. **No regression vs. the committed trajectory** — the deterministic
-//!    recovery replay with the registry disabled must reproduce the
-//!    `BENCH_PR8.json` rows (committed before the metrics plane existed)
-//!    counter-for-counter.
-//! 2. **Virtual-time neutrality** — enabling the registry and the
-//!    virtual-clock sampler must not move a single virtual cycle of the
-//!    simulated timeline: snapshots are scraped off the clock, so the
-//!    instrumented and dark replays of one recording agree exactly on
-//!    runtime, commit-log traffic and wasted work.
+//! or accounting may change.  That contract is asserted before the
+//! timing groups run as **virtual-time neutrality** — enabling the
+//! registry and the virtual-clock sampler must not move a single virtual
+//! cycle of the simulated timeline: snapshots are scraped off the clock,
+//! so the instrumented and dark replays of one recording agree exactly on
+//! cycles and report.
 //!
 //! The Criterion groups then measure the real-world cost of both
 //! registry states on the simulator and the native runtime, so
@@ -26,42 +20,14 @@ use std::sync::Once;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mutls_harness::{recovery_replay, ExperimentConfig};
 use mutls_membuf::{CommitLogConfig, GlobalMemory};
 use mutls_metrics::MetricsConfig;
 use mutls_runtime::RuntimeConfig;
 use mutls_simcpu::{record_region, simulate, SimConfig};
 use mutls_workloads::{arena_bytes, conflict, run_speculative, setup, Scale, WorkloadKind};
-use serde::JsonValue;
+use serde::Serialize;
 
 const CPUS: usize = 16;
-
-/// The committed PR 8 trajectory rows (generated with `--scale tiny`,
-/// before the metrics plane existed).
-const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json");
-
-fn u64_of(row: &[(String, JsonValue)], key: &str) -> u64 {
-    match serde::obj_get(row, key) {
-        Ok(JsonValue::Num(n)) => *n as u64,
-        other => panic!("{key}: expected number, got {other:?}"),
-    }
-}
-
-fn str_of<'a>(row: &'a [(String, JsonValue)], key: &str) -> &'a str {
-    match serde::obj_get(row, key) {
-        Ok(JsonValue::Str(s)) => s,
-        other => panic!("{key}: expected string, got {other:?}"),
-    }
-}
-
-/// Replay config matching the run that produced `BENCH_PR8.json` — no
-/// metrics sink attached, so the registry stays in its disabled state.
-fn baseline_config() -> ExperimentConfig {
-    ExperimentConfig {
-        scale: Scale::Tiny,
-        ..ExperimentConfig::default()
-    }
-}
 
 static ASSERT_NO_REGRESSION: Once = Once::new();
 
@@ -69,75 +35,7 @@ static ASSERT_NO_REGRESSION: Once = Once::new();
 /// honoured under `cargo bench -- --test`).
 fn assert_no_regression_once() {
     ASSERT_NO_REGRESSION.call_once(|| {
-        // 1. Disabled registry reproduces the pre-metrics trajectory.
-        let baseline = std::fs::read_to_string(BASELINE).expect("BENCH_PR8.json is committed");
-        let doc = serde_json::parse(&baseline).expect("baseline parses");
-        let rows = serde::obj_get(doc.as_object().expect("object"), "experiments")
-            .and_then(|e| serde::obj_get(e.as_object().expect("object"), "recovery_replay"))
-            .expect("baseline has recovery_replay rows");
-        let JsonValue::Arr(rows) = rows else {
-            panic!("recovery_replay must be an array");
-        };
-        let (fresh, _) = recovery_replay(&baseline_config());
-        assert_eq!(fresh.len(), rows.len(), "replay row count drifted");
-        for (row, expect) in fresh.iter().zip(rows) {
-            let expect = expect.as_object().expect("row object");
-            let point = format!(
-                "{}/{} at grain {} / {:.0}% sharing",
-                row.workload,
-                row.recovery,
-                row.grain_log2,
-                row.sharing * 100.0
-            );
-            assert_eq!(row.workload, str_of(expect, "workload"), "{point}");
-            assert_eq!(row.recovery, str_of(expect, "recovery"), "{point}");
-            assert_eq!(
-                u64::from(row.grain_log2),
-                u64_of(expect, "grain_log2"),
-                "{point}"
-            );
-            for (label, got, want) in [
-                ("committed", row.committed, u64_of(expect, "committed")),
-                ("retried", row.retried, u64_of(expect, "retried")),
-                (
-                    "rolled_back",
-                    row.rolled_back,
-                    u64_of(expect, "rolled_back"),
-                ),
-                (
-                    "targeted_dooms",
-                    row.targeted_dooms,
-                    u64_of(expect, "targeted_dooms"),
-                ),
-                (
-                    "precise_passes",
-                    row.precise_passes,
-                    u64_of(expect, "precise_passes"),
-                ),
-                (
-                    "ring_overflows",
-                    row.ring_overflows,
-                    u64_of(expect, "ring_overflows"),
-                ),
-                (
-                    "wasted_cycles",
-                    row.wasted_cycles,
-                    u64_of(expect, "wasted_cycles"),
-                ),
-            ] {
-                assert_eq!(
-                    got, want,
-                    "{point}: {label} regressed vs BENCH_PR8.json with metrics off"
-                );
-            }
-        }
-        eprintln!(
-            "metrics_overhead: disabled registry reproduces all {} BENCH_PR8.json replay rows",
-            rows.len()
-        );
-
-        // 2. Turning the metrics plane on never moves the simulated
-        //    timeline.
+        // Turning the metrics plane on never moves the simulated timeline.
         let kind = WorkloadKind::ConflictChain;
         let memory = Arc::new(GlobalMemory::new(arena_bytes(kind, Scale::Tiny)));
         let data = setup(kind, Scale::Tiny, &memory);
@@ -151,12 +49,15 @@ fn assert_no_regression_once() {
         let on = simulate(&recording, config(MetricsConfig::enabled()));
         assert!(off.metrics.is_empty() && !on.metrics.is_empty());
         assert_eq!(
-            off.report.runtime, on.report.runtime,
+            off.parallel_cycles, on.parallel_cycles,
             "metrics sampling must not move the virtual clock"
         );
-        assert_eq!(off.report.commit_log, on.report.commit_log);
-        assert_eq!(off.report.wasted_work(), on.report.wasted_work());
-        assert_eq!(off.report.latency, on.report.latency);
+        let json = |result: &mutls_simcpu::SimResult| {
+            let mut out = String::new();
+            result.report.serialize_json(&mut out);
+            out
+        };
+        assert_eq!(json(&off), json(&on), "metrics must not change the report");
     });
 }
 

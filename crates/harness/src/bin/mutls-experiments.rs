@@ -1,16 +1,15 @@
 //! `mutls-experiments` — regenerate the MUTLS paper's tables and figures.
 //!
 //! ```text
-//! mutls-experiments <fig3|...|fig11|table2|adaptive|conflict|overflow|grain|recovery|graincontrol|trace|commitbench|parsim|metrics|all> \
-//!     [--scale tiny|scaled|paper] [--cpus 1,2,4,...] [--sim-threads N] \
+//! mutls-experiments <fig3|...|fig11|table2|adaptive|conflict|overflow|grain|recovery|graincontrol|trace|metrics|all> \
+//!     [--scale tiny|scaled|paper] [--cpus 1,2,4,...] \
 //!     [--json <path>] [--trace <path>] [--metrics <path>]
 //! ```
 //!
 //! With `--json <path>` the native sweeps (recovery, grain, conflict,
 //! overflow, adaptive, trace) additionally write their per-point rows —
 //! wasted work, commit throughput, retry/doom counts, latency quantiles —
-//! as one JSON document, so the perf trajectory can be tracked across PRs
-//! (e.g. `BENCH_PR4.json`).  With `--trace <path>` the sweeps enable the
+//! as one JSON document.  With `--trace <path>` the sweeps enable the
 //! speculation flight recorder and the drained lifecycle events of every
 //! run are exported as one Chrome trace-event document (open it at
 //! <https://ui.perfetto.dev>).  With `--metrics <path>` the sweeps enable
@@ -24,10 +23,10 @@ use std::process::ExitCode;
 use serde::Serialize;
 
 use mutls_harness::{
-    adaptive_sweep, commitbench, conflict_sweep, figure10, figure11, figure3, figure4, figure5,
-    figure6, figure7, figure8, figure9, grain_sweep, graincontrol_replay, graincontrol_sweep,
-    metrics_scenario, overflow_sweep, parsim, recovery_replay, recovery_sweep, table2,
-    trace_scenario, ExperimentConfig, MetricsSink, TraceSink, BENCH_SCHEMA_VERSION,
+    adaptive_sweep, conflict_sweep, figure10, figure11, figure3, figure4, figure5, figure6,
+    figure7, figure8, figure9, grain_sweep, graincontrol_replay, graincontrol_sweep,
+    metrics_scenario, overflow_sweep, recovery_replay, recovery_sweep, table2, trace_scenario,
+    ExperimentConfig, MetricsSink, TraceSink, BENCH_SCHEMA_VERSION,
 };
 use mutls_workloads::Scale;
 
@@ -79,18 +78,8 @@ type ParsedArgs = (
     Option<String>,
 );
 
-/// Environment variable overriding the default simulator thread count
-/// (the `--sim-threads` flag beats it).
-const SIM_THREADS_ENV: &str = "SIM_THREADS";
-
 fn parse_args() -> Result<ParsedArgs, String> {
     let mut config = ExperimentConfig::default();
-    if let Some(threads) = std::env::var(SIM_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        config.sim_threads = threads.max(1);
-    }
     let mut selected = Vec::new();
     let mut json_path = None;
     let mut trace_path = None;
@@ -117,13 +106,6 @@ fn parse_args() -> Result<ParsedArgs, String> {
             "--seed" => {
                 let value = args.next().ok_or("--seed needs a value")?;
                 config.seed = value.parse().map_err(|_| "bad seed".to_string())?;
-            }
-            "--sim-threads" => {
-                let value = args.next().ok_or("--sim-threads needs a value")?;
-                let threads: usize = value
-                    .parse()
-                    .map_err(|_| "bad --sim-threads value".to_string())?;
-                config.sim_threads = threads.max(1);
             }
             "--json" => {
                 json_path = Some(args.next().ok_or("--json needs a path")?);
@@ -194,16 +176,6 @@ fn run_one(name: &str, config: &ExperimentConfig, sink: &mut JsonSink) -> Result
             sink.push("trace", &rows);
             println!("{text}");
         }
-        "commitbench" => {
-            let (rows, text) = commitbench(config);
-            sink.push("commitbench", &rows);
-            println!("{text}");
-        }
-        "parsim" => {
-            let (rows, text) = parsim(config);
-            sink.push("parsim", &rows);
-            println!("{text}");
-        }
         "metrics" => {
             let (rows, text) = metrics_scenario(config);
             sink.push("metrics", &rows);
@@ -228,8 +200,6 @@ fn run_one(name: &str, config: &ExperimentConfig, sink: &mut JsonSink) -> Result
                 "recovery",
                 "graincontrol",
                 "trace",
-                "commitbench",
-                "parsim",
                 "metrics",
             ] {
                 run_one(exp, config, sink)?;
@@ -251,13 +221,9 @@ fn usage() {
          \x20 conflict        native conflict sweep, real dependence validation\n\
          \x20 overflow        native buffer-overflow pressure sweep\n\
          \x20 grain           native commit-log grain x shard sweep\n\
-         \x20 recovery        native recovery-engine sweep + deterministic replay\n\
+         \x20 recovery        native conflict-recovery sweep + deterministic replay\n\
          \x20 graincontrol    adaptive grain-control sweep + deterministic replay\n\
          \x20 trace           flight-recorder scenario: event census + latency tables\n\
-         \x20 commitbench     commit-path stress: locked vs lock-free scaling\n\
-         \x20                 (cap the thread sweep with COMMITBENCH_THREADS=N)\n\
-         \x20 parsim          Time Warp parallel-simulation scaling + byte-identity\n\
-         \x20                 (cap the thread sweep with PARSIM_THREADS=N)\n\
          \x20 metrics         live-metrics scenario: instrumented native run + replay,\n\
          \x20                 headline counters and derived gauges\n\
          \x20 all             everything above\n\
@@ -266,9 +232,6 @@ fn usage() {
          \x20 --scale tiny|scaled|paper   problem-size preset (default scaled)\n\
          \x20 --cpus 1,2,4,...            CPU counts for the sweep figures\n\
          \x20 --seed N                    RNG seed (rollback injection)\n\
-         \x20 --sim-threads N             simulator threads per simulation (default 1 =\n\
-         \x20                             sequential; SIM_THREADS env is the fallback;\n\
-         \x20                             results are byte-identical at any value)\n\
          \x20 --json <path>               write machine-readable rows (schema v{BENCH_SCHEMA_VERSION})\n\
          \x20 --trace <path>              enable the flight recorder and export\n\
          \x20                             Chrome trace-event JSON (Perfetto)\n\

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -16,7 +16,7 @@ use mutls_membuf::{
     WORD_GRAIN_LOG2,
 };
 use mutls_metrics::{MetricsConfig, MetricsSeries, MetricsSnapshot, PromWriter};
-use mutls_runtime::{ForkModel, Phase, RecoveryConfig, RunReport, Runtime, RuntimeConfig};
+use mutls_runtime::{ForkModel, Phase, RunReport, Runtime, RuntimeConfig};
 use mutls_simcpu::{record_region, simulate, Recording, SimConfig, SimResult};
 use mutls_trace::{
     chrome_trace_json, LatencyPhase, LatencyReport, TraceConfig, TraceEvent, TraceRun,
@@ -71,26 +71,9 @@ pub const BREAKDOWN_CPUS: [usize; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20,
 pub const ROLLBACK_PROBABILITIES: [f64; 6] = [0.01, 0.05, 0.10, 0.20, 0.50, 1.00];
 
 /// Schema version stamped on every machine-readable benchmark row and on
-/// the `--json` document wrapper.  Bump when row shapes change: v1 was
-/// the PR 4/5 shape; v2 adds `schema_version` itself plus the `latency`,
-/// `regrains` and `reader_spills` columns; v3 (the lock-free commit
-/// path) adds the wall-clock `commits_per_sec` and `cas_retries` columns
-/// to the grain rows and the `commitbench` experiment's rows; v4 (the
-/// mvcc commit log) adds the `precise_passes`/`ring_overflows` columns
-/// and the mvcc engine to the recovery rows, a `grain_log2` dimension to
-/// the recovery replay, and the `recovery` + `precise_passes` columns to
-/// the graincontrol rows (swept over the single-version and mvcc
-/// engines); v5 (the Time Warp parallel simulator) adds the
-/// `sim_threads` column to every row — the effective simulator worker
-/// count the row ran under (always stamped, also on native-runtime rows,
-/// so a replayed baseline records how it was produced) — plus the
-/// `parsim` experiment's rows; v6 (the live telemetry plane) adds the
-/// derived `rollback_amplification` column (wasted work over committed
-/// work, the headline efficiency figure of the metrics plane) to every
-/// rollback-bearing row, the `ring_overflows` column to the grain rows,
-/// the `advances_computed` column to the parsim rows, and the `metrics`
-/// scenario's rows.
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+/// the `--json` document wrapper.  Bump when row shapes change; v7 drops
+/// the simulator-thread, recovery-engine and cascade columns.
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Collects per-run flight-recorder streams across a sweep so the binary
 /// can export one Chrome trace-event document (`--trace <path>`).
@@ -140,9 +123,7 @@ impl TraceSink {
 }
 
 /// One run's metrics capture recorded into a [`MetricsSink`]: the
-/// sampler-filled time series plus the final end-of-run scrape (which may
-/// carry export-only labeled gauges, e.g. the Time Warp shard counters,
-/// that are deliberately kept out of the byte-compared series).
+/// sampler-filled time series plus the final end-of-run scrape.
 #[derive(Debug, Clone, Serialize)]
 pub struct MetricsRun {
     /// Unique run label (`<experiment>/<workload>/...`).
@@ -228,16 +209,6 @@ pub struct ExperimentConfig {
     pub cpus: Vec<usize>,
     /// RNG seed (rollback injection).
     pub seed: u64,
-    /// Simulator threads per simulation run ([`SimConfig::sim_threads`]):
-    /// 1 (the default) keeps every replay on the sequential event loop,
-    /// preserving the exact code path the committed baselines were
-    /// generated under; higher values engage the Time Warp shard workers.
-    /// The parallel simulator is byte-identical to sequential at any
-    /// value, so results never depend on this knob — only wall-clock
-    /// does.  Sweeps that fan simulation points across host threads cap
-    /// the per-point value via [`ExperimentConfig::budgeted_sim_threads`]
-    /// so the host is never oversubscribed.
-    pub sim_threads: usize,
     /// When set, the sweeps enable their flight recorders and drain each
     /// run's lifecycle events into this sink (the binary's
     /// `--trace <path>` export).  `None` keeps recording disabled — the
@@ -256,7 +227,6 @@ impl Default for ExperimentConfig {
             scale: Scale::Scaled,
             cpus: vec![1, 2, 4, 8, 16, 32, 48, 64],
             seed: 0xAB5C155A,
-            sim_threads: 1,
             trace: None,
             metrics: None,
         }
@@ -270,7 +240,6 @@ impl ExperimentConfig {
             scale: Scale::Tiny,
             cpus: vec![1, 4, 16, 64],
             seed: 7,
-            sim_threads: 1,
             trace: None,
             metrics: None,
         }
@@ -289,43 +258,6 @@ impl ExperimentConfig {
     pub fn with_metrics(mut self, sink: Arc<MetricsSink>) -> Self {
         self.metrics = Some(sink);
         self
-    }
-
-    /// Set the per-simulation thread count (floored at 1).
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// The effective per-simulation thread count: the configured value
-    /// floored at 1.  This is the number stamped into every benchmark
-    /// row and the value serial (non-fanned) replays run at.
-    pub fn effective_sim_threads(&self) -> usize {
-        self.sim_threads.max(1)
-    }
-
-    /// The per-point thread budget when `points` independent simulations
-    /// are fanned across host threads by `par_map`.
-    ///
-    /// Oversubscription policy: `par_map` runs `min(host, points)` sweep
-    /// workers, each driving one simulation at a time, so the total
-    /// worker-thread count is `sweep_workers × per_point_sim_threads`.
-    /// This caps the per-point value at `host / sweep_workers` (floored
-    /// at 1) so that product never exceeds host parallelism — a sweep
-    /// wide enough to saturate the host runs its points sequentially
-    /// (`sim_threads = 1`), and the Time Warp shards only spin up when
-    /// sweep-level parallelism leaves cores idle.  Byte-identity makes
-    /// the cap invisible in the results.
-    pub fn budgeted_sim_threads(&self, points: usize) -> usize {
-        let requested = self.effective_sim_threads();
-        if requested == 1 || points <= 1 {
-            return requested;
-        }
-        let host = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        let sweep_workers = host.min(points);
-        requested.min((host / sweep_workers).max(1))
     }
 
     /// The native-runtime recorder configuration implied by `trace`.
@@ -431,15 +363,10 @@ pub fn record_workload(kind: WorkloadKind, scale: Scale) -> Recording {
     record_region(memory, |ctx| run_speculative(ctx, &data))
 }
 
-fn simulate_point(recording: &Recording, cpus: usize, seed: u64, sim_threads: usize) -> SimResult {
+fn simulate_point(recording: &Recording, cpus: usize, seed: u64) -> SimResult {
     let config = SimConfig {
         num_cpus: cpus,
-        fork_model: None,
-        rollback_probability: 0.0,
         seed,
-        cost: Default::default(),
-        governor: Default::default(),
-        sim_threads,
         ..Default::default()
     };
     simulate(recording, config)
@@ -467,9 +394,8 @@ pub fn speedup_sweep(kinds: &[WorkloadKind], config: &ExperimentConfig) -> Vec<S
     let points: Vec<(usize, usize)> = (0..kinds.len())
         .flat_map(|ki| config.cpus.iter().map(move |&cpus| (ki, cpus)))
         .collect();
-    let sim_threads = config.budgeted_sim_threads(points.len());
     par_map(&points, |&(ki, cpus)| {
-        let result = simulate_point(&recordings[ki], cpus, config.seed, sim_threads);
+        let result = simulate_point(&recordings[ki], cpus, config.seed);
         sweep_row(kinds[ki], cpus, &result)
     })
 }
@@ -567,12 +493,7 @@ pub fn breakdown(
     let phases: [Phase; 10] = Phase::ALL;
     let mut rows = Vec::new();
     for &cpus in cpus_list {
-        let result = simulate_point(
-            &recording,
-            cpus,
-            config.seed,
-            config.effective_sim_threads(),
-        );
+        let result = simulate_point(&recording, cpus, config.seed);
         let stats = if speculative_path {
             &result.report.speculative
         } else {
@@ -647,18 +568,13 @@ pub fn figure10(config: &ExperimentConfig) -> (Vec<(String, usize, f64)>, String
         for model in [ForkModel::InOrder, ForkModel::OutOfOrder] {
             let mut values = Vec::new();
             for &cpus in &config.cpus {
-                let sim_threads = config.effective_sim_threads();
-                let mixed = simulate_point(&recording, cpus, config.seed, sim_threads).speedup();
+                let mixed = simulate_point(&recording, cpus, config.seed).speedup();
                 let other = simulate(
                     &recording,
                     SimConfig {
                         num_cpus: cpus,
                         fork_model: Some(model),
-                        rollback_probability: 0.0,
                         seed: config.seed,
-                        cost: Default::default(),
-                        governor: Default::default(),
-                        sim_threads,
                         ..Default::default()
                     },
                 )
@@ -701,10 +617,9 @@ pub fn figure11(config: &ExperimentConfig) -> (Vec<(String, f64, f64)>, String) 
         &["workload", "1%", "5%", "10%", "20%", "50%", "100%"],
     );
     // One parallel task per workload: record, baseline, probability sweep.
-    let sim_threads = config.budgeted_sim_threads(kinds.len());
     let per_kind = par_map(&kinds, |&kind| {
         let recording = record_workload(kind, config.scale);
-        let baseline = simulate_point(&recording, cpus, config.seed, sim_threads).speedup();
+        let baseline = simulate_point(&recording, cpus, config.seed).speedup();
         let sensitivities: Vec<(f64, f64)> = ROLLBACK_PROBABILITIES
             .iter()
             .map(|&p| {
@@ -712,12 +627,8 @@ pub fn figure11(config: &ExperimentConfig) -> (Vec<(String, f64, f64)>, String) 
                     &recording,
                     SimConfig {
                         num_cpus: cpus,
-                        fork_model: None,
                         rollback_probability: p,
                         seed: config.seed,
-                        cost: Default::default(),
-                        governor: Default::default(),
-                        sim_threads,
                         ..Default::default()
                     },
                 )
@@ -752,8 +663,6 @@ pub const ROLLBACK_HEAVY: [WorkloadKind; 3] =
 pub struct AdaptiveRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Effective simulator worker threads the run used (schema v5).
-    pub sim_threads: usize,
     /// Benchmark name.
     pub workload: String,
     /// Governor policy label.
@@ -841,27 +750,22 @@ pub fn format_site_table(title: &str, report: &RunReport) -> String {
 }
 
 /// Simulate `recording` under a governor policy.  Seed, tracing and
-/// metrics cadence come from `config`; `sim_threads` is passed
-/// separately because the caller budgets it against the sweep fan-out.
+/// metrics cadence come from `config`.
 fn simulate_governed(
     recording: &Recording,
     config: &ExperimentConfig,
     cpus: usize,
     rollback_probability: f64,
     policy: PolicyKind,
-    sim_threads: usize,
 ) -> SimResult {
     simulate(
         recording,
         SimConfig {
             num_cpus: cpus,
-            fork_model: None,
             rollback_probability,
             seed: config.seed,
-            cost: Default::default(),
             governor: GovernorConfig::with_policy(policy),
             trace: config.trace_enabled(),
-            sim_threads,
             metrics: config.sim_metrics_config(),
             ..Default::default()
         },
@@ -891,7 +795,6 @@ pub fn adaptive_sweep(config: &ExperimentConfig) -> (Vec<AdaptiveRow>, String) {
         ],
     );
     // One parallel task per workload; assembly below keeps input order.
-    let sim_threads = config.budgeted_sim_threads(WorkloadKind::ALL.len());
     let per_kind = par_map(&WorkloadKind::ALL, |&kind| {
         let heavy = ROLLBACK_HEAVY.contains(&kind);
         let p = if heavy {
@@ -903,11 +806,10 @@ pub fn adaptive_sweep(config: &ExperimentConfig) -> (Vec<AdaptiveRow>, String) {
         let mut kind_rows = Vec::new();
         let mut site_tables = String::new();
         for policy in PolicyKind::ALL {
-            let result = simulate_governed(&recording, config, cpus, p, policy, sim_threads);
+            let result = simulate_governed(&recording, config, cpus, p, policy);
             let report = &result.report;
             kind_rows.push(AdaptiveRow {
                 schema_version: BENCH_SCHEMA_VERSION,
-                sim_threads,
                 workload: kind.name().to_string(),
                 policy: policy.label().to_string(),
                 rollback_probability: p,
@@ -987,10 +889,6 @@ fn latency_cell_us(report: &LatencyReport, phase: LatencyPhase) -> String {
 pub struct NativeRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Effective simulator worker threads configured for the invocation
-    /// (schema v5; native rows record it for provenance — the native
-    /// runtime itself is unaffected by the knob).
-    pub sim_threads: usize,
     /// Benchmark name.
     pub workload: String,
     /// Governor policy label.
@@ -1027,11 +925,9 @@ impl NativeRow {
         sharing: f64,
         checksum_ok: bool,
         report: &RunReport,
-        sim_threads: usize,
     ) -> Self {
         NativeRow {
             schema_version: BENCH_SCHEMA_VERSION,
-            sim_threads,
             workload: workload.to_string(),
             policy: policy.label().to_string(),
             sharing,
@@ -1171,14 +1067,8 @@ pub fn conflict_sweep(config: &ExperimentConfig) -> (Vec<NativeRow>, String) {
                 );
                 config.record_trace(label.clone(), events, dropped);
                 config.record_metrics(label, series, last);
-                let row = NativeRow::from_report(
-                    kind.name(),
-                    policy,
-                    sharing,
-                    sum == reference,
-                    &report,
-                    config.effective_sim_threads(),
-                );
+                let row =
+                    NativeRow::from_report(kind.name(), policy, sharing, sum == reference, &report);
                 table.push_row(row.table_row());
                 wasted.insert(policy, row.wasted_work_ns);
                 if permille == 1000 && policy == PolicyKind::Throttle {
@@ -1265,14 +1155,7 @@ pub fn overflow_sweep(config: &ExperimentConfig) -> (Vec<NativeRow>, String) {
             );
             config.record_metrics(label, runtime.metrics_series(), runtime.metrics_snapshot());
             let checksum_ok = mutls_workloads::checksum(&memory, &data) == reference;
-            let row = NativeRow::from_report(
-                kind.name(),
-                policy,
-                0.0,
-                checksum_ok,
-                &report,
-                config.effective_sim_threads(),
-            );
+            let row = NativeRow::from_report(kind.name(), policy, 0.0, checksum_ok, &report);
             table.push_row(row.table_row());
             rows.push(row);
         }
@@ -1286,7 +1169,7 @@ pub fn overflow_sweep(config: &ExperimentConfig) -> (Vec<NativeRow>, String) {
 pub const GRAIN_SWEEP_GRAINS: [u32; 3] = [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2];
 
 /// Commit-log shard counts swept by the `grain` experiment: a single
-/// shard (the old global commit lock) vs the sharded default.
+/// shard (one epoch counter for every committer) vs the sharded default.
 pub const GRAIN_SWEEP_SHARDS: [usize; 2] = [1, 8];
 
 /// Human label for a tracking grain.
@@ -1306,9 +1189,6 @@ pub fn grain_label(grain_log2: u32) -> String {
 pub struct GrainRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Effective simulator worker threads configured for the invocation
-    /// (schema v5; provenance on native rows).
-    pub sim_threads: usize,
     /// Benchmark name.
     pub workload: String,
     /// Commit-log tracking grain (log2 bytes).
@@ -1334,25 +1214,20 @@ pub struct GrainRow {
     /// Range stamps written across all batches (cumulative log traffic —
     /// what a coarser grain shrinks).
     pub stamp_writes: u64,
-    /// Estimated commit-serialization time (µs): waiting for plus
-    /// holding commit-log shard locks, sampled (see
-    /// `CommitLogStats::lock_ns`).
+    /// Estimated commit-publication time (µs): version reservation plus
+    /// stamping, sampled (see `CommitLogStats::lock_ns`).
     pub commit_lock_us: f64,
-    /// Commit throughput: batches per millisecond of lock time — higher
-    /// is better; coarser grains and more shards both raise it.
+    /// Commit throughput: batches per millisecond of publication time —
+    /// higher is better; coarser grains raise it.
     pub commit_throughput: f64,
     /// Wall-clock commit throughput: batches per second of end-to-end run
-    /// time (schema v3; the cross-mode figure the `commitbench` sweep
-    /// compares locked vs lock-free on).
+    /// time.
     pub commits_per_sec: f64,
-    /// CAS retries paid by the lock-free commit path (same-slot
-    /// `compare_exchange` losses plus seqlock-forced re-stamps; schema
-    /// v3, 0 in locked mode).
+    /// CAS retries paid by the commit path (same-slot `compare_exchange`
+    /// losses plus seqlock-forced re-stamps).
     pub cas_retries: u64,
     /// Ring probes whose observed version had already fallen off the
-    /// mvcc version window (schema v6; 0 here — the grain sweep runs the
-    /// single-version engine — but rendered so registry pressure is
-    /// visible wherever `CommitLogStats` rows surface).
+    /// version window.
     pub ring_overflows: u64,
     /// Derived rollback amplification (schema v6): wasted work over
     /// committed speculative work.
@@ -1372,8 +1247,8 @@ pub struct GrainRow {
 /// policy, no injection.  Correctness must hold at every point (the
 /// differential oracle in `tests/differential.rs` asserts the same
 /// registry-wide); the commit-log columns show coarser grains stamping
-/// fewer ranges and spending less time under commit locks, while the
-/// rollback columns price the false sharing they introduce.
+/// fewer ranges and spending less time publishing, while the rollback
+/// columns price the false sharing they introduce.
 pub fn grain_sweep(config: &ExperimentConfig) -> (Vec<GrainRow>, String) {
     let cpus = native_cpus(config);
     // mandelbrot writes disjoint rows (no cross-thread sharing at any
@@ -1401,8 +1276,8 @@ pub fn grain_sweep(config: &ExperimentConfig) -> (Vec<GrainRow>, String) {
             "wasted (µs)",
             "commits",
             "stamps",
-            "lock w+h (µs)",
-            "commits/ms lock",
+            "publish (µs)",
+            "commits/ms publish",
             "commits/s",
             "cas-retries",
             "ring-ovfl",
@@ -1447,7 +1322,6 @@ pub fn grain_sweep(config: &ExperimentConfig) -> (Vec<GrainRow>, String) {
                 let lock_ms = (log.lock_ns as f64 / 1e6).max(1e-6);
                 let row = GrainRow {
                     schema_version: BENCH_SCHEMA_VERSION,
-                    sim_threads: config.effective_sim_threads(),
                     workload: kind.name().to_string(),
                     grain_log2,
                     shards,
@@ -1497,275 +1371,24 @@ pub fn grain_sweep(config: &ExperimentConfig) -> (Vec<GrainRow>, String) {
     (rows, text)
 }
 
-/// Thread counts swept by the `commitbench` commit-path stress.  The
-/// sweep is capped by the [`COMMITBENCH_THREADS_ENV`] environment
-/// variable (e.g. `COMMITBENCH_THREADS=64` keeps CI runners from
-/// oversubscribing into noise).
-pub const COMMITBENCH_THREADS: [usize; 5] = [8, 16, 32, 64, 128];
-
-/// Environment variable capping the `commitbench` thread sweep at the
-/// given count (points above it are skipped).
-pub const COMMITBENCH_THREADS_ENV: &str = "COMMITBENCH_THREADS";
-
-/// Address mixes stressed by `commitbench`: `disjoint` gives every
-/// committer its own region (and thus its own shard stripe and version
-/// slots — the lock-free fast path's zero-contention case), while
-/// `overlapping` hammers one small slot window from every thread (the
-/// same-slot CAS-retry worst case).
-pub const COMMITBENCH_MIXES: [&str; 2] = ["disjoint", "overlapping"];
-
-/// One `commitbench` data point: an address mix × thread count × commit
-/// path (locked vs lock-free), stress-committing straight against an
-/// `Arc<CommitLog>` from OS threads.
-#[derive(Debug, Clone, Serialize)]
-pub struct CommitBenchRow {
-    /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// Effective simulator worker threads configured for the invocation
-    /// (schema v5; provenance — the stress runs on OS threads).
-    pub sim_threads: usize,
-    /// Address mix (see [`COMMITBENCH_MIXES`]).
-    pub mix: String,
-    /// Number of committer OS threads.
-    pub threads: usize,
-    /// Commit path: `"locked"` or `"lock-free"`.
-    pub mode: String,
-    /// Total commit batches published across all threads.
-    pub batches: u64,
-    /// Range stamps written across all batches.
-    pub stamp_writes: u64,
-    /// CAS retries paid by the lock-free path (0 in locked mode).
-    pub cas_retries: u64,
-    /// Wall-clock duration of the stress (µs).
-    pub elapsed_us: f64,
-    /// Wall-clock commit throughput: batches per second — the headline
-    /// scaling figure (lock-free should keep climbing past the point
-    /// where the locked path plateaus on disjoint mixes).
-    pub commits_per_sec: f64,
-    /// Whether every post-run invariant held (all stamps visible,
-    /// per-address `version_of <= snapshot`, batch count conserved).
-    pub ok: bool,
-}
-
-/// Slots of one region, and words per batch, used by `commitbench`.
-const COMMITBENCH_BATCH_WORDS: u64 = 16;
-
-/// Repetitions per `commitbench` point; the best rep is reported.
-const COMMITBENCH_REPS: u32 = 3;
-
-/// The `commitbench` thread list after applying the environment cap.
-fn commitbench_threads() -> Vec<usize> {
-    let cap = std::env::var(COMMITBENCH_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(usize::MAX);
-    let threads: Vec<usize> = COMMITBENCH_THREADS
-        .iter()
-        .copied()
-        .filter(|&t| t <= cap)
-        .collect();
-    if threads.is_empty() {
-        vec![cap.max(1)]
-    } else {
-        threads
-    }
-}
-
-/// Commit-path stress sweep: address mix × thread count × locked vs
-/// lock-free, hammering one shared `CommitLog` from OS threads (no
-/// speculation machinery in the way — this isolates the tentpole).
-/// Correctness invariants are asserted per point; the *scaling* claim
-/// (lock-free strictly above locked on disjoint mixes at high thread
-/// counts) is tracked by the committed `BENCH_PR7.json` baseline rather
-/// than in-test margins, which would flake on small CI hosts.
-pub fn commitbench(config: &ExperimentConfig) -> (Vec<CommitBenchRow>, String) {
-    commitbench_with(config, &commitbench_threads())
-}
-
-/// [`commitbench`] over an explicit thread list (tests pin small counts).
-pub fn commitbench_with(
-    config: &ExperimentConfig,
-    threads_list: &[usize],
-) -> (Vec<CommitBenchRow>, String) {
-    use mutls_membuf::{CommitLog, WORD_BYTES};
-
-    let batches_per_thread: u64 = match config.scale {
-        Scale::Tiny => 64,
-        Scale::Scaled => 512,
-        Scale::Paper => 4096,
-    };
-    let region_bytes: u64 = 1 << mutls_membuf::region_log2_for_grain(WORD_GRAIN_LOG2);
-    let slots_per_region: u64 = region_bytes / WORD_BYTES;
-    let mut rows = Vec::new();
-    let mut table = Table::new(
-        format!("Commit-Path Stress (commitbench, {batches_per_thread} batches/thread × {COMMITBENCH_BATCH_WORDS} words)"),
-        &[
-            "mix",
-            "threads",
-            "mode",
-            "batches",
-            "stamps",
-            "cas-retries",
-            "elapsed (µs)",
-            "commits/s",
-            "invariants",
-        ],
-    );
-    for mix in COMMITBENCH_MIXES {
-        for &threads in threads_list {
-            for (mode, log_config) in [
-                ("locked", CommitLogConfig::word_grain().shards(64).locked()),
-                (
-                    "lock-free",
-                    CommitLogConfig::word_grain().shards(64).lock_free(true),
-                ),
-            ] {
-                let measure = || {
-                    // Dense coverage for every region a thread touches, so the
-                    // stress exercises the CAS-published slot array, not the
-                    // sparse fallback.
-                    let capacity = (threads as u64).max(1) * region_bytes;
-                    let log = Arc::new(CommitLog::with_config(log_config, capacity));
-                    let barrier = Arc::new(Barrier::new(threads + 1));
-                    let mut started = Instant::now();
-                    std::thread::scope(|scope| {
-                        for t in 0..threads {
-                            let log = Arc::clone(&log);
-                            let barrier = Arc::clone(&barrier);
-                            scope.spawn(move || {
-                                let mut batch =
-                                    Vec::with_capacity(COMMITBENCH_BATCH_WORDS as usize);
-                                barrier.wait();
-                                for b in 0..batches_per_thread {
-                                    batch.clear();
-                                    for i in 0..COMMITBENCH_BATCH_WORDS {
-                                        let slot = match mix {
-                                            // Own region: zero cross-thread
-                                            // slot or shard sharing.
-                                            "disjoint" => {
-                                                (t as u64) * slots_per_region
-                                                    + (b * COMMITBENCH_BATCH_WORDS + i)
-                                                        % slots_per_region
-                                            }
-                                            // Everyone in one 32-slot window
-                                            // of region 0: same-slot races.
-                                            _ => (b + i) % 32,
-                                        };
-                                        batch.push(slot * WORD_BYTES);
-                                    }
-                                    log.record(batch.iter().copied());
-                                }
-                            });
-                        }
-                        // Start the clock *before* releasing the barrier: on a
-                        // loaded host the workers can run to completion before
-                        // the main thread is rescheduled out of `wait()`, so
-                        // timing from after the release would undercount.
-                        started = Instant::now();
-                        barrier.wait();
-                    });
-                    let elapsed = started.elapsed();
-                    let stats = log.stats();
-                    let total_batches = threads as u64 * batches_per_thread;
-                    // Post-run invariants: every batch counted, every touched
-                    // word stamped and never ahead of its shard snapshot.
-                    let mut ok = stats.commits == total_batches;
-                    let touched_regions: u64 = if mix == "disjoint" { threads as u64 } else { 1 };
-                    for region in 0..touched_regions {
-                        let window = if mix == "disjoint" {
-                            slots_per_region.min(batches_per_thread * COMMITBENCH_BATCH_WORDS)
-                        } else {
-                            32
-                        };
-                        for slot in 0..window {
-                            let addr = region * region_bytes + slot * WORD_BYTES;
-                            let version = log.version_of(addr);
-                            ok &= version > 0;
-                            ok &= version <= log.snapshot(addr);
-                        }
-                    }
-                    let secs = elapsed.as_secs_f64().max(1e-9);
-                    CommitBenchRow {
-                        schema_version: BENCH_SCHEMA_VERSION,
-                        sim_threads: config.effective_sim_threads(),
-                        mix: mix.to_string(),
-                        threads,
-                        mode: mode.to_string(),
-                        batches: stats.commits,
-                        stamp_writes: stats.stamp_writes,
-                        cas_retries: stats.cas_retries,
-                        elapsed_us: secs * 1e6,
-                        commits_per_sec: total_batches as f64 / secs,
-                        ok,
-                    }
-                };
-                // Best-of-N: scheduler noise (especially on small or
-                // shared hosts) dwarfs the per-batch commit cost, and the
-                // best rep is the closest observation of the path's true
-                // cost.  The invariants must hold in *every* rep.
-                let mut row = measure();
-                for _ in 1..COMMITBENCH_REPS {
-                    let rep = measure();
-                    let ok = row.ok && rep.ok;
-                    if rep.commits_per_sec > row.commits_per_sec {
-                        row = rep;
-                    }
-                    row.ok = ok;
-                }
-                table.push_row(vec![
-                    row.mix.clone(),
-                    row.threads.to_string(),
-                    row.mode.clone(),
-                    row.batches.to_string(),
-                    row.stamp_writes.to_string(),
-                    row.cas_retries.to_string(),
-                    format!("{:.1}", row.elapsed_us),
-                    format!("{:.0}", row.commits_per_sec),
-                    if row.ok { "ok" } else { "VIOLATED" }.to_string(),
-                ]);
-                rows.push(row);
-            }
-        }
-    }
-    let text = table.render();
-    (rows, text)
-}
-
 /// True-sharing rates (permille) swept by the `recovery` experiment.
 pub const RECOVERY_SWEEP_PERMILLE: [u32; 3] = [0, 500, 1000];
 
 /// Commit-log grains swept by the `recovery` experiment: word (true
-/// sharing only) and line (adds false sharing, the value-predict regime).
+/// sharing only) and line (adds false sharing, the precise-pass and
+/// value-predict regime).
 pub const RECOVERY_SWEEP_GRAINS: [u32; 2] = [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2];
 
-/// The recovery engines compared by the `recovery` sweep, cheapest-last:
-/// the three single-version engines plus the mvcc engine, whose
-/// version rings turn conservative same-range verdicts into precise
-/// passes and whose retries time-travel to the version actually read.
-pub fn recovery_sweep_modes() -> [RecoveryConfig; 4] {
-    [
-        RecoveryConfig::cascade_only(),
-        RecoveryConfig::targeted(),
-        RecoveryConfig::targeted_with_retry(),
-        RecoveryConfig::mvcc(),
-    ]
-}
-
 /// One row of the recovery sweep: a native run of a conflict-family
-/// workload at one (grain, sharing rate, recovery engine) point.
+/// workload at one (grain, sharing rate) point.
 #[derive(Debug, Clone, Serialize)]
 pub struct RecoveryRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Effective simulator worker threads configured for the invocation
-    /// (schema v5; provenance on native rows).
-    pub sim_threads: usize,
     /// Benchmark name.
     pub workload: String,
     /// Commit-log tracking grain (log2 bytes).
     pub grain_log2: u32,
-    /// Recovery-engine label (`cascade`, `targeted`, `targeted+retry`).
-    pub recovery: String,
     /// True-sharing rate in `[0, 1]`.
     pub sharing: f64,
     /// Committed speculative threads.
@@ -1779,24 +1402,20 @@ pub struct RecoveryRow {
     pub rollback_reasons: [u64; RollbackReason::COUNT],
     /// Threads doomed surgically through the reader registry.
     pub targeted_dooms: u64,
-    /// Conflict recoveries that used the full squash cascade.
-    pub cascade_fallbacks: u64,
-    /// Work discarded by rollbacks (nanoseconds of native execution) —
-    /// the column the engines are compared on.
+    /// Work discarded by rollbacks (nanoseconds of native execution).
     pub wasted_work_ns: u64,
-    /// Derived rollback amplification (schema v6): wasted work over
-    /// committed speculative work.
+    /// Derived rollback amplification: wasted work over committed
+    /// speculative work.
     pub rollback_amplification: f64,
     /// Commit batches recorded in the log.
     pub commits: u64,
-    /// Commit throughput: batches per millisecond of commit-lock time.
+    /// Commit throughput: batches per millisecond of publication time.
     pub commit_throughput: f64,
-    /// Reader-registry entries spilled to the overflow list (registry
-    /// pressure under the targeted engines; always 0 for cascade-only).
+    /// Reader registrations that spilled past the bitmask window.
     pub reader_spills: u64,
     /// Validations a version-ring probe proved precise: a later
     /// same-range commit shown to have missed every word the thread
-    /// read.  Always 0 for the single-version engines.
+    /// read.
     pub precise_passes: u64,
     /// Ring probes whose observed version had already fallen off the
     /// version window, degrading that range to the single-version
@@ -1814,181 +1433,136 @@ pub struct RecoveryRow {
 pub const RECOVERY_SWEEP_REPS: usize = 5;
 
 /// Native recovery sweep: the conflict family × tracking grain ×
-/// true-sharing rate, comparing the three recovery engines — cascade-only
-/// (lazy join-time discovery, full squash), targeted (registry-driven
-/// surgical dooming) and targeted+retry (plus value-predict-and-retry).
-/// No injection: every rollback is a genuine dependence violation, every
-/// retry a genuine value-predict repair, and correctness must hold at
-/// every point and every repetition (the differential oracle asserts the
-/// same registry-wide).  Each point reports its median-wasted-work run
-/// over [`RECOVERY_SWEEP_REPS`] repetitions, so the engine comparison is
-/// robust against scheduling noise.  The summary lines report each
-/// engine's wasted work against the cascade baseline — targeted recovery
-/// buying back the conflict window, retry erasing false-sharing squashes.
+/// true-sharing rate under the runtime's recovery ladder (precise pass →
+/// value-predict retry → targeted doom set).  No injection: every
+/// rollback is a genuine dependence violation, every retry a genuine
+/// value-predict repair, and correctness must hold at every point and
+/// every repetition (the differential oracle asserts the same
+/// registry-wide).  Each point reports its median-wasted-work run over
+/// [`RECOVERY_SWEEP_REPS`] repetitions.
 pub fn recovery_sweep(config: &ExperimentConfig) -> (Vec<RecoveryRow>, String) {
     let cpus = native_cpus(config);
     let mut rows = Vec::new();
     let mut table = Table::new(
-        format!(
-            "Recovery Engine Sweep at {cpus} CPUs (native runtime, real conflicts, no injection)"
-        ),
+        format!("Recovery Sweep at {cpus} CPUs (native runtime, real conflicts, no injection)"),
         &[
             "workload",
             "grain",
             "sharing",
-            "recovery",
             "committed",
             "retries",
             "rolled back (C/O/I/X)",
             "dooms",
-            "cascades",
             "wasted (µs)",
-            "commits/ms lock",
+            "commits/ms publish",
             "spills",
             "precise/ovfl",
             "f2c p50/p99/p999 (µs)",
             "checksum",
         ],
     );
-    let mut summary =
-        String::from("# Wasted work vs the cascade-only baseline (same workload/grain/sharing)\n");
     for kind in WorkloadKind::CONFLICT_FAMILY {
         for grain_log2 in RECOVERY_SWEEP_GRAINS {
             for permille in RECOVERY_SWEEP_PERMILLE {
                 let sharing = permille as f64 / 1000.0;
                 let case = ConflictCase::new(kind, config.scale, permille);
                 let reference = case.reference();
-                let mut baseline_wasted = None;
-                for recovery in recovery_sweep_modes() {
-                    // Median-of-reps: run the point several times, keep
-                    // the run with the median wasted work.  Correctness
-                    // must hold in *every* repetition.
-                    type Rep = (
-                        u64,
-                        bool,
-                        RunReport,
-                        (Vec<TraceEvent>, u64),
-                        conflict::MetricsCapture,
-                    );
-                    let mut runs: Vec<Rep> = (0..RECOVERY_SWEEP_REPS)
-                        .map(|_| {
-                            let (sum, report, capture, metrics) = case.native_observed(
-                                RuntimeConfig::with_cpus(cpus)
-                                    .commit_log(CommitLogConfig::default().grain_log2(grain_log2))
-                                    .recovery(recovery)
-                                    .trace(config.trace_config())
-                                    .metrics(config.metrics_config()),
-                            );
-                            (
-                                report.wasted_work(),
-                                sum == reference,
-                                report,
-                                capture,
-                                metrics,
-                            )
-                        })
-                        .collect();
-                    let every_rep_correct = runs.iter().all(|(_, ok, _, _, _)| *ok);
-                    runs.sort_by_key(|(wasted, _, _, _, _)| *wasted);
-                    let (_, _, report, (events, dropped), (series, last)) =
-                        runs.swap_remove(runs.len() / 2);
-                    let label = format!(
-                        "recovery/{}/{}/sharing{permille:04}/{}",
-                        kind.name(),
-                        grain_label(grain_log2),
-                        recovery.label()
-                    );
-                    config.record_trace(label.clone(), events, dropped);
-                    config.record_metrics(label, series, last);
-                    let log = report.commit_log;
-                    let lock_ms = (log.lock_ns as f64 / 1e6).max(1e-6);
-                    let row = RecoveryRow {
-                        schema_version: BENCH_SCHEMA_VERSION,
-                        sim_threads: config.effective_sim_threads(),
-                        workload: kind.name().to_string(),
-                        grain_log2,
-                        recovery: recovery.label().to_string(),
-                        sharing,
-                        committed: report.committed_threads,
-                        retries: report.retries(),
-                        rolled_back: report.rolled_back_threads,
-                        rollback_reasons: report.rollback_reasons,
-                        targeted_dooms: report.targeted_dooms(),
-                        cascade_fallbacks: report.cascade_fallbacks(),
-                        wasted_work_ns: report.wasted_work(),
-                        rollback_amplification: report.rollback_amplification(),
-                        commits: log.commits,
-                        commit_throughput: log.commits as f64 / lock_ms,
-                        reader_spills: log.reader_spills,
-                        precise_passes: report.precise_passes(),
-                        ring_overflows: log.ring_overflows,
-                        latency: report.latency.clone(),
-                        checksum_ok: every_rep_correct,
-                    };
-                    table.push_row(vec![
-                        row.workload.clone(),
-                        grain_label(grain_log2),
-                        format!("{:.0}%", sharing * 100.0),
-                        row.recovery.clone(),
-                        row.committed.to_string(),
-                        row.retries.to_string(),
-                        format_rollback_cell(row.rolled_back, &row.rollback_reasons),
-                        row.targeted_dooms.to_string(),
-                        row.cascade_fallbacks.to_string(),
-                        format!("{:.1}", row.wasted_work_ns as f64 / 1e3),
-                        format!("{:.0}", row.commit_throughput),
-                        row.reader_spills.to_string(),
-                        format!("{}/{}", row.precise_passes, row.ring_overflows),
-                        latency_cell_us(&row.latency, LatencyPhase::ForkToCommit),
-                        if row.checksum_ok { "ok" } else { "MISMATCH" }.to_string(),
-                    ]);
-                    match baseline_wasted {
-                        None => baseline_wasted = Some(row.wasted_work_ns),
-                        Some(base) if permille > 0 => {
-                            summary.push_str(&format!(
-                                "{} {} {:.0}%: {} wasted {:.1} µs vs cascade {:.1} µs ({:.1}x less)\n",
-                                kind.name(),
-                                grain_label(grain_log2),
-                                sharing * 100.0,
-                                row.recovery,
-                                row.wasted_work_ns as f64 / 1e3,
-                                base as f64 / 1e3,
-                                base.max(1) as f64 / row.wasted_work_ns.max(1) as f64,
-                            ));
-                        }
-                        Some(_) => {}
-                    }
-                    rows.push(row);
-                }
+                // Median-of-reps: run the point several times, keep the
+                // run with the median wasted work.  Correctness must hold
+                // in *every* repetition.
+                type Rep = (
+                    u64,
+                    bool,
+                    RunReport,
+                    (Vec<TraceEvent>, u64),
+                    conflict::MetricsCapture,
+                );
+                let mut runs: Vec<Rep> = (0..RECOVERY_SWEEP_REPS)
+                    .map(|_| {
+                        let (sum, report, capture, metrics) = case.native_observed(
+                            RuntimeConfig::with_cpus(cpus)
+                                .commit_grain_log2(grain_log2)
+                                .trace(config.trace_config())
+                                .metrics(config.metrics_config()),
+                        );
+                        (
+                            report.wasted_work(),
+                            sum == reference,
+                            report,
+                            capture,
+                            metrics,
+                        )
+                    })
+                    .collect();
+                let every_rep_correct = runs.iter().all(|(_, ok, _, _, _)| *ok);
+                runs.sort_by_key(|(wasted, _, _, _, _)| *wasted);
+                let (_, _, report, (events, dropped), (series, last)) =
+                    runs.swap_remove(runs.len() / 2);
+                let label = format!(
+                    "recovery/{}/{}/sharing{permille:04}",
+                    kind.name(),
+                    grain_label(grain_log2),
+                );
+                config.record_trace(label.clone(), events, dropped);
+                config.record_metrics(label, series, last);
+                let log = report.commit_log;
+                let lock_ms = (log.lock_ns as f64 / 1e6).max(1e-6);
+                let row = RecoveryRow {
+                    schema_version: BENCH_SCHEMA_VERSION,
+                    workload: kind.name().to_string(),
+                    grain_log2,
+                    sharing,
+                    committed: report.committed_threads,
+                    retries: report.retries(),
+                    rolled_back: report.rolled_back_threads,
+                    rollback_reasons: report.rollback_reasons,
+                    targeted_dooms: report.targeted_dooms(),
+                    wasted_work_ns: report.wasted_work(),
+                    rollback_amplification: report.rollback_amplification(),
+                    commits: log.commits,
+                    commit_throughput: log.commits as f64 / lock_ms,
+                    reader_spills: log.reader_spills,
+                    precise_passes: report.precise_passes(),
+                    ring_overflows: log.ring_overflows,
+                    latency: report.latency.clone(),
+                    checksum_ok: every_rep_correct,
+                };
+                table.push_row(vec![
+                    row.workload.clone(),
+                    grain_label(grain_log2),
+                    format!("{:.0}%", sharing * 100.0),
+                    row.committed.to_string(),
+                    row.retries.to_string(),
+                    format_rollback_cell(row.rolled_back, &row.rollback_reasons),
+                    row.targeted_dooms.to_string(),
+                    format!("{:.1}", row.wasted_work_ns as f64 / 1e3),
+                    format!("{:.0}", row.commit_throughput),
+                    row.reader_spills.to_string(),
+                    format!("{}/{}", row.precise_passes, row.ring_overflows),
+                    latency_cell_us(&row.latency, LatencyPhase::ForkToCommit),
+                    if row.checksum_ok { "ok" } else { "MISMATCH" }.to_string(),
+                ]);
+                rows.push(row);
             }
         }
     }
-    let text = format!("{}\n{summary}", table.render());
-    (rows, text)
+    (rows, table.render())
 }
 
 /// One row of the deterministic recovery replay: a conflict-family
-/// recording simulated under one recovery engine (virtual cycles, fully
-/// reproducible — the strict engine-vs-engine claims live here, the
-/// native sweep provides the wall-clock evidence).
+/// recording simulated at one (grain, sharing rate) point (virtual
+/// cycles, fully reproducible — the native sweep provides the wall-clock
+/// evidence).
 #[derive(Debug, Clone, Serialize)]
 pub struct RecoverySimRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Simulator worker threads the replay actually ran at (schema v5).
-    /// Replays are byte-identical across values, so every other column
-    /// is independent of this one — the committed baselines replay
-    /// counter-for-counter at any thread count.
-    pub sim_threads: usize,
     /// Benchmark name.
     pub workload: String,
-    /// Commit-log tracking grain (log2 bytes).  Word grain is the
-    /// single-version regime (every range hit is a word hit, so the
-    /// rings never fire); line grain adds the false sharing the mvcc
-    /// engine turns into precise passes.
+    /// Commit-log tracking grain (log2 bytes).  At word grain every
+    /// range hit is a word hit, so the rings never fire; line grain adds
+    /// the false sharing they turn into precise passes.
     pub grain_log2: u32,
-    /// Recovery-engine label.
-    pub recovery: String,
     /// True-sharing rate in `[0, 1]`.
     pub sharing: f64,
     /// Committed speculative fibers.
@@ -2006,8 +1580,8 @@ pub struct RecoverySimRow {
     pub ring_overflows: u64,
     /// Work discarded by rollbacks (virtual cycles) — deterministic.
     pub wasted_cycles: u64,
-    /// Derived rollback amplification (schema v6): wasted cycles over
-    /// committed speculative cycles — deterministic in the replay.
+    /// Derived rollback amplification: wasted cycles over committed
+    /// speculative cycles — deterministic in the replay.
     pub rollback_amplification: f64,
     /// Absolute speedup over the sequential trace cost.
     pub speedup: f64,
@@ -2032,26 +1606,20 @@ fn record_conflict(kind: WorkloadKind, scale: Scale, permille: u32) -> Recording
 }
 
 /// Deterministic recovery replay: the conflict family recorded at each
-/// sharing rate and replayed on the discrete-event simulator under every
-/// recovery engine, at word and line grain.  Identical inputs, virtual
-/// cycles — the targeted engine's doomed fibers stop at their next check
-/// point instead of completing their conflict window, so its wasted-work
-/// reduction over the cascade baseline is exact and reproducible, not a
-/// wall-clock estimate.  The line-grain slice is where the mvcc engine
-/// separates from targeted+retry: false-sharing conflicts become
-/// ring-probed precise passes instead of dooms and retries (at word
-/// grain the engines coincide structurally — every range hit is a word
-/// hit, so the rings never fire).
+/// sharing rate and replayed on the discrete-event simulator at word and
+/// line grain.  Identical inputs, virtual cycles — a doomed fiber stops
+/// at its next check point instead of completing its conflict window,
+/// and at line grain false-sharing conflicts become ring-probed precise
+/// passes instead of dooms and retries.
 pub fn recovery_replay(config: &ExperimentConfig) -> (Vec<RecoverySimRow>, String) {
     let cpus = native_cpus(config);
     let mut rows = Vec::new();
     let mut table = Table::new(
-        format!("Recovery Engine Replay at {cpus} CPUs (deterministic simulation)"),
+        format!("Recovery Replay at {cpus} CPUs (deterministic simulation)"),
         &[
             "workload",
             "grain",
             "sharing",
-            "recovery",
             "committed",
             "retried",
             "rolled back",
@@ -2066,62 +1634,54 @@ pub fn recovery_replay(config: &ExperimentConfig) -> (Vec<RecoverySimRow>, Strin
             let sharing = permille as f64 / 1000.0;
             let recording = record_conflict(kind, config.scale, permille);
             for grain_log2 in RECOVERY_SWEEP_GRAINS {
-                for recovery in recovery_sweep_modes() {
-                    let result = simulate(
-                        &recording,
-                        SimConfig {
-                            num_cpus: cpus,
-                            seed: config.seed,
-                            recovery,
-                            trace: config.trace_enabled(),
-                            sim_threads: config.effective_sim_threads(),
-                            metrics: config.sim_metrics_config(),
-                            ..SimConfig::default()
-                        }
-                        .grain_log2(grain_log2),
-                    );
-                    let report = &result.report;
-                    let row = RecoverySimRow {
-                        schema_version: BENCH_SCHEMA_VERSION,
-                        sim_threads: config.effective_sim_threads(),
-                        workload: kind.name().to_string(),
-                        grain_log2,
-                        recovery: recovery.label().to_string(),
-                        sharing,
-                        committed: report.committed_threads,
-                        retried: report.retried_threads,
-                        rolled_back: report.rolled_back_threads,
-                        targeted_dooms: report.targeted_dooms(),
-                        precise_passes: report.precise_passes(),
-                        ring_overflows: report.commit_log.ring_overflows,
-                        wasted_cycles: report.wasted_work(),
-                        rollback_amplification: report.rollback_amplification(),
-                        speedup: result.speedup(),
-                    };
-                    table.push_row(vec![
-                        row.workload.clone(),
-                        grain_label(grain_log2),
-                        format!("{:.0}%", sharing * 100.0),
-                        row.recovery.clone(),
-                        row.committed.to_string(),
-                        row.retried.to_string(),
-                        row.rolled_back.to_string(),
-                        row.targeted_dooms.to_string(),
-                        format!("{}/{}", row.precise_passes, row.ring_overflows),
-                        row.wasted_cycles.to_string(),
-                        format!("{:.2}", row.speedup),
-                    ]);
-                    rows.push(row);
-                    let label = format!(
-                        "recovery_replay/{}/{}/sharing{permille:04}/{}",
-                        kind.name(),
-                        grain_label(grain_log2),
-                        recovery.label()
-                    );
-                    config.record_trace(label.clone(), result.events, 0);
-                    if let Some(last) = result.metrics.latest().cloned() {
-                        config.record_metrics(label, result.metrics, last);
+                let result = simulate(
+                    &recording,
+                    SimConfig {
+                        num_cpus: cpus,
+                        seed: config.seed,
+                        trace: config.trace_enabled(),
+                        metrics: config.sim_metrics_config(),
+                        ..SimConfig::default()
                     }
+                    .grain_log2(grain_log2),
+                );
+                let report = &result.report;
+                let row = RecoverySimRow {
+                    schema_version: BENCH_SCHEMA_VERSION,
+                    workload: kind.name().to_string(),
+                    grain_log2,
+                    sharing,
+                    committed: report.committed_threads,
+                    retried: report.retried_threads,
+                    rolled_back: report.rolled_back_threads,
+                    targeted_dooms: report.targeted_dooms(),
+                    precise_passes: report.precise_passes(),
+                    ring_overflows: report.commit_log.ring_overflows,
+                    wasted_cycles: report.wasted_work(),
+                    rollback_amplification: report.rollback_amplification(),
+                    speedup: result.speedup(),
+                };
+                table.push_row(vec![
+                    row.workload.clone(),
+                    grain_label(grain_log2),
+                    format!("{:.0}%", sharing * 100.0),
+                    row.committed.to_string(),
+                    row.retried.to_string(),
+                    row.rolled_back.to_string(),
+                    row.targeted_dooms.to_string(),
+                    format!("{}/{}", row.precise_passes, row.ring_overflows),
+                    row.wasted_cycles.to_string(),
+                    format!("{:.2}", row.speedup),
+                ]);
+                rows.push(row);
+                let label = format!(
+                    "recovery_replay/{}/{}/sharing{permille:04}",
+                    kind.name(),
+                    grain_label(grain_log2),
+                );
+                config.record_trace(label.clone(), result.events, 0);
+                if let Some(last) = result.metrics.latest().cloned() {
+                    config.record_metrics(label, result.metrics, last);
                 }
             }
         }
@@ -2130,7 +1690,7 @@ pub fn recovery_replay(config: &ExperimentConfig) -> (Vec<RecoverySimRow>, Strin
 }
 
 /// One grain configuration compared by the `graincontrol` sweep: a
-/// static grain (the PR 3 knob) or the online adaptive controller.
+/// static grain or the online adaptive controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrainMode {
     /// Static commit-log grain (log2 bytes), controller off.
@@ -2210,19 +1770,6 @@ fn census_label(census: &[(u32, u64)]) -> String {
 /// conflict family at (mandelbrot has no sharing knob and runs once).
 pub const GRAINCONTROL_SHARING_PERMILLE: [u32; 2] = [0, 1000];
 
-/// The recovery engines the `graincontrol` sweep and replay compare at
-/// every grain mode: the single-version engine the committed
-/// `BENCH_PR5.json` trajectory was generated under (first — the
-/// trace-overhead bench replays that subset counter-for-counter) and
-/// the mvcc engine, whose rings interact with the controller (regrains
-/// conservatively truncate a region's version history).
-pub fn graincontrol_recoveries() -> [RecoveryConfig; 2] {
-    [
-        RecoveryConfig::targeted_with_retry(),
-        RecoveryConfig::mvcc(),
-    ]
-}
-
 /// Repetitions per native graincontrol point (median by wasted work, as
 /// in the recovery sweep).
 pub const GRAINCONTROL_REPS: usize = 3;
@@ -2232,15 +1779,10 @@ pub const GRAINCONTROL_REPS: usize = 3;
 pub struct GrainControlRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Effective simulator worker threads configured for the invocation
-    /// (schema v5; provenance on native rows).
-    pub sim_threads: usize,
     /// Benchmark name.
     pub workload: String,
     /// Grain-mode label (`word`, `line`, `page`, `adaptive`).
     pub mode: String,
-    /// Recovery-engine label (`targeted+retry` or `mvcc`).
-    pub recovery: String,
     /// True-sharing rate in `[0, 1]` (0 for workloads without the knob).
     pub sharing: f64,
     /// Committed speculative threads.
@@ -2260,11 +1802,11 @@ pub struct GrainControlRow {
     pub regrains: u64,
     /// Reader-registry entries spilled to the overflow list.
     pub reader_spills: u64,
-    /// Validations a version-ring probe proved precise (mvcc rows only).
+    /// Validations a version-ring probe proved precise.
     pub precise_passes: u64,
     /// Work discarded by rollbacks (nanoseconds, median run).
     pub wasted_work_ns: u64,
-    /// Wasted cycles per committed cycle (schema v6).
+    /// Wasted cycles per committed cycle.
     pub rollback_amplification: f64,
     /// Final per-region grain census (`(grain_log2, regions)` pairs).
     pub region_grains: Vec<(u32, u64)>,
@@ -2277,15 +1819,10 @@ pub struct GrainControlRow {
 pub struct GrainControlSimRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Simulator worker threads the replay actually ran at (schema v5;
-    /// byte-identity makes every other column independent of it).
-    pub sim_threads: usize,
     /// Benchmark name.
     pub workload: String,
     /// Grain-mode label.
     pub mode: String,
-    /// Recovery-engine label (`targeted+retry` or `mvcc`).
-    pub recovery: String,
     /// True-sharing rate in `[0, 1]`.
     pub sharing: f64,
     /// Committed speculative fibers.
@@ -2299,13 +1836,12 @@ pub struct GrainControlSimRow {
     pub stamp_writes: u64,
     /// Regions regrained by the simulated controller.
     pub regrains: u64,
-    /// Validations the simulated version rings proved precise (mvcc
-    /// rows only).
+    /// Validations the simulated version rings proved precise.
     pub precise_passes: u64,
     /// Work discarded by rollbacks (virtual cycles, deterministic — the
     /// acceptance column for the wasted-work claim).
     pub wasted_cycles: u64,
-    /// Wasted cycles per committed cycle (schema v6).
+    /// Wasted cycles per committed cycle.
     pub rollback_amplification: f64,
     /// Absolute speedup over the sequential trace cost.
     pub speedup: f64,
@@ -2347,7 +1883,6 @@ pub fn graincontrol_sweep(config: &ExperimentConfig) -> (Vec<GrainControlRow>, S
             "workload",
             "sharing",
             "mode",
-            "recovery",
             "committed",
             "retries",
             "rolled back (C/O/I/X)",
@@ -2364,99 +1899,90 @@ pub fn graincontrol_sweep(config: &ExperimentConfig) -> (Vec<GrainControlRow>, S
     for (kind, permille) in graincontrol_points() {
         let sharing = permille as f64 / 1000.0;
         for mode in GrainMode::all() {
-            for recovery in graincontrol_recoveries() {
-                type Rep = (
-                    u64,
-                    bool,
-                    RunReport,
-                    (Vec<TraceEvent>, u64),
-                    conflict::MetricsCapture,
-                );
-                let mut runs: Vec<Rep> = (0..GRAINCONTROL_REPS)
-                    .map(|_| {
-                        let runtime_config = mode
-                            .runtime_config(cpus)
-                            .recovery(recovery)
-                            .trace(config.trace_config())
-                            .metrics(config.metrics_config());
-                        let (ok, report, capture, metrics) = match kind {
-                            WorkloadKind::Mandelbrot => {
-                                let runtime = Runtime::new(
-                                    runtime_config.memory_bytes(arena_bytes(kind, config.scale)),
-                                );
-                                let memory = runtime.memory();
-                                let data = setup(kind, config.scale, &memory);
-                                let (_, report) = runtime.run(|ctx| run_speculative(ctx, &data));
-                                let ok = mutls_workloads::checksum(&memory, &data)
-                                    == reference_checksum(kind, config.scale);
-                                let capture =
-                                    (runtime.drain_trace_events(), runtime.trace_dropped());
-                                let metrics =
-                                    (runtime.metrics_series(), runtime.metrics_snapshot());
-                                (ok, report, capture, metrics)
-                            }
-                            _ => {
-                                let case = ConflictCase::new(kind, config.scale, permille);
-                                let (sum, report, capture, metrics) =
-                                    case.native_observed(runtime_config);
-                                (sum == case.reference(), report, capture, metrics)
-                            }
-                        };
-                        (report.wasted_work(), ok, report, capture, metrics)
-                    })
-                    .collect();
-                let every_rep_correct = runs.iter().all(|(_, ok, _, _, _)| *ok);
-                runs.sort_by_key(|(wasted, _, _, _, _)| *wasted);
-                let (_, _, report, (events, dropped), (series, last)) =
-                    runs.swap_remove(runs.len() / 2);
-                let label = format!(
-                    "graincontrol/{}/sharing{permille:04}/{}/{}",
-                    kind.name(),
-                    mode.label(),
-                    recovery.label()
-                );
-                config.record_trace(label.clone(), events, dropped);
-                config.record_metrics(label, series, last);
-                let row = GrainControlRow {
-                    schema_version: BENCH_SCHEMA_VERSION,
-                    sim_threads: config.effective_sim_threads(),
-                    workload: kind.name().to_string(),
-                    mode: mode.label(),
-                    recovery: recovery.label().to_string(),
-                    sharing,
-                    committed: report.committed_threads,
-                    retries: report.retries(),
-                    rolled_back: report.rolled_back_threads,
-                    rollback_reasons: report.rollback_reasons,
-                    suspected_false_sharing: report.suspected_false_sharing(),
-                    stamp_writes: report.commit_log.stamp_writes,
-                    regrains: report.commit_log.regrains,
-                    reader_spills: report.commit_log.reader_spills,
-                    precise_passes: report.precise_passes(),
-                    wasted_work_ns: report.wasted_work(),
-                    rollback_amplification: report.rollback_amplification(),
-                    region_grains: report.region_grains.clone(),
-                    checksum_ok: every_rep_correct,
-                };
-                table.push_row(vec![
-                    row.workload.clone(),
-                    format!("{:.0}%", sharing * 100.0),
-                    row.mode.clone(),
-                    row.recovery.clone(),
-                    row.committed.to_string(),
-                    row.retries.to_string(),
-                    format_rollback_cell(row.rolled_back, &row.rollback_reasons),
-                    row.suspected_false_sharing.to_string(),
-                    row.stamp_writes.to_string(),
-                    row.regrains.to_string(),
-                    row.reader_spills.to_string(),
-                    row.precise_passes.to_string(),
-                    format!("{:.1}", row.wasted_work_ns as f64 / 1e3),
-                    census_label(&row.region_grains),
-                    if row.checksum_ok { "ok" } else { "MISMATCH" }.to_string(),
-                ]);
-                rows.push(row);
-            }
+            type Rep = (
+                u64,
+                bool,
+                RunReport,
+                (Vec<TraceEvent>, u64),
+                conflict::MetricsCapture,
+            );
+            let mut runs: Vec<Rep> = (0..GRAINCONTROL_REPS)
+                .map(|_| {
+                    let runtime_config = mode
+                        .runtime_config(cpus)
+                        .trace(config.trace_config())
+                        .metrics(config.metrics_config());
+                    let (ok, report, capture, metrics) = match kind {
+                        WorkloadKind::Mandelbrot => {
+                            let runtime = Runtime::new(
+                                runtime_config.memory_bytes(arena_bytes(kind, config.scale)),
+                            );
+                            let memory = runtime.memory();
+                            let data = setup(kind, config.scale, &memory);
+                            let (_, report) = runtime.run(|ctx| run_speculative(ctx, &data));
+                            let ok = mutls_workloads::checksum(&memory, &data)
+                                == reference_checksum(kind, config.scale);
+                            let capture = (runtime.drain_trace_events(), runtime.trace_dropped());
+                            let metrics = (runtime.metrics_series(), runtime.metrics_snapshot());
+                            (ok, report, capture, metrics)
+                        }
+                        _ => {
+                            let case = ConflictCase::new(kind, config.scale, permille);
+                            let (sum, report, capture, metrics) =
+                                case.native_observed(runtime_config);
+                            (sum == case.reference(), report, capture, metrics)
+                        }
+                    };
+                    (report.wasted_work(), ok, report, capture, metrics)
+                })
+                .collect();
+            let every_rep_correct = runs.iter().all(|(_, ok, _, _, _)| *ok);
+            runs.sort_by_key(|(wasted, _, _, _, _)| *wasted);
+            let (_, _, report, (events, dropped), (series, last)) =
+                runs.swap_remove(runs.len() / 2);
+            let label = format!(
+                "graincontrol/{}/sharing{permille:04}/{}",
+                kind.name(),
+                mode.label(),
+            );
+            config.record_trace(label.clone(), events, dropped);
+            config.record_metrics(label, series, last);
+            let row = GrainControlRow {
+                schema_version: BENCH_SCHEMA_VERSION,
+                workload: kind.name().to_string(),
+                mode: mode.label(),
+                sharing,
+                committed: report.committed_threads,
+                retries: report.retries(),
+                rolled_back: report.rolled_back_threads,
+                rollback_reasons: report.rollback_reasons,
+                suspected_false_sharing: report.suspected_false_sharing(),
+                stamp_writes: report.commit_log.stamp_writes,
+                regrains: report.commit_log.regrains,
+                reader_spills: report.commit_log.reader_spills,
+                precise_passes: report.precise_passes(),
+                wasted_work_ns: report.wasted_work(),
+                rollback_amplification: report.rollback_amplification(),
+                region_grains: report.region_grains.clone(),
+                checksum_ok: every_rep_correct,
+            };
+            table.push_row(vec![
+                row.workload.clone(),
+                format!("{:.0}%", sharing * 100.0),
+                row.mode.clone(),
+                row.committed.to_string(),
+                row.retries.to_string(),
+                format_rollback_cell(row.rolled_back, &row.rollback_reasons),
+                row.suspected_false_sharing.to_string(),
+                row.stamp_writes.to_string(),
+                row.regrains.to_string(),
+                row.reader_spills.to_string(),
+                row.precise_passes.to_string(),
+                format!("{:.1}", row.wasted_work_ns as f64 / 1e3),
+                census_label(&row.region_grains),
+                if row.checksum_ok { "ok" } else { "MISMATCH" }.to_string(),
+            ]);
+            rows.push(row);
         }
     }
     (rows, table.render())
@@ -2478,7 +2004,6 @@ pub fn graincontrol_replay(config: &ExperimentConfig) -> (Vec<GrainControlSimRow
             "workload",
             "sharing",
             "mode",
-            "recovery",
             "committed",
             "retried",
             "rolled back",
@@ -2497,59 +2022,51 @@ pub fn graincontrol_replay(config: &ExperimentConfig) -> (Vec<GrainControlSimRow
             _ => record_conflict(kind, config.scale, permille),
         };
         for mode in GrainMode::all() {
-            for recovery in graincontrol_recoveries() {
-                let mut sim_config = mode
-                    .sim_config(cpus, config.seed)
-                    .trace(config.trace_enabled())
-                    .sim_threads(config.effective_sim_threads());
-                sim_config.recovery = recovery;
-                sim_config.metrics = config.sim_metrics_config();
-                let result = simulate(&recording, sim_config);
-                let report = &result.report;
-                let row = GrainControlSimRow {
-                    schema_version: BENCH_SCHEMA_VERSION,
-                    sim_threads: config.effective_sim_threads(),
-                    workload: kind.name().to_string(),
-                    mode: mode.label(),
-                    recovery: recovery.label().to_string(),
-                    sharing,
-                    committed: report.committed_threads,
-                    retried: report.retried_threads,
-                    rolled_back: report.rolled_back_threads,
-                    stamp_writes: report.commit_log.stamp_writes,
-                    regrains: report.commit_log.regrains,
-                    precise_passes: report.precise_passes(),
-                    wasted_cycles: report.wasted_work(),
-                    rollback_amplification: report.rollback_amplification(),
-                    speedup: result.speedup(),
-                    region_grains: report.region_grains.clone(),
-                };
-                table.push_row(vec![
-                    row.workload.clone(),
-                    format!("{:.0}%", sharing * 100.0),
-                    row.mode.clone(),
-                    row.recovery.clone(),
-                    row.committed.to_string(),
-                    row.retried.to_string(),
-                    row.rolled_back.to_string(),
-                    row.stamp_writes.to_string(),
-                    row.regrains.to_string(),
-                    row.precise_passes.to_string(),
-                    row.wasted_cycles.to_string(),
-                    format!("{:.2}", row.speedup),
-                    census_label(&row.region_grains),
-                ]);
-                rows.push(row);
-                let label = format!(
-                    "graincontrol_replay/{}/sharing{permille:04}/{}/{}",
-                    kind.name(),
-                    mode.label(),
-                    recovery.label()
-                );
-                config.record_trace(label.clone(), result.events, 0);
-                if let Some(last) = result.metrics.latest().cloned() {
-                    config.record_metrics(label, result.metrics, last);
-                }
+            let mut sim_config = mode
+                .sim_config(cpus, config.seed)
+                .trace(config.trace_enabled());
+            sim_config.metrics = config.sim_metrics_config();
+            let result = simulate(&recording, sim_config);
+            let report = &result.report;
+            let row = GrainControlSimRow {
+                schema_version: BENCH_SCHEMA_VERSION,
+                workload: kind.name().to_string(),
+                mode: mode.label(),
+                sharing,
+                committed: report.committed_threads,
+                retried: report.retried_threads,
+                rolled_back: report.rolled_back_threads,
+                stamp_writes: report.commit_log.stamp_writes,
+                regrains: report.commit_log.regrains,
+                precise_passes: report.precise_passes(),
+                wasted_cycles: report.wasted_work(),
+                rollback_amplification: report.rollback_amplification(),
+                speedup: result.speedup(),
+                region_grains: report.region_grains.clone(),
+            };
+            table.push_row(vec![
+                row.workload.clone(),
+                format!("{:.0}%", sharing * 100.0),
+                row.mode.clone(),
+                row.committed.to_string(),
+                row.retried.to_string(),
+                row.rolled_back.to_string(),
+                row.stamp_writes.to_string(),
+                row.regrains.to_string(),
+                row.precise_passes.to_string(),
+                row.wasted_cycles.to_string(),
+                format!("{:.2}", row.speedup),
+                census_label(&row.region_grains),
+            ]);
+            rows.push(row);
+            let label = format!(
+                "graincontrol_replay/{}/sharing{permille:04}/{}",
+                kind.name(),
+                mode.label(),
+            );
+            config.record_trace(label.clone(), result.events, 0);
+            if let Some(last) = result.metrics.latest().cloned() {
+                config.record_metrics(label, result.metrics, last);
             }
         }
     }
@@ -2562,9 +2079,6 @@ pub fn graincontrol_replay(config: &ExperimentConfig) -> (Vec<GrainControlSimRow
 pub struct TraceScenarioRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Effective simulator worker threads (schema v5; used by the replay
-    /// half of the scenario, provenance on the native half).
-    pub sim_threads: usize,
     /// Scenario label (`native/...` or `replay/...`).
     pub scenario: String,
     /// Events captured, after ring drops.
@@ -2606,8 +2120,8 @@ pub fn trace_scenario(config: &ExperimentConfig) -> (Vec<TraceScenarioRow>, Stri
         SimConfig {
             num_cpus: cpus,
             seed: config.seed,
+            commit_log: CommitLogConfig::word_grain(),
             trace: true,
-            sim_threads: config.effective_sim_threads(),
             ..SimConfig::default()
         },
     );
@@ -2649,7 +2163,6 @@ pub fn trace_scenario(config: &ExperimentConfig) -> (Vec<TraceScenarioRow>, Stri
         };
         rows.push(TraceScenarioRow {
             schema_version: BENCH_SCHEMA_VERSION,
-            sim_threads: config.effective_sim_threads(),
             scenario: scenario.to_string(),
             events: events.len() as u64,
             dropped,
@@ -2687,191 +2200,6 @@ pub fn trace_scenario(config: &ExperimentConfig) -> (Vec<TraceScenarioRow>, Stri
     (rows, text)
 }
 
-/// Thread counts swept by the `parsim` scenario (1 is the sequential
-/// baseline the others are compared against).  The sweep is capped by
-/// the [`PARSIM_THREADS_ENV`] environment variable, so small CI hosts
-/// skip the counts they cannot physically run in parallel.
-pub const PARSIM_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Environment variable capping the `parsim` thread sweep at the given
-/// count (points above it are skipped; 1 always runs).
-pub const PARSIM_THREADS_ENV: &str = "PARSIM_THREADS";
-
-/// Repetitions per `parsim` point; the best (lowest) wall-clock rep is
-/// reported, but byte-identity must hold in *every* rep.
-const PARSIM_REPS: u32 = 3;
-
-/// The `parsim` thread list after applying the environment cap.
-fn parsim_threads() -> Vec<usize> {
-    let cap = std::env::var(PARSIM_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(usize::MAX);
-    PARSIM_THREADS
-        .iter()
-        .copied()
-        .filter(|&t| t == 1 || t <= cap)
-        .collect()
-}
-
-/// One `parsim` data point: a recording simulated at one thread count,
-/// with wall clock, Time Warp shard counters and the byte-identity
-/// verdict against the sequential run of the same recording.
-#[derive(Debug, Clone, Serialize)]
-pub struct ParSimRow {
-    /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// Simulator worker threads this run used (1 = sequential baseline).
-    pub sim_threads: usize,
-    /// Benchmark name.
-    pub workload: String,
-    /// Shard policy label (`cpu-stripe` or `fiber-hash`).
-    pub shard_policy: String,
-    /// Recorded tasks in the recording (the problem size the wall clock
-    /// is paid over).
-    pub tasks: u64,
-    /// Wall-clock time of the best rep (milliseconds) — the only
-    /// non-deterministic column besides the advance split below.
-    pub sim_wall_ms: f64,
-    /// Sequential wall over this run's wall (>1 = parallel wins).
-    pub wall_speedup: f64,
-    /// Advance requests posted to shard workers (deterministic).
-    pub requests: u64,
-    /// Advances whose precomputed effects were applied (racy split with
-    /// `advances_overtaken`: depends on worker progress, never on
-    /// results).
-    pub advances_applied: u64,
-    /// Advances the driver overtook and recomputed inline (racy split).
-    pub advances_overtaken: u64,
-    /// Advances the shard workers actually precomputed, whether or not
-    /// the driver got to apply them (schema v6; racy like the split
-    /// above — it measures worker throughput, never results).
-    pub advances_computed: u64,
-    /// Shard rollbacks: advances invalidated by a cross-shard publish or
-    /// regrain in their virtual past (deterministic — a pure function of
-    /// the event schedule).
-    pub shard_rollbacks: u64,
-    /// Publish-log entries reclaimed by GVT fossil collection
-    /// (deterministic).
-    pub fossil_collected: u64,
-    /// Whether every rep's serialized `RunReport` was byte-identical to
-    /// the sequential baseline's.
-    pub identical: bool,
-}
-
-/// The `parsim` scenario: the Time Warp parallel simulator against the
-/// sequential event loop on the two ends of the workload spectrum — the
-/// conflict-heavy `hist_shared` recording (publish-log scans dominate,
-/// the work the shard workers offload) and the embarrassingly parallel
-/// `mandelbrot` recording (scan-light; measures protocol overhead).
-/// Every parallel run is asserted byte-identical to the sequential run
-/// of the same recording; wall clock and shard counters are reported
-/// per thread count.  `BENCH_PR9.json` tracks this table.
-pub fn parsim(config: &ExperimentConfig) -> (Vec<ParSimRow>, String) {
-    let cpus = config.cpus.iter().copied().max().unwrap_or(16);
-    let threads_list = parsim_threads();
-    let mut rows = Vec::new();
-    let mut table = Table::new(
-        format!(
-            "Time Warp Parallel Simulation at {cpus} simulated CPUs (best of {PARSIM_REPS} reps)"
-        ),
-        &[
-            "workload",
-            "threads",
-            "policy",
-            "wall (ms)",
-            "speedup",
-            "requests",
-            "applied",
-            "overtaken",
-            "computed",
-            "shard rollbacks",
-            "fossils",
-            "identical",
-        ],
-    );
-    let cases = [
-        (
-            "hist_shared",
-            record_conflict(WorkloadKind::HistShared, config.scale, 1000),
-        ),
-        (
-            "mandelbrot",
-            record_workload(WorkloadKind::Mandelbrot, config.scale),
-        ),
-    ];
-    for (name, recording) in &cases {
-        let tasks = recording.task_count() as u64;
-        let mut sequential_json = None;
-        let mut sequential_wall_ms = f64::NAN;
-        for &sim_threads in &threads_list {
-            let sim_config = SimConfig {
-                num_cpus: cpus,
-                seed: config.seed,
-                sim_threads,
-                ..SimConfig::default()
-            };
-            let mut best: Option<(f64, SimResult)> = None;
-            let mut identical = true;
-            for _ in 0..PARSIM_REPS {
-                let started = Instant::now();
-                let result = simulate(recording, sim_config.clone());
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let mut json = String::new();
-                result.report.serialize_json(&mut json);
-                match &sequential_json {
-                    None => sequential_json = Some(json),
-                    Some(reference) => identical &= *reference == json,
-                }
-                if best.as_ref().map(|(w, _)| wall_ms < *w).unwrap_or(true) {
-                    best = Some((wall_ms, result));
-                }
-            }
-            let (wall_ms, result) = best.expect("at least one rep ran");
-            if sim_threads == 1 {
-                sequential_wall_ms = wall_ms;
-            }
-            let warp = result.warp;
-            let row = ParSimRow {
-                schema_version: BENCH_SCHEMA_VERSION,
-                sim_threads,
-                workload: name.to_string(),
-                shard_policy: sim_config.shard_policy.label().to_string(),
-                tasks,
-                sim_wall_ms: wall_ms,
-                wall_speedup: sequential_wall_ms / wall_ms.max(1e-9),
-                requests: warp.requests,
-                advances_applied: warp.advances_applied,
-                advances_overtaken: warp.advances_overtaken,
-                advances_computed: warp.advances_computed,
-                shard_rollbacks: warp.shard_rollbacks,
-                fossil_collected: warp.fossil_collected,
-                identical,
-            };
-            table.push_row(vec![
-                row.workload.clone(),
-                row.sim_threads.to_string(),
-                row.shard_policy.clone(),
-                format!("{:.2}", row.sim_wall_ms),
-                format!("{:.2}", row.wall_speedup),
-                row.requests.to_string(),
-                row.advances_applied.to_string(),
-                row.advances_overtaken.to_string(),
-                row.advances_computed.to_string(),
-                row.shard_rollbacks.to_string(),
-                row.fossil_collected.to_string(),
-                if row.identical { "ok" } else { "DIVERGED" }.to_string(),
-            ]);
-            assert!(
-                row.identical,
-                "{name} at {sim_threads} threads diverged from the sequential report"
-            );
-            rows.push(row);
-        }
-    }
-    (rows, table.render())
-}
-
 /// One row of the `metrics` scenario: headline counters and derived
 /// gauges read back from the *final exported snapshot* of one fully
 /// instrumented run (native runtime or deterministic replay) — the
@@ -2880,9 +2208,6 @@ pub fn parsim(config: &ExperimentConfig) -> (Vec<ParSimRow>, String) {
 pub struct MetricsRow {
     /// Schema version of this row ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u32,
-    /// Effective simulator worker threads (replay half; provenance on
-    /// the native half).
-    pub sim_threads: usize,
     /// Scenario label (`native/...` or `replay/...`).
     pub scenario: String,
     /// Snapshots the sampler retained (wall-clock cadence natively,
@@ -2913,10 +2238,7 @@ pub struct MetricsRow {
 /// and derived gauges of each final snapshot.  Also records both series
 /// into the config's metrics sink when one is attached, so
 /// `mutls-experiments metrics --metrics out.prom` exports a ready-made
-/// Prometheus document even without running a full sweep.  The replay's
-/// *exported* snapshot additionally carries the Time Warp shard counters
-/// as `warp` labeled gauges; the sampled series never does, preserving
-/// byte-identity across `sim_threads`.
+/// Prometheus document even without running a full sweep.
 pub fn metrics_scenario(config: &ExperimentConfig) -> (Vec<MetricsRow>, String) {
     let cpus = native_cpus(config);
     let chain = conflict::ChainConfig::for_scale(config.scale).sharing_permille(1000);
@@ -2932,17 +2254,16 @@ pub fn metrics_scenario(config: &ExperimentConfig) -> (Vec<MetricsRow>, String) 
         SimConfig {
             num_cpus: cpus,
             seed: config.seed,
-            sim_threads: config.effective_sim_threads(),
+            commit_log: CommitLogConfig::word_grain(),
             metrics: MetricsConfig::enabled(),
             ..SimConfig::default()
         },
     );
     let replay_series = replay.metrics;
-    let mut replay_last = replay_series
+    let replay_last = replay_series
         .latest()
         .cloned()
         .expect("replay metrics were enabled");
-    replay_last.labeled.extend(replay.warp.metric_gauges());
     let mut rows = Vec::new();
     let mut table = Table::new(
         format!("Live Metrics Scenario at {cpus} CPUs (conflict_chain, 100% sharing)"),
@@ -2976,7 +2297,6 @@ pub fn metrics_scenario(config: &ExperimentConfig) -> (Vec<MetricsRow>, String) 
         let gauge = |name: &str| snap.gauge(name).unwrap_or(0.0);
         let row = MetricsRow {
             schema_version: BENCH_SCHEMA_VERSION,
-            sim_threads: config.effective_sim_threads(),
             scenario: scenario.to_string(),
             samples,
             forks: counter("forks"),
@@ -3054,6 +2374,7 @@ pub fn table2(config: &ExperimentConfig) -> (HashMap<String, f64>, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutls_membuf::DEFAULT_RING_DEPTH;
 
     fn quick() -> ExperimentConfig {
         ExperimentConfig::quick()
@@ -3110,7 +2431,6 @@ mod tests {
             scale: Scale::Tiny,
             cpus: vec![16],
             seed: 3,
-            sim_threads: 1,
             trace: None,
             metrics: None,
         };
@@ -3214,26 +2534,25 @@ mod tests {
                 .any(|r| r.rollback_reasons[conflict_idx] > 0),
             "no real conflicts detected at 100% sharing"
         );
-        // …and the throttle governor reacts to them by suppressing forks.
-        // The targeted recovery engine resolves conflicts with far less
-        // re-fork churn than the old cascade, so at tiny scale the
-        // governor sometimes runs out of fork decisions before its
-        // warm-up samples fill; engagement is therefore asserted across
-        // every >= 50%-sharing throttle row, with a bounded number of
-        // re-runs to absorb scheduling races.
-        let throttle_engaged = |rows: &[NativeRow]| {
-            rows.iter()
-                .filter(|r| r.sharing >= 0.5 && r.policy == "throttle")
-                .any(|r| r.throttled_forks > 0)
-        };
-        let mut engaged = throttle_engaged(&rows);
-        for _ in 0..2 {
-            if engaged {
-                break;
-            }
-            engaged = throttle_engaged(&conflict_sweep(&quick()).0);
-        }
-        assert!(engaged, "throttle never engaged on real conflicts");
+    }
+
+    #[test]
+    fn throttle_engages_on_the_real_conflicts_of_a_replayed_chain() {
+        // Whether the governor has seen enough of a native run's forks to
+        // act depends on scheduling; on a replay of the recorded
+        // 100%-sharing chain it does not.
+        let recording = record_conflict(WorkloadKind::ConflictChain, Scale::Tiny, 1000);
+        let result = simulate_governed(&recording, &quick(), 8, 0.0, PolicyKind::Throttle);
+        let report = &result.report;
+        assert!(
+            report.rollbacks_with(RollbackReason::Conflict) > 0,
+            "full sharing replayed without a conflict"
+        );
+        assert_eq!(report.rollbacks_with(RollbackReason::Injected), 0);
+        assert!(
+            report.throttled_forks() > 0,
+            "throttle never engaged on real conflicts"
+        );
     }
 
     #[test]
@@ -3285,173 +2604,63 @@ mod tests {
     }
 
     #[test]
-    fn commitbench_rows_hold_invariants_at_small_thread_counts() {
-        let (rows, text) = commitbench_with(&quick(), &[2, 4]);
-        assert!(text.contains("Commit-Path Stress"));
-        // mixes × thread counts × {locked, lock-free}.
-        assert_eq!(rows.len(), COMMITBENCH_MIXES.len() * 2 * 2);
-        for row in &rows {
-            assert_eq!(row.schema_version, BENCH_SCHEMA_VERSION);
-            assert!(
-                row.ok,
-                "{} x{} {}: post-run invariants violated",
-                row.mix, row.threads, row.mode
-            );
-            assert!(row.batches > 0 && row.stamp_writes >= row.batches);
-            assert!(row.commits_per_sec > 0.0);
-            if row.mode == "locked" {
-                assert_eq!(
-                    row.cas_retries, 0,
-                    "locked commit path must never CAS-retry"
-                );
-            }
-        }
-        // The overlapping mix hammers one 32-slot window from every
-        // thread, so lock-free committers should observe same-slot CAS
-        // retries.  A genuinely single-core host can serialize the
-        // threads perfectly, so only insist on contention when the host
-        // can actually run committers in parallel — and retry a few
-        // times to ride out unlucky scheduling.
-        let overlap_retries = |rows: &[CommitBenchRow]| -> u64 {
-            rows.iter()
-                .filter(|r| r.mix == "overlapping" && r.mode == "lock-free")
-                .map(|r| r.cas_retries)
-                .sum()
-        };
-        let parallel_host = std::thread::available_parallelism()
-            .map(|p| p.get() > 1)
-            .unwrap_or(false);
-        if parallel_host {
-            let mut contended = overlap_retries(&rows);
-            let mut tries = 0;
-            while contended == 0 && tries < 20 {
-                contended = overlap_retries(&commitbench_with(&quick(), &[4]).0);
-                tries += 1;
-            }
-            assert!(contended > 0, "overlapping lock-free stress never raced");
-        }
-    }
-
-    #[test]
-    fn recovery_sweep_targeted_retry_beats_cascade_on_shared_chains() {
+    fn recovery_sweep_stays_correct_at_every_point() {
         let (rows, text) = recovery_sweep(&quick());
-        assert!(text.contains("Recovery Engine Sweep"));
-        assert!(text.contains("vs the cascade-only baseline"));
+        assert!(text.contains("Recovery Sweep"));
         assert_eq!(
             rows.len(),
             WorkloadKind::CONFLICT_FAMILY.len()
                 * RECOVERY_SWEEP_GRAINS.len()
                 * RECOVERY_SWEEP_PERMILLE.len()
-                * recovery_sweep_modes().len()
         );
-        let injected_idx = RollbackReason::Injected.index();
         for row in &rows {
-            // Correctness holds for every engine at every point, and
-            // nothing is ever injected.
+            // Correctness holds at every point and repetition, nothing is
+            // ever injected, and without sharing a word-grain log has
+            // nothing to conflict on.
             assert!(
                 row.checksum_ok,
-                "{} {} at grain 2^{} / {:.0}% sharing diverged",
+                "{} at grain 2^{} / {:.0}% sharing diverged",
                 row.workload,
-                row.recovery,
                 row.grain_log2,
                 row.sharing * 100.0
             );
-            assert_eq!(row.rollback_reasons[injected_idx], 0);
-            // The cascade baseline never dooms or retries.
-            if row.recovery == "cascade" {
-                assert_eq!(row.targeted_dooms, 0, "{}: cascade doomed", row.workload);
-                assert_eq!(row.retries, 0, "{}: cascade retried", row.workload);
-            }
-        }
-        // The single-version engines never ring-probe.
-        for row in &rows {
-            if row.recovery != "mvcc" {
+            assert_eq!(row.rollback_reasons[RollbackReason::Injected.index()], 0);
+            if row.grain_log2 == WORD_GRAIN_LOG2 && row.sharing == 0.0 {
+                assert_eq!(row.rollback_reasons[RollbackReason::Conflict.index()], 0);
                 assert_eq!(
-                    (row.precise_passes, row.ring_overflows),
-                    (0, 0),
-                    "{} {}: single-version engine reported ring activity",
-                    row.workload,
-                    row.recovery
+                    row.precise_passes, 0,
+                    "{}: no range is shared",
+                    row.workload
                 );
             }
         }
-        // Structural assertions only: native wasted-work magnitudes are
-        // wall-clock (scheduling-sensitive, wildly stretched in debug
-        // builds under parallel test load), so the quantitative
-        // engine-vs-engine claims are asserted on the deterministic
-        // replay below instead.  Engagement itself is also
-        // scheduling-sensitive at tiny scale (a starved conflict window
-        // retires before anyone observes it), so each claim gets a
-        // bounded number of re-runs before the engine is declared dead.
-        //
-        // Targeted dooming actually engages…
-        let dooms_engaged = |rows: &[RecoveryRow]| {
-            rows.iter()
-                .filter(|r| r.recovery != "cascade" && r.sharing >= 0.5)
-                .any(|r| r.targeted_dooms > 0)
-        };
-        // …and value prediction repairs conflicts in place (most visibly
-        // the spurious dooms and false sharing of the RMW histogram).
-        let retry_engaged = |rows: &[RecoveryRow]| {
-            rows.iter()
-                .filter(|r| r.recovery == "targeted+retry" || r.recovery == "mvcc")
-                .any(|r| r.retries > 0)
-        };
-        let mut doomed = dooms_engaged(&rows);
-        let mut retried = retry_engaged(&rows);
-        for _ in 0..2 {
-            if doomed && retried {
-                break;
-            }
-            let (again, _) = recovery_sweep(&quick());
-            doomed = doomed || dooms_engaged(&again);
-            retried = retried || retry_engaged(&again);
-        }
-        assert!(doomed, "targeted recovery never doomed anyone");
-        assert!(retried, "value prediction never repaired a conflict");
-        let _ = LINE_GRAIN_LOG2;
     }
 
     #[test]
-    fn recovery_replay_strictly_reduces_wasted_work_deterministically() {
-        // The deterministic half of the recovery acceptance: on the
-        // simulator (virtual cycles, identical recordings) the targeted
-        // engines strictly reduce wasted work vs cascade-only wherever a
-        // doomed fiber is stopped with work left in its conflict window —
-        // the shared histogram at >= 50% sharing is the canonical case.
+    fn recovery_replay_is_deterministic_and_dooms_stale_readers() {
         let (rows, text) = recovery_replay(&quick());
-        assert!(text.contains("Recovery Engine Replay"));
-        let wasted = |kind: &str, sharing: f64, recovery: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.workload == kind
-                        && r.grain_log2 == WORD_GRAIN_LOG2
-                        && r.sharing == sharing
-                        && r.recovery == recovery
-                })
-                .unwrap()
-                .wasted_cycles
-        };
-        for sharing in [0.5, 1.0] {
-            let cascade = wasted("hist_shared", sharing, "cascade");
-            let targeted = wasted("hist_shared", sharing, "targeted");
-            let repaired = wasted("hist_shared", sharing, "targeted+retry");
-            assert!(
-                targeted < cascade && repaired < cascade,
-                "hist_shared at {sharing}: cascade {cascade} vs targeted {targeted} / \
-                 targeted+retry {repaired} cycles"
-            );
-            // The engines never *add* waste on the chain either.
-            let chain_cascade = wasted("conflict_chain", sharing, "cascade");
-            let chain_repaired = wasted("conflict_chain", sharing, "targeted+retry");
-            assert!(
-                chain_repaired <= chain_cascade,
-                "conflict_chain at {sharing}: targeted+retry {chain_repaired} vs \
-                 cascade {chain_cascade} cycles"
-            );
+        assert!(text.contains("Recovery Replay"));
+        for row in &rows {
+            if row.sharing == 0.0 {
+                assert_eq!(
+                    (row.rolled_back, row.wasted_cycles),
+                    (0, 0),
+                    "{} at grain 2^{}: rollbacks without sharing",
+                    row.workload,
+                    row.grain_log2
+                );
+            } else {
+                assert!(
+                    row.targeted_dooms > 0,
+                    "{} at grain 2^{} / {:.0}% sharing: nobody was doomed",
+                    row.workload,
+                    row.grain_log2,
+                    row.sharing * 100.0
+                );
+            }
         }
-        // Determinism: a second replay is identical (the mvcc rows too —
-        // zero divergence is the acceptance bar for the ring probes).
+        // A second replay is identical — zero divergence is the
+        // acceptance bar for the ring probes.
         let (again, _) = recovery_replay(&quick());
         let key = |r: &RecoverySimRow| {
             (
@@ -3470,81 +2679,89 @@ mod tests {
 
     #[test]
     fn recovery_replay_mvcc_beats_single_version_at_line_grain() {
-        // The PR's acceptance claim, on the deterministic simulator: at
-        // line grain and >= 50% sharing the version rings strictly
-        // reduce the fibers squashed or sent through a value-predict
-        // repair against the strongest single-version engine on both
-        // conflict workloads, because false-sharing conflicts become
-        // ring-probed precise passes instead.  Surgical *dooms* may grow
-        // in exchange — a precise-passing fiber survives to its real
-        // conflict, where dooming it early is exactly the engine's job —
-        // so the doomed fiber's budget is asserted through wasted cycles
-        // (never worse pointwise) rather than doom counts.  At word
-        // grain the two engines must coincide counter-for-counter: every
-        // range hit is a word hit there, so the rings never fire and
-        // mvcc degenerates to targeted+retry structurally.
-        let (rows, _) = recovery_replay(&quick());
-        let at = |kind: &str, grain: u32, sharing: f64, recovery: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.workload == kind
-                        && r.grain_log2 == grain
-                        && r.sharing == sharing
-                        && r.recovery == recovery
-                })
-                .unwrap()
+        // On the deterministic simulator, at line grain and >= 50%
+        // sharing, the version rings strictly reduce the fibers squashed
+        // or sent through a value-predict repair against the same log at
+        // ring depth 1 on both conflict workloads, because false-sharing
+        // conflicts become ring-probed precise passes instead.  Surgical
+        // *dooms* may grow in exchange — a precise-passing fiber survives
+        // to its real conflict, where dooming it early is exactly the
+        // ladder's job — so the doomed fiber's budget is asserted through
+        // wasted cycles (never worse pointwise) rather than doom counts.
+        // At word grain the two depths must coincide counter-for-counter:
+        // every range hit is a word hit there, so the rings never fire.
+        let config = quick();
+        let cpus = native_cpus(&config);
+        let at = |recording: &Recording, grain_log2: u32, ring_depth: u32| {
+            simulate(
+                recording,
+                SimConfig {
+                    num_cpus: cpus,
+                    seed: config.seed,
+                    commit_log: CommitLogConfig::default()
+                        .grain_log2(grain_log2)
+                        .ring_depth(ring_depth),
+                    ..SimConfig::default()
+                },
+            )
+            .report
         };
-        let traffic = |r: &RecoverySimRow| r.rolled_back + r.retried;
-        for kind in ["hist_shared", "conflict_chain"] {
+        let traffic = |r: &RunReport| r.rolled_back_threads + r.retried_threads;
+        for kind in WorkloadKind::CONFLICT_FAMILY {
+            let name = kind.name();
             let mut single_version = 0;
             let mut mvcc = 0;
             let mut precise = 0;
-            for sharing in [0.5, 1.0] {
-                let legacy = at(kind, LINE_GRAIN_LOG2, sharing, "targeted+retry");
-                let ringed = at(kind, LINE_GRAIN_LOG2, sharing, "mvcc");
-                single_version += traffic(legacy);
-                mvcc += traffic(ringed);
-                precise += ringed.precise_passes;
+            for permille in RECOVERY_SWEEP_PERMILLE {
+                let recording = record_conflict(kind, config.scale, permille);
+                let single = at(&recording, LINE_GRAIN_LOG2, 1);
+                let ringed = at(&recording, LINE_GRAIN_LOG2, DEFAULT_RING_DEPTH);
+                assert_eq!(single.precise_passes(), 0, "{name}: depth 1 ring-probed");
+                if permille >= 500 {
+                    single_version += traffic(&single);
+                    mvcc += traffic(&ringed);
+                    precise += ringed.precise_passes();
+                    assert!(
+                        ringed.wasted_work() <= single.wasted_work(),
+                        "{name} at {permille}‰: rings wasted {} vs single-version {}",
+                        ringed.wasted_work(),
+                        single.wasted_work()
+                    );
+                    assert!(
+                        ringed.committed_threads >= single.committed_threads,
+                        "{name} at {permille}‰: rings committed fewer fibers"
+                    );
+                }
+                // Word grain: the depths coincide exactly.
+                let single = at(&recording, WORD_GRAIN_LOG2, 1);
+                let ringed = at(&recording, WORD_GRAIN_LOG2, DEFAULT_RING_DEPTH);
                 assert_eq!(
-                    legacy.precise_passes, 0,
-                    "{kind}: single-version engine ring-probed"
+                    ringed.precise_passes(),
+                    0,
+                    "{name}: rings fired at word grain"
                 );
-                assert!(
-                    ringed.wasted_cycles <= legacy.wasted_cycles,
-                    "{kind} at {sharing}: mvcc wasted {} vs single-version {}",
-                    ringed.wasted_cycles,
-                    legacy.wasted_cycles
-                );
-                assert!(
-                    ringed.committed >= legacy.committed,
-                    "{kind} at {sharing}: mvcc committed fewer fibers"
+                assert_eq!(
+                    (
+                        ringed.rolled_back_threads,
+                        ringed.retried_threads,
+                        ringed.wasted_work()
+                    ),
+                    (
+                        single.rolled_back_threads,
+                        single.retried_threads,
+                        single.wasted_work()
+                    ),
+                    "{name} at {permille}‰: the depths diverged at word grain"
                 );
             }
             assert!(
                 mvcc < single_version,
-                "{kind} at line grain: mvcc squash+retry traffic {mvcc} \
-                 vs single-version {single_version} — the rings bought nothing"
+                "{name} at line grain: squash+retry traffic {mvcc} with rings                  vs {single_version} without — the rings bought nothing"
             );
             assert!(
                 precise > 0,
-                "{kind} at line grain: no precise passes despite shared lines"
+                "{name} at line grain: no precise passes despite shared lines"
             );
-        }
-        // Word grain: the engines coincide exactly.
-        for kind in ["hist_shared", "conflict_chain"] {
-            for sharing in [0.0, 0.5, 1.0] {
-                let legacy = at(kind, WORD_GRAIN_LOG2, sharing, "targeted+retry");
-                let ringed = at(kind, WORD_GRAIN_LOG2, sharing, "mvcc");
-                assert_eq!(
-                    ringed.precise_passes, 0,
-                    "{kind}: rings fired at word grain"
-                );
-                assert_eq!(
-                    (ringed.rolled_back, ringed.retried, ringed.wasted_cycles),
-                    (legacy.rolled_back, legacy.retried, legacy.wasted_cycles),
-                    "{kind} at {sharing}: mvcc diverged from targeted+retry at word grain"
-                );
-            }
         }
     }
 
@@ -3556,7 +2773,6 @@ mod tests {
             rows.len(),
             (1 + WorkloadKind::CONFLICT_FAMILY.len() * GRAINCONTROL_SHARING_PERMILLE.len())
                 * GrainMode::all().len()
-                * graincontrol_recoveries().len()
         );
         for row in &rows {
             assert!(
@@ -3599,16 +2815,9 @@ mod tests {
         // mixed-model thesis applied to detection granularity.
         let (rows, text) = graincontrol_replay(&quick());
         assert!(text.contains("Adaptive Grain Control Replay"));
-        // The historical claims are asserted on the single-version rows
-        // (the regime the committed BENCH_PR5.json trajectory pinned).
         let row = |kind: &str, sharing: f64, mode: &str| {
             rows.iter()
-                .find(|r| {
-                    r.workload == kind
-                        && r.sharing == sharing
-                        && r.mode == mode
-                        && r.recovery == "targeted+retry"
-                })
+                .find(|r| r.workload == kind && r.sharing == sharing && r.mode == mode)
                 .unwrap()
         };
         let mandel_adaptive = row("mandelbrot", 0.0, "adaptive");
@@ -3641,49 +2850,6 @@ mod tests {
             "the contended chain region must converge to word grain, got {:?}",
             chain_adaptive.region_grains
         );
-
-        // Bonus coverage: on the shared histogram (where the coarse
-        // grain genuinely costs wasted work in replay) adaptive must beat
-        // both coarse statics — it splits mid-run.
-        let hist_adaptive = row("hist_shared", 1.0, "adaptive");
-        for static_mode in ["line", "page"] {
-            let static_row = row("hist_shared", 1.0, static_mode);
-            if static_row.wasted_cycles > row("hist_shared", 1.0, "word").wasted_cycles {
-                assert!(
-                    hist_adaptive.wasted_cycles < static_row.wasted_cycles,
-                    "hist_shared: adaptive wasted {} vs {} {}",
-                    hist_adaptive.wasted_cycles,
-                    static_mode,
-                    static_row.wasted_cycles
-                );
-            }
-        }
-
-        // The mvcc dimension never hurts: at every (workload, mode,
-        // sharing) point the ringed run's recovery traffic stays at or
-        // below the single-version run's, and the single-version rows
-        // never ring-probe.
-        for legacy in rows.iter().filter(|r| r.recovery == "targeted+retry") {
-            assert_eq!(legacy.precise_passes, 0);
-            let ringed = rows
-                .iter()
-                .find(|r| {
-                    r.workload == legacy.workload
-                        && r.mode == legacy.mode
-                        && r.sharing == legacy.sharing
-                        && r.recovery == "mvcc"
-                })
-                .unwrap();
-            assert!(
-                ringed.rolled_back + ringed.retried <= legacy.rolled_back + legacy.retried,
-                "{} {} at {:.0}%: mvcc recovery traffic grew ({} vs {})",
-                legacy.workload,
-                legacy.mode,
-                legacy.sharing * 100.0,
-                ringed.rolled_back + ringed.retried,
-                legacy.rolled_back + legacy.retried
-            );
-        }
 
         // Determinism: the replay reproduces itself exactly.
         let (again, _) = graincontrol_replay(&quick());
@@ -3778,8 +2944,7 @@ validation        1        64   64    64  \n\
 commit-lock-wait  0        0    0     0   \n\
 commit-cas-retry  0        0    0     0   \n\
 repair-retry      0        0    0     0   \n\
-repair-doomset    0        0    0     0   \n\
-repair-cascade    0        0    0     0   \n";
+repair-doomset    0        0    0     0   \n";
         assert_eq!(text, expected);
     }
 

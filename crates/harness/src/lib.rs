@@ -19,17 +19,15 @@
 //! | Conflict sweep, real rollbacks (this repo) | [`conflict_sweep`] |
 //! | Buffer-overflow pressure sweep (this repo) | [`overflow_sweep`] |
 //! | Commit-log grain sweep (this repo)      | [`grain_sweep`] |
-//! | Recovery-engine sweep (this repo)       | [`recovery_sweep`] |
+//! | Recovery sweep (this repo)              | [`recovery_sweep`] |
 //! | Adaptive grain-control sweep (this repo) | [`graincontrol_sweep`] |
 //! | Flight-recorder scenario (this repo)    | [`trace_scenario`] |
-//! | Commit-path stress, locked vs lock-free (this repo) | [`commitbench`] |
-//! | Time Warp parallel-simulation scaling (this repo) | [`parsim`] |
 //! | Live-metrics scenario (this repo)       | [`metrics_scenario`] |
 //!
 //! `mutls-experiments --json <path>` additionally writes the sweep rows
 //! of the native experiments as machine-readable JSON (schema
 //! [`BENCH_SCHEMA_VERSION`]), so per-point wasted-work, latency-quantile
-//! and commit-throughput figures can be tracked across PRs, and
+//! and commit-throughput figures can be tracked, and
 //! `--trace <path>` exports every traced run of the selected experiments
 //! as one Chrome trace-event document (open it in Perfetto).
 //!
@@ -43,25 +41,6 @@
 //! deterministic output ordering.  The conflict and overflow sweeps run on
 //! the *native* runtime, because their whole point is exercising real
 //! dependence validation and buffer pressure end-to-end.
-//!
-//! ## Simulator-thread budgeting (no oversubscription)
-//!
-//! Since the Time Warp PR the simulator itself can run parallel
-//! (`SimConfig::sim_threads`, surfaced as `mutls-experiments
-//! --sim-threads N` / the `SIM_THREADS` env var).  That nests two levels
-//! of parallelism: the sweep fan-out (`par_map`, which runs
-//! `min(host_parallelism, points)` workers) and the per-simulation shard
-//! workers.  The policy, implemented by
-//! [`ExperimentConfig::budgeted_sim_threads`] and applied at every
-//! `par_map`-driven simulation site, is that the product of concurrent
-//! sweep workers and per-point `sim_threads` never exceeds host
-//! parallelism: each fanned point runs at
-//! `min(sim_threads, host / sweep_workers)` threads (floored at 1).
-//! Serial replays (the recovery/graincontrol replays, the trace scenario
-//! and the `parsim` scaling sweep itself) run one simulation at a time
-//! and use the full configured value.  Because the parallel simulator is
-//! byte-identical to the sequential one, this capping is purely a
-//! scheduling decision — it can never change a result.
 
 #![warn(missing_docs)]
 
@@ -69,18 +48,16 @@ pub mod experiments;
 pub mod report;
 
 pub use experiments::{
-    adaptive_sweep, breakdown, commitbench, commitbench_with, conflict_sweep, figure10, figure11,
-    figure3, figure4, figure5, figure6, figure7, figure8, figure9, format_site_table, grain_label,
-    grain_sweep, graincontrol_recoveries, graincontrol_replay, graincontrol_sweep,
-    metrics_scenario, overflow_sweep, parsim, record_workload, recovery_replay, recovery_sweep,
-    recovery_sweep_modes, speedup_sweep, table2, trace_scenario, AdaptiveRow, BreakdownRow,
-    CommitBenchRow, ExperimentConfig, GrainControlRow, GrainControlSimRow, GrainMode, GrainRow,
-    MetricKind, MetricsRow, MetricsRun, MetricsSink, NativeRow, ParSimRow, RecoveryRow,
-    RecoverySimRow, SweepRow, TraceScenarioRow, TraceSink, ADAPTIVE_ROLLBACK_PROBABILITY,
-    BENCH_SCHEMA_VERSION, COMMITBENCH_MIXES, COMMITBENCH_THREADS, COMMITBENCH_THREADS_ENV,
+    adaptive_sweep, breakdown, conflict_sweep, figure10, figure11, figure3, figure4, figure5,
+    figure6, figure7, figure8, figure9, format_site_table, grain_label, grain_sweep,
+    graincontrol_replay, graincontrol_sweep, metrics_scenario, overflow_sweep, record_workload,
+    recovery_replay, recovery_sweep, speedup_sweep, table2, trace_scenario, AdaptiveRow,
+    BreakdownRow, ExperimentConfig, GrainControlRow, GrainControlSimRow, GrainMode, GrainRow,
+    MetricKind, MetricsRow, MetricsRun, MetricsSink, NativeRow, RecoveryRow, RecoverySimRow,
+    SweepRow, TraceScenarioRow, TraceSink, ADAPTIVE_ROLLBACK_PROBABILITY, BENCH_SCHEMA_VERSION,
     CONFLICT_SHARING_PERMILLE, GRAINCONTROL_REPS, GRAINCONTROL_SHARING_PERMILLE,
-    GRAIN_SWEEP_GRAINS, GRAIN_SWEEP_SHARDS, NATIVE_POLICIES, PARSIM_THREADS, PARSIM_THREADS_ENV,
-    RECOVERY_SWEEP_GRAINS, RECOVERY_SWEEP_PERMILLE, RECOVERY_SWEEP_REPS, ROLLBACK_HEAVY,
+    GRAIN_SWEEP_GRAINS, GRAIN_SWEEP_SHARDS, NATIVE_POLICIES, RECOVERY_SWEEP_GRAINS,
+    RECOVERY_SWEEP_PERMILLE, RECOVERY_SWEEP_REPS, ROLLBACK_HEAVY,
 };
 pub use report::{
     format_breakdown_table, format_latency_table, format_rollback_cell, format_sweep_table, Table,

@@ -51,7 +51,7 @@
 //! ## Sharding — by region
 //!
 //! The version table is split across [`CommitLogConfig::shards`]
-//! independent shards, each with its own epoch counter, commit lock,
+//! independent shards, each with its own epoch counter, slow-path lock,
 //! dense version array and sparse fallback map.  A region maps to shard
 //! `region_id & (shards - 1)` — consecutive regions interleave across
 //! shards.  Sharding *by region* (rather than by range, as before
@@ -71,10 +71,9 @@
 //! are never regrained), so the log also works standalone with arbitrary
 //! addresses.
 //!
-//! ## Lock-free commit path (the default)
+//! ## Lock-free commit path
 //!
-//! Since PR 7 the dense fast path publishes **without any lock**.  Per
-//! shard:
+//! The dense fast path publishes **without any lock**.  Per shard:
 //!
 //! * **Version reservation = epoch publish.**  A committer reserves its
 //!   version with one `SeqCst` `fetch_add` on the shard epoch.  The RMW
@@ -109,10 +108,6 @@
 //! The sparse fallback map, the reader-registry spill sets, `regrain`
 //! and [`clear`](CommitLog::clear) stay under the per-shard slow-path
 //! lock (a striped `parking_lot` mutex) — they are the cold paths.
-//! [`CommitLogConfig::locked`] keeps the pre-PR 7 mutex protocol
-//! available for A/B comparison (the `commitbench` sweep): there the
-//! shard lock serializes committers, stamps precede the epoch publish,
-//! and the epoch is stored (not `fetch_add`ed) under the lock.
 //!
 //! ## Version rings (MVCC validation)
 //!
@@ -148,13 +143,13 @@
 //! unchanged at every depth: probes may report false touches (bucket
 //! aggregation, offset-hash collisions, regrain truncation — a
 //! [`regrain`](CommitLog::regrain) merges a *full* footprint at its
-//! flush version into every slot of the region, in both modes), but a
-//! genuine dependence violation is flagged through every interleaving,
+//! flush version into every slot of the region), but a genuine
+//! dependence violation is flagged through every interleaving,
 //! because a committer's ring merge precedes its dense stamp and
 //! join-time validation runs after the relevant commit's
-//! [`record`](CommitLog::record) returned.  Depth 1 (the standalone
-//! default) allocates no rings and degenerates to exactly the
-//! single-version behavior.
+//! [`record`](CommitLog::record) returned.  Depth 1 allocates no rings
+//! and degenerates to exactly the single-version behavior — the
+//! reference the property tests sandwich deeper rings against.
 //!
 //! ## Memory-ordering protocol (per shard)
 //!
@@ -162,22 +157,21 @@
 //! independently per shard:
 //!
 //! * **Committer** (always executing logically earlier work): write the
-//!   data words to main memory *first*, then call [`CommitLog::record`].
-//!   Lock-free mode reserves-and-publishes the shard version with the
-//!   `SeqCst` epoch `fetch_add` *before* CAS-stamping the touched slots;
-//!   locked mode stamps under the shard lock first and publishes the
-//!   epoch after.  Both orders keep the invariant that matters: **a
-//!   snapshot at least the committer's version implies the committer's
-//!   data is visible**, and **a stale read implies a snapshot below the
-//!   version the validation-time slot carries**.
+//!   data words to main memory *first*, then call [`CommitLog::record`],
+//!   which reserves-and-publishes the shard version with the `SeqCst`
+//!   epoch `fetch_add` *before* CAS-stamping the touched slots.  That
+//!   order keeps the invariant that matters: **a snapshot at least the
+//!   committer's version implies the committer's data is visible**, and
+//!   **a stale read implies a snapshot below the version the
+//!   validation-time slot carries**.
 //! * **Reader** (a speculative thread): sample
 //!   [`CommitLog::snapshot`]`(addr)` — the epoch of the shard owning the
 //!   address's *region* — with acquire *before* loading the word from
 //!   main memory.
 //!
 //! If the reader's sampled shard epoch is at least the committer's
-//! version, the acquire edge (to the epoch store or the epoch RMW's
-//! release sequence) guarantees the committed data was visible to the
+//! version, the acquire edge (to the epoch RMW's release sequence)
+//! guarantees the committed data was visible to the
 //! read — no conflict.  If it is smaller, the read raced the commit and
 //! validation flags it; at worst this is a conservative false positive
 //! (the thread re-executes), never a missed conflict.
@@ -185,7 +179,7 @@
 //! ## Regrain protocol
 //!
 //! [`CommitLog::regrain`]`(region, new_grain_log2)` runs under the
-//! owning shard's slow-path lock.  In lock-free mode:
+//! owning shard's slow-path lock:
 //!
 //! 1. flip the region's sequence word to **odd** (`SeqCst`) — in-flight
 //!    fast-path committers will observe the change after their CAS pass
@@ -204,9 +198,6 @@
 //!    dooms them eagerly — they are about to fail validation anyway,
 //!    and value-predict retry can re-stamp them in place);
 //! 5. flip the sequence word back to **even**, releasing the fast path.
-//!
-//! Locked mode keeps the pre-PR 7 order (stamp, collect, grain, epoch)
-//! under the shard lock that also serializes its committers.
 //!
 //! Shard epochs advance independently, so versions are only comparable
 //! *within* a shard.  That is safe because an address always maps to the
@@ -232,7 +223,7 @@
 //! squashing every logical successor; enumeration is complete at any
 //! thread count, so the old cascade fallback for >63-rank sweeps is gone.
 //!
-//! Registration stays **off the commit lock**: a tracked reader ORs its
+//! Registration stays **off the slow-path lock**: a tracked reader ORs its
 //! bit into the range's mask with a single atomic RMW and then
 //! (re-)reads the shard epoch — a seqlock-style double-checked read,
 //! since a snapshot sampled *before* the registration could let a racing
@@ -319,9 +310,8 @@ pub fn region_log2_for_grain(grain_log2: u32) -> u32 {
 /// scaled up into [`CommitLogStats::lock_ns`].
 pub const LOCK_SAMPLE_LOG2: u32 = 3;
 
-/// Ring depth the runtime's mvcc recovery mode uses by default (the
-/// standalone log default stays 1 = no rings; see
-/// [`CommitLogConfig::ring_depth`]).
+/// Default version-ring depth ([`CommitLogConfig::ring_depth`]); 1
+/// disables the rings.
 pub const DEFAULT_RING_DEPTH: u32 = 4;
 
 /// Largest ring depth [`CommitLogConfig::normalized`] allows — 64 slots
@@ -491,16 +481,11 @@ pub struct CommitLogConfig {
     /// Number of independent shards; rounded up to a power of two, at
     /// least 1.
     pub shards: usize,
-    /// Whether commits publish through the lock-free CAS fast path
-    /// (the default) or serialize on the per-shard lock (the pre-PR 7
-    /// protocol, kept for A/B comparison — see the `commitbench`
-    /// sweep and the module docs for both protocols).
-    pub lock_free: bool,
     /// Per-slot version-ring depth for MVCC validation (see the module
-    /// docs): 1 (the default) allocates no rings and keeps exact
-    /// single-version behavior; deeper rings let
+    /// docs), [`DEFAULT_RING_DEPTH`] by default: rings let
     /// [`CommitLog::probe_written`] answer precisely whether the probed
-    /// *word* was overwritten.  Clamped to `1..=`[`MAX_RING_DEPTH`].
+    /// *word* was overwritten; 1 allocates no rings and keeps exact
+    /// single-version behavior.  Clamped to `1..=`[`MAX_RING_DEPTH`].
     pub ring_depth: u32,
     /// Log2 of the ring's version-bucket width: `2^ring_bucket_log2`
     /// consecutive versions share one ring slot (footprints OR-merged),
@@ -515,8 +500,7 @@ impl Default for CommitLogConfig {
         CommitLogConfig {
             grain_log2: LINE_GRAIN_LOG2,
             shards: 8,
-            lock_free: true,
-            ring_depth: 1,
+            ring_depth: DEFAULT_RING_DEPTH,
             ring_bucket_log2: 6,
         }
     }
@@ -557,23 +541,6 @@ impl CommitLogConfig {
         self
     }
 
-    /// Serialize commits on the per-shard lock instead of the CAS fast
-    /// path (builder style) — the pre-PR 7 protocol, kept for A/B
-    /// throughput comparison and for the simulator's replay-stable cost
-    /// model.
-    pub fn locked(mut self) -> Self {
-        self.lock_free = false;
-        self
-    }
-
-    /// Set the commit-path mode explicitly (builder style): `true` for
-    /// the lock-free CAS fast path (the default), `false` for the
-    /// locked protocol.
-    pub fn lock_free(mut self, lock_free: bool) -> Self {
-        self.lock_free = lock_free;
-        self
-    }
-
     /// Set the MVCC version-ring depth (builder style); 1 disables the
     /// rings entirely.
     pub fn ring_depth(mut self, ring_depth: u32) -> Self {
@@ -601,7 +568,6 @@ impl CommitLogConfig {
         CommitLogConfig {
             grain_log2: self.grain_log2.max(WORD_GRAIN_LOG2),
             shards: self.shards.max(1).next_power_of_two(),
-            lock_free: self.lock_free,
             ring_depth: self.ring_depth.clamp(1, MAX_RING_DEPTH),
             ring_bucket_log2: self.ring_bucket_log2.min(16),
         }
@@ -620,20 +586,15 @@ pub struct CommitLogStats {
     /// *currently* carrying a stamp; regrain flushes are counted in
     /// [`regrains`](Self::regrains), not here.)
     pub stamp_writes: u64,
-    /// Estimated wall-clock nanoseconds of commit serialization
-    /// (sampled: one batch in `2^LOCK_SAMPLE_LOG2` is timed, scaled
-    /// up).  Locked mode: *waiting for plus holding* shard commit locks
-    /// — queueing included deliberately, since lock contention is
-    /// exactly what sharding relieves.  Lock-free mode: the
-    /// reservation-plus-stamp section (same sampling), so the two modes
-    /// stay comparable in the `commitbench` A/B.  On coarse-resolution
+    /// Estimated wall-clock nanoseconds of commit publication — the
+    /// reservation-plus-stamp section (sampled: one batch in
+    /// `2^LOCK_SAMPLE_LOG2` is timed, scaled up).  On coarse-resolution
     /// clocks short sections may register as zero.
     pub lock_ns: u64,
-    /// CAS retries on the lock-free stamp path, cumulative: same-slot
+    /// CAS retries on the stamp path, cumulative: same-slot
     /// `compare_exchange` losses plus whole-group re-stamps forced by a
-    /// racing regrain's seqlock word.  Always 0 in locked mode.  The
-    /// contention analogue of [`lock_ns`](Self::lock_ns): disjoint-range
-    /// committers should keep it near zero at any thread count.
+    /// racing regrain's seqlock word.  Disjoint-range committers should
+    /// keep it near zero at any thread count.
     pub cas_retries: u64,
     /// Regions whose grain the controller changed at runtime
     /// ([`CommitLog::regrain`] calls that actually flipped a grain).
@@ -694,34 +655,30 @@ struct RegionCounters {
 /// One independent slice of the version table (one stripe of regions).
 #[derive(Debug)]
 struct Shard {
-    /// Version of this shard's most recent *published* commit batch.
-    /// Locked mode stores it under the lock after stamping; lock-free
-    /// mode `fetch_add`s it to reserve-and-publish in one `SeqCst` RMW
-    /// (the release sequence readers synchronize with).
+    /// Version of this shard's most recent *published* commit batch:
+    /// committers `fetch_add` it to reserve-and-publish in one `SeqCst`
+    /// RMW (the release sequence readers synchronize with).
     epoch: AtomicU64,
     /// The striped **slow-path** lock: serializes `regrain`, `clear`
-    /// and the other cold mutators against each other.  Lock-free
-    /// committers never take it (they only observe the per-region
-    /// sequence words); in locked mode it doubles as the old commit
-    /// lock serializing every committer of the shard.
+    /// and the other cold mutators against each other.  Committers
+    /// never take it (they only observe the per-region sequence words).
     slow_lock: Mutex<()>,
     /// Dense per-range versions for this shard's regions: region `r`
     /// (with `r & mask == shard index`) owns the slot block
     /// `[(r >> shard_bits) * slots_per_region, ..)`, one slot per
     /// floor-grain range; a coarser live grain uses the block's prefix.
-    /// Lock-free mode raises slots monotonically via CAS; locked mode
-    /// stores under the lock.
+    /// Raised monotonically via CAS.
     dense: Vec<AtomicU64>,
     /// Packed MVCC version-ring entries, `ring_depth` per dense slot
     /// (slot `local` owns `rings[local * depth .. (local + 1) * depth]`,
-    /// indexed by version bucket modulo depth).  Empty at depth 1 — the
-    /// legacy layout pays nothing.  Published by CAS-merge *before* the
-    /// dense version stamp, in both modes (see the module docs).
+    /// indexed by version bucket modulo depth).  Empty at depth 1.
+    /// Published by CAS-merge *before* the dense version stamp (see the
+    /// module docs).
     rings: Vec<AtomicU64>,
     /// Sparse fallback for ranges beyond the dense window (always at the
     /// floor grain — out-of-window addresses are never regrained).
     /// Stamped with max-insert under the write lock: a slow path by
-    /// construction, in both modes.
+    /// construction.
     sparse: RwLock<HashMap<RangeId, CommitVersion>>,
     /// Dense per-range reader bitmasks (same indexing as `dense`);
     /// registration/enumeration are lock-free atomic RMWs.
@@ -760,8 +717,8 @@ impl Shard {
     }
 
     /// Raise a sparse range's version to at least `version` (never
-    /// lower it — concurrent lock-free committers can reach the map out
-    /// of reservation order).
+    /// lower it — concurrent committers can reach the map out of
+    /// reservation order).
     fn stamp_sparse_max(&self, range: RangeId, version: CommitVersion) {
         let mut sparse = self.sparse.write();
         let slot = sparse.entry(range).or_insert(0);
@@ -799,10 +756,10 @@ pub struct CommitLog {
     /// Live grain of every dense region, indexed by region id.  Written
     /// only under the owning shard's slow-path lock; read lock-free
     /// (acquire) by snapshot/validation paths and — bracketed by the
-    /// region's sequence word — by lock-free committers.
+    /// region's sequence word — by committers.
     region_grains: Vec<AtomicU32>,
-    /// Per-region seqlock words guarding grain flips against lock-free
-    /// committers (same indexing as `region_grains`): a regrain holds
+    /// Per-region seqlock words guarding grain flips against committers
+    /// (same indexing as `region_grains`): a regrain holds
     /// the word **odd** while it rebuilds the region; fast-path
     /// committers read it before and after their CAS pass and re-stamp
     /// on any movement.  They only observe it, never take the slow lock.
@@ -825,15 +782,15 @@ pub struct CommitLog {
     stamped: AtomicU64,
     /// Regions regrained (grain actually flipped).
     regrains: AtomicU64,
-    /// Estimated nanoseconds of commit serialization (lock wait + hold):
-    /// every `2^LOCK_SAMPLE_LOG2`-th batch is timed (two clock reads)
+    /// Estimated nanoseconds of commit publication: every
+    /// `2^LOCK_SAMPLE_LOG2`-th batch is timed (two clock reads)
     /// and its duration scaled up, so the commit-throughput reporting
     /// the `grain` sweep is built on costs the hot publish path almost
     /// nothing; all counters use relaxed atomics.
     lock_ns: AtomicU64,
     /// Reader registrations that spilled past the bitmask window.
     reader_spills: AtomicU64,
-    /// CAS retries on the lock-free stamp path (same-slot losses plus
+    /// CAS retries on the stamp path (same-slot losses plus
     /// seqlock-forced re-stamps); relaxed, telemetry only.
     cas_retries: AtomicU64,
     /// Ring probes that fell back to single-version conservatism
@@ -902,7 +859,7 @@ impl CommitLog {
         } else {
             regions_per_shard as usize * slots_per_region
         };
-        // Rings are only materialized past depth 1, so the legacy
+        // Rings are only materialized past depth 1, so the
         // single-version layout pays no extra memory.
         let ring_slots = if config.ring_depth > 1 {
             dense_slots * config.ring_depth as usize
@@ -1081,7 +1038,7 @@ impl CommitLog {
         let (shard_idx, local) = match self.slot_of(addr) {
             Slot::Dense { shard, local } => (shard, local),
             Slot::Sparse { shard, range } => {
-                // Sparse ranges keep no history: exact legacy behavior.
+                // Sparse ranges keep no history: single-version answer.
                 let cur = self.shards[shard]
                     .sparse
                     .read()
@@ -1214,20 +1171,17 @@ impl CommitLog {
     /// The caller must have already written the data words to main memory
     /// (see the module-level ordering protocol).  The batch's addresses
     /// are grouped by shard (a region-level property, independent of any
-    /// concurrent regrain).  In lock-free mode each shard's version is
+    /// concurrent regrain).  Each shard's version is
     /// reserved-and-published with one `SeqCst` `fetch_add` and the
-    /// touched slots raised by CAS under the per-region seqlock words;
-    /// in locked mode each involved shard is locked *one at a time*
-    /// (never nested, so committers cannot deadlock), stamped, and its
-    /// epoch published under the lock.
+    /// touched slots raised by CAS under the per-region seqlock words.
     pub fn record<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> CommitVersion {
         self.record_counted(addrs).0
     }
 
     /// Like [`record`](Self::record), but also return the number of CAS
-    /// retries this batch paid on the lock-free stamp path (same-slot
-    /// `compare_exchange` losses plus seqlock-forced re-stamps; always 0
-    /// in locked mode) — the runtime surfaces it per commit as a
+    /// retries this batch paid on the stamp path (same-slot
+    /// `compare_exchange` losses plus seqlock-forced re-stamps) — the
+    /// runtime surfaces it per commit as a
     /// `CommitCasRetry` trace event.
     pub fn record_counted<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> (CommitVersion, u64) {
         let mut iter = addrs.into_iter();
@@ -1263,11 +1217,7 @@ impl CommitLog {
             }
             let shard = &self.shards[shard_idx];
             let started = sample.then(Instant::now);
-            let version = if self.config.lock_free {
-                self.publish_run_lock_free(shard, &addrs[start..end], &mut retries)
-            } else {
-                self.publish_run_locked(shard, &addrs[start..end])
-            };
+            let version = self.publish_run(shard, &addrs[start..end], &mut retries);
             if let Some(started) = started {
                 self.lock_ns.fetch_add(
                     (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
@@ -1283,83 +1233,13 @@ impl CommitLog {
         (max_version, retries)
     }
 
-    /// Locked-mode publish of one shard's (sorted, deduplicated) address
-    /// run: stamp under the shard lock, then publish the epoch — the
-    /// pre-PR 7 protocol, kept behind [`CommitLogConfig::locked`].
-    fn publish_run_locked(&self, shard: &Shard, run: &[Addr]) -> CommitVersion {
-        let _guard = shard.slow_lock.lock();
-        let version = shard.epoch.load(Ordering::Relaxed) + 1;
-        let mut stamped = 0u64;
-        // Dedup key: the concrete slot, not the numeric range id —
-        // range ids of *different regions at different grains* can
-        // collide numerically.  Same-slot addresses are adjacent, so
-        // their ring footprint accumulates in `pending` and the slot is
-        // published once (ring merge first, then the version store).
-        let mut pending: Option<(usize, u64)> = None;
-        let mut last_sparse: Option<RangeId> = None;
-        let mut cached: Option<(RegionId, u32)> = None;
-        for &addr in run {
-            let region = self.region_of(addr);
-            let grain = match cached {
-                Some((r, g)) if r == region => g,
-                _ => {
-                    // Read the live grain inside the commit lock:
-                    // regrains flip it under this same lock, so the
-                    // stamp below always lands on a live slot.
-                    let g = self.grain_of_region(region);
-                    cached = Some((region, g));
-                    g
-                }
-            };
-            match self.slot_at(addr, grain) {
-                Slot::Dense { local, .. } => {
-                    if let Some((l, footprint)) = &mut pending {
-                        if *l == local {
-                            *footprint |= footprint_bit(addr);
-                            continue;
-                        }
-                        let (l, footprint) = (*l, *footprint);
-                        self.ring_merge(shard, l, version, footprint);
-                        shard.dense[l].store(version, Ordering::Relaxed);
-                    }
-                    pending = Some((local, footprint_bit(addr)));
-                    self.bump_region_stamps(region);
-                }
-                Slot::Sparse { range, .. } => {
-                    if last_sparse == Some(range) {
-                        continue;
-                    }
-                    last_sparse = Some(range);
-                    shard.stamp_sparse_max(range, version);
-                }
-            }
-            stamped += 1;
-        }
-        if let Some((local, footprint)) = pending.take() {
-            self.ring_merge(shard, local, version, footprint);
-            shard.dense[local].store(version, Ordering::Relaxed);
-        }
-        self.stamped.fetch_add(stamped, Ordering::Relaxed);
-        // SeqCst (a release store plus SC ordering): the reader
-        // registry's missed-reader argument needs the epoch publish
-        // and the subsequent `take_readers` swap to be totally
-        // ordered against registration (see the module docs).
-        shard.epoch.store(version, Ordering::SeqCst);
-        version
-    }
-
-    /// Lock-free publish of one shard's (sorted, deduplicated) address
-    /// run.  Reserve-and-publish the version with one `SeqCst`
+    /// Publish one shard's (sorted, deduplicated) address run.
+    /// Reserve-and-publish the version with one `SeqCst`
     /// `fetch_add`, then raise each touched slot by CAS, bracketing
     /// every region's stamps with its seqlock word so a racing regrain
     /// forces a re-stamp at the then-current grain (see the module
     /// docs for why each step is sound).
-    fn publish_run_lock_free(
-        &self,
-        shard: &Shard,
-        run: &[Addr],
-        retries: &mut u64,
-    ) -> CommitVersion {
+    fn publish_run(&self, shard: &Shard, run: &[Addr], retries: &mut u64) -> CommitVersion {
         let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut stamped = 0u64;
         // Addresses ascend within the run, so each region's addresses
@@ -1414,8 +1294,7 @@ impl CommitLog {
             let before = seq.load(Ordering::SeqCst);
             if before & 1 == 1 {
                 // A regrain is rebuilding this region: wait it out
-                // (observe only — fast-path committers never take the
-                // slow lock).
+                // (observe only — committers never take the slow lock).
                 std::hint::spin_loop();
                 std::thread::yield_now();
                 continue;
@@ -1485,10 +1364,6 @@ impl CommitLog {
         }
     }
 
-    fn bump_region_stamps(&self, region: RegionId) {
-        self.bump_region_stamps_by(region, 1);
-    }
-
     fn bump_region_stamps_by(&self, region: RegionId, n: u64) {
         if n == 0 {
             return;
@@ -1509,35 +1384,14 @@ impl CommitLog {
         let shard = &self.shards[shard_idx];
         let started = sample.then(Instant::now);
         let mut retries = 0u64;
-        let version = if self.config.lock_free {
-            let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            // One address is a one-element region group: the seqlock
-            // bracket, grain read, and CAS-max all apply unchanged.
-            let stamped =
-                self.stamp_region_group_cas(shard, region, &[addr], version, &mut retries);
-            debug_assert_eq!(stamped, 1);
-            if retries > 0 {
-                self.cas_retries.fetch_add(retries, Ordering::Relaxed);
-            }
-            version
-        } else {
-            let _guard = shard.slow_lock.lock();
-            let version = shard.epoch.load(Ordering::Relaxed) + 1;
-            // Grain read inside the lock (see `publish_run_locked`).
-            match self.slot_at(addr, self.grain_of_region(region)) {
-                Slot::Dense { local, .. } => {
-                    self.ring_merge(shard, local, version, footprint_bit(addr));
-                    shard.dense[local].store(version, Ordering::Relaxed);
-                    self.bump_region_stamps(region);
-                }
-                Slot::Sparse { range, .. } => {
-                    shard.stamp_sparse_max(range, version);
-                }
-            }
-            // SeqCst for the reader-registry ordering (see `record`).
-            shard.epoch.store(version, Ordering::SeqCst);
-            version
-        };
+        let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        // One address is a one-element region group: the seqlock
+        // bracket, grain read, and CAS-max all apply unchanged.
+        let stamped = self.stamp_region_group_cas(shard, region, &[addr], version, &mut retries);
+        debug_assert_eq!(stamped, 1);
+        if retries > 0 {
+            self.cas_retries.fetch_add(retries, Ordering::Relaxed);
+        }
         if let Some(started) = started {
             self.lock_ns.fetch_add(
                 (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
@@ -1583,45 +1437,32 @@ impl CommitLog {
             return (shard.epoch.load(Ordering::Relaxed), ReaderSet::default());
         }
         let block = (region >> self.shard_bits) as usize * self.slots_per_region;
-        let version;
         let mut bits = 0u64;
-        if self.config.lock_free {
-            // 1. Hold the region's seqlock word odd: fast-path committers
-            //    mid-pass will fail their re-check and redo; new ones
-            //    hold off until step 5.
-            self.region_seqs[idx].fetch_add(1, Ordering::SeqCst);
-            // 2. New grain first (release), then the version reservation
-            //    (SeqCst fetch_add — which also publishes the epoch): a
-            //    reader whose snapshot observes `>= version` therefore
-            //    also observes the new grain and consults a live slot.
-            self.region_grains[idx].store(new_grain, Ordering::Release);
-            version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            for local in block..block + self.slots_per_region {
-                // 3. Conservative whole-region flush: every slot any
-                //    (however stale) grain observation could index now
-                //    holds at least `version` — fetch_max, never lowering
-                //    a racing committer's newer stamp.  The ring merge
-                //    (full footprint, before the version flush) is the
-                //    MVCC truncation: no pre-regrain read of the region
-                //    can probe Precise past this version.
-                self.ring_merge(shard, local, version, RING_FULL_FOOTPRINT);
-                shard.dense[local].fetch_max(version, Ordering::AcqRel);
-                // 4. Collect-and-clear the readers (sound after the epoch
-                //    bump: a registration this swap misses re-reads the
-                //    epoch afterwards in the SC order, so its snapshot
-                //    covers the regrain).
-                bits |= shard.readers_dense[local].swap(0, Ordering::SeqCst);
-            }
-        } else {
-            version = shard.epoch.load(Ordering::Relaxed) + 1;
-            for local in block..block + self.slots_per_region {
-                // Conservative whole-region flush: every slot any (however
-                // stale) grain observation could index now holds `version`
-                // (ring truncation first, as in lock-free mode).
-                self.ring_merge(shard, local, version, RING_FULL_FOOTPRINT);
-                shard.dense[local].store(version, Ordering::Relaxed);
-                bits |= shard.readers_dense[local].swap(0, Ordering::SeqCst);
-            }
+        // 1. Hold the region's seqlock word odd: committers mid-pass
+        //    will fail their re-check and redo; new ones hold off until
+        //    step 5.
+        self.region_seqs[idx].fetch_add(1, Ordering::SeqCst);
+        // 2. New grain first (release), then the version reservation
+        //    (SeqCst fetch_add — which also publishes the epoch): a
+        //    reader whose snapshot observes `>= version` therefore also
+        //    observes the new grain and consults a live slot.
+        self.region_grains[idx].store(new_grain, Ordering::Release);
+        let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        for local in block..block + self.slots_per_region {
+            // 3. Conservative whole-region flush: every slot any (however
+            //    stale) grain observation could index now holds at least
+            //    `version` — fetch_max, never lowering a racing
+            //    committer's newer stamp.  The ring merge (full
+            //    footprint, before the version flush) is the MVCC
+            //    truncation: no pre-regrain read of the region can probe
+            //    Precise past this version.
+            self.ring_merge(shard, local, version, RING_FULL_FOOTPRINT);
+            shard.dense[local].fetch_max(version, Ordering::AcqRel);
+            // 4. Collect-and-clear the readers (sound after the epoch
+            //    bump: a registration this swap misses re-reads the epoch
+            //    afterwards in the SC order, so its snapshot covers the
+            //    regrain).
+            bits |= shard.readers_dense[local].swap(0, Ordering::SeqCst);
         }
         let mut spilled = Vec::new();
         if bits & READER_SPILL_BIT != 0 {
@@ -1632,17 +1473,8 @@ impl CommitLog {
                 }
             }
         }
-        if self.config.lock_free {
-            // 5. Back to even: release the fast path.
-            self.region_seqs[idx].fetch_add(1, Ordering::SeqCst);
-        } else {
-            // Grain first (release), then the epoch (SeqCst): a reader
-            // that observes the new epoch observes the new grain; a
-            // reader on the old grain reads a slot stamped `version`
-            // above.
-            self.region_grains[idx].store(new_grain, Ordering::Release);
-            shard.epoch.store(version, Ordering::SeqCst);
-        }
+        // 5. Back to even: release the fast path.
+        self.region_seqs[idx].fetch_add(1, Ordering::SeqCst);
         self.regrains.fetch_add(1, Ordering::Relaxed);
         (version, ReaderSet::from_parts(bits, spilled))
     }
@@ -1655,7 +1487,7 @@ impl CommitLog {
     /// This is the seqlock-style protocol of the module docs: the
     /// registration lands first (one `SeqCst` RMW for tracked ranks, a
     /// spill-set insert plus the sticky marker bit for ranks past the
-    /// window — both off the commit lock) and the shard epoch is
+    /// window — both off the slow-path lock) and the shard epoch is
     /// (re-)read *after* the registration is globally visible.  A
     /// committer whose [`take_readers`](Self::take_readers) misses the
     /// registration must therefore have published its epoch before this
@@ -2006,8 +1838,8 @@ impl CommitLog {
         self.regrains.load(Ordering::Relaxed)
     }
 
-    /// Cumulative CAS retries on the lock-free stamp path (0 in locked
-    /// mode) — the contention signal the `commitbench` sweep reports.
+    /// Cumulative CAS retries on the stamp path — the commit-path
+    /// contention signal.
     pub fn cas_retries(&self) -> u64 {
         self.cas_retries.load(Ordering::Relaxed)
     }
@@ -2225,55 +2057,14 @@ mod tests {
     }
 
     #[test]
-    fn stamps_are_visible_before_the_epoch_publishes() {
-        // LOCKED mode's defining transient invariant: a reader that
-        // samples a post-commit shard epoch must never see a pre-commit
-        // version for a stamped address, because stamps precede the
-        // epoch publish under the lock.  (Lock-free mode deliberately
-        // publishes first — its missed-conflict argument runs through
-        // the data-visibility edge instead, see
-        // `lock_free_snapshot_covers_the_data_not_the_stamp`.)
-        let log = std::sync::Arc::new(CommitLog::with_config(
-            CommitLogConfig::default().locked(),
-            1 << 12,
-        ));
-        let stop = std::sync::Arc::new(AtomicU64::new(0));
-        let writer = {
-            let log = std::sync::Arc::clone(&log);
-            let stop = std::sync::Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for _ in 0..20_000 {
-                    log.record([8, 256, 1024]);
-                }
-                stop.store(1, Ordering::Release);
-            })
-        };
-        while stop.load(Ordering::Acquire) == 0 {
-            for addr in [8u64, 256, 1024] {
-                let snapshot = log.snapshot(addr);
-                // Every batch stamps this address's range before
-                // publishing its shard epoch, so an observed epoch
-                // implies at-least-that stamp.
-                assert!(
-                    log.version_of(addr) >= snapshot,
-                    "stamp lagged the published shard epoch"
-                );
-            }
-        }
-        writer.join().unwrap();
-        assert_eq!(log.commits(), 20_000);
-    }
-
-    #[test]
     fn lock_free_snapshot_covers_the_data_not_the_stamp() {
-        // Lock-free mode publishes the epoch *before* stamping, so the
-        // locked-mode transient (`version_of >= snapshot`) does not
-        // hold.  Its invariants are: a slot never exceeds a
-        // subsequently-sampled shard epoch (the stamp's version was
-        // reserved from that epoch first), slots are monotone, and once
-        // the committer is quiescent every stamp has caught up exactly.
+        // A commit publishes the epoch *before* stamping, so
+        // `version_of >= snapshot` does not hold transiently.  The
+        // invariants are: a slot never exceeds a subsequently-sampled
+        // shard epoch (the stamp's version was reserved from that epoch
+        // first), slots are monotone, and once the committer is
+        // quiescent every stamp has caught up exactly.
         let log = std::sync::Arc::new(CommitLog::with_dense_bytes(1 << 12));
-        assert!(log.config().lock_free, "default mode is lock-free");
         let stop = std::sync::Arc::new(AtomicU64::new(0));
         let writer = {
             let log = std::sync::Arc::clone(&log);
@@ -2423,10 +2214,9 @@ mod tests {
     }
 
     #[test]
-    fn cas_retry_counts_are_consistent_and_locked_mode_never_retries() {
-        // Single-threaded lock-free commits never retry; the aggregate
-        // stat equals the sum of per-batch counts; locked mode reports
-        // zero structurally; clear() resets the counter.
+    fn cas_retry_counts_are_consistent() {
+        // Single-threaded commits never retry; the aggregate stat equals
+        // the sum of per-batch counts; clear() resets the counter.
         let log = CommitLog::with_dense_bytes(1 << 12);
         let mut total = 0;
         for i in 0..32u64 {
@@ -2438,39 +2228,27 @@ mod tests {
         assert_eq!(log.cas_retries(), 0);
         log.clear();
         assert_eq!(log.stats().cas_retries, 0);
-        let locked = CommitLog::with_config(CommitLogConfig::default().locked(), 1 << 12);
-        let (v, retries) = locked.record_counted([8, 16, 4096]);
-        assert!(v > 0);
-        assert_eq!(retries, 0, "locked mode has no CAS path");
     }
 
     #[test]
-    fn locked_and_lock_free_modes_agree_on_versions_and_stats() {
-        // The A/B config flag changes the publish mechanism, never the
-        // observable single-threaded semantics: identical scripts yield
-        // identical versions, stamps, and validation outcomes.
-        let script = |config: CommitLogConfig| {
-            let log = CommitLog::with_config(config, 1 << 13);
-            let snap = log.register_reader(8, 3);
-            let v1 = log.record([8, 64, 4096]);
-            let (v2, _) = log.record_counted([8]);
-            log.regrain(0, PAGE_GRAIN_LOG2);
-            let v3 = log.record_word(16);
-            let stats = log.stats();
-            (
-                v1,
-                v2,
-                v3,
-                log.written_after(8, snap),
-                log.version_of(64),
-                stats.commits,
-                stats.stamp_writes,
-                log.take_readers([8]).is_empty(),
-            )
-        };
-        let lock_free = script(CommitLogConfig::word_grain().shards(2));
-        let locked = script(CommitLogConfig::word_grain().shards(2).locked());
-        assert_eq!(lock_free, locked);
+    fn single_threaded_script_yields_pinned_versions_and_stats() {
+        // The observable single-threaded semantics of the publish path,
+        // pinned to literals: region 0 lives on shard 0 and region 1 on
+        // shard 1, each shard versions its own commits from 1, a regrain
+        // takes a version and collects the region's readers.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain().shards(2), 1 << 13);
+        let snap = log.register_reader(8, 3);
+        assert_eq!(snap, 0);
+        assert_eq!(log.record([8, 64, 4096]), 1, "both shards publish 1");
+        assert_eq!(log.record_counted([8]), (2, 0));
+        assert_eq!(log.regrain(0, PAGE_GRAIN_LOG2).0, 3);
+        assert_eq!(log.record_word(16), 4);
+        assert!(log.written_after(8, snap));
+        assert_eq!(log.version_of(64), 4, "one page slot after the regrain");
+        assert_eq!(log.version_of(4096), 1, "the other shard is untouched");
+        let stats = log.stats();
+        assert_eq!((stats.commits, stats.stamp_writes), (3, 5));
+        assert!(log.take_readers([8]).is_empty(), "the regrain took them");
     }
 
     #[test]
@@ -2487,7 +2265,7 @@ mod tests {
             CommitLogStats {
                 grain_log2: WORD_GRAIN_LOG2,
                 shards: 4,
-                ring_depth: 1,
+                ring_depth: DEFAULT_RING_DEPTH,
                 ..Default::default()
             }
         );
@@ -2727,7 +2505,6 @@ mod tests {
                 shards: 0,
                 ring_depth: 0,
                 ring_bucket_log2: 40,
-                ..Default::default()
             },
             128,
         );
@@ -2746,23 +2523,12 @@ mod tests {
             CommitLogConfig {
                 grain_log2: 6,
                 shards: 3,
-                lock_free: false,
                 ..Default::default()
             },
             0,
         );
         assert_eq!(log.config().shards, 4, "shards round up to a power of two");
-        assert!(!log.config().lock_free, "normalization keeps the mode");
         assert_eq!(CommitLogConfig::page_grain().grain_bytes(), 4096);
-        // Mode builders round-trip.
-        assert!(CommitLogConfig::default().lock_free);
-        assert!(!CommitLogConfig::default().locked().lock_free);
-        assert!(
-            CommitLogConfig::default()
-                .locked()
-                .lock_free(true)
-                .lock_free
-        );
     }
 
     // ----- regrain / grain control ------------------------------------
@@ -2917,31 +2683,22 @@ mod tests {
 
     #[test]
     fn ring_probe_distinguishes_touched_from_false_sharing() {
-        for lock_free in [true, false] {
-            let log = CommitLog::with_config(
-                CommitLogConfig::line_grain()
-                    .shards(1)
-                    .lock_free(lock_free)
-                    .ring_depth(4),
-                1 << 12,
-            );
-            assert_eq!(log.ring_depth(), 4);
-            let v = log.record_word(8);
-            // The written word conflicts…
-            assert_eq!(
-                log.probe_written(8, 0),
-                RingCheck::Touched { newest_touch: v },
-                "lock_free={lock_free}"
-            );
-            // …its line-mate does not (the precise pass single-version
-            // validation cannot give)…
-            assert_eq!(log.probe_written(16, 0), RingCheck::Precise);
-            assert!(log.written_after(16, 0), "single-version would doom it");
-            // …a post-commit snapshot is clean, as is an untouched line.
-            assert_eq!(log.probe_written(8, v), RingCheck::Clean);
-            assert_eq!(log.probe_written(64, 0), RingCheck::Clean);
-            assert_eq!(log.stats().ring_overflows, 0);
-        }
+        let log = CommitLog::with_config(CommitLogConfig::line_grain().shards(1), 1 << 12);
+        assert_eq!(log.ring_depth(), DEFAULT_RING_DEPTH);
+        let v = log.record_word(8);
+        // The written word conflicts…
+        assert_eq!(
+            log.probe_written(8, 0),
+            RingCheck::Touched { newest_touch: v }
+        );
+        // …its line-mate does not (the precise pass single-version
+        // validation cannot give)…
+        assert_eq!(log.probe_written(16, 0), RingCheck::Precise);
+        assert!(log.written_after(16, 0), "single-version would doom it");
+        // …a post-commit snapshot is clean, as is an untouched line.
+        assert_eq!(log.probe_written(8, v), RingCheck::Clean);
+        assert_eq!(log.probe_written(64, 0), RingCheck::Clean);
+        assert_eq!(log.stats().ring_overflows, 0);
     }
 
     #[test]
@@ -2970,7 +2727,10 @@ mod tests {
 
     #[test]
     fn ring_depth_one_degenerates_to_single_version() {
-        let log = CommitLog::with_config(CommitLogConfig::line_grain().shards(1), 1 << 12);
+        let log = CommitLog::with_config(
+            CommitLogConfig::line_grain().shards(1).ring_depth(1),
+            1 << 12,
+        );
         assert_eq!(log.ring_depth(), 1);
         let v = log.record_word(8);
         // Any post-snapshot commit to the range flags any word of it —
@@ -3022,33 +2782,30 @@ mod tests {
 
     #[test]
     fn regrain_truncates_the_rings_conservatively() {
-        for lock_free in [true, false] {
-            // Single-version buckets keep the regrain's full-footprint
-            // flush out of the next commit's bucket, so the precision
-            // assertions below are exact.
-            let log = CommitLog::with_config(
-                CommitLogConfig::word_grain()
-                    .shards(1)
-                    .lock_free(lock_free)
-                    .ring_depth(4)
-                    .ring_bucket_log2(0),
-                1 << 13,
+        // Single-version buckets keep the regrain's full-footprint
+        // flush out of the next commit's bucket, so the precision
+        // assertions below are exact.
+        let log = CommitLog::with_config(
+            CommitLogConfig::word_grain()
+                .shards(1)
+                .ring_depth(4)
+                .ring_bucket_log2(0),
+            1 << 13,
+        );
+        log.regrain(0, LINE_GRAIN_LOG2);
+        // The regrain's full-footprint flush: no pre-regrain snapshot of
+        // the region may probe Clean or Precise.
+        for addr in [8u64, 16, 2048] {
+            assert!(
+                matches!(log.probe_written(addr, 0), RingCheck::Touched { .. }),
+                "addr={addr}"
             );
-            log.regrain(0, LINE_GRAIN_LOG2);
-            // The regrain's full-footprint flush: no pre-regrain
-            // snapshot of the region may probe Clean or Precise.
-            for addr in [8u64, 16, 2048] {
-                assert!(
-                    matches!(log.probe_written(addr, 0), RingCheck::Touched { .. }),
-                    "lock_free={lock_free} addr={addr}"
-                );
-            }
-            // Post-regrain snapshots probe precisely again.
-            let fresh = log.snapshot(8);
-            assert_eq!(log.probe_written(8, fresh), RingCheck::Clean);
-            log.record_word(8);
-            assert_eq!(log.probe_written(16, fresh), RingCheck::Precise);
         }
+        // Post-regrain snapshots probe precisely again.
+        let fresh = log.snapshot(8);
+        assert_eq!(log.probe_written(8, fresh), RingCheck::Clean);
+        log.record_word(8);
+        assert_eq!(log.probe_written(16, fresh), RingCheck::Precise);
     }
 
     #[test]

@@ -960,13 +960,13 @@ mod tests {
         assert!(buf.validate_against(&log));
         assert_eq!(buf.stats().precise_passes, 1);
         // Depth-1 (single-version) would have doomed the same snapshot.
-        let legacy = CommitLog::with_config(CommitLogConfig::line_grain(), 0);
-        let mut legacy_buf = GlobalBuffer::new(BufferConfig::default());
-        let _ = legacy_buf
-            .load_logged(&mem, Some(&legacy), p.addr_of(0), 8)
+        let single = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(1), 4096);
+        let mut single_buf = GlobalBuffer::new(BufferConfig::default());
+        let _ = single_buf
+            .load_logged(&mem, Some(&single), p.addr_of(0), 8)
             .unwrap();
-        legacy.record_word(p.addr_of(1));
-        assert!(!legacy_buf.validate_against(&legacy));
+        single.record_word(p.addr_of(1));
+        assert!(!single_buf.validate_against(&single));
         // A commit that does touch the read word still dooms precisely.
         log.record_word(p.addr_of(0));
         assert!(!buf.validate_against(&log));

@@ -259,14 +259,13 @@ proptest! {
     fn range_grain_flags_conservatively_never_misses(
         grain_log2 in grain_strategy(),
         shards in (0u32..4).prop_map(|i| [1usize, 2, 8, 16][i as usize]),
-        lock_free in any::<bool>(),
         reads in proptest::collection::vec(addr_strategy(), 1..24),
         commits in proptest::collection::vec(addr_strategy(), 0..24),
     ) {
         let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
         let commits: std::collections::HashSet<u64> = commits.into_iter().collect();
         let mem = GlobalMemory::new(1 << 16);
-        let config = CommitLogConfig { grain_log2, shards, lock_free, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
         let log = CommitLog::with_config(config, 1 << 15); // dense/sparse mix
         let mut buf = GlobalBuffer::new(BufferConfig::default());
         for &addr in &reads {
@@ -294,10 +293,9 @@ proptest! {
     fn range_edge_straddlers_do_not_cross_conflict(
         grain_log2 in grain_strategy(),
         shards in (0u32..3).prop_map(|i| [1usize, 2, 8][i as usize]),
-        lock_free in any::<bool>(),
         k in 1u64..64,
     ) {
-        let config = CommitLogConfig { grain_log2, shards, lock_free, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
         let log = CommitLog::with_config(config, 1 << 14);
         let edge = k << grain_log2;
         let below = edge - WORD_BYTES; // last word of range k-1
@@ -320,11 +318,10 @@ proptest! {
     #[test]
     fn dense_sparse_crossover_agrees(
         grain_log2 in grain_strategy(),
-        lock_free in any::<bool>(),
         dense_ranges in 1u64..16,
         offsets in proptest::collection::vec(0u64..32, 1..16),
     ) {
-        let config = CommitLogConfig { grain_log2, shards: 4, lock_free, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, shards: 4, ..Default::default() };
         let grain = 1u64 << grain_log2;
         // Dense window ends mid-address-space (and is not grain-aligned:
         // the partial trailing range must round up to dense).
@@ -357,7 +354,7 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(addr_strategy(), 1..8), 1..8),
     ) {
-        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, shards, lock_free: true, ..Default::default() };
+        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, shards, ..Default::default() };
         let log = CommitLog::with_config(config, 0);
         let mut touched: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut last_epoch = 0;
@@ -390,12 +387,11 @@ proptest! {
     fn doom_set_is_a_subset_of_the_cascades_victims(
         grain_log2 in grain_strategy(),
         shards in (0u32..3).prop_map(|i| [1usize, 4, 8][i as usize]),
-        lock_free in any::<bool>(),
         registrations in proptest::collection::vec(
             (1usize..17, addr_strategy()), 0..40),
         writes in proptest::collection::vec(addr_strategy(), 1..16),
     ) {
-        let config = CommitLogConfig { grain_log2, shards, lock_free, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
         let log = CommitLog::with_config(config, 0);
         for (rank, addr) in &registrations {
             log.register_reader(*addr, *rank);
@@ -445,7 +441,6 @@ proptest! {
         floor_i in 0u32..2,
         initial_i in 0u32..3,
         shards in (0u32..3).prop_map(|i| [1usize, 2, 8][i as usize]),
-        lock_free in any::<bool>(),
         reads in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
         commits in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
         regrains_before in proptest::collection::vec((0u64..5, 0u32..3), 0..6),
@@ -453,7 +448,7 @@ proptest! {
     ) {
         let ladder = [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2];
         let floor = ladder[floor_i as usize];
-        let config = CommitLogConfig { grain_log2: floor, shards, lock_free, ..Default::default() };
+        let config = CommitLogConfig { grain_log2: floor, shards, ..Default::default() };
         // 2048 words = 16 KiB = four regions; regrains target regions 0..5
         // so unrelated and out-of-window regions are exercised too.
         let log = CommitLog::with_initial_grain(config, 1 << 14, ladder[initial_i as usize]);
@@ -505,7 +500,7 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(0u64..64, 1..8), 2..8),
     ) {
-        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, shards, lock_free: true, ..Default::default() };
+        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, shards, ..Default::default() };
         // 64 word slots spread over `shards` regions: slot i lives in
         // region (i % shards), so every batch mixes shards and colliding
         // slots are common.  The capacity makes every region dense — the
@@ -582,7 +577,6 @@ proptest! {
     fn mvcc_is_sandwiched_between_value_and_single_version_validation(
         grain_log2 in grain_strategy(),
         shards in (0u32..3).prop_map(|i| [1usize, 2, 8][i as usize]),
-        lock_free in any::<bool>(),
         ring_depth in (0u32..3).prop_map(|i| [1u32, 2, 4][i as usize]),
         ring_bucket_log2 in (0u32..2).prop_map(|i| [0u32, 6][i as usize]),
         reads in proptest::collection::vec(addr_strategy(), 1..16),
@@ -592,7 +586,7 @@ proptest! {
         let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
         let mem = GlobalMemory::new(1 << 16);
         let mvcc_config = CommitLogConfig {
-            grain_log2, shards, lock_free, ring_depth, ring_bucket_log2,
+            grain_log2, shards, ring_depth, ring_bucket_log2,
         };
         let single_config = CommitLogConfig { ring_depth: 1, ..mvcc_config };
         let mvcc_log = CommitLog::with_config(mvcc_config, 1 << 15); // dense/sparse mix
@@ -639,7 +633,6 @@ proptest! {
         floor_i in 0u32..2,
         initial_i in 0u32..3,
         ring_depth in (0u32..3).prop_map(|i| [1u32, 2, 4][i as usize]),
-        lock_free in any::<bool>(),
         reads in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
         commits in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
         regrains_before in proptest::collection::vec((0u64..5, 0u32..3), 0..6),
@@ -650,7 +643,6 @@ proptest! {
         let config = CommitLogConfig {
             grain_log2: floor,
             shards: 4,
-            lock_free,
             ring_depth,
             ring_bucket_log2: 0, // maximal ring churn: every version its own bucket
         };

@@ -174,7 +174,6 @@ impl PromWriter {
                 "site_rollback_rate" => "Per-site recency-weighted rollback rate",
                 "site_throttled" => "Per-site governor throttle denials",
                 "grain_regions" => "Regions currently tracked at each commit-log grain",
-                "warp" => "Time Warp shard telemetry (final snapshot only)",
                 _ => "Scraped labeled gauge",
             };
             self.header(&full, help, "gauge");

@@ -16,8 +16,8 @@
 //! [`Registry::add`] / [`Registry::observe`] / [`Registry::gauge_add`]
 //! call is a single predictable branch — no atomics are touched, nothing
 //! about speculation behaviour or accounting may change (the
-//! `metrics_overhead` bench holds the disabled path to the committed
-//! `BENCH_PR8.json` trajectory counter-for-counter).  When enabled,
+//! `metrics_overhead` bench holds an enabled replay to the disabled
+//! one's cycles and report).  When enabled,
 //! counters are **per-thread sharded cells**: each rank increments its
 //! own cache-line-aligned cell with a relaxed `fetch_add` and the shards
 //! are only summed on scrape, so the hot path never contends.
@@ -64,7 +64,7 @@ pub struct MetricsConfig {
     /// Simulator sampler cadence in **virtual cycles**.  The simulator
     /// mirrors the sampler deterministically off the virtual clock:
     /// sample ticks land at exact multiples of this cadence, so the
-    /// series is byte-identical at any `sim_threads` / shard policy.
+    /// series is byte-identical across runs.
     /// `0` keeps only the final end-of-run snapshot.
     pub sim_cadence_cycles: u64,
     /// Bound on the in-memory time series; the oldest samples are
@@ -130,8 +130,6 @@ pub enum CounterId {
     Retries,
     /// Readers doomed surgically by a committing writer.
     TargetedDooms,
-    /// Repairs that fell back to a squash cascade.
-    CascadeFallbacks,
     /// MVCC precise validation passes.
     PrecisePasses,
     /// Unjoined children adopted by a committing parent.
@@ -147,7 +145,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in scrape order.
-    pub const ALL: [CounterId; 17] = [
+    pub const ALL: [CounterId; 16] = [
         CounterId::Forks,
         CounterId::FailedForks,
         CounterId::ThrottledForks,
@@ -159,7 +157,6 @@ impl CounterId {
         CounterId::RollbacksOther,
         CounterId::Retries,
         CounterId::TargetedDooms,
-        CounterId::CascadeFallbacks,
         CounterId::PrecisePasses,
         CounterId::AdoptedThreads,
         CounterId::FalseSharingSuspects,
@@ -185,7 +182,6 @@ impl CounterId {
             CounterId::RollbacksOther => "rollbacks_other",
             CounterId::Retries => "retries",
             CounterId::TargetedDooms => "targeted_dooms",
-            CounterId::CascadeFallbacks => "cascade_fallbacks",
             CounterId::PrecisePasses => "precise_passes",
             CounterId::AdoptedThreads => "adopted_threads",
             CounterId::FalseSharingSuspects => "false_sharing_suspects",
@@ -208,7 +204,6 @@ impl CounterId {
             CounterId::RollbacksOther => "Rollbacks: cascades and order violations",
             CounterId::Retries => "Commits repaired by value-predict-and-retry",
             CounterId::TargetedDooms => "Readers doomed surgically by committing writers",
-            CounterId::CascadeFallbacks => "Repairs that fell back to a squash cascade",
             CounterId::PrecisePasses => "MVCC precise validation passes",
             CounterId::AdoptedThreads => "Unjoined children adopted by committing parents",
             CounterId::FalseSharingSuspects => "Conflicts classified as suspected false sharing",

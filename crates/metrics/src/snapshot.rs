@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::{CounterId, GaugeId};
 
 /// A gauge with free-form labels (per-site throttle state, per-region
-/// grain census, phase attribution, Time Warp shard counters...).
+/// grain census, phase attribution...).
 /// Label values are escaped by the Prometheus exporter, not here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LabeledGauge {

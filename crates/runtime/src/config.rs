@@ -25,166 +25,6 @@ pub enum RollbackSource {
     Injected,
 }
 
-/// How a join-time conflict is repaired (see the recovery engine in
-/// `ThreadManager::validate_and_commit`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryMode {
-    /// The pre-registry behaviour: conflicts are discovered lazily at
-    /// join-time validation and repaired by discarding the child's whole
-    /// subtree and re-executing the continuation inline.
-    Cascade,
-    /// Targeted dooming: committing writers enumerate the per-range
-    /// reader registry and doom exactly the threads whose read sets
-    /// overlap the written ranges (falling back to the cascade when the
-    /// registry overflows).  Join-time validation remains the oracle, so
-    /// this only changes *when* a doomed thread stops, never whether a
-    /// conflict is caught.
-    #[default]
-    Targeted,
-}
-
-impl RecoveryMode {
-    /// Short label for sweep tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecoveryMode::Cascade => "cascade",
-            RecoveryMode::Targeted => "targeted",
-        }
-    }
-}
-
-/// Configuration of the conflict-recovery engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Whether misspeculation is repaired by the squash cascade alone or
-    /// by registry-driven targeted dooming.
-    pub mode: RecoveryMode,
-    /// Value-predict-and-retry: a join whose conflicting reads all still
-    /// hold their first-read values re-validates in place (the entries
-    /// are re-stamped) and commits without re-execution.  With
-    /// `ring_depth > 1` the retry is *time-travel retry*: entries are
-    /// re-stamped to the newest ring version observed to touch them, not
-    /// the current epoch.
-    pub value_predict: bool,
-    /// Depth of the per-range version rings in the commit log (mvcc
-    /// validation).  Depth 1 degenerates to the pre-PR 8 single-version
-    /// protocol; deeper rings let validation answer precisely whether
-    /// the snapshot's word was overwritten, falling back to conservatism
-    /// only on ring overflow.
-    pub ring_depth: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        Self::mvcc()
-    }
-}
-
-impl RecoveryConfig {
-    /// The pre-registry baseline: lazy conflict discovery, full squash
-    /// cascade, no value prediction, single-version validation.
-    pub fn cascade_only() -> Self {
-        RecoveryConfig {
-            mode: RecoveryMode::Cascade,
-            value_predict: false,
-            ring_depth: 1,
-        }
-    }
-
-    /// Targeted dooming without value prediction (single-version).
-    pub fn targeted() -> Self {
-        RecoveryConfig {
-            mode: RecoveryMode::Targeted,
-            value_predict: false,
-            ring_depth: 1,
-        }
-    }
-
-    /// Targeted dooming plus value-predict-and-retry at ring depth 1 —
-    /// the pre-PR 8 default, kept as the pinned legacy configuration for
-    /// replay baselines.
-    pub fn targeted_with_retry() -> Self {
-        RecoveryConfig {
-            mode: RecoveryMode::Targeted,
-            value_predict: true,
-            ring_depth: 1,
-        }
-    }
-
-    /// Multi-version validation (the default): targeted dooming,
-    /// time-travel retry, and per-range version rings at
-    /// [`mutls_membuf::DEFAULT_RING_DEPTH`].
-    pub fn mvcc() -> Self {
-        RecoveryConfig {
-            mode: RecoveryMode::Targeted,
-            value_predict: true,
-            ring_depth: mutls_membuf::DEFAULT_RING_DEPTH,
-        }
-    }
-
-    /// Whether multi-version validation is active.
-    pub fn is_mvcc(&self) -> bool {
-        self.ring_depth > 1
-    }
-
-    /// Short label for sweep tables.  Depth-1 labels are unchanged from
-    /// the single-version era; the canonical mvcc configuration
-    /// (targeted + retry + rings) is labelled `mvcc`, and other ringed
-    /// combinations carry a `+mvcc` suffix.
-    pub fn label(&self) -> &'static str {
-        match (self.mode, self.value_predict, self.is_mvcc()) {
-            (RecoveryMode::Cascade, false, false) => "cascade",
-            (RecoveryMode::Cascade, true, false) => "cascade+retry",
-            (RecoveryMode::Targeted, false, false) => "targeted",
-            (RecoveryMode::Targeted, true, false) => "targeted+retry",
-            (RecoveryMode::Targeted, true, true) => "mvcc",
-            (RecoveryMode::Cascade, false, true) => "cascade+mvcc",
-            (RecoveryMode::Cascade, true, true) => "cascade+retry+mvcc",
-            (RecoveryMode::Targeted, false, true) => "targeted+mvcc",
-        }
-    }
-}
-
-/// How the Time Warp parallel simulator maps fibers onto its shard
-/// workers (see `mutls_simcpu`'s `parsim` module).  A shared config type
-/// like [`RecoveryConfig`]: the simulator consumes it, the harness sweeps
-/// it, and the policy must be a pure function of replay-deterministic
-/// fiber identity so the shard assignment itself can never perturb the
-/// byte-identical schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPolicy {
-    /// Stripe by virtual CPU: all fibers of one simulated CPU stream to
-    /// the same shard worker, preserving per-CPU locality of the publish
-    /// log prefixes the shard scans (the default).
-    #[default]
-    CpuStripe,
-    /// Hash by fiber id: round-robin fibers across shards regardless of
-    /// their CPU, trading locality for balance on fork-heavy traces.
-    FiberHash,
-}
-
-impl ShardPolicy {
-    /// Short label for sweep tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardPolicy::CpuStripe => "cpu-stripe",
-            ShardPolicy::FiberHash => "fiber-hash",
-        }
-    }
-
-    /// The shard worker (of `workers`) that owns fiber `fid` running on
-    /// virtual CPU `cpu`.
-    pub fn shard_of(self, cpu: usize, fid: usize, workers: usize) -> usize {
-        if workers <= 1 {
-            return 0;
-        }
-        match self {
-            ShardPolicy::CpuStripe => cpu % workers,
-            ShardPolicy::FiberHash => fid % workers,
-        }
-    }
-}
-
 /// Configuration of a [`Runtime`](crate::Runtime) instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
@@ -212,16 +52,13 @@ pub struct RuntimeConfig {
     /// fork-throttling / model-selection policy (default: `Static`, the
     /// unconditional behaviour of the original runtime).
     pub governor: GovernorConfig,
-    /// Granularity and sharding of the shared commit log's version table
-    /// (default: 64-byte ranges across 8 shards).  Coarser grains bound
-    /// log growth and commit-lock time at the cost of false-sharing
-    /// rollbacks; word grain ([`CommitLogConfig::word_grain`]) restores
-    /// the exact per-word tracking of the original design.
+    /// Granularity, sharding and version-ring depth of the shared commit
+    /// log (default: 64-byte ranges across 8 shards, depth-4 rings).
+    /// Coarser grains bound log growth and stamp traffic at the cost of
+    /// false-sharing rollbacks; word grain
+    /// ([`CommitLogConfig::word_grain`]) restores the exact per-word
+    /// tracking of the original design.
     pub commit_log: CommitLogConfig,
-    /// The conflict-recovery engine: targeted dooming through the
-    /// per-range reader registry plus value-predict-and-retry (default),
-    /// or the plain squash cascade ([`RecoveryConfig::cascade_only`]).
-    pub recovery: RecoveryConfig,
     /// Online adaptive-grain control plane (default: disabled — the
     /// static `commit_log` grain).  When enabled, `commit_log.grain_log2`
     /// becomes the *floor* grain the version table is allocated at,
@@ -257,7 +94,6 @@ impl Default for RuntimeConfig {
             memory_bytes: 64 << 20,
             governor: GovernorConfig::default(),
             commit_log: CommitLogConfig::default(),
-            recovery: RecoveryConfig::default(),
             grain_control: GrainControlConfig::default(),
             trace: TraceConfig::default(),
             metrics: MetricsConfig::default(),
@@ -336,7 +172,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the full commit-log grain/shard configuration (builder style).
+    /// Set the full commit-log configuration (builder style).
     pub fn commit_log(mut self, commit_log: CommitLogConfig) -> Self {
         self.commit_log = commit_log;
         self
@@ -352,39 +188,6 @@ impl RuntimeConfig {
     /// Set the commit-log shard count (builder style).
     pub fn commit_shards(mut self, shards: usize) -> Self {
         self.commit_log.shards = shards;
-        self
-    }
-
-    /// Choose between the lock-free CAS commit path (the default) and the
-    /// locked A/B baseline (builder style).
-    pub fn commit_lock_free(mut self, lock_free: bool) -> Self {
-        self.commit_log.lock_free = lock_free;
-        self
-    }
-
-    /// Set the full recovery-engine configuration (builder style).
-    pub fn recovery(mut self, recovery: RecoveryConfig) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Set the recovery mode, keeping the value-predict setting (builder
-    /// style).
-    pub fn recovery_mode(mut self, mode: RecoveryMode) -> Self {
-        self.recovery.mode = mode;
-        self
-    }
-
-    /// Enable or disable value-predict-and-retry (builder style).
-    pub fn value_predict(mut self, enabled: bool) -> Self {
-        self.recovery.value_predict = enabled;
-        self
-    }
-
-    /// Set the commit-log version-ring depth (builder style); 1 restores
-    /// the single-version validation protocol.
-    pub fn ring_depth(mut self, depth: u32) -> Self {
-        self.recovery.ring_depth = depth;
         self
     }
 
@@ -491,38 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_builders_and_labels() {
-        let c = RuntimeConfig::default();
-        assert_eq!(c.recovery, RecoveryConfig::mvcc());
-        assert!(c.recovery.is_mvcc());
-        assert_eq!(c.recovery.label(), "mvcc");
-        let c = c.recovery(RecoveryConfig::cascade_only());
-        assert_eq!(c.recovery.mode, RecoveryMode::Cascade);
-        assert!(!c.recovery.value_predict);
-        assert_eq!(c.recovery.label(), "cascade");
-        let c = c.recovery_mode(RecoveryMode::Targeted);
-        assert_eq!(c.recovery, RecoveryConfig::targeted());
-        assert_eq!(c.recovery.label(), "targeted");
-        let c = c.value_predict(true);
-        assert_eq!(c.recovery, RecoveryConfig::targeted_with_retry());
-        assert_eq!(c.recovery.label(), "targeted+retry");
-        let c = c.ring_depth(mutls_membuf::DEFAULT_RING_DEPTH);
-        assert_eq!(c.recovery, RecoveryConfig::default());
-        // The depth-1 legacy labels are untouched; ringed non-canonical
-        // combinations are suffixed.
-        assert_eq!(
-            RecoveryConfig::targeted_with_retry().ring_depth,
-            1,
-            "legacy constructor pins single-version validation"
-        );
-        let odd = RecoveryConfig {
-            value_predict: false,
-            ..RecoveryConfig::mvcc()
-        };
-        assert_eq!(odd.label(), "targeted+mvcc");
-    }
-
-    #[test]
     fn grain_control_builders() {
         let c = RuntimeConfig::default();
         assert!(!c.grain_control.enabled, "grain control defaults off");
@@ -562,11 +333,10 @@ mod tests {
         assert_eq!(c.commit_log.shards, 2);
         let c = c.commit_log(CommitLogConfig::page_grain());
         assert_eq!(c.commit_log, CommitLogConfig::page_grain());
-        // The native runtime defaults to the lock-free commit path; the
-        // locked baseline stays reachable for A/B comparisons.
-        assert!(RuntimeConfig::default().commit_log.lock_free);
-        let c = RuntimeConfig::default().commit_lock_free(false);
-        assert!(!c.commit_log.lock_free);
-        assert_eq!(c.commit_log, CommitLogConfig::default().locked());
+        // Ring depth lives in the commit-log config and nowhere else.
+        assert_eq!(
+            RuntimeConfig::default().commit_log.ring_depth,
+            mutls_membuf::DEFAULT_RING_DEPTH
+        );
     }
 }

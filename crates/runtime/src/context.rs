@@ -38,7 +38,6 @@ use mutls_adaptive::ForkDecision;
 use mutls_metrics::CounterId;
 use mutls_trace::{DenyPolicy, DoomSource, EventKind, LatencyPhase};
 
-use crate::config::RecoveryMode;
 use crate::fork_model::ForkModel;
 use crate::manager::{
     CommitKind, Handoff, PromotedOutcome, SpecOutcome, SpecRequest, ThreadBuffers, ThreadManager,
@@ -478,20 +477,18 @@ impl SpecContext {
                 // range-granular, so the doom may be false sharing — if
                 // every conflicting word still holds its first-read
                 // value, re-stamp, shrug the doom off and keep running.
-                if self.mgr.config().recovery.value_predict {
-                    if let Some(buffer) = self.global.as_mut() {
-                        let memory = self.mgr.memory();
-                        let retry_started = Instant::now();
-                        if buffer.revalidate_by_value(self.mgr.commit_log(), memory.as_ref()) {
-                            self.mgr.clear_doom(self.rank);
-                            self.stats.counters.retries_succeeded += 1;
-                            self.mgr.recorder().latency().record(
-                                LatencyPhase::RepairRetry,
-                                retry_started.elapsed().as_nanos() as u64,
-                            );
-                            self.mgr.trace_event(self.rank, 0, EventKind::RetryInFlight);
-                            return Ok(());
-                        }
+                if let Some(buffer) = self.global.as_mut() {
+                    let memory = self.mgr.memory();
+                    let retry_started = Instant::now();
+                    if buffer.revalidate_by_value(self.mgr.commit_log(), memory.as_ref()) {
+                        self.mgr.clear_doom(self.rank);
+                        self.stats.counters.retries_succeeded += 1;
+                        self.mgr.recorder().latency().record(
+                            LatencyPhase::RepairRetry,
+                            retry_started.elapsed().as_nanos() as u64,
+                        );
+                        self.mgr.trace_event(self.rank, 0, EventKind::RetryInFlight);
+                        return Ok(());
                     }
                 }
                 // Genuinely stale: stop now instead of burning the rest
@@ -1068,15 +1065,10 @@ impl TlsContext for SpecContext {
                 self.reexec_depth += 1;
                 let repair_started = Instant::now();
                 let inline_result = self.run_inline(&task);
-                let phase = if self.mgr.config().recovery.mode == RecoveryMode::Targeted {
-                    LatencyPhase::RepairDoomSet
-                } else {
-                    LatencyPhase::RepairCascade
-                };
-                self.mgr
-                    .recorder()
-                    .latency()
-                    .record(phase, repair_started.elapsed().as_nanos() as u64);
+                self.mgr.recorder().latency().record(
+                    LatencyPhase::RepairDoomSet,
+                    repair_started.elapsed().as_nanos() as u64,
+                );
                 self.reexec_depth -= 1;
                 inline_result?;
                 Ok(JoinOutcome::RolledBack(reason))

@@ -52,11 +52,11 @@ pub mod task;
 // cycle); re-export them under the historical paths.
 pub use mutls_adaptive::fork_model;
 
-pub use config::{RecoveryConfig, RecoveryMode, RollbackSource, RuntimeConfig, ShardPolicy};
+pub use config::{RollbackSource, RuntimeConfig};
 pub use context::{SpecContext, SpecHandle};
 pub use direct::DirectContext;
 pub use fork_model::ForkModel;
-pub use manager::{CommitKind, RecoveryPlan, RunTotals, SpecOutcome, ThreadBuffers, ThreadManager};
+pub use manager::{CommitKind, RunTotals, SpecOutcome, ThreadBuffers, ThreadManager};
 pub use runtime::Runtime;
 pub use stats::{Phase, RunReport, ThreadCounters, ThreadStats};
 pub use task::{

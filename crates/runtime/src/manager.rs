@@ -124,7 +124,7 @@ use mutls_trace::{
     ValidateOutcome,
 };
 
-use crate::config::{RecoveryMode, RollbackSource, RuntimeConfig};
+use crate::config::{RollbackSource, RuntimeConfig};
 use crate::context::{
     SpecContext, COLD_HANDOFF_NS, COLD_SYNC_ENTRY_NS, IDLE_SPIN, SYNC_BASE_NS, SYNC_PAYBACK,
 };
@@ -159,22 +159,11 @@ pub struct ThreadBuffers {
 }
 
 impl ThreadBuffers {
-    /// The identity CPU `rank`'s global buffer registers its first-touch
-    /// reads under: the rank itself under targeted recovery, 0 (anonymous,
-    /// snapshot only) in cascade mode, which bypasses the registry
-    /// entirely — the true pre-registry baseline.
-    fn reader(config: &RuntimeConfig, rank: Rank) -> Rank {
-        if config.recovery.mode == RecoveryMode::Targeted {
-            rank
-        } else {
-            0
-        }
-    }
-
-    /// Empty buffers for virtual CPU `rank`.
+    /// Empty buffers for virtual CPU `rank`, whose global buffer registers
+    /// its first-touch reads under that rank.
     fn new(config: &RuntimeConfig, rank: Rank) -> Self {
         ThreadBuffers {
-            global: GlobalBuffer::for_reader(config.buffer, Self::reader(config, rank)),
+            global: GlobalBuffer::for_reader(config.buffer, rank),
             local: LocalBuffer::new(config.local_buffer),
         }
     }
@@ -439,24 +428,6 @@ impl CommitKind {
     }
 }
 
-/// The repair the recovery engine chose for one conflicting join — the
-/// cheapest *sound* option available (see the README's decision table).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryPlan {
-    /// Every conflicting read still holds its first-read value: re-stamp
-    /// and commit in place, no re-execution, nobody else is disturbed.
-    Retry,
-    /// Re-execute the child inline and eagerly doom exactly these ranks —
-    /// the registered readers of the ranges the re-execution will rewrite.
-    /// Always a subset of the threads the squash cascade would discard
-    /// (every active speculative thread).
-    DoomSet(Vec<Rank>),
-    /// No registry answer (cascade mode, or an untracked rank read one of
-    /// the ranges): fall back to lazy join-time discovery — the original
-    /// squash-everything-younger behaviour.
-    SquashCascade,
-}
-
 /// Central coordinator shared by every context and worker.
 pub struct ThreadManager {
     config: RuntimeConfig,
@@ -564,21 +535,18 @@ impl ThreadManager {
         space.register(GlobalMemory::BASE_ADDR, 0);
         // Size the log's dense fast path to the arena so every stamp and
         // lookup is a single atomic access with bounded memory; grain and
-        // shard count come from the runtime configuration.  Under grain
-        // control the configured grain is the floor the table is
-        // allocated at and regions start at the controller's (usually
+        // shard count and ring depth come from the runtime configuration.
+        // Under grain control the configured grain is the floor the table
+        // is allocated at and regions start at the controller's (usually
         // coarser) initial grain.
-        // The recovery engine owns the validation protocol, so its ring
-        // depth overrides whatever the raw commit-log config carries.
-        let log_config = config.commit_log.ring_depth(config.recovery.ring_depth);
         let commit_log = if config.grain_control.enabled {
             CommitLog::with_initial_grain(
-                log_config,
+                config.commit_log,
                 memory.size_bytes(),
                 config.grain_control.initial_grain_log2,
             )
         } else {
-            CommitLog::with_config(log_config, memory.size_bytes())
+            CommitLog::with_config(config.commit_log, memory.size_bytes())
         };
         let grain = config.grain_control.enabled.then(|| {
             Mutex::new(GrainController::new(
@@ -807,11 +775,7 @@ impl ThreadManager {
             ThreadBuffers::new(&self.config, rank)
         });
         debug_assert!(buffers.is_clean(), "rank {rank}: dirty buffers handed out");
-        debug_assert_eq!(
-            buffers.global.reader(),
-            ThreadBuffers::reader(&self.config, rank),
-            "buffers changed CPU"
-        );
+        debug_assert_eq!(buffers.global.reader(), rank, "buffers changed CPU");
         buffers
     }
 
@@ -1174,13 +1138,11 @@ impl ThreadManager {
     /// per-range hash sets, enumeration is complete at any thread count
     /// — there is no overflow fallback any more.
     ///
-    /// In [`RecoveryMode::Cascade`] the registry is never consulted and
-    /// nothing is doomed (conflicts surface at join-time validation, the
-    /// pre-registry behaviour).  Dooming is sound in every interleaving:
-    /// a doomed thread rolls back and re-executes, so a *spurious* doom
-    /// (stale registration, or a registration racing the commit) costs
-    /// time, never correctness — and join-time validation remains the
-    /// oracle for anything the registry missed.
+    /// Dooming is sound in every interleaving: a doomed thread rolls back
+    /// and re-executes, so a *spurious* doom (stale registration, or a
+    /// registration racing the commit) costs time, never correctness —
+    /// and join-time validation remains the oracle for anything the
+    /// registry missed.
     pub fn doom_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I, exclude: Rank) -> u64 {
         self.doom_readers_with(addrs, exclude, false)
     }
@@ -1212,9 +1174,6 @@ impl ThreadManager {
         exclude: Rank,
         hard: bool,
     ) -> u64 {
-        if self.config.recovery.mode != RecoveryMode::Targeted {
-            return 0;
-        }
         let set = self.commit_log.take_readers(addrs);
         if set.is_empty() {
             return 0;
@@ -1233,9 +1192,8 @@ impl ThreadManager {
                 continue;
             }
             let slot = &self.slots[rank - 1];
-            // Only running threads are doomed — the doom set is thereby a
-            // subset of what the cascade would squash (every active
-            // speculative thread); an idle slot's registration is stale.
+            // Only running threads are doomed — an idle slot's
+            // registration is stale.
             if slot.state.load(Ordering::Acquire) == CPU_RUNNING
                 && slot.logical.load(Ordering::Acquire) >= committer
             {
@@ -1250,18 +1208,13 @@ impl ThreadManager {
         doomed
     }
 
-    /// The recovery engine's choice for a join that failed dependence
-    /// validation and could not retry: surgically doom the registered
-    /// readers of the child's write ranges (the re-execution is about to
-    /// rewrite them), or fall back to the lazy squash cascade when the
-    /// registry is not in use ([`RecoveryMode::Cascade`]).  Registry
-    /// enumeration is complete at any thread count since ranks past the
-    /// bitmask window spill into per-range hash sets, so overflow no
-    /// longer forces the cascade.
-    pub fn plan_rollback_recovery(&self, child: Rank, outcome: &SpecOutcome) -> RecoveryPlan {
-        if self.config.recovery.mode != RecoveryMode::Targeted {
-            return RecoveryPlan::SquashCascade;
-        }
+    /// The doom set of a join that failed dependence validation and could
+    /// not retry: the registered readers of the child's write ranges,
+    /// which the inline re-execution is about to rewrite — always a subset
+    /// of the active speculative threads.  Registry enumeration is
+    /// complete at any thread count, since ranks past the bitmask window
+    /// spill into per-range hash sets.
+    pub fn plan_rollback_recovery(&self, child: Rank, outcome: &SpecOutcome) -> Vec<Rank> {
         let set = self
             .commit_log
             .take_readers(outcome.buffers.global.write_addresses());
@@ -1269,11 +1222,9 @@ impl ThreadManager {
         // child's re-execution rewrites its ranges, but readers running
         // logically *earlier* work are entitled to the pre-write values.
         let committer = self.logical_of(child);
-        RecoveryPlan::DoomSet(
-            set.ranks()
-                .filter(|&r| r != child && self.logical_of(r) >= committer)
-                .collect(),
-        )
+        set.ranks()
+            .filter(|&r| r != child && self.logical_of(r) >= committer)
+            .collect()
     }
 
     /// Block until the speculative thread `rank` deposits its outcome, then
@@ -1505,7 +1456,7 @@ impl ThreadManager {
 
     /// Validate a finished child and either publish, retry or discard its
     /// buffers — the join half of the **recovery engine**, which picks the
-    /// cheapest sound repair per conflict (see [`RecoveryPlan`]).
+    /// cheapest sound repair per conflict (the README's decision table).
     ///
     /// `child` is the virtual CPU the task ran on (0 in unit tests that
     /// drive the protocol by hand); `parent_buffer` is `Some` when the
@@ -1526,14 +1477,12 @@ impl ThreadManager {
     ///
     /// The recovery ladder on a conflict:
     ///
-    /// 1. **Value-predict retry** (when enabled): if every conflicting
-    ///    read still holds its first-read value, re-stamp and commit in
-    ///    place — no re-execution, `Ok(CommitKind::Retried)`.
+    /// 1. **Value-predict retry**: if every conflicting read still holds
+    ///    its first-read value, re-stamp and commit in place — no
+    ///    re-execution, `Ok(CommitKind::Retried)`.
     /// 2. **Targeted dooming**: otherwise enumerate the registered
     ///    readers of the child's write ranges (the inline re-execution is
     ///    about to rewrite them) and doom exactly those threads.
-    /// 3. **Squash cascade**: when the registry cannot answer (cascade
-    ///    mode or overflow), fall back to lazy join-time discovery.
     ///
     /// Returns `Ok(kind)` on commit and `Err(reason)` on rollback.
     /// Validation/commit/finalize time is charged to the child's
@@ -1618,7 +1567,7 @@ impl ThreadManager {
         let mut retried = false;
         let log_valid = match log_verdict {
             Validation::Valid => true,
-            Validation::Conflict { .. } if self.config.recovery.value_predict => {
+            Validation::Conflict { .. } => {
                 // Recovery rung 1 — value prediction: the current
                 // committed values validate the reads, so the execution
                 // is equivalent to one that read after those commits.
@@ -1628,7 +1577,6 @@ impl ThreadManager {
                     .revalidate_by_value(&self.commit_log, mem);
                 retried
             }
-            Validation::Conflict { .. } => false,
         };
         // The joining parent's view of a word: its own uncommitted
         // write-set overlaid on main memory.  Shared by overlay
@@ -1735,36 +1683,26 @@ impl ThreadManager {
             }
             self.commit_log
                 .unregister_reader(outcome.buffers.global.read_addresses(), child);
-            // Recovery rungs 2/3 — the re-execution will rewrite the
+            // Recovery rung 2 — the re-execution will rewrite the
             // child's write ranges; doom their registered readers now
             // instead of letting them burn their whole conflict window.
-            let plan_arm = match self.plan_rollback_recovery(child, outcome) {
-                RecoveryPlan::Retry => unreachable!("retry handled above"),
-                RecoveryPlan::DoomSet(ranks) => {
-                    let doomed = self.doom_ranks(&ranks);
-                    outcome.stats.counters.targeted_dooms += doomed;
-                    if doomed > 0 {
-                        self.trace_event(
-                            child,
-                            site,
-                            EventKind::Doom {
-                                source: DoomSource::Rollback,
-                            },
-                        );
-                    }
-                    PlanArm::DoomSet
-                }
-                RecoveryPlan::SquashCascade => {
-                    outcome.stats.counters.cascade_fallbacks += 1;
-                    PlanArm::Cascade
-                }
-            };
+            let doomed = self.doom_ranks(&self.plan_rollback_recovery(child, outcome));
+            outcome.stats.counters.targeted_dooms += doomed;
+            if doomed > 0 {
+                self.trace_event(
+                    child,
+                    site,
+                    EventKind::Doom {
+                        source: DoomSource::Rollback,
+                    },
+                );
+            }
             self.trace_event(
                 child,
                 site,
                 EventKind::Rollback {
                     reason: RollbackCause::Conflict,
-                    plan: plan_arm,
+                    plan: PlanArm::DoomSet,
                 },
             );
             return Err(SpecFailure::ReadConflict);
@@ -1942,8 +1880,9 @@ impl ThreadManager {
         );
     }
 
-    /// Apply a [`RecoveryPlan::DoomSet`]: set the doom flag of every
-    /// listed rank that is still running.  Returns how many were doomed.
+    /// Apply a doom set (see
+    /// [`plan_rollback_recovery`](Self::plan_rollback_recovery)): set the
+    /// doom flag of every listed rank that is still running.  Returns how many were doomed.
     fn doom_ranks(&self, ranks: &[Rank]) -> u64 {
         let mut doomed = 0;
         for &rank in ranks {
@@ -2066,7 +2005,6 @@ impl ThreadManager {
             // registry never sees them, so the accumulators own them.
             counter_overrides: vec![
                 (CounterId::TargetedDooms, counters.targeted_dooms),
-                (CounterId::CascadeFallbacks, counters.cascade_fallbacks),
                 (CounterId::PrecisePasses, counters.precise_passes),
                 (
                     CounterId::FalseSharingSuspects,
@@ -2499,31 +2437,6 @@ mod tests {
     }
 
     #[test]
-    fn value_predict_can_be_disabled() {
-        let m = ThreadManager::new(
-            RuntimeConfig::with_cpus(1)
-                .memory_bytes(1 << 16)
-                .value_predict(false),
-        );
-        assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Some(1));
-        let mem = Arc::clone(m.memory());
-        let cell = mem.alloc::<u64>(1);
-        mem.set(&cell, 0, 7);
-        let mut buffers = fresh_buffers(&m, 1);
-        let _ = buffers
-            .global
-            .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
-            .unwrap();
-        mem.set(&cell, 0, 7);
-        m.commit_log().record_word(cell.addr_of(0));
-        let mut outcome = completed(buffers);
-        assert_eq!(
-            m.validate_and_commit(1, &mut outcome, None),
-            Err(SpecFailure::ReadConflict)
-        );
-    }
-
-    #[test]
     fn commit_dooms_exactly_the_registered_readers() {
         let m = mgr(3);
         let mem = Arc::clone(m.memory());
@@ -2557,8 +2470,8 @@ mod tests {
         assert!(m.doom_requested(reader), "stale reader doomed");
         assert!(!m.doom_requested(bystander), "bystander untouched");
 
-        // The doom set was a subset of the running threads (the cascade's
-        // victims) by construction; releasing clears the flag for reuse.
+        // The doom set was a subset of the running threads by
+        // construction; releasing clears the flag for reuse.
         m.release_cpu(reader, 0);
         let again = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
         assert!(!m.doom_requested(again), "doom flag cleared on acquire");
@@ -2602,15 +2515,11 @@ mod tests {
             .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
             .unwrap();
         let outcome = completed(writer_buf);
-        match m.plan_rollback_recovery(writer, &outcome) {
-            RecoveryPlan::DoomSet(ranks) => {
-                assert!(
-                    !ranks.contains(&predecessor),
-                    "rollback recovery must spare logical predecessors"
-                );
-            }
-            other => panic!("targeted mode plans a doom set, got {other:?}"),
-        }
+        assert!(
+            !m.plan_rollback_recovery(writer, &outcome)
+                .contains(&predecessor),
+            "rollback recovery must spare logical predecessors"
+        );
     }
 
     #[test]
@@ -2671,31 +2580,6 @@ mod tests {
     }
 
     #[test]
-    fn cascade_mode_never_registers_or_dooms() {
-        let m = ThreadManager::new(
-            RuntimeConfig::with_cpus(2)
-                .memory_bytes(1 << 16)
-                .recovery(crate::config::RecoveryConfig::cascade_only()),
-        );
-        let mem = Arc::clone(m.memory());
-        let cell = mem.alloc::<u64>(1);
-        let reader = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-        let mut buf = fresh_buffers(&m, reader);
-        let _ = buf
-            .global
-            .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
-            .unwrap();
-        assert!(
-            m.commit_log()
-                .registered_readers(cell.addr_of(0))
-                .is_empty(),
-            "cascade mode must not register readers"
-        );
-        assert_eq!(m.doom_readers([cell.addr_of(0)], 0), 0);
-        assert!(!m.doom_requested(reader));
-    }
-
-    #[test]
     fn rollback_recovery_dooms_readers_of_the_rewritten_ranges() {
         let m = mgr(3);
         let mem = Arc::clone(m.memory());
@@ -2741,16 +2625,16 @@ mod tests {
         let m = ThreadManager::new(
             RuntimeConfig::with_cpus(2)
                 .memory_bytes(1 << 16)
+                // Single-version validation: with rings the neighbour
+                // commits below precise-pass instead of producing the
+                // false-sharing retries this test feeds the controller.
+                .commit_log(mutls_membuf::CommitLogConfig::default().ring_depth(1))
                 .adaptive_grain()
                 .grain_control(
                     GrainControlConfig::adaptive()
                         .tick_commits(1)
                         .initial_grain_log2(PAGE_GRAIN_LOG2),
-                )
-                // Single-version validation: under mvcc the neighbour
-                // commits below precise-pass instead of producing the
-                // false-sharing retries this test feeds the controller.
-                .recovery(crate::config::RecoveryConfig::targeted_with_retry()),
+                ),
         );
         let mem = Arc::clone(m.memory());
         let cell = mem.alloc::<u64>(1024);
@@ -2775,8 +2659,8 @@ mod tests {
             mem.set(&cell, 8, 1);
             m.commit_log().record_word(cell.addr_of(8));
             let mut outcome = completed(buf);
-            // value_predict is on by default, so this is a Retried
-            // commit; the retry feeds the controller's split evidence.
+            // The value is unchanged, so this is a Retried commit; the
+            // retry feeds the controller's split evidence.
             let _ = m.validate_and_commit(reader, &mut outcome, None);
             m.record_speculative(&outcome.stats, None, true);
         }

@@ -130,10 +130,6 @@ pub struct ThreadCounters {
     /// (counted on the thread whose commit or rollback triggered the
     /// dooming).
     pub targeted_dooms: u64,
-    /// Conflict recoveries that fell back to the full squash cascade —
-    /// either because the recovery mode is `Cascade` or because the
-    /// reader registry overflowed (an untracked rank read the range).
-    pub cascade_fallbacks: u64,
     /// Read-set entries that passed validation *precisely* through the
     /// commit log's version rings: the range version had moved, but the
     /// ring footprints proved the commits missed the word (mvcc — at
@@ -213,7 +209,6 @@ impl ThreadStats {
         self.counters.false_sharing_suspects += other.counters.false_sharing_suspects;
         self.counters.retries_succeeded += other.counters.retries_succeeded;
         self.counters.targeted_dooms += other.counters.targeted_dooms;
-        self.counters.cascade_fallbacks += other.counters.cascade_fallbacks;
         self.counters.precise_passes += other.counters.precise_passes;
         self.counters.adopted_threads += other.counters.adopted_threads;
         for (mine, theirs) in self
@@ -371,12 +366,6 @@ impl RunReport {
         self.critical.counters.targeted_dooms + self.speculative.counters.targeted_dooms
     }
 
-    /// Conflict recoveries that used the full squash cascade, across both
-    /// paths (see [`ThreadCounters::cascade_fallbacks`]).
-    pub fn cascade_fallbacks(&self) -> u64 {
-        self.critical.counters.cascade_fallbacks + self.speculative.counters.cascade_fallbacks
-    }
-
     /// Read-set entries that precise-passed through the version rings,
     /// across both paths (see [`ThreadCounters::precise_passes`]).
     pub fn precise_passes(&self) -> u64 {
@@ -523,11 +512,9 @@ mod tests {
         a.counters.targeted_dooms = 2;
         let mut b = ThreadStats::new();
         b.counters.retries_succeeded = 3;
-        b.counters.cascade_fallbacks = 4;
         a.merge(&b);
         assert_eq!(a.counters.retries_succeeded, 4);
         assert_eq!(a.counters.targeted_dooms, 2);
-        assert_eq!(a.counters.cascade_fallbacks, 4);
         let mut report = RunReport {
             speculative: a,
             retried_threads: 4,
@@ -536,7 +523,6 @@ mod tests {
         report.critical.counters.targeted_dooms = 5;
         assert_eq!(report.retries(), 4);
         assert_eq!(report.targeted_dooms(), 7);
-        assert_eq!(report.cascade_fallbacks(), 4);
         // A retry is not a rollback.
         assert_eq!(report.rolled_back_threads, 0);
     }

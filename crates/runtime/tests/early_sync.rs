@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use mutls_membuf::{GPtr, GlobalMemory};
 use mutls_runtime::{
-    task, DirectContext, EventKind, JoinOutcome, Phase, RecoveryConfig, Runtime, RuntimeConfig,
-    SpecContext, SpecFailure, SpecResult, TlsContext,
+    task, DirectContext, EventKind, JoinOutcome, Phase, Runtime, RuntimeConfig, SpecContext,
+    SpecFailure, SpecResult, TlsContext, ValidateOutcome,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -237,19 +237,20 @@ fn a_task_joined_at_once_stays_speculative() {
     });
 }
 
-/// (iii) A promotion that fails validation: rank 0 overwrites a word the
-/// child read, then asks the running child to synchronize.  The child
-/// validates where it stands, fails, and unwinds; rank 0's ordinary
+/// (iii) A promotion that fails validation: a word the child read is
+/// overwritten, then rank 0 asks the running child to synchronize.  The
+/// child validates where it stands, fails, and unwinds; rank 0's ordinary
 /// rollback re-executes — and the failure is validated, traced and counted
-/// once, not again at the join.  (Cascade mode, so that nothing dooms the
-/// child before it is asked.)
+/// once, not again at the join.  (The overwrite goes to memory and the
+/// commit log by hand, without the eager doom a store through `ctx` sends
+/// the registered reader: dooming only accelerates the verdict, and this
+/// test is about the verdict a promotion reaches without it.)
 #[test]
 fn a_failed_promotion_rolls_back_once_and_reexecutes() {
     watchdog(|| {
         let rt = warmed(Runtime::new(
             RuntimeConfig::with_cpus(1)
                 .memory_bytes(1 << 20)
-                .recovery(RecoveryConfig::cascade_only())
                 .trace_events(),
         ));
         let cells = alloc_init(&rt, &[1, 0]);
@@ -266,7 +267,9 @@ fn a_failed_promotion_rolls_back_once_and_reexecutes() {
         let (outcome, report) = rt.run(|ctx| {
             let handle = ctx.fork(0, child)?;
             assert_eq!(read_rx.recv().expect("the child speculated"), 1);
-            ctx.store(&cells, 0, 2)?;
+            // Data first, then the stamp: the commit log's ordering.
+            rt.memory().set(&cells, 0, 2);
+            rt.manager().commit_log().record_word(cells.addr_of(0));
             // Long enough a region that synchronizing pays.
             busy(ctx, Duration::from_millis(5))?;
             ctx.join(handle)
@@ -288,6 +291,17 @@ fn a_failed_promotion_rolls_back_once_and_reexecutes() {
         };
         assert_eq!(
             of_child(|kind| matches!(kind, EventKind::ValidateBegin { .. })),
+            1
+        );
+        // The one verdict is the promotion's own (`Conflict`), not that of a
+        // task already stopped by a doom (`Failed`).
+        assert_eq!(
+            of_child(|kind| matches!(
+                kind,
+                EventKind::ValidateEnd {
+                    outcome: ValidateOutcome::Conflict
+                }
+            )),
             1
         );
         assert_eq!(

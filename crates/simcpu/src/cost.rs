@@ -39,20 +39,10 @@ pub struct CostModel {
     pub validate_log_lookup: u64,
     /// Cycles per write-set word during commit.
     pub commit_per_word: u64,
-    /// Cycles to acquire and release one commit-log shard lock while
-    /// publishing a write-set (charged per shard the batch touches);
-    /// models the per-shard lock contention the sharded log trades
-    /// against the old single global commit lock.  Charged only when the
-    /// commit log runs in **locked** mode — the lock-free CAS path
-    /// charges [`cas_retry`](Self::cas_retry) per contender instead.
-    pub commit_lock: u64,
-    /// Cycles per **CAS retry** on the lock-free commit path: one failed
+    /// Cycles per **CAS retry** on the commit path: one failed
     /// `compare_exchange` (cache-line bounce plus the re-read).  Charged
     /// per same-shard contender of the committing batch, so disjoint
-    /// committers pay nothing — the contention term that replaces
-    /// [`commit_lock`](Self::commit_lock) when the log is lock-free.
-    /// Cheaper than a lock handoff: a retry is one coherence miss, not a
-    /// syscall-prone wait.
+    /// committers pay nothing.
     pub cas_retry: u64,
     /// Cycles per buffered word during finalization (buffer clearing).
     pub finalize_per_word: u64,
@@ -73,13 +63,11 @@ pub struct CostModel {
     /// Cycles a committing writer spends per thread it **dooms** through
     /// the reader registry (enumerate the range's mask, set the doom
     /// flag).  Buys back the doomed thread's remaining conflict-window
-    /// work, the middle rung of the recovery ladder; the top rung (the
-    /// squash cascade) costs nothing at commit time but wastes the whole
-    /// window.
+    /// work, the second rung of the recovery ladder.
     pub doom_signal: u64,
     /// Cycles per floor-grain slot flushed by an adaptive-grain
     /// **regrain** (`CommitLog::regrain` stamps every slot of the region
-    /// under the shard commit lock); charged to the fiber whose commit
+    /// under the shard's slow-path lock); charged to the fiber whose commit
     /// triggered the controller tick, `slots × regrain_per_slot` per
     /// regrained region, plus `doom_signal` per reader the regrain
     /// dooms.  This is what the graincontrol sweep prices against the
@@ -100,7 +88,6 @@ impl Default for CostModel {
             validate_per_word: 4,
             validate_log_lookup: 2,
             commit_per_word: 4,
-            commit_lock: 20,
             cas_retry: 8,
             finalize_per_word: 1,
             spawn_latency: 300,
@@ -142,15 +129,9 @@ impl CostModel {
         words * self.commit_per_word
     }
 
-    /// Commit-log locking cost for a batch touching `shards_touched`
-    /// shards of the sharded version table (locked mode only).
-    pub fn commit_lock_cycles(&self, shards_touched: u64) -> u64 {
-        shards_touched * self.commit_lock
-    }
-
-    /// Lock-free commit-path contention cost for a batch racing
-    /// `retries` same-slot/same-region contenders (lock-free mode only;
-    /// 0 retries — the disjoint-range common case — is free).
+    /// Commit-path contention cost for a batch racing `retries`
+    /// same-slot/same-region contenders (0 retries — the disjoint-range
+    /// common case — is free).
     pub fn cas_retry_cycles(&self, retries: u64) -> u64 {
         retries * self.cas_retry
     }
@@ -178,8 +159,7 @@ impl CostModel {
     }
 
     /// Cost of regraining one region whose slot block holds `slots`
-    /// floor-grain slots (the whole-block conservative flush under the
-    /// shard commit lock).
+    /// floor-grain slots (the whole-block conservative flush).
     pub fn regrain_cycles(&self, slots: u64) -> u64 {
         slots * self.regrain_per_slot
     }
@@ -231,20 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn commit_lock_scales_with_shards_touched() {
-        let c = CostModel::default();
-        assert_eq!(c.commit_lock_cycles(0), 0);
-        assert_eq!(c.commit_lock_cycles(3), 3 * c.commit_lock);
-    }
-
-    #[test]
-    fn cas_retries_are_cheaper_than_lock_handoffs() {
+    fn cas_retries_scale_with_contenders() {
         let c = CostModel::default();
         assert_eq!(c.cas_retry_cycles(0), 0, "disjoint committers are free");
         assert_eq!(c.cas_retry_cycles(5), 5 * c.cas_retry);
-        // The lock-free premise: a CAS bounce costs less than a lock
-        // acquire/release, so the fast path wins even under contention.
-        assert!(c.cas_retry < c.commit_lock);
     }
 
     #[test]

@@ -39,13 +39,11 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod parsim;
 pub mod record;
 pub mod schedule;
 
 pub use cost::CostModel;
 pub use mutls_metrics::{MetricsConfig, MetricsSeries, MetricsSnapshot};
-pub use parsim::{ShardPolicy, WarpStats};
 pub use record::{NodeId, RecordContext, Recording, Segment, SimEvent, TaskNode};
 pub use schedule::{simulate, Scheduler, SimConfig, SimResult};
 

@@ -107,8 +107,6 @@ pub enum PlanArm {
     Retry,
     /// Targeted dooming of the registered readers of the rewritten ranges.
     DoomSet,
-    /// Full squash cascade (lazy join-time discovery).
-    Cascade,
     /// No recovery ladder ran (the thread died before its join).
     None,
 }
@@ -119,7 +117,6 @@ impl PlanArm {
         match self {
             PlanArm::Retry => "retry",
             PlanArm::DoomSet => "doomset",
-            PlanArm::Cascade => "cascade",
             PlanArm::None => "none",
         }
     }
@@ -182,12 +179,12 @@ pub enum EventKind {
         /// The verdict.
         outcome: ValidateOutcome,
     },
-    /// Time spent acquiring commit locks and stamping the write-set.
+    /// Time spent reserving a commit version and stamping the write-set.
     CommitLockWait {
         /// Wait + stamp duration (ns native, cycles simulated).
         ns: u64,
     },
-    /// A lock-free commit batch paid CAS retries (same-slot
+    /// A commit batch paid CAS retries (same-slot
     /// `compare_exchange` losses plus seqlock-forced re-stamps).
     /// Emitted only when `attempts > 0` — uncontended disjoint-range
     /// commits stay silent, so the event count is itself a contention

@@ -21,9 +21,9 @@ pub enum LatencyPhase {
     ForkToCommit,
     /// Join-time read-set validation.
     Validation,
-    /// Commit-lock acquisition plus write-set stamping.
+    /// Commit publication: version reservation plus write-set stamping.
     CommitLockWait,
-    /// CAS retries paid by a lock-free commit batch.  The *value* is a
+    /// CAS retries paid by a commit batch.  The *value* is a
     /// retry count, not a duration — the histogram buckets then read as
     /// "batches that paid 1, 2, 4… retries" (only contended batches are
     /// recorded, mirroring the `CommitCasRetry` event).
@@ -32,20 +32,17 @@ pub enum LatencyPhase {
     RepairRetry,
     /// Rollback repaired by inline re-execution under targeted dooming.
     RepairDoomSet,
-    /// Rollback repaired by inline re-execution under the squash cascade.
-    RepairCascade,
 }
 
 impl LatencyPhase {
     /// Every phase, in presentation order.
-    pub const ALL: [LatencyPhase; 7] = [
+    pub const ALL: [LatencyPhase; 6] = [
         LatencyPhase::ForkToCommit,
         LatencyPhase::Validation,
         LatencyPhase::CommitLockWait,
         LatencyPhase::CommitCasRetry,
         LatencyPhase::RepairRetry,
         LatencyPhase::RepairDoomSet,
-        LatencyPhase::RepairCascade,
     ];
 
     /// Stable label used in tables and JSON rows.
@@ -57,7 +54,6 @@ impl LatencyPhase {
             LatencyPhase::CommitCasRetry => "commit-cas-retry",
             LatencyPhase::RepairRetry => "repair-retry",
             LatencyPhase::RepairDoomSet => "repair-doomset",
-            LatencyPhase::RepairCascade => "repair-cascade",
         }
     }
 
@@ -69,7 +65,6 @@ impl LatencyPhase {
             LatencyPhase::CommitCasRetry => 3,
             LatencyPhase::RepairRetry => 4,
             LatencyPhase::RepairDoomSet => 5,
-            LatencyPhase::RepairCascade => 6,
         }
     }
 }
@@ -332,7 +327,7 @@ mod tests {
     fn latency_report_round_trips_through_json() {
         let rec = LatencyRecorder::new();
         rec.record(LatencyPhase::ForkToCommit, 12345);
-        rec.record(LatencyPhase::RepairCascade, 7);
+        rec.record(LatencyPhase::RepairDoomSet, 7);
         let report = rec.report();
         let mut json = String::new();
         report.serialize_json(&mut json);

@@ -130,9 +130,8 @@ impl ChainConfig {
     }
 
     /// Tiny preset for unit tests.  Sized so the governor still sees
-    /// fork decisions after its warm-up samples even under the targeted
-    /// recovery engine (which resolves conflicts with far less re-fork
-    /// churn than the old cascade).
+    /// fork decisions after its warm-up samples even though targeted
+    /// dooming resolves conflicts with little re-fork churn.
     pub fn tiny() -> Self {
         ChainConfig {
             chunks: 16,

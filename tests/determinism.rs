@@ -38,7 +38,7 @@ fn pipeline(kind: WorkloadKind, config: &SimConfig) -> String {
 fn simulated_run_reports_are_byte_identical_across_runs() {
     // Exercise the nondeterminism-prone paths deliberately: injected
     // rollbacks (RNG), a coarse commit-log grain (range conflicts) and
-    // multiple shards (commit-lock cost).
+    // multiple shards (commit contention).
     let config = SimConfig::with_cpus(16)
         .rollback_probability(0.3)
         .grain_log2(LINE_GRAIN_LOG2)
@@ -73,7 +73,6 @@ fn parallel_sweep_fan_out_is_byte_identical_across_runs() {
         scale: Scale::Tiny,
         cpus: vec![1, 4, 16],
         seed: 42,
-        sim_threads: 1,
         trace: None,
         metrics: None,
     };

@@ -18,7 +18,7 @@
 //!   adjacent private words may share a range.
 //!
 //! A proptest harness additionally fuzzes (grain, shards, CPUs, sharing
-//! rate, recovery engine, adaptive-grain control, seed) on a fast chain
+//! rate, ring depth, adaptive-grain control, seed) on a fast chain
 //! kernel; CI pins `PROPTEST_CASES` low in its dedicated job, while
 //! local runs default to the full case count.  A dedicated pass runs the
 //! whole registry with the adaptive-grain controller enabled (live
@@ -29,26 +29,19 @@
 use proptest::prelude::*;
 
 use mutls::membuf::{
-    BufferConfig, CommitLogConfig, RollbackReason, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2,
-    WORD_GRAIN_LOG2,
+    BufferConfig, CommitLogConfig, RollbackReason, DEFAULT_RING_DEPTH, LINE_GRAIN_LOG2,
+    PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
 };
-use mutls::runtime::{GrainControlConfig, RecoveryConfig, RunReport, Runtime, RuntimeConfig};
+use mutls::runtime::{GrainControlConfig, RunReport, Runtime, RuntimeConfig};
 use mutls::workloads::conflict::{self, ChainConfig, HistConfig};
 use mutls::workloads::{
     arena_bytes, checksum, reference_checksum, run_speculative, setup, Scale, WorkloadKind,
 };
 
-/// The recovery engines the oracle sweeps (cascade baseline, targeted
-/// dooming, targeted dooming + value-predict-and-retry, and the mvcc
-/// engine with its multi-version rings and time-travel retry).
-fn recovery_engines() -> [RecoveryConfig; 4] {
-    [
-        RecoveryConfig::cascade_only(),
-        RecoveryConfig::targeted(),
-        RecoveryConfig::targeted_with_retry(),
-        RecoveryConfig::mvcc(),
-    ]
-}
+/// The two validation precisions the recovery ladder runs at: the
+/// default version rings (precise passes, time-travel retry) and depth 1,
+/// the single-version reference every range hit dooms or retries under.
+const RING_DEPTHS: [u32; 2] = [DEFAULT_RING_DEPTH, 1];
 
 /// The grains the oracle sweeps.
 const GRAINS: [u32; 3] = [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2];
@@ -98,11 +91,10 @@ fn native_at_grain(
 
 #[test]
 fn every_registry_workload_matches_sequential_at_every_grain() {
-    // The runtime default is the full mvcc recovery engine (targeted
-    // dooming + time-travel retry over the version rings), so this
-    // registry-wide pass exercises reader registration, surgical dooming,
-    // ring-precise validation and in-place retries at every grain — not
-    // just the cascade.
+    // The runtime default is the full recovery ladder (targeted dooming +
+    // time-travel retry over the version rings), so this registry-wide
+    // pass exercises reader registration, surgical dooming, ring-precise
+    // validation and in-place retries at every grain.
     for kind in registry() {
         let expected = reference_checksum(kind, Scale::Tiny);
         for grain_log2 in GRAINS {
@@ -167,22 +159,24 @@ fn every_registry_workload_matches_sequential_with_the_grain_controller() {
 
 #[test]
 fn conflict_family_matches_sequential_under_every_recovery_engine() {
-    // Recovery-equivalence oracle: cascade-only, targeted and
-    // targeted+retry must all converge to the sequential state at every
-    // grain — a doomed thread, an abandoned join or an in-place retry
-    // may change *when* work is discarded, never *what* commits.
-    for recovery in recovery_engines() {
+    // Recovery-equivalence oracle: with the version rings and at the
+    // single-version depth 1 the ladder must converge to the sequential
+    // state at every grain — a precise pass, a doomed thread, an
+    // abandoned join or an in-place retry may change *when* work is
+    // discarded, never *what* commits.
+    for ring_depth in RING_DEPTHS {
         for grain_log2 in GRAINS {
-            let config = RuntimeConfig::with_cpus(4)
-                .commit_grain_log2(grain_log2)
-                .recovery(recovery);
+            let config = RuntimeConfig::with_cpus(4).commit_log(
+                CommitLogConfig::default()
+                    .grain_log2(grain_log2)
+                    .ring_depth(ring_depth),
+            );
 
             let chain = ChainConfig::tiny().sharing_permille(500);
             let (state_ok, report) = conflict::chain_verify_native(chain, config);
             assert!(
                 state_ok,
-                "conflict_chain diverged under {} at grain 2^{grain_log2}B ({})",
-                recovery.label(),
+                "conflict_chain diverged at ring depth {ring_depth}, grain 2^{grain_log2}B ({})",
                 report.rollback_breakdown()
             );
 
@@ -190,15 +184,13 @@ fn conflict_family_matches_sequential_under_every_recovery_engine() {
             let (state_ok, report) = conflict::hist_verify_native(hist, config);
             assert!(
                 state_ok,
-                "hist_shared diverged under {} at grain 2^{grain_log2}B ({})",
-                recovery.label(),
+                "hist_shared diverged at ring depth {ring_depth}, grain 2^{grain_log2}B ({})",
                 report.rollback_breakdown()
             );
 
-            // The cascade baseline must never consult the registry.
-            if recovery == RecoveryConfig::cascade_only() {
-                assert_eq!(report.targeted_dooms(), 0, "cascade doomed surgically");
-                assert_eq!(report.retries(), 0, "cascade retried");
+            // Depth 1 keeps no rings to probe.
+            if ring_depth == 1 {
+                assert_eq!(report.precise_passes(), 0, "depth 1 ring-probed");
             }
         }
     }
@@ -270,32 +262,29 @@ fn fast_chain(permille: u32, seed: u64) -> ChainConfig {
 
 proptest! {
     /// Randomized differential property: for arbitrary (grain, shards,
-    /// CPU count, sharing rate, recovery engine, seed), the speculative
-    /// chain execution equals the sequential reference and nothing is
-    /// ever injected.
+    /// CPU count, sharing rate, ring depth, seed), the speculative chain
+    /// execution equals the sequential reference and nothing is ever
+    /// injected.
     #[test]
     fn randomized_chain_differential(
         grain_i in 0u32..3,
         shards in (0u32..3).prop_map(|i| [1usize, 4, 16][i as usize]),
         cpus in 2usize..6,
         permille in 0u32..1001,
-        recovery_i in 0usize..4,
+        ring_depth_i in 0usize..2,
         adaptive_grain in any::<bool>(),
         tick_commits in 1u64..5,
-        lock_free in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let grain_log2 = GRAINS[grain_i as usize];
-        let recovery = recovery_engines()[recovery_i];
+        let ring_depth = RING_DEPTHS[ring_depth_i];
         let chain = fast_chain(permille, seed);
-        let mut runtime_config = RuntimeConfig::with_cpus(cpus)
-            .commit_log(CommitLogConfig {
-                grain_log2,
-                shards,
-                lock_free,
-                ..CommitLogConfig::default()
-            })
-            .recovery(recovery);
+        let mut runtime_config = RuntimeConfig::with_cpus(cpus).commit_log(CommitLogConfig {
+            grain_log2,
+            shards,
+            ring_depth,
+            ..CommitLogConfig::default()
+        });
         if adaptive_grain {
             // Live regrains (page start over the swept floor grain, at a
             // random tick cadence) must preserve the oracle too.
@@ -305,13 +294,12 @@ proptest! {
         let (state_ok, report) = conflict::chain_verify_native(chain, runtime_config);
         prop_assert!(
             state_ok,
-            "chain diverged: grain 2^{}B, {} shards, {} cpus, {}‰ sharing, {}, {} commit path, seed {seed:#x} ({})",
+            "chain diverged: grain 2^{}B, {} shards, {} cpus, {}‰ sharing, ring depth {}, seed {seed:#x} ({})",
             grain_log2,
             shards,
             cpus,
             permille,
-            recovery.label(),
-            if lock_free { "lock-free" } else { "locked" },
+            ring_depth,
             report.rollback_breakdown()
         );
         prop_assert_eq!(report.rollbacks_with(RollbackReason::Injected), 0);

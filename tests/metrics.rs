@@ -5,9 +5,8 @@
 //!
 //! 1. **Byte-identical series** — the simulator samples its registry off
 //!    the *virtual* clock, so the serialized metrics time series (like
-//!    the `RunReport`) is byte-identical at every `sim_threads` and
-//!    shard policy.  Time Warp shard telemetry is deliberately excluded
-//!    from the series, which is exactly what makes this hold.
+//!    the `RunReport`) is byte-identical whichever host thread runs the
+//!    replay, under every governor policy.
 //! 2. **Free when off** — a disabled registry is a one-branch no-op: a
 //!    metrics-enabled replay moves zero *virtual* cycles relative to a
 //!    disabled one (the report serializes identically), and the native
@@ -22,8 +21,8 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use mutls::membuf::GlobalMemory;
-use mutls::runtime::{MetricsConfig, RuntimeConfig};
-use mutls::simcpu::{record_region, simulate, Recording, ShardPolicy, SimConfig};
+use mutls::runtime::{GovernorConfig, MetricsConfig, PolicyKind, RuntimeConfig};
+use mutls::simcpu::{record_region, simulate, Recording, SimConfig};
 use mutls::workloads::conflict::{self, ChainConfig};
 use mutls::workloads::Scale;
 
@@ -42,12 +41,10 @@ fn chain_recording() -> Recording {
     record_region(memory, |ctx| conflict::chain_run(ctx, data, config))
 }
 
-fn sim_config(sim_threads: usize, policy: ShardPolicy, metrics: MetricsConfig) -> SimConfig {
+fn sim_config(metrics: MetricsConfig) -> SimConfig {
     SimConfig {
         num_cpus: 8,
         seed: 7,
-        sim_threads,
-        shard_policy: policy,
         metrics,
         ..SimConfig::default()
     }
@@ -55,50 +52,48 @@ fn sim_config(sim_threads: usize, policy: ShardPolicy, metrics: MetricsConfig) -
 
 #[test]
 fn sim_metric_series_is_byte_identical_across_threads_and_policies() {
+    // The harness fans replays out across host threads; neither the
+    // series nor the report may depend on which thread ran one, or on
+    // what ran beside it — under any governor policy.
     let recording = chain_recording();
-    let baseline = simulate(
-        &recording,
-        sim_config(1, ShardPolicy::CpuStripe, MetricsConfig::enabled()),
-    );
-    assert!(
-        !baseline.metrics.is_empty(),
-        "enabled metrics must sample at least the final snapshot"
-    );
-    let reference_series = baseline.metrics.to_json();
-    let reference_report = to_json(&baseline.report);
-    for sim_threads in [1, 4] {
-        for policy in [ShardPolicy::CpuStripe, ShardPolicy::FiberHash] {
-            let result = simulate(
-                &recording,
-                sim_config(sim_threads, policy, MetricsConfig::enabled()),
-            );
-            assert_eq!(
-                result.metrics.to_json(),
-                reference_series,
-                "metrics series diverged at sim_threads={sim_threads}, policy={}",
-                policy.label()
-            );
-            assert_eq!(
-                to_json(&result.report),
-                reference_report,
-                "report diverged at sim_threads={sim_threads}, policy={}",
-                policy.label()
-            );
-        }
+    for policy in PolicyKind::ALL {
+        let config = || SimConfig {
+            governor: GovernorConfig::with_policy(policy),
+            ..sim_config(MetricsConfig::enabled())
+        };
+        let baseline = simulate(&recording, config());
+        assert!(
+            !baseline.metrics.is_empty(),
+            "enabled metrics must sample at least the final snapshot"
+        );
+        let (series, report) = (baseline.metrics.to_json(), to_json(&baseline.report));
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let result = simulate(&recording, config());
+                    assert_eq!(
+                        result.metrics.to_json(),
+                        series,
+                        "metrics series diverged under {}",
+                        policy.label()
+                    );
+                    assert_eq!(
+                        to_json(&result.report),
+                        report,
+                        "report diverged under {}",
+                        policy.label()
+                    );
+                });
+            }
+        });
     }
 }
 
 #[test]
 fn enabling_metrics_moves_zero_virtual_cycles() {
     let recording = chain_recording();
-    let disabled = simulate(
-        &recording,
-        sim_config(1, ShardPolicy::CpuStripe, MetricsConfig::default()),
-    );
-    let enabled = simulate(
-        &recording,
-        sim_config(1, ShardPolicy::CpuStripe, MetricsConfig::enabled()),
-    );
+    let disabled = simulate(&recording, sim_config(MetricsConfig::default()));
+    let enabled = simulate(&recording, sim_config(MetricsConfig::enabled()));
     assert!(
         disabled.metrics.is_empty(),
         "disabled metrics must not sample"
@@ -116,10 +111,7 @@ fn enabling_metrics_moves_zero_virtual_cycles() {
 
 #[test]
 fn sim_final_snapshot_carries_live_counters_and_derived_gauges() {
-    let result = simulate(
-        &chain_recording(),
-        sim_config(1, ShardPolicy::CpuStripe, MetricsConfig::enabled()),
-    );
+    let result = simulate(&chain_recording(), sim_config(MetricsConfig::enabled()));
     let last = result.metrics.latest().expect("final snapshot");
     assert_eq!(
         last.counter("commits"),
@@ -128,6 +120,10 @@ fn sim_final_snapshot_carries_live_counters_and_derived_gauges() {
     assert_eq!(
         last.counter("rollbacks"),
         Some(result.report.rolled_back_threads)
+    );
+    assert!(
+        last.counter("rollbacks").unwrap_or(0) > 0,
+        "the replayed 100%-sharing chain must roll threads back"
     );
     assert_eq!(
         last.counter("wasted_cycles"),
