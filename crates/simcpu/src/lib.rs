@@ -41,6 +41,7 @@
 pub mod cost;
 pub mod record;
 pub mod schedule;
+mod simlog;
 
 pub use cost::CostModel;
 pub use mutls_metrics::{MetricsConfig, MetricsSeries, MetricsSnapshot};

@@ -4,17 +4,19 @@
 //! a [`RecordContext`] (an implementation of
 //! [`TlsContext`]).  The recording captures the
 //! task tree the fork/join annotations induce — per task: work segments
-//! with their read/write address sets, fork and join events, and whether
-//! the task ended at a barrier.  Program results are always computed
+//! with their read/write footprints (sorted, duplicate-free address
+//! slices, frozen when the segment ends), fork and join events, and
+//! whether the task ended at a barrier.  Program results are always computed
 //! correctly (the recording *is* a sequential execution); speculation
 //! success or failure only affects the simulated timing, which is exactly
 //! the property a performance simulator needs.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use mutls_membuf::{Addr, GlobalMemory, MainMemory};
 use mutls_runtime::{ForkModel, JoinOutcome, Rank, SpecResult, TaskRef, TlsContext};
+
+use crate::simlog::DetSet;
 
 /// Index of a task node within a [`Recording`].
 pub type NodeId = usize;
@@ -28,10 +30,12 @@ pub struct Segment {
     pub loads: u64,
     /// Number of stores issued in this segment.
     pub stores: u64,
-    /// Word addresses read (before being written) in this segment.
-    pub reads: HashSet<Addr>,
-    /// Word addresses written in this segment.
-    pub writes: HashSet<Addr>,
+    /// Word addresses read (before being written) in this segment,
+    /// ascending and duplicate-free.
+    pub reads: Box<[Addr]>,
+    /// Word addresses written in this segment, ascending and
+    /// duplicate-free.
+    pub writes: Box<[Addr]>,
 }
 
 impl Segment {
@@ -66,11 +70,6 @@ pub enum SimEvent {
 pub struct TaskNode {
     /// Timeline of segments and speculation events.
     pub events: Vec<SimEvent>,
-    /// Word addresses this task read before writing them (its read
-    /// dependences), aggregated over all segments.
-    pub read_set: HashSet<Addr>,
-    /// Word addresses this task wrote, aggregated over all segments.
-    pub write_set: HashSet<Addr>,
     /// True when the task closure ended at a barrier point.
     pub barrier: bool,
     /// Sequential order index (preorder position of the task's region in
@@ -156,6 +155,10 @@ pub struct RecordContext {
     /// current segment under construction sits alongside each.
     stack: Vec<NodeId>,
     current: Segment,
+    /// Footprint of `current` while it is still growing; frozen into the
+    /// segment's sorted slices by `flush_segment`.
+    reads: DetSet<Addr>,
+    writes: DetSet<Addr>,
     seq_counter: usize,
 }
 
@@ -171,6 +174,8 @@ impl RecordContext {
             nodes: vec![root],
             stack: vec![0],
             current: Segment::default(),
+            reads: DetSet::default(),
+            writes: DetSet::default(),
             seq_counter: 1,
         }
     }
@@ -189,11 +194,10 @@ impl RecordContext {
         if self.current.is_empty() {
             return;
         }
-        let seg = std::mem::take(&mut self.current);
-        let node = self.current_node();
-        node.read_set.extend(seg.reads.iter().copied());
-        node.write_set.extend(seg.writes.iter().copied());
-        node.events.push(SimEvent::Seg(seg));
+        let mut seg = std::mem::take(&mut self.current);
+        seg.reads = freeze(&mut self.reads);
+        seg.writes = freeze(&mut self.writes);
+        self.current_node().events.push(SimEvent::Seg(seg));
     }
 
     /// Finish recording and produce the [`Recording`].
@@ -207,6 +211,13 @@ impl RecordContext {
     }
 }
 
+/// Drain a footprint set into its canonical form: an ascending slice.
+fn freeze(set: &mut DetSet<Addr>) -> Box<[Addr]> {
+    let mut addrs: Vec<Addr> = set.drain().collect();
+    addrs.sort_unstable();
+    addrs.into_boxed_slice()
+}
+
 impl TlsContext for RecordContext {
     type Handle = RecordHandle;
 
@@ -217,15 +228,15 @@ impl TlsContext for RecordContext {
 
     fn load_word(&mut self, addr: Addr) -> SpecResult<u64> {
         self.current.loads += 1;
-        if !self.current.writes.contains(&addr) {
-            self.current.reads.insert(addr);
+        if !self.writes.contains(&addr) {
+            self.reads.insert(addr);
         }
         Ok(self.memory.read_word(addr))
     }
 
     fn store_word(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.current.stores += 1;
-        self.current.writes.insert(addr);
+        self.writes.insert(addr);
         self.memory.write_word(addr, value);
         Ok(())
     }
@@ -313,6 +324,17 @@ mod tests {
         Arc::new(GlobalMemory::new(1 << 16))
     }
 
+    /// The work segments of `node`, in timeline order.
+    fn segments(node: &TaskNode) -> Vec<&Segment> {
+        node.events
+            .iter()
+            .filter_map(|e| match e {
+                SimEvent::Seg(seg) => Some(seg),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn simple_fork_join_builds_two_nodes() {
         let mem = arena();
@@ -331,7 +353,7 @@ mod tests {
         assert_eq!(rec.task_count(), 2);
         assert_eq!(rec.total_work(), 35);
         assert!(rec.nodes[1].barrier);
-        assert_eq!(rec.nodes[1].write_set.len(), 1);
+        assert_eq!(*segments(&rec.nodes[1])[0].writes, [data.addr_of(0)]);
         // The store really happened (sequential correctness).
         assert_eq!(mem.get(&data, 0), 42);
     }
@@ -351,9 +373,38 @@ mod tests {
         let h = ctx.fork(0, child).unwrap();
         ctx.join(h).unwrap();
         let rec = ctx.finish();
-        assert!(rec.nodes[1].read_set.contains(&data.addr_of(0)));
-        assert!(!rec.nodes[1].read_set.contains(&data.addr_of(1)));
+        let seg = segments(&rec.nodes[1])[0];
+        assert_eq!(*seg.reads, [data.addr_of(0)]);
+        assert_eq!(*seg.writes, [data.addr_of(1)]);
         assert_eq!(mem.get(&data, 1), 14);
+    }
+
+    #[test]
+    fn footprints_are_sorted_and_duplicate_free_but_counters_see_every_access() {
+        let mem = arena();
+        let data = mem.alloc::<i64>(8);
+        let mut ctx = RecordContext::new(Arc::clone(&mem));
+        // Descending and repeated accesses, a store between two loads of
+        // the same word, and a check point that starts a second segment.
+        for i in [6, 2, 6, 4, 2] {
+            ctx.load(&data, i).unwrap();
+        }
+        for i in [5, 1, 5] {
+            ctx.store(&data, i, 9).unwrap();
+        }
+        ctx.load(&data, 5).unwrap(); // own write: no dependence
+        ctx.check_point().unwrap();
+        ctx.load(&data, 5).unwrap(); // a new segment reads it afresh
+        let rec = ctx.finish();
+        let segs = segments(rec.root());
+        let addrs = |words: &[usize]| words.iter().map(|&i| data.addr_of(i)).collect::<Vec<_>>();
+        assert_eq!(*segs[0].reads, *addrs(&[2, 4, 6]));
+        assert_eq!(*segs[0].writes, *addrs(&[1, 5]));
+        assert_eq!((segs[0].loads, segs[0].stores), (6, 3));
+        assert_eq!(*segs[1].reads, *addrs(&[5]));
+        assert!(segs[1].writes.is_empty());
+        assert_eq!((segs[1].loads, segs[1].stores), (1, 0));
+        assert_eq!(rec.total_memory_ops(), 10);
     }
 
     #[test]
