@@ -22,6 +22,16 @@
 //! own cache-line-aligned cell with a relaxed `fetch_add` and the shards
 //! are only summed on scrape, so the hot path never contends.
 //!
+//! # Who feeds it
+//!
+//! The registry is a *sink*: the runtime and the simulator push every
+//! static counter, gauge and histogram live, from the one place that
+//! writes down a lifecycle point (`mutls_runtime::ledger`), so a scrape
+//! sums shards and nothing else.  What a registry cannot know — the
+//! commit log's counters, the governor's per-site profile, the grain
+//! census, the latency phases' shares — is appended by the scraper as
+//! [`ScrapeExtras`].  The histograms are `mutls-trace`'s log2 buckets.
+//!
 //! # Derived gauges
 //!
 //! Every scrape computes three derived gauges from the counter totals:
@@ -32,14 +42,10 @@
 //! * **speculation success rate** = `commits / max(1, commits + rollbacks)`.
 //! * **precise-pass fraction** = `precise_passes / max(1, commits)` — how
 //!   often MVCC precise validation cleared a range conflict.
-//!
-//! Phase attribution (useful commit vs validation vs repair vs
-//! commit-lock/CAS wall share) rides along as labeled gauges built by the
-//! scraping layer from the existing latency histograms (see
-//! [`phase_share_gauges`]).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
+use mutls_trace::Histogram;
 use parking_lot::Mutex;
 
 mod export;
@@ -213,17 +219,6 @@ impl CounterId {
             }
         }
     }
-
-    /// The rollback counter for a `RollbackReason` index (the membuf
-    /// declaration order: conflict, overflow, injected, other).
-    pub fn rollback_reason(index: usize) -> CounterId {
-        match index {
-            0 => CounterId::RollbacksConflict,
-            1 => CounterId::RollbacksOverflow,
-            2 => CounterId::RollbacksInjected,
-            _ => CounterId::RollbacksOther,
-        }
-    }
 }
 
 /// Statically known gauges (instantaneous values; derived gauges are
@@ -292,56 +287,16 @@ impl HistId {
     }
 }
 
-/// Number of log2 buckets: bucket 0 holds the value 0, bucket `k >= 1`
-/// holds values whose highest set bit is `k - 1` (i.e. `v in
-/// [2^(k-1), 2^k - 1]`), up to `u64::MAX` in bucket 64.
-pub const HIST_BUCKETS: usize = (u64::BITS + 1) as usize;
-
-/// The bucket index a value lands in.
-#[inline]
-pub fn bucket_of(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
-}
-
-/// A lock-free log2-bucket histogram (relaxed atomic increments).
-#[derive(Debug)]
-struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+/// `hist`'s state at scrape time, trailing zero buckets trimmed.
+fn hist_snapshot(id: HistId, hist: &Histogram) -> HistogramSnapshot {
+    let mut buckets = hist.bucket_counts();
+    while buckets.last() == Some(&0) && buckets.len() > 1 {
+        buckets.pop();
     }
-
-    #[inline]
-    fn observe(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self, id: HistId) -> HistogramSnapshot {
-        let mut buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        while buckets.last() == Some(&0) && buckets.len() > 1 {
-            buckets.pop();
-        }
-        let count = buckets.iter().sum();
-        HistogramSnapshot {
-            name: id.name().to_string(),
-            count,
-            buckets,
-        }
-    }
-
-    fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
+    HistogramSnapshot {
+        name: id.name().to_string(),
+        count: buckets.iter().sum(),
+        buckets,
     }
 }
 
@@ -384,10 +339,7 @@ impl Registry {
             enabled: config.enabled,
             shards: (0..shard_count).map(|_| CounterShard::new()).collect(),
             gauges: std::array::from_fn(|_| AtomicI64::new(0)),
-            hists: std::array::from_fn(|i| {
-                let _ = i;
-                Histogram::new()
-            }),
+            hists: std::array::from_fn(|_| Histogram::new()),
         }
     }
 
@@ -431,7 +383,7 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        self.hists[id as usize].observe(value);
+        self.hists[id as usize].record(value);
     }
 
     /// The current total of a counter across all shards.
@@ -462,44 +414,26 @@ impl Registry {
         }
     }
 
-    /// Aggregate the registry (plus caller-supplied pulls) into one
-    /// [`MetricsSnapshot`] stamped `ts`, computing the derived gauges
-    /// from the final counter values.  See [`ScrapeExtras`] for the
-    /// override semantics that let the deterministic simulator reuse
-    /// this exact path.
+    /// Aggregate the registry into one [`MetricsSnapshot`] stamped `ts`,
+    /// computing the derived gauges from the counter totals and appending
+    /// the scraper's [`ScrapeExtras`].
     pub fn scrape(&self, ts: u64, extras: ScrapeExtras) -> MetricsSnapshot {
-        let counter_of = |id: CounterId| {
-            extras
-                .counter_overrides
-                .iter()
-                .find(|(o, _)| *o == id)
-                .map(|&(_, v)| v)
-                .unwrap_or_else(|| self.counter_total(id))
-        };
         let mut counters: Vec<(String, u64)> = CounterId::ALL
             .iter()
-            .map(|&id| (id.name().to_string(), counter_of(id)))
+            .map(|&id| (id.name().to_string(), self.counter_total(id)))
             .collect();
         counters.extend(extras.extra_counters);
 
         let mut gauges: Vec<(String, f64)> = GaugeId::ALL
             .iter()
-            .map(|&id| {
-                let value = extras
-                    .gauge_overrides
-                    .iter()
-                    .find(|(o, _)| *o == id)
-                    .map(|&(_, v)| v)
-                    .unwrap_or_else(|| self.gauge_value(id) as f64);
-                (id.name().to_string(), value)
-            })
+            .map(|&id| (id.name().to_string(), self.gauge_value(id) as f64))
             .collect();
-        let commits = counter_of(CounterId::Commits);
-        let rollbacks = counter_of(CounterId::Rollbacks);
+        let commits = self.counter_total(CounterId::Commits);
+        let rollbacks = self.counter_total(CounterId::Rollbacks);
         gauges.push((
             "rollback_amplification".to_string(),
-            counter_of(CounterId::WastedCycles) as f64
-                / counter_of(CounterId::CommittedCycles).max(1) as f64,
+            self.counter_total(CounterId::WastedCycles) as f64
+                / self.counter_total(CounterId::CommittedCycles).max(1) as f64,
         ));
         gauges.push((
             "speculation_success_rate".to_string(),
@@ -507,13 +441,13 @@ impl Registry {
         ));
         gauges.push((
             "precise_pass_fraction".to_string(),
-            counter_of(CounterId::PrecisePasses) as f64 / commits.max(1) as f64,
+            self.counter_total(CounterId::PrecisePasses) as f64 / commits.max(1) as f64,
         ));
         gauges.extend(extras.extra_gauges);
 
         let histograms = HistId::ALL
             .iter()
-            .map(|&id| self.hists[id as usize].snapshot(id))
+            .map(|&id| hist_snapshot(id, &self.hists[id as usize]))
             .collect();
 
         MetricsSnapshot {
@@ -638,27 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn overrides_replace_registry_totals() {
-        let reg = Registry::new(MetricsConfig::enabled(), 1);
-        reg.add(0, CounterId::Commits, 9);
-        let snap = reg.scrape(
-            0,
-            ScrapeExtras {
-                counter_overrides: vec![(CounterId::Commits, 2)],
-                ..ScrapeExtras::default()
-            },
-        );
-        assert_eq!(snap.counter("commits"), Some(2));
-    }
-
-    #[test]
     fn histogram_buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), 64);
         let reg = Registry::new(MetricsConfig::enabled(), 1);
         reg.observe(HistId::ThreadCycles, 3);
         reg.observe(HistId::ThreadCycles, 3);

@@ -7,8 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{CounterId, GaugeId};
-
 /// A gauge with free-form labels (per-site throttle state, per-region
 /// grain census, phase attribution...).
 /// Label values are escaped by the Prometheus exporter, not here.
@@ -63,24 +61,16 @@ impl HistogramSnapshot {
     }
 }
 
-/// Caller-supplied scrape inputs that the registry cannot know itself.
+/// What a scraper appends to the registry's own totals, because a
+/// registry cannot know it.
 ///
-/// * `counter_overrides` / `gauge_overrides` **replace** the registry's
-///   own total for that id.  The deterministic simulator pulls its
-///   accounting from the single-threaded scheduler state and overrides
-///   everything it owns, so its snapshots flow through the exact same
-///   naming/ordering/derivation path as the native runtime's.
-/// * `extra_counters` / `extra_gauges` are appended after the static
-///   ids (commit-log pulls such as `log_stamps`, `log_cas_retries`).
+/// * `extra_counters` / `extra_gauges` follow the static ids (commit-log
+///   counters such as `log_stamps`, `log_cas_retries`).
 /// * `labeled` carries the per-site / per-region / per-phase gauges.
 #[derive(Debug, Clone, Default)]
 pub struct ScrapeExtras {
-    /// Replacements for static counters (simulator pulls).
-    pub counter_overrides: Vec<(CounterId, u64)>,
     /// Appended free-form counters (cumulative, monotone).
     pub extra_counters: Vec<(String, u64)>,
-    /// Replacements for static gauges.
-    pub gauge_overrides: Vec<(GaugeId, f64)>,
     /// Appended free-form gauges.
     pub extra_gauges: Vec<(String, f64)>,
     /// Labeled gauges (sites, regions, phases, shards).
@@ -93,7 +83,7 @@ pub struct ScrapeExtras {
 pub struct MetricsSnapshot {
     /// Sample timestamp.
     pub ts: u64,
-    /// Counter totals, static ids first (in [`CounterId::ALL`] order),
+    /// Counter totals, static ids first (in [`crate::CounterId::ALL`] order),
     /// then the scrape's extra counters.
     pub counters: Vec<(String, u64)>,
     /// Gauges: static ids, then the derived gauges

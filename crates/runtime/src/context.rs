@@ -31,14 +31,14 @@ use std::time::{Duration, Instant};
 
 use mutls_membuf::{
     Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, LocalBuffer, MainMemory, RegisterValue,
-    RollbackReason, SpecFailure, WORD_BYTES,
+    SpecFailure, WORD_BYTES,
 };
 
 use mutls_adaptive::ForkDecision;
-use mutls_metrics::CounterId;
-use mutls_trace::{DenyPolicy, DoomSource, EventKind, LatencyPhase};
+use mutls_trace::{DenyPolicy, DoomSource};
 
 use crate::fork_model::ForkModel;
+use crate::ledger::Point;
 use crate::manager::{
     CommitKind, Handoff, PromotedOutcome, SpecOutcome, SpecRequest, ThreadBuffers, ThreadManager,
 };
@@ -374,7 +374,10 @@ impl SpecContext {
                     // readers now — surgically, instead of letting them
                     // burn their whole conflict window before failing
                     // validation.
-                    self.stats.counters.targeted_dooms += self.mgr.doom_readers([addr], self.rank);
+                    let victims = self.mgr.doom_readers([addr], self.rank);
+                    if victims > 0 {
+                        self.note_doom(DoomSource::Commit, victims);
+                    }
                 }
                 Ok(())
             }
@@ -422,17 +425,21 @@ impl SpecContext {
     /// gates; this arm is out of line so a store site inlines only those.
     #[cold]
     fn doom_overlaid_readers(&mut self, addr: Addr) {
-        let doomed = self.mgr.doom_readers_hard([addr], self.rank);
-        self.stats.counters.targeted_dooms += doomed;
-        if doomed > 0 {
-            self.mgr.trace_event(
-                self.rank,
-                0,
-                EventKind::Doom {
-                    source: DoomSource::Buffered,
-                },
-            );
-        }
+        let victims = self.mgr.doom_readers_hard([addr], self.rank);
+        self.note_doom(DoomSource::Buffered, victims);
+    }
+
+    /// A store of this thread doomed `victims` running readers.  Out of
+    /// line: the store path pays for it only when somebody was doomed.
+    #[cold]
+    fn note_doom(&mut self, source: DoomSource, victims: u64) {
+        self.observe(0, Point::Doomed { source, victims });
+    }
+
+    /// Write a lifecycle point of this thread down in its own books.
+    fn observe(&mut self, site: u32, point: Point) {
+        self.mgr
+            .observe(self.rank, site, &mut self.stats.counters, point);
     }
 
     /// Ranks of children forked but not yet joined.
@@ -482,12 +489,8 @@ impl SpecContext {
                     let retry_started = Instant::now();
                     if buffer.revalidate_by_value(self.mgr.commit_log(), memory.as_ref()) {
                         self.mgr.clear_doom(self.rank);
-                        self.stats.counters.retries_succeeded += 1;
-                        self.mgr.recorder().latency().record(
-                            LatencyPhase::RepairRetry,
-                            retry_started.elapsed().as_nanos() as u64,
-                        );
-                        self.mgr.trace_event(self.rank, 0, EventKind::RetryInFlight);
+                        let took = retry_started.elapsed().as_nanos() as u64;
+                        self.observe(0, Point::RetriedInFlight(took));
                         return Ok(());
                     }
                 }
@@ -603,19 +606,12 @@ impl SpecContext {
     /// Dispatch `request` to the acquired CPU `child` and push it on the
     /// children stack.
     fn launch(&mut self, child: Rank, point: u32, model: ForkModel, request: SpecRequest) {
-        // Emitted on the child's lane *before* the dispatch: the queue
-        // push orders this write before anything the child emits, keeping
-        // the ring single-producer.
-        self.mgr.trace_event(
-            child,
-            point,
-            EventKind::SpecStart {
-                parent: self.rank as u32,
-            },
-        );
+        // The event goes on the child's lane, *before* the dispatch: the
+        // queue push orders this write before anything the child emits,
+        // keeping the ring single-producer.
+        self.observe(point, Point::SpecStart(child as u32));
         self.mgr.dispatch(child, point, model, request);
         self.children.push(child);
-        self.stats.counters.forks += 1;
     }
 
     #[inline]
@@ -833,12 +829,8 @@ impl SpecContext {
     fn inherit_children(&mut self, grandchildren: Vec<Rank>, committed: bool) {
         for grandchild in grandchildren {
             if committed {
-                let adopted = self.mgr.adopt_subtree(grandchild, self.global.as_mut());
-                self.stats.counters.adopted_threads += adopted;
-                self.mgr
-                    .metrics()
-                    .registry()
-                    .add(self.rank, CounterId::AdoptedThreads, adopted);
+                let threads = self.mgr.adopt_subtree(grandchild, self.global.as_mut());
+                self.observe(0, Point::Adopted(threads));
             } else {
                 self.mgr.reap_subtree(grandchild);
             }
@@ -911,8 +903,7 @@ impl TlsContext for SpecContext {
         task: TaskRef<Self>,
     ) -> SpecResult<SpecHandle> {
         self.check_abort()?;
-        self.mgr
-            .trace_event(self.rank, point, EventKind::ForkAttempt);
+        self.observe(point, Point::ForkAttempt);
 
         // A *speculative* parent re-executing a continuation after a
         // rollback must not re-speculate: its accumulated write-set is
@@ -924,52 +915,17 @@ impl TlsContext for SpecContext {
         // immediately, so re-forked children read fresh values and the
         // reader registry surgically dooms the genuinely stale ones.)
         if self.rank != 0 && self.reexec_depth > 0 {
-            self.stats.counters.failed_forks += 1;
-            self.mgr
-                .metrics()
-                .registry()
-                .add(self.rank, CounterId::FailedForks, 1);
-            self.mgr.trace_event(
-                self.rank,
-                point,
-                EventKind::ForkDenied {
-                    policy: DenyPolicy::Reexec,
-                },
-            );
+            self.observe(point, Point::ForkDenied(DenyPolicy::Reexec));
             return Ok(self.inline_handle(point, task, model, false));
         }
 
         // Ask the adaptive governor whether this fork site may speculate
         // (and under which model) before spending any fork overhead.
-        let model = match self.mgr.governor().decide(point, model) {
-            ForkDecision::Allow(chosen) => {
-                self.mgr.trace_event(
-                    self.rank,
-                    point,
-                    EventKind::GovernorDecision { allowed: true },
-                );
-                chosen
-            }
-            ForkDecision::Deny => {
-                self.stats.counters.throttled_forks += 1;
-                self.mgr
-                    .metrics()
-                    .registry()
-                    .add(self.rank, CounterId::ThrottledForks, 1);
-                self.mgr.trace_event(
-                    self.rank,
-                    point,
-                    EventKind::GovernorDecision { allowed: false },
-                );
-                self.mgr.trace_event(
-                    self.rank,
-                    point,
-                    EventKind::ForkDenied {
-                        policy: DenyPolicy::Governor,
-                    },
-                );
-                return Ok(self.inline_handle(point, task, model, true));
-            }
+        let decision = self.mgr.governor().decide(point, model);
+        let allowed = decision != ForkDecision::Deny;
+        self.observe(point, Point::GovernorRuled(allowed));
+        let ForkDecision::Allow(model) = decision else {
+            return Ok(self.inline_handle(point, task, model, true));
         };
 
         let find_started = self.begin_overhead();
@@ -977,18 +933,12 @@ impl TlsContext for SpecContext {
         self.end_overhead(Phase::FindCpu, find_started);
 
         let Some(child) = child else {
-            self.stats.counters.failed_forks += 1;
-            self.mgr
-                .metrics()
-                .registry()
-                .add(self.rank, CounterId::FailedForks, 1);
             let policy = if self.mgr.model_allows_fork(self.rank, model) {
                 DenyPolicy::NoCpu
             } else {
                 DenyPolicy::Model
             };
-            self.mgr
-                .trace_event(self.rank, point, EventKind::ForkDenied { policy });
+            self.observe(point, Point::ForkDenied(policy));
             let mut handle = self.inline_handle(point, task, model, false);
             // Only a speculative thread can be promoted, and only a
             // promotion frees a CPU for a fork that found none.
@@ -1050,13 +1000,10 @@ impl TlsContext for SpecContext {
 
         match self.join_child(child, point, model, forked_at)? {
             Ok(_kind) => {
-                self.stats.counters.commits += 1;
+                self.observe(point, Point::JoinCommitted);
                 Ok(JoinOutcome::Committed)
             }
             Err(reason) => {
-                self.stats
-                    .counters
-                    .record_rollback(RollbackReason::from(reason));
                 // Rollback (squash): the parent re-executes the
                 // continuation inline; the squash already cascaded into
                 // the child's own speculative subtree above.  While the
@@ -1065,10 +1012,8 @@ impl TlsContext for SpecContext {
                 self.reexec_depth += 1;
                 let repair_started = Instant::now();
                 let inline_result = self.run_inline(&task);
-                self.mgr.recorder().latency().record(
-                    LatencyPhase::RepairDoomSet,
-                    repair_started.elapsed().as_nanos() as u64,
-                );
+                let repair = repair_started.elapsed().as_nanos() as u64;
+                self.observe(point, Point::JoinRolledBack { reason, repair });
                 self.reexec_depth -= 1;
                 inline_result?;
                 Ok(JoinOutcome::RolledBack(reason))

@@ -42,6 +42,7 @@
 pub mod config;
 pub mod context;
 pub mod direct;
+pub mod ledger;
 pub mod manager;
 pub mod runtime;
 pub mod stats;

@@ -99,6 +99,16 @@
 //! after which validation and commit/rollback are performed and charged to
 //! the speculative thread's statistics.
 //!
+//! # The books
+//!
+//! What happened to a thread is written down in one place, the
+//! [`ledger`](crate::ledger): this module and `SpecContext` tell it *that*
+//! a lifecycle point was reached (`ThreadManager::observe`), it decides
+//! which counter, registry cell, latency sample and trace event record
+//! it.  The registry is fed live and a scrape only reads it; closing a
+//! finished thread's books — committed, rolled back or discarded with its
+//! subtree — is `close_books`, whoever consumed the outcome.
+//!
 //! [`Runtime`]: crate::Runtime
 
 use std::collections::VecDeque;
@@ -115,21 +125,16 @@ use mutls_membuf::{
     Addr, AddressSpace, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, LocalBuffer,
     MainMemory, RollbackReason, SpecFailure, Validation,
 };
-use mutls_metrics::{
-    phase_share_gauges, CounterId, GaugeId, HistId, LabeledGauge, MetricsHub, MetricsSnapshot,
-    ScrapeExtras,
-};
-use mutls_trace::{
-    DoomSource, EventKind, LatencyPhase, PlanArm, Recorder, RollbackCause, TraceEvent,
-    ValidateOutcome,
-};
+use mutls_metrics::MetricsHub;
+use mutls_trace::{DoomSource, PlanArm, Recorder, ValidateOutcome};
 
 use crate::config::{RollbackSource, RuntimeConfig};
 use crate::context::{
     SpecContext, COLD_HANDOFF_NS, COLD_SYNC_ENTRY_NS, IDLE_SPIN, SYNC_BASE_NS, SYNC_PAYBACK,
 };
 use crate::fork_model::ForkModel;
-use crate::stats::{Phase, ThreadStats};
+use crate::ledger::Point;
+use crate::stats::{Phase, ThreadCounters, ThreadStats};
 use crate::task::{Rank, SpecAbort, TaskRef, TaskStatus};
 
 /// The buffers of one virtual CPU, reused by every task that runs on it.
@@ -381,18 +386,8 @@ impl Slot {
     }
 }
 
-/// Accumulators for one speculative region run.
-#[derive(Default)]
-struct RunAccumulators {
-    speculative: ThreadStats,
-    committed_threads: u64,
-    rolled_back_threads: u64,
-    retried_threads: u64,
-    rolled_back_by_reason: [u64; RollbackReason::COUNT],
-}
-
-/// Totals of one speculative region run (see
-/// [`ThreadManager::run_snapshot`]).
+/// Totals of one speculative region run so far (see
+/// [`ThreadManager::run_snapshot`]); the simulator keeps the same.
 #[derive(Debug, Clone, Default)]
 pub struct RunTotals {
     /// Combined statistics of every speculative thread.
@@ -407,6 +402,24 @@ pub struct RunTotals {
     pub retried: u64,
     /// Rolled-back threads split by cause.
     pub by_reason: [u64; RollbackReason::COUNT],
+}
+
+impl RunTotals {
+    /// Fold in a thread whose books are closed: its statistics, and its
+    /// fate — `Ok(retried)` for a commit, the failure for a rollback.
+    pub fn fold(&mut self, stats: &ThreadStats, fate: Result<bool, SpecFailure>) {
+        self.speculative.merge(stats);
+        match fate {
+            Ok(retried) => {
+                self.committed += 1;
+                self.retried += u64::from(retried);
+            }
+            Err(reason) => {
+                self.rolled_back += 1;
+                self.by_reason[RollbackReason::from(reason).index()] += 1;
+            }
+        }
+    }
 }
 
 /// How a validated join finished (see
@@ -473,7 +486,7 @@ pub struct ThreadManager {
     /// the gate cannot be `active`: a dead-but-unjoined child keeps
     /// `active` raised for almost all of rank 0's stores.
     exposed: AtomicUsize,
-    accum: Mutex<RunAccumulators>,
+    accum: Mutex<RunTotals>,
     rng: Mutex<SmallRng>,
     /// Monotone counter of speculation events (diagnostics).
     speculations: AtomicU64,
@@ -504,9 +517,10 @@ pub struct ThreadManager {
     /// Zero point of recorder timestamps.
     trace_origin: Instant,
     /// The live telemetry plane: a sharded lock-free counter/gauge/
-    /// histogram registry plus the bounded snapshot series the sampler
-    /// fills.  Disabled (the default) it is a single always-false branch
-    /// per push, mirroring the recorder's no-op discipline.
+    /// histogram registry, fed by the ledger, plus the bounded snapshot
+    /// series the sampler fills.  Disabled (the default) it is a single
+    /// always-false branch per push, mirroring the recorder's no-op
+    /// discipline.
     metrics: Arc<MetricsHub>,
     dispatch: Dispatch,
     /// Fastest dispatch→start hand-off seen since construction, starting
@@ -563,7 +577,7 @@ impl ThreadManager {
             most_speculative: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
             exposed: AtomicUsize::new(0),
-            accum: Mutex::new(RunAccumulators::default()),
+            accum: Mutex::new(RunTotals::default()),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             speculations: AtomicU64::new(0),
             buffers_created: AtomicUsize::new(0),
@@ -610,23 +624,6 @@ impl ThreadManager {
     #[inline]
     pub fn trace_now_ns(&self) -> u64 {
         self.trace_origin.elapsed().as_nanos() as u64
-    }
-
-    /// Emit one lifecycle event on `rank`'s lane, stamped with the current
-    /// recorder clock and commit-log epoch.  A single branch when event
-    /// tracing is off.
-    #[inline]
-    pub fn trace_event(&self, rank: Rank, site: SiteId, kind: EventKind) {
-        if !self.recorder.enabled() {
-            return;
-        }
-        self.recorder.emit(TraceEvent {
-            ts: self.trace_now_ns(),
-            rank: rank as u32,
-            site,
-            epoch: self.commit_log.epoch(),
-            kind,
-        });
     }
 
     /// The control-plane event lane (grain-controller ticks): one past the
@@ -706,35 +703,20 @@ impl ThreadManager {
             return;
         };
         let profiles = self.commit_log.region_profiles();
-        let lane = self.control_lane();
+        // The control plane has a lane but no thread, hence no counters.
+        let (lane, nobody) = (self.control_lane(), &mut ThreadCounters::default());
         let mut actions = 0u32;
         for action in controller.tick(&profiles) {
-            let from = self.commit_log.grain_of_region(action.region);
-            let (_, readers) = self
-                .commit_log
-                .regrain(action.region, action.new_grain_log2);
-            self.trace_event(
-                lane,
-                0,
-                EventKind::Regrain {
-                    region: action.region,
-                    from,
-                    to: action.new_grain_log2,
-                },
-            );
+            let (region, to) = (action.region, action.new_grain_log2);
+            let from = self.commit_log.grain_of_region(region);
+            let (_, readers) = self.commit_log.regrain(region, to);
+            self.observe(lane, 0, nobody, Point::Regrained { region, from, to });
             let ranks: Vec<Rank> = readers.ranks().collect();
-            if self.doom_ranks(&ranks) > 0 {
-                self.trace_event(
-                    lane,
-                    0,
-                    EventKind::Doom {
-                        source: DoomSource::Regrain,
-                    },
-                );
-            }
+            let (source, victims) = (DoomSource::Regrain, self.doom_ranks(&ranks));
+            self.observe(lane, 0, nobody, Point::Doomed { source, victims });
             actions += 1;
         }
-        self.trace_event(lane, 0, EventKind::GrainTick { actions });
+        self.observe(lane, 0, nobody, Point::GrainTicked(actions));
     }
 
     /// The live grain the finished thread's traffic ran at, for per-site
@@ -873,9 +855,6 @@ impl ThreadManager {
                 self.active.fetch_add(1, Ordering::AcqRel);
                 self.most_speculative.store(rank, Ordering::Release);
                 self.speculations.fetch_add(1, Ordering::Relaxed);
-                let registry = self.metrics.registry();
-                registry.add(forker, CounterId::Forks, 1);
-                registry.gauge_add(GaugeId::InFlightSpeculations, 1);
                 return Some(rank);
             }
         }
@@ -1288,7 +1267,7 @@ impl ThreadManager {
             // Re-take it; if the canceller got there first we are done.
             let taken = slot.result.lock().take();
             if let Some(outcome) = taken {
-                self.finish_discarded(rank, outcome, SpecFailure::Cascaded);
+                self.finish_discarded(rank, outcome);
                 return false;
             }
         }
@@ -1301,9 +1280,6 @@ impl ThreadManager {
         self.retire_exposure(slot);
         slot.state.store(CPU_IDLE, Ordering::Release);
         self.active.fetch_sub(1, Ordering::AcqRel);
-        self.metrics
-            .registry()
-            .gauge_add(GaugeId::InFlightSpeculations, -1);
         let _ = self.most_speculative.compare_exchange(
             rank,
             joiner,
@@ -1312,56 +1288,12 @@ impl ThreadManager {
         );
     }
 
-    /// Record a discarded (rolled back / orphaned) speculative thread.
-    fn finish_discarded(&self, rank: Rank, outcome: SpecOutcome, reason: SpecFailure) {
-        // Cascade into the subtree first.
+    /// A deposited thread nobody will join is discarded, its subtree first.
+    fn finish_discarded(&self, rank: Rank, outcome: SpecOutcome) {
         for child in &outcome.children {
             self.reap_subtree(*child);
         }
-        // Dead registrations only cause spurious dooms.
-        self.commit_log
-            .unregister_reader(outcome.buffers.global.read_addresses(), rank);
-        self.return_buffers(rank, outcome.buffers);
-        let mut stats = outcome.stats;
-        let wasted = stats.mark_work_wasted();
-        self.push_rollback_metrics(rank, RollbackReason::from(reason), wasted, stats.total());
-        self.report_discard_to_governor(rank, &stats, reason);
-        {
-            let mut accum = self.accum.lock();
-            accum.speculative.merge(&stats);
-            accum.rolled_back_threads += 1;
-            accum.rolled_back_by_reason[RollbackReason::from(reason).index()] += 1;
-        }
-        self.release_cpu(rank, 0);
-    }
-
-    /// Feed one rolled-back thread into the telemetry registry: the
-    /// rollback count, its cause, and the wasted cycles it burned (both
-    /// as a counter and as a histogram observation for attribution).
-    fn push_rollback_metrics(&self, rank: Rank, reason: RollbackReason, wasted: u64, total: u64) {
-        let registry = self.metrics.registry();
-        if !registry.enabled() {
-            return;
-        }
-        registry.add(rank, CounterId::Rollbacks, 1);
-        registry.add(rank, CounterId::rollback_reason(reason.index()), 1);
-        registry.add(rank, CounterId::WastedCycles, wasted);
-        registry.observe(HistId::RollbackWastedCycles, wasted);
-        registry.observe(HistId::ThreadCycles, total);
-    }
-
-    /// Feed a discarded thread's outcome into the governor's site profile.
-    fn report_discard_to_governor(&self, rank: Rank, stats: &ThreadStats, reason: SpecFailure) {
-        let (site, model) = self.slots[rank - 1].launch_info();
-        self.governor.record_outcome(
-            site,
-            &SiteOutcome::rolled_back(
-                reason,
-                stats.get(Phase::WastedWork),
-                stats.get(Phase::Idle),
-                model,
-            ),
-        );
+        self.discard(rank, outcome);
     }
 
     /// Abort and *synchronously* drain a speculative subtree: waits for
@@ -1375,24 +1307,20 @@ impl ThreadManager {
         for child in &outcome.children {
             self.drain_subtree(*child);
         }
+        self.discard(rank, outcome);
+    }
+
+    /// Discard a stopped thread without a join of its own — a cascaded
+    /// rollback — and free its CPU.
+    fn discard(&self, rank: Rank, mut outcome: SpecOutcome) {
+        // Dead registrations only cause spurious dooms.
         self.commit_log
             .unregister_reader(outcome.buffers.global.read_addresses(), rank);
-        self.return_buffers(rank, outcome.buffers);
-        let mut stats = outcome.stats;
-        let wasted = stats.mark_work_wasted();
-        self.push_rollback_metrics(
-            rank,
-            RollbackReason::from(SpecFailure::Cascaded),
-            wasted,
-            stats.total(),
-        );
-        self.report_discard_to_governor(rank, &stats, SpecFailure::Cascaded);
-        {
-            let mut accum = self.accum.lock();
-            accum.speculative.merge(&stats);
-            accum.rolled_back_threads += 1;
-            accum.rolled_back_by_reason[RollbackReason::from(SpecFailure::Cascaded).index()] += 1;
-        }
+        let (site, model) = self.slots[rank - 1].launch_info();
+        let blamed = SpecFailure::Cascaded;
+        let counters = &mut outcome.stats.counters;
+        self.observe(rank, site, counters, Point::Cascaded(blamed));
+        self.close_books(rank, site, model, outcome, Err(blamed));
         self.release_cpu(rank, 0);
     }
 
@@ -1406,7 +1334,7 @@ impl ThreadManager {
         // worker will observe `orphaned` when it deposits.
         let taken = slot.result.lock().take();
         if let Some(outcome) = taken {
-            self.finish_discarded(rank, outcome, SpecFailure::Cascaded);
+            self.finish_discarded(rank, outcome);
         }
     }
 
@@ -1429,7 +1357,7 @@ impl ThreadManager {
             return 0;
         };
         if outcome.status != TaskStatus::Completed {
-            self.finish_discarded(rank, outcome, SpecFailure::Cascaded);
+            self.finish_discarded(rank, outcome);
             return 0;
         }
         let verdict = self.validate_and_commit(rank, &mut outcome, parent_buffer.as_deref_mut());
@@ -1502,13 +1430,12 @@ impl ThreadManager {
         let started = Instant::now();
         let mem: &GlobalMemory = &self.memory;
         let site = self.site_of(child);
-        self.trace_event(
-            child,
-            site,
-            EventKind::ValidateBegin {
-                ranges: outcome.buffers.global.read_set_len() as u32,
-            },
-        );
+        // The points below are the child's, on its lane and in its books.
+        let note = |outcome: &mut SpecOutcome, point| {
+            self.observe(child, site, &mut outcome.stats.counters, point);
+        };
+        let ranges = outcome.buffers.global.read_set_len() as u32;
+        note(outcome, Point::ValidateBegin(ranges));
 
         let failure = match outcome.status {
             TaskStatus::Failed(reason) => Some(reason),
@@ -1530,29 +1457,20 @@ impl ThreadManager {
             // cause spurious dooms from here on.  In-flight doom-watch
             // revalidations may still have precise-passed before the final
             // failure — keep those counted.
-            outcome.stats.counters.precise_passes += outcome.buffers.global.stats().precise_passes;
+            let precise = outcome.buffers.global.stats().precise_passes;
             self.commit_log
                 .unregister_reader(outcome.buffers.global.read_addresses(), child);
-            let validate_ns = elapsed_ns(started);
-            outcome.stats.add(Phase::Validation, validate_ns);
-            self.recorder
-                .latency()
-                .record(LatencyPhase::Validation, validate_ns);
-            self.trace_event(
-                child,
-                site,
-                EventKind::ValidateEnd {
-                    outcome: ValidateOutcome::Failed,
-                },
-            );
-            self.trace_event(
-                child,
-                site,
-                EventKind::Rollback {
-                    reason: rollback_cause(reason),
-                    plan: PlanArm::None,
-                },
-            );
+            let took = elapsed_ns(started);
+            outcome.stats.add(Phase::Validation, took);
+            note(outcome, Point::PrecisePasses(precise));
+            let validated = Point::Validated {
+                outcome: ValidateOutcome::Failed,
+                took,
+                retry: None,
+            };
+            note(outcome, validated);
+            let plan = PlanArm::None;
+            note(outcome, Point::RolledBack { reason, plan });
             return Err(reason);
         }
 
@@ -1598,50 +1516,39 @@ impl ThreadManager {
                     .global
                     .validate_view(|addr| overlay_view(parent, addr)),
             };
-        let validate_ns = elapsed_ns(started);
-        outcome.stats.add(Phase::Validation, validate_ns);
-        self.recorder
-            .latency()
-            .record(LatencyPhase::Validation, validate_ns);
-        if retried {
-            // The in-place re-stamp is the whole repair for this arm.
-            self.recorder
-                .latency()
-                .record(LatencyPhase::RepairRetry, validate_ns);
-        }
+        let took = elapsed_ns(started);
+        outcome.stats.add(Phase::Validation, took);
         // Single capture point for the buffer's ring-precision counter:
         // it covers both this join-time validation and any in-flight
         // doom-watch revalidations the thread survived along the way.
         let precise_total = outcome.buffers.global.stats().precise_passes;
-        outcome.stats.counters.precise_passes += precise_total;
-        self.trace_event(
-            child,
-            site,
-            EventKind::ValidateEnd {
-                outcome: if !valid {
-                    if matches!(
-                        log_verdict,
-                        Validation::Conflict {
-                            suspected_false_sharing: true
-                        }
-                    ) {
-                        // All conflicting words still held their
-                        // first-read values: the doom is grain- or
-                        // ring-overflow conservatism, not a proven
-                        // dependence violation.
-                        ValidateOutcome::ConservativeDoom
-                    } else {
-                        ValidateOutcome::Conflict
-                    }
-                } else if retried {
-                    ValidateOutcome::Retried
-                } else if precise_total > precise_before {
-                    ValidateOutcome::PrecisePass
-                } else {
-                    ValidateOutcome::Clean
-                },
-            },
-        );
+        let suspect = Validation::Conflict {
+            suspected_false_sharing: true,
+        };
+        let verdict = if !valid && log_verdict == suspect {
+            // Every conflicting word still held its first-read value: the
+            // rollback is most likely grain-induced false sharing (or a
+            // value-identical ABA write), not a proven dependence
+            // violation — recorded so the governor and the reports can
+            // tell the regimes apart.
+            ValidateOutcome::ConservativeDoom
+        } else if !valid {
+            ValidateOutcome::Conflict
+        } else if retried {
+            ValidateOutcome::Retried
+        } else if precise_total > precise_before {
+            ValidateOutcome::PrecisePass
+        } else {
+            ValidateOutcome::Clean
+        };
+        note(outcome, Point::PrecisePasses(precise_total));
+        let validated = Point::Validated {
+            outcome: verdict,
+            took,
+            // The in-place re-stamp is the whole repair for this arm.
+            retry: retried.then_some(took),
+        };
+        note(outcome, validated);
         if !valid {
             if self.grain.is_some() {
                 // Per-region conflict attribution — the grain
@@ -1671,41 +1578,17 @@ impl ThreadManager {
                     }
                 }
             }
-            if let Validation::Conflict {
-                suspected_false_sharing: true,
-            } = log_verdict
-            {
-                // Every conflicting word still held its first-read value:
-                // the rollback is most likely grain-induced false sharing
-                // (or a value-identical ABA write) — recorded so the
-                // governor and the reports can tell the regimes apart.
-                outcome.stats.counters.false_sharing_suspects += 1;
-            }
             self.commit_log
                 .unregister_reader(outcome.buffers.global.read_addresses(), child);
             // Recovery rung 2 — the re-execution will rewrite the
             // child's write ranges; doom their registered readers now
             // instead of letting them burn their whole conflict window.
-            let doomed = self.doom_ranks(&self.plan_rollback_recovery(child, outcome));
-            outcome.stats.counters.targeted_dooms += doomed;
-            if doomed > 0 {
-                self.trace_event(
-                    child,
-                    site,
-                    EventKind::Doom {
-                        source: DoomSource::Rollback,
-                    },
-                );
-            }
-            self.trace_event(
-                child,
-                site,
-                EventKind::Rollback {
-                    reason: RollbackCause::Conflict,
-                    plan: PlanArm::DoomSet,
-                },
-            );
-            return Err(SpecFailure::ReadConflict);
+            let victims = self.doom_ranks(&self.plan_rollback_recovery(child, outcome));
+            let (source, reason) = (DoomSource::Rollback, SpecFailure::ReadConflict);
+            note(outcome, Point::Doomed { source, victims });
+            let plan = PlanArm::DoomSet;
+            note(outcome, Point::RolledBack { reason, plan });
+            return Err(reason);
         }
 
         // Injected rollback — only under the opt-in sensitivity mode
@@ -1713,15 +1596,9 @@ impl ThreadManager {
         if self.draw_injected_rollback() {
             self.commit_log
                 .unregister_reader(outcome.buffers.global.read_addresses(), child);
-            self.trace_event(
-                child,
-                site,
-                EventKind::Rollback {
-                    reason: RollbackCause::Injected,
-                    plan: PlanArm::None,
-                },
-            );
-            return Err(SpecFailure::Injected);
+            let (reason, plan) = (SpecFailure::Injected, PlanArm::None);
+            note(outcome, Point::RolledBack { reason, plan });
+            return Err(reason);
         }
 
         // Commit.  Publishing to main memory records the batch in the
@@ -1738,42 +1615,21 @@ impl ThreadManager {
                     .unregister_reader(outcome.buffers.global.read_addresses(), child);
                 outcome.buffers.global.commit(mem);
                 if outcome.buffers.global.write_set_len() > 0 {
-                    let lock_started = Instant::now();
-                    let (_, cas_retries) = self
+                    let stamp_started = Instant::now();
+                    let (_, attempts) = self
                         .commit_log
                         .record_counted(outcome.buffers.global.write_addresses());
-                    let lock_ns = elapsed_ns(lock_started);
-                    self.recorder
-                        .latency()
-                        .record(LatencyPhase::CommitLockWait, lock_ns);
-                    self.trace_event(child, site, EventKind::CommitLockWait { ns: lock_ns });
-                    // Contended lock-free batches surface their CAS-loop
-                    // losses; uncontended (and locked-mode) commits stay
-                    // silent, so the sample count doubles as a contention
-                    // signal.
-                    if cas_retries > 0 {
-                        self.recorder
-                            .latency()
-                            .record(LatencyPhase::CommitCasRetry, cas_retries);
-                        self.trace_event(
-                            child,
-                            site,
-                            EventKind::CommitCasRetry {
-                                attempts: cas_retries,
-                            },
-                        );
+                    note(outcome, Point::CommitStamped(elapsed_ns(stamp_started)));
+                    // Contended batches surface their CAS-loop losses;
+                    // uncontended commits stay silent, so the sample count
+                    // doubles as a contention signal.
+                    if attempts > 0 {
+                        note(outcome, Point::CommitCasRetried(attempts));
                     }
-                    let doomed = self.doom_readers(outcome.buffers.global.write_addresses(), child);
-                    outcome.stats.counters.targeted_dooms += doomed;
-                    if doomed > 0 {
-                        self.trace_event(
-                            child,
-                            site,
-                            EventKind::Doom {
-                                source: DoomSource::Commit,
-                            },
-                        );
-                    }
+                    let victims =
+                        self.doom_readers(outcome.buffers.global.write_addresses(), child);
+                    let source = DoomSource::Commit;
+                    note(outcome, Point::Doomed { source, victims });
                 }
                 Ok(())
             }
@@ -1804,43 +1660,36 @@ impl ThreadManager {
             }
         };
         outcome.stats.add(Phase::Commit, elapsed_ns(commit_started));
-        if commit_result.is_ok() {
-            self.trace_event(child, site, EventKind::Commit);
-            if child != 0 {
-                let forked = self.slots[child - 1].forked_ns.load(Ordering::Relaxed);
-                self.recorder.latency().record(
-                    LatencyPhase::ForkToCommit,
-                    self.trace_now_ns().saturating_sub(forked),
-                );
-            }
-        } else {
-            self.trace_event(
-                child,
-                site,
-                EventKind::Rollback {
-                    reason: RollbackCause::Overflow,
-                    plan: PlanArm::None,
-                },
-            );
-        }
         match commit_result {
-            Ok(()) if retried => {
-                outcome.stats.counters.retries_succeeded += 1;
-                Ok(CommitKind::Retried)
+            Ok(()) => {
+                // (A hand-driven rank 0 was never dispatched.)
+                let forked = child
+                    .checked_sub(1)
+                    .map_or(0, |slot| self.slots[slot].forked_ns.load(Ordering::Relaxed));
+                let since_fork = self.trace_now_ns().saturating_sub(forked);
+                let committed = Point::Committed {
+                    retried,
+                    since_fork,
+                };
+                note(outcome, committed);
+                Ok(if retried {
+                    CommitKind::Retried
+                } else {
+                    CommitKind::Committed
+                })
             }
-            Ok(()) => Ok(CommitKind::Committed),
             // The parent could not hold the child's data; discard the child.
-            Err(_) => Err(SpecFailure::BufferOverflow),
+            Err(_) => {
+                let (reason, plan) = (SpecFailure::BufferOverflow, PlanArm::None);
+                note(outcome, Point::RolledBack { reason, plan });
+                Err(reason)
+            }
         }
     }
 
-    /// Close the books of a child whose verdict is in: park its buffers
-    /// for its CPU's next task (finalization is charged to the speculative
-    /// path, as in the paper's breakdown), feed the verdict to the
-    /// governor's site profile — with the false-sharing classification,
-    /// the retry verdict and the live grain, so Throttle can tell the
-    /// regimes apart — and fold the statistics into the run's totals.
-    /// The caller still owns the CPU and releases it.
+    /// A joined (or promoted, or adopted) child's verdict is in: one
+    /// commit/validate event on the grain controller's clock, then its
+    /// books are closed.  The caller still owns the CPU and releases it.
     pub(crate) fn settle_child(
         &self,
         child: Rank,
@@ -1849,35 +1698,59 @@ impl ThreadManager {
         outcome: SpecOutcome,
         verdict: Result<CommitKind, SpecFailure>,
     ) {
+        self.tick_grain_controller();
+        self.close_books(child, site, model, outcome, verdict);
+    }
+
+    /// Close the books of a thread whose fate is known — the one place a
+    /// finished thread is accounted for, whether it was joined, promoted,
+    /// adopted or discarded: park its buffers for its CPU's next task
+    /// (finalization is charged to the speculative path, as in the
+    /// paper's breakdown), reclassify a rolled-back thread's work as
+    /// wasted, feed the verdict to the governor's site profile — with the
+    /// false-sharing classification, the retry verdict and the live grain,
+    /// so Throttle can tell the regimes apart — and fold the statistics
+    /// into the registry and the run's totals.
+    fn close_books(
+        &self,
+        rank: Rank,
+        site: SiteId,
+        model: ForkModel,
+        outcome: SpecOutcome,
+        verdict: Result<CommitKind, SpecFailure>,
+    ) {
         // Observed before the buffers are cleared.
         let observed_grain = self.observed_grain(&outcome);
         let finalize_started = Instant::now();
-        self.return_buffers(child, outcome.buffers);
+        self.return_buffers(rank, outcome.buffers);
         let mut stats = outcome.stats;
         stats.add(Phase::Finalize, elapsed_ns(finalize_started));
-        let site_outcome = match verdict {
+        let (site_outcome, cycles) = match verdict {
             Ok(kind) => {
-                SiteOutcome::committed(stats.get(Phase::Work), stats.get(Phase::Idle), model)
-                    .with_retry(kind.retried())
+                let work = stats.get(Phase::Work);
+                let committed = SiteOutcome::committed(work, stats.get(Phase::Idle), model);
+                (committed.with_retry(kind.retried()), work)
             }
             Err(reason) => {
                 stats.mark_work_wasted();
-                SiteOutcome::rolled_back(
-                    reason,
-                    stats.get(Phase::WastedWork),
-                    stats.get(Phase::Idle),
-                    model,
-                )
-                .with_false_sharing(stats.counters.false_sharing_suspects > 0)
+                let wasted = stats.get(Phase::WastedWork);
+                let rolled_back =
+                    SiteOutcome::rolled_back(reason, wasted, stats.get(Phase::Idle), model);
+                let suspect = stats.counters.false_sharing_suspects > 0;
+                (rolled_back.with_false_sharing(suspect), wasted)
             }
         };
         self.governor
             .record_outcome(site, &site_outcome.with_grain(observed_grain));
-        self.record_speculative(
-            &stats,
-            verdict.err(),
-            verdict.map(CommitKind::retried).unwrap_or(false),
-        );
+        let retired = Point::Retired {
+            committed: verdict.is_ok(),
+            cycles,
+            total: stats.total(),
+        };
+        self.observe(rank, site, &mut stats.counters, retired);
+        self.accum
+            .lock()
+            .fold(&stats, verdict.map(CommitKind::retried));
     }
 
     /// Apply a doom set (see
@@ -1915,55 +1788,6 @@ impl ThreadManager {
         self.rng.lock().gen_bool(p)
     }
 
-    /// Fold a finished speculative thread's statistics into the current
-    /// run's accumulators.  `rollback` carries the failure when the thread
-    /// rolled back (`None` = committed); `retried` marks a commit that was
-    /// repaired by value prediction (counted as a commit *and* a retry —
-    /// never as a rollback).
-    pub fn record_speculative(
-        &self,
-        stats: &ThreadStats,
-        rollback: Option<SpecFailure>,
-        retried: bool,
-    ) {
-        // Every joined thread is one commit/validate event on the grain
-        // controller's clock.
-        self.tick_grain_controller();
-        let registry = self.metrics.registry();
-        if registry.enabled() {
-            match rollback {
-                None => {
-                    registry.add_unranked(CounterId::Commits, 1);
-                    registry.add_unranked(CounterId::Retries, u64::from(retried));
-                    registry.add_unranked(CounterId::CommittedCycles, stats.get(Phase::Work));
-                    registry.observe(HistId::ThreadCycles, stats.total());
-                }
-                Some(reason) => {
-                    // The joiner already reclassified the thread's work as
-                    // wasted before handing the stats over.
-                    self.push_rollback_metrics(
-                        usize::MAX,
-                        RollbackReason::from(reason),
-                        stats.get(Phase::WastedWork),
-                        stats.total(),
-                    );
-                }
-            }
-        }
-        let mut accum = self.accum.lock();
-        accum.speculative.merge(stats);
-        match rollback {
-            None => {
-                accum.committed_threads += 1;
-                accum.retried_threads += u64::from(retried);
-            }
-            Some(reason) => {
-                accum.rolled_back_threads += 1;
-                accum.rolled_back_by_reason[RollbackReason::from(reason).index()] += 1;
-            }
-        }
-    }
-
     /// Wait until no speculative thread is in flight.  Orphans were
     /// aborted by their reaper and stop within one poll interval; waiting
     /// them out keeps them from folding their discard into the totals
@@ -1979,7 +1803,7 @@ impl ThreadManager {
     /// site profiles (called at the start of `Runtime::run`).
     pub fn reset_run(&self) {
         self.wait_quiescent();
-        *self.accum.lock() = RunAccumulators::default();
+        *self.accum.lock() = RunTotals::default();
         self.commit_log.clear();
         self.governor.reset();
         if let Some(controller) = &self.grain {
@@ -1988,66 +1812,6 @@ impl ThreadManager {
         self.grain_events.store(0, Ordering::Relaxed);
         self.recorder.reset();
         self.metrics.reset();
-    }
-
-    /// Aggregate every telemetry source into one [`MetricsSnapshot`] at
-    /// timestamp `ts` and append it to the hub's series.  This is the
-    /// sampler's tick body and the final-scrape path; pull-side state
-    /// (run accumulators, commit log, governor sites, grain census,
-    /// latency phases) is folded in as scrape extras so the snapshot is a
-    /// complete view regardless of which side owns a counter.
-    pub fn scrape_metrics(&self, ts: u64) -> MetricsSnapshot {
-        let totals = self.run_snapshot();
-        let counters = &totals.speculative.counters;
-        let log = self.commit_log.stats();
-        let mut extras = ScrapeExtras {
-            // These accumulate per-thread and merge at joins — the
-            // registry never sees them, so the accumulators own them.
-            counter_overrides: vec![
-                (CounterId::TargetedDooms, counters.targeted_dooms),
-                (CounterId::PrecisePasses, counters.precise_passes),
-                (
-                    CounterId::FalseSharingSuspects,
-                    counters.false_sharing_suspects,
-                ),
-            ],
-            extra_counters: vec![
-                ("log_commits".to_string(), log.commits),
-                ("log_stamps".to_string(), log.stamp_writes),
-                ("log_cas_retries".to_string(), log.cas_retries),
-                ("log_ring_overflows".to_string(), log.ring_overflows),
-                ("log_regrains".to_string(), log.regrains),
-                ("log_reader_spills".to_string(), log.reader_spills),
-            ],
-            ..ScrapeExtras::default()
-        };
-        for site in self.governor.snapshot() {
-            let site_label = site.site.to_string();
-            extras.labeled.push(LabeledGauge::new(
-                "site_rollback_rate",
-                "site",
-                site_label.clone(),
-                site.rollback_rate,
-            ));
-            extras.labeled.push(LabeledGauge::new(
-                "site_throttled",
-                "site",
-                site_label,
-                site.throttled as f64,
-            ));
-        }
-        for (grain_log2, regions) in self.commit_log.grain_census() {
-            extras.labeled.push(LabeledGauge::new(
-                "grain_regions",
-                "grain_log2",
-                grain_log2.to_string(),
-                regions as f64,
-            ));
-        }
-        extras
-            .labeled
-            .extend(phase_share_gauges(&self.recorder.latency().approx_totals()));
-        self.metrics.registry().scrape(ts, extras)
     }
 
     /// Scrape and append one sample to the hub's bounded series (the
@@ -2061,31 +1825,12 @@ impl ThreadManager {
     /// stats, committed / rolled-back / retried thread counts and the
     /// per-reason rollback breakdown.
     pub fn run_snapshot(&self) -> RunTotals {
-        let accum = self.accum.lock();
-        RunTotals {
-            speculative: accum.speculative.clone(),
-            committed: accum.committed_threads,
-            rolled_back: accum.rolled_back_threads,
-            retried: accum.retried_threads,
-            by_reason: accum.rolled_back_by_reason,
-        }
+        self.accum.lock().clone()
     }
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
-}
-
-/// Map the runtime's failure vocabulary onto the recorder's export enum.
-pub(crate) fn rollback_cause(reason: SpecFailure) -> RollbackCause {
-    match reason {
-        SpecFailure::ReadConflict | SpecFailure::LocalValidationFailed => RollbackCause::Conflict,
-        SpecFailure::BufferOverflow | SpecFailure::LocalBufferOverflow => RollbackCause::Overflow,
-        SpecFailure::Injected => RollbackCause::Injected,
-        SpecFailure::UnregisteredAddress | SpecFailure::Cascaded | SpecFailure::NoSync => {
-            RollbackCause::Other
-        }
-    }
 }
 
 /// Loop of the `num_cpus` OS threads [`Runtime`](crate::Runtime) spawns:
@@ -2662,7 +2407,7 @@ mod tests {
             // The value is unchanged, so this is a Retried commit; the
             // retry feeds the controller's split evidence.
             let _ = m.validate_and_commit(reader, &mut outcome, None);
-            m.record_speculative(&outcome.stats, None, true);
+            m.tick_grain_controller();
         }
         assert!(
             m.commit_log().grain_of(cell.addr_of(0)) < PAGE_GRAIN_LOG2,
@@ -2703,14 +2448,21 @@ mod tests {
     #[test]
     fn run_accumulators_reset_and_snapshot() {
         let m = mgr(1);
-        let mut stats = ThreadStats::new();
-        stats.add(Phase::Work, 10);
-        m.record_speculative(&stats, None, false);
-        m.record_speculative(&stats, None, true);
-        m.record_speculative(&stats, Some(SpecFailure::ReadConflict), false);
-        m.record_speculative(&stats, Some(SpecFailure::Injected), false);
+        for verdict in [
+            Ok(CommitKind::Committed),
+            Ok(CommitKind::Retried),
+            Err(SpecFailure::ReadConflict),
+            Err(SpecFailure::Injected),
+        ] {
+            let rank = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+            let mut outcome = stopped(&m, rank, TaskStatus::Completed);
+            outcome.stats.add(Phase::Work, 10);
+            m.settle_child(rank, 0, ForkModel::Mixed, outcome, verdict);
+            m.release_cpu(rank, 0);
+        }
         let totals = m.run_snapshot();
-        assert_eq!(totals.speculative.get(Phase::Work), 40);
+        assert_eq!(totals.speculative.get(Phase::Work), 20);
+        assert_eq!(totals.speculative.get(Phase::WastedWork), 20);
         assert_eq!(totals.committed, 2, "a retry is a commit");
         assert_eq!(totals.retried, 1);
         assert_eq!(totals.rolled_back, 2, "a retry is not a rollback");

@@ -146,10 +146,27 @@ pub struct ThreadCounters {
 }
 
 impl ThreadCounters {
-    /// Record one rollback of the given cause.
-    pub fn record_rollback(&mut self, reason: RollbackReason) {
-        self.rollbacks += 1;
-        self.rollbacks_by_reason[reason.index()] += 1;
+    /// Add another thread's counters to these.
+    fn merge(&mut self, other: &ThreadCounters) {
+        self.forks += other.forks;
+        self.failed_forks += other.failed_forks;
+        self.throttled_forks += other.throttled_forks;
+        self.commits += other.commits;
+        self.rollbacks += other.rollbacks;
+        for (mine, theirs) in self
+            .rollbacks_by_reason
+            .iter_mut()
+            .zip(other.rollbacks_by_reason)
+        {
+            *mine += theirs;
+        }
+        self.false_sharing_suspects += other.false_sharing_suspects;
+        self.retries_succeeded += other.retries_succeeded;
+        self.targeted_dooms += other.targeted_dooms;
+        self.precise_passes += other.precise_passes;
+        self.adopted_threads += other.adopted_threads;
+        self.loads += other.loads;
+        self.stores += other.stores;
     }
 }
 
@@ -201,26 +218,7 @@ impl ThreadStats {
         for (phase, amount) in &other.phases {
             self.add(*phase, *amount);
         }
-        self.counters.forks += other.counters.forks;
-        self.counters.failed_forks += other.counters.failed_forks;
-        self.counters.throttled_forks += other.counters.throttled_forks;
-        self.counters.commits += other.counters.commits;
-        self.counters.rollbacks += other.counters.rollbacks;
-        self.counters.false_sharing_suspects += other.counters.false_sharing_suspects;
-        self.counters.retries_succeeded += other.counters.retries_succeeded;
-        self.counters.targeted_dooms += other.counters.targeted_dooms;
-        self.counters.precise_passes += other.counters.precise_passes;
-        self.counters.adopted_threads += other.counters.adopted_threads;
-        for (mine, theirs) in self
-            .counters
-            .rollbacks_by_reason
-            .iter_mut()
-            .zip(other.counters.rollbacks_by_reason)
-        {
-            *mine += theirs;
-        }
-        self.counters.loads += other.counters.loads;
-        self.counters.stores += other.counters.stores;
+        self.counters.merge(&other.counters);
     }
 
     /// Fraction of this thread's runtime spent in `phase` (0 when the
@@ -458,17 +456,17 @@ mod tests {
 
     #[test]
     fn rollback_reason_counters_merge_and_render() {
+        let conflict = RollbackReason::Conflict.index();
         let mut a = ThreadStats::new();
-        a.counters.record_rollback(RollbackReason::Conflict);
+        a.counters.rollbacks = 1;
+        a.counters.rollbacks_by_reason[conflict] = 1;
         let mut b = ThreadStats::new();
-        b.counters.record_rollback(RollbackReason::Conflict);
-        b.counters.record_rollback(RollbackReason::Injected);
+        b.counters.rollbacks = 2;
+        b.counters.rollbacks_by_reason[conflict] = 1;
+        b.counters.rollbacks_by_reason[RollbackReason::Injected.index()] = 1;
         a.merge(&b);
         assert_eq!(a.counters.rollbacks, 3);
-        assert_eq!(
-            a.counters.rollbacks_by_reason[RollbackReason::Conflict.index()],
-            2
-        );
+        assert_eq!(a.counters.rollbacks_by_reason[conflict], 2);
         let mut report = RunReport::default();
         report.rollback_reasons[RollbackReason::Overflow.index()] = 4;
         assert_eq!(report.rollbacks_with(RollbackReason::Overflow), 4);
@@ -590,10 +588,8 @@ mod tests {
         report.critical.add(Phase::Join, 4);
         report.critical.counters.forks = 5;
         report.speculative.add(Phase::Validation, 7);
-        report
-            .speculative
-            .counters
-            .record_rollback(RollbackReason::Conflict);
+        report.speculative.counters.rollbacks = 1;
+        report.speculative.counters.rollbacks_by_reason[RollbackReason::Conflict.index()] = 1;
         report.rollback_reasons[RollbackReason::Conflict.index()] = 2;
 
         let json = serde_json::to_string(&report).unwrap();

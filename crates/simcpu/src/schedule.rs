@@ -64,17 +64,15 @@ use mutls_adaptive::{
     ForkDecision, Governor, GovernorConfig, GrainControlConfig, GrainController, SiteOutcome,
 };
 use mutls_membuf::{
-    region_log2_for_grain, Addr, CommitLogConfig, CommitLogStats, RegionProfile, RollbackReason,
-    SpecFailure,
+    region_log2_for_grain, Addr, CommitLogConfig, CommitLogStats, RegionProfile, SpecFailure,
 };
-use mutls_metrics::{
-    phase_share_gauges, CounterId, GaugeId, HistId, LabeledGauge, MetricsConfig, MetricsSeries,
-    MetricsSnapshot, Registry, ScrapeExtras,
+use mutls_metrics::{MetricsConfig, MetricsSeries, MetricsSnapshot, Registry};
+use mutls_runtime::ledger::{self, Books, Point};
+use mutls_runtime::{
+    ForkModel, Phase, RunReport, RunTotals, RuntimeConfig, ThreadCounters, ThreadStats,
 };
-use mutls_runtime::{ForkModel, Phase, RunReport, RuntimeConfig, ThreadStats};
 use mutls_trace::{
-    DenyPolicy, DoomSource, EventKind, LatencyPhase, LatencyRecorder, PlanArm, RollbackCause,
-    TraceEvent, ValidateOutcome,
+    DenyPolicy, DoomSource, EventKind, LatencyRecorder, PlanArm, TraceEvent, ValidateOutcome,
 };
 
 use crate::cost::CostModel;
@@ -415,6 +413,43 @@ impl Fiber {
     }
 }
 
+/// The replay's books (see [`ledger`]): it tells time in virtual cycles,
+/// its causal epoch is the publishes so far — the clock the native
+/// recorder reads off the commit log — and its events go to a `Vec`, in
+/// emission order.
+struct SimBooks {
+    /// `None` unless events are kept ([`SimConfig::trace`]).
+    events: Option<Vec<TraceEvent>>,
+    /// Always-on phase-latency histograms (virtual cycles as "ns").
+    latency: LatencyRecorder,
+    /// Disabled (the default) every push is one always-false branch.
+    registry: Registry,
+}
+
+impl Books for SimBooks {
+    type At = (u64, u64);
+
+    fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    fn latency(&self) -> &LatencyRecorder {
+        &self.latency
+    }
+
+    fn keep(&mut self, (ts, epoch): (u64, u64), rank: u32, site: u32, kind: EventKind) {
+        if let Some(events) = &mut self.events {
+            events.push(TraceEvent {
+                ts,
+                rank,
+                site,
+                epoch,
+                kind,
+            });
+        }
+    }
+}
+
 /// Discrete-event scheduler.
 pub struct Scheduler<'a> {
     recording: &'a Recording,
@@ -434,11 +469,9 @@ pub struct Scheduler<'a> {
     most_speculative: Option<usize>,
     active_speculative: usize,
     rng: SmallRng,
-    spec_stats: ThreadStats,
-    committed: u64,
-    rolled_back: u64,
-    retried: u64,
-    rolled_back_by_reason: [u64; RollbackReason::COUNT],
+    /// The retired speculative fibers, folded as the runtime folds its
+    /// joined threads.
+    totals: RunTotals,
     /// The simulated commit log.  Publish times by word and by range id
     /// are what conflict detection looks up: ranges are stamped at the
     /// publisher's current per-region grain, and word-level overlap is
@@ -481,17 +514,10 @@ pub struct Scheduler<'a> {
     /// conservatively because more publishes hit the range than the ring
     /// holds (always zero at depth 1, which never probes).
     sim_ring_overflows: u64,
-    /// Lifecycle events in virtual time (only filled when tracing is on).
-    events: Vec<TraceEvent>,
-    /// Always-on phase-latency histograms (virtual cycles as "ns").
-    latency: LatencyRecorder,
+    /// Where lifecycle points are written down.
+    books: SimBooks,
     /// Events popped so far (the fossil-collection clock).
     pop_count: u64,
-    /// Speculative fibers spawned (the replay's fork counter).
-    sim_forks: u64,
-    /// Metrics-plane histogram bank, observed at the retire sites.
-    /// Disabled (the default) every observe is one always-false branch.
-    metrics_registry: Registry,
     /// The deterministic snapshot series (virtual-clock cadence).
     metrics_series: MetricsSeries,
     /// Next virtual-cycle boundary a sample is due at.
@@ -533,11 +559,7 @@ impl<'a> Scheduler<'a> {
             most_speculative: None,
             active_speculative: 0,
             rng,
-            spec_stats: ThreadStats::new(),
-            committed: 0,
-            rolled_back: 0,
-            retried: 0,
-            rolled_back_by_reason: [0; RollbackReason::COUNT],
+            totals: RunTotals::default(),
             log: SimLog::new(config.commit_log.ring_depth),
             #[cfg(test)]
             publishes: Vec::new(),
@@ -553,31 +575,30 @@ impl<'a> Scheduler<'a> {
             sim_regrains: 0,
             sim_cas_retries: 0,
             sim_ring_overflows: 0,
-            events: Vec::new(),
-            latency: LatencyRecorder::new(),
+            books: SimBooks {
+                events: config.trace.then(Vec::new),
+                latency: LatencyRecorder::new(),
+                registry: Registry::new(config.metrics, 1),
+            },
             pop_count: 0,
-            sim_forks: 0,
-            metrics_registry: Registry::new(config.metrics, 1),
             metrics_series: MetricsSeries::new(config.metrics.series_capacity),
             next_metrics_tick: config.metrics.sim_cadence_cycles.max(1),
             config,
         }
     }
 
-    /// Record one lifecycle event in virtual time.  The epoch stamp is the
-    /// simulated commit count — the same causal clock the native recorder
-    /// reads off the commit log.
-    fn emit(&mut self, rank: u32, site: u32, ts: u64, kind: EventKind) {
-        if !self.config.trace {
-            return;
-        }
-        self.events.push(TraceEvent {
-            ts,
-            rank,
-            site,
-            epoch: self.sim_commits,
-            kind,
-        });
+    /// Write `point`, reached at virtual time `ts`, down in the books of
+    /// fiber `fid` (see [`ledger::observe`]); the event, if the point has
+    /// one, goes on `lane` = (rank, site).
+    fn observe(&mut self, ts: u64, lane: (u32, u32), fid: usize, point: Point) {
+        let counters = &mut self.fibers[fid].stats.counters;
+        let at = (ts, self.sim_commits);
+        ledger::observe(&mut self.books, at, lane.0, lane.1, counters, point);
+    }
+
+    /// The lane of fiber `fid`'s own events: its CPU and its fork site.
+    fn lane_of(&self, fid: usize) -> (u32, u32) {
+        (self.fibers[fid].cpu as u32, self.fibers[fid].site)
     }
 
     /// Whether the simulated log keeps version rings (depth 1 is the
@@ -663,89 +684,37 @@ impl<'a> Scheduler<'a> {
         self.next_metrics_tick = ts + cadence;
     }
 
-    /// Aggregate the scheduler's accounting into one [`MetricsSnapshot`]
-    /// at virtual timestamp `ts`, through the same naming/derivation path
-    /// the native registry uses (every counter the scheduler owns is
-    /// supplied as an override).
+    /// One [`MetricsSnapshot`] at virtual timestamp `ts`, through the
+    /// scrape the native runtime uses.
     fn scrape_metrics(&self, ts: u64) -> MetricsSnapshot {
-        // Counters carried in fiber stats merge into `spec_stats` only at
-        // retirement; fold the live fibers (the root included — its stats
-        // never merge) in for a current view.  Vec order, deterministic.
-        let mut totals = self.spec_stats.clone();
-        for fiber in &self.fibers {
-            if !fiber.retired {
-                totals.merge(&fiber.stats);
-            }
+        let census: Vec<(u32, u64)> = self.grain_census().into_iter().collect();
+        ledger::scrape(
+            &self.books,
+            ts,
+            &self.log_stats(),
+            &self.governor.snapshot(),
+            &census,
+        )
+    }
+
+    /// Simulated log traffic: publish batches, range stamps at the live
+    /// per-region grains, and controller regrains.
+    fn log_stats(&self) -> CommitLogStats {
+        CommitLogStats {
+            commits: self.sim_commits,
+            stamp_writes: self.sim_stamps,
+            // A wall-clock quantity.
+            lock_ns: 0,
+            cas_retries: self.sim_cas_retries,
+            regrains: self.sim_regrains,
+            // The simulator models reader tracking abstractly and never
+            // spills past the bitmask window.
+            reader_spills: 0,
+            ring_overflows: self.sim_ring_overflows,
+            grain_log2: self.config.commit_log.grain_log2,
+            shards: self.config.commit_log.shards,
+            ring_depth: self.config.commit_log.ring_depth,
         }
-        let counters = &totals.counters;
-        let mut extras = ScrapeExtras {
-            counter_overrides: vec![
-                (CounterId::Forks, self.sim_forks),
-                (CounterId::FailedForks, counters.failed_forks),
-                (CounterId::ThrottledForks, counters.throttled_forks),
-                (CounterId::Commits, self.committed),
-                (CounterId::Rollbacks, self.rolled_back),
-                (CounterId::rollback_reason(0), self.rolled_back_by_reason[0]),
-                (CounterId::rollback_reason(1), self.rolled_back_by_reason[1]),
-                (CounterId::rollback_reason(2), self.rolled_back_by_reason[2]),
-                (CounterId::rollback_reason(3), self.rolled_back_by_reason[3]),
-                (CounterId::Retries, self.retried),
-                (CounterId::TargetedDooms, counters.targeted_dooms),
-                (CounterId::PrecisePasses, counters.precise_passes),
-                (CounterId::AdoptedThreads, counters.adopted_threads),
-                (
-                    CounterId::FalseSharingSuspects,
-                    counters.false_sharing_suspects,
-                ),
-                // Wasted/committed cycles count *settled* fibers only
-                // (mirroring the native push sites, which fire at joins).
-                (
-                    CounterId::WastedCycles,
-                    self.spec_stats.get(Phase::WastedWork),
-                ),
-                (CounterId::CommittedCycles, self.spec_stats.get(Phase::Work)),
-            ],
-            extra_counters: vec![
-                ("log_commits".to_string(), self.sim_commits),
-                ("log_stamps".to_string(), self.sim_stamps),
-                ("log_cas_retries".to_string(), self.sim_cas_retries),
-                ("log_ring_overflows".to_string(), self.sim_ring_overflows),
-                ("log_regrains".to_string(), self.sim_regrains),
-                ("log_reader_spills".to_string(), 0),
-            ],
-            gauge_overrides: vec![(
-                GaugeId::InFlightSpeculations,
-                self.active_speculative as f64,
-            )],
-            ..ScrapeExtras::default()
-        };
-        for site in self.governor.snapshot() {
-            let site_label = site.site.to_string();
-            extras.labeled.push(LabeledGauge::new(
-                "site_rollback_rate",
-                "site",
-                site_label.clone(),
-                site.rollback_rate,
-            ));
-            extras.labeled.push(LabeledGauge::new(
-                "site_throttled",
-                "site",
-                site_label,
-                site.throttled as f64,
-            ));
-        }
-        for (grain_log2, regions) in self.grain_census() {
-            extras.labeled.push(LabeledGauge::new(
-                "grain_regions",
-                "grain_log2",
-                grain_log2.to_string(),
-                regions as f64,
-            ));
-        }
-        extras
-            .labeled
-            .extend(phase_share_gauges(&self.latency.approx_totals()));
-        self.metrics_registry.scrape(ts, extras)
     }
 
     /// Census of the live per-region grains over touched regions — what
@@ -789,42 +758,25 @@ impl<'a> Scheduler<'a> {
             let snapshot = self.scrape_metrics(runtime);
             self.metrics_series.push(snapshot);
         }
-        let root_fiber = &self.fibers[0];
         let report = RunReport {
-            critical: root_fiber.stats.clone(),
-            speculative: self.spec_stats.clone(),
-            committed_threads: self.committed,
-            rolled_back_threads: self.rolled_back,
-            retried_threads: self.retried,
-            rollback_reasons: self.rolled_back_by_reason,
-            runtime,
-            sites: self.governor.snapshot(),
-            // Simulated log traffic: publish batches, range stamps at the
-            // live per-region grains, and controller regrains.
-            // `lock_ns` is a wall-clock quantity and stays zero.
-            commit_log: CommitLogStats {
-                commits: self.sim_commits,
-                stamp_writes: self.sim_stamps,
-                lock_ns: 0,
-                cas_retries: self.sim_cas_retries,
-                regrains: self.sim_regrains,
-                // The simulator models reader tracking abstractly and
-                // never spills past the bitmask window.
-                reader_spills: 0,
-                ring_overflows: self.sim_ring_overflows,
-                grain_log2: self.config.commit_log.grain_log2,
-                shards: self.config.commit_log.shards,
-                ring_depth: self.config.commit_log.ring_depth,
-            },
+            critical: self.fibers[0].stats.clone(),
+            commit_log: self.log_stats(),
             region_grains: self.grain_census().into_iter().collect(),
-            latency: self.latency.report(),
+            sites: self.governor.snapshot(),
+            latency: self.books.latency.report(),
+            runtime,
+            speculative: self.totals.speculative,
+            committed_threads: self.totals.committed,
+            rolled_back_threads: self.totals.rolled_back,
+            retried_threads: self.totals.retried,
+            rollback_reasons: self.totals.by_reason,
         };
         SimResult {
             report,
             sequential_cycles: Self::sequential_cycles(self.recording, &self.config.cost),
             parallel_cycles: runtime,
             tasks: self.recording.task_count(),
-            events: self.events,
+            events: self.books.events.unwrap_or_default(),
             metrics: self.metrics_series,
         }
     }
@@ -842,7 +794,6 @@ impl<'a> Scheduler<'a> {
         self.fibers
             .push(Fiber::new(cpu, speculative, node, start, site, model));
         if speculative {
-            self.sim_forks += 1;
             self.live.push(fid);
         }
         fid
@@ -938,7 +889,9 @@ impl<'a> Scheduler<'a> {
             let fiber = &mut self.fibers[fid];
             match verdict {
                 PublishVerdict::Genuine => fiber.doomed_false_sharing = false,
-                PublishVerdict::PrecisePass => fiber.stats.counters.precise_passes += 1,
+                PublishVerdict::PrecisePass => {
+                    self.observe(time, self.lane_of(fid), fid, Point::PrecisePasses(1));
+                }
                 PublishVerdict::Doom {
                     false_sharing,
                     ring_overflow,
@@ -958,22 +911,13 @@ impl<'a> Scheduler<'a> {
                 }
             }
         }
-        let mut cost = self.config.cost.doom_cycles(newly_doomed.len() as u64);
-        if !newly_doomed.is_empty() {
-            self.fibers[writer].stats.counters.targeted_dooms += newly_doomed.len() as u64;
-            let writer_rank = self.fibers[writer].cpu as u32;
-            let writer_site = self.fibers[writer].site;
-            self.emit(
-                writer_rank,
-                writer_site,
-                time,
-                EventKind::Doom {
-                    source: DoomSource::Commit,
-                },
-            );
-            for fid in newly_doomed {
-                self.request_stop(fid, time);
-            }
+        let victims = newly_doomed.len() as u64;
+        let mut cost = self.config.cost.doom_cycles(victims);
+        let source = DoomSource::Commit;
+        let doomed = Point::Doomed { source, victims };
+        self.observe(time, self.lane_of(writer), writer, doomed);
+        for fid in newly_doomed {
+            self.request_stop(fid, time);
         }
         self.publish_count += 1;
         cost += self.tick_grain_controller(time);
@@ -1055,8 +999,14 @@ impl<'a> Scheduler<'a> {
             return 0;
         }
         // Control-plane events use the lane past the last CPU, like the
-        // native recorder's dedicated grain-controller lane.
-        let control_lane = (self.config.num_cpus + 1) as u32;
+        // native recorder's dedicated grain-controller lane; it has no
+        // thread, hence no counters.
+        let control = |sched: &mut Self, point| {
+            let at = (time, sched.sim_commits);
+            let lane = (sched.config.num_cpus + 1) as u32;
+            let nobody = &mut ThreadCounters::default();
+            ledger::observe(&mut sched.books, at, lane, 0, nobody, point);
+        };
         let action_count = actions.len() as u32;
         let slots_per_region = 1u64 << (self.region_log2 - floor);
         let mut cost = 0;
@@ -1066,16 +1016,8 @@ impl<'a> Scheduler<'a> {
             self.grains.insert(action.region, action.new_grain_log2);
             self.sim_regrains += 1;
             cost += self.config.cost.regrain_cycles(slots_per_region);
-            self.emit(
-                control_lane,
-                0,
-                time,
-                EventKind::Regrain {
-                    region: action.region,
-                    from,
-                    to: action.new_grain_log2,
-                },
-            );
+            let (region, to) = (action.region, action.new_grain_log2);
+            control(self, Point::Regrained { region, from, to });
             // The native regrain stamps the whole region and dooms its
             // registered readers; mirror it by dooming every in-flight
             // speculative fiber with a read in the region.  The doom is
@@ -1117,25 +1059,10 @@ impl<'a> Scheduler<'a> {
                 }
             }
             doomed += doomed_here;
-            if doomed_here > 0 {
-                self.emit(
-                    control_lane,
-                    0,
-                    time,
-                    EventKind::Doom {
-                        source: DoomSource::Regrain,
-                    },
-                );
-            }
+            let (source, victims) = (DoomSource::Regrain, doomed_here);
+            control(self, Point::Doomed { source, victims });
         }
-        self.emit(
-            control_lane,
-            0,
-            time,
-            EventKind::GrainTick {
-                actions: action_count,
-            },
-        );
+        control(self, Point::GrainTicked(action_count));
         cost + self.config.cost.doom_cycles(doomed)
     }
 
@@ -1394,7 +1321,8 @@ impl<'a> Scheduler<'a> {
                     let range_only = self.mvcc() && !word_hit && self.fibers[fid].doomed.is_none();
                     let overflow = range_only && fx.overflow;
                     if range_only && !overflow {
-                        self.fibers[fid].stats.counters.precise_passes += 1;
+                        let now = self.fibers[fid].time;
+                        self.observe(now, self.lane_of(fid), fid, Point::PrecisePasses(1));
                     } else {
                         if range_only {
                             self.sim_ring_overflows += 1;
@@ -1426,23 +1354,15 @@ impl<'a> Scheduler<'a> {
     }
 
     fn process_fork(&mut self, fid: usize, child: NodeId, recorded_model: ForkModel, point: u32) {
-        let forker_rank = self.fibers[fid].cpu as u32;
+        let forker = (self.fibers[fid].cpu as u32, point);
         let now = self.fibers[fid].time;
-        self.emit(forker_rank, point, now, EventKind::ForkAttempt);
+        self.observe(now, forker, fid, Point::ForkAttempt);
         // Mirror the native recovery engine: a speculative fiber
         // executing a rollback-inherited frame may not re-speculate (its
         // children would read underneath the uncommitted overlay); the
         // re-execution stays inline.
         if self.fibers[fid].speculative && self.fibers[fid].frames.iter().any(|f| f.reexec) {
-            self.fibers[fid].stats.counters.failed_forks += 1;
-            self.emit(
-                forker_rank,
-                point,
-                now,
-                EventKind::ForkDenied {
-                    policy: DenyPolicy::Reexec,
-                },
-            );
+            self.observe(now, forker, fid, Point::ForkDenied(DenyPolicy::Reexec));
             return;
         }
         let requested = self.config.fork_model.unwrap_or(recorded_model);
@@ -1451,80 +1371,33 @@ impl<'a> Scheduler<'a> {
         // The governor may suppress the fork or pick a per-site model; a
         // denial is decided before any fork overhead is spent, exactly as
         // in the native runtime.
-        let model = match self.governor.decide(point, requested) {
-            ForkDecision::Allow(model) => {
-                self.emit(
-                    forker_rank,
-                    point,
-                    now,
-                    EventKind::GovernorDecision { allowed: true },
-                );
-                model
-            }
-            ForkDecision::Deny => {
-                self.fibers[fid].stats.counters.throttled_forks += 1;
-                self.emit(
-                    forker_rank,
-                    point,
-                    now,
-                    EventKind::GovernorDecision { allowed: false },
-                );
-                self.emit(
-                    forker_rank,
-                    point,
-                    now,
-                    EventKind::ForkDenied {
-                        policy: DenyPolicy::Governor,
-                    },
-                );
-                return;
-            }
+        let decision = self.governor.decide(point, requested);
+        let allowed = decision != ForkDecision::Deny;
+        self.observe(now, forker, fid, Point::GovernorRuled(allowed));
+        let ForkDecision::Allow(model) = decision else {
+            return;
         };
 
         // Scanning for an idle CPU costs time on the forker.
         self.fibers[fid].time += cost.find_cpu;
         self.fibers[fid].stats.add(Phase::FindCpu, cost.find_cpu);
 
-        if !self.fork_allowed(fid, model) {
-            self.fibers[fid].stats.counters.failed_forks += 1;
-            let now = self.fibers[fid].time;
-            self.emit(
-                forker_rank,
-                point,
-                now,
-                EventKind::ForkDenied {
-                    policy: DenyPolicy::Model,
-                },
-            );
-            return;
-        }
-        let Some(cpu) = self.acquire_cpu() else {
-            self.fibers[fid].stats.counters.failed_forks += 1;
-            let now = self.fibers[fid].time;
-            self.emit(
-                forker_rank,
-                point,
-                now,
-                EventKind::ForkDenied {
-                    policy: DenyPolicy::NoCpu,
-                },
-            );
-            return;
+        let now = self.fibers[fid].time;
+        let cpu = if self.fork_allowed(fid, model) {
+            self.acquire_cpu().ok_or(DenyPolicy::NoCpu)
+        } else {
+            Err(DenyPolicy::Model)
+        };
+        let cpu = match cpu {
+            Ok(cpu) => cpu,
+            Err(policy) => return self.observe(now, forker, fid, Point::ForkDenied(policy)),
         };
         self.fibers[fid].time += cost.fork;
         self.fibers[fid].stats.add(Phase::Fork, cost.fork);
-        self.fibers[fid].stats.counters.forks += 1;
 
         let start = self.fibers[fid].time + cost.spawn_latency;
         let child_fiber = self.spawn_fiber(child, true, cpu, start, point, model);
-        self.emit(
-            cpu as u32,
-            point,
-            start,
-            EventKind::SpecStart {
-                parent: forker_rank,
-            },
-        );
+        self.observe(start, forker, fid, Point::SpecStart(cpu as u32));
         self.governor.record_fork(point, model);
         self.fibers[fid].child_fibers.insert(child, child_fiber);
         self.most_speculative = Some(child_fiber);
@@ -1577,22 +1450,15 @@ impl<'a> Scheduler<'a> {
         let read_words = self.fibers[cf].reads.len() as u64;
         let read_ranges = self.fibers[cf].read_ranges.len() as u64;
         let write_words = self.fibers[cf].writes.len() as u64;
-        let child_rank = self.fibers[cf].cpu as u32;
-        let child_site = self.fibers[cf].site;
-        self.emit(
-            child_rank,
-            child_site,
-            now,
-            EventKind::ValidateBegin {
-                ranges: read_ranges as u32,
-            },
-        );
+        let (child, joiner) = (self.lane_of(cf), self.lane_of(fid));
+        let ranges = read_ranges as u32;
+        self.observe(now, child, cf, Point::ValidateBegin(ranges));
         let validation = cost.validation_cycles_grained(read_words, read_ranges);
         self.fibers[cf].stats.add(Phase::Validation, validation);
         self.fibers[fid].stats.add(Phase::Idle, validation);
         now += validation;
-        self.latency.record(LatencyPhase::Validation, validation);
 
+        let mut retry = None;
         let injected = self.draw_injected();
         let verdict: Result<(), SpecFailure> = if let Some(reason) = self.fibers[cf].doomed {
             // Recovery rung 1 — value-predict retry: a range-only
@@ -1603,12 +1469,11 @@ impl<'a> Scheduler<'a> {
                 && self.fibers[cf].doomed_false_sharing
                 && !injected
             {
-                let retry = cost.retry_cycles(read_words);
-                self.fibers[cf].stats.add(Phase::Validation, retry);
-                self.fibers[fid].stats.add(Phase::Idle, retry);
-                now += retry;
-                self.latency.record(LatencyPhase::RepairRetry, retry);
-                self.fibers[cf].stats.counters.retries_succeeded += 1;
+                let cycles = cost.retry_cycles(read_words);
+                self.fibers[cf].stats.add(Phase::Validation, cycles);
+                self.fibers[fid].stats.add(Phase::Idle, cycles);
+                now += cycles;
+                retry = Some(cycles);
                 self.fibers[cf].retried = true;
                 self.fibers[cf].doomed = None;
                 self.fibers[cf].doomed_false_sharing = false;
@@ -1617,7 +1482,6 @@ impl<'a> Scheduler<'a> {
                 if let Some(region) = self.fibers[cf].conflict_region.take() {
                     self.region_telemetry.entry(region).or_default()[3] += 1;
                 }
-                self.retried += 1;
                 Ok(())
             } else {
                 Err(reason)
@@ -1633,11 +1497,11 @@ impl<'a> Scheduler<'a> {
         // far cheaper than the value-predict retries they replace.
         let precise = self.fibers[cf].stats.counters.precise_passes;
         if precise > 0 {
-            let probe = cost.ring_probe_cycles(precise);
-            self.fibers[cf].stats.add(Phase::Validation, probe);
-            self.fibers[fid].stats.add(Phase::Idle, probe);
-            now += probe;
-            self.latency.record(LatencyPhase::Validation, probe);
+            let cycles = cost.ring_probe_cycles(precise);
+            self.fibers[cf].stats.add(Phase::Validation, cycles);
+            self.fibers[fid].stats.add(Phase::Idle, cycles);
+            now += cycles;
+            self.observe(now, child, cf, Point::RingProbesPriced(cycles));
         }
         let outcome = match &verdict {
             Ok(()) if self.fibers[cf].retried => ValidateOutcome::Retried,
@@ -1654,12 +1518,12 @@ impl<'a> Scheduler<'a> {
             }
             Err(_) => ValidateOutcome::Failed,
         };
-        self.emit(
-            child_rank,
-            child_site,
-            now,
-            EventKind::ValidateEnd { outcome },
-        );
+        let validated = Point::Validated {
+            outcome,
+            took: validation,
+            retry,
+        };
+        self.observe(now, child, cf, validated);
 
         let finalize = cost.finalize_cycles(read_words + write_words);
         let mut blocked = false;
@@ -1700,18 +1564,8 @@ impl<'a> Scheduler<'a> {
                 };
                 if cas_attempts > 0 {
                     self.sim_cas_retries += cas_attempts;
-                    // The histogram records the *attempt count*, not a
-                    // duration, mirroring the native runtime.
-                    self.latency
-                        .record(LatencyPhase::CommitCasRetry, cas_attempts);
-                    self.emit(
-                        child_rank,
-                        child_site,
-                        now,
-                        EventKind::CommitCasRetry {
-                            attempts: cas_attempts,
-                        },
-                    );
+                    let attempts = cas_attempts;
+                    self.observe(now, child, cf, Point::CommitCasRetried(attempts));
                 }
                 let commit = cost.commit_cycles(write_words) + cost.cas_retry_cycles(cas_attempts);
                 self.fibers[cf].stats.add(Phase::Commit, commit);
@@ -1728,13 +1582,12 @@ impl<'a> Scheduler<'a> {
                 } else {
                     now += self.publish(&child_writes, now, cf);
                 }
-                self.emit(child_rank, child_site, now, EventKind::Commit);
-                self.latency.record(
-                    LatencyPhase::ForkToCommit,
-                    now.saturating_sub(self.fibers[cf].start_time),
-                );
-                self.fibers[fid].stats.counters.commits += 1;
-                self.committed += 1;
+                let committed = Point::Committed {
+                    retried: self.fibers[cf].retried,
+                    since_fork: now.saturating_sub(self.fibers[cf].start_time),
+                };
+                self.observe(now, child, cf, committed);
+                self.observe(now, joiner, fid, Point::JoinCommitted);
 
                 let early = self.stopped_early(cf);
                 // Inherit the child's still-speculating children so their
@@ -1767,9 +1620,6 @@ impl<'a> Scheduler<'a> {
             Err(reason) => {
                 // Remember why, for the governor's per-site profile.
                 let _ = self.fibers[cf].doomed.get_or_insert(reason);
-                if reason == SpecFailure::ReadConflict && self.fibers[cf].doomed_false_sharing {
-                    self.fibers[cf].stats.counters.false_sharing_suspects += 1;
-                }
                 if reason == SpecFailure::ReadConflict {
                     // Grain-control telemetry: attribute the squash to the
                     // conflicting region (false-sharing flagged so the
@@ -1792,24 +1642,11 @@ impl<'a> Scheduler<'a> {
                 } else {
                     PlanArm::None
                 };
+                self.observe(now, child, cf, Point::RolledBack { reason, plan });
                 // The join-side repair work is the buffer discard plus the
                 // re-execution frame push, both priced by `finalize`.
-                self.latency.record(LatencyPhase::RepairDoomSet, finalize);
-                self.emit(
-                    child_rank,
-                    child_site,
-                    now,
-                    EventKind::Rollback {
-                        reason: rollback_cause(reason),
-                        plan,
-                    },
-                );
-                self.fibers[fid]
-                    .stats
-                    .counters
-                    .record_rollback(RollbackReason::from(reason));
-                self.rolled_back += 1;
-                self.rolled_back_by_reason[RollbackReason::from(reason).index()] += 1;
+                let repair = finalize;
+                self.observe(now, joiner, fid, Point::JoinRolledBack { reason, repair });
                 // Cascading rollback confined to the child's subtree: every
                 // speculative thread it spawned (and has not joined) is
                 // discarded too.
@@ -1819,10 +1656,10 @@ impl<'a> Scheduler<'a> {
                     .map(|(_, f)| f)
                     .collect();
                 for gf in grandchildren {
-                    self.cancel_subtree(gf);
+                    self.cancel_subtree(gf, now);
                 }
                 if let Some(gc) = self.fibers[cf].pending_join.take() {
-                    self.cancel_subtree(gc);
+                    self.cancel_subtree(gc, now);
                 }
                 self.retire_fiber(cf, false);
                 // The parent re-executes the child's region inline from the
@@ -1840,9 +1677,9 @@ impl<'a> Scheduler<'a> {
         !blocked
     }
 
-    /// Cancel a speculative fiber and its whole subtree (cascading
+    /// Cancel a speculative fiber and its whole subtree at `now` (cascading
     /// rollback).  Their work is wasted and their CPUs are reclaimed.
-    fn cancel_subtree(&mut self, fid: usize) {
+    fn cancel_subtree(&mut self, fid: usize, now: u64) {
         if self.fibers[fid].retired {
             return;
         }
@@ -1852,14 +1689,14 @@ impl<'a> Scheduler<'a> {
             .map(|(_, f)| f)
             .collect();
         for gf in grandchildren {
-            self.cancel_subtree(gf);
+            self.cancel_subtree(gf, now);
         }
         if let Some(gc) = self.fibers[fid].pending_join.take() {
-            self.cancel_subtree(gc);
+            self.cancel_subtree(gc, now);
         }
-        self.rolled_back += 1;
-        let reason = self.fibers[fid].doomed.unwrap_or(SpecFailure::Cascaded);
-        self.rolled_back_by_reason[RollbackReason::from(reason).index()] += 1;
+        // Counted under what doomed it, if anything had.
+        let blamed = self.fibers[fid].doomed.unwrap_or(SpecFailure::Cascaded);
+        self.observe(now, self.lane_of(fid), fid, Point::Cascaded(blamed));
         self.retire_fiber(fid, false);
     }
 
@@ -1869,49 +1706,46 @@ impl<'a> Scheduler<'a> {
         }
         self.fibers[cf].retired = true;
         self.live.retain(|&f| f != cf);
-        if !committed {
-            let wasted = self.fibers[cf].stats.mark_work_wasted();
-            if self.fibers[cf].speculative {
-                self.metrics_registry
-                    .observe(HistId::RollbackWastedCycles, wasted);
-            }
-        }
-        if self.fibers[cf].speculative {
-            self.metrics_registry
-                .observe(HistId::ThreadCycles, self.fibers[cf].stats.total());
-        }
-        if self.fibers[cf].speculative {
-            let fiber = &self.fibers[cf];
-            // Live grain of the fiber's traffic for the per-site grain
-            // column, taken at its lowest written — else read — address.
-            let observed_grain = fiber
-                .writes
-                .first()
-                .or(fiber.reads.first())
-                .map(|&a| self.grain_at(a))
-                .unwrap_or(self.config.commit_log.grain_log2);
-            let outcome = if committed {
-                SiteOutcome::committed(
-                    fiber.stats.get(Phase::Work),
-                    fiber.stats.get(Phase::Idle),
-                    fiber.model,
-                )
-                .with_retry(fiber.retried)
-                .with_grain(observed_grain)
+        debug_assert!(self.fibers[cf].speculative, "the root never retires");
+        let stats = &mut self.fibers[cf].stats;
+        let retired = Point::Retired {
+            committed,
+            cycles: if committed {
+                stats.get(Phase::Work)
             } else {
-                SiteOutcome::rolled_back(
-                    fiber.doomed.unwrap_or(SpecFailure::Cascaded),
-                    fiber.stats.get(Phase::WastedWork),
-                    fiber.stats.get(Phase::Idle),
-                    fiber.model,
+                stats.mark_work_wasted()
+            },
+            total: stats.total(),
+        };
+        self.observe(self.fibers[cf].time, self.lane_of(cf), cf, retired);
+        let fiber = &self.fibers[cf];
+        // Live grain of the fiber's traffic for the per-site grain column,
+        // taken at its lowest written — else read — address.
+        let observed_grain = fiber
+            .writes
+            .first()
+            .or(fiber.reads.first())
+            .map(|&a| self.grain_at(a))
+            .unwrap_or(self.config.commit_log.grain_log2);
+        let idle = fiber.stats.get(Phase::Idle);
+        let fate = if committed {
+            Ok(fiber.retried)
+        } else {
+            Err(fiber.doomed.unwrap_or(SpecFailure::Cascaded))
+        };
+        let outcome = match fate {
+            Ok(retried) => SiteOutcome::committed(fiber.stats.get(Phase::Work), idle, fiber.model)
+                .with_retry(retried),
+            Err(reason) => {
+                let wasted = fiber.stats.get(Phase::WastedWork);
+                SiteOutcome::rolled_back(reason, wasted, idle, fiber.model).with_false_sharing(
+                    reason == SpecFailure::ReadConflict && fiber.doomed_false_sharing,
                 )
-                .with_false_sharing(
-                    fiber.doomed == Some(SpecFailure::ReadConflict) && fiber.doomed_false_sharing,
-                )
-                .with_grain(observed_grain)
-            };
-            self.governor.record_outcome(fiber.site, &outcome);
-        }
+            }
+        };
+        self.governor
+            .record_outcome(fiber.site, &outcome.with_grain(observed_grain));
+        self.totals.fold(&fiber.stats, fate);
         // Leave the reader registry and release the footprint: nothing
         // looks at a retired fiber's sets — except the contention model at
         // the writes of one cancelled in flight.
@@ -1928,12 +1762,8 @@ impl<'a> Scheduler<'a> {
         } else if fiber.speculative {
             self.cancelled_in_flight.push(cf);
         }
-        let stats = self.fibers[cf].stats.clone();
-        self.spec_stats.merge(&stats);
-        let cpu = self.fibers[cf].cpu;
-        if cpu > 0 {
-            self.release_cpu(cpu);
-        }
+        let cpu = fiber.cpu;
+        self.release_cpu(cpu);
         self.active_speculative = self.active_speculative.saturating_sub(1);
         if self.most_speculative == Some(cf) {
             self.most_speculative = None;
@@ -1948,19 +1778,6 @@ impl<'a> Scheduler<'a> {
             true
         } else {
             self.rng.gen_bool(p)
-        }
-    }
-}
-
-/// Map a simulated failure onto the trace vocabulary (same mapping the
-/// native runtime uses).
-fn rollback_cause(reason: SpecFailure) -> RollbackCause {
-    match reason {
-        SpecFailure::ReadConflict | SpecFailure::LocalValidationFailed => RollbackCause::Conflict,
-        SpecFailure::BufferOverflow | SpecFailure::LocalBufferOverflow => RollbackCause::Overflow,
-        SpecFailure::Injected => RollbackCause::Injected,
-        SpecFailure::UnregisteredAddress | SpecFailure::Cascaded | SpecFailure::NoSync => {
-            RollbackCause::Other
         }
     }
 }
@@ -2166,8 +1983,9 @@ pub fn simulate(recording: &Recording, config: SimConfig) -> SimResult {
 mod tests {
     use super::*;
     use crate::record_region;
-    use mutls_membuf::GlobalMemory;
+    use mutls_membuf::{GlobalMemory, RollbackReason};
     use mutls_runtime::{task, SpecResult, TlsContext};
+    use mutls_trace::LatencyPhase;
     use std::sync::Arc;
 
     /// A region whose child reads a word that *false-shares* a line with

@@ -9,15 +9,23 @@
 //! recordings take the paths md does not — genuine conflicts, range-only
 //! hits that precise-pass or overflow the ring, value-predict retries,
 //! regrains, cascading rollbacks.
+//!
+//! `OBSERVED_GOLDEN` pins what the observers see of the same machine: the
+//! serialized event stream and the final metrics snapshot of a traced,
+//! metrics-on replay.
 
 use std::sync::Arc;
 
 use mutls_adaptive::GrainControlConfig;
 use mutls_membuf::{CommitLogConfig, GlobalMemory};
+use mutls_metrics::MetricsConfig;
 use mutls_simcpu::{record_region, simulate, Recording, SimConfig};
+use mutls_trace::{EventKind, PlanArm, RollbackCause, TraceEvent};
 use mutls_workloads::{conflict, fft, md};
 
-/// `(sequential_cycles, parallel_cycles, fnv1a(serialized report))`.
+/// `(sequential_cycles, parallel_cycles, fnv1a(serialized report))`, or —
+/// in `OBSERVED_GOLDEN` — the FNV-1a digests of `(event stream, event
+/// stream without cascaded discards, final metrics snapshot)`.
 type Golden = (u64, u64, u64);
 
 fn fnv1a(text: &str) -> u64 {
@@ -26,16 +34,46 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
+fn digest<T: serde::Serialize + ?Sized>(value: &T) -> u64 {
+    let mut json = String::new();
+    value.serialize_json(&mut json);
+    fnv1a(&json)
+}
+
 fn measure(recording: &Recording, config: SimConfig) -> Golden {
-    use serde::Serialize;
     let result = simulate(recording, config);
-    let mut report = String::new();
-    result.report.serialize_json(&mut report);
     (
         result.sequential_cycles,
         result.parallel_cycles,
-        fnv1a(&report),
+        digest(&result.report),
     )
+}
+
+/// The benchmark's `sim_replay` recording: md, 256 particles × 40 steps
+/// in 64 chunks.
+fn md_recording() -> Recording {
+    let config = md::Config {
+        particles: 256,
+        steps: 40,
+        chunks: 64,
+    };
+    let memory = Arc::new(GlobalMemory::new(32 << 20));
+    let data = md::setup(&memory, &config);
+    record_region(memory, |ctx| md::run(ctx, data, config))
+}
+
+fn chain_recording(permille: u32) -> Recording {
+    let config = conflict::ChainConfig::tiny().sharing_permille(permille);
+    let memory = Arc::new(GlobalMemory::new(conflict::ARENA_BYTES));
+    let data = conflict::chain_setup(&memory, &config);
+    record_region(memory, |ctx| conflict::chain_run(ctx, data, config))
+}
+
+fn hist_recording(permille: u32) -> Recording {
+    let config = conflict::HistConfig::tiny().sharing_permille(permille);
+    let memory = Arc::new(GlobalMemory::new(conflict::ARENA_BYTES));
+    let data = conflict::hist_setup(&memory, &config);
+    record_region(memory, |ctx| conflict::hist_run(ctx, data, config))
 }
 
 /// Compare every row at once, so one run prints the whole table.
@@ -43,7 +81,12 @@ fn assert_golden(actual: &[(String, Golden)], golden: &[(&str, Golden)]) {
     let table: String = actual
         .iter()
         .map(|(name, (seq, par, digest))| {
-            format!("    (\"{name}\", ({seq}, {par}, 0x{digest:016X})),\n")
+            // Cycle counts read in decimal, digests in hex.
+            if *seq > u64::from(u32::MAX) {
+                format!("    (\"{name}\", (0x{seq:016X}, 0x{par:016X}, 0x{digest:016X})),\n")
+            } else {
+                format!("    (\"{name}\", ({seq}, {par}, 0x{digest:016X})),\n")
+            }
         })
         .collect();
     let same = actual.len() == golden.len()
@@ -56,18 +99,10 @@ fn assert_golden(actual: &[(String, Golden)], golden: &[(&str, Golden)]) {
     assert!(same, "simulated results moved; this run computed:\n{table}");
 }
 
-/// The benchmark's `sim_replay` workload: md, 256 particles × 40 steps in
-/// 64 chunks, at the four CPU counts it replays.
+/// The benchmark's `sim_replay` workload at the four CPU counts it replays.
 #[test]
 fn md_replay_cycles_are_pinned_at_every_benchmarked_cpu_count() {
-    let config = md::Config {
-        particles: 256,
-        steps: 40,
-        chunks: 64,
-    };
-    let memory = Arc::new(GlobalMemory::new(32 << 20));
-    let data = md::setup(&memory, &config);
-    let recording = record_region(memory, |ctx| md::run(ctx, data, config));
+    let recording = md_recording();
     assert_eq!(recording.task_count(), 2521);
     let actual: Vec<(String, Golden)> = [1, 4, 16, 64]
         .into_iter()
@@ -91,18 +126,6 @@ fn conflict_and_recovery_paths_are_pinned_across_grain_ring_and_control() {
         let memory = Arc::new(GlobalMemory::new(4 << 20));
         let data = fft::setup(&memory, &config);
         record_region(memory, |ctx| fft::run(ctx, data, config))
-    };
-    let chain_recording = |permille| {
-        let config = conflict::ChainConfig::tiny().sharing_permille(permille);
-        let memory = Arc::new(GlobalMemory::new(conflict::ARENA_BYTES));
-        let data = conflict::chain_setup(&memory, &config);
-        record_region(memory, |ctx| conflict::chain_run(ctx, data, config))
-    };
-    let hist_recording = |permille| {
-        let config = conflict::HistConfig::tiny().sharing_permille(permille);
-        let memory = Arc::new(GlobalMemory::new(conflict::ARENA_BYTES));
-        let data = conflict::hist_setup(&memory, &config);
-        record_region(memory, |ctx| conflict::hist_run(ctx, data, config))
     };
     let recordings = [
         ("fft", fft_recording),
@@ -136,6 +159,54 @@ fn conflict_and_recovery_paths_are_pinned_across_grain_ring_and_control() {
         }
     }
     assert_golden(&actual, SMALL_GOLDEN);
+}
+
+/// What the flight recorder and the metrics plane see of md at 4 CPUs and
+/// of the conflict family at line grain, ring depth 4, 16 CPUs.  The
+/// middle digest is of the stream without its cascaded-discard
+/// `Rollback { Other, None }` events and was computed at the commit before
+/// lifecycle points went through one ledger — when a cascade left no event
+/// at all and that stream was the whole stream: nothing else may move.
+#[test]
+fn event_streams_and_final_snapshots_are_pinned() {
+    let observed = |config: SimConfig| SimConfig {
+        trace: true,
+        metrics: MetricsConfig::enabled(),
+        ..config
+    };
+    let conflict_config = || SimConfig {
+        commit_log: CommitLogConfig::line_grain().ring_depth(4),
+        ..SimConfig::with_cpus(16)
+    };
+    let runs = [
+        ("md/4", md_recording(), SimConfig::with_cpus(4)),
+        ("chain100", chain_recording(1000), conflict_config()),
+        ("chain50", chain_recording(500), conflict_config()),
+        ("hist100", hist_recording(1000), conflict_config()),
+        ("hist50", hist_recording(500), conflict_config()),
+    ];
+    let cascaded = EventKind::Rollback {
+        reason: RollbackCause::Other,
+        plan: PlanArm::None,
+    };
+    let actual: Vec<(String, Golden)> = runs
+        .into_iter()
+        .map(|(name, recording, config)| {
+            let result = simulate(&recording, observed(config));
+            let uncascaded: Vec<TraceEvent> = result
+                .events
+                .iter()
+                .copied()
+                .filter(|event| event.kind != cascaded)
+                .collect();
+            let last = result.metrics.latest().expect("final snapshot");
+            (
+                name.to_string(),
+                (digest(&result.events), digest(&uncascaded), digest(last)),
+            )
+        })
+        .collect();
+    assert_golden(&actual, OBSERVED_GOLDEN);
 }
 
 #[rustfmt::skip]
@@ -188,4 +259,13 @@ const SMALL_GOLDEN: &[(&str, Golden)] = &[
     ("hist50/line/ring4/control-on", (2400480, 2215890, 0xDDC4ECA5189EBE27)),
     ("hist50/line/ring1/control-off", (2400480, 2217504, 0xA36F70B0F101A17C)),
     ("hist50/line/ring1/control-on", (2400480, 2217510, 0x9B65AC29349A4942)),
+];
+
+#[rustfmt::skip]
+const OBSERVED_GOLDEN: &[(&str, Golden)] = &[
+    ("md/4", (0xD9432497307AC465, 0xD9432497307AC465, 0x0206776A95271AA2)),
+    ("chain100", (0x47BCD6C8C838789F, 0xB1AFE02B6B1AD807, 0xC87CC8989A3F660E)),
+    ("chain50", (0xA5D8F427559D35FD, 0xA5D8F427559D35FD, 0xD0BDF79BC2C2289F)),
+    ("hist100", (0x59D86F2171E97348, 0x29ACFE358A878F96, 0xCB2DD2FC42E0D563)),
+    ("hist50", (0x4D6ED705F45BEE59, 0x3F7246C83442CF39, 0x3A0831DE713258AC)),
 ];

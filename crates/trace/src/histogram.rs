@@ -109,6 +109,15 @@ impl Histogram {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Samples per bucket: bucket 0 holds the value 0, bucket `k >= 1`
+    /// the values in `[2^(k-1), 2^k)`.
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        self.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    }
+
     /// Total number of samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
@@ -117,11 +126,7 @@ impl Histogram {
     /// The `q`-quantile (in thousandths: 500 = p50, 999 = p999) as the
     /// lower bound of the bucket it falls in; 0 when empty.
     pub fn quantile_millis(&self, q: u64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;

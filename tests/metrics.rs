@@ -1,7 +1,7 @@
 //! Live-metrics-plane oracle: series determinism, zero-cost disabled
-//! path, and end-to-end export.
+//! path, end-to-end export, and agreement with the other ledgers.
 //!
-//! The telemetry plane makes three promises this file pins down:
+//! The telemetry plane makes four promises this file pins down:
 //!
 //! 1. **Byte-identical series** — the simulator samples its registry off
 //!    the *virtual* clock, so the serialized metrics time series (like
@@ -15,16 +15,24 @@
 //!    exports Prometheus text with non-zero rollback counters and the
 //!    derived `rollback_amplification` / `speculation_success_rate` /
 //!    `precise_pass_fraction` gauges.
+//! 4. **One ledger** — a lifecycle point is written down once
+//!    (`mutls_runtime::ledger`), so the report's counters, the registry's
+//!    snapshot, the latency samples and the event stream of one run agree,
+//!    natively and in the replay.
 
 use std::sync::Arc;
 
 use serde::Serialize;
 
-use mutls::membuf::GlobalMemory;
-use mutls::runtime::{GovernorConfig, MetricsConfig, PolicyKind, RuntimeConfig};
+use mutls::membuf::{BufferConfig, GlobalMemory};
+use mutls::runtime::{
+    EventKind, GovernorConfig, LatencyPhase, MetricsConfig, MetricsSnapshot, PolicyKind, RunReport,
+    Runtime, RuntimeConfig, TraceConfig, TraceEvent,
+};
 use mutls::simcpu::{record_region, simulate, Recording, SimConfig};
 use mutls::workloads::conflict::{self, ChainConfig};
-use mutls::workloads::Scale;
+use mutls::workloads::registry::{self, WorkloadData};
+use mutls::workloads::{Scale, WorkloadKind};
 
 fn to_json<T: Serialize>(value: &T) -> String {
     let mut out = String::new();
@@ -171,5 +179,172 @@ fn disabled_native_metrics_capture_is_empty() {
         last.counter("forks"),
         Some(0),
         "disabled registry stays zero"
+    );
+}
+
+/// One traced, metrics-on native run of `workload`, its checksum checked
+/// against the sequential reference: the report, every event (none
+/// dropped) and the final scrape.
+fn native_ledgers(
+    workload: impl FnOnce(&GlobalMemory) -> WorkloadData,
+    reference: u64,
+    arena_bytes: u64,
+    config: RuntimeConfig,
+) -> (RunReport, Vec<TraceEvent>, MetricsSnapshot) {
+    let runtime = Runtime::new(
+        config
+            .memory_bytes(arena_bytes)
+            .trace(TraceConfig::enabled())
+            .metrics(MetricsConfig::enabled().sample_interval_ms(0)),
+    );
+    let memory = runtime.memory();
+    let data = workload(&memory);
+    let (_, report) = runtime.run(|ctx| registry::run_speculative(ctx, &data));
+    assert_eq!(registry::checksum(&memory, &data), reference);
+    assert_eq!(runtime.trace_dropped(), 0, "the rings must hold the run");
+    let last = runtime.metrics_series().latest().cloned();
+    (
+        report,
+        runtime.drain_trace_events(),
+        last.expect("a run ends with its final scrape"),
+    )
+}
+
+/// [`native_ledgers`] of a registry workload at its default configuration.
+fn registry_ledgers(
+    kind: WorkloadKind,
+    scale: Scale,
+    config: RuntimeConfig,
+) -> (RunReport, Vec<TraceEvent>, MetricsSnapshot) {
+    native_ledgers(
+        |memory| registry::setup(kind, scale, memory),
+        registry::reference_checksum(kind, scale),
+        registry::arena_bytes(kind, scale),
+        config,
+    )
+}
+
+/// The relations that make the four records of a run one ledger.
+fn assert_one_ledger(run: &str, report: &RunReport, events: &[TraceEvent], last: &MetricsSnapshot) {
+    let events_of =
+        |is: fn(&EventKind) -> bool| events.iter().filter(|e| is(&e.kind)).count() as u64;
+    let snapshot = |name: &str| last.counter(name).expect("a static counter");
+    let both = |count: fn(&mutls::runtime::ThreadCounters) -> u64| {
+        count(&report.critical.counters) + count(&report.speculative.counters)
+    };
+    let fork_to_commit = report
+        .latency
+        .row(LatencyPhase::ForkToCommit)
+        .unwrap()
+        .count;
+
+    let commits = events_of(|k| matches!(k, EventKind::Commit));
+    assert_eq!(commits, report.committed_threads, "{run}: Commit events");
+    assert_eq!(commits, snapshot("commits"), "{run}: registry commits");
+    assert_eq!(commits, fork_to_commit, "{run}: fork-to-commit samples");
+
+    let rollbacks = events_of(|k| matches!(k, EventKind::Rollback { .. }));
+    assert_eq!(
+        rollbacks, report.rolled_back_threads,
+        "{run}: Rollback events"
+    );
+    assert_eq!(
+        rollbacks,
+        snapshot("rollbacks"),
+        "{run}: registry rollbacks"
+    );
+
+    let starts = events_of(|k| matches!(k, EventKind::SpecStart { .. }));
+    assert_eq!(starts, both(|c| c.forks), "{run}: SpecStart events");
+    assert_eq!(starts, snapshot("forks"), "{run}: registry forks");
+
+    let denied = events_of(|k| matches!(k, EventKind::ForkDenied { .. }));
+    assert_eq!(
+        denied,
+        both(|c| c.failed_forks + c.throttled_forks),
+        "{run}: ForkDenied events"
+    );
+    assert_eq!(
+        denied,
+        snapshot("failed_forks") + snapshot("throttled_forks"),
+        "{run}: registry denied forks"
+    );
+
+    assert_eq!(
+        events_of(|k| matches!(k, EventKind::ValidateBegin { .. })),
+        events_of(|k| matches!(k, EventKind::ValidateEnd { .. })),
+        "{run}: Validate spans"
+    );
+
+    let dooms = both(|c| c.targeted_dooms);
+    assert_eq!(snapshot("targeted_dooms"), dooms, "{run}: dooms");
+    assert_eq!(
+        snapshot("precise_passes"),
+        both(|c| c.precise_passes),
+        "{run}: precise passes"
+    );
+    assert_eq!(
+        snapshot("false_sharing_suspects"),
+        both(|c| c.false_sharing_suspects),
+        "{run}: false-sharing suspects"
+    );
+    assert_eq!(
+        snapshot("adopted_threads"),
+        both(|c| c.adopted_threads),
+        "{run}: adoptions"
+    );
+    let doom_events = events_of(|k| matches!(k, EventKind::Doom { .. }));
+    assert!(
+        dooms == 0 || doom_events > 0,
+        "{run}: {dooms} dooms, no Doom event"
+    );
+}
+
+#[test]
+fn every_ledger_of_a_run_agrees_natively_and_in_the_replay() {
+    for kind in [WorkloadKind::Matmult, WorkloadKind::Fft] {
+        let config = RuntimeConfig::with_cpus(3);
+        let (report, events, last) = registry_ledgers(kind, Scale::Scaled, config);
+        assert_one_ledger(kind.name(), &report, &events, &last);
+    }
+
+    // Tiny buffers: every other child ends in an overflow rollback.
+    let tiny = RuntimeConfig::with_cpus(3).buffer(BufferConfig::tiny());
+    let (report, events, last) = registry_ledgers(WorkloadKind::Fft, Scale::Tiny, tiny);
+    assert!(report.rolled_back_threads > 0, "tiny buffers must overflow");
+    assert_one_ledger("fft, tiny buffers", &report, &events, &last);
+
+    // Real dependence violations, hence dooms and cascaded discards.
+    let chain = ChainConfig::for_scale(Scale::Tiny).sharing_permille(1000);
+    let (report, events, last) = native_ledgers(
+        |memory| WorkloadData::ConflictChain(conflict::chain_setup(memory, &chain), chain),
+        conflict::chain_reference(chain),
+        conflict::ARENA_BYTES,
+        RuntimeConfig::with_cpus(4),
+    );
+    assert!(
+        report.rolled_back_threads > 0,
+        "100% sharing must roll back"
+    );
+    assert_one_ledger("conflict_chain", &report, &events, &last);
+
+    let replay = simulate(
+        &chain_recording(),
+        SimConfig {
+            trace: true,
+            metrics: MetricsConfig::enabled(),
+            ..SimConfig::with_cpus(4)
+        },
+    );
+    let last = replay.metrics.latest().expect("final snapshot");
+    assert!(
+        replay.report.targeted_dooms() > 0,
+        "the replay dooms readers"
+    );
+    assert_one_ledger(
+        "conflict_chain replay",
+        &replay.report,
+        &replay.events,
+        last,
     );
 }
