@@ -1,14 +1,22 @@
-//! What early synchronization buys and what a join costs, through the
-//! public `Runtime` surface on **one** speculative CPU (two OS threads):
+//! What early synchronization and loop-level ranges buy and what a join
+//! costs, through the public `Runtime` surface on **one** speculative CPU
+//! (two OS threads):
 //!
-//! * `early_sync/chain/{100us,1ms}x64@1cpu` — a 64-chunk loop in chain form
-//!   (each task forks the remaining chunks, then computes its own chunk
-//!   for the named time): the joiner hands the non-speculative role to the
-//!   running child and takes the child's late-forked continuation itself,
-//!   so chunks run two at a time;
-//! * `early_sync/chain/{100us,1ms}x64@direct` — the same loop through
-//!   `DirectContext`, the sequential wall it is measured against (64 × the
-//!   chunk time, by construction): divide for the speedup;
+//! * `early_sync/chain/{12us,100us,1ms}x64@1cpu` — a 64-chunk loop in
+//!   hand-built chain form (each task forks the remaining chunks, then
+//!   computes its own chunk for the named time): where synchronizing pays,
+//!   the joiner hands the non-speculative role to the running child and
+//!   takes the child's late-forked continuation itself, so chunks run two
+//!   at a time; at 12 µs it does not pay, and the child runs 63 chunks
+//!   alone;
+//! * `early_sync/range/{12us,100us,1ms}x64@1cpu` — the same chunks through
+//!   `TlsContext::fork_range`, of which the native context forks the upper
+//!   half to the idle CPU: rank 0 keeps half of the loop whatever the
+//!   grain.  Read against the chain arm above it: the grain below which
+//!   the chain stops paying and the range still does is a printed number;
+//! * `early_sync/chain/{12us,100us,1ms}x64@direct` — the same loop through
+//!   `DirectContext`, the sequential wall both are measured against (64 ×
+//!   the chunk time, by construction): divide for the speedup;
 //! * `early_sync/fork_join_empty` — fork, run, validate, commit and join of
 //!   a task that touches nothing, [`FORKS`] round trips a sample: the trip
 //!   the idle spin keeps out of the kernel, and a join that must *not*
@@ -18,7 +26,7 @@
 //! closure (the `Duration::span`-around-the-edit discipline of SNIPPETS.md's
 //! `EvalHashMap` harness); a chunk busy-waits on the clock, so its length
 //! does not depend on the build.  A 2-core host runs both OS threads at
-//! once; on one core the chain arms measure time-slicing, not overlap.
+//! once; on one core the native arms measure time-slicing, not overlap.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -86,11 +94,20 @@ fn bench_early_sync(c: &mut Criterion) {
     let mut group = c.benchmark_group("early_sync");
     group.sample_size(10);
     for (name, span) in [
+        ("12us", Duration::from_micros(12)),
         ("100us", Duration::from_micros(100)),
         ("1ms", Duration::from_millis(1)),
     ] {
         group.bench_function(format!("chain/{name}x{CHUNKS}@1cpu"), |b| {
             b.iter(|| rt.run(|ctx| chain(ctx, out, 0, span)).1.committed_threads)
+        });
+        group.bench_function(format!("range/{name}x{CHUNKS}@1cpu"), |b| {
+            let ranged = |ctx: &mut SpecContext| {
+                ctx.fork_range(1, 0..CHUNKS, move |ctx: &mut SpecContext, i| {
+                    chunk(ctx, out, i, span)
+                })
+            };
+            b.iter(|| rt.run(ranged).1.committed_threads)
         });
         group.bench_function(format!("chain/{name}x{CHUNKS}@direct"), |b| {
             b.iter(|| {

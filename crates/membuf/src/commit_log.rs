@@ -269,6 +269,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use crate::memory::Addr;
+use crate::wordmap::zeroed_boxed;
 
 /// Monotone version assigned to a commit batch within a shard
 /// (0 = "never written").
@@ -695,21 +696,26 @@ struct Shard {
     readers_spill_sparse: RwLock<HashMap<RangeId, HashSet<usize>>>,
 }
 
+/// `len` atomics at zero.  The dense tables are sized to the arena (six
+/// words a commit-log line, 24 MiB for a 32 MiB arena) and a run stamps the
+/// few lines it shares, so they come zeroed from the allocator instead of
+/// being written: building a log costs no page fault per table page, and
+/// does not depend on whether the allocator hands back memory it had
+/// already faulted in.
+fn zeroed_atomics(len: usize) -> Vec<AtomicU64> {
+    // SAFETY: an `AtomicU64` is a `u64` in memory, and zero is its value 0.
+    unsafe { zeroed_boxed(len) }.into_vec()
+}
+
 impl Shard {
     fn new(dense_slots: usize, ring_slots: usize) -> Self {
-        let mut dense = Vec::with_capacity(dense_slots);
-        dense.resize_with(dense_slots, || AtomicU64::new(0));
-        let mut rings = Vec::with_capacity(ring_slots);
-        rings.resize_with(ring_slots, || AtomicU64::new(0));
-        let mut readers_dense = Vec::with_capacity(dense_slots);
-        readers_dense.resize_with(dense_slots, || AtomicU64::new(0));
         Shard {
             epoch: AtomicU64::new(0),
             slow_lock: Mutex::new(()),
-            dense,
-            rings,
+            dense: zeroed_atomics(dense_slots),
+            rings: zeroed_atomics(ring_slots),
             sparse: RwLock::new(HashMap::new()),
-            readers_dense,
+            readers_dense: zeroed_atomics(dense_slots),
             readers_spill_dense: RwLock::new(HashMap::new()),
             readers_sparse: RwLock::new(HashMap::new()),
             readers_spill_sparse: RwLock::new(HashMap::new()),

@@ -62,19 +62,26 @@ pub struct WordMap {
     overflow_pending: bool,
 }
 
-/// `capacity` empty slots straight from the allocator's zeroed pages.
-fn zeroed_slots(capacity: usize) -> Box<[WordEntry]> {
-    assert!(capacity > 0, "the allocator takes no zero-sized layout");
-    let layout = Layout::array::<WordEntry>(capacity).expect("slot array fits in memory");
-    // SAFETY: the layout is not zero-sized (asserted above); all-zero bytes
-    // are a valid `WordEntry` (four `u64`s: the empty slot); and a
-    // `Box<[WordEntry]>` of this length frees under this very layout.
+/// `len` all-zero `T`s straight from the allocator's zeroed pages: a table
+/// that is mostly never touched faults in only the pages that are, where
+/// writing the zeros would fault in every one.
+///
+/// # Safety
+/// All-zero bytes must be a valid `T`.
+pub(crate) unsafe fn zeroed_boxed<T>(len: usize) -> Box<[T]> {
+    let layout = Layout::array::<T>(len).expect("table fits in memory");
+    if layout.size() == 0 {
+        return Box::new([]);
+    }
+    // SAFETY: the layout is not zero-sized (checked above); all-zero bytes
+    // are a valid `T` (the caller's promise); and a `Box<[T]>` of this
+    // length frees under this very layout.
     unsafe {
-        let ptr = alloc_zeroed(layout).cast::<WordEntry>();
+        let ptr = alloc_zeroed(layout).cast::<T>();
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
-        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity))
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len))
     }
 }
 
@@ -84,7 +91,8 @@ impl WordMap {
     pub fn new(capacity_words: usize, overflow_capacity: usize) -> Self {
         let capacity = capacity_words.max(8).next_power_of_two();
         WordMap {
-            slots: zeroed_slots(capacity),
+            // SAFETY: a `WordEntry` is four `u64`s, all zero in the empty slot.
+            slots: unsafe { zeroed_boxed(capacity) },
             used: Vec::with_capacity(capacity.min(1024)),
             overflow: Vec::with_capacity(overflow_capacity.min(64)),
             overflow_capacity,
@@ -472,6 +480,34 @@ mod tests {
         let _ = m.insert_word_versioned(conflicting, 2, 3);
         m.refresh_version(conflicting, 6);
         assert_eq!(m.get(conflicting).unwrap().version, 6);
+    }
+
+    /// Characterization, not a wish: the home slot is the low bits of the
+    /// word index, so two arrays a multiple of the capacity apart share
+    /// their home slots element for element, and a loop that touches
+    /// `a[i]` and `b[i]` fills the overflow area long before the map —
+    /// 2 × 1 025 words into 2^16 slots.  This, not the size of its write
+    /// set, is what rolls back every speculative child of the 2^18-point
+    /// fft (`re`/`im` arrays 2^18 words apart; ROADMAP item 1(b)).
+    #[test]
+    fn arrays_a_multiple_of_the_map_apart_alias_slot_for_slot() {
+        let config = crate::BufferConfig::default();
+        let mut m = WordMap::new(config.write_capacity_words, config.overflow_capacity);
+        assert_eq!((m.capacity(), config.overflow_capacity), (1 << 16, 1 << 10));
+        let a: Addr = 0x1000;
+        let b = a + (1 << 18) * WORD_BYTES;
+        for i in 0..(1u64 << 12) {
+            assert_eq!(m.insert_word(a + i * WORD_BYTES, i), Ok(()));
+            let conflicting = m.insert_word(b + i * WORD_BYTES, i);
+            if i < 1 << 10 {
+                assert_eq!(conflicting, Err(BufferError::OverflowPending), "i = {i}");
+            } else {
+                assert_eq!(i, 1 << 10, "the 1 025th conflicting insert");
+                assert_eq!(conflicting, Err(BufferError::OverflowFull));
+                break;
+            }
+        }
+        assert_eq!((m.len(), m.overflow_len()), (2 * 1024 + 1, 1024));
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! [`manager`](crate::manager) docs for who runs what, why nobody
 //! starves, and when synchronizing pays.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,8 @@ use crate::manager::{
 };
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{
-    failure, JoinOutcome, Rank, SpecAbort, SpecResult, TaskRef, TaskStatus, TlsContext, Word,
+    failure, over_range, task, JoinOutcome, Rank, SpecAbort, SpecResult, TaskRef, TaskStatus,
+    TlsContext, Word,
 };
 
 /// How often speculative memory operations poll the abort flag (and,
@@ -56,10 +58,19 @@ const ABORT_POLL_INTERVAL: u32 = 256;
 pub(crate) const SYNC_PAYBACK: u64 = 8;
 
 /// How long a thread with nothing to run — a worker between tasks, a
-/// joiner at its join — spins before it parks.  Long enough that an empty
-/// fork→join round trip wakes nobody through the kernel, short against
-/// any task worth forking.
-pub(crate) const IDLE_SPIN: Duration = Duration::from_micros(30);
+/// joiner at its join — spins (yielding the core each round) before it
+/// parks.  Long enough that the two waits of a loop that forks half of
+/// itself once a step end inside the spin: the worker's, from its deposit
+/// to the next step's fork (a join, a commit and the sequential stretch
+/// between two ranges: md ≈ 100 µs), and the joiner's, for a half that
+/// runs at speculative-access price (md ≈ 300 µs).  A parked thread comes
+/// back through the kernel, and on a host shared with other tenants that
+/// is the slowest and least steady step of a round trip: at 30 µs
+/// `dense_reads` took 1.4–1.6 × the sequential run's time in a busy hour
+/// and 1.0 × in a quiet one, at 200 µs and above 1.0–1.1 × in both.  Short
+/// against anything that idles for long: an idle period costs at most
+/// this much CPU.
+pub(crate) const IDLE_SPIN: Duration = Duration::from_micros(500);
 
 /// Dispatch→start hand-off assumed until a faster one is measured.
 pub(crate) const COLD_HANDOFF_NS: u64 = 20_000;
@@ -74,6 +85,17 @@ pub(crate) const SYNC_BASE_NS: u64 = 2_000;
 /// Cost of validating, committing and clearing one buffered entry assumed
 /// until the first promotion of a non-empty buffer is measured.
 pub(crate) const COLD_SYNC_ENTRY_NS: u64 = 25;
+
+/// Iterations a forker keeps of the `len ≥ 2` it has left when it forks
+/// the rest: guided self-scheduling — one part in (`cpus` + 1), at least
+/// one iteration.  Half on one speculative CPU; one iteration — the chain —
+/// once the CPUs outnumber half the iterations.  By the CPUs the runtime
+/// *has*, not the ones idle at the moment: deep in a dependent chain few
+/// are idle, and a forker that kept more than one iteration there would
+/// put more of its stores underneath its continuation's reads.
+fn forker_share(len: usize, cpus: usize) -> usize {
+    (len / (cpus + 1)).max(1)
+}
 
 /// Handle returned by a fork point and consumed by the matching join point.
 pub struct SpecHandle {
@@ -854,11 +876,70 @@ impl SpecContext {
         self.stats.add(Phase::Idle, idle.as_nanos() as u64);
         self.stats.merge(&promoted.stats);
         *bookkeeping = now;
-        self.inherit_children(promoted.children, true);
+        // Children a *failed* closure left unjoined ran ahead of a region
+        // that aborts here: nothing behind the failure may reach memory.
+        let ended = !matches!(promoted.status, TaskStatus::Failed(_));
+        self.inherit_children(promoted.children, ended);
         match promoted.status {
             TaskStatus::Failed(reason) => Err(failure(reason)),
             TaskStatus::Completed | TaskStatus::Barrier => Ok(Ok(promoted.kind)),
         }
+    }
+
+    /// [`fork_range`](TlsContext::fork_range) over two or more iterations:
+    /// walk the range, and at an iteration boundary where a CPU is idle
+    /// fork the tail of what is left (lazy splitting).  The forker keeps
+    /// [`forker_share`] of it, so on one speculative CPU the cut is the
+    /// midpoint of what is left, and with a CPU for every other iteration
+    /// the walk is the chain.  A tail forks its own tail the same way, and
+    /// so does a thread promoted in the middle of a body: the CPU it gave
+    /// up is idle at its next boundary.
+    ///
+    /// While no CPU is idle nothing is attempted: no denied fork, no
+    /// closure.  A fork denied after all (a race for the CPU, the governor,
+    /// a re-execution's pinned forks) ends this walk's offers; its tail is
+    /// run inline by the join below and offers again on its own account.
+    fn split_when_idle<F>(
+        &mut self,
+        point: u32,
+        range: Range<usize>,
+        body: &Arc<F>,
+    ) -> SpecResult<()>
+    where
+        F: Fn(&mut Self, usize) -> SpecResult<()> + Send + Sync + 'static,
+    {
+        let (mut next, mut end) = (range.start, range.end);
+        // Forked tails, the newest (and logically earliest) joined first.
+        let mut tails = Vec::new();
+        let mut offer = true;
+        while next < end {
+            if offer && end - next > 1 && self.has_idle_cpu() {
+                let mid = next + forker_share(end - next, self.mgr.config().num_cpus);
+                let rest = Arc::clone(body);
+                let tail = task(move |ctx: &mut Self| ctx.split_when_idle(point, mid..end, &rest));
+                let handle = self.fork(point, tail)?;
+                offer = handle.speculated();
+                tails.push(handle);
+                end = mid;
+            }
+            match body(self, next) {
+                // On the chain every iteration but a task's first is a
+                // continuation of its own, which a barrier ends quietly.
+                Err(SpecAbort::BarrierReached) if next > range.start => break,
+                other => other?,
+            }
+            next += 1;
+        }
+        while let Some(handle) = tails.pop() {
+            self.join(handle)?;
+        }
+        Ok(())
+    }
+
+    /// Whether a virtual CPU is held by no task right now (a racy reading:
+    /// a fork that relies on it may still be denied).
+    fn has_idle_cpu(&self) -> bool {
+        self.mgr.active_speculations() < self.mgr.config().num_cpus
     }
 
     /// The child a fork point's [`LateFork`] was dispatched as, if it was;
@@ -1039,6 +1120,27 @@ impl TlsContext for SpecContext {
     fn rank(&self) -> Rank {
         self.rank
     }
+
+    /// The default's chain leaves the forker one iteration per fork and
+    /// whoever takes the continuation all the rest, so with fewer CPUs than
+    /// iterations a child denied its own forks runs the loop alone at
+    /// speculative-access price while the non-speculative thread idles at
+    /// the join.  Here a tail is forked only for a CPU that is idle, and
+    /// the forker keeps one part in (CPUs + 1) of what is left (see
+    /// `split_when_idle`): half on one speculative CPU, one iteration —
+    /// the chain — once there is a CPU for every other iteration, which is
+    /// what a loop-carried dependence wants: a continuation only ever
+    /// commits when it starts after the forker's *last* store.  Built on
+    /// the public `fork`/`join` only, so promotion, the governor, rollback
+    /// and inline re-execution apply to a tail as to any continuation.
+    fn fork_range<F>(&mut self, point: u32, range: Range<usize>, body: F) -> SpecResult<()>
+    where
+        F: Fn(&mut Self, usize) -> SpecResult<()> + Send + Sync + 'static,
+    {
+        over_range(self, range, body, |ctx, range, body| {
+            ctx.split_when_idle(point, range, body)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1092,5 +1194,24 @@ mod tests {
 
         rank0.spec_write(addr, 4).unwrap();
         assert_eq!(mgr.commit_log().commits(), 1, "quiescent again");
+    }
+
+    /// The forker's share: half of what is left on one speculative CPU, one
+    /// part in (CPUs + 1) with more, the chain's single iteration once they
+    /// outnumber half the iterations — and always a valid cut.
+    #[test]
+    fn forker_share_is_half_on_one_cpu_and_the_chain_on_many() {
+        for cpus in 1..=8 {
+            for len in 2..=70 {
+                let kept = forker_share(len, cpus);
+                assert!(0 < kept && kept < len, "{cpus} CPUs: kept {kept} of {len}");
+                assert!(kept <= len / 2, "the forker never keeps more than half");
+                match cpus {
+                    1 => assert_eq!(kept, len / 2),
+                    _ if len < 2 * (cpus + 1) => assert_eq!(kept, 1),
+                    _ => assert_eq!(kept, len / (cpus + 1)),
+                }
+            }
+        }
     }
 }

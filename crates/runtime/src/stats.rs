@@ -107,7 +107,12 @@ pub struct ThreadCounters {
     pub forks: u64,
     /// Fork attempts that found no idle CPU or were denied by the model.
     /// A fork dispatched late keeps the tick of its earlier denial, so
-    /// `forks + failed_forks` can exceed the fork points executed.
+    /// `forks + failed_forks` can exceed the fork points executed.  A
+    /// hand-written chain of `n` iterations attempts `n − 1` forks, and
+    /// with fewer CPUs than iterations most of them land here; a native
+    /// [`fork_range`](crate::TlsContext::fork_range) attempts one only
+    /// where a CPU looks idle, so a loop that goes through it adds next to
+    /// nothing (`dense_reads`: 18 600 on the chain, 0 through the range).
     pub failed_forks: u64,
     /// Fork attempts suppressed by the adaptive speculation governor.
     pub throttled_forks: u64,

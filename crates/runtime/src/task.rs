@@ -15,6 +15,7 @@
 //! ([`crate::SpecContext`]) and the discrete-event simulator's recording
 //! context.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use mutls_membuf::{Addr, GPtr, SpecFailure};
@@ -112,6 +113,31 @@ pub enum TaskStatus {
 ///     Ok(())
 /// }
 /// ```
+///
+/// A loop whose iterations may run ahead of one another is one
+/// [`fork_range`](Self::fork_range) call — no hand-written chain of
+/// continuations:
+///
+/// ```
+/// use std::sync::Arc;
+/// use mutls_runtime::{DirectContext, SpecResult, TlsContext};
+/// use mutls_membuf::{GlobalMemory, GPtr};
+///
+/// fn square_all<C: TlsContext>(ctx: &mut C, data: GPtr<i64>, out: GPtr<i64>) -> SpecResult<()> {
+///     ctx.fork_range(0, 0..data.len(), move |ctx: &mut C, i| {
+///         let x = ctx.load(&data, i)?;
+///         ctx.store(&out, i, x * x)
+///     })
+/// }
+///
+/// let memory = Arc::new(GlobalMemory::new(1 << 12));
+/// let (data, out) = (memory.alloc::<i64>(5), memory.alloc::<i64>(5));
+/// for i in 0..5 {
+///     memory.set(&data, i, i as i64);
+/// }
+/// square_all(&mut DirectContext::new(Arc::clone(&memory)), data, out).unwrap();
+/// assert_eq!(memory.get(&out, 4), 16);
+/// ```
 pub trait TlsContext: Sized {
     /// Token returned by [`fork`](Self::fork) and consumed by
     /// [`join`](Self::join).
@@ -168,6 +194,51 @@ pub trait TlsContext: Sized {
     /// Rank of the executing virtual CPU (0 = non-speculative).
     fn rank(&self) -> Rank;
 
+    /// Loop-level speculation: run `body(ctx, i)` for every `i` of `range`
+    /// in ascending order; any *tail* of the range may run speculatively
+    /// while its head still executes.  Returns with every iteration
+    /// executed and joined.
+    ///
+    /// This default is the in-order chain at grain 1, written once:
+    /// `fork(cont(lo + 1..hi)); body(lo); join`.  It is the *finest*
+    /// decomposition of the loop, and it is what the sequential contexts
+    /// execute and the simulator's recorder records.  Which tails actually
+    /// run speculatively is the executor's decision: the native
+    /// [`SpecContext`](crate::SpecContext) overrides this method to walk
+    /// the range and fork a tail only at an iteration boundary where a CPU
+    /// is idle, keeping one part in (CPUs + 1) of what is left: half of it
+    /// on one speculative CPU rather than one iteration, one iteration —
+    /// the chain — once there is a CPU for every other iteration.
+    /// Every cut goes through [`fork`](Self::fork) / [`join`](Self::join)
+    /// under site `point`, so denial, rollback and inline re-execution
+    /// apply to a range as to any continuation.
+    ///
+    /// Edge cases, the same for every implementor:
+    /// - an empty or reversed range returns `Ok(())` without attempting a
+    ///   fork;
+    /// - a one-iteration range calls `body` directly: no fork, nothing
+    ///   allocated (a longer range shares one `body` between all of its
+    ///   continuations, so `body` need not be `Clone`);
+    /// - `body` returning `Err` — [`SpecAbort::BarrierReached`] or
+    ///   [`SpecAbort::Failed`] — propagates exactly as from a hand-written
+    ///   continuation: the pending tail is not joined here, and the
+    ///   enclosing task or join point handles the abort.  (A barrier stops
+    ///   the *task* it is reached in — on the chain, that iteration and
+    ///   everything behind it — so only the first iteration's reaches the
+    ///   caller; which of the later iterations still run is the executor's
+    ///   cut: a loop body has no use for one.)
+    /// - `fork_range` may be called from a speculative task, from a
+    ///   rollback re-execution (where a speculative thread's forks are
+    ///   pinned inline) and from inside another `fork_range` body.
+    fn fork_range<F>(&mut self, point: u32, range: Range<usize>, body: F) -> SpecResult<()>
+    where
+        F: Fn(&mut Self, usize) -> SpecResult<()> + Send + Sync + 'static,
+    {
+        over_range(self, range, body, |ctx, range, body| {
+            chain(ctx, point, range, body)
+        })
+    }
+
     /// Typed load from a [`GPtr`] allocation.
     fn load<T: Word>(&mut self, ptr: &GPtr<T>, index: usize) -> SpecResult<T> {
         assert!(
@@ -187,6 +258,44 @@ pub trait TlsContext: Sized {
         );
         self.store_word(ptr.addr_of(index), value.to_word())
     }
+}
+
+/// The edge cases of [`TlsContext::fork_range`], decided once for every
+/// context: nothing to run, one iteration to call, or — two or more — a
+/// range for `cut` to decompose, its `body` shared behind an `Arc`.
+pub(crate) fn over_range<C, F>(
+    ctx: &mut C,
+    range: Range<usize>,
+    body: F,
+    cut: impl FnOnce(&mut C, Range<usize>, &Arc<F>) -> SpecResult<()>,
+) -> SpecResult<()>
+where
+    F: Fn(&mut C, usize) -> SpecResult<()>,
+{
+    match range.len() {
+        0 => Ok(()),
+        1 => body(ctx, range.start),
+        _ => cut(ctx, range, &Arc::new(body)),
+    }
+}
+
+/// The in-order chain at grain 1 over a non-empty range: `fork(cont(lo +
+/// 1..hi)); body(lo); join`.
+fn chain<C, F>(ctx: &mut C, point: u32, range: Range<usize>, body: &Arc<F>) -> SpecResult<()>
+where
+    C: TlsContext,
+    F: Fn(&mut C, usize) -> SpecResult<()> + Send + Sync + 'static,
+{
+    let Range { start: lo, end: hi } = range;
+    if hi - lo == 1 {
+        return body(ctx, lo);
+    }
+    let rest = Arc::clone(body);
+    let cont = task(move |ctx: &mut C| chain(ctx, point, lo + 1..hi, &rest));
+    let handle = ctx.fork(point, cont)?;
+    body(ctx, lo)?;
+    ctx.join(handle)?;
+    Ok(())
 }
 
 /// Convenience conversion so `?` can be used on buffer errors inside

@@ -21,37 +21,16 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
-use mutls_membuf::{GPtr, GlobalMemory};
+use mutls_membuf::GPtr;
 use mutls_runtime::{
-    task, DirectContext, EventKind, JoinOutcome, Phase, Runtime, RuntimeConfig, SpecContext,
-    SpecFailure, SpecResult, TlsContext, ValidateOutcome,
+    task, EventKind, JoinOutcome, Phase, Runtime, RuntimeConfig, SpecContext, SpecFailure,
+    SpecResult, TlsContext, ValidateOutcome,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// One test at a time (see the module docs).
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Run `body` on a thread of its own and fail if it is not done in time.
-fn watchdog(body: impl FnOnce() + Send + 'static) {
-    let _serial = SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let (done_tx, done_rx) = mpsc::channel();
-    let runner = thread::spawn(move || {
-        body();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(Duration::from_secs(120)) {
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("hung: the run did not finish"),
-        // Done, or panicked and dropped the sender: report which.
-        _ => {
-            if let Err(panic) = runner.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    }
-}
+mod common;
+use common::{alloc_init, no_slot_leaked, reference, watchdog, words_of};
 
 fn runtime(cpus: usize) -> Runtime {
     warmed(Runtime::new(
@@ -112,42 +91,6 @@ fn chain<C: TlsContext + 'static>(
         chunk(ctx, data, i)?;
     }
     Ok(())
-}
-
-/// The words of `data`, initially `init`, after `run` went through
-/// `DirectContext`.
-fn reference(
-    init: &[u64],
-    run: impl FnOnce(&mut DirectContext, GPtr<u64>) -> SpecResult<()>,
-) -> Vec<u64> {
-    let memory = Arc::new(GlobalMemory::new(1 << 20));
-    let data = memory.alloc::<u64>(init.len());
-    init.iter()
-        .enumerate()
-        .for_each(|(i, &word)| memory.set(&data, i, word));
-    let mut ctx = DirectContext::new(Arc::clone(&memory));
-    run(&mut ctx, data).expect("a sequential run cannot abort");
-    (0..init.len()).map(|i| memory.get(&data, i)).collect()
-}
-
-/// `init` in `rt`'s arena.
-fn alloc_init(rt: &Runtime, init: &[u64]) -> GPtr<u64> {
-    let data = rt.alloc::<u64>(init.len());
-    init.iter()
-        .enumerate()
-        .for_each(|(i, &word)| rt.memory().set(&data, i, word));
-    data
-}
-
-fn words_of(rt: &Runtime, data: &GPtr<u64>) -> Vec<u64> {
-    (0..data.len()).map(|i| rt.memory().get(data, i)).collect()
-}
-
-fn no_slot_leaked(rt: &Runtime, cpus: usize) {
-    let mgr = rt.manager();
-    assert_eq!(mgr.active_speculations(), 0, "a CPU was never released");
-    assert_eq!(mgr.exposed_speculations(), 0, "an exposure leaked");
-    assert!(mgr.buffers_created() <= cpus, "buffers changed CPU");
 }
 
 /// (i) and the accounting fix: on one speculative CPU a chain of long

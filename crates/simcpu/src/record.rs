@@ -318,6 +318,7 @@ impl TlsContext for RecordContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutls_membuf::GPtr;
     use mutls_runtime::task;
 
     fn arena() -> Arc<GlobalMemory> {
@@ -427,6 +428,51 @@ mod tests {
         assert_eq!(rec.nodes[1].seq, 1);
         assert_eq!(rec.nodes[2].seq, 2);
         assert_eq!(rec.total_work(), 7);
+    }
+
+    /// The recorder does not override `fork_range`: what it records is the
+    /// trait's default, the finest decomposition, and that default is the
+    /// chain every loop workload used to write by hand — kept here, once,
+    /// as the reference.  Same nodes, forks, sites, segments, footprints
+    /// and joins, so no replayed cycle moves.
+    #[test]
+    fn default_fork_range_records_the_hand_written_chain() {
+        const SITE: u32 = 12;
+        fn body(ctx: &mut RecordContext, data: GPtr<u64>, i: usize) -> SpecResult<()> {
+            let seen = ctx.load(&data, i)?;
+            ctx.work(10 + i as u64)?;
+            ctx.store(&data, i + 1, seen + 1)
+        }
+        fn chain(ctx: &mut RecordContext, data: GPtr<u64>, i: usize, n: usize) -> SpecResult<()> {
+            if i + 1 < n {
+                let rest = task(move |ctx: &mut RecordContext| chain(ctx, data, i + 1, n));
+                let handle = ctx.fork(SITE, rest)?;
+                body(ctx, data, i)?;
+                ctx.join(handle)?;
+            } else {
+                body(ctx, data, i)?;
+            }
+            Ok(())
+        }
+        let record = |run: &dyn Fn(&mut RecordContext, GPtr<u64>) -> SpecResult<()>| {
+            let mem = arena();
+            let data = mem.alloc::<u64>(16);
+            let mut ctx = RecordContext::new(mem);
+            ctx.work(3).unwrap();
+            run(&mut ctx, data).unwrap();
+            ctx.work(4).unwrap();
+            format!("{:#?}", ctx.finish().nodes)
+        };
+        for n in [1, 2, 9] {
+            let by_hand = record(&|ctx, data| chain(ctx, data, 0, n));
+            let ranged = record(&|ctx, data| {
+                ctx.fork_range(SITE, 0..n, move |ctx: &mut RecordContext, i| {
+                    body(ctx, data, i)
+                })
+            });
+            assert_eq!(ranged, by_hand, "{n} iterations");
+            assert_eq!(ranged.matches("Fork {").count(), n - 1);
+        }
     }
 
     #[test]

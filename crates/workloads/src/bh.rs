@@ -9,7 +9,7 @@
 //! which is what makes the benchmark memory intensive.
 
 use mutls_membuf::{GPtr, GlobalMemory};
-use mutls_runtime::{task, SpecResult, TlsContext};
+use mutls_runtime::{SpecResult, TlsContext};
 
 /// Problem configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -313,21 +313,13 @@ fn force_chunk<C: TlsContext>(
 
 /// Fork-site ID of the force-phase body-chunk continuation speculation.
 pub const SITE_FORCE_CHUNK: u32 = 13;
-fn force_phase_from<C: TlsContext>(
-    ctx: &mut C,
-    data: Data,
-    config: Config,
-    chunk: usize,
-) -> SpecResult<()> {
-    if chunk + 1 < config.chunks {
-        let cont = task(move |ctx: &mut C| force_phase_from(ctx, data, config, chunk + 1));
-        let handle = ctx.fork(SITE_FORCE_CHUNK, cont)?;
-        force_chunk(ctx, data, config, chunk)?;
-        ctx.join(handle)?;
-    } else {
-        force_chunk(ctx, data, config, chunk)?;
-    }
-    Ok(())
+/// Speculation over the body chunks of one force phase.
+fn force_phase<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult<()> {
+    ctx.fork_range(
+        SITE_FORCE_CHUNK,
+        0..config.chunks,
+        move |ctx: &mut C, chunk| force_chunk(ctx, data, config, chunk),
+    )
 }
 
 /// Advance body positions slightly using the computed accelerations
@@ -348,7 +340,7 @@ fn advance<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult
 pub fn run<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult<()> {
     for step in 0..config.steps {
         build_tree(ctx, data, config)?;
-        force_phase_from(ctx, data, config, 0)?;
+        force_phase(ctx, data, config)?;
         if step + 1 < config.steps {
             advance(ctx, data, config)?;
         }

@@ -24,8 +24,8 @@ use std::sync::Arc;
 
 use mutls_membuf::{GPtr, GlobalMemory};
 use mutls_runtime::{
-    task, DirectContext, MetricsSeries, MetricsSnapshot, RunReport, Runtime, RuntimeConfig,
-    SpecContext, SpecResult, TlsContext, TraceEvent,
+    DirectContext, MetricsSeries, MetricsSnapshot, RunReport, Runtime, RuntimeConfig, SpecContext,
+    SpecResult, TlsContext, TraceEvent,
 };
 
 /// A native run's metrics capture: the sampler-filled time series plus
@@ -230,32 +230,16 @@ fn chain_body<C: TlsContext>(
     ctx.store(&data.partial, i, y ^ x)
 }
 
-/// Chain speculation over the links, as in the loop benchmarks: each link
-/// forks the continuation (the remaining links) and then runs itself.
-fn chain_from<C: TlsContext>(
-    ctx: &mut C,
-    data: ChainData,
-    config: ChainConfig,
-    i: usize,
-) -> SpecResult<()> {
-    if i + 1 < config.chunks {
-        let cont = task(move |ctx: &mut C| chain_from(ctx, data, config, i + 1));
-        let handle = ctx.fork(SITE_CHAIN, cont)?;
-        chain_body(ctx, data, config, i)?;
-        ctx.join(handle)?;
-    } else {
-        chain_body(ctx, data, config, i)?;
-    }
-    Ok(())
-}
-
-/// The speculative region of `conflict_chain`.
+/// The speculative region of `conflict_chain`: the links as one
+/// speculated loop, as in the loop benchmarks.
 pub fn chain_run<C: TlsContext>(
     ctx: &mut C,
     data: ChainData,
     config: ChainConfig,
 ) -> SpecResult<()> {
-    chain_from(ctx, data, config, 0)
+    ctx.fork_range(SITE_CHAIN, 0..config.chunks, move |ctx: &mut C, i| {
+        chain_body(ctx, data, config, i)
+    })
 }
 
 /// Result checksum over the final memory state (cells and partials).
@@ -413,27 +397,14 @@ fn hist_body<C: TlsContext>(
     Ok(())
 }
 
-/// Chain speculation over the histogram chunks.
-fn hist_from<C: TlsContext>(
-    ctx: &mut C,
-    data: HistData,
-    config: HistConfig,
-    chunk: usize,
-) -> SpecResult<()> {
-    if chunk + 1 < config.chunks {
-        let cont = task(move |ctx: &mut C| hist_from(ctx, data, config, chunk + 1));
-        let handle = ctx.fork(SITE_HIST_CHUNK, cont)?;
-        hist_body(ctx, data, config, chunk)?;
-        ctx.join(handle)?;
-    } else {
-        hist_body(ctx, data, config, chunk)?;
-    }
-    Ok(())
-}
-
-/// The speculative region of `hist_shared`.
+/// The speculative region of `hist_shared`: the histogram chunks as one
+/// speculated loop.
 pub fn hist_run<C: TlsContext>(ctx: &mut C, data: HistData, config: HistConfig) -> SpecResult<()> {
-    hist_from(ctx, data, config, 0)
+    ctx.fork_range(
+        SITE_HIST_CHUNK,
+        0..config.chunks,
+        move |ctx: &mut C, chunk| hist_body(ctx, data, config, chunk),
+    )
 }
 
 /// Result checksum over the final histogram.

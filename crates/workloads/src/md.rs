@@ -9,7 +9,7 @@
 //! work, as in the original benchmark).
 
 use mutls_membuf::{GPtr, GlobalMemory};
-use mutls_runtime::{task, SpecResult, TlsContext};
+use mutls_runtime::{SpecResult, TlsContext};
 
 /// Problem configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,22 +129,13 @@ fn force_chunk<C: TlsContext>(
 
 /// Fork-site ID of the force-phase chunk continuation speculation.
 pub const SITE_FORCE_CHUNK: u32 = 12;
-/// Chain speculation over force chunks within one step.
-fn force_phase_from<C: TlsContext>(
-    ctx: &mut C,
-    data: Data,
-    config: Config,
-    chunk: usize,
-) -> SpecResult<()> {
-    if chunk + 1 < config.chunks {
-        let cont = task(move |ctx: &mut C| force_phase_from(ctx, data, config, chunk + 1));
-        let handle = ctx.fork(SITE_FORCE_CHUNK, cont)?;
-        force_chunk(ctx, data, config, chunk)?;
-        ctx.join(handle)?;
-    } else {
-        force_chunk(ctx, data, config, chunk)?;
-    }
-    Ok(())
+/// Speculation over the force chunks within one step.
+fn force_phase<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult<()> {
+    ctx.fork_range(
+        SITE_FORCE_CHUNK,
+        0..config.chunks,
+        move |ctx: &mut C, chunk| force_chunk(ctx, data, config, chunk),
+    )
 }
 
 /// Integrate positions and velocities (non-speculative part of each step).
@@ -167,7 +158,7 @@ fn integrate<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResu
 /// The speculative region: all simulation steps.
 pub fn run<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult<()> {
     for _ in 0..config.steps {
-        force_phase_from(ctx, data, config, 0)?;
+        force_phase(ctx, data, config)?;
         integrate(ctx, data, config)?;
     }
     Ok(())

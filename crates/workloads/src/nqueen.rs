@@ -8,7 +8,7 @@
 //! distinct arena cell.
 
 use mutls_membuf::{GPtr, GlobalMemory};
-use mutls_runtime::{task, SpecResult, TlsContext};
+use mutls_runtime::{SpecResult, TlsContext};
 
 /// Problem configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,28 +90,12 @@ fn subtree<C: TlsContext>(ctx: &mut C, data: Data, config: Config, c: usize) -> 
 
 /// Fork-site ID of the first-row column continuation speculation.
 pub const SITE_COLUMN: u32 = 17;
-/// DFS over first-row choices: each choice forks the continuation that
-/// explores the remaining choices.
-fn explore_from<C: TlsContext>(
-    ctx: &mut C,
-    data: Data,
-    config: Config,
-    c: usize,
-) -> SpecResult<()> {
-    if c + 1 < config.n {
-        let cont = task(move |ctx: &mut C| explore_from(ctx, data, config, c + 1));
-        let handle = ctx.fork(SITE_COLUMN, cont)?;
-        subtree(ctx, data, config, c)?;
-        ctx.join(handle)?;
-    } else {
-        subtree(ctx, data, config, c)?;
-    }
-    Ok(())
-}
-
-/// The speculative region: the whole search.
+/// The speculative region: the whole search, a DFS over first-row
+/// choices with the remaining choices speculated ahead.
 pub fn run<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult<()> {
-    explore_from(ctx, data, config, 0)
+    ctx.fork_range(SITE_COLUMN, 0..config.n, move |ctx: &mut C, c| {
+        subtree(ctx, data, config, c)
+    })
 }
 
 /// Result extractor: total number of solutions.

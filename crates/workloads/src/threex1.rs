@@ -7,7 +7,7 @@
 //! computation into 64 loop iterations).
 
 use mutls_membuf::{GPtr, GlobalMemory};
-use mutls_runtime::{task, SpecResult, TlsContext};
+use mutls_runtime::{SpecResult, TlsContext};
 
 /// Problem configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,23 +91,12 @@ fn chunk_body<C: TlsContext>(ctx: &mut C, data: Data, config: Config, i: usize) 
 /// Fork-site ID of the chunk-loop continuation speculation.
 pub const SITE_CHUNK: u32 = 10;
 
-/// Chain speculation over chunks: each task forks the continuation
-/// (the remaining chunks) and then processes its own chunk.
-fn run_from<C: TlsContext>(ctx: &mut C, data: Data, config: Config, i: usize) -> SpecResult<()> {
-    if i + 1 < config.chunks {
-        let cont = task(move |ctx: &mut C| run_from(ctx, data, config, i + 1));
-        let handle = ctx.fork(SITE_CHUNK, cont)?;
-        chunk_body(ctx, data, config, i)?;
-        ctx.join(handle)?;
-    } else {
-        chunk_body(ctx, data, config, i)?;
-    }
-    Ok(())
-}
-
-/// The speculative region: processes all chunks.
+/// The speculative region: processes all chunks, later chunks
+/// speculated ahead of earlier ones.
 pub fn run<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult<()> {
-    run_from(ctx, data, config, 0)
+    ctx.fork_range(SITE_CHUNK, 0..config.chunks, move |ctx: &mut C, i| {
+        chunk_body(ctx, data, config, i)
+    })
 }
 
 /// Result extractor: total step count across all chunks.

@@ -10,7 +10,7 @@
 //! context, which is what makes the benchmark memory intensive.
 
 use mutls_membuf::{GPtr, GlobalMemory};
-use mutls_runtime::{task, SpecResult, TlsContext};
+use mutls_runtime::{SpecResult, TlsContext};
 
 /// Problem configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,27 +138,14 @@ fn subtree<C: TlsContext>(
 
 /// Fork-site ID of the second-city continuation speculation.
 pub const SITE_SECOND_CITY: u32 = 18;
-/// DFS over second-city choices with speculated continuations.
-fn explore_from<C: TlsContext>(
-    ctx: &mut C,
-    data: Data,
-    config: Config,
-    second: usize,
-) -> SpecResult<()> {
-    if second + 1 < config.cities {
-        let cont = task(move |ctx: &mut C| explore_from(ctx, data, config, second + 1));
-        let handle = ctx.fork(SITE_SECOND_CITY, cont)?;
-        subtree(ctx, data, config, second)?;
-        ctx.join(handle)?;
-    } else {
-        subtree(ctx, data, config, second)?;
-    }
-    Ok(())
-}
-
-/// The speculative region: the whole search (second cities 1..n).
+/// The speculative region: the whole search, a DFS over second-city
+/// choices (1..n) with the remaining choices speculated ahead.
 pub fn run<C: TlsContext>(ctx: &mut C, data: Data, config: Config) -> SpecResult<()> {
-    explore_from(ctx, data, config, 1)
+    ctx.fork_range(
+        SITE_SECOND_CITY,
+        1..config.cities,
+        move |ctx: &mut C, second| subtree(ctx, data, config, second),
+    )
 }
 
 /// Result extractor: the optimal tour length.
