@@ -86,9 +86,12 @@ impl AddressSpace {
     }
 
     /// True if the `len`-byte access starting at `addr` lies entirely
-    /// inside a registered range.
+    /// inside a registered range.  An access that runs past the end of the
+    /// address space lies in none.
     pub fn contains(&self, addr: Addr, len: u64) -> bool {
-        let end = addr + len.max(1);
+        let Some(end) = addr.checked_add(len.max(1)) else {
+            return false;
+        };
         match self.ranges.binary_search_by(|r| {
             if addr < r.start {
                 std::cmp::Ordering::Greater
@@ -127,6 +130,16 @@ mod tests {
         assert!(!a.contains(0x10F9, 8));
         assert!(!a.contains(0xFFF, 1));
         assert!(!a.contains(0x2000, 8));
+    }
+
+    #[test]
+    fn an_access_wrapping_the_address_space_is_outside_every_range() {
+        let mut a = AddressSpace::new();
+        a.register(0, 0x100);
+        assert!(a.contains(0, 8));
+        assert!(!a.contains(u64::MAX - 7, 8));
+        assert!(!a.contains(u64::MAX - 7, 16));
+        assert!(!a.contains(u64::MAX, 0));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! issues.  Everything that happens once per *word* rather than once per
 //! *access* (the first touch that registers the reader, snapshots the log,
 //! reads main memory and inserts; the overflow bookkeeping) lives in
-//! `#[cold]` out-of-line arms.
+//! `#[cold]` out-of-line arms.  The load's overlay rule is written once, in
+//! [`GlobalBuffer::load_or`]; what a first touch does besides is the
+//! caller's to say.
 //!
 //! Conflicts only occur when a speculative thread reads an address before a
 //! logically earlier thread writes it, so validation simply re-reads every
@@ -22,7 +24,7 @@
 use crate::commit_log::{CommitLog, RingCheck};
 use crate::error::BufferError;
 use crate::memory::{Addr, MainMemory, WORD_BYTES};
-use crate::wordmap::{byte_mask, WordMap};
+use crate::wordmap::{byte_mask, WordEntry, WordMap};
 
 /// Outcome of a commit-log validation pass (see
 /// [`GlobalBuffer::validate_against_with`]).
@@ -157,7 +159,7 @@ impl GlobalBuffer {
     /// from a read-modify-write (registered readers may be logical
     /// predecessors and must not be doomed at store time).
     pub fn has_read(&self, addr: Addr) -> bool {
-        self.read_set.get(addr & !(WORD_BYTES - 1)).is_some()
+        self.read_set.entry(addr & !(WORD_BYTES - 1)).is_some()
     }
 
     /// Number of words currently buffered in the write-set.
@@ -172,18 +174,13 @@ impl GlobalBuffer {
     }
 
     /// The word holding `addr`, the access's byte offset in it and its
-    /// byte mask — or why the access is unsupported.
+    /// byte mask — or why the access is unsupported: a size other than 1,
+    /// 2, 4 or 8 bytes, or an address that is not a multiple of it.
     #[inline]
     fn split(addr: Addr, size: u64) -> Result<(Addr, u64, u64), BufferError> {
-        if size == 0 || (size < WORD_BYTES && !WORD_BYTES.is_multiple_of(size)) {
-            return Err(BufferError::UnsupportedSize);
-        }
-        if !addr.is_multiple_of(size.min(WORD_BYTES)) {
-            return Err(BufferError::Misaligned);
-        }
         let word_addr = addr & !(WORD_BYTES - 1);
         let offset = addr - word_addr;
-        Ok((word_addr, offset, byte_mask(offset, size.min(WORD_BYTES))?))
+        Ok((word_addr, offset, byte_mask(offset, size)?))
     }
 
     /// Speculatively load `size` bytes (1, 2, 4 or 8) at `addr`.
@@ -203,15 +200,9 @@ impl GlobalBuffer {
 
     /// Speculatively load `size` bytes at `addr`, stamping any new
     /// read-set entry with the commit-log epoch observed *before* the
-    /// memory read (see the ordering protocol in [`CommitLog`]).
-    ///
-    /// Probe order: **one** write-set probe (skipped outright while the
-    /// thread has written nothing), whose result serves both the
-    /// fully-written shortcut — such a word carries no read dependence, so
-    /// the read-set is not consulted and no false conflict can arise — and
-    /// the overlay of the thread's own bytes; then **one** read-set probe.
-    /// Only a read-set miss leaves the inlined path, for the `#[cold]`
-    /// first touch.
+    /// memory read (see the ordering protocol in [`CommitLog`]):
+    /// [`load_or`](Self::load_or) with [`first_touch`](Self::first_touch)
+    /// as the miss.
     #[inline]
     pub fn load_logged(
         &mut self,
@@ -220,36 +211,66 @@ impl GlobalBuffer {
         addr: Addr,
         size: u64,
     ) -> Result<u64, BufferError> {
+        self.load_or(addr, size, |buffer, word_addr| {
+            buffer.first_touch(mem, log, word_addr)
+        })
+    }
+
+    /// The overlay rule of a speculative load, with the first touch of a
+    /// word left to the caller: `miss(self, word_addr)` must return the
+    /// word's value and record it in the read-set —
+    /// [`first_touch`](Self::first_touch), after whatever the caller has to
+    /// decide before an address may *enter* the set (the runtime checks
+    /// there that the address is registered, so a hit never re-checks it).
+    ///
+    /// Probe order: **one** write-set probe (skipped outright while the
+    /// thread has written nothing), whose result serves both the
+    /// fully-written shortcut — such a word carries no read dependence, so
+    /// the read-set is not consulted and no false conflict can arise — and
+    /// the overlay of the thread's own bytes; then **one** read-set probe.
+    /// Only a read-set miss leaves the inlined path.
+    #[inline(always)]
+    pub fn load_or<F>(&mut self, addr: Addr, size: u64, miss: F) -> Result<u64, BufferError>
+    where
+        F: FnOnce(&mut Self, Addr) -> Result<u64, BufferError>,
+    {
         self.stats.loads += 1;
         let (word_addr, offset, mask) = Self::split(addr, size)?;
-        let written = if self.write_set.is_empty() {
-            None
+        // The thread's own bytes of the word and which they are (none: an
+        // empty mask — a buffered word's never is).
+        let (own, own_mask) = if self.write_set.is_empty() {
+            (0, 0)
         } else {
-            self.write_set.get(word_addr)
+            self.write_set
+                .entry(word_addr)
+                .map_or((0, 0), |w| (w.data, w.mask))
         };
-        let word = match written {
-            Some(w) if w.mask == u64::MAX => w.data,
-            _ => {
-                let read = match self.read_set.get(word_addr) {
-                    Some(r) => r.data,
-                    None => self.first_touch(mem, log, word_addr)?,
-                };
-                // Overlay any bytes the thread itself has written.
-                written.map_or(read, |w| (read & !w.mask) | (w.data & w.mask))
-            }
+        let word = if own_mask == u64::MAX {
+            own
+        } else {
+            let read = match self.read_set.entry(word_addr) {
+                Some(r) => r.data,
+                None => miss(self, word_addr)?,
+            };
+            // Overlay any bytes the thread itself has written.
+            (read & !own_mask) | (own & own_mask)
         };
         Ok((word & mask) >> (offset * 8))
     }
 
     /// First access to a word: read it from main memory and record it in
-    /// the read-set.
+    /// the read-set.  Out of line: it happens once per word, not once per
+    /// access.  Only for a word the read-set does not hold — the miss of
+    /// [`load_or`](Self::load_or): an entry keeps its *first* read.
     #[cold]
-    fn first_touch(
+    #[inline(never)]
+    pub fn first_touch(
         &mut self,
         mem: &dyn MainMemory,
         log: Option<&CommitLog>,
         word_addr: Addr,
     ) -> Result<u64, BufferError> {
+        debug_assert_eq!(word_addr % WORD_BYTES, 0, "first touch of a word");
         self.stats.memory_loads += 1;
         // Sample the owning shard's epoch BEFORE reading the word: a
         // commit racing in between then stamps a higher version and
@@ -274,13 +295,53 @@ impl GlobalBuffer {
         Ok(value)
     }
 
-    /// Speculatively store the low `size` bytes of `value` at `addr`: one
-    /// write-set probe; the overflow bookkeeping is out of line.
+    /// Speculatively store the low `size` bytes of `value` at `addr`:
+    /// [`store_or`](Self::store_or) with [`first_store`](Self::first_store)
+    /// as the miss.
     #[inline]
     pub fn store(&mut self, addr: Addr, value: u64, size: u64) -> Result<(), BufferError> {
+        self.store_or(addr, value, size, Self::first_store)
+    }
+
+    /// A speculative store with the first store of a word left to the
+    /// caller: one write-set probe, and a word that sits in its home slot
+    /// takes the bytes in place.  Otherwise `miss(self, word_addr, data,
+    /// mask)` must buffer them — [`first_store`](Self::first_store), after
+    /// whatever the caller has to decide before an address may *enter* the
+    /// set (the counterpart of [`load_or`](Self::load_or)'s miss).
+    #[inline(always)]
+    pub fn store_or<F>(
+        &mut self,
+        addr: Addr,
+        value: u64,
+        size: u64,
+        miss: F,
+    ) -> Result<(), BufferError>
+    where
+        F: FnOnce(&mut Self, Addr, u64, u64) -> Result<(), BufferError>,
+    {
         self.stats.stores += 1;
         let (word_addr, offset, mask) = Self::split(addr, size)?;
-        match self.write_set.merge(word_addr, value << (offset * 8), mask) {
+        let data = value << (offset * 8);
+        if self.write_set.update(word_addr, data, mask) {
+            return Ok(());
+        }
+        miss(self, word_addr, data, mask)
+    }
+
+    /// Buffer the bytes `mask` selects of `data` — what
+    /// [`store_or`](Self::store_or) leaves to its miss: the first store of
+    /// a word, or a store to a word the overflow area holds.  Out of line,
+    /// with the overflow bookkeeping: it happens once per word, not once
+    /// per access.
+    #[inline(never)]
+    pub fn first_store(
+        &mut self,
+        word_addr: Addr,
+        data: u64,
+        mask: u64,
+    ) -> Result<(), BufferError> {
+        match self.write_set.merge(word_addr, data, mask) {
             Ok(()) => Ok(()),
             overflowed => self.note_overflow(overflowed),
         }
@@ -347,12 +408,12 @@ impl GlobalBuffer {
     }
 
     /// Iterate over the read-set entries (address, first-read data, mask).
-    pub fn read_entries(&self) -> impl Iterator<Item = crate::wordmap::WordEntry> + '_ {
+    pub fn read_entries(&self) -> impl Iterator<Item = WordEntry> + '_ {
         self.read_set.iter()
     }
 
     /// Iterate over the write-set entries (address, buffered data, mask).
-    pub fn write_entries(&self) -> impl Iterator<Item = crate::wordmap::WordEntry> + '_ {
+    pub fn write_entries(&self) -> impl Iterator<Item = WordEntry> + '_ {
         self.write_set.iter()
     }
 

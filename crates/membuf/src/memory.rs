@@ -116,7 +116,17 @@ impl GlobalMemory {
         self.write_word(ptr.addr_of(index), value.to_word());
     }
 
-    fn word_index(&self, addr: Addr) -> usize {
+    /// The arena cell holding the word at `addr`: the one index and the one
+    /// bounds check every access path goes through.  `#[inline]`, so a
+    /// caller in another crate gets both in its own loop — unlike the
+    /// [`MainMemory`] impl below, which stays a call on purpose: the
+    /// sequential reference and the simulator's recorder are measured
+    /// through it.
+    ///
+    /// # Panics
+    /// Panics if `addr` lies outside the arena.
+    #[inline]
+    pub fn word(&self, addr: Addr) -> &AtomicU64 {
         debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
         let idx = (addr / WORD_BYTES) as usize;
         assert!(
@@ -124,17 +134,17 @@ impl GlobalMemory {
             "address {addr:#x} outside arena of {} bytes",
             self.size_bytes()
         );
-        idx
+        &self.words[idx]
     }
 }
 
 impl MainMemory for GlobalMemory {
     fn read_word(&self, addr: Addr) -> u64 {
-        self.words[self.word_index(addr)].load(Ordering::Relaxed)
+        self.word(addr).load(Ordering::Relaxed)
     }
 
     fn write_word(&self, addr: Addr, value: u64) {
-        self.words[self.word_index(addr)].store(value, Ordering::Relaxed);
+        self.word(addr).store(value, Ordering::Relaxed);
     }
 
     fn size_bytes(&self) -> u64 {

@@ -127,11 +127,19 @@ impl WordMap {
         self.overflow.len()
     }
 
+    /// `addr`'s home slot.  It always exists, the capacity being a power
+    /// of two; the inlined accessors nevertheless read it through
+    /// `get`/`get_mut`, which folds the bounds check into their miss
+    /// instead of giving every probe site a panic path.
+    #[inline]
+    fn home(&self, addr: Addr) -> usize {
+        (addr / WORD_BYTES) as usize & self.slots.len().wrapping_sub(1)
+    }
+
     /// `addr`'s home slot and the address occupying it (0 = none): the
     /// address itself on a hit, a different one on a hash conflict.
-    #[inline]
     fn probe(&self, addr: Addr) -> (usize, Addr) {
-        let slot = (addr / WORD_BYTES) as usize & (self.slots.len() - 1);
+        let slot = self.home(addr);
         (slot, self.slots[slot].addr)
     }
 
@@ -139,12 +147,27 @@ impl WordMap {
     /// slot is a definite miss (see the module docs).
     #[inline]
     pub fn get(&self, addr: Addr) -> Option<WordEntry> {
+        self.entry(addr).copied()
+    }
+
+    /// [`get`](Self::get) without the copy — what the buffer's inlined
+    /// load probes with: a hit is a pointer, a miss is null, and the scan
+    /// of the overflow area behind a conflicting home slot is a call.
+    #[inline]
+    pub(crate) fn entry(&self, addr: Addr) -> Option<&WordEntry> {
         debug_assert_eq!(addr % WORD_BYTES, 0);
-        match self.probe(addr) {
-            (_, 0) => None,
-            (slot, occupant) if occupant == addr => Some(self.slots[slot]),
-            _ => self.overflow.iter().find(|e| e.addr == addr).copied(),
+        let home = self.slots.get(self.home(addr))?;
+        match home.addr {
+            0 => None,
+            occupant if occupant == addr => Some(home),
+            _ => self.overflowed(addr),
         }
+    }
+
+    /// The hash-conflict arm of [`entry`](Self::entry).
+    #[cold]
+    fn overflowed(&self, addr: Addr) -> Option<&WordEntry> {
+        self.overflow.iter().find(|e| e.addr == addr)
     }
 
     /// [`get`](Self::get), for updating the entry in place.
@@ -180,30 +203,50 @@ impl WordMap {
         mask: u64,
         version: u64,
     ) -> Result<(), BufferError> {
-        debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
-        let new = WordEntry {
+        if self.update(addr, value, mask) {
+            return Ok(());
+        }
+        self.insert(WordEntry {
             addr,
             data: value & mask,
             mask,
             version,
-        };
-        match self.probe(addr) {
+        })
+    }
+
+    /// The hit of a merge: `addr` sits in its home slot and takes `value`
+    /// under `mask` in place.  `false` — nothing done — when the word is
+    /// not there: not buffered yet, or buffered in the overflow area;
+    /// [`insert`](Self::insert) handles both.
+    #[inline]
+    pub(crate) fn update(&mut self, addr: Addr, value: u64, mask: u64) -> bool {
+        debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
+        let slot = self.home(addr);
+        match self.slots.get_mut(slot) {
+            // (Address 0 is the empty slot's, never a buffered word's.)
+            Some(entry) if entry.addr == addr && addr != 0 => {
+                entry.data = (entry.data & !mask) | (value & mask);
+                entry.mask |= mask;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// What [`update`](Self::update) left undone, out of line: fill the
+    /// word's empty home slot, or merge it into the overflow area.
+    fn insert(&mut self, new: WordEntry) -> Result<(), BufferError> {
+        match self.probe(new.addr) {
             (slot, 0) => {
                 self.slots[slot] = new;
                 self.used.push(slot as u32);
-                Ok(())
-            }
-            (slot, occupant) if occupant == addr => {
-                let entry = &mut self.slots[slot];
-                entry.data = (entry.data & !mask) | new.data;
-                entry.mask |= mask;
                 Ok(())
             }
             _ => self.merge_overflow(new),
         }
     }
 
-    /// The hash-conflict arm of [`merge_versioned`](Self::merge_versioned).
+    /// The hash-conflict arm of [`insert`](Self::insert).
     #[cold]
     fn merge_overflow(&mut self, new: WordEntry) -> Result<(), BufferError> {
         if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == new.addr) {

@@ -67,6 +67,91 @@ impl WordMapModel {
     }
 }
 
+/// Words the sized-access property plays on.
+const SIZED_WORDS: u64 = 48;
+
+/// What a thread's buffer is, told in bytes: the bytes it wrote, and for
+/// every word it had to read from memory the eight bytes it found there.
+#[derive(Default)]
+struct ByteModel {
+    written: HashMap<u64, u8>,
+    first_read: HashMap<u64, [u8; 8]>,
+    loads: u64,
+    stores: u64,
+}
+
+impl ByteModel {
+    fn check(addr: u64, size: u64) -> Result<(), BufferError> {
+        if !matches!(size, 1 | 2 | 4 | 8) {
+            return Err(BufferError::UnsupportedSize);
+        }
+        if !addr.is_multiple_of(size) {
+            return Err(BufferError::Misaligned);
+        }
+        Ok(())
+    }
+
+    fn written_words(&self) -> std::collections::HashSet<u64> {
+        self.written
+            .keys()
+            .map(|byte| byte & !(WORD_BYTES - 1))
+            .collect()
+    }
+
+    /// `under` with the thread's own bytes of the word on top.
+    fn overlay(&self, word_addr: u64, mut under: [u8; 8]) -> [u8; 8] {
+        for (i, byte) in under.iter_mut().enumerate() {
+            if let Some(&own) = self.written.get(&(word_addr + i as u64)) {
+                *byte = own;
+            }
+        }
+        under
+    }
+
+    fn load(&mut self, mem: &GlobalMemory, addr: u64, size: u64) -> Result<u64, BufferError> {
+        self.loads += 1;
+        Self::check(addr, size)?;
+        let word_addr = addr & !(WORD_BYTES - 1);
+        let fully_written = (0..WORD_BYTES).all(|i| self.written.contains_key(&(word_addr + i)));
+        let under = if fully_written {
+            [0; 8]
+        } else {
+            *self
+                .first_read
+                .entry(word_addr)
+                .or_insert_with(|| mem.read_word(word_addr).to_le_bytes())
+        };
+        let word = self.overlay(word_addr, under);
+        let mut value = [0u8; 8];
+        let at = (addr - word_addr) as usize;
+        value[..size as usize].copy_from_slice(&word[at..at + size as usize]);
+        Ok(u64::from_le_bytes(value))
+    }
+
+    fn store(&mut self, addr: u64, value: u64, size: u64) -> Result<(), BufferError> {
+        self.stores += 1;
+        Self::check(addr, size)?;
+        for (i, byte) in value
+            .to_le_bytes()
+            .into_iter()
+            .take(size as usize)
+            .enumerate()
+        {
+            self.written.insert(addr + i as u64, byte);
+        }
+        Ok(())
+    }
+
+    fn stats(&self) -> mutls_membuf::BufferStats {
+        mutls_membuf::BufferStats {
+            loads: self.loads,
+            stores: self.stores,
+            memory_loads: self.first_read.len() as u64,
+            ..Default::default()
+        }
+    }
+}
+
 proptest! {
     /// The WordMap behaves like a model built from `HashMap`s through
     /// every operation of its API — partial-mask merges, version
@@ -159,6 +244,70 @@ proptest! {
         for i in 1..512u64 {
             let a = i * WORD_BYTES;
             prop_assert_eq!(mem.read_word(a), shadow.read_word(a), "word {:#x}", a);
+        }
+    }
+
+    /// One overlay rule: sized (1/2/4/8-byte and unsupported), aligned and
+    /// misaligned loads and stores through `load_logged` / `store` — the
+    /// inlined hit parts and their out-of-line `first_touch` /
+    /// `first_store` — agree byte for byte with a plain byte-array model,
+    /// refuse exactly the accesses the model refuses, with the same error,
+    /// and leave `BufferStats` equal to the model's counts.  A word the
+    /// thread has not fully written is read from memory once, at its first
+    /// load (writes by others after that are not seen); a fully written one
+    /// never is.
+    #[test]
+    fn sized_accesses_follow_a_byte_array_model(
+        ops in proptest::collection::vec(
+            (0u32..16, 0u64..(SIZED_WORDS * WORD_BYTES), 0u64..10, any::<u64>()),
+            1..400,
+        )
+    ) {
+        let mem = GlobalMemory::new(1 << 12);
+        let base = mem.alloc::<u64>(SIZED_WORDS as usize).base_addr();
+        let log = word_log();
+        let mut buf = GlobalBuffer::new(BufferConfig::default());
+        let mut model = ByteModel::default();
+        for i in 0..SIZED_WORDS {
+            mem.write_word(base + i * WORD_BYTES, i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        for (kind, offset, size, value) in ops {
+            // Half of the accesses are aligned to their size on purpose.
+            let (kind, align) = (kind / 2, kind % 2 == 0 && size > 0);
+            let offset = if align { offset - offset % size.min(WORD_BYTES) } else { offset };
+            let addr = base + offset;
+            match kind {
+                0..=2 => prop_assert_eq!(
+                    buf.load_logged(&mem, Some(&log), addr, size),
+                    model.load(&mem, addr, size),
+                    "load of {} bytes at {:#x}", size, addr
+                ),
+                3..=5 => prop_assert_eq!(
+                    buf.store(addr, value, size),
+                    model.store(addr, value, size),
+                    "store of {} bytes at {:#x}", size, addr
+                ),
+                // Somebody else's store to main memory.
+                _ => mem.write_word(addr & !(WORD_BYTES - 1), value),
+            }
+            prop_assert_eq!(buf.stats(), model.stats());
+            prop_assert_eq!(buf.read_set_len(), model.first_read.len());
+            prop_assert_eq!(buf.write_set_len(), model.written_words().len());
+        }
+        // Every byte the thread sees, then every byte it publishes.
+        for i in 0..SIZED_WORDS * WORD_BYTES {
+            prop_assert_eq!(buf.load_logged(&mem, Some(&log), base + i, 1), model.load(&mem, base + i, 1));
+        }
+        // A commit leaves main memory alone wherever the thread wrote nothing.
+        let word_addrs = (0..SIZED_WORDS).map(|i| base + i * WORD_BYTES);
+        let before: Vec<u64> = word_addrs.clone().map(|a| mem.read_word(a)).collect();
+        buf.commit(&mem);
+        for (word_addr, under) in word_addrs.zip(before) {
+            prop_assert_eq!(
+                mem.read_word(word_addr).to_le_bytes(),
+                model.overlay(word_addr, under.to_le_bytes()),
+                "word {:#x}", word_addr
+            );
         }
     }
 

@@ -27,12 +27,13 @@
 //! starves, and when synchronizing pays.
 
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mutls_membuf::{
-    Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, LocalBuffer, MainMemory, RegisterValue,
-    SpecFailure, WORD_BYTES,
+    Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, LocalBuffer, RegisterValue, SpecFailure,
+    WORD_BYTES,
 };
 
 use mutls_adaptive::ForkDecision;
@@ -45,8 +46,8 @@ use crate::manager::{
 };
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{
-    failure, over_range, task, JoinOutcome, Rank, SpecAbort, SpecResult, TaskRef, TaskStatus,
-    TlsContext, Word,
+    failure, over_range, task, typed_load, typed_store, JoinOutcome, Rank, SpecAbort, SpecResult,
+    TaskRef, TaskStatus, TlsContext, Word,
 };
 
 /// How often speculative memory operations poll the abort flag (and,
@@ -337,6 +338,25 @@ impl SpecContext {
     }
 
     // ----- speculative memory routing ---------------------------------
+    //
+    // `spec_read` and `spec_write` are shells that hold what a *hit* needs
+    // and nothing else, so that a kernel monomorphised over `SpecContext` —
+    // in whichever crate — keeps the hit in its own loop: rank 0 counts the
+    // access and touches the arena cell; a speculative thread counts, steps
+    // the poll cadence and probes its sets.  Whatever happens once per
+    // word, once per 256 accesses or once per rollback is a call to an
+    // out-of-line arm.  The shells are `#[inline(always)]`, and so is every
+    // level between them and the kernel: at half a dozen cold call sites apiece
+    // LLVM prices them above what an `#[inline]` hint buys (and above what
+    // its cross-unit import takes), and one level left out of line puts
+    // the call back on every access.
+    //
+    // **Every address in a set was checked on the way in.**  An address
+    // enters the read set at its first touch, the write set at the first
+    // store of its word, and either set when a child's buffer is absorbed
+    // (the child checked its own); `range_registered` runs there — before
+    // the insert, so not even a task that swallows the error can commit a
+    // wild word — and a hit does not ask again.
 
     /// Read one word of shared program data.
     ///
@@ -347,26 +367,36 @@ impl SpecContext {
     /// join-time validation can detect writes committed by logical
     /// predecessors *after* this read; non-speculatively it reads main
     /// memory directly.
-    #[inline]
+    #[inline(always)]
     pub fn spec_read(&mut self, addr: Addr) -> SpecResult<u64> {
         self.stats.counters.loads += 1;
-        self.poll_abort()?;
-        match self.global.as_mut() {
-            None => Ok(self.mgr.memory().read_word(addr)),
-            Some(buffer) => {
-                if !self.mgr.range_registered(addr, WORD_BYTES) {
-                    return Err(failure(SpecFailure::UnregisteredAddress));
-                }
-                buffer
-                    .load_logged(
-                        self.mgr.memory().as_ref(),
-                        Some(self.mgr.commit_log()),
-                        addr,
-                        WORD_BYTES,
-                    )
-                    .map_err(Self::map_buffer_error)
-            }
+        if self.poll_due() {
+            self.due_poll()?;
         }
+        // (Not before the poll: a promotion there takes `global` away.)
+        let mgr = &*self.mgr;
+        let Some(buffer) = self.global.as_mut() else {
+            return Ok(mgr.memory().word(addr).load(Ordering::Relaxed));
+        };
+        buffer
+            .load_or(addr, WORD_BYTES, |buffer, word_addr| {
+                Self::first_touch(mgr, buffer, word_addr)
+            })
+            .map_err(Self::map_buffer_error)
+    }
+
+    /// A word enters the read set: the address is checked here, once.
+    #[cold]
+    #[inline(never)]
+    fn first_touch(
+        mgr: &ThreadManager,
+        buffer: &mut GlobalBuffer,
+        word_addr: Addr,
+    ) -> Result<u64, BufferError> {
+        if !mgr.range_registered(word_addr, WORD_BYTES) {
+            return Err(BufferError::UnregisteredAddress);
+        }
+        buffer.first_touch(mgr.memory().as_ref(), Some(mgr.commit_log()), word_addr)
     }
 
     /// Write one word of shared program data.
@@ -380,75 +410,91 @@ impl SpecContext {
     /// always logically earliest).  With no read set exposed nobody holds
     /// a snapshot the stamp could invalidate, so the store runs at native
     /// speed (see `ThreadManager`'s exposure count).
-    #[inline]
+    #[inline(always)]
     pub fn spec_write(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.stats.counters.stores += 1;
-        self.poll_abort()?;
-        match self.global.as_mut() {
-            None => {
-                // Memory first, then the version bump (see `CommitLog`'s
-                // ordering protocol).
-                self.mgr.memory().write_word(addr, value);
-                if self.mgr.exposed_speculations() != 0 {
-                    self.mgr.commit_log().record_word(addr);
-                    // The store is a commit by definition (rank 0 is
-                    // always logically earliest): doom its registered
-                    // readers now — surgically, instead of letting them
-                    // burn their whole conflict window before failing
-                    // validation.
-                    let victims = self.mgr.doom_readers([addr], self.rank);
-                    if victims > 0 {
-                        self.note_doom(DoomSource::Commit, victims);
-                    }
-                }
-                Ok(())
+        if self.poll_due() {
+            self.due_poll()?;
+        }
+        let mgr = &*self.mgr;
+        let Some(buffer) = self.global.as_mut() else {
+            // Memory first, then the version bump (see `CommitLog`'s
+            // ordering protocol).
+            mgr.memory().word(addr).store(value, Ordering::Relaxed);
+            if mgr.exposed_speculations() != 0 {
+                self.publish_store(addr);
             }
-            Some(buffer) => {
-                if !self.mgr.range_registered(addr, WORD_BYTES) {
-                    return Err(failure(SpecFailure::UnregisteredAddress));
-                }
-                buffer
-                    .store(addr, value, WORD_BYTES)
-                    .map_err(Self::map_buffer_error)?;
-                // A *blind* store (the thread never read this word) made
-                // during a rollback re-execution: any registered reader
-                // of the word is reading main memory underneath this
-                // uncommitted overlay and can never validate against it
-                // — hard-doom it now, before it wastes its window.
-                // Three gates keep the doom surgical: it only fires
-                // while re-executing (`reexec_depth > 0`, where the
-                // registered readers are the doomed-from-birth threads
-                // that speculated past the rolled-back join — outside a
-                // re-execution a registered reader may be a logical
-                // *predecessor* whose read is perfectly valid, e.g. a
-                // thread that read the word and then forked this very
-                // continuation); RMW words (read before written) are
-                // skipped for the same predecessor reason; and only at
-                // **word** grain, where reader and writer provably touch
-                // the same word — at coarser grains a registered
-                // "reader" may only share the range (false sharing) and
-                // could still validate.  The grain is a live per-region
-                // property under the adaptive-grain controller, so the
-                // word-exactness gate asks the log for *this address's*
-                // current grain, not the static config.
-                if self.reexec_depth > 0
-                    && self.mgr.commit_log().grain_of(addr) == mutls_membuf::WORD_GRAIN_LOG2
-                    && !buffer.has_read(addr)
-                {
-                    self.doom_overlaid_readers(addr);
-                }
-                Ok(())
-            }
+            return Ok(());
+        };
+        buffer
+            .store_or(addr, value, WORD_BYTES, |buffer, word_addr, data, mask| {
+                Self::first_store(mgr, buffer, word_addr, data, mask)
+            })
+            .map_err(Self::map_buffer_error)?;
+        if self.reexec_depth > 0 {
+            self.doom_overlaid_readers(addr);
+        }
+        Ok(())
+    }
+
+    /// A word enters the write set: the address is checked here, once.
+    #[inline(never)]
+    fn first_store(
+        mgr: &ThreadManager,
+        buffer: &mut GlobalBuffer,
+        word_addr: Addr,
+        data: u64,
+        mask: u64,
+    ) -> Result<(), BufferError> {
+        if !mgr.range_registered(word_addr, WORD_BYTES) {
+            return Err(BufferError::UnregisteredAddress);
+        }
+        buffer.first_store(word_addr, data, mask)
+    }
+
+    /// Rank 0 stored `addr` while a speculative read set is exposed: stamp
+    /// the commit log and — the store is a commit by definition (rank 0 is
+    /// always logically earliest) — doom the word's registered readers
+    /// now, surgically, instead of letting them burn their whole conflict
+    /// window before failing validation.
+    #[inline(never)]
+    fn publish_store(&mut self, addr: Addr) {
+        self.mgr.commit_log().record_word(addr);
+        let victims = self.mgr.doom_readers([addr], self.rank);
+        if victims > 0 {
+            self.note_doom(DoomSource::Commit, victims);
         }
     }
 
-    /// Hard-doom the registered readers of a word this re-executing thread
-    /// just stored blindly.  [`spec_write`](Self::spec_write) holds the
-    /// gates; this arm is out of line so a store site inlines only those.
+    /// A buffered store made during a rollback re-execution: if it is
+    /// *blind* (the thread never read this word), any registered reader of
+    /// the word is reading main memory underneath this uncommitted overlay
+    /// and can never validate against it — hard-doom it now, before it
+    /// wastes its window.  Three gates keep the doom surgical: it only
+    /// fires while re-executing (`reexec_depth > 0`, the one gate the
+    /// store site holds: there the registered readers are the
+    /// doomed-from-birth threads that speculated past the rolled-back join
+    /// — outside a re-execution a registered reader may be a logical
+    /// *predecessor* whose read is perfectly valid, e.g. a thread that
+    /// read the word and then forked this very continuation); RMW words
+    /// (read before written) are skipped for the same predecessor reason;
+    /// and only at **word** grain, where reader and writer provably touch
+    /// the same word — at coarser grains a registered "reader" may only
+    /// share the range (false sharing) and could still validate.  The
+    /// grain is a live per-region property under the adaptive-grain
+    /// controller, so the word-exactness gate asks the log for *this
+    /// address's* current grain, not the static config.
     #[cold]
+    #[inline(never)]
     fn doom_overlaid_readers(&mut self, addr: Addr) {
-        let victims = self.mgr.doom_readers_hard([addr], self.rank);
-        self.note_doom(DoomSource::Buffered, victims);
+        let blind = self
+            .global
+            .as_ref()
+            .is_some_and(|buffer| !buffer.has_read(addr));
+        if blind && self.mgr.commit_log().grain_of(addr) == mutls_membuf::WORD_GRAIN_LOG2 {
+            let victims = self.mgr.doom_readers_hard([addr], self.rank);
+            self.note_doom(DoomSource::Buffered, victims);
+        }
     }
 
     /// A store of this thread doomed `victims` running readers.  Out of
@@ -488,42 +534,53 @@ impl SpecContext {
         self.last_mark = now;
     }
 
+    /// A poll point.  Rank 0 is never aborted, doomed or asked to
+    /// synchronize, so the non-speculative thread pays a comparison.
+    #[inline]
     fn check_abort(&mut self) -> SpecResult<()> {
-        if self.rank != 0 {
-            if self.mgr.abort_requested(self.rank) {
-                return Err(failure(SpecFailure::Cascaded));
-            }
-            if self.mgr.hard_doom_requested(self.rank) {
-                // A speculative writer's *buffered* store overlaps this
-                // thread's reads: the conflicting value is invisible in
-                // main memory, so no revalidation can help — stop now.
-                return Err(failure(SpecFailure::ReadConflict));
-            }
-            if self.mgr.doom_requested(self.rank) {
-                // A committing writer found this thread in the reader
-                // registry: its reads are (range-conservatively) stale.
-                // In-flight value-predict retry first: the registry is
-                // range-granular, so the doom may be false sharing — if
-                // every conflicting word still holds its first-read
-                // value, re-stamp, shrug the doom off and keep running.
-                if let Some(buffer) = self.global.as_mut() {
-                    let memory = self.mgr.memory();
-                    let retry_started = Instant::now();
-                    if buffer.revalidate_by_value(self.mgr.commit_log(), memory.as_ref()) {
-                        self.mgr.clear_doom(self.rank);
-                        let took = retry_started.elapsed().as_nanos() as u64;
-                        self.observe(0, Point::RetriedInFlight(took));
-                        return Ok(());
-                    }
+        if self.rank == 0 {
+            return Ok(());
+        }
+        self.poll()
+    }
+
+    /// A speculative thread's poll of its abort flag, its doom flags and
+    /// its sync request.
+    #[inline(never)]
+    fn poll(&mut self) -> SpecResult<()> {
+        if self.mgr.abort_requested(self.rank) {
+            return Err(failure(SpecFailure::Cascaded));
+        }
+        if self.mgr.hard_doom_requested(self.rank) {
+            // A speculative writer's *buffered* store overlaps this
+            // thread's reads: the conflicting value is invisible in
+            // main memory, so no revalidation can help — stop now.
+            return Err(failure(SpecFailure::ReadConflict));
+        }
+        if self.mgr.doom_requested(self.rank) {
+            // A committing writer found this thread in the reader
+            // registry: its reads are (range-conservatively) stale.
+            // In-flight value-predict retry first: the registry is
+            // range-granular, so the doom may be false sharing — if
+            // every conflicting word still holds its first-read
+            // value, re-stamp, shrug the doom off and keep running.
+            if let Some(buffer) = self.global.as_mut() {
+                let memory = self.mgr.memory();
+                let retry_started = Instant::now();
+                if buffer.revalidate_by_value(self.mgr.commit_log(), memory.as_ref()) {
+                    self.mgr.clear_doom(self.rank);
+                    let took = retry_started.elapsed().as_nanos() as u64;
+                    self.observe(0, Point::RetriedInFlight(took));
+                    return Ok(());
                 }
-                // Genuinely stale: stop now instead of burning the rest
-                // of the conflict window; the join classifies this as a
-                // conflict rollback.
-                return Err(failure(SpecFailure::ReadConflict));
             }
-            if self.mgr.sync_posted(self.rank) {
-                return self.synchronize_early();
-            }
+            // Genuinely stale: stop now instead of burning the rest
+            // of the conflict window; the join classifies this as a
+            // conflict rollback.
+            return Err(failure(SpecFailure::ReadConflict));
+        }
+        if self.mgr.sync_posted(self.rank) {
+            return self.synchronize_early();
         }
         Ok(())
     }
@@ -636,19 +693,27 @@ impl SpecContext {
         self.children.push(child);
     }
 
-    #[inline]
-    fn poll_abort(&mut self) -> SpecResult<()> {
-        // Rank 0 is never aborted or doomed: nothing to count or poll.
+    /// Step a speculative thread's access count and say whether the poll
+    /// of the abort flag (and, with it, of the doom flags and the sync
+    /// request) is due.  Rank 0 is never aborted or doomed: nothing to
+    /// count or poll.
+    #[inline(always)]
+    fn poll_due(&mut self) -> bool {
         if self.global.is_none() {
-            return Ok(());
+            return false;
         }
         self.op_counter = self.op_counter.wrapping_add(1);
-        if self.op_counter.is_multiple_of(ABORT_POLL_INTERVAL) {
-            self.check_abort()?;
-        }
-        Ok(())
+        self.op_counter.is_multiple_of(ABORT_POLL_INTERVAL)
     }
 
+    /// The poll of every [`ABORT_POLL_INTERVAL`]th access, as a cold call.
+    #[cold]
+    #[inline(never)]
+    fn due_poll(&mut self) -> SpecResult<()> {
+        self.poll()
+    }
+
+    /// Why a buffered access failed, as the rollback reason its joiner sees.
     fn map_buffer_error(err: BufferError) -> SpecAbort {
         match err {
             BufferError::OverflowFull => failure(SpecFailure::BufferOverflow),
@@ -960,17 +1025,40 @@ impl SpecContext {
 impl TlsContext for SpecContext {
     type Handle = SpecHandle;
 
+    #[inline]
     fn work(&mut self, _units: u64) -> SpecResult<()> {
-        // Real time is measured directly; this is only a poll opportunity.
-        self.poll_abort()
+        // Real time is measured directly; this is only a poll opportunity,
+        // at the cadence of the memory operations.
+        if self.poll_due() {
+            self.due_poll()?;
+        }
+        Ok(())
     }
 
+    #[inline(always)]
     fn load_word(&mut self, addr: Addr) -> SpecResult<u64> {
         self.spec_read(addr)
     }
 
+    #[inline(always)]
     fn store_word(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.spec_write(addr, value)
+    }
+
+    /// The trait's `load`, overridden for its attribute only: the typed
+    /// wrapper is the last level between the shells and the kernel.  On
+    /// this context alone — kernels over the default's contexts
+    /// (`DirectContext`, the simulator's recorder) are the sequential
+    /// reference and compile as they always did.
+    #[inline(always)]
+    fn load<T: Word>(&mut self, ptr: &GPtr<T>, index: usize) -> SpecResult<T> {
+        typed_load(self, ptr, index)
+    }
+
+    /// The trait's `store`, overridden for its attribute only.
+    #[inline(always)]
+    fn store<T: Word>(&mut self, ptr: &GPtr<T>, index: usize, value: T) -> SpecResult<()> {
+        typed_store(self, ptr, index, value)
     }
 
     fn fork(&mut self, point: u32, task: TaskRef<Self>) -> SpecResult<SpecHandle> {
@@ -1109,14 +1197,17 @@ impl TlsContext for SpecContext {
         Err(SpecAbort::BarrierReached)
     }
 
+    #[inline]
     fn check_point(&mut self) -> SpecResult<()> {
         self.check_abort()
     }
 
+    #[inline]
     fn is_speculative(&self) -> bool {
         self.rank != 0
     }
 
+    #[inline]
     fn rank(&self) -> Rank {
         self.rank
     }
@@ -1147,6 +1238,7 @@ impl TlsContext for SpecContext {
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
+    use mutls_membuf::MainMemory;
 
     /// Hand-driven (no worker threads), so "deposited but unjoined" is a
     /// program point, not a race: rank 0's direct store is stamped exactly

@@ -648,6 +648,7 @@ impl ThreadManager {
     }
 
     /// Shared main memory arena.
+    #[inline]
     pub fn memory(&self) -> &Arc<GlobalMemory> {
         &self.memory
     }
@@ -673,12 +674,15 @@ impl ThreadManager {
     /// registered (allocation *is* registration, as in §IV-G1 where heap
     /// allocation calls are intercepted); explicitly registered ranges are
     /// honoured in addition.
-    #[inline]
+    ///
+    /// An access that would run past the end of the address space — a
+    /// garbage pointer read under speculation — is in neither.
     pub fn range_registered(&self, addr: Addr, len: u64) -> bool {
-        if addr >= GlobalMemory::BASE_ADDR && addr + len <= self.memory.allocated_bytes() {
-            return true;
-        }
-        self.address_space.read().contains(addr, len)
+        let in_arena = addr >= GlobalMemory::BASE_ADDR
+            && addr
+                .checked_add(len)
+                .is_some_and(|end| end <= self.memory.allocated_bytes());
+        in_arena || self.address_space.read().contains(addr, len)
     }
 
     /// Count one commit/validate event and, every
@@ -2441,6 +2445,9 @@ mod tests {
         m.register_range(0x100, 0x40);
         assert!(m.range_registered(0x100, 8));
         assert!(!m.range_registered(0x200, 8));
+        // A wild pointer: `addr + len` wraps to 0, below the allocation
+        // cursor, and must still be outside everything.
+        assert!(!m.range_registered(u64::MAX - 7, 8));
         m.unregister_range(0x100, 0x40);
         assert!(!m.range_registered(0x100, 8));
     }
