@@ -144,11 +144,8 @@ impl Governor {
     }
 
     /// Record that a speculative thread was actually launched from `site`.
-    pub fn record_fork(&self, site: SiteId, model: ForkModel) {
-        self.profiler.with_site(site, |record| {
-            record.forks += 1;
-            record.per_model[model.index()].forks += 1;
-        });
+    pub fn record_fork(&self, site: SiteId) {
+        self.profiler.with_site(site, |record| record.forks += 1);
     }
 
     /// Record the outcome of a child launched from `site`.
@@ -165,7 +162,6 @@ impl Governor {
                 outcome.work,
                 outcome.wasted_work,
                 outcome.stall,
-                outcome.model,
                 decay,
             );
         });
@@ -194,7 +190,7 @@ mod tests {
             match governor.decide(site, ForkModel::Mixed) {
                 ForkDecision::Allow(model) => {
                     allowed += 1;
-                    governor.record_fork(site, model);
+                    governor.record_fork(site);
                     let outcome = if committed {
                         SiteOutcome::committed(100, 5, model)
                     } else {
@@ -241,7 +237,7 @@ mod tests {
     #[test]
     fn outcomes_accumulate_work_and_stall() {
         let governor = Governor::new(GovernorConfig::default());
-        governor.record_fork(9, ForkModel::InOrder);
+        governor.record_fork(9);
         governor.record_outcome(9, &SiteOutcome::committed(40, 7, ForkModel::InOrder));
         governor.record_outcome(
             9,

@@ -9,11 +9,9 @@
 //!   fork-site ID, accumulating commits, rollbacks, buffer overflows,
 //!   stall time and speculative work per site.
 //! * [`GovernorPolicy`] — pluggable fork-decision policies:
-//!   [`StaticPolicy`] (the seed's unconditional behaviour),
+//!   [`StaticPolicy`] (the seed's unconditional behaviour) and
 //!   [`ThrottlePolicy`] (suppress unprofitable sites, with exponential
-//!   decay and probe forks so sites can re-earn speculation) and
-//!   [`ModelSelectPolicy`] (per-site choice among the three forking
-//!   models).
+//!   decay and probe forks so sites can re-earn speculation).
 //! * [`Governor`] — the thread-safe facade `mutls-runtime`'s
 //!   `ThreadManager` and `mutls-simcpu`'s scheduler consult before
 //!   granting a speculative CPU, and report join outcomes back to.
@@ -36,7 +34,7 @@
 //! // Site 1 keeps rolling back...
 //! for _ in 0..8 {
 //!     if let ForkDecision::Allow(model) = governor.decide(1, ForkModel::Mixed) {
-//!         governor.record_fork(1, model);
+//!         governor.record_fork(1);
 //!         governor.record_outcome(
 //!             1,
 //!             &SiteOutcome::rolled_back(SpecFailure::ReadConflict, 100, 0, model),
@@ -59,7 +57,7 @@ pub use fork_model::ForkModel;
 pub use governor::{Governor, SiteOutcome};
 pub use grain::{GrainAction, GrainControlConfig, GrainControlStats, GrainController};
 pub use policy::{
-    build_policy, ForkDecision, GovernorConfig, GovernorPolicy, ModelSelectPolicy, PolicyKind,
-    StaticPolicy, ThrottlePolicy, FALSE_SHARING_DOMINANCE,
+    build_policy, ForkDecision, GovernorConfig, GovernorPolicy, PolicyKind, StaticPolicy,
+    ThrottlePolicy, FALSE_SHARING_DOMINANCE,
 };
-pub use site::{ModelStats, SiteId, SiteProfile, SiteProfiler, SiteRecord, SHARD_COUNT};
+pub use site::{SiteId, SiteProfile, SiteProfiler, SiteRecord, SHARD_COUNT};

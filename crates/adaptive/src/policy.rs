@@ -7,16 +7,12 @@
 //!   Exponential decay plus periodic *probe* forks let a suppressed site
 //!   re-earn speculation when its behaviour improves (cf. Prophet's
 //!   profile-guided speculation filtering).
-//! * [`ModelSelectPolicy`] — pick the forking model *per site* instead of
-//!   one global `ForkModel`: a short round-robin warm-up tries all three
-//!   models, then the site sticks with the one that wasted the least work,
-//!   still exploring periodically.
 
 use std::fmt;
 use std::str::FromStr;
 
 use crate::fork_model::ForkModel;
-use crate::site::{ModelStats, SiteRecord};
+use crate::site::SiteRecord;
 
 /// Which governor policy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -26,24 +22,17 @@ pub enum PolicyKind {
     Static,
     /// Suppress speculation at unprofitable sites.
     Throttle,
-    /// Choose the forking model per site.
-    ModelSelect,
 }
 
 impl PolicyKind {
     /// All policies, for sweeps.
-    pub const ALL: [PolicyKind; 3] = [
-        PolicyKind::Static,
-        PolicyKind::Throttle,
-        PolicyKind::ModelSelect,
-    ];
+    pub const ALL: [PolicyKind; 2] = [PolicyKind::Static, PolicyKind::Throttle];
 
     /// Short label for experiment output.
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::Static => "static",
             PolicyKind::Throttle => "throttle",
-            PolicyKind::ModelSelect => "modelselect",
         }
     }
 }
@@ -61,7 +50,6 @@ impl FromStr for PolicyKind {
         match s.to_ascii_lowercase().as_str() {
             "static" => Ok(PolicyKind::Static),
             "throttle" => Ok(PolicyKind::Throttle),
-            "modelselect" | "model-select" | "model_select" => Ok(PolicyKind::ModelSelect),
             other => Err(format!("unknown governor policy: {other}")),
         }
     }
@@ -76,15 +64,13 @@ pub struct GovernorConfig {
     pub rollback_threshold: f64,
     /// Overflow-rate threshold above which Throttle suppresses a site.
     pub overflow_threshold: f64,
-    /// Joined samples a site must have before Throttle may suppress it,
-    /// and forks each model receives during ModelSelect warm-up.
+    /// Joined samples a site must have before Throttle may suppress it.
     pub min_samples: u64,
     /// Exponential forgetting factor in `(0, 1]` applied per outcome to
     /// the recency-weighted counters (1.0 = never forget).
     pub decay: f64,
     /// While a site is suppressed, every `probe_interval`-th fork request
-    /// is allowed through as a probe so the site can re-earn speculation;
-    /// ModelSelect re-explores models at the same cadence.
+    /// is allowed through as a probe so the site can re-earn speculation.
     pub probe_interval: u64,
 }
 
@@ -279,81 +265,11 @@ impl GovernorPolicy for ThrottlePolicy {
     }
 }
 
-/// Choose the forking model per site from observed per-model efficiency.
-#[derive(Debug, Default)]
-pub struct ModelSelectPolicy;
-
-impl ModelSelectPolicy {
-    /// Score a model by work committed (and joins committed) *per
-    /// attempt*.  Dividing by attempts — not launches — makes a model
-    /// that keeps being chosen but can never actually fork at this site
-    /// (e.g. in-order at a never-most-speculative forker) score zero
-    /// instead of looking untried-and-optimistic.
-    fn score(stats: &ModelStats) -> (f64, f64) {
-        let attempts = stats.attempts.max(1) as f64;
-        (
-            stats.committed_work as f64 / attempts,
-            stats.commits as f64 / attempts,
-        )
-    }
-
-    fn best_model(record: &SiteRecord) -> ForkModel {
-        let mut best = ForkModel::Mixed;
-        let mut best_score = (f64::MIN, f64::MIN);
-        // Iterate in ALL order; ties prefer the later (Mixed) model, the
-        // paper's most general default.
-        for model in ForkModel::ALL {
-            let score = Self::score(&record.per_model[model.index()]);
-            if score >= best_score {
-                best_score = score;
-                best = model;
-            }
-        }
-        best
-    }
-}
-
-impl GovernorPolicy for ModelSelectPolicy {
-    fn name(&self) -> &'static str {
-        "modelselect"
-    }
-
-    fn decide(
-        &self,
-        record: &mut SiteRecord,
-        config: &GovernorConfig,
-        _default_model: ForkModel,
-    ) -> ForkDecision {
-        record.decisions += 1;
-        // Warm-up: give every model `min_samples` *attempts*, least-tried
-        // first.  Counting attempts (not successful launches) guarantees
-        // the warm-up always advances, even for a model the forking rules
-        // never let launch at this site.
-        let chosen = if let Some(model) = ForkModel::ALL
-            .into_iter()
-            .filter(|m| record.per_model[m.index()].attempts < config.min_samples)
-            .min_by_key(|m| record.per_model[m.index()].attempts)
-        {
-            model
-        } else if record.decisions.is_multiple_of(config.probe_interval) {
-            // Periodic exploration so a model that got unlucky early can
-            // recover; otherwise exploit the best-scoring model.
-            let idx = (record.decisions / config.probe_interval) as usize % ForkModel::ALL.len();
-            ForkModel::ALL[idx]
-        } else {
-            Self::best_model(record)
-        };
-        record.per_model[chosen.index()].attempts += 1;
-        ForkDecision::Allow(chosen)
-    }
-}
-
 /// Build the policy object configured in `config`.
 pub fn build_policy(kind: PolicyKind) -> Box<dyn GovernorPolicy> {
     match kind {
         PolicyKind::Static => Box::new(StaticPolicy),
         PolicyKind::Throttle => Box::new(ThrottlePolicy),
-        PolicyKind::ModelSelect => Box::new(ModelSelectPolicy),
     }
 }
 
@@ -370,7 +286,6 @@ mod tests {
                 0,
                 50,
                 0,
-                ForkModel::Mixed,
                 decay,
             );
         }
@@ -435,7 +350,7 @@ mod tests {
         // The site's behaviour flips to always-commit; probes feed the
         // decayed counters until the rate crosses back under the threshold.
         for _ in 0..6 {
-            r.absorb(None, false, false, 50, 0, 0, ForkModel::Mixed, cfg.decay);
+            r.absorb(None, false, false, 50, 0, 0, cfg.decay);
         }
         assert!(
             ThrottlePolicy
@@ -461,96 +376,12 @@ mod tests {
                 0,
                 10,
                 0,
-                ForkModel::Mixed,
                 cfg.decay,
             );
         }
         assert_eq!(
             ThrottlePolicy.decide(&mut r, &cfg, ForkModel::Mixed),
             ForkDecision::Deny
-        );
-    }
-
-    #[test]
-    fn model_select_warms_up_all_models_then_exploits_the_best() {
-        let mut r = SiteRecord::default();
-        let cfg = GovernorConfig::with_policy(PolicyKind::ModelSelect).min_samples(2);
-        // Warm-up: 2 attempts per model, least-tried first.
-        let mut warmup = Vec::new();
-        for _ in 0..6 {
-            let ForkDecision::Allow(model) =
-                ModelSelectPolicy.decide(&mut r, &cfg, ForkModel::Mixed)
-            else {
-                panic!("model select never denies");
-            };
-            r.per_model[model.index()].forks += 1;
-            warmup.push(model);
-        }
-        for model in ForkModel::ALL {
-            assert_eq!(warmup.iter().filter(|m| **m == model).count(), 2, "{model}");
-            assert_eq!(r.per_model[model.index()].attempts, 2, "{model}");
-        }
-        // InOrder committed everything; the others wasted everything.
-        r.per_model[ForkModel::InOrder.index()].commits = 2;
-        r.per_model[ForkModel::InOrder.index()].committed_work = 100;
-        for model in [ForkModel::OutOfOrder, ForkModel::Mixed] {
-            r.per_model[model.index()].rollbacks = 2;
-            r.per_model[model.index()].wasted_work = 100;
-        }
-        let mut exploit = 0;
-        for _ in 0..cfg.probe_interval - 1 {
-            if ModelSelectPolicy.decide(&mut r, &cfg, ForkModel::Mixed)
-                == ForkDecision::Allow(ForkModel::InOrder)
-            {
-                exploit += 1;
-            }
-        }
-        assert!(
-            exploit >= (cfg.probe_interval - 2) as usize,
-            "exploit = {exploit}"
-        );
-    }
-
-    #[test]
-    fn model_select_does_not_livelock_on_a_model_that_never_launches() {
-        // Regression: at a site where in-order and out-of-order can never
-        // actually fork (the forking rules reject them), the warm-up must
-        // still advance and exploitation must settle on the model that
-        // does launch — the site must not be starved of speculation.
-        let mut r = SiteRecord::default();
-        let cfg = GovernorConfig::with_policy(PolicyKind::ModelSelect)
-            .min_samples(2)
-            .probe_interval(16);
-        let mut mixed_launches = 0u64;
-        let mut decisions_after_warmup = 0u64;
-        let mut mixed_after_warmup = 0u64;
-        for i in 0..70 {
-            let ForkDecision::Allow(model) =
-                ModelSelectPolicy.decide(&mut r, &cfg, ForkModel::Mixed)
-            else {
-                panic!("model select never denies");
-            };
-            // Only Mixed ever launches at this site; the other models'
-            // forks are rejected downstream, so no fork/outcome is ever
-            // recorded for them.
-            if model == ForkModel::Mixed {
-                r.per_model[model.index()].forks += 1;
-                r.absorb(None, false, false, 100, 0, 0, model, cfg.decay);
-                mixed_launches += 1;
-            }
-            if i >= 6 {
-                decisions_after_warmup += 1;
-                if model == ForkModel::Mixed {
-                    mixed_after_warmup += 1;
-                }
-            }
-        }
-        assert!(mixed_launches > 0, "site was starved of speculation");
-        // Post-warm-up, the launching model dominates (periodic probes of
-        // the dead models are allowed, but they must stay probes).
-        assert!(
-            mixed_after_warmup * 10 >= decisions_after_warmup * 8,
-            "mixed chosen {mixed_after_warmup}/{decisions_after_warmup} post-warm-up"
         );
     }
 
@@ -569,7 +400,6 @@ mod tests {
                 0,
                 50,
                 0,
-                ForkModel::Mixed,
                 cfg.decay,
             );
             false_shared.absorb(
@@ -579,7 +409,6 @@ mod tests {
                 0,
                 50,
                 0,
-                ForkModel::Mixed,
                 cfg.decay,
             );
         }
@@ -600,8 +429,8 @@ mod tests {
         // Below the lenient threshold the false-sharing site flows freely
         // while the genuinely conflicting site keeps getting denied.
         for _ in 0..3 {
-            genuine.absorb(None, false, false, 50, 0, 0, ForkModel::Mixed, cfg.decay);
-            false_shared.absorb(None, false, false, 50, 0, 0, ForkModel::Mixed, cfg.decay);
+            genuine.absorb(None, false, false, 50, 0, 0, cfg.decay);
+            false_shared.absorb(None, false, false, 50, 0, 0, cfg.decay);
         }
         assert!(
             genuine.rollback_rate() > cfg.rollback_threshold,
@@ -625,7 +454,7 @@ mod tests {
         let mut retrying = SiteRecord::default();
         let mut squashing = SiteRecord::default();
         for _ in 0..8 {
-            retrying.absorb(None, false, true, 50, 0, 0, ForkModel::Mixed, cfg.decay);
+            retrying.absorb(None, false, true, 50, 0, 0, cfg.decay);
             squashing.absorb(
                 Some(mutls_membuf::RollbackReason::Conflict),
                 false,
@@ -633,7 +462,6 @@ mod tests {
                 0,
                 50,
                 0,
-                ForkModel::Mixed,
                 cfg.decay,
             );
         }

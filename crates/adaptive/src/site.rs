@@ -22,52 +22,11 @@ use parking_lot::{Mutex, RwLock};
 
 use mutls_membuf::RollbackReason;
 
-use crate::fork_model::ForkModel;
-
 /// Identifier of one fork point (the `point` of `TlsContext::fork`).
 pub type SiteId = u32;
 
 /// Number of lock stripes; a power of two so the shard index is a mask.
 pub const SHARD_COUNT: usize = 16;
-
-/// Per-model accumulators used by the model-selection policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ModelStats {
-    /// Decisions that selected this model (whether or not the fork then
-    /// launched); maintained by the model-selection policy.
-    pub attempts: u64,
-    /// Speculative threads launched under this model.
-    pub forks: u64,
-    /// Joins that committed.
-    pub commits: u64,
-    /// Joins that rolled back.
-    pub rollbacks: u64,
-    /// Work that committed (time units of the recording runtime).
-    pub committed_work: u64,
-    /// Work that was discarded.
-    pub wasted_work: u64,
-}
-
-impl ModelStats {
-    /// Fraction of this model's work that committed (1.0 with no samples,
-    /// so untried models look optimistic rather than hopeless).
-    pub fn efficiency(&self) -> f64 {
-        let total = self.committed_work + self.wasted_work;
-        if total == 0 {
-            return 1.0;
-        }
-        self.committed_work as f64 / total as f64
-    }
-
-    /// Fraction of joins that committed (1.0 with no samples).
-    pub fn commit_rate(&self) -> f64 {
-        let joins = self.commits + self.rollbacks;
-        if joins == 0 {
-            return 1.0;
-        }
-        self.commits as f64 / joins as f64
-    }
-}
 
 /// Mutable per-site accumulator handed to policies.
 #[derive(Debug, Clone, Default)]
@@ -110,8 +69,6 @@ pub struct SiteRecord {
     /// Exponentially decayed retry count (retries also feed
     /// `hot_commits`: a retried conflict is a success, not a squash).
     pub hot_retries: f64,
-    /// Per-fork-model accumulators, indexed by [`ForkModel::index`].
-    pub per_model: [ModelStats; 3],
     /// Consecutive throttle denials since the last probe (throttle policy).
     pub denied_streak: u64,
     /// Monotone count of governor decisions at this site.
@@ -186,7 +143,6 @@ impl SiteRecord {
         work: u64,
         wasted: u64,
         stall: u64,
-        model: ForkModel,
         decay: f64,
     ) {
         self.hot_commits *= decay;
@@ -194,7 +150,6 @@ impl SiteRecord {
         self.hot_overflows *= decay;
         self.hot_false_sharing *= decay;
         self.hot_retries *= decay;
-        let m = &mut self.per_model[model.index()];
         match reason {
             None => {
                 self.commits += 1;
@@ -204,15 +159,11 @@ impl SiteRecord {
                     self.retries += 1;
                     self.hot_retries += 1.0;
                 }
-                m.commits += 1;
-                m.committed_work += work;
             }
             Some(reason) => {
                 self.rollbacks += 1;
                 self.hot_rollbacks += 1.0;
                 self.wasted_work += wasted;
-                m.rollbacks += 1;
-                m.wasted_work += wasted;
                 match reason {
                     RollbackReason::Overflow => {
                         self.overflows += 1;
@@ -393,16 +344,7 @@ mod tests {
     fn absorb_tracks_rates_and_decay() {
         let mut r = SiteRecord::default();
         for _ in 0..4 {
-            r.absorb(
-                Some(RollbackReason::Conflict),
-                false,
-                false,
-                0,
-                100,
-                0,
-                ForkModel::Mixed,
-                0.5,
-            );
+            r.absorb(Some(RollbackReason::Conflict), false, false, 0, 100, 0, 0.5);
         }
         assert_eq!(r.rollbacks, 4);
         assert_eq!(r.conflicts, 4);
@@ -410,7 +352,7 @@ mod tests {
         assert!(r.rollback_rate() > 0.99);
         // Commits push the decayed rate down geometrically.
         for _ in 0..4 {
-            r.absorb(None, false, false, 100, 0, 0, ForkModel::Mixed, 0.5);
+            r.absorb(None, false, false, 100, 0, 0, 0.5);
         }
         assert!(r.rollback_rate() < 0.1, "rate = {}", r.rollback_rate());
         assert_eq!(r.samples(), 8);
@@ -419,36 +361,9 @@ mod tests {
     #[test]
     fn rollback_reasons_are_counted_separately() {
         let mut r = SiteRecord::default();
-        r.absorb(
-            Some(RollbackReason::Overflow),
-            false,
-            false,
-            0,
-            10,
-            0,
-            ForkModel::InOrder,
-            0.9,
-        );
-        r.absorb(
-            Some(RollbackReason::Conflict),
-            false,
-            false,
-            0,
-            10,
-            0,
-            ForkModel::InOrder,
-            0.9,
-        );
-        r.absorb(
-            Some(RollbackReason::Injected),
-            false,
-            false,
-            0,
-            10,
-            0,
-            ForkModel::InOrder,
-            0.9,
-        );
+        r.absorb(Some(RollbackReason::Overflow), false, false, 0, 10, 0, 0.9);
+        r.absorb(Some(RollbackReason::Conflict), false, false, 0, 10, 0, 0.9);
+        r.absorb(Some(RollbackReason::Injected), false, false, 0, 10, 0, 0.9);
         assert_eq!(r.overflows, 1);
         assert_eq!(r.conflicts, 1);
         assert_eq!(r.injected, 1);
@@ -462,7 +377,7 @@ mod tests {
         for site in [44u32, 2, 17, 300] {
             p.with_site(site, |r| {
                 r.forks = site as u64;
-                r.absorb(None, false, false, 5, 0, 1, ForkModel::Mixed, 0.9);
+                r.absorb(None, false, false, 5, 0, 1, 0.9);
             });
         }
         let rows = p.snapshot();
@@ -491,12 +406,5 @@ mod tests {
         }
         let total: u64 = p.snapshot().iter().map(|r| r.forks).sum();
         assert_eq!(total, 8 * 1000);
-    }
-
-    #[test]
-    fn model_stats_rates_default_optimistic() {
-        let m = ModelStats::default();
-        assert_eq!(m.efficiency(), 1.0);
-        assert_eq!(m.commit_rate(), 1.0);
     }
 }

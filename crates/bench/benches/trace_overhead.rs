@@ -104,7 +104,7 @@ fn bench_native_recorder_states(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::new("conflict_chain", label), |b| {
             b.iter(|| {
-                let (checksum, _, _) = conflict::chain_native_traced(
+                let (checksum, ..) = conflict::chain_native_observed(
                     chain,
                     RuntimeConfig::with_cpus(4)
                         .commit_log(CommitLogConfig::word_grain())

@@ -1,32 +1,27 @@
-//! `mutls-experiments` — regenerate the MUTLS paper's tables and figures.
+//! `mutls-experiments` — regenerate the MUTLS paper's tables and figures
+//! and run the repo's own sweeps.
 //!
 //! ```text
-//! mutls-experiments <fig3|...|fig11|table2|adaptive|conflict|overflow|grain|recovery|graincontrol|trace|metrics|all> \
-//!     [--scale tiny|scaled|paper] [--cpus 1,2,4,...] \
+//! mutls-experiments <table2|fig3|...|fig11|adaptive|conflict|overflow|grain|trace|metrics|all> ... \
+//!     [--scale tiny|scaled|paper] [--cpus 1,2,4,...] [--seed N] \
 //!     [--json <path>] [--trace <path>] [--metrics <path>]
 //! ```
 //!
-//! With `--json <path>` the native sweeps (recovery, grain, conflict,
-//! overflow, adaptive, trace) additionally write their per-point rows —
-//! wasted work, commit throughput, retry/doom counts, latency quantiles —
-//! as one JSON document.  With `--trace <path>` the sweeps enable the
-//! speculation flight recorder and the drained lifecycle events of every
-//! run are exported as one Chrome trace-event document (open it at
-//! <https://ui.perfetto.dev>).  With `--metrics <path>` the sweeps enable
-//! the live metrics plane and every run's final snapshot (plus its
-//! sampled time series for `.json` paths) is exported — Prometheus text
-//! exposition by default, JSON time series when the path ends in
-//! `.json`.
+//! With `--json <path>` the sweeps (adaptive, conflict, overflow, grain)
+//! and the trace/metrics scenarios additionally write their rows as one
+//! JSON document.  With `--trace <path>` every run enables the
+//! speculation flight recorder and the drained lifecycle events are
+//! exported as one Chrome trace-event document (open it at
+//! <https://ui.perfetto.dev>).  With `--metrics <path>` every run enables
+//! the live metrics plane and its final snapshot (plus its sampled time
+//! series for `.json` paths) is exported — Prometheus text exposition by
+//! default, JSON time series when the path ends in `.json`.
 
 use std::process::ExitCode;
 
-use serde::Serialize;
-
 use mutls_harness::{
-    adaptive_sweep, conflict_sweep, figure10, figure11, figure3, figure4, figure5, figure6,
-    figure7, figure8, figure9, grain_sweep, graincontrol_replay, graincontrol_sweep,
-    metrics_scenario, overflow_sweep, recovery_replay, recovery_sweep, table2, trace_scenario,
-    ExperimentConfig, MetricsSink, TraceSink, BENCH_SCHEMA_VERSION,
+    run_experiment, ExperimentConfig, MetricsSink, TraceSink, BENCH_SCHEMA_VERSION,
+    EXPERIMENT_NAMES,
 };
 use mutls_workloads::Scale;
 
@@ -38,15 +33,13 @@ struct JsonSink {
 }
 
 impl JsonSink {
-    fn push<T: Serialize>(&mut self, name: &str, rows: &[T]) {
-        let mut out = String::new();
-        rows.serialize_json(&mut out);
-        // An experiment selected twice (e.g. `all recovery`) must not
-        // emit duplicate JSON keys; the latest rows win.
+    fn push(&mut self, name: &str, rows: String) {
+        // An experiment selected twice (e.g. `all grain`) must not emit
+        // duplicate JSON keys; the latest rows win.
         if let Some(entry) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            entry.1 = out;
+            entry.1 = rows;
         } else {
-            self.entries.push((name.to_string(), out));
+            self.entries.push((name.to_string(), rows));
         }
     }
 
@@ -124,88 +117,16 @@ fn parse_args() -> Result<ParsedArgs, String> {
 }
 
 fn run_one(name: &str, config: &ExperimentConfig, sink: &mut JsonSink) -> Result<(), String> {
-    match name {
-        "table2" => println!("{}", table2(config).1),
-        "fig3" => println!("{}", figure3(config).1),
-        "fig4" => println!("{}", figure4(config).1),
-        "fig5" => println!("{}", figure5(config).1),
-        "fig6" => println!("{}", figure6(config).1),
-        "fig7" => println!("{}", figure7(config).1),
-        "fig8" => println!("{}", figure8(config).1),
-        "fig9" => println!("{}", figure9(config).1),
-        "fig10" => println!("{}", figure10(config).1),
-        "fig11" => println!("{}", figure11(config).1),
-        "adaptive" => {
-            let (rows, text) = adaptive_sweep(config);
-            sink.push("adaptive", &rows);
-            println!("{text}");
-        }
-        "conflict" => {
-            let (rows, text) = conflict_sweep(config);
-            sink.push("conflict", &rows);
-            println!("{text}");
-        }
-        "overflow" => {
-            let (rows, text) = overflow_sweep(config);
-            sink.push("overflow", &rows);
-            println!("{text}");
-        }
-        "grain" => {
-            let (rows, text) = grain_sweep(config);
-            sink.push("grain", &rows);
-            println!("{text}");
-        }
-        "recovery" => {
-            let (rows, text) = recovery_sweep(config);
-            sink.push("recovery", &rows);
-            println!("{text}");
-            let (sim_rows, sim_text) = recovery_replay(config);
-            sink.push("recovery_replay", &sim_rows);
-            println!("{sim_text}");
-        }
-        "graincontrol" => {
-            let (rows, text) = graincontrol_sweep(config);
-            sink.push("graincontrol", &rows);
-            println!("{text}");
-            let (sim_rows, sim_text) = graincontrol_replay(config);
-            sink.push("graincontrol_replay", &sim_rows);
-            println!("{sim_text}");
-        }
-        "trace" => {
-            let (rows, text) = trace_scenario(config);
-            sink.push("trace", &rows);
-            println!("{text}");
-        }
-        "metrics" => {
-            let (rows, text) = metrics_scenario(config);
-            sink.push("metrics", &rows);
-            println!("{text}");
-        }
-        "all" => {
-            for exp in [
-                "table2",
-                "fig3",
-                "fig4",
-                "fig5",
-                "fig6",
-                "fig7",
-                "fig8",
-                "fig9",
-                "fig10",
-                "fig11",
-                "adaptive",
-                "conflict",
-                "overflow",
-                "grain",
-                "recovery",
-                "graincontrol",
-                "trace",
-                "metrics",
-            ] {
-                run_one(exp, config, sink)?;
-            }
-        }
-        other => return Err(format!("unknown experiment: {other}")),
+    if name == "all" {
+        return EXPERIMENT_NAMES
+            .iter()
+            .try_for_each(|name| run_one(name, config, sink));
+    }
+    let (text, rows) =
+        run_experiment(name, config).ok_or_else(|| format!("unknown experiment: {name}"))?;
+    println!("{text}");
+    if let Some(rows) = rows {
+        sink.push(name, rows);
     }
     Ok(())
 }

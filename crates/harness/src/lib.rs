@@ -1,64 +1,91 @@
 //! # mutls-harness — experiment harness regenerating the paper's evaluation
 //!
-//! Every table and figure of the MUTLS evaluation (§V) has a corresponding
-//! generator here:
+//! | Experiment | Where | What |
+//! |------------|-------|------|
+//! | `table2`, `fig3`…`fig11` | [`paper`] | Table II and Fig. 3–11 of the paper's §V, on the deterministic simulator (`mutls-simcpu`), which stands in for the paper's 64-core testbed |
+//! | `adaptive`, `conflict`, `overflow`, `grain` | [`sweeps`] | the repo's own sweeps: each is a list of [`Point`]s run by [`run_points`] natively and/or on the replay, one [`Row`] per point, tables picked from the column catalogue [`sweeps::col`] |
+//! | `trace`, `metrics` | [`scenarios`] | one fully dependent chain, native and replayed, with the flight recorder or the metrics plane forced on |
 //!
-//! | Paper artefact | Generator |
-//! |----------------|-----------|
-//! | Table II (benchmarks)                | [`table2`] |
-//! | Fig. 3 (speedup, computation-intensive) | [`figure3`] |
-//! | Fig. 4 (speedup, memory-intensive)      | [`figure4`] |
-//! | Fig. 5 (critical path efficiency)       | [`figure5`] |
-//! | Fig. 6 (speculative path efficiency)    | [`figure6`] |
-//! | Fig. 7 (power efficiency)               | [`figure7`] |
-//! | Fig. 8 (critical path breakdown)        | [`figure8`] |
-//! | Fig. 9 (speculative path breakdown)     | [`figure9`] |
-//! | Fig. 10 (forking model comparison)      | [`figure10`] |
-//! | Fig. 11 (rollback sensitivity)          | [`figure11`] |
-//! | Adaptive governor sweep (this repo)     | [`adaptive_sweep`] |
-//! | Conflict sweep, real rollbacks (this repo) | [`conflict_sweep`] |
-//! | Buffer-overflow pressure sweep (this repo) | [`overflow_sweep`] |
-//! | Commit-log grain sweep (this repo)      | [`grain_sweep`] |
-//! | Recovery sweep (this repo)              | [`recovery_sweep`] |
-//! | Adaptive grain-control sweep (this repo) | [`graincontrol_sweep`] |
-//! | Flight-recorder scenario (this repo)    | [`trace_scenario`] |
-//! | Live-metrics scenario (this repo)       | [`metrics_scenario`] |
+//! [`run_experiment`] dispatches on the names in [`EXPERIMENT_NAMES`]; the
+//! `mutls-experiments` binary wraps it.  `--json <path>` writes the rows
+//! of the sweeps and scenarios (schema [`BENCH_SCHEMA_VERSION`]),
+//! `--trace <path>` every traced run as one Chrome trace-event document,
+//! `--metrics <path>` every instrumented run's final snapshot or series
+//! ([`sinks`]).
 //!
-//! `mutls-experiments --json <path>` additionally writes the sweep rows
-//! of the native experiments as machine-readable JSON (schema
-//! [`BENCH_SCHEMA_VERSION`]), so per-point wasted-work, latency-quantile
-//! and commit-throughput figures can be tracked, and
-//! `--trace <path>` exports every traced run of the selected experiments
-//! as one Chrome trace-event document (open it in Perfetto).
-//!
-//! The `mutls-experiments` binary wraps these functions; the Criterion
-//! benches in `crates/bench` regenerate the same rows under `cargo bench`.
-//!
-//! The figure experiments run on the deterministic multicore simulator
-//! (`mutls-simcpu`), which substitutes for the paper's 64-core AMD Opteron
-//! testbed (see `DESIGN.md` §2), so they are reproducible on any host;
-//! independent sweep points fan out across host threads with
-//! deterministic output ordering.  The conflict and overflow sweeps run on
-//! the *native* runtime, because their whole point is exercising real
-//! dependence validation and buffer pressure end-to-end.
+//! Simulated experiments are reproducible on any host; independent points
+//! fan out across host threads with deterministic output ordering.
+//! Native points exercise real dependence validation and buffer pressure
+//! end to end: their counts depend on thread timing, their checksums
+//! never do.
 
 #![warn(missing_docs)]
 
-pub mod experiments;
+pub mod paper;
 pub mod report;
+pub mod scenarios;
+pub mod sinks;
+pub mod sweeps;
 
-pub use experiments::{
-    adaptive_sweep, breakdown, conflict_sweep, figure10, figure11, figure3, figure4, figure5,
-    figure6, figure7, figure8, figure9, format_site_table, grain_label, grain_sweep,
-    graincontrol_replay, graincontrol_sweep, metrics_scenario, overflow_sweep, record_workload,
-    recovery_replay, recovery_sweep, speedup_sweep, table2, trace_scenario, AdaptiveRow,
-    BreakdownRow, ExperimentConfig, GrainControlRow, GrainControlSimRow, GrainMode, GrainRow,
-    MetricKind, MetricsRow, MetricsRun, MetricsSink, NativeRow, RecoveryRow, RecoverySimRow,
-    SweepRow, TraceScenarioRow, TraceSink, ADAPTIVE_ROLLBACK_PROBABILITY, BENCH_SCHEMA_VERSION,
-    CONFLICT_SHARING_PERMILLE, GRAINCONTROL_REPS, GRAINCONTROL_SHARING_PERMILLE,
-    GRAIN_SWEEP_GRAINS, GRAIN_SWEEP_SHARDS, NATIVE_POLICIES, RECOVERY_SWEEP_GRAINS,
-    RECOVERY_SWEEP_PERMILLE, RECOVERY_SWEEP_REPS, ROLLBACK_HEAVY,
+use serde::Serialize;
+
+pub use paper::{
+    breakdown, figure10, figure11, figure3, figure4, figure5, figure6, figure7, figure8, figure9,
+    record_workload, record_workload_shared, speedup_sweep, table2, BreakdownRow, MetricKind,
+    SweepRow,
 };
 pub use report::{
-    format_breakdown_table, format_latency_table, format_rollback_cell, format_sweep_table, Table,
+    format_breakdown_table, format_latency_table, format_rollback_cell, format_site_table,
+    format_sweep_table, grain_label, Table,
 };
+pub use scenarios::{metrics_scenario, trace_scenario, MetricsRow, TraceScenarioRow};
+pub use sinks::{ExperimentConfig, MetricsRun, MetricsSink, Observe, TraceSink};
+pub use sweeps::{run_points, Column, Engine, Experiment, GrainMode, Point, Row, Run, SWEEPS};
+
+/// Schema version stamped on every machine-readable row and on the
+/// `--json` / `--metrics` document wrappers.  v8: every sweep row is one
+/// [`Row`] (same keys for every experiment and both engines).
+pub const BENCH_SCHEMA_VERSION: u32 = 8;
+
+/// Every experiment `mutls-experiments` accepts, in the order `all` runs
+/// them.
+pub const EXPERIMENT_NAMES: [&str; 16] = [
+    "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "adaptive",
+    "conflict", "overflow", "grain", "trace", "metrics",
+];
+
+fn rows_json<T: Serialize>(rows: &[T]) -> String {
+    let mut out = String::new();
+    rows.serialize_json(&mut out);
+    out
+}
+
+/// Run the experiment called `name`: its printed text and, for the sweeps
+/// and scenarios, its rows as a JSON array.  `None` for an unknown name.
+pub fn run_experiment(name: &str, config: &ExperimentConfig) -> Option<(String, Option<String>)> {
+    if let Some(sweep) = SWEEPS.iter().find(|sweep| sweep.name == name) {
+        let (rows, text) = sweep.run(config);
+        return Some((text, Some(rows_json(&rows))));
+    }
+    Some(match name {
+        "table2" => (table2(config).1, None),
+        "fig3" => (figure3(config).1, None),
+        "fig4" => (figure4(config).1, None),
+        "fig5" => (figure5(config).1, None),
+        "fig6" => (figure6(config).1, None),
+        "fig7" => (figure7(config).1, None),
+        "fig8" => (figure8(config).1, None),
+        "fig9" => (figure9(config).1, None),
+        "fig10" => (figure10(config).1, None),
+        "fig11" => (figure11(config).1, None),
+        "trace" => {
+            let (rows, text) = trace_scenario(config);
+            (text, Some(rows_json(&rows)))
+        }
+        "metrics" => {
+            let (rows, text) = metrics_scenario(config);
+            (text, Some(rows_json(&rows)))
+        }
+        _ => return None,
+    })
+}

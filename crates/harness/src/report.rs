@@ -2,8 +2,10 @@
 
 use std::fmt::Write as _;
 
-use mutls_membuf::RollbackReason;
-use mutls_trace::LatencyReport;
+use mutls_membuf::{RollbackReason, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
+use mutls_runtime::RunReport;
+use mutls_trace::{LatencyPhase, LatencyReport};
+use mutls_workloads::site_label;
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -147,6 +149,106 @@ pub fn format_latency_table(title: &str, report: &LatencyReport) -> String {
     table.render()
 }
 
+/// Human label for a tracking grain.
+pub fn grain_label(grain_log2: u32) -> String {
+    match grain_log2 {
+        WORD_GRAIN_LOG2 => "word".to_string(),
+        LINE_GRAIN_LOG2 => "line".to_string(),
+        PAGE_GRAIN_LOG2 => "page".to_string(),
+        g => format!("2^{g}B"),
+    }
+}
+
+/// Render a run's final per-region grain census (`word:3 page:5`).
+pub(crate) fn census_label(census: &[(u32, u64)]) -> String {
+    if census.is_empty() {
+        return "-".to_string();
+    }
+    census
+        .iter()
+        .map(|&(grain, regions)| format!("{}:{}", grain_label(grain), regions))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Compact `p50/p99/p999` cell for one latency phase of a *native* run,
+/// where samples are nanoseconds (reported in µs); "-" when the phase
+/// never fired.
+pub(crate) fn latency_cell_us(report: &LatencyReport, phase: LatencyPhase) -> String {
+    match report.row(phase) {
+        Some(row) if row.count > 0 => format!(
+            "{:.1}/{:.1}/{:.1}",
+            row.p50 as f64 / 1e3,
+            row.p99 as f64 / 1e3,
+            row.p999 as f64 / 1e3
+        ),
+        _ => "-".to_string(),
+    }
+}
+
+/// Render a `RunReport`'s per-site governor profile as a table, with the
+/// rollback-cause split (conflicts / overflows / injected) per site and
+/// the live commit-log grain the site's traffic last ran at (the
+/// "grain" column shows what the adaptive-grain controller converged to
+/// for each site's data; "-" = never observed).  The commit-path cost
+/// counters (`cas_retries`, `ring_overflows`) are log-wide, not
+/// per-site, so they render on a trailing `commit-log` summary row.
+pub fn format_site_table(title: &str, report: &RunReport) -> String {
+    let mut table = Table::new(
+        title,
+        &[
+            "site",
+            "forks",
+            "throttled",
+            "commits",
+            "retries",
+            "rollbacks",
+            "conflicts",
+            "false-share",
+            "overflows",
+            "injected",
+            "rollback rate",
+            "wasted work",
+            "grain",
+            "cas-retries",
+            "ring-ovfl",
+        ],
+    );
+    for profile in &report.sites {
+        let name = site_label(profile.site)
+            .map(str::to_string)
+            .unwrap_or_else(|| format!("site {}", profile.site));
+        table.push_row(vec![
+            name,
+            profile.forks.to_string(),
+            profile.throttled.to_string(),
+            profile.commits.to_string(),
+            profile.retries.to_string(),
+            profile.rollbacks.to_string(),
+            profile.conflicts.to_string(),
+            profile.false_sharing.to_string(),
+            profile.overflows.to_string(),
+            profile.injected.to_string(),
+            format!("{:.2}", profile.rollback_rate),
+            profile.wasted_work.to_string(),
+            if profile.grain_log2 == 0 {
+                "-".to_string()
+            } else {
+                grain_label(profile.grain_log2)
+            },
+            "-".to_string(),
+            "-".to_string(),
+        ]);
+    }
+    let log = report.commit_log;
+    let mut summary = vec!["commit-log".to_string()];
+    summary.resize(13, "-".to_string());
+    summary.push(log.cas_retries.to_string());
+    summary.push(log.ring_overflows.to_string());
+    table.push_row(summary);
+    table.render()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,5 +289,86 @@ mod tests {
             format_breakdown_table("breakdown", &[2], &["work", "idle"], &[vec![0.75, 0.25]]);
         assert!(text.contains("75.0%"));
         assert!(text.contains("25.0%"));
+    }
+
+    /// Golden render of the per-site profile table: exact output, so any
+    /// accidental column/format drift fails loudly.
+    #[test]
+    fn site_table_renders_golden() {
+        use mutls_runtime::SiteProfile;
+        let report = RunReport {
+            sites: vec![
+                SiteProfile {
+                    site: mutls_workloads::matmult::SITE_QUADRANT,
+                    forks: 12,
+                    throttled: 1,
+                    commits: 10,
+                    rollbacks: 2,
+                    overflows: 1,
+                    conflicts: 1,
+                    false_sharing: 0,
+                    retries: 3,
+                    injected: 0,
+                    committed_work: 0,
+                    wasted_work: 420,
+                    stall: 0,
+                    rollback_rate: 0.25,
+                    grain_log2: WORD_GRAIN_LOG2,
+                },
+                SiteProfile {
+                    site: 999,
+                    forks: 4,
+                    commits: 4,
+                    ..SiteProfile::default()
+                },
+            ],
+            ..RunReport::default()
+        };
+        let text = format_site_table("Per-site profile — golden", &report);
+        let expected = "\
+# Per-site profile — golden
+site              forks  throttled  commits  retries  rollbacks  conflicts  false-share  overflows  injected  rollback rate  wasted work  grain  cas-retries  ring-ovfl
+-------------------------------------------------------------------------------------------------------------------------------------------------------------------------\n\
+matmult/quadrant  12     1          10       3        2          1          0            1          0         0.25           420          word   -            -        \n\
+site 999          4      0          4        0        0          0          0            0          0         0.00           0            -      -            -        \n\
+commit-log        -      -          -        -        -          -          -            -          -         -              -            -      0            0        \n";
+        assert_eq!(text, expected);
+    }
+
+    /// Golden render of the per-phase latency table.
+    #[test]
+    fn latency_table_renders_golden() {
+        let recorder = mutls_trace::LatencyRecorder::new();
+        recorder.record(LatencyPhase::ForkToCommit, 1000);
+        recorder.record(LatencyPhase::ForkToCommit, 5000);
+        recorder.record(LatencyPhase::Validation, 100);
+        let text = format_latency_table("Phase latencies — golden (ns)", &recorder.report());
+        let expected = "\
+# Phase latencies — golden (ns)
+phase             samples  p50  p99   p999
+--------------------------------------------
+fork-to-commit    2        512  4096  4096
+validation        1        64   64    64  \n\
+commit-lock-wait  0        0    0     0   \n\
+commit-cas-retry  0        0    0     0   \n\
+repair-retry      0        0    0     0   \n\
+repair-doomset    0        0    0     0   \n";
+        assert_eq!(text, expected);
+    }
+
+    /// Golden render of the grain-census cell and grain labels used by the
+    /// `grain` tables.
+    #[test]
+    fn grain_census_renders_golden() {
+        assert_eq!(grain_label(WORD_GRAIN_LOG2), "word");
+        assert_eq!(grain_label(LINE_GRAIN_LOG2), "line");
+        assert_eq!(grain_label(PAGE_GRAIN_LOG2), "page");
+        assert_eq!(grain_label(8), "2^8B");
+        assert_eq!(census_label(&[]), "-");
+        assert_eq!(
+            census_label(&[(WORD_GRAIN_LOG2, 3), (PAGE_GRAIN_LOG2, 5)]),
+            "word:3 page:5"
+        );
+        assert_eq!(census_label(&[(8, 1)]), "2^8B:1");
     }
 }

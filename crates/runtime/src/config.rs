@@ -49,7 +49,7 @@ pub struct RuntimeConfig {
     /// arena in bytes.
     pub memory_bytes: u64,
     /// Adaptive speculation governor: per-fork-site profiling plus the
-    /// fork-throttling / model-selection policy (default: `Static`, the
+    /// fork-throttling policy (default: `Static`, the
     /// unconditional behaviour of the original runtime).
     pub governor: GovernorConfig,
     /// Granularity, sharding and version-ring depth of the shared commit
@@ -268,9 +268,6 @@ mod tests {
     fn governor_builders_select_policy() {
         let c = RuntimeConfig::default().governor_policy(PolicyKind::Throttle);
         assert_eq!(c.governor.policy, PolicyKind::Throttle);
-        let g = GovernorConfig::with_policy(PolicyKind::ModelSelect).min_samples(2);
-        let c = RuntimeConfig::default().governor(g);
-        assert_eq!(c.governor, g);
     }
 
     #[test]

@@ -872,7 +872,7 @@ impl ThreadManager {
         slot.site.store(site, Ordering::Relaxed);
         slot.model.store(model.index() as u8, Ordering::Relaxed);
         slot.forked_ns.store(self.trace_now_ns(), Ordering::Relaxed);
-        self.governor.record_fork(site, model);
+        self.governor.record_fork(site);
         let dispatch = &self.dispatch;
         let mut queue = dispatch.queue.lock();
         queue.tasks.push_back((rank, request));

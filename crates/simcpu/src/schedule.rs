@@ -1398,7 +1398,7 @@ impl<'a> Scheduler<'a> {
         let start = self.fibers[fid].time + cost.spawn_latency;
         let child_fiber = self.spawn_fiber(child, true, cpu, start, point, model);
         self.observe(start, forker, fid, Point::SpecStart(cpu as u32));
-        self.governor.record_fork(point, model);
+        self.governor.record_fork(point);
         self.fibers[fid].child_fibers.insert(child, child_fiber);
         self.most_speculative = Some(child_fiber);
         self.active_speculative += 1;

@@ -435,37 +435,10 @@ fn reference_of<Cfg: Copy, D: Copy>(
     result(&memory, &data, &config)
 }
 
-/// Run one kernel on the native runtime and return its result checksum
-/// plus the run report.
-fn native_run_of<Cfg: Copy, D: Copy + Send + Sync + 'static>(
-    config: Cfg,
-    runtime_config: RuntimeConfig,
-    setup: fn(&GlobalMemory, &Cfg) -> D,
-    run_spec: fn(&mut SpecContext, D, Cfg) -> SpecResult<()>,
-    result: fn(&GlobalMemory, &D, &Cfg) -> u64,
-) -> (u64, RunReport) {
-    let (sum, report, _) = native_traced_run_of(config, runtime_config, setup, run_spec, result);
-    (sum, report)
-}
-
-/// Like [`native_run_of`] but also drains the runtime's flight recorder:
-/// the third element is the run's (events, dropped-count) capture, empty
-/// unless `runtime_config` enabled event tracing.
-fn native_traced_run_of<Cfg: Copy, D: Copy + Send + Sync + 'static>(
-    config: Cfg,
-    runtime_config: RuntimeConfig,
-    setup: fn(&GlobalMemory, &Cfg) -> D,
-    run_spec: fn(&mut SpecContext, D, Cfg) -> SpecResult<()>,
-    result: fn(&GlobalMemory, &D, &Cfg) -> u64,
-) -> (u64, RunReport, (Vec<TraceEvent>, u64)) {
-    let (sum, report, capture, _) =
-        native_observed_run_of(config, runtime_config, setup, run_spec, result);
-    (sum, report, capture)
-}
-
-/// Like [`native_traced_run_of`] but additionally returns the run's
-/// metrics capture (time series + final scrape) — the observability
-/// superset the harness sweeps record into their `--metrics` sink.
+/// Run one kernel on the native runtime and return its result checksum,
+/// the run report, the drained flight recorder (events, dropped count —
+/// empty unless `runtime_config` enabled event tracing) and the metrics
+/// capture (time series + final scrape).
 fn native_observed_run_of<Cfg: Copy, D: Copy + Send + Sync + 'static>(
     config: Cfg,
     runtime_config: RuntimeConfig,
@@ -494,36 +467,9 @@ pub fn chain_reference(config: ChainConfig) -> u64 {
     )
 }
 
-/// Run `conflict_chain` on the native runtime, returning its checksum
-/// (compare with [`chain_reference`]) and the run report.
-pub fn chain_native(config: ChainConfig, runtime_config: RuntimeConfig) -> (u64, RunReport) {
-    native_run_of(
-        config,
-        runtime_config,
-        chain_setup,
-        chain_run::<SpecContext>,
-        chain_result,
-    )
-}
-
-/// Like [`chain_native`] but also returns the run's drained flight-recorder
-/// events and drop count (empty unless tracing was enabled).
-pub fn chain_native_traced(
-    config: ChainConfig,
-    runtime_config: RuntimeConfig,
-) -> (u64, RunReport, (Vec<TraceEvent>, u64)) {
-    native_traced_run_of(
-        config,
-        runtime_config,
-        chain_setup,
-        chain_run::<SpecContext>,
-        chain_result,
-    )
-}
-
-/// Like [`chain_native_traced`] but also returns the run's metrics
-/// capture (empty series / zeroed counters unless the config enabled the
-/// metrics plane).
+/// Run `conflict_chain` on the native runtime: its checksum (compare
+/// with [`chain_reference`]), the run report, the drained flight recorder
+/// and the metrics capture (both empty unless the config enabled them).
 pub fn chain_native_observed(
     config: ChainConfig,
     runtime_config: RuntimeConfig,
@@ -544,7 +490,7 @@ pub fn chain_verify_native(
     runtime_config: RuntimeConfig,
 ) -> (bool, RunReport) {
     let reference = chain_reference(config);
-    let (got, report) = chain_native(config, runtime_config);
+    let (got, report, ..) = chain_native_observed(config, runtime_config);
     (got == reference, report)
 }
 
@@ -553,35 +499,8 @@ pub fn hist_reference(config: HistConfig) -> u64 {
     reference_of(config, hist_setup, hist_run::<DirectContext>, hist_result)
 }
 
-/// Run `hist_shared` on the native runtime, returning its checksum
-/// (compare with [`hist_reference`]) and the run report.
-pub fn hist_native(config: HistConfig, runtime_config: RuntimeConfig) -> (u64, RunReport) {
-    native_run_of(
-        config,
-        runtime_config,
-        hist_setup,
-        hist_run::<SpecContext>,
-        hist_result,
-    )
-}
-
-/// Like [`hist_native`] but also returns the run's drained flight-recorder
-/// events and drop count (empty unless tracing was enabled).
-pub fn hist_native_traced(
-    config: HistConfig,
-    runtime_config: RuntimeConfig,
-) -> (u64, RunReport, (Vec<TraceEvent>, u64)) {
-    native_traced_run_of(
-        config,
-        runtime_config,
-        hist_setup,
-        hist_run::<SpecContext>,
-        hist_result,
-    )
-}
-
-/// Like [`hist_native_traced`] but also returns the run's metrics
-/// capture.
+/// Run `hist_shared` on the native runtime; see
+/// [`chain_native_observed`] for the tuple.
 pub fn hist_native_observed(
     config: HistConfig,
     runtime_config: RuntimeConfig,
@@ -598,7 +517,7 @@ pub fn hist_native_observed(
 /// Native verification of `hist_shared`.
 pub fn hist_verify_native(config: HistConfig, runtime_config: RuntimeConfig) -> (bool, RunReport) {
     let reference = hist_reference(config);
-    let (got, report) = hist_native(config, runtime_config);
+    let (got, report, ..) = hist_native_observed(config, runtime_config);
     (got == reference, report)
 }
 

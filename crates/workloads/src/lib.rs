@@ -44,6 +44,7 @@ pub mod threex1;
 pub mod tsp;
 
 pub use registry::{
-    arena_bytes, checksum, descriptor, reference_checksum, run_speculative, setup, site_label,
-    Scale, WorkloadClass, WorkloadData, WorkloadDescriptor, WorkloadKind,
+    arena_bytes, checksum, descriptor, reference_checksum, reference_checksum_shared,
+    run_speculative, setup, setup_shared, site_label, Scale, WorkloadClass, WorkloadData,
+    WorkloadDescriptor, WorkloadKind,
 };

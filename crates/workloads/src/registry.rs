@@ -302,6 +302,25 @@ pub fn arena_bytes(kind: WorkloadKind, scale: Scale) -> u64 {
 
 /// Allocate and initialize a benchmark instance in `memory`.
 pub fn setup(kind: WorkloadKind, scale: Scale, memory: &GlobalMemory) -> WorkloadData {
+    setup_shared(kind, scale, None, memory)
+}
+
+/// [`setup`] with the conflict family's true-sharing rate set explicitly
+/// (permille; `None` keeps the scale's preset).
+///
+/// # Panics
+/// Panics if a rate is given for a workload without the knob.
+pub fn setup_shared(
+    kind: WorkloadKind,
+    scale: Scale,
+    sharing_permille: Option<u32>,
+    memory: &GlobalMemory,
+) -> WorkloadData {
+    assert!(
+        sharing_permille.is_none() || WorkloadKind::CONFLICT_FAMILY.contains(&kind),
+        "{} has no sharing knob",
+        kind.name()
+    );
     match kind {
         WorkloadKind::ThreeXPlusOne => {
             let config = match scale {
@@ -368,11 +387,17 @@ pub fn setup(kind: WorkloadKind, scale: Scale, memory: &GlobalMemory) -> Workloa
             WorkloadData::Tsp(tsp::setup(memory, &config), config)
         }
         WorkloadKind::ConflictChain => {
-            let config = conflict::ChainConfig::for_scale(scale);
+            let mut config = conflict::ChainConfig::for_scale(scale);
+            if let Some(permille) = sharing_permille {
+                config = config.sharing_permille(permille);
+            }
             WorkloadData::ConflictChain(conflict::chain_setup(memory, &config), config)
         }
         WorkloadKind::HistShared => {
-            let config = conflict::HistConfig::for_scale(scale);
+            let mut config = conflict::HistConfig::for_scale(scale);
+            if let Some(permille) = sharing_permille {
+                config = config.sharing_permille(permille);
+            }
             WorkloadData::HistShared(conflict::hist_setup(memory, &config), config)
         }
     }
@@ -413,8 +438,18 @@ pub fn checksum(memory: &GlobalMemory, data: &WorkloadData) -> u64 {
 /// Sequential baseline: run the benchmark through a [`DirectContext`]
 /// (no speculation) in a fresh arena and return its result checksum.
 pub fn reference_checksum(kind: WorkloadKind, scale: Scale) -> u64 {
+    reference_checksum_shared(kind, scale, None)
+}
+
+/// [`reference_checksum`] at an explicit sharing rate (see
+/// [`setup_shared`]).
+pub fn reference_checksum_shared(
+    kind: WorkloadKind,
+    scale: Scale,
+    sharing_permille: Option<u32>,
+) -> u64 {
     let memory = Arc::new(GlobalMemory::new(arena_bytes(kind, scale)));
-    let data = setup(kind, scale, &memory);
+    let data = setup_shared(kind, scale, sharing_permille, &memory);
     let mut ctx = DirectContext::new(Arc::clone(&memory));
     run_speculative(&mut ctx, &data).expect("sequential baseline cannot abort");
     checksum(&memory, &data)
@@ -441,6 +476,13 @@ mod tests {
             let a = reference_checksum(kind, Scale::Tiny);
             let b = reference_checksum(kind, Scale::Tiny);
             assert_eq!(a, b, "{} not deterministic", kind.name());
+            // The sharing rate changes the dataflow, hence the result.
+            assert_ne!(
+                reference_checksum_shared(kind, Scale::Tiny, Some(0)),
+                reference_checksum_shared(kind, Scale::Tiny, Some(1000)),
+                "{}: the sharing rate never reached the kernel",
+                kind.name()
+            );
             assert_eq!(descriptor(kind).class, WorkloadClass::MemoryIntensive);
         }
         assert!(site_label(crate::conflict::SITE_CHAIN)

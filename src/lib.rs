@@ -5,7 +5,8 @@
 //! * [`membuf`] — speculative memory buffering (read/write sets, local
 //!   buffers, address spaces, the shared [`membuf::GlobalMemory`] arena).
 //! * [`adaptive`] — the adaptive speculation governor: per-fork-site
-//!   profiling plus fork-throttling and per-site model-selection policies.
+//!   profiling plus the fork-throttling policy, and the adaptive-grain
+//!   controller.
 //! * [`runtime`] — the native TLS runtime: virtual CPUs, fork models
 //!   (in-order, out-of-order, tree-form mixed), speculation, validation,
 //!   commit, rollback and per-thread statistics.
@@ -14,10 +15,10 @@
 //! * [`workloads`] — the eight benchmarks of Table II, sequential and
 //!   speculative.
 //! * [`harness`] — experiment definitions regenerating every figure and
-//!   table of the paper's evaluation section.
+//!   table of the paper's evaluation section, plus the repo's own sweeps.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and per-experiment index.
+//! See `README.md` for a quickstart, the crate map and the experiment
+//! table.
 
 pub use mutls_adaptive as adaptive;
 pub use mutls_harness as harness;

@@ -216,25 +216,3 @@ fn native_runtime_is_correct_and_throttles_under_forced_rollbacks() {
     );
     assert!(!report.sites.is_empty());
 }
-
-#[test]
-fn native_runtime_model_select_stays_correct() {
-    for kind in [WorkloadKind::Fft, WorkloadKind::Tsp] {
-        let expected = reference_checksum(kind, Scale::Tiny);
-        let runtime = Runtime::new(
-            RuntimeConfig::with_cpus(3)
-                .memory_bytes(arena_bytes(kind, Scale::Tiny))
-                .governor(GovernorConfig::with_policy(PolicyKind::ModelSelect).min_samples(2)),
-        );
-        let memory = runtime.memory();
-        let data = setup(kind, Scale::Tiny, &memory);
-        let (_, report) = runtime.run(|ctx| run_speculative(ctx, &data));
-        assert_eq!(
-            checksum(&memory, &data),
-            expected,
-            "{}: model selection changed the result",
-            kind.name()
-        );
-        assert!(!report.sites.is_empty());
-    }
-}
