@@ -491,7 +491,8 @@ pub mod col {
         CAS_RETRIES = "cas-retries", |r| r.commit_log.cas_retries.to_string();
         /// Regions the controller regrained.
         REGRAINS = "regrains", |r| r.commit_log.regrains.to_string();
-        /// Reader-registry spills.
+        /// Reader registrations by ranks past the registry's 63-rank
+        /// bitmask (0 below 64 speculative CPUs, and in every replay).
         SPILLS = "spills", |r| r.commit_log.reader_spills.to_string();
         /// Final per-region grain census.
         FINAL_GRAINS = "final grains", |r| census_label(&r.region_grains);

@@ -18,7 +18,7 @@ pub enum BufferError {
     /// back (paper §IV-G2: "If the temporary buffer is used up, the
     /// speculative thread rolls back").
     OverflowFull,
-    /// The register/stack buffer offset exceeds its statically allocated
+    /// The register buffer offset exceeds its statically allocated
     /// size (paper §IV-G3: "the speculator pass reports an error and
     /// speculation fails").
     LocalBufferFull,
@@ -38,7 +38,7 @@ impl fmt::Display for BufferError {
         match self {
             BufferError::OverflowPending => write!(f, "hash conflict recorded in overflow buffer"),
             BufferError::OverflowFull => write!(f, "overflow buffer exhausted"),
-            BufferError::LocalBufferFull => write!(f, "local (register/stack) buffer exhausted"),
+            BufferError::LocalBufferFull => write!(f, "local (register) buffer exhausted"),
             BufferError::UnregisteredAddress => write!(f, "access to unregistered address"),
             BufferError::Misaligned => write!(f, "misaligned access"),
             BufferError::UnsupportedSize => write!(f, "unsupported access size"),

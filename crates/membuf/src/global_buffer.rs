@@ -703,7 +703,7 @@ mod tests {
     /// Word-granular log: adjacent words are distinct ranges, as the
     /// word-disjointness assertions below require.
     fn word_log() -> CommitLog {
-        CommitLog::with_config(CommitLogConfig::word_grain(), 0)
+        CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 13)
     }
 
     #[test]
@@ -834,7 +834,7 @@ mod tests {
             (CommitLogConfig::word_grain(), false),
         ] {
             let mem = GlobalMemory::new(4096);
-            let log = CommitLog::with_config(config, 0);
+            let log = CommitLog::with_config(config, mem.size_bytes());
             let mut buf = GlobalBuffer::new(BufferConfig::default());
             let p = mem.alloc::<u64>(1);
             mem.set(&p, 0, 5);
@@ -852,8 +852,12 @@ mod tests {
         }
         // A genuine neighbour-only write at line grain stays classified
         // as suspected false sharing, and value changes prove sharing.
+        // (Single-version: a ring would pass the neighbour write precisely.)
         let mem = GlobalMemory::new(4096);
-        let log = CommitLog::with_config(CommitLogConfig::line_grain(), 0);
+        let log = CommitLog::with_config(
+            CommitLogConfig::line_grain().ring_depth(1),
+            mem.size_bytes(),
+        );
         let mut buf = GlobalBuffer::new(BufferConfig::default());
         let p = mem.alloc::<u64>(2);
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
@@ -997,8 +1001,7 @@ mod tests {
     /// stay per-commit precise (the bucketed default would merge
     /// footprints of nearby versions).
     fn mvcc_line_log() -> CommitLog {
-        // Dense capacity covers the whole test arena: rings only back
-        // dense slots (the sparse fallback stays single-version).
+        // The window covers the whole test arena.
         CommitLog::with_config(
             CommitLogConfig::line_grain()
                 .ring_depth(4)

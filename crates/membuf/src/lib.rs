@@ -11,10 +11,8 @@
 //!   a hash slot collision occurs.
 //! * [`GlobalBuffer`] — read-set/write-set pair with load/store redirection,
 //!   validation against main memory and (masked) commit.
-//! * [`LocalBuffer`] — register/stack variable transfer between parent and
-//!   speculative child threads at fork and join, including the pointer
-//!   mapping mechanism and explicit stack-frame tracking used for stack
-//!   frame reconstruction.
+//! * [`LocalBuffer`] — register variable transfer between parent and
+//!   speculative child threads at fork and join.
 //! * [`GlobalMemory`] — a word-addressable shared main-memory arena
 //!   (the "global address space") built from relaxed atomics so that the
 //!   benign read/write races inherent to speculation are well defined.
@@ -39,12 +37,13 @@ pub mod global_buffer;
 pub mod local_buffer;
 pub mod memory;
 pub mod wordmap;
+mod zeroed;
 
 pub use address_space::AddressSpace;
 pub use commit_log::{
-    region_log2_for_grain, CommitLog, CommitLogConfig, CommitLogStats, CommitVersion, RangeId,
-    ReaderSet, RegionId, RegionProfile, RingCheck, DEFAULT_RING_DEPTH, LINE_GRAIN_LOG2,
-    MAX_RING_DEPTH, MAX_TRACKED_READERS, MIN_REGION_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
+    region_log2_for_grain, CommitLog, CommitLogConfig, CommitLogStats, CommitVersion, ReaderSet,
+    RegionId, RegionProfile, RingCheck, DEFAULT_RING_DEPTH, LINE_GRAIN_LOG2, MAX_RING_DEPTH,
+    MAX_TRACKED_READERS, MIN_REGION_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
 };
 pub use error::{BufferError, RollbackReason, SpecFailure};
 pub use global_buffer::{BufferConfig, BufferStats, GlobalBuffer, Validation};

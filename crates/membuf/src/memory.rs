@@ -14,6 +14,8 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::zeroed::ZeroedAtomics;
+
 /// Byte address within the global address space.
 pub type Addr = u64;
 
@@ -51,7 +53,7 @@ pub trait MainMemory: Sync {
 /// [`GlobalMemory::BASE_ADDR`] so that address `0` can keep its
 /// conventional "null / empty slot" meaning inside [`crate::WordMap`].
 pub struct GlobalMemory {
-    words: Vec<AtomicU64>,
+    words: ZeroedAtomics,
     /// Next free byte offset (bump allocation).
     next: AtomicU64,
 }
@@ -66,10 +68,10 @@ impl GlobalMemory {
     pub fn new(capacity_bytes: u64) -> Self {
         let usable = capacity_bytes + Self::BASE_ADDR;
         let nwords = usable.div_ceil(WORD_BYTES) as usize;
-        let mut words = Vec::with_capacity(nwords);
-        words.resize_with(nwords, || AtomicU64::new(0));
         GlobalMemory {
-            words,
+            // Zeroed, not written: a page of the arena is faulted in when
+            // the program first touches it.
+            words: ZeroedAtomics::new(nwords),
             next: AtomicU64::new(Self::BASE_ADDR),
         }
     }
@@ -301,6 +303,24 @@ mod tests {
         assert!(a.end_addr() <= b.base_addr());
         assert_eq!(a.len(), 10);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn a_new_arena_reads_zero_and_its_last_word_round_trips() {
+        // 1 MiB: past the allocator's mmap threshold, where the zeroed
+        // allocation hands out pages nobody wrote.
+        let bytes = 1u64 << 20;
+        let mem = GlobalMemory::new(bytes);
+        let last = mem.size_bytes() - WORD_BYTES;
+        for addr in [0, bytes / 2, last] {
+            assert_eq!(mem.read_word(addr), 0, "word {addr:#x}");
+        }
+        let all = mem.alloc::<u64>((bytes / WORD_BYTES) as usize);
+        assert_eq!(all.end_addr(), mem.size_bytes());
+        assert_eq!(all.addr_of(all.len() - 1), last);
+        mem.write_word(last, u64::MAX);
+        assert_eq!(mem.read_word(last), u64::MAX);
+        assert_eq!(mem.get(&all, all.len() - 2), 0, "the neighbour stays zero");
     }
 
     #[test]

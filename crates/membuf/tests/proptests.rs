@@ -25,7 +25,7 @@ fn grain_strategy() -> impl Strategy<Value = u32> {
 /// A word-granular log — adjacent words are distinct ranges, which the
 /// exactness properties below rely on.
 fn word_log() -> CommitLog {
-    CommitLog::with_config(CommitLogConfig::word_grain(), 0)
+    CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12)
 }
 
 /// Reference model of a 16-slot, 4-overflow-entry [`WordMap`].
@@ -415,7 +415,7 @@ proptest! {
         let commits: std::collections::HashSet<u64> = commits.into_iter().collect();
         let mem = GlobalMemory::new(1 << 16);
         let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
-        let log = CommitLog::with_config(config, 1 << 15); // dense/sparse mix
+        let log = CommitLog::with_config(config, 1 << 15);
         let mut buf = GlobalBuffer::new(BufferConfig::default());
         for &addr in &reads {
             let _ = buf.load_logged(&mem, Some(&log), addr, WORD_BYTES).unwrap();
@@ -445,7 +445,7 @@ proptest! {
         k in 1u64..64,
     ) {
         let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
-        let log = CommitLog::with_config(config, 1 << 14);
+        let log = CommitLog::with_config(config, 64 << grain_log2);
         let edge = k << grain_log2;
         let below = edge - WORD_BYTES; // last word of range k-1
         let above = edge;              // first word of range k
@@ -461,37 +461,39 @@ proptest! {
         prop_assert!(log.written_after(above, snap_above));
     }
 
-    /// The dense fast path and the sparse fallback agree: versions and
-    /// conflict answers are identical on both sides of the dense-window
-    /// crossover, including for a batch straddling it.
+    /// The window rounds up to whole regions times shards — a capacity
+    /// that ends mid-range still covers its last word, and a batch up to
+    /// the window's last word keeps every stamp — and the first address
+    /// past it is a caller's bug: it panics, naming the address.
     #[test]
-    fn dense_sparse_crossover_agrees(
+    fn window_rounds_up_to_whole_regions_and_the_first_address_past_it_panics(
         grain_log2 in grain_strategy(),
-        dense_ranges in 1u64..16,
+        ranges in 1u64..16,
         offsets in proptest::collection::vec(0u64..32, 1..16),
     ) {
         let config = CommitLogConfig { grain_log2, shards: 4, ..Default::default() };
         let grain = 1u64 << grain_log2;
-        // Dense window ends mid-address-space (and is not grain-aligned:
-        // the partial trailing range must round up to dense).
-        let log = CommitLog::with_config(config, dense_ranges * grain - 1);
-        let crossover = dense_ranges * grain;
-        prop_assert!(log.dense_covers(crossover - WORD_BYTES));
-        // A batch straddling the crossover stamps both sides.
+        // The capacity is not grain-aligned: the partial trailing range
+        // must round up into the window.
+        let capacity = ranges * grain - 1;
+        let log = CommitLog::with_config(config, capacity);
+        let stripe = 4u64 << log.region_log2();
+        let window = capacity.div_ceil(stripe) * stripe;
+        // A batch spread from the asked-for capacity to the window's end.
         let addrs: Vec<u64> = offsets
             .iter()
-            .map(|o| crossover.saturating_sub(o * grain / 2) + o * grain)
+            .map(|o| (ranges * grain - WORD_BYTES + o * grain).min(window - WORD_BYTES))
             .collect();
         let snaps: Vec<u64> = addrs.iter().map(|&a| log.snapshot(a)).collect();
         log.record(addrs.iter().copied());
         for (&addr, &snap) in addrs.iter().zip(&snaps) {
-            prop_assert!(
-                log.written_after(addr, snap),
-                "addr {addr:#x} (dense: {}) lost its stamp",
-                log.dense_covers(addr)
-            );
+            prop_assert!(log.written_after(addr, snap), "addr {addr:#x} lost its stamp");
             prop_assert!(log.version_of(addr) > 0);
         }
+        let past = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| log.snapshot(window)));
+        let message = past.expect_err("the first address past the window went through");
+        let message = message.downcast_ref::<String>().expect("a formatted panic");
+        prop_assert!(message.contains(&format!("{window:#x}")), "{}", message);
     }
 
     /// The global epoch is the max over the shard epochs: it bounds every
@@ -504,7 +506,7 @@ proptest! {
             proptest::collection::vec(addr_strategy(), 1..8), 1..8),
     ) {
         let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, shards, ..Default::default() };
-        let log = CommitLog::with_config(config, 0);
+        let log = CommitLog::with_config(config, 1 << 12);
         let mut touched: std::collections::HashSet<u64> = std::collections::HashSet::new();
         let mut last_epoch = 0;
         for batch in &batches {
@@ -541,7 +543,7 @@ proptest! {
         writes in proptest::collection::vec(addr_strategy(), 1..16),
     ) {
         let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
-        let log = CommitLog::with_config(config, 0);
+        let log = CommitLog::with_config(config, 1 << 12);
         for (rank, addr) in &registrations {
             log.register_reader(*addr, *rank);
         }
@@ -599,8 +601,8 @@ proptest! {
         let floor = ladder[floor_i as usize];
         let config = CommitLogConfig { grain_log2: floor, shards, ..Default::default() };
         // 2048 words = 16 KiB = four regions; regrains target regions 0..5
-        // so unrelated and out-of-window regions are exercised too.
-        let log = CommitLog::with_initial_grain(config, 1 << 14, ladder[initial_i as usize]);
+        // so a region nothing reads or writes is exercised too.
+        let log = CommitLog::with_initial_grain(config, 5 << 12, ladder[initial_i as usize]);
         let mem = GlobalMemory::new(1 << 16);
         let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
         let commits: std::collections::HashSet<u64> = commits.into_iter().collect();
@@ -738,7 +740,7 @@ proptest! {
             grain_log2, shards, ring_depth, ring_bucket_log2,
         };
         let single_config = CommitLogConfig { ring_depth: 1, ..mvcc_config };
-        let mvcc_log = CommitLog::with_config(mvcc_config, 1 << 15); // dense/sparse mix
+        let mvcc_log = CommitLog::with_config(mvcc_config, 1 << 15);
         let single_log = CommitLog::with_config(single_config, 1 << 15);
         let mut mvcc_buf = GlobalBuffer::new(BufferConfig::default());
         let mut single_buf = GlobalBuffer::new(BufferConfig::default());
@@ -795,7 +797,7 @@ proptest! {
             ring_depth,
             ring_bucket_log2: 0, // maximal ring churn: every version its own bucket
         };
-        let log = CommitLog::with_initial_grain(config, 1 << 14, ladder[initial_i as usize]);
+        let log = CommitLog::with_initial_grain(config, 5 << 12, ladder[initial_i as usize]);
         let mem = GlobalMemory::new(1 << 16);
         let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
         let commits: std::collections::HashSet<u64> = commits.into_iter().collect();

@@ -166,7 +166,7 @@ pub struct SpecContext {
     /// Global buffer — present only for speculative contexts; the
     /// non-speculative thread writes main memory directly.
     global: Option<GlobalBuffer>,
-    /// Local (register/stack) buffer; present for every context so the
+    /// Local (register) buffer; present for every context so the
     /// regvar transfer API is uniform.
     local: LocalBuffer,
     children: Vec<Rank>,
@@ -318,7 +318,7 @@ impl SpecContext {
         ptr
     }
 
-    /// Store a register variable in the current frame so it is transferred
+    /// Store a register variable so it is transferred
     /// to children forked from this point on (`MUTLS_set_regvar_*`).
     pub fn set_regvar(&mut self, offset: usize, value: RegisterValue) -> SpecResult<()> {
         self.local
@@ -594,7 +594,7 @@ impl SpecContext {
     /// deposit as if it had never asked.
     ///
     /// On success the context is rank 0 from here on — `global` gone,
-    /// fresh (critical-path) statistics — but keeps its local frames and
+    /// fresh (critical-path) statistics — but keeps its register variables and
     /// its unjoined children: those read underneath this thread's
     /// write-set, which the commit just stamped into the log, so their
     /// own joins catch every stale read.  On a failed validation the task
@@ -615,7 +615,7 @@ impl SpecContext {
         self.close_books(sync_started);
         let global = self.global.take().expect("checked above");
         // What a joiner would find deposited had the task ended here; the
-        // frames stay with the context, the CPU gets a fresh local buffer.
+        // registers stay with the context, the CPU gets a fresh local buffer.
         let mut outcome = SpecOutcome {
             status: TaskStatus::Completed,
             buffers: ThreadBuffers {
@@ -728,10 +728,10 @@ impl SpecContext {
         }
     }
 
-    /// The current frame's register variables, as a forked child receives
+    /// The thread's register variables, as a forked child receives
     /// them (MUTLS_save_local / set_regvar on the parent side).
     fn fork_regvars(&self) -> Vec<(usize, RegisterValue)> {
-        self.local.current_frame().registers.iter().collect()
+        self.local.registers().iter().collect()
     }
 
     /// The handle of a fork point that launched nothing: the join runs

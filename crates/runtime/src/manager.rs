@@ -159,7 +159,7 @@ use crate::task::{Rank, SpecAbort, TaskRef, TaskStatus};
 pub struct ThreadBuffers {
     /// Buffered global (static/heap) accesses.
     pub global: GlobalBuffer,
-    /// Buffered local (register/stack) variables and frame chain.
+    /// Buffered local (register) variables.
     pub local: LocalBuffer,
 }
 
@@ -180,8 +180,7 @@ impl ThreadBuffers {
             && global.read_set_len() == 0
             && global.write_set_len() == 0
             && global.stats() == BufferStats::default()
-            && self.local.frame_count() == 1
-            && self.local.current_frame().registers.occupied() == 0
+            && self.local.registers().occupied() == 0
     }
 }
 
@@ -1117,15 +1116,18 @@ impl ThreadManager {
     /// ranges were stamped (or by a rollback about to re-execute them).
     /// `exclude` (the finishing child, whose registrations are already
     /// dead) is never doomed.  Returns how many threads were doomed.
-    /// Since the registry spills ranks past the bitmask window into
-    /// per-range hash sets, enumeration is complete at any thread count
-    /// — there is no overflow fallback any more.
+    /// Enumeration is complete at any thread count: ranks past the
+    /// registry's 63-rank bitmask sit in a spill set per range
+    /// (`CommitLogStats::reader_spills` counts their registrations).
     ///
     /// Dooming is sound in every interleaving: a doomed thread rolls back
     /// and re-executes, so a *spurious* doom (stale registration, or a
     /// registration racing the commit) costs time, never correctness —
     /// and join-time validation remains the oracle for anything the
-    /// registry missed.
+    /// registry missed.  It is not optional, though: a running
+    /// speculative thread polls its flags and nothing else
+    /// (`SpecContext::poll`), so a doom is the one thing that stops a
+    /// reader whose stale data keeps it from ever reaching its join.
     pub fn doom_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I, exclude: Rank) -> u64 {
         self.doom_readers_with(addrs, exclude, false)
     }
@@ -1166,8 +1168,8 @@ impl ThreadManager {
         // legitimately allowed to precede the write (the RMW-predecessor
         // pattern: the forker read the cell, forked the continuation,
         // and the continuation's commit must not doom it).  Skipping a
-        // predecessor is always sound — dooming only accelerates the
-        // verdict join-time validation delivers anyway.
+        // predecessor is always sound: its read is not stale, so no
+        // verdict is owed to it.
         let committer = self.logical_of(exclude);
         let mut doomed = 0;
         for rank in set.ranks() {
@@ -1195,8 +1197,8 @@ impl ThreadManager {
     /// not retry: the registered readers of the child's write ranges,
     /// which the inline re-execution is about to rewrite — always a subset
     /// of the active speculative threads.  Registry enumeration is
-    /// complete at any thread count, since ranks past the bitmask window
-    /// spill into per-range hash sets.
+    /// complete at any thread count (see
+    /// [`doom_readers`](Self::doom_readers)).
     pub fn plan_rollback_recovery(&self, child: Rank, outcome: &SpecOutcome) -> Vec<Rank> {
         let set = self
             .commit_log
@@ -2224,6 +2226,58 @@ mod tests {
         m.release_cpu(reader, 0);
         let again = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
         assert!(!m.doom_requested(again), "doom flag cleared on acquire");
+    }
+
+    #[test]
+    fn commit_dooms_a_reader_past_the_registry_bitmask_and_spares_an_older_one() {
+        // 70 CPUs acquired by hand, in rank order: rank r holds logical
+        // stamp r, and rank 70 is past the registry's 63-rank bitmask.
+        let m = mgr(70);
+        let mem = Arc::clone(m.memory());
+        let cell = mem.alloc::<u64>(1);
+        let addr = cell.addr_of(0);
+        let ranks: Vec<Rank> = (0..70)
+            .map(|_| m.try_acquire_cpu(0, ForkModel::Mixed).unwrap())
+            .collect();
+        assert_eq!(ranks, (1..=70).collect::<Vec<Rank>>());
+        let read_as = |rank: Rank| {
+            let mut buffers = fresh_buffers(&m, rank);
+            let _ = buffers
+                .global
+                .load_logged(&*mem, Some(m.commit_log()), addr, 8)
+                .unwrap();
+        };
+        read_as(2);
+        read_as(70);
+        assert_eq!(m.commit_log().stats().reader_spills, 1);
+
+        // Rank 0 — logically earliest — commits the word: both readers
+        // are stale, the spilled one included.
+        let commit_as = |rank: Rank| {
+            let mut writer = fresh_buffers(&m, rank);
+            writer.global.store(addr, 5, 8).unwrap();
+            let mut outcome = completed(writer);
+            assert_eq!(
+                m.validate_and_commit(rank, &mut outcome, None),
+                Ok(CommitKind::Committed)
+            );
+            outcome.stats.counters.targeted_dooms
+        };
+        assert_eq!(commit_as(0), 2);
+        assert!(m.doom_requested(2), "the bitmask reader is doomed");
+        assert!(m.doom_requested(70), "the spilled reader is doomed");
+
+        // The logical-order filter reaches a spilled rank too: CPU 5 is
+        // recycled, so its task (stamp 71) is younger than rank 70's, and
+        // its commit takes rank 70's new registration without dooming it.
+        m.release_cpu(5, 0);
+        assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Some(5));
+        m.clear_doom(70);
+        read_as(70);
+        assert_eq!(commit_as(5), 0);
+        assert!(!m.doom_requested(70), "a logically older reader is spared");
+        assert!(m.commit_log().registered_readers(addr).is_empty());
+        assert_eq!(m.commit_log().stats().reader_spills, 2);
     }
 
     #[test]

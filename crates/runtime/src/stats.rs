@@ -268,10 +268,13 @@ pub struct RunReport {
     /// Per-fork-site profile table gathered by the adaptive governor,
     /// sorted by site ID (empty when no fork point was reached).
     pub sites: Vec<SiteProfile>,
-    /// Commit-log activity (batches, range stamps, commit-lock time) —
-    /// the sharding/grain cost the `grain` sweep reports.  Simulated runs
-    /// fill the batch/stamp counters from their publish model and leave
-    /// the wall-clock lock time zero.
+    /// Commit-log activity: batches, range stamps, publication time, CAS
+    /// retries, ring overflows, regrains and `reader_spills`
+    /// (registrations by ranks past the registry's 63-rank bitmask) —
+    /// the grain cost the `grain` sweep reports.  Simulated runs fill the
+    /// batch/stamp/retry/overflow/regrain counters from their publish
+    /// model and leave the wall-clock publication time and the spills
+    /// zero.
     pub commit_log: CommitLogStats,
     /// Census of the live per-region grains at the end of the run:
     /// `(grain_log2, regions)` pairs over touched regions, ascending by
