@@ -126,11 +126,6 @@ impl Governor {
         &self.config
     }
 
-    /// Name of the active policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Decide whether fork-site `site` may speculate right now, and under
     /// which model.  A denial is recorded in the site's profile.
     pub fn decide(&self, site: SiteId, default_model: ForkModel) -> ForkDecision {

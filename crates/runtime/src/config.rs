@@ -6,25 +6,6 @@ use mutls_membuf::{BufferConfig, CommitLogConfig, LocalBufferConfig};
 use mutls_metrics::MetricsConfig;
 use mutls_trace::TraceConfig;
 
-/// Where rollbacks come from.
-///
-/// The default is [`RollbackSource::Real`]: every rollback is the result of
-/// genuine dependence validation through the speculative buffers and the
-/// shared [`CommitLog`](mutls_membuf::CommitLog).  The paper's §V-D
-/// rollback-*sensitivity* experiment is still available, but only as an
-/// explicit opt-in: with [`RollbackSource::Injected`] the runtime
-/// additionally forces otherwise-valid joins to roll back with probability
-/// [`RuntimeConfig::rollback_probability`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RollbackSource {
-    /// Only real validation failures (conflicts, overflows, …) roll back.
-    #[default]
-    Real,
-    /// Sensitivity mode: valid joins are additionally rolled back at
-    /// random with the configured probability.
-    Injected,
-}
-
 /// Configuration of a [`Runtime`](crate::Runtime) instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
@@ -37,11 +18,11 @@ pub struct RuntimeConfig {
     pub buffer: BufferConfig,
     /// Capacity of every speculative thread's local buffer.
     pub local_buffer: LocalBufferConfig,
-    /// Whether rollback injection (the §V-D sensitivity mode) is enabled.
-    pub rollback_source: RollbackSource,
     /// Probability in `[0, 1]` that a join is forced to roll back even when
-    /// validation succeeds.  Only consulted under
-    /// [`RollbackSource::Injected`].
+    /// validation succeeds — the paper's §V-D rollback-*sensitivity*
+    /// experiment.  At the default of zero every rollback is the result of
+    /// genuine dependence validation through the speculative buffers and
+    /// the shared [`CommitLog`](mutls_membuf::CommitLog).
     pub rollback_probability: f64,
     /// Seed for the rollback-injection RNG, so experiments are repeatable.
     pub seed: u64,
@@ -88,7 +69,6 @@ impl Default for RuntimeConfig {
             fork_model: ForkModel::Mixed,
             buffer: BufferConfig::default(),
             local_buffer: LocalBufferConfig::default(),
-            rollback_source: RollbackSource::Real,
             rollback_probability: 0.0,
             seed: 0x05EE_DCA0,
             memory_bytes: 64 << 20,
@@ -118,25 +98,14 @@ impl RuntimeConfig {
     }
 
     /// Set the injected rollback probability (builder style).  A non-zero
-    /// probability opts in to [`RollbackSource::Injected`]; zero returns
-    /// to real-conflicts-only behaviour.
+    /// probability opts in to injection; zero returns to
+    /// real-conflicts-only behaviour.
     ///
     /// # Panics
     /// Panics if `p` is not within `[0, 1]`.
     pub fn rollback_probability(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
         self.rollback_probability = p;
-        self.rollback_source = if p > 0.0 {
-            RollbackSource::Injected
-        } else {
-            RollbackSource::Real
-        };
-        self
-    }
-
-    /// Set the rollback source explicitly (builder style).
-    pub fn rollback_source(mut self, source: RollbackSource) -> Self {
-        self.rollback_source = source;
         self
     }
 
@@ -216,13 +185,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable the live metrics plane at the default sampling cadence
-    /// (builder style).
-    pub fn metrics_enabled(mut self) -> Self {
-        self.metrics = MetricsConfig::enabled();
-        self
-    }
-
     /// Enable the adaptive-grain controller with default tuning
     /// (optimistic page start, split on false-sharing suspects) over a
     /// word-grain floor, so regions can re-split all the way to
@@ -244,18 +206,18 @@ mod tests {
         assert!(c.num_cpus >= 1);
         assert_eq!(c.fork_model, ForkModel::Mixed);
         assert_eq!(c.rollback_probability, 0.0);
-        assert_eq!(c.rollback_source, RollbackSource::Real);
         assert_eq!(c.governor.policy, PolicyKind::Static);
     }
 
     #[test]
     fn rollback_probability_opts_into_injection() {
-        let c = RuntimeConfig::default().rollback_probability(0.3);
-        assert_eq!(c.rollback_source, RollbackSource::Injected);
-        let c = c.rollback_probability(0.0);
-        assert_eq!(c.rollback_source, RollbackSource::Real);
-        let c = c.rollback_source(RollbackSource::Injected);
-        assert_eq!(c.rollback_source, RollbackSource::Injected);
+        // The probability is the whole knob: p = 0 never draws, p > 0 does.
+        let draws = |config: RuntimeConfig| {
+            crate::ThreadManager::new(config.memory_bytes(1 << 12)).draw_injected_rollback()
+        };
+        let c = RuntimeConfig::with_cpus(1).rollback_probability(1.0);
+        assert!(draws(c));
+        assert!(!draws(c.rollback_probability(0.0)));
     }
 
     #[test]

@@ -36,7 +36,6 @@ use mutls_membuf::{
     WORD_BYTES,
 };
 
-use mutls_adaptive::ForkDecision;
 use mutls_trace::{DenyPolicy, DoomSource};
 
 use crate::fork_model::ForkModel;
@@ -44,6 +43,7 @@ use crate::ledger::Point;
 use crate::manager::{
     CommitKind, Handoff, PromotedOutcome, SpecOutcome, SpecRequest, ThreadBuffers, ThreadManager,
 };
+use crate::protocol;
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{
     failure, over_range, task, typed_load, typed_store, JoinOutcome, Rank, SpecAbort, SpecResult,
@@ -510,11 +510,6 @@ impl SpecContext {
             .observe(self.rank, site, &mut self.stats.counters, point);
     }
 
-    /// Ranks of children forked but not yet joined.
-    pub fn pending_children(&self) -> &[Rank] {
-        &self.children
-    }
-
     // ----- internal helpers -------------------------------------------
 
     /// Charge the time since the last phase boundary to `Work` and return
@@ -669,7 +664,7 @@ impl SpecContext {
             return;
         };
         let fork_started = Instant::now();
-        let Some(child) = self.mgr.try_acquire_cpu(0, late.model) else {
+        let Ok(child) = self.mgr.try_acquire_cpu(0, late.model) else {
             return;
         };
         late.child = Some(child);
@@ -1083,50 +1078,57 @@ impl TlsContext for SpecContext {
         // (Rank 0 re-executions keep forking: their stores publish
         // immediately, so re-forked children read fresh values and the
         // reader registry surgically dooms the genuinely stale ones.)
-        if self.rank != 0 && self.reexec_depth > 0 {
-            self.observe(point, Point::ForkDenied(DenyPolicy::Reexec));
-            return Ok(self.inline_handle(point, task, model, false));
-        }
+        let pinned = self.rank != 0 && self.reexec_depth > 0;
 
-        // Ask the adaptive governor whether this fork site may speculate
-        // (and under which model) before spending any fork overhead.
-        let decision = self.mgr.governor().decide(point, model);
-        let allowed = decision != ForkDecision::Deny;
-        self.observe(point, Point::GovernorRuled(allowed));
-        let ForkDecision::Allow(model) = decision else {
-            return Ok(self.inline_handle(point, task, model, true));
-        };
-
-        let find_started = self.begin_overhead();
-        let child = self.mgr.try_acquire_cpu(self.rank, model);
-        self.end_overhead(Phase::FindCpu, find_started);
-
-        let Some(child) = child else {
-            let policy = if self.mgr.model_allows_fork(self.rank, model) {
-                DenyPolicy::NoCpu
-            } else {
-                DenyPolicy::Model
-            };
-            self.observe(point, Point::ForkDenied(policy));
-            let mut handle = self.inline_handle(point, task, model, false);
-            // Only a speculative thread can be promoted, and only a
-            // promotion frees a CPU for a fork that found none.
-            if policy == DenyPolicy::NoCpu && self.global.is_some() {
-                let id = self.next_late_id;
-                self.next_late_id += 1;
-                self.late_forks.push(LateFork {
-                    id,
-                    point,
-                    model,
-                    task: Arc::clone(&handle.task),
-                    regvars: self.fork_regvars(),
-                    children_at_fork: self.children.len(),
-                    child: None,
-                });
-                handle.late = Some(id);
+        // The adaptive governor is asked whether this fork site may
+        // speculate (and under which model) before any fork overhead is
+        // spent; only then is a CPU looked for.  (`begin_overhead` and
+        // `end_overhead` spelled out: `self.mgr` is lent to the governor.)
+        let (mgr, stats, mark, rank) =
+            (&*self.mgr, &mut self.stats, &mut self.last_mark, self.rank);
+        let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
+        let admission = protocol::admit_fork(pinned, mgr.governor(), point, model, |model| {
+            let started = Instant::now();
+            stats.add(Phase::Work, ns(*mark, started));
+            let child = mgr.try_acquire_cpu(rank, model);
+            *mark = Instant::now();
+            stats.add(Phase::FindCpu, ns(started, *mark));
+            child
+        });
+        let (model, child) = match admission {
+            Ok(granted) => granted,
+            Err((policy, model)) => {
+                // The governor ruled unless the pin spared it the question;
+                // a denial that was not the governor's own is a failed fork.
+                if policy != DenyPolicy::Reexec {
+                    let allowed = policy != DenyPolicy::Governor;
+                    self.observe(point, Point::GovernorRuled(allowed));
+                }
+                if policy != DenyPolicy::Governor {
+                    self.observe(point, Point::ForkDenied(policy));
+                }
+                let throttled = policy == DenyPolicy::Governor;
+                let mut handle = self.inline_handle(point, task, model, throttled);
+                // Only a speculative thread can be promoted, and only a
+                // promotion frees a CPU for a fork that found none.
+                if policy == DenyPolicy::NoCpu && self.global.is_some() {
+                    let id = self.next_late_id;
+                    self.next_late_id += 1;
+                    self.late_forks.push(LateFork {
+                        id,
+                        point,
+                        model,
+                        task: Arc::clone(&handle.task),
+                        regvars: self.fork_regvars(),
+                        children_at_fork: self.children.len(),
+                        child: None,
+                    });
+                    handle.late = Some(id);
+                }
+                return Ok(handle);
             }
-            return Ok(handle);
         };
+        self.observe(point, Point::GovernorRuled(true));
 
         let fork_started = self.begin_overhead();
         let request = SpecRequest {
@@ -1286,6 +1288,45 @@ mod tests {
 
         rank0.spec_write(addr, 4).unwrap();
         assert_eq!(mgr.commit_log().commits(), 1, "quiescent again");
+    }
+
+    /// The one evaluation that denies a fork also says why.  Hand-driven:
+    /// the first of two in-order threads is not the most speculative, and
+    /// with a CPU idle the model denies its fork — no promotion lifts that,
+    /// so nothing is kept for later; under the mixed model with every CPU
+    /// taken it is denied for want of one, and keeps the fork.
+    #[test]
+    fn a_model_denial_is_reported_as_one_and_arms_no_late_fork() {
+        use ForkModel::{InOrder, Mixed};
+        let config = RuntimeConfig::with_cpus(3).memory_bytes(1 << 16);
+        let mgr = ThreadManager::new(config.trace_events());
+        let first = mgr.try_acquire_cpu(0, InOrder).expect("idle CPU");
+        mgr.try_acquire_cpu(first, InOrder)
+            .expect("the latest forks");
+        let mut ctx = SpecContext::speculative(Arc::clone(&mgr), first, Vec::new());
+        let nothing = task(|_: &mut SpecContext| Ok(()));
+
+        let denied = ctx.fork_with_model(7, InOrder, Arc::clone(&nothing));
+        assert!(denied.is_ok_and(|handle| !handle.speculated() && handle.late.is_none()));
+        assert!(
+            ctx.late_forks.is_empty(),
+            "a model denial armed a late fork"
+        );
+
+        mgr.try_acquire_cpu(0, Mixed).expect("idle CPU");
+        let denied = ctx.fork_with_model(8, Mixed, nothing);
+        assert!(denied.is_ok_and(|handle| !handle.speculated() && handle.late.is_some()));
+        assert_eq!(ctx.late_forks.len(), 1);
+
+        assert_eq!(ctx.stats().counters.failed_forks, 2);
+        let events = mgr.recorder().drain_events().into_iter();
+        let denials: Vec<_> = events
+            .filter_map(|event| match event.kind {
+                mutls_trace::EventKind::ForkDenied { policy } => Some((event.site, policy)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(denials, [(7, DenyPolicy::Model), (8, DenyPolicy::NoCpu)]);
     }
 
     /// The forker's share: half of what is left on one speculative CPU, one

@@ -44,6 +44,7 @@ pub mod context;
 pub mod direct;
 pub mod ledger;
 pub mod manager;
+pub mod protocol;
 pub mod runtime;
 pub mod stats;
 pub mod task;
@@ -53,7 +54,7 @@ pub mod task;
 // cycle); re-export them under the historical paths.
 pub use mutls_adaptive::fork_model;
 
-pub use config::{RollbackSource, RuntimeConfig};
+pub use config::RuntimeConfig;
 pub use context::{SpecContext, SpecHandle};
 pub use direct::DirectContext;
 pub use fork_model::ForkModel;

@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mutls_membuf::{GPtr, GlobalMemory, WORD_BYTES};
-use mutls_metrics::{prometheus_text, MetricsSeries, MetricsSnapshot, Sampler};
+use mutls_metrics::{MetricsSeries, MetricsSnapshot, Sampler};
 
 use crate::config::RuntimeConfig;
 use crate::context::SpecContext;
@@ -195,11 +195,6 @@ impl Runtime {
     /// The sampler-filled bounded time series collected so far (clone).
     pub fn metrics_series(&self) -> MetricsSeries {
         self.mgr.metrics().series()
-    }
-
-    /// A fresh scrape rendered as a Prometheus text exposition.
-    pub fn metrics_prometheus(&self) -> String {
-        prometheus_text(&self.metrics_snapshot(), &[])
     }
 }
 

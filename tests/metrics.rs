@@ -7,10 +7,10 @@
 //!    the *virtual* clock, so the serialized metrics time series (like
 //!    the `RunReport`) is byte-identical whichever host thread runs the
 //!    replay, under every governor policy.
-//! 2. **Free when off** — a disabled registry is a one-branch no-op: a
-//!    metrics-enabled replay moves zero *virtual* cycles relative to a
-//!    disabled one (the report serializes identically), and the native
-//!    runtime spawns no sampler thread.
+//! 2. **Free when off** — a disabled registry (and a disabled flight
+//!    recorder) is a one-branch no-op: a replay with either enabled moves
+//!    zero *virtual* cycles relative to a dark one (the report serializes
+//!    identically), and the native runtime spawns no sampler thread.
 //! 3. **Live derived gauges** — an instrumented native conflict run
 //!    exports Prometheus text with non-zero rollback counters and the
 //!    derived `rollback_amplification` / `speculation_success_rate` /
@@ -99,22 +99,35 @@ fn sim_metric_series_is_byte_identical_across_threads_and_policies() {
 
 #[test]
 fn enabling_metrics_moves_zero_virtual_cycles() {
+    // Neither observer is on the virtual clock — the registry is scraped
+    // and the flight recorder's events are kept off it — so turning either
+    // on, or both, moves no cycle and no byte of the report.
     let recording = chain_recording();
-    let disabled = simulate(&recording, sim_config(MetricsConfig::default()));
-    let enabled = simulate(&recording, sim_config(MetricsConfig::enabled()));
-    assert!(
-        disabled.metrics.is_empty(),
-        "disabled metrics must not sample"
-    );
-    assert_eq!(
-        disabled.parallel_cycles, enabled.parallel_cycles,
-        "metrics sampling must be invisible to the virtual clock"
-    );
-    assert_eq!(
-        to_json(&disabled.report),
-        to_json(&enabled.report),
-        "metrics sampling must not perturb the simulated execution"
-    );
+    let run = |trace, metrics| {
+        let config = SimConfig {
+            trace,
+            ..sim_config(metrics)
+        };
+        simulate(&recording, config)
+    };
+    let (off, on) = (MetricsConfig::default(), MetricsConfig::enabled());
+    let dark = run(false, off);
+    assert!(dark.metrics.is_empty(), "disabled metrics must not sample");
+    assert!(dark.events.is_empty(), "a disabled recorder keeps no event");
+    for (trace, metrics) in [(false, on), (true, off), (true, on)] {
+        let observed = run(trace, metrics);
+        assert_eq!(observed.metrics.is_empty(), !metrics.enabled);
+        assert_eq!(observed.events.is_empty(), !trace);
+        assert_eq!(
+            dark.parallel_cycles, observed.parallel_cycles,
+            "observation must be invisible to the virtual clock (trace {trace}, {metrics:?})"
+        );
+        assert_eq!(
+            to_json(&dark.report),
+            to_json(&observed.report),
+            "observation must not perturb the simulated execution (trace {trace}, {metrics:?})"
+        );
+    }
 }
 
 #[test]
