@@ -17,19 +17,18 @@
 //!
 //! Policy shape (hysteresis on both edges):
 //!
-//! * **Split** when a tick's conflict-plus-retry delta crosses
-//!   [`GrainControlConfig::split_conflicts`] — a contended region wants
-//!   exactness (a coarse grain widens every conflict's collateral, and
-//!   suspects alone undercount: the first genuine word hit reclassifies
-//!   a mixed doom as true sharing).  One ladder step toward the floor
-//!   grain per tick, with a per-region cooldown so a single spike cannot
-//!   thrash the table.
-//! * **Coarsen** when a region has stamped at least
-//!   [`GrainControlConfig::coarsen_stamps`] ranges over
-//!   [`GrainControlConfig::calm_ticks`] consecutive conflict-free ticks —
+//! * **Split** when a tick's conflict-plus-retry delta reaches
+//!   `SPLIT_CONFLICTS` — a contended region wants exactness (a coarse
+//!   grain widens every conflict's collateral, and suspects alone
+//!   undercount: the first genuine word hit reclassifies a mixed doom as
+//!   true sharing).  One ladder step toward the floor grain per tick,
+//!   with a per-region cooldown of `COOLDOWN_TICKS` so a single spike
+//!   cannot thrash the table.
+//! * **Coarsen** when a region has stamped at least `COARSEN_STAMPS`
+//!   ranges in each of `CALM_TICKS` consecutive conflict-free ticks —
 //!   activity with no trouble means the grain is paying stamp traffic
-//!   for exactness nobody needs.  One ladder step toward
-//!   [`GrainControlConfig::max_grain_log2`] per decision.
+//!   for exactness nobody needs.  One ladder step toward page grain per
+//!   decision.
 //!
 //! Starting coarse ([`GrainControlConfig::initial_grain_log2`], default
 //! page) is the optimistic default: dense-numeric regions never pay
@@ -39,6 +38,21 @@
 use std::collections::HashMap;
 
 use mutls_membuf::{RegionId, RegionProfile, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
+
+/// Conflict-plus-retry delta within one tick that triggers a re-split.
+/// Deliberately broader than false-sharing suspects alone: a coarse grain
+/// only pays off on *calm* regions, and once a genuine word is hit the
+/// false-sharing half of a mixed doom is reclassified as true sharing —
+/// so any contention at a coarser-than-floor grain is split evidence.
+const SPLIT_CONFLICTS: u64 = 1;
+/// Minimum stamp delta per tick for a region to count as *active* (idle
+/// regions are left alone — no evidence either way).
+const COARSEN_STAMPS: u64 = 8;
+/// Consecutive active, conflict-free ticks before a coarsen step.
+const CALM_TICKS: u32 = 2;
+/// Ticks a region rests after any regrain before it may move again
+/// (hysteresis against thrash).
+const COOLDOWN_TICKS: u32 = 2;
 
 /// Configuration of the adaptive-grain controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,27 +64,10 @@ pub struct GrainControlConfig {
     /// mechanism layer into `[floor grain, region size]`.  Page by
     /// default: optimistic-coarse, split on evidence.
     pub initial_grain_log2: u32,
-    /// Coarsest grain the controller may choose.
-    pub max_grain_log2: u32,
     /// Commits between controller ticks (the runtime counts join/commit
     /// events, the simulator counts publishes — both deterministic in
     /// their own time base).
     pub tick_commits: u64,
-    /// Conflict-plus-retry delta within one tick that triggers a
-    /// re-split.  Deliberately broader than false-sharing suspects
-    /// alone: a coarse grain only pays off on *calm* regions, and once a
-    /// genuine word is hit the false-sharing half of a mixed doom is
-    /// reclassified as true sharing — so any contention at a
-    /// coarser-than-floor grain is split evidence.
-    pub split_conflicts: u64,
-    /// Minimum stamp delta per tick for a region to count as *active*
-    /// (idle regions are left alone — no evidence either way).
-    pub coarsen_stamps: u64,
-    /// Consecutive active, conflict-free ticks before a coarsen step.
-    pub calm_ticks: u32,
-    /// Ticks a region rests after any regrain before it may move again
-    /// (hysteresis against thrash).
-    pub cooldown_ticks: u32,
 }
 
 impl Default for GrainControlConfig {
@@ -78,12 +75,7 @@ impl Default for GrainControlConfig {
         GrainControlConfig {
             enabled: false,
             initial_grain_log2: PAGE_GRAIN_LOG2,
-            max_grain_log2: PAGE_GRAIN_LOG2,
             tick_commits: 4,
-            split_conflicts: 1,
-            coarsen_stamps: 8,
-            calm_ticks: 2,
-            cooldown_ticks: 2,
         }
     }
 }
@@ -95,17 +87,6 @@ impl GrainControlConfig {
     pub fn adaptive() -> Self {
         GrainControlConfig {
             enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// Enabled, starting at the floor grain instead of page — the
-    /// pessimistic-exact variant (pays word traffic until regions prove
-    /// calm).
-    pub fn adaptive_from_floor(floor_grain_log2: u32) -> Self {
-        GrainControlConfig {
-            enabled: true,
-            initial_grain_log2: floor_grain_log2,
             ..Default::default()
         }
     }
@@ -168,14 +149,13 @@ pub struct GrainController {
 }
 
 /// The grain ladder the controller walks: word → line → page, clipped to
-/// `[floor, max]`.
-fn step_coarser(grain_log2: u32, max: u32) -> u32 {
-    let next = if grain_log2 < LINE_GRAIN_LOG2 {
+/// `[floor, page]`.
+fn step_coarser(grain_log2: u32) -> u32 {
+    if grain_log2 < LINE_GRAIN_LOG2 {
         LINE_GRAIN_LOG2
     } else {
         PAGE_GRAIN_LOG2
-    };
-    next.min(max)
+    }
 }
 
 fn step_finer(grain_log2: u32, floor: u32) -> u32 {
@@ -252,7 +232,7 @@ impl GrainController {
             // reclassifies the whole doom as true sharing, hiding the
             // false-sharing half of the evidence).  Contended regions
             // therefore walk back toward exactness unconditionally.
-            if conflicts_delta + retries_delta >= self.config.split_conflicts
+            if conflicts_delta + retries_delta >= SPLIT_CONFLICTS
                 && profile.grain_log2 > self.floor_grain_log2
             {
                 let to = step_finer(profile.grain_log2, self.floor_grain_log2);
@@ -262,29 +242,26 @@ impl GrainController {
                     coarsen: false,
                 });
                 state.calm_streak = 0;
-                state.cooldown = self.config.cooldown_ticks;
+                state.cooldown = COOLDOWN_TICKS;
                 self.stats.split += 1;
                 continue;
             }
             // Calm edge: active traffic, zero trouble.
             if conflicts_delta == 0 && retries_delta == 0 {
-                if stamps_delta >= self.config.coarsen_stamps {
+                if stamps_delta >= COARSEN_STAMPS {
                     state.calm_streak += 1;
                 } // idle ticks neither build nor reset the streak
             } else {
                 state.calm_streak = 0;
             }
-            if state.calm_streak >= self.config.calm_ticks
-                && profile.grain_log2 < self.config.max_grain_log2.min(PAGE_GRAIN_LOG2)
-            {
-                let to = step_coarser(profile.grain_log2, self.config.max_grain_log2);
+            if state.calm_streak >= CALM_TICKS && profile.grain_log2 < PAGE_GRAIN_LOG2 {
                 actions.push(GrainAction {
                     region: profile.region,
-                    new_grain_log2: to,
+                    new_grain_log2: step_coarser(profile.grain_log2),
                     coarsen: true,
                 });
                 state.calm_streak = 0;
-                state.cooldown = self.config.cooldown_ticks;
+                state.cooldown = COOLDOWN_TICKS;
                 self.stats.coarsened += 1;
             }
         }
@@ -307,48 +284,34 @@ mod tests {
         }
     }
 
+    fn controller() -> GrainController {
+        GrainController::new(GrainControlConfig::adaptive(), WORD_GRAIN_LOG2)
+    }
+
     #[test]
     fn calm_active_region_coarsens_up_the_ladder() {
-        let mut c = GrainController::new(
-            GrainControlConfig {
-                enabled: true,
-                initial_grain_log2: WORD_GRAIN_LOG2,
-                calm_ticks: 2,
-                cooldown_ticks: 0,
-                ..Default::default()
-            },
-            WORD_GRAIN_LOG2,
-        );
-        // Two calm active ticks → word coarsens to line.
-        assert!(c.tick(&[profile(0, WORD_GRAIN_LOG2, 10, 0)]).is_empty());
-        let actions = c.tick(&[profile(0, WORD_GRAIN_LOG2, 20, 0)]);
-        assert_eq!(
-            actions,
-            vec![GrainAction {
-                region: 0,
-                new_grain_log2: LINE_GRAIN_LOG2,
-                coarsen: true
-            }]
-        );
-        // Two more calm ticks at line → page; then the ladder tops out.
-        assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 30, 0)]).is_empty());
-        let actions = c.tick(&[profile(0, LINE_GRAIN_LOG2, 40, 0)]);
-        assert_eq!(actions[0].new_grain_log2, PAGE_GRAIN_LOG2);
-        assert!(c.tick(&[profile(0, PAGE_GRAIN_LOG2, 60, 0)]).is_empty());
-        assert!(c.tick(&[profile(0, PAGE_GRAIN_LOG2, 80, 0)]).is_empty());
+        let mut c = controller();
+        // Calm active ticks at 10 stamps each, the grain following the
+        // actions: two calm ticks coarsen, two cooldown ticks rest.
+        let mut grain = WORD_GRAIN_LOG2;
+        let mut moved = Vec::new();
+        for tick in 1..=10u64 {
+            for action in c.tick(&[profile(0, grain, 10 * tick, 0)]) {
+                assert!(action.coarsen);
+                grain = action.new_grain_log2;
+                moved.push((tick, grain));
+            }
+        }
+        // Word → line at tick 2, line → page at tick 6; then the ladder
+        // tops out.
+        assert_eq!(moved, [(2, LINE_GRAIN_LOG2), (6, PAGE_GRAIN_LOG2)]);
         assert_eq!(c.stats().coarsened, 2);
         assert_eq!(c.stats().split, 0);
     }
 
     #[test]
     fn suspect_spike_resplits_toward_the_floor() {
-        let mut c = GrainController::new(
-            GrainControlConfig {
-                cooldown_ticks: 0,
-                ..GrainControlConfig::adaptive()
-            },
-            WORD_GRAIN_LOG2,
-        );
+        let mut c = controller();
         let actions = c.tick(&[profile(3, PAGE_GRAIN_LOG2, 5, 2)]);
         assert_eq!(
             actions,
@@ -358,34 +321,34 @@ mod tests {
                 coarsen: false
             }]
         );
-        let actions = c.tick(&[profile(3, LINE_GRAIN_LOG2, 10, 4)]);
+        // Two ticks of cooldown, however many suspects arrive.
+        assert!(c.tick(&[profile(3, LINE_GRAIN_LOG2, 10, 4)]).is_empty());
+        assert!(c.tick(&[profile(3, LINE_GRAIN_LOG2, 15, 6)]).is_empty());
+        let actions = c.tick(&[profile(3, LINE_GRAIN_LOG2, 20, 8)]);
         assert_eq!(actions[0].new_grain_log2, WORD_GRAIN_LOG2);
         // At the floor there is nowhere finer to go.
-        assert!(c.tick(&[profile(3, WORD_GRAIN_LOG2, 15, 6)]).is_empty());
+        for stamps in [25, 30, 35] {
+            assert!(c
+                .tick(&[profile(3, WORD_GRAIN_LOG2, stamps, 10)])
+                .is_empty());
+        }
         assert_eq!(c.stats().split, 2);
     }
 
     #[test]
     fn cooldown_and_idle_regions_hold_still() {
-        let mut c = GrainController::new(
-            GrainControlConfig {
-                enabled: true,
-                initial_grain_log2: WORD_GRAIN_LOG2,
-                calm_ticks: 1,
-                cooldown_ticks: 2,
-                ..Default::default()
-            },
-            WORD_GRAIN_LOG2,
-        );
-        let actions = c.tick(&[profile(0, WORD_GRAIN_LOG2, 10, 0)]);
-        assert_eq!(actions.len(), 1, "calm_ticks=1 coarsens immediately");
+        let mut c = controller();
+        assert!(c.tick(&[profile(0, WORD_GRAIN_LOG2, 10, 0)]).is_empty());
+        assert_eq!(c.tick(&[profile(0, WORD_GRAIN_LOG2, 20, 0)]).len(), 1);
         // Cooldown: two ticks of rest even though the region stays calm.
-        assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 20, 0)]).is_empty());
         assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 30, 0)]).is_empty());
+        assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 40, 0)]).is_empty());
         // Idle ticks (no stamp delta) never build a calm streak.
-        assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 30, 0)]).is_empty());
-        // Active again → moves again.
-        let actions = c.tick(&[profile(0, LINE_GRAIN_LOG2, 45, 0)]);
+        assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 40, 0)]).is_empty());
+        assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 40, 0)]).is_empty());
+        // Active again → moves again, after a full calm streak.
+        assert!(c.tick(&[profile(0, LINE_GRAIN_LOG2, 50, 0)]).is_empty());
+        let actions = c.tick(&[profile(0, LINE_GRAIN_LOG2, 60, 0)]);
         assert_eq!(actions.len(), 1);
         assert_eq!(actions[0].new_grain_log2, PAGE_GRAIN_LOG2);
     }
@@ -395,13 +358,7 @@ mod tests {
         // A region whose conflicts keep being repaired by value-predict
         // retries is still false-sharing at the current grain: it must
         // split, not coarsen.
-        let mut c = GrainController::new(
-            GrainControlConfig {
-                cooldown_ticks: 0,
-                ..GrainControlConfig::adaptive()
-            },
-            WORD_GRAIN_LOG2,
-        );
+        let mut c = controller();
         let p = RegionProfile {
             region: 7,
             grain_log2: PAGE_GRAIN_LOG2,
@@ -417,7 +374,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_state() {
-        let mut c = GrainController::new(GrainControlConfig::adaptive(), WORD_GRAIN_LOG2);
+        let mut c = controller();
         c.tick(&[profile(0, PAGE_GRAIN_LOG2, 5, 2)]);
         assert!(c.stats().ticks > 0);
         c.reset();
@@ -430,8 +387,6 @@ mod tests {
         let a = GrainControlConfig::adaptive();
         assert!(a.enabled);
         assert_eq!(a.initial_grain_log2, PAGE_GRAIN_LOG2);
-        let f = GrainControlConfig::adaptive_from_floor(WORD_GRAIN_LOG2);
-        assert_eq!(f.initial_grain_log2, WORD_GRAIN_LOG2);
         assert_eq!(
             GrainControlConfig::adaptive().tick_commits(0).tick_commits,
             1,

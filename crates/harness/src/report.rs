@@ -350,7 +350,6 @@ phase             samples  p50  p99   p999
 fork-to-commit    2        512  4096  4096
 validation        1        64   64    64  \n\
 commit-lock-wait  0        0    0     0   \n\
-commit-cas-retry  0        0    0     0   \n\
 repair-retry      0        0    0     0   \n\
 repair-doomset    0        0    0     0   \n";
         assert_eq!(text, expected);

@@ -296,7 +296,8 @@ pub struct CommitLogStats {
     /// CAS retries on the stamp path, cumulative: same-slot
     /// `compare_exchange` losses plus whole-group re-stamps forced by a
     /// racing regrain's seqlock word.  Disjoint-range committers should
-    /// keep it near zero at any thread count.
+    /// keep it near zero at any thread count; the replay, whose log has
+    /// one committer and no live regrain race, reports 0.
     pub cas_retries: u64,
     /// Regions whose grain the controller changed at runtime
     /// ([`CommitLog::regrain`] calls that actually flipped a grain).

@@ -76,18 +76,9 @@ impl CommitLog {
     /// reserved-and-published with one `SeqCst` `fetch_add` and the
     /// touched slots raised by CAS under the per-region seqlock words.
     pub fn record<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> CommitVersion {
-        self.record_counted(addrs).0
-    }
-
-    /// Like [`record`](Self::record), but also return the number of CAS
-    /// retries this batch paid on the stamp path (same-slot
-    /// `compare_exchange` losses plus seqlock-forced re-stamps) — the
-    /// runtime surfaces it per commit as a
-    /// `CommitCasRetry` trace event.
-    pub fn record_counted<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> (CommitVersion, u64) {
         let mut iter = addrs.into_iter();
         let Some(first) = iter.next() else {
-            return (self.epoch(), 0);
+            return self.epoch();
         };
         let mut addrs: Vec<Addr> = iter.collect();
         if addrs.is_empty() {
@@ -132,7 +123,7 @@ impl CommitLog {
         if retries > 0 {
             self.cas_retries.fetch_add(retries, Ordering::Relaxed);
         }
-        (max_version, retries)
+        max_version
     }
 
     /// Publish one shard's (sorted, deduplicated) address run.
@@ -251,7 +242,7 @@ impl CommitLog {
         }
     }
 
-    fn record_single(&self, addr: Addr) -> (CommitVersion, u64) {
+    fn record_single(&self, addr: Addr) -> CommitVersion {
         self.touch();
         let sample = lock_time_sampled(self.singles.fetch_add(1, Ordering::Relaxed));
         let region = self.region_of(addr);
@@ -273,12 +264,12 @@ impl CommitLog {
                 Ordering::Relaxed,
             );
         }
-        (version, retries)
+        version
     }
 
     /// Record a single-word commit (the non-speculative direct-store path).
     pub fn record_word(&self, addr: Addr) -> CommitVersion {
-        self.record_single(addr).0
+        self.record_single(addr)
     }
 }
 
@@ -464,16 +455,16 @@ mod tests {
 
     #[test]
     fn cas_retry_counts_are_consistent() {
-        // Single-threaded commits never retry; the aggregate stat equals
-        // the sum of per-batch counts; clear() resets the counter.
+        // Single-threaded commits never retry; clear() resets the counter.
         let log = CommitLog::with_config(CommitLogConfig::default(), 1 << 12);
-        let mut total = 0;
         for i in 0..32u64 {
-            let (_, retries) = log.record_counted([i * 8, i * 8 + 2048]);
-            total += retries;
+            log.record([i * 8, i * 8 + 2048]);
         }
-        assert_eq!(total, 0, "uncontended commits pay no retries");
-        assert_eq!(log.stats().cas_retries, 0);
+        assert_eq!(
+            log.stats().cas_retries,
+            0,
+            "uncontended commits pay no retries"
+        );
         log.clear();
         assert_eq!(log.stats().cas_retries, 0);
     }
@@ -488,7 +479,7 @@ mod tests {
         let snap = log.register_reader(8, 3);
         assert_eq!(snap, 0);
         assert_eq!(log.record([8, 64, 4096]), 1, "both shards publish 1");
-        assert_eq!(log.record_counted([8]), (2, 0));
+        assert_eq!(log.record([8]), 2);
         assert_eq!(log.regrain(0, PAGE_GRAIN_LOG2).0, 3);
         assert_eq!(log.record_word(16), 4);
         assert!(log.written_after(8, snap));

@@ -47,6 +47,6 @@ pub use commit_log::{
 };
 pub use error::{BufferError, RollbackReason, SpecFailure};
 pub use global_buffer::{BufferConfig, BufferStats, GlobalBuffer, Validation};
-pub use local_buffer::{LocalBuffer, LocalBufferConfig, RegisterValue};
+pub use local_buffer::{LocalBuffer, RegisterValue};
 pub use memory::{Addr, GPtr, GlobalMemory, MainMemory, WORD_BYTES};
 pub use wordmap::{WordEntry, WordMap};

@@ -45,18 +45,8 @@ impl RegisterValue {
     }
 }
 
-/// Configuration of a thread's local buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalBufferConfig {
-    /// Register slots ("static array" size in the paper).
-    pub register_slots: usize,
-}
-
-impl Default for LocalBufferConfig {
-    fn default() -> Self {
-        LocalBufferConfig { register_slots: 64 }
-    }
-}
+/// Register slots of a thread ("static array" size in the paper).
+const REGISTER_SLOTS: usize = 64;
 
 /// The register slots of one thread.
 #[derive(Debug, Clone)]
@@ -108,14 +98,16 @@ pub struct LocalBuffer {
     registers: RegisterBuffer,
 }
 
-impl LocalBuffer {
-    /// Create an empty local buffer.
-    pub fn new(config: LocalBufferConfig) -> Self {
+impl Default for LocalBuffer {
+    /// An empty local buffer of 64 register slots.
+    fn default() -> Self {
         LocalBuffer {
-            registers: RegisterBuffer::new(config.register_slots),
+            registers: RegisterBuffer::new(REGISTER_SLOTS),
         }
     }
+}
 
+impl LocalBuffer {
     /// The register slots (what a fork copies to the child).
     pub fn registers(&self) -> &RegisterBuffer {
         &self.registers
@@ -143,7 +135,9 @@ mod tests {
     use super::*;
 
     fn lb() -> LocalBuffer {
-        LocalBuffer::new(LocalBufferConfig { register_slots: 4 })
+        LocalBuffer {
+            registers: RegisterBuffer::new(4),
+        }
     }
 
     #[test]

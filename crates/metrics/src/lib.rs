@@ -15,9 +15,10 @@
 //! with [`MetricsConfig::enabled`] off (the default) every
 //! [`Registry::add`] / [`Registry::observe`] / [`Registry::gauge_add`]
 //! call is a single predictable branch — no atomics are touched, nothing
-//! about speculation behaviour or accounting may change (the
-//! `metrics_overhead` bench holds an enabled replay to the disabled
-//! one's cycles and report).  When enabled,
+//! about speculation behaviour or accounting may change
+//! (`tests/metrics.rs::enabling_metrics_moves_zero_virtual_cycles` holds
+//! an enabled replay to the disabled one's cycles and report).  When
+//! enabled,
 //! counters are **per-thread sharded cells**: each rank increments its
 //! own cache-line-aligned cell with a relaxed `fetch_add` and the shards
 //! are only summed on scrape, so the hot path never contends.
@@ -65,46 +66,27 @@ pub struct MetricsConfig {
     pub enabled: bool,
     /// Native sampler cadence in milliseconds.  `0` disables the
     /// background thread — the registry still counts and can be scraped
-    /// on demand (`Runtime::metrics_snapshot`).
+    /// on demand (`Runtime::metrics_snapshot`).  The simulator samples
+    /// off its virtual clock instead, every 50 000 cycles.
     pub sample_interval_ms: u64,
-    /// Simulator sampler cadence in **virtual cycles**.  The simulator
-    /// mirrors the sampler deterministically off the virtual clock:
-    /// sample ticks land at exact multiples of this cadence, so the
-    /// series is byte-identical across runs.
-    /// `0` keeps only the final end-of-run snapshot.
-    pub sim_cadence_cycles: u64,
-    /// Bound on the in-memory time series; the oldest samples are
-    /// dropped (and counted) once it fills.
-    pub series_capacity: usize,
 }
 
+/// Bound on a [`MetricsHub`]'s time series; the oldest samples are
+/// dropped (and counted) once it fills.
+const SERIES_CAPACITY: usize = 1024;
+
 impl MetricsConfig {
-    /// The standard enabled preset: 5 ms native cadence, 50 000
-    /// virtual-cycle simulator cadence, 1024-sample series.
+    /// The standard enabled preset: 5 ms native cadence.
     pub fn enabled() -> Self {
         MetricsConfig {
             enabled: true,
             sample_interval_ms: 5,
-            sim_cadence_cycles: 50_000,
-            series_capacity: 1024,
         }
     }
 
     /// Set the native sampler cadence (builder style).
     pub fn sample_interval_ms(mut self, ms: u64) -> Self {
         self.sample_interval_ms = ms;
-        self
-    }
-
-    /// Set the simulator virtual-cycle cadence (builder style).
-    pub fn sim_cadence_cycles(mut self, cycles: u64) -> Self {
-        self.sim_cadence_cycles = cycles;
-        self
-    }
-
-    /// Set the time-series capacity (builder style).
-    pub fn series_capacity(mut self, capacity: usize) -> Self {
-        self.series_capacity = capacity;
         self
     }
 }
@@ -460,9 +442,9 @@ impl Registry {
     }
 }
 
-/// Shared native-runtime metrics state: the registry plus the bounded
-/// time series the sampler thread appends to.  Constructed by the
-/// `ThreadManager`, shared with the `Runtime`'s sampler.
+/// Shared metrics state: the registry plus the bounded time series the
+/// sampler appends to.  Constructed by the `ThreadManager`, shared with
+/// the `Runtime`'s sampler thread; the simulator keeps one of its own.
 #[derive(Debug)]
 pub struct MetricsHub {
     config: MetricsConfig,
@@ -476,7 +458,7 @@ impl MetricsHub {
         MetricsHub {
             config,
             registry: Registry::new(config, ranks),
-            series: Mutex::new(MetricsSeries::new(config.series_capacity)),
+            series: Mutex::new(MetricsSeries::new(SERIES_CAPACITY)),
         }
     }
 

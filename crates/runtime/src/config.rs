@@ -2,7 +2,7 @@
 
 use crate::fork_model::ForkModel;
 use mutls_adaptive::{GovernorConfig, GrainControlConfig, PolicyKind};
-use mutls_membuf::{BufferConfig, CommitLogConfig, LocalBufferConfig};
+use mutls_membuf::{BufferConfig, CommitLogConfig};
 use mutls_metrics::MetricsConfig;
 use mutls_trace::TraceConfig;
 
@@ -16,8 +16,6 @@ pub struct RuntimeConfig {
     pub fork_model: ForkModel,
     /// Capacity of every speculative thread's global buffer.
     pub buffer: BufferConfig,
-    /// Capacity of every speculative thread's local buffer.
-    pub local_buffer: LocalBufferConfig,
     /// Probability in `[0, 1]` that a join is forced to roll back even when
     /// validation succeeds — the paper's §V-D rollback-*sensitivity*
     /// experiment.  At the default of zero every rollback is the result of
@@ -68,7 +66,6 @@ impl Default for RuntimeConfig {
             num_cpus: 4,
             fork_model: ForkModel::Mixed,
             buffer: BufferConfig::default(),
-            local_buffer: LocalBufferConfig::default(),
             rollback_probability: 0.0,
             seed: 0x05EE_DCA0,
             memory_bytes: 64 << 20,
@@ -268,7 +265,8 @@ mod tests {
             mutls_membuf::PAGE_GRAIN_LOG2,
             "regions start optimistically coarse"
         );
-        let custom = GrainControlConfig::adaptive_from_floor(mutls_membuf::LINE_GRAIN_LOG2);
+        let custom =
+            GrainControlConfig::adaptive().initial_grain_log2(mutls_membuf::LINE_GRAIN_LOG2);
         let c = RuntimeConfig::default().grain_control(custom);
         assert_eq!(c.grain_control, custom);
     }
@@ -279,8 +277,8 @@ mod tests {
         assert!(!c.trace.events, "event tracing defaults off");
         let c = c.trace_events();
         assert!(c.trace.events);
-        let c = RuntimeConfig::default().trace(TraceConfig::enabled().ring_capacity(64));
-        assert_eq!(c.trace.ring_capacity, 64);
+        let c = RuntimeConfig::default().trace(TraceConfig::enabled());
+        assert_eq!(c.trace, TraceConfig::enabled());
     }
 
     #[test]

@@ -219,7 +219,7 @@ impl SpecContext {
 
     /// Create the non-speculative (rank 0) context.
     pub(crate) fn non_speculative(mgr: Arc<ThreadManager>) -> Self {
-        let local = LocalBuffer::new(mgr.config().local_buffer);
+        let local = LocalBuffer::default();
         Self::new(mgr, 0, None, local)
     }
 
@@ -615,7 +615,7 @@ impl SpecContext {
             status: TaskStatus::Completed,
             buffers: ThreadBuffers {
                 global,
-                local: LocalBuffer::new(self.mgr.config().local_buffer),
+                local: LocalBuffer::default(),
             },
             children: Vec::new(),
             stats: std::mem::take(&mut self.stats),

@@ -82,8 +82,6 @@ pub enum Point {
     /// The write set was stamped into the commit log (version reservation
     /// plus stamping took this long).
     CommitStamped(u64),
-    /// The commit batch paid this many CAS retries.
-    CommitCasRetried(u64),
     /// A commit, a rollback, a buffered store or a regrain doomed running
     /// threads.
     Doomed {
@@ -118,8 +116,8 @@ pub enum Point {
         plan: PlanArm,
     },
     /// The thread was discarded without a join of its own — an ancestor
-    /// rolled back, or its region ended — and is counted under this cause.
-    Cascaded(SpecFailure),
+    /// rolled back, or its region ended.
+    Cascaded,
     /// The joiner (whose books these are) saw its child commit.
     JoinCommitted,
     /// The joiner saw its child roll back and re-executed it inline.
@@ -217,13 +215,6 @@ pub fn observe<B: Books>(
             books.latency().record(LatencyPhase::CommitLockWait, took);
             books.keep(at, rank, site, EventKind::CommitLockWait { ns: took });
         }
-        Point::CommitCasRetried(attempts) => {
-            // The sample is the retry count, not a duration.
-            books
-                .latency()
-                .record(LatencyPhase::CommitCasRetry, attempts);
-            books.keep(at, rank, site, EventKind::CommitCasRetry { attempts });
-        }
         Point::Doomed { source, victims } => {
             // A regrain's doom set is the control plane's, which keeps no
             // books on either clock: an event, no count.
@@ -260,8 +251,8 @@ pub fn observe<B: Books>(
             let reason = count_rollback(books.registry(), shard, reason);
             books.keep(at, rank, site, EventKind::Rollback { reason, plan });
         }
-        Point::Cascaded(blamed) => {
-            count_rollback(books.registry(), shard, blamed);
+        Point::Cascaded => {
+            count_rollback(books.registry(), shard, SpecFailure::Cascaded);
             let (reason, plan) = (RollbackCause::Other, PlanArm::None);
             books.keep(at, rank, site, EventKind::Rollback { reason, plan });
         }

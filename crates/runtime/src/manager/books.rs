@@ -78,7 +78,7 @@ impl ThreadManager {
             return;
         };
         let profiles = self.commit_log.region_profiles();
-        let points = protocol::grain_tick(&mut controller, &profiles, true, |action| {
+        let points = protocol::grain_tick(&mut controller, &profiles, |action| {
             let from = self.commit_log.grain_of_region(action.region);
             let (_, readers) = self
                 .commit_log
@@ -95,18 +95,17 @@ impl ThreadManager {
 
     /// The live grain the finished thread's traffic ran at, for per-site
     /// reporting: the static configured grain when the controller is
-    /// disabled, else the current grain of the thread's first written
-    /// (falling back to first read) region.
+    /// disabled, else the current grain at the thread's lowest written
+    /// (falling back to lowest read) address.
     pub fn observed_grain(&self, outcome: &SpecOutcome) -> u32 {
         if self.grain.is_none() {
             return self.commit_log.config().grain_log2;
         }
-        outcome
-            .buffers
-            .global
+        let global = &outcome.buffers.global;
+        global
             .write_addresses()
-            .next()
-            .or_else(|| outcome.buffers.global.read_addresses().next())
+            .min()
+            .or_else(|| global.read_addresses().min())
             .map(|addr| self.commit_log.grain_of(addr))
             .unwrap_or_else(|| self.commit_log.config().grain_log2)
     }
@@ -140,10 +139,8 @@ impl ThreadManager {
         self.commit_log
             .unregister_reader(outcome.buffers.global.read_addresses(), rank);
         let (site, model) = self.slots[rank - 1].launch_info();
-        let blamed = SpecFailure::Cascaded;
-        let counters = &mut outcome.stats.counters;
-        self.observe(rank, site, counters, Point::Cascaded(blamed));
-        self.close_books(rank, site, model, outcome, Err(blamed));
+        self.observe(rank, site, &mut outcome.stats.counters, Point::Cascaded);
+        self.close_books(rank, site, model, outcome, Err(SpecFailure::Cascaded));
         self.release_cpu(rank, 0);
     }
 
@@ -203,8 +200,6 @@ impl ThreadManager {
             site,
             model,
             fate: verdict.map(CommitKind::retried),
-            // Whatever it rolled back for: drift (c) of `protocol`.
-            false_sharing: stats.counters.false_sharing_suspects > 0,
             grain_log2: observed_grain,
         };
         let mut totals = self.accum.lock();

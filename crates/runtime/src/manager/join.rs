@@ -234,7 +234,7 @@ impl ThreadManager {
                 dead: Some(reason),
                 ..JoinFacts::default()
             };
-            protocol::join_verdict(facts, false)
+            protocol::join_verdict(facts)
         };
         let roll_back = |outcome: &mut SpecOutcome, verdict: JoinVerdict| {
             let (reason, plan) = verdict.rollback.expect("the verdict rolls back");
@@ -283,7 +283,6 @@ impl ThreadManager {
         // Dependence validation against the commit log (range grain,
         // classifying suspected false sharing), plus the parent write-set
         // overlay when the joiner is speculative.
-        let precise_before = outcome.buffers.global.stats().precise_passes;
         let log_verdict = outcome
             .buffers
             .global
@@ -341,10 +340,9 @@ impl ThreadManager {
                     suspected_false_sharing: true,
                 },
             retried,
-            // This join's validation only: drift (a) of `protocol`.
-            precise_pass: precise_total > precise_before,
+            precise_pass: precise_total > 0,
         };
-        let verdict = protocol::join_verdict(facts, false);
+        let verdict = protocol::join_verdict(facts);
         note(outcome, Point::PrecisePasses(precise_total));
         let validated = Point::Validated {
             outcome: verdict.outcome,
@@ -416,16 +414,9 @@ impl ThreadManager {
                 outcome.buffers.global.commit(mem);
                 if outcome.buffers.global.write_set_len() > 0 {
                     let stamp_started = Instant::now();
-                    let (_, attempts) = self
-                        .commit_log
-                        .record_counted(outcome.buffers.global.write_addresses());
+                    self.commit_log
+                        .record(outcome.buffers.global.write_addresses());
                     note(outcome, Point::CommitStamped(elapsed_ns(stamp_started)));
-                    // Contended batches surface their CAS-loop losses;
-                    // uncontended commits stay silent, so the sample count
-                    // doubles as a contention signal.
-                    if attempts > 0 {
-                        note(outcome, Point::CommitCasRetried(attempts));
-                    }
                     let victims =
                         self.doom_readers(outcome.buffers.global.write_addresses(), child);
                     let source = DoomSource::Commit;

@@ -72,7 +72,7 @@ impl ThreadBuffers {
     pub(super) fn new(config: &RuntimeConfig, rank: Rank) -> Self {
         ThreadBuffers {
             global: GlobalBuffer::for_reader(config.buffer, rank),
-            local: LocalBuffer::new(config.local_buffer),
+            local: LocalBuffer::default(),
         }
     }
 

@@ -9,16 +9,14 @@
 //! [`ledger::observe`](crate::ledger::observe) for what is written down.
 //! The caller owns *when* and *how* (acquiring a CPU, reading a buffer or a
 //! fiber's footprint, charging a phase, dooming a rank) and hands over
-//! values, never itself; nothing here reads a clock or shared state.
-//!
-//! Where the two callers disagree today the disagreement is an *argument*,
-//! named drift (a)–(g) here and in the README's "Observability", so that it
-//! can be collapsed with the number it moves.
+//! values, never itself; nothing here reads a clock or shared state.  What
+//! the two still do differently is *how* they gather a fact (README
+//! "Observability"), never what a fact decides.
 
 use std::ops::DerefMut;
 
 use mutls_adaptive::{ForkDecision, Governor, GrainAction, GrainController, SiteId, SiteOutcome};
-use mutls_membuf::{RegionProfile, RollbackReason, SpecFailure};
+use mutls_membuf::{RegionProfile, SpecFailure};
 use mutls_trace::{DenyPolicy, DoomSource, PlanArm, ValidateOutcome};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -86,10 +84,10 @@ pub fn admit_fork<Cpu>(
 /// What a join knows of the child it consumes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinFacts {
-    /// The thread was dead before the join validated anything: natively it
-    /// stopped `Failed`; in the replay something doomed it and no retry
-    /// repaired it, or the injected draw hit — taken *before* validation
-    /// there, after it natively (drift (g)).
+    /// The thread was dead before the join validated anything — it stopped
+    /// on a doom no retry repaired, or overflowed — or is discarded after a
+    /// validation that passed: the injected draw hit, or the parent could
+    /// not absorb it.
     pub dead: Option<SpecFailure>,
     /// Every read validated, possibly after a value-predict retry.
     pub valid: bool,
@@ -98,9 +96,8 @@ pub struct JoinFacts {
     pub suspect: bool,
     /// A value-predict retry repaired the validation.
     pub retried: bool,
-    /// Some read passed precisely, through the version rings.  Drift (a):
-    /// natively if this join's validation did, in the replay if the fiber
-    /// ever did.
+    /// Some read passed precisely, through the version rings, at the join
+    /// or in flight.
     pub precise_pass: bool,
 }
 
@@ -114,31 +111,20 @@ pub struct JoinVerdict {
 }
 
 /// D2, the verdict of a join (paper §IV-F, the README's recovery ladder).
-///
-/// Drift (b), `classify_dead_conflicts`: a thread that arrives dead of a
-/// conflict-class reason is `Failed` with no recovery arm natively
-/// (`false`: the ladder never ran), and classified like a conflict the
-/// join found itself in the replay (`true`).
-pub fn join_verdict(facts: JoinFacts, classify_dead_conflicts: bool) -> JoinVerdict {
-    // Only a read conflict has readers to doom, and can be a false one.
-    let conflict = |reason| {
-        let read = reason == SpecFailure::ReadConflict;
-        let (outcome, arm) = match (read, facts.suspect) {
-            (true, true) => (ValidateOutcome::ConservativeDoom, PlanArm::DoomSet),
-            (true, false) => (ValidateOutcome::Conflict, PlanArm::DoomSet),
-            (false, _) => (ValidateOutcome::Conflict, PlanArm::None),
-        };
-        (outcome, Some((reason, arm)))
-    };
+/// A thread that arrives dead is `Failed` with no recovery arm, whatever
+/// killed it: the ladder never ran.
+pub fn join_verdict(facts: JoinFacts) -> JoinVerdict {
     let (outcome, rollback) = match facts.dead {
-        Some(reason)
-            if classify_dead_conflicts
-                && RollbackReason::from(reason) == RollbackReason::Conflict =>
-        {
-            conflict(reason)
-        }
         Some(reason) => (ValidateOutcome::Failed, Some((reason, PlanArm::None))),
-        None if !facts.valid => conflict(SpecFailure::ReadConflict),
+        // A read conflict has readers to doom, and can be a false one.
+        None if !facts.valid => {
+            let outcome = if facts.suspect {
+                ValidateOutcome::ConservativeDoom
+            } else {
+                ValidateOutcome::Conflict
+            };
+            (outcome, Some((SpecFailure::ReadConflict, PlanArm::DoomSet)))
+        }
         None if facts.retried => (ValidateOutcome::Retried, None),
         None if facts.precise_pass => (ValidateOutcome::PrecisePass, None),
         None => (ValidateOutcome::Clean, None),
@@ -153,23 +139,19 @@ pub struct Retirement {
     pub site: SiteId,
     /// The model it was launched under.
     pub model: ForkModel,
-    /// `Ok(retried)` for a commit, the blamed failure for a rollback.
-    /// Drift (f): a cascaded discard is blamed on `Cascaded` natively, on
-    /// whatever doomed the fiber first in the replay.
+    /// `Ok(retried)` for a commit, the blamed failure for a rollback —
+    /// `Cascaded` for a discard without a join of its own.
     pub fate: Result<bool, SpecFailure>,
-    /// The rollback is suspected false sharing.  Drift (c): natively "the
-    /// thread ever counted a suspect", in the replay "a range-only read
-    /// conflict doomed it".
-    pub false_sharing: bool,
-    /// The live grain its traffic ran at.  Drift (d): at its first written
-    /// (else read) address in buffer order natively, at the lowest one in
-    /// the replay.
+    /// The live grain its traffic ran at, read at its lowest written (else
+    /// read) address.
     pub grain_log2: u32,
 }
 
 /// D3, retirement: a rolled-back thread's work becomes wasted work, the
-/// site profile hears the outcome, the run's totals take the statistics,
-/// and the caller gets the `Retired` point to write down.
+/// site profile hears the outcome — a rollback of a thread that ever
+/// counted a false-sharing suspect as suspected false sharing — the run's
+/// totals take the statistics, and the caller gets the `Retired` point to
+/// write down.
 pub fn retire(
     stats: &mut ThreadStats,
     thread: Retirement,
@@ -187,7 +169,8 @@ pub fn retire(
             stats.mark_work_wasted();
             let wasted = stats.get(Phase::WastedWork);
             let rolled_back = SiteOutcome::rolled_back(reason, wasted, stall, thread.model);
-            (rolled_back.with_false_sharing(thread.false_sharing), wasted)
+            let false_sharing = stats.counters.false_sharing_suspects > 0;
+            (rolled_back.with_false_sharing(false_sharing), wasted)
         }
     };
     governor.record_outcome(thread.site, &outcome.with_grain(thread.grain_log2));
@@ -209,17 +192,16 @@ pub fn grain_tick_due(events: u64, tick_commits: u64) -> bool {
 /// region and dooms its readers the caller's way, returning the region's
 /// previous grain and the number doomed; returned is what the control
 /// plane's lane hears, in order: per action `Regrained` then `Doomed`, and
-/// `GrainTicked` last.
-///
-/// Drift (e), `report_idle`: a tick that issued nothing is reported
-/// natively (`true`) and silent in the replay (`false`).
+/// `GrainTicked` last — nothing at all for a tick that issued nothing.
 pub fn grain_tick(
     controller: &mut GrainController,
     profiles: &[RegionProfile],
-    report_idle: bool,
     mut apply: impl FnMut(GrainAction) -> (u32, u64),
 ) -> Vec<Point> {
     let actions = controller.tick(profiles);
+    if actions.is_empty() {
+        return Vec::new();
+    }
     let mut points = Vec::with_capacity(2 * actions.len() + 1);
     for &action in &actions {
         let (region, to) = (action.region, action.new_grain_log2);
@@ -228,15 +210,14 @@ pub fn grain_tick(
         let source = DoomSource::Regrain;
         points.push(Point::Doomed { source, victims });
     }
-    if report_idle || !actions.is_empty() {
-        points.push(Point::GrainTicked(actions.len() as u32));
-    }
+    points.push(Point::GrainTicked(actions.len() as u32));
     points
 }
 
-/// D5, the injected draw (paper §V-D): whether an otherwise valid join is
-/// rolled back by injection — never at `p = 0`, always at `p = 1`, and only
-/// in between is `rng` asked for, and drawn from.
+/// D5, the injected draw (paper §V-D): whether a join whose validation
+/// passed is rolled back by injection all the same — never at `p = 0`,
+/// always at `p = 1`, and only in between is `rng` asked for, and drawn
+/// from.  The caller draws only after a passing verdict.
 pub fn injected_draw<R: DerefMut<Target = SmallRng>>(p: f64, rng: impl FnOnce() -> R) -> bool {
     if p <= 0.0 {
         false
@@ -253,7 +234,7 @@ mod tests {
     use crate::config::RuntimeConfig;
     use crate::manager::ThreadManager;
     use mutls_adaptive::{GovernorConfig, GrainControlConfig, PolicyKind};
-    use mutls_membuf::{PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
+    use mutls_membuf::{RollbackReason, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
     use rand::SeedableRng;
     use ForkModel::{InOrder, Mixed, OutOfOrder};
 
@@ -389,11 +370,9 @@ mod tests {
         assert_eq!(governor.snapshot()[0].throttled, 1);
     }
 
-    /// D2 over every combination of facts, at both settings of drift (b)
-    /// and both values of drift (a)'s `precise_pass`.  A row is the death,
-    /// a pattern over (valid, suspect, retried, precise pass, classify dead
-    /// conflicts) with `None` for "either", and the verdict; exactly one
-    /// row matches each combination.
+    /// D2 over every combination of facts.  A row is the death, a pattern
+    /// over (valid, suspect, retried, precise pass) with `None` for
+    /// "either", and the verdict; exactly one row matches each combination.
     #[test]
     fn the_join_verdict_enumerated() {
         use PlanArm::{DoomSet, None as NoArm};
@@ -402,42 +381,26 @@ mod tests {
         type Rollback = Option<(SpecFailure, PlanArm)>;
         type Row = (
             Option<SpecFailure>,
-            [Option<bool>; 5],
+            [Option<bool>; 4],
             ValidateOutcome,
             Rollback,
         );
         let (t, f, x) = (Some(true), Some(false), None);
         let doom_set = Some((ReadConflict, DoomSet));
-        let local = LocalValidationFailed;
         let mut rows: Vec<Row> = vec![
             // Alive and valid: how it validated.  (A retry starts from a
             // suspect conflict, so `suspect` may be set.)
-            (None, [t, x, t, x, x], Retried, None),
-            (None, [t, x, f, t, x], PrecisePass, None),
-            (None, [t, x, f, f, x], Clean, None),
+            (None, [t, x, t, x], Retried, None),
+            (None, [t, x, f, t], PrecisePass, None),
+            (None, [t, x, f, f], Clean, None),
             // Alive and invalid: the ladder's second rung.
-            (None, [f, t, x, x, x], ConservativeDoom, doom_set),
-            (None, [f, f, x, x, x], Conflict, doom_set),
-            // Dead of a read conflict: drift (b).
-            (
-                Some(ReadConflict),
-                [x, x, x, x, f],
-                Failed,
-                Some((ReadConflict, NoArm)),
-            ),
-            (
-                Some(ReadConflict),
-                [x, t, x, x, t],
-                ConservativeDoom,
-                doom_set,
-            ),
-            (Some(ReadConflict), [x, f, x, x, t], Conflict, doom_set),
-            // The other conflict-class reason has no readers to doom.
-            (Some(local), [x, x, x, x, f], Failed, Some((local, NoArm))),
-            (Some(local), [x, x, x, x, t], Conflict, Some((local, NoArm))),
+            (None, [f, t, x, x], ConservativeDoom, doom_set),
+            (None, [f, f, x, x], Conflict, doom_set),
         ];
-        // Dead of anything else: discarded unvalidated, whoever asks.
-        let others = [
+        // Dead of anything, a conflict included: discarded unvalidated.
+        let deaths = [
+            ReadConflict,
+            LocalValidationFailed,
             BufferOverflow,
             LocalBufferOverflow,
             UnregisteredAddress,
@@ -445,12 +408,11 @@ mod tests {
             Cascaded,
             NoSync,
         ];
-        rows.extend(others.map(|reason| (Some(reason), [x; 5], Failed, Some((reason, NoArm)))));
-        let deaths = [None, Some(ReadConflict), Some(local)];
-        for dead in deaths.into_iter().chain(others.map(Some)) {
-            for bits in 0..32u32 {
-                let given = [0, 1, 2, 3, 4].map(|bit| bits >> bit & 1 == 1);
-                let [valid, suspect, retried, precise_pass, classify] = given;
+        rows.extend(deaths.map(|reason| (Some(reason), [x; 4], Failed, Some((reason, NoArm)))));
+        for dead in std::iter::once(None).chain(deaths.map(Some)) {
+            for bits in 0..16u32 {
+                let given = [0, 1, 2, 3].map(|bit| bits >> bit & 1 == 1);
+                let [valid, suspect, retried, precise_pass] = given;
                 let facts = JoinFacts {
                     dead,
                     valid,
@@ -464,15 +426,15 @@ mod tests {
                 });
                 let &(.., outcome, rollback) = matching.next().expect("a row for every case");
                 assert!(matching.next().is_none(), "two rows for {facts:?}");
-                let verdict = join_verdict(facts, classify);
                 let expected = JoinVerdict { outcome, rollback };
-                assert_eq!(verdict, expected, "{facts:?}, classify {classify}");
+                assert_eq!(join_verdict(facts), expected, "{facts:?}");
             }
         }
     }
 
-    /// D3: committed / rolled back × false sharing × retried — what a
-    /// recording governor, the totals and the `Retired` point are handed.
+    /// D3: committed / rolled back × a false-sharing suspect counted ×
+    /// retried — what a recording governor, the totals and the `Retired`
+    /// point are handed.
     #[test]
     fn retirement_tells_the_site_the_totals_and_the_ledger() {
         for (committed, flag) in BOTH.iter().flat_map(|&c| BOTH.map(|f| (c, f))) {
@@ -482,12 +444,12 @@ mod tests {
             stats.add(Phase::Work, 70);
             stats.add(Phase::Idle, 20);
             stats.add(Phase::Validation, 10);
+            stats.counters.false_sharing_suspects = u64::from(flag);
             let conflict = SpecFailure::ReadConflict;
             let thread = Retirement {
                 site: 9,
                 model: InOrder,
                 fate: if committed { Ok(flag) } else { Err(conflict) },
-                false_sharing: flag,
                 grain_log2: 6,
             };
             let point = retire(&mut stats, thread, &governor, &mut totals);
@@ -525,7 +487,7 @@ mod tests {
     }
 
     /// D4: the cadence, and what the control plane's lane hears of a tick
-    /// that regrains and of one that does not — drift (e) either way.
+    /// that regrains and of one that does not.
     #[test]
     fn the_grain_tick_reports_each_regrain_then_itself() {
         assert!((1..=12).all(|n| grain_tick_due(n, 4) == (n % 4 == 0)));
@@ -545,7 +507,7 @@ mod tests {
         let profiles = [region(2, 3), region(5, 0)];
         let mut controller = GrainController::new(GrainControlConfig::adaptive(), WORD_GRAIN_LOG2);
         let mut applied = Vec::new();
-        let points = grain_tick(&mut controller, &profiles, false, |action| {
+        let points = grain_tick(&mut controller, &profiles, |action| {
             applied.push(action.region);
             (PAGE_GRAIN_LOG2, 4)
         });
@@ -562,11 +524,9 @@ mod tests {
         assert!(from == PAGE_GRAIN_LOG2 && to < from);
         assert_eq!(doomed, Point::Doomed { source, victims });
 
-        // Nothing moved since: an idle tick.
+        // Nothing moved since: an idle tick, which nobody hears.
         let no_apply = |_| -> (u32, u64) { panic!("nothing to apply") };
-        assert_eq!(grain_tick(&mut controller, &profiles, false, no_apply), []);
-        let idle = grain_tick(&mut controller, &profiles, true, no_apply);
-        assert_eq!(idle, [Point::GrainTicked(0)]);
+        assert_eq!(grain_tick(&mut controller, &profiles, no_apply), []);
     }
 
     /// D5: the extremes never ask for the generator; in between the draw is

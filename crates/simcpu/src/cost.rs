@@ -39,11 +39,6 @@ pub struct CostModel {
     pub validate_log_lookup: u64,
     /// Cycles per write-set word during commit.
     pub commit_per_word: u64,
-    /// Cycles per **CAS retry** on the commit path: one failed
-    /// `compare_exchange` (cache-line bounce plus the re-read).  Charged
-    /// per same-shard contender of the committing batch, so disjoint
-    /// committers pay nothing.
-    pub cas_retry: u64,
     /// Cycles per buffered word during finalization (buffer clearing).
     pub finalize_per_word: u64,
     /// Cycles a speculative thread needs from creation until it starts
@@ -88,7 +83,6 @@ impl Default for CostModel {
             validate_per_word: 4,
             validate_log_lookup: 2,
             commit_per_word: 4,
-            cas_retry: 8,
             finalize_per_word: 1,
             spawn_latency: 300,
             retry_per_word: 3,
@@ -127,13 +121,6 @@ impl CostModel {
     /// Commit cost for a write-set of `words` entries.
     pub fn commit_cycles(&self, words: u64) -> u64 {
         words * self.commit_per_word
-    }
-
-    /// Commit-path contention cost for a batch racing `retries`
-    /// same-slot/same-region contenders (0 retries — the disjoint-range
-    /// common case — is free).
-    pub fn cas_retry_cycles(&self, retries: u64) -> u64 {
-        retries * self.cas_retry
     }
 
     /// Finalization cost for `words` buffered entries.
@@ -208,13 +195,6 @@ mod tests {
         );
         // Word grain is the degenerate case.
         assert_eq!(c.validation_cycles(64), c.validation_cycles_grained(64, 64));
-    }
-
-    #[test]
-    fn cas_retries_scale_with_contenders() {
-        let c = CostModel::default();
-        assert_eq!(c.cas_retry_cycles(0), 0, "disjoint committers are free");
-        assert_eq!(c.cas_retry_cycles(5), 5 * c.cas_retry);
     }
 
     #[test]

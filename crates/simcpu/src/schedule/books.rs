@@ -22,11 +22,10 @@ impl<'a> Scheduler<'a> {
     /// Append one snapshot stamped at the largest cadence boundary not
     /// past `now`, and re-arm the next tick.
     pub(super) fn sample_metrics(&mut self, now: u64) {
-        let cadence = self.config.metrics.sim_cadence_cycles.max(1);
-        let ts = now - now % cadence;
+        let ts = now - now % METRICS_CADENCE_CYCLES;
         let snapshot = self.scrape_metrics(ts);
-        self.metrics_series.push(snapshot);
-        self.next_metrics_tick = ts + cadence;
+        self.books.metrics.push(snapshot);
+        self.next_metrics_tick = ts + METRICS_CADENCE_CYCLES;
     }
 
     /// One [`MetricsSnapshot`] at virtual timestamp `ts`, through the
@@ -50,7 +49,8 @@ impl<'a> Scheduler<'a> {
             stamp_writes: self.sim_stamps,
             // A wall-clock quantity.
             lock_ns: 0,
-            cas_retries: self.sim_cas_retries,
+            // One committer at a time: nothing to retry against.
+            cas_retries: 0,
             regrains: self.sim_regrains,
             // The simulator models reader tracking abstractly and never
             // spills past the bitmask window.

@@ -49,8 +49,7 @@ pub struct SimConfig {
     /// phase-latency histograms behind `RunReport.latency` are always on.
     pub trace: bool,
     /// The live telemetry plane, mirrored deterministically: samples are
-    /// taken off the **virtual clock** every
-    /// [`MetricsConfig::sim_cadence_cycles`] cycles (the wall-clock
+    /// taken off the **virtual clock** every 50 000 cycles (the wall-clock
     /// interval is ignored), so the series in [`SimResult::metrics`] is
     /// byte-identical across runs.
     pub metrics: MetricsConfig,
@@ -125,8 +124,7 @@ impl SimConfig {
     }
 
     /// Set the metrics-plane configuration (builder style).  The
-    /// simulator samples off the virtual clock
-    /// ([`MetricsConfig::sim_cadence_cycles`]); the wall-clock interval
+    /// simulator samples off the virtual clock; the wall-clock interval
     /// is ignored.
     pub fn metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = metrics;

@@ -27,8 +27,7 @@
 //! So a segment costs O(reads + writes) and a publish O(writes +
 //! registered readers of the stamped ranges), whatever the simulated CPU
 //! count and however many fibers the run has spawned; the per-event
-//! walks that remain (fossil horizon, commit contention, a regrain's
-//! doom set) go over the live speculative fibers, at most one per CPU.
+//! walks that remain (fossil horizon, a regrain's doom set) go over the live speculative fibers, at most one per CPU.
 //! Fossil collection prunes index entries no in-flight or future reader
 //! can count.  Under `cfg(test)` the log scan all of this replaced is
 //! kept as the reference (`mod reference`) and every verdict is computed

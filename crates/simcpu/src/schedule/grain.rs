@@ -77,7 +77,7 @@ impl<'a> Scheduler<'a> {
         let slots_per_region = 1u64 << (self.region_log2 - floor);
         let mut cost = 0;
         let mut doomed = 0u64;
-        let points = protocol::grain_tick(&mut controller, &profiles, false, |action| {
+        let points = protocol::grain_tick(&mut controller, &profiles, |action| {
             let from = self.grain_of_region(action.region);
             self.grains.insert(action.region, action.new_grain_log2);
             self.sim_regrains += 1;

@@ -38,38 +38,27 @@ impl<'a> Scheduler<'a> {
         now += validation;
 
         let mut retry = None;
-        let injected = protocol::injected_draw(self.config.rollback_probability, || &mut self.rng);
-        let verdict: Result<(), SpecFailure> = if let Some(reason) = self.fibers[cf].doomed {
-            // Recovery rung 1 — value-predict retry: a range-only
-            // (false-sharing) conflict means every word the fiber read
-            // still holds its first-read value, so a value re-validation
-            // pass repairs the join in place, no re-execution.
-            if reason == SpecFailure::ReadConflict
-                && self.fibers[cf].doomed_false_sharing
-                && !injected
-            {
-                let cycles = cost.retry_cycles(read_words);
-                self.fibers[cf].stats.add(Phase::Validation, cycles);
-                self.fibers[fid].stats.add(Phase::Idle, cycles);
-                now += cycles;
-                retry = Some(cycles);
-                self.fibers[cf].retried = true;
-                self.fibers[cf].doomed = None;
-                self.fibers[cf].doomed_false_sharing = false;
-                // Grain-control telemetry: a retry is a conflict the
-                // current grain made cheap — split evidence.
-                if let Some(region) = self.fibers[cf].conflict_region.take() {
-                    self.region_telemetry.entry(region).or_default()[3] += 1;
-                }
-                Ok(())
-            } else {
-                Err(reason)
+        // Recovery rung 1 — value-predict retry: a range-only
+        // (false-sharing) conflict means every word the fiber read still
+        // holds its first-read value, so a value re-validation pass
+        // repairs the join in place, no re-execution.
+        if self.fibers[cf].doomed == Some(SpecFailure::ReadConflict)
+            && self.fibers[cf].doomed_false_sharing
+        {
+            let cycles = cost.retry_cycles(read_words);
+            self.fibers[cf].stats.add(Phase::Validation, cycles);
+            self.fibers[fid].stats.add(Phase::Idle, cycles);
+            now += cycles;
+            retry = Some(cycles);
+            self.fibers[cf].retried = true;
+            self.fibers[cf].doomed = None;
+            self.fibers[cf].doomed_false_sharing = false;
+            // Grain-control telemetry: a retry is a conflict the current
+            // grain made cheap — split evidence.
+            if let Some(region) = self.fibers[cf].conflict_region.take() {
+                self.region_telemetry.entry(region).or_default()[3] += 1;
             }
-        } else if injected {
-            Err(SpecFailure::Injected)
-        } else {
-            Ok(())
-        };
+        }
 
         // Price the version-ring probes the fiber survived on in flight —
         // deterministic (the count is already in the fiber's stats), and
@@ -82,69 +71,47 @@ impl<'a> Scheduler<'a> {
             now += cycles;
             self.observe(now, child, cf, Point::RingProbesPriced(cycles));
         }
+        let doomed = self.fibers[cf].doomed;
         let facts = JoinFacts {
-            // Whatever doomed the fiber and was not repaired, or the draw.
-            dead: verdict.err(),
-            valid: verdict.is_ok(),
+            // Whatever doomed the fiber and was not repaired.
+            dead: doomed,
+            valid: doomed.is_none(),
             // Every word the fiber read still held its first-read value —
             // the doom is grain (or ring-overflow) induced conservatism,
             // not a proven dependence violation.
             suspect: self.fibers[cf].doomed_false_sharing,
             retried: self.fibers[cf].retried,
-            // Whenever in its flight: drift (a) of `protocol`.
             precise_pass: precise > 0,
         };
-        let JoinVerdict { outcome, rollback } = protocol::join_verdict(facts, true);
+        let JoinVerdict {
+            outcome,
+            mut rollback,
+        } = protocol::join_verdict(facts);
         let validated = Point::Validated {
             outcome,
             took: validation,
             retry,
         };
         self.observe(now, child, cf, validated);
+        // Injected rollback — drawn after a validation that passed, as in
+        // the paper's §V-D sensitivity experiment.
+        if rollback.is_none()
+            && protocol::injected_draw(self.config.rollback_probability, || &mut self.rng)
+        {
+            let injected = JoinFacts {
+                dead: Some(SpecFailure::Injected),
+                ..JoinFacts::default()
+            };
+            rollback = protocol::join_verdict(injected).rollback;
+        }
 
         let finalize = cost.finalize_cycles(read_words + write_words);
         let mut blocked = false;
         match rollback {
             None => {
-                // Publishing to main memory pays the commit log's
-                // contention term, one CAS retry per contender; absorbing
-                // into a speculative parent records nothing in the log
-                // and pays nothing.
-                let shard_mask = (self.config.commit_log.shards as u64) - 1;
-                let cas_attempts = if self.fibers[fid].speculative {
-                    0
-                } else {
-                    // Shards stripe *regions* (grain-independent), as in
-                    // the native log.
-                    let shard_of = |w: &Addr| (w >> self.region_log2) & shard_mask;
-                    let mut shards: Vec<u64> =
-                        self.fibers[cf].writes.iter().map(shard_of).collect();
-                    shards.sort_unstable();
-                    shards.dedup();
-                    // Deterministic contention model: every *other*
-                    // unfinished speculative fiber whose buffered writes
-                    // map into a touched shard is one potential
-                    // same-shard contender, costing this batch one CAS
-                    // retry.  Disjoint-shard committers stay free — the
-                    // whole point of the CAS-published slots.
-                    let contenders = self
-                        .live
-                        .iter()
-                        .chain(&self.cancelled_in_flight)
-                        .map(|&i| &self.fibers[i])
-                        .filter(|f| f.finished.is_none())
-                        .filter(|f| f.writes.iter().any(|w| shards.contains(&shard_of(w))))
-                        .count() as u64;
-                    #[cfg(test)]
-                    assert_eq!(contenders, self.contenders_by_scan(cf, fid, &shards));
-                    contenders
-                };
-                if cas_attempts > 0 {
-                    self.sim_cas_retries += cas_attempts;
-                    let attempts = cas_attempts;
-                    self.observe(now, child, cf, Point::CommitCasRetried(attempts));
-                }
-                let commit = cost.commit_cycles(write_words) + cost.cas_retry_cycles(cas_attempts);
+                // The log has one committer at a time (its `stamp.rs`
+                // header), so a publish pays no contention.
+                let commit = cost.commit_cycles(write_words);
                 self.fibers[cf].stats.add(Phase::Commit, commit);
                 self.fibers[cf].stats.add(Phase::Finalize, finalize);
                 self.fibers[fid].stats.add(Phase::Idle, commit + finalize);
@@ -183,7 +150,7 @@ impl<'a> Scheduler<'a> {
                         // joiner takes over that join.
                         if self.fibers[gc].finished.is_some() {
                             self.fibers[fid].time = now;
-                            self.retire_fiber(cf, true);
+                            self.retire_fiber(cf, Ok(self.fibers[cf].retried));
                             return self.process_join(fid, gc);
                         }
                         self.fibers[fid].blocked_since = now;
@@ -192,11 +159,9 @@ impl<'a> Scheduler<'a> {
                         blocked = true;
                     }
                 }
-                self.retire_fiber(cf, true);
+                self.retire_fiber(cf, Ok(self.fibers[cf].retried));
             }
             Some((reason, plan)) => {
-                // Remember why, for the governor's per-site profile.
-                let _ = self.fibers[cf].doomed.get_or_insert(reason);
                 if reason == SpecFailure::ReadConflict {
                     // Grain-control telemetry: attribute the squash to the
                     // conflicting region (false-sharing flagged so the
@@ -233,7 +198,7 @@ impl<'a> Scheduler<'a> {
                 if let Some(gc) = self.fibers[cf].pending_join.take() {
                     self.cancel_subtree(gc, now);
                 }
-                self.retire_fiber(cf, false);
+                self.retire_fiber(cf, Err(reason));
                 // The parent re-executes the child's region inline from the
                 // beginning.
                 let child_node = self.fibers[cf].frames[0].node;
@@ -266,13 +231,13 @@ impl<'a> Scheduler<'a> {
         if let Some(gc) = self.fibers[fid].pending_join.take() {
             self.cancel_subtree(gc, now);
         }
-        // Counted under what doomed it, if anything had.
-        let blamed = self.fibers[fid].doomed.unwrap_or(SpecFailure::Cascaded);
-        self.observe(now, self.lane_of(fid), fid, Point::Cascaded(blamed));
-        self.retire_fiber(fid, false);
+        self.observe(now, self.lane_of(fid), fid, Point::Cascaded);
+        self.retire_fiber(fid, Err(SpecFailure::Cascaded));
     }
 
-    fn retire_fiber(&mut self, cf: usize, committed: bool) {
+    /// Close fiber `cf`'s books with `fate` (see `protocol::Retirement`)
+    /// and free its CPU.
+    fn retire_fiber(&mut self, cf: usize, fate: Result<bool, SpecFailure>) {
         if self.fibers[cf].retired {
             return;
         }
@@ -281,45 +246,33 @@ impl<'a> Scheduler<'a> {
         debug_assert!(self.fibers[cf].speculative, "the root never retires");
         let fiber = &self.fibers[cf];
         // Live grain of the fiber's traffic for the per-site grain column,
-        // taken at its lowest written — else read — address.
+        // taken at its lowest written — else read — address (the sets
+        // ascend).
         let observed_grain = fiber
             .writes
             .first()
             .or(fiber.reads.first())
             .map(|&a| self.grain_at(a))
             .unwrap_or(self.config.commit_log.grain_log2);
-        // Blamed on what doomed it, if anything had: drift (f) of `protocol`.
-        let blamed = fiber.doomed.unwrap_or(SpecFailure::Cascaded);
         let thread = Retirement {
             site: fiber.site,
             model: fiber.model,
-            fate: if committed {
-                Ok(fiber.retried)
-            } else {
-                Err(blamed)
-            },
-            // By the doom's own classification: drift (c).
-            false_sharing: blamed == SpecFailure::ReadConflict && fiber.doomed_false_sharing,
+            fate,
             grain_log2: observed_grain,
         };
         let stats = &mut self.fibers[cf].stats;
         let retired = protocol::retire(stats, thread, &self.governor, &mut self.totals);
         self.observe(self.fibers[cf].time, self.lane_of(cf), cf, retired);
         // Leave the reader registry and release the footprint: nothing
-        // looks at a retired fiber's sets — except the contention model at
-        // the writes of one cancelled in flight.
+        // looks at a retired fiber's sets.
         let fiber = &mut self.fibers[cf];
         fiber.reads = Vec::new();
+        fiber.writes = Vec::new();
         let registered = std::mem::take(&mut fiber.read_ranges)
             .into_iter()
             .chain(std::mem::take(&mut fiber.regrained_ranges));
         for range in registered {
             self.log.unregister(range, cf);
-        }
-        if fiber.finished.is_some() {
-            fiber.writes = Vec::new();
-        } else if fiber.speculative {
-            self.cancelled_in_flight.push(cf);
         }
         let cpu = fiber.cpu;
         self.release_cpu(cpu);

@@ -43,7 +43,7 @@ use mutls_adaptive::{Governor, GovernorConfig, GrainControlConfig, GrainControll
 use mutls_membuf::{
     region_log2_for_grain, Addr, CommitLogConfig, CommitLogStats, RegionProfile, SpecFailure,
 };
-use mutls_metrics::{MetricsConfig, MetricsSeries, MetricsSnapshot, Registry};
+use mutls_metrics::{MetricsConfig, MetricsHub, MetricsSeries, MetricsSnapshot, Registry};
 use mutls_runtime::ledger::{self, Books, Point};
 use mutls_runtime::protocol::{self, Forker, JoinFacts, JoinVerdict, Retirement};
 use mutls_runtime::{
@@ -72,6 +72,11 @@ use conflict::merge_sorted;
 
 /// Pops between fossil collections of the simulated log.
 const FOSSIL_SWEEP_POPS: u64 = 64;
+
+/// Virtual cycles between metrics samples: the sampler's cadence off the
+/// virtual clock, so sample ticks land at exact multiples of it and the
+/// series is byte-identical across runs.
+const METRICS_CADENCE_CYCLES: u64 = 50_000;
 
 /// What was published under a finished speculative segment's reads while
 /// it executed.
@@ -242,15 +247,16 @@ struct SimBooks {
     events: Option<Vec<TraceEvent>>,
     /// Always-on phase-latency histograms (virtual cycles as "ns").
     latency: LatencyRecorder,
-    /// Disabled (the default) every push is one always-false branch.
-    registry: Registry,
+    /// The registry and its sample series.  Disabled (the default) every
+    /// push is one always-false branch.
+    metrics: MetricsHub,
 }
 
 impl Books for SimBooks {
     type At = (u64, u64);
 
     fn registry(&self) -> &Registry {
-        &self.registry
+        self.metrics.registry()
     }
 
     fn latency(&self) -> &LatencyRecorder {
@@ -278,11 +284,6 @@ pub struct Scheduler<'a> {
     /// The speculative fibers not yet retired, in spawn order — at most
     /// one per virtual CPU, however many fibers the run has spawned.
     live: Vec<usize>,
-    /// Speculative fibers cancelled by a cascading rollback before they
-    /// stopped.  They never finish, and the commit contention model has
-    /// always counted every unfinished speculative fiber — so they stay
-    /// potential contenders, with their buffered writes, to the end.
-    cancelled_in_flight: Vec<usize>,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     queue_seq: u64,
     cpu_free: Vec<bool>,
@@ -328,8 +329,6 @@ pub struct Scheduler<'a> {
     sim_commits: u64,
     sim_stamps: u64,
     sim_regrains: u64,
-    /// Modeled CAS retries paid by commits.
-    sim_cas_retries: u64,
     /// Modeled version-ring overflows: range conflicts classified
     /// conservatively because more publishes hit the range than the ring
     /// holds (always zero at depth 1, which never probes).
@@ -338,8 +337,6 @@ pub struct Scheduler<'a> {
     books: SimBooks,
     /// Events popped so far (the fossil-collection clock).
     pop_count: u64,
-    /// The deterministic snapshot series (virtual-clock cadence).
-    metrics_series: MetricsSeries,
     /// Next virtual-cycle boundary a sample is due at.
     next_metrics_tick: u64,
 }
@@ -372,7 +369,6 @@ impl<'a> Scheduler<'a> {
             recording,
             fibers: Vec::new(),
             live: Vec::new(),
-            cancelled_in_flight: Vec::new(),
             queue: BinaryHeap::new(),
             queue_seq: 0,
             cpu_free: vec![true; num_cpus],
@@ -393,16 +389,14 @@ impl<'a> Scheduler<'a> {
             sim_commits: 0,
             sim_stamps: 0,
             sim_regrains: 0,
-            sim_cas_retries: 0,
             sim_ring_overflows: 0,
             books: SimBooks {
                 events: config.trace.then(Vec::new),
                 latency: LatencyRecorder::new(),
-                registry: Registry::new(config.metrics, 1),
+                metrics: MetricsHub::new(config.metrics, 1),
             },
             pop_count: 0,
-            metrics_series: MetricsSeries::new(config.metrics.series_capacity),
-            next_metrics_tick: config.metrics.sim_cadence_cycles.max(1),
+            next_metrics_tick: METRICS_CADENCE_CYCLES,
             config,
         }
     }
@@ -427,7 +421,7 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Build the [`SimResult`] after the event loop has drained.
-    fn finish(mut self) -> SimResult {
+    fn finish(self) -> SimResult {
         let runtime = {
             let root_fiber = &self.fibers[0];
             root_fiber.finished.unwrap_or(root_fiber.time)
@@ -436,7 +430,7 @@ impl<'a> Scheduler<'a> {
         // never crossed a cadence boundary still export a snapshot.
         if self.config.metrics.enabled {
             let snapshot = self.scrape_metrics(runtime);
-            self.metrics_series.push(snapshot);
+            self.books.metrics.push(snapshot);
         }
         let report = RunReport {
             critical: self.fibers[0].stats.clone(),
@@ -457,7 +451,7 @@ impl<'a> Scheduler<'a> {
             parallel_cycles: runtime,
             tasks: self.recording.task_count(),
             events: self.books.events.unwrap_or_default(),
-            metrics: self.metrics_series,
+            metrics: self.books.metrics.series(),
         }
     }
 }

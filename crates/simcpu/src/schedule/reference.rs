@@ -132,18 +132,4 @@ impl Scheduler<'_> {
         }
         verdicts
     }
-
-    pub(super) fn contenders_by_scan(&self, cf: usize, fid: usize, shards: &[u64]) -> u64 {
-        let shard_mask = (self.config.commit_log.shards as u64) - 1;
-        self.fibers
-            .iter()
-            .enumerate()
-            .filter(|&(i, f)| i != cf && i != fid && f.speculative && f.finished.is_none())
-            .filter(|(_, f)| {
-                f.writes
-                    .iter()
-                    .any(|w| shards.contains(&((w >> self.region_log2) & shard_mask)))
-            })
-            .count() as u64
-    }
 }

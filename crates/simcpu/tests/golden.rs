@@ -1,14 +1,22 @@
 //! Golden virtual results.
 //!
 //! The simulator's host-side data structures may change; the simulated
-//! machine may not.  Every row below was computed at the commit *before*
-//! the publish log became an index (PR 16) and is hard-coded: sequential
-//! cycles, parallel cycles and an FNV-1a digest of the serialized
-//! `RunReport` (every counter, phase breakdown, histogram and per-site
-//! row).  md is the benchmark's `sim_replay` recording; the small
-//! recordings take the paths md does not — genuine conflicts, range-only
-//! hits that precise-pass or overflow the ring, value-predict retries,
-//! regrains, cascading rollbacks.
+//! machine may not.  Every row below is hard-coded: sequential cycles,
+//! parallel cycles and an FNV-1a digest of the serialized `RunReport`
+//! (every counter, phase breakdown, histogram and per-site row).  md is
+//! the benchmark's `sim_replay` recording; the small recordings take the
+//! paths md does not — genuine conflicts, range-only hits that
+//! precise-pass or overflow the ring, value-predict retries, regrains,
+//! cascading rollbacks, injected rollbacks under either governor.
+//!
+//! The cycles were computed at the commit *before* the publish log became
+//! an index (PR 16) and re-pinned once, in PR 25, when the replay stopped
+//! charging commit-time CAS contention a single-committer log cannot have:
+//! only the `hist50/*` rows moved, each by 8 cycles per CAS retry it used
+//! to pay on the critical path.  The digests were re-pinned with them —
+//! the latency report lost its `commit-cas-retry` phase, and a thread dead
+//! before its join and a cascaded discard are now classified as the
+//! native runtime classifies them.
 //!
 //! `OBSERVED_GOLDEN` pins what the observers see of the same machine: the
 //! serialized event stream and the final metrics snapshot of a traced,
@@ -16,7 +24,7 @@
 
 use std::sync::Arc;
 
-use mutls_adaptive::GrainControlConfig;
+use mutls_adaptive::{GovernorConfig, GrainControlConfig, PolicyKind};
 use mutls_membuf::{CommitLogConfig, GlobalMemory};
 use mutls_metrics::MetricsConfig;
 use mutls_simcpu::{record_region, simulate, Recording, SimConfig};
@@ -118,7 +126,10 @@ fn md_replay_cycles_are_pinned_at_every_benchmarked_cpu_count() {
 
 /// fft (tree recursion, overflow-free at this size), `conflict_chain` and
 /// `hist_shared` (real dependence violations) at {word, line} grain ×
-/// ring depth {4, 1} × grain control {off, on}, 16 CPUs.
+/// ring depth {4, 1} × grain control {off, on}, 16 CPUs; then
+/// `conflict_chain` at 50 % sharing with injected rollbacks (p = 0.3, the
+/// default seed) under each governor policy — the draw after a passing
+/// validation, and what the governor hears of the rollbacks it forces.
 #[test]
 fn conflict_and_recovery_paths_are_pinned_across_grain_ring_and_control() {
     let fft_recording = {
@@ -158,15 +169,26 @@ fn conflict_and_recovery_paths_are_pinned_across_grain_ring_and_control() {
             }
         }
     }
+    for policy in PolicyKind::ALL {
+        let config = SimConfig {
+            commit_log: CommitLogConfig::word_grain().ring_depth(4),
+            ..SimConfig::with_cpus(16)
+        }
+        .rollback_probability(0.3)
+        .governor(GovernorConfig::with_policy(policy));
+        actual.push((
+            format!("chain50/word/ring4/p0.3/{policy}"),
+            measure(&recordings[2].1, config),
+        ));
+    }
     assert_golden(&actual, SMALL_GOLDEN);
 }
 
 /// What the flight recorder and the metrics plane see of md at 4 CPUs and
 /// of the conflict family at line grain, ring depth 4, 16 CPUs.  The
 /// middle digest is of the stream without its cascaded-discard
-/// `Rollback { Other, None }` events and was computed at the commit before
-/// lifecycle points went through one ledger — when a cascade left no event
-/// at all and that stream was the whole stream: nothing else may move.
+/// `Rollback { Other, None }` events: what the stream was before a cascade
+/// left an event (PR 18), with PR 25's labels.
 #[test]
 fn event_streams_and_final_snapshots_are_pinned() {
     let observed = |config: SimConfig| SimConfig {
@@ -211,61 +233,63 @@ fn event_streams_and_final_snapshots_are_pinned() {
 
 #[rustfmt::skip]
 const MD_GOLDEN: &[(&str, Golden)] = &[
-    ("md/1", (120668160, 90905760, 0x80D845496E67722E)),
-    ("md/4", (120668160, 44073680, 0x7A458C1B2897D823)),
-    ("md/16", (120668160, 21646400, 0x851CBBA3335EA11A)),
-    ("md/64", (120668160, 14170640, 0xA2D6363F575F686E)),
+    ("md/1", (120668160, 90905760, 0x22952BB2F0FA7AF2)),
+    ("md/4", (120668160, 44073680, 0x32ACE0ACF213C10B)),
+    ("md/16", (120668160, 21646400, 0xE1B5DE0C130CD9FE)),
+    ("md/64", (120668160, 14170640, 0xFD8632FB034601B2)),
 ];
 
 #[rustfmt::skip]
 const SMALL_GOLDEN: &[(&str, Golden)] = &[
-    ("fft/word/ring4/control-off", (8832, 11668, 0x91CEE9765DFB09FB)),
-    ("fft/word/ring4/control-on", (8832, 11660, 0xF0917586545A29D8)),
-    ("fft/word/ring1/control-off", (8832, 11668, 0xE723E1549DDDDCF0)),
-    ("fft/word/ring1/control-on", (8832, 11786, 0xCA59D9255BF68650)),
-    ("fft/line/ring4/control-off", (8832, 11496, 0xF5E1D593874C2BE2)),
-    ("fft/line/ring4/control-on", (8832, 11660, 0xD03B2DF94B644603)),
-    ("fft/line/ring1/control-off", (8832, 11772, 0xFA4FE8D27B4B91F2)),
-    ("fft/line/ring1/control-on", (8832, 11786, 0x4F472EB9DDE5F15D)),
-    ("chain100/word/ring4/control-off", (2672608, 2742761, 0x0E6425CB20D81740)),
-    ("chain100/word/ring4/control-on", (2672608, 2743785, 0xBD0AB39B8BE97EE6)),
-    ("chain100/word/ring1/control-off", (2672608, 2742761, 0xCFFAC60332A8C6EF)),
-    ("chain100/word/ring1/control-on", (2672608, 2743785, 0x6A5B0494C6F22105)),
-    ("chain100/line/ring4/control-off", (2672608, 2742761, 0x067B0D0BB59F86CA)),
-    ("chain100/line/ring4/control-on", (2672608, 2742825, 0x218433F916D117DB)),
-    ("chain100/line/ring1/control-off", (2672608, 2742761, 0x9CFE17BA38293FC2)),
-    ("chain100/line/ring1/control-on", (2672608, 2742825, 0xCB8B9F1A1DE97B26)),
-    ("chain50/word/ring4/control-off", (2672608, 577806, 0x439DA1A786E04E97)),
-    ("chain50/word/ring4/control-on", (2672608, 578348, 0xB5BD241F5DFC0BD1)),
-    ("chain50/word/ring1/control-off", (2672608, 577806, 0xD9935E08BBFCC4F8)),
-    ("chain50/word/ring1/control-on", (2672608, 578311, 0x98ED71D17A31B5CE)),
-    ("chain50/line/ring4/control-off", (2672608, 577778, 0xCDDCA920D0C3C970)),
-    ("chain50/line/ring4/control-on", (2672608, 577900, 0x2B9C1B56385F875F)),
-    ("chain50/line/ring1/control-off", (2672608, 577778, 0xA758E655D066D8AB)),
-    ("chain50/line/ring1/control-on", (2672608, 577863, 0x162C31BA0B4AA528)),
-    ("hist100/word/ring4/control-off", (2400480, 2413358, 0x2F9BA696485F3DE9)),
-    ("hist100/word/ring4/control-on", (2400480, 2414420, 0x2F42B74428244CEC)),
-    ("hist100/word/ring1/control-off", (2400480, 2413358, 0xF5AF7A740F019432)),
-    ("hist100/word/ring1/control-on", (2400480, 2415582, 0xC1CA5F21E915A632)),
-    ("hist100/line/ring4/control-off", (2400480, 2414962, 0x15DE3B58CECC7D00)),
-    ("hist100/line/ring4/control-on", (2400480, 2415056, 0xEFBA1C3EA03DA2EC)),
-    ("hist100/line/ring1/control-off", (2400480, 2418334, 0xE3A2B89FEBCA4542)),
-    ("hist100/line/ring1/control-on", (2400480, 2418334, 0x025C155934D31DE3)),
-    ("hist50/word/ring4/control-off", (2400480, 2213340, 0x3BA86E1FD02C0819)),
-    ("hist50/word/ring4/control-on", (2400480, 2214040, 0x66FE77B0E7341B0F)),
-    ("hist50/word/ring1/control-off", (2400480, 2213340, 0x729267315DC01DF0)),
-    ("hist50/word/ring1/control-on", (2400480, 2214050, 0x9528A7C24C5042A2)),
-    ("hist50/line/ring4/control-off", (2400480, 2215866, 0xDAE47351FF511797)),
-    ("hist50/line/ring4/control-on", (2400480, 2215890, 0xDDC4ECA5189EBE27)),
-    ("hist50/line/ring1/control-off", (2400480, 2217504, 0xA36F70B0F101A17C)),
-    ("hist50/line/ring1/control-on", (2400480, 2217510, 0x9B65AC29349A4942)),
+    ("fft/word/ring4/control-off", (8832, 11668, 0xE44DF73237A7EAD2)),
+    ("fft/word/ring4/control-on", (8832, 11660, 0x2389A484FA5B2B7D)),
+    ("fft/word/ring1/control-off", (8832, 11668, 0xF2CFA8B9E8003DD5)),
+    ("fft/word/ring1/control-on", (8832, 11786, 0xD3EEE405F8E644A3)),
+    ("fft/line/ring4/control-off", (8832, 11496, 0x0E04D6E47770B7D5)),
+    ("fft/line/ring4/control-on", (8832, 11660, 0x147CC5E550D27A62)),
+    ("fft/line/ring1/control-off", (8832, 11772, 0x65AFB7E506B55861)),
+    ("fft/line/ring1/control-on", (8832, 11786, 0xB8D54206A40EBC16)),
+    ("chain100/word/ring4/control-off", (2672608, 2742761, 0x2AF57C5D9E13DD14)),
+    ("chain100/word/ring4/control-on", (2672608, 2743785, 0x2F2B12E383F24F9A)),
+    ("chain100/word/ring1/control-off", (2672608, 2742761, 0xDF641226320AE027)),
+    ("chain100/word/ring1/control-on", (2672608, 2743785, 0xBF8596BDB3CA2394)),
+    ("chain100/line/ring4/control-off", (2672608, 2742761, 0x03DE388F71AFD5FE)),
+    ("chain100/line/ring4/control-on", (2672608, 2742825, 0xD6E09E96C9FD9D03)),
+    ("chain100/line/ring1/control-off", (2672608, 2742761, 0xDA5017D2E966159A)),
+    ("chain100/line/ring1/control-on", (2672608, 2742825, 0x515C60488E1FF877)),
+    ("chain50/word/ring4/control-off", (2672608, 577806, 0x997369C01BDE121F)),
+    ("chain50/word/ring4/control-on", (2672608, 578348, 0x0A34E9B23F1E4969)),
+    ("chain50/word/ring1/control-off", (2672608, 577806, 0x060500CC88122E14)),
+    ("chain50/word/ring1/control-on", (2672608, 578311, 0x5E745C92C5698272)),
+    ("chain50/line/ring4/control-off", (2672608, 577778, 0x1ED2383513CB171C)),
+    ("chain50/line/ring4/control-on", (2672608, 577900, 0x3F5E4684D71AC527)),
+    ("chain50/line/ring1/control-off", (2672608, 577778, 0x6BDA2B786EA403D3)),
+    ("chain50/line/ring1/control-on", (2672608, 577863, 0xCF660B78E07FDFDC)),
+    ("hist100/word/ring4/control-off", (2400480, 2413358, 0x847781ED24B017BB)),
+    ("hist100/word/ring4/control-on", (2400480, 2414420, 0x27343DD9850860F4)),
+    ("hist100/word/ring1/control-off", (2400480, 2413358, 0x49C607CBCCA75E18)),
+    ("hist100/word/ring1/control-on", (2400480, 2415582, 0xA5E3F2045B7365CC)),
+    ("hist100/line/ring4/control-off", (2400480, 2414962, 0x9E2CBB0438486522)),
+    ("hist100/line/ring4/control-on", (2400480, 2415056, 0x7CFBD652844BA502)),
+    ("hist100/line/ring1/control-off", (2400480, 2418334, 0xA72D095A37C2E4A8)),
+    ("hist100/line/ring1/control-on", (2400480, 2418334, 0x47B65E458535CFB9)),
+    ("hist50/word/ring4/control-off", (2400480, 2213196, 0x06F8B4BFA0FDAEB2)),
+    ("hist50/word/ring4/control-on", (2400480, 2213800, 0xA729547478C95C4B)),
+    ("hist50/word/ring1/control-off", (2400480, 2213196, 0xDE909B6699E5DAED)),
+    ("hist50/word/ring1/control-on", (2400480, 2213786, 0xFE9B713C53D85E91)),
+    ("hist50/line/ring4/control-off", (2400480, 2215642, 0x47ECE272F502B99A)),
+    ("hist50/line/ring4/control-on", (2400480, 2215642, 0xF63F3DA3DCD2825F)),
+    ("hist50/line/ring1/control-off", (2400480, 2217160, 0x494C32A63EA29D71)),
+    ("hist50/line/ring1/control-on", (2400480, 2217158, 0xB65B3CB633F2E7D8)),
+    ("chain50/word/ring4/p0.3/static", (2672608, 1313224, 0x24D75A03309B8880)),
+    ("chain50/word/ring4/p0.3/throttle", (2672608, 2673425, 0x8E7DC0D2E4096399)),
 ];
 
 #[rustfmt::skip]
 const OBSERVED_GOLDEN: &[(&str, Golden)] = &[
-    ("md/4", (0xD9432497307AC465, 0xD9432497307AC465, 0x0206776A95271AA2)),
-    ("chain100", (0x47BCD6C8C838789F, 0xB1AFE02B6B1AD807, 0xC87CC8989A3F660E)),
-    ("chain50", (0xA5D8F427559D35FD, 0xA5D8F427559D35FD, 0xD0BDF79BC2C2289F)),
-    ("hist100", (0x59D86F2171E97348, 0x29ACFE358A878F96, 0xCB2DD2FC42E0D563)),
-    ("hist50", (0x4D6ED705F45BEE59, 0x3F7246C83442CF39, 0x3A0831DE713258AC)),
+    ("md/4", (0xD9432497307AC465, 0xD9432497307AC465, 0x3F99567EC07DA4E3)),
+    ("chain100", (0xBECF4D2333CC2D83, 0x29BAF325D6994617, 0x88DF0FD9942FF0E1)),
+    ("chain50", (0xFF3D344443A7595F, 0xFF3D344443A7595F, 0x0A6AF968FB3922D4)),
+    ("hist100", (0x52FEC076D48A6864, 0xB30CD497F2274DF8, 0xBF8F139CF68D88A2)),
+    ("hist50", (0x456A5098464D01AC, 0x2064EA73CE2D7350, 0x29AED4F1FF625DC6)),
 ];

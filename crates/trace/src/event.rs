@@ -184,15 +184,6 @@ pub enum EventKind {
         /// Wait + stamp duration (ns native, cycles simulated).
         ns: u64,
     },
-    /// A commit batch paid CAS retries (same-slot
-    /// `compare_exchange` losses plus seqlock-forced re-stamps).
-    /// Emitted only when `attempts > 0` — uncontended disjoint-range
-    /// commits stay silent, so the event count is itself a contention
-    /// signal.
-    CommitCasRetry {
-        /// Retry count for the batch (not a duration).
-        attempts: u64,
-    },
     /// The thread's write-set was published (or absorbed by its parent).
     Commit,
     /// The thread was discarded and its continuation re-executed.
@@ -237,7 +228,6 @@ impl EventKind {
             EventKind::ValidateBegin { .. } => "ValidateBegin",
             EventKind::ValidateEnd { .. } => "ValidateEnd",
             EventKind::CommitLockWait { .. } => "CommitLockWait",
-            EventKind::CommitCasRetry { .. } => "CommitCasRetry",
             EventKind::Commit => "Commit",
             EventKind::Rollback { .. } => "Rollback",
             EventKind::RetryInFlight => "RetryInFlight",
@@ -274,9 +264,6 @@ impl EventKind {
                 field(out, "outcome", format!("\"{}\"", outcome.label()));
             }
             EventKind::CommitLockWait { ns } => field(out, "ns", ns.to_string()),
-            EventKind::CommitCasRetry { attempts } => {
-                field(out, "attempts", attempts.to_string());
-            }
             EventKind::Rollback { reason, plan } => {
                 field(out, "reason", format!("\"{}\"", reason.label()));
                 field(out, "plan", format!("\"{}\"", plan.label()));

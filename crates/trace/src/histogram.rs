@@ -23,11 +23,6 @@ pub enum LatencyPhase {
     Validation,
     /// Commit publication: version reservation plus write-set stamping.
     CommitLockWait,
-    /// CAS retries paid by a commit batch.  The *value* is a
-    /// retry count, not a duration — the histogram buckets then read as
-    /// "batches that paid 1, 2, 4… retries" (only contended batches are
-    /// recorded, mirroring the `CommitCasRetry` event).
-    CommitCasRetry,
     /// Conflict repaired in place by value-predict retry.
     RepairRetry,
     /// Rollback repaired by inline re-execution under targeted dooming.
@@ -36,11 +31,10 @@ pub enum LatencyPhase {
 
 impl LatencyPhase {
     /// Every phase, in presentation order.
-    pub const ALL: [LatencyPhase; 6] = [
+    pub const ALL: [LatencyPhase; 5] = [
         LatencyPhase::ForkToCommit,
         LatencyPhase::Validation,
         LatencyPhase::CommitLockWait,
-        LatencyPhase::CommitCasRetry,
         LatencyPhase::RepairRetry,
         LatencyPhase::RepairDoomSet,
     ];
@@ -51,7 +45,6 @@ impl LatencyPhase {
             LatencyPhase::ForkToCommit => "fork-to-commit",
             LatencyPhase::Validation => "validation",
             LatencyPhase::CommitLockWait => "commit-lock-wait",
-            LatencyPhase::CommitCasRetry => "commit-cas-retry",
             LatencyPhase::RepairRetry => "repair-retry",
             LatencyPhase::RepairDoomSet => "repair-doomset",
         }
@@ -62,9 +55,8 @@ impl LatencyPhase {
             LatencyPhase::ForkToCommit => 0,
             LatencyPhase::Validation => 1,
             LatencyPhase::CommitLockWait => 2,
-            LatencyPhase::CommitCasRetry => 3,
-            LatencyPhase::RepairRetry => 4,
-            LatencyPhase::RepairDoomSet => 5,
+            LatencyPhase::RepairRetry => 3,
+            LatencyPhase::RepairDoomSet => 4,
         }
     }
 }

@@ -28,40 +28,23 @@ pub use event::{
 pub use histogram::{Histogram, LatencyPhase, LatencyRecorder, LatencyReport, LatencyRow};
 pub use ring::EventRing;
 
+/// Per-rank ring capacity in events (drop-oldest beyond this).
+const RING_CAPACITY: usize = 4096;
+
 /// Recorder knobs carried inside a runtime configuration (`Copy` so the
 /// owning config stays `Copy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceConfig {
     /// Record lifecycle events into the per-rank rings.  Off by default:
     /// the disabled hot path is a single branch and the latency
     /// histograms stay on regardless.
     pub events: bool,
-    /// Per-rank ring capacity in events (drop-oldest beyond this).
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            events: false,
-            ring_capacity: 4096,
-        }
-    }
 }
 
 impl TraceConfig {
-    /// Event tracing enabled at the default ring capacity.
+    /// Event tracing enabled.
     pub fn enabled() -> Self {
-        TraceConfig {
-            events: true,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// Set the per-rank ring capacity.
-    pub fn ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = capacity;
-        self
+        TraceConfig { events: true }
     }
 }
 
@@ -88,14 +71,13 @@ impl std::fmt::Debug for Recorder {
 }
 
 impl Recorder {
-    /// A recorder for ranks `0..ranks` under `config`.  When event tracing
-    /// is off no rings are allocated at all — the recorder is just the
-    /// latency histogram bank plus a `false` flag.
+    /// A recorder for ranks `0..ranks` under `config`, a ring of 4096
+    /// events each.  When event tracing is off no rings are allocated at
+    /// all — the recorder is just the latency histogram bank plus a
+    /// `false` flag.
     pub fn new(config: TraceConfig, ranks: usize) -> Self {
         let rings = if config.events {
-            (0..ranks)
-                .map(|_| EventRing::new(config.ring_capacity))
-                .collect()
+            (0..ranks).map(|_| EventRing::new(RING_CAPACITY)).collect()
         } else {
             Vec::new()
         };
@@ -213,7 +195,11 @@ mod tests {
 
     #[test]
     fn reset_clears_events_and_latency() {
-        let rec = Recorder::new(TraceConfig::enabled().ring_capacity(2), 1);
+        // One two-event ring, so five events overflow it.
+        let rec = Recorder {
+            rings: vec![EventRing::new(2)],
+            ..Recorder::new(TraceConfig::enabled(), 0)
+        };
         for i in 0..5 {
             rec.emit(ev(i, 0));
         }
