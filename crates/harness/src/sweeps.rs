@@ -340,7 +340,7 @@ pub struct Row {
     pub grain: String,
     /// Governor policy label.
     pub policy: String,
-    /// Write-set capacity of the speculative buffers (words).
+    /// [`BufferConfig::write_capacity_words`] of the speculative buffers.
     pub buffer_words: usize,
     /// Injected rollback probability.
     pub rollback_probability: f64,

@@ -118,9 +118,9 @@
 //! [`CommitLog::epoch`] (the max over shards) is a monotone diagnostic
 //! bound — it must **not** be used as a read snapshot, because a shard
 //! lagging the max would make its next commit version look old.
-//! Buffer-merge paths (`WordMap::weaken_version`, `GlobalBuffer::absorb`)
-//! compare two snapshots *of the same word*, which is always same-shard
-//! and therefore well-defined.
+//! Buffer-merge paths (a second read of a word in `WordMap`,
+//! `GlobalBuffer::absorb`) compare two snapshots *of the same word*, which
+//! is always same-shard and therefore well-defined.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

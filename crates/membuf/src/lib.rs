@@ -4,13 +4,14 @@
 //! software thread-level-speculation runtime (Cao & Verbrugge, ICPP 2013,
 //! §IV-G):
 //!
-//! * [`WordMap`] — the *static-memory* word-granular hash map used for both
-//!   the read-set and the write-set of a speculative thread.  It is built
-//!   from one array of slot records (address, data, per-byte mark, version),
-//!   the stack of used slots, and a small linear *overflow* buffer used when
-//!   a hash slot collision occurs.
-//! * [`GlobalBuffer`] — read-set/write-set pair with load/store redirection,
-//!   validation against main memory and (masked) commit.
+//! * [`WordMap`] — the *static-memory* word-granular hash map in which a
+//!   speculative thread buffers every word it reads or writes.  It is built
+//!   from one array of slot records (address, first read, own bytes, and a
+//!   packed version, read bit and per-byte mark), the stack of used slots,
+//!   and a small linear *overflow* buffer used when a hash slot collision
+//!   occurs.
+//! * [`GlobalBuffer`] — one such map with load/store redirection,
+//!   validation against the commit log and (masked) commit.
 //! * [`LocalBuffer`] — register variable transfer between parent and
 //!   speculative child threads at fork and join.
 //! * [`GlobalMemory`] — a word-addressable shared main-memory arena

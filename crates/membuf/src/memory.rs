@@ -24,7 +24,7 @@ pub const WORD_BYTES: u64 = 8;
 
 /// Abstract interface to main memory as seen by the buffering layer.
 ///
-/// [`GlobalBuffer::validate`](crate::GlobalBuffer::validate) and
+/// [`GlobalBuffer::first_touch`](crate::GlobalBuffer::first_touch) and
 /// [`GlobalBuffer::commit`](crate::GlobalBuffer::commit) are expressed
 /// against this trait so tests can use small fake memories and the
 /// simulator can substitute its own arena.

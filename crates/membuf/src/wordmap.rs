@@ -1,16 +1,19 @@
-//! The static-memory, word-granular hash map of MUTLS (paper §IV-G2).
+//! The static-memory, word-granular hash map of MUTLS (paper §IV-G2): a
+//! speculative thread buffers every word it reads or writes in one.
 //!
 //! The paper avoids dynamically growing hash maps (whose rehashing cost
 //! would land on the speculative fast path) with statically sized parallel
 //! arrays (`buffer`, `addresses`, a per-byte `mark`) plus the `offsets`
-//! stack of used slots.  This map keeps the static sizing and the stack but
-//! stores a word as **one 32-byte record per slot** ([`WordEntry`]; address
-//! 0 = empty): a probe reads the address and a hit reads the rest, so
-//! parallel arrays cost one cache line per array on every access, records
-//! one line in all — and validate, commit and clear walk a single array.
+//! stack of used slots, one set for the reads and one for the writes.  This
+//! map keeps the static sizing and the stack but stores a word as **one
+//! 32-byte record per slot** ([`WordEntry`]; address 0 = empty) holding
+//! both halves: the first-read value and its commit-log version, and the
+//! thread's own bytes with the mask of which bytes they are.  A load or a
+//! store probes one slot, one cache line, and validate, commit and clear
+//! walk one array.
 //!
-//! * `slots` — the records, allocated zeroed, so slots never touched stay
-//!   non-resident however large the configured capacity;
+//! * `slots` — the records, in zeroed pages (`zeroed.rs`), so slots never
+//!   touched stay non-resident however large the configured capacity;
 //! * `used` — the stack of used slot indices (the paper's `offsets`): join
 //!   work stays proportional to the data touched, not to the capacity;
 //! * a small *temporary overflow buffer* for an address whose home slot
@@ -22,36 +25,125 @@
 
 use crate::error::BufferError;
 use crate::memory::{Addr, WORD_BYTES};
-use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+use crate::zeroed::{Zeroable, Zeroed};
 
-/// One buffered word: its address, data, per-byte write mask and the
-/// commit-log version observed when the word was first buffered.
+/// The read bit of [`WordEntry`]'s packed word; the written-byte mask sits
+/// below it, one bit per byte.
+const READ: u64 = 1 << 8;
+/// Every byte written.
+const FULL: u64 = 0xFF;
+/// Where the version starts in the packed word.
+const VERSION_SHIFT: u32 = 9;
+
+/// One buffered word: what the thread read of it and what it wrote.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WordEntry {
     /// Word-aligned byte address in the global address space.
     pub addr: Addr,
-    /// Buffered data for the whole word.
+    /// The word as the thread first read it from shared state; meaningful
+    /// only when [`has_read`](Self::has_read).  What validation by value
+    /// compares, whatever the thread wrote over it since.
+    pub read: u64,
+    /// The word as the thread sees it: its own bytes
+    /// ([`mask`](Self::mask)) over the first read.
     pub data: u64,
-    /// Byte mask: every byte equal to `0xFF` marks a byte actually written
-    /// (for the write-set) or read (for the read-set).
-    pub mask: u64,
-    /// Commit-log snapshot sampled when the entry was first inserted (0
-    /// when the access was not versioned): the epoch of the log *shard*
-    /// owning the address's range (`CommitLog::snapshot`).  For read-set
-    /// entries this is the version join-time dependence validation
-    /// compares against the range's current stamp in the
-    /// [`CommitLog`](crate::CommitLog).  Versions of the same word are
-    /// always same-shard and therefore comparable — which is what lets
-    /// [`weaken_version`](WordMap::weaken_version) keep the oldest
-    /// snapshot when read sets merge.
-    pub version: u64,
+    /// The first read's commit-log version above [`VERSION_SHIFT`], the
+    /// read bit, and the written-byte mask.
+    meta: u64,
+}
+
+// SAFETY: four `u64`s, all zero in the empty slot.
+unsafe impl Zeroable for WordEntry {}
+
+impl WordEntry {
+    /// Commit-log snapshot sampled at the word's first read (0 when the read
+    /// was not versioned): the epoch of the log *shard* owning the
+    /// address's range (`CommitLog::snapshot`), which join-time dependence
+    /// validation compares against the range's current stamp.  Versions of
+    /// the same word are always same-shard and therefore comparable — which
+    /// is what lets a word keep the oldest snapshot when two threads' reads
+    /// merge.
+    pub fn version(&self) -> u64 {
+        self.meta >> VERSION_SHIFT
+    }
+
+    /// Whether the thread read the word from shared state: a read
+    /// dependence for validation to check.
+    pub fn has_read(&self) -> bool {
+        self.meta & READ != 0
+    }
+
+    /// The bytes the thread wrote, one bit per byte.
+    pub(crate) fn written(&self) -> u8 {
+        self.meta as u8
+    }
+
+    /// The bytes the thread wrote, as a mask of `0xFF` bytes.
+    pub fn mask(&self) -> u64 {
+        let spread = u64::from(self.written()).wrapping_mul(0x0101_0101_0101_0101);
+        // Byte i keeps bit i of the written bits; a set one becomes 0xFF.
+        let bits = spread & 0x8040_2010_0804_0201;
+        let high = bits.wrapping_add(0x7F7F_7F7F_7F7F_7F7F) & 0x8080_8080_8080_8080;
+        (high >> 7).wrapping_mul(0xFF)
+    }
+
+    /// Whether the thread knows every byte of the word — it read it or
+    /// wrote all of it — so a load is served from [`data`](Self::data).
+    #[inline]
+    pub(crate) fn complete(&self) -> bool {
+        self.meta & (READ | FULL) >= FULL
+    }
+
+    /// Versions past what the packed word holds are kept as its largest,
+    /// which only ever flags more commits.
+    fn set_version(&mut self, version: u64) {
+        let version = version.min(u64::MAX >> VERSION_SHIFT);
+        self.meta = (self.meta & (READ | FULL)) | (version << VERSION_SHIFT);
+    }
+
+    /// `under` with the thread's own bytes on top.
+    pub(crate) fn overlay(&self, under: u64) -> u64 {
+        let mask = self.mask();
+        (under & !mask) | (self.data & mask)
+    }
+
+    /// Take a read of `value` stamped `version`: the first read's value is
+    /// kept, with the thread's own bytes on top, and so is the *older*
+    /// version — the snapshot every later commit must be checked against,
+    /// also when two threads' reads merge.
+    fn note_read(&mut self, value: u64, version: u64) {
+        if self.has_read() {
+            self.set_version(self.version().min(version));
+            return;
+        }
+        self.read = value;
+        self.data = self.overlay(value);
+        self.meta |= READ;
+        self.set_version(version);
+    }
+
+    /// Take the bytes `mask` selects of `data` as the thread's own.
+    #[inline]
+    fn note_write(&mut self, data: u64, mask: u64) {
+        self.data = (self.data & !mask) | (data & mask);
+        // One bit per byte: bit 8i of the mask moves to bit i.
+        let bits = (mask & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        self.meta |= bits;
+    }
+}
+
+/// Where a record sits.
+#[derive(Clone, Copy)]
+enum Place {
+    Home(usize),
+    Spilled(usize),
 }
 
 /// Statically sized word-granular hash map with linear overflow area.
 #[derive(Debug)]
 pub struct WordMap {
     /// Direct-mapped slot records (a power of two of them).
-    slots: Box<[WordEntry]>,
+    slots: Zeroed<WordEntry>,
     /// Stack of used slot indices ("offsets" in the paper).
     used: Vec<u32>,
     overflow: Vec<WordEntry>,
@@ -60,29 +152,9 @@ pub struct WordMap {
     /// last clear; the runtime uses this to stall the thread at its next
     /// check point.
     overflow_pending: bool,
-}
-
-/// `len` all-zero `T`s straight from the allocator's zeroed pages: a table
-/// that is mostly never touched faults in only the pages that are, where
-/// writing the zeros would fault in every one.
-///
-/// # Safety
-/// All-zero bytes must be a valid `T`.
-pub(crate) unsafe fn zeroed_boxed<T>(len: usize) -> Box<[T]> {
-    let layout = Layout::array::<T>(len).expect("table fits in memory");
-    if layout.size() == 0 {
-        return Box::new([]);
-    }
-    // SAFETY: the layout is not zero-sized (checked above); all-zero bytes
-    // are a valid `T` (the caller's promise); and a `Box<[T]>` of this
-    // length frees under this very layout.
-    unsafe {
-        let ptr = alloc_zeroed(layout).cast::<T>();
-        if ptr.is_null() {
-            handle_alloc_error(layout);
-        }
-        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len))
-    }
+    /// Records with a read, and records with a written byte.
+    reads: usize,
+    writes: usize,
 }
 
 impl WordMap {
@@ -91,12 +163,13 @@ impl WordMap {
     pub fn new(capacity_words: usize, overflow_capacity: usize) -> Self {
         let capacity = capacity_words.max(8).next_power_of_two();
         WordMap {
-            // SAFETY: a `WordEntry` is four `u64`s, all zero in the empty slot.
-            slots: unsafe { zeroed_boxed(capacity) },
+            slots: Zeroed::new(capacity),
             used: Vec::with_capacity(capacity.min(1024)),
             overflow: Vec::with_capacity(overflow_capacity.min(64)),
             overflow_capacity,
             overflow_pending: false,
+            reads: 0,
+            writes: 0,
         }
     }
 
@@ -114,6 +187,16 @@ impl WordMap {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.used.is_empty() && self.overflow.is_empty()
+    }
+
+    /// Number of buffered words the thread read (its read set).
+    pub fn reads(&self) -> usize {
+        self.reads
+    }
+
+    /// Number of buffered words the thread wrote (its write set).
+    pub fn writes(&self) -> usize {
+        self.writes
     }
 
     /// True once a hash conflict has pushed an entry into the overflow
@@ -134,13 +217,6 @@ impl WordMap {
     #[inline]
     fn home(&self, addr: Addr) -> usize {
         (addr / WORD_BYTES) as usize & self.slots.len().wrapping_sub(1)
-    }
-
-    /// `addr`'s home slot and the address occupying it (0 = none): the
-    /// address itself on a hit, a different one on a hash conflict.
-    fn probe(&self, addr: Addr) -> (usize, Addr) {
-        let slot = self.home(addr);
-        (slot, self.slots[slot].addr)
     }
 
     /// Look up the buffered word for `addr` (word aligned).  An empty home
@@ -172,130 +248,158 @@ impl WordMap {
 
     /// [`get`](Self::get), for updating the entry in place.
     fn entry_mut(&mut self, addr: Addr) -> Option<&mut WordEntry> {
-        match self.probe(addr) {
-            (_, 0) => None,
-            (slot, occupant) if occupant == addr => Some(&mut self.slots[slot]),
+        let slot = self.home(addr);
+        match self.slots[slot].addr {
+            0 => None,
+            occupant if occupant == addr => Some(&mut self.slots[slot]),
             _ => self.overflow.iter_mut().find(|e| e.addr == addr),
         }
     }
 
-    /// Merge `value` under byte-mask `mask` into the word buffered for
-    /// `addr`, inserting the word if it is not present.
-    ///
-    /// Returns [`BufferError::OverflowPending`] when the insert had to use
-    /// the overflow area (the data *is* recorded) and
-    /// [`BufferError::OverflowFull`] when it could not be recorded at all.
+    /// The hit of a store: `addr` sits in its home slot, already written,
+    /// and takes the bytes `mask` selects of `data` in place.  `false` —
+    /// nothing done — otherwise: not buffered, only read so far, or in the
+    /// overflow area; [`merge`](Self::merge) handles all three.
     #[inline]
-    pub fn merge(&mut self, addr: Addr, value: u64, mask: u64) -> Result<(), BufferError> {
-        self.merge_versioned(addr, value, mask, 0)
-    }
-
-    /// Like [`merge`](Self::merge), stamping a freshly inserted word with
-    /// `version` (the owning commit-log shard's epoch observed at access
-    /// time).  Updating an existing entry keeps the *original* version:
-    /// for the read-set, the first read's snapshot is the one dependence
-    /// validation must check.
-    #[inline]
-    pub fn merge_versioned(
-        &mut self,
-        addr: Addr,
-        value: u64,
-        mask: u64,
-        version: u64,
-    ) -> Result<(), BufferError> {
-        if self.update(addr, value, mask) {
-            return Ok(());
-        }
-        self.insert(WordEntry {
-            addr,
-            data: value & mask,
-            mask,
-            version,
-        })
-    }
-
-    /// The hit of a merge: `addr` sits in its home slot and takes `value`
-    /// under `mask` in place.  `false` — nothing done — when the word is
-    /// not there: not buffered yet, or buffered in the overflow area;
-    /// [`insert`](Self::insert) handles both.
-    #[inline]
-    pub(crate) fn update(&mut self, addr: Addr, value: u64, mask: u64) -> bool {
+    pub(crate) fn update(&mut self, addr: Addr, data: u64, mask: u64) -> bool {
         debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
         let slot = self.home(addr);
         match self.slots.get_mut(slot) {
             // (Address 0 is the empty slot's, never a buffered word's.)
-            Some(entry) if entry.addr == addr && addr != 0 => {
-                entry.data = (entry.data & !mask) | (value & mask);
-                entry.mask |= mask;
+            Some(entry) if entry.addr == addr && addr != 0 && entry.written() != 0 => {
+                entry.note_write(data, mask);
                 true
             }
             _ => false,
         }
     }
 
-    /// What [`update`](Self::update) left undone, out of line: fill the
-    /// word's empty home slot, or merge it into the overflow area.
-    fn insert(&mut self, new: WordEntry) -> Result<(), BufferError> {
-        match self.probe(new.addr) {
-            (slot, 0) => {
-                self.slots[slot] = new;
+    /// Where `addr`'s record is, created empty if the map holds none: its
+    /// home slot, or — when another word holds that — the overflow area.
+    fn place(&mut self, addr: Addr) -> Result<Place, BufferError> {
+        debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
+        let slot = self.home(addr);
+        match self.slots[slot].addr {
+            0 => {
+                self.slots[slot].addr = addr;
                 self.used.push(slot as u32);
-                Ok(())
+                Ok(Place::Home(slot))
             }
-            _ => self.merge_overflow(new),
+            occupant if occupant == addr => Ok(Place::Home(slot)),
+            _ => self.spill(addr),
         }
     }
 
-    /// The hash-conflict arm of [`insert`](Self::insert).
+    /// The hash-conflict arm of [`place`](Self::place).
     #[cold]
-    fn merge_overflow(&mut self, new: WordEntry) -> Result<(), BufferError> {
-        if let Some(e) = self.overflow.iter_mut().find(|e| e.addr == new.addr) {
-            e.data = (e.data & !new.mask) | new.data;
-            e.mask |= new.mask;
-        } else if self.overflow.len() >= self.overflow_capacity {
-            return Err(BufferError::OverflowFull);
-        } else {
-            self.overflow.push(new);
-        }
+    fn spill(&mut self, addr: Addr) -> Result<Place, BufferError> {
+        let at = match self.overflow.iter().position(|e| e.addr == addr) {
+            Some(at) => at,
+            None if self.overflow.len() >= self.overflow_capacity => {
+                return Err(BufferError::OverflowFull)
+            }
+            None => {
+                self.overflow.push(WordEntry {
+                    addr,
+                    ..WordEntry::default()
+                });
+                self.overflow.len() - 1
+            }
+        };
         self.overflow_pending = true;
-        Err(BufferError::OverflowPending)
+        Ok(Place::Spilled(at))
     }
 
-    /// Insert a whole word (mask = all bytes).  Convenience for the
-    /// read-set, which always records complete words.
+    fn at(&mut self, place: Place) -> &mut WordEntry {
+        match place {
+            Place::Home(slot) => &mut self.slots[slot],
+            Place::Spilled(at) => &mut self.overflow[at],
+        }
+    }
+
+    /// The thread read `value` from `addr`, the commit-log version `version`
+    /// current before it did (see [`WordEntry`]'s `note_read`).  Returns the
+    /// word as the thread sees it, and whether its record sits in the
+    /// overflow area.
+    pub(crate) fn note_read(
+        &mut self,
+        addr: Addr,
+        value: u64,
+        version: u64,
+    ) -> Result<(u64, bool), BufferError> {
+        let place = self.place(addr)?;
+        let entry = self.at(place);
+        let first = !entry.has_read();
+        entry.note_read(value, version);
+        let word = entry.data;
+        self.reads += usize::from(first);
+        Ok((word, matches!(place, Place::Spilled(_))))
+    }
+
+    /// The thread wrote the bytes `mask` selects of `data` to `addr`.
+    /// Returns whether the record sits in the overflow area.
+    pub(crate) fn note_write(
+        &mut self,
+        addr: Addr,
+        data: u64,
+        mask: u64,
+    ) -> Result<bool, BufferError> {
+        let place = self.place(addr)?;
+        let entry = self.at(place);
+        let first = entry.written() == 0;
+        entry.note_write(data, mask);
+        self.writes += usize::from(first);
+        Ok(matches!(place, Place::Spilled(_)))
+    }
+
+    /// A record in the overflow area is buffered all the same, which the
+    /// public inserts report as [`BufferError::OverflowPending`].
+    fn placed(spilled: bool) -> Result<(), BufferError> {
+        if spilled {
+            Err(BufferError::OverflowPending)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Merge the bytes `mask` selects of `value` into the word buffered for
+    /// `addr` as the thread's own, inserting the word if it is not present.
+    ///
+    /// Returns [`BufferError::OverflowPending`] when the word is in the
+    /// overflow area (the data *is* recorded) and
+    /// [`BufferError::OverflowFull`] when it could not be recorded at all.
+    pub fn merge(&mut self, addr: Addr, value: u64, mask: u64) -> Result<(), BufferError> {
+        self.note_write(addr, value, mask).and_then(Self::placed)
+    }
+
+    /// Record a read of the whole word `value` at `addr`, unversioned.
     pub fn insert_word(&mut self, addr: Addr, value: u64) -> Result<(), BufferError> {
-        self.merge(addr, value, u64::MAX)
+        self.insert_word_versioned(addr, value, 0)
     }
 
-    /// Insert a whole word stamped with a commit-log version.
+    /// Record a read of the whole word `value` at `addr` stamped with the
+    /// owning commit-log shard's epoch observed before it.  A word read
+    /// before keeps its *first* read and the *older* version: that snapshot
+    /// is the one dependence validation must check, also when two threads'
+    /// reads merge.
     pub fn insert_word_versioned(
         &mut self,
         addr: Addr,
         value: u64,
         version: u64,
     ) -> Result<(), BufferError> {
-        self.merge_versioned(addr, value, u64::MAX, version)
+        self.note_read(addr, value, version)
+            .and_then(|(_, spilled)| Self::placed(spilled))
     }
 
-    /// Lower the stored version of `addr` to `version` if the entry exists
-    /// and currently carries a newer stamp.  Used when two threads' read
-    /// sets are merged: the *oldest* snapshot is the one every later
-    /// commit must be checked against.
-    pub fn weaken_version(&mut self, addr: Addr, version: u64) {
-        if let Some(e) = self.entry_mut(addr) {
-            e.version = e.version.min(version);
-        }
-    }
-
-    /// Raise the stored version of `addr` to `version` if the entry
-    /// exists and currently carries an older stamp.  Used by the
-    /// value-predict retry path: a read whose conflicting range was
-    /// re-validated by value is re-stamped with the snapshot observed at
-    /// re-validation time, so only commits *after* the retry can flag it
-    /// again.  (The dual of [`weaken_version`](Self::weaken_version).)
+    /// Raise the version of `addr`'s read to `version` if it carries an
+    /// older stamp.  Used by the value-predict retry path: a read whose
+    /// conflicting range was re-validated by value is re-stamped with the
+    /// snapshot observed at re-validation time, so only commits *after*
+    /// the retry can flag it again.
     pub fn refresh_version(&mut self, addr: Addr, version: u64) {
-        if let Some(e) = self.entry_mut(addr) {
-            e.version = e.version.max(version);
+        if let Some(e) = self.entry_mut(addr).filter(|e| e.has_read()) {
+            e.set_version(e.version().max(version));
         }
     }
 
@@ -317,6 +421,8 @@ impl WordMap {
         self.used.clear();
         self.overflow.clear();
         self.overflow_pending = false;
+        self.reads = 0;
+        self.writes = 0;
     }
 }
 
@@ -346,79 +452,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_and_get_roundtrip() {
+    fn a_record_is_one_half_cache_line_and_packs_both_halves() {
+        assert_eq!(std::mem::size_of::<WordEntry>(), 32, "one slot, one record");
         let mut m = WordMap::new(64, 8);
-        assert!(m.is_empty());
-        m.insert_word(0x100, 42).unwrap();
-        m.insert_word(0x108, 7).unwrap();
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(0x100).unwrap().data, 42);
-        assert_eq!(m.get(0x108).unwrap().data, 7);
-        assert!(m.get(0x110).is_none());
+        m.insert_word_versioned(0x100, 0x1111_2222_3333_4444, 7)
+            .unwrap();
+        m.merge(0x100, 0xAAAA_0000, byte_mask(2, 2).unwrap())
+            .unwrap();
+        m.merge(0x108, 5, u64::MAX).unwrap();
+        let e = m.get(0x100).unwrap();
+        assert_eq!(
+            (e.read, e.data),
+            (0x1111_2222_3333_4444, 0x1111_2222_AAAA_4444)
+        );
+        assert_eq!((e.version(), e.has_read(), e.written()), (7, true, 0b1100));
+        assert_eq!(e.mask(), 0xFFFF_0000);
+        assert!(!m.get(0x108).unwrap().has_read());
+        assert_eq!((m.len(), m.reads(), m.writes()), (2, 1, 2));
+        // The mask round-trips for every byte pattern.
+        let mut w = WordEntry::default();
+        for bits in 0..=255u8 {
+            let byte = |i: u64| (u64::from((bits >> i) & 1) * 0xFF) << (8 * i);
+            let mask = (0..8).fold(0u64, |m, i| m | byte(i));
+            w.meta = 0;
+            w.note_write(0, mask);
+            assert_eq!((w.written(), w.mask()), (bits, mask));
+        }
     }
 
     #[test]
-    fn merge_partial_bytes_accumulates_mask() {
-        let mut m = WordMap::new(16, 4);
-        let lo = byte_mask(0, 4).unwrap();
-        let hi = byte_mask(4, 4).unwrap();
-        m.merge(0x200, 0x0000_0000_1111_2222, lo).unwrap();
-        m.merge(0x200, 0x3333_4444_0000_0000, hi).unwrap();
-        let e = m.get(0x200).unwrap();
-        assert_eq!(e.data, 0x3333_4444_1111_2222);
-        assert_eq!(e.mask, u64::MAX);
-    }
-
-    #[test]
-    fn hash_conflict_goes_to_overflow() {
+    fn overflow_fills_then_reports_full_and_updates_in_place() {
         let mut m = WordMap::new(8, 2);
         // capacity rounds to 8 slots; addresses 8 words apart collide.
-        let a = 0x80;
-        let b = a + 8 * WORD_BYTES;
+        let (a, b, c) = (0x80, 0x80 + 8 * WORD_BYTES, 0x80 + 16 * WORD_BYTES);
         m.insert_word(a, 1).unwrap();
-        let err = m.insert_word(b, 2).unwrap_err();
-        assert_eq!(err, BufferError::OverflowPending);
+        assert_eq!(m.insert_word(b, 2), Err(BufferError::OverflowPending));
         assert!(m.overflow_pending());
-        assert_eq!(m.get(b).unwrap().data, 2);
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn overflow_exhaustion_reports_full() {
-        let mut m = WordMap::new(8, 1);
-        let a = 0x80;
-        m.insert_word(a, 1).unwrap();
-        assert_eq!(
-            m.insert_word(a + 8 * WORD_BYTES, 2).unwrap_err(),
-            BufferError::OverflowPending
-        );
-        assert_eq!(
-            m.insert_word(a + 16 * WORD_BYTES, 3).unwrap_err(),
-            BufferError::OverflowFull
-        );
-    }
-
-    #[test]
-    fn overflow_entry_can_be_updated_in_place() {
-        let mut m = WordMap::new(8, 2);
-        let a = 0x80;
-        let b = a + 8 * WORD_BYTES;
-        m.insert_word(a, 1).unwrap();
-        assert_eq!(
-            m.insert_word(b, 2).unwrap_err(),
-            BufferError::OverflowPending
-        );
-        assert_eq!(
-            m.insert_word(b, 9).unwrap_err(),
-            BufferError::OverflowPending
-        );
-        assert_eq!(m.get(b).unwrap().data, 9);
-        assert_eq!(m.overflow_len(), 1);
+        assert_eq!(m.merge(b, 9, u64::MAX), Err(BufferError::OverflowPending));
+        assert_eq!((m.get(b).unwrap().read, m.get(b).unwrap().data), (2, 9));
+        assert_eq!(m.insert_word(c, 3), Err(BufferError::OverflowPending));
+        let d = 0x80 + 24 * WORD_BYTES;
+        assert_eq!(m.insert_word(d, 4), Err(BufferError::OverflowFull));
+        assert_eq!((m.len(), m.overflow_len()), (3, 2));
     }
 
     #[test]
     fn overflow_entries_keep_an_occupied_home_slot() {
-        assert_eq!(std::mem::size_of::<WordEntry>(), 32, "one slot, one record");
         let mut m = WordMap::new(8, 4);
         for shift in [0, 3] {
             // Two addresses in each of four slots; the other four stay empty.
@@ -427,7 +506,7 @@ mod tests {
             }
             assert_eq!(m.overflow_len(), 4);
             for e in &m.overflow {
-                let (_, occupant) = m.probe(e.addr);
+                let occupant = m.slots[m.home(e.addr)].addr;
                 assert!(occupant != 0 && occupant != e.addr, "{e:?}");
             }
             // …which is why an empty home slot is a miss without a scan.
@@ -435,33 +514,6 @@ mod tests {
             m.clear();
             assert_eq!(m.overflow_len(), 0, "clear empties both together");
         }
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut m = WordMap::new(8, 2);
-        m.insert_word(0x80, 1).unwrap();
-        let _ = m.insert_word(0x80 + 8 * WORD_BYTES, 2);
-        m.clear();
-        assert!(m.is_empty());
-        assert!(!m.overflow_pending());
-        assert!(m.get(0x80).is_none());
-        // slot is reusable afterwards
-        m.insert_word(0x80, 5).unwrap();
-        assert_eq!(m.get(0x80).unwrap().data, 5);
-    }
-
-    #[test]
-    fn iter_visits_direct_then_overflow() {
-        let mut m = WordMap::new(8, 2);
-        let a = 0x80;
-        let b = a + 8 * WORD_BYTES;
-        m.insert_word(a, 1).unwrap();
-        let _ = m.insert_word(b, 2);
-        let collected: Vec<_> = m.iter().collect();
-        assert_eq!(collected.len(), 2);
-        assert_eq!(collected[0].addr, a);
-        assert_eq!(collected[1].addr, b);
     }
 
     #[test]
@@ -474,74 +526,52 @@ mod tests {
         assert_eq!(byte_mask(6, 4).unwrap_err(), BufferError::Misaligned);
     }
 
+    /// A later read keeps the first value and the older snapshot; a retry's
+    /// refresh only ever raises it — in a home slot and in the overflow area.
     #[test]
-    fn first_insertion_version_is_sticky() {
+    fn a_read_keeps_its_first_value_and_oldest_version_until_refreshed() {
         let mut m = WordMap::new(8, 2);
-        m.insert_word_versioned(0x100, 1, 7).unwrap();
-        // Later merges to the same word keep the first snapshot version.
-        m.merge_versioned(0x100, 2, u64::MAX, 9).unwrap();
-        assert_eq!(m.get(0x100).unwrap().version, 7);
-        assert_eq!(m.get(0x100).unwrap().data, 2);
-        // Unversioned inserts stamp 0.
+        let conflicting = 0x100 + 8 * WORD_BYTES;
+        for addr in [0x100, conflicting] {
+            let _ = m.insert_word_versioned(addr, 1, 6);
+            let _ = m.insert_word_versioned(addr, 2, 9);
+            let _ = m.insert_word_versioned(addr, 3, 4);
+            assert_eq!(
+                (m.get(addr).unwrap().read, m.get(addr).unwrap().version()),
+                (1, 4)
+            );
+            m.refresh_version(addr, 9);
+            m.refresh_version(addr, 2);
+            assert_eq!(m.get(addr).unwrap().version(), 9);
+        }
+        // Unversioned reads stamp 0; a missing word, or one never read, is
+        // not refreshed.
         m.insert_word(0x108, 3).unwrap();
-        assert_eq!(m.get(0x108).unwrap().version, 0);
-        // Overflow entries carry versions too.
-        let conflicting = 0x100 + 8 * WORD_BYTES;
-        let _ = m.insert_word_versioned(conflicting, 4, 11);
-        assert_eq!(m.get(conflicting).unwrap().version, 11);
-    }
-
-    #[test]
-    fn weaken_version_keeps_the_oldest_snapshot() {
-        let mut m = WordMap::new(8, 2);
-        m.insert_word_versioned(0x100, 1, 9).unwrap();
-        m.weaken_version(0x100, 4);
-        assert_eq!(m.get(0x100).unwrap().version, 4);
-        // Weakening never raises a version.
-        m.weaken_version(0x100, 7);
-        assert_eq!(m.get(0x100).unwrap().version, 4);
-        // Missing entries are a no-op; overflow entries are reachable.
-        m.weaken_version(0x900, 1);
-        let conflicting = 0x100 + 8 * WORD_BYTES;
-        let _ = m.insert_word_versioned(conflicting, 2, 9);
-        m.weaken_version(conflicting, 3);
-        assert_eq!(m.get(conflicting).unwrap().version, 3);
-    }
-
-    #[test]
-    fn refresh_version_only_raises() {
-        let mut m = WordMap::new(8, 2);
-        m.insert_word_versioned(0x100, 1, 4).unwrap();
-        m.refresh_version(0x100, 9);
-        assert_eq!(m.get(0x100).unwrap().version, 9);
-        // Refreshing never lowers a version.
-        m.refresh_version(0x100, 2);
-        assert_eq!(m.get(0x100).unwrap().version, 9);
-        // Missing entries are a no-op; overflow entries are reachable.
-        m.refresh_version(0x900, 11);
-        let conflicting = 0x100 + 8 * WORD_BYTES;
-        let _ = m.insert_word_versioned(conflicting, 2, 3);
-        m.refresh_version(conflicting, 6);
-        assert_eq!(m.get(conflicting).unwrap().version, 6);
+        assert_eq!(m.get(0x108).unwrap().version(), 0);
+        m.refresh_version(0x900, 1);
+        m.merge(0x110, 1, u64::MAX).unwrap();
+        m.refresh_version(0x110, 5);
+        assert_eq!(m.get(0x110).unwrap().version(), 0);
     }
 
     /// Characterization, not a wish: the home slot is the low bits of the
     /// word index, so two arrays a multiple of the capacity apart share
     /// their home slots element for element, and a loop that touches
     /// `a[i]` and `b[i]` fills the overflow area long before the map —
-    /// 2 × 1 025 words into 2^16 slots.  This, not the size of its write
-    /// set, is what rolls back every speculative child of the 2^18-point
-    /// fft (`re`/`im` arrays 2^18 words apart; ROADMAP item 1(b)).
+    /// 2 × 1 025 words into 2^17 slots.  This, not the size of its buffer,
+    /// is what rolls back every speculative child of the 2^18-point fft
+    /// (`re`/`im` arrays 2^18 words apart; ROADMAP item 3).
     #[test]
     fn arrays_a_multiple_of_the_map_apart_alias_slot_for_slot() {
         let config = crate::BufferConfig::default();
-        let mut m = WordMap::new(config.write_capacity_words, config.overflow_capacity);
-        assert_eq!((m.capacity(), config.overflow_capacity), (1 << 16, 1 << 10));
+        let slots = config.read_capacity_words + config.write_capacity_words;
+        let mut m = WordMap::new(slots, config.overflow_capacity);
+        assert_eq!((m.capacity(), config.overflow_capacity), (1 << 17, 1 << 10));
         let a: Addr = 0x1000;
         let b = a + (1 << 18) * WORD_BYTES;
         for i in 0..(1u64 << 12) {
             assert_eq!(m.insert_word(a + i * WORD_BYTES, i), Ok(()));
-            let conflicting = m.insert_word(b + i * WORD_BYTES, i);
+            let conflicting = m.merge(b + i * WORD_BYTES, i, u64::MAX);
             if i < 1 << 10 {
                 assert_eq!(conflicting, Err(BufferError::OverflowPending), "i = {i}");
             } else {

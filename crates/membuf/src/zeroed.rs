@@ -1,4 +1,5 @@
-//! Zeroed tables that nobody wrote: the arena and the commit log's tables.
+//! Zeroed tables that nobody wrote: the arena, the commit log's tables and
+//! each speculative thread's [`WordMap`](crate::WordMap).
 //!
 //! `calloc` does not promise that.  glibc raises its mmap threshold to the
 //! size of the last mapped block it freed (up to 32 MiB), so the *second*
@@ -7,20 +8,19 @@
 //! Which of the two happens depends on whether some small allocation pinned
 //! the heap's top when the first runtime was dropped: the same program
 //! peaked at 11 or at 32 MiB.  A large table is therefore mapped from the
-//! kernel, whose pages are zero until touched, every time.
+//! kernel, whose pages are zero until touched, every time; a small one
+//! (every unit test's) comes from the allocator's zeroed pages.
 
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicU64;
-
-use crate::wordmap::zeroed_boxed;
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod os {
     /// Tables of at least this many bytes are mapped (glibc's own initial
-    /// threshold); smaller ones — every unit test's — come from the
-    /// allocator.
+    /// threshold); smaller ones come from the allocator.
     pub const MAP_BYTES: usize = 128 << 10;
 
     extern "C" {
@@ -52,56 +52,88 @@ mod os {
     }
 }
 
-/// A fixed-length slice of atomics that starts at zero; a `Box<[AtomicU64]>`
-/// to its users (pointer and length, no branch on an access).
-pub(crate) struct ZeroedAtomics {
-    ptr: NonNull<AtomicU64>,
+/// A type whose all-zero bytes are a valid value and which owns nothing, so
+/// a table of them is freed without dropping its elements.
+///
+/// # Safety
+/// Implement only for such types.
+pub(crate) unsafe trait Zeroable {}
+
+// SAFETY: an `AtomicU64` is a `u64` in memory, and zero is its value 0.
+unsafe impl Zeroable for AtomicU64 {}
+
+/// A fixed-length slice of `T`s that starts all zero; a `Box<[T]>` to its
+/// users (pointer and length, no branch on an access).
+pub(crate) struct Zeroed<T: Zeroable> {
+    ptr: NonNull<T>,
     len: usize,
-    /// Whether `ptr` is a mapping of `len` words instead of a box.
+    /// Whether `ptr` is a mapping of `len` `T`s instead of a box.
     mapped: bool,
 }
 
-// SAFETY: it owns its `AtomicU64`s as a box would.
-unsafe impl Send for ZeroedAtomics {}
-unsafe impl Sync for ZeroedAtomics {}
+/// The arena's words and the commit log's tables.
+pub(crate) type ZeroedAtomics = Zeroed<AtomicU64>;
 
-impl ZeroedAtomics {
+// SAFETY: it owns its `T`s as a box would.
+unsafe impl<T: Zeroable + Send> Send for Zeroed<T> {}
+unsafe impl<T: Zeroable + Sync> Sync for Zeroed<T> {}
+
+impl<T: Zeroable> Zeroed<T> {
     pub(crate) fn new(len: usize) -> Self {
         // A length nobody has saturates, is refused, and panics in the box.
-        let bytes = len.saturating_mul(8);
+        let bytes = len.saturating_mul(size_of::<T>());
         let mapping = (bytes >= os::MAP_BYTES).then(|| os::map(bytes)).flatten();
         let (ptr, mapped) = match mapping {
             Some(ptr) => (ptr.cast(), true),
-            None => {
-                // SAFETY: an `AtomicU64` is a `u64` in memory, and zero is
-                // its value 0.
-                let boxed: Box<[AtomicU64]> = unsafe { zeroed_boxed(len) };
-                (Box::into_raw(boxed).cast(), false)
-            }
+            None => (Self::boxed(len), false),
         };
         let ptr = NonNull::new(ptr).expect("neither a box nor a mapping is at null");
-        ZeroedAtomics { ptr, len, mapped }
+        Zeroed { ptr, len, mapped }
+    }
+
+    /// The small-table fallback: `len` all-zero `T`s straight from the
+    /// allocator's zeroed pages, as a leaked `Box<[T]>`.
+    fn boxed(len: usize) -> *mut T {
+        let layout = Layout::array::<T>(len).expect("table fits in memory");
+        if layout.size() == 0 {
+            return NonNull::dangling().as_ptr();
+        }
+        // SAFETY: the layout is not zero-sized (checked above), and all-zero
+        // bytes are a valid `T` (`Zeroable`).
+        let ptr = unsafe { alloc_zeroed(layout) };
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        ptr.cast()
     }
 }
 
-impl Deref for ZeroedAtomics {
-    type Target = [AtomicU64];
+impl<T: Zeroable> Deref for Zeroed<T> {
+    type Target = [T];
     #[inline]
-    fn deref(&self) -> &[AtomicU64] {
-        // SAFETY: `ptr` holds `len` atomics — zero-filled pages or the box's
-        // — for as long as `self`.
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr` holds `len` `T`s — zero-filled pages or the box's —
+        // for as long as `self`.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
-impl Drop for ZeroedAtomics {
+impl<T: Zeroable> DerefMut for Zeroed<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        // SAFETY: as in `deref`, and `&mut self` says nothing else borrows it.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl<T: Zeroable> Drop for Zeroed<T> {
     fn drop(&mut self) {
         let slice = std::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len);
         // SAFETY: what `new` mapped or leaked, whole, once; `&mut self`
         // says nothing borrows it.
         unsafe {
             if self.mapped {
-                os::munmap(slice.cast(), self.len * 8);
+                os::munmap(slice.cast(), self.len * size_of::<T>());
             } else {
                 drop(Box::from_raw(slice));
             }
@@ -109,7 +141,7 @@ impl Drop for ZeroedAtomics {
     }
 }
 
-impl fmt::Debug for ZeroedAtomics {
+impl<T: Zeroable + fmt::Debug> fmt::Debug for Zeroed<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (**self).fmt(f)
     }

@@ -28,10 +28,19 @@ fn word_log() -> CommitLog {
     CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12)
 }
 
+/// One word of the [`WordMapModel`]: its first read, if any, and the bytes
+/// written over it.
+#[derive(Default, Clone, Copy)]
+struct ModelWord {
+    read: Option<(u64, u64)>,
+    data: u64,
+    mask: u64,
+}
+
 /// Reference model of a 16-slot, 4-overflow-entry [`WordMap`].
 #[derive(Default)]
 struct WordMapModel {
-    entries: HashMap<u64, WordEntry>,
+    words: HashMap<u64, ModelWord>,
     /// Occupant of each direct-mapped slot.
     home: HashMap<u64, u64>,
     /// Addresses in their home slot, in insertion order.
@@ -42,29 +51,58 @@ struct WordMapModel {
 }
 
 impl WordMapModel {
-    fn merge(&mut self, new: WordEntry) -> Result<(), BufferError> {
-        let occupant = *self
-            .home
-            .entry((new.addr / WORD_BYTES) % 16)
-            .or_insert(new.addr);
-        if let Some(e) = self.entries.get_mut(&new.addr) {
-            e.data = (e.data & !new.mask) | new.data;
-            e.mask |= new.mask;
-        } else if occupant == new.addr {
-            self.direct.push(new.addr);
-            self.entries.insert(new.addr, new);
-        } else if self.overflow.len() == 4 {
-            return Err(BufferError::OverflowFull);
-        } else {
-            self.overflow.push(new.addr);
-            self.entries.insert(new.addr, new);
+    /// `addr`'s word, made room for: whether it sits in the overflow area,
+    /// or `OverflowFull`.
+    fn place(&mut self, addr: u64) -> Result<(&mut ModelWord, bool), BufferError> {
+        let occupant = *self.home.entry((addr / WORD_BYTES) % 16).or_insert(addr);
+        if !self.words.contains_key(&addr) {
+            if occupant == addr {
+                self.direct.push(addr);
+            } else if self.overflow.len() == 4 {
+                return Err(BufferError::OverflowFull);
+            } else {
+                self.overflow.push(addr);
+            }
         }
-        if occupant == new.addr {
-            return Ok(());
-        }
-        self.pending = true;
-        Err(BufferError::OverflowPending)
+        self.pending |= occupant != addr;
+        Ok((self.words.entry(addr).or_default(), occupant != addr))
     }
+
+    fn placed(spilled: bool) -> Result<(), BufferError> {
+        if spilled {
+            Err(BufferError::OverflowPending)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn read(&mut self, addr: u64, value: u64, version: u64) -> Result<(), BufferError> {
+        let (word, spilled) = self.place(addr)?;
+        // The first value, and the older version.
+        let (_, kept) = word.read.get_or_insert((value, version));
+        *kept = (*kept).min(version);
+        Self::placed(spilled)
+    }
+
+    fn write(&mut self, addr: u64, value: u64, mask: u64) -> Result<(), BufferError> {
+        let (word, spilled) = self.place(addr)?;
+        word.data = (word.data & !mask) | (value & mask);
+        word.mask |= mask;
+        Self::placed(spilled)
+    }
+
+    /// A word as the map reports it: address, first read (value and
+    /// version), the thread's view and its written-byte mask.
+    fn view(addr: u64, word: &ModelWord) -> (u64, Option<(u64, u64)>, u64, u64) {
+        let under = word.read.map_or(0, |(value, _)| value);
+        let data = (under & !word.mask) | (word.data & word.mask);
+        (addr, word.read, data, word.mask)
+    }
+}
+
+fn entry_view(e: &WordEntry) -> (u64, Option<(u64, u64)>, u64, u64) {
+    let read = e.has_read().then_some((e.read, e.version()));
+    (e.addr, read, e.data, e.mask())
 }
 
 /// Words the sized-access property plays on.
@@ -76,6 +114,8 @@ const SIZED_WORDS: u64 = 48;
 struct ByteModel {
     written: HashMap<u64, u8>,
     first_read: HashMap<u64, [u8; 8]>,
+    /// Words somebody else committed to after the thread first read them.
+    stale: std::collections::HashSet<u64>,
     loads: u64,
     stores: u64,
 }
@@ -154,10 +194,11 @@ impl ByteModel {
 
 proptest! {
     /// The WordMap behaves like a model built from `HashMap`s through
-    /// every operation of its API — partial-mask merges, version
-    /// weakening/refreshing, clear-then-reuse — including hash conflicts
-    /// that spill into the overflow area and fill it: 64 addresses share
-    /// 16 slots and 4 overflow entries.
+    /// every operation of its API — reads (the first value and the oldest
+    /// version kept), partial-mask writes to words read or not, version
+    /// refreshing, clear-then-reuse —
+    /// including hash conflicts that spill into the overflow area and fill
+    /// it: 64 addresses share 16 slots and 4 overflow entries.
     #[test]
     fn wordmap_matches_hashmap_model(
         ops in proptest::collection::vec((0u32..16, 1u64..65, any::<u64>(), 0u64..8), 1..300)
@@ -167,46 +208,47 @@ proptest! {
         let mut model = WordMapModel::default();
         for (kind, word, value, version) in ops {
             let addr = word * WORD_BYTES;
+            let read = model.words.get_mut(&addr).and_then(|w| w.read.as_mut());
             match kind {
                 0 => {
                     map.clear();
                     model = WordMapModel::default();
                 }
-                1 | 2 => {
-                    map.weaken_version(addr, version);
-                    if let Some(e) = model.entries.get_mut(&addr) {
-                        e.version = e.version.min(version);
-                    }
-                }
-                3 | 4 => {
+                1..=4 => {
                     map.refresh_version(addr, version);
-                    if let Some(e) = model.entries.get_mut(&addr) {
-                        e.version = e.version.max(version);
+                    if let Some((_, v)) = read {
+                        *v = (*v).max(version);
                     }
                 }
+                5..=9 => prop_assert_eq!(
+                    map.insert_word_versioned(addr, value, version),
+                    model.read(addr, value, version)
+                ),
                 _ => {
                     let mask = MASKS[(value % 4) as usize];
-                    prop_assert_eq!(
-                        map.merge_versioned(addr, value, mask, version),
-                        model.merge(WordEntry { addr, data: value & mask, mask, version })
-                    );
+                    prop_assert_eq!(map.merge(addr, value, mask), model.write(addr, value, mask));
                 }
             }
-            prop_assert_eq!(map.len(), model.entries.len());
+            prop_assert_eq!(map.len(), model.words.len());
+            prop_assert_eq!(map.reads(), model.words.values().filter(|w| w.read.is_some()).count());
+            prop_assert_eq!(map.writes(), model.words.values().filter(|w| w.mask != 0).count());
             prop_assert_eq!(map.overflow_len(), model.overflow.len());
             prop_assert_eq!(map.overflow_pending(), model.pending);
         }
         // Direct-mapped entries in insertion order, then the overflow area.
-        let expected: Vec<WordEntry> = model
+        let expected: Vec<_> = model
             .direct
             .iter()
             .chain(&model.overflow)
-            .map(|addr| model.entries[addr])
+            .map(|addr| WordMapModel::view(*addr, &model.words[addr]))
             .collect();
-        prop_assert_eq!(map.iter().collect::<Vec<_>>(), expected);
+        prop_assert_eq!(map.iter().map(|e| entry_view(&e)).collect::<Vec<_>>(), expected);
         for word in 1..65 {
             let addr = word * WORD_BYTES;
-            prop_assert_eq!(map.get(addr), model.entries.get(&addr).copied());
+            prop_assert_eq!(
+                map.get(addr).map(|e| entry_view(&e)),
+                model.words.get(&addr).map(|w| WordMapModel::view(addr, w))
+            );
         }
     }
 
@@ -232,14 +274,14 @@ proptest! {
                 shadow.write_word(addr, value);
                 local.insert(addr, value);
             } else {
-                let got = buf.load(&mem, addr, WORD_BYTES).unwrap();
+                let got = buf.load_logged(&mem, None, addr, WORD_BYTES).unwrap();
                 let want = local.get(&addr).copied().unwrap_or_else(|| mem.read_word(addr));
                 prop_assert_eq!(got, want, "load at {:#x}", addr);
             }
         }
         // No interfering writes happened, so validation must succeed and the
         // commit must make main memory equal to the shadow memory.
-        prop_assert!(buf.validate(&mem));
+        prop_assert!(buf.validate_view(|a| mem.read_word(a)));
         buf.commit(&mem);
         for i in 1..512u64 {
             let a = i * WORD_BYTES;
@@ -254,8 +296,10 @@ proptest! {
     /// refuse exactly the accesses the model refuses, with the same error,
     /// and leave `BufferStats` equal to the model's counts.  A word the
     /// thread has not fully written is read from memory once, at its first
-    /// load (writes by others after that are not seen); a fully written one
-    /// never is.
+    /// load (commits by others after that are not seen); a fully written
+    /// one never is.  And `validate_against` fails exactly when somebody
+    /// committed to a word after the thread's first read of it — whatever
+    /// the thread wrote over the word since.
     #[test]
     fn sized_accesses_follow_a_byte_array_model(
         ops in proptest::collection::vec(
@@ -287,13 +331,21 @@ proptest! {
                     model.store(addr, value, size),
                     "store of {} bytes at {:#x}", size, addr
                 ),
-                // Somebody else's store to main memory.
-                _ => mem.write_word(addr & !(WORD_BYTES - 1), value),
+                // Somebody else's commit to main memory.
+                _ => {
+                    let word_addr = addr & !(WORD_BYTES - 1);
+                    mem.write_word(word_addr, value);
+                    log.record_word(word_addr);
+                    if model.first_read.contains_key(&word_addr) {
+                        model.stale.insert(word_addr);
+                    }
+                }
             }
             prop_assert_eq!(buf.stats(), model.stats());
             prop_assert_eq!(buf.read_set_len(), model.first_read.len());
             prop_assert_eq!(buf.write_set_len(), model.written_words().len());
         }
+        prop_assert_eq!(buf.validate_against(&log), model.stale.is_empty(), "{:?}", model.stale);
         // Every byte the thread sees, then every byte it publishes.
         for i in 0..SIZED_WORDS * WORD_BYTES {
             prop_assert_eq!(buf.load_logged(&mem, Some(&log), base + i, 1), model.load(&mem, base + i, 1));
@@ -322,10 +374,10 @@ proptest! {
         let mem = GlobalMemory::new(1 << 16);
         let mut buf = GlobalBuffer::new(BufferConfig::default());
         let original = mem.read_word(read_addr);
-        let _ = buf.load(&mem, read_addr, WORD_BYTES).unwrap();
+        let _ = buf.load_logged(&mem, None, read_addr, WORD_BYTES).unwrap();
         mem.write_word(write_addr, new_value);
         let expect_valid = write_addr != read_addr || new_value == original;
-        prop_assert_eq!(buf.validate(&mem), expect_valid);
+        prop_assert_eq!(buf.validate_view(|a| mem.read_word(a)), expect_valid);
     }
 
     /// Commit-log validation round-trip: a buffer that read a set of
@@ -387,7 +439,7 @@ proptest! {
         parent.absorb(&child).unwrap();
         // (a) absorbed writes are visible through the parent.
         for (&addr, &value) in &last_written {
-            prop_assert_eq!(parent.load(&mem, addr, WORD_BYTES).unwrap(), value);
+            prop_assert_eq!(parent.load_logged(&mem, None, addr, WORD_BYTES).unwrap(), value);
         }
         prop_assert!(parent.validate_against(&log), "nothing committed yet");
         // (b) a commit after the absorb conflicts iff it overlaps one of

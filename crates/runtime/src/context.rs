@@ -43,7 +43,7 @@ use crate::ledger::Point;
 use crate::manager::{
     CommitKind, Handoff, PromotedOutcome, SpecOutcome, SpecRequest, ThreadBuffers, ThreadManager,
 };
-use crate::protocol;
+use crate::protocol::{self, Price};
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{
     failure, over_range, task, typed_load, typed_store, JoinOutcome, Rank, SpecAbort, SpecResult,
@@ -60,11 +60,13 @@ pub(crate) const SYNC_PAYBACK: u64 = 8;
 
 /// How long a thread with nothing to run — a worker between tasks, a
 /// joiner at its join — spins (yielding the core each round) before it
-/// parks.  Long enough that the two waits of a loop that forks half of
+/// parks.  Long enough that the two waits of a loop that forks a tail of
 /// itself once a step end inside the spin: the worker's, from its deposit
 /// to the next step's fork (a join, a commit and the sequential stretch
-/// between two ranges: md ≈ 100 µs), and the joiner's, for a half that
-/// runs at speculative-access price (md ≈ 300 µs).  A parked thread comes
+/// between two ranges: md ≈ 100 µs), and the joiner's, for a tail still
+/// running at speculative-access price when its own share is done (md ≈
+/// 300 µs at the midpoint; the priced cut of `protocol::forker_share`
+/// leaves only the imbalance, tens of µs).  A parked thread comes
 /// back through the kernel, and on a host shared with other tenants that
 /// is the slowest and least steady step of a round trip: at 30 µs
 /// `dense_reads` took 1.4–1.6 × the sequential run's time in a busy hour
@@ -86,17 +88,6 @@ pub(crate) const SYNC_BASE_NS: u64 = 2_000;
 /// Cost of validating, committing and clearing one buffered entry assumed
 /// until the first promotion of a non-empty buffer is measured.
 pub(crate) const COLD_SYNC_ENTRY_NS: u64 = 25;
-
-/// Iterations a forker keeps of the `len ≥ 2` it has left when it forks
-/// the rest: guided self-scheduling — one part in (`cpus` + 1), at least
-/// one iteration.  Half on one speculative CPU; one iteration — the chain —
-/// once the CPUs outnumber half the iterations.  By the CPUs the runtime
-/// *has*, not the ones idle at the moment: deep in a dependent chain few
-/// are idle, and a forker that kept more than one iteration there would
-/// put more of its stores underneath its continuation's reads.
-fn forker_share(len: usize, cpus: usize) -> usize {
-    (len / (cpus + 1)).max(1)
-}
 
 /// Handle returned by a fork point and consumed by the matching join point.
 pub struct SpecHandle {
@@ -189,6 +180,9 @@ pub struct SpecContext {
     promotion: Option<Promotion>,
     /// A promotion attempt failed validation (see [`SpecOutcome::settled`]).
     settled: bool,
+    /// What this task's `fork_range` bodies cost at speculative price, per
+    /// fork site, until its commit books them.
+    prices: Vec<(u32, Price)>,
 }
 
 impl SpecContext {
@@ -214,6 +208,7 @@ impl SpecContext {
             reexec_depth: 0,
             promotion: None,
             settled: false,
+            prices: Vec::new(),
         }
     }
 
@@ -261,6 +256,7 @@ impl SpecContext {
             stats: self.stats,
             finished_at: Instant::now(),
             settled: self.settled,
+            prices: self.prices,
         }
     }
 
@@ -621,6 +617,7 @@ impl SpecContext {
             stats: std::mem::take(&mut self.stats),
             finished_at: sync_started,
             settled: false,
+            prices: std::mem::take(&mut self.prices),
         };
         let verdict = self.mgr.validate_and_commit(rank, &mut outcome, None);
         let kind = match verdict {
@@ -949,11 +946,13 @@ impl SpecContext {
     /// [`fork_range`](TlsContext::fork_range) over two or more iterations:
     /// walk the range, and at an iteration boundary where a CPU is idle
     /// fork the tail of what is left (lazy splitting).  The forker keeps
-    /// [`forker_share`] of it, so on one speculative CPU the cut is the
-    /// midpoint of what is left, and with a CPU for every other iteration
-    /// the walk is the chain.  A tail forks its own tail the same way, and
-    /// so does a thread promoted in the middle of a body: the CPU it gave
-    /// up is idle at its next boundary.
+    /// [`protocol::forker_share`] of it at the site's price: on one
+    /// speculative CPU the midpoint of what is left until both sides of the
+    /// site have been timed, then the point where both sides finish
+    /// together; with a CPU for every other iteration, the chain.  A tail
+    /// forks its own tail the same way, and so does a thread promoted in
+    /// the middle of a body: the CPU it gave up is idle at its next
+    /// boundary.
     ///
     /// While no CPU is idle nothing is attempted: no denied fork, no
     /// closure.  A fork denied after all (a race for the CPU, the governor,
@@ -974,7 +973,8 @@ impl SpecContext {
         let mut offer = true;
         while next < end {
             if offer && end - next > 1 && self.has_idle_cpu() {
-                let mid = next + forker_share(end - next, self.mgr.config().num_cpus);
+                let cpus = self.mgr.config().num_cpus;
+                let mid = next + protocol::forker_share(end - next, cpus, self.price_of(point));
                 let rest = Arc::clone(body);
                 let tail = task(move |ctx: &mut Self| ctx.split_when_idle(point, mid..end, &rest));
                 let handle = self.fork(point, tail)?;
@@ -982,7 +982,7 @@ impl SpecContext {
                 tails.push(handle);
                 end = mid;
             }
-            match body(self, next) {
+            match self.run_priced(point, |ctx| body(ctx, next)) {
                 // On the chain every iteration but a task's first is a
                 // continuation of its own, which a barrier ends quietly.
                 Err(SpecAbort::BarrierReached) if next > range.start => break,
@@ -994,6 +994,41 @@ impl SpecContext {
             self.join(handle)?;
         }
         Ok(())
+    }
+
+    /// The price a cut at `site` goes by: the site's books at rank 0, equal
+    /// for a speculative forker — both of its sides pay the speculative
+    /// price.
+    fn price_of(&self, site: u32) -> Price {
+        if self.rank == 0 {
+            self.mgr.price(site)
+        } else {
+            Price::default()
+        }
+    }
+
+    /// Run one iteration of a range at `site` and book what it cost on this
+    /// thread's side of the split: at once at rank 0, with the task's commit
+    /// when speculative.  An iteration that failed, or during which the
+    /// context was promoted, books nothing.
+    fn run_priced(
+        &mut self,
+        site: u32,
+        iteration: impl FnOnce(&mut Self) -> SpecResult<()>,
+    ) -> SpecResult<()> {
+        let (rank, started) = (self.rank, Instant::now());
+        let result = iteration(self);
+        if result.is_ok() && self.rank == rank {
+            let ns = started.elapsed().as_nanos() as u64;
+            if rank == 0 {
+                self.mgr.book_price(site, Price::crit(ns));
+            } else if let Some((_, price)) = self.prices.iter_mut().find(|(s, _)| *s == site) {
+                price.add(Price::spec(ns));
+            } else {
+                self.prices.push((site, Price::spec(ns)));
+            }
+        }
+        result
     }
 
     /// Whether a virtual CPU is held by no task right now (a racy reading:
@@ -1219,13 +1254,15 @@ impl TlsContext for SpecContext {
     /// iterations a child denied its own forks runs the loop alone at
     /// speculative-access price while the non-speculative thread idles at
     /// the join.  Here a tail is forked only for a CPU that is idle, and
-    /// the forker keeps one part in (CPUs + 1) of what is left (see
-    /// `split_when_idle`): half on one speculative CPU, one iteration —
-    /// the chain — once there is a CPU for every other iteration, which is
-    /// what a loop-carried dependence wants: a continuation only ever
-    /// commits when it starts after the forker's *last* store.  Built on
-    /// the public `fork`/`join` only, so promotion, the governor, rollback
-    /// and inline re-execution apply to a tail as to any continuation.
+    /// the forker keeps what leaves both sides the same work at their
+    /// measured prices per iteration (see `split_when_idle`): at equal
+    /// price one part in (CPUs + 1) — half on one speculative CPU, one
+    /// iteration, the chain, once there is a CPU for every other iteration,
+    /// which is what a loop-carried dependence wants: a continuation only
+    /// ever commits when it starts after the forker's *last* store.  Built
+    /// on the public `fork`/`join` only, so promotion, the governor,
+    /// rollback and inline re-execution apply to a tail as to any
+    /// continuation.
     fn fork_range<F>(&mut self, point: u32, range: Range<usize>, body: F) -> SpecResult<()>
     where
         F: Fn(&mut Self, usize) -> SpecResult<()> + Send + Sync + 'static,
@@ -1329,22 +1366,40 @@ mod tests {
         assert_eq!(denials, [(7, DenyPolicy::Model), (8, DenyPolicy::NoCpu)]);
     }
 
-    /// The forker's share: half of what is left on one speculative CPU, one
-    /// part in (CPUs + 1) with more, the chain's single iteration once they
-    /// outnumber half the iterations — and always a valid cut.
+    /// The price books, hand-driven: a stretch run speculatively waits for
+    /// its task's commit, a stretch the context was promoted in books
+    /// nothing, and rank 0's own stretches book at once — failed ones not.
     #[test]
-    fn forker_share_is_half_on_one_cpu_and_the_chain_on_many() {
-        for cpus in 1..=8 {
-            for len in 2..=70 {
-                let kept = forker_share(len, cpus);
-                assert!(0 < kept && kept < len, "{cpus} CPUs: kept {kept} of {len}");
-                assert!(kept <= len / 2, "the forker never keeps more than half");
-                match cpus {
-                    1 => assert_eq!(kept, len / 2),
-                    _ if len < 2 * (cpus + 1) => assert_eq!(kept, 1),
-                    _ => assert_eq!(kept, len / (cpus + 1)),
-                }
-            }
-        }
+    fn a_stretch_books_on_its_side_and_a_promoted_one_books_nothing() {
+        let mgr = ThreadManager::new(RuntimeConfig::with_cpus(1).memory_bytes(1 << 16));
+        let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
+        let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child, Vec::new());
+        ctx.run_priced(7, |_| Ok(())).unwrap();
+        assert_eq!(mgr.price(7), Price::default(), "not before the commit");
+        // Promoted inside the next stretch, at a joiner's request that pays.
+        mgr.post_sync(child, Arc::new(Handoff::new(u64::MAX)));
+        ctx.run_priced(7, |ctx| ctx.check_point()).unwrap();
+        assert!(!ctx.is_speculative(), "the request was taken");
+        let books = mgr.price(7);
+        assert_eq!((books.spec_iters, books.crit_iters), (1, 0));
+        ctx.run_priced(7, |_| Ok(())).unwrap();
+        let _ = ctx.run_priced(7, |_| Err(failure(SpecFailure::Injected)));
+        assert_eq!(mgr.price(7).crit_iters, 1, "rank 0 books at once");
+    }
+
+    /// Both sides of a speculative forker's split pay the speculative
+    /// price, so it cuts at equal price whatever the site's books say.
+    #[test]
+    fn a_speculative_forker_cuts_at_equal_price() {
+        let mgr = ThreadManager::new(RuntimeConfig::with_cpus(2).memory_bytes(1 << 16));
+        let mut dear = Price::crit(10);
+        dear.add(Price::spec(30));
+        mgr.book_price(7, dear);
+        let rank0 = SpecContext::non_speculative(Arc::clone(&mgr));
+        assert_eq!(protocol::forker_share(64, 1, rank0.price_of(7)), 48);
+        let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
+        let forker = SpecContext::speculative(Arc::clone(&mgr), child, Vec::new());
+        assert_eq!(forker.price_of(7), Price::default());
+        assert_eq!(protocol::forker_share(64, 2, forker.price_of(7)), 64 / 3);
     }
 }

@@ -175,7 +175,8 @@ impl ThreadManager {
 
     /// Close the books of a thread whose fate is known — the one place a
     /// finished thread is accounted for, whether it was joined, promoted,
-    /// adopted or discarded: park its buffers for its CPU's next task
+    /// adopted or discarded: book a committed thread's `fork_range` prices,
+    /// park its buffers for its CPU's next task
     /// (finalization is charged to the speculative path, as in the
     /// paper's breakdown), reclassify a rolled-back thread's work as
     /// wasted, feed the verdict to the governor's site profile — with the
@@ -192,6 +193,11 @@ impl ThreadManager {
     ) {
         // Observed before the buffers are cleared.
         let observed_grain = self.observed_grain(&outcome);
+        if verdict.is_ok() {
+            for &(site, price) in &outcome.prices {
+                self.book_price(site, price);
+            }
+        }
         let finalize_started = Instant::now();
         self.return_buffers(rank, outcome.buffers);
         let mut stats = outcome.stats;

@@ -30,6 +30,9 @@ pub struct SpecOutcome {
     /// unregistered and its precise passes counted.  The joiner rolls back
     /// without validating a second time.
     pub settled: bool,
+    /// What the task's `fork_range` bodies cost, per fork site: booked if
+    /// it commits, forgotten if not.
+    pub(crate) prices: Vec<(SiteId, Price)>,
 }
 
 /// How a validated join finished (see
@@ -301,25 +304,16 @@ impl ThreadManager {
                 retried
             }
         };
-        // The joining parent's view of a word: its own uncommitted
-        // write-set overlaid on main memory.  Shared by overlay
-        // validation and (on its failure) the per-region conflict
-        // attribution, so the mask-merge semantics cannot drift apart.
-        let overlay_view = |parent: &GlobalBuffer, addr: Addr| match parent
-            .write_entries()
-            .find(|e| e.addr == addr)
-        {
-            Some(e) if e.mask == u64::MAX => e.data,
-            Some(e) => (mem.read_word(addr) & !e.mask) | (e.data & e.mask),
-            None => mem.read_word(addr),
-        };
+        // The joining parent's view of a word — its own uncommitted bytes
+        // overlaid on main memory — serves overlay validation and (on its
+        // failure) the per-region conflict attribution.
         let valid = log_valid
             && match &parent_buffer {
                 None => true,
                 Some(parent) => outcome
                     .buffers
                     .global
-                    .validate_view(|addr| overlay_view(parent, addr)),
+                    .validate_view(|addr| parent.overlay(mem, addr)),
             };
         let took = elapsed_ns(started);
         outcome.stats.add(Phase::Validation, took);
@@ -371,7 +365,7 @@ impl ThreadManager {
                     let mut seen: std::collections::HashSet<mutls_membuf::RegionId> =
                         std::collections::HashSet::new();
                     for entry in outcome.buffers.global.read_entries() {
-                        if overlay_view(parent, entry.addr) == entry.data {
+                        if parent.overlay(mem, entry.addr) == entry.read {
                             continue;
                         }
                         if seen.insert(self.commit_log.region_of(entry.addr)) {

@@ -24,7 +24,7 @@
 //! calls with its own facts; what they *record* is in
 //! [`ledger`](crate::ledger).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,7 +47,7 @@ use crate::context::{
 };
 use crate::fork_model::ForkModel;
 use crate::ledger::Point;
-use crate::protocol::{self, Forker, JoinFacts, JoinVerdict, Retirement};
+use crate::protocol::{self, Forker, JoinFacts, JoinVerdict, Price, Retirement};
 use crate::stats::{Phase, ThreadCounters, ThreadStats};
 use crate::task::{Rank, SpecAbort, TaskRef, TaskStatus};
 
@@ -267,6 +267,11 @@ pub struct ThreadManager {
     /// synchronizing).
     sync_ns: AtomicU64,
     sync_entries: AtomicU64,
+    /// What a `fork_range` iteration costs per fork site on either side of
+    /// a split (see [`protocol::forker_share`]): booked by rank 0 after each
+    /// of its bodies and by a speculative task's commit, kept for the
+    /// runtime's life.
+    prices: Mutex<HashMap<SiteId, Price>>,
 }
 
 impl ThreadManager {
@@ -333,7 +338,18 @@ impl ThreadManager {
             fastest_handoff_ns: AtomicU64::new(COLD_HANDOFF_NS),
             sync_ns: AtomicU64::new(0),
             sync_entries: AtomicU64::new(0),
+            prices: Mutex::new(HashMap::new()),
         })
+    }
+
+    /// What a `fork_range` iteration at `site` has cost on each side so far.
+    pub(crate) fn price(&self, site: SiteId) -> Price {
+        self.prices.lock().get(&site).copied().unwrap_or_default()
+    }
+
+    /// Add `price` to `site`'s books.
+    pub(crate) fn book_price(&self, site: SiteId, price: Price) {
+        self.prices.lock().entry(site).or_default().add(price);
     }
 
     /// The adaptive speculation governor.

@@ -101,6 +101,7 @@ fn completed(buffers: ThreadBuffers) -> SpecOutcome {
         stats: ThreadStats::new(),
         finished_at: Instant::now(),
         settled: false,
+        prices: Vec::new(),
     }
 }
 
@@ -215,9 +216,10 @@ fn buffers_are_built_at_first_use_and_come_back_clean() {
     );
     assert_eq!(m.buffers_created(), 0, "not before a CPU speculates");
     let mem = Arc::clone(m.memory());
-    let data = mem.alloc::<u64>(32);
+    let data = mem.alloc::<u64>(64);
     let mut dirty = m.take_buffers(2);
-    for i in 0..20 {
+    // More words than the map's 32 slots.
+    for i in 0..40 {
         let addr = data.addr_of(i);
         let _ = dirty
             .global
@@ -630,6 +632,32 @@ fn address_registration_flows_through() {
     assert!(!m.range_registered(u64::MAX - 7, 8));
     m.unregister_range(0x100, 0x40);
     assert!(!m.range_registered(0x100, 8));
+}
+
+/// A task's `fork_range` prices reach the site's books with its commit:
+/// not with a rollback, not with a discard, so a site nothing committed at
+/// has no speculative sample and cuts at equal price.
+#[test]
+fn only_a_committed_task_books_its_prices() {
+    let m = mgr(1);
+    let priced = |rank| SpecOutcome {
+        prices: vec![(7, Price::spec(30))],
+        ..stopped(&m, rank, TaskStatus::Completed)
+    };
+    let rank = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+    let conflict = Err(SpecFailure::ReadConflict);
+    m.settle_child(rank, 7, ForkModel::Mixed, priced(rank), conflict);
+    m.release_cpu(rank, 0);
+    let rank = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+    assert!(m.deposit_outcome(rank, priced(rank)));
+    m.reap_subtree(rank);
+    assert_eq!(m.price(7), Price::default(), "rolled back, then discarded");
+
+    let rank = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+    let committed = Ok(CommitKind::Committed);
+    m.settle_child(rank, 7, ForkModel::Mixed, priced(rank), committed);
+    m.release_cpu(rank, 0);
+    assert_eq!(m.price(7), Price::spec(30));
 }
 
 #[test]

@@ -2,11 +2,13 @@
 //!
 //! Who may fork under which model (§IV-B), what a join makes of a validated
 //! or a conflicting child (§IV-F), what a retired thread leaves at its fork
-//! site, when the grain controller ticks and when an injected rollback is
-//! drawn are *decisions*: functions of a handful of values.  The native
-//! runtime takes them on the wall clock, the simulator's replay on the
-//! virtual one, and both call the functions below — as both call
-//! [`ledger::observe`](crate::ledger::observe) for what is written down.
+//! site, when the grain controller ticks, when an injected rollback is
+//! drawn and where a range is split are *decisions*: functions of a handful
+//! of values.  The native runtime takes them on the wall clock, the
+//! simulator's replay on the virtual one, and both call the functions below
+//! — as both call [`ledger::observe`](crate::ledger::observe) for what is
+//! written down.  (The replay still records `fork_range` as the grain-1
+//! chain and never asks [`forker_share`]; ROADMAP item 4.)
 //! The caller owns *when* and *how* (acquiring a CPU, reading a buffer or a
 //! fiber's footprint, charging a phase, dooming a rank) and hands over
 //! values, never itself; nothing here reads a clock or shared state.  What
@@ -212,6 +214,78 @@ pub fn grain_tick(
     }
     points.push(Point::GrainTicked(actions.len() as u32));
     points
+}
+
+/// What one `fork_range` iteration of a fork site costs on each side of a
+/// split, as sums: bodies the non-speculative thread ran (`crit_*`), and
+/// bodies speculative tasks ran and then committed (`spec_*`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Price {
+    /// Nanoseconds of bodies run at rank 0.
+    pub crit_ns: u64,
+    /// Bodies run at rank 0.
+    pub crit_iters: u64,
+    /// Nanoseconds of bodies run speculatively by committed tasks.
+    pub spec_ns: u64,
+    /// Bodies run speculatively by committed tasks.
+    pub spec_iters: u64,
+}
+
+impl Price {
+    /// One rank-0 body of `ns` nanoseconds.
+    pub fn crit(ns: u64) -> Self {
+        Price {
+            crit_ns: ns,
+            crit_iters: 1,
+            ..Price::default()
+        }
+    }
+
+    /// One speculative body of `ns` nanoseconds.
+    pub fn spec(ns: u64) -> Self {
+        Price {
+            spec_ns: ns,
+            spec_iters: 1,
+            ..Price::default()
+        }
+    }
+
+    /// Both books summed.
+    pub fn add(&mut self, other: Price) {
+        self.crit_ns += other.crit_ns;
+        self.crit_iters += other.crit_iters;
+        self.spec_ns += other.spec_ns;
+        self.spec_iters += other.spec_iters;
+    }
+
+    /// `(c, s)`, in proportion: rank 0's and the speculative side's mean ns
+    /// per iteration, cross-multiplied so that no division rounds — and
+    /// `(1, 1)`, equal, until both sides have a sample.
+    fn sides(self) -> (u128, u128) {
+        if self.crit_ns == 0 || self.spec_ns == 0 {
+            return (1, 1);
+        }
+        let c = u128::from(self.crit_ns) * u128::from(self.spec_iters);
+        let s = u128::from(self.spec_ns) * u128::from(self.crit_iters);
+        (c, s)
+    }
+}
+
+/// D6, the split of a range: of the `len ≥ 2` iterations a forker has left
+/// when it forks the rest onto one of `cpus` speculative CPUs, the ones it
+/// keeps — `len·s / (cpus·c + s)`, at least one and never all, where `c` is
+/// rank 0's and `s` the speculative side's price per iteration.  Guided
+/// self-scheduling weighted by price: at equal price, one part in
+/// (`cpus + 1`) — half on one speculative CPU, one iteration (the chain)
+/// once the CPUs outnumber half the iterations; with speculation 3× dearer
+/// on one CPU, ¾.  By the CPUs the runtime *has*, not the ones idle at the
+/// moment: deep in a dependent chain few are idle, and a forker that kept
+/// more than one iteration there would put more of its stores underneath
+/// its continuation's reads.
+pub fn forker_share(len: usize, cpus: usize, price: Price) -> usize {
+    let (c, s) = price.sides();
+    let kept = len as u128 * s / (cpus as u128 * c + s);
+    (kept as usize).clamp(1, len - 1)
 }
 
 /// D5, the injected draw (paper §V-D): whether a join whose validation
@@ -527,6 +601,56 @@ mod tests {
         // Nothing moved since: an idle tick, which nobody hears.
         let no_apply = |_| -> (u32, u64) { panic!("nothing to apply") };
         assert_eq!(grain_tick(&mut controller, &profiles, no_apply), []);
+    }
+
+    /// D6: at equal price — no sample, or only one side's — the cut is one
+    /// part in (CPUs + 1): half on one speculative CPU, the chain's single
+    /// iteration once the CPUs outnumber half the iterations.  Priced, the
+    /// forker keeps more the dearer speculation is (¾ at 3× on one CPU),
+    /// and always a valid cut.
+    #[test]
+    fn the_forker_share_follows_the_price_and_is_always_a_cut() {
+        let equal = [
+            Price::default(),
+            Price::crit(900),
+            Price::spec(900),
+            Price {
+                crit_ns: 700,
+                crit_iters: 7,
+                spec_ns: 300,
+                spec_iters: 3,
+            },
+        ];
+        let priced = |c: u64, s: u64| Price {
+            crit_ns: 4 * c,
+            crit_iters: 4,
+            spec_ns: 2 * s,
+            spec_iters: 2,
+        };
+        for cpus in 1..=8 {
+            for len in 2..=70 {
+                for price in equal {
+                    let kept = forker_share(len, cpus, price);
+                    assert_eq!(kept, (len / (cpus + 1)).max(1), "{cpus} CPUs, {len}");
+                    match cpus {
+                        1 => assert_eq!(kept, len / 2),
+                        _ if len < 2 * (cpus + 1) => assert_eq!(kept, 1),
+                        _ => {}
+                    }
+                }
+                if cpus == 1 && len % 4 == 0 {
+                    assert_eq!(forker_share(len, 1, priced(10, 30)), len * 3 / 4);
+                }
+                // Monotone in s/c, from a hundred times cheaper to dearer.
+                let mut last = 1;
+                for ratio in [1, 10, 50, 99, 100, 101, 150, 300, 1_000, 10_000] {
+                    let kept = forker_share(len, cpus, priced(100, ratio));
+                    assert!(0 < kept && kept < len, "{cpus} CPUs: kept {kept} of {len}");
+                    assert!(kept >= last, "{cpus} CPUs, {len}: s/c {ratio}% kept less");
+                    last = kept;
+                }
+            }
+        }
     }
 
     /// D5: the extremes never ask for the generator; in between the draw is

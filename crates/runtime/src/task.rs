@@ -206,9 +206,12 @@ pub trait TlsContext: Sized {
     /// run speculatively is the executor's decision: the native
     /// [`SpecContext`](crate::SpecContext) overrides this method to walk
     /// the range and fork a tail only at an iteration boundary where a CPU
-    /// is idle, keeping one part in (CPUs + 1) of what is left: half of it
-    /// on one speculative CPU rather than one iteration, one iteration —
-    /// the chain — once there is a CPU for every other iteration.
+    /// is idle, keeping what its measured price per iteration against the
+    /// speculative side's makes its fair share
+    /// ([`protocol::forker_share`](crate::protocol::forker_share)): at equal
+    /// price one part in (CPUs + 1) — half of it on one speculative CPU
+    /// rather than one iteration, one iteration, the chain, once there is a
+    /// CPU for every other iteration.
     /// Every cut goes through [`fork`](Self::fork) / [`join`](Self::join)
     /// under site `point`, so denial, rollback and inline re-execution
     /// apply to a range as to any continuation.

@@ -62,7 +62,7 @@ fn a_task_after_an_overflow_rollback_starts_with_empty_sets() {
     }
     let (first, second) = rt
         .run(|ctx| {
-            // Fills every slot and the overflow area of both sets.
+            // Fills every slot and the overflow area of the map.
             let hog = task(move |ctx: &mut SpecContext| {
                 for i in 0..64 {
                     let value = ctx.load(&data, i)?;
@@ -72,12 +72,12 @@ fn a_task_after_an_overflow_rollback_starts_with_empty_sets() {
             });
             let handle = ctx.fork(0, hog)?;
             let first = ctx.join(handle)?;
-            // Exactly as many words as each set has slots, and no more:
-            // one entry left behind would push it over.
+            // Exactly as many words as the map has slots, and no more: one
+            // entry left behind would push it over.
             let modest = task(move |ctx: &mut SpecContext| {
                 for i in 0..16 {
                     let value = ctx.load(&data, 128 + i)?;
-                    ctx.store(&data, 192 + i, value + 7)?;
+                    ctx.store(&data, 144 + i, value + 7)?;
                 }
                 Ok(())
             });
@@ -92,7 +92,7 @@ fn a_task_after_an_overflow_rollback_starts_with_empty_sets() {
         assert_eq!(rt.memory().get(&data, 64 + i), i as u64 + 1);
     }
     for i in 0..16 {
-        assert_eq!(rt.memory().get(&data, 192 + i), 128 + i as u64 + 7);
+        assert_eq!(rt.memory().get(&data, 144 + i), 128 + i as u64 + 7);
     }
     assert_eq!(rt.manager().buffers_created(), 1);
 }

@@ -1,7 +1,8 @@
 //! Loop-level speculation (`TlsContext::fork_range`) through the public
 //! `Runtime` surface.  The native context forks a tail of a range only
-//! where a CPU is idle (half of what is left on one, a third on two, …)
-//! where the sequential ones walk it as a chain, so every test runs the
+//! where a CPU is idle (at the site's first cut half of what is left on
+//! one, a third on two, …; then by the measured price of each side) where
+//! the sequential ones walk it as a chain, so every test runs the
 //! same generic program through both and compares memory word for word —
 //! on 0, 1, 2 and 3 speculative CPUs, under the hang watchdog of
 //! `early_sync.rs`.
@@ -105,7 +106,7 @@ fn random_ranges_match_the_sequential_result() {
                     );
                     no_slot_leaked(rt, cpus);
                     if !fits {
-                        // All but a child promoted before its 21st read.
+                        // All but a child promoted before its 37th word.
                         overflows += report.rolled_back_threads;
                     }
                 }
@@ -323,9 +324,10 @@ fn a_speculative_task_re_executes_a_range_with_its_forks_pinned_inline() {
 /// The property the chain lacks.  md's shape — 64 read-dense bodies of
 /// some 12 µs on one speculative CPU — never clears the sync-payback rule,
 /// so on a chain rank 0 runs one body per call and idles while its child
-/// runs the other 63 alone.  Through the range the child gets the upper
-/// half and rank 0 keeps the lower one: at least one child commits per
-/// call, and rank 0 executes at least a quarter of the bodies.
+/// runs the other 63 alone.  Through the range the child gets a tail and
+/// rank 0 keeps the head — the lower half at the first call, then the
+/// share the two sides' measured prices give: at least one child commits
+/// per call, and rank 0 executes at least a quarter of the bodies.
 #[test]
 fn on_one_cpu_rank_zero_keeps_its_share_of_an_md_shaped_range() {
     const BODIES: usize = 64;
