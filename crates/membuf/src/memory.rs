@@ -120,10 +120,10 @@ impl GlobalMemory {
 
     /// The arena cell holding the word at `addr`: the one index and the one
     /// bounds check every access path goes through.  `#[inline]`, so a
-    /// caller in another crate gets both in its own loop — unlike the
-    /// [`MainMemory`] impl below, which stays a call on purpose: the
-    /// sequential reference and the simulator's recorder are measured
-    /// through it.
+    /// caller in another crate gets both in its own loop (the speculative
+    /// buffers and the simulator's recorder do) — unlike the [`MainMemory`]
+    /// impl below, which stays a call on purpose: the sequential reference
+    /// is measured through it.
     ///
     /// # Panics
     /// Panics if `addr` lies outside the arena.

@@ -10,13 +10,20 @@
 //! correctly (the recording *is* a sequential execution); speculation
 //! success or failure only affects the simulated timing, which is exactly
 //! the property a performance simulator needs.
+//!
+//! A footprint grows in one dense table of marks, one `u64` per arena word
+//! (`addr / 8`) holding the generation — the segment — that last touched the
+//! word and whether that segment read it and wrote it.  A load or store is
+//! one arena access and one mark; a word joins the segment's address list
+//! on its first mark of the generation, so the lists need no dedup, and
+//! ending a segment sorts them and bumps the generation instead of
+//! clearing the table.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use mutls_membuf::{Addr, GlobalMemory, MainMemory};
+use mutls_membuf::{Addr, GlobalMemory, MainMemory, WORD_BYTES};
 use mutls_runtime::{ForkModel, JoinOutcome, Rank, SpecResult, TaskRef, TlsContext};
-
-use crate::simlog::DetSet;
 
 /// Index of a task node within a [`Recording`].
 pub type NodeId = usize;
@@ -155,27 +162,43 @@ pub struct RecordContext {
     /// current segment under construction sits alongside each.
     stack: Vec<NodeId>,
     current: Segment,
-    /// Footprint of `current` while it is still growing; frozen into the
-    /// segment's sorted slices by `flush_segment`.
-    reads: DetSet<Addr>,
-    writes: DetSet<Addr>,
+    /// Per arena word: `gen << 2 | READ | WRITTEN` as of the last segment
+    /// that touched it.  Sized to the words allocated when recording
+    /// starts, grown on a first touch past them.
+    marks: Vec<u64>,
+    /// Generation of `current`; marks of older generations are stale.
+    gen: u64,
+    /// Footprint of `current` while it is still growing, in first-touch
+    /// order; frozen into the segment's sorted slices by `flush_segment`.
+    reads: Vec<Addr>,
+    writes: Vec<Addr>,
     seq_counter: usize,
 }
 
+/// Mark bit: the word was read before being written in its generation.
+const READ: u64 = 1;
+/// Mark bit: the word was written in its generation.
+const WRITTEN: u64 = 2;
+
 impl RecordContext {
-    /// Start a recording against a fresh arena of `memory_bytes` bytes.
+    /// Start a recording against `memory`, with a mark for every word it
+    /// has allocated so far.
     pub fn new(memory: Arc<GlobalMemory>) -> Self {
         let root = TaskNode {
             seq: 0,
             ..TaskNode::default()
         };
+        let words = (memory.allocated_bytes() / WORD_BYTES) as usize;
         RecordContext {
             memory,
             nodes: vec![root],
             stack: vec![0],
             current: Segment::default(),
-            reads: DetSet::default(),
-            writes: DetSet::default(),
+            marks: vec![0; words],
+            // Generation 0 is the zeroed table's: no segment is ever in it.
+            gen: 1,
+            reads: Vec::new(),
+            writes: Vec::new(),
             seq_counter: 1,
         }
     }
@@ -190,6 +213,27 @@ impl RecordContext {
         &mut self.nodes[id]
     }
 
+    /// The mark of the word at `addr`, which the arena has already
+    /// bounds-checked.
+    #[inline]
+    fn mark(&mut self, addr: Addr) -> &mut u64 {
+        let idx = (addr / WORD_BYTES) as usize;
+        if idx >= self.marks.len() {
+            self.grow_marks(idx);
+        }
+        &mut self.marks[idx]
+    }
+
+    /// Extend the marks past `idx` (an arena word): at least doubled, never
+    /// past the arena.
+    #[cold]
+    #[inline(never)]
+    fn grow_marks(&mut self, idx: usize) {
+        let arena = (self.memory.size_bytes() / WORD_BYTES) as usize;
+        self.marks
+            .resize((2 * self.marks.len()).clamp(idx + 1, arena), 0);
+    }
+
     fn flush_segment(&mut self) {
         if self.current.is_empty() {
             return;
@@ -197,6 +241,7 @@ impl RecordContext {
         let mut seg = std::mem::take(&mut self.current);
         seg.reads = freeze(&mut self.reads);
         seg.writes = freeze(&mut self.writes);
+        self.gen += 1;
         self.current_node().events.push(SimEvent::Seg(seg));
     }
 
@@ -211,11 +256,14 @@ impl RecordContext {
     }
 }
 
-/// Drain a footprint set into its canonical form: an ascending slice.
-fn freeze(set: &mut DetSet<Addr>) -> Box<[Addr]> {
-    let mut addrs: Vec<Addr> = set.drain().collect();
-    addrs.sort_unstable();
-    addrs.into_boxed_slice()
+/// Take a footprint list (duplicate-free by construction) into its
+/// canonical form, an ascending slice.  The list's own block is shrunk in
+/// place and handed over: copying it out into a fresh block and keeping
+/// the grown list was slower and left ≈ 1 MiB more heap behind on md.
+fn freeze(addrs: &mut Vec<Addr>) -> Box<[Addr]> {
+    let mut frozen = std::mem::take(addrs);
+    frozen.sort_unstable();
+    frozen.into_boxed_slice()
 }
 
 impl TlsContext for RecordContext {
@@ -228,16 +276,27 @@ impl TlsContext for RecordContext {
 
     fn load_word(&mut self, addr: Addr) -> SpecResult<u64> {
         self.current.loads += 1;
-        if !self.writes.contains(&addr) {
-            self.reads.insert(addr);
+        let value = self.memory.word(addr).load(Ordering::Relaxed);
+        let gen = self.gen;
+        let mark = self.mark(addr);
+        // A mark of this generation: already read or written here.
+        if *mark >> 2 != gen {
+            *mark = gen << 2 | READ;
+            self.reads.push(addr);
         }
-        Ok(self.memory.read_word(addr))
+        Ok(value)
     }
 
     fn store_word(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.current.stores += 1;
-        self.writes.insert(addr);
-        self.memory.write_word(addr, value);
+        self.memory.word(addr).store(value, Ordering::Relaxed);
+        let gen = self.gen;
+        let mark = self.mark(addr);
+        let current = if *mark >> 2 == gen { *mark } else { gen << 2 };
+        if current & WRITTEN == 0 {
+            *mark = current | WRITTEN;
+            self.writes.push(addr);
+        }
         Ok(())
     }
 
@@ -318,8 +377,12 @@ impl TlsContext for RecordContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::atomic::AtomicBool;
+
     use mutls_membuf::GPtr;
     use mutls_runtime::task;
+    use proptest::prelude::*;
 
     fn arena() -> Arc<GlobalMemory> {
         Arc::new(GlobalMemory::new(1 << 16))
@@ -526,5 +589,259 @@ mod tests {
         let h = ctx.fork(0, child).unwrap();
         ctx.join(h).unwrap();
         let _ = ctx.finish();
+    }
+
+    /// One step of a generated recorder script.
+    #[derive(Debug)]
+    enum Op {
+        Load(usize),
+        Store(usize, u64),
+        Work(u64),
+        CheckPoint,
+        /// Fork `child` at `point`, run `between` in the forker, then join.
+        Fork {
+            point: u32,
+            child: Arc<[Op]>,
+            between: Vec<Op>,
+        },
+    }
+
+    /// Words the scripts touch; the first `EARLY` are allocated before the
+    /// recording starts, the rest after it, past the marks' first length.
+    const WORDS: usize = 16;
+    const EARLY: usize = 2;
+
+    /// Decode random codes into a script: a code 13 closes a fork's child
+    /// or its forker's stretch, and forks nest at most three deep.
+    fn decode(codes: &mut std::slice::Iter<u64>, depth: u32) -> Vec<Op> {
+        let mut ops = Vec::new();
+        while let Some(&code) = codes.next() {
+            // Half the accesses go to four hot words, so one segment
+            // often touches a word more than once.
+            let word = (code >> 8) as usize % if code & 0x80 == 0 { 4 } else { WORDS };
+            ops.push(match code % 16 {
+                0..=4 => Op::Load(word),
+                5..=8 => Op::Store(word, code >> 32),
+                9 | 10 => Op::Work(1 + (code >> 60)),
+                11 => Op::CheckPoint,
+                12 if depth < 3 => Op::Fork {
+                    point: depth,
+                    child: decode(codes, depth + 1).into(),
+                    between: decode(codes, depth + 1),
+                },
+                13 if depth > 0 => return ops,
+                _ => Op::Load(word),
+            });
+        }
+        ops
+    }
+
+    /// Run `ops` through the recorder; `grew` is set when a load or store
+    /// grows the marks after an earlier access of the same segment.
+    fn play(
+        ctx: &mut RecordContext,
+        ops: &[Op],
+        addrs: &Arc<[Addr]>,
+        grew: &Arc<AtomicBool>,
+    ) -> SpecResult<()> {
+        for op in ops {
+            let marks = ctx.marks.len();
+            match op {
+                Op::Load(w) => drop(ctx.load_word(addrs[*w])?),
+                Op::Store(w, value) => ctx.store_word(addrs[*w], *value)?,
+                Op::Work(units) => ctx.work(*units)?,
+                Op::CheckPoint => ctx.check_point()?,
+                Op::Fork {
+                    point,
+                    child,
+                    between,
+                } => {
+                    let (ops, at, flag) = (child.clone(), addrs.clone(), grew.clone());
+                    let h = ctx.fork(
+                        *point,
+                        task(move |ctx: &mut RecordContext| play(ctx, &ops, &at, &flag)),
+                    )?;
+                    play(ctx, between, addrs, grew)?;
+                    ctx.join(h)?;
+                    continue;
+                }
+            }
+            if ctx.marks.len() > marks && ctx.current.loads + ctx.current.stores > 1 {
+                grew.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        Ok(())
+    }
+
+    /// The recorder's contract on sets: per segment, `reads` are the words
+    /// loaded before any store to them, `writes` the words stored.
+    struct Model {
+        nodes: Vec<TaskNode>,
+        stack: Vec<NodeId>,
+        work: u64,
+        loads: u64,
+        stores: u64,
+        reads: BTreeSet<Addr>,
+        writes: BTreeSet<Addr>,
+        /// Per word of the open segment: 1 read, 2 then written, 3 then
+        /// read again.
+        order: BTreeMap<Addr, u8>,
+        /// Segments whose footprint holds each word.
+        segments_with: BTreeMap<Addr, usize>,
+        read_written_read: bool,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            Model {
+                nodes: vec![TaskNode::default()],
+                stack: vec![0],
+                work: 0,
+                loads: 0,
+                stores: 0,
+                reads: BTreeSet::new(),
+                writes: BTreeSet::new(),
+                order: BTreeMap::new(),
+                segments_with: BTreeMap::new(),
+                read_written_read: false,
+            }
+        }
+
+        fn push(&mut self, event: SimEvent) {
+            let id = *self.stack.last().unwrap();
+            self.nodes[id].events.push(event);
+        }
+
+        fn flush(&mut self) {
+            if self.work == 0 && self.loads == 0 && self.stores == 0 {
+                return;
+            }
+            for &a in self.reads.union(&self.writes) {
+                *self.segments_with.entry(a).or_default() += 1;
+            }
+            self.order.clear();
+            let seg = Segment {
+                work: std::mem::take(&mut self.work),
+                loads: std::mem::take(&mut self.loads),
+                stores: std::mem::take(&mut self.stores),
+                reads: std::mem::take(&mut self.reads).into_iter().collect(),
+                writes: std::mem::take(&mut self.writes).into_iter().collect(),
+            };
+            self.push(SimEvent::Seg(seg));
+        }
+
+        fn play(&mut self, ops: &[Op], addrs: &[Addr]) {
+            for op in ops {
+                match op {
+                    Op::Load(w) => {
+                        let a = addrs[*w];
+                        self.loads += 1;
+                        if !self.writes.contains(&a) {
+                            self.reads.insert(a);
+                        }
+                        let order = self.order.entry(a).or_default();
+                        match *order {
+                            0 => *order = 1,
+                            2 => {
+                                *order = 3;
+                                self.read_written_read = true;
+                            }
+                            _ => {}
+                        }
+                    }
+                    Op::Store(w, _) => {
+                        let a = addrs[*w];
+                        self.stores += 1;
+                        self.writes.insert(a);
+                        let order = self.order.entry(a).or_default();
+                        if *order == 1 {
+                            *order = 2;
+                        }
+                    }
+                    Op::Work(units) => self.work += units,
+                    Op::CheckPoint => self.flush(),
+                    Op::Fork {
+                        point,
+                        child,
+                        between,
+                    } => {
+                        self.flush();
+                        let id = self.nodes.len();
+                        self.nodes.push(TaskNode {
+                            seq: id,
+                            ..TaskNode::default()
+                        });
+                        self.push(SimEvent::Fork {
+                            child: id,
+                            model: ForkModel::Mixed,
+                            point: *point,
+                        });
+                        self.play(between, addrs);
+                        self.flush();
+                        self.stack.push(id);
+                        self.play(child, addrs);
+                        self.flush();
+                        self.stack.pop();
+                        self.push(SimEvent::Join { child: id });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random scripts of loads, stores, work, check points and nested
+    /// forks recorded against the set model above: every segment's
+    /// footprints and counts, and the whole node tree, match.  The cases
+    /// the generation-stamped marks must get right all occur: a word in
+    /// three or more segments, a read → written → read word in one
+    /// segment, and the marks growing in the middle of a segment.
+    #[test]
+    fn footprints_match_a_set_model() {
+        let scripts = collection::vec(any::<u64>(), 1..128);
+        let mut gen = Gen::new(0x5E6_7E47);
+        let (mut reused, mut read_written_read, mut grown) = (false, false, false);
+        // At least 8 cases: the generator reaches all three by then.
+        for _ in 0..proptest::cases().max(8) {
+            let codes = scripts.generate(&mut gen);
+            let ops = decode(&mut codes.iter(), 0);
+            let mem = Arc::new(GlobalMemory::new(WORDS as u64 * WORD_BYTES));
+            let early = mem.alloc::<u64>(EARLY);
+            let mut ctx = RecordContext::new(Arc::clone(&mem));
+            assert_eq!(ctx.marks.len(), 1 + EARLY);
+            let late = mem.alloc::<u64>(WORDS - EARLY);
+            let addrs: Arc<[Addr]> = (0..EARLY)
+                .map(|i| early.addr_of(i))
+                .chain((0..WORDS - EARLY).map(|i| late.addr_of(i)))
+                .collect();
+            let grew = Arc::new(AtomicBool::new(false));
+            play(&mut ctx, &ops, &addrs, &grew).unwrap();
+            let rec = ctx.finish();
+            let mut model = Model::new();
+            model.play(&ops, &addrs);
+            model.flush();
+
+            assert_eq!(rec.nodes.len(), model.nodes.len());
+            for (id, (got, want)) in rec.nodes.iter().zip(&model.nodes).enumerate() {
+                let (got, want) = (segments(got), segments(want));
+                assert_eq!(got.len(), want.len(), "segments of node {id}");
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.reads, w.reads, "reads of node {id} segment {i}");
+                    assert_eq!(g.writes, w.writes, "writes of node {id} segment {i}");
+                    assert_eq!(
+                        (g.loads, g.stores),
+                        (w.loads, w.stores),
+                        "node {id} seg {i}"
+                    );
+                }
+            }
+            assert_eq!(format!("{:#?}", rec.nodes), format!("{:#?}", model.nodes));
+
+            reused |= model.segments_with.values().any(|&n| n >= 3);
+            read_written_read |= model.read_written_read;
+            grown |= grew.load(std::sync::atomic::Ordering::Relaxed);
+        }
+        assert!(reused, "no word was touched in three segments");
+        assert!(read_written_read, "no read → written → read segment");
+        assert!(grown, "the marks never grew mid-segment");
     }
 }

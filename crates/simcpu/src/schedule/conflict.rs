@@ -9,29 +9,32 @@
 //! question the runtime asks its `CommitLog` — "was this range stamped
 //! after my snapshot?" — and asks it the same way, by lookup:
 //!
-//! * the **publish index** keeps, per word, the latest publish time and,
-//!   per range id, the latest `ring_depth` publish times.  That is
-//!   exactly enough to decide a hit, a word hit, "at least `ring_depth`
-//!   publishes since *t*" (a ring overflow) and the lowest conflicting
-//!   region in one pass over a finished segment's reads
-//!   (`Scheduler::check_reads`);
+//! * the **publish index** keeps, per word, the latest publish time (one
+//!   dense array indexed by word, so a word lookup is a load and a
+//!   compare) and, per range id, the latest `ring_depth` publish times
+//!   (one hash probe).  That is exactly enough to decide a hit, a word
+//!   hit, "at least `ring_depth` publishes since *t*" (a ring overflow) and
+//!   the lowest conflicting region in one pass over a finished segment's
+//!   reads (`Scheduler::check_reads`);
 //! * the **reader registry** keeps, per range id, the live speculative
 //!   fibers that read it, so a publish visits the readers of the ranges
 //!   it stamps (`Scheduler::publish`) — never the fibers that have
 //!   nothing to do with them, let alone the retired ones;
 //! * footprints are ascending, duplicate-free address lists end to end:
-//!   frozen per segment by the recorder, borrowed (not copied) by the
-//!   scheduler, merged into a fiber's read and write sets, merged again
-//!   into the joiner's when a speculative parent absorbs a child.
+//!   collected by the recorder through one generation-stamped mark per
+//!   word and sorted once when the segment ends, borrowed (not copied) by
+//!   the scheduler, merged into a fiber's read and write sets, merged
+//!   again into the joiner's when a speculative parent absorbs a child.
 //!
 //! So a segment costs O(reads + writes) and a publish O(writes +
 //! registered readers of the stamped ranges), whatever the simulated CPU
 //! count and however many fibers the run has spawned; the per-event
 //! walks that remain (fossil horizon, a regrain's doom set) go over the live speculative fibers, at most one per CPU.
-//! Fossil collection prunes index entries no in-flight or future reader
-//! can count.  Under `cfg(test)` the log scan all of this replaced is
-//! kept as the reference (`mod reference`) and every verdict is computed
-//! both ways and compared.
+//! Fossil collection prunes the range slots no in-flight or future reader
+//! can count; a word's time needs no pruning, since one at or below the
+//! horizon already counts for nobody.  Under `cfg(test)` the log scan all
+//! of this replaced is kept as the reference (`mod reference`) and every
+//! verdict is computed both ways and compared.
 
 use super::*;
 

@@ -9,17 +9,18 @@
 //! version-ring depth, so instead of a log of publish batches (searched
 //! per reader, per read) the log keeps, per word, the latest publish time
 //! and, per range id, one slot with the latest `ring_depth` publish times
-//! and the live speculative fibers registered as readers.  A lookup is
-//! one hash probe.
+//! and the live speculative fibers registered as readers.  A word lookup
+//! is one index into a dense array (`addr / 8`; time 0, a word never
+//! published, is "since" nothing), a range lookup one hash probe.
 //!
 //! The maps here and in the scheduler hash with [`WordHasher`]: keys are
-//! word addresses, range ids and fiber indices the program itself
-//! produced, so a collision-resistant (and per-process random) SipHash
-//! buys nothing and costs most of a replay.
+//! range ids, regions and fiber indices the program itself produced, so a
+//! collision-resistant (and per-process random) SipHash buys nothing and
+//! costs most of a replay.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-use mutls_membuf::Addr;
+use mutls_membuf::{Addr, WORD_BYTES};
 
 /// Deterministic multiplicative (Fibonacci) hasher for integer keys.
 /// The high half of the product is folded down because word addresses are
@@ -50,11 +51,9 @@ impl Hasher for WordHasher {
 
 /// A hash map with the deterministic [`WordHasher`].
 pub(crate) type DetMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<WordHasher>>;
-/// A hash set with the deterministic [`WordHasher`].
-pub(crate) type DetSet<K> = std::collections::HashSet<K, BuildHasherDefault<WordHasher>>;
 
-/// Entries below which a fossil sweep is not worth a pass.
-const MIN_SWEEP_ENTRIES: usize = 1024;
+/// Range slots below which a fossil sweep is not worth a pass.
+const MIN_SWEEP_SLOTS: usize = 1024;
 
 /// What the log keeps per range id — the sim's version ring and reader
 /// set of one commit-log slot.
@@ -71,23 +70,24 @@ struct RangeSlot {
 /// at the grain live when the publish or the read happened.
 #[derive(Debug)]
 pub(crate) struct SimLog {
-    /// Latest publish time of every published word.
-    words: DetMap<Addr, u64>,
+    /// Latest publish time by word index (`addr / 8`), 0 where none;
+    /// grown on demand by `record`.
+    words: Vec<u64>,
     ranges: DetMap<u64, RangeSlot>,
     /// Times kept per range: the version-ring depth.
     depth: usize,
-    /// Entry count at which the next fossil sweep runs, so sweeping stays
-    /// amortized O(1) per entry however often it is offered.
+    /// Range-slot count at which the next fossil sweep runs, so sweeping
+    /// stays amortized O(1) per slot however often it is offered.
     sweep_at: usize,
 }
 
 impl SimLog {
     pub(crate) fn new(ring_depth: u32) -> Self {
         SimLog {
-            words: DetMap::default(),
+            words: Vec::new(),
             ranges: DetMap::default(),
             depth: ring_depth.max(1) as usize,
-            sweep_at: MIN_SWEEP_ENTRIES,
+            sweep_at: MIN_SWEEP_SLOTS,
         }
     }
 
@@ -97,7 +97,11 @@ impl SimLog {
     /// event queue — so "latest" is by time, not by arrival.
     pub(crate) fn record(&mut self, time: u64, words: &[Addr], ranges: &[u64]) {
         for &word in words {
-            let latest = self.words.entry(word).or_insert(time);
+            let idx = (word / WORD_BYTES) as usize;
+            if idx >= self.words.len() {
+                self.words.resize(idx + 1, 0);
+            }
+            let latest = &mut self.words[idx];
             *latest = (*latest).max(time);
         }
         for &range in ranges {
@@ -112,7 +116,8 @@ impl SimLog {
 
     /// Whether `word` was published after `since`.
     pub(crate) fn word_since(&self, word: Addr, since: u64) -> bool {
-        self.words.get(&word).is_some_and(|&t| t > since)
+        let idx = (word / WORD_BYTES) as usize;
+        self.words.get(idx).is_some_and(|&t| t > since)
     }
 
     /// Publishes that stamped `range` after `since`, counted up to the
@@ -149,18 +154,18 @@ impl SimLog {
         readers.swap_remove(at);
     }
 
-    /// Fossil collection: drop every word whose latest publish is at or
-    /// below `horizon`, and every range with no reader left whose latest
-    /// publish is — no lookup with `since >= horizon` can count them.
+    /// Fossil collection: drop every range with no reader left whose
+    /// latest publish is at or below `horizon` — no lookup with `since >=
+    /// horizon` can count it.  Words are not swept: a time at or below the
+    /// horizon already answers every such lookup as an absent word would.
     pub(crate) fn prune(&mut self, horizon: u64) {
-        if self.words.len() + self.ranges.len() < self.sweep_at {
+        if self.ranges.len() < self.sweep_at {
             return;
         }
-        self.words.retain(|_, &mut t| t > horizon);
         self.ranges.retain(|_, slot| {
             !slot.readers.is_empty() || slot.times.first().is_some_and(|&t| t > horizon)
         });
-        self.sweep_at = (2 * (self.words.len() + self.ranges.len())).max(MIN_SWEEP_ENTRIES);
+        self.sweep_at = (2 * self.ranges.len()).max(MIN_SWEEP_SLOTS);
     }
 }
 
@@ -187,20 +192,57 @@ mod tests {
     }
 
     #[test]
+    fn a_word_past_the_index_was_never_published() {
+        let mut log = SimLog::new(4);
+        assert!(!log.word_since(64, 0));
+        assert!(!log.word_since(!7, 0));
+        log.record(5, &[80], &[]);
+        assert_eq!(log.words.len(), 11);
+        assert!(log.word_since(80, 4));
+        assert!(!log.word_since(72, 0), "a word the growth skipped");
+        assert!(!log.word_since(88, 0));
+    }
+
+    #[test]
+    fn a_publish_at_time_zero_is_since_nothing() {
+        let mut log = SimLog::new(4);
+        log.record(0, &[8, 128], &[1]);
+        assert!(!log.word_since(8, 0));
+        assert!(!log.word_since(128, 0));
+        assert_eq!(log.range_since(1, 0), 0);
+        // And it never hides a later publish of the same word.
+        log.record(3, &[8], &[]);
+        log.record(0, &[8], &[]);
+        assert!(log.word_since(8, 2));
+    }
+
+    #[test]
     fn pruning_drops_only_what_no_later_lookup_can_count() {
         let mut log = SimLog::new(4);
-        for word in 0..MIN_SWEEP_ENTRIES as u64 {
+        for word in 0..MIN_SWEEP_SLOTS as u64 {
             log.record(10, &[word * 8], &[word]);
         }
         log.record(20, &[0], &[0]);
         log.prune(10);
-        assert_eq!(log.words.len() + log.ranges.len(), 2);
+        // Ranges are swept; words are kept and answer as absent ones would.
+        assert_eq!(log.ranges.len(), 1);
+        assert_eq!(log.words.len(), MIN_SWEEP_SLOTS);
         assert!(log.word_since(0, 10));
+        assert!(!log.word_since(8, 10));
         assert_eq!(log.range_since(0, 10), 1);
         // Below the doubled threshold a sweep is skipped.
         log.record(30, &[8], &[1]);
         log.prune(1000);
+        assert_eq!(log.ranges.len(), 2);
         assert!(log.word_since(8, 20));
+        // Words do not count towards the threshold: one range slot over
+        // twice as many words as a sweep needs is not swept.
+        let mut words_only = SimLog::new(4);
+        for word in 0..2 * MIN_SWEEP_SLOTS as u64 {
+            words_only.record(10, &[word * 8], &[0]);
+        }
+        words_only.prune(10);
+        assert_eq!(words_only.ranges.len(), 1);
     }
 
     #[test]
@@ -213,7 +255,7 @@ mod tests {
         log.unregister(7, 3);
         assert_eq!(log.readers(7), [5]);
         // Only a slot with neither a reader nor a countable publish goes.
-        for word in 0..MIN_SWEEP_ENTRIES as u64 {
+        for word in 0..MIN_SWEEP_SLOTS as u64 {
             log.record(10, &[word * 8], &[100 + word]);
         }
         log.prune(10);
@@ -226,9 +268,10 @@ mod tests {
 
     #[test]
     fn hasher_spreads_word_addresses_over_the_low_bits() {
+        use std::collections::BTreeSet;
         use std::hash::BuildHasher;
         let build = BuildHasherDefault::<WordHasher>::default();
-        let low: DetSet<u64> = (0..64u64).map(|i| build.hash_one(i * 8) & 63).collect();
+        let low: BTreeSet<u64> = (0..64u64).map(|i| build.hash_one(i * 8) & 63).collect();
         assert!(low.len() > 32, "only {} of 64 low-bit buckets", low.len());
     }
 }
