@@ -31,15 +31,15 @@ pub struct SiteOutcome {
     pub stall: u64,
     /// Forking model the child was launched under.
     pub model: ForkModel,
-    /// Live commit-log grain (log2 bytes) the child's traffic ran at —
-    /// the grain of its conflicting (or, for commits, written) region at
-    /// join time; 0 = not observed.  Lets the per-site tables show what
-    /// the grain controller converged to for each site's data.
+    /// Commit-log grain (log2 bytes) the child's traffic ran at; 0 = not
+    /// observed.  The per-site tables print it.
     pub grain_log2: u32,
 }
 
 impl SiteOutcome {
-    /// A committed child.
+    /// A committed child.  Besides the runtime and the replay, the
+    /// benchmark's governor probe calls it, so its signature is frozen
+    /// until ROADMAP item 2(e).
     pub fn committed(work: u64, stall: u64, model: ForkModel) -> Self {
         SiteOutcome {
             committed: true,
@@ -82,7 +82,7 @@ impl SiteOutcome {
         self
     }
 
-    /// Record the live grain the child's traffic ran at (builder style).
+    /// Record the grain the child's traffic ran at (builder style).
     pub fn with_grain(mut self, grain_log2: u32) -> Self {
         self.grain_log2 = grain_log2;
         self

@@ -1,39 +1,19 @@
-//! The online adaptive-grain **control plane**: per-region grain policy
-//! over the commit log's live version table.
+//! The adaptive-grain **controller**: a per-region grain policy over
+//! commit-log telemetry.  It is no longer applied anywhere — a commit log
+//! has one grain, fixed at construction — and its only caller is the
+//! benchmark's `adaptive.grain.tick_ns` probe, which ROADMAP item 2(e)
+//! deletes along with this module.
 //!
-//! PR 3 made the conflict-detection grain a static knob and PR 4 produced
-//! precise per-range false-sharing telemetry; this module closes the loop.
 //! A [`GrainController`] consumes per-region counter snapshots
-//! ([`RegionProfile`]: stamps, true conflicts, false-sharing suspects,
-//! value-predict retries) and emits [`GrainAction`]s — coarsen a calm
-//! region one step up the word → line → page ladder to cut log traffic,
-//! re-split a region whose false-sharing suspects spike so genuine
-//! parallelism stops being doomed by the grain.
-//!
-//! The controller is *mechanism-agnostic*: the native runtime applies its
-//! actions through `CommitLog::regrain`, the discrete-event simulator
-//! through its region-grain map, so one policy drives both layers and the
-//! replay stays deterministic.
-//!
-//! Policy shape (hysteresis on both edges):
+//! ([`RegionProfile`]: stamps, conflicts, retries) and emits
+//! [`GrainAction`]s — coarsen a calm region one step up the word → line →
+//! page ladder, re-split a contended one toward the floor grain:
 //!
 //! * **Split** when a tick's conflict-plus-retry delta reaches
-//!   `SPLIT_CONFLICTS` — a contended region wants exactness (a coarse
-//!   grain widens every conflict's collateral, and suspects alone
-//!   undercount: the first genuine word hit reclassifies a mixed doom as
-//!   true sharing).  One ladder step toward the floor grain per tick,
-//!   with a per-region cooldown of `COOLDOWN_TICKS` so a single spike
-//!   cannot thrash the table.
+//!   `SPLIT_CONFLICTS`, one ladder step per tick, then a cooldown of
+//!   `COOLDOWN_TICKS`.
 //! * **Coarsen** when a region has stamped at least `COARSEN_STAMPS`
-//!   ranges in each of `CALM_TICKS` consecutive conflict-free ticks —
-//!   activity with no trouble means the grain is paying stamp traffic
-//!   for exactness nobody needs.  One ladder step toward page grain per
-//!   decision.
-//!
-//! Starting coarse ([`GrainControlConfig::initial_grain_log2`], default
-//! page) is the optimistic default: dense-numeric regions never pay
-//! word-grain traffic at all, and the first suspect spike walks a
-//! pointer-chasing region back down within a few ticks.
+//!   ranges in each of `CALM_TICKS` consecutive conflict-free ticks.
 
 use std::collections::HashMap;
 
@@ -54,57 +34,23 @@ const CALM_TICKS: u32 = 2;
 /// (hysteresis against thrash).
 const COOLDOWN_TICKS: u32 = 2;
 
-/// Configuration of the adaptive-grain controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrainControlConfig {
-    /// Master switch; when false the runtime keeps the static grain of
-    /// `CommitLogConfig` and never builds a controller.
-    pub enabled: bool,
-    /// Grain every region starts at (log2 bytes), clamped by the
-    /// mechanism layer into `[floor grain, region size]`.  Page by
-    /// default: optimistic-coarse, split on evidence.
-    pub initial_grain_log2: u32,
-    /// Commits between controller ticks (the runtime counts join/commit
-    /// events, the simulator counts publishes — both deterministic in
-    /// their own time base).
-    pub tick_commits: u64,
-}
-
-impl Default for GrainControlConfig {
-    fn default() -> Self {
-        GrainControlConfig {
-            enabled: false,
-            initial_grain_log2: PAGE_GRAIN_LOG2,
-            tick_commits: 4,
-        }
-    }
-}
+/// Configuration of the grain controller: the controller reads no
+/// setting, so there is none.  Only the benchmark's grain-controller probe
+/// builds one (ROADMAP item 2(e) deletes it).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GrainControlConfig;
 
 impl GrainControlConfig {
-    /// The enabled controller with default tuning: start at page grain,
-    /// split on the first false-sharing suspects, re-coarsen calm
-    /// regions.
+    /// The controller's configuration.  Only the benchmark's
+    /// grain-controller probe calls it (ROADMAP item 2(e) deletes it).
     pub fn adaptive() -> Self {
-        GrainControlConfig {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// Set the starting grain (builder style).
-    pub fn initial_grain_log2(mut self, grain_log2: u32) -> Self {
-        self.initial_grain_log2 = grain_log2;
-        self
-    }
-
-    /// Set the tick cadence in commits (builder style).
-    pub fn tick_commits(mut self, commits: u64) -> Self {
-        self.tick_commits = commits.max(1);
-        self
+        GrainControlConfig
     }
 }
 
-/// One regrain decision: move `region` to `new_grain_log2`.
+/// One grain decision: move `region` to `new_grain_log2`.  Only the
+/// benchmark's grain-controller probe sees one (ROADMAP item 2(e) deletes
+/// it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrainAction {
     /// The region to regrain.
@@ -126,26 +72,13 @@ struct RegionState {
     cooldown: u32,
 }
 
-/// Summary counters of the controller's own activity, for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GrainControlStats {
-    /// Controller ticks executed.
-    pub ticks: u64,
-    /// Coarsen steps emitted.
-    pub coarsened: u64,
-    /// Re-split steps emitted.
-    pub split: u64,
-}
-
-/// The adaptive-grain controller (policy only; the caller applies the
-/// returned actions to its mechanism layer).
+/// The grain controller (policy only).  Only the benchmark's
+/// grain-controller probe builds one (ROADMAP item 2(e) deletes it).
 #[derive(Debug)]
 pub struct GrainController {
-    config: GrainControlConfig,
     /// Floor grain of the underlying table — re-splits never go below it.
     floor_grain_log2: u32,
     regions: HashMap<RegionId, RegionState>,
-    stats: GrainControlStats,
 }
 
 /// The grain ladder the controller walks: word → line → page, clipped to
@@ -170,29 +103,11 @@ fn step_finer(grain_log2: u32, floor: u32) -> u32 {
 impl GrainController {
     /// Build a controller for a version table whose floor grain is
     /// `floor_grain_log2`.
-    pub fn new(config: GrainControlConfig, floor_grain_log2: u32) -> Self {
+    pub fn new(_config: GrainControlConfig, floor_grain_log2: u32) -> Self {
         GrainController {
-            config,
             floor_grain_log2,
             regions: HashMap::new(),
-            stats: GrainControlStats::default(),
         }
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &GrainControlConfig {
-        &self.config
-    }
-
-    /// Activity counters so far.
-    pub fn stats(&self) -> GrainControlStats {
-        self.stats
-    }
-
-    /// Forget all per-region state (start of a new run).
-    pub fn reset(&mut self) {
-        self.regions.clear();
-        self.stats = GrainControlStats::default();
     }
 
     /// One controller tick: difference `profiles` (cumulative per-region
@@ -200,7 +115,6 @@ impl GrainController {
     /// decide regrains.  Deterministic: actions come out ascending by
     /// region id, one step per region per tick.
     pub fn tick(&mut self, profiles: &[RegionProfile]) -> Vec<GrainAction> {
-        self.stats.ticks += 1;
         let mut actions = Vec::new();
         for profile in profiles {
             let state = self.regions.entry(profile.region).or_default();
@@ -243,7 +157,6 @@ impl GrainController {
                 });
                 state.calm_streak = 0;
                 state.cooldown = COOLDOWN_TICKS;
-                self.stats.split += 1;
                 continue;
             }
             // Calm edge: active traffic, zero trouble.
@@ -262,7 +175,6 @@ impl GrainController {
                 });
                 state.calm_streak = 0;
                 state.cooldown = COOLDOWN_TICKS;
-                self.stats.coarsened += 1;
             }
         }
         actions
@@ -305,8 +217,6 @@ mod tests {
         // Word → line at tick 2, line → page at tick 6; then the ladder
         // tops out.
         assert_eq!(moved, [(2, LINE_GRAIN_LOG2), (6, PAGE_GRAIN_LOG2)]);
-        assert_eq!(c.stats().coarsened, 2);
-        assert_eq!(c.stats().split, 0);
     }
 
     #[test]
@@ -332,7 +242,6 @@ mod tests {
                 .tick(&[profile(3, WORD_GRAIN_LOG2, stamps, 10)])
                 .is_empty());
         }
-        assert_eq!(c.stats().split, 2);
     }
 
     #[test]
@@ -370,27 +279,5 @@ mod tests {
         let actions = c.tick(&[p]);
         assert_eq!(actions.len(), 1);
         assert!(!actions[0].coarsen);
-    }
-
-    #[test]
-    fn reset_forgets_state() {
-        let mut c = controller();
-        c.tick(&[profile(0, PAGE_GRAIN_LOG2, 5, 2)]);
-        assert!(c.stats().ticks > 0);
-        c.reset();
-        assert_eq!(c.stats(), GrainControlStats::default());
-    }
-
-    #[test]
-    fn config_presets() {
-        assert!(!GrainControlConfig::default().enabled);
-        let a = GrainControlConfig::adaptive();
-        assert!(a.enabled);
-        assert_eq!(a.initial_grain_log2, PAGE_GRAIN_LOG2);
-        assert_eq!(
-            GrainControlConfig::adaptive().tick_commits(0).tick_commits,
-            1,
-            "cadence clamps to at least one commit"
-        );
     }
 }

@@ -15,12 +15,10 @@
 //! * [`Governor`] — the thread-safe facade `mutls-runtime`'s
 //!   `ThreadManager` and `mutls-simcpu`'s scheduler consult before
 //!   granting a speculative CPU, and report join outcomes back to.
-//! * [`GrainController`] — the online adaptive-grain control plane: it
-//!   consumes the commit log's per-region telemetry (stamps, conflicts,
-//!   false-sharing suspects, retries) and decides per-region regrains
-//!   (coarsen calm regions word → line → page, re-split on suspect
-//!   spikes), applied through `CommitLog::regrain` natively and through
-//!   the simulator's region-grain map in replay.
+//! * [`GrainController`] — a per-region grain policy over commit-log
+//!   telemetry, applied nowhere: a commit log has one grain, fixed at
+//!   construction.  Kept only for the benchmark's grain-controller probe
+//!   (ROADMAP item 2(e) deletes it).
 //!
 //! The [`ForkModel`] type lives here (re-exported by `mutls-runtime` for
 //! compatibility) so policies can choose models without a dependency
@@ -55,7 +53,7 @@ pub mod site;
 
 pub use fork_model::ForkModel;
 pub use governor::{Governor, SiteOutcome};
-pub use grain::{GrainAction, GrainControlConfig, GrainControlStats, GrainController};
+pub use grain::{GrainAction, GrainControlConfig, GrainController};
 pub use policy::{
     build_policy, ForkDecision, GovernorConfig, GovernorPolicy, PolicyKind, StaticPolicy,
     ThrottlePolicy, FALSE_SHARING_DOMINANCE,

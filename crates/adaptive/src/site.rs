@@ -73,9 +73,8 @@ pub struct SiteRecord {
     pub denied_streak: u64,
     /// Monotone count of governor decisions at this site.
     pub decisions: u64,
-    /// Live commit-log grain (log2 bytes) most recently observed for this
-    /// site's traffic (0 = never observed) — what the grain controller
-    /// converged to for the data this site touches.
+    /// Commit-log grain (log2 bytes) most recently observed for this
+    /// site's traffic (0 = never observed).
     pub grain_log2: u32,
 }
 
@@ -216,9 +215,9 @@ pub struct SiteProfile {
     pub stall: u64,
     /// Recency-weighted rollback rate at snapshot time.
     pub rollback_rate: f64,
-    /// Live commit-log grain (log2 bytes) last observed for this site's
-    /// traffic (0 = never observed) — the grain-controller convergence
-    /// column of the harness site tables.
+    /// Commit-log grain (log2 bytes) last observed for this site's
+    /// traffic (0 = never observed) — the "grain" column of the harness
+    /// site tables.
     pub grain_log2: u32,
 }
 

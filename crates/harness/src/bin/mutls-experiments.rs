@@ -5,6 +5,7 @@
 //! mutls-experiments <table2|fig3|...|fig11|adaptive|conflict|overflow|grain|trace|metrics|all> ... \
 //!     [--scale tiny|scaled|paper] [--cpus 1,2,4,...] [--seed N] \
 //!     [--json <path>] [--trace <path>] [--metrics <path>]
+//! mutls-experiments -h|--help
 //! ```
 //!
 //! With `--json <path>` the sweeps (adaptive, conflict, overflow, grain)
@@ -131,9 +132,13 @@ fn run_one(name: &str, config: &ExperimentConfig, sink: &mut JsonSink) -> Result
     Ok(())
 }
 
-fn usage() {
-    eprintln!(
+/// The usage text.  Its `experiments:` block lists one name (or one
+/// `figN..figM` range) per line, exactly the names `run_experiment` knows
+/// plus `all`; `crates/harness/tests/sweeps.rs` holds it to that.
+fn usage() -> String {
+    format!(
         "usage: mutls-experiments <experiment> [<experiment> ...] [options]\n\
+         \x20      mutls-experiments -h|--help\n\
          \n\
          experiments:\n\
          \x20 table2          benchmark suite with measured memory densities\n\
@@ -141,9 +146,7 @@ fn usage() {
          \x20 adaptive        governor policy sweep (simulator)\n\
          \x20 conflict        native conflict sweep, real dependence validation\n\
          \x20 overflow        native buffer-overflow pressure sweep\n\
-         \x20 grain           native commit-log grain x shard sweep\n\
-         \x20 recovery        native conflict-recovery sweep + deterministic replay\n\
-         \x20 graincontrol    adaptive grain-control sweep + deterministic replay\n\
+         \x20 grain           commit-log grain sweep (word, line, page), native + replay\n\
          \x20 trace           flight-recorder scenario: event census + latency tables\n\
          \x20 metrics         live-metrics scenario: instrumented native run + replay,\n\
          \x20                 headline counters and derived gauges\n\
@@ -158,22 +161,30 @@ fn usage() {
          \x20                             Chrome trace-event JSON (Perfetto)\n\
          \x20 --metrics <path>            enable the live metrics plane and export every\n\
          \x20                             run's final snapshot — Prometheus text, or the\n\
-         \x20                             full JSON time series if the path ends in .json"
-    );
+         \x20                             full JSON time series if the path ends in .json\n\
+         \x20 -h, --help                  print this text and exit"
+    )
 }
 
 fn main() -> ExitCode {
+    if std::env::args()
+        .skip(1)
+        .any(|arg| arg == "-h" || arg == "--help")
+    {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let (selected, mut config, json_path, trace_path, metrics_path) = match parse_args() {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
-            usage();
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };
     if selected.is_empty() {
         eprintln!("error: no experiment selected");
-        usage();
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
     let trace_sink = trace_path.as_ref().map(|_| TraceSink::new());
@@ -188,7 +199,7 @@ fn main() -> ExitCode {
     for name in &selected {
         if let Err(e) = run_one(name, &config, &mut sink) {
             eprintln!("error: {e}");
-            usage();
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     }

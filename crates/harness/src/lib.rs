@@ -44,8 +44,10 @@ pub use sweeps::{run_points, Column, Engine, Experiment, GrainMode, Point, Row, 
 
 /// Schema version stamped on every machine-readable row and on the
 /// `--json` / `--metrics` document wrappers.  v8: every sweep row is one
-/// [`Row`] (same keys for every experiment and both engines).
-pub const BENCH_SCHEMA_VERSION: u32 = 8;
+/// [`Row`] (same keys for every experiment and both engines).  v9: a row
+/// lost its per-region grain list and `commit_log.regrains`, a metrics
+/// snapshot `log_regrains` and the `grain_regions` gauges.
+pub const BENCH_SCHEMA_VERSION: u32 = 9;
 
 /// Every experiment `mutls-experiments` accepts, in the order `all` runs
 /// them.

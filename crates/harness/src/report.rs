@@ -159,18 +159,6 @@ pub fn grain_label(grain_log2: u32) -> String {
     }
 }
 
-/// Render a run's final per-region grain census (`word:3 page:5`).
-pub(crate) fn census_label(census: &[(u32, u64)]) -> String {
-    if census.is_empty() {
-        return "-".to_string();
-    }
-    census
-        .iter()
-        .map(|&(grain, regions)| format!("{}:{}", grain_label(grain), regions))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 /// Compact `p50/p99/p999` cell for one latency phase of a *native* run,
 /// where samples are nanoseconds (reported in µs); "-" when the phase
 /// never fired.
@@ -188,9 +176,8 @@ pub(crate) fn latency_cell_us(report: &LatencyReport, phase: LatencyPhase) -> St
 
 /// Render a `RunReport`'s per-site governor profile as a table, with the
 /// rollback-cause split (conflicts / overflows / injected) per site and
-/// the live commit-log grain the site's traffic last ran at (the
-/// "grain" column shows what the adaptive-grain controller converged to
-/// for each site's data; "-" = never observed).  The commit-path cost
+/// the commit-log grain the site's traffic ran at ("-" = no child of the
+/// site was ever retired).  The commit-path cost
 /// counters (`cas_retries`, `ring_overflows`) are log-wide, not
 /// per-site, so they render on a trailing `commit-log` summary row.
 pub fn format_site_table(title: &str, report: &RunReport) -> String {
@@ -355,19 +342,12 @@ repair-doomset    0        0    0     0   \n";
         assert_eq!(text, expected);
     }
 
-    /// Golden render of the grain-census cell and grain labels used by the
-    /// `grain` tables.
+    /// Golden render of the grain labels of the site tables.
     #[test]
-    fn grain_census_renders_golden() {
+    fn grain_labels_render_golden() {
         assert_eq!(grain_label(WORD_GRAIN_LOG2), "word");
         assert_eq!(grain_label(LINE_GRAIN_LOG2), "line");
         assert_eq!(grain_label(PAGE_GRAIN_LOG2), "page");
         assert_eq!(grain_label(8), "2^8B");
-        assert_eq!(census_label(&[]), "-");
-        assert_eq!(
-            census_label(&[(WORD_GRAIN_LOG2, 3), (PAGE_GRAIN_LOG2, 5)]),
-            "word:3 page:5"
-        );
-        assert_eq!(census_label(&[(8, 1)]), "2^8B:1");
     }
 }

@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 
-use mutls_adaptive::{GovernorConfig, GrainControlConfig, PolicyKind};
+use mutls_adaptive::{GovernorConfig, PolicyKind};
 use mutls_membuf::{
     BufferConfig, CommitLogStats, RollbackReason, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
 };
@@ -21,8 +21,7 @@ use mutls_workloads::{
 
 use crate::paper::{par_map, record_workload_shared};
 use crate::report::{
-    census_label, format_latency_table, format_rollback_cell, format_site_table, latency_cell_us,
-    Table,
+    format_latency_table, format_rollback_cell, format_site_table, latency_cell_us, Table,
 };
 use crate::sinks::{ExperimentConfig, Observe};
 use crate::BENCH_SCHEMA_VERSION;
@@ -36,19 +35,11 @@ pub enum GrainMode {
     Line,
     /// Static page grain.
     Page,
-    /// Word-grain floor, regions start at page, and the controller
-    /// re-splits on false-sharing suspects and re-coarsens calm regions.
-    Adaptive,
 }
 
 impl GrainMode {
-    /// Every mode, static ladder first.
-    pub const ALL: [GrainMode; 4] = [
-        GrainMode::Word,
-        GrainMode::Line,
-        GrainMode::Page,
-        GrainMode::Adaptive,
-    ];
+    /// Every mode, finest first.
+    pub const ALL: [GrainMode; 3] = [GrainMode::Word, GrainMode::Line, GrainMode::Page];
 
     /// Table and JSON label.
     pub fn label(self) -> &'static str {
@@ -56,24 +47,15 @@ impl GrainMode {
             GrainMode::Word => "word",
             GrainMode::Line => "line",
             GrainMode::Page => "page",
-            GrainMode::Adaptive => "adaptive",
         }
     }
 
-    /// The grain the log is allocated at (the floor, when the controller
-    /// runs) and the controller's configuration.
-    fn commit_log(self) -> (u32, GrainControlConfig) {
+    /// The commit log's grain (log2 bytes).
+    fn grain_log2(self) -> u32 {
         match self {
-            GrainMode::Word => (WORD_GRAIN_LOG2, GrainControlConfig::default()),
-            GrainMode::Line => (LINE_GRAIN_LOG2, GrainControlConfig::default()),
-            GrainMode::Page => (PAGE_GRAIN_LOG2, GrainControlConfig::default()),
-            // tick_commits(2): tiny/CI-scale runs only issue a handful of
-            // commit batches, so the controller must react within a
-            // couple of them.
-            GrainMode::Adaptive => (
-                WORD_GRAIN_LOG2,
-                GrainControlConfig::adaptive().tick_commits(2),
-            ),
+            GrainMode::Word => WORD_GRAIN_LOG2,
+            GrainMode::Line => LINE_GRAIN_LOG2,
+            GrainMode::Page => PAGE_GRAIN_LOG2,
         }
     }
 }
@@ -140,12 +122,10 @@ impl Point {
     /// The native runtime's configuration for this point (the arena size
     /// is the runner's business).
     pub fn runtime_config(&self, cpus: usize, seed: u64, observe: Observe) -> RuntimeConfig {
-        let (grain_log2, grain_control) = self.grain.commit_log();
         let mut config = RuntimeConfig::with_cpus(cpus)
             .buffer(self.buffer)
             .governor_policy(self.policy)
-            .commit_grain_log2(grain_log2)
-            .grain_control(grain_control)
+            .commit_grain_log2(self.grain.grain_log2())
             .rollback_probability(self.rollback_probability)
             .seed(seed);
         if observe.trace {
@@ -159,7 +139,6 @@ impl Point {
 
     /// The simulator's configuration for this point.
     pub fn sim_config(&self, cpus: usize, seed: u64, observe: Observe) -> SimConfig {
-        let (grain_log2, grain_control) = self.grain.commit_log();
         let metrics = if observe.metrics {
             MetricsConfig::enabled()
         } else {
@@ -170,12 +149,11 @@ impl Point {
             rollback_probability: self.rollback_probability,
             seed,
             governor: GovernorConfig::with_policy(self.policy),
-            grain_control,
             trace: observe.trace,
             metrics,
             ..SimConfig::default()
         }
-        .grain_log2(grain_log2)
+        .grain_log2(self.grain.grain_log2())
     }
 
     /// Sink label, unique among the points of one experiment.
@@ -375,10 +353,8 @@ pub struct Row {
     /// Fork requests suppressed by the governor.
     pub throttled_forks: u64,
     /// Commit-log activity: batches, stamps, publication time, CAS
-    /// retries, ring overflows, regrains, reader spills.
+    /// retries, ring overflows, reader spills.
     pub commit_log: CommitLogStats,
-    /// Final per-region grain census (`(grain_log2, regions)` pairs).
-    pub region_grains: Vec<(u32, u64)>,
     /// Per-phase latency quantiles.
     pub latency: LatencyReport,
 }
@@ -412,7 +388,6 @@ impl Row {
             rollback_amplification: report.rollback_amplification(),
             throttled_forks: report.throttled_forks(),
             commit_log: report.commit_log,
-            region_grains: report.region_grains.clone(),
             latency: report.latency.clone(),
         }
     }
@@ -489,13 +464,9 @@ pub mod col {
         };
         /// CAS retries on the commit path.
         CAS_RETRIES = "cas-retries", |r| r.commit_log.cas_retries.to_string();
-        /// Regions the controller regrained.
-        REGRAINS = "regrains", |r| r.commit_log.regrains.to_string();
         /// Reader registrations by ranks past the registry's 63-rank
         /// bitmask (0 below 64 speculative CPUs, and in every replay).
         SPILLS = "spills", |r| r.commit_log.reader_spills.to_string();
-        /// Final per-region grain census.
-        FINAL_GRAINS = "final grains", |r| census_label(&r.region_grains);
         /// Fork-to-commit latency quantiles of a native run.
         F2C_US = "f2c p50/p99/p999 (µs)",
             |r| latency_cell_us(&r.latency, LatencyPhase::ForkToCommit);
@@ -794,9 +765,9 @@ pub const GRAIN_REPS: usize = 3;
 /// `grain`: workload × sharing × grain mode, natively and on the replay.
 /// mandelbrot writes disjoint rows (the clean stamp-traffic signal),
 /// matmult and fft genuinely share, the conflict family prices false
-/// against true sharing.  The static ladder shows coarser grains stamping
-/// less and false-sharing more; the adaptive mode serves both ends in one
-/// configuration.  Quantitative claims are asserted on the replay rows.
+/// against true sharing.  The ladder shows coarser grains stamping less and
+/// false-sharing more.  Quantitative claims are asserted on the replay
+/// rows.
 pub const GRAIN: Experiment = Experiment {
     name: "grain",
     points: || {
@@ -844,9 +815,7 @@ pub const GRAIN: Experiment = Experiment {
                 col::PUBLISH_US,
                 col::COMMIT_RATE,
                 col::CAS_RETRIES,
-                col::REGRAINS,
                 col::SPILLS,
-                col::FINAL_GRAINS,
                 col::CHECKSUM,
             ],
         },
@@ -864,10 +833,8 @@ pub const GRAIN: Experiment = Experiment {
                 col::DOOMS,
                 col::PRECISE,
                 col::STAMPS,
-                col::REGRAINS,
                 col::WASTED,
                 col::SPEEDUP,
-                col::FINAL_GRAINS,
             ],
         },
     ],

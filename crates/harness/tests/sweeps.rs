@@ -67,6 +67,61 @@ fn every_experiment_name_has_a_definition() {
     }
 }
 
+/// The binary's `--help` lists exactly the experiments `run_experiment`
+/// knows, plus `all`: one name (or one `figN..figM` range) per line of
+/// its `experiments:` block.
+#[test]
+fn the_usage_text_lists_every_experiment_and_nothing_else() {
+    let binary = env!("CARGO_BIN_EXE_mutls-experiments");
+    let help = |flag: &str| {
+        let out = std::process::Command::new(binary)
+            .arg(flag)
+            .output()
+            .expect("the binary runs");
+        assert!(out.status.success(), "{flag} exits 0");
+        String::from_utf8(out.stdout).expect("UTF-8 usage")
+    };
+    let text = help("--help");
+    assert_eq!(help("-h"), text);
+    let block = text
+        .split("experiments:\n")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("an experiments block");
+    let mut listed = Vec::new();
+    for line in block.lines() {
+        // A continuation line is indented past the name column.
+        let Some(entry) = line.strip_prefix("  ").filter(|e| !e.starts_with(' ')) else {
+            continue;
+        };
+        let name = entry.split_whitespace().next().expect("a name");
+        match name.split_once("..") {
+            Some((first, last)) => {
+                let number = |fig: &str| fig.trim_start_matches("fig").parse::<u32>().unwrap();
+                listed.extend((number(first)..=number(last)).map(|n| format!("fig{n}")));
+            }
+            None => listed.push(name.to_string()),
+        }
+    }
+    let mut expected: Vec<String> = EXPERIMENT_NAMES.iter().map(|n| n.to_string()).collect();
+    expected.push("all".to_string());
+    assert_eq!(listed, expected);
+    let config = ExperimentConfig {
+        cpus: vec![1, 4],
+        ..quick()
+    };
+    for name in listed.iter().filter(|name| *name != "all") {
+        let defined = SWEEPS.iter().any(|sweep| sweep.name == name)
+            || run_experiment(name, &config).is_some();
+        assert!(defined, "the usage lists {name}, which does not run");
+    }
+    let out = std::process::Command::new(binary)
+        .arg("--nope")
+        .output()
+        .expect("the binary runs");
+    assert_eq!(out.status.code(), Some(1), "an unknown flag exits 1");
+}
+
 #[test]
 fn points_are_distinct_and_every_row_has_one_shape() {
     let reference = json_keys(&Row::from_report(
@@ -76,7 +131,7 @@ fn points_are_distinct_and_every_row_has_one_shape() {
         &blank_run(),
     ));
     assert!(reference.contains(&"schema_version".to_string()));
-    assert_eq!(BENCH_SCHEMA_VERSION, 8);
+    assert_eq!(BENCH_SCHEMA_VERSION, 9);
     for sweep in SWEEPS {
         let points = (sweep.points)();
         assert!(!points.is_empty(), "{} has no points", sweep.name);
@@ -212,7 +267,7 @@ fn overflow_exercises_overflow_rollbacks() {
 }
 
 #[test]
-fn grain_is_correct_natively_and_tracks_the_best_static_grain_on_the_replay() {
+fn grain_is_correct_natively_and_coarser_grains_stamp_less_on_the_replay() {
     let config = quick();
     let (rows, text) = GRAIN.run(&config);
     assert!(text.contains("Commit-Log Grain Sweep at 8 CPUs"));
@@ -235,10 +290,6 @@ fn grain_is_correct_natively_and_tracks_the_best_static_grain_on_the_replay() {
             row.commit_log.stamp_writes >= row.commit_log.commits,
             "{at}"
         );
-        // Static modes never regrain.
-        if row.grain != "adaptive" {
-            assert_eq!(row.commit_log.regrains, 0, "{at} regrained");
-        }
         // Without sharing a word-grain log has nothing to conflict on.
         if row.grain == "word" && row.sharing_permille == Some(0) {
             assert_eq!(conflicts(row), 0, "{at}");
@@ -250,22 +301,7 @@ fn grain_is_correct_natively_and_tracks_the_best_static_grain_on_the_replay() {
             assert_eq!(row.rolled_back, 0, "{at}");
         }
     }
-    // The controller actually moves grains somewhere natively (the
-    // conflict family under sharing splits away from page).
-    assert!(
-        native
-            .iter()
-            .filter(|r| r.grain == "adaptive" && r.sharing_permille >= Some(500))
-            .any(|r| r.commit_log.regrains > 0),
-        "the adaptive controller never regrained a contended region"
-    );
 
-    let at = |kind: &str, sharing: Option<u32>, grain: &str| {
-        replay
-            .iter()
-            .find(|r| r.workload == kind && r.sharing_permille == sharing && r.grain == grain)
-            .unwrap()
-    };
     for row in replay {
         let at = format!("{} {:?} {}", row.workload, row.sharing_permille, row.grain);
         assert_eq!(row.rollback_reasons[RollbackReason::Injected.index()], 0);
@@ -281,7 +317,7 @@ fn grain_is_correct_natively_and_tracks_the_best_static_grain_on_the_replay() {
             _ => assert!(row.targeted_dooms > 0, "{at}: nobody was doomed"),
         }
     }
-    // The same batches stamp no more ranges at a coarser static grain.
+    // The same batches stamp no more ranges at a coarser grain.
     for input in replay.chunks(GrainMode::ALL.len()) {
         let stamps = |grain: &str| {
             let row = input.iter().find(|r| r.grain == grain).unwrap();
@@ -296,47 +332,6 @@ fn grain_is_correct_natively_and_tracks_the_best_static_grain_on_the_replay() {
             stamps("page")
         );
     }
-
-    // The adaptive mode serves both ends of the spectrum in one
-    // configuration:
-    //
-    // 1. mandelbrot (disjoint rows, zero conflicts): adaptive stamp
-    //    traffic within 10% of the *page*-grain optimum — calm regions
-    //    keep the coarse grain.
-    // 2. conflict_chain at 100% sharing: adaptive wasted work within 10%
-    //    of the *word*-grain optimum — contended regions re-split to
-    //    exactness.
-    let mandel_adaptive = at("mandelbrot", None, "adaptive");
-    let mandel_page = at("mandelbrot", None, "page");
-    assert!(
-        mandel_adaptive.commit_log.stamp_writes as f64
-            <= mandel_page.commit_log.stamp_writes as f64 * 1.1,
-        "mandelbrot: adaptive stamps {} vs page {}",
-        mandel_adaptive.commit_log.stamp_writes,
-        mandel_page.commit_log.stamp_writes
-    );
-    assert!(
-        mandel_adaptive.commit_log.stamp_writes * 2
-            < at("mandelbrot", None, "word").commit_log.stamp_writes,
-        "adaptive must stay far below word-grain stamp traffic"
-    );
-    let chain_adaptive = at("conflict_chain", Some(1000), "adaptive");
-    let chain_word = at("conflict_chain", Some(1000), "word");
-    assert!(
-        chain_adaptive.wasted_work as f64 <= chain_word.wasted_work as f64 * 1.1,
-        "conflict_chain: adaptive wasted {} vs word {}",
-        chain_adaptive.wasted_work,
-        chain_word.wasted_work
-    );
-    assert!(
-        chain_adaptive.commit_log.regrains > 0
-            && chain_adaptive
-                .region_grains
-                .iter()
-                .all(|&(grain, _)| grain == WORD_GRAIN_LOG2),
-        "the contended chain region must converge to word grain, got {:?}",
-        chain_adaptive.region_grains
-    );
 
     // Determinism: a second replay reproduces every row exactly.
     let points = (GRAIN.points)();
@@ -454,13 +449,11 @@ fn grain_table_renders_golden() {
         committed_threads: 45,
         rolled_back_threads: 50,
         retried_threads: 2,
-        region_grains: vec![(WORD_GRAIN_LOG2, 1)],
         ..RunReport::default()
     };
     report.rollback_reasons[RollbackReason::Conflict.index()] = 15;
     report.rollback_reasons[RollbackReason::Other.index()] = 35;
     report.commit_log.stamp_writes = 30;
-    report.commit_log.regrains = 2;
     report.commit_log.ring_overflows = 1;
     let run = Run {
         speedup: Some(0.974),
@@ -469,7 +462,7 @@ fn grain_table_renders_golden() {
     };
     let chain = Point {
         sharing_permille: Some(1000),
-        grain: GrainMode::Adaptive,
+        grain: GrainMode::Word,
         ..Point::new(WorkloadKind::ConflictChain)
     };
     let rows = [
@@ -486,10 +479,10 @@ fn grain_table_renders_golden() {
     let text = render_rows("Grain replay — golden", replay.columns, &rows);
     let expected = "\
 # Grain replay — golden
-workload        sharing  grain     committed  retried  rolled back (C/O/I/X)  dooms  precise/ovfl  stamps  regrains  wasted work  speedup  final grains
----------------------------------------------------------------------------------------------------------------------------------------------------------
-conflict_chain  100%     adaptive  45         2        50 (C15/O0/I0/X35)     0      0/1           30      2         0            0.97     word:1      \n\
-mandelbrot      -        line      0          0        0 (C0/O0/I0/X0)        0      0/0           0       0         0            -        -           \n";
+workload        sharing  grain  committed  retried  rolled back (C/O/I/X)  dooms  precise/ovfl  stamps  wasted work  speedup
+------------------------------------------------------------------------------------------------------------------------------
+conflict_chain  100%     word   45         2        50 (C15/O0/I0/X35)     0      0/1           30      0            0.97   \n\
+mandelbrot      -        line   0          0        0 (C0/O0/I0/X0)        0      0/0           0       0            -      \n";
     assert_eq!(text, expected);
     // A native-only cell on a replay row, and the reverse, read "-".
     assert_eq!((col::CHECKSUM.cell)(&rows[0]), "-");

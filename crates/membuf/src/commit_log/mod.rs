@@ -18,62 +18,47 @@
 //!
 //! One protocol, one file, each opening with its soundness argument and
 //! closing with its tests: this file (the one-sided guarantee, sharding,
-//! the per-shard memory-ordering protocol; types, addressing, snapshots
-//! and versions), `stamp.rs` (the lock-free commit path), `ring.rs` (the
-//! MVCC version rings), `readers.rs` (the reader registry) and
-//! `regrain.rs` (the regrain protocol, per-region telemetry).
+//! the per-shard memory-ordering protocol; types, addressing, snapshots,
+//! versions and per-region telemetry), `stamp.rs` (the lock-free commit
+//! path), `ring.rs` (the MVCC version rings) and `readers.rs` (the reader
+//! registry).
 //!
-//! ## Range granularity — now per region, live
+//! ## Range granularity — one grain, fixed at construction
 //!
-//! Versions are stamped per *range* of bytes, not per word.  Coarsening
-//! the grain bounds log growth on long regions — a commit batch stamps
-//! one version per *range* touched, not one per word — at the cost of
-//! **false sharing**: a commit to any word of a range dooms a reader of
-//! any other word of the same range.
+//! Versions are stamped per *range* of bytes, not per word: a log has one
+//! grain, [`CommitLogConfig::grain_log2`] (word, line or page), fixed when
+//! it is built.  Coarsening the grain bounds log growth on long regions —
+//! a commit batch stamps one version per *range* touched, not one per
+//! word — at the cost of **false sharing**: a commit to any word of a
+//! range dooms a reader of any other word of the same range.
 //!
-//! Since the grain-control subsystem landed, the grain is **no longer a
-//! single global constant**: the address space is divided into *regions*
-//! of `2^`[`CommitLog::region_log2`] bytes (at least one 4 KiB page) and
-//! every region carries its own live grain in
-//! `[`[`CommitLogConfig::grain_log2`]`, region_log2]`.  The configured
-//! grain is the *floor* (the finest grain the version table is allocated
-//! for); [`CommitLog::regrain`] moves one region's grain up (coarsen) or
-//! down (re-split) at runtime, so a dense-numeric region can run at page
-//! grain while a pointer-chasing region in the same program runs at word
-//! grain.
-//!
-//! The guarantee is one-sided by design, at every grain and across any
-//! regrain interleaving:
+//! The guarantee is one-sided by design, at every grain:
 //!
 //! * **False sharing is allowed.**  A range-grain conflict may be
 //!   spurious (different words, same range).  The reader rolls back and
 //!   re-executes (or value-predict-retries in place); the result is still
 //!   correct, merely slower.
 //! * **Missed conflicts are impossible.**  Every word maps into exactly
-//!   one range of its region's current grain, and a write to the word
-//!   always advances that range's version past every snapshot taken
-//!   before the commit.  A genuine dependence violation is therefore
-//!   always flagged.
+//!   one range, and a write to the word always advances that range's
+//!   version past every snapshot taken before the commit.  A genuine
+//!   dependence violation is therefore always flagged.
 //!
 //! ## Sharding — by region
 //!
 //! The version table is split across [`CommitLogConfig::shards`]
-//! independent shards, each with its own epoch counter, slow-path lock
-//! and dense version array.  A region maps to shard
-//! `region_id & (shards - 1)` — consecutive regions interleave across
-//! shards.  Sharding *by region* (rather than by range, as before
-//! grain control) is what keeps the read-snapshot protocol sound under
-//! live regrains: an address's owning shard — and hence the epoch counter
-//! its snapshots and versions live on — never depends on the current
-//! grain, so a snapshot taken at one grain remains comparable to versions
-//! stamped at another.
+//! independent shards, each with its own epoch counter and dense version
+//! array.  The address space is divided into *regions* of
+//! `2^`[`CommitLog::region_log2`] bytes (at least one 4 KiB page), and a
+//! region maps to shard `region_id & (shards - 1)` — consecutive regions
+//! interleave across shards.  Sharding by region rather than by range
+//! keeps a region's ranges on one shard, so a commit batch groups by
+//! shard in one sort and stamps each region's ranges in one contiguous
+//! run of its shard's table.
 //!
 //! Per-range versions live in a per-shard *dense* array covering the
-//! main-memory arena, one slot per **floor-grain** range (lock-free
-//! stamping and lookup), sized by [`CommitLog::with_config`]; the
-//! capacity is rounded **up** to whole regions times shards.  A region
-//! running at a coarser grain uses a prefix of its slot block (slot
-//! `offset_in_region >> grain`).
+//! main-memory arena, one slot per range (lock-free stamping and lookup),
+//! sized by [`CommitLog::with_config`]; the capacity is rounded **up** to
+//! whole regions times shards.
 //!
 //! ## The window — the arena and nothing else
 //!
@@ -123,29 +108,25 @@
 //! is always same-shard and therefore well-defined.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::memory::Addr;
 use crate::zeroed::ZeroedAtomics;
 
 mod readers;
-mod regrain;
 mod ring;
 mod stamp;
 
 pub use readers::{ReaderSet, MAX_TRACKED_READERS};
-pub use regrain::RegionProfile;
 pub use ring::{RingCheck, DEFAULT_RING_DEPTH, MAX_RING_DEPTH};
-
-use regrain::RegionCounters;
 
 /// Monotone version assigned to a commit batch within a shard
 /// (0 = "never written").
 pub type CommitVersion = u64;
 
-/// Identifier of one grain-control region: `addr >> region_log2`.
+/// Identifier of one region: `addr >> region_log2`.
 pub type RegionId = u64;
 
 /// `grain_log2` of word-granular tracking (8-byte ranges): the exact,
@@ -160,14 +141,12 @@ pub const LINE_GRAIN_LOG2: u32 = 6;
 /// BOP-style coarse end of the spectrum.
 pub const PAGE_GRAIN_LOG2: u32 = 12;
 
-/// Log2 of the minimum grain-control region size (one 4 KiB page).  The
-/// actual region size is `max(MIN_REGION_LOG2, grain_log2)` so a region
-/// always covers at least one floor-grain range.
+/// Log2 of the minimum region size (one 4 KiB page).  The actual region
+/// size is `max(MIN_REGION_LOG2, grain_log2)` so a region always covers
+/// at least one range.
 pub const MIN_REGION_LOG2: u32 = PAGE_GRAIN_LOG2;
 
-/// Region size (log2 bytes) used by a log whose floor grain is
-/// `grain_log2` — shared with the simulator so both layers coarsen
-/// addresses identically.
+/// Region size (log2 bytes) used by a log whose grain is `grain_log2`.
 pub fn region_log2_for_grain(grain_log2: u32) -> u32 {
     grain_log2.max(MIN_REGION_LOG2)
 }
@@ -180,10 +159,9 @@ pub const LOCK_SAMPLE_LOG2: u32 = 3;
 /// Granularity and sharding of the commit log's version table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitLogConfig {
-    /// Log2 of the **floor** range size in bytes; clamped to at least
-    /// [`WORD_GRAIN_LOG2`] (a range can never be smaller than a word).
-    /// The version table is allocated at this grain; per-region live
-    /// grains may only coarsen from it (see [`CommitLog::regrain`]).
+    /// Log2 of the range size in bytes, fixed for the log's life; clamped
+    /// to at least [`WORD_GRAIN_LOG2`] (a range can never be smaller than
+    /// a word).
     pub grain_log2: u32,
     /// Number of independent shards; rounded up to a power of two, at
     /// least 1.
@@ -285,8 +263,6 @@ pub struct CommitLogStats {
     pub commits: u64,
     /// Range stamps *written* across all batches, cumulatively — the
     /// actual log traffic; coarser grains stamp fewer ranges per batch.
-    /// (Regrain flushes are counted in [`regrains`](Self::regrains), not
-    /// here.)
     pub stamp_writes: u64,
     /// Estimated wall-clock nanoseconds of commit publication — the
     /// reservation-plus-stamp section (sampled: one batch in
@@ -294,14 +270,10 @@ pub struct CommitLogStats {
     /// clocks short sections may register as zero.
     pub lock_ns: u64,
     /// CAS retries on the stamp path, cumulative: same-slot
-    /// `compare_exchange` losses plus whole-group re-stamps forced by a
-    /// racing regrain's seqlock word.  Disjoint-range committers should
-    /// keep it near zero at any thread count; the replay, whose log has
-    /// one committer and no live regrain race, reports 0.
+    /// `compare_exchange` losses.  Disjoint-range committers should keep
+    /// it near zero at any thread count; the replay, whose log has one
+    /// committer, reports 0.
     pub cas_retries: u64,
-    /// Regions whose grain the controller changed at runtime
-    /// ([`CommitLog::regrain`] calls that actually flipped a grain).
-    pub regrains: u64,
     /// Registrations by ranks greater than [`MAX_TRACKED_READERS`]: each
     /// lands in its range's spill set (a shard `RwLock` write on top of
     /// the marker-bit `fetch_or`) — the registry's slow path, surfaced so
@@ -312,7 +284,7 @@ pub struct CommitLogStats {
     /// probed snapshot ([`RingCheck::Overflow`]) — the MVCC precision
     /// pressure signal.  Always 0 at `ring_depth` 1.
     pub ring_overflows: u64,
-    /// Configured floor range size (log2 bytes), echoed for reports.
+    /// Configured range size (log2 bytes), echoed for reports.
     pub grain_log2: u32,
     /// Configured shard count, echoed for reports.
     pub shards: usize,
@@ -332,14 +304,9 @@ struct Shard {
     /// committers `fetch_add` it to reserve-and-publish in one `SeqCst`
     /// RMW (the release sequence readers synchronize with).
     epoch: AtomicU64,
-    /// The striped **slow-path** lock: serializes `regrain`, `clear`
-    /// and the other cold mutators against each other.  Committers
-    /// never take it (they only observe the per-region sequence words).
-    slow_lock: Mutex<()>,
     /// Dense per-range versions for this shard's regions: region `r`
     /// (with `r & mask == shard index`) owns the slot block
-    /// `[(r >> shard_bits) * slots_per_region, ..)`, one slot per
-    /// floor-grain range; a coarser live grain uses the block's prefix.
+    /// `[(r >> shard_bits) * slots_per_region, ..)`, one slot per range.
     /// Raised monotonically via CAS.
     dense: ZeroedAtomics,
     /// Packed MVCC version-ring entries, `ring_depth` per dense slot
@@ -360,7 +327,6 @@ impl Shard {
     fn new(dense_slots: usize, ring_slots: usize) -> Self {
         Shard {
             epoch: AtomicU64::new(0),
-            slow_lock: Mutex::new(()),
             dense: ZeroedAtomics::new(dense_slots),
             rings: ZeroedAtomics::new(ring_slots),
             readers: ZeroedAtomics::new(dense_slots),
@@ -369,15 +335,34 @@ impl Shard {
     }
 }
 
+/// Per-region telemetry snapshot (see [`CommitLog::region_profiles`]).
+/// Its only reader is the benchmark's grain-controller probe, which
+/// ROADMAP item 2(e) deletes.  Only `stamps` counts; the other counters
+/// read 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+pub struct RegionProfile {
+    /// The region id (`addr >> region_log2`).
+    pub region: RegionId,
+    /// The log's grain (log2 bytes).
+    pub grain_log2: u32,
+    /// Range stamps written into this region (log traffic).
+    pub stamps: u64,
+    /// Always 0.
+    pub conflicts: u64,
+    /// Always 0.
+    pub false_sharing: u64,
+    /// Always 0.
+    pub retries: u64,
+}
+
 /// Append-only versioned record of every write published to main memory,
-/// region-sharded with per-region live grains (see the module docs for
-/// the protocol).
+/// region-sharded at one grain (see the module docs for the protocol).
 #[derive(Debug)]
 pub struct CommitLog {
     config: CommitLogConfig,
     /// Log2 of the region size in bytes (`max(MIN_REGION_LOG2, grain)`).
     region_log2: u32,
-    /// Floor-grain slots per region (`1 << (region_log2 - grain_log2)`).
+    /// Slots per region (`1 << (region_log2 - grain_log2)`).
     slots_per_region: usize,
     /// `shards.len() - 1`; shard of a region is `region & shard_mask`.
     shard_mask: u64,
@@ -385,24 +370,10 @@ pub struct CommitLog {
     /// `region >> shard_bits`.
     shard_bits: u32,
     shards: Vec<Shard>,
-    /// Live grain of every region of the window, indexed by region id
-    /// (every shard allocates the same number of region blocks, so the
-    /// window is a whole number of stripes).  Written
-    /// only under the owning shard's slow-path lock; read lock-free
-    /// (acquire) by snapshot/validation paths and — bracketed by the
-    /// region's sequence word — by committers.
-    region_grains: Vec<AtomicU32>,
-    /// Per-region seqlock words guarding grain flips against committers
-    /// (same indexing as `region_grains`): a regrain holds
-    /// the word **odd** while it rebuilds the region; fast-path
-    /// committers read it before and after their CAS pass and re-stamp
-    /// on any movement.  They only observe it, never take the slow lock.
-    region_seqs: Vec<AtomicU32>,
-    /// Per-region telemetry, same indexing as `region_grains`.
-    region_stats: Vec<RegionCounters>,
-    /// Grain every region starts at (and returns to on
-    /// [`clear`](Self::clear)); clamped to `[grain_log2, region_log2]`.
-    initial_grain: u32,
+    /// Range stamps per region of the window, indexed by region id (every
+    /// shard allocates the same number of region blocks, so the window is
+    /// a whole number of stripes); relaxed, telemetry only.
+    region_stamps: Vec<AtomicU64>,
     /// Multi-address commit batches recorded (monotone; survives shard
     /// distribution).  Doubles as the batch path's lock-time sampling
     /// clock.
@@ -414,8 +385,6 @@ pub struct CommitLog {
     singles: AtomicU64,
     /// Range stamps written across all multi-address batches.
     stamped: AtomicU64,
-    /// Regions regrained (grain actually flipped).
-    regrains: AtomicU64,
     /// Estimated nanoseconds of commit publication: every
     /// `2^LOCK_SAMPLE_LOG2`-th batch is timed (two clock reads)
     /// and its duration scaled up, so the commit-throughput reporting
@@ -424,8 +393,8 @@ pub struct CommitLog {
     lock_ns: AtomicU64,
     /// Reader registrations that spilled past the bitmask window.
     reader_spills: AtomicU64,
-    /// CAS retries on the stamp path (same-slot losses plus
-    /// seqlock-forced re-stamps); relaxed, telemetry only.
+    /// CAS retries on the stamp path (same-slot losses); relaxed,
+    /// telemetry only.
     cas_retries: AtomicU64,
     /// Ring probes that fell back to single-version conservatism
     /// ([`RingCheck::Overflow`]); relaxed, telemetry only.
@@ -441,24 +410,11 @@ impl CommitLog {
     /// Create a log with an explicit grain/shard config whose window
     /// covers `[0, capacity_bytes)` — size it to the main-memory arena:
     /// the whole program's traffic stamps lock-free with bounded memory
-    /// (one version word per floor-grain range), and an address past the
-    /// window is a caller bug that panics.  The capacity is rounded *up*
-    /// to whole regions (times shards), so a trailing partial range or
-    /// region is covered.
+    /// (one version word per range), and an address past the window is a
+    /// caller bug that panics.  The capacity is rounded *up* to whole
+    /// regions (times shards), so a trailing partial range or region is
+    /// covered.
     pub fn with_config(config: CommitLogConfig, capacity_bytes: u64) -> Self {
-        let grain = config.normalized().grain_log2;
-        Self::with_initial_grain(config, capacity_bytes, grain)
-    }
-
-    /// Like [`with_config`](Self::with_config), but every region
-    /// starts at `initial_grain_log2` (clamped to
-    /// `[grain_log2, region_log2]`) instead of the floor grain — the
-    /// grain controller's optimistic-coarse starting point.
-    pub fn with_initial_grain(
-        config: CommitLogConfig,
-        capacity_bytes: u64,
-        initial_grain_log2: u32,
-    ) -> Self {
         let config = config.normalized();
         let shard_count = config.shards;
         let region_log2 = region_log2_for_grain(config.grain_log2);
@@ -479,13 +435,8 @@ impl CommitLog {
             .map(|_| Shard::new(dense_slots, ring_slots))
             .collect();
         let region_count = regions_per_shard as usize * shard_count;
-        let initial_grain = initial_grain_log2.clamp(config.grain_log2, region_log2);
-        let mut region_grains = Vec::with_capacity(region_count);
-        region_grains.resize_with(region_count, || AtomicU32::new(initial_grain));
-        let mut region_seqs = Vec::with_capacity(region_count);
-        region_seqs.resize_with(region_count, || AtomicU32::new(0));
-        let mut region_stats = Vec::with_capacity(region_count);
-        region_stats.resize_with(region_count, RegionCounters::default);
+        let mut region_stamps = Vec::with_capacity(region_count);
+        region_stamps.resize_with(region_count, AtomicU64::default);
         CommitLog {
             config,
             region_log2,
@@ -493,14 +444,10 @@ impl CommitLog {
             shard_mask: (shard_count as u64) - 1,
             shard_bits: shard_count.trailing_zeros(),
             shards,
-            region_grains,
-            region_seqs,
-            region_stats,
-            initial_grain,
+            region_stamps,
             batches: AtomicU64::new(0),
             singles: AtomicU64::new(0),
             stamped: AtomicU64::new(0),
-            regrains: AtomicU64::new(0),
             lock_ns: AtomicU64::new(0),
             reader_spills: AtomicU64::new(0),
             cas_retries: AtomicU64::new(0),
@@ -509,49 +456,33 @@ impl CommitLog {
         }
     }
 
-    /// The grain/shard configuration this log runs with (`grain_log2` is
-    /// the floor grain).
+    /// The grain/shard configuration this log runs with.  Besides the
+    /// runtime, read by the benchmark's grain-controller probe, which
+    /// ROADMAP item 2(e) deletes.
     pub fn config(&self) -> CommitLogConfig {
         self.config
     }
 
-    /// Log2 of the grain-control region size in bytes.
+    /// Log2 of the region size in bytes.
     pub fn region_log2(&self) -> u32 {
         self.region_log2
     }
 
-    /// The region covering `addr`.
-    pub fn region_of(&self, addr: Addr) -> RegionId {
+    fn region_of(&self, addr: Addr) -> RegionId {
         addr >> self.region_log2
     }
 
-    /// The live grain (log2 bytes) of `region`.
-    pub fn grain_of_region(&self, region: RegionId) -> u32 {
-        self.region_grains[self.region_index(region)].load(Ordering::Acquire)
-    }
-
-    /// The live grain (log2 bytes) tracking `addr` right now.
-    pub fn grain_of(&self, addr: Addr) -> u32 {
-        self.region_grains[self.region_index_of(addr)].load(Ordering::Acquire)
-    }
-
     /// `addr`'s region as an index into the per-region tables — **the**
-    /// window check: every entry point that takes an address (or a
-    /// region) comes through here before it touches a table, so an
-    /// address the arena does not hold panics from one place.
+    /// window check: every entry point that takes an address comes
+    /// through here before it touches a table, so an address the arena
+    /// does not hold panics from one place.
     #[inline]
     fn region_index_of(&self, addr: Addr) -> usize {
         let region = addr >> self.region_log2;
-        if region >= self.region_grains.len() as u64 {
+        if region >= self.region_stamps.len() as u64 {
             self.outside_window(addr);
         }
         region as usize
-    }
-
-    /// [`region_index_of`](Self::region_index_of) for a caller that holds
-    /// a region id (checked through the region's first address).
-    fn region_index(&self, region: RegionId) -> usize {
-        self.region_index_of(region.saturating_mul(1 << self.region_log2))
     }
 
     #[cold]
@@ -559,7 +490,7 @@ impl CommitLog {
     fn outside_window(&self, addr: Addr) -> ! {
         panic!(
             "address {addr:#x} outside the commit log's window of {} bytes",
-            (self.region_grains.len() as u64) << self.region_log2
+            (self.region_stamps.len() as u64) << self.region_log2
         );
     }
 
@@ -567,19 +498,18 @@ impl CommitLog {
         (region & self.shard_mask) as usize
     }
 
-    /// `addr`'s slot at grain `grain_log2`, as an index into its shard's
-    /// tables (the caller checked the address against the window).
-    fn slot_at(&self, addr: Addr, grain_log2: u32) -> usize {
+    /// `addr`'s slot, as an index into its shard's tables (the caller
+    /// checked the address against the window).
+    fn slot_at(&self, addr: Addr) -> usize {
         let block = (self.region_of(addr) >> self.shard_bits) as usize * self.slots_per_region;
         let offset = addr & ((1u64 << self.region_log2) - 1);
-        block + (offset >> grain_log2) as usize
+        block + (offset >> self.config.grain_log2) as usize
     }
 
-    /// `addr`'s owning shard and its slot there at its region's current
-    /// grain.
+    /// `addr`'s owning shard and its slot there, window-checked.
     fn slot_of(&self, addr: Addr) -> (usize, usize) {
-        let local = self.slot_at(addr, self.grain_of(addr));
-        (self.shard_of_region(self.region_of(addr)), local)
+        let region = self.region_index_of(addr) as RegionId;
+        (self.shard_of_region(region), self.slot_at(addr))
     }
 
     /// Note that the log now holds something [`clear`](Self::clear) must
@@ -601,8 +531,7 @@ impl CommitLog {
     /// Speculative readers sample this *before* loading the word from
     /// main memory and stamp the read-set entry with it; join-time
     /// validation compares it against [`version_of`](Self::version_of) on
-    /// the same shard counter.  The shard is determined by the *region*,
-    /// never the grain, so snapshots survive regrains.
+    /// the same shard counter.
     pub fn snapshot(&self, addr: Addr) -> CommitVersion {
         let region = self.region_index_of(addr) as RegionId;
         self.shards[self.shard_of_region(region)]
@@ -611,8 +540,7 @@ impl CommitLog {
     }
 
     /// Version of the last commit that wrote any word of `addr`'s range
-    /// (0 = never written through the log; a regrain of the region counts
-    /// as a conservative whole-region write).
+    /// (0 = never written through the log).
     pub fn version_of(&self, addr: Addr) -> CommitVersion {
         let (shard, local) = self.slot_of(addr);
         self.shards[shard].dense[local].load(Ordering::Acquire)
@@ -621,8 +549,7 @@ impl CommitLog {
     /// True when a commit wrote `addr`'s *range* after a read of `addr`
     /// stamped with `read_version` — the (range-conservative) dependence
     /// violation condition.  May flag false sharing (a different word of
-    /// the same range, or a conservative regrain flush); never misses a
-    /// genuine conflict.
+    /// the same range); never misses a genuine conflict.
     pub fn written_after(&self, addr: Addr, read_version: CommitVersion) -> bool {
         self.version_of(addr) > read_version
     }
@@ -644,11 +571,6 @@ impl CommitLog {
         self.batches.load(Ordering::Relaxed) + self.singles.load(Ordering::Relaxed)
     }
 
-    /// Number of regions whose grain was flipped at runtime.
-    pub fn regrains(&self) -> u64 {
-        self.regrains.load(Ordering::Relaxed)
-    }
-
     /// Aggregate activity counters since construction or the last
     /// [`clear`](Self::clear).
     pub fn stats(&self) -> CommitLogStats {
@@ -658,7 +580,6 @@ impl CommitLog {
                 + self.singles.load(Ordering::Relaxed),
             lock_ns: self.lock_ns.load(Ordering::Relaxed),
             cas_retries: self.cas_retries.load(Ordering::Relaxed),
-            regrains: self.regrains.load(Ordering::Relaxed),
             reader_spills: self.reader_spills.load(Ordering::Relaxed),
             ring_overflows: self.ring_overflows.load(Ordering::Relaxed),
             grain_log2: self.config.grain_log2,
@@ -667,17 +588,33 @@ impl CommitLog {
         }
     }
 
+    /// Every region with a stamp, ascending by region id, with its stamp
+    /// count.  Its only reader is the benchmark's grain-controller probe,
+    /// which ROADMAP item 2(e) deletes.
+    pub fn region_profiles(&self) -> Vec<RegionProfile> {
+        let stamped = self.region_stamps.iter().enumerate();
+        stamped
+            .map(|(region, stamps)| (region, stamps.load(Ordering::Relaxed)))
+            .filter(|&(_, stamps)| stamps > 0)
+            .map(|(region, stamps)| RegionProfile {
+                region: region as RegionId,
+                grain_log2: self.config.grain_log2,
+                stamps,
+                ..RegionProfile::default()
+            })
+            .collect()
+    }
+
     /// Forget everything (start of a new speculative region run): stamps,
-    /// registries, telemetry, and every region's grain back to the
-    /// initial grain.  A log nothing was written into since construction
-    /// or the last `clear` already is all of that, word for word, and is
-    /// left alone — its tables came as zero pages and stay unfaulted.
+    /// registries and telemetry.  The caller quiesces the log's users
+    /// first.  A log nothing was written into since construction or the
+    /// last `clear` already is all of that, word for word, and is left
+    /// alone — its tables came as zero pages and stay unfaulted.
     pub fn clear(&self) {
         if !self.touched.load(Ordering::Relaxed) {
             return;
         }
         for shard in &self.shards {
-            let _guard = shard.slow_lock.lock();
             for v in shard.dense.iter() {
                 v.store(0, Ordering::Relaxed);
             }
@@ -690,22 +627,12 @@ impl CommitLog {
             shard.readers_spill.write().clear();
             shard.epoch.store(0, Ordering::Release);
         }
-        for grain in &self.region_grains {
-            grain.store(self.initial_grain, Ordering::Release);
-        }
-        for seq in &self.region_seqs {
-            seq.store(0, Ordering::Release);
-        }
-        for stats in &self.region_stats {
-            stats.stamps.store(0, Ordering::Relaxed);
-            stats.conflicts.store(0, Ordering::Relaxed);
-            stats.false_sharing.store(0, Ordering::Relaxed);
-            stats.retries.store(0, Ordering::Relaxed);
+        for stamps in &self.region_stamps {
+            stamps.store(0, Ordering::Relaxed);
         }
         self.batches.store(0, Ordering::Relaxed);
         self.singles.store(0, Ordering::Relaxed);
         self.stamped.store(0, Ordering::Relaxed);
-        self.regrains.store(0, Ordering::Relaxed);
         self.lock_ns.store(0, Ordering::Relaxed);
         self.reader_spills.store(0, Ordering::Relaxed);
         self.cas_retries.store(0, Ordering::Relaxed);
@@ -783,10 +710,9 @@ mod tests {
 
     #[test]
     fn shard_epochs_advance_independently() {
-        // Consecutive *regions* (not ranges) interleave across shards
-        // since grain control landed: addresses one region apart map to
-        // different shards with 2+ shards; each shard versions its own
-        // commits from 1.
+        // Consecutive *regions* (not ranges) interleave across shards:
+        // addresses one region apart map to different shards with 2+
+        // shards; each shard versions its own commits from 1.
         let config = CommitLogConfig::word_grain().shards(2);
         let log = CommitLog::with_config(config, 2 << 12);
         let region_bytes = 1u64 << log.region_log2();
@@ -799,7 +725,7 @@ mod tests {
         assert_eq!(v_a2, 2);
         assert_eq!(log.epoch(), 2);
         assert_eq!(log.commits(), 3);
-        // Same region ⇒ same shard, at any grain.
+        // Same region ⇒ same shard.
         assert!(log.snapshot(0) == log.snapshot(8));
     }
 
@@ -844,7 +770,7 @@ mod tests {
         let window = 4u64 << log.region_log2();
         let (last, past) = (window - 8, window);
         type EntryPoint = fn(&CommitLog, Addr);
-        let entry_points: [(&str, EntryPoint); 12] = [
+        let entry_points: [(&str, EntryPoint); 9] = [
             ("snapshot", |log, a| {
                 log.snapshot(a);
             }),
@@ -870,13 +796,6 @@ mod tests {
             ("registered_readers", |log, a| {
                 log.registered_readers(a);
             }),
-            ("grain_of", |log, a| {
-                log.grain_of(a);
-            }),
-            ("note_conflict", |log, a| log.note_conflict(a, false)),
-            ("regrain", |log, a| {
-                log.regrain(log.region_of(a), LINE_GRAIN_LOG2);
-            }),
         ];
         for (name, call) in entry_points {
             call(&log, last);
@@ -891,7 +810,24 @@ mod tests {
         }
     }
 
-    /// Everything a log holds — every table, counter, lock and the
+    #[test]
+    fn region_profiles_count_the_stamps_of_each_region() {
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 14);
+        let region_bytes = 1u64 << log.region_log2();
+        log.record([8, 16, region_bytes]);
+        log.record_word(8);
+        let profile = |region, stamps| RegionProfile {
+            region,
+            grain_log2: WORD_GRAIN_LOG2,
+            stamps,
+            ..RegionProfile::default()
+        };
+        assert_eq!(log.region_profiles(), [profile(0, 3), profile(1, 1)]);
+        log.clear();
+        assert!(log.region_profiles().is_empty());
+    }
+
+    /// Everything a log holds — every table, counter and the
     /// touched flag — as its derived `Debug` prints it.
     fn contents(log: &CommitLog) -> String {
         format!("{log:?}")
@@ -899,16 +835,15 @@ mod tests {
 
     #[test]
     fn clear_after_any_one_mutator_leaves_a_freshly_built_log() {
-        // Two regions on two shards, starting coarse, shallow rings with
-        // one version a bucket: every table has something to lose.
+        // Two regions on two shards, shallow rings with one version a
+        // bucket: every table has something to lose.
         let build = || {
-            CommitLog::with_initial_grain(
+            CommitLog::with_config(
                 CommitLogConfig::word_grain()
                     .shards(2)
                     .ring_depth(2)
                     .ring_bucket_log2(0),
                 2 << 12,
-                LINE_GRAIN_LOG2,
             )
         };
         let fresh = contents(&build());
@@ -919,7 +854,7 @@ mod tests {
         // A mutator that forgot to raise the flag would leave its mark
         // behind the early return and fail its row.
         type Mutator = fn(&CommitLog);
-        let mutators: [(&str, Mutator); 8] = [
+        let mutators: [(&str, Mutator); 5] = [
             ("record", |log| {
                 for _ in 0..3 {
                     log.record([8, 4096 + 16]);
@@ -939,11 +874,6 @@ mod tests {
             ("transfer_reader", |log| {
                 log.transfer_reader([8, 72], 3, 150)
             }),
-            ("regrain", |log| {
-                log.regrain(1, WORD_GRAIN_LOG2);
-            }),
-            ("note_conflict", |log| log.note_conflict(8, true)),
-            ("note_retry", |log| log.note_retry(4096 + 8)),
         ];
         for (name, mutate) in mutators {
             let log = build();

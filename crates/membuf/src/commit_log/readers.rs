@@ -39,9 +39,6 @@
 //!   would validate it — the doom is what stops it.  That is why
 //!   enumeration is complete at every rank (the spill sets) instead of
 //!   best-effort past the bitmask.
-//!   A regrain that re-indexes a range's registry slot can strand a
-//!   registration on the old slot; the regrain's whole-region stamp
-//!   guarantees that reader fails validation conservatively instead.
 //! * **Stale reader ⇒ spurious doom only**: a bit left behind by a
 //!   thread that already finished dooms whatever now runs on that rank;
 //!   the doomed thread rolls back and re-executes — slower, never wrong.
@@ -208,13 +205,12 @@ impl CommitLog {
         let mut last: Option<Addr> = None;
         let grain = self.config.grain_log2;
         for addr in addrs {
-            // Conservative dedup at the floor grain (same floor range ⇒
-            // same slot at any live grain).
-            let floor = addr >> grain;
-            if last == Some(floor) {
+            // Adjacent addresses of one range share a slot: skip repeats.
+            let range = addr >> grain;
+            if last == Some(range) {
                 continue;
             }
-            last = Some(floor);
+            last = Some(range);
             // (No snapshot needed: the entry keeps the child's.)
             let _ = self.register_reader(addr, to);
             self.unregister_reader([addr], from);

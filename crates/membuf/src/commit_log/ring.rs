@@ -33,9 +33,7 @@
 //! but none touched it" ([`RingCheck::Precise`] — the false-sharing
 //! survivals that motivate MVCC).  The one-sided guarantee is
 //! unchanged at every depth: probes may report false touches (bucket
-//! aggregation, offset-hash collisions, regrain truncation — a
-//! [`regrain`](CommitLog::regrain) merges a *full* footprint at its
-//! flush version into every slot of the region), but a genuine
+//! aggregation, offset-hash collisions), but a genuine
 //! dependence violation is flagged through every interleaving,
 //! because a committer's ring merge precedes its dense stamp and
 //! join-time validation runs after the relevant commit's
@@ -66,10 +64,6 @@ const RING_FOOTPRINT_BITS: u32 = 16;
 
 /// Footprint mask of a packed ring entry.
 const RING_FOOTPRINT_MASK: u64 = (1 << RING_FOOTPRINT_BITS) - 1;
-
-/// The "every word of the range may have been written" footprint —
-/// merged by [`CommitLog::regrain`]'s conservative truncation.
-pub(super) const RING_FULL_FOOTPRINT: u64 = RING_FOOTPRINT_MASK;
 
 /// First version a packed ring entry cannot represent.
 const RING_VERSION_CAP: u64 = 1 << (64 - RING_FOOTPRINT_BITS);
@@ -257,7 +251,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     use super::*;
-    use crate::commit_log::{CommitLogConfig, LINE_GRAIN_LOG2};
+    use crate::commit_log::CommitLogConfig;
 
     #[test]
     fn ring_probe_distinguishes_touched_from_false_sharing() {
@@ -359,38 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn regrain_truncates_the_rings_conservatively() {
-        // Single-version buckets keep the regrain's full-footprint
-        // flush out of the next commit's bucket, so the precision
-        // assertions below are exact.
-        let log = CommitLog::with_config(
-            CommitLogConfig::word_grain()
-                .shards(1)
-                .ring_depth(4)
-                .ring_bucket_log2(0),
-            1 << 13,
-        );
-        log.regrain(0, LINE_GRAIN_LOG2);
-        // The regrain's full-footprint flush: no pre-regrain snapshot of
-        // the region may probe Clean or Precise.
-        for addr in [8u64, 16, 2048] {
-            assert!(
-                matches!(log.probe_written(addr, 0), RingCheck::Touched { .. }),
-                "addr={addr}"
-            );
-        }
-        // Post-regrain snapshots probe precisely again.
-        let fresh = log.snapshot(8);
-        assert_eq!(log.probe_written(8, fresh), RingCheck::Clean);
-        log.record_word(8);
-        assert_eq!(log.probe_written(16, fresh), RingCheck::Precise);
-    }
-
-    #[test]
-    fn ring_probe_never_misses_under_commit_regrain_races() {
-        // Concurrent committers and regrains: a probe for a stale
-        // snapshot must never report Clean/Precise for a written word —
-        // the ring analogue of the single-version race test.
+    fn ring_probe_never_misses_under_commit_races() {
+        // A committer keeps writing while the probe for a stale snapshot
+        // races it: once the first commit of the word is visible, no
+        // probe may report Clean/Precise for it — the ring analogue of
+        // the single-version race test.
         let log = std::sync::Arc::new(CommitLog::with_config(
             CommitLogConfig::word_grain().shards(1).ring_depth(4),
             1 << 12,
@@ -406,15 +373,14 @@ mod tests {
                 }
             })
         };
-        for grain in [LINE_GRAIN_LOG2, WORD_GRAIN_LOG2] {
-            for _ in 0..50 {
-                log.regrain(0, grain);
-                assert!(
-                    !log.probe_written(8, stale).is_valid(),
-                    "stale written word probed valid mid-race"
-                );
-                std::thread::yield_now();
-            }
+        while !log.written_after(8, stale) {
+            std::thread::yield_now();
+        }
+        for _ in 0..1_000 {
+            assert!(
+                !log.probe_written(8, stale).is_valid(),
+                "stale written word probed valid mid-race"
+            );
         }
         stop.store(1, Ordering::Release);
         committer.join().unwrap();

@@ -26,19 +26,10 @@
 //!   ordering), so the slot is `>= v` and any reader with a stale
 //!   snapshot `s < v` is flagged: missed conflicts stay structurally
 //!   impossible.
-//! * **Seqlock grain probing.**  Every region carries a sequence
-//!   word ([`CommitLog::regrain`] holds it *odd* while rebuilding the
-//!   region).  The fast path double-checks it around the stamp loop:
-//!   read the sequence (spin while odd), read the region's live grain,
-//!   CAS the slots, re-read the sequence — if it moved, a regrain raced
-//!   the stamps and the committer simply re-stamps at the now-current
-//!   grain.  Fast-path committers only *observe* the word; they never
-//!   take the slow-path lock.
 //!
-//! [`regrain`](CommitLog::regrain) and [`clear`](CommitLog::clear) run
-//! under the per-shard slow-path lock (a striped `parking_lot` mutex), the
-//! reader-registry spill sets behind a lock stripe of their own — they
-//! are the cold paths.
+//! [`clear`](CommitLog::clear) is the one cold path; it runs between
+//! runs, with the log's users quiesced, and the reader-registry spill sets
+//! sit behind a lock stripe of their own.
 //!
 //! The loop is written for any number of concurrent committers and
 //! tested that way below.  The runtime drives it with **one committer at
@@ -53,7 +44,7 @@ use std::time::Instant;
 use super::ring::footprint_bit;
 #[cfg(doc)]
 use super::CommitLogStats;
-use super::{CommitLog, CommitVersion, RegionId, Shard, LOCK_SAMPLE_LOG2};
+use super::{CommitLog, CommitVersion, Shard, LOCK_SAMPLE_LOG2};
 use crate::memory::Addr;
 
 /// Whether the commit that drew ticket `nth` from its path's counter has
@@ -71,10 +62,9 @@ impl CommitLog {
     ///
     /// The caller must have already written the data words to main memory
     /// (see the module-level ordering protocol).  The batch's addresses
-    /// are grouped by shard (a region-level property, independent of any
-    /// concurrent regrain).  Each shard's version is
+    /// are grouped by shard; each shard's version is
     /// reserved-and-published with one `SeqCst` `fetch_add` and the
-    /// touched slots raised by CAS under the per-region seqlock words.
+    /// touched slots raised by CAS.
     pub fn record<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> CommitVersion {
         let mut iter = addrs.into_iter();
         let Some(first) = iter.next() else {
@@ -128,16 +118,14 @@ impl CommitLog {
 
     /// Publish one shard's (sorted, deduplicated) address run.
     /// Reserve-and-publish the version with one `SeqCst`
-    /// `fetch_add`, then raise each touched slot by CAS, bracketing
-    /// every region's stamps with its seqlock word so a racing regrain
-    /// forces a re-stamp at the then-current grain (see the module
-    /// docs for why each step is sound).
+    /// `fetch_add`, then raise each touched slot by CAS, one region's
+    /// addresses at a time (see the module docs for why each step is
+    /// sound).
     fn publish_run(&self, shard: &Shard, run: &[Addr], retries: &mut u64) -> CommitVersion {
         let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut stamped = 0u64;
         // Addresses ascend within the run, so each region's addresses
-        // form one contiguous subgroup — the unit the seqlock check
-        // brackets (a regrain rebuilds exactly one region).
+        // form one contiguous subgroup, counted into the region's stamps.
         let mut start = 0;
         while start < run.len() {
             let region = self.region_of(run[start]);
@@ -145,8 +133,7 @@ impl CommitLog {
             while end < run.len() && self.region_of(run[end]) == region {
                 end += 1;
             }
-            stamped +=
-                self.stamp_region_group_cas(shard, region, &run[start..end], version, retries);
+            stamped += self.stamp_region_group_cas(shard, &run[start..end], version, retries);
             start = end;
         }
         self.stamped.fetch_add(stamped, Ordering::Relaxed);
@@ -154,106 +141,72 @@ impl CommitLog {
     }
 
     /// CAS-stamp one region's (sorted, deduplicated) addresses with
-    /// `version` under the region's seqlock word; returns the number of
-    /// distinct slots stamped.  Spins while a regrain holds the word
-    /// odd, re-stamps if it moved across the pass.
+    /// `version`; returns the number of distinct slots stamped.
     fn stamp_region_group_cas(
         &self,
         shard: &Shard,
-        region: RegionId,
         group: &[Addr],
         version: CommitVersion,
         retries: &mut u64,
     ) -> u64 {
         // The window check, on the group's first address: one region, so
         // all of the group is inside or none of it is.
-        let seq = &self.region_seqs[self.region_index_of(group[0])];
-        loop {
-            let before = seq.load(Ordering::SeqCst);
-            if before & 1 == 1 {
-                // A regrain is rebuilding this region: wait it out
-                // (observe only — committers never take the slow lock).
-                std::hint::spin_loop();
-                std::thread::yield_now();
-                continue;
-            }
-            // The grain read is guarded by the seqlock bracket, not a
-            // lock: if a regrain flips it mid-pass the re-check below
-            // fails and the pass redoes at the then-current grain.
-            let grain = self.grain_of_region(region);
-            let mut stamped = 0u64;
-            // Adjacent same-slot addresses accumulate one footprint (a
-            // coarse range holds many words, each its own ring bit), so
-            // the flush below publishes the whole slot's footprint in
-            // one ring merge before the one dense CAS.
-            let mut pending: Option<(usize, u64)> = None;
-            let flush = |pending: &mut Option<(usize, u64)>, retries: &mut u64| {
-                let Some((local, footprint)) = pending.take() else {
-                    return;
-                };
-                // Ring first (see `ring_merge`), then the monotone
-                // CAS-max: a slot already at or above `version` was
-                // raised by a concurrent later commit (or a regrain
-                // flush) — the stamp is free, never lowered.
-                self.ring_merge(shard, local, version, footprint);
-                let slot = &shard.dense[local];
-                let mut cur = slot.load(Ordering::Relaxed);
-                while cur < version {
-                    match slot.compare_exchange_weak(
-                        cur,
-                        version,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => {
-                            *retries += 1;
-                            cur = actual;
-                        }
-                    }
-                }
+        let region_stamps = &self.region_stamps[self.region_index_of(group[0])];
+        let mut stamped = 0u64;
+        // Adjacent same-slot addresses accumulate one footprint (a coarse
+        // range holds many words, each its own ring bit), so the flush
+        // below publishes the whole slot's footprint in one ring merge
+        // before the one dense CAS.
+        let mut pending: Option<(usize, u64)> = None;
+        let flush = |pending: &mut Option<(usize, u64)>, retries: &mut u64| {
+            let Some((local, footprint)) = pending.take() else {
+                return;
             };
-            for &addr in group {
-                let local = self.slot_at(addr, grain);
-                match &mut pending {
-                    Some((l, footprint)) if *l == local => {
-                        *footprint |= footprint_bit(addr);
-                        continue;
+            // Ring first (see `ring_merge`), then the monotone CAS-max: a
+            // slot already at or above `version` was raised by a
+            // concurrent later commit — the stamp is free, never lowered.
+            self.ring_merge(shard, local, version, footprint);
+            let slot = &shard.dense[local];
+            let mut cur = slot.load(Ordering::Relaxed);
+            while cur < version {
+                match slot.compare_exchange_weak(cur, version, Ordering::Release, Ordering::Relaxed)
+                {
+                    Ok(_) => break,
+                    Err(actual) => {
+                        *retries += 1;
+                        cur = actual;
                     }
-                    _ => {}
                 }
-                flush(&mut pending, retries);
-                pending = Some((local, footprint_bit(addr)));
-                stamped += 1;
+            }
+        };
+        for &addr in group {
+            let local = self.slot_at(addr);
+            match &mut pending {
+                Some((l, footprint)) if *l == local => {
+                    *footprint |= footprint_bit(addr);
+                    continue;
+                }
+                _ => {}
             }
             flush(&mut pending, retries);
-            if seq.load(Ordering::SeqCst) == before {
-                // No regrain raced the pass: every stamp landed on a
-                // live slot of the observed grain.
-                self.region_stats[region as usize]
-                    .stamps
-                    .fetch_add(stamped, Ordering::Relaxed);
-                return stamped;
-            }
-            // A regrain moved the grain under the pass: its flush
-            // already raised every floor slot, but our stamps may sit
-            // on dead slots — redo at the new grain.
-            *retries += 1;
+            pending = Some((local, footprint_bit(addr)));
+            stamped += 1;
         }
+        flush(&mut pending, retries);
+        region_stamps.fetch_add(stamped, Ordering::Relaxed);
+        stamped
     }
 
     fn record_single(&self, addr: Addr) -> CommitVersion {
         self.touch();
         let sample = lock_time_sampled(self.singles.fetch_add(1, Ordering::Relaxed));
-        let region = self.region_of(addr);
-        let shard_idx = self.shard_of_region(region);
-        let shard = &self.shards[shard_idx];
+        let shard = &self.shards[self.shard_of_region(self.region_of(addr))];
         let started = sample.then(Instant::now);
         let mut retries = 0u64;
         let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        // One address is a one-element region group: the seqlock
-        // bracket, grain read, and CAS-max all apply unchanged.
-        let stamped = self.stamp_region_group_cas(shard, region, &[addr], version, &mut retries);
+        // One address is a one-element region group: the window check
+        // and the CAS-max apply unchanged.
+        let stamped = self.stamp_region_group_cas(shard, &[addr], version, &mut retries);
         debug_assert_eq!(stamped, 1);
         if retries > 0 {
             self.cas_retries.fetch_add(retries, Ordering::Relaxed);
@@ -402,55 +355,45 @@ mod tests {
     }
 
     #[test]
-    fn lock_free_commits_racing_regrains_never_miss_a_conflict() {
-        // Committers hammer one region while the main thread flips its
-        // grain back and forth: the seqlock word forces racing stamp
-        // passes to redo at the current grain, so a reader's stale
-        // snapshot is flagged through every interleaving, and slots stay
-        // monotone (the regrain flush is a fetch_max).
-        let log = std::sync::Arc::new(CommitLog::with_config(
-            CommitLogConfig::word_grain().shards(1),
-            1 << 12,
-        ));
-        let stale = log.register_reader(8, 3);
-        let stop = std::sync::Arc::new(AtomicU64::new(0));
-        let committers: Vec<_> = (0..2)
-            .map(|t| {
-                let log = std::sync::Arc::clone(&log);
-                let stop = std::sync::Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut last = 0;
-                    while stop.load(Ordering::Acquire) == 0 {
-                        let v = log.record_word(8 + t * 16);
-                        assert!(v > last, "reservations are monotone per shard");
-                        last = v;
-                    }
+    fn lock_free_committers_racing_a_stale_reader_never_miss_a_conflict() {
+        // At every grain, two committers hammer one region while a reader
+        // registered before them holds its snapshot: the stale snapshot
+        // is flagged however the stamps interleave, and no stamp outruns
+        // the epoch it was reserved from.
+        for grain in [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2] {
+            let log = std::sync::Arc::new(CommitLog::with_config(
+                CommitLogConfig::default().grain_log2(grain).shards(1),
+                1 << 12,
+            ));
+            let stale = log.register_reader(8, 3);
+            let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+            let committers: Vec<_> = (0..2)
+                .map(|t| {
+                    let log = std::sync::Arc::clone(&log);
+                    let barrier = std::sync::Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        let mut last = 0;
+                        for _ in 0..2_000 {
+                            let v = log.record_word(8 + t * 16);
+                            assert!(v > last, "reservations are monotone per shard");
+                            last = v;
+                        }
+                    })
                 })
-            })
-            .collect();
-        for grain in [
-            LINE_GRAIN_LOG2,
-            WORD_GRAIN_LOG2,
-            PAGE_GRAIN_LOG2,
-            WORD_GRAIN_LOG2,
-        ] {
-            for _ in 0..50 {
-                log.regrain(0, grain);
-                std::thread::yield_now();
+                .collect();
+            for h in committers {
+                h.join().unwrap();
             }
+            assert!(
+                log.written_after(8, stale),
+                "stale reader slipped through a commit race at grain {grain}"
+            );
+            assert!(
+                log.snapshot(8) >= log.version_of(8),
+                "a stamp outran the epoch it was reserved from"
+            );
         }
-        stop.store(1, Ordering::Release);
-        for h in committers {
-            h.join().unwrap();
-        }
-        assert!(
-            log.written_after(8, stale),
-            "stale reader slipped through a commit/regrain race"
-        );
-        assert!(
-            log.snapshot(8) >= log.version_of(8),
-            "a stamp outran the epoch it was reserved from"
-        );
     }
 
     #[test]
@@ -473,21 +416,22 @@ mod tests {
     fn single_threaded_script_yields_pinned_versions_and_stats() {
         // The observable single-threaded semantics of the publish path,
         // pinned to literals: region 0 lives on shard 0 and region 1 on
-        // shard 1, each shard versions its own commits from 1, a regrain
-        // takes a version and collects the region's readers.
+        // shard 1, each shard versions its own commits from 1.
         let log = CommitLog::with_config(CommitLogConfig::word_grain().shards(2), 1 << 13);
         let snap = log.register_reader(8, 3);
         assert_eq!(snap, 0);
         assert_eq!(log.record([8, 64, 4096]), 1, "both shards publish 1");
         assert_eq!(log.record([8]), 2);
-        assert_eq!(log.regrain(0, PAGE_GRAIN_LOG2).0, 3);
-        assert_eq!(log.record_word(16), 4);
+        assert_eq!(log.record_word(16), 3);
         assert!(log.written_after(8, snap));
-        assert_eq!(log.version_of(64), 4, "one page slot after the regrain");
+        assert_eq!(log.version_of(64), 1, "word grain: 64 is its own slot");
         assert_eq!(log.version_of(4096), 1, "the other shard is untouched");
         let stats = log.stats();
         assert_eq!((stats.commits, stats.stamp_writes), (3, 5));
-        assert!(log.take_readers([8]).is_empty(), "the regrain took them");
+        assert!(
+            log.take_readers([8]).contains(3),
+            "the reader is still registered"
+        );
     }
 
     #[test]

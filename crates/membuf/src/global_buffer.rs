@@ -419,6 +419,8 @@ impl GlobalBuffer {
     pub fn validate_against_with(&mut self, log: &CommitLog, mem: &dyn MainMemory) -> Validation {
         let mut conflicted = false;
         let mut values_unchanged = true;
+        // Ranges of one word can only conflict on the word itself.
+        let grain_can_false_share = log.config().grain_log2 > WORD_GRAIN_LOG2;
         for entry in self.words.iter().filter(WordEntry::has_read) {
             self.stats.validated_words += 1;
             match log.probe_written(entry.addr, entry.version()) {
@@ -429,10 +431,6 @@ impl GlobalBuffer {
                 RingCheck::Precise => self.stats.precise_passes += 1,
                 RingCheck::Touched { .. } | RingCheck::Overflow => {
                     conflicted = true;
-                    // Ranges of one word can only conflict on the word
-                    // itself; the grain is a live per-region property, so
-                    // the exactness check is per entry, not per log.
-                    let grain_can_false_share = log.grain_of(entry.addr) > WORD_GRAIN_LOG2;
                     if !grain_can_false_share || mem.read_word(entry.addr) != entry.read {
                         // A changed value (or a word-grain range) proves
                         // true sharing; stop scanning.
@@ -527,39 +525,9 @@ impl GlobalBuffer {
             }
         }
         for (addr, version) in refreshed {
-            // Per-region retry telemetry: a conflict the current grain
-            // made cheap — the grain controller's "keep this grain"
-            // signal.
-            log.note_retry(addr);
             self.words.refresh_version(addr, version);
         }
         true
-    }
-
-    /// Attribute this buffer's *currently conflicting* reads to their
-    /// commit-log regions ([`CommitLog::note_conflict`]) — called on the
-    /// rollback path so the grain controller sees which regions are
-    /// squashing threads, and whether the conflicts look like false
-    /// sharing (value unchanged at a coarser-than-word grain).
-    pub fn attribute_conflicts(&self, log: &CommitLog, mem: &dyn MainMemory) {
-        // The map iterates in *insertion* (temporal) order, so a thread
-        // whose reads interleave regions would double-count with
-        // adjacent-only dedup; a real set keeps the attribution one per
-        // region.  Rollback path only — the allocation is off the hot
-        // path.
-        let mut seen: std::collections::HashSet<crate::commit_log::RegionId> =
-            std::collections::HashSet::new();
-        for entry in self.read_entries() {
-            if !log.written_after(entry.addr, entry.version()) {
-                continue;
-            }
-            if !seen.insert(log.region_of(entry.addr)) {
-                continue;
-            }
-            let suspected = log.grain_of(entry.addr) > WORD_GRAIN_LOG2
-                && mem.read_word(entry.addr) == entry.read;
-            log.note_conflict(entry.addr, suspected);
-        }
     }
 
     /// Validate the reads against an arbitrary memory *view*.

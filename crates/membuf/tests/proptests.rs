@@ -633,62 +633,6 @@ proptest! {
         }
     }
 
-    /// Regrain soundness: a coarsen/split (or any sequence of them)
-    /// injected between the reads (`snapshot`) and `validate_against`
-    /// never misses a true conflict — the PR 3 one-sided guarantee
-    /// survives every regrain interleaving.  Regrains before the commit,
-    /// after the commit, or on unrelated regions make no difference: a
-    /// commit overlapping a read at word level is always flagged.
-    #[test]
-    fn regrain_between_read_and_validate_never_misses_a_conflict(
-        floor_i in 0u32..2,
-        initial_i in 0u32..3,
-        shards in (0u32..3).prop_map(|i| [1usize, 2, 8][i as usize]),
-        reads in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
-        commits in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
-        regrains_before in proptest::collection::vec((0u64..5, 0u32..3), 0..6),
-        regrains_after in proptest::collection::vec((0u64..5, 0u32..3), 0..6),
-    ) {
-        let ladder = [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2];
-        let floor = ladder[floor_i as usize];
-        let config = CommitLogConfig { grain_log2: floor, shards, ..Default::default() };
-        // 2048 words = 16 KiB = four regions; regrains target regions 0..5
-        // so a region nothing reads or writes is exercised too.
-        let log = CommitLog::with_initial_grain(config, 5 << 12, ladder[initial_i as usize]);
-        let mem = GlobalMemory::new(1 << 16);
-        let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
-        let commits: std::collections::HashSet<u64> = commits.into_iter().collect();
-        let mut buf = GlobalBuffer::new(BufferConfig::default());
-        for &addr in &reads {
-            let _ = buf.load_logged(&mem, Some(&log), addr, WORD_BYTES).unwrap();
-        }
-        for &(region, grain_i) in &regrains_before {
-            log.regrain(region, ladder[grain_i as usize]);
-        }
-        log.record(commits.iter().copied());
-        for &(region, grain_i) in &regrains_after {
-            log.regrain(region, ladder[grain_i as usize]);
-        }
-        let word_overlap = commits.iter().any(|a| reads.contains(a));
-        if word_overlap {
-            prop_assert!(
-                !buf.validate_against(&log),
-                "missed a word-level conflict across regrains (floor {floor}, \
-                 before {regrains_before:?}, after {regrains_after:?})"
-            );
-        }
-        // And a regrained region conservatively invalidates its own
-        // outstanding snapshots, so revalidation can only be *more*
-        // conservative, never less: a read in a region whose grain
-        // actually flipped (requests are clamped into [floor, region],
-        // so compare against the *effective* initial grain) must fail.
-        let initial = ladder[initial_i as usize]
-            .clamp(floor, mutls_membuf::region_log2_for_grain(floor));
-        if reads.iter().any(|&a| log.grain_of(a) != initial) {
-            prop_assert!(!buf.validate_against(&log));
-        }
-    }
-
     /// Lock-free commit-path interleaving property (PR 7): N real
     /// committer threads CAS-publishing arbitrary mixes of disjoint and
     /// colliding slots, released together through a barrier.  Afterwards
@@ -823,59 +767,6 @@ proptest! {
         if ring_depth == 1 {
             // Depth-1 degeneration: exactly the legacy verdict.
             prop_assert_eq!(mvcc_valid, single_valid);
-        }
-    }
-
-    /// Ring probes across regrain interleavings (PR 8): regrains injected
-    /// before/after the commit batch truncate the rings conservatively —
-    /// a word-level overlap is still always flagged, and a region whose
-    /// grain actually flipped dooms its outstanding snapshots exactly as
-    /// the single-version protocol does.
-    #[test]
-    fn mvcc_regrain_during_validate_never_misses_a_conflict(
-        floor_i in 0u32..2,
-        initial_i in 0u32..3,
-        ring_depth in (0u32..3).prop_map(|i| [1u32, 2, 4][i as usize]),
-        reads in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
-        commits in proptest::collection::vec((1u64..2048).prop_map(|i| i * WORD_BYTES), 1..16),
-        regrains_before in proptest::collection::vec((0u64..5, 0u32..3), 0..6),
-        regrains_after in proptest::collection::vec((0u64..5, 0u32..3), 0..6),
-    ) {
-        let ladder = [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2];
-        let floor = ladder[floor_i as usize];
-        let config = CommitLogConfig {
-            grain_log2: floor,
-            shards: 4,
-            ring_depth,
-            ring_bucket_log2: 0, // maximal ring churn: every version its own bucket
-        };
-        let log = CommitLog::with_initial_grain(config, 5 << 12, ladder[initial_i as usize]);
-        let mem = GlobalMemory::new(1 << 16);
-        let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
-        let commits: std::collections::HashSet<u64> = commits.into_iter().collect();
-        let mut buf = GlobalBuffer::new(BufferConfig::default());
-        for &addr in &reads {
-            let _ = buf.load_logged(&mem, Some(&log), addr, WORD_BYTES).unwrap();
-        }
-        for &(region, grain_i) in &regrains_before {
-            log.regrain(region, ladder[grain_i as usize]);
-        }
-        log.record(commits.iter().copied());
-        for &(region, grain_i) in &regrains_after {
-            log.regrain(region, ladder[grain_i as usize]);
-        }
-        if commits.iter().any(|a| reads.contains(a)) {
-            prop_assert!(
-                !buf.validate_against(&log),
-                "ring probe missed a word-level conflict across regrains \
-                 (floor {floor}, depth {ring_depth}, before {regrains_before:?}, \
-                  after {regrains_after:?})"
-            );
-        }
-        let initial = ladder[initial_i as usize]
-            .clamp(floor, mutls_membuf::region_log2_for_grain(floor));
-        if reads.iter().any(|&a| log.grain_of(a) != initial) {
-            prop_assert!(!buf.validate_against(&log), "regrained region must doom its snapshots");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Runtime configuration.
 
 use crate::fork_model::ForkModel;
-use mutls_adaptive::{GovernorConfig, GrainControlConfig, PolicyKind};
+use mutls_adaptive::{GovernorConfig, PolicyKind};
 use mutls_membuf::{BufferConfig, CommitLogConfig};
 use mutls_metrics::MetricsConfig;
 use mutls_trace::TraceConfig;
@@ -38,13 +38,6 @@ pub struct RuntimeConfig {
     /// ([`CommitLogConfig::word_grain`]) restores the exact per-word
     /// tracking of the original design.
     pub commit_log: CommitLogConfig,
-    /// Online adaptive-grain control plane (default: disabled — the
-    /// static `commit_log` grain).  When enabled, `commit_log.grain_log2`
-    /// becomes the *floor* grain the version table is allocated at,
-    /// regions start at `grain_control.initial_grain_log2`, and a
-    /// [`GrainController`](mutls_adaptive::GrainController) regrains
-    /// regions live from the commit/validate paths.
-    pub grain_control: GrainControlConfig,
     /// The speculation flight recorder (default: lifecycle event tracing
     /// off).  The per-phase latency histograms behind
     /// `RunReport.latency` are always on; this knob only controls whether
@@ -71,7 +64,6 @@ impl Default for RuntimeConfig {
             memory_bytes: 64 << 20,
             governor: GovernorConfig::default(),
             commit_log: CommitLogConfig::default(),
-            grain_control: GrainControlConfig::default(),
             trace: TraceConfig::default(),
             metrics: MetricsConfig::default(),
         }
@@ -157,12 +149,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the full adaptive-grain control configuration (builder style).
-    pub fn grain_control(mut self, grain_control: GrainControlConfig) -> Self {
-        self.grain_control = grain_control;
-        self
-    }
-
     /// Set the full flight-recorder configuration (builder style).
     pub fn trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
@@ -179,16 +165,6 @@ impl RuntimeConfig {
     /// Set the full metrics-plane configuration (builder style).
     pub fn metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = metrics;
-        self
-    }
-
-    /// Enable the adaptive-grain controller with default tuning
-    /// (optimistic page start, split on false-sharing suspects) over a
-    /// word-grain floor, so regions can re-split all the way to
-    /// exactness (builder style).
-    pub fn adaptive_grain(mut self) -> Self {
-        self.commit_log.grain_log2 = mutls_membuf::WORD_GRAIN_LOG2;
-        self.grain_control = GrainControlConfig::adaptive();
         self
     }
 }
@@ -247,28 +223,6 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn invalid_probability_panics() {
         let _ = RuntimeConfig::default().rollback_probability(1.5);
-    }
-
-    #[test]
-    fn grain_control_builders() {
-        let c = RuntimeConfig::default();
-        assert!(!c.grain_control.enabled, "grain control defaults off");
-        let c = c.adaptive_grain();
-        assert!(c.grain_control.enabled);
-        assert_eq!(
-            c.commit_log.grain_log2,
-            mutls_membuf::WORD_GRAIN_LOG2,
-            "adaptive grain floors the table at word exactness"
-        );
-        assert_eq!(
-            c.grain_control.initial_grain_log2,
-            mutls_membuf::PAGE_GRAIN_LOG2,
-            "regions start optimistically coarse"
-        );
-        let custom =
-            GrainControlConfig::adaptive().initial_grain_log2(mutls_membuf::LINE_GRAIN_LOG2);
-        let c = RuntimeConfig::default().grain_control(custom);
-        assert_eq!(c.grain_control, custom);
     }
 
     #[test]

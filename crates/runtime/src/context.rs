@@ -476,10 +476,7 @@ impl SpecContext {
     /// (read before written) are skipped for the same predecessor reason;
     /// and only at **word** grain, where reader and writer provably touch
     /// the same word — at coarser grains a registered "reader" may only
-    /// share the range (false sharing) and could still validate.  The
-    /// grain is a live per-region property under the adaptive-grain
-    /// controller, so the word-exactness gate asks the log for *this
-    /// address's* current grain, not the static config.
+    /// share the range (false sharing) and could still validate.
     #[cold]
     #[inline(never)]
     fn doom_overlaid_readers(&mut self, addr: Addr) {
@@ -487,7 +484,7 @@ impl SpecContext {
             .global
             .as_ref()
             .is_some_and(|buffer| !buffer.has_read(addr));
-        if blind && self.mgr.commit_log().grain_of(addr) == mutls_membuf::WORD_GRAIN_LOG2 {
+        if blind && self.mgr.commit_log().config().grain_log2 == mutls_membuf::WORD_GRAIN_LOG2 {
             let victims = self.mgr.doom_readers_hard([addr], self.rank);
             self.note_doom(DoomSource::Buffered, victims);
         }

@@ -82,25 +82,13 @@ pub enum Point {
     /// The write set was stamped into the commit log (version reservation
     /// plus stamping took this long).
     CommitStamped(u64),
-    /// A commit, a rollback, a buffered store or a regrain doomed running
-    /// threads.
+    /// A commit, a rollback or a buffered store doomed running threads.
     Doomed {
         /// What doomed them.
         source: DoomSource,
         /// How many.
         victims: u64,
     },
-    /// The grain controller re-grained a region.
-    Regrained {
-        /// Region id.
-        region: u64,
-        /// Previous grain (log2 bytes).
-        from: u32,
-        /// New grain (log2 bytes).
-        to: u32,
-    },
-    /// One grain-controller tick ran and issued this many regrains.
-    GrainTicked(u32),
     /// The thread's write set was published or absorbed.
     Committed {
         /// A value-predict retry repaired its validation.
@@ -216,23 +204,13 @@ pub fn observe<B: Books>(
             books.keep(at, rank, site, EventKind::CommitLockWait { ns: took });
         }
         Point::Doomed { source, victims } => {
-            // A regrain's doom set is the control plane's, which keeps no
-            // books on either clock: an event, no count.
-            if source != DoomSource::Regrain {
-                counters.targeted_dooms += victims;
-                books
-                    .registry()
-                    .add(shard, CounterId::TargetedDooms, victims);
-            }
+            counters.targeted_dooms += victims;
+            books
+                .registry()
+                .add(shard, CounterId::TargetedDooms, victims);
             if victims > 0 {
                 books.keep(at, rank, site, EventKind::Doom { source });
             }
-        }
-        Point::Regrained { region, from, to } => {
-            books.keep(at, rank, site, EventKind::Regrain { region, from, to });
-        }
-        Point::GrainTicked(actions) => {
-            books.keep(at, rank, site, EventKind::GrainTick { actions });
         }
         Point::Committed {
             retried,
@@ -309,14 +287,13 @@ fn count_rollback(registry: &Registry, shard: usize, reason: SpecFailure) -> Rol
 }
 
 /// One snapshot of `books`' registry at `ts`, followed by what a registry
-/// cannot know: the commit log's counters, the governor's per-site gauges,
-/// the grain census and each latency phase's share of the summed wall.
+/// cannot know: the commit log's counters, the governor's per-site gauges
+/// and each latency phase's share of the summed wall.
 pub fn scrape<B: Books>(
     books: &B,
     ts: u64,
     log: &CommitLogStats,
     sites: &[SiteProfile],
-    census: &[(u32, u64)],
 ) -> MetricsSnapshot {
     let mut labeled = Vec::new();
     for site in sites {
@@ -334,15 +311,6 @@ pub fn scrape<B: Books>(
             site.throttled as f64,
         ));
     }
-    for &(grain_log2, regions) in census {
-        let label = grain_log2.to_string();
-        labeled.push(LabeledGauge::new(
-            "grain_regions",
-            "grain_log2",
-            label,
-            regions as f64,
-        ));
-    }
     labeled.extend(phase_share_gauges(&books.latency().approx_totals()));
     let extras = ScrapeExtras {
         extra_counters: vec![
@@ -350,7 +318,6 @@ pub fn scrape<B: Books>(
             ("log_stamps".to_string(), log.stamp_writes),
             ("log_cas_retries".to_string(), log.cas_retries),
             ("log_ring_overflows".to_string(), log.ring_overflows),
-            ("log_regrains".to_string(), log.regrains),
             ("log_reader_spills".to_string(), log.reader_spills),
         ],
         labeled,
@@ -408,7 +375,6 @@ impl ThreadManager {
             ts,
             &self.commit_log().stats(),
             &self.governor().snapshot(),
-            &self.commit_log().grain_census(),
         )
     }
 }

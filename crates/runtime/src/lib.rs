@@ -68,8 +68,7 @@ pub use task::{
 // Re-export the adaptive governor layer for downstream convenience.
 pub use mutls_adaptive as adaptive;
 pub use mutls_adaptive::{
-    ForkDecision, Governor, GovernorConfig, GrainAction, GrainControlConfig, GrainController,
-    PolicyKind, SiteId, SiteOutcome, SiteProfile,
+    ForkDecision, Governor, GovernorConfig, PolicyKind, SiteId, SiteOutcome, SiteProfile,
 };
 
 // Re-export the buffering layer for downstream convenience.

@@ -1,5 +1,4 @@
-//! Closing a thread's books: the verdict settled, the grain tick, the
-//! discards.
+//! Closing a thread's books: the verdict settled, the discards.
 //!
 //! # The books
 //!
@@ -50,66 +49,6 @@ impl RunTotals {
 }
 
 impl ThreadManager {
-    /// The control-plane event lane (grain-controller ticks): one past the
-    /// last thread rank, so its events never race a thread's SPSC ring.
-    fn control_lane(&self) -> Rank {
-        self.slots.len() + 1
-    }
-
-    /// Count one commit/validate event and, every
-    /// [`GrainControlConfig::tick_commits`](mutls_adaptive::GrainControlConfig::tick_commits),
-    /// run an adaptive-grain controller tick: snapshot the commit log's
-    /// per-region telemetry, apply the resulting regrains and doom the
-    /// collected readers.  The doom is conservative recovery, not a
-    /// penalty: a regrained region's outstanding snapshots are about to
-    /// fail validation anyway, and a value-predict retry can still clear
-    /// the doom in place.  `try_lock` keeps ticking off the hot path —
-    /// if another thread is mid-tick, this event's tick is simply
-    /// skipped.
-    pub fn tick_grain_controller(&self) {
-        let Some(controller) = &self.grain else {
-            return;
-        };
-        let events = self.grain_events.fetch_add(1, Ordering::Relaxed) + 1;
-        if !protocol::grain_tick_due(events, self.config.grain_control.tick_commits) {
-            return;
-        }
-        let Some(mut controller) = controller.try_lock() else {
-            return;
-        };
-        let profiles = self.commit_log.region_profiles();
-        let points = protocol::grain_tick(&mut controller, &profiles, |action| {
-            let from = self.commit_log.grain_of_region(action.region);
-            let (_, readers) = self
-                .commit_log
-                .regrain(action.region, action.new_grain_log2);
-            let ranks: Vec<Rank> = readers.ranks().collect();
-            (from, self.doom_ranks(&ranks))
-        });
-        // The control plane has a lane but no thread, hence no counters.
-        let (lane, nobody) = (self.control_lane(), &mut ThreadCounters::default());
-        for point in points {
-            self.observe(lane, 0, nobody, point);
-        }
-    }
-
-    /// The live grain the finished thread's traffic ran at, for per-site
-    /// reporting: the static configured grain when the controller is
-    /// disabled, else the current grain at the thread's lowest written
-    /// (falling back to lowest read) address.
-    pub fn observed_grain(&self, outcome: &SpecOutcome) -> u32 {
-        if self.grain.is_none() {
-            return self.commit_log.config().grain_log2;
-        }
-        let global = &outcome.buffers.global;
-        global
-            .write_addresses()
-            .min()
-            .or_else(|| global.read_addresses().min())
-            .map(|addr| self.commit_log.grain_of(addr))
-            .unwrap_or_else(|| self.commit_log.config().grain_log2)
-    }
-
     /// A deposited thread nobody will join is discarded, its subtree first.
     pub(super) fn finish_discarded(&self, rank: Rank, outcome: SpecOutcome) {
         for child in &outcome.children {
@@ -158,9 +97,8 @@ impl ThreadManager {
         }
     }
 
-    /// A joined (or promoted, or adopted) child's verdict is in: one
-    /// commit/validate event on the grain controller's clock, then its
-    /// books are closed.  The caller still owns the CPU and releases it.
+    /// A joined (or promoted, or adopted) child's verdict is in: its books
+    /// are closed.  The caller still owns the CPU and releases it.
     pub(crate) fn settle_child(
         &self,
         child: Rank,
@@ -169,7 +107,6 @@ impl ThreadManager {
         outcome: SpecOutcome,
         verdict: Result<CommitKind, SpecFailure>,
     ) {
-        self.tick_grain_controller();
         self.close_books(child, site, model, outcome, verdict);
     }
 
@@ -180,7 +117,7 @@ impl ThreadManager {
     /// (finalization is charged to the speculative path, as in the
     /// paper's breakdown), reclassify a rolled-back thread's work as
     /// wasted, feed the verdict to the governor's site profile — with the
-    /// false-sharing classification, the retry verdict and the live grain,
+    /// false-sharing classification, the retry verdict and the grain,
     /// so Throttle can tell the regimes apart — and fold the statistics
     /// into the registry and the run's totals.
     fn close_books(
@@ -191,8 +128,6 @@ impl ThreadManager {
         outcome: SpecOutcome,
         verdict: Result<CommitKind, SpecFailure>,
     ) {
-        // Observed before the buffers are cleared.
-        let observed_grain = self.observed_grain(&outcome);
         if verdict.is_ok() {
             for &(site, price) in &outcome.prices {
                 self.book_price(site, price);
@@ -206,7 +141,7 @@ impl ThreadManager {
             site,
             model,
             fate: verdict.map(CommitKind::retried),
-            grain_log2: observed_grain,
+            grain_log2: self.commit_log.config().grain_log2,
         };
         let mut totals = self.accum.lock();
         let retired = protocol::retire(&mut stats, thread, &self.governor, &mut totals);

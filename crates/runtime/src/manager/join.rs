@@ -252,17 +252,6 @@ impl ThreadManager {
             TaskStatus::Completed | TaskStatus::Barrier => None,
         };
         if let Some(reason) = failure {
-            if reason == SpecFailure::ReadConflict && self.grain.is_some() {
-                // An eagerly doomed thread never reaches join-time
-                // validation, but its read set still holds the stale
-                // entries: attribute them so the grain controller sees
-                // contended regions regardless of *when* the conflict
-                // surfaced.
-                outcome
-                    .buffers
-                    .global
-                    .attribute_conflicts(&self.commit_log, mem);
-            }
             // The thread is dead either way: its registrations would only
             // cause spurious dooms from here on.  In-flight doom-watch
             // revalidations may still have precise-passed before the final
@@ -305,8 +294,7 @@ impl ThreadManager {
             }
         };
         // The joining parent's view of a word — its own uncommitted bytes
-        // overlaid on main memory — serves overlay validation and (on its
-        // failure) the per-region conflict attribution.
+        // overlaid on main memory — serves overlay validation.
         let valid = log_valid
             && match &parent_buffer {
                 None => true,
@@ -346,34 +334,6 @@ impl ThreadManager {
         };
         note(outcome, validated);
         if verdict.rollback.is_some() {
-            if self.grain.is_some() {
-                // Per-region conflict attribution — the grain
-                // controller's split signal (only the extra read-set scan
-                // is gated; the counters themselves are always-on).
-                if !log_valid {
-                    outcome
-                        .buffers
-                        .global
-                        .attribute_conflicts(&self.commit_log, mem);
-                } else if let Some(parent) = &parent_buffer {
-                    // The conflict lives in the speculative parent's
-                    // uncommitted overlay, invisible to the commit log;
-                    // attribute the mismatching words' regions directly
-                    // (true sharing by construction — the values differ).
-                    // Dedup with a real set: read-set order is temporal,
-                    // so interleaved regions are not adjacent.
-                    let mut seen: std::collections::HashSet<mutls_membuf::RegionId> =
-                        std::collections::HashSet::new();
-                    for entry in outcome.buffers.global.read_entries() {
-                        if parent.overlay(mem, entry.addr) == entry.read {
-                            continue;
-                        }
-                        if seen.insert(self.commit_log.region_of(entry.addr)) {
-                            self.commit_log.note_conflict(entry.addr, false);
-                        }
-                    }
-                }
-            }
             self.commit_log
                 .unregister_reader(outcome.buffers.global.read_addresses(), child);
             // Recovery rung 2 — the re-execution will rewrite the

@@ -17,9 +17,9 @@
 //! * `join.rs` — the join protocol: deposit, wait, validate, commit or roll
 //!   back, adopt;
 //! * `books.rs` — the books: settling a verdict, closing a thread's books,
-//!   the grain tick, the discards.
+//!   the discards.
 //!
-//! What a fork, a join, a retirement, a grain tick and an injected draw
+//! What a fork, a join, a retirement and an injected draw
 //! *decide* is not here but in [`protocol`], which the simulator's replay
 //! calls with its own facts; what they *record* is in
 //! [`ledger`](crate::ledger).
@@ -33,7 +33,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use mutls_adaptive::{Governor, GrainController, SiteId};
+use mutls_adaptive::{Governor, SiteId};
 use mutls_membuf::{
     Addr, AddressSpace, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, LocalBuffer,
     MainMemory, RollbackReason, SpecFailure, Validation,
@@ -48,7 +48,7 @@ use crate::context::{
 use crate::fork_model::ForkModel;
 use crate::ledger::Point;
 use crate::protocol::{self, Forker, JoinFacts, JoinVerdict, Price, Retirement};
-use crate::stats::{Phase, ThreadCounters, ThreadStats};
+use crate::stats::{Phase, ThreadStats};
 use crate::task::{Rank, SpecAbort, TaskRef, TaskStatus};
 
 mod books;
@@ -232,19 +232,9 @@ pub struct ThreadManager {
     /// Adaptive speculation governor: consulted before a fork is granted a
     /// CPU, fed with per-site join outcomes.
     governor: Governor,
-    /// Online adaptive-grain controller (None when
-    /// `RuntimeConfig::grain_control` is disabled): ticked from the
-    /// commit/validate bookkeeping paths, it turns the commit log's
-    /// per-region telemetry into live [`CommitLog::regrain`] calls.
-    grain: Option<Mutex<GrainController>>,
-    /// Commit/validate events since the run started (drives the grain
-    /// controller's tick cadence).
-    grain_events: AtomicU64,
     /// The speculation flight recorder: per-lane lifecycle event rings
     /// (when `RuntimeConfig::trace.events` is on) plus the always-on
-    /// phase-latency histograms.  Lanes 0..=num_cpus belong to the
-    /// threads; lane num_cpus+1 is the control plane (grain-controller
-    /// ticks), serialized by the controller lock.
+    /// phase-latency histograms, one lane per rank 0..=num_cpus.
     recorder: Recorder,
     /// Zero point of recorder timestamps.
     trace_origin: Instant,
@@ -287,24 +277,7 @@ impl ThreadManager {
         // Size the log's dense fast path to the arena so every stamp and
         // lookup is a single atomic access with bounded memory; grain and
         // shard count and ring depth come from the runtime configuration.
-        // Under grain control the configured grain is the floor the table
-        // is allocated at and regions start at the controller's (usually
-        // coarser) initial grain.
-        let commit_log = if config.grain_control.enabled {
-            CommitLog::with_initial_grain(
-                config.commit_log,
-                memory.size_bytes(),
-                config.grain_control.initial_grain_log2,
-            )
-        } else {
-            CommitLog::with_config(config.commit_log, memory.size_bytes())
-        };
-        let grain = config.grain_control.enabled.then(|| {
-            Mutex::new(GrainController::new(
-                config.grain_control,
-                commit_log.config().grain_log2,
-            ))
-        });
+        let commit_log = CommitLog::with_config(config.commit_log, memory.size_bytes());
         Arc::new(ThreadManager {
             config,
             memory,
@@ -319,9 +292,7 @@ impl ThreadManager {
             buffers_created: AtomicUsize::new(0),
             fork_clock: AtomicU64::new(1),
             governor: Governor::new(config.governor),
-            grain,
-            grain_events: AtomicU64::new(0),
-            recorder: Recorder::new(config.trace, config.num_cpus + 2),
+            recorder: Recorder::new(config.trace, config.num_cpus + 1),
             trace_origin: Instant::now(),
             // Shards for ranks 0..=num_cpus plus the hub's own control
             // shard for unranked pushes.
@@ -434,10 +405,6 @@ impl ThreadManager {
         *self.accum.lock() = RunTotals::default();
         self.commit_log.clear();
         self.governor.reset();
-        if let Some(controller) = &self.grain {
-            controller.lock().reset();
-        }
-        self.grain_events.store(0, Ordering::Relaxed);
         self.recorder.reset();
         self.metrics.reset();
     }

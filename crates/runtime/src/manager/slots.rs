@@ -333,24 +333,4 @@ impl ThreadManager {
             Ordering::Relaxed,
         );
     }
-
-    /// Doom the readers a regrain collected — the grain tick has no
-    /// committer to order them against (see
-    /// [`doom_readers`](Self::doom_readers) for a commit's or a rollback's):
-    /// set the doom flag of every listed rank that is still running.
-    /// Returns how many were doomed.
-    pub(super) fn doom_ranks(&self, ranks: &[Rank]) -> u64 {
-        let mut doomed = 0;
-        for &rank in ranks {
-            if rank == 0 || rank > self.slots.len() {
-                continue;
-            }
-            let slot = &self.slots[rank - 1];
-            if slot.state.load(Ordering::Acquire) == CPU_RUNNING {
-                slot.doomed.store(true, Ordering::Release);
-                doomed += 1;
-            }
-        }
-        doomed
-    }
 }

@@ -550,78 +550,6 @@ fn rollback_recovery_dooms_readers_of_the_rewritten_ranges() {
 }
 
 #[test]
-fn grain_controller_ticks_regrain_and_doom_outstanding_readers() {
-    use mutls_adaptive::GrainControlConfig;
-    use mutls_membuf::{PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
-    let m = ThreadManager::new(
-        RuntimeConfig::with_cpus(2)
-            .memory_bytes(1 << 16)
-            // Single-version validation: with rings the neighbour
-            // commits below precise-pass instead of producing the
-            // false-sharing retries this test feeds the controller.
-            .commit_log(mutls_membuf::CommitLogConfig::default().ring_depth(1))
-            .adaptive_grain()
-            .grain_control(
-                GrainControlConfig::adaptive()
-                    .tick_commits(1)
-                    .initial_grain_log2(PAGE_GRAIN_LOG2),
-            ),
-    );
-    let mem = Arc::clone(m.memory());
-    let cell = mem.alloc::<u64>(1024);
-    assert_eq!(
-        m.commit_log().grain_of(cell.addr_of(0)),
-        PAGE_GRAIN_LOG2,
-        "regions start at the controller's initial grain"
-    );
-
-    // A speculative reader registers, then keeps conflicting with
-    // false-sharing suspects: the word it read never changes value,
-    // but its page-grain range is committed by a neighbour write.
-    let reader = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-    for _ in 0..4 {
-        let mut buf = fresh_buffers(&m, reader);
-        let _ = buf
-            .global
-            .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
-            .unwrap();
-        // Neighbour word of the same page commits → range conflict,
-        // value unchanged ⇒ suspected false sharing.
-        mem.set(&cell, 8, 1);
-        m.commit_log().record_word(cell.addr_of(8));
-        let mut outcome = completed(buf);
-        // The value is unchanged, so this is a Retried commit; the
-        // retry feeds the controller's split evidence.
-        let _ = m.validate_and_commit(reader, &mut outcome, None);
-        m.tick_grain_controller();
-    }
-    assert!(
-        m.commit_log().grain_of(cell.addr_of(0)) < PAGE_GRAIN_LOG2,
-        "suspect spikes must re-split the region (grain now {})",
-        m.commit_log().grain_of(cell.addr_of(0))
-    );
-    assert!(m.commit_log().regrains() > 0);
-
-    // reset_run restores the initial grain and controller state.
-    m.release_cpu(reader, 0);
-    m.reset_run();
-    assert_eq!(m.commit_log().grain_of(cell.addr_of(0)), PAGE_GRAIN_LOG2);
-    assert_eq!(m.commit_log().regrains(), 0);
-    let _ = WORD_GRAIN_LOG2;
-}
-
-#[test]
-fn observed_grain_reports_static_grain_without_the_controller() {
-    let m = mgr(1);
-    let mem = Arc::clone(m.memory());
-    let cell = mem.alloc::<u64>(1);
-    let mut buf = fresh_buffers(&m, 1);
-    buf.global.store(cell.addr_of(0), 1, 8).unwrap();
-    let outcome = completed(buf);
-    assert_eq!(m.observed_grain(&outcome), m.config().commit_log.grain_log2);
-}
-
-#[test]
 fn address_registration_flows_through() {
     let m = mgr(1);
     m.register_range(0x100, 0x40);

@@ -2,8 +2,8 @@
 //!
 //! Who may fork under which model (§IV-B), what a join makes of a validated
 //! or a conflicting child (§IV-F), what a retired thread leaves at its fork
-//! site, when the grain controller ticks, when an injected rollback is
-//! drawn and where a range is split are *decisions*: functions of a handful
+//! site, when an injected rollback is drawn and where a range is split are
+//! *decisions*: functions of a handful
 //! of values.  The native runtime takes them on the wall clock, the
 //! simulator's replay on the virtual one, and both call the functions below
 //! — as both call [`ledger::observe`](crate::ledger::observe) for what is
@@ -17,9 +17,9 @@
 
 use std::ops::DerefMut;
 
-use mutls_adaptive::{ForkDecision, Governor, GrainAction, GrainController, SiteId, SiteOutcome};
-use mutls_membuf::{RegionProfile, SpecFailure};
-use mutls_trace::{DenyPolicy, DoomSource, PlanArm, ValidateOutcome};
+use mutls_adaptive::{ForkDecision, Governor, SiteId, SiteOutcome};
+use mutls_membuf::SpecFailure;
+use mutls_trace::{DenyPolicy, PlanArm, ValidateOutcome};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -144,8 +144,7 @@ pub struct Retirement {
     /// `Ok(retried)` for a commit, the blamed failure for a rollback —
     /// `Cascaded` for a discard without a join of its own.
     pub fate: Result<bool, SpecFailure>,
-    /// The live grain its traffic ran at, read at its lowest written (else
-    /// read) address.
+    /// The commit-log grain its traffic ran at.
     pub grain_log2: u32,
 }
 
@@ -182,38 +181,6 @@ pub fn retire(
         cycles,
         total: stats.total(),
     }
-}
-
-/// D4, the cadence: whether the `events`-th commit/validate event (counted
-/// from 1) is one the grain controller ticks on.
-pub fn grain_tick_due(events: u64, tick_commits: u64) -> bool {
-    events.is_multiple_of(tick_commits.max(1))
-}
-
-/// D4, one grain-controller tick over `profiles`.  `apply` regrains one
-/// region and dooms its readers the caller's way, returning the region's
-/// previous grain and the number doomed; returned is what the control
-/// plane's lane hears, in order: per action `Regrained` then `Doomed`, and
-/// `GrainTicked` last — nothing at all for a tick that issued nothing.
-pub fn grain_tick(
-    controller: &mut GrainController,
-    profiles: &[RegionProfile],
-    mut apply: impl FnMut(GrainAction) -> (u32, u64),
-) -> Vec<Point> {
-    let actions = controller.tick(profiles);
-    if actions.is_empty() {
-        return Vec::new();
-    }
-    let mut points = Vec::with_capacity(2 * actions.len() + 1);
-    for &action in &actions {
-        let (region, to) = (action.region, action.new_grain_log2);
-        let (from, victims) = apply(action);
-        points.push(Point::Regrained { region, from, to });
-        let source = DoomSource::Regrain;
-        points.push(Point::Doomed { source, victims });
-    }
-    points.push(Point::GrainTicked(actions.len() as u32));
-    points
 }
 
 /// What one `fork_range` iteration of a fork site costs on each side of a
@@ -271,7 +238,7 @@ impl Price {
     }
 }
 
-/// D6, the split of a range: of the `len ≥ 2` iterations a forker has left
+/// D5, the split of a range: of the `len ≥ 2` iterations a forker has left
 /// when it forks the rest onto one of `cpus` speculative CPUs, the ones it
 /// keeps — `len·s / (cpus·c + s)`, at least one and never all, where `c` is
 /// rank 0's and `s` the speculative side's price per iteration.  Guided
@@ -288,7 +255,7 @@ pub fn forker_share(len: usize, cpus: usize, price: Price) -> usize {
     (kept as usize).clamp(1, len - 1)
 }
 
-/// D5, the injected draw (paper §V-D): whether a join whose validation
+/// D4, the injected draw (paper §V-D): whether a join whose validation
 /// passed is rolled back by injection all the same — never at `p = 0`,
 /// always at `p = 1`, and only in between is `rng` asked for, and drawn
 /// from.  The caller draws only after a passing verdict.
@@ -307,8 +274,8 @@ mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
     use crate::manager::ThreadManager;
-    use mutls_adaptive::{GovernorConfig, GrainControlConfig, PolicyKind};
-    use mutls_membuf::{RollbackReason, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
+    use mutls_adaptive::{GovernorConfig, PolicyKind};
+    use mutls_membuf::RollbackReason;
     use rand::SeedableRng;
     use ForkModel::{InOrder, Mixed, OutOfOrder};
 
@@ -560,50 +527,7 @@ mod tests {
         }
     }
 
-    /// D4: the cadence, and what the control plane's lane hears of a tick
-    /// that regrains and of one that does not.
-    #[test]
-    fn the_grain_tick_reports_each_regrain_then_itself() {
-        assert!((1..=12).all(|n| grain_tick_due(n, 4) == (n % 4 == 0)));
-        assert!(
-            grain_tick_due(5, 1) && grain_tick_due(5, 0),
-            "0 ticks like 1"
-        );
-
-        let region = |region, conflicts| RegionProfile {
-            region,
-            grain_log2: PAGE_GRAIN_LOG2,
-            stamps: 1,
-            conflicts,
-            false_sharing: 0,
-            retries: 0,
-        };
-        let profiles = [region(2, 3), region(5, 0)];
-        let mut controller = GrainController::new(GrainControlConfig::adaptive(), WORD_GRAIN_LOG2);
-        let mut applied = Vec::new();
-        let points = grain_tick(&mut controller, &profiles, |action| {
-            applied.push(action.region);
-            (PAGE_GRAIN_LOG2, 4)
-        });
-        assert_eq!(applied, [2], "only the contended region splits");
-        let (source, victims) = (DoomSource::Regrain, 4);
-        let [Point::Regrained {
-            region: 2,
-            from,
-            to,
-        }, doomed, Point::GrainTicked(1)] = points[..]
-        else {
-            panic!("{points:?}");
-        };
-        assert!(from == PAGE_GRAIN_LOG2 && to < from);
-        assert_eq!(doomed, Point::Doomed { source, victims });
-
-        // Nothing moved since: an idle tick, which nobody hears.
-        let no_apply = |_| -> (u32, u64) { panic!("nothing to apply") };
-        assert_eq!(grain_tick(&mut controller, &profiles, no_apply), []);
-    }
-
-    /// D6: at equal price — no sample, or only one side's — the cut is one
+    /// D5: at equal price — no sample, or only one side's — the cut is one
     /// part in (CPUs + 1): half on one speculative CPU, the chain's single
     /// iteration once the CPUs outnumber half the iterations.  Priced, the
     /// forker keeps more the dearer speculation is (¾ at 3× on one CPU),
@@ -653,7 +577,7 @@ mod tests {
         }
     }
 
-    /// D5: the extremes never ask for the generator; in between the draw is
+    /// D4: the extremes never ask for the generator; in between the draw is
     /// the seeded generator's, in sequence.
     #[test]
     fn the_injected_draw_at_the_extremes_and_seeded_in_between() {

@@ -159,7 +159,6 @@ impl Runtime {
             runtime,
             sites: self.mgr.governor().snapshot(),
             commit_log: self.mgr.commit_log().stats(),
-            region_grains: self.mgr.commit_log().grain_census(),
             latency: self.mgr.recorder().latency_report(),
         };
         if self.mgr.config().metrics.enabled {

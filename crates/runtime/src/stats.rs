@@ -269,18 +269,12 @@ pub struct RunReport {
     /// sorted by site ID (empty when no fork point was reached).
     pub sites: Vec<SiteProfile>,
     /// Commit-log activity: batches, range stamps, publication time, CAS
-    /// retries, ring overflows, regrains and `reader_spills`
-    /// (registrations by ranks past the registry's 63-rank bitmask) —
-    /// the grain cost the `grain` sweep reports.  Simulated runs fill the
-    /// batch/stamp/retry/overflow/regrain counters from their publish
-    /// model and leave the wall-clock publication time and the spills
-    /// zero.
+    /// retries, ring overflows and `reader_spills` (registrations by
+    /// ranks past the registry's 63-rank bitmask) — the grain cost the
+    /// `grain` sweep reports.  Simulated runs fill the
+    /// batch/stamp/retry/overflow counters from their publish model and
+    /// leave the wall-clock publication time and the spills zero.
     pub commit_log: CommitLogStats,
-    /// Census of the live per-region grains at the end of the run:
-    /// `(grain_log2, regions)` pairs over touched regions, ascending by
-    /// grain — what the adaptive-grain controller converged to (a single
-    /// entry at the configured grain when the controller is disabled).
-    pub region_grains: Vec<(u32, u64)>,
     /// Per-phase latency quantiles (p50/p99/p999 per log2-bucket
     /// histogram): fork-to-commit, validation, commit-lock wait and the
     /// rollback-repair arms.  Nanoseconds native, virtual cycles
@@ -582,13 +576,11 @@ mod tests {
             commit_log: CommitLogStats {
                 commits: 11,
                 stamp_writes: 40,
-                regrains: 2,
                 reader_spills: 3,
                 grain_log2: 3,
                 shards: 8,
                 ..CommitLogStats::default()
             },
-            region_grains: vec![(3, 12), (6, 2)],
             latency: recorder.report(),
             ..RunReport::default()
         };

@@ -60,14 +60,6 @@ pub struct CostModel {
     /// flag).  Buys back the doomed thread's remaining conflict-window
     /// work, the second rung of the recovery ladder.
     pub doom_signal: u64,
-    /// Cycles per floor-grain slot flushed by an adaptive-grain
-    /// **regrain** (`CommitLog::regrain` stamps every slot of the region
-    /// under the shard's slow-path lock); charged to the fiber whose commit
-    /// triggered the controller tick, `slots × regrain_per_slot` per
-    /// regrained region, plus `doom_signal` per reader the regrain
-    /// dooms.  This is what the graincontrol sweep prices against the
-    /// stamp traffic a coarser grain saves.
-    pub regrain_per_slot: u64,
 }
 
 impl Default for CostModel {
@@ -88,7 +80,6 @@ impl Default for CostModel {
             retry_per_word: 3,
             ring_probe: 2,
             doom_signal: 30,
-            regrain_per_slot: 1,
         }
     }
 }
@@ -143,12 +134,6 @@ impl CostModel {
     /// time.
     pub fn doom_cycles(&self, threads: u64) -> u64 {
         threads * self.doom_signal
-    }
-
-    /// Cost of regraining one region whose slot block holds `slots`
-    /// floor-grain slots (the whole-block conservative flush).
-    pub fn regrain_cycles(&self, slots: u64) -> u64 {
-        slots * self.regrain_per_slot
     }
 }
 
@@ -210,17 +195,6 @@ mod tests {
         // The recovery ladder's premise: retrying a 100-word read set is
         // far cheaper than re-executing even a small segment.
         assert!(c.retry_cycles(100) < c.segment_cycles(1000, 100, 100));
-    }
-
-    #[test]
-    fn regrain_cost_scales_with_the_flushed_block() {
-        let c = CostModel::default();
-        assert_eq!(c.regrain_cycles(0), 0);
-        assert_eq!(c.regrain_cycles(512), 512 * c.regrain_per_slot);
-        // A regrain flush (one pass over a region's slots) must stay far
-        // below re-executing the region's worth of work — otherwise the
-        // controller could never pay for itself.
-        assert!(c.regrain_cycles(512) < c.segment_cycles(4096, 512, 512));
     }
 
     #[test]

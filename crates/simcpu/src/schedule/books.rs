@@ -31,18 +31,15 @@ impl<'a> Scheduler<'a> {
     /// One [`MetricsSnapshot`] at virtual timestamp `ts`, through the
     /// scrape the native runtime uses.
     pub(super) fn scrape_metrics(&self, ts: u64) -> MetricsSnapshot {
-        let census: Vec<(u32, u64)> = self.grain_census().into_iter().collect();
         ledger::scrape(
             &self.books,
             ts,
             &self.log_stats(),
             &self.governor.snapshot(),
-            &census,
         )
     }
 
-    /// Simulated log traffic: publish batches, range stamps at the live
-    /// per-region grains, and controller regrains.
+    /// Simulated log traffic: publish batches and range stamps.
     pub(super) fn log_stats(&self) -> CommitLogStats {
         CommitLogStats {
             commits: self.sim_commits,
@@ -51,7 +48,6 @@ impl<'a> Scheduler<'a> {
             lock_ns: 0,
             // One committer at a time: nothing to retry against.
             cas_retries: 0,
-            regrains: self.sim_regrains,
             // The simulator models reader tracking abstractly and never
             // spills past the bitmask window.
             reader_spills: 0,

@@ -33,16 +33,6 @@ pub struct SimConfig {
     /// conflict was range-only re-validates by value at its join
     /// (`CostModel::retry_per_word`) and commits without re-execution.
     pub commit_log: CommitLogConfig,
-    /// Adaptive-grain control mirrored from the native runtime (same
-    /// policy type, same defaults: disabled).  When enabled,
-    /// `commit_log.grain_log2` is the floor grain, regions (of
-    /// `region_log2_for_grain(floor)` bytes) start at the controller's
-    /// initial grain, and a deterministic controller tick every
-    /// `tick_commits` publishes regrains regions — charging
-    /// `CostModel::regrain_per_slot` per flushed slot and
-    /// `CostModel::doom_signal` per conservatively doomed reader, so the
-    /// replay prices regrains exactly and reproducibly.
-    pub grain_control: GrainControlConfig,
     /// Record lifecycle [`TraceEvent`]s in **virtual time** into
     /// [`SimResult::events`].  Deterministic: two runs with the same
     /// recording and config produce byte-identical event streams.  The
@@ -65,7 +55,6 @@ impl Default for SimConfig {
             cost: CostModel::default(),
             governor: GovernorConfig::default(),
             commit_log: RuntimeConfig::default().commit_log,
-            grain_control: GrainControlConfig::default(),
             trace: false,
             metrics: MetricsConfig::default(),
         }
@@ -108,12 +97,6 @@ impl SimConfig {
     /// Set the simulated commit-log shard count (builder style).
     pub fn commit_shards(mut self, shards: usize) -> Self {
         self.commit_log.shards = shards;
-        self
-    }
-
-    /// Set the adaptive-grain control configuration (builder style).
-    pub fn grain_control(mut self, grain_control: GrainControlConfig) -> Self {
-        self.grain_control = grain_control;
         self
     }
 

@@ -13,9 +13,8 @@
 //!   dense array indexed by word, so a word lookup is a load and a
 //!   compare) and, per range id, the latest `ring_depth` publish times
 //!   (one hash probe).  That is exactly enough to decide a hit, a word
-//!   hit, "at least `ring_depth` publishes since *t*" (a ring overflow) and
-//!   the lowest conflicting region in one pass over a finished segment's
-//!   reads (`Scheduler::check_reads`);
+//!   hit and "at least `ring_depth` publishes since *t*" (a ring overflow)
+//!   in one pass over a finished segment's reads (`Scheduler::check_reads`);
 //! * the **reader registry** keeps, per range id, the live speculative
 //!   fibers that read it, so a publish visits the readers of the ranges
 //!   it stamps (`Scheduler::publish`) — never the fibers that have
@@ -28,8 +27,9 @@
 //!
 //! So a segment costs O(reads + writes) and a publish O(writes +
 //! registered readers of the stamped ranges), whatever the simulated CPU
-//! count and however many fibers the run has spawned; the per-event
-//! walks that remain (fossil horizon, a regrain's doom set) go over the live speculative fibers, at most one per CPU.
+//! count and however many fibers the run has spawned; the one per-event
+//! walk that remains (the fossil horizon) goes over the live speculative
+//! fibers, at most one per CPU.
 //! Fossil collection prunes the range slots no in-flight or future reader
 //! can count; a word's time needs no pruning, since one at or below the
 //! horizon already counts for nobody.  Under `cfg(test)` the log scan all
@@ -39,6 +39,12 @@
 use super::*;
 
 impl<'a> Scheduler<'a> {
+    /// `addr`'s commit-log range id: the address shifted by the log's
+    /// grain.
+    pub(super) fn range_at(&self, addr: Addr) -> u64 {
+        addr >> self.config.commit_log.grain_log2
+    }
+
     /// Whether the simulated log keeps version rings (depth 1 is the
     /// single-version reference: every range hit dooms).
     pub(super) fn mvcc(&self) -> bool {
@@ -80,50 +86,41 @@ impl<'a> Scheduler<'a> {
             return 0;
         }
         debug_assert!(writes.is_sorted());
-        // Coarsen at each write's *current per-region* grain, counting the
-        // simulated stamp traffic (one stamp per distinct range — the
-        // column a coarser grain shrinks) and the per-region telemetry
-        // the grain controller runs on, and visit the registered readers
-        // of every stamped range.
+        // Coarsen at the log's grain, counting the simulated stamp traffic
+        // (one stamp per distinct range — the column a coarser grain
+        // shrinks), and visit the registered readers of every stamped
+        // range.
         let mvcc = self.mvcc();
         let ring_depth = self.config.commit_log.ring_depth as usize;
         let mut ranges: Vec<u64> = Vec::new();
         let mut touches: Vec<Touch> = Vec::new();
         self.sim_commits += 1;
         for &w in writes {
-            let (range, region) = (self.range_at(w), w >> self.region_log2);
+            let range = self.range_at(w);
             // Range ids ascend with the address, so a repeat is adjacent.
             if ranges.last() != Some(&range) {
                 ranges.push(range);
                 self.sim_stamps += 1;
-                self.region_telemetry.entry(region).or_default()[0] += 1;
             }
+            // The registry holds a fiber under the ranges it read: every
+            // reader here read the range; `word` says whether it read the
+            // very word.
             for &fid in self.log.readers(range) {
                 let fiber = &self.fibers[fid];
                 if fid == writer || fiber.start_time >= time {
                     continue;
                 }
-                // Word overlap is checked in addition to range overlap so
-                // a true conflict is never missed even if a regrain
-                // re-indexed the ranges between the read and this publish
-                // (the registry then holds the fiber under both ids).
                 let word = fiber.reads.binary_search(&w).is_ok();
-                let ranged = fiber.read_ranges.binary_search(&range).is_ok();
-                if !word && !ranged {
-                    continue;
-                }
                 // Ring overflow: more publishes into the range than the
                 // ring holds since the fiber started — the sim's publish
                 // times stand in for the shard version, a conservative
                 // proxy for the entry's read stamp.
-                let overflow = mvcc
-                    && ranged
-                    && self.log.range_since(range, fiber.start_time) + 1 >= ring_depth;
+                let overflow =
+                    mvcc && self.log.range_since(range, fiber.start_time) + 1 >= ring_depth;
                 touches.push(Touch {
                     fid,
                     word,
                     overflow,
-                    region,
                 });
             }
         }
@@ -153,11 +150,9 @@ impl<'a> Scheduler<'a> {
                 PublishVerdict::Doom {
                     false_sharing,
                     ring_overflow,
-                    region,
                 } => {
                     fiber.doomed = Some(SpecFailure::ReadConflict);
                     fiber.doomed_false_sharing = false_sharing;
-                    fiber.conflict_region = Some(region);
                     self.sim_ring_overflows += u64::from(ring_overflow);
                     // Mirror the native in-flight retry: a false-sharing
                     // victim re-validates by value and keeps running (it
@@ -170,15 +165,13 @@ impl<'a> Scheduler<'a> {
             }
         }
         let victims = newly_doomed.len() as u64;
-        let mut cost = self.config.cost.doom_cycles(victims);
+        let cost = self.config.cost.doom_cycles(victims);
         let source = DoomSource::Commit;
         let doomed = Point::Doomed { source, victims };
         self.observe(time, self.lane_of(writer), writer, doomed);
         for fid in newly_doomed {
             self.request_stop(fid, time);
         }
-        self.publish_count += 1;
-        cost += self.tick_grain_controller(time);
         cost
     }
 
@@ -206,9 +199,6 @@ impl<'a> Scheduler<'a> {
                     PublishVerdict::Doom {
                         false_sharing: !word_hit,
                         ring_overflow,
-                        // Lowest, not first: the unstable sort leaves a
-                        // fiber's touches in no particular order.
-                        region: group.iter().map(|t| t.region).min().expect("non-empty"),
                     }
                 }
             };
@@ -218,8 +208,8 @@ impl<'a> Scheduler<'a> {
     }
 
     /// The conflict verdicts of everything published after `since` under
-    /// `reads` (a segment's sorted footprint), coarsened at the live
-    /// grains: one index lookup per read and one per distinct range.
+    /// `reads` (a segment's sorted footprint), coarsened at the log's
+    /// grain: one index lookup per read and one per distinct range.
     fn check_reads(&self, reads: &[Addr], since: u64) -> ReadVerdict {
         let ring_depth = self.config.commit_log.ring_depth as usize;
         let mut verdict = ReadVerdict::default();
@@ -239,9 +229,6 @@ impl<'a> Scheduler<'a> {
                 // Conservative ring-overflow probe (only consulted on the
                 // range-only path).
                 verdict.overflow |= stamps >= ring_depth;
-                // Ascending reads: the first conflicting one is in the
-                // lowest conflicting region.
-                verdict.region.get_or_insert(a >> self.region_log2);
             }
         }
         verdict.overflow &= self.mvcc() && !verdict.word_hit;
@@ -249,7 +236,7 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Merge the ascending `addrs` into speculative fiber `fid`'s read set
-    /// — except what it wrote first — coarsened at the live grains, and
+    /// — except what it wrote first — coarsened at the log's grain, and
     /// enter it in the reader registry under every range new to it.
     pub(super) fn register_reads(&mut self, fid: usize, addrs: &[Addr]) {
         let writes = &self.fibers[fid].writes;
@@ -275,11 +262,7 @@ impl<'a> Scheduler<'a> {
         let fiber = &mut self.fibers[fid];
         merge_sorted(&mut fiber.reads, fresh, |_| {});
         merge_sorted(&mut fiber.read_ranges, &ranges, |range| {
-            // A regrain may have entered the fiber under this id already.
-            match fiber.regrained_ranges.iter().position(|&r| r == range) {
-                Some(at) => drop(fiber.regrained_ranges.swap_remove(at)),
-                None => self.log.register(range, fid),
-            }
+            self.log.register(range, fid)
         });
     }
 
@@ -297,8 +280,8 @@ impl<'a> Scheduler<'a> {
                 // The reads of this segment are checked against anything
                 // published to main memory while the segment executed —
                 // range-grained like the in-flight doom check, with the
-                // word-level overlap checked too so a regrain between the
-                // publish and this check can never hide a true conflict.
+                // word-level overlap telling a genuine hit from false
+                // sharing.
                 let fx = self.check_reads(&seg.reads, self.fibers[fid].segment_started);
                 #[cfg(test)]
                 assert_eq!(
@@ -326,7 +309,6 @@ impl<'a> Scheduler<'a> {
                             None => {
                                 self.fibers[fid].doomed = Some(SpecFailure::ReadConflict);
                                 self.fibers[fid].doomed_false_sharing = !word_hit;
-                                self.fibers[fid].conflict_region = fx.region;
                             }
                             // Upgrade an earlier false-sharing
                             // classification when this segment's reads

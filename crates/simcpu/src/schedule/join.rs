@@ -53,11 +53,6 @@ impl<'a> Scheduler<'a> {
             self.fibers[cf].retried = true;
             self.fibers[cf].doomed = None;
             self.fibers[cf].doomed_false_sharing = false;
-            // Grain-control telemetry: a retry is a conflict the current
-            // grain made cheap — split evidence.
-            if let Some(region) = self.fibers[cf].conflict_region.take() {
-                self.region_telemetry.entry(region).or_default()[3] += 1;
-            }
         }
 
         // Price the version-ring probes the fiber survived on in flight —
@@ -162,19 +157,6 @@ impl<'a> Scheduler<'a> {
                 self.retire_fiber(cf, Ok(self.fibers[cf].retried));
             }
             Some((reason, plan)) => {
-                if reason == SpecFailure::ReadConflict {
-                    // Grain-control telemetry: attribute the squash to the
-                    // conflicting region (false-sharing flagged so the
-                    // controller can split the grain out of the way).
-                    let fs = self.fibers[cf].doomed_false_sharing;
-                    if let Some(region) = self.fibers[cf].conflict_region.take() {
-                        let counters = self.region_telemetry.entry(region).or_default();
-                        counters[1] += 1;
-                        if fs {
-                            counters[2] += 1;
-                        }
-                    }
-                }
                 self.fibers[cf].stats.add(Phase::Finalize, finalize);
                 self.fibers[fid].stats.add(Phase::Idle, finalize);
                 now += finalize;
@@ -245,20 +227,11 @@ impl<'a> Scheduler<'a> {
         self.live.retain(|&f| f != cf);
         debug_assert!(self.fibers[cf].speculative, "the root never retires");
         let fiber = &self.fibers[cf];
-        // Live grain of the fiber's traffic for the per-site grain column,
-        // taken at its lowest written — else read — address (the sets
-        // ascend).
-        let observed_grain = fiber
-            .writes
-            .first()
-            .or(fiber.reads.first())
-            .map(|&a| self.grain_at(a))
-            .unwrap_or(self.config.commit_log.grain_log2);
         let thread = Retirement {
             site: fiber.site,
             model: fiber.model,
             fate,
-            grain_log2: observed_grain,
+            grain_log2: self.config.commit_log.grain_log2,
         };
         let stats = &mut self.fibers[cf].stats;
         let retired = protocol::retire(stats, thread, &self.governor, &mut self.totals);
@@ -268,10 +241,7 @@ impl<'a> Scheduler<'a> {
         let fiber = &mut self.fibers[cf];
         fiber.reads = Vec::new();
         fiber.writes = Vec::new();
-        let registered = std::mem::take(&mut fiber.read_ranges)
-            .into_iter()
-            .chain(std::mem::take(&mut fiber.regrained_ranges));
-        for range in registered {
+        for range in std::mem::take(&mut fiber.read_ranges) {
             self.log.unregister(range, cf);
         }
         let cpu = fiber.cpu;

@@ -21,34 +21,29 @@
 //!   virtual time, and stopping a child at its next check point;
 //! * `conflict.rs` — publishing, the reads of a finished segment, the
 //!   reader registry and fossil collection;
-//! * `grain.rs` — the live per-region grains and the grain tick;
 //! * `fork.rs` — a fork point: admission, the CPU, the new fiber;
 //! * `join.rs` — a join: validation, retry, commit or rollback, the
 //!   cascade, retirement;
 //! * `books.rs` — the ledger's clock and lanes, the metrics series;
 //! * `reference.rs` (tests) — the log scan the index replaced.
 //!
-//! What a fork, a join, a retirement, a grain tick and an injected draw
-//! *decide* is `mutls_runtime::protocol`, which the native runtime calls
-//! with its own facts; `fork.rs`, `join.rs` and `grain.rs` gather the
-//! replay's and charge its clock.
+//! What a fork, a join, a retirement and an injected draw *decide* is
+//! `mutls_runtime::protocol`, which the native runtime calls with its own
+//! facts; `fork.rs` and `join.rs` gather the replay's and charge its
+//! clock.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use mutls_adaptive::{Governor, GovernorConfig, GrainControlConfig, GrainController};
-use mutls_membuf::{
-    region_log2_for_grain, Addr, CommitLogConfig, CommitLogStats, RegionProfile, SpecFailure,
-};
+use mutls_adaptive::{Governor, GovernorConfig};
+use mutls_membuf::{Addr, CommitLogConfig, CommitLogStats, SpecFailure};
 use mutls_metrics::{MetricsConfig, MetricsHub, MetricsSeries, MetricsSnapshot, Registry};
 use mutls_runtime::ledger::{self, Books, Point};
 use mutls_runtime::protocol::{self, Forker, JoinFacts, JoinVerdict, Retirement};
-use mutls_runtime::{
-    ForkModel, Phase, RunReport, RunTotals, RuntimeConfig, ThreadCounters, ThreadStats,
-};
+use mutls_runtime::{ForkModel, Phase, RunReport, RunTotals, RuntimeConfig, ThreadStats};
 use mutls_trace::{DenyPolicy, DoomSource, EventKind, LatencyRecorder, TraceEvent};
 
 use crate::cost::CostModel;
@@ -60,7 +55,6 @@ mod config;
 mod conflict;
 mod events;
 mod fork;
-mod grain;
 mod join;
 #[cfg(test)]
 mod reference;
@@ -90,8 +84,6 @@ struct ReadVerdict {
     /// A range-only hit whose range overflowed the version ring (forces
     /// the conservative doom instead of a precise pass).
     overflow: bool,
-    /// Lowest region id among the conflicting reads (telemetry target).
-    region: Option<u64>,
 }
 
 /// One published word meeting one registered reader of its range.
@@ -103,8 +95,6 @@ struct Touch {
     /// The fiber read the word's range, and the publish overflows the
     /// range's version ring as seen from the fiber's start.
     overflow: bool,
-    /// Region of the published word.
-    region: u64,
 }
 
 /// What one publish does to one in-flight reader of the ranges it stamps.
@@ -121,12 +111,10 @@ enum PublishVerdict {
     /// Doomed.  `false_sharing`: no word it read was written (range-only).
     /// `ring_overflow`: range-only, and more publishes hit the range since
     /// the fiber started than the ring holds, which is what forced the
-    /// conservative doom.  `region`: lowest region of the conflicting
-    /// writes.
+    /// conservative doom.
     Doom {
         false_sharing: bool,
         ring_overflow: bool,
-        region: u64,
     },
 }
 
@@ -159,21 +147,14 @@ struct Fiber {
     /// they are merged from.  Released at retirement.
     reads: Vec<Addr>,
     writes: Vec<Addr>,
-    /// Region-prefixed commit-log range ids covering `reads` (see
-    /// `Scheduler::range_at`) — the grain conflicts are detected at.
-    /// Ascending and duplicate-free.
+    /// Commit-log range ids covering `reads` (see `Scheduler::range_at`)
+    /// — the grain conflicts are detected at, and the ids the fiber is
+    /// registered under as a reader.  Ascending and duplicate-free.
     read_ranges: Vec<u64>,
-    /// Range ids the fiber is registered as a reader of besides
-    /// `read_ranges`: after a regrain, the new-grain ranges of the words
-    /// it had already read.
-    regrained_ranges: Vec<u64>,
     doomed: Option<SpecFailure>,
     /// True when the dooming conflict was range-only (no word of the
     /// published batch was actually read) — suspected false sharing.
     doomed_false_sharing: bool,
-    /// Region of the first conflicting read (grain-control telemetry:
-    /// conflicts and retries are attributed here at the join).
-    conflict_region: Option<u64>,
     /// True when the fiber's conflict was repaired by value-predict-and-
     /// retry at its join (it committed without re-execution).
     retried: bool,
@@ -221,10 +202,8 @@ impl Fiber {
             reads: Vec::new(),
             writes: Vec::new(),
             read_ranges: Vec::new(),
-            regrained_ranges: Vec::new(),
             doomed: None,
             doomed_false_sharing: false,
-            conflict_region: None,
             retried: false,
             waiter: None,
             blocked_since: 0,
@@ -294,13 +273,10 @@ pub struct Scheduler<'a> {
     /// joined threads.
     totals: RunTotals,
     /// The simulated commit log.  Publish times by word and by range id
-    /// are what conflict detection looks up: ranges are stamped at the
-    /// publisher's current per-region grain, and word-level overlap is
-    /// always checked in addition, so a true conflict is never missed
-    /// even when a regrain lands between the publish and the reader's
-    /// check.  Its reader registry mirrors the native log's per-range
-    /// reader sets (`CommitLog::take_readers`): every live speculative
-    /// fiber sits under its `read_ranges` (and `regrained_ranges`), so a
+    /// are what conflict detection looks up: word-level overlap tells a
+    /// genuine conflict from false sharing.  Its reader registry mirrors
+    /// the native log's per-range reader sets (`CommitLog::take_readers`):
+    /// every live speculative fiber sits under its `read_ranges`, so a
     /// publish visits the readers of the ranges it stamps and nobody
     /// else.  Pruned by fossil collection.
     log: SimLog,
@@ -310,25 +286,10 @@ pub struct Scheduler<'a> {
     publishes: Vec<reference::PubEntry>,
     /// Adaptive speculation governor (per-site profiling + fork policy).
     governor: Governor,
-    /// Log2 of the grain-control region size (mirrors the native log).
-    region_log2: u32,
-    /// Grain of the regions absent from `grains`: the controller's
-    /// initial grain, or the floor grain when control is disabled.
-    default_grain: u32,
-    /// Live grain per regrained region.
-    grains: DetMap<u64, u32>,
-    /// Per-region telemetry: (stamps, conflicts, false sharing, retries),
-    /// cumulative — the controller differences ticks itself.
-    region_telemetry: DetMap<u64, [u64; 4]>,
-    /// The deterministic grain controller (None when disabled).
-    grain_controller: Option<GrainController>,
-    /// Publishes since the run started (the controller's tick clock).
-    publish_count: u64,
     /// Simulated commit-log traffic for the report: batches and range
-    /// stamps (the grain sweep's headline columns), plus regrains.
+    /// stamps (the grain sweep's headline columns).
     sim_commits: u64,
     sim_stamps: u64,
-    sim_regrains: u64,
     /// Modeled version-ring overflows: range conflicts classified
     /// conservatively because more publishes hit the range than the ring
     /// holds (always zero at depth 1, which never probes).
@@ -351,20 +312,6 @@ impl<'a> Scheduler<'a> {
         let rng = SmallRng::seed_from_u64(config.seed);
         let num_cpus = config.num_cpus;
         let governor = Governor::new(config.governor);
-        let region_log2 = region_log2_for_grain(config.commit_log.grain_log2);
-        let grain_controller = config
-            .grain_control
-            .enabled
-            .then(|| GrainController::new(config.grain_control, config.commit_log.grain_log2));
-        let floor = config.commit_log.grain_log2;
-        let default_grain = if config.grain_control.enabled {
-            config
-                .grain_control
-                .initial_grain_log2
-                .clamp(floor, region_log2)
-        } else {
-            floor
-        };
         Scheduler {
             recording,
             fibers: Vec::new(),
@@ -380,15 +327,8 @@ impl<'a> Scheduler<'a> {
             #[cfg(test)]
             publishes: Vec::new(),
             governor,
-            region_log2,
-            default_grain,
-            grains: DetMap::default(),
-            region_telemetry: DetMap::default(),
-            grain_controller,
-            publish_count: 0,
             sim_commits: 0,
             sim_stamps: 0,
-            sim_regrains: 0,
             sim_ring_overflows: 0,
             books: SimBooks {
                 events: config.trace.then(Vec::new),
@@ -435,7 +375,6 @@ impl<'a> Scheduler<'a> {
         let report = RunReport {
             critical: self.fibers[0].stats.clone(),
             commit_log: self.log_stats(),
-            region_grains: self.grain_census().into_iter().collect(),
             sites: self.governor.snapshot(),
             latency: self.books.latency.report(),
             runtime,

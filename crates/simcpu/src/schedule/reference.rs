@@ -5,7 +5,7 @@
 use super::*;
 
 /// One published write batch: the commit time, the written word
-/// addresses, and the range ids stamped at the publisher's live grains.
+/// addresses, and the range ids stamped.
 #[derive(Debug, Clone)]
 pub(super) struct PubEntry {
     pub(super) time: u64,
@@ -57,15 +57,6 @@ impl Scheduler<'_> {
                         >= ring_depth
                 });
             }
-            fx.region = reads
-                .iter()
-                .filter(|(a, r)| {
-                    entries.iter().any(|e| {
-                        e.time > seg_start && (e.words.contains(a) || e.ranges.contains(r))
-                    })
-                })
-                .map(|(a, _)| a >> self.region_log2)
-                .min();
         }
         fx
     }
@@ -113,20 +104,11 @@ impl Scheduler<'_> {
                     continue;
                 }
             }
-            let region = writes
-                .iter()
-                .filter(|w| {
-                    fiber.reads.contains(w) || fiber.read_ranges.contains(&self.range_at(**w))
-                })
-                .map(|w| w >> self.region_log2)
-                .min()
-                .expect("a hit has a conflicting write");
             verdicts.push((
                 fid,
                 PublishVerdict::Doom {
                     false_sharing: !word_hit,
                     ring_overflow,
-                    region,
                 },
             ));
         }

@@ -114,41 +114,6 @@ fn mvcc_turns_false_sharing_retries_into_precise_passes() {
     assert_eq!(ser(&mvcc.report), ser(&again.report));
 }
 
-#[test]
-fn grain_control_replay_splits_a_false_sharing_region_deterministically() {
-    // Adaptive mode over a word floor, regions starting at page, on a
-    // single-version log: the false-sharing recording keeps retrying
-    // at page grain, so the controller must re-split the region — and
-    // the whole run must stay byte-deterministic.
-    let recording = false_sharing_recording();
-    let config = || SimConfig {
-        commit_log: CommitLogConfig::word_grain().ring_depth(1),
-        grain_control: GrainControlConfig::adaptive().tick_commits(1),
-        ..SimConfig::with_cpus(2)
-    };
-    let result = simulate(&recording, config());
-    assert!(
-        result.report.commit_log.regrains > 0,
-        "suspect spikes must trigger a re-split"
-    );
-    assert!(
-        result
-            .report
-            .region_grains
-            .iter()
-            .any(|&(grain, _)| grain < mutls_membuf::PAGE_GRAIN_LOG2),
-        "some region must have left page grain: {:?}",
-        result.report.region_grains
-    );
-    // Stamps are counted in replay (the graincontrol sweep's
-    // acceptance column).
-    assert!(result.report.commit_log.commits > 0);
-    assert!(result.report.commit_log.stamp_writes >= result.report.commit_log.commits);
-    // Determinism survives the controller.
-    let again = simulate(&recording, config());
-    assert_eq!(ser(&result.report), ser(&again.report));
-}
-
 /// The log has one committer at a time, so a publish pays no
 /// contention, however many writers are in flight, and the pricing
 /// stays byte-deterministic.
@@ -243,8 +208,7 @@ fn run_ops<C: TlsContext>(
 
 /// Index ≡ scan, live list ≡ all-fiber loop: random task trees with
 /// random footprints on six lines of two pages, replayed at word,
-/// line and page grain, ring depth 1, 2 and 4, with and without a grain
-/// controller regraining every few publishes.  The comparison itself
+/// line and page grain and ring depth 1, 2 and 4.  The comparison itself
 /// is in the scheduler — under `cfg(test)` every `check_reads`,
 /// `publish` and fossil horizon is also computed the
 /// old way (`mod reference`) and asserted equal — so this test only
@@ -253,7 +217,7 @@ fn run_ops<C: TlsContext>(
 fn index_and_registry_agree_with_the_log_scan_on_random_task_trees() {
     use proptest::prelude::*;
     use proptest::strategy::Strategy;
-    // Three lines at the start of each of two pages (= two regions).
+    // Three lines at the start of each of two pages.
     let word = (0usize..48).prop_map(|i| i % 24 + (i / 24) * 512);
     let op = (0u32..13, word, 1u64..40).prop_map(|(kind, word, n)| match kind {
         0..=3 => Op::Load(word),
@@ -268,13 +232,13 @@ fn index_and_registry_agree_with_the_log_scan_on_random_task_trees() {
         CommitLogConfig::line_grain(),
         CommitLogConfig::page_grain(),
     ];
-    let case = (program, (0usize..3, 0usize..3, 0u64..4, 1usize..7));
+    let case = (program, (0usize..3, 0usize..3, 1usize..7));
 
     let mut gen = proptest::test_runner::Gen::new(0x1D3A);
     let cases = proptest::cases();
-    let [mut dooms, mut passes, mut overflows, mut retries, mut regrains, mut cascades] = [0u64; 6];
+    let [mut dooms, mut passes, mut overflows, mut retries, mut cascades] = [0u64; 5];
     for _ in 0..cases {
-        let (ops, (grain, rings, tick_commits, cpus)) = case.generate(&mut gen);
+        let (ops, (grain, rings, cpus)) = case.generate(&mut gen);
         let ops: Arc<[Op]> = ops.into();
         let memory = Arc::new(GlobalMemory::new(1 << 14));
         let cells = memory.alloc::<u64>(1024);
@@ -283,11 +247,6 @@ fn index_and_registry_agree_with_the_log_scan_on_random_task_trees() {
         });
         let config = || SimConfig {
             commit_log: grains[grain].ring_depth([1, 2, 4][rings]),
-            grain_control: if tick_commits == 0 {
-                GrainControlConfig::default()
-            } else {
-                GrainControlConfig::adaptive().tick_commits(tick_commits)
-            },
             ..SimConfig::with_cpus(cpus)
         };
         let result = simulate(&recording, config());
@@ -299,12 +258,11 @@ fn index_and_registry_agree_with_the_log_scan_on_random_task_trees() {
         passes += report.precise_passes();
         overflows += report.commit_log.ring_overflows;
         retries += report.retried_threads;
-        regrains += report.commit_log.regrains;
         cascades += report.rollback_reasons[RollbackReason::Other.index()];
     }
     // At the default case count every verdict kind must have occurred.
     if cases >= proptest::CASES {
-        let reached = [dooms, passes, overflows, retries, regrains, cascades];
+        let reached = [dooms, passes, overflows, retries, cascades];
         assert!(reached.iter().all(|&n| n > 0), "paths reached: {reached:?}");
     }
 }

@@ -6,8 +6,8 @@
 //! (every counter, phase breakdown, histogram and per-site row).  md is
 //! the benchmark's `sim_replay` recording; the small recordings take the
 //! paths md does not — genuine conflicts, range-only hits that
-//! precise-pass or overflow the ring, value-predict retries, regrains,
-//! cascading rollbacks, injected rollbacks under either governor.
+//! precise-pass or overflow the ring, value-predict retries, cascading
+//! rollbacks, injected rollbacks under either governor.
 //!
 //! The cycles were computed at the commit *before* the publish log became
 //! an index (PR 16) and re-pinned once, in PR 25, when the replay stopped
@@ -18,13 +18,19 @@
 //! before its join and a cascaded discard are now classified as the
 //! native runtime classifies them.
 //!
+//! The digests were re-pinned once more, with no cycle moved, when online
+//! regrain left: the serialized report lost its per-region grain list
+//! and `commit_log.regrains`, and the final snapshot `log_regrains` and
+//! the `grain_regions` gauges.  Each new digest is of the old JSON with
+//! exactly those keys removed.
+//!
 //! `OBSERVED_GOLDEN` pins what the observers see of the same machine: the
 //! serialized event stream and the final metrics snapshot of a traced,
 //! metrics-on replay.
 
 use std::sync::Arc;
 
-use mutls_adaptive::{GovernorConfig, GrainControlConfig, PolicyKind};
+use mutls_adaptive::{GovernorConfig, PolicyKind};
 use mutls_membuf::{CommitLogConfig, GlobalMemory};
 use mutls_metrics::MetricsConfig;
 use mutls_simcpu::{record_region, simulate, Recording, SimConfig};
@@ -126,12 +132,12 @@ fn md_replay_cycles_are_pinned_at_every_benchmarked_cpu_count() {
 
 /// fft (tree recursion, overflow-free at this size), `conflict_chain` and
 /// `hist_shared` (real dependence violations) at {word, line} grain ×
-/// ring depth {4, 1} × grain control {off, on}, 16 CPUs; then
+/// ring depth {4, 1}, 16 CPUs; then
 /// `conflict_chain` at 50 % sharing with injected rollbacks (p = 0.3, the
 /// default seed) under each governor policy — the draw after a passing
 /// validation, and what the governor hears of the rollbacks it forces.
 #[test]
-fn conflict_and_recovery_paths_are_pinned_across_grain_ring_and_control() {
+fn conflict_and_recovery_paths_are_pinned_across_grain_and_ring() {
     let fft_recording = {
         let config = fft::Config::tiny();
         let memory = Arc::new(GlobalMemory::new(4 << 20));
@@ -152,20 +158,14 @@ fn conflict_and_recovery_paths_are_pinned_across_grain_ring_and_control() {
             ("line", CommitLogConfig::line_grain()),
         ] {
             for ring_depth in [4, 1] {
-                for (control_name, grain_control) in [
-                    ("off", GrainControlConfig::default()),
-                    ("on", GrainControlConfig::adaptive()),
-                ] {
-                    let config = SimConfig {
-                        commit_log: grain.ring_depth(ring_depth),
-                        grain_control,
-                        ..SimConfig::with_cpus(16)
-                    };
-                    actual.push((
-                        format!("{name}/{grain_name}/ring{ring_depth}/control-{control_name}"),
-                        measure(recording, config),
-                    ));
-                }
+                let config = SimConfig {
+                    commit_log: grain.ring_depth(ring_depth),
+                    ..SimConfig::with_cpus(16)
+                };
+                actual.push((
+                    format!("{name}/{grain_name}/ring{ring_depth}/control-off"),
+                    measure(recording, config),
+                ));
             }
         }
     }
@@ -233,63 +233,43 @@ fn event_streams_and_final_snapshots_are_pinned() {
 
 #[rustfmt::skip]
 const MD_GOLDEN: &[(&str, Golden)] = &[
-    ("md/1", (120668160, 90905760, 0x22952BB2F0FA7AF2)),
-    ("md/4", (120668160, 44073680, 0x32ACE0ACF213C10B)),
-    ("md/16", (120668160, 21646400, 0xE1B5DE0C130CD9FE)),
-    ("md/64", (120668160, 14170640, 0xFD8632FB034601B2)),
+    ("md/1", (120668160, 90905760, 0xD7B14365B15927F9)),
+    ("md/4", (120668160, 44073680, 0x8BAD872F2783BAD2)),
+    ("md/16", (120668160, 21646400, 0x158D56D116BC3DB1)),
+    ("md/64", (120668160, 14170640, 0x23C8303626235055)),
 ];
 
 #[rustfmt::skip]
 const SMALL_GOLDEN: &[(&str, Golden)] = &[
-    ("fft/word/ring4/control-off", (8832, 11668, 0xE44DF73237A7EAD2)),
-    ("fft/word/ring4/control-on", (8832, 11660, 0x2389A484FA5B2B7D)),
-    ("fft/word/ring1/control-off", (8832, 11668, 0xF2CFA8B9E8003DD5)),
-    ("fft/word/ring1/control-on", (8832, 11786, 0xD3EEE405F8E644A3)),
-    ("fft/line/ring4/control-off", (8832, 11496, 0x0E04D6E47770B7D5)),
-    ("fft/line/ring4/control-on", (8832, 11660, 0x147CC5E550D27A62)),
-    ("fft/line/ring1/control-off", (8832, 11772, 0x65AFB7E506B55861)),
-    ("fft/line/ring1/control-on", (8832, 11786, 0xB8D54206A40EBC16)),
-    ("chain100/word/ring4/control-off", (2672608, 2742761, 0x2AF57C5D9E13DD14)),
-    ("chain100/word/ring4/control-on", (2672608, 2743785, 0x2F2B12E383F24F9A)),
-    ("chain100/word/ring1/control-off", (2672608, 2742761, 0xDF641226320AE027)),
-    ("chain100/word/ring1/control-on", (2672608, 2743785, 0xBF8596BDB3CA2394)),
-    ("chain100/line/ring4/control-off", (2672608, 2742761, 0x03DE388F71AFD5FE)),
-    ("chain100/line/ring4/control-on", (2672608, 2742825, 0xD6E09E96C9FD9D03)),
-    ("chain100/line/ring1/control-off", (2672608, 2742761, 0xDA5017D2E966159A)),
-    ("chain100/line/ring1/control-on", (2672608, 2742825, 0x515C60488E1FF877)),
-    ("chain50/word/ring4/control-off", (2672608, 577806, 0x997369C01BDE121F)),
-    ("chain50/word/ring4/control-on", (2672608, 578348, 0x0A34E9B23F1E4969)),
-    ("chain50/word/ring1/control-off", (2672608, 577806, 0x060500CC88122E14)),
-    ("chain50/word/ring1/control-on", (2672608, 578311, 0x5E745C92C5698272)),
-    ("chain50/line/ring4/control-off", (2672608, 577778, 0x1ED2383513CB171C)),
-    ("chain50/line/ring4/control-on", (2672608, 577900, 0x3F5E4684D71AC527)),
-    ("chain50/line/ring1/control-off", (2672608, 577778, 0x6BDA2B786EA403D3)),
-    ("chain50/line/ring1/control-on", (2672608, 577863, 0xCF660B78E07FDFDC)),
-    ("hist100/word/ring4/control-off", (2400480, 2413358, 0x847781ED24B017BB)),
-    ("hist100/word/ring4/control-on", (2400480, 2414420, 0x27343DD9850860F4)),
-    ("hist100/word/ring1/control-off", (2400480, 2413358, 0x49C607CBCCA75E18)),
-    ("hist100/word/ring1/control-on", (2400480, 2415582, 0xA5E3F2045B7365CC)),
-    ("hist100/line/ring4/control-off", (2400480, 2414962, 0x9E2CBB0438486522)),
-    ("hist100/line/ring4/control-on", (2400480, 2415056, 0x7CFBD652844BA502)),
-    ("hist100/line/ring1/control-off", (2400480, 2418334, 0xA72D095A37C2E4A8)),
-    ("hist100/line/ring1/control-on", (2400480, 2418334, 0x47B65E458535CFB9)),
-    ("hist50/word/ring4/control-off", (2400480, 2213196, 0x06F8B4BFA0FDAEB2)),
-    ("hist50/word/ring4/control-on", (2400480, 2213800, 0xA729547478C95C4B)),
-    ("hist50/word/ring1/control-off", (2400480, 2213196, 0xDE909B6699E5DAED)),
-    ("hist50/word/ring1/control-on", (2400480, 2213786, 0xFE9B713C53D85E91)),
-    ("hist50/line/ring4/control-off", (2400480, 2215642, 0x47ECE272F502B99A)),
-    ("hist50/line/ring4/control-on", (2400480, 2215642, 0xF63F3DA3DCD2825F)),
-    ("hist50/line/ring1/control-off", (2400480, 2217160, 0x494C32A63EA29D71)),
-    ("hist50/line/ring1/control-on", (2400480, 2217158, 0xB65B3CB633F2E7D8)),
-    ("chain50/word/ring4/p0.3/static", (2672608, 1313224, 0x24D75A03309B8880)),
-    ("chain50/word/ring4/p0.3/throttle", (2672608, 2673425, 0x8E7DC0D2E4096399)),
+    ("fft/word/ring4/control-off", (8832, 11668, 0x88D2D3335B597DD8)),
+    ("fft/word/ring1/control-off", (8832, 11668, 0x4CE1C61F7526CBF7)),
+    ("fft/line/ring4/control-off", (8832, 11496, 0x0DFA77F99585C684)),
+    ("fft/line/ring1/control-off", (8832, 11772, 0x7FEB77ECDFAC25B4)),
+    ("chain100/word/ring4/control-off", (2672608, 2742761, 0x98F1B016686252D0)),
+    ("chain100/word/ring1/control-off", (2672608, 2742761, 0xFACA34DF577DB197)),
+    ("chain100/line/ring4/control-off", (2672608, 2742761, 0xD05488D4F85A64EF)),
+    ("chain100/line/ring1/control-off", (2672608, 2742761, 0xB70BC72A31E62859)),
+    ("chain50/word/ring4/control-off", (2672608, 577806, 0x4E551C2634756DF3)),
+    ("chain50/word/ring1/control-off", (2672608, 577806, 0x9B339A8C7C8E7B04)),
+    ("chain50/line/ring4/control-off", (2672608, 577778, 0xDA850F30F82C17B3)),
+    ("chain50/line/ring1/control-off", (2672608, 577778, 0xFD9189549ADBBEC4)),
+    ("hist100/word/ring4/control-off", (2400480, 2413358, 0x3AECCB0F1CF1EBBD)),
+    ("hist100/word/ring1/control-off", (2400480, 2413358, 0x78F15B7B26B6C42E)),
+    ("hist100/line/ring4/control-off", (2400480, 2414962, 0x7AC010A3A70B1981)),
+    ("hist100/line/ring1/control-off", (2400480, 2418334, 0xFD6B4516CA242B9F)),
+    ("hist50/word/ring4/control-off", (2400480, 2213196, 0x64A9863537267288)),
+    ("hist50/word/ring1/control-off", (2400480, 2213196, 0x6CCC40AFC1CDE037)),
+    ("hist50/line/ring4/control-off", (2400480, 2215642, 0x9EA32E108FE247DB)),
+    ("hist50/line/ring1/control-off", (2400480, 2217160, 0x7424A8F661CACF90)),
+    ("chain50/word/ring4/p0.3/static", (2672608, 1313224, 0x0BE81F7ECA1E6C5C)),
+    ("chain50/word/ring4/p0.3/throttle", (2672608, 2673425, 0x681258CA09F187CD)),
 ];
 
 #[rustfmt::skip]
 const OBSERVED_GOLDEN: &[(&str, Golden)] = &[
-    ("md/4", (0xD9432497307AC465, 0xD9432497307AC465, 0x3F99567EC07DA4E3)),
-    ("chain100", (0xBECF4D2333CC2D83, 0x29BAF325D6994617, 0x88DF0FD9942FF0E1)),
-    ("chain50", (0xFF3D344443A7595F, 0xFF3D344443A7595F, 0x0A6AF968FB3922D4)),
-    ("hist100", (0x52FEC076D48A6864, 0xB30CD497F2274DF8, 0xBF8F139CF68D88A2)),
-    ("hist50", (0x456A5098464D01AC, 0x2064EA73CE2D7350, 0x29AED4F1FF625DC6)),
+    ("md/4", (0xD9432497307AC465, 0xD9432497307AC465, 0xBCB3E13C8369FB4A)),
+    ("chain100", (0xBECF4D2333CC2D83, 0x29BAF325D6994617, 0xE681BFCBC1579376)),
+    ("chain50", (0xFF3D344443A7595F, 0xFF3D344443A7595F, 0xEE04355383022DD5)),
+    ("hist100", (0x52FEC076D48A6864, 0xB30CD497F2274DF8, 0x8FAE774576ED26DB)),
+    ("hist50", (0x456A5098464D01AC, 0x2064EA73CE2D7350, 0x2A9E8479516ED035)),
 ];

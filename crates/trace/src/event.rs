@@ -1,12 +1,11 @@
 //! The speculation lifecycle event vocabulary.
 //!
 //! One [`TraceEvent`] is emitted per lifecycle transition of a speculative
-//! thread (fork, validate, commit, rollback, …) plus one per control-plane
-//! decision (governor verdicts, grain-controller regrains).  Every event is
-//! stamped with the emitting thread's rank, the fork-site id it was
-//! launched from and the commit log's epoch at emission time, so the
-//! cross-thread causal order — *which commit doomed which reader* — can be
-//! reconstructed offline from the stream alone.
+//! thread (fork, validate, commit, rollback, …) plus one per governor
+//! verdict.  Every event is stamped with the emitting thread's rank, the
+//! fork-site id it was launched from and the commit log's epoch at
+//! emission time, so the cross-thread causal order — *which commit doomed
+//! which reader* — can be reconstructed offline from the stream alone.
 
 use serde::Serialize;
 
@@ -129,8 +128,6 @@ pub enum DoomSource {
     Commit,
     /// A rollback about to re-execute the victim's read ranges.
     Rollback,
-    /// A grain-controller regrain flushed the victim's region.
-    Regrain,
     /// A speculative writer's *buffered* store overlaps the victim's reads
     /// (hard doom — no value revalidation can clear it).
     Buffered,
@@ -142,7 +139,6 @@ impl DoomSource {
         match self {
             DoomSource::Commit => "commit",
             DoomSource::Rollback => "rollback",
-            DoomSource::Regrain => "regrain",
             DoomSource::Buffered => "buffered",
         }
     }
@@ -200,20 +196,6 @@ pub enum EventKind {
         /// Who doomed it.
         source: DoomSource,
     },
-    /// The grain controller re-grained one region.
-    Regrain {
-        /// Region id.
-        region: u64,
-        /// Previous grain (log2 bytes).
-        from: u32,
-        /// New grain (log2 bytes).
-        to: u32,
-    },
-    /// One grain-controller tick ran.
-    GrainTick {
-        /// How many regrain actions it issued.
-        actions: u32,
-    },
 }
 
 impl EventKind {
@@ -232,8 +214,6 @@ impl EventKind {
             EventKind::Rollback { .. } => "Rollback",
             EventKind::RetryInFlight => "RetryInFlight",
             EventKind::Doom { .. } => "Doom",
-            EventKind::Regrain { .. } => "Regrain",
-            EventKind::GrainTick { .. } => "GrainTick",
         }
     }
 
@@ -271,12 +251,6 @@ impl EventKind {
             EventKind::Doom { source } => {
                 field(out, "source", format!("\"{}\"", source.label()));
             }
-            EventKind::Regrain { region, from, to } => {
-                field(out, "region", region.to_string());
-                field(out, "from", from.to_string());
-                field(out, "to", to.to_string());
-            }
-            EventKind::GrainTick { actions } => field(out, "actions", actions.to_string()),
         }
     }
 }

@@ -5,8 +5,7 @@
 //! * [`membuf`] — speculative memory buffering (read/write sets, local
 //!   buffers, address spaces, the shared [`membuf::GlobalMemory`] arena).
 //! * [`adaptive`] — the adaptive speculation governor: per-fork-site
-//!   profiling plus the fork-throttling policy, and the adaptive-grain
-//!   controller.
+//!   profiling plus the fork-throttling policy.
 //! * [`runtime`] — the native TLS runtime: virtual CPUs, fork models
 //!   (in-order, out-of-order, tree-form mixed), speculation, validation,
 //!   commit, rollback and per-thread statistics.

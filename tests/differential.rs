@@ -18,13 +18,9 @@
 //!   adjacent private words may share a range.
 //!
 //! A proptest harness additionally fuzzes (grain, shards, CPUs, sharing
-//! rate, ring depth, adaptive-grain control, seed) on a fast chain
-//! kernel; CI pins `PROPTEST_CASES` low in its dedicated job, while
-//! local runs default to the full case count.  A dedicated pass runs the
-//! whole registry with the adaptive-grain controller enabled (live
-//! regrains, conservative whole-region flushes, eager reader dooming),
-//! since regraining mid-run is exactly the kind of change that could
-//! corrupt state silently.
+//! rate, ring depth, seed) on a fast chain kernel; CI pins
+//! `PROPTEST_CASES` low in its dedicated job, while local runs default to
+//! the full case count.
 
 use proptest::prelude::*;
 
@@ -32,7 +28,7 @@ use mutls::membuf::{
     BufferConfig, CommitLogConfig, RollbackReason, DEFAULT_RING_DEPTH, LINE_GRAIN_LOG2,
     PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
 };
-use mutls::runtime::{GrainControlConfig, RunReport, Runtime, RuntimeConfig};
+use mutls::runtime::{RunReport, Runtime, RuntimeConfig};
 use mutls::workloads::conflict::{self, ChainConfig, HistConfig};
 use mutls::workloads::{
     arena_bytes, checksum, reference_checksum, run_speculative, setup, Scale, WorkloadKind,
@@ -117,43 +113,6 @@ fn every_registry_workload_matches_sequential_at_every_grain() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn every_registry_workload_matches_sequential_with_the_grain_controller() {
-    // The adaptive-grain control plane changes *when* regions are tracked
-    // at which grain — live, mid-run, with conservative whole-region
-    // flushes and eager reader dooming on every regrain.  None of that
-    // may change *what* commits: the whole registry must still converge
-    // to the sequential state with the controller enabled (word floor,
-    // page start, aggressive tick cadence so tiny runs actually regrain).
-    for kind in registry() {
-        let expected = reference_checksum(kind, Scale::Tiny);
-        let runtime = Runtime::new(
-            RuntimeConfig::with_cpus(3)
-                .memory_bytes(arena_bytes(kind, Scale::Tiny))
-                .adaptive_grain()
-                .grain_control(GrainControlConfig::adaptive().tick_commits(1)),
-        );
-        let memory = runtime.memory();
-        let data = setup(kind, Scale::Tiny, &memory);
-        let (_, report) = runtime.run(|ctx| run_speculative(ctx, &data));
-        assert_eq!(
-            checksum(&memory, &data),
-            expected,
-            "{} diverged under the grain controller ({} rollbacks: {}, {} regrains)",
-            kind.name(),
-            report.rolled_back_threads,
-            report.rollback_breakdown(),
-            report.commit_log.regrains
-        );
-        assert_eq!(
-            report.rollbacks_with(RollbackReason::Injected),
-            0,
-            "{}: injected rollbacks without opting in",
-            kind.name()
-        );
     }
 }
 
@@ -272,25 +231,17 @@ proptest! {
         cpus in 2usize..6,
         permille in 0u32..1001,
         ring_depth_i in 0usize..2,
-        adaptive_grain in any::<bool>(),
-        tick_commits in 1u64..5,
         seed in any::<u64>(),
     ) {
         let grain_log2 = GRAINS[grain_i as usize];
         let ring_depth = RING_DEPTHS[ring_depth_i];
         let chain = fast_chain(permille, seed);
-        let mut runtime_config = RuntimeConfig::with_cpus(cpus).commit_log(CommitLogConfig {
+        let runtime_config = RuntimeConfig::with_cpus(cpus).commit_log(CommitLogConfig {
             grain_log2,
             shards,
             ring_depth,
             ..CommitLogConfig::default()
         });
-        if adaptive_grain {
-            // Live regrains (page start over the swept floor grain, at a
-            // random tick cadence) must preserve the oracle too.
-            runtime_config = runtime_config
-                .grain_control(GrainControlConfig::adaptive().tick_commits(tick_commits));
-        }
         let (state_ok, report) = conflict::chain_verify_native(chain, runtime_config);
         prop_assert!(
             state_ok,
@@ -303,10 +254,9 @@ proptest! {
             report.rollback_breakdown()
         );
         prop_assert_eq!(report.rollbacks_with(RollbackReason::Injected), 0);
-        if permille == 0 && grain_log2 == WORD_GRAIN_LOG2 && !adaptive_grain {
-            // Structural only at a *static* word grain: the controller's
-            // page-start regions can false-share (and conservatively
-            // doom) before they re-split.
+        if permille == 0 && grain_log2 == WORD_GRAIN_LOG2 {
+            // Structural only at word grain: a coarser range can
+            // false-share adjacent private words.
             prop_assert_eq!(report.rollbacks_with(RollbackReason::Conflict), 0);
         }
     }
