@@ -18,10 +18,6 @@ pub enum BufferError {
     /// back (paper §IV-G2: "If the temporary buffer is used up, the
     /// speculative thread rolls back").
     OverflowFull,
-    /// The register buffer offset exceeds its statically allocated
-    /// size (paper §IV-G3: "the speculator pass reports an error and
-    /// speculation fails").
-    LocalBufferFull,
     /// The access touches an address outside every registered address
     /// space; the speculative thread must roll back (paper §IV-G1).
     UnregisteredAddress,
@@ -38,7 +34,6 @@ impl fmt::Display for BufferError {
         match self {
             BufferError::OverflowPending => write!(f, "hash conflict recorded in overflow buffer"),
             BufferError::OverflowFull => write!(f, "overflow buffer exhausted"),
-            BufferError::LocalBufferFull => write!(f, "local (register) buffer exhausted"),
             BufferError::UnregisteredAddress => write!(f, "access to unregistered address"),
             BufferError::Misaligned => write!(f, "misaligned access"),
             BufferError::UnsupportedSize => write!(f, "unsupported access size"),
@@ -55,8 +50,7 @@ impl std::error::Error for BufferError {}
 pub enum RollbackReason {
     /// A genuine cross-thread dependence violation: a logically earlier
     /// thread committed a write to an address in the read-set after it was
-    /// read (detected via the [`CommitLog`](crate::CommitLog)), or local
-    /// register validation failed.
+    /// read (detected via the [`CommitLog`](crate::CommitLog)).
     Conflict,
     /// The global or local speculative buffer ran out of capacity.
     Overflow,
@@ -109,12 +103,8 @@ impl fmt::Display for RollbackReason {
 impl From<SpecFailure> for RollbackReason {
     fn from(failure: SpecFailure) -> Self {
         match failure {
-            SpecFailure::ReadConflict | SpecFailure::LocalValidationFailed => {
-                RollbackReason::Conflict
-            }
-            SpecFailure::BufferOverflow | SpecFailure::LocalBufferOverflow => {
-                RollbackReason::Overflow
-            }
+            SpecFailure::ReadConflict => RollbackReason::Conflict,
+            SpecFailure::BufferOverflow => RollbackReason::Overflow,
             SpecFailure::Injected => RollbackReason::Injected,
             SpecFailure::Cascaded | SpecFailure::NoSync | SpecFailure::UnregisteredAddress => {
                 RollbackReason::Other
@@ -129,13 +119,8 @@ impl From<SpecFailure> for RollbackReason {
 pub enum SpecFailure {
     /// A value in the read-set no longer matches main memory.
     ReadConflict,
-    /// A live register variable predicted at fork time did not match the
-    /// value observed by the parent at the join point.
-    LocalValidationFailed,
     /// The global buffer overflowed.
     BufferOverflow,
-    /// The local buffer overflowed.
-    LocalBufferOverflow,
     /// The thread touched an unregistered address.
     UnregisteredAddress,
     /// Rollback was injected by the rollback-sensitivity experiment.
@@ -151,9 +136,7 @@ impl fmt::Display for SpecFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             SpecFailure::ReadConflict => "read conflict",
-            SpecFailure::LocalValidationFailed => "local validation failed",
             SpecFailure::BufferOverflow => "global buffer overflow",
-            SpecFailure::LocalBufferOverflow => "local buffer overflow",
             SpecFailure::UnregisteredAddress => "unregistered address",
             SpecFailure::Injected => "injected rollback",
             SpecFailure::Cascaded => "cascaded rollback",
@@ -184,10 +167,6 @@ mod tests {
     fn rollback_reasons_classify_every_failure() {
         assert_eq!(
             RollbackReason::from(SpecFailure::ReadConflict),
-            RollbackReason::Conflict
-        );
-        assert_eq!(
-            RollbackReason::from(SpecFailure::LocalValidationFailed),
             RollbackReason::Conflict
         );
         assert_eq!(

@@ -12,8 +12,6 @@
 //!   occurs.
 //! * [`GlobalBuffer`] — one such map with load/store redirection,
 //!   validation against the commit log and (masked) commit.
-//! * [`LocalBuffer`] — register variable transfer between parent and
-//!   speculative child threads at fork and join.
 //! * [`GlobalMemory`] — a word-addressable shared main-memory arena
 //!   (the "global address space") built from relaxed atomics so that the
 //!   benign read/write races inherent to speculation are well defined.
@@ -35,7 +33,6 @@ pub mod address_space;
 pub mod commit_log;
 pub mod error;
 pub mod global_buffer;
-pub mod local_buffer;
 pub mod memory;
 pub mod wordmap;
 mod zeroed;
@@ -48,6 +45,5 @@ pub use commit_log::{
 };
 pub use error::{BufferError, RollbackReason, SpecFailure};
 pub use global_buffer::{BufferConfig, BufferStats, GlobalBuffer, Validation};
-pub use local_buffer::{LocalBuffer, RegisterValue};
 pub use memory::{Addr, GPtr, GlobalMemory, MainMemory, WORD_BYTES};
 pub use wordmap::{WordEntry, WordMap};

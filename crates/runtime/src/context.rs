@@ -9,10 +9,9 @@
 //! of paper §IV-E/F.
 //!
 //! **Fork.**  A fork acquires an idle virtual CPU and queues the
-//! continuation for whichever OS thread is idle.  A *speculative* forker
-//! denied for want of a CPU keeps the request (`LateFork`): if the forker
-//! is promoted before the matching join, the CPU it frees takes the fork
-//! after all.
+//! continuation for whichever OS thread is idle.  A fork denied — for want
+//! of a CPU, by the forking model or by the governor — keeps nothing: its
+//! join runs the continuation inline, as the simulator's replay does.
 //!
 //! **Join.**  A speculative joiner blocks until its child stops.  The
 //! non-speculative thread does not: if the child is still running it asks
@@ -31,18 +30,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mutls_membuf::{
-    Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, LocalBuffer, RegisterValue, SpecFailure,
-    WORD_BYTES,
-};
+use mutls_membuf::{Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, SpecFailure, WORD_BYTES};
 
 use mutls_trace::{DenyPolicy, DoomSource};
 
 use crate::fork_model::ForkModel;
 use crate::ledger::Point;
-use crate::manager::{
-    CommitKind, Handoff, PromotedOutcome, SpecOutcome, SpecRequest, ThreadBuffers, ThreadManager,
-};
+use crate::manager::{CommitKind, Handoff, PromotedOutcome, SpecOutcome, ThreadManager};
 use crate::protocol::{self, Price};
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{
@@ -98,9 +92,6 @@ pub struct SpecHandle {
     model: ForkModel,
     /// True when the governor suppressed speculation at this fork point.
     throttled: bool,
-    /// Id of the [`LateFork`] a speculative forker kept when no CPU was
-    /// free: the join looks there for a child dispatched after all.
-    late: Option<u32>,
     /// When the fork point returned; the join measures S1 from it.  (Not
     /// from its start: waking a parked worker can preempt the forker
     /// inside the dispatch, which is no evidence of a long region.)
@@ -113,9 +104,7 @@ impl SpecHandle {
         self.point
     }
 
-    /// True if a speculative thread was launched at the fork point (a
-    /// fork denied there and dispatched late, after its forker's
-    /// promotion, still reads false).
+    /// True if a speculative thread was launched at the fork point.
     pub fn speculated(&self) -> bool {
         self.child.is_some()
     }
@@ -124,24 +113,6 @@ impl SpecHandle {
     pub fn throttled(&self) -> bool {
         self.throttled
     }
-}
-
-/// A fork a *speculative* thread was denied for want of a CPU, kept in
-/// case the thread is promoted before the matching join: the promotion
-/// frees the CPU the thread itself was holding, which is the one its own
-/// continuation fork just missed.
-struct LateFork {
-    id: u32,
-    point: u32,
-    model: ForkModel,
-    task: TaskRef<SpecContext>,
-    /// Register variables as they were at the fork point.
-    regvars: Vec<(usize, RegisterValue)>,
-    /// `children.len()` at the fork point: a child forked later is joined
-    /// earlier, so while one is live this fork cannot go on top of it.
-    children_at_fork: usize,
-    /// The child, once dispatched.
-    child: Option<Rank>,
 }
 
 /// A promoted context's way back to the joiner it displaced.
@@ -157,13 +128,7 @@ pub struct SpecContext {
     /// Global buffer — present only for speculative contexts; the
     /// non-speculative thread writes main memory directly.
     global: Option<GlobalBuffer>,
-    /// Local (register) buffer; present for every context so the
-    /// regvar transfer API is uniform.
-    local: LocalBuffer,
     children: Vec<Rank>,
-    /// Forks denied for want of a CPU while speculative, oldest first.
-    late_forks: Vec<LateFork>,
-    next_late_id: u32,
     stats: ThreadStats,
     /// Since when `stats` accounts for this thread's time: the start of
     /// the context, or its promotion.
@@ -186,21 +151,13 @@ pub struct SpecContext {
 }
 
 impl SpecContext {
-    fn new(
-        mgr: Arc<ThreadManager>,
-        rank: Rank,
-        global: Option<GlobalBuffer>,
-        local: LocalBuffer,
-    ) -> Self {
+    fn new(mgr: Arc<ThreadManager>, rank: Rank, global: Option<GlobalBuffer>) -> Self {
         let now = Instant::now();
         SpecContext {
             mgr,
             rank,
             global,
-            local,
             children: Vec::new(),
-            late_forks: Vec::new(),
-            next_late_id: 0,
             stats: ThreadStats::new(),
             started: now,
             last_mark: now,
@@ -214,24 +171,14 @@ impl SpecContext {
 
     /// Create the non-speculative (rank 0) context.
     pub(crate) fn non_speculative(mgr: Arc<ThreadManager>) -> Self {
-        let local = LocalBuffer::default();
-        Self::new(mgr, 0, None, local)
+        Self::new(mgr, 0, None)
     }
 
-    /// Create a speculative context for virtual CPU `rank`, installing the
-    /// register variables transferred from the parent.
-    pub(crate) fn speculative(
-        mgr: Arc<ThreadManager>,
-        rank: Rank,
-        regvars: Vec<(usize, RegisterValue)>,
-    ) -> Self {
-        let buffers = mgr.take_buffers(rank);
-        let mut local = buffers.local;
-        for (offset, value) in regvars {
-            // Offsets were validated on the parent side; ignore overflow.
-            let _ = local.set_regvar(offset, value);
-        }
-        Self::new(mgr, rank, Some(buffers.global), local)
+    /// Create a speculative context for virtual CPU `rank`, on the CPU's
+    /// own buffer.
+    pub(crate) fn speculative(mgr: Arc<ThreadManager>, rank: Rank) -> Self {
+        let buffer = mgr.take_buffer(rank);
+        Self::new(mgr, rank, Some(buffer))
     }
 
     /// Charge to `Work` whatever of `[started, now]` no phase has claimed.
@@ -246,12 +193,9 @@ impl SpecContext {
         self.close_books(Instant::now());
         SpecOutcome {
             status,
-            buffers: ThreadBuffers {
-                global: self
-                    .global
-                    .expect("only a speculative context deposits an outcome"),
-                local: self.local,
-            },
+            buffer: self
+                .global
+                .expect("only a speculative context deposits an outcome"),
             children: self.children,
             stats: self.stats,
             finished_at: Instant::now(),
@@ -312,20 +256,6 @@ impl SpecContext {
         self.mgr
             .register_range(ptr.base_addr(), (count as u64) * WORD_BYTES);
         ptr
-    }
-
-    /// Store a register variable so it is transferred
-    /// to children forked from this point on (`MUTLS_set_regvar_*`).
-    pub fn set_regvar(&mut self, offset: usize, value: RegisterValue) -> SpecResult<()> {
-        self.local
-            .set_regvar(offset, value)
-            .map_err(|_| failure(SpecFailure::LocalBufferOverflow))
-    }
-
-    /// Fetch a register variable transferred from the parent
-    /// (`MUTLS_get_regvar_*`).
-    pub fn get_regvar(&self, offset: usize) -> Option<RegisterValue> {
-        self.local.get_regvar(offset)
     }
 
     /// Per-thread statistics gathered so far (primarily for tests).
@@ -582,8 +512,7 @@ impl SpecContext {
     /// deposit as if it had never asked.
     ///
     /// On success the context is rank 0 from here on — `global` gone,
-    /// fresh (critical-path) statistics — but keeps its register variables and
-    /// its unjoined children: those read underneath this thread's
+    /// fresh (critical-path) statistics — but keeps its unjoined children: those read underneath this thread's
     /// write-set, which the commit just stamped into the log, so their
     /// own joins catch every stale read.  On a failed validation the task
     /// is doomed and unwinds like any conflict; its joiner's rollback and
@@ -602,14 +531,10 @@ impl SpecContext {
         let sync_started = Instant::now();
         self.close_books(sync_started);
         let global = self.global.take().expect("checked above");
-        // What a joiner would find deposited had the task ended here; the
-        // registers stay with the context, the CPU gets a fresh local buffer.
+        // What a joiner would find deposited had the task ended here.
         let mut outcome = SpecOutcome {
             status: TaskStatus::Completed,
-            buffers: ThreadBuffers {
-                global,
-                local: LocalBuffer::default(),
-            },
+            buffer: global,
             children: Vec::new(),
             stats: std::mem::take(&mut self.stats),
             finished_at: sync_started,
@@ -620,7 +545,7 @@ impl SpecContext {
         let kind = match verdict {
             Ok(kind) => kind,
             Err(reason) => {
-                self.global = Some(outcome.buffers.global);
+                self.global = Some(outcome.buffer);
                 self.stats = outcome.stats;
                 self.settled = true;
                 self.mgr.doom_hard(rank);
@@ -640,46 +565,7 @@ impl SpecContext {
         self.started = promoted_at;
         self.last_mark = promoted_at;
         self.promotion = Some(Promotion { handoff, kind });
-        self.dispatch_late_fork();
         Ok(())
-    }
-
-    /// Right after a promotion: the CPU this thread held is free, so the
-    /// newest fork it was denied for want of one — its own continuation,
-    /// whose join is still ahead — is dispatched after all, unless a
-    /// younger child is live (see [`LateFork::children_at_fork`]).
-    fn dispatch_late_fork(&mut self) {
-        let live = self.children.len();
-        let Some(late) = self
-            .late_forks
-            .last_mut()
-            .filter(|late| live <= late.children_at_fork)
-        else {
-            return;
-        };
-        let fork_started = Instant::now();
-        let Ok(child) = self.mgr.try_acquire_cpu(0, late.model) else {
-            return;
-        };
-        late.child = Some(child);
-        let (point, model) = (late.point, late.model);
-        let request = SpecRequest {
-            task: Arc::clone(&late.task),
-            regvars: std::mem::take(&mut late.regvars),
-        };
-        self.launch(child, point, model, request);
-        self.end_overhead(Phase::Fork, fork_started);
-    }
-
-    /// Dispatch `request` to the acquired CPU `child` and push it on the
-    /// children stack.
-    fn launch(&mut self, child: Rank, point: u32, model: ForkModel, request: SpecRequest) {
-        // The event goes on the child's lane, *before* the dispatch: the
-        // queue push orders this write before anything the child emits,
-        // keeping the ring single-producer.
-        self.observe(point, Point::SpecStart(child as u32));
-        self.mgr.dispatch(child, point, model, request);
-        self.children.push(child);
     }
 
     /// Step a speculative thread's access count and say whether the poll
@@ -706,7 +592,6 @@ impl SpecContext {
     fn map_buffer_error(err: BufferError) -> SpecAbort {
         match err {
             BufferError::OverflowFull => failure(SpecFailure::BufferOverflow),
-            BufferError::LocalBufferFull => failure(SpecFailure::LocalBufferOverflow),
             BufferError::UnregisteredAddress => failure(SpecFailure::UnregisteredAddress),
             // OverflowPending is handled inside the buffer; alignment and
             // size problems indicate a misuse of the typed API and map to
@@ -715,12 +600,6 @@ impl SpecContext {
             | BufferError::Misaligned
             | BufferError::UnsupportedSize => failure(SpecFailure::BufferOverflow),
         }
-    }
-
-    /// The thread's register variables, as a forked child receives
-    /// them (MUTLS_save_local / set_regvar on the parent side).
-    fn fork_regvars(&self) -> Vec<(usize, RegisterValue)> {
-        self.local.registers().iter().collect()
     }
 
     /// The handle of a fork point that launched nothing: the join runs
@@ -738,7 +617,6 @@ impl SpecContext {
             child: None,
             model,
             throttled,
-            late: None,
             forked_at: self.last_mark,
         }
     }
@@ -1033,20 +911,6 @@ impl SpecContext {
     fn has_idle_cpu(&self) -> bool {
         self.mgr.active_speculations() < self.mgr.config().num_cpus
     }
-
-    /// The child a fork point's [`LateFork`] was dispatched as, if it was;
-    /// either way the entry (and any younger one, whose join was skipped)
-    /// is done with.
-    fn resolve_late_fork(&mut self, id: u32) -> Option<Rank> {
-        let mut child = None;
-        while self.late_forks.last().is_some_and(|late| late.id >= id) {
-            let late = self.late_forks.pop().expect("just seen");
-            if late.id == id {
-                child = late.child;
-            }
-        }
-        child
-    }
 }
 
 impl TlsContext for SpecContext {
@@ -1140,34 +1004,18 @@ impl TlsContext for SpecContext {
                     self.observe(point, Point::ForkDenied(policy));
                 }
                 let throttled = policy == DenyPolicy::Governor;
-                let mut handle = self.inline_handle(point, task, model, throttled);
-                // Only a speculative thread can be promoted, and only a
-                // promotion frees a CPU for a fork that found none.
-                if policy == DenyPolicy::NoCpu && self.global.is_some() {
-                    let id = self.next_late_id;
-                    self.next_late_id += 1;
-                    self.late_forks.push(LateFork {
-                        id,
-                        point,
-                        model,
-                        task: Arc::clone(&handle.task),
-                        regvars: self.fork_regvars(),
-                        children_at_fork: self.children.len(),
-                        child: None,
-                    });
-                    handle.late = Some(id);
-                }
-                return Ok(handle);
+                return Ok(self.inline_handle(point, task, model, throttled));
             }
         };
         self.observe(point, Point::GovernorRuled(true));
 
         let fork_started = self.begin_overhead();
-        let request = SpecRequest {
-            task: Arc::clone(&task),
-            regvars: self.fork_regvars(),
-        };
-        self.launch(child, point, model, request);
+        // The event goes on the child's lane, *before* the dispatch: the
+        // queue push orders this write before anything the child emits,
+        // keeping the ring single-producer.
+        self.observe(point, Point::SpecStart(child as u32));
+        self.mgr.dispatch(child, point, model, Arc::clone(&task));
+        self.children.push(child);
         self.end_overhead(Phase::Fork, fork_started);
 
         Ok(SpecHandle {
@@ -1176,7 +1024,6 @@ impl TlsContext for SpecContext {
             child: Some(child),
             model,
             throttled: false,
-            late: None,
             forked_at: self.last_mark,
         })
     }
@@ -1188,13 +1035,10 @@ impl TlsContext for SpecContext {
             task,
             child,
             model,
-            late,
             forked_at,
             ..
         } = handle;
 
-        // A fork denied for want of a CPU may have been dispatched since.
-        let child = child.or_else(|| self.resolve_late_fork(late?));
         let Some(child) = child else {
             // Speculation never happened: execute the continuation inline.
             self.run_inline(&task)?;
@@ -1287,7 +1131,7 @@ mod tests {
         let addr = cell.addr_of(0);
         let deposit = |status: TaskStatus| {
             let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
-            let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child, Vec::new());
+            let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child);
             ctx.spec_read(addr).expect("registered address");
             assert!(mgr.deposit_outcome(child, ctx.into_outcome(status)));
             child
@@ -1324,35 +1168,49 @@ mod tests {
         assert_eq!(mgr.commit_log().commits(), 1, "quiescent again");
     }
 
-    /// The one evaluation that denies a fork also says why.  Hand-driven:
-    /// the first of two in-order threads is not the most speculative, and
-    /// with a CPU idle the model denies its fork — no promotion lifts that,
-    /// so nothing is kept for later; under the mixed model with every CPU
-    /// taken it is denied for want of one, and keeps the fork.
+    /// The one evaluation that denies a fork also says why, and a denied
+    /// fork runs at its join, whatever happened in between — as in the
+    /// replay.  Hand-driven: the first of two in-order threads is not the
+    /// most speculative, and with a CPU idle the model denies its fork;
+    /// under the mixed model with every CPU taken it is denied for want of
+    /// one.  The forker's promotion then frees its CPU, and the join still
+    /// runs the continuation inline.
     #[test]
-    fn a_model_denial_is_reported_as_one_and_arms_no_late_fork() {
+    fn a_denied_fork_is_reported_once_and_runs_inline_at_its_join() {
         use ForkModel::{InOrder, Mixed};
         let config = RuntimeConfig::with_cpus(3).memory_bytes(1 << 16);
         let mgr = ThreadManager::new(config.trace_events());
         let first = mgr.try_acquire_cpu(0, InOrder).expect("idle CPU");
         mgr.try_acquire_cpu(first, InOrder)
             .expect("the latest forks");
-        let mut ctx = SpecContext::speculative(Arc::clone(&mgr), first, Vec::new());
+        let mut ctx = SpecContext::speculative(Arc::clone(&mgr), first);
         let nothing = task(|_: &mut SpecContext| Ok(()));
 
-        let denied = ctx.fork_with_model(7, InOrder, Arc::clone(&nothing));
-        assert!(denied.is_ok_and(|handle| !handle.speculated() && handle.late.is_none()));
-        assert!(
-            ctx.late_forks.is_empty(),
-            "a model denial armed a late fork"
-        );
+        let model_denied = ctx.fork_with_model(7, InOrder, Arc::clone(&nothing));
+        let model_denied = model_denied.expect("a denial is no failure");
+        assert!(!model_denied.speculated());
 
         mgr.try_acquire_cpu(0, Mixed).expect("idle CPU");
-        let denied = ctx.fork_with_model(8, Mixed, nothing);
-        assert!(denied.is_ok_and(|handle| !handle.speculated() && handle.late.is_some()));
-        assert_eq!(ctx.late_forks.len(), 1);
-
+        let cell = mgr.memory().alloc::<u64>(1);
+        let continuation = task(move |ctx: &mut SpecContext| {
+            assert!(!ctx.is_speculative(), "run inline by the promoted joiner");
+            ctx.store(&cell, 0, 1)
+        });
+        let cpu_denied = ctx.fork_with_model(8, Mixed, continuation);
+        let cpu_denied = cpu_denied.expect("a denial is no failure");
+        assert!(!cpu_denied.speculated());
         assert_eq!(ctx.stats().counters.failed_forks, 2);
+
+        // Promoted at a joiner's request that pays: its CPU is free now.
+        mgr.post_sync(first, Arc::new(Handoff::new(u64::MAX)));
+        ctx.check_point().unwrap();
+        assert!(!ctx.is_speculative(), "the request was taken");
+        assert_eq!(mgr.active_speculations(), 2, "nothing took the freed CPU");
+        let joined = ctx.join(cpu_denied).unwrap();
+        assert_eq!(joined, JoinOutcome::NotSpeculated);
+        assert_eq!(mgr.memory().get(&cell, 0), 1);
+        assert_eq!(ctx.join(model_denied).unwrap(), JoinOutcome::NotSpeculated);
+
         let events = mgr.recorder().drain_events().into_iter();
         let denials: Vec<_> = events
             .filter_map(|event| match event.kind {
@@ -1370,7 +1228,7 @@ mod tests {
     fn a_stretch_books_on_its_side_and_a_promoted_one_books_nothing() {
         let mgr = ThreadManager::new(RuntimeConfig::with_cpus(1).memory_bytes(1 << 16));
         let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
-        let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child, Vec::new());
+        let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child);
         ctx.run_priced(7, |_| Ok(())).unwrap();
         assert_eq!(mgr.price(7), Price::default(), "not before the commit");
         // Promoted inside the next stretch, at a joiner's request that pays.
@@ -1395,7 +1253,7 @@ mod tests {
         let rank0 = SpecContext::non_speculative(Arc::clone(&mgr));
         assert_eq!(protocol::forker_share(64, 1, rank0.price_of(7)), 48);
         let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
-        let forker = SpecContext::speculative(Arc::clone(&mgr), child, Vec::new());
+        let forker = SpecContext::speculative(Arc::clone(&mgr), child);
         assert_eq!(forker.price_of(7), Price::default());
         assert_eq!(protocol::forker_share(64, 2, forker.price_of(7)), 64 / 3);
     }

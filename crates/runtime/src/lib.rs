@@ -58,7 +58,7 @@ pub use config::RuntimeConfig;
 pub use context::{SpecContext, SpecHandle};
 pub use direct::DirectContext;
 pub use fork_model::ForkModel;
-pub use manager::{CommitKind, RunTotals, SpecOutcome, ThreadBuffers, ThreadManager};
+pub use manager::{CommitKind, RunTotals, SpecOutcome, ThreadManager};
 pub use runtime::Runtime;
 pub use stats::{Phase, RunReport, ThreadCounters, ThreadStats};
 pub use task::{
@@ -73,9 +73,7 @@ pub use mutls_adaptive::{
 
 // Re-export the buffering layer for downstream convenience.
 pub use mutls_membuf as membuf;
-pub use mutls_membuf::{
-    Addr, CommitLog, GPtr, GlobalMemory, RegisterValue, RollbackReason, SpecFailure,
-};
+pub use mutls_membuf::{Addr, CommitLog, GPtr, GlobalMemory, RollbackReason, SpecFailure};
 
 // Re-export the flight recorder so harnesses can configure tracing and
 // consume drained events without naming the leaf crate.

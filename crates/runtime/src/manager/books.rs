@@ -76,7 +76,7 @@ impl ThreadManager {
     fn discard(&self, rank: Rank, mut outcome: SpecOutcome) {
         // Dead registrations only cause spurious dooms.
         self.commit_log
-            .unregister_reader(outcome.buffers.global.read_addresses(), rank);
+            .unregister_reader(outcome.buffer.read_addresses(), rank);
         let (site, model) = self.slots[rank - 1].launch_info();
         self.observe(rank, site, &mut outcome.stats.counters, Point::Cascaded);
         self.close_books(rank, site, model, outcome, Err(SpecFailure::Cascaded));
@@ -113,7 +113,7 @@ impl ThreadManager {
     /// Close the books of a thread whose fate is known — the one place a
     /// finished thread is accounted for, whether it was joined, promoted,
     /// adopted or discarded: book a committed thread's `fork_range` prices,
-    /// park its buffers for its CPU's next task
+    /// park its buffer for its CPU's next task
     /// (finalization is charged to the speculative path, as in the
     /// paper's breakdown), reclassify a rolled-back thread's work as
     /// wasted, feed the verdict to the governor's site profile — with the
@@ -134,7 +134,7 @@ impl ThreadManager {
             }
         }
         let finalize_started = Instant::now();
-        self.return_buffers(rank, outcome.buffers);
+        self.return_buffer(rank, outcome.buffer);
         let mut stats = outcome.stats;
         stats.add(Phase::Finalize, elapsed_ns(finalize_started));
         let thread = Retirement {

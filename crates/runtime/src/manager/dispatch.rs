@@ -26,19 +26,11 @@
 
 use super::*;
 
-/// A dispatch request for a speculative task.
-pub struct SpecRequest {
-    /// The continuation closure to execute.
-    pub task: TaskRef<SpecContext>,
-    /// Register variables transferred from the parent at fork time
-    /// (offset, raw value), installed in the child's bottom frame.
-    pub regvars: Vec<(usize, mutls_membuf::RegisterValue)>,
-}
-
 impl ThreadManager {
-    /// Dispatch a speculative task to an acquired CPU.  `site` and `model`
-    /// identify the fork point and forking model for governor feedback.
-    pub fn dispatch(&self, rank: Rank, site: SiteId, model: ForkModel, request: SpecRequest) {
+    /// Dispatch the continuation `task` to an acquired CPU.  `site` and
+    /// `model` identify the fork point and forking model for governor
+    /// feedback.
+    pub fn dispatch(&self, rank: Rank, site: SiteId, model: ForkModel, task: TaskRef<SpecContext>) {
         let slot = &self.slots[rank - 1];
         slot.site.store(site, Ordering::Relaxed);
         slot.model.store(model.index() as u8, Ordering::Relaxed);
@@ -46,7 +38,7 @@ impl ThreadManager {
         self.governor.record_fork(site);
         let dispatch = &self.dispatch;
         let mut queue = dispatch.queue.lock();
-        queue.tasks.push_back((rank, request));
+        queue.tasks.push_back((rank, task));
         dispatch.queued.fetch_add(1, Ordering::Release);
         let wake = queue.sleepers > 0;
         drop(queue);
@@ -65,7 +57,10 @@ impl ThreadManager {
     /// then parked (the paper's flag barrier).  `None` once `done()`
     /// holds or the runtime shuts down; `done` must only turn true through
     /// [`hand_back`](Self::hand_back), which wakes the sleepers.
-    pub(super) fn next_task(&self, done: impl Fn() -> bool) -> Option<(Rank, SpecRequest)> {
+    pub(super) fn next_task(
+        &self,
+        done: impl Fn() -> bool,
+    ) -> Option<(Rank, TaskRef<SpecContext>)> {
         let dispatch = &self.dispatch;
         let deadline = Instant::now() + IDLE_SPIN;
         while dispatch.queued.load(Ordering::Acquire) == 0 && !done() && Instant::now() < deadline {
@@ -93,15 +88,15 @@ impl ThreadManager {
 
     /// Run one dispatched task to its end on the calling OS thread: a
     /// worker's, or a displaced joiner's.
-    pub(super) fn run_task(self: &Arc<Self>, rank: Rank, request: SpecRequest) {
+    pub(super) fn run_task(self: &Arc<Self>, rank: Rank, task: TaskRef<SpecContext>) {
         let slot = &self.slots[rank - 1];
         let handoff = self
             .trace_now_ns()
             .saturating_sub(slot.forked_ns.load(Ordering::Relaxed));
         self.fastest_handoff_ns
             .fetch_min(handoff.max(1), Ordering::Relaxed);
-        let mut ctx = SpecContext::speculative(Arc::clone(self), rank, request.regvars);
-        let status = match (request.task)(&mut ctx) {
+        let mut ctx = SpecContext::speculative(Arc::clone(self), rank);
+        let status = match task(&mut ctx) {
             Ok(()) => TaskStatus::Completed,
             Err(SpecAbort::BarrierReached) => TaskStatus::Barrier,
             Err(SpecAbort::Failed(reason)) => TaskStatus::Failed(reason),
@@ -113,7 +108,7 @@ impl ThreadManager {
 /// Loop of the `num_cpus` OS threads [`Runtime`](crate::Runtime) spawns:
 /// run dispatched tasks until shutdown.
 pub(crate) fn worker_loop(mgr: Arc<ThreadManager>) {
-    while let Some((rank, request)) = mgr.next_task(|| false) {
-        mgr.run_task(rank, request);
+    while let Some((rank, task)) = mgr.next_task(|| false) {
+        mgr.run_task(rank, task);
     }
 }

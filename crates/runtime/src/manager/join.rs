@@ -15,8 +15,8 @@ use super::*;
 pub struct SpecOutcome {
     /// How the task stopped.
     pub status: TaskStatus,
-    /// The task's buffers (taken by the joiner for validation/commit).
-    pub buffers: ThreadBuffers,
+    /// The task's buffer (taken by the joiner for validation/commit).
+    pub buffer: GlobalBuffer,
     /// Ranks of children the task forked but never joined.
     pub children: Vec<Rank>,
     /// The task's accumulated statistics.
@@ -25,7 +25,7 @@ pub struct SpecOutcome {
     /// as speculative idle).
     pub finished_at: Instant,
     /// The task already ran [`ThreadManager::validate_and_commit`] on
-    /// these buffers itself — a promotion attempt that failed — so the
+    /// this buffer itself — a promotion attempt that failed — so the
     /// `Failed` status *is* the verdict: it is traced, its readers are
     /// unregistered and its precise passes counted.  The joiner rolls back
     /// without validating a second time.
@@ -178,13 +178,13 @@ impl ThreadManager {
     }
 
     /// Validate a finished child and either publish, retry or discard its
-    /// buffers — the join half of the **recovery engine**, which picks the
+    /// buffer — the join half of the **recovery engine**, which picks the
     /// cheapest sound repair per conflict (the README's decision table).
     ///
     /// `child` is the virtual CPU the task ran on (0 in unit tests that
     /// drive the protocol by hand); `parent_buffer` is `Some` when the
     /// joiner is itself speculative, in which case a valid child is
-    /// *absorbed* into the parent's buffers instead of being committed to
+    /// *absorbed* into the parent's buffer instead of being committed to
     /// main memory.
     ///
     /// Validation is the real dependence check of paper §IV-F: every
@@ -244,7 +244,7 @@ impl ThreadManager {
             note(outcome, Point::RolledBack { reason, plan });
             reason
         };
-        let ranges = outcome.buffers.global.read_set_len() as u32;
+        let ranges = outcome.buffer.read_set_len() as u32;
         note(outcome, Point::ValidateBegin(ranges));
 
         let failure = match outcome.status {
@@ -256,9 +256,9 @@ impl ThreadManager {
             // cause spurious dooms from here on.  In-flight doom-watch
             // revalidations may still have precise-passed before the final
             // failure — keep those counted.
-            let precise = outcome.buffers.global.stats().precise_passes;
+            let precise = outcome.buffer.stats().precise_passes;
             self.commit_log
-                .unregister_reader(outcome.buffers.global.read_addresses(), child);
+                .unregister_reader(outcome.buffer.read_addresses(), child);
             let took = elapsed_ns(started);
             outcome.stats.add(Phase::Validation, took);
             let verdict = dead(reason);
@@ -275,10 +275,7 @@ impl ThreadManager {
         // Dependence validation against the commit log (range grain,
         // classifying suspected false sharing), plus the parent write-set
         // overlay when the joiner is speculative.
-        let log_verdict = outcome
-            .buffers
-            .global
-            .validate_against_with(&self.commit_log, mem);
+        let log_verdict = outcome.buffer.validate_against_with(&self.commit_log, mem);
         let mut retried = false;
         let log_valid = match log_verdict {
             Validation::Valid => true,
@@ -286,10 +283,7 @@ impl ThreadManager {
                 // Recovery rung 1 — value prediction: the current
                 // committed values validate the reads, so the execution
                 // is equivalent to one that read after those commits.
-                retried = outcome
-                    .buffers
-                    .global
-                    .revalidate_by_value(&self.commit_log, mem);
+                retried = outcome.buffer.revalidate_by_value(&self.commit_log, mem);
                 retried
             }
         };
@@ -299,8 +293,7 @@ impl ThreadManager {
             && match &parent_buffer {
                 None => true,
                 Some(parent) => outcome
-                    .buffers
-                    .global
+                    .buffer
                     .validate_view(|addr| parent.overlay(mem, addr)),
             };
         let took = elapsed_ns(started);
@@ -308,7 +301,7 @@ impl ThreadManager {
         // Single capture point for the buffer's ring-precision counter:
         // it covers both this join-time validation and any in-flight
         // doom-watch revalidations the thread survived along the way.
-        let precise_total = outcome.buffers.global.stats().precise_passes;
+        let precise_total = outcome.buffer.stats().precise_passes;
         let facts = JoinFacts {
             dead: None,
             valid,
@@ -335,11 +328,11 @@ impl ThreadManager {
         note(outcome, validated);
         if verdict.rollback.is_some() {
             self.commit_log
-                .unregister_reader(outcome.buffers.global.read_addresses(), child);
+                .unregister_reader(outcome.buffer.read_addresses(), child);
             // Recovery rung 2 — the re-execution will rewrite the
             // child's write ranges; doom their registered readers now
             // instead of letting them burn their whole conflict window.
-            let victims = self.doom_readers(outcome.buffers.global.write_addresses(), child);
+            let victims = self.doom_readers(outcome.buffer.write_addresses(), child);
             let source = DoomSource::Rollback;
             note(outcome, Point::Doomed { source, victims });
             return Err(roll_back(outcome, verdict));
@@ -349,7 +342,7 @@ impl ThreadManager {
         // §V-D (`RuntimeConfig::rollback_probability` above zero).
         if self.draw_injected_rollback() {
             self.commit_log
-                .unregister_reader(outcome.buffers.global.read_addresses(), child);
+                .unregister_reader(outcome.buffer.read_addresses(), child);
             return Err(roll_back(outcome, dead(SpecFailure::Injected)));
         }
 
@@ -364,22 +357,20 @@ impl ThreadManager {
                 // The child's own registrations die before its writes
                 // publish, so an RMW thread never dooms itself.
                 self.commit_log
-                    .unregister_reader(outcome.buffers.global.read_addresses(), child);
-                outcome.buffers.global.commit(mem);
-                if outcome.buffers.global.write_set_len() > 0 {
+                    .unregister_reader(outcome.buffer.read_addresses(), child);
+                outcome.buffer.commit(mem);
+                if outcome.buffer.write_set_len() > 0 {
                     let stamp_started = Instant::now();
-                    self.commit_log
-                        .record(outcome.buffers.global.write_addresses());
+                    self.commit_log.record(outcome.buffer.write_addresses());
                     note(outcome, Point::CommitStamped(elapsed_ns(stamp_started)));
-                    let victims =
-                        self.doom_readers(outcome.buffers.global.write_addresses(), child);
+                    let victims = self.doom_readers(outcome.buffer.write_addresses(), child);
                     let source = DoomSource::Commit;
                     note(outcome, Point::Doomed { source, victims });
                 }
                 Ok(())
             }
             Some(parent) => {
-                let absorbed = parent.absorb(&outcome.buffers.global);
+                let absorbed = parent.absorb(&outcome.buffer);
                 match absorbed {
                     Ok(()) => {
                         // The child's read dependences became the
@@ -389,7 +380,7 @@ impl ThreadManager {
                         // discarded and the parent must not inherit
                         // registrations for ranges it never read.
                         self.commit_log.transfer_reader(
-                            outcome.buffers.global.read_addresses(),
+                            outcome.buffer.read_addresses(),
                             child,
                             parent.reader(),
                         );
@@ -398,7 +389,7 @@ impl ThreadManager {
                         // The child is about to be discarded; its
                         // registrations are dead.
                         self.commit_log
-                            .unregister_reader(outcome.buffers.global.read_addresses(), child);
+                            .unregister_reader(outcome.buffer.read_addresses(), child);
                     }
                 }
                 absorbed

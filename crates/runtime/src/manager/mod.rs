@@ -35,8 +35,8 @@ use rand::SeedableRng;
 
 use mutls_adaptive::{Governor, SiteId};
 use mutls_membuf::{
-    Addr, AddressSpace, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, LocalBuffer,
-    MainMemory, RollbackReason, SpecFailure, Validation,
+    Addr, AddressSpace, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, MainMemory,
+    RollbackReason, SpecFailure, Validation,
 };
 use mutls_metrics::MetricsHub;
 use mutls_trace::{DenyPolicy, DoomSource, Recorder};
@@ -61,14 +61,12 @@ mod tests;
 
 pub use books::RunTotals;
 pub(crate) use dispatch::worker_loop;
-pub use dispatch::SpecRequest;
 pub use join::{CommitKind, SpecOutcome};
-pub use slots::ThreadBuffers;
 pub(crate) use sync::{Handoff, PromotedOutcome};
 
 /// Tasks dispatched to a virtual CPU and not yet started by an OS thread.
 struct DispatchQueue {
-    tasks: VecDeque<(Rank, SpecRequest)>,
+    tasks: VecDeque<(Rank, TaskRef<SpecContext>)>,
     /// Threads parked on [`Dispatch::wake`]: a push or a hand-back only
     /// pays for a wake-up when somebody sleeps.
     sleepers: usize,
@@ -140,9 +138,9 @@ pub(crate) struct Slot {
     /// Bumped after every deposit and promotion, so a joiner can spin on
     /// it without taking `result`'s lock.
     signals: AtomicU64,
-    /// This CPU's buffers while no task holds them (see
-    /// [`ThreadBuffers`]); `None` until the CPU's first speculation.
-    buffers: Mutex<Option<ThreadBuffers>>,
+    /// This CPU's buffer while no task holds it (see `slots.rs`); `None`
+    /// until the CPU's first speculation.
+    buffer: Mutex<Option<GlobalBuffer>>,
 }
 
 impl Slot {
@@ -163,7 +161,7 @@ impl Slot {
             result: Mutex::new(None),
             result_cv: Condvar::new(),
             signals: AtomicU64::new(0),
-            buffers: Mutex::new(None),
+            buffer: Mutex::new(None),
         }
     }
 
@@ -222,8 +220,8 @@ pub struct ThreadManager {
     exposed: AtomicUsize,
     accum: Mutex<RunTotals>,
     rng: Mutex<SmallRng>,
-    /// [`ThreadBuffers`] built since construction (diagnostics): at most
-    /// one per virtual CPU while every outcome's buffers are returned.
+    /// Buffers built since construction (diagnostics): at most one per
+    /// virtual CPU while every outcome's buffer is returned.
     buffers_created: AtomicUsize,
     /// Fork clock: source of the per-slot logical-rank stamps.  Starts at
     /// 1 so stamp 0 uniquely means "the non-speculative thread" (rank 0),

@@ -4,13 +4,13 @@
 //! # Virtual CPUs, OS threads and the non-speculative role
 //!
 //! A virtual CPU (rank 1..=N) is a *slot*: status flags, the sync-request
-//! mailbox, the CPU's buffers while no task holds them (see
-//! [`ThreadBuffers`]) and — once its task finishes — the outcome: those
-//! buffers, the statistics and the list of unjoined children.  A slot is
+//! mailbox, the CPU's buffer while no task holds it (see "A CPU's
+//! buffer" below) and — once its task finishes — the outcome: that
+//! buffer, the statistics and the list of unjoined children.  A slot is
 //! what a fork acquires and a join releases; it is **not** an OS thread.
 //! The runtime has N + 1 OS threads — the N workers [`Runtime`] spawns and
 //! the caller of `run` — and **any of them whose top frame is idle runs
-//! any dispatched task**: forks push `(rank, request)` on one dispatch
+//! any dispatched task**: forks push `(rank, task)` on one dispatch
 //! queue, and idle threads pop from it.
 //!
 //! Rank 0 is not a thread either but a *role*, the non-speculative thread
@@ -27,94 +27,75 @@
 //! *displaced*: until the promoted closure returns and
 //! hands the role back (`hand_back`) it serves the dispatch queue like a
 //! worker (`serve_until_handed_back`).
-//! The first task it finds there is usually the promoted child's own
-//! continuation: a fork the child was denied an instant earlier, *because
-//! it held the last CPU itself*, is dispatched late on the CPU the
-//! promotion freed.  That is how a loop of 64 chunks runs two at a time on
-//! one speculative CPU: the role ping-pongs between the two OS threads,
-//! one chunk each.  A promotion whose validation fails dooms the child,
-//! which unwinds like any conflict; the joiner's rollback-and-re-execute
-//! path is the only recovery.
+//! The first task it finds there is usually the promoted child's next
+//! tail: the promotion freed the CPU the child held, so the child's
+//! [`fork_range`](crate::TlsContext::fork_range) walk finds it idle at its
+//! next iteration boundary and forks the tail of what is left there.  That
+//! is how a range of long chunks keeps both OS threads busy on one
+//! speculative CPU.  A fork denied for want of a CPU is not kept for such a
+//! moment: its join runs the continuation inline, as the replay does.  A
+//! promotion whose validation fails dooms the child, which unwinds like
+//! any conflict; the joiner's rollback-and-re-execute path is the only
+//! recovery.
+//!
+//! # A CPU's buffer
+//!
+//! A CPU's [`GlobalBuffer`] is built once, at its first speculation, and
+//! from then on is always in exactly one place:
+//!
+//! 1. *idle CPU* — parked, cleared, in the CPU's slot;
+//! 2. *running context* — `SpecContext::speculative` takes it when an OS
+//!    thread starts a task, building it if the CPU never speculated;
+//! 3. *deposited outcome* — the finished task's [`SpecOutcome`] carries it
+//!    (read set, write set and all) to whoever consumes it;
+//! 4. *back* — every path that consumes or discards an outcome (join,
+//!    `adopt_subtree`, `reap_subtree`, `drain_subtree`, an orphaned
+//!    deposit), and a task that is promoted, hands it to
+//!    [`ThreadManager::return_buffer`], which clears and parks it
+//!    **before** the CPU is released, so the CPU's next task finds it.
+//!
+//! Because a buffer never changes CPU, the rank it registers its reads
+//! under is always the rank of the CPU running it.
 //!
 //! [`Runtime`]: crate::Runtime
 
 use super::*;
 
-/// The buffers of one virtual CPU, reused by every task that runs on it.
-///
-/// **Ownership.**  A CPU's buffers are built once, at its first
-/// speculation, and from then on are always in exactly one place:
-///
-/// 1. *idle CPU* — parked, cleared, in the CPU's slot;
-/// 2. *running context* — `SpecContext::speculative` takes them when an
-///    OS thread starts a task, building them if the CPU never speculated;
-/// 3. *deposited outcome* — the finished task's [`SpecOutcome`] carries
-///    them (read set, write set and all) to whoever consumes it;
-/// 4. *back* — every path that consumes or discards an outcome (join,
-///    `adopt_subtree`, `reap_subtree`, `drain_subtree`, an orphaned
-///    deposit), and a task that is promoted, hands them to
-///    [`ThreadManager::return_buffers`], which clears and parks them
-///    **before** the CPU is released, so the CPU's next task finds them.
-///
-/// Because buffers never change CPU, the rank a [`GlobalBuffer`] registers
-/// its reads under is always the rank of the CPU running it.
-#[derive(Debug)]
-pub struct ThreadBuffers {
-    /// Buffered global (static/heap) accesses.
-    pub global: GlobalBuffer,
-    /// Buffered local (register) variables.
-    pub local: LocalBuffer,
-}
-
-impl ThreadBuffers {
-    /// Empty buffers for virtual CPU `rank`, whose global buffer registers
-    /// its first-touch reads under that rank.
-    pub(super) fn new(config: &RuntimeConfig, rank: Rank) -> Self {
-        ThreadBuffers {
-            global: GlobalBuffer::for_reader(config.buffer, rank),
-            local: LocalBuffer::default(),
-        }
-    }
-
-    /// Whether nothing of an earlier task is left behind.
-    pub(super) fn is_clean(&self) -> bool {
-        let global = &self.global;
-        !global.overflow_pending()
-            && global.read_set_len() == 0
-            && global.write_set_len() == 0
-            && global.stats() == BufferStats::default()
-            && self.local.registers().occupied() == 0
-    }
+/// Whether nothing of an earlier task is left in `buffer`.
+pub(super) fn is_clean(buffer: &GlobalBuffer) -> bool {
+    !buffer.overflow_pending()
+        && buffer.read_set_len() == 0
+        && buffer.write_set_len() == 0
+        && buffer.stats() == BufferStats::default()
 }
 
 impl ThreadManager {
-    /// Number of [`ThreadBuffers`] built since construction.
+    /// Number of buffers built since construction.
     pub fn buffers_created(&self) -> usize {
         self.buffers_created.load(Ordering::Relaxed)
     }
 
-    /// Take virtual CPU `rank`'s buffers for the task it is about to run,
-    /// building them if this is the CPU's first speculation (so a runtime
-    /// that never speculates on a CPU never pays for its buffers).
-    pub(crate) fn take_buffers(&self, rank: Rank) -> ThreadBuffers {
-        let parked = self.slots[rank - 1].buffers.lock().take();
-        let buffers = parked.unwrap_or_else(|| {
+    /// Take virtual CPU `rank`'s buffer for the task it is about to run,
+    /// building it if this is the CPU's first speculation (so a runtime
+    /// that never speculates on a CPU never pays for its buffer).
+    pub(crate) fn take_buffer(&self, rank: Rank) -> GlobalBuffer {
+        let parked = self.slots[rank - 1].buffer.lock().take();
+        let buffer = parked.unwrap_or_else(|| {
             self.buffers_created.fetch_add(1, Ordering::Relaxed);
-            ThreadBuffers::new(&self.config, rank)
+            GlobalBuffer::for_reader(self.config.buffer, rank)
         });
-        debug_assert!(buffers.is_clean(), "rank {rank}: dirty buffers handed out");
-        debug_assert_eq!(buffers.global.reader(), rank, "buffers changed CPU");
-        buffers
+        debug_assert!(is_clean(&buffer), "rank {rank}: dirty buffer handed out");
+        debug_assert_eq!(buffer.reader(), rank, "buffer changed CPU");
+        buffer
     }
 
-    /// Clear the buffers a finished task of virtual CPU `rank` left behind
-    /// and park them for the CPU's next task.  Must run before
+    /// Clear the buffer a finished task of virtual CPU `rank` left behind
+    /// and park it for the CPU's next task.  Must run before
     /// [`release_cpu`](Self::release_cpu), or that task could start
-    /// without them.
-    pub fn return_buffers(&self, rank: Rank, mut buffers: ThreadBuffers) {
-        buffers.global.clear();
-        buffers.local.clear();
-        *self.slots[rank - 1].buffers.lock() = Some(buffers);
+    /// without it.
+    pub fn return_buffer(&self, rank: Rank, mut buffer: GlobalBuffer) {
+        buffer.clear();
+        *self.slots[rank - 1].buffer.lock() = Some(buffer);
     }
 
     /// Number of speculative threads currently in flight.

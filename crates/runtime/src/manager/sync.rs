@@ -3,8 +3,8 @@
 //!
 //! # Synchronize only when it pays
 //!
-//! A promotion costs two hand-offs on the critical path (the late fork's
-//! dispatch, the hand-back), its own bookkeeping, and validating,
+//! A promotion costs two hand-offs on the critical path (the freed CPU's
+//! next dispatch, the hand-back), its own bookkeeping, and validating,
 //! committing and clearing every buffered entry; and the displaced
 //! thread's fresh task pays its first-touch loads again.  What it buys is
 //! overlap for as long as the region after the join resembles the one
@@ -97,7 +97,7 @@ pub(crate) struct PromotedOutcome {
 impl ThreadManager {
     /// Estimated cost of synchronizing a task that buffers `entries`
     /// words: the two hand-offs a promotion puts on the critical path (the
-    /// late fork's dispatch and the hand-back), the promotion itself, and
+    /// freed CPU's next dispatch and the hand-back), the promotion itself, and
     /// validating, committing and clearing the entries — hand-off and
     /// per-entry cost as the runtime measured them.
     fn sync_cost_ns(&self, entries: usize) -> u64 {
@@ -178,8 +178,8 @@ impl ThreadManager {
     /// The displaced joiner's wait: serve dispatched tasks on this OS
     /// thread until the promoted closure hands the role back.
     pub(crate) fn serve_until_handed_back(self: &Arc<Self>, handoff: &Handoff) -> PromotedOutcome {
-        while let Some((rank, request)) = self.next_task(|| handoff.finished()) {
-            self.run_task(rank, request);
+        while let Some((rank, task)) = self.next_task(|| handoff.finished()) {
+            self.run_task(rank, task);
         }
         let outcome = handoff.result.lock().take();
         outcome.expect("a finished hand-off carries its outcome")

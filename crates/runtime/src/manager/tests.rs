@@ -92,11 +92,11 @@ fn injection_requires_the_sensitivity_mode() {
     assert!((300..700).contains(&hits), "{hits} of 1000 at p = 0.5");
 }
 
-/// A completed outcome wrapping `buffers`, ready for the join protocol.
-fn completed(buffers: ThreadBuffers) -> SpecOutcome {
+/// A completed outcome wrapping `buffer`, ready for the join protocol.
+fn completed(buffer: GlobalBuffer) -> SpecOutcome {
     SpecOutcome {
         status: TaskStatus::Completed,
-        buffers,
+        buffer,
         children: Vec::new(),
         stats: ThreadStats::new(),
         finished_at: Instant::now(),
@@ -105,17 +105,17 @@ fn completed(buffers: ThreadBuffers) -> SpecOutcome {
     }
 }
 
-/// Buffers for a hand-driven thread (rank 0 stands in for "some
+/// A buffer for a hand-driven thread (rank 0 stands in for "some
 /// writer" in the commit tests, so these bypass the per-CPU slots).
-fn fresh_buffers(m: &ThreadManager, rank: Rank) -> ThreadBuffers {
-    ThreadBuffers::new(m.config(), rank)
+fn fresh_buffer(m: &ThreadManager, rank: Rank) -> GlobalBuffer {
+    GlobalBuffer::for_reader(m.config().buffer, rank)
 }
 
 /// An empty outcome of the acquired CPU `rank`, stopped with `status`.
 fn stopped(m: &ThreadManager, rank: Rank, status: TaskStatus) -> SpecOutcome {
     SpecOutcome {
         status,
-        ..completed(m.take_buffers(rank))
+        ..completed(m.take_buffer(rank))
     }
 }
 
@@ -200,7 +200,7 @@ fn every_discard_path_ends_with_no_exposure() {
         assert_eq!(m.exposed_speculations(), 0, "adopt_subtree, {status:?}");
 
         assert_eq!(m.active_speculations(), 0);
-        // Each path above handed the buffers back before releasing
+        // Each path above handed the buffer back before releasing
         // the CPU, so no `stopped` ever had to build a second set.
         assert_eq!(m.buffers_created(), 2, "one per CPU, {status:?}");
         m.reset_run();
@@ -217,24 +217,18 @@ fn buffers_are_built_at_first_use_and_come_back_clean() {
     assert_eq!(m.buffers_created(), 0, "not before a CPU speculates");
     let mem = Arc::clone(m.memory());
     let data = mem.alloc::<u64>(64);
-    let mut dirty = m.take_buffers(2);
+    let mut dirty = m.take_buffer(2);
     // More words than the map's 32 slots.
     for i in 0..40 {
         let addr = data.addr_of(i);
-        let _ = dirty
-            .global
-            .load_logged(&*mem, Some(m.commit_log()), addr, 8);
-        let _ = dirty.global.store(addr, 1, 8);
+        let _ = dirty.load_logged(&*mem, Some(m.commit_log()), addr, 8);
+        let _ = dirty.store(addr, 1, 8);
     }
-    dirty
-        .local
-        .set_regvar(3, mutls_membuf::RegisterValue::Int(7))
-        .unwrap();
-    assert!(dirty.global.overflow_pending() && !dirty.is_clean());
-    m.return_buffers(2, dirty);
-    let again = m.take_buffers(2);
-    assert!(again.is_clean());
-    assert_eq!(again.global.reader(), 2, "still bound to its CPU");
+    assert!(dirty.overflow_pending() && !slots::is_clean(&dirty));
+    m.return_buffer(2, dirty);
+    let again = m.take_buffer(2);
+    assert!(slots::is_clean(&again));
+    assert_eq!(again.reader(), 2, "still bound to its CPU");
     assert_eq!(m.buffers_created(), 1);
 }
 
@@ -246,9 +240,8 @@ fn validate_and_commit_detects_a_real_predecessor_write() {
     mem.set(&cell, 0, 7);
 
     // A speculative child reads the cell…
-    let mut buffers = fresh_buffers(&m, 1);
-    let value = buffers
-        .global
+    let mut buffer = fresh_buffer(&m, 1);
+    let value = buffer
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
     assert_eq!(value, 7);
@@ -258,7 +251,7 @@ fn validate_and_commit_detects_a_real_predecessor_write() {
     mem.set(&cell, 0, 8);
     m.commit_log().record_word(cell.addr_of(0));
 
-    let mut outcome = completed(buffers);
+    let mut outcome = completed(buffer);
     assert_eq!(
         m.validate_and_commit(1, &mut outcome, None),
         Err(SpecFailure::ReadConflict)
@@ -272,9 +265,9 @@ fn validate_and_commit_publishes_writes_into_the_log() {
     let mem = Arc::clone(m.memory());
     let cell = mem.alloc::<u64>(1);
 
-    let mut buffers = fresh_buffers(&m, 1);
-    buffers.global.store(cell.addr_of(0), 42, 8).unwrap();
-    let mut outcome = completed(buffers);
+    let mut buffer = fresh_buffer(&m, 1);
+    buffer.store(cell.addr_of(0), 42, 8).unwrap();
+    let mut outcome = completed(buffer);
     let epoch_before = m.commit_log().epoch();
     assert_eq!(
         m.validate_and_commit(1, &mut outcome, None),
@@ -293,19 +286,18 @@ fn value_predict_retry_commits_without_reexecution() {
     let cell = mem.alloc::<u64>(2);
     mem.set(&cell, 0, 7);
 
-    let mut buffers = fresh_buffers(&m, 1);
-    let _ = buffers
-        .global
+    let mut buffer = fresh_buffer(&m, 1);
+    let _ = buffer
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
-    buffers.global.store(cell.addr_of(1), 9, 8).unwrap();
+    buffer.store(cell.addr_of(1), 9, 8).unwrap();
 
     // A predecessor commits the *same* value (ABA / false sharing):
     // version validation conflicts, value prediction repairs it.
     mem.set(&cell, 0, 7);
     m.commit_log().record_word(cell.addr_of(0));
 
-    let mut outcome = completed(buffers);
+    let mut outcome = completed(buffer);
     assert_eq!(
         m.validate_and_commit(1, &mut outcome, None),
         Ok(CommitKind::Retried)
@@ -325,20 +317,18 @@ fn commit_dooms_exactly_the_registered_readers() {
 
     // `reader` reads word 0 (registering); `bystander` reads word 32 —
     // far enough to be a different range even at line grain.
-    let mut reader_buf = fresh_buffers(&m, reader);
+    let mut reader_buf = fresh_buffer(&m, reader);
     let _ = reader_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
-    let mut bystander_buf = fresh_buffers(&m, bystander);
+    let mut bystander_buf = fresh_buffer(&m, bystander);
     let _ = bystander_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(32), 8)
         .unwrap();
 
     // A third thread commits a write covering word 0.
-    let mut writer = fresh_buffers(&m, 0);
-    writer.global.store(cell.addr_of(0), 5, 8).unwrap();
+    let mut writer = fresh_buffer(&m, 0);
+    writer.store(cell.addr_of(0), 5, 8).unwrap();
     let mut outcome = completed(writer);
     assert_eq!(
         m.validate_and_commit(0, &mut outcome, None),
@@ -368,9 +358,8 @@ fn commit_dooms_a_reader_past_the_registry_bitmask_and_spares_an_older_one() {
         .collect();
     assert_eq!(ranks, (1..=70).collect::<Vec<Rank>>());
     let read_as = |rank: Rank| {
-        let mut buffers = fresh_buffers(&m, rank);
-        let _ = buffers
-            .global
+        let mut buffer = fresh_buffer(&m, rank);
+        let _ = buffer
             .load_logged(&*mem, Some(m.commit_log()), addr, 8)
             .unwrap();
     };
@@ -381,8 +370,8 @@ fn commit_dooms_a_reader_past_the_registry_bitmask_and_spares_an_older_one() {
     // Rank 0 — logically earliest — commits the word: both readers
     // are stale, the spilled one included.
     let commit_as = |rank: Rank| {
-        let mut writer = fresh_buffers(&m, rank);
-        writer.global.store(addr, 5, 8).unwrap();
+        let mut writer = fresh_buffer(&m, rank);
+        writer.store(addr, 5, 8).unwrap();
         let mut outcome = completed(writer);
         assert_eq!(
             m.validate_and_commit(rank, &mut outcome, None),
@@ -419,14 +408,12 @@ fn commit_spares_logically_older_readers() {
     let successor = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
 
     // Both bystanders read the word the writer will commit.
-    let mut pred_buf = fresh_buffers(&m, predecessor);
+    let mut pred_buf = fresh_buffer(&m, predecessor);
     let _ = pred_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
-    let mut succ_buf = fresh_buffers(&m, successor);
+    let mut succ_buf = fresh_buffer(&m, successor);
     let _ = succ_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
 
@@ -439,14 +426,13 @@ fn commit_spares_logically_older_readers() {
 
     // The writer's own rollback dooms through the same filter: the
     // readers of the ranges its re-execution is about to rewrite.
-    let mut writer_buf = fresh_buffers(&m, writer);
-    writer_buf.global.store(cell.addr_of(0), 9, 8).unwrap();
+    let mut writer_buf = fresh_buffer(&m, writer);
+    writer_buf.store(cell.addr_of(0), 9, 8).unwrap();
     let _ = pred_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
     let outcome = completed(writer_buf);
-    m.doom_readers(outcome.buffers.global.write_addresses(), writer);
+    m.doom_readers(outcome.buffer.write_addresses(), writer);
     assert!(
         !m.doom_requested(predecessor),
         "rollback recovery must spare logical predecessors"
@@ -463,9 +449,9 @@ fn adoption_salvages_a_deposited_grandchild() {
     // A grandchild finished and deposited before its (committed)
     // parent was joined — the classic orphan the old code reaped.
     let gc = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-    let mut buffers = fresh_buffers(&m, gc);
-    buffers.global.store(cell.addr_of(0), 42, 8).unwrap();
-    assert!(m.deposit_outcome(gc, completed(buffers)));
+    let mut buffer = fresh_buffer(&m, gc);
+    buffer.store(cell.addr_of(0), 42, 8).unwrap();
+    assert!(m.deposit_outcome(gc, completed(buffer)));
 
     assert_eq!(m.adopt_subtree(gc, None), 1, "clean work is salvaged");
     assert_eq!(mem.get(&cell, 0), 42, "adopted writes reach memory");
@@ -485,15 +471,14 @@ fn adoption_still_reaps_conflicting_and_running_grandchildren() {
     // Grandchild A read the cell before a predecessor overwrote it:
     // adoption must validate, fail, and discard — not blindly commit.
     let stale = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-    let mut stale_buf = fresh_buffers(&m, stale);
+    let mut stale_buf = fresh_buffer(&m, stale);
     let _ = stale_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
-    stale_buf.global.store(cell.addr_of(0), 99, 8).unwrap();
+    stale_buf.store(cell.addr_of(0), 99, 8).unwrap();
 
-    let mut pred = fresh_buffers(&m, 0);
-    pred.global.store(cell.addr_of(0), 13, 8).unwrap();
+    let mut pred = fresh_buffer(&m, 0);
+    pred.store(cell.addr_of(0), 13, 8).unwrap();
     let mut pred_outcome = completed(pred);
     m.validate_and_commit(0, &mut pred_outcome, None).unwrap();
 
@@ -519,21 +504,19 @@ fn rollback_recovery_dooms_readers_of_the_rewritten_ranges() {
     let victim = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
 
     // The victim speculatively read the word the failing child wrote.
-    let mut victim_buf = fresh_buffers(&m, victim);
+    let mut victim_buf = fresh_buffer(&m, victim);
     let _ = victim_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(32), 8)
         .unwrap();
 
     // The child read word 0, then a predecessor committed a different
     // value there: genuine conflict, no retry.  The child also wrote
     // word 32 — which the victim read.
-    let mut child_buf = fresh_buffers(&m, 0);
+    let mut child_buf = fresh_buffer(&m, 0);
     let _ = child_buf
-        .global
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
-    child_buf.global.store(cell.addr_of(32), 9, 8).unwrap();
+    child_buf.store(cell.addr_of(32), 9, 8).unwrap();
     mem.set(&cell, 0, 2);
     m.commit_log().record_word(cell.addr_of(0));
 

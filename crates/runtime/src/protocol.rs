@@ -441,9 +441,7 @@ mod tests {
         // Dead of anything, a conflict included: discarded unvalidated.
         let deaths = [
             ReadConflict,
-            LocalValidationFailed,
             BufferOverflow,
-            LocalBufferOverflow,
             UnregisteredAddress,
             Injected,
             Cascaded,

@@ -101,14 +101,10 @@ impl Deserialize for Phase {
 /// Event counters of one thread.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThreadCounters {
-    /// Speculative threads forked by this thread.  A fork denied for want
-    /// of a CPU and dispatched late, after its forker's promotion, counts
-    /// once — here, when it is dispatched.
+    /// Speculative threads forked by this thread.
     pub forks: u64,
     /// Fork attempts that found no idle CPU or were denied by the model.
-    /// A fork dispatched late keeps the tick of its earlier denial, so
-    /// `forks + failed_forks` can exceed the fork points executed.  A
-    /// hand-written chain of `n` iterations attempts `n − 1` forks, and
+    /// A hand-written chain of `n` iterations attempts `n − 1` forks, and
     /// with fewer CPUs than iterations most of them land here; a native
     /// [`fork_range`](crate::TlsContext::fork_range) attempts one only
     /// where a CPU looks idle, so a loop that goes through it adds next to
