@@ -1,3 +1,6 @@
+//! The access shells: what a load or a store costs, and the out-of-line
+//! arms behind them.
+
 use std::sync::atomic::Ordering;
 
 use super::*;

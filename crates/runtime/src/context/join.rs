@@ -1,3 +1,6 @@
+//! The join: a task's deposit or hand-back, and the joiner's wait,
+//! verdict and inherited children.
+
 use super::*;
 
 impl SpecContext {

@@ -24,6 +24,19 @@
 //! [`TlsContext::rank`] answer for the moment they are called.  See the
 //! [`manager`](crate::manager) docs for who runs what, why nobody
 //! starves, and when synchronizing pays.
+//!
+//! This file holds the context, its handle and its constants, and the
+//! [`TlsContext`] implementation; each protocol the context runs has a file
+//! of its own:
+//!
+//! * `access.rs` — the access shells: first touch and first store, rank
+//!   0's published stores, the overlay dooms of a re-execution, the poll
+//!   cadence;
+//! * `sync.rs` — the poll: aborts, dooms and the child side of early
+//!   synchronization;
+//! * `join.rs` — the deposit and the hand-back, and the joiner's side:
+//!   wait, verdict, inherited children, resuming after a promotion;
+//! * `range.rs` — `fork_range`'s lazy split and the prices it cuts by.
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -1,3 +1,5 @@
+//! `fork_range` natively: the lazy split and the prices it cuts by.
+
 use super::*;
 
 impl SpecContext {

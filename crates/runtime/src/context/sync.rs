@@ -1,3 +1,5 @@
+//! The poll: aborts, dooms and the child side of early synchronization.
+
 use super::*;
 
 impl SpecContext {

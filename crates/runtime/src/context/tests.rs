@@ -1,3 +1,5 @@
+//! Hand-driven unit tests of the context (no worker threads).
+
 use super::*;
 use crate::config::RuntimeConfig;
 use mutls_membuf::MainMemory;
