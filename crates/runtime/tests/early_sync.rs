@@ -122,6 +122,9 @@ fn a_compute_chain_alternates_between_both_os_threads() {
         let ran_on: HashSet<ThreadId> = RAN_ON.lock().unwrap().drain(..).collect();
         assert_eq!(ran_on.len(), 2, "both OS threads ran chunks");
         assert_eq!(report.rolled_back_threads, 0);
+        // Every tail forked committed, at its join or by its promotion.
+        let forks = report.critical.counters.forks + report.speculative.counters.forks;
+        assert_eq!(forks, report.committed_threads);
 
         let critical = report.critical.total() as f64;
         let runtime = report.runtime as f64;
