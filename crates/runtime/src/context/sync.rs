@@ -63,11 +63,12 @@ impl SpecContext {
     /// deposit as if it had never asked.
     ///
     /// On success the context is rank 0 from here on — `global` gone,
-    /// fresh (critical-path) statistics — but keeps its unjoined children: those read underneath this thread's
-    /// write-set, which the commit just stamped into the log, so their
-    /// own joins catch every stale read.  On a failed validation the task
-    /// is doomed and unwinds like any conflict; its joiner's rollback and
-    /// re-execution is the only recovery path.
+    /// fresh (critical-path) statistics — but keeps its unjoined children:
+    /// those read underneath this thread's write-set, which the commit just
+    /// stamped into the log, so their own joins catch every stale read.  On
+    /// a failed validation the task is doomed and unwinds like any
+    /// conflict; its joiner's rollback and re-execution is the only
+    /// recovery path.
     #[cold]
     fn synchronize_early(&mut self) -> SpecResult<()> {
         let Some(handoff) = self.mgr.take_sync(self.rank) else {
