@@ -17,10 +17,10 @@
 //! value comparison would miss.
 //!
 //! One protocol, one file, each opening with its soundness argument and
-//! closing with its tests: this file (the one-sided guarantee, sharding,
-//! the per-shard memory-ordering protocol; types, addressing, snapshots,
-//! versions and per-region telemetry), `stamp.rs` (the lock-free commit
-//! path), `ring.rs` (the MVCC version rings) and `readers.rs` (the reader
+//! closing with its tests: this file (the one-sided guarantee, the window,
+//! the memory-ordering protocol; types, addressing, snapshots, versions and
+//! per-region telemetry), `stamp.rs` (the lock-free commit path),
+//! `ring.rs` (the MVCC version rings) and `readers.rs` (the reader
 //! registry).
 //!
 //! ## Range granularity — one grain, fixed at construction
@@ -43,24 +43,13 @@
 //!   version past every snapshot taken before the commit.  A genuine
 //!   dependence violation is therefore always flagged.
 //!
-//! ## Sharding — by region
-//!
-//! The version table is split across [`CommitLogConfig::shards`]
-//! independent shards, each with its own epoch counter and dense version
-//! array.  The address space is divided into *regions* of
-//! `2^`[`CommitLog::region_log2`] bytes (at least one 4 KiB page), and a
-//! region maps to shard `region_id & (shards - 1)` — consecutive regions
-//! interleave across shards.  Sharding by region rather than by range
-//! keeps a region's ranges on one shard, so a commit batch groups by
-//! shard in one sort and stamps each region's ranges in one contiguous
-//! run of its shard's table.
-//!
-//! Per-range versions live in a per-shard *dense* array covering the
-//! main-memory arena, one slot per range (lock-free stamping and lookup),
-//! sized by [`CommitLog::with_config`]; the capacity is rounded **up** to
-//! whole regions times shards.
-//!
 //! ## The window — the arena and nothing else
+//!
+//! Per-range versions live in one *dense* array covering the main-memory
+//! arena, one slot per range (lock-free stamping and lookup), sized by
+//! [`CommitLog::with_config`].  The capacity is rounded **up** to whole
+//! *regions* of `2^`[`CommitLog::region_log2`] bytes (at least one 4 KiB
+//! page), the unit the log counts its stamps in.
 //!
 //! That table is all there is.  MUTLS confines speculative traffic to
 //! the *registered* address space (paper §IV-G: an access outside it
@@ -71,41 +60,31 @@
 //! and the window size, exactly as `GlobalMemory::word` does for the same
 //! address one call earlier.
 //!
-//! ## Memory-ordering protocol (per shard)
+//! ## Memory-ordering protocol
 //!
-//! Soundness under concurrency relies on the order of operations, applied
-//! independently per shard:
+//! Soundness under concurrency relies on the order of operations:
 //!
 //! * **Committer** (always executing logically earlier work): write the
 //!   data words to main memory *first*, then call [`CommitLog::record`],
-//!   which reserves-and-publishes the shard version with the `SeqCst`
+//!   which reserves-and-publishes the log's version with the `SeqCst`
 //!   epoch `fetch_add` *before* CAS-stamping the touched slots.  That
 //!   order keeps the invariant that matters: **a snapshot at least the
 //!   committer's version implies the committer's data is visible**, and
 //!   **a stale read implies a snapshot below the version the
 //!   validation-time slot carries**.
 //! * **Reader** (a speculative thread): sample
-//!   [`CommitLog::snapshot`]`(addr)` — the epoch of the shard owning the
-//!   address's *region* — with acquire *before* loading the word from
-//!   main memory.
+//!   [`CommitLog::snapshot`]`(addr)` — the log's epoch — with acquire
+//!   *before* loading the word from main memory.
 //!
-//! If the reader's sampled shard epoch is at least the committer's
-//! version, the acquire edge (to the epoch RMW's release sequence)
-//! guarantees the committed data was visible to the
-//! read — no conflict.  If it is smaller, the read raced the commit and
-//! validation flags it; at worst this is a conservative false positive
-//! (the thread re-executes), never a missed conflict.
+//! If the reader's sampled epoch is at least the committer's version, the
+//! acquire edge (to the epoch RMW's release sequence) guarantees the
+//! committed data was visible to the read — no conflict.  If it is
+//! smaller, the read raced the commit and validation flags it; at worst
+//! this is a conservative false positive (the thread re-executes), never a
+//! missed conflict.
 //!
-//! Shard epochs advance independently, so versions are only comparable
-//! *within* a shard.  That is safe because an address always maps to the
-//! same region and hence the same shard: a read snapshot and the commits
-//! that could invalidate it live on the same counter.  The global
-//! [`CommitLog::epoch`] (the max over shards) is a monotone diagnostic
-//! bound — it must **not** be used as a read snapshot, because a shard
-//! lagging the max would make its next commit version look old.
-//! Buffer-merge paths (a second read of a word in `WordMap`,
-//! `GlobalBuffer::absorb`) compare two snapshots *of the same word*, which
-//! is always same-shard and therefore well-defined.
+//! One epoch orders every commit, so any two versions are comparable and
+//! [`CommitLog::epoch`] is the snapshot of every address in the window.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -122,7 +101,7 @@ mod stamp;
 pub use readers::{ReaderSet, MAX_TRACKED_READERS};
 pub use ring::{RingCheck, DEFAULT_RING_DEPTH, MAX_RING_DEPTH};
 
-/// Monotone version assigned to a commit batch within a shard
+/// Monotone version assigned to a commit batch by the log
 /// (0 = "never written").
 pub type CommitVersion = u64;
 
@@ -144,28 +123,20 @@ pub const PAGE_GRAIN_LOG2: u32 = 12;
 /// Log2 of the minimum region size (one 4 KiB page).  The actual region
 /// size is `max(MIN_REGION_LOG2, grain_log2)` so a region always covers
 /// at least one range.
-pub const MIN_REGION_LOG2: u32 = PAGE_GRAIN_LOG2;
-
-/// Region size (log2 bytes) used by a log whose grain is `grain_log2`.
-pub fn region_log2_for_grain(grain_log2: u32) -> u32 {
-    grain_log2.max(MIN_REGION_LOG2)
-}
+const MIN_REGION_LOG2: u32 = PAGE_GRAIN_LOG2;
 
 /// Log2 of the commit-lock timing sample rate: one batch in
 /// `2^LOCK_SAMPLE_LOG2` is wall-clock timed and its lock-hold duration
 /// scaled up into [`CommitLogStats::lock_ns`].
 pub const LOCK_SAMPLE_LOG2: u32 = 3;
 
-/// Granularity and sharding of the commit log's version table.
+/// Granularity and version-ring shape of the commit log's version table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitLogConfig {
     /// Log2 of the range size in bytes, fixed for the log's life; clamped
     /// to at least [`WORD_GRAIN_LOG2`] (a range can never be smaller than
     /// a word).
     pub grain_log2: u32,
-    /// Number of independent shards; rounded up to a power of two, at
-    /// least 1.
-    pub shards: usize,
     /// Per-slot version-ring depth for MVCC validation (see the module
     /// docs), [`DEFAULT_RING_DEPTH`] by default: rings let
     /// [`CommitLog::probe_written`] answer precisely whether the probed
@@ -184,7 +155,6 @@ impl Default for CommitLogConfig {
     fn default() -> Self {
         CommitLogConfig {
             grain_log2: LINE_GRAIN_LOG2,
-            shards: 8,
             ring_depth: DEFAULT_RING_DEPTH,
             ring_bucket_log2: 6,
         }
@@ -192,8 +162,7 @@ impl Default for CommitLogConfig {
 }
 
 impl CommitLogConfig {
-    /// Word-granular tracking (no false sharing) with the default shard
-    /// count.
+    /// Word-granular tracking (no false sharing).
     pub fn word_grain() -> Self {
         CommitLogConfig {
             grain_log2: WORD_GRAIN_LOG2,
@@ -220,12 +189,6 @@ impl CommitLogConfig {
         self
     }
 
-    /// Set the shard count (builder style).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Set the MVCC version-ring depth (builder style); 1 disables the
     /// rings entirely.
     pub fn ring_depth(mut self, ring_depth: u32) -> Self {
@@ -240,14 +203,13 @@ impl CommitLogConfig {
     }
 
     /// The config with degenerate values clamped: grain at least a word,
-    /// shard count a nonzero power of two.  [`CommitLog::with_config`]
+    /// ring depth and bucket width in range.  [`CommitLog::with_config`]
     /// applies this automatically; other consumers of the raw pub fields
     /// (e.g. the simulator) should apply it too so one set of rules
     /// governs every layer.
     pub fn normalized(self) -> Self {
         CommitLogConfig {
             grain_log2: self.grain_log2.max(WORD_GRAIN_LOG2),
-            shards: self.shards.max(1).next_power_of_two(),
             ring_depth: self.ring_depth.clamp(1, MAX_RING_DEPTH),
             ring_bucket_log2: self.ring_bucket_log2.min(16),
         }
@@ -275,9 +237,9 @@ pub struct CommitLogStats {
     /// committer, reports 0.
     pub cas_retries: u64,
     /// Registrations by ranks greater than [`MAX_TRACKED_READERS`]: each
-    /// lands in its range's spill set (a shard `RwLock` write on top of
-    /// the marker-bit `fetch_or`) — the registry's slow path, surfaced so
-    /// a run on more than 63 speculative CPUs shows what it pays.
+    /// lands in its range's spill set (an `RwLock` write on top of the
+    /// marker-bit `fetch_or`) — the registry's slow path, surfaced so a
+    /// run on more than 63 speculative CPUs shows what it pays.
     pub reader_spills: u64,
     /// Version-ring probes that fell back to single-version
     /// conservatism because the ring's history did not reach the
@@ -286,53 +248,8 @@ pub struct CommitLogStats {
     pub ring_overflows: u64,
     /// Configured range size (log2 bytes), echoed for reports.
     pub grain_log2: u32,
-    /// Configured shard count, echoed for reports.
-    pub shards: usize,
     /// Configured (normalized) version-ring depth, echoed for reports.
     pub ring_depth: u32,
-}
-
-/// One independent slice of the version table (one stripe of regions).
-///
-/// The dense tables are sized to the arena (six words a commit-log line,
-/// 24 MiB for a 32 MiB arena) and a run stamps the few lines it shares, so
-/// they come zeroed instead of being written: building a log costs no page
-/// fault per table page.
-#[derive(Debug)]
-struct Shard {
-    /// Version of this shard's most recent *published* commit batch:
-    /// committers `fetch_add` it to reserve-and-publish in one `SeqCst`
-    /// RMW (the release sequence readers synchronize with).
-    epoch: AtomicU64,
-    /// Dense per-range versions for this shard's regions: region `r`
-    /// (with `r & mask == shard index`) owns the slot block
-    /// `[(r >> shard_bits) * slots_per_region, ..)`, one slot per range.
-    /// Raised monotonically via CAS.
-    dense: ZeroedAtomics,
-    /// Packed MVCC version-ring entries, `ring_depth` per dense slot
-    /// (slot `local` owns `rings[local * depth .. (local + 1) * depth]`,
-    /// indexed by version bucket modulo depth).  Empty at depth 1.
-    /// Published by CAS-merge *before* the dense version stamp (see the
-    /// module docs).
-    rings: ZeroedAtomics,
-    /// Per-range reader bitmasks (same indexing as `dense`);
-    /// registration/enumeration are lock-free atomic RMWs.
-    readers: ZeroedAtomics,
-    /// Spill sets for ranks past the bitmask window, keyed by slot index
-    /// (dashmap-style: the shard is the lock stripe).
-    readers_spill: RwLock<HashMap<usize, HashSet<usize>>>,
-}
-
-impl Shard {
-    fn new(dense_slots: usize, ring_slots: usize) -> Self {
-        Shard {
-            epoch: AtomicU64::new(0),
-            dense: ZeroedAtomics::new(dense_slots),
-            rings: ZeroedAtomics::new(ring_slots),
-            readers: ZeroedAtomics::new(dense_slots),
-            readers_spill: RwLock::new(HashMap::new()),
-        }
-    }
 }
 
 /// Per-region telemetry snapshot (see [`CommitLog::region_profiles`]).
@@ -356,27 +273,40 @@ pub struct RegionProfile {
 }
 
 /// Append-only versioned record of every write published to main memory,
-/// region-sharded at one grain (see the module docs for the protocol).
+/// at one grain under one epoch (see the module docs for the protocol).
+///
+/// The dense tables are sized to the arena (six words a commit-log line,
+/// 24 MiB for a 32 MiB arena) and a run stamps the few lines it shares, so
+/// they come zeroed instead of being written: building a log costs no page
+/// fault per table page.
 #[derive(Debug)]
 pub struct CommitLog {
     config: CommitLogConfig,
     /// Log2 of the region size in bytes (`max(MIN_REGION_LOG2, grain)`).
     region_log2: u32,
-    /// Slots per region (`1 << (region_log2 - grain_log2)`).
-    slots_per_region: usize,
-    /// `shards.len() - 1`; shard of a region is `region & shard_mask`.
-    shard_mask: u64,
-    /// `log2(shards.len())`; a shard's n-th region block is region
-    /// `region >> shard_bits`.
-    shard_bits: u32,
-    shards: Vec<Shard>,
-    /// Range stamps per region of the window, indexed by region id (every
-    /// shard allocates the same number of region blocks, so the window is
-    /// a whole number of stripes); relaxed, telemetry only.
+    /// Version of the most recent *published* commit batch: committers
+    /// `fetch_add` it to reserve-and-publish in one `SeqCst` RMW (the
+    /// release sequence readers synchronize with).
+    epoch: AtomicU64,
+    /// Dense per-range versions: the range holding `addr` owns slot
+    /// `addr >> grain_log2`.  Raised monotonically via CAS.
+    dense: ZeroedAtomics,
+    /// Packed MVCC version-ring entries, `ring_depth` per dense slot
+    /// (slot `local` owns `rings[local * depth .. (local + 1) * depth]`,
+    /// indexed by version bucket modulo depth).  Empty at depth 1.
+    /// Published by CAS-merge *before* the dense version stamp (see the
+    /// module docs).
+    rings: ZeroedAtomics,
+    /// Per-range reader bitmasks (same indexing as `dense`);
+    /// registration/enumeration are lock-free atomic RMWs.
+    readers: ZeroedAtomics,
+    /// Spill sets for ranks past the bitmask window, keyed by slot index.
+    readers_spill: RwLock<HashMap<usize, HashSet<usize>>>,
+    /// Range stamps per region of the window, indexed by region id;
+    /// relaxed, telemetry only.
     region_stamps: Vec<AtomicU64>,
-    /// Multi-address commit batches recorded (monotone; survives shard
-    /// distribution).  Doubles as the batch path's lock-time sampling
-    /// clock.
+    /// Multi-address commit batches recorded (monotone).  Doubles as the
+    /// batch path's lock-time sampling clock.
     batches: AtomicU64,
     /// Single-address commits recorded (the non-speculative direct-store
     /// path).  Each is exactly one batch, one range stamp and one tick of
@@ -407,23 +337,17 @@ pub struct CommitLog {
 }
 
 impl CommitLog {
-    /// Create a log with an explicit grain/shard config whose window
-    /// covers `[0, capacity_bytes)` — size it to the main-memory arena:
-    /// the whole program's traffic stamps lock-free with bounded memory
-    /// (one version word per range), and an address past the window is a
-    /// caller bug that panics.  The capacity is rounded *up* to whole
-    /// regions (times shards), so a trailing partial range or region is
-    /// covered.
+    /// Create a log with an explicit grain config whose window covers
+    /// `[0, capacity_bytes)` — size it to the main-memory arena: the whole
+    /// program's traffic stamps lock-free with bounded memory (one version
+    /// word per range), and an address past the window is a caller bug
+    /// that panics.  The capacity is rounded *up* to whole regions, so a
+    /// trailing partial range or region is covered.
     pub fn with_config(config: CommitLogConfig, capacity_bytes: u64) -> Self {
         let config = config.normalized();
-        let shard_count = config.shards;
-        let region_log2 = region_log2_for_grain(config.grain_log2);
-        let slots_per_region = 1usize << (region_log2 - config.grain_log2);
-        let dense_regions = capacity_bytes.div_ceil(1u64 << region_log2);
-        // Every shard covers regions up to the next multiple of the shard
-        // count, so the last partial stripe is whole.
-        let regions_per_shard = dense_regions.div_ceil(shard_count as u64);
-        let dense_slots = regions_per_shard as usize * slots_per_region;
+        let region_log2 = config.grain_log2.max(MIN_REGION_LOG2);
+        let region_count = capacity_bytes.div_ceil(1u64 << region_log2) as usize;
+        let dense_slots = region_count << (region_log2 - config.grain_log2);
         // Rings are only materialized past depth 1, so the
         // single-version layout pays no extra memory.
         let ring_slots = if config.ring_depth > 1 {
@@ -431,19 +355,16 @@ impl CommitLog {
         } else {
             0
         };
-        let shards = (0..shard_count)
-            .map(|_| Shard::new(dense_slots, ring_slots))
-            .collect();
-        let region_count = regions_per_shard as usize * shard_count;
         let mut region_stamps = Vec::with_capacity(region_count);
         region_stamps.resize_with(region_count, AtomicU64::default);
         CommitLog {
             config,
             region_log2,
-            slots_per_region,
-            shard_mask: (shard_count as u64) - 1,
-            shard_bits: shard_count.trailing_zeros(),
-            shards,
+            epoch: AtomicU64::new(0),
+            dense: ZeroedAtomics::new(dense_slots),
+            rings: ZeroedAtomics::new(ring_slots),
+            readers: ZeroedAtomics::new(dense_slots),
+            readers_spill: RwLock::new(HashMap::new()),
             region_stamps,
             batches: AtomicU64::new(0),
             singles: AtomicU64::new(0),
@@ -456,9 +377,9 @@ impl CommitLog {
         }
     }
 
-    /// The grain/shard configuration this log runs with.  Besides the
-    /// runtime, read by the benchmark's grain-controller probe, which
-    /// ROADMAP item 2(e) deletes.
+    /// The grain configuration this log runs with.  Besides the runtime,
+    /// read by the benchmark's grain-controller probe, which ROADMAP item
+    /// 2(e) deletes.
     pub fn config(&self) -> CommitLogConfig {
         self.config
     }
@@ -494,22 +415,16 @@ impl CommitLog {
         );
     }
 
-    fn shard_of_region(&self, region: RegionId) -> usize {
-        (region & self.shard_mask) as usize
-    }
-
-    /// `addr`'s slot, as an index into its shard's tables (the caller
+    /// `addr`'s slot, as an index into the per-range tables (the caller
     /// checked the address against the window).
     fn slot_at(&self, addr: Addr) -> usize {
-        let block = (self.region_of(addr) >> self.shard_bits) as usize * self.slots_per_region;
-        let offset = addr & ((1u64 << self.region_log2) - 1);
-        block + (offset >> self.config.grain_log2) as usize
+        (addr >> self.config.grain_log2) as usize
     }
 
-    /// `addr`'s owning shard and its slot there, window-checked.
-    fn slot_of(&self, addr: Addr) -> (usize, usize) {
-        let region = self.region_index_of(addr) as RegionId;
-        (self.shard_of_region(region), self.slot_at(addr))
+    /// `addr`'s slot, window-checked.
+    fn slot_of(&self, addr: Addr) -> usize {
+        self.region_index_of(addr);
+        self.slot_at(addr)
     }
 
     /// Note that the log now holds something [`clear`](Self::clear) must
@@ -525,25 +440,21 @@ impl CommitLog {
         }
     }
 
-    /// The read snapshot for `addr`: the current epoch of the shard
-    /// owning the address's region (acquire).
+    /// The read snapshot for `addr`: the log's current epoch (acquire),
+    /// after the window check.
     ///
     /// Speculative readers sample this *before* loading the word from
     /// main memory and stamp the read-set entry with it; join-time
-    /// validation compares it against [`version_of`](Self::version_of) on
-    /// the same shard counter.
+    /// validation compares it against [`version_of`](Self::version_of).
     pub fn snapshot(&self, addr: Addr) -> CommitVersion {
-        let region = self.region_index_of(addr) as RegionId;
-        self.shards[self.shard_of_region(region)]
-            .epoch
-            .load(Ordering::Acquire)
+        self.region_index_of(addr);
+        self.epoch()
     }
 
     /// Version of the last commit that wrote any word of `addr`'s range
     /// (0 = never written through the log).
     pub fn version_of(&self, addr: Addr) -> CommitVersion {
-        let (shard, local) = self.slot_of(addr);
-        self.shards[shard].dense[local].load(Ordering::Acquire)
+        self.dense[self.slot_of(addr)].load(Ordering::Acquire)
     }
 
     /// True when a commit wrote `addr`'s *range* after a read of `addr`
@@ -554,16 +465,10 @@ impl CommitLog {
         self.version_of(addr) > read_version
     }
 
-    /// The maximum shard epoch (acquire per shard) — a monotone bound for
-    /// diagnostics.  **Not** a valid read snapshot: shard counters
-    /// advance independently, so use [`snapshot`](Self::snapshot) when
-    /// stamping reads.
+    /// The version of the most recent published commit (acquire) — the
+    /// snapshot of every address in the window.
     pub fn epoch(&self) -> CommitVersion {
-        self.shards
-            .iter()
-            .map(|s| s.epoch.load(Ordering::Acquire))
-            .max()
-            .unwrap_or(0)
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Number of commit batches recorded so far.
@@ -583,7 +488,6 @@ impl CommitLog {
             reader_spills: self.reader_spills.load(Ordering::Relaxed),
             ring_overflows: self.ring_overflows.load(Ordering::Relaxed),
             grain_log2: self.config.grain_log2,
-            shards: self.config.shards,
             ring_depth: self.config.ring_depth,
         }
     }
@@ -614,19 +518,17 @@ impl CommitLog {
         if !self.touched.load(Ordering::Relaxed) {
             return;
         }
-        for shard in &self.shards {
-            for v in shard.dense.iter() {
-                v.store(0, Ordering::Relaxed);
-            }
-            for v in shard.rings.iter() {
-                v.store(0, Ordering::Relaxed);
-            }
-            for r in shard.readers.iter() {
-                r.store(0, Ordering::Relaxed);
-            }
-            shard.readers_spill.write().clear();
-            shard.epoch.store(0, Ordering::Release);
+        for v in self.dense.iter() {
+            v.store(0, Ordering::Relaxed);
         }
+        for v in self.rings.iter() {
+            v.store(0, Ordering::Relaxed);
+        }
+        for r in self.readers.iter() {
+            r.store(0, Ordering::Relaxed);
+        }
+        self.readers_spill.write().clear();
+        self.epoch.store(0, Ordering::Release);
         for stamps in &self.region_stamps {
             stamps.store(0, Ordering::Relaxed);
         }
@@ -647,10 +549,10 @@ mod tests {
 
     use super::*;
 
-    /// A word-granular, single-shard log behaves exactly like the old
-    /// design for these unit tests.
+    /// A word-granular log behaves exactly like the old design for these
+    /// unit tests.
     fn word_log() -> CommitLog {
-        CommitLog::with_config(CommitLogConfig::word_grain().shards(1), 1 << 12)
+        CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12)
     }
 
     #[test]
@@ -709,24 +611,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_epochs_advance_independently() {
-        // Consecutive *regions* (not ranges) interleave across shards:
-        // addresses one region apart map to different shards with 2+
-        // shards; each shard versions its own commits from 1.
-        let config = CommitLogConfig::word_grain().shards(2);
-        let log = CommitLog::with_config(config, 2 << 12);
+    fn every_region_versions_on_the_one_epoch() {
+        // Addresses one region apart take consecutive versions from the
+        // one epoch, and every address snapshots it.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 2 << 12);
         let region_bytes = 1u64 << log.region_log2();
-        let v_a = log.record_word(0); // region 0 → shard 0
-        let v_b = log.record_word(region_bytes); // region 1 → shard 1
+        let v_a = log.record_word(0);
+        let v_b = log.record_word(region_bytes);
         assert_eq!(v_a, 1);
-        assert_eq!(v_b, 1, "second shard starts its own epoch");
-        assert_eq!(log.epoch(), 1, "global epoch is the max over shards");
-        let v_a2 = log.record_word(0);
-        assert_eq!(v_a2, 2);
+        assert_eq!(v_b, 2, "the second region continues the epoch");
         assert_eq!(log.epoch(), 2);
+        let v_a2 = log.record_word(0);
+        assert_eq!(v_a2, 3);
+        assert_eq!(log.epoch(), 3);
         assert_eq!(log.commits(), 3);
-        // Same region ⇒ same shard.
         assert!(log.snapshot(0) == log.snapshot(8));
+        assert_eq!(log.snapshot(region_bytes), log.epoch());
     }
 
     #[test]
@@ -734,14 +634,12 @@ mod tests {
         let log = CommitLog::with_config(
             CommitLogConfig {
                 grain_log2: 0,
-                shards: 0,
                 ring_depth: 0,
                 ring_bucket_log2: 40,
             },
             128,
         );
         assert_eq!(log.config().grain_log2, WORD_GRAIN_LOG2);
-        assert_eq!(log.config().shards, 1);
         assert_eq!(log.config().ring_depth, 1, "ring depth clamps to 1");
         assert_eq!(log.config().ring_bucket_log2, 16, "bucket width clamps");
         assert_eq!(
@@ -751,23 +649,14 @@ mod tests {
                 .ring_depth,
             MAX_RING_DEPTH
         );
-        let log = CommitLog::with_config(
-            CommitLogConfig {
-                grain_log2: 6,
-                shards: 3,
-                ..Default::default()
-            },
-            0,
-        );
-        assert_eq!(log.config().shards, 4, "shards round up to a power of two");
     }
 
     #[test]
     fn every_entry_point_panics_on_the_first_word_past_the_window() {
         // 5 000 bytes is not a whole region: the window rounds up to two
-        // regions, and from there to one whole stripe of the four shards.
-        let log = CommitLog::with_config(CommitLogConfig::word_grain().shards(4), 5_000);
-        let window = 4u64 << log.region_log2();
+        // regions.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 5_000);
+        let window = 2u64 << log.region_log2();
         let (last, past) = (window - 8, window);
         type EntryPoint = fn(&CommitLog, Addr);
         let entry_points: [(&str, EntryPoint); 9] = [
@@ -835,12 +724,11 @@ mod tests {
 
     #[test]
     fn clear_after_any_one_mutator_leaves_a_freshly_built_log() {
-        // Two regions on two shards, shallow rings with one version a
-        // bucket: every table has something to lose.
+        // Two regions, shallow rings with one version a bucket: every
+        // table has something to lose.
         let build = || {
             CommitLog::with_config(
                 CommitLogConfig::word_grain()
-                    .shards(2)
                     .ring_depth(2)
                     .ring_bucket_log2(0),
                 2 << 12,

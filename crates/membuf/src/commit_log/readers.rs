@@ -6,25 +6,25 @@
 //! Alongside each range's version the log keeps a *reader registry*: a
 //! bitmask of the thread ids (ranks `1..=`[`MAX_TRACKED_READERS`]) whose
 //! read sets currently cover the range, plus — since the rank cap was
-//! lifted — a per-range **spill set** (a hash set behind the shard's
-//! lock stripe, dashmap-style) holding the ranks beyond the bitmask
-//! window.  A committing writer can
-//! [`take_readers`](CommitLog::take_readers) of the ranges it just
-//! stamped and doom exactly those threads (*targeted dooming*) instead of
-//! squashing every logical successor; enumeration is complete at any
-//! thread count, so the old cascade fallback for >63-rank sweeps is gone.
+//! lifted — a per-range **spill set** (a hash set behind the log's spill
+//! lock) holding the ranks beyond the bitmask window.  A committing
+//! writer can [`take_readers`](CommitLog::take_readers) of the ranges it
+//! just stamped and doom exactly those threads (*targeted dooming*)
+//! instead of squashing every logical successor; enumeration is complete
+//! at any thread count, so the old cascade fallback for >63-rank sweeps is
+//! gone.
 //!
 //! Registration stays **off the slow-path lock**: a tracked reader ORs its
 //! bit into the range's mask with a single atomic RMW and then
-//! (re-)reads the shard epoch — a seqlock-style double-checked read,
+//! (re-)reads the log's epoch — a seqlock-style double-checked read,
 //! since a snapshot sampled *before* the registration could let a racing
 //! committer both miss the bit and stay below the snapshot.  With the
 //! registration sequenced first (all four operations `SeqCst`), a
 //! committer whose [`take_readers`](CommitLog::take_readers) misses the
 //! bit must have published its epoch before the reader's snapshot, so
 //! the reader's snapshot covers the commit and no conflict existed.  A
-//! spilled (rank > 63) reader inserts into the spill set *under its
-//! stripe lock* and sets the sticky spill-marker bit before re-reading
+//! spilled (rank > 63) reader inserts into the spill set *under the
+//! spill lock* and sets the sticky spill-marker bit before re-reading
 //! the epoch; the lock's release/acquire edges plus the `SeqCst` epoch
 //! accesses give the same guarantee.  Hence:
 //!
@@ -137,30 +137,28 @@ impl CommitLog {
     /// This is the seqlock-style protocol of the module docs: the
     /// registration lands first (one `SeqCst` RMW for tracked ranks, a
     /// spill-set insert plus the sticky marker bit for ranks past the
-    /// window — both off the slow-path lock) and the shard epoch is
+    /// window — both off the slow-path lock) and the epoch is
     /// (re-)read *after* the registration is globally visible.  A
     /// committer whose [`take_readers`](Self::take_readers) misses the
     /// registration must therefore have published its epoch before this
     /// snapshot, so the snapshot covers the commit and the read is not
     /// stale.  Rank 0 (the non-speculative thread) registers nothing.
     pub fn register_reader(&self, addr: Addr, rank: usize) -> CommitVersion {
-        let (shard_idx, local) = self.slot_of(addr);
-        let shard = &self.shards[shard_idx];
+        let local = self.slot_of(addr);
         let bit = reader_bit(rank);
         if bit != 0 {
             self.touch();
             if bit == READER_SPILL_BIT {
                 self.reader_spills.fetch_add(1, Ordering::Relaxed);
-                shard
-                    .readers_spill
+                self.readers_spill
                     .write()
                     .entry(local)
                     .or_default()
                     .insert(rank);
             }
-            shard.readers[local].fetch_or(bit, Ordering::SeqCst);
+            self.readers[local].fetch_or(bit, Ordering::SeqCst);
         }
-        shard.epoch.load(Ordering::SeqCst)
+        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Remove thread `rank` from the reader registry of every range
@@ -173,26 +171,24 @@ impl CommitLog {
         if bit == 0 {
             return;
         }
-        let mut last: Option<(usize, usize)> = None;
+        let mut last: Option<usize> = None;
         for addr in addrs {
-            let slot = self.slot_of(addr);
-            if last == Some(slot) {
+            let local = self.slot_of(addr);
+            if last == Some(local) {
                 continue;
             }
-            last = Some(slot);
-            let (shard_idx, local) = slot;
-            let shard = &self.shards[shard_idx];
+            last = Some(local);
             if bit == READER_SPILL_BIT {
-                let mut spill = shard.readers_spill.write();
+                let mut spill = self.readers_spill.write();
                 if let Some(set) = spill.get_mut(&local) {
                     set.remove(&rank);
                     if set.is_empty() {
                         spill.remove(&local);
-                        shard.readers[local].fetch_and(!bit, Ordering::SeqCst);
+                        self.readers[local].fetch_and(!bit, Ordering::SeqCst);
                     }
                 }
             } else {
-                shard.readers[local].fetch_and(!bit, Ordering::SeqCst);
+                self.readers[local].fetch_and(!bit, Ordering::SeqCst);
             }
         }
     }
@@ -228,26 +224,24 @@ impl CommitLog {
     pub fn take_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> ReaderSet {
         let mut bits = 0u64;
         let mut spilled: Vec<usize> = Vec::new();
-        let mut last: Option<(usize, usize)> = None;
+        let mut last: Option<usize> = None;
         for addr in addrs {
-            let slot = self.slot_of(addr);
-            if last == Some(slot) {
+            let local = self.slot_of(addr);
+            if last == Some(local) {
                 continue;
             }
-            last = Some(slot);
-            let (shard_idx, local) = slot;
-            let shard = &self.shards[shard_idx];
+            last = Some(local);
             // Fast path: an unread range stays a single load — but
             // it must be SeqCst, not relaxed, or it could miss a
             // registration that precedes this enumeration in the
             // SC order and break the missed-reader argument of the
             // module docs (a relaxed load participates in no SC
             // total order).
-            if shard.readers[local].load(Ordering::SeqCst) != 0 {
-                let taken = shard.readers[local].swap(0, Ordering::SeqCst);
+            if self.readers[local].load(Ordering::SeqCst) != 0 {
+                let taken = self.readers[local].swap(0, Ordering::SeqCst);
                 bits |= taken;
                 if taken & READER_SPILL_BIT != 0 {
-                    if let Some(set) = shard.readers_spill.write().remove(&local) {
+                    if let Some(set) = self.readers_spill.write().remove(&local) {
                         spilled.extend(set);
                     }
                 }
@@ -259,12 +253,10 @@ impl CommitLog {
     /// The registered readers of `addr`'s range (tests and diagnostics;
     /// does not clear).
     pub fn registered_readers(&self, addr: Addr) -> ReaderSet {
-        let (shard_idx, local) = self.slot_of(addr);
-        let shard = &self.shards[shard_idx];
-        let bits = shard.readers[local].load(Ordering::SeqCst);
+        let local = self.slot_of(addr);
+        let bits = self.readers[local].load(Ordering::SeqCst);
         let spilled = if bits & READER_SPILL_BIT != 0 {
-            shard
-                .readers_spill
+            self.readers_spill
                 .read()
                 .get(&local)
                 .map(|s| s.iter().copied().collect())
@@ -285,7 +277,7 @@ mod tests {
 
     #[test]
     fn reader_registry_roundtrip_register_take_unregister() {
-        let log = CommitLog::with_config(CommitLogConfig::word_grain().shards(2), 256);
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 256);
         // Registration returns a snapshot usable exactly like snapshot().
         let v = log.register_reader(8, 3);
         assert_eq!(v, log.snapshot(8));
@@ -358,7 +350,7 @@ mod tests {
         log.register_reader(8, 1); // in-window: no spill
         assert_eq!(log.stats().reader_spills, 0);
         log.register_reader(8, MAX_TRACKED_READERS + 1);
-        log.register_reader(1 << 20, 200); // another shard's spill map
+        log.register_reader(1 << 20, 200); // another region's spill set
         assert_eq!(log.stats().reader_spills, 2);
         log.clear();
         assert_eq!(log.stats().reader_spills, 0, "clear resets the counter");

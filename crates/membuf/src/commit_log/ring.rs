@@ -43,7 +43,7 @@
 
 use std::sync::atomic::Ordering;
 
-use super::{CommitLog, CommitVersion, Shard, WORD_GRAIN_LOG2};
+use super::{CommitLog, CommitVersion, WORD_GRAIN_LOG2};
 #[cfg(doc)]
 use super::{CommitLogConfig, CommitLogStats};
 use crate::memory::Addr;
@@ -140,14 +140,13 @@ impl CommitLog {
     /// depth 1 and on overflow it degenerates to the single-version
     /// answer.
     pub fn probe_written(&self, addr: Addr, read_version: CommitVersion) -> RingCheck {
-        let (shard_idx, local) = self.slot_of(addr);
-        let shard = &self.shards[shard_idx];
-        let cur = shard.dense[local].load(Ordering::Acquire);
+        let local = self.slot_of(addr);
+        let cur = self.dense[local].load(Ordering::Acquire);
         if cur <= read_version {
             return RingCheck::Clean;
         }
         let depth = self.config.ring_depth as u64;
-        if depth <= 1 || shard.rings.is_empty() {
+        if depth <= 1 || self.rings.is_empty() {
             return RingCheck::Touched { newest_touch: cur };
         }
         if cur >= RING_VERSION_CAP {
@@ -167,7 +166,7 @@ impl CommitLog {
         let mut newest_touch = 0;
         for bucket in read_bucket..=cur_bucket {
             let idx = local * depth as usize + (bucket % depth) as usize;
-            let entry = shard.rings[idx].load(Ordering::Acquire);
+            let entry = self.rings[idx].load(Ordering::Acquire);
             let entry_bucket = ring_version(entry) >> bucket_log2;
             if entry_bucket < bucket {
                 // No commit of this bucket published here.  (One that
@@ -208,20 +207,14 @@ impl CommitLog {
     /// contract).  Same bucket: max the version, OR the footprint;
     /// older bucket: replace; newer bucket already present: leave it —
     /// the displaced bucket's validators fall back conservatively.
-    pub(super) fn ring_merge(
-        &self,
-        shard: &Shard,
-        local: usize,
-        version: CommitVersion,
-        footprint: u64,
-    ) {
+    pub(super) fn ring_merge(&self, local: usize, version: CommitVersion, footprint: u64) {
         let depth = self.config.ring_depth as u64;
-        if depth <= 1 || shard.rings.is_empty() || version >= RING_VERSION_CAP {
+        if depth <= 1 || self.rings.is_empty() || version >= RING_VERSION_CAP {
             return;
         }
         let bucket_log2 = self.config.ring_bucket_log2;
         let bucket = version >> bucket_log2;
-        let slot = &shard.rings[local * depth as usize + (bucket % depth) as usize];
+        let slot = &self.rings[local * depth as usize + (bucket % depth) as usize];
         let mut cur = slot.load(Ordering::Relaxed);
         loop {
             let cur_bucket = ring_version(cur) >> bucket_log2;
@@ -255,7 +248,7 @@ mod tests {
 
     #[test]
     fn ring_probe_distinguishes_touched_from_false_sharing() {
-        let log = CommitLog::with_config(CommitLogConfig::line_grain().shards(1), 1 << 12);
+        let log = CommitLog::with_config(CommitLogConfig::line_grain(), 1 << 12);
         assert_eq!(log.config().ring_depth, DEFAULT_RING_DEPTH);
         let v = log.record_word(8);
         // The written word conflicts…
@@ -279,10 +272,7 @@ mod tests {
         // bucket: probing either word flags it, probing a third stays
         // precise, and the touch restamp target is the bucket's newest
         // version (conservative for the older write).
-        let log = CommitLog::with_config(
-            CommitLogConfig::line_grain().shards(1).ring_depth(4),
-            1 << 12,
-        );
+        let log = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(4), 1 << 12);
         let v1 = log.record_word(8);
         let v2 = log.record_word(16);
         assert!(v2 > v1);
@@ -299,10 +289,7 @@ mod tests {
 
     #[test]
     fn ring_depth_one_degenerates_to_single_version() {
-        let log = CommitLog::with_config(
-            CommitLogConfig::line_grain().shards(1).ring_depth(1),
-            1 << 12,
-        );
+        let log = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(1), 1 << 12);
         assert_eq!(log.config().ring_depth, 1);
         let v = log.record_word(8);
         // Any post-snapshot commit to the range flags any word of it —
@@ -321,7 +308,6 @@ mod tests {
         // a snapshot 3 commits old overflows instead of guessing.
         let log = CommitLog::with_config(
             CommitLogConfig::line_grain()
-                .shards(1)
                 .ring_depth(2)
                 .ring_bucket_log2(0),
             1 << 12,
@@ -336,7 +322,6 @@ mod tests {
         // Deeper history at the same bucket width stays precise.
         let deep = CommitLog::with_config(
             CommitLogConfig::line_grain()
-                .shards(1)
                 .ring_depth(4)
                 .ring_bucket_log2(0),
             1 << 12,
@@ -359,7 +344,7 @@ mod tests {
         // probe may report Clean/Precise for it — the ring analogue of
         // the single-version race test.
         let log = std::sync::Arc::new(CommitLog::with_config(
-            CommitLogConfig::word_grain().shards(1).ring_depth(4),
+            CommitLogConfig::word_grain().ring_depth(4),
             1 << 12,
         ));
         let stale = log.register_reader(8, 3);

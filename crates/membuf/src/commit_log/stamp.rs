@@ -1,12 +1,12 @@
 //! The commit log's **lock-free commit path**:
 //! [`record`](CommitLog::record), [`record_word`](CommitLog::record_word)
 //! and the stamp loop underneath them.  (The guarantee it keeps and the
-//! per-shard ordering it is one half of are in the parent module.)
+//! ordering it is one half of are in the parent module.)
 //!
-//! Commits publish **without any lock**.  Per shard:
+//! Commits publish **without any lock**:
 //!
 //! * **Version reservation = epoch publish.**  A committer reserves its
-//!   version with one `SeqCst` `fetch_add` on the shard epoch.  The RMW
+//!   version with one `SeqCst` `fetch_add` on the log's epoch.  The RMW
 //!   chain on the epoch word forms a release sequence, so a reader whose
 //!   [`snapshot`](CommitLog::snapshot) observes epoch `>= v`
 //!   synchronizes with committer `v`'s reservation — and the committer
@@ -29,14 +29,16 @@
 //!
 //! [`clear`](CommitLog::clear) is the one cold path; it runs between
 //! runs, with the log's users quiesced, and the reader-registry spill sets
-//! sit behind a lock stripe of their own.
+//! sit behind a lock of their own.
 //!
 //! The loop is written for any number of concurrent committers and
 //! tested that way below.  The runtime drives it with **one committer at
 //! a time**: its only commit sites are rank 0's direct store and a join
 //! that validates against main memory (a non-speculative joiner, or a
 //! child promoted while that joiner waits) — speculative joiners absorb
-//! instead — which is why `cas_retries` reads 0 on every ledger row.
+//! instead — which is why `cas_retries` reads 0 on every ledger row, and
+//! why the log keeps one epoch: there is no committer contention for
+//! separate counters to spread.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -44,7 +46,7 @@ use std::time::Instant;
 use super::ring::footprint_bit;
 #[cfg(doc)]
 use super::CommitLogStats;
-use super::{CommitLog, CommitVersion, Shard, LOCK_SAMPLE_LOG2};
+use super::{CommitLog, CommitVersion, LOCK_SAMPLE_LOG2};
 use crate::memory::Addr;
 
 /// Whether the commit that drew ticket `nth` from its path's counter has
@@ -56,13 +58,12 @@ fn lock_time_sampled(nth: u64) -> bool {
 }
 
 impl CommitLog {
-    /// Record one commit batch covering `addrs` and return the largest
-    /// shard version the batch published (the current [`epoch`](Self::epoch)
-    /// for an empty batch, which records nothing).
+    /// Record one commit batch covering `addrs` and return the version
+    /// it published (the current [`epoch`](Self::epoch) for an empty
+    /// batch, which records nothing).
     ///
     /// The caller must have already written the data words to main memory
-    /// (see the module-level ordering protocol).  The batch's addresses
-    /// are grouped by shard; each shard's version is
+    /// (see the module-level ordering protocol).  The batch's version is
     /// reserved-and-published with one `SeqCst` `fetch_add` and the
     /// touched slots raised by CAS.
     pub fn record<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> CommitVersion {
@@ -73,59 +74,41 @@ impl CommitLog {
         let mut addrs: Vec<Addr> = iter.collect();
         if addrs.is_empty() {
             // Single-address batch: the non-speculative direct-store fast
-            // path — one shard, no grouping allocation.
+            // path — no sorting allocation.
             return self.record_single(first);
         }
         self.touch();
         addrs.push(first);
-        // Sorting by (shard, addr) groups each shard's addresses into one
-        // contiguous run, so the publish loop below walks slices of this
-        // single Vec — no per-shard bucket allocation on the commit path.
-        // Within a run addresses ascend, so equal ranges are adjacent and
-        // the stamp walk can deduplicate by slot.
-        let region_log2 = self.region_log2;
-        let mask = self.shard_mask;
-        addrs.sort_unstable_by_key(|a| ((a >> region_log2) & mask, *a));
+        // Ascending addresses put each region's addresses in one
+        // contiguous run and equal ranges next to each other, so the
+        // stamp walk can deduplicate by slot.
+        addrs.sort_unstable();
         addrs.dedup();
         let sample = lock_time_sampled(self.batches.fetch_add(1, Ordering::Relaxed));
-        let mut max_version = 0;
+        let started = sample.then(Instant::now);
         let mut retries = 0u64;
-        let mut start = 0;
-        while start < addrs.len() {
-            let shard_idx = self.shard_of_region(self.region_of(addrs[start]));
-            let mut end = start + 1;
-            while end < addrs.len() && self.shard_of_region(self.region_of(addrs[end])) == shard_idx
-            {
-                end += 1;
-            }
-            let shard = &self.shards[shard_idx];
-            let started = sample.then(Instant::now);
-            let version = self.publish_run(shard, &addrs[start..end], &mut retries);
-            if let Some(started) = started {
-                self.lock_ns.fetch_add(
-                    (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
-                    Ordering::Relaxed,
-                );
-            }
-            max_version = max_version.max(version);
-            start = end;
+        let version = self.publish_run(&addrs, &mut retries);
+        if let Some(started) = started {
+            self.lock_ns.fetch_add(
+                (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
+                Ordering::Relaxed,
+            );
         }
         if retries > 0 {
             self.cas_retries.fetch_add(retries, Ordering::Relaxed);
         }
-        max_version
+        version
     }
 
-    /// Publish one shard's (sorted, deduplicated) address run.
-    /// Reserve-and-publish the version with one `SeqCst`
-    /// `fetch_add`, then raise each touched slot by CAS, one region's
-    /// addresses at a time (see the module docs for why each step is
-    /// sound).
-    fn publish_run(&self, shard: &Shard, run: &[Addr], retries: &mut u64) -> CommitVersion {
-        let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+    /// Publish one (sorted, deduplicated) batch.  Reserve-and-publish the
+    /// version with one `SeqCst` `fetch_add`, then raise each touched slot
+    /// by CAS, one region's addresses at a time (see the module docs for
+    /// why each step is sound).
+    fn publish_run(&self, run: &[Addr], retries: &mut u64) -> CommitVersion {
+        let version = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut stamped = 0u64;
-        // Addresses ascend within the run, so each region's addresses
-        // form one contiguous subgroup, counted into the region's stamps.
+        // Addresses ascend, so each region's addresses form one
+        // contiguous subgroup, counted into the region's stamps.
         let mut start = 0;
         while start < run.len() {
             let region = self.region_of(run[start]);
@@ -133,7 +116,7 @@ impl CommitLog {
             while end < run.len() && self.region_of(run[end]) == region {
                 end += 1;
             }
-            stamped += self.stamp_region_group_cas(shard, &run[start..end], version, retries);
+            stamped += self.stamp_region_group_cas(&run[start..end], version, retries);
             start = end;
         }
         self.stamped.fetch_add(stamped, Ordering::Relaxed);
@@ -144,7 +127,6 @@ impl CommitLog {
     /// `version`; returns the number of distinct slots stamped.
     fn stamp_region_group_cas(
         &self,
-        shard: &Shard,
         group: &[Addr],
         version: CommitVersion,
         retries: &mut u64,
@@ -165,8 +147,8 @@ impl CommitLog {
             // Ring first (see `ring_merge`), then the monotone CAS-max: a
             // slot already at or above `version` was raised by a
             // concurrent later commit — the stamp is free, never lowered.
-            self.ring_merge(shard, local, version, footprint);
-            let slot = &shard.dense[local];
+            self.ring_merge(local, version, footprint);
+            let slot = &self.dense[local];
             let mut cur = slot.load(Ordering::Relaxed);
             while cur < version {
                 match slot.compare_exchange_weak(cur, version, Ordering::Release, Ordering::Relaxed)
@@ -200,13 +182,12 @@ impl CommitLog {
     fn record_single(&self, addr: Addr) -> CommitVersion {
         self.touch();
         let sample = lock_time_sampled(self.singles.fetch_add(1, Ordering::Relaxed));
-        let shard = &self.shards[self.shard_of_region(self.region_of(addr))];
         let started = sample.then(Instant::now);
         let mut retries = 0u64;
-        let version = shard.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let version = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         // One address is a one-element region group: the window check
         // and the CAS-max apply unchanged.
-        let stamped = self.stamp_region_group_cas(shard, &[addr], version, &mut retries);
+        let stamped = self.stamp_region_group_cas(&[addr], version, &mut retries);
         debug_assert_eq!(stamped, 1);
         if retries > 0 {
             self.cas_retries.fetch_add(retries, Ordering::Relaxed);
@@ -234,19 +215,19 @@ mod tests {
     use crate::commit_log::{CommitLogConfig, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
 
     #[test]
-    fn multi_shard_batch_stamps_every_shard() {
-        let config = CommitLogConfig::word_grain().shards(4);
-        let log = CommitLog::with_config(config, 1 << 16);
-        let region = 1u64 << log.region_log2();
-        let batch = [0, region, 2 * region, 3 * region];
-        let before: Vec<_> = batch.iter().map(|&a| log.snapshot(a)).collect();
-        // One batch spanning all four shards.
-        log.record(batch);
-        for (addr, before) in batch.into_iter().zip(before) {
-            assert!(log.written_after(addr, before), "addr {addr}");
-        }
-        assert_eq!(log.commits(), 1);
-        assert_eq!(log.stats().stamp_writes, 4);
+    fn a_batch_publishes_one_version() {
+        // A batch spanning two regions reserves one version from the one
+        // epoch, and every range it touches carries it.
+        let log = CommitLog::with_config(CommitLogConfig::default(), 1 << 16);
+        assert_eq!(log.record_word(0), 1);
+        assert_eq!(log.record([8, 4096]), 2);
+        assert_eq!(log.version_of(8), 2);
+        assert_eq!(log.version_of(4096), 2);
+        assert_eq!(log.snapshot(0), 2);
+        assert_eq!(log.snapshot(4096), 2);
+        assert_eq!(log.epoch(), 2);
+        assert_eq!(log.commits(), 2);
+        assert_eq!(log.stats().stamp_writes, 3);
     }
 
     #[test]
@@ -254,7 +235,7 @@ mod tests {
         // A commit publishes the epoch *before* stamping, so
         // `version_of >= snapshot` does not hold transiently.  The
         // invariants are: a slot never exceeds a subsequently-sampled
-        // shard epoch (the stamp's version was reserved from that epoch
+        // epoch (the stamp's version was reserved from that epoch
         // first), slots are monotone, and once the committer is
         // quiescent every stamp has caught up exactly.
         let log = std::sync::Arc::new(CommitLog::with_config(CommitLogConfig::default(), 1 << 12));
@@ -324,12 +305,12 @@ mod tests {
 
     #[test]
     fn lock_free_disjoint_committers_scale_without_losing_stamps() {
-        // N committers on N disjoint ranges of one shard: every stamp is
+        // N committers on N disjoint ranges: every stamp is
         // visible afterwards, the versions are a permutation of 1..=N,
         // and (disjoint slots) the barrier race costs no lost update.
         const N: usize = 8;
         let log = std::sync::Arc::new(CommitLog::with_config(
-            CommitLogConfig::word_grain().shards(1),
+            CommitLogConfig::word_grain(),
             1 << 12,
         ));
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(N));
@@ -362,7 +343,7 @@ mod tests {
         // the epoch it was reserved from.
         for grain in [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2] {
             let log = std::sync::Arc::new(CommitLog::with_config(
-                CommitLogConfig::default().grain_log2(grain).shards(1),
+                CommitLogConfig::default().grain_log2(grain),
                 1 << 12,
             ));
             let stale = log.register_reader(8, 3);
@@ -376,7 +357,7 @@ mod tests {
                         let mut last = 0;
                         for _ in 0..2_000 {
                             let v = log.record_word(8 + t * 16);
-                            assert!(v > last, "reservations are monotone per shard");
+                            assert!(v > last, "reservations are monotone");
                             last = v;
                         }
                     })
@@ -415,17 +396,22 @@ mod tests {
     #[test]
     fn single_threaded_script_yields_pinned_versions_and_stats() {
         // The observable single-threaded semantics of the publish path,
-        // pinned to literals: region 0 lives on shard 0 and region 1 on
-        // shard 1, each shard versions its own commits from 1.
-        let log = CommitLog::with_config(CommitLogConfig::word_grain().shards(2), 1 << 13);
+        // pinned to literals: regions 0 and 1 share the one epoch, and a
+        // batch spanning both publishes one version.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 13);
         let snap = log.register_reader(8, 3);
         assert_eq!(snap, 0);
-        assert_eq!(log.record([8, 64, 4096]), 1, "both shards publish 1");
+        assert_eq!(log.record([8, 64, 4096]), 1, "one version for both regions");
         assert_eq!(log.record([8]), 2);
         assert_eq!(log.record_word(16), 3);
         assert!(log.written_after(8, snap));
         assert_eq!(log.version_of(64), 1, "word grain: 64 is its own slot");
-        assert_eq!(log.version_of(4096), 1, "the other shard is untouched");
+        assert_eq!(
+            log.version_of(4096),
+            1,
+            "region 1 keeps the batch's version"
+        );
+        assert_eq!(log.snapshot(4096), 3, "region 1 snapshots the one epoch");
         let stats = log.stats();
         assert_eq!((stats.commits, stats.stamp_writes), (3, 5));
         assert!(

@@ -247,9 +247,9 @@ impl GlobalBuffer {
     ) -> Result<u64, BufferError> {
         debug_assert_eq!(word_addr % WORD_BYTES, 0, "first touch of a word");
         self.stats.memory_loads += 1;
-        // Sample the owning shard's epoch BEFORE reading the word: a
-        // commit racing in between then stamps a higher version and
-        // validation flags the read (conservatively), never misses it.
+        // Sample the log's epoch BEFORE reading the word: a commit racing
+        // in between then stamps a higher version and validation flags the
+        // read (conservatively), never misses it.
         // With a reader identity, registration precedes the snapshot
         // (CommitLog's seqlock protocol), so a committer that misses the
         // registration is covered by the snapshot.

@@ -17,9 +17,9 @@
 //!   benign read/write races inherent to speculation are well defined.
 //! * [`AddressSpace`] — registration of static/heap/stack address ranges so
 //!   speculative accesses to unregistered addresses force a rollback.
-//! * [`CommitLog`] — the range-granular, sharded versioned record of every
-//!   write published to main memory; read-set entries are stamped with the
-//!   owning shard's epoch observed at read time and join-time validation
+//! * [`CommitLog`] — the range-granular versioned record of every write
+//!   published to main memory; read-set entries are stamped with the log's
+//!   epoch observed at read time and join-time validation
 //!   flags every read whose range a logical predecessor's commit
 //!   invalidated (real conflict detection; false sharing at coarse grains
 //!   is conservative, missed conflicts are impossible).
@@ -39,9 +39,9 @@ mod zeroed;
 
 pub use address_space::AddressSpace;
 pub use commit_log::{
-    region_log2_for_grain, CommitLog, CommitLogConfig, CommitLogStats, CommitVersion, ReaderSet,
-    RegionId, RegionProfile, RingCheck, DEFAULT_RING_DEPTH, LINE_GRAIN_LOG2, MAX_RING_DEPTH,
-    MAX_TRACKED_READERS, MIN_REGION_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
+    CommitLog, CommitLogConfig, CommitLogStats, CommitVersion, ReaderSet, RegionId, RegionProfile,
+    RingCheck, DEFAULT_RING_DEPTH, LINE_GRAIN_LOG2, MAX_RING_DEPTH, MAX_TRACKED_READERS,
+    PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
 };
 pub use error::{BufferError, RollbackReason, SpecFailure};
 pub use global_buffer::{BufferConfig, BufferStats, GlobalBuffer, Validation};

@@ -57,12 +57,11 @@ unsafe impl Zeroable for WordEntry {}
 
 impl WordEntry {
     /// Commit-log snapshot sampled at the word's first read (0 when the read
-    /// was not versioned): the epoch of the log *shard* owning the
-    /// address's range (`CommitLog::snapshot`), which join-time dependence
-    /// validation compares against the range's current stamp.  Versions of
-    /// the same word are always same-shard and therefore comparable — which
-    /// is what lets a word keep the oldest snapshot when two threads' reads
-    /// merge.
+    /// was not versioned): the log's epoch (`CommitLog::snapshot`), which
+    /// join-time dependence validation compares against the range's current
+    /// stamp.  One epoch versions every commit, so any two versions are
+    /// comparable — which is what lets a word keep the oldest snapshot when
+    /// two threads' reads merge.
     pub fn version(&self) -> u64 {
         self.meta >> VERSION_SHIFT
     }
@@ -378,10 +377,10 @@ impl WordMap {
     }
 
     /// Record a read of the whole word `value` at `addr` stamped with the
-    /// owning commit-log shard's epoch observed before it.  A word read
-    /// before keeps its *first* read and the *older* version: that snapshot
-    /// is the one dependence validation must check, also when two threads'
-    /// reads merge.
+    /// commit log's epoch observed before it.  A word read before keeps its
+    /// *first* read and the *older* version: that snapshot is the one
+    /// dependence validation must check, also when two threads' reads
+    /// merge.
     pub fn insert_word_versioned(
         &mut self,
         addr: Addr,

@@ -451,22 +451,20 @@ proptest! {
         prop_assert_eq!(!parent.validate_against(&log), dependent);
     }
 
-    /// Range-granular validation is one-sided at every grain and shard
-    /// count: a commit overlapping a read at *word* level must always be
+    /// Range-granular validation is one-sided at every grain: a commit overlapping a read at *word* level must always be
     /// flagged (no missed conflicts), and a commit disjoint from every
     /// read at *range* level must always validate (false sharing stays
     /// confined to shared ranges).
     #[test]
     fn range_grain_flags_conservatively_never_misses(
         grain_log2 in grain_strategy(),
-        shards in (0u32..4).prop_map(|i| [1usize, 2, 8, 16][i as usize]),
         reads in proptest::collection::vec(addr_strategy(), 1..24),
         commits in proptest::collection::vec(addr_strategy(), 0..24),
     ) {
         let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
         let commits: std::collections::HashSet<u64> = commits.into_iter().collect();
         let mem = GlobalMemory::new(1 << 16);
-        let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, ..Default::default() };
         let log = CommitLog::with_config(config, 1 << 15);
         let mut buf = GlobalBuffer::new(BufferConfig::default());
         for &addr in &reads {
@@ -489,14 +487,13 @@ proptest! {
 
     /// Two words straddling a range edge never cross-conflict: the last
     /// word of range k-1 and the first word of range k are tracked
-    /// independently at every grain and shard count.
+    /// independently at every grain.
     #[test]
     fn range_edge_straddlers_do_not_cross_conflict(
         grain_log2 in grain_strategy(),
-        shards in (0u32..3).prop_map(|i| [1usize, 2, 8][i as usize]),
         k in 1u64..64,
     ) {
-        let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, ..Default::default() };
         let log = CommitLog::with_config(config, 64 << grain_log2);
         let edge = k << grain_log2;
         let below = edge - WORD_BYTES; // last word of range k-1
@@ -513,7 +510,7 @@ proptest! {
         prop_assert!(log.written_after(above, snap_above));
     }
 
-    /// The window rounds up to whole regions times shards — a capacity
+    /// The window rounds up to whole regions — a capacity
     /// that ends mid-range still covers its last word, and a batch up to
     /// the window's last word keeps every stamp — and the first address
     /// past it is a caller's bug: it panics, naming the address.
@@ -523,14 +520,14 @@ proptest! {
         ranges in 1u64..16,
         offsets in proptest::collection::vec(0u64..32, 1..16),
     ) {
-        let config = CommitLogConfig { grain_log2, shards: 4, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, ..Default::default() };
         let grain = 1u64 << grain_log2;
         // The capacity is not grain-aligned: the partial trailing range
         // must round up into the window.
         let capacity = ranges * grain - 1;
         let log = CommitLog::with_config(config, capacity);
-        let stripe = 4u64 << log.region_log2();
-        let window = capacity.div_ceil(stripe) * stripe;
+        let region = 1u64 << log.region_log2();
+        let window = capacity.div_ceil(region) * region;
         // A batch spread from the asked-for capacity to the window's end.
         let addrs: Vec<u64> = offsets
             .iter()
@@ -548,36 +545,6 @@ proptest! {
         prop_assert!(message.contains(&format!("{window:#x}")), "{}", message);
     }
 
-    /// The global epoch is the max over the shard epochs: it bounds every
-    /// per-address snapshot, and after any batch at least one address's
-    /// snapshot equals it.
-    #[test]
-    fn global_epoch_is_the_max_over_shard_snapshots(
-        shards in (0u32..3).prop_map(|i| [2usize, 4, 8][i as usize]),
-        batches in proptest::collection::vec(
-            proptest::collection::vec(addr_strategy(), 1..8), 1..8),
-    ) {
-        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, shards, ..Default::default() };
-        let log = CommitLog::with_config(config, 1 << 12);
-        let mut touched: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut last_epoch = 0;
-        for batch in &batches {
-            log.record(batch.iter().copied());
-            touched.extend(batch.iter().copied());
-            let epoch = log.epoch();
-            prop_assert!(epoch >= last_epoch, "global epoch went backwards");
-            last_epoch = epoch;
-        }
-        let snapshots: Vec<u64> = touched.iter().map(|&a| log.snapshot(a)).collect();
-        for &snap in &snapshots {
-            prop_assert!(snap <= log.epoch(), "snapshot above the global max");
-        }
-        prop_assert!(
-            snapshots.iter().any(|&s| s == log.epoch()),
-            "no shard carries the max epoch"
-        );
-    }
-
     /// Targeted dooming is *surgical*: for arbitrary reader
     /// registrations and an arbitrary write batch, the enumerated doom
     /// set is always a **subset of the threads the old squash cascade
@@ -589,12 +556,11 @@ proptest! {
     #[test]
     fn doom_set_is_a_subset_of_the_cascades_victims(
         grain_log2 in grain_strategy(),
-        shards in (0u32..3).prop_map(|i| [1usize, 4, 8][i as usize]),
         registrations in proptest::collection::vec(
             (1usize..17, addr_strategy()), 0..40),
         writes in proptest::collection::vec(addr_strategy(), 1..16),
     ) {
-        let config = CommitLogConfig { grain_log2, shards, ..Default::default() };
+        let config = CommitLogConfig { grain_log2, ..Default::default() };
         let log = CommitLog::with_config(config, 1 << 12);
         for (rank, addr) in &registrations {
             log.register_reader(*addr, *rank);
@@ -637,24 +603,23 @@ proptest! {
     /// committer threads CAS-publishing arbitrary mixes of disjoint and
     /// colliding slots, released together through a barrier.  Afterwards
     /// **every stamp is visible** (no lost update, whatever the
-    /// interleaving), every shard epoch equals its reservation count
-    /// (epochs are exact and monotone — `fetch_add` never skips or
-    /// repeats), no slot exceeds the epoch it was reserved from, and the
-    /// aggregate counters are exact.
+    /// interleaving), the epoch equals the reservation count (exact and
+    /// monotone — `fetch_add` never skips or repeats), no slot exceeds
+    /// the epoch it was reserved from, and the aggregate counters are
+    /// exact.
     #[test]
     fn concurrent_disjoint_commits_never_lose_a_stamp(
-        shards in (0u32..3).prop_map(|i| [1usize, 2, 4][i as usize]),
         batches in proptest::collection::vec(
             proptest::collection::vec(0u64..64, 1..8), 2..8),
     ) {
-        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, shards, ..Default::default() };
-        // 64 word slots spread over `shards` regions: slot i lives in
-        // region (i % shards), so every batch mixes shards and colliding
-        // slots are common.  The capacity makes every region dense — the
-        // property is about the CAS fast path.
-        let log = std::sync::Arc::new(CommitLog::with_config(config, (shards as u64) << 12));
+        const REGIONS: u64 = 4;
+        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, ..Default::default() };
+        // 64 word slots spread over four regions: slot i lives in region
+        // (i % 4), so batches span regions and colliding slots are
+        // common.  The property is about the CAS fast path.
+        let log = std::sync::Arc::new(CommitLog::with_config(config, REGIONS << 12));
         let region_bytes = 1u64 << log.region_log2();
-        let addr_of = |slot: u64| (slot % shards as u64) * region_bytes + (slot / shards as u64) * WORD_BYTES;
+        let addr_of = |slot: u64| (slot % REGIONS) * region_bytes + (slot / REGIONS) * WORD_BYTES;
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(batches.len()));
         let handles: Vec<_> = batches
             .iter()
@@ -683,23 +648,16 @@ proptest! {
             prop_assert!(log.version_of(addr) > 0, "slot {addr:#x} lost its stamp");
             prop_assert!(
                 log.version_of(addr) <= log.snapshot(addr),
-                "slot {addr:#x} outran its shard epoch"
+                "slot {addr:#x} outran the epoch"
             );
         }
-        // Shard epochs are exact: one reservation per (batch, touched
-        // shard) pair, so the epoch equals the number of batches whose
-        // addresses hit the shard.
-        for shard in 0..shards as u64 {
-            let expected = batches
-                .iter()
-                .filter(|batch| batch.iter().any(|&s| s % shards as u64 == shard))
-                .count() as u64;
-            prop_assert_eq!(
-                log.snapshot(shard * region_bytes),
-                expected,
-                "shard {} epoch drifted from its reservation count", shard
-            );
-        }
+        // The epoch is exact: one reservation per batch, whatever regions
+        // the batch spans.
+        prop_assert_eq!(
+            log.epoch(),
+            batches.len() as u64,
+            "the epoch drifted from its reservation count"
+        );
         prop_assert_eq!(log.commits(), batches.len() as u64);
     }
 
@@ -723,7 +681,6 @@ proptest! {
     #[test]
     fn mvcc_is_sandwiched_between_value_and_single_version_validation(
         grain_log2 in grain_strategy(),
-        shards in (0u32..3).prop_map(|i| [1usize, 2, 8][i as usize]),
         ring_depth in (0u32..3).prop_map(|i| [1u32, 2, 4][i as usize]),
         ring_bucket_log2 in (0u32..2).prop_map(|i| [0u32, 6][i as usize]),
         reads in proptest::collection::vec(addr_strategy(), 1..16),
@@ -733,7 +690,7 @@ proptest! {
         let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
         let mem = GlobalMemory::new(1 << 16);
         let mvcc_config = CommitLogConfig {
-            grain_log2, shards, ring_depth, ring_bucket_log2,
+            grain_log2, ring_depth, ring_bucket_log2,
         };
         let single_config = CommitLogConfig { ring_depth: 1, ..mvcc_config };
         let mvcc_log = CommitLog::with_config(mvcc_config, 1 << 15);

@@ -31,8 +31,8 @@ pub struct RuntimeConfig {
     /// fork-throttling policy (default: `Static`, the
     /// unconditional behaviour of the original runtime).
     pub governor: GovernorConfig,
-    /// Granularity, sharding and version-ring depth of the shared commit
-    /// log (default: 64-byte ranges across 8 shards, depth-4 rings).
+    /// Granularity and version-ring depth of the shared commit log
+    /// (default: 64-byte ranges, depth-4 rings).
     /// Coarser grains bound log growth and stamp traffic at the cost of
     /// false-sharing rollbacks; word grain
     /// ([`CommitLogConfig::word_grain`]) restores the exact per-word
@@ -143,12 +143,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the commit-log shard count (builder style).
-    pub fn commit_shards(mut self, shards: usize) -> Self {
-        self.commit_log.shards = shards;
-        self
-    }
-
     /// Set the full flight-recorder configuration (builder style).
     pub fn trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
@@ -236,12 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn commit_log_builders_set_grain_and_shards() {
+    fn commit_log_builders_set_the_grain() {
         let c = RuntimeConfig::default();
         assert_eq!(c.commit_log, CommitLogConfig::default());
-        let c = c.commit_grain_log2(3).commit_shards(2);
+        let c = c.commit_grain_log2(3);
         assert_eq!(c.commit_log.grain_log2, 3);
-        assert_eq!(c.commit_log.shards, 2);
         let c = c.commit_log(CommitLogConfig::page_grain());
         assert_eq!(c.commit_log, CommitLogConfig::page_grain());
         // Ring depth lives in the commit-log config and nowhere else.

@@ -274,7 +274,7 @@ impl ThreadManager {
         space.register(GlobalMemory::BASE_ADDR, 0);
         // Size the log's dense fast path to the arena so every stamp and
         // lookup is a single atomic access with bounded memory; grain and
-        // shard count and ring depth come from the runtime configuration.
+        // ring depth come from the runtime configuration.
         let commit_log = CommitLog::with_config(config.commit_log, memory.size_bytes());
         Arc::new(ThreadManager {
             config,

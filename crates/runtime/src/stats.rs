@@ -574,7 +574,6 @@ mod tests {
                 stamp_writes: 40,
                 reader_spills: 3,
                 grain_log2: 3,
-                shards: 8,
                 ..CommitLogStats::default()
             },
             latency: recorder.report(),

@@ -53,7 +53,6 @@ impl<'a> Scheduler<'a> {
             reader_spills: 0,
             ring_overflows: self.sim_ring_overflows,
             grain_log2: self.config.commit_log.grain_log2,
-            shards: self.config.commit_log.shards,
             ring_depth: self.config.commit_log.ring_depth,
         }
     }

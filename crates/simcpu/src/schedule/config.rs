@@ -94,12 +94,6 @@ impl SimConfig {
         self
     }
 
-    /// Set the simulated commit-log shard count (builder style).
-    pub fn commit_shards(mut self, shards: usize) -> Self {
-        self.commit_log.shards = shards;
-        self
-    }
-
     /// Enable virtual-time lifecycle event tracing (builder style).
     pub fn trace(mut self, enabled: bool) -> Self {
         self.trace = enabled;

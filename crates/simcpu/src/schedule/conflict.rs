@@ -113,7 +113,7 @@ impl<'a> Scheduler<'a> {
                 let word = fiber.reads.binary_search(&w).is_ok();
                 // Ring overflow: more publishes into the range than the
                 // ring holds since the fiber started — the sim's publish
-                // times stand in for the shard version, a conservative
+                // times stand in for the log version, a conservative
                 // proxy for the entry's read stamp.
                 let overflow =
                     mvcc && self.log.range_since(range, fiber.start_time) + 1 >= ring_depth;

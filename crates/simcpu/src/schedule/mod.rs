@@ -307,7 +307,7 @@ impl<'a> Scheduler<'a> {
     pub fn new(recording: &'a Recording, mut config: SimConfig) -> Self {
         // SimConfig's fields are pub and call sites use struct literals,
         // so apply the commit log's own normalization rules here: the
-        // shard count is used as a bit mask and the grain as a shift.
+        // grain is used as a shift and the ring depth as a history length.
         config.commit_log = config.commit_log.normalized();
         let rng = SmallRng::seed_from_u64(config.seed);
         let num_cpus = config.num_cpus;

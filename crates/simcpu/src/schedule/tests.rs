@@ -119,12 +119,11 @@ fn mvcc_turns_false_sharing_retries_into_precise_passes() {
 /// stays byte-deterministic.
 #[test]
 fn a_publish_with_later_chunks_in_flight_pays_no_contention() {
-    // A speculation chain over one page (= one region, hence one
-    // shard at any shard count): every chunk stores its word in an
-    // *early* segment (split off by the check point) and then works
-    // for a long time, so when chunk i commits at the root's join,
-    // chunks i+1.. are still in flight with their stores already
-    // buffered in the same shard.
+    // A speculation chain over one page (= one region): every chunk
+    // stores its word in an *early* segment (split off by the check
+    // point) and then works for a long time, so when chunk i commits at
+    // the root's join, chunks i+1.. are still in flight with their
+    // stores already buffered in the same region.
     let memory = Arc::new(GlobalMemory::new(1 << 12));
     let out = memory.alloc::<i64>(8);
     let recording = record_region(Arc::clone(&memory), move |ctx| {
@@ -149,7 +148,7 @@ fn a_publish_with_later_chunks_in_flight_pays_no_contention() {
         }
         run(ctx, out, 0, 6)
     });
-    let config = || SimConfig::with_cpus(8).commit_shards(8);
+    let config = || SimConfig::with_cpus(8);
     let result = simulate(&recording, config());
     assert_eq!(result.report.commit_log.cas_retries, 0);
     let phases = &result.report.latency.phases;
@@ -267,11 +266,11 @@ fn index_and_registry_agree_with_the_log_scan_on_random_task_trees() {
     }
 }
 
-/// Degenerate pub-field configs (zero shards, sub-word grain) must be
-/// normalized by the scheduler, not panic or mis-mask — SimConfig is
-/// routinely built via struct literals.
+/// Degenerate pub-field configs (sub-word grain) must be normalized by the
+/// scheduler, not panic or mis-shift — SimConfig is routinely built via
+/// struct literals.
 #[test]
-fn degenerate_grain_and_shard_configs_are_normalized() {
+fn degenerate_grain_configs_are_normalized() {
     let memory = Arc::new(GlobalMemory::new(1 << 12));
     let cell = memory.alloc::<u64>(4);
     let recording = record_region(Arc::clone(&memory), |ctx| {
@@ -281,13 +280,12 @@ fn degenerate_grain_and_shard_configs_are_normalized() {
         }
         Ok(())
     });
-    for (grain_log2, shards) in [(0u32, 0usize), (1, 3), (6, 1)] {
+    for grain_log2 in [0u32, 1, 6] {
         let result = simulate(
             &recording,
             SimConfig {
                 commit_log: CommitLogConfig {
                     grain_log2,
-                    shards,
                     ..CommitLogConfig::default()
                 },
                 ..SimConfig::with_cpus(2)

@@ -3,7 +3,7 @@
 //!
 //! The simulator is the deterministic substrate of every figure in the
 //! harness, and PR-level changes keep adding concurrency (the parallel
-//! sweep fan-out, the sharded commit log).  These tests pin the
+//! sweep fan-out, the lock-free commit log).  These tests pin the
 //! guarantee down where it is supposed to be exact: the discrete-event
 //! simulator and everything built on it, including the `par_map` sweep
 //! fan-out, must reproduce byte-identical serialized output across runs.
@@ -37,12 +37,10 @@ fn pipeline(kind: WorkloadKind, config: &SimConfig) -> String {
 #[test]
 fn simulated_run_reports_are_byte_identical_across_runs() {
     // Exercise the nondeterminism-prone paths deliberately: injected
-    // rollbacks (RNG), a coarse commit-log grain (range conflicts) and
-    // multiple shards (commit contention).
+    // rollbacks (RNG) and a coarse commit-log grain (range conflicts).
     let config = SimConfig::with_cpus(16)
         .rollback_probability(0.3)
-        .grain_log2(LINE_GRAIN_LOG2)
-        .commit_shards(4);
+        .grain_log2(LINE_GRAIN_LOG2);
     for kind in [
         WorkloadKind::Fft,
         WorkloadKind::ConflictChain,

@@ -17,7 +17,7 @@
 //!   rollbacks *structurally* — coarser grains are exempt, since
 //!   adjacent private words may share a range.
 //!
-//! A proptest harness additionally fuzzes (grain, shards, CPUs, sharing
+//! A proptest harness additionally fuzzes (grain, CPUs, sharing
 //! rate, ring depth, seed) on a fast chain kernel; CI pins
 //! `PROPTEST_CASES` low in its dedicated job, while local runs default to
 //! the full case count.
@@ -220,14 +220,13 @@ fn fast_chain(permille: u32, seed: u64) -> ChainConfig {
 }
 
 proptest! {
-    /// Randomized differential property: for arbitrary (grain, shards,
-    /// CPU count, sharing rate, ring depth, seed), the speculative chain
+    /// Randomized differential property: for arbitrary (grain, CPU
+    /// count, sharing rate, ring depth, seed), the speculative chain
     /// execution equals the sequential reference and nothing is ever
     /// injected.
     #[test]
     fn randomized_chain_differential(
         grain_i in 0u32..3,
-        shards in (0u32..3).prop_map(|i| [1usize, 4, 16][i as usize]),
         cpus in 2usize..6,
         permille in 0u32..1001,
         ring_depth_i in 0usize..2,
@@ -238,16 +237,14 @@ proptest! {
         let chain = fast_chain(permille, seed);
         let runtime_config = RuntimeConfig::with_cpus(cpus).commit_log(CommitLogConfig {
             grain_log2,
-            shards,
             ring_depth,
             ..CommitLogConfig::default()
         });
         let (state_ok, report) = conflict::chain_verify_native(chain, runtime_config);
         prop_assert!(
             state_ok,
-            "chain diverged: grain 2^{}B, {} shards, {} cpus, {}‰ sharing, ring depth {}, seed {seed:#x} ({})",
+            "chain diverged: grain 2^{}B, {} cpus, {}‰ sharing, ring depth {}, seed {seed:#x} ({})",
             grain_log2,
-            shards,
             cpus,
             permille,
             ring_depth,
