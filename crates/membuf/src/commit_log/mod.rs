@@ -99,6 +99,8 @@ mod ring;
 mod stamp;
 
 pub use readers::{ReaderSet, MAX_TRACKED_READERS};
+#[cfg(test)]
+pub(crate) use ring::RING_BUCKET_LOG2;
 pub use ring::{RingCheck, DEFAULT_RING_DEPTH, MAX_RING_DEPTH};
 
 /// Monotone version assigned to a commit batch by the log
@@ -142,13 +144,10 @@ pub struct CommitLogConfig {
     /// [`CommitLog::probe_written`] answer precisely whether the probed
     /// *word* was overwritten; 1 allocates no rings and keeps exact
     /// single-version behavior.  Clamped to `1..=`[`MAX_RING_DEPTH`].
+    /// One ring slot holds a bucket of 64 consecutive versions
+    /// (footprints OR-merged), so a depth-`d` ring reaches `d × 64`
+    /// versions back before overflowing.
     pub ring_depth: u32,
-    /// Log2 of the ring's version-bucket width: `2^ring_bucket_log2`
-    /// consecutive versions share one ring slot (footprints OR-merged),
-    /// so a depth-`d` ring reaches `d * 2^ring_bucket_log2` versions
-    /// back before overflowing.  Coarser buckets reach further at lower
-    /// word precision.  Clamped to `0..=16`.
-    pub ring_bucket_log2: u32,
 }
 
 impl Default for CommitLogConfig {
@@ -156,7 +155,6 @@ impl Default for CommitLogConfig {
         CommitLogConfig {
             grain_log2: LINE_GRAIN_LOG2,
             ring_depth: DEFAULT_RING_DEPTH,
-            ring_bucket_log2: 6,
         }
     }
 }
@@ -196,22 +194,15 @@ impl CommitLogConfig {
         self
     }
 
-    /// Set the ring version-bucket width as a log2 (builder style).
-    pub fn ring_bucket_log2(mut self, ring_bucket_log2: u32) -> Self {
-        self.ring_bucket_log2 = ring_bucket_log2;
-        self
-    }
-
     /// The config with degenerate values clamped: grain at least a word,
-    /// ring depth and bucket width in range.  [`CommitLog::with_config`]
-    /// applies this automatically; other consumers of the raw pub fields
+    /// ring depth in range.  [`CommitLog::with_config`] applies this
+    /// automatically; other consumers of the raw pub fields
     /// (e.g. the simulator) should apply it too so one set of rules
     /// governs every layer.
     pub fn normalized(self) -> Self {
         CommitLogConfig {
             grain_log2: self.grain_log2.max(WORD_GRAIN_LOG2),
             ring_depth: self.ring_depth.clamp(1, MAX_RING_DEPTH),
-            ring_bucket_log2: self.ring_bucket_log2.min(16),
         }
     }
 }
@@ -635,13 +626,11 @@ mod tests {
             CommitLogConfig {
                 grain_log2: 0,
                 ring_depth: 0,
-                ring_bucket_log2: 40,
             },
             128,
         );
         assert_eq!(log.config().grain_log2, WORD_GRAIN_LOG2);
         assert_eq!(log.config().ring_depth, 1, "ring depth clamps to 1");
-        assert_eq!(log.config().ring_bucket_log2, 16, "bucket width clamps");
         assert_eq!(
             CommitLogConfig::default()
                 .ring_depth(999)
@@ -724,16 +713,8 @@ mod tests {
 
     #[test]
     fn clear_after_any_one_mutator_leaves_a_freshly_built_log() {
-        // Two regions, shallow rings with one version a bucket: every
-        // table has something to lose.
-        let build = || {
-            CommitLog::with_config(
-                CommitLogConfig::word_grain()
-                    .ring_depth(2)
-                    .ring_bucket_log2(0),
-                2 << 12,
-            )
-        };
+        // Two regions, shallow rings: every table has something to lose.
+        let build = || CommitLog::with_config(CommitLogConfig::word_grain().ring_depth(2), 2 << 12);
         let fresh = contents(&build());
         // `clear` on a log nothing used changes nothing.
         let unused = build();
@@ -744,10 +725,10 @@ mod tests {
         type Mutator = fn(&CommitLog);
         let mutators: [(&str, Mutator); 5] = [
             ("record", |log| {
-                for _ in 0..3 {
+                for _ in 0..2 << RING_BUCKET_LOG2 {
                     log.record([8, 4096 + 16]);
                 }
-                // Three versions back on a depth-2 ring: counted.
+                // Two whole buckets back on a depth-2 ring: counted.
                 assert_eq!(log.probe_written(8, 0), RingCheck::Overflow);
             }),
             ("record_word", |log| {

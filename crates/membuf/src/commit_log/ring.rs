@@ -13,7 +13,7 @@
 //! hash at worst blames an unwritten word).
 //!
 //! Entries are indexed by **version bucket**: bucket
-//! `version >> `[`CommitLogConfig::ring_bucket_log2`] owns ring slot
+//! `version >> RING_BUCKET_LOG2` (64 consecutive versions) owns ring slot
 //! `bucket % ring_depth`.  A committer CAS-merges into its bucket's slot
 //! (same bucket: max the version, OR the footprint; older bucket:
 //! replace; newer bucket already present: leave it — the lost footprint
@@ -51,6 +51,11 @@ use crate::memory::Addr;
 /// Default version-ring depth ([`CommitLogConfig::ring_depth`]); 1
 /// disables the rings.
 pub const DEFAULT_RING_DEPTH: u32 = 4;
+
+/// Log2 of a ring bucket's width: 64 consecutive versions share one ring
+/// slot, footprints OR-merged.  Wider buckets reach further back at lower
+/// word precision.
+pub(crate) const RING_BUCKET_LOG2: u32 = 6;
 
 /// Largest ring depth [`CommitLogConfig::normalized`] allows — 64 slots
 /// (512 B) of history per range is already far past the point of
@@ -155,9 +160,8 @@ impl CommitLog {
             self.ring_overflows.fetch_add(1, Ordering::Relaxed);
             return RingCheck::Overflow;
         }
-        let bucket_log2 = self.config.ring_bucket_log2;
-        let cur_bucket = cur >> bucket_log2;
-        let read_bucket = read_version >> bucket_log2;
+        let cur_bucket = cur >> RING_BUCKET_LOG2;
+        let read_bucket = read_version >> RING_BUCKET_LOG2;
         if cur_bucket - read_bucket >= depth {
             self.ring_overflows.fetch_add(1, Ordering::Relaxed);
             return RingCheck::Overflow;
@@ -167,7 +171,7 @@ impl CommitLog {
         for bucket in read_bucket..=cur_bucket {
             let idx = local * depth as usize + (bucket % depth) as usize;
             let entry = self.rings[idx].load(Ordering::Acquire);
-            let entry_bucket = ring_version(entry) >> bucket_log2;
+            let entry_bucket = ring_version(entry) >> RING_BUCKET_LOG2;
             if entry_bucket < bucket {
                 // No commit of this bucket published here.  (One that
                 // races this probe mid-merge reserved a version above
@@ -212,12 +216,11 @@ impl CommitLog {
         if depth <= 1 || self.rings.is_empty() || version >= RING_VERSION_CAP {
             return;
         }
-        let bucket_log2 = self.config.ring_bucket_log2;
-        let bucket = version >> bucket_log2;
+        let bucket = version >> RING_BUCKET_LOG2;
         let slot = &self.rings[local * depth as usize + (bucket % depth) as usize];
         let mut cur = slot.load(Ordering::Relaxed);
         loop {
-            let cur_bucket = ring_version(cur) >> bucket_log2;
+            let cur_bucket = ring_version(cur) >> RING_BUCKET_LOG2;
             let proposed = if cur_bucket == bucket {
                 ring_pack(
                     ring_version(cur).max(version),
@@ -304,35 +307,28 @@ mod tests {
 
     #[test]
     fn ring_overflow_falls_back_conservatively_and_is_counted() {
-        // Depth 2 with single-version buckets reaches 2 commits back:
-        // a snapshot 3 commits old overflows instead of guessing.
-        let log = CommitLog::with_config(
-            CommitLogConfig::line_grain()
-                .ring_depth(2)
-                .ring_bucket_log2(0),
-            1 << 12,
-        );
-        for _ in 0..3 {
+        // Depth 2 reaches two buckets back: a snapshot in bucket 0 of a
+        // range last written in bucket 2 overflows instead of guessing.
+        let bucket = 1u64 << RING_BUCKET_LOG2;
+        let log = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(2), 1 << 12);
+        for _ in 0..2 * bucket {
             log.record_word(16);
         }
         assert_eq!(log.probe_written(8, 0), RingCheck::Overflow);
         assert_eq!(log.stats().ring_overflows, 1);
-        // A recent-enough snapshot still probes precisely.
-        assert_eq!(log.probe_written(8, 2), RingCheck::Precise);
-        // Deeper history at the same bucket width stays precise.
-        let deep = CommitLog::with_config(
-            CommitLogConfig::line_grain()
-                .ring_depth(4)
-                .ring_bucket_log2(0),
-            1 << 12,
-        );
-        for _ in 0..3 {
+        // A snapshot one bucket back still probes precisely.
+        assert_eq!(log.probe_written(8, bucket), RingCheck::Precise);
+        // A deeper ring over the same commits stays precise.
+        let deep = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(4), 1 << 12);
+        for _ in 0..2 * bucket {
             deep.record_word(16);
         }
         assert_eq!(deep.probe_written(8, 0), RingCheck::Precise);
         assert_eq!(
             deep.probe_written(16, 1),
-            RingCheck::Touched { newest_touch: 3 }
+            RingCheck::Touched {
+                newest_touch: 2 * bucket
+            }
         );
         assert_eq!(deep.stats().ring_overflows, 0);
     }

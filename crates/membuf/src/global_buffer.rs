@@ -589,7 +589,7 @@ fn keep_spilled(inserted: Result<(), BufferError>) -> Result<(), BufferError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commit_log::{CommitLog, CommitLogConfig};
+    use crate::commit_log::{CommitLog, CommitLogConfig, RING_BUCKET_LOG2};
     use crate::memory::GlobalMemory;
 
     fn setup() -> (GlobalMemory, GlobalBuffer) {
@@ -875,17 +875,10 @@ mod tests {
         assert_eq!((parent.read_set_len(), parent.write_set_len()), (1, 1));
     }
 
-    /// Line-granular mvcc log: one-version-per-bucket so ring entries
-    /// stay per-commit precise (the bucketed default would merge
-    /// footprints of nearby versions).
+    /// Line-granular mvcc log, depth-4 rings of 64-version buckets.
     fn mvcc_line_log() -> CommitLog {
         // The window covers the whole test arena.
-        CommitLog::with_config(
-            CommitLogConfig::line_grain()
-                .ring_depth(4)
-                .ring_bucket_log2(0),
-            4096,
-        )
+        CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(4), 4096)
     }
 
     #[test]
@@ -920,6 +913,8 @@ mod tests {
         let log = mvcc_line_log();
         let mut buf = GlobalBuffer::new(BufferConfig::default());
         let p = mem.alloc::<u64>(2);
+        // A word of another line, whose commits only move the epoch.
+        let pad = mem.alloc::<u64>(16).addr_of(15);
         mem.set(&p, 0, 5);
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
         // v1: value-identical (ABA) commit to the read word — flagged by
@@ -929,9 +924,13 @@ mod tests {
         log.record_word(p.addr_of(0));
         assert!(!buf.validate_against(&log));
         assert!(buf.revalidate_by_value(&log, &mem));
-        // v2: a neighbour-word commit after the restamp. Time travel put
-        // the read at v1, and the ring shows v2 missed the word —
-        // validation passes precisely instead of re-dooming.
+        // v2, in a bucket (and a footprint) of its own: a neighbour-word
+        // commit after the restamp. Time travel put the read at v1, and
+        // the ring shows v2 missed the word — validation passes precisely
+        // instead of re-dooming.
+        while !(log.epoch() + 1).is_multiple_of(1 << RING_BUCKET_LOG2) {
+            log.record_word(pad);
+        }
         log.record_word(p.addr_of(1));
         assert!(buf.validate_against(&log));
         // v3: touching the read word again still dooms.
@@ -967,21 +966,16 @@ mod tests {
     #[test]
     fn ring_overflow_falls_back_to_fresh_snapshot_retry() {
         let mem = GlobalMemory::new(4096);
-        // Depth 2 with one version per bucket: three commits evict the
-        // snapshot's window and force the conservative path.
-        let log = CommitLog::with_config(
-            CommitLogConfig::line_grain()
-                .ring_depth(2)
-                .ring_bucket_log2(0),
-            4096,
-        );
+        // Depth 2: two whole buckets of commits evict the snapshot's
+        // window and force the conservative path.
+        let log = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(2), 4096);
         let mut buf = GlobalBuffer::new(BufferConfig::default());
         let p = mem.alloc::<u64>(2);
         mem.set(&p, 0, 5);
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
-        // Three neighbour-only commits: individually precise-passable,
-        // but the window has rolled past the snapshot.
-        for _ in 0..3 {
+        // Neighbour-only commits: individually precise-passable, but the
+        // window has rolled past the snapshot.
+        for _ in 0..2 << RING_BUCKET_LOG2 {
             log.record_word(p.addr_of(1));
         }
         assert!(!buf.validate_against(&log), "overflow dooms conservatively");

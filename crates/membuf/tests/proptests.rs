@@ -662,10 +662,10 @@ proptest! {
     }
 
     /// MVCC conservatism sandwich (PR 8): for arbitrary grains, ring
-    /// depths (including the depth-1 degeneration), bucket widths
-    /// (including the one-version-per-bucket setting where small rings
-    /// overflow constantly) and commit-batch interleavings, ring-probe
-    /// validation is
+    /// depths (including the depth-1 degeneration), commit-batch
+    /// interleavings and strides (a batch committed once, or over a whole
+    /// 64-version ring bucket, where small rings overflow constantly),
+    /// ring-probe validation is
     ///
     /// * never *more* conservative than full value-by-value comparison —
     ///   a commit overlapping a read at **word** level is always flagged
@@ -682,16 +682,14 @@ proptest! {
     fn mvcc_is_sandwiched_between_value_and_single_version_validation(
         grain_log2 in grain_strategy(),
         ring_depth in (0u32..3).prop_map(|i| [1u32, 2, 4][i as usize]),
-        ring_bucket_log2 in (0u32..2).prop_map(|i| [0u32, 6][i as usize]),
+        stride in (0u32..2).prop_map(|i| [1u32, 64][i as usize]),
         reads in proptest::collection::vec(addr_strategy(), 1..16),
         batches in proptest::collection::vec(
             proptest::collection::vec(addr_strategy(), 1..8), 1..6),
     ) {
         let reads: std::collections::HashSet<u64> = reads.into_iter().collect();
         let mem = GlobalMemory::new(1 << 16);
-        let mvcc_config = CommitLogConfig {
-            grain_log2, ring_depth, ring_bucket_log2,
-        };
+        let mvcc_config = CommitLogConfig { grain_log2, ring_depth };
         let single_config = CommitLogConfig { ring_depth: 1, ..mvcc_config };
         let mvcc_log = CommitLog::with_config(mvcc_config, 1 << 15);
         let single_log = CommitLog::with_config(single_config, 1 << 15);
@@ -701,10 +699,13 @@ proptest! {
             let _ = mvcc_buf.load_logged(&mem, Some(&mvcc_log), addr, WORD_BYTES).unwrap();
             let _ = single_buf.load_logged(&mem, Some(&single_log), addr, WORD_BYTES).unwrap();
         }
-        // Identical stamp sequences on both logs, one version per batch.
+        // Identical stamp sequences on both logs, `stride` versions per
+        // batch.
         for batch in &batches {
-            mvcc_log.record(batch.iter().copied());
-            single_log.record(batch.iter().copied());
+            for _ in 0..stride {
+                mvcc_log.record(batch.iter().copied());
+                single_log.record(batch.iter().copied());
+            }
         }
         let mvcc_valid = mvcc_buf.validate_against(&mvcc_log);
         let single_valid = single_buf.validate_against(&single_log);
@@ -712,13 +713,13 @@ proptest! {
         if word_overlap {
             prop_assert!(
                 !mvcc_valid,
-                "missed a word-level conflict (depth {ring_depth}, bucket_log2 {ring_bucket_log2}, grain {grain_log2})"
+                "missed a word-level conflict (depth {ring_depth}, stride {stride}, grain {grain_log2})"
             );
         }
         if single_valid {
             prop_assert!(
                 mvcc_valid,
-                "mvcc was stricter than single-version (depth {ring_depth}, bucket_log2 {ring_bucket_log2}, grain {grain_log2})"
+                "mvcc was stricter than single-version (depth {ring_depth}, stride {stride}, grain {grain_log2})"
             );
         }
         if ring_depth == 1 {

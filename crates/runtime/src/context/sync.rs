@@ -1,6 +1,7 @@
 //! The poll: aborts, dooms and the child side of early synchronization.
 
 use super::*;
+use crate::manager::{ABORT, DOOMED, DOOMED_HARD};
 
 impl SpecContext {
     /// A poll point.  Rank 0 is never aborted, doomed or asked to
@@ -13,20 +14,24 @@ impl SpecContext {
         self.poll()
     }
 
-    /// A speculative thread's poll of its abort flag, its doom flags and
-    /// its sync request.
+    /// A speculative thread's poll of its slot's request bits: the abort,
+    /// the two dooms and the sync request, in one load.
     #[inline(never)]
     pub(super) fn poll(&mut self) -> SpecResult<()> {
-        if self.mgr.abort_requested(self.rank) {
+        let requests = self.mgr.requests(self.rank);
+        if requests == 0 {
+            return Ok(());
+        }
+        if requests & ABORT != 0 {
             return Err(failure(SpecFailure::Cascaded));
         }
-        if self.mgr.hard_doom_requested(self.rank) {
+        if requests & DOOMED_HARD != 0 {
             // A speculative writer's *buffered* store overlaps this
             // thread's reads: the conflicting value is invisible in
             // main memory, so no revalidation can help — stop now.
             return Err(failure(SpecFailure::ReadConflict));
         }
-        if self.mgr.doom_requested(self.rank) {
+        if requests & DOOMED != 0 {
             // A committing writer found this thread in the reader
             // registry: its reads are (range-conservatively) stale.
             // In-flight value-predict retry first: the registry is
@@ -48,10 +53,8 @@ impl SpecContext {
             // conflict rollback.
             return Err(failure(SpecFailure::ReadConflict));
         }
-        if self.mgr.sync_posted(self.rank) {
-            return self.synchronize_early();
-        }
-        Ok(())
+        // What is left is `SYNC_POSTED`.
+        self.synchronize_early()
     }
 
     /// Early synchronization, child side (paper §IV-E/H): the

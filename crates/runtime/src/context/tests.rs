@@ -29,7 +29,7 @@ fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
     let failed = deposit(TaskStatus::Failed(SpecFailure::BufferOverflow));
     rank0.spec_write(addr, 2).unwrap();
     assert_eq!(mgr.commit_log().commits(), 0, "dead read set: memory only");
-    let mut outcome = mgr.wait_outcome(failed);
+    let mut outcome = mgr.wait_outcome_where(failed, || false).unwrap();
     assert_eq!(
         mgr.validate_and_commit(failed, &mut outcome, None),
         Err(SpecFailure::BufferOverflow)
@@ -41,7 +41,7 @@ fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
     let parked = deposit(TaskStatus::Completed);
     rank0.spec_write(addr, 3).unwrap();
     assert_eq!(mgr.commit_log().commits(), 1, "exposed: published");
-    let mut outcome = mgr.wait_outcome(parked);
+    let mut outcome = mgr.wait_outcome_where(parked, || false).unwrap();
     assert_eq!(
         mgr.validate_and_commit(parked, &mut outcome, None),
         Err(SpecFailure::ReadConflict)

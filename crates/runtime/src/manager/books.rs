@@ -63,8 +63,10 @@ impl ThreadManager {
     /// children still unjoined.
     pub fn drain_subtree(&self, rank: Rank) {
         let slot = &self.slots[rank - 1];
-        slot.abort.store(true, Ordering::Release);
-        let outcome = self.wait_outcome(rank);
+        slot.status.fetch_or(ABORT, Ordering::Release);
+        let outcome = self
+            .wait_outcome_where(rank, || false)
+            .expect("a wait nobody abandons ends with the outcome");
         for child in &outcome.children {
             self.drain_subtree(*child);
         }
@@ -87,10 +89,10 @@ impl ThreadManager {
     /// cascading rollbacks are confined to the subtree).
     pub fn reap_subtree(&self, rank: Rank) {
         let slot = &self.slots[rank - 1];
-        slot.abort.store(true, Ordering::Release);
-        slot.orphaned.store(true, Ordering::Release);
         // If the outcome is already there, clean up now; otherwise the
-        // worker will observe `orphaned` when it deposits.
+        // worker sees `ORPHANED` when it deposits (deposit vs. reap, the
+        // table on `Slot`).
+        slot.status.fetch_or(ABORT | ORPHANED, Ordering::AcqRel);
         let taken = slot.result.lock().take();
         if let Some(outcome) = taken {
             self.finish_discarded(rank, outcome);

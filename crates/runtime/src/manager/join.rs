@@ -2,12 +2,14 @@
 //!
 //! # The join protocol
 //!
-//! The synchronization protocol mirrors the paper's flag-based barrier:
-//! the joining thread signals the child (`sync_status` ≙ the `abort` /
-//! sync-request / result handshake here) and then waits for the child's
-//! outcome (`valid_status` ≙ the deposited [`SpecOutcome`]) or promotion,
-//! after which validation and commit/rollback are performed and charged to
-//! the speculative thread's statistics.
+//! The synchronization protocol mirrors the paper's flag-based barrier,
+//! on the bits of the child's status word (the table on `Slot`): the
+//! joining thread signals the child (`sync_status` ≙ `SYNC_POSTED`, with
+//! the request in the slot's `sync`, or `ABORT` when the joiner discards
+//! it) and then waits for the child's outcome (`valid_status` ≙
+//! `DEPOSITED`, with the [`SpecOutcome`] in the slot's `result`) or its
+//! promotion, after which validation and commit/rollback are performed and
+//! charged to the speculative thread's statistics.
 
 use super::*;
 
@@ -66,24 +68,13 @@ impl ThreadManager {
     }
 
     /// Block until the speculative thread `rank` deposits its outcome, then
-    /// take it.
-    pub fn wait_outcome(&self, rank: Rank) -> SpecOutcome {
-        let slot = &self.slots[rank - 1];
-        let mut guard = slot.result.lock();
-        while guard.is_none() {
-            slot.result_cv.wait(&mut guard);
-        }
-        guard.take().expect("outcome present")
-    }
-
-    /// Like [`wait_outcome`](Self::wait_outcome), but the wait is
-    /// abandoned (returning `None`) when `abandon()` reports that the
-    /// *waiting* thread should stop — it was doomed or aborted while
-    /// blocked at the join.  Without this, a doomed speculative joiner
-    /// would sit out its child's entire (equally doomed) subtree before
-    /// noticing; with it, the doom unwinds the whole blocked chain within
-    /// the polling interval.  The abandoning caller still owns the child
-    /// and must reap it.
+    /// take it — or return `None` once `abandon()` reports that the
+    /// *waiting* thread should stop (it was doomed or aborted while blocked
+    /// at the join).  Without that, a doomed speculative joiner would sit
+    /// out its child's entire (equally doomed) subtree before noticing;
+    /// with it, the doom unwinds the whole blocked chain within the polling
+    /// interval.  The abandoning caller still owns the child and must reap
+    /// it.
     pub fn wait_outcome_where(
         &self,
         rank: Rank,
@@ -114,22 +105,21 @@ impl ThreadManager {
     pub fn deposit_outcome(&self, rank: Rank, outcome: SpecOutcome) -> bool {
         let slot = &self.slots[rank - 1];
         if matches!(outcome.status, TaskStatus::Failed(_)) {
-            self.retire_exposure(slot);
+            // Dead at its deposit: retired before it is published.
+            let old = slot.status.fetch_and(!EXPOSED, Ordering::AcqRel);
+            self.retire_exposure(old);
         }
-        {
-            let mut guard = slot.result.lock();
-            *guard = Some(outcome);
+        let mut outcomes = slot.result.lock();
+        // Deposit vs. reap (the table on `Slot`): a reap that came first
+        // left `ORPHANED`, and its `take` found nothing.
+        if slot.status.fetch_or(DEPOSITED, Ordering::AcqRel) & ORPHANED != 0 {
+            drop(outcomes);
+            self.finish_discarded(rank, outcome);
+            return false;
         }
-        slot.signals.fetch_add(1, Ordering::Release);
+        *outcomes = Some(outcome);
+        drop(outcomes);
         slot.result_cv.notify_all();
-        if slot.orphaned.load(Ordering::Acquire) {
-            // Re-take it; if the canceller got there first we are done.
-            let taken = slot.result.lock().take();
-            if let Some(outcome) = taken {
-                self.finish_discarded(rank, outcome);
-                return false;
-            }
-        }
         true
     }
 

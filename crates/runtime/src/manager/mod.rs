@@ -9,7 +9,7 @@
 //!
 //! * `slots.rs` — virtual CPUs, OS threads and the non-speculative role:
 //!   acquiring and releasing a CPU, its buffers, the exposure count, the
-//!   abort and doom flags and who sets them;
+//!   abort and doom bits of its status word and who sets them;
 //! * `dispatch.rs` — nobody starves: the one dispatch queue, the spin and
 //!   the park, running a task;
 //! * `sync.rs` — synchronize only when it pays: the sync request, its
@@ -25,7 +25,7 @@
 //! [`ledger`](crate::ledger).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -82,34 +82,54 @@ struct Dispatch {
     queued: AtomicUsize,
 }
 
-const CPU_IDLE: u8 = 0;
-const CPU_RUNNING: u8 = 1;
+/// The bits of a [`Slot`]'s status word (the table on [`Slot`]).
+const RUNNING: u8 = 1 << 0;
+const EXPOSED: u8 = 1 << 1;
+const DEPOSITED: u8 = 1 << 2;
+const ORPHANED: u8 = 1 << 3;
+pub(crate) const ABORT: u8 = 1 << 4;
+pub(crate) const DOOMED: u8 = 1 << 5;
+pub(crate) const DOOMED_HARD: u8 = 1 << 6;
+pub(crate) const SYNC_POSTED: u8 = 1 << 7;
+/// The bits a running task's poll answers to.
+const REQUESTS: u8 = ABORT | DOOMED | DOOMED_HARD | SYNC_POSTED;
 
 /// Per-virtual-CPU slot.
+///
+/// Every lifecycle flag of the CPU is one bit of its status word, so each
+/// step of a task's life is one atomic operation on one location:
+///
+/// | bit | set by | cleared by | ordering edge |
+/// |---|---|---|---|
+/// | `RUNNING` | claim | release | claim CAS and release swap, `AcqRel` |
+/// | `EXPOSED` | claim | `Failed` deposit, release | cleared before the outcome can be taken |
+/// | `DEPOSITED` | deposit | release | set under `result`'s lock |
+/// | `ORPHANED` | reap | release | set before the reap's `take` |
+/// | `ABORT` | reap, drain | release | none: the poll reads nothing behind it |
+/// | `DOOMED` | committing writer | in-flight retry, release | none: a spurious doom is sound |
+/// | `DOOMED_HARD` | buffered writer, failed promotion | release | as `DOOMED` |
+/// | `SYNC_POSTED` | `post_sync` | `take_sync`, release | `Release`, after `sync` is filled |
+///
+/// The claim is one CAS from any word without `RUNNING` to exactly
+/// `RUNNING | EXPOSED`: a writer checks `RUNNING` before it dooms, so a
+/// doom bit can outlive a release, and the claim drops it.  The release is
+/// one `swap(0)` whose old value says whether the exposure (the proof on
+/// [`ThreadManager::exposed`]) still needs retiring; a `Failed` deposit
+/// clears `EXPOSED` before it publishes, since a release may follow at
+/// once.  A promotion is published on its hand-off before the release, or
+/// the joiner could take a later task's deposit for its own child's.
+///
+/// **Deposit vs. reap.**  The deposit's `fetch_or(DEPOSITED)` runs in the
+/// critical section of `result` that stores the outcome; the reap's
+/// `fetch_or(ABORT | ORPHANED)` precedes its `take`.  If the reap's RMW
+/// comes first, the deposit's old value shows `ORPHANED` and the depositor
+/// discards the outcome itself; if not, the reap's `take` finds it.
+/// Nobody takes the outcome before the deposit's RMW, so that RMW always
+/// lands on its own task's word, and a joiner whose `Acquire` spin sees
+/// `DEPOSITED` finds the outcome once it holds the lock.
 pub(crate) struct Slot {
-    state: std::sync::atomic::AtomicU8,
-    /// Set when the thread (or its subtree root) must abandon its work.
-    abort: AtomicBool,
-    /// Set by a committing writer that found this thread in the per-range
-    /// reader registry: the thread's reads are (range-conservatively)
-    /// stale and it should stop burning cycles now instead of failing
-    /// validation at its join (targeted dooming).  The conflict is
-    /// *published*, so the victim may attempt an in-flight value-predict
-    /// retry against main memory before giving up.
-    doomed: AtomicBool,
-    /// Set by a speculative writer whose *buffered* store overlaps this
-    /// thread's registered reads — the classic doomed-from-birth child of
-    /// an inline re-execution.  The conflicting value lives in a private
-    /// write-set, so no value revalidation against main memory can clear
-    /// it: the victim must stop unconditionally.
-    doomed_hard: AtomicBool,
-    /// Set when nobody will ever join this thread; the worker cleans up
-    /// after itself in that case.
-    orphaned: AtomicBool,
-    /// Whether this slot currently counts towards
-    /// [`ThreadManager::exposed`]; `swap(false)` makes the retire
-    /// idempotent.
-    exposed: AtomicBool,
+    /// The status word (the table above).
+    status: AtomicU8,
     /// Fork-site ID the running task was launched from (governor key).
     site: AtomicU32,
     /// `ForkModel::index()` of the model the task was launched under.
@@ -126,18 +146,12 @@ pub(crate) struct Slot {
     /// reads legitimately precede the write (the RMW-predecessor
     /// over-rollback bug).
     logical: AtomicU64,
-    /// A non-speculative joiner posted a sync request in `sync` — the one
-    /// flag the running task polls.
-    sync_posted: AtomicBool,
-    /// The posted request.  Empty whenever the CPU is released: the task
-    /// takes it when it notices, and a joiner whose child finished without
-    /// noticing takes it back.
+    /// The posted sync request.  Empty whenever the CPU is released: the
+    /// task takes it when it notices, and a joiner whose child finished
+    /// without noticing takes it back.
     sync: Mutex<Option<Arc<Handoff>>>,
     result: Mutex<Option<SpecOutcome>>,
     result_cv: Condvar,
-    /// Bumped after every deposit and promotion, so a joiner can spin on
-    /// it without taking `result`'s lock.
-    signals: AtomicU64,
     /// This CPU's buffer while no task holds it (see `slots.rs`); `None`
     /// until the CPU's first speculation.
     buffer: Mutex<Option<GlobalBuffer>>,
@@ -146,21 +160,14 @@ pub(crate) struct Slot {
 impl Slot {
     fn new() -> Self {
         Slot {
-            state: AtomicU8::new(CPU_IDLE),
-            abort: AtomicBool::new(false),
-            doomed: AtomicBool::new(false),
-            doomed_hard: AtomicBool::new(false),
-            orphaned: AtomicBool::new(false),
-            exposed: AtomicBool::new(false),
+            status: AtomicU8::new(0),
             site: AtomicU32::new(0),
             model: AtomicU8::new(ForkModel::Mixed.index() as u8),
             forked_ns: AtomicU64::new(0),
             logical: AtomicU64::new(0),
-            sync_posted: AtomicBool::new(false),
             sync: Mutex::new(None),
             result: Mutex::new(None),
             result_cv: Condvar::new(),
-            signals: AtomicU64::new(0),
             buffer: Mutex::new(None),
         }
     }
@@ -194,8 +201,9 @@ pub struct ThreadManager {
     ///
     /// A slot is raised in [`try_acquire_cpu`](Self::try_acquire_cpu) and
     /// retired at the first of a `Failed` deposit or
-    /// [`release_cpu`](Self::release_cpu).  Why skipping a stamp at zero
-    /// can remove spurious dooms but never hide a conflict:
+    /// [`release_cpu`](Self::release_cpu); its status word's `EXPOSED` bit
+    /// says whether it still counts (the table on `Slot`).  Why skipping a
+    /// stamp at zero can remove spurious dooms but never hide a conflict:
     ///
     /// 1. a stamp only matters to a snapshot taken *before* it;
     /// 2. zero means no task code runs on any speculative CPU (a slot

@@ -1,17 +1,18 @@
 //! The slots: what is per virtual CPU — acquiring and releasing one, its
-//! buffers, its share of the exposure count, its abort and doom flags.
+//! buffers, and its status word: its share of the exposure count, its
+//! abort and doom bits.
 //!
 //! # Virtual CPUs, OS threads and the non-speculative role
 //!
-//! A virtual CPU (rank 1..=N) is a *slot*: status flags, the sync-request
-//! mailbox, the CPU's buffer while no task holds it (see "A CPU's
-//! buffer" below) and — once its task finishes — the outcome: that
-//! buffer, the statistics and the list of unjoined children.  A slot is
-//! what a fork acquires and a join releases; it is **not** an OS thread.
-//! The runtime has N + 1 OS threads — the N workers [`Runtime`] spawns and
-//! the caller of `run` — and **any of them whose top frame is idle runs
-//! any dispatched task**: forks push `(rank, task)` on one dispatch
-//! queue, and idle threads pop from it.
+//! A virtual CPU (rank 1..=N) is a *slot*: one status word (the bit table
+//! on `Slot`), the sync-request mailbox, the CPU's buffer while no task
+//! holds it (see "A CPU's buffer" below) and — once its task finishes —
+//! the outcome: that buffer, the statistics and the list of unjoined
+//! children.  A slot is what a fork acquires and a join releases; it is
+//! **not** an OS thread.  The runtime has N + 1 OS threads — the N workers
+//! [`Runtime`] spawns and the caller of `run` — and **any of them whose top
+//! frame is idle runs any dispatched task**: forks push `(rank, task)` on
+//! one dispatch queue, and idle threads pop from it.
 //!
 //! Rank 0 is not a thread either but a *role*, the non-speculative thread
 //! of the paper: whoever holds it reads and writes main memory directly,
@@ -111,12 +112,10 @@ impl ThreadManager {
         self.exposed.load(Ordering::Acquire)
     }
 
-    /// Retire `slot`'s exposure; a no-op when it already was.  Must run
-    /// before the event that lets the slot be re-acquired (publishing the
-    /// outcome, marking the CPU idle), or it could retire the next task's
-    /// exposure instead.
-    pub(super) fn retire_exposure(&self, slot: &Slot) {
-        if slot.exposed.swap(false, Ordering::AcqRel) {
+    /// Retire the exposure of a slot whose word read `old` in the RMW that
+    /// cleared `EXPOSED` (a no-op when it already was clear).
+    pub(super) fn retire_exposure(&self, old: u8) {
+        if old & EXPOSED != 0 {
             self.exposed.fetch_sub(1, Ordering::Release);
         }
     }
@@ -126,7 +125,7 @@ impl ThreadManager {
     /// retired at its deposit.
     pub(super) fn exposure_matches(&self, rank: Rank, status: TaskStatus) -> bool {
         rank == 0
-            || self.slots[rank - 1].exposed.load(Ordering::Acquire)
+            || (self.slots[rank - 1].status.load(Ordering::Acquire) & EXPOSED != 0)
                 != matches!(status, TaskStatus::Failed(_))
     }
 
@@ -145,32 +144,24 @@ impl ThreadManager {
     }
 
     /// Claim the first idle virtual CPU, raising its exposure and the
-    /// in-flight count.
+    /// in-flight count.  One CAS per slot from any word without `RUNNING`
+    /// to exactly `RUNNING | EXPOSED`: a doom bit that raced the last
+    /// release goes with it.
     fn claim_idle_slot(&self) -> Option<Rank> {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot
-                .state
-                .compare_exchange(CPU_IDLE, CPU_RUNNING, Ordering::AcqRel, Ordering::Relaxed)
+        let claim = |word: u8| (word & RUNNING == 0).then_some(RUNNING | EXPOSED);
+        let i = self.slots.iter().position(|slot| {
+            slot.status
+                .fetch_update(Ordering::AcqRel, Ordering::Relaxed, claim)
                 .is_ok()
-            {
-                let rank = i + 1;
-                slot.abort.store(false, Ordering::Release);
-                slot.doomed.store(false, Ordering::Release);
-                slot.doomed_hard.store(false, Ordering::Release);
-                slot.orphaned.store(false, Ordering::Release);
-                slot.logical.store(
-                    self.fork_clock.fetch_add(1, Ordering::Relaxed),
-                    Ordering::Release,
-                );
-                *slot.result.lock() = None;
-                self.exposed.fetch_add(1, Ordering::AcqRel);
-                slot.exposed.store(true, Ordering::Release);
-                self.active.fetch_add(1, Ordering::AcqRel);
-                self.most_speculative.store(rank, Ordering::Release);
-                return Some(rank);
-            }
-        }
-        None
+        })?;
+        let (rank, slot) = (i + 1, &self.slots[i]);
+        let stamp = self.fork_clock.fetch_add(1, Ordering::Relaxed);
+        slot.logical.store(stamp, Ordering::Release);
+        *slot.result.lock() = None;
+        self.exposed.fetch_add(1, Ordering::AcqRel);
+        self.active.fetch_add(1, Ordering::AcqRel);
+        self.most_speculative.store(rank, Ordering::Release);
+        Some(rank)
     }
 
     /// Hard-doom `rank`'s own task (a promotion that failed validation):
@@ -178,8 +169,8 @@ impl ThreadManager {
     /// swallows the first error.
     pub(crate) fn doom_hard(&self, rank: Rank) {
         self.slots[rank - 1]
-            .doomed_hard
-            .store(true, Ordering::Release);
+            .status
+            .fetch_or(DOOMED_HARD, Ordering::Release);
     }
 
     /// The (site, model) `rank`'s running task was dispatched with.
@@ -187,24 +178,23 @@ impl ThreadManager {
         self.slots[rank - 1].launch_info()
     }
 
+    /// The request bits of the speculative thread `rank`'s status word:
+    /// the poll's one load.
+    #[inline]
+    pub(crate) fn requests(&self, rank: Rank) -> u8 {
+        self.slots[rank - 1].status.load(Ordering::Acquire) & REQUESTS
+    }
+
     /// True if the speculative thread `rank` has been asked to abort.
     pub fn abort_requested(&self, rank: Rank) -> bool {
-        rank != 0 && self.slots[rank - 1].abort.load(Ordering::Relaxed)
+        rank != 0 && self.requests(rank) & ABORT != 0
     }
 
     /// True if the speculative thread `rank` was doomed surgically by a
     /// committing writer (its registered reads are stale; an in-flight
     /// value-predict retry may still clear it).
     pub fn doom_requested(&self, rank: Rank) -> bool {
-        rank != 0 && self.slots[rank - 1].doomed.load(Ordering::Relaxed)
-    }
-
-    /// True if the speculative thread `rank` was doomed by a *buffered*
-    /// (uncommitted) write overlapping its reads — unconditional, no
-    /// value revalidation can clear it (the conflicting value is in a
-    /// private write-set, invisible in main memory).
-    pub fn hard_doom_requested(&self, rank: Rank) -> bool {
-        rank != 0 && self.slots[rank - 1].doomed_hard.load(Ordering::Relaxed)
+        rank != 0 && self.requests(rank) & DOOMED != 0
     }
 
     /// Clear `rank`'s (soft) doom flag after an in-flight value-predict
@@ -215,7 +205,9 @@ impl ThreadManager {
     /// stamps.  Hard dooms are never cleared.
     pub fn clear_doom(&self, rank: Rank) {
         if rank != 0 {
-            self.slots[rank - 1].doomed.store(false, Ordering::Release);
+            self.slots[rank - 1]
+                .status
+                .fetch_and(!DOOMED, Ordering::Release);
         }
     }
 
@@ -286,26 +278,26 @@ impl ThreadManager {
             }
             let slot = &self.slots[rank - 1];
             // Only running threads are doomed — an idle slot's
-            // registration is stale.
-            if slot.state.load(Ordering::Acquire) == CPU_RUNNING
+            // registration is stale.  A release between the check and the
+            // `fetch_or` leaves the bit on an idle word, which the next
+            // claim drops.
+            if slot.status.load(Ordering::Acquire) & RUNNING != 0
                 && slot.logical.load(Ordering::Acquire) >= committer
             {
-                if hard {
-                    slot.doomed_hard.store(true, Ordering::Release);
-                } else {
-                    slot.doomed.store(true, Ordering::Release);
-                }
+                let bit = if hard { DOOMED_HARD } else { DOOMED };
+                slot.status.fetch_or(bit, Ordering::Release);
                 doomed += 1;
             }
         }
         doomed
     }
 
-    /// Release a virtual CPU after its outcome has been consumed.
+    /// Release a virtual CPU after its outcome has been consumed: one
+    /// swap clears its whole status word, and the old value says whether
+    /// the exposure still needs retiring.
     pub fn release_cpu(&self, rank: Rank, joiner: Rank) {
-        let slot = &self.slots[rank - 1];
-        self.retire_exposure(slot);
-        slot.state.store(CPU_IDLE, Ordering::Release);
+        let old = self.slots[rank - 1].status.swap(0, Ordering::AcqRel);
+        self.retire_exposure(old);
         self.active.fetch_sub(1, Ordering::AcqRel);
         let _ = self.most_speculative.compare_exchange(
             rank,

@@ -129,21 +129,15 @@ impl ThreadManager {
     pub(crate) fn post_sync(&self, rank: Rank, handoff: Arc<Handoff>) {
         let slot = &self.slots[rank - 1];
         *slot.sync.lock() = Some(handoff);
-        // `Release`: the task that sees the flag finds the request.
-        slot.sync_posted.store(true, Ordering::Release);
-    }
-
-    /// Whether a sync request waits on `rank`'s slot (the task's poll).
-    #[inline]
-    pub(crate) fn sync_posted(&self, rank: Rank) -> bool {
-        self.slots[rank - 1].sync_posted.load(Ordering::Acquire)
+        // `Release`: the task that sees the bit finds the request.
+        slot.status.fetch_or(SYNC_POSTED, Ordering::Release);
     }
 
     /// Take the request posted on `rank`'s slot: the task that noticed it,
     /// or the joiner whose child finished without noticing.
     pub(crate) fn take_sync(&self, rank: Rank) -> Option<Arc<Handoff>> {
         let slot = &self.slots[rank - 1];
-        slot.sync_posted.store(false, Ordering::Relaxed);
+        slot.status.fetch_and(!SYNC_POSTED, Ordering::Relaxed);
         slot.sync.lock().take()
     }
 
@@ -158,7 +152,6 @@ impl ThreadManager {
             let _outcomes = slot.result.lock();
             handoff.state.store(SYNC_PROMOTED, Ordering::Release);
         }
-        slot.signals.fetch_add(1, Ordering::Release);
         slot.result_cv.notify_all();
     }
 
@@ -185,9 +178,10 @@ impl ThreadManager {
         outcome.expect("a finished hand-off carries its outcome")
     }
 
-    /// The non-speculative joiner's wait — a bounded spin, then parked:
-    /// `rank`'s outcome, or `None` once the task took `handoff`'s sync
-    /// request and holds the non-speculative role.
+    /// The non-speculative joiner's wait — a bounded spin on the slot's
+    /// `DEPOSITED` bit and the hand-off, then parked: `rank`'s outcome, or
+    /// `None` once the task took `handoff`'s sync request and holds the
+    /// non-speculative role.
     pub(crate) fn wait_outcome_or_promotion(
         &self,
         rank: Rank,
@@ -195,12 +189,12 @@ impl ThreadManager {
     ) -> Option<SpecOutcome> {
         let slot = &self.slots[rank - 1];
         let deadline = Instant::now() + IDLE_SPIN;
-        let mut seen = slot.signals.load(Ordering::Acquire);
+        let promoted = || handoff.is_some_and(Handoff::promoted);
         let mut outcomes = slot.result.lock();
         loop {
             // Promotion first: once promoted, whatever sits in the slot
             // belongs to a later task (see `publish_promotion`).
-            if handoff.is_some_and(Handoff::promoted) {
+            if promoted() {
                 return None;
             }
             if let Some(outcome) = outcomes.take() {
@@ -208,10 +202,12 @@ impl ThreadManager {
             }
             if Instant::now() < deadline {
                 drop(outcomes);
-                while slot.signals.load(Ordering::Acquire) == seen && Instant::now() < deadline {
+                while slot.status.load(Ordering::Acquire) & DEPOSITED == 0
+                    && !promoted()
+                    && Instant::now() < deadline
+                {
                     std::thread::yield_now();
                 }
-                seen = slot.signals.load(Ordering::Acquire);
                 outcomes = slot.result.lock();
             } else {
                 slot.result_cv.wait(&mut outcomes);

@@ -157,6 +157,11 @@ fn exposure_is_raised_at_acquire_and_retired_at_a_failed_deposit_or_release() {
     m.reset_run();
 }
 
+/// `rank`'s status word.
+fn word(m: &ThreadManager, rank: Rank) -> u8 {
+    m.slots[rank - 1].status.load(Ordering::Acquire)
+}
+
 #[test]
 fn every_discard_path_ends_with_no_exposure() {
     let cascaded = TaskStatus::Failed(SpecFailure::Cascaded);
@@ -169,6 +174,7 @@ fn every_discard_path_ends_with_no_exposure() {
         assert_eq!(m.exposed_speculations(), 1, "still running");
         assert!(!m.deposit_outcome(orphan, stopped(&m, orphan, status)));
         assert_eq!(m.exposed_speculations(), 0, "orphaned deposit, {status:?}");
+        assert_eq!(word(&m, orphan), 0, "an orphaned deposit");
 
         // Reaped after it deposited, with a child of its own.
         let parent = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
@@ -179,12 +185,14 @@ fn every_discard_path_ends_with_no_exposure() {
         assert!(m.deposit_outcome(parent, outcome));
         m.reap_subtree(parent);
         assert_eq!(m.exposed_speculations(), 0, "reap_subtree, {status:?}");
+        assert_eq!((word(&m, parent), word(&m, child)), (0, 0), "reap");
 
         // Drained at the end of a region.
         let unjoined = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
         assert!(m.deposit_outcome(unjoined, stopped(&m, unjoined, status)));
         m.drain_subtree(unjoined);
         assert_eq!(m.exposed_speculations(), 0, "drain_subtree, {status:?}");
+        assert_eq!(word(&m, unjoined), 0, "drain_subtree");
 
         // Adopted (committed when Completed, discarded otherwise),
         // with a still-running grandchild that adoption reaps.
@@ -198,6 +206,7 @@ fn every_discard_path_ends_with_no_exposure() {
         assert_eq!(m.exposed_speculations(), 1, "the grandchild still runs");
         assert!(!m.deposit_outcome(running, stopped(&m, running, cascaded)));
         assert_eq!(m.exposed_speculations(), 0, "adopt_subtree, {status:?}");
+        assert_eq!((word(&m, adoptee), word(&m, running)), (0, 0), "adopt");
 
         assert_eq!(m.active_speculations(), 0);
         // Each path above handed the buffer back before releasing
@@ -343,6 +352,21 @@ fn commit_dooms_exactly_the_registered_readers() {
     m.release_cpu(reader, 0);
     let again = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
     assert!(!m.doom_requested(again), "doom flag cleared on acquire");
+
+    // Every request bit set when the CPU is released, and again on the
+    // idle word, as a doom that raced the release leaves it: the next
+    // claim starts from exactly a running, exposed word.
+    let stale = || {
+        m.slots[again - 1]
+            .status
+            .fetch_or(REQUESTS, Ordering::Release)
+    };
+    stale();
+    m.release_cpu(again, 0);
+    stale();
+    let clean = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+    assert_eq!(clean, again, "the first idle CPU");
+    assert_eq!(word(&m, clean), RUNNING | EXPOSED, "stale bits on claim");
 }
 
 #[test]

@@ -238,7 +238,6 @@ proptest! {
         let runtime_config = RuntimeConfig::with_cpus(cpus).commit_log(CommitLogConfig {
             grain_log2,
             ring_depth,
-            ..CommitLogConfig::default()
         });
         let (state_ok, report) = conflict::chain_verify_native(chain, runtime_config);
         prop_assert!(
