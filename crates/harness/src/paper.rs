@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -106,20 +106,51 @@ pub enum MetricKind {
 }
 
 /// Record a workload's speculation trace at the given scale.
-pub fn record_workload(kind: WorkloadKind, scale: Scale) -> Recording {
+pub fn record_workload(kind: WorkloadKind, scale: Scale) -> Arc<Recording> {
     record_workload_shared(kind, scale, None)
 }
 
+/// What a recording is made from: the workload, the scale and the
+/// true-sharing rate.
+type RecordingKey = (WorkloadKind, Scale, Option<u32>);
+
+/// One recording, once made.
+type Recorded = Arc<OnceLock<Arc<Recording>>>;
+
+/// Every recording this process has made or is making.  A recording
+/// depends on its key alone, so each key is recorded once and every
+/// experiment that replays it shares it (`all` replays most workloads in
+/// several figures); each keeps its arena alive until the process exits.
+static RECORDINGS: Mutex<Vec<(RecordingKey, Recorded)>> = Mutex::new(Vec::new());
+
 /// [`record_workload`] with the conflict family's true-sharing rate set
-/// explicitly (permille; `None` keeps the scale's preset).
+/// explicitly (permille; `None` keeps the scale's preset).  Recorded once
+/// per process: a later call with the same arguments returns the same
+/// recording, and a call while another thread records it waits for it.
 pub fn record_workload_shared(
     kind: WorkloadKind,
     scale: Scale,
     sharing_permille: Option<u32>,
-) -> Recording {
-    let memory = Arc::new(GlobalMemory::new(arena_bytes(kind, scale)));
-    let data = setup_shared(kind, scale, sharing_permille, &memory);
-    record_region(memory, |ctx| run_speculative(ctx, &data))
+) -> Arc<Recording> {
+    let key = (kind, scale, sharing_permille);
+    let cell = {
+        let mut recordings = RECORDINGS.lock();
+        match recordings.iter().find(|(k, _)| *k == key) {
+            Some((_, cell)) => Arc::clone(cell),
+            None => {
+                let cell = Arc::new(OnceLock::new());
+                recordings.push((key, Arc::clone(&cell)));
+                cell
+            }
+        }
+    };
+    // The lock is not held while recording: other keys record in parallel.
+    let recording = cell.get_or_init(|| {
+        let memory = Arc::new(GlobalMemory::new(arena_bytes(kind, scale)));
+        let data = setup_shared(kind, scale, sharing_permille, &memory);
+        Arc::new(record_region(memory, |ctx| run_speculative(ctx, &data)))
+    });
+    Arc::clone(recording)
 }
 
 fn simulate_point(recording: &Recording, cpus: usize, seed: u64) -> SimResult {
@@ -539,6 +570,17 @@ mod tests {
         let rows = breakdown(WorkloadKind::Fft, &quick(), &[4], false);
         let total: f64 = rows[0].fractions.iter().map(|(_, v)| v).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn each_recording_is_made_once_per_process() {
+        let first = record_workload(WorkloadKind::Nqueen, Scale::Tiny);
+        let again = record_workload_shared(WorkloadKind::Nqueen, Scale::Tiny, None);
+        assert!(Arc::ptr_eq(&first, &again));
+        let shared =
+            |permille| record_workload_shared(WorkloadKind::HistShared, Scale::Tiny, permille);
+        assert!(!Arc::ptr_eq(&shared(Some(0)), &shared(Some(500))));
+        assert!(Arc::ptr_eq(&shared(Some(500)), &shared(Some(500))));
     }
 
     #[test]

@@ -40,12 +40,14 @@
 
 pub mod cost;
 pub mod record;
+pub mod runs;
 pub mod schedule;
 mod simlog;
 
 pub use cost::CostModel;
 pub use mutls_metrics::{MetricsConfig, MetricsSeries, MetricsSnapshot};
 pub use record::{NodeId, RecordContext, Recording, Segment, SimEvent, TaskNode};
+pub use runs::{Run, Runs};
 pub use schedule::{simulate, Scheduler, SimConfig, SimResult};
 
 use std::sync::Arc;

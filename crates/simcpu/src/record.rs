@@ -4,8 +4,8 @@
 //! a [`RecordContext`] (an implementation of
 //! [`TlsContext`]).  The recording captures the
 //! task tree the fork/join annotations induce — per task: work segments
-//! with their read/write footprints (sorted, duplicate-free address
-//! slices, frozen when the segment ends), fork and join events, and
+//! with their read/write footprints (sets of arena words as [`Runs`],
+//! frozen when the segment ends), fork and join events, and
 //! whether the task ended at a barrier.  Program results are always computed
 //! correctly (the recording *is* a sequential execution); speculation
 //! success or failure only affects the simulated timing, which is exactly
@@ -14,16 +14,19 @@
 //! A footprint grows in one dense table of marks, one `u64` per arena word
 //! (`addr / 8`) holding the generation — the segment — that last touched the
 //! word and whether that segment read it and wrote it.  A load or store is
-//! one arena access and one mark; a word joins the segment's address list
-//! on its first mark of the generation, so the lists need no dedup, and
-//! ending a segment sorts them and bumps the generation instead of
-//! clearing the table.
+//! one arena access and one mark; a word joins the segment's first-touch
+//! list on its first mark of the generation.  Ending a segment turns each
+//! list into runs and bumps the generation instead of clearing the table:
+//! where the list's words are dense in the span they cover, by scanning the
+//! marks over that span, and only where they are sparse by sorting the list.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use mutls_membuf::{Addr, GlobalMemory, MainMemory, WORD_BYTES};
 use mutls_runtime::{ForkModel, JoinOutcome, Rank, SpecResult, TaskRef, TlsContext};
+
+use crate::runs::{Run, Runs};
 
 /// Index of a task node within a [`Recording`].
 pub type NodeId = usize;
@@ -37,12 +40,11 @@ pub struct Segment {
     pub loads: u64,
     /// Number of stores issued in this segment.
     pub stores: u64,
-    /// Word addresses read (before being written) in this segment,
-    /// ascending and duplicate-free.
-    pub reads: Box<[Addr]>,
-    /// Word addresses written in this segment, ascending and
-    /// duplicate-free.
-    pub writes: Box<[Addr]>,
+    /// Arena words (`addr / 8`) read before being written in this
+    /// segment.
+    pub reads: Runs,
+    /// Arena words written in this segment.
+    pub writes: Runs,
 }
 
 impl Segment {
@@ -168,10 +170,11 @@ pub struct RecordContext {
     marks: Vec<u64>,
     /// Generation of `current`; marks of older generations are stale.
     gen: u64,
-    /// Footprint of `current` while it is still growing, in first-touch
-    /// order; frozen into the segment's sorted slices by `flush_segment`.
-    reads: Vec<Addr>,
-    writes: Vec<Addr>,
+    /// Words (`addr / 8`) of `current`'s footprint while it is still
+    /// growing, in first-touch order; frozen into the segment's runs by
+    /// `flush_segment` and emptied, keeping their blocks.
+    first_reads: Vec<u64>,
+    first_writes: Vec<u64>,
     seq_counter: usize,
 }
 
@@ -179,6 +182,12 @@ pub struct RecordContext {
 const READ: u64 = 1;
 /// Mark bit: the word was written in its generation.
 const WRITTEN: u64 = 2;
+
+/// A first-touch list is frozen by a scan of the marks when the span its
+/// words cover is at most this many words per listed word, by a sort
+/// otherwise: a scan step is one mark, a sort step several compares and
+/// moves per word.
+const SCAN_SPAN_PER_WORD: u64 = 8;
 
 impl RecordContext {
     /// Start a recording against `memory`, with a mark for every word it
@@ -197,8 +206,8 @@ impl RecordContext {
             marks: vec![0; words],
             // Generation 0 is the zeroed table's: no segment is ever in it.
             gen: 1,
-            reads: Vec::new(),
-            writes: Vec::new(),
+            first_reads: Vec::new(),
+            first_writes: Vec::new(),
             seq_counter: 1,
         }
     }
@@ -213,11 +222,9 @@ impl RecordContext {
         &mut self.nodes[id]
     }
 
-    /// The mark of the word at `addr`, which the arena has already
-    /// bounds-checked.
+    /// The mark of word `idx`, which the arena has already bounds-checked.
     #[inline]
-    fn mark(&mut self, addr: Addr) -> &mut u64 {
-        let idx = (addr / WORD_BYTES) as usize;
+    fn mark(&mut self, idx: usize) -> &mut u64 {
         if idx >= self.marks.len() {
             self.grow_marks(idx);
         }
@@ -239,8 +246,8 @@ impl RecordContext {
             return;
         }
         let mut seg = std::mem::take(&mut self.current);
-        seg.reads = freeze(&mut self.reads);
-        seg.writes = freeze(&mut self.writes);
+        seg.reads = freeze(&self.marks, self.gen, READ, &mut self.first_reads);
+        seg.writes = freeze(&self.marks, self.gen, WRITTEN, &mut self.first_writes);
         self.gen += 1;
         self.current_node().events.push(SimEvent::Seg(seg));
     }
@@ -256,14 +263,28 @@ impl RecordContext {
     }
 }
 
-/// Take a footprint list (duplicate-free by construction) into its
-/// canonical form, an ascending slice.  The list's own block is shrunk in
-/// place and handed over: copying it out into a fresh block and keeping
-/// the grown list was slower and left ≈ 1 MiB more heap behind on md.
-fn freeze(addrs: &mut Vec<Addr>) -> Box<[Addr]> {
-    let mut frozen = std::mem::take(addrs);
-    frozen.sort_unstable();
-    frozen.into_boxed_slice()
+/// Turn a first-touch list (duplicate-free by construction) into runs and
+/// empty it.  Its words are exactly those whose mark holds generation
+/// `gen` and mark bit `bit`; see the module docs.
+fn freeze(marks: &[u64], gen: u64, bit: u64, first: &mut Vec<u64>) -> Runs {
+    let (lo, hi) = first
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &idx| (lo.min(idx), hi.max(idx)));
+    let runs = if first.is_empty() {
+        Runs::default()
+    } else if hi - lo < SCAN_SPAN_PER_WORD * first.len() as u64 {
+        let span = &marks[lo as usize..=hi as usize];
+        (lo..)
+            .zip(span)
+            .filter(|&(_, &mark)| mark >> 2 == gen && mark & bit != 0)
+            .map(|(idx, _)| Run::one(idx))
+            .collect()
+    } else {
+        first.sort_unstable();
+        first.iter().map(|&idx| Run::one(idx)).collect()
+    };
+    first.clear();
+    runs
 }
 
 impl TlsContext for RecordContext {
@@ -278,11 +299,12 @@ impl TlsContext for RecordContext {
         self.current.loads += 1;
         let value = self.memory.word(addr).load(Ordering::Relaxed);
         let gen = self.gen;
-        let mark = self.mark(addr);
+        let idx = addr / WORD_BYTES;
+        let mark = self.mark(idx as usize);
         // A mark of this generation: already read or written here.
         if *mark >> 2 != gen {
             *mark = gen << 2 | READ;
-            self.reads.push(addr);
+            self.first_reads.push(idx);
         }
         Ok(value)
     }
@@ -291,11 +313,12 @@ impl TlsContext for RecordContext {
         self.current.stores += 1;
         self.memory.word(addr).store(value, Ordering::Relaxed);
         let gen = self.gen;
-        let mark = self.mark(addr);
+        let idx = addr / WORD_BYTES;
+        let mark = self.mark(idx as usize);
         let current = if *mark >> 2 == gen { *mark } else { gen << 2 };
         if current & WRITTEN == 0 {
             *mark = current | WRITTEN;
-            self.writes.push(addr);
+            self.first_writes.push(idx);
         }
         Ok(())
     }
@@ -388,6 +411,23 @@ mod tests {
         Arc::new(GlobalMemory::new(1 << 16))
     }
 
+    /// The addresses of the words of `footprint`, ascending.
+    fn addrs(footprint: &Runs) -> Vec<Addr> {
+        footprint.iter().map(|word| word * WORD_BYTES).collect()
+    }
+
+    /// Every run of `footprint` holds a word, the runs ascend, and no two
+    /// overlap or touch: the one form a set of words has.
+    fn assert_maximal_runs(footprint: &Runs) {
+        let runs = footprint.runs();
+        assert!(runs.iter().all(|run| !run.is_empty()), "{runs:?}");
+        assert!(runs.windows(2).all(|w| w[0].end < w[1].start), "{runs:?}");
+        assert_eq!(
+            footprint.len(),
+            runs.iter().map(|run| run.len()).sum::<u64>()
+        );
+    }
+
     /// The work segments of `node`, in timeline order.
     fn segments(node: &TaskNode) -> Vec<&Segment> {
         node.events
@@ -417,7 +457,7 @@ mod tests {
         assert_eq!(rec.task_count(), 2);
         assert_eq!(rec.total_work(), 35);
         assert!(rec.nodes[1].barrier);
-        assert_eq!(*segments(&rec.nodes[1])[0].writes, [data.addr_of(0)]);
+        assert_eq!(addrs(&segments(&rec.nodes[1])[0].writes), [data.addr_of(0)]);
         // The store really happened (sequential correctness).
         assert_eq!(mem.get(&data, 0), 42);
     }
@@ -438,8 +478,8 @@ mod tests {
         ctx.join(h).unwrap();
         let rec = ctx.finish();
         let seg = segments(&rec.nodes[1])[0];
-        assert_eq!(*seg.reads, [data.addr_of(0)]);
-        assert_eq!(*seg.writes, [data.addr_of(1)]);
+        assert_eq!(addrs(&seg.reads), [data.addr_of(0)]);
+        assert_eq!(addrs(&seg.writes), [data.addr_of(1)]);
         assert_eq!(mem.get(&data, 1), 14);
     }
 
@@ -461,14 +501,53 @@ mod tests {
         ctx.load(&data, 5).unwrap(); // a new segment reads it afresh
         let rec = ctx.finish();
         let segs = segments(rec.root());
-        let addrs = |words: &[usize]| words.iter().map(|&i| data.addr_of(i)).collect::<Vec<_>>();
-        assert_eq!(*segs[0].reads, *addrs(&[2, 4, 6]));
-        assert_eq!(*segs[0].writes, *addrs(&[1, 5]));
+        let at = |words: &[usize]| words.iter().map(|&i| data.addr_of(i)).collect::<Vec<_>>();
+        assert_eq!(addrs(&segs[0].reads), at(&[2, 4, 6]));
+        assert_eq!(addrs(&segs[0].writes), at(&[1, 5]));
         assert_eq!((segs[0].loads, segs[0].stores), (6, 3));
-        assert_eq!(*segs[1].reads, *addrs(&[5]));
+        assert_eq!(addrs(&segs[1].reads), at(&[5]));
         assert!(segs[1].writes.is_empty());
         assert_eq!((segs[1].loads, segs[1].stores), (1, 0));
         assert_eq!(rec.total_memory_ops(), 10);
+    }
+
+    /// md's force chunk: three arrays back to back, read as interleaved
+    /// ascending streams (x[i], y[i], z[i] for every i), are one run; the
+    /// forces stored at three strided places are three.
+    #[test]
+    fn interleaved_ascending_streams_over_adjacent_arrays_are_one_run() {
+        const N: usize = 64;
+        let mem = arena();
+        let pos = mem.alloc::<f64>(3 * N);
+        let force = mem.alloc::<f64>(3 * N);
+        let mut ctx = RecordContext::new(Arc::clone(&mem));
+        for i in 0..N {
+            for d in 0..3 {
+                ctx.load(&pos, d * N + i).unwrap();
+            }
+        }
+        for i in 8..12 {
+            for d in 0..3 {
+                ctx.store(&force, d * N + i, 1.0).unwrap();
+            }
+        }
+        let rec = ctx.finish();
+        let seg = segments(rec.root())[0];
+        let word = |array: &GPtr<f64>, i: usize| array.addr_of(i) / WORD_BYTES;
+        let whole = Run {
+            start: word(&pos, 0),
+            end: word(&pos, 3 * N - 1) + 1,
+        };
+        assert_eq!(seg.reads.runs(), [whole]);
+        assert_eq!(seg.reads.len(), 3 * N as u64);
+        let strided: Vec<Run> = (0..3)
+            .map(|d| Run {
+                start: word(&force, d * N + 8),
+                end: word(&force, d * N + 12),
+            })
+            .collect();
+        assert_eq!(seg.writes.runs(), strided);
+        assert_eq!(seg.writes.len(), 12);
     }
 
     #[test]
@@ -607,9 +686,12 @@ mod tests {
     }
 
     /// Words the scripts touch; the first `EARLY` are allocated before the
-    /// recording starts, the rest after it, past the marks' first length.
+    /// recording starts, the rest after it, past the marks' first length,
+    /// `SPREAD` words apart, so a segment's words are sometimes dense in
+    /// their span and sometimes sparse.
     const WORDS: usize = 16;
     const EARLY: usize = 2;
+    const SPREAD: usize = 16;
 
     /// Decode random codes into a script: a code 13 closes a fork's child
     /// or its forker's stretch, and forks nest at most three deep.
@@ -677,17 +759,19 @@ mod tests {
     /// loaded before any store to them, `writes` the words stored.
     struct Model {
         nodes: Vec<TaskNode>,
+        /// Per node, per segment: the words read and the words written.
+        sets: Vec<Vec<[BTreeSet<u64>; 2]>>,
         stack: Vec<NodeId>,
         work: u64,
         loads: u64,
         stores: u64,
-        reads: BTreeSet<Addr>,
-        writes: BTreeSet<Addr>,
+        reads: BTreeSet<u64>,
+        writes: BTreeSet<u64>,
         /// Per word of the open segment: 1 read, 2 then written, 3 then
         /// read again.
-        order: BTreeMap<Addr, u8>,
+        order: BTreeMap<u64, u8>,
         /// Segments whose footprint holds each word.
-        segments_with: BTreeMap<Addr, usize>,
+        segments_with: BTreeMap<u64, usize>,
         read_written_read: bool,
     }
 
@@ -695,6 +779,7 @@ mod tests {
         fn new() -> Self {
             Model {
                 nodes: vec![TaskNode::default()],
+                sets: vec![Vec::new()],
                 stack: vec![0],
                 work: 0,
                 loads: 0,
@@ -720,13 +805,19 @@ mod tests {
                 *self.segments_with.entry(a).or_default() += 1;
             }
             self.order.clear();
+            let runs = |set: &BTreeSet<u64>| set.iter().map(|&word| Run::one(word)).collect();
             let seg = Segment {
                 work: std::mem::take(&mut self.work),
                 loads: std::mem::take(&mut self.loads),
                 stores: std::mem::take(&mut self.stores),
-                reads: std::mem::take(&mut self.reads).into_iter().collect(),
-                writes: std::mem::take(&mut self.writes).into_iter().collect(),
+                reads: runs(&self.reads),
+                writes: runs(&self.writes),
             };
+            let sets = [
+                std::mem::take(&mut self.reads),
+                std::mem::take(&mut self.writes),
+            ];
+            self.sets[*self.stack.last().unwrap()].push(sets);
             self.push(SimEvent::Seg(seg));
         }
 
@@ -734,7 +825,7 @@ mod tests {
             for op in ops {
                 match op {
                     Op::Load(w) => {
-                        let a = addrs[*w];
+                        let a = addrs[*w] / WORD_BYTES;
                         self.loads += 1;
                         if !self.writes.contains(&a) {
                             self.reads.insert(a);
@@ -750,7 +841,7 @@ mod tests {
                         }
                     }
                     Op::Store(w, _) => {
-                        let a = addrs[*w];
+                        let a = addrs[*w] / WORD_BYTES;
                         self.stores += 1;
                         self.writes.insert(a);
                         let order = self.order.entry(a).or_default();
@@ -771,6 +862,7 @@ mod tests {
                             seq: id,
                             ..TaskNode::default()
                         });
+                        self.sets.push(Vec::new());
                         self.push(SimEvent::Fork {
                             child: id,
                             model: ForkModel::Mixed,
@@ -791,27 +883,31 @@ mod tests {
 
     /// Random scripts of loads, stores, work, check points and nested
     /// forks recorded against the set model above: every segment's
-    /// footprints and counts, and the whole node tree, match.  The cases
-    /// the generation-stamped marks must get right all occur: a word in
-    /// three or more segments, a read → written → read word in one
-    /// segment, and the marks growing in the middle of a segment.
+    /// footprints, expanded word by word, are the model's sets, their runs
+    /// are maximal, and the counts and the whole node tree match.  The
+    /// cases the generation-stamped marks must get right all occur: a word
+    /// in three or more segments, a read → written → read word in one
+    /// segment, the marks growing in the middle of a segment, and sets
+    /// frozen both by a scan of the marks and by a sort.
     #[test]
     fn footprints_match_a_set_model() {
         let scripts = collection::vec(any::<u64>(), 1..128);
         let mut gen = Gen::new(0x5E6_7E47);
         let (mut reused, mut read_written_read, mut grown) = (false, false, false);
-        // At least 8 cases: the generator reaches all three by then.
+        let (mut scanned, mut sorted) = (false, false);
+        // At least 8 cases: the generator reaches all of them by then.
         for _ in 0..proptest::cases().max(8) {
             let codes = scripts.generate(&mut gen);
             let ops = decode(&mut codes.iter(), 0);
-            let mem = Arc::new(GlobalMemory::new(WORDS as u64 * WORD_BYTES));
+            let late_words = (WORDS - EARLY) * SPREAD;
+            let mem = Arc::new(GlobalMemory::new((EARLY + late_words) as u64 * WORD_BYTES));
             let early = mem.alloc::<u64>(EARLY);
             let mut ctx = RecordContext::new(Arc::clone(&mem));
             assert_eq!(ctx.marks.len(), 1 + EARLY);
-            let late = mem.alloc::<u64>(WORDS - EARLY);
+            let late = mem.alloc::<u64>(late_words);
             let addrs: Arc<[Addr]> = (0..EARLY)
                 .map(|i| early.addr_of(i))
-                .chain((0..WORDS - EARLY).map(|i| late.addr_of(i)))
+                .chain((0..WORDS - EARLY).map(|i| late.addr_of(i * SPREAD)))
                 .collect();
             let grew = Arc::new(AtomicBool::new(false));
             play(&mut ctx, &ops, &addrs, &grew).unwrap();
@@ -821,17 +917,21 @@ mod tests {
             model.flush();
 
             assert_eq!(rec.nodes.len(), model.nodes.len());
-            for (id, (got, want)) in rec.nodes.iter().zip(&model.nodes).enumerate() {
-                let (got, want) = (segments(got), segments(want));
+            for (id, (got, want)) in rec.nodes.iter().zip(&model.sets).enumerate() {
+                let got = segments(got);
                 assert_eq!(got.len(), want.len(), "segments of node {id}");
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.reads, w.reads, "reads of node {id} segment {i}");
-                    assert_eq!(g.writes, w.writes, "writes of node {id} segment {i}");
-                    assert_eq!(
-                        (g.loads, g.stores),
-                        (w.loads, w.stores),
-                        "node {id} seg {i}"
-                    );
+                for (i, (g, [reads, writes])) in got.iter().zip(want).enumerate() {
+                    for (footprint, set) in [(&g.reads, reads), (&g.writes, writes)] {
+                        assert_maximal_runs(footprint);
+                        let words: BTreeSet<u64> = footprint.iter().collect();
+                        assert_eq!(&words, set, "node {id} segment {i}");
+                        assert_eq!(footprint.len(), set.len() as u64);
+                        if let (Some(lo), Some(hi)) = (set.first(), set.last()) {
+                            let dense = hi - lo < SCAN_SPAN_PER_WORD * set.len() as u64;
+                            scanned |= dense;
+                            sorted |= !dense;
+                        }
+                    }
                 }
             }
             assert_eq!(format!("{:#?}", rec.nodes), format!("{:#?}", model.nodes));
@@ -843,5 +943,6 @@ mod tests {
         assert!(reused, "no word was touched in three segments");
         assert!(read_written_read, "no read → written → read segment");
         assert!(grown, "the marks never grew mid-segment");
+        assert!(scanned && sorted, "scanned {scanned}, sorted {sorted}");
     }
 }

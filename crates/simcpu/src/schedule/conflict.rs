@@ -9,40 +9,49 @@
 //! question the runtime asks its `CommitLog` — "was this range stamped
 //! after my snapshot?" — and asks it the same way, by lookup:
 //!
-//! * the **publish index** keeps, per word, the latest publish time (one
-//!   dense array indexed by word, so a word lookup is a load and a
-//!   compare) and, per range id, the latest `ring_depth` publish times
-//!   (one hash probe).  That is exactly enough to decide a hit, a word
-//!   hit and "at least `ring_depth` publishes since *t*" (a ring overflow)
-//!   in one pass over a finished segment's reads (`Scheduler::check_reads`);
+//! * the **publish index** keeps, per word and per range id, the latest
+//!   publish time (dense arrays indexed by word and by range id, so a run
+//!   of either is looked up in one pass over a slice) and, per range id,
+//!   the latest `ring_depth` publish times (one hash probe).  That is
+//!   exactly enough to decide a hit, a word hit and "at least `ring_depth`
+//!   publishes since *t*" (a ring overflow) from a finished segment's read
+//!   runs and the ranges they cover (`Scheduler::check_reads`);
 //! * the **reader registry** keeps, per range id, the live speculative
 //!   fibers that read it, so a publish visits the readers of the ranges
 //!   it stamps (`Scheduler::publish`) — never the fibers that have
 //!   nothing to do with them, let alone the retired ones;
-//! * footprints are ascending, duplicate-free address lists end to end:
-//!   collected by the recorder through one generation-stamped mark per
-//!   word and sorted once when the segment ends, borrowed (not copied) by
-//!   the scheduler, merged into a fiber's read and write sets, merged
-//!   again into the joiner's when a speculative parent absorbs a child.
+//! * footprints are word runs end to end ([`Runs`]: ascending, disjoint,
+//!   never adjacent): built by the recorder from its generation-stamped
+//!   marks when the segment ends, borrowed (not copied) by the scheduler,
+//!   merged run by run into a fiber's read and write sets, and moved into
+//!   the joiner's when a speculative parent absorbs a committed child.
+//!   A set's word count still prices what the runtime pays per word.
 //!
-//! So a segment costs O(reads + writes) and a publish O(writes +
-//! registered readers of the stamped ranges), whatever the simulated CPU
-//! count and however many fibers the run has spawned; the one per-event
+//! So a segment costs one pass over the latest times of the ranges its
+//! reads cover — plus, when one of them was stamped meanwhile, one over
+//! those of its words and a probe per range — and a publish
+//! O(ranges it stamps + their registered readers), whatever the simulated
+//! CPU count and however many fibers the run has spawned; the one per-event
 //! walk that remains (the fossil horizon) goes over the live speculative
 //! fibers, at most one per CPU.
 //! Fossil collection prunes the range slots no in-flight or future reader
-//! can count; a word's time needs no pruning, since one at or below the
-//! horizon already counts for nobody.  Under `cfg(test)` the log scan all
-//! of this replaced is kept as the reference (`mod reference`) and every
-//! verdict is computed both ways and compared.
+//! can count; a latest time per word or range needs no pruning, since one
+//! at or below the horizon already counts for nobody.  Under `cfg(test)`
+//! the log scan all of this replaced is kept as the reference (`mod
+//! reference`) and every verdict is computed both ways and compared.
 
 use super::*;
 
 impl<'a> Scheduler<'a> {
-    /// `addr`'s commit-log range id: the address shifted by the log's
-    /// grain.
-    pub(super) fn range_at(&self, addr: Addr) -> u64 {
-        addr >> self.config.commit_log.grain_log2
+    /// The shift from a word index to its commit-log range id: a range id
+    /// is the address shifted by the log's grain, at least a word.
+    fn range_shift(&self) -> u32 {
+        self.config.commit_log.grain_log2 - WORD_BYTES.trailing_zeros()
+    }
+
+    /// The commit-log range ids covering `words`.
+    fn ranges_of(&self, words: &Runs) -> Runs {
+        words.coarsen(self.range_shift())
     }
 
     /// Whether the simulated log keeps version rings (depth 1 is the
@@ -80,62 +89,59 @@ impl<'a> Scheduler<'a> {
     /// point** instead of burning their whole conflict window; the
     /// returned cycles are the writer's doom-signalling cost
     /// (`CostModel::doom_signal` per victim), which the caller adds to
-    /// the writer's clock.  `writes` is ascending, like every footprint.
-    pub(super) fn publish(&mut self, writes: &[Addr], time: u64, writer: usize) -> u64 {
+    /// the writer's clock.
+    pub(super) fn publish(&mut self, writes: &Runs, time: u64, writer: usize) -> u64 {
         if writes.is_empty() {
             return 0;
         }
-        debug_assert!(writes.is_sorted());
         // Coarsen at the log's grain, counting the simulated stamp traffic
         // (one stamp per distinct range — the column a coarser grain
         // shrinks), and visit the registered readers of every stamped
-        // range.
+        // range with the written words inside it.
         let mvcc = self.mvcc();
         let ring_depth = self.config.commit_log.ring_depth as usize;
-        let mut ranges: Vec<u64> = Vec::new();
+        let shift = self.range_shift();
+        let ranges = self.ranges_of(writes);
         let mut touches: Vec<Touch> = Vec::new();
         self.sim_commits += 1;
-        for &w in writes {
-            let range = self.range_at(w);
-            // Range ids ascend with the address, so a repeat is adjacent.
-            if ranges.last() != Some(&range) {
-                ranges.push(range);
-                self.sim_stamps += 1;
-            }
-            // The registry holds a fiber under the ranges it read: every
-            // reader here read the range; `word` says whether it read the
-            // very word.
-            for &fid in self.log.readers(range) {
-                let fiber = &self.fibers[fid];
-                if fid == writer || fiber.start_time >= time {
-                    continue;
+        self.sim_stamps += ranges.len();
+        for run in writes.runs() {
+            let mut start = run.start;
+            while start < run.end {
+                let range = start >> shift;
+                let end = ((range + 1) << shift).min(run.end);
+                let written = Run { start, end };
+                start = end;
+                // The registry holds a fiber under the ranges it read:
+                // every reader here read the range; `word` says whether it
+                // read one of the very words.
+                for &fid in self.log.readers(range) {
+                    let fiber = &self.fibers[fid];
+                    if fid == writer || fiber.start_time >= time {
+                        continue;
+                    }
+                    let word = fiber.reads.intersects(written);
+                    // Ring overflow: more publishes into the range than
+                    // the ring holds since the fiber started — the sim's
+                    // publish times stand in for the log version, a
+                    // conservative proxy for the entry's read stamp.
+                    let overflow =
+                        mvcc && self.log.range_since(range, fiber.start_time) + 1 >= ring_depth;
+                    touches.push(Touch {
+                        fid,
+                        word,
+                        overflow,
+                    });
                 }
-                let word = fiber.reads.binary_search(&w).is_ok();
-                // Ring overflow: more publishes into the range than the
-                // ring holds since the fiber started — the sim's publish
-                // times stand in for the log version, a conservative
-                // proxy for the entry's read stamp.
-                let overflow =
-                    mvcc && self.log.range_since(range, fiber.start_time) + 1 >= ring_depth;
-                touches.push(Touch {
-                    fid,
-                    word,
-                    overflow,
-                });
             }
         }
         let verdicts = self.publish_verdicts(touches);
         #[cfg(test)]
         {
-            assert_eq!(
-                verdicts,
-                self.publish_verdicts_by_scan(writes, &ranges, time, writer)
-            );
-            self.publishes.push(reference::PubEntry {
-                time,
-                words: writes.to_vec(),
-                ranges: ranges.clone(),
-            });
+            let entry = self.pub_entry_by_scan(writes, time);
+            assert_eq!(ranges.iter().collect::<Vec<_>>(), entry.ranges);
+            assert_eq!(verdicts, self.publish_verdicts_by_scan(&entry, writer));
+            self.publishes.push(entry);
         }
         self.log.record(time, writes, &ranges);
 
@@ -208,62 +214,56 @@ impl<'a> Scheduler<'a> {
     }
 
     /// The conflict verdicts of everything published after `since` under
-    /// `reads` (a segment's sorted footprint), coarsened at the log's
-    /// grain: one index lookup per read and one per distinct range.
-    fn check_reads(&self, reads: &[Addr], since: u64) -> ReadVerdict {
+    /// `reads` (a segment's footprint), coarsened at the log's grain.  Only
+    /// a range stamped after `since` can hold a hit, so one pass over the
+    /// latest times of the ranges read clears a segment nothing was
+    /// published over without a hash probe (in md's replay, every
+    /// segment); the rest take a pass over the words read and, unless a
+    /// word was hit, one index lookup per range.
+    fn check_reads(&self, reads: &Runs, since: u64) -> ReadVerdict {
+        let ranges = self.ranges_of(reads);
+        let stamped = |run: &Run| self.log.any_range_since(*run, since);
+        if !ranges.runs().iter().any(stamped) {
+            return ReadVerdict::default();
+        }
+        let word_hit = reads
+            .runs()
+            .iter()
+            .any(|&run| self.log.any_word_since(run, since));
+        if word_hit {
+            // A word hit is a genuine hit: no ring can excuse it.
+            return ReadVerdict {
+                hit: true,
+                word_hit,
+                overflow: false,
+            };
+        }
         let ring_depth = self.config.commit_log.ring_depth as usize;
         let mut verdict = ReadVerdict::default();
-        // Sorted reads visit a range's words back to back.
-        let mut last: Option<(u64, usize)> = None;
-        for &a in reads {
-            let range = self.range_at(a);
-            let stamps = match last {
-                Some((r, stamps)) if r == range => stamps,
-                _ => self.log.range_since(range, since),
-            };
-            last = Some((range, stamps));
-            let word = self.log.word_since(a, since);
-            if word || stamps > 0 {
-                verdict.hit = true;
-                verdict.word_hit |= word;
-                // Conservative ring-overflow probe (only consulted on the
-                // range-only path).
-                verdict.overflow |= stamps >= ring_depth;
-            }
+        for range in ranges.iter() {
+            let stamps = self.log.range_since(range, since);
+            verdict.hit |= stamps > 0;
+            // Conservative ring-overflow probe (only consulted on the
+            // range-only path).
+            verdict.overflow |= stamps >= ring_depth;
         }
-        verdict.overflow &= self.mvcc() && !verdict.word_hit;
+        verdict.overflow &= self.mvcc();
         verdict
     }
 
-    /// Merge the ascending `addrs` into speculative fiber `fid`'s read set
-    /// — except what it wrote first — coarsened at the log's grain, and
-    /// enter it in the reader registry under every range new to it.
-    pub(super) fn register_reads(&mut self, fid: usize, addrs: &[Addr]) {
-        let writes = &self.fibers[fid].writes;
-        let unwritten: Vec<Addr>;
-        let fresh = if writes.is_empty() {
-            addrs
-        } else {
-            unwritten = addrs
-                .iter()
-                .copied()
-                .filter(|a| writes.binary_search(a).is_err())
-                .collect();
-            &unwritten
-        };
-        // Range ids ascend with the address: sorted, repeats adjacent.
-        let mut ranges: Vec<u64> = Vec::new();
-        for &a in fresh {
-            let range = self.range_at(a);
-            if ranges.last() != Some(&range) {
-                ranges.push(range);
-            }
-        }
+    /// Merge `words` into speculative fiber `fid`'s read set — except what
+    /// it wrote first — coarsened at the log's grain, and enter it in the
+    /// reader registry under every range new to it.
+    pub(super) fn register_reads(&mut self, fid: usize, words: &Runs) {
+        let fresh = words.minus(&self.fibers[fid].writes);
+        let ranges = self.ranges_of(&fresh);
         let fiber = &mut self.fibers[fid];
-        merge_sorted(&mut fiber.reads, fresh, |_| {});
-        merge_sorted(&mut fiber.read_ranges, &ranges, |range| {
-            self.log.register(range, fid)
-        });
+        let new_ranges = ranges.minus(&fiber.read_ranges);
+        for range in new_ranges.iter() {
+            self.log.register(range, fid);
+        }
+        fiber.read_ranges.union(&new_ranges);
+        fiber.reads.union(&fresh);
     }
 
     pub(super) fn apply_segment_effects(&mut self, fid: usize) {
@@ -289,7 +289,7 @@ impl<'a> Scheduler<'a> {
                     self.check_reads_by_scan(&seg.reads, self.fibers[fid].segment_started)
                 );
                 self.register_reads(fid, &seg.reads);
-                merge_sorted(&mut self.fibers[fid].writes, &seg.writes, |_| {});
+                self.fibers[fid].writes.union(&seg.writes);
                 if fx.hit {
                     let word_hit = fx.word_hit;
                     // mvcc precise validation for late-registered reads:
@@ -328,40 +328,5 @@ impl<'a> Scheduler<'a> {
         }
         self.fibers[fid].seg_in_flight = false;
         self.bump_ip(fid);
-    }
-}
-
-/// Merge the ascending, duplicate-free `add` into the ascending,
-/// duplicate-free `into`; `on_new` sees every element `into` lacked.
-pub(super) fn merge_sorted(into: &mut Vec<u64>, add: &[u64], mut on_new: impl FnMut(u64)) {
-    use std::cmp::Ordering;
-    if add.is_empty() {
-        return;
-    }
-    let old = std::mem::take(into);
-    into.reserve(old.len() + add.len());
-    let (mut i, mut j) = (0, 0);
-    while i < old.len() && j < add.len() {
-        match old[i].cmp(&add[j]) {
-            Ordering::Less => {
-                into.push(old[i]);
-                i += 1;
-            }
-            Ordering::Equal => {
-                into.push(old[i]);
-                i += 1;
-                j += 1;
-            }
-            Ordering::Greater => {
-                into.push(add[j]);
-                on_new(add[j]);
-                j += 1;
-            }
-        }
-    }
-    into.extend_from_slice(&old[i..]);
-    for &x in &add[j..] {
-        into.push(x);
-        on_new(x);
     }
 }

@@ -26,9 +26,9 @@ impl<'a> Scheduler<'a> {
         // Validation (charged to the speculative path; the joiner idles).
         // The value comparison is per word; the commit-log probe is per
         // range, so coarser grains validate cheaper.
-        let read_words = self.fibers[cf].reads.len() as u64;
-        let read_ranges = self.fibers[cf].read_ranges.len() as u64;
-        let write_words = self.fibers[cf].writes.len() as u64;
+        let read_words = self.fibers[cf].reads.len();
+        let read_ranges = self.fibers[cf].read_ranges.len();
+        let write_words = self.fibers[cf].writes.len();
         let (child, joiner) = (self.lane_of(cf), self.lane_of(fid));
         let ranges = read_ranges as u32;
         self.observe(now, child, cf, Point::ValidateBegin(ranges));
@@ -112,12 +112,15 @@ impl<'a> Scheduler<'a> {
                 self.fibers[fid].stats.add(Phase::Idle, commit + finalize);
                 now += commit + finalize;
 
-                let child_writes = self.fibers[cf].writes.clone();
+                // The child retires below and nothing reads its sets before
+                // then (`publish` skips the writer, `stopped_early` reads
+                // frames), so they move, not copy.
+                let child_writes = std::mem::take(&mut self.fibers[cf].writes);
                 if self.fibers[fid].speculative {
                     // Absorb into the speculative parent.
-                    let child_reads = self.fibers[cf].reads.clone();
+                    let child_reads = std::mem::take(&mut self.fibers[cf].reads);
                     self.register_reads(fid, &child_reads);
-                    merge_sorted(&mut self.fibers[fid].writes, &child_writes, |_| {});
+                    self.fibers[fid].writes.union(&child_writes);
                 } else {
                     now += self.publish(&child_writes, now, cf);
                 }
@@ -239,9 +242,9 @@ impl<'a> Scheduler<'a> {
         // Leave the reader registry and release the footprint: nothing
         // looks at a retired fiber's sets.
         let fiber = &mut self.fibers[cf];
-        fiber.reads = Vec::new();
-        fiber.writes = Vec::new();
-        for range in std::mem::take(&mut fiber.read_ranges) {
+        fiber.reads = Runs::default();
+        fiber.writes = Runs::default();
+        for range in std::mem::take(&mut fiber.read_ranges).iter() {
             self.log.unregister(range, cf);
         }
         let cpu = fiber.cpu;

@@ -39,7 +39,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use mutls_adaptive::{Governor, GovernorConfig};
-use mutls_membuf::{Addr, CommitLogConfig, CommitLogStats, SpecFailure};
+use mutls_membuf::{CommitLogConfig, CommitLogStats, SpecFailure, WORD_BYTES};
 use mutls_metrics::{MetricsConfig, MetricsHub, MetricsSeries, MetricsSnapshot, Registry};
 use mutls_runtime::ledger::{self, Books, Point};
 use mutls_runtime::protocol::{self, Forker, JoinFacts, JoinVerdict, Retirement};
@@ -48,6 +48,7 @@ use mutls_trace::{DenyPolicy, DoomSource, EventKind, LatencyRecorder, TraceEvent
 
 use crate::cost::CostModel;
 use crate::record::{NodeId, Recording, Segment, SimEvent};
+use crate::runs::{Run, Runs};
 use crate::simlog::{DetMap, SimLog};
 
 mod books;
@@ -62,7 +63,6 @@ mod reference;
 mod tests;
 
 pub use config::{SimConfig, SimResult};
-use conflict::merge_sorted;
 
 /// Pops between fossil collections of the simulated log.
 const FOSSIL_SWEEP_POPS: u64 = 64;
@@ -86,14 +86,15 @@ struct ReadVerdict {
     overflow: bool,
 }
 
-/// One published word meeting one registered reader of its range.
+/// The words of one publish inside one range meeting one registered
+/// reader of the range.
 #[derive(Debug, Clone, Copy)]
 struct Touch {
     fid: usize,
-    /// The fiber read this very word.
+    /// The fiber read one of these very words.
     word: bool,
-    /// The fiber read the word's range, and the publish overflows the
-    /// range's version ring as seen from the fiber's start.
+    /// The publish overflows the range's version ring as seen from the
+    /// fiber's start.
     overflow: bool,
 }
 
@@ -143,14 +144,16 @@ struct Fiber {
     stats: ThreadStats,
     /// Read and write sets of a *speculative* fiber (the non-speculative
     /// thread publishes at once and validates nothing, so its sets stay
-    /// empty): ascending and duplicate-free, like the segment footprints
-    /// they are merged from.  Released at retirement.
-    reads: Vec<Addr>,
-    writes: Vec<Addr>,
-    /// Commit-log range ids covering `reads` (see `Scheduler::range_at`)
+    /// empty): arena words as runs, like the segment footprints they are
+    /// merged from; `reads` leaves out what the fiber wrote first.  Their
+    /// word counts price validation, commit and finalization.  Released at
+    /// retirement, or taken by the joiner that commits the fiber.
+    reads: Runs,
+    writes: Runs,
+    /// Commit-log range ids covering `reads` (see `Scheduler::ranges_of`)
     /// — the grain conflicts are detected at, and the ids the fiber is
-    /// registered under as a reader.  Ascending and duplicate-free.
-    read_ranges: Vec<u64>,
+    /// registered under as a reader.
+    read_ranges: Runs,
     doomed: Option<SpecFailure>,
     /// True when the dooming conflict was range-only (no word of the
     /// published batch was actually read) — suspected false sharing.
@@ -199,9 +202,9 @@ impl Fiber {
             start_time,
             segment_started: start_time,
             stats: ThreadStats::new(),
-            reads: Vec::new(),
-            writes: Vec::new(),
-            read_ranges: Vec::new(),
+            reads: Runs::default(),
+            writes: Runs::default(),
+            read_ranges: Runs::default(),
             doomed: None,
             doomed_false_sharing: false,
             retried: false,

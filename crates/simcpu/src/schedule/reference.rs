@@ -1,19 +1,27 @@
 //! The publish log the index replaced, the scans over it and the
 //! all-fiber loops the live list replaced, as they were: the reference
 //! every looked-up verdict is compared against in this crate's tests.
+//! It works word by word: every set of runs is expanded into its words
+//! first, and every range id is computed from a word's address.
 
 use super::*;
 
-/// One published write batch: the commit time, the written word
-/// addresses, and the range ids stamped.
+/// One published write batch: the commit time, the written words, and
+/// the range ids stamped.
 #[derive(Debug, Clone)]
 pub(super) struct PubEntry {
     pub(super) time: u64,
-    pub(super) words: Vec<Addr>,
+    pub(super) words: Vec<u64>,
     pub(super) ranges: Vec<u64>,
 }
 
 impl Scheduler<'_> {
+    /// The commit-log range id of word `word`: its address shifted by the
+    /// log's grain.
+    fn range_of_word(&self, word: u64) -> u64 {
+        (word * WORD_BYTES) >> self.config.commit_log.grain_log2
+    }
+
     /// Drop the leading run of entries at or below the horizon.
     pub(super) fn fossil_collect_log(&mut self, now: u64, horizon: u64) {
         let mut scanned = now;
@@ -31,9 +39,26 @@ impl Scheduler<'_> {
         self.publishes.drain(..dead);
     }
 
-    pub(super) fn check_reads_by_scan(&self, seg_reads: &[Addr], seg_start: u64) -> ReadVerdict {
+    /// The batch publishing `writes` at `time`: its words, and the
+    /// distinct range ids they fall in, ascending.
+    pub(super) fn pub_entry_by_scan(&self, writes: &Runs, time: u64) -> PubEntry {
+        let words: Vec<u64> = writes.iter().collect();
+        let mut ranges: Vec<u64> = words.iter().map(|&w| self.range_of_word(w)).collect();
+        ranges.dedup();
+        PubEntry {
+            time,
+            words,
+            ranges,
+        }
+    }
+
+    pub(super) fn check_reads_by_scan(&self, seg_reads: &Runs, seg_start: u64) -> ReadVerdict {
         let entries = &self.publishes;
-        let reads: Vec<(Addr, u64)> = seg_reads.iter().map(|&a| (a, self.range_at(a))).collect();
+        let seg_reads: Vec<u64> = seg_reads.iter().collect();
+        let reads: Vec<(u64, u64)> = seg_reads
+            .iter()
+            .map(|&a| (a, self.range_of_word(a)))
+            .collect();
         let mut fx = ReadVerdict {
             hit: entries.iter().any(|e| {
                 e.time > seg_start
@@ -63,9 +88,7 @@ impl Scheduler<'_> {
 
     pub(super) fn publish_verdicts_by_scan(
         &self,
-        writes: &[Addr],
-        ranges: &[u64],
-        time: u64,
+        batch: &PubEntry,
         writer: usize,
     ) -> Vec<(usize, PublishVerdict)> {
         let ring_depth = self.config.commit_log.ring_depth as usize;
@@ -74,23 +97,27 @@ impl Scheduler<'_> {
             if fid == writer || !fiber.speculative || fiber.retired {
                 continue;
             }
-            if fiber.start_time >= time {
+            if fiber.start_time >= batch.time {
                 continue;
             }
-            let word_hit = writes.iter().any(|w| fiber.reads.contains(w));
+            let reads: Vec<u64> = fiber.reads.iter().collect();
+            let mut read_ranges: Vec<u64> = reads.iter().map(|&w| self.range_of_word(w)).collect();
+            read_ranges.dedup();
+            assert_eq!(read_ranges, fiber.read_ranges.iter().collect::<Vec<_>>());
+            let word_hit = batch.words.iter().any(|w| reads.contains(w));
             if fiber.doomed.is_some() {
                 if fiber.doomed_false_sharing && word_hit {
                     verdicts.push((fid, PublishVerdict::Genuine));
                 }
                 continue;
             }
-            if !word_hit && !ranges.iter().any(|r| fiber.read_ranges.contains(r)) {
+            if !word_hit && !batch.ranges.iter().any(|r| read_ranges.contains(r)) {
                 continue;
             }
             let mut ring_overflow = false;
             if self.mvcc() && !word_hit {
-                ring_overflow = fiber.read_ranges.iter().any(|r| {
-                    ranges.contains(r)
+                ring_overflow = read_ranges.iter().any(|r| {
+                    batch.ranges.contains(r)
                         && self
                             .publishes
                             .iter()

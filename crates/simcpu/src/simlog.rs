@@ -11,7 +11,11 @@
 //! and, per range id, one slot with the latest `ring_depth` publish times
 //! and the live speculative fibers registered as readers.  A word lookup
 //! is one index into a dense array (`addr / 8`; time 0, a word never
-//! published, is "since" nothing), a range lookup one hash probe.
+//! published, is "since" nothing), so "was any word of this run published
+//! after `t`?" is one pass over a slice of it.  The latest publish time per
+//! range id is kept the same way, so a segment whose ranges were all left
+//! alone is cleared without a probe; a count of a range's publishes is one
+//! hash probe.
 //!
 //! The maps here and in the scheduler hash with [`WordHasher`]: keys are
 //! range ids, regions and fiber indices the program itself produced, so a
@@ -20,7 +24,7 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-use mutls_membuf::{Addr, WORD_BYTES};
+use crate::runs::{Run, Runs};
 
 /// Deterministic multiplicative (Fibonacci) hasher for integer keys.
 /// The high half of the product is folded down because word addresses are
@@ -66,13 +70,17 @@ struct RangeSlot {
 }
 
 /// Publish times by word and by range id, and readers by range id (see
-/// the module docs).  Range ids are the scheduler's region-prefixed ids
-/// at the grain live when the publish or the read happened.
+/// the module docs).  Range ids are word indices shifted by the log's
+/// grain.
 #[derive(Debug)]
 pub(crate) struct SimLog {
     /// Latest publish time by word index (`addr / 8`), 0 where none;
     /// grown on demand by `record`.
     words: Vec<u64>,
+    /// Latest publish time by range id, kept like `words`: each slot's
+    /// newest time, dense, so a range left alone is seen without a hash
+    /// probe.
+    range_latest: Vec<u64>,
     ranges: DetMap<u64, RangeSlot>,
     /// Times kept per range: the version-ring depth.
     depth: usize,
@@ -85,26 +93,21 @@ impl SimLog {
     pub(crate) fn new(ring_depth: u32) -> Self {
         SimLog {
             words: Vec::new(),
+            range_latest: Vec::new(),
             ranges: DetMap::default(),
             depth: ring_depth.max(1) as usize,
             sweep_at: MIN_SWEEP_SLOTS,
         }
     }
 
-    /// Record one publish batch: `words` written and `ranges` stamped
-    /// (each distinct id once) at virtual time `time`.  Publish times are
-    /// not monotone in call order — a joiner's clock runs ahead of the
-    /// event queue — so "latest" is by time, not by arrival.
-    pub(crate) fn record(&mut self, time: u64, words: &[Addr], ranges: &[u64]) {
-        for &word in words {
-            let idx = (word / WORD_BYTES) as usize;
-            if idx >= self.words.len() {
-                self.words.resize(idx + 1, 0);
-            }
-            let latest = &mut self.words[idx];
-            *latest = (*latest).max(time);
-        }
-        for &range in ranges {
+    /// Record one publish batch: `words` written and `ranges` stamped at
+    /// virtual time `time`.  Publish times are not monotone in call order
+    /// — a joiner's clock runs ahead of the event queue — so "latest" is by
+    /// time, not by arrival.
+    pub(crate) fn record(&mut self, time: u64, words: &Runs, ranges: &Runs) {
+        raise(&mut self.words, words, time);
+        raise(&mut self.range_latest, ranges, time);
+        for range in ranges.iter() {
             let times = &mut self.ranges.entry(range).or_default().times;
             let at = times.partition_point(|&t| t > time);
             if at < self.depth {
@@ -114,10 +117,14 @@ impl SimLog {
         }
     }
 
-    /// Whether `word` was published after `since`.
-    pub(crate) fn word_since(&self, word: Addr, since: u64) -> bool {
-        let idx = (word / WORD_BYTES) as usize;
-        self.words.get(idx).is_some_and(|&t| t > since)
+    /// Whether any word of `run` was published after `since`.
+    pub(crate) fn any_word_since(&self, run: Run, since: u64) -> bool {
+        latest_since(&self.words, run, since)
+    }
+
+    /// Whether any range id of `run` was stamped after `since`.
+    pub(crate) fn any_range_since(&self, run: Run, since: u64) -> bool {
+        latest_since(&self.range_latest, run, since)
     }
 
     /// Publishes that stamped `range` after `since`, counted up to the
@@ -169,78 +176,160 @@ impl SimLog {
     }
 }
 
+/// Raise the latest time of every id of `ids` to `time`, growing `latest`
+/// to hold them.
+fn raise(latest: &mut Vec<u64>, ids: &Runs, time: u64) {
+    for run in ids.runs() {
+        let (start, end) = (run.start as usize, run.end as usize);
+        if end > latest.len() {
+            latest.resize(end, 0);
+        }
+        for t in &mut latest[start..end] {
+            *t = (*t).max(time);
+        }
+    }
+}
+
+/// Whether any id of `run` has a latest time after `since` (an id past the
+/// end of `latest` has none).
+fn latest_since(latest: &[u64], run: Run, since: u64) -> bool {
+    let end = (run.end as usize).min(latest.len());
+    let start = (run.start as usize).min(end);
+    latest[start..end].iter().any(|&t| t > since)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The set of the given ascending word indices.
+    fn words(ids: &[u64]) -> Runs {
+        ids.iter().map(|&id| Run::one(id)).collect()
+    }
+
+    /// Whether word `id` was published after `since`.
+    fn word_since(log: &SimLog, id: u64, since: u64) -> bool {
+        log.any_word_since(Run::one(id), since)
+    }
+
     #[test]
     fn range_counts_are_by_time_and_capped_at_the_ring_depth() {
         let mut log = SimLog::new(2);
-        log.record(50, &[8, 16], &[1]);
+        log.record(50, &words(&[1, 2]), &words(&[1]));
         // A later call with an earlier time: the joiner's clock ran ahead.
-        log.record(30, &[8], &[1, 2]);
-        log.record(70, &[24], &[1]);
-        assert!(log.word_since(8, 49));
-        assert!(!log.word_since(8, 50), "latest is by time, not arrival");
-        assert!(!log.word_since(32, 0));
+        log.record(30, &words(&[1]), &words(&[1, 2]));
+        log.record(70, &words(&[3]), &words(&[1]));
+        assert!(word_since(&log, 1, 49));
+        assert!(!word_since(&log, 1, 50), "latest is by time, not arrival");
+        assert!(!word_since(&log, 4, 0));
         // Three publishes stamped range 1; depth 2 keeps 70 and 50.
         assert_eq!(log.range_since(1, 0), 2);
         assert_eq!(log.range_since(1, 50), 1);
         assert_eq!(log.range_since(1, 70), 0);
         assert_eq!(log.range_since(2, 29), 1);
         assert_eq!(log.range_since(3, 0), 0);
+        // The latest time per range is what `range_since` counts from.
+        let ranges = Run { start: 1, end: 3 };
+        assert!(log.any_range_since(ranges, 69));
+        assert!(!log.any_range_since(ranges, 70));
+        assert!(log.any_range_since(Run::one(2), 29));
+        assert!(!log.any_range_since(Run::one(2), 30));
+        assert!(!log.any_range_since(Run { start: 3, end: 9 }, 0));
     }
 
     #[test]
     fn a_word_past_the_index_was_never_published() {
         let mut log = SimLog::new(4);
-        assert!(!log.word_since(64, 0));
-        assert!(!log.word_since(!7, 0));
-        log.record(5, &[80], &[]);
+        assert!(!word_since(&log, 8, 0));
+        assert!(!log.any_word_since(
+            Run {
+                start: u64::MAX - 1,
+                end: u64::MAX
+            },
+            0
+        ));
+        log.record(5, &words(&[10]), &Runs::default());
         assert_eq!(log.words.len(), 11);
-        assert!(log.word_since(80, 4));
-        assert!(!log.word_since(72, 0), "a word the growth skipped");
-        assert!(!log.word_since(88, 0));
+        assert!(word_since(&log, 10, 4));
+        assert!(!word_since(&log, 9, 0), "a word the growth skipped");
+        assert!(!word_since(&log, 11, 0));
+    }
+
+    /// A run is hit through its first word, through its last, and through
+    /// the part of it the index covers when it runs past the index's end.
+    #[test]
+    fn a_run_is_hit_by_any_one_of_its_words() {
+        let mut log = SimLog::new(4);
+        let run = Run { start: 4, end: 12 };
+        log.record(9, &words(&[3, 12]), &Runs::default());
+        assert!(!log.any_word_since(run, 0), "the neighbours on both sides");
+        log.record(10, &words(&[4]), &Runs::default());
+        assert!(log.any_word_since(run, 9), "its first word");
+        assert!(!log.any_word_since(run, 10));
+        log.record(20, &words(&[11]), &Runs::default());
+        assert!(log.any_word_since(run, 19), "its last word");
+        assert!(!log.any_word_since(Run { start: 5, end: 11 }, 10));
+        // The index ends at word 12: a run across its end is looked up
+        // over the part inside, a run wholly past it not at all.
+        assert_eq!(log.words.len(), 13);
+        assert!(log.any_word_since(Run { start: 12, end: 40 }, 8));
+        assert!(!log.any_word_since(Run { start: 12, end: 40 }, 9));
+        assert!(log.any_word_since(
+            Run {
+                start: 0,
+                end: 1 << 40
+            },
+            19
+        ));
+        assert!(!log.any_word_since(Run { start: 13, end: 40 }, 0));
+        // A publish of a run grows the index to its end.
+        log.record(
+            30,
+            &[Run { start: 20, end: 24 }].into_iter().collect(),
+            &Runs::default(),
+        );
+        assert_eq!(log.words.len(), 24);
+        assert!(log.any_word_since(Run { start: 23, end: 40 }, 29));
+        assert!(!log.any_word_since(Run { start: 13, end: 20 }, 0));
     }
 
     #[test]
     fn a_publish_at_time_zero_is_since_nothing() {
         let mut log = SimLog::new(4);
-        log.record(0, &[8, 128], &[1]);
-        assert!(!log.word_since(8, 0));
-        assert!(!log.word_since(128, 0));
+        log.record(0, &words(&[1, 16]), &words(&[1]));
+        assert!(!word_since(&log, 1, 0));
+        assert!(!word_since(&log, 16, 0));
         assert_eq!(log.range_since(1, 0), 0);
         // And it never hides a later publish of the same word.
-        log.record(3, &[8], &[]);
-        log.record(0, &[8], &[]);
-        assert!(log.word_since(8, 2));
+        log.record(3, &words(&[1]), &Runs::default());
+        log.record(0, &words(&[1]), &Runs::default());
+        assert!(word_since(&log, 1, 2));
     }
 
     #[test]
     fn pruning_drops_only_what_no_later_lookup_can_count() {
         let mut log = SimLog::new(4);
         for word in 0..MIN_SWEEP_SLOTS as u64 {
-            log.record(10, &[word * 8], &[word]);
+            log.record(10, &words(&[word]), &words(&[word]));
         }
-        log.record(20, &[0], &[0]);
+        log.record(20, &words(&[0]), &words(&[0]));
         log.prune(10);
         // Ranges are swept; words are kept and answer as absent ones would.
         assert_eq!(log.ranges.len(), 1);
         assert_eq!(log.words.len(), MIN_SWEEP_SLOTS);
-        assert!(log.word_since(0, 10));
-        assert!(!log.word_since(8, 10));
+        assert!(word_since(&log, 0, 10));
+        assert!(!word_since(&log, 1, 10));
         assert_eq!(log.range_since(0, 10), 1);
         // Below the doubled threshold a sweep is skipped.
-        log.record(30, &[8], &[1]);
+        log.record(30, &words(&[1]), &words(&[1]));
         log.prune(1000);
         assert_eq!(log.ranges.len(), 2);
-        assert!(log.word_since(8, 20));
+        assert!(word_since(&log, 1, 20));
         // Words do not count towards the threshold: one range slot over
         // twice as many words as a sweep needs is not swept.
         let mut words_only = SimLog::new(4);
-        for word in 0..2 * MIN_SWEEP_SLOTS as u64 {
-            words_only.record(10, &[word * 8], &[0]);
-        }
+        let many = (0..2 * MIN_SWEEP_SLOTS as u64).map(Run::one).collect();
+        words_only.record(10, &many, &words(&[0]));
         words_only.prune(10);
         assert_eq!(words_only.ranges.len(), 1);
     }
@@ -256,7 +345,7 @@ mod tests {
         assert_eq!(log.readers(7), [5]);
         // Only a slot with neither a reader nor a countable publish goes.
         for word in 0..MIN_SWEEP_SLOTS as u64 {
-            log.record(10, &[word * 8], &[100 + word]);
+            log.record(10, &words(&[word]), &words(&[100 + word]));
         }
         log.prune(10);
         assert_eq!(log.ranges.len(), 1);
