@@ -31,9 +31,6 @@ pub struct SiteOutcome {
     pub stall: u64,
     /// Forking model the child was launched under.
     pub model: ForkModel,
-    /// Commit-log grain (log2 bytes) the child's traffic ran at; 0 = not
-    /// observed.  The per-site tables print it.
-    pub grain_log2: u32,
 }
 
 impl SiteOutcome {
@@ -50,7 +47,6 @@ impl SiteOutcome {
             wasted_work: 0,
             stall,
             model,
-            grain_log2: 0,
         }
     }
 
@@ -65,7 +61,6 @@ impl SiteOutcome {
             wasted_work: wasted,
             stall,
             model,
-            grain_log2: 0,
         }
     }
 
@@ -79,12 +74,6 @@ impl SiteOutcome {
     /// Mark a committed outcome as a value-predict retry (builder style).
     pub fn with_retry(mut self, retried: bool) -> Self {
         self.retried = retried;
-        self
-    }
-
-    /// Record the grain the child's traffic ran at (builder style).
-    pub fn with_grain(mut self, grain_log2: u32) -> Self {
-        self.grain_log2 = grain_log2;
         self
     }
 
@@ -147,9 +136,6 @@ impl Governor {
     pub fn record_outcome(&self, site: SiteId, outcome: &SiteOutcome) {
         let decay = self.config.decay;
         self.profiler.with_site(site, |record| {
-            if outcome.grain_log2 != 0 {
-                record.grain_log2 = outcome.grain_log2;
-            }
             record.absorb(
                 outcome.reason(),
                 outcome.false_sharing,

@@ -73,9 +73,6 @@ pub struct SiteRecord {
     pub denied_streak: u64,
     /// Monotone count of governor decisions at this site.
     pub decisions: u64,
-    /// Commit-log grain (log2 bytes) most recently observed for this
-    /// site's traffic (0 = never observed).
-    pub grain_log2: u32,
 }
 
 impl SiteRecord {
@@ -215,10 +212,6 @@ pub struct SiteProfile {
     pub stall: u64,
     /// Recency-weighted rollback rate at snapshot time.
     pub rollback_rate: f64,
-    /// Commit-log grain (log2 bytes) last observed for this site's
-    /// traffic (0 = never observed) — the "grain" column of the harness
-    /// site tables.
-    pub grain_log2: u32,
 }
 
 impl SiteProfile {
@@ -238,7 +231,6 @@ impl SiteProfile {
             wasted_work: record.wasted_work,
             stall: record.stall,
             rollback_rate: record.rollback_rate(),
-            grain_log2: record.grain_log2,
         }
     }
 }

@@ -176,8 +176,8 @@ pub(crate) fn latency_cell_us(report: &LatencyReport, phase: LatencyPhase) -> St
 
 /// Render a `RunReport`'s per-site governor profile as a table, with the
 /// rollback-cause split (conflicts / overflows / injected) per site and
-/// the commit-log grain the site's traffic ran at ("-" = no child of the
-/// site was ever retired).  The commit-path cost
+/// the commit log's grain, which every site's traffic ran at ("-" = no
+/// child of the site was ever retired).  The commit-path cost
 /// counters (`cas_retries`, `ring_overflows`) are log-wide, not
 /// per-site, so they render on a trailing `commit-log` summary row.
 pub fn format_site_table(title: &str, report: &RunReport) -> String {
@@ -218,10 +218,10 @@ pub fn format_site_table(title: &str, report: &RunReport) -> String {
             profile.injected.to_string(),
             format!("{:.2}", profile.rollback_rate),
             profile.wasted_work.to_string(),
-            if profile.grain_log2 == 0 {
+            if profile.commits + profile.rollbacks == 0 {
                 "-".to_string()
             } else {
-                grain_label(profile.grain_log2)
+                grain_label(report.commit_log.grain_log2)
             },
             "-".to_string(),
             "-".to_string(),
@@ -282,6 +282,7 @@ mod tests {
     /// accidental column/format drift fails loudly.
     #[test]
     fn site_table_renders_golden() {
+        use mutls_membuf::CommitLogStats;
         use mutls_runtime::SiteProfile;
         let report = RunReport {
             sites: vec![
@@ -300,15 +301,18 @@ mod tests {
                     wasted_work: 420,
                     stall: 0,
                     rollback_rate: 0.25,
-                    grain_log2: WORD_GRAIN_LOG2,
                 },
+                // Forked, nothing joined yet: no grain to print.
                 SiteProfile {
                     site: 999,
                     forks: 4,
-                    commits: 4,
                     ..SiteProfile::default()
                 },
             ],
+            commit_log: CommitLogStats {
+                grain_log2: WORD_GRAIN_LOG2,
+                ..CommitLogStats::default()
+            },
             ..RunReport::default()
         };
         let text = format_site_table("Per-site profile — golden", &report);
@@ -317,7 +321,7 @@ mod tests {
 site              forks  throttled  commits  retries  rollbacks  conflicts  false-share  overflows  injected  rollback rate  wasted work  grain  cas-retries  ring-ovfl
 -------------------------------------------------------------------------------------------------------------------------------------------------------------------------\n\
 matmult/quadrant  12     1          10       3        2          1          0            1          0         0.25           420          word   -            -        \n\
-site 999          4      0          4        0        0          0          0            0          0         0.00           0            -      -            -        \n\
+site 999          4      0          0        0        0          0          0            0          0         0.00           0            -      -            -        \n\
 commit-log        -      -          -        -        -          -          -            -          -         -              -            -      0            0        \n";
         assert_eq!(text, expected);
     }

@@ -50,6 +50,11 @@ pub struct TraceScenarioRow {
     pub rollbacks: u64,
     /// `Doom` events.
     pub dooms: u64,
+    /// The report's committed threads: `commits` when no event was lost.
+    pub committed_threads: u64,
+    /// The report's rolled-back threads: `rollbacks` when no event was
+    /// lost.
+    pub rolled_back_threads: u64,
     /// Per-phase latency quantiles (ns native, virtual cycles replay).
     pub latency: LatencyReport,
 }
@@ -99,6 +104,8 @@ pub fn trace_scenario(config: &ExperimentConfig) -> (Vec<TraceScenarioRow>, Stri
             commits: count_of("Commit"),
             rollbacks: count_of("Rollback"),
             dooms: count_of("Doom"),
+            committed_threads: run.report.committed_threads,
+            rolled_back_threads: run.report.rolled_back_threads,
             latency: run.report.latency.clone(),
         });
         for (name, count) in &counts {

@@ -11,24 +11,26 @@
 //!
 //! # Hot-path discipline
 //!
-//! The registry mirrors the `TraceConfig` one-branch no-op contract:
-//! with [`MetricsConfig::enabled`] off (the default) every
-//! [`Registry::add`] / [`Registry::observe`] / [`Registry::gauge_add`]
-//! call is a single predictable branch — no atomics are touched, nothing
+//! Counters are **per-thread sharded cells** and always count: each rank
+//! increments its own cache-line-aligned cell with a relaxed `fetch_add`
+//! and the shards are only summed on read, so the hot path never
+//! contends.  They are the only store of a lifecycle count — `RunReport`'s
+//! counts are read off them when the report is built — so they cannot be
+//! switched off.  [`MetricsConfig::enabled`] gates what only an observer
+//! wants: the sampler thread, the in-flight gauge and the histograms.
+//! With it off (the default) every [`Registry::gauge_add`] /
+//! [`Registry::observe`] call is a single predictable branch, and nothing
 //! about speculation behaviour or accounting may change
 //! (`tests/metrics.rs::enabling_metrics_moves_zero_virtual_cycles` holds
-//! an enabled replay to the disabled one's cycles and report).  When
-//! enabled,
-//! counters are **per-thread sharded cells**: each rank increments its
-//! own cache-line-aligned cell with a relaxed `fetch_add` and the shards
-//! are only summed on scrape, so the hot path never contends.
+//! an enabled replay to the disabled one's cycles and report).
 //!
 //! # Who feeds it
 //!
 //! The registry is a *sink*: the runtime and the simulator push every
 //! static counter, gauge and histogram live, from the one place that
 //! writes down a lifecycle point (`mutls_runtime::ledger`), so a scrape
-//! sums shards and nothing else.  What a registry cannot know — the
+//! sums shards and nothing else, and a run's report reads its counts off
+//! the same cells.  What a registry cannot know — the
 //! commit log's counters, the governor's per-site profile, the grain
 //! census, the latency phases' shares — is appended by the scraper as
 //! [`ScrapeExtras`].  The histograms are `mutls-trace`'s log2 buckets.
@@ -58,11 +60,14 @@ pub use sampler::Sampler;
 pub use snapshot::{HistogramSnapshot, LabeledGauge, MetricsSeries, MetricsSnapshot, ScrapeExtras};
 
 /// Metrics configuration, carried by value in `RuntimeConfig` /
-/// `SimConfig` (hence `Copy`).  Disabled by default: the registry is a
-/// one-branch no-op and no sampler thread is spawned.
+/// `SimConfig` (hence `Copy`).  Disabled by default: no sampler thread is
+/// spawned, and the gauge and the histograms stay still; the counters
+/// count either way.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricsConfig {
-    /// Master switch.  Off = zero atomics on the hot path.
+    /// Switches on the sampler thread, the in-flight gauge and the
+    /// histograms.  Off, those cost one branch each on the hot path; the
+    /// counters count either way.
     pub enabled: bool,
     /// Native sampler cadence in milliseconds.  `0` disables the
     /// background thread — the registry still counts and can be scraped
@@ -116,6 +121,8 @@ pub enum CounterId {
     RollbacksOther,
     /// Commits repaired by value-predict-and-retry.
     Retries,
+    /// Dooms shrugged off in flight by a value-predict re-validation.
+    RetriesInFlight,
     /// Readers doomed surgically by a committing writer.
     TargetedDooms,
     /// MVCC precise validation passes.
@@ -133,7 +140,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in scrape order.
-    pub const ALL: [CounterId; 16] = [
+    pub const ALL: [CounterId; 17] = [
         CounterId::Forks,
         CounterId::FailedForks,
         CounterId::ThrottledForks,
@@ -144,6 +151,7 @@ impl CounterId {
         CounterId::RollbacksInjected,
         CounterId::RollbacksOther,
         CounterId::Retries,
+        CounterId::RetriesInFlight,
         CounterId::TargetedDooms,
         CounterId::PrecisePasses,
         CounterId::AdoptedThreads,
@@ -169,6 +177,7 @@ impl CounterId {
             CounterId::RollbacksInjected => "rollbacks_injected",
             CounterId::RollbacksOther => "rollbacks_other",
             CounterId::Retries => "retries",
+            CounterId::RetriesInFlight => "retries_in_flight",
             CounterId::TargetedDooms => "targeted_dooms",
             CounterId::PrecisePasses => "precise_passes",
             CounterId::AdoptedThreads => "adopted_threads",
@@ -191,6 +200,7 @@ impl CounterId {
             CounterId::RollbacksInjected => "Rollbacks: injected by the sensitivity experiment",
             CounterId::RollbacksOther => "Rollbacks: cascades and order violations",
             CounterId::Retries => "Commits repaired by value-predict-and-retry",
+            CounterId::RetriesInFlight => "Dooms shrugged off in flight by value re-validation",
             CounterId::TargetedDooms => "Readers doomed surgically by committing writers",
             CounterId::PrecisePasses => "MVCC precise validation passes",
             CounterId::AdoptedThreads => "Unjoined children adopted by committing parents",
@@ -299,9 +309,10 @@ impl CounterShard {
 }
 
 /// The lock-free metrics registry: per-rank sharded counters, shared
-/// gauges and log2-bucket histograms.  All write paths are a single
-/// branch when disabled; when enabled they are relaxed atomic ops on the
-/// caller's own shard (counters) or a shared cell (gauges, histograms).
+/// gauges and log2-bucket histograms.  A counter add is a relaxed atomic
+/// op on the caller's own shard, enabled or not; a gauge or histogram
+/// write is one on a shared cell when enabled and a single branch when
+/// not.
 #[derive(Debug)]
 pub struct Registry {
     enabled: bool,
@@ -314,29 +325,28 @@ pub struct Registry {
 
 impl Registry {
     /// A registry with `ranks` counter shards (plus the control shard).
-    /// Disabled registries allocate the minimum single shard.
     pub fn new(config: MetricsConfig, ranks: usize) -> Self {
-        let shard_count = if config.enabled { ranks.max(1) + 1 } else { 1 };
         Registry {
             enabled: config.enabled,
-            shards: (0..shard_count).map(|_| CounterShard::new()).collect(),
+            shards: (0..=ranks.max(1)).map(|_| CounterShard::new()).collect(),
             gauges: std::array::from_fn(|_| AtomicI64::new(0)),
             hists: std::array::from_fn(|_| Histogram::new()),
         }
     }
 
-    /// Whether the registry is recording (one branch — the whole
-    /// disabled-mode cost).
+    /// Whether the gauge and the histograms are recording (one branch —
+    /// their whole disabled-mode cost).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
     /// Add `n` to a counter on `rank`'s shard (relaxed; ranks beyond the
-    /// shard table and unranked callers share the control shard).
+    /// shard table and unranked callers share the control shard).  Adding
+    /// zero touches nothing: most joins add no retry, precise pass or doom.
     #[inline]
     pub fn add(&self, rank: usize, id: CounterId, n: u64) {
-        if !self.enabled {
+        if n == 0 {
             return;
         }
         let shard = rank.min(self.shards.len() - 1);
@@ -366,6 +376,13 @@ impl Registry {
             return;
         }
         self.hists[id as usize].record(value);
+    }
+
+    /// The current value of a counter on `rank`'s shard alone (ranks
+    /// beyond the shard table read the control shard).
+    pub fn counter_on(&self, rank: usize, id: CounterId) -> u64 {
+        let shard = rank.min(self.shards.len() - 1);
+        self.shards[shard].cells[id as usize].load(Ordering::Relaxed)
     }
 
     /// The current total of a counter across all shards.
@@ -514,12 +531,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_is_inert() {
+    fn disabled_registry_still_counts_its_gauge_and_histograms_stay_inert() {
         let reg = Registry::new(MetricsConfig::default(), 8);
         reg.add(3, CounterId::Commits, 5);
         reg.gauge_add(GaugeId::InFlightSpeculations, 2);
         reg.observe(HistId::ThreadCycles, 100);
-        assert_eq!(reg.counter_total(CounterId::Commits), 0);
+        assert_eq!(reg.counter_total(CounterId::Commits), 5);
+        assert_eq!(reg.counter_on(3, CounterId::Commits), 5);
+        assert_eq!(reg.counter_on(0, CounterId::Commits), 0);
         assert_eq!(reg.gauge_value(GaugeId::InFlightSpeculations), 0);
         let snap = reg.scrape(0, ScrapeExtras::default());
         assert!(snap.histograms.iter().all(|h| h.count == 0));

@@ -170,10 +170,10 @@ impl SpecContext {
         self.observe(0, Point::Doomed { source, victims });
     }
 
-    /// Write a lifecycle point of this thread down in its own books.
-    pub(super) fn observe(&mut self, site: u32, point: Point) {
-        self.mgr
-            .observe(self.rank, site, &mut self.stats.counters, point);
+    /// Write a lifecycle point of this thread down, under its rank: 0
+    /// while it holds the non-speculative role.
+    pub(super) fn observe(&self, site: u32, point: Point) {
+        self.mgr.observe(self.rank, site, point);
     }
 
     /// Step a speculative thread's access count and say whether the poll

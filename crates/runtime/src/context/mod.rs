@@ -164,6 +164,8 @@ pub struct SpecContext {
     promotion: Option<Promotion>,
     /// A promotion attempt failed validation (see [`SpecOutcome::settled`]).
     settled: bool,
+    /// That validation found only a suspect of false sharing.
+    suspect: bool,
     /// What this task's `fork_range` bodies cost at speculative price, per
     /// fork site, until its commit books them.
     prices: Vec<(u32, Price)>,
@@ -184,6 +186,7 @@ impl SpecContext {
             reexec_depth: 0,
             promotion: None,
             settled: false,
+            suspect: false,
             prices: Vec::new(),
         }
     }
@@ -375,10 +378,7 @@ impl TlsContext for SpecContext {
         };
 
         match self.join_child(child, point, model, forked_at)? {
-            Ok(_kind) => {
-                self.observe(point, Point::JoinCommitted);
-                Ok(JoinOutcome::Committed)
-            }
+            Ok(_kind) => Ok(JoinOutcome::Committed),
             Err(reason) => {
                 // Rollback (squash): the parent re-executes the
                 // continuation inline; the squash already cascaded into
@@ -389,7 +389,7 @@ impl TlsContext for SpecContext {
                 let repair_started = Instant::now();
                 let inline_result = self.run_inline(&task);
                 let repair = repair_started.elapsed().as_nanos() as u64;
-                self.observe(point, Point::JoinRolledBack { reason, repair });
+                self.observe(point, Point::JoinRolledBack(repair));
                 self.reexec_depth -= 1;
                 inline_result?;
                 Ok(JoinOutcome::RolledBack(reason))

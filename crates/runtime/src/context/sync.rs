@@ -94,6 +94,7 @@ impl SpecContext {
             stats: std::mem::take(&mut self.stats),
             finished_at: sync_started,
             settled: false,
+            suspect: false,
             prices: std::mem::take(&mut self.prices),
         };
         let verdict = self.mgr.validate_and_commit(rank, &mut outcome, None);
@@ -103,6 +104,7 @@ impl SpecContext {
                 self.global = Some(outcome.buffer);
                 self.stats = outcome.stats;
                 self.settled = true;
+                self.suspect = outcome.suspect;
                 self.mgr.doom_hard(rank);
                 return Err(failure(reason));
             }

@@ -3,6 +3,7 @@
 use super::*;
 use crate::config::RuntimeConfig;
 use mutls_membuf::MainMemory;
+use mutls_metrics::CounterId;
 
 /// Hand-driven (no worker threads), so "deposited but unjoined" is a
 /// program point, not a race: rank 0's direct store is stamped exactly
@@ -83,7 +84,8 @@ fn a_denied_fork_is_reported_once_and_runs_inline_at_its_join() {
     let cpu_denied = ctx.fork_with_model(8, Mixed, continuation);
     let cpu_denied = cpu_denied.expect("a denial is no failure");
     assert!(!cpu_denied.speculated());
-    assert_eq!(ctx.stats().counters.failed_forks, 2);
+    let registry = mgr.metrics().registry();
+    assert_eq!(registry.counter_on(first, CounterId::FailedForks), 2);
 
     // Promoted at a joiner's request that pays: its CPU is free now.
     mgr.post_sync(first, Arc::new(Handoff::new(u64::MAX)));

@@ -2,19 +2,22 @@
 //! speculative thread, said once.
 //!
 //! A lifecycle point — a fork denied, a validation finished, a commit, a
-//! doom — can leave up to four records: a [`ThreadCounters`] field (summed
-//! into `RunReport`), a `mutls-metrics` counter, gauge or histogram, an
+//! doom — can leave up to three records: a count in a `mutls-metrics`
+//! counter cell (and, with metrics on, a gauge or histogram move), an
 //! always-on latency-phase sample, and a flight-recorder event.
 //! [`observe`] is the only code of this crate and of `mutls-simcpu` that
-//! writes any of the four, so they cannot disagree, and its `match` *is*
-//! the table in the README's "Observability" section.
+//! writes any of the three, and its `match` *is* the table in the
+//! README's "Observability" section.  The counter cells are the only store
+//! of a count: `RunReport`'s counts are a projection of them, read once
+//! when the report is built ([`read_counts`]).
 //!
 //! The caller owns *when*, the ledger owns *what*: `ThreadManager` and the
 //! simulator's scheduler each bring what only they know — a clock (wall
 //! nanoseconds / virtual cycles), a causal epoch (the commit log's / the
 //! publishes so far) and an event store (per-rank SPSC rings / a `Vec`) —
 //! as [`Books`].  `loads` and `stores` are not lifecycle points: they stay
-//! plain increments on the per-access path.
+//! plain increments of the thread's [`ThreadCounters`] on the per-access
+//! path.
 
 use mutls_adaptive::SiteProfile;
 use mutls_membuf::{CommitLogStats, RollbackReason, SpecFailure};
@@ -28,7 +31,7 @@ use mutls_trace::{
 };
 
 use crate::manager::ThreadManager;
-use crate::stats::ThreadCounters;
+use crate::stats::{RunReport, ThreadCounters};
 use crate::task::Rank;
 
 /// Where a caller of [`observe`] keeps its records, and how it tells time.
@@ -106,15 +109,9 @@ pub enum Point {
     /// The thread was discarded without a join of its own — an ancestor
     /// rolled back, or its region ended.
     Cascaded,
-    /// The joiner (whose books these are) saw its child commit.
-    JoinCommitted,
-    /// The joiner saw its child roll back and re-executed it inline.
-    JoinRolledBack {
-        /// Why the child rolled back.
-        reason: SpecFailure,
-        /// What the repair cost.
-        repair: u64,
-    },
+    /// The joiner saw its child roll back and re-executed it inline, at
+    /// this cost.
+    JoinRolledBack(u64),
     /// A committing joiner salvaged this many unjoined threads of its
     /// child.
     Adopted(u64),
@@ -133,34 +130,25 @@ pub enum Point {
 }
 
 /// Write `point` down in every record it has.  `rank` and `site` name the
-/// lane of the thread the point is about, `counters` are that thread's.
-pub fn observe<B: Books>(
-    books: &mut B,
-    at: B::At,
-    rank: u32,
-    site: u32,
-    counters: &mut ThreadCounters,
-    point: Point,
-) {
+/// lane of the thread the point is about; its counts go to `rank`'s shard,
+/// which is 0 for whichever thread holds the non-speculative role.
+pub fn observe<B: Books>(books: &mut B, at: B::At, rank: u32, site: u32, point: Point) {
     let shard = rank as usize;
     match point {
         Point::ForkAttempt => books.keep(at, rank, site, EventKind::ForkAttempt),
         Point::GovernorRuled(allowed) => {
             books.keep(at, rank, site, EventKind::GovernorDecision { allowed });
             if !allowed {
-                counters.throttled_forks += 1;
                 books.registry().add(shard, CounterId::ThrottledForks, 1);
                 let policy = DenyPolicy::Governor;
                 books.keep(at, rank, site, EventKind::ForkDenied { policy });
             }
         }
         Point::ForkDenied(policy) => {
-            counters.failed_forks += 1;
             books.registry().add(shard, CounterId::FailedForks, 1);
             books.keep(at, rank, site, EventKind::ForkDenied { policy });
         }
         Point::SpecStart(child) => {
-            counters.forks += 1;
             books.registry().add(shard, CounterId::Forks, 1);
             books.registry().gauge_add(GaugeId::InFlightSpeculations, 1);
             books.keep(at, child, site, EventKind::SpecStart { parent: rank });
@@ -180,7 +168,6 @@ pub fn observe<B: Books>(
             // A conservative doom *is* a false-sharing suspect: every
             // conflicting word still held its first-read value.
             if outcome == ValidateOutcome::ConservativeDoom {
-                counters.false_sharing_suspects += 1;
                 books
                     .registry()
                     .add(shard, CounterId::FalseSharingSuspects, 1);
@@ -194,7 +181,6 @@ pub fn observe<B: Books>(
             books.latency().record(LatencyPhase::Validation, cycles);
         }
         Point::PrecisePasses(n) => {
-            counters.precise_passes += n;
             books.registry().add(shard, CounterId::PrecisePasses, n);
         }
         // Native only, and kept that way: the replay prices the stamping
@@ -204,7 +190,6 @@ pub fn observe<B: Books>(
             books.keep(at, rank, site, EventKind::CommitLockWait { ns: took });
         }
         Point::Doomed { source, victims } => {
-            counters.targeted_dooms += victims;
             books
                 .registry()
                 .add(shard, CounterId::TargetedDooms, victims);
@@ -217,7 +202,6 @@ pub fn observe<B: Books>(
             since_fork,
         } => {
             let retries = u64::from(retried);
-            counters.retries_succeeded += retries;
             books.registry().add(shard, CounterId::Commits, 1);
             books.registry().add(shard, CounterId::Retries, retries);
             books
@@ -234,23 +218,18 @@ pub fn observe<B: Books>(
             let (reason, plan) = (RollbackCause::Other, PlanArm::None);
             books.keep(at, rank, site, EventKind::Rollback { reason, plan });
         }
-        Point::JoinCommitted => counters.commits += 1,
-        Point::JoinRolledBack { reason, repair } => {
-            counters.rollbacks += 1;
-            counters.rollbacks_by_reason[RollbackReason::from(reason).index()] += 1;
+        Point::JoinRolledBack(repair) => {
             books.latency().record(LatencyPhase::RepairDoomSet, repair);
         }
         Point::Adopted(threads) => {
-            counters.adopted_threads += threads;
             books
                 .registry()
                 .add(shard, CounterId::AdoptedThreads, threads);
         }
-        // Kept as it was: `retries_succeeded` counts this, the registry's
-        // `retries` does not — it counts retried *threads*, at their
-        // commit.
+        // `retries` counts retried *threads*, at their commit; this is
+        // counted apart.
         Point::RetriedInFlight(took) => {
-            counters.retries_succeeded += 1;
+            books.registry().add(shard, CounterId::RetriesInFlight, 1);
             books.latency().record(LatencyPhase::RepairRetry, took);
             books.keep(at, rank, site, EventKind::RetryInFlight);
         }
@@ -275,15 +254,56 @@ pub fn observe<B: Books>(
 /// Count one rolled-back thread under `reason`'s class, and name the
 /// class in the event vocabulary.
 fn count_rollback(registry: &Registry, shard: usize, reason: SpecFailure) -> RollbackCause {
-    let (counter, cause) = match RollbackReason::from(reason) {
-        RollbackReason::Conflict => (CounterId::RollbacksConflict, RollbackCause::Conflict),
-        RollbackReason::Overflow => (CounterId::RollbacksOverflow, RollbackCause::Overflow),
-        RollbackReason::Injected => (CounterId::RollbacksInjected, RollbackCause::Injected),
-        RollbackReason::Other => (CounterId::RollbacksOther, RollbackCause::Other),
-    };
+    let class = RollbackReason::from(reason);
     registry.add(shard, CounterId::Rollbacks, 1);
-    registry.add(shard, counter, 1);
-    cause
+    registry.add(shard, rollback_counter(class), 1);
+    match class {
+        RollbackReason::Conflict => RollbackCause::Conflict,
+        RollbackReason::Overflow => RollbackCause::Overflow,
+        RollbackReason::Injected => RollbackCause::Injected,
+        RollbackReason::Other => RollbackCause::Other,
+    }
+}
+
+/// The counter of one rollback class.
+fn rollback_counter(class: RollbackReason) -> CounterId {
+    match class {
+        RollbackReason::Conflict => CounterId::RollbacksConflict,
+        RollbackReason::Overflow => CounterId::RollbacksOverflow,
+        RollbackReason::Injected => CounterId::RollbacksInjected,
+        RollbackReason::Other => CounterId::RollbacksOther,
+    }
+}
+
+/// Fill in `report`'s lifecycle counts, read once off the registry
+/// [`observe`] counted them into, when the run is over: the critical
+/// path's from shard 0, the speculative path's from every other shard,
+/// the thread totals from all of them.  `loads` and `stores` are left as
+/// the caller summed them.  The runtime and the replay build their
+/// reports through it.
+pub fn read_counts(registry: &Registry, report: &mut RunReport) {
+    let total = |id| registry.counter_total(id);
+    let critical = |id| registry.counter_on(0, id);
+    project(&mut report.critical.counters, critical);
+    project(&mut report.speculative.counters, |id| {
+        total(id) - critical(id)
+    });
+    report.committed_threads = total(CounterId::Commits);
+    report.rolled_back_threads = total(CounterId::Rollbacks);
+    report.retried_threads = total(CounterId::Retries);
+    report.rollback_reasons = RollbackReason::ALL.map(|class| total(rollback_counter(class)));
+}
+
+/// One path's counts, `count` reading the path's shards.
+fn project(counters: &mut ThreadCounters, count: impl Fn(CounterId) -> u64) {
+    counters.forks = count(CounterId::Forks);
+    counters.failed_forks = count(CounterId::FailedForks);
+    counters.throttled_forks = count(CounterId::ThrottledForks);
+    counters.false_sharing_suspects = count(CounterId::FalseSharingSuspects);
+    counters.retries_succeeded = count(CounterId::Retries) + count(CounterId::RetriesInFlight);
+    counters.targeted_dooms = count(CounterId::TargetedDooms);
+    counters.precise_passes = count(CounterId::PrecisePasses);
+    counters.adopted_threads = count(CounterId::AdoptedThreads);
 }
 
 /// One snapshot of `books`' registry at `ts`, followed by what a registry
@@ -357,14 +377,8 @@ impl Books for Wall<'_> {
 
 impl ThreadManager {
     /// [`observe`] on this manager's books.
-    pub(crate) fn observe(
-        &self,
-        rank: Rank,
-        site: u32,
-        counters: &mut ThreadCounters,
-        point: Point,
-    ) {
-        observe(&mut Wall(self), (), rank as u32, site, counters, point);
+    pub(crate) fn observe(&self, rank: Rank, site: u32, point: Point) {
+        observe(&mut Wall(self), (), rank as u32, site, point);
     }
 
     /// Aggregate every telemetry source into one [`MetricsSnapshot`] at

@@ -58,7 +58,7 @@ pub use config::RuntimeConfig;
 pub use context::{SpecContext, SpecHandle};
 pub use direct::DirectContext;
 pub use fork_model::ForkModel;
-pub use manager::{CommitKind, RunTotals, SpecOutcome, ThreadManager};
+pub use manager::{CommitKind, SpecOutcome, ThreadManager};
 pub use runtime::Runtime;
 pub use stats::{Phase, RunReport, ThreadCounters, ThreadStats};
 pub use task::{

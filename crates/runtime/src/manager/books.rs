@@ -5,48 +5,12 @@
 //! What happened to a thread is written down in one place, the
 //! [`ledger`](crate::ledger): this module and `SpecContext` tell it *that*
 //! a lifecycle point was reached (`ThreadManager::observe`), it decides
-//! which counter, registry cell, latency sample and trace event record
-//! it.  The registry is fed live and a scrape only reads it; closing a
+//! which registry count, latency sample and trace event record it.  The
+//! registry is fed live and a scrape or a report only reads it; closing a
 //! finished thread's books — committed, rolled back or discarded with its
 //! subtree — is `close_books`, whoever consumed the outcome.
 
 use super::*;
-
-/// Totals of one speculative region run so far (see
-/// [`ThreadManager::run_snapshot`]); the simulator keeps the same.
-#[derive(Debug, Clone, Default)]
-pub struct RunTotals {
-    /// Combined statistics of every speculative thread.
-    pub speculative: ThreadStats,
-    /// Speculative threads that committed (including retried ones).
-    pub committed: u64,
-    /// Speculative threads that rolled back.
-    pub rolled_back: u64,
-    /// Committed threads whose conflict was repaired by
-    /// value-predict-and-retry (a subset of `committed`, never counted in
-    /// `rolled_back`).
-    pub retried: u64,
-    /// Rolled-back threads split by cause.
-    pub by_reason: [u64; RollbackReason::COUNT],
-}
-
-impl RunTotals {
-    /// Fold in a thread whose books are closed: its statistics, and its
-    /// fate — `Ok(retried)` for a commit, the failure for a rollback.
-    pub fn fold(&mut self, stats: &ThreadStats, fate: Result<bool, SpecFailure>) {
-        self.speculative.merge(stats);
-        match fate {
-            Ok(retried) => {
-                self.committed += 1;
-                self.retried += u64::from(retried);
-            }
-            Err(reason) => {
-                self.rolled_back += 1;
-                self.by_reason[RollbackReason::from(reason).index()] += 1;
-            }
-        }
-    }
-}
 
 impl ThreadManager {
     /// A deposited thread nobody will join is discarded, its subtree first.
@@ -75,12 +39,12 @@ impl ThreadManager {
 
     /// Discard a stopped thread without a join of its own — a cascaded
     /// rollback — and free its CPU.
-    fn discard(&self, rank: Rank, mut outcome: SpecOutcome) {
+    fn discard(&self, rank: Rank, outcome: SpecOutcome) {
         // Dead registrations only cause spurious dooms.
         self.commit_log
             .unregister_reader(outcome.buffer.read_addresses(), rank);
         let (site, model) = self.slots[rank - 1].launch_info();
-        self.observe(rank, site, &mut outcome.stats.counters, Point::Cascaded);
+        self.observe(rank, site, Point::Cascaded);
         self.close_books(rank, site, model, outcome, Err(SpecFailure::Cascaded));
         self.release_cpu(rank, 0);
     }
@@ -119,9 +83,9 @@ impl ThreadManager {
     /// (finalization is charged to the speculative path, as in the
     /// paper's breakdown), reclassify a rolled-back thread's work as
     /// wasted, feed the verdict to the governor's site profile — with the
-    /// false-sharing classification, the retry verdict and the grain,
-    /// so Throttle can tell the regimes apart — and fold the statistics
-    /// into the registry and the run's totals.
+    /// false-sharing classification and the retry verdict, so Throttle can
+    /// tell the regimes apart — and fold the statistics into the
+    /// speculative path's.
     fn close_books(
         &self,
         rank: Rank,
@@ -143,12 +107,12 @@ impl ThreadManager {
             site,
             model,
             fate: verdict.map(CommitKind::retried),
-            grain_log2: self.commit_log.config().grain_log2,
+            suspect: outcome.suspect,
         };
-        let mut totals = self.accum.lock();
-        let retired = protocol::retire(&mut stats, thread, &self.governor, &mut totals);
-        drop(totals);
-        self.observe(rank, site, &mut stats.counters, retired);
+        let mut speculative = self.speculative.lock();
+        let retired = protocol::retire(&mut stats, thread, &self.governor, &mut speculative);
+        drop(speculative);
+        self.observe(rank, site, retired);
     }
 
     /// Draw from the rollback-injection distribution.  Always `false` at

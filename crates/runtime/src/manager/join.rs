@@ -32,6 +32,10 @@ pub struct SpecOutcome {
     /// unregistered and its precise passes counted.  The joiner rolls back
     /// without validating a second time.
     pub settled: bool,
+    /// Its validation found a conflict on range grain only, every
+    /// conflicting word still at its first-read value: a suspect of false
+    /// sharing, as the governor hears of its rollback.
+    pub(crate) suspect: bool,
     /// What the task's `fork_range` bodies cost, per fork site: booked if
     /// it commits, forgotten if not.
     pub(crate) prices: Vec<(SiteId, Price)>,
@@ -215,10 +219,8 @@ impl ThreadManager {
         let started = Instant::now();
         let mem: &GlobalMemory = &self.memory;
         let site = self.site_of(child);
-        // The points below are the child's, on its lane and in its books.
-        let note = |outcome: &mut SpecOutcome, point| {
-            self.observe(child, site, &mut outcome.stats.counters, point);
-        };
+        // The points below are the child's, on its lane.
+        let note = |point| self.observe(child, site, point);
         // A child dead of `reason` — it stopped `Failed`, or this join
         // discards it after a validation that found nothing: the verdict
         // on a thread no recovery arm repairs.
@@ -229,13 +231,13 @@ impl ThreadManager {
             };
             protocol::join_verdict(facts)
         };
-        let roll_back = |outcome: &mut SpecOutcome, verdict: JoinVerdict| {
+        let roll_back = |verdict: JoinVerdict| {
             let (reason, plan) = verdict.rollback.expect("the verdict rolls back");
-            note(outcome, Point::RolledBack { reason, plan });
+            note(Point::RolledBack { reason, plan });
             reason
         };
         let ranges = outcome.buffer.read_set_len() as u32;
-        note(outcome, Point::ValidateBegin(ranges));
+        note(Point::ValidateBegin(ranges));
 
         let failure = match outcome.status {
             TaskStatus::Failed(reason) => Some(reason),
@@ -252,14 +254,14 @@ impl ThreadManager {
             let took = elapsed_ns(started);
             outcome.stats.add(Phase::Validation, took);
             let verdict = dead(reason);
-            note(outcome, Point::PrecisePasses(precise));
+            note(Point::PrecisePasses(precise));
             let validated = Point::Validated {
                 outcome: verdict.outcome,
                 took,
                 retry: None,
             };
-            note(outcome, validated);
-            return Err(roll_back(outcome, verdict));
+            note(validated);
+            return Err(roll_back(verdict));
         }
 
         // Dependence validation against the commit log (range grain,
@@ -308,14 +310,15 @@ impl ThreadManager {
             precise_pass: precise_total > 0,
         };
         let verdict = protocol::join_verdict(facts);
-        note(outcome, Point::PrecisePasses(precise_total));
+        outcome.suspect = verdict.suspect();
+        note(Point::PrecisePasses(precise_total));
         let validated = Point::Validated {
             outcome: verdict.outcome,
             took,
             // The in-place re-stamp is the whole repair for this arm.
             retry: retried.then_some(took),
         };
-        note(outcome, validated);
+        note(validated);
         if verdict.rollback.is_some() {
             self.commit_log
                 .unregister_reader(outcome.buffer.read_addresses(), child);
@@ -324,8 +327,8 @@ impl ThreadManager {
             // instead of letting them burn their whole conflict window.
             let victims = self.doom_readers(outcome.buffer.write_addresses(), child);
             let source = DoomSource::Rollback;
-            note(outcome, Point::Doomed { source, victims });
-            return Err(roll_back(outcome, verdict));
+            note(Point::Doomed { source, victims });
+            return Err(roll_back(verdict));
         }
 
         // Injected rollback — only in the sensitivity experiment of paper
@@ -333,7 +336,7 @@ impl ThreadManager {
         if self.draw_injected_rollback() {
             self.commit_log
                 .unregister_reader(outcome.buffer.read_addresses(), child);
-            return Err(roll_back(outcome, dead(SpecFailure::Injected)));
+            return Err(roll_back(dead(SpecFailure::Injected)));
         }
 
         // Commit.  Publishing to main memory records the batch in the
@@ -352,10 +355,10 @@ impl ThreadManager {
                 if outcome.buffer.write_set_len() > 0 {
                     let stamp_started = Instant::now();
                     self.commit_log.record(outcome.buffer.write_addresses());
-                    note(outcome, Point::CommitStamped(elapsed_ns(stamp_started)));
+                    note(Point::CommitStamped(elapsed_ns(stamp_started)));
                     let victims = self.doom_readers(outcome.buffer.write_addresses(), child);
                     let source = DoomSource::Commit;
-                    note(outcome, Point::Doomed { source, victims });
+                    note(Point::Doomed { source, victims });
                 }
                 Ok(())
             }
@@ -397,7 +400,7 @@ impl ThreadManager {
                     retried,
                     since_fork,
                 };
-                note(outcome, committed);
+                note(committed);
                 Ok(if retried {
                     CommitKind::Retried
                 } else {
@@ -405,7 +408,7 @@ impl ThreadManager {
                 })
             }
             // The parent could not hold the child's data; discard the child.
-            Err(_) => Err(roll_back(outcome, dead(SpecFailure::BufferOverflow))),
+            Err(_) => Err(roll_back(dead(SpecFailure::BufferOverflow))),
         }
     }
 }

@@ -36,7 +36,7 @@ use rand::SeedableRng;
 use mutls_adaptive::{Governor, SiteId};
 use mutls_membuf::{
     Addr, AddressSpace, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, MainMemory,
-    RollbackReason, SpecFailure, Validation,
+    SpecFailure, Validation,
 };
 use mutls_metrics::MetricsHub;
 use mutls_trace::{DenyPolicy, DoomSource, Recorder};
@@ -59,7 +59,6 @@ mod sync;
 #[cfg(test)]
 mod tests;
 
-pub use books::RunTotals;
 pub(crate) use dispatch::worker_loop;
 pub use join::{CommitKind, SpecOutcome};
 pub(crate) use sync::{Handoff, PromotedOutcome};
@@ -226,7 +225,8 @@ pub struct ThreadManager {
     /// the gate cannot be `active`: a dead-but-unjoined child keeps
     /// `active` raised for almost all of rank 0's stores.
     exposed: AtomicUsize,
-    accum: Mutex<RunTotals>,
+    /// The speculative path's statistics: every retired thread's, summed.
+    speculative: Mutex<ThreadStats>,
     rng: Mutex<SmallRng>,
     /// Buffers built since construction (diagnostics): at most one per
     /// virtual CPU while every outcome's buffer is returned.
@@ -246,9 +246,10 @@ pub struct ThreadManager {
     trace_origin: Instant,
     /// The live telemetry plane: a sharded lock-free counter/gauge/
     /// histogram registry, fed by the ledger, plus the bounded snapshot
-    /// series the sampler fills.  Disabled (the default) it is a single
-    /// always-false branch per push, mirroring the recorder's no-op
-    /// discipline.
+    /// series the sampler fills.  Its counters always count: they are the
+    /// run's only store of a lifecycle count.  Disabled (the default), a
+    /// gauge or histogram push is a single always-false branch, mirroring
+    /// the recorder's no-op discipline.
     metrics: Arc<MetricsHub>,
     dispatch: Dispatch,
     /// Fastest dispatch→start hand-off seen since construction, starting
@@ -293,7 +294,7 @@ impl ThreadManager {
             most_speculative: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
             exposed: AtomicUsize::new(0),
-            accum: Mutex::new(RunTotals::default()),
+            speculative: Mutex::new(ThreadStats::new()),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             buffers_created: AtomicUsize::new(0),
             fork_clock: AtomicU64::new(1),
@@ -408,7 +409,7 @@ impl ThreadManager {
     /// site profiles (called at the start of `Runtime::run`).
     pub fn reset_run(&self) {
         self.wait_quiescent();
-        *self.accum.lock() = RunTotals::default();
+        *self.speculative.lock() = ThreadStats::new();
         self.commit_log.clear();
         self.governor.reset();
         self.recorder.reset();
@@ -422,11 +423,11 @@ impl ThreadManager {
         self.metrics.push(snapshot);
     }
 
-    /// Take a snapshot of the per-run accumulators: speculative-path
-    /// stats, committed / rolled-back / retried thread counts and the
-    /// per-reason rollback breakdown.
-    pub fn run_snapshot(&self) -> RunTotals {
-        self.accum.lock().clone()
+    /// The speculative path's statistics so far: every retired thread's
+    /// phases and access counts, summed.  Its lifecycle counts are the
+    /// registry's ([`ledger::read_counts`](crate::ledger::read_counts)).
+    pub fn run_snapshot(&self) -> ThreadStats {
+        self.speculative.lock().clone()
     }
 }
 

@@ -2,6 +2,7 @@
 //! threads.
 
 use super::*;
+use mutls_metrics::CounterId;
 
 fn mgr(cpus: usize) -> Arc<ThreadManager> {
     ThreadManager::new(RuntimeConfig::with_cpus(cpus).memory_bytes(1 << 16))
@@ -101,8 +102,14 @@ fn completed(buffer: GlobalBuffer) -> SpecOutcome {
         stats: ThreadStats::new(),
         finished_at: Instant::now(),
         settled: false,
+        suspect: false,
         prices: Vec::new(),
     }
+}
+
+/// What `rank`'s shard of the registry has counted of `id`.
+fn counted(m: &ThreadManager, rank: Rank, id: CounterId) -> u64 {
+    m.metrics().registry().counter_on(rank, id)
 }
 
 /// A buffer for a hand-driven thread (rank 0 stands in for "some
@@ -265,7 +272,7 @@ fn validate_and_commit_detects_a_real_predecessor_write() {
         m.validate_and_commit(1, &mut outcome, None),
         Err(SpecFailure::ReadConflict)
     );
-    assert_eq!(outcome.stats.counters.retries_succeeded, 0);
+    assert_eq!(counted(&m, 1, CounterId::Retries), 0);
 }
 
 #[test]
@@ -311,7 +318,7 @@ fn value_predict_retry_commits_without_reexecution() {
         m.validate_and_commit(1, &mut outcome, None),
         Ok(CommitKind::Retried)
     );
-    assert_eq!(outcome.stats.counters.retries_succeeded, 1);
+    assert_eq!(counted(&m, 1, CounterId::Retries), 1);
     assert_eq!(mem.get(&cell, 1), 9, "the retried write-set committed");
 }
 
@@ -343,7 +350,7 @@ fn commit_dooms_exactly_the_registered_readers() {
         m.validate_and_commit(0, &mut outcome, None),
         Ok(CommitKind::Committed)
     );
-    assert_eq!(outcome.stats.counters.targeted_dooms, 1);
+    assert_eq!(counted(&m, 0, CounterId::TargetedDooms), 1);
     assert!(m.doom_requested(reader), "stale reader doomed");
     assert!(!m.doom_requested(bystander), "bystander untouched");
 
@@ -401,7 +408,7 @@ fn commit_dooms_a_reader_past_the_registry_bitmask_and_spares_an_older_one() {
             m.validate_and_commit(rank, &mut outcome, None),
             Ok(CommitKind::Committed)
         );
-        outcome.stats.counters.targeted_dooms
+        counted(&m, rank, CounterId::TargetedDooms)
     };
     assert_eq!(commit_as(0), 2);
     assert!(m.doom_requested(2), "the bitmask reader is doomed");
@@ -549,7 +556,7 @@ fn rollback_recovery_dooms_readers_of_the_rewritten_ranges() {
         m.validate_and_commit(0, &mut outcome, None),
         Err(SpecFailure::ReadConflict)
     );
-    assert_eq!(outcome.stats.counters.targeted_dooms, 1);
+    assert_eq!(counted(&m, 0, CounterId::TargetedDooms), 1);
     assert!(
         m.doom_requested(victim),
         "reader of the to-be-rewritten range must be doomed"
@@ -610,19 +617,16 @@ fn run_accumulators_reset_and_snapshot() {
         m.settle_child(rank, 0, ForkModel::Mixed, outcome, verdict);
         m.release_cpu(rank, 0);
     }
-    let totals = m.run_snapshot();
-    assert_eq!(totals.speculative.get(Phase::Work), 20);
-    assert_eq!(totals.speculative.get(Phase::WastedWork), 20);
-    assert_eq!(totals.committed, 2, "a retry is a commit");
-    assert_eq!(totals.retried, 1);
-    assert_eq!(totals.rolled_back, 2, "a retry is not a rollback");
-    assert_eq!(totals.by_reason[RollbackReason::Conflict.index()], 1);
-    assert_eq!(totals.by_reason[RollbackReason::Injected.index()], 1);
+    let speculative = m.run_snapshot();
+    assert_eq!(speculative.get(Phase::Work), 20);
+    assert_eq!(speculative.get(Phase::WastedWork), 20);
+    // Retirement counts with metrics off: the registry is the only book.
+    let registry = m.metrics().registry();
+    assert_eq!(registry.counter_total(CounterId::CommittedCycles), 20);
+    assert_eq!(registry.counter_total(CounterId::WastedCycles), 20);
     m.commit_log().record_word(64);
     m.reset_run();
-    let totals = m.run_snapshot();
-    assert_eq!(totals.speculative.total(), 0);
-    assert_eq!(totals.committed + totals.rolled_back + totals.retried, 0);
-    assert_eq!(totals.by_reason, [0; RollbackReason::COUNT]);
+    assert_eq!(m.run_snapshot().total(), 0);
+    assert_eq!(registry.counter_total(CounterId::CommittedCycles), 0);
     assert_eq!(m.commit_log().commits(), 0);
 }

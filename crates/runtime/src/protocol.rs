@@ -25,7 +25,6 @@ use rand::Rng;
 
 use crate::fork_model::ForkModel;
 use crate::ledger::Point;
-use crate::manager::RunTotals;
 use crate::stats::{Phase, ThreadStats};
 
 /// The thread asking to fork, as the forking models see it (paper §II).
@@ -112,6 +111,14 @@ pub struct JoinVerdict {
     pub rollback: Option<(SpecFailure, PlanArm)>,
 }
 
+impl JoinVerdict {
+    /// The child rolls back on a conflict that is range-only: the suspect
+    /// of false sharing its site hears of at retirement.
+    pub fn suspect(&self) -> bool {
+        self.outcome == ValidateOutcome::ConservativeDoom
+    }
+}
+
 /// D2, the verdict of a join (paper §IV-F, the README's recovery ladder).
 /// A thread that arrives dead is `Failed` with no recovery arm, whatever
 /// killed it: the ladder never ran.
@@ -144,20 +151,20 @@ pub struct Retirement {
     /// `Ok(retried)` for a commit, the blamed failure for a rollback —
     /// `Cascaded` for a discard without a join of its own.
     pub fate: Result<bool, SpecFailure>,
-    /// The commit-log grain its traffic ran at.
-    pub grain_log2: u32,
+    /// Its join found a conflict on range grain only, every conflicting
+    /// word still at its first-read value (`ValidateOutcome::ConservativeDoom`).
+    pub suspect: bool,
 }
 
 /// D3, retirement: a rolled-back thread's work becomes wasted work, the
-/// site profile hears the outcome — a rollback of a thread that ever
-/// counted a false-sharing suspect as suspected false sharing — the run's
-/// totals take the statistics, and the caller gets the `Retired` point to
-/// write down.
+/// site profile hears the outcome — the rollback of a suspect as
+/// suspected false sharing — the speculative path's statistics take the
+/// thread's, and the caller gets the `Retired` point to write down.
 pub fn retire(
     stats: &mut ThreadStats,
     thread: Retirement,
     governor: &Governor,
-    totals: &mut RunTotals,
+    speculative: &mut ThreadStats,
 ) -> Point {
     let stall = stats.get(Phase::Idle);
     let (outcome, cycles) = match thread.fate {
@@ -170,12 +177,11 @@ pub fn retire(
             stats.mark_work_wasted();
             let wasted = stats.get(Phase::WastedWork);
             let rolled_back = SiteOutcome::rolled_back(reason, wasted, stall, thread.model);
-            let false_sharing = stats.counters.false_sharing_suspects > 0;
-            (rolled_back.with_false_sharing(false_sharing), wasted)
+            (rolled_back.with_false_sharing(thread.suspect), wasted)
         }
     };
-    governor.record_outcome(thread.site, &outcome.with_grain(thread.grain_log2));
-    totals.fold(stats, thread.fate);
+    governor.record_outcome(thread.site, &outcome);
+    speculative.merge(stats);
     Point::Retired {
         committed: thread.fate.is_ok(),
         cycles,
@@ -275,7 +281,6 @@ mod tests {
     use crate::config::RuntimeConfig;
     use crate::manager::ThreadManager;
     use mutls_adaptive::{GovernorConfig, PolicyKind};
-    use mutls_membuf::RollbackReason;
     use rand::SeedableRng;
     use ForkModel::{InOrder, Mixed, OutOfOrder};
 
@@ -471,27 +476,26 @@ mod tests {
         }
     }
 
-    /// D3: committed / rolled back × a false-sharing suspect counted ×
-    /// retried — what a recording governor, the totals and the `Retired`
+    /// D3: committed / rolled back × a false-sharing suspect × retried —
+    /// what a recording governor, the speculative path and the `Retired`
     /// point are handed.
     #[test]
-    fn retirement_tells_the_site_the_totals_and_the_ledger() {
+    fn retirement_tells_the_site_the_path_and_the_ledger() {
         for (committed, flag) in BOTH.iter().flat_map(|&c| BOTH.map(|f| (c, f))) {
             let governor = Governor::new(GovernorConfig::default());
-            let mut totals = RunTotals::default();
+            let mut speculative = ThreadStats::new();
             let mut stats = ThreadStats::new();
             stats.add(Phase::Work, 70);
             stats.add(Phase::Idle, 20);
             stats.add(Phase::Validation, 10);
-            stats.counters.false_sharing_suspects = u64::from(flag);
             let conflict = SpecFailure::ReadConflict;
             let thread = Retirement {
                 site: 9,
                 model: InOrder,
                 fate: if committed { Ok(flag) } else { Err(conflict) },
-                grain_log2: 6,
+                suspect: flag,
             };
-            let point = retire(&mut stats, thread, &governor, &mut totals);
+            let point = retire(&mut stats, thread, &governor, &mut speculative);
             let (cycles, total) = (70, 100);
             let retired = Point::Retired {
                 committed,
@@ -505,7 +509,7 @@ mod tests {
 
             let site = &governor.snapshot()[0];
             let (commits, rollbacks) = (committed as u64, !committed as u64);
-            assert_eq!((site.site, site.grain_log2, site.stall), (9, 6, 20));
+            assert_eq!((site.site, site.stall), (9, 20));
             assert_eq!(
                 (site.commits, site.rollbacks, site.conflicts),
                 (commits, rollbacks, rollbacks)
@@ -515,13 +519,7 @@ mod tests {
             assert_eq!(site.retries, (committed && flag) as u64);
             assert_eq!(site.false_sharing, (!committed && flag) as u64);
 
-            assert_eq!(totals.speculative, stats);
-            assert_eq!((totals.committed, totals.rolled_back), (commits, rollbacks));
-            assert_eq!(totals.retried, (committed && flag) as u64);
-            assert_eq!(
-                totals.by_reason[RollbackReason::Conflict.index()],
-                rollbacks
-            );
+            assert_eq!(speculative, stats);
         }
     }
 

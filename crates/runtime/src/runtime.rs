@@ -11,6 +11,7 @@ use mutls_metrics::{MetricsSeries, MetricsSnapshot, Sampler};
 
 use crate::config::RuntimeConfig;
 use crate::context::SpecContext;
+use crate::ledger;
 use crate::manager::{worker_loop, ThreadManager};
 use crate::stats::RunReport;
 use crate::task::{SpecResult, Word};
@@ -148,19 +149,16 @@ impl Runtime {
         // to any later scrape.
         self.mgr.wait_quiescent();
         let runtime = started.elapsed().as_nanos() as u64;
-        let totals = self.mgr.run_snapshot();
-        let report = RunReport {
+        let mut report = RunReport {
             critical,
-            speculative: totals.speculative,
-            committed_threads: totals.committed,
-            rolled_back_threads: totals.rolled_back,
-            retried_threads: totals.retried,
-            rollback_reasons: totals.by_reason,
+            speculative: self.mgr.run_snapshot(),
             runtime,
             sites: self.mgr.governor().snapshot(),
             commit_log: self.mgr.commit_log().stats(),
             latency: self.mgr.recorder().latency_report(),
+            ..RunReport::default()
         };
+        ledger::read_counts(self.mgr.metrics().registry(), &mut report);
         if self.mgr.config().metrics.enabled {
             // The series ends with the run's final scrape however few
             // sampler ticks the run outlasted.
@@ -184,9 +182,10 @@ impl Runtime {
     }
 
     /// Scrape every telemetry source right now into one aggregated
-    /// snapshot (without appending it to the series).  Meaningful only
-    /// with [`RuntimeConfig::metrics`] enabled — disabled, all registry
-    /// counters read zero and only pull-side extras carry data.
+    /// snapshot (without appending it to the series).  The registry's
+    /// counters count whether or not [`RuntimeConfig::metrics`] is
+    /// enabled — after a run they read the report's counts; disabled, the
+    /// in-flight gauge and the histograms read zero.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.mgr.scrape_metrics(self.mgr.trace_now_ns())
     }

@@ -98,7 +98,10 @@ impl Deserialize for Phase {
     }
 }
 
-/// Event counters of one thread.
+/// Event counters of one path of a run.  A thread counts only its own
+/// `loads` and `stores`, on the access path, and a path sums them; every
+/// other field is a lifecycle count, read off the metrics registry when
+/// the report is built ([`ledger::read_counts`](crate::ledger::read_counts)).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThreadCounters {
     /// Speculative threads forked by this thread.
@@ -112,20 +115,14 @@ pub struct ThreadCounters {
     pub failed_forks: u64,
     /// Fork attempts suppressed by the adaptive speculation governor.
     pub throttled_forks: u64,
-    /// Joins that committed.
-    pub commits: u64,
-    /// Joins that rolled back.
-    pub rollbacks: u64,
-    /// Rollbacks split by cause, indexed by [`RollbackReason::index`].
-    pub rollbacks_by_reason: [u64; RollbackReason::COUNT],
     /// Conflict rollbacks whose conflicting words all still held their
     /// first-read values — suspected *false sharing* introduced by a
     /// commit-log grain coarser than a word (estimate; a value-identical
     /// ABA write is indistinguishable).
     pub false_sharing_suspects: u64,
-    /// Joins whose conflict was repaired by value-predict-and-retry: the
-    /// conflicting reads re-validated by value and the thread committed
-    /// without re-execution.  **Not** counted in `rollbacks`.
+    /// Conflicts repaired by value-predict-and-retry: at the join (the
+    /// thread committed without re-execution) or in flight (a doom shrugged
+    /// off).  Never counted as rollbacks.
     pub retries_succeeded: u64,
     /// Threads doomed surgically through the per-range reader registry
     /// (counted on the thread whose commit or rollback triggered the
@@ -147,25 +144,8 @@ pub struct ThreadCounters {
 }
 
 impl ThreadCounters {
-    /// Add another thread's counters to these.
+    /// Add another thread's access counts to these.
     fn merge(&mut self, other: &ThreadCounters) {
-        self.forks += other.forks;
-        self.failed_forks += other.failed_forks;
-        self.throttled_forks += other.throttled_forks;
-        self.commits += other.commits;
-        self.rollbacks += other.rollbacks;
-        for (mine, theirs) in self
-            .rollbacks_by_reason
-            .iter_mut()
-            .zip(other.rollbacks_by_reason)
-        {
-            *mine += theirs;
-        }
-        self.false_sharing_suspects += other.false_sharing_suspects;
-        self.retries_succeeded += other.retries_succeeded;
-        self.targeted_dooms += other.targeted_dooms;
-        self.precise_passes += other.precise_passes;
-        self.adopted_threads += other.adopted_threads;
         self.loads += other.loads;
         self.stores += other.stores;
     }
@@ -413,20 +393,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_phases_and_counters() {
+    fn merge_accumulates_phases_and_access_counts() {
         let mut a = ThreadStats::new();
         a.add(Phase::Work, 10);
-        a.counters.forks = 1;
+        a.counters.loads = 1;
         let mut b = ThreadStats::new();
         b.add(Phase::Work, 5);
         b.add(Phase::Commit, 2);
-        b.counters.forks = 2;
-        b.counters.rollbacks = 1;
+        b.counters.loads = 2;
+        b.counters.stores = 4;
         a.merge(&b);
         assert_eq!(a.get(Phase::Work), 15);
         assert_eq!(a.get(Phase::Commit), 2);
-        assert_eq!(a.counters.forks, 3);
-        assert_eq!(a.counters.rollbacks, 1);
+        assert_eq!((a.counters.loads, a.counters.stores), (3, 4));
     }
 
     #[test]
@@ -453,18 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn rollback_reason_counters_merge_and_render() {
-        let conflict = RollbackReason::Conflict.index();
-        let mut a = ThreadStats::new();
-        a.counters.rollbacks = 1;
-        a.counters.rollbacks_by_reason[conflict] = 1;
-        let mut b = ThreadStats::new();
-        b.counters.rollbacks = 2;
-        b.counters.rollbacks_by_reason[conflict] = 1;
-        b.counters.rollbacks_by_reason[RollbackReason::Injected.index()] = 1;
-        a.merge(&b);
-        assert_eq!(a.counters.rollbacks, 3);
-        assert_eq!(a.counters.rollbacks_by_reason[conflict], 2);
+    fn rollback_reasons_render() {
         let mut report = RunReport::default();
         report.rollback_reasons[RollbackReason::Overflow.index()] = 4;
         assert_eq!(report.rollbacks_with(RollbackReason::Overflow), 4);
@@ -487,40 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn false_sharing_suspects_merge_and_surface() {
-        let mut a = ThreadStats::new();
-        a.counters.false_sharing_suspects = 2;
-        let mut b = ThreadStats::new();
-        b.counters.false_sharing_suspects = 3;
-        a.merge(&b);
-        assert_eq!(a.counters.false_sharing_suspects, 5);
-        let report = RunReport {
-            speculative: a,
-            ..Default::default()
-        };
-        assert_eq!(report.suspected_false_sharing(), 5);
-    }
-
-    #[test]
-    fn recovery_counters_merge_and_surface() {
-        let mut a = ThreadStats::new();
-        a.counters.retries_succeeded = 1;
-        a.counters.targeted_dooms = 2;
-        let mut b = ThreadStats::new();
-        b.counters.retries_succeeded = 3;
-        a.merge(&b);
-        assert_eq!(a.counters.retries_succeeded, 4);
-        assert_eq!(a.counters.targeted_dooms, 2);
-        let mut report = RunReport {
-            speculative: a,
-            retried_threads: 4,
-            ..Default::default()
-        };
+    fn recovery_counters_surface_across_both_paths() {
+        let mut report = RunReport::default();
+        report.speculative.counters.false_sharing_suspects = 5;
+        report.speculative.counters.retries_succeeded = 4;
+        report.speculative.counters.targeted_dooms = 2;
         report.critical.counters.targeted_dooms = 5;
+        assert_eq!(report.suspected_false_sharing(), 5);
         assert_eq!(report.retries(), 4);
         assert_eq!(report.targeted_dooms(), 7);
-        // A retry is not a rollback.
-        assert_eq!(report.rolled_back_threads, 0);
     }
 
     #[test]
@@ -566,7 +509,6 @@ mod tests {
                 site: 7,
                 forks: 9,
                 rollback_rate: 0.25,
-                grain_log2: 4,
                 ..SiteProfile::default()
             }],
             commit_log: CommitLogStats {
@@ -583,8 +525,7 @@ mod tests {
         report.critical.add(Phase::Join, 4);
         report.critical.counters.forks = 5;
         report.speculative.add(Phase::Validation, 7);
-        report.speculative.counters.rollbacks = 1;
-        report.speculative.counters.rollbacks_by_reason[RollbackReason::Conflict.index()] = 1;
+        report.speculative.counters.targeted_dooms = 1;
         report.rollback_reasons[RollbackReason::Conflict.index()] = 2;
 
         let json = serde_json::to_string(&report).unwrap();

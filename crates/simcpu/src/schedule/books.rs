@@ -5,13 +5,13 @@
 use super::*;
 
 impl<'a> Scheduler<'a> {
-    /// Write `point`, reached at virtual time `ts`, down in the books of
-    /// fiber `fid` (see [`ledger::observe`]); the event, if the point has
-    /// one, goes on `lane` = (rank, site).
-    pub(super) fn observe(&mut self, ts: u64, lane: (u32, u32), fid: usize, point: Point) {
-        let counters = &mut self.fibers[fid].stats.counters;
+    /// Write `point`, reached at virtual time `ts`, down on `lane` =
+    /// (rank, site) (see [`ledger::observe`]).  The root's rank is 0 and
+    /// every other fiber's a CPU past it, whose counts share the
+    /// registry's control shard.
+    pub(super) fn observe(&mut self, ts: u64, lane: (u32, u32), point: Point) {
         let at = (ts, self.sim_commits);
-        ledger::observe(&mut self.books, at, lane.0, lane.1, counters, point);
+        ledger::observe(&mut self.books, at, lane.0, lane.1, point);
     }
 
     /// The lane of fiber `fid`'s own events: its CPU and its fork site.

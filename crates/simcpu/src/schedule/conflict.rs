@@ -151,7 +151,8 @@ impl<'a> Scheduler<'a> {
             match verdict {
                 PublishVerdict::Genuine => fiber.doomed_false_sharing = false,
                 PublishVerdict::PrecisePass => {
-                    self.observe(time, self.lane_of(fid), fid, Point::PrecisePasses(1));
+                    fiber.precise_passes += 1;
+                    self.observe(time, self.lane_of(fid), Point::PrecisePasses(1));
                 }
                 PublishVerdict::Doom {
                     false_sharing,
@@ -174,7 +175,7 @@ impl<'a> Scheduler<'a> {
         let cost = self.config.cost.doom_cycles(victims);
         let source = DoomSource::Commit;
         let doomed = Point::Doomed { source, victims };
-        self.observe(time, self.lane_of(writer), writer, doomed);
+        self.observe(time, self.lane_of(writer), doomed);
         for fid in newly_doomed {
             self.request_stop(fid, time);
         }
@@ -300,7 +301,8 @@ impl<'a> Scheduler<'a> {
                     let overflow = range_only && fx.overflow;
                     if range_only && !overflow {
                         let now = self.fibers[fid].time;
-                        self.observe(now, self.lane_of(fid), fid, Point::PrecisePasses(1));
+                        self.fibers[fid].precise_passes += 1;
+                        self.observe(now, self.lane_of(fid), Point::PrecisePasses(1));
                     } else {
                         if range_only {
                             self.sim_ring_overflows += 1;

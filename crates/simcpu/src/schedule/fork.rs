@@ -28,7 +28,7 @@ impl<'a> Scheduler<'a> {
     ) {
         let forker = (self.fibers[fid].cpu as u32, point);
         let now = self.fibers[fid].time;
-        self.observe(now, forker, fid, Point::ForkAttempt);
+        self.observe(now, forker, Point::ForkAttempt);
         // Mirror the native recovery engine: a speculative fiber
         // executing a rollback-inherited frame may not re-speculate (its
         // children would read underneath the uncommitted overlay); the
@@ -61,22 +61,22 @@ impl<'a> Scheduler<'a> {
                 // governor's own is a failed fork.
                 if policy != DenyPolicy::Reexec {
                     let allowed = policy != DenyPolicy::Governor;
-                    self.observe(now, forker, fid, Point::GovernorRuled(allowed));
+                    self.observe(now, forker, Point::GovernorRuled(allowed));
                 }
                 if policy != DenyPolicy::Governor {
                     let now = self.fibers[fid].time;
-                    self.observe(now, forker, fid, Point::ForkDenied(policy));
+                    self.observe(now, forker, Point::ForkDenied(policy));
                 }
                 return;
             }
         };
-        self.observe(now, forker, fid, Point::GovernorRuled(true));
+        self.observe(now, forker, Point::GovernorRuled(true));
         self.fibers[fid].time += cost.fork;
         self.fibers[fid].stats.add(Phase::Fork, cost.fork);
 
         let start = self.fibers[fid].time + cost.spawn_latency;
         let child_fiber = self.spawn_fiber(child, true, cpu, start, point, model);
-        self.observe(start, forker, fid, Point::SpecStart(cpu as u32));
+        self.observe(start, forker, Point::SpecStart(cpu as u32));
         self.governor.record_fork(point);
         self.fibers[fid].child_fibers.insert(child, child_fiber);
         self.most_speculative = Some(child_fiber);

@@ -31,7 +31,7 @@ impl<'a> Scheduler<'a> {
         let write_words = self.fibers[cf].writes.len();
         let (child, joiner) = (self.lane_of(cf), self.lane_of(fid));
         let ranges = read_ranges as u32;
-        self.observe(now, child, cf, Point::ValidateBegin(ranges));
+        self.observe(now, child, Point::ValidateBegin(ranges));
         let validation = cost.validation_cycles_grained(read_words, read_ranges);
         self.fibers[cf].stats.add(Phase::Validation, validation);
         self.fibers[fid].stats.add(Phase::Idle, validation);
@@ -56,15 +56,15 @@ impl<'a> Scheduler<'a> {
         }
 
         // Price the version-ring probes the fiber survived on in flight —
-        // deterministic (the count is already in the fiber's stats), and
-        // far cheaper than the value-predict retries they replace.
-        let precise = self.fibers[cf].stats.counters.precise_passes;
+        // deterministic (the fiber counted them), and far cheaper than the
+        // value-predict retries they replace.
+        let precise = self.fibers[cf].precise_passes;
         if precise > 0 {
             let cycles = cost.ring_probe_cycles(precise);
             self.fibers[cf].stats.add(Phase::Validation, cycles);
             self.fibers[fid].stats.add(Phase::Idle, cycles);
             now += cycles;
-            self.observe(now, child, cf, Point::RingProbesPriced(cycles));
+            self.observe(now, child, Point::RingProbesPriced(cycles));
         }
         let doomed = self.fibers[cf].doomed;
         let facts = JoinFacts {
@@ -78,16 +78,18 @@ impl<'a> Scheduler<'a> {
             retried: self.fibers[cf].retried,
             precise_pass: precise > 0,
         };
+        let verdict = protocol::join_verdict(facts);
+        self.fibers[cf].suspect = verdict.suspect();
         let JoinVerdict {
             outcome,
             mut rollback,
-        } = protocol::join_verdict(facts);
+        } = verdict;
         let validated = Point::Validated {
             outcome,
             took: validation,
             retry,
         };
-        self.observe(now, child, cf, validated);
+        self.observe(now, child, validated);
         // Injected rollback — drawn after a validation that passed, as in
         // the paper's §V-D sensitivity experiment.
         if rollback.is_none()
@@ -128,8 +130,7 @@ impl<'a> Scheduler<'a> {
                     retried: self.fibers[cf].retried,
                     since_fork: now.saturating_sub(self.fibers[cf].start_time),
                 };
-                self.observe(now, child, cf, committed);
-                self.observe(now, joiner, fid, Point::JoinCommitted);
+                self.observe(now, child, committed);
 
                 let early = self.stopped_early(cf);
                 // Inherit the child's still-speculating children so their
@@ -164,11 +165,11 @@ impl<'a> Scheduler<'a> {
                 self.fibers[fid].stats.add(Phase::Idle, finalize);
                 now += finalize;
                 // The doom itself was counted at publish time.
-                self.observe(now, child, cf, Point::RolledBack { reason, plan });
+                self.observe(now, child, Point::RolledBack { reason, plan });
                 // The join-side repair work is the buffer discard plus the
                 // re-execution frame push, both priced by `finalize`.
                 let repair = finalize;
-                self.observe(now, joiner, fid, Point::JoinRolledBack { reason, repair });
+                self.observe(now, joiner, Point::JoinRolledBack(repair));
                 // Cascading rollback confined to the child's subtree: every
                 // speculative thread it spawned (and has not joined) is
                 // discarded too.
@@ -216,7 +217,7 @@ impl<'a> Scheduler<'a> {
         if let Some(gc) = self.fibers[fid].pending_join.take() {
             self.cancel_subtree(gc, now);
         }
-        self.observe(now, self.lane_of(fid), fid, Point::Cascaded);
+        self.observe(now, self.lane_of(fid), Point::Cascaded);
         self.retire_fiber(fid, Err(SpecFailure::Cascaded));
     }
 
@@ -234,11 +235,11 @@ impl<'a> Scheduler<'a> {
             site: fiber.site,
             model: fiber.model,
             fate,
-            grain_log2: self.config.commit_log.grain_log2,
+            suspect: fiber.suspect,
         };
         let stats = &mut self.fibers[cf].stats;
-        let retired = protocol::retire(stats, thread, &self.governor, &mut self.totals);
-        self.observe(self.fibers[cf].time, self.lane_of(cf), cf, retired);
+        let retired = protocol::retire(stats, thread, &self.governor, &mut self.speculative);
+        self.observe(self.fibers[cf].time, self.lane_of(cf), retired);
         // Leave the reader registry and release the footprint: nothing
         // looks at a retired fiber's sets.
         let fiber = &mut self.fibers[cf];

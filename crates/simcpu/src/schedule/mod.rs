@@ -43,7 +43,7 @@ use mutls_membuf::{CommitLogConfig, CommitLogStats, SpecFailure, WORD_BYTES};
 use mutls_metrics::{MetricsConfig, MetricsHub, MetricsSeries, MetricsSnapshot, Registry};
 use mutls_runtime::ledger::{self, Books, Point};
 use mutls_runtime::protocol::{self, Forker, JoinFacts, JoinVerdict, Retirement};
-use mutls_runtime::{ForkModel, Phase, RunReport, RunTotals, RuntimeConfig, ThreadStats};
+use mutls_runtime::{ForkModel, Phase, RunReport, RuntimeConfig, ThreadStats};
 use mutls_trace::{DenyPolicy, DoomSource, EventKind, LatencyRecorder, TraceEvent};
 
 use crate::cost::CostModel;
@@ -161,6 +161,12 @@ struct Fiber {
     /// True when the fiber's conflict was repaired by value-predict-and-
     /// retry at its join (it committed without re-execution).
     retried: bool,
+    /// Read-set entries that passed precisely through the version rings
+    /// in flight: its join prices a ring probe for each.
+    precise_passes: u64,
+    /// Its join found only a suspect of false sharing (see
+    /// `protocol::JoinVerdict::suspect`).
+    suspect: bool,
     /// Fiber waiting at a join for this fiber to stop.
     waiter: Option<usize>,
     blocked_since: u64,
@@ -208,6 +214,8 @@ impl Fiber {
             doomed: None,
             doomed_false_sharing: false,
             retried: false,
+            precise_passes: 0,
+            suspect: false,
             waiter: None,
             blocked_since: 0,
             finished: None,
@@ -229,8 +237,9 @@ struct SimBooks {
     events: Option<Vec<TraceEvent>>,
     /// Always-on phase-latency histograms (virtual cycles as "ns").
     latency: LatencyRecorder,
-    /// The registry and its sample series.  Disabled (the default) every
-    /// push is one always-false branch.
+    /// The registry and its sample series.  Its counters always count;
+    /// disabled (the default), a gauge or histogram push is one
+    /// always-false branch.
     metrics: MetricsHub,
 }
 
@@ -272,9 +281,9 @@ pub struct Scheduler<'a> {
     most_speculative: Option<usize>,
     active_speculative: usize,
     rng: SmallRng,
-    /// The retired speculative fibers, folded as the runtime folds its
-    /// joined threads.
-    totals: RunTotals,
+    /// The retired speculative fibers' statistics, summed as the runtime
+    /// sums its retired threads'.
+    speculative: ThreadStats,
     /// The simulated commit log.  Publish times by word and by range id
     /// are what conflict detection looks up: word-level overlap tells a
     /// genuine conflict from false sharing.  Its reader registry mirrors
@@ -325,7 +334,7 @@ impl<'a> Scheduler<'a> {
             most_speculative: None,
             active_speculative: 0,
             rng,
-            totals: RunTotals::default(),
+            speculative: ThreadStats::new(),
             log: SimLog::new(config.commit_log.ring_depth),
             #[cfg(test)]
             publishes: Vec::new(),
@@ -375,18 +384,16 @@ impl<'a> Scheduler<'a> {
             let snapshot = self.scrape_metrics(runtime);
             self.books.metrics.push(snapshot);
         }
-        let report = RunReport {
+        let mut report = RunReport {
             critical: self.fibers[0].stats.clone(),
             commit_log: self.log_stats(),
             sites: self.governor.snapshot(),
             latency: self.books.latency.report(),
             runtime,
-            speculative: self.totals.speculative,
-            committed_threads: self.totals.committed,
-            rolled_back_threads: self.totals.rolled_back,
-            retried_threads: self.totals.retried,
-            rollback_reasons: self.totals.by_reason,
+            speculative: self.speculative,
+            ..RunReport::default()
         };
+        ledger::read_counts(self.books.metrics.registry(), &mut report);
         SimResult {
             report,
             sequential_cycles: Self::sequential_cycles(self.recording, &self.config.cost),

@@ -7,18 +7,20 @@
 //!    the *virtual* clock, so the serialized metrics time series (like
 //!    the `RunReport`) is byte-identical whichever host thread runs the
 //!    replay, under every governor policy.
-//! 2. **Free when off** — a disabled registry (and a disabled flight
-//!    recorder) is a one-branch no-op: a replay with either enabled moves
-//!    zero *virtual* cycles relative to a dark one (the report serializes
-//!    identically), and the native runtime spawns no sampler thread.
+//! 2. **Invisible when off** — a disabled metrics plane samples nothing
+//!    and keeps its gauge and histograms still, though its counters count
+//!    (they are the only store of a lifecycle count): a replay with it or
+//!    the flight recorder enabled moves zero *virtual* cycles relative to
+//!    a dark one (the report serializes identically), and the native
+//!    runtime spawns no sampler thread.
 //! 3. **Live derived gauges** — an instrumented native conflict run
 //!    exports Prometheus text with non-zero rollback counters and the
 //!    derived `rollback_amplification` / `speculation_success_rate` /
 //!    `precise_pass_fraction` gauges.
 //! 4. **One ledger** — a lifecycle point is written down once
-//!    (`mutls_runtime::ledger`), so the report's counters, the registry's
-//!    snapshot, the latency samples and the event stream of one run agree,
-//!    natively and in the replay.
+//!    (`mutls_runtime::ledger`) and the report's counts are read off the
+//!    registry, so the registry's snapshot, the latency samples and the
+//!    event stream of one run agree, natively and in the replay.
 
 use std::sync::Arc;
 
@@ -185,14 +187,24 @@ fn native_conflict_run_exports_live_prometheus_metrics() {
 #[test]
 fn disabled_native_metrics_capture_is_empty() {
     let chain = ChainConfig::for_scale(Scale::Tiny).sharing_permille(0);
-    let (_, _, _, (series, last)) =
+    let (_, _, _, (series, _)) =
         conflict::chain_native_observed(chain, RuntimeConfig::with_cpus(2));
     assert!(series.is_empty(), "disabled metrics must not sample");
-    assert_eq!(
-        last.counter("forks"),
-        Some(0),
-        "disabled registry stays zero"
-    );
+}
+
+#[test]
+fn disabled_native_registry_reads_the_reports_counts() {
+    // The registry is the report's only book, so it counts with metrics
+    // off; only the gauge and the histograms stay still.
+    let chain = ChainConfig::for_scale(Scale::Tiny).sharing_permille(1000);
+    let (_, report, _, (_, last)) =
+        conflict::chain_native_observed(chain, RuntimeConfig::with_cpus(4));
+    let forks = report.critical.counters.forks + report.speculative.counters.forks;
+    assert!(forks > 0, "a chain on 4 CPUs forks");
+    assert_eq!(last.counter("forks"), Some(forks));
+    assert_eq!(last.counter("commits"), Some(report.committed_threads));
+    assert_eq!(last.counter("rollbacks"), Some(report.rolled_back_threads));
+    assert!(last.histograms.iter().all(|h| h.count == 0));
 }
 
 /// One traced, metrics-on native run of `workload`, its checksum checked
@@ -237,14 +249,14 @@ fn registry_ledgers(
     )
 }
 
-/// The relations that make the four records of a run one ledger.
+/// The relations that make the three records of a run one ledger: the
+/// registry's counts, the latency samples and the events.  The report's
+/// counts are read off the registry; the governor's per-site table is a
+/// book of its own.
 fn assert_one_ledger(run: &str, report: &RunReport, events: &[TraceEvent], last: &MetricsSnapshot) {
     let events_of =
         |is: fn(&EventKind) -> bool| events.iter().filter(|e| is(&e.kind)).count() as u64;
     let snapshot = |name: &str| last.counter(name).expect("a static counter");
-    let both = |count: fn(&mutls::runtime::ThreadCounters) -> u64| {
-        count(&report.critical.counters) + count(&report.speculative.counters)
-    };
     let fork_to_commit = report
         .latency
         .row(LatencyPhase::ForkToCommit)
@@ -252,35 +264,20 @@ fn assert_one_ledger(run: &str, report: &RunReport, events: &[TraceEvent], last:
         .count;
 
     let commits = events_of(|k| matches!(k, EventKind::Commit));
-    assert_eq!(commits, report.committed_threads, "{run}: Commit events");
-    assert_eq!(commits, snapshot("commits"), "{run}: registry commits");
+    assert_eq!(commits, snapshot("commits"), "{run}: Commit events");
     assert_eq!(commits, fork_to_commit, "{run}: fork-to-commit samples");
 
     let rollbacks = events_of(|k| matches!(k, EventKind::Rollback { .. }));
-    assert_eq!(
-        rollbacks, report.rolled_back_threads,
-        "{run}: Rollback events"
-    );
-    assert_eq!(
-        rollbacks,
-        snapshot("rollbacks"),
-        "{run}: registry rollbacks"
-    );
+    assert_eq!(rollbacks, snapshot("rollbacks"), "{run}: Rollback events");
 
     let starts = events_of(|k| matches!(k, EventKind::SpecStart { .. }));
-    assert_eq!(starts, both(|c| c.forks), "{run}: SpecStart events");
-    assert_eq!(starts, snapshot("forks"), "{run}: registry forks");
+    assert_eq!(starts, snapshot("forks"), "{run}: SpecStart events");
 
     let denied = events_of(|k| matches!(k, EventKind::ForkDenied { .. }));
     assert_eq!(
         denied,
-        both(|c| c.failed_forks + c.throttled_forks),
-        "{run}: ForkDenied events"
-    );
-    assert_eq!(
-        denied,
         snapshot("failed_forks") + snapshot("throttled_forks"),
-        "{run}: registry denied forks"
+        "{run}: ForkDenied events"
     );
 
     assert_eq!(
@@ -289,23 +286,11 @@ fn assert_one_ledger(run: &str, report: &RunReport, events: &[TraceEvent], last:
         "{run}: Validate spans"
     );
 
-    let dooms = both(|c| c.targeted_dooms);
-    assert_eq!(snapshot("targeted_dooms"), dooms, "{run}: dooms");
-    assert_eq!(
-        snapshot("precise_passes"),
-        both(|c| c.precise_passes),
-        "{run}: precise passes"
-    );
-    assert_eq!(
-        snapshot("false_sharing_suspects"),
-        both(|c| c.false_sharing_suspects),
-        "{run}: false-sharing suspects"
-    );
-    assert_eq!(
-        snapshot("adopted_threads"),
-        both(|c| c.adopted_threads),
-        "{run}: adoptions"
-    );
+    let throttled =
+        report.critical.counters.throttled_forks + report.speculative.counters.throttled_forks;
+    assert_eq!(report.throttled_forks(), throttled, "{run}: site table");
+
+    let dooms = snapshot("targeted_dooms");
     let doom_events = events_of(|k| matches!(k, EventKind::Doom { .. }));
     assert!(
         dooms == 0 || doom_events > 0,
@@ -358,6 +343,25 @@ fn every_ledger_of_a_run_agrees_natively_and_in_the_replay() {
         "conflict_chain replay",
         &replay.report,
         &replay.events,
+        last,
+    );
+
+    // The governor throttles: the site table and the registry each count.
+    let throttled = simulate(
+        &chain_recording(),
+        SimConfig {
+            trace: true,
+            metrics: MetricsConfig::enabled(),
+            governor: GovernorConfig::with_policy(PolicyKind::Throttle),
+            ..SimConfig::with_cpus(4)
+        },
+    );
+    assert!(throttled.report.throttled_forks() > 0, "Throttle throttles");
+    let last = throttled.metrics.latest().expect("final snapshot");
+    assert_one_ledger(
+        "conflict_chain replay, throttled",
+        &throttled.report,
+        &throttled.events,
         last,
     );
 }
