@@ -18,7 +18,9 @@
 //! list on its first mark of the generation.  Ending a segment turns each
 //! list into runs and bumps the generation instead of clearing the table:
 //! where the list's words are dense in the span they cover, by scanning the
-//! marks over that span, and only where they are sparse by sorting the list.
+//! marks over that span a stretch of hits at a time, one run per stretch
+//! (a segment that read a whole array freezes in one scan and one push),
+//! and only where they are sparse by sorting the list.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -272,13 +274,26 @@ fn freeze(marks: &[u64], gen: u64, bit: u64, first: &mut Vec<u64>) -> Runs {
         .fold((u64::MAX, 0), |(lo, hi), &idx| (lo.min(idx), hi.max(idx)));
     let runs = if first.is_empty() {
         Runs::default()
+    } else if hi - lo + 1 == first.len() as u64 {
+        // The list fills its span: one run, nothing to scan.
+        [Run {
+            start: lo,
+            end: hi + 1,
+        }]
+        .into_iter()
+        .collect()
     } else if hi - lo < SCAN_SPAN_PER_WORD * first.len() as u64 {
-        let span = &marks[lo as usize..=hi as usize];
-        (lo..)
-            .zip(span)
-            .filter(|&(_, &mark)| mark >> 2 == gen && mark & bit != 0)
-            .map(|(idx, _)| Run::one(idx))
-            .collect()
+        // One run per stretch of hits, the gaps between them skipped.
+        let hit = |mark: &u64| mark >> 2 == gen && mark & bit != 0;
+        let (mut runs, mut start) = (Runs::default(), lo);
+        for stretch in marks[lo as usize..=hi as usize].chunk_by(|a, b| hit(a) == hit(b)) {
+            let end = start + stretch.len() as u64;
+            if hit(&stretch[0]) {
+                runs.push(Run { start, end });
+            }
+            start = end;
+        }
+        runs
     } else {
         first.sort_unstable();
         first.iter().map(|&idx| Run::one(idx)).collect()
@@ -509,6 +524,40 @@ mod tests {
         assert!(segs[1].writes.is_empty());
         assert_eq!((segs[1].loads, segs[1].stores), (1, 0));
         assert_eq!(rec.total_memory_ops(), 10);
+    }
+
+    /// Spans dense enough to be frozen by the scan: a hole made by a word
+    /// written first and one made by a word never touched split the reads
+    /// into exactly three runs; a span of one word and a span of hits only
+    /// are one run each.
+    #[test]
+    fn a_dense_span_freezes_into_one_run_per_stretch_of_hits() {
+        let mem = arena();
+        let data = mem.alloc::<u64>(16);
+        let mut ctx = RecordContext::new(Arc::clone(&mem));
+        let run = |from: usize, to: usize| Run {
+            start: data.addr_of(from) / WORD_BYTES,
+            end: data.addr_of(to) / WORD_BYTES,
+        };
+        // Word 4 is written before it is read, word 9 is never touched.
+        ctx.store(&data, 4, 1).unwrap();
+        for i in (0..16).rev().filter(|&i| i != 9) {
+            ctx.load(&data, i).unwrap();
+        }
+        ctx.check_point().unwrap();
+        ctx.load(&data, 7).unwrap();
+        ctx.check_point().unwrap();
+        for i in 0..16 {
+            ctx.store(&data, i, 2).unwrap();
+        }
+        let rec = ctx.finish();
+        let segs = segments(rec.root());
+        assert_eq!(segs[0].reads.runs(), [run(0, 4), run(5, 9), run(10, 16)]);
+        assert_eq!(segs[0].writes.runs(), [run(4, 5)]);
+        assert_eq!(segs[1].reads.runs(), [run(7, 8)]);
+        assert!(segs[1].writes.is_empty());
+        assert!(segs[2].reads.is_empty());
+        assert_eq!(segs[2].writes.runs(), [run(0, 16)]);
     }
 
     /// md's force chunk: three arrays back to back, read as interleaved
@@ -888,7 +937,8 @@ mod tests {
     /// cases the generation-stamped marks must get right all occur: a word
     /// in three or more segments, a read → written → read word in one
     /// segment, the marks growing in the middle of a segment, and sets
-    /// frozen both by a scan of the marks and by a sort.
+    /// frozen both by a scan of the marks over a span with gaps and by a
+    /// sort.
     #[test]
     fn footprints_match_a_set_model() {
         let scripts = collection::vec(any::<u64>(), 1..128);
@@ -927,8 +977,9 @@ mod tests {
                         assert_eq!(&words, set, "node {id} segment {i}");
                         assert_eq!(footprint.len(), set.len() as u64);
                         if let (Some(lo), Some(hi)) = (set.first(), set.last()) {
-                            let dense = hi - lo < SCAN_SPAN_PER_WORD * set.len() as u64;
-                            scanned |= dense;
+                            let (span, listed) = (hi - lo + 1, set.len() as u64);
+                            let dense = span <= SCAN_SPAN_PER_WORD * listed;
+                            scanned |= dense && span > listed;
                             sorted |= !dense;
                         }
                     }

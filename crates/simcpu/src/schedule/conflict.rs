@@ -7,19 +7,22 @@
 //!
 //! Conflict detection asks the simulated commit log (`SimLog`) the
 //! question the runtime asks its `CommitLog` — "was this range stamped
-//! after my snapshot?" — and asks it the same way, by lookup:
+//! after my snapshot?" — and asks it the same way, by lookup in flat
+//! tables indexed by id:
 //!
 //! * the **publish index** keeps, per word and per range id, the latest
-//!   publish time (dense arrays indexed by word and by range id, so a run
-//!   of either is looked up in one pass over a slice) and, per range id,
-//!   the latest `ring_depth` publish times (one hash probe).  That is
-//!   exactly enough to decide a hit, a word hit and "at least `ring_depth`
-//!   publishes since *t*" (a ring overflow) from a finished segment's read
-//!   runs and the ranges they cover (`Scheduler::check_reads`);
-//! * the **reader registry** keeps, per range id, the live speculative
-//!   fibers that read it, so a publish visits the readers of the ranges
-//!   it stamps (`Scheduler::publish`) — never the fibers that have
-//!   nothing to do with them, let alone the retired ones;
+//!   publish time (a run of either is looked up in one pass over a slice)
+//!   and, per range id, a ring of the latest `ring_depth` publish times.
+//!   That is exactly enough to decide a hit, a word hit and "at least
+//!   `ring_depth` publishes since *t*" (a ring overflow) from a finished
+//!   segment's read runs and the ranges they cover
+//!   (`Scheduler::check_reads`);
+//! * the **reader registry** keeps, per range id, one bit per simulated
+//!   CPU whose fiber read it, so a publish visits the readers of the
+//!   ranges it stamps (`Scheduler::publish`, through `on_cpu`) — never
+//!   the fibers that have nothing to do with them, let alone the retired
+//!   ones.  A fiber enters it and leaves it one bit per range, over a
+//!   whole run of ranges at a time;
 //! * footprints are word runs end to end ([`Runs`]: ascending, disjoint,
 //!   never adjacent): built by the recorder from its generation-stamped
 //!   marks when the segment ends, borrowed (not copied) by the scheduler,
@@ -29,16 +32,14 @@
 //!
 //! So a segment costs one pass over the latest times of the ranges its
 //! reads cover — plus, when one of them was stamped meanwhile, one over
-//! those of its words and a probe per range — and a publish
-//! O(ranges it stamps + their registered readers), whatever the simulated
-//! CPU count and however many fibers the run has spawned; the one per-event
-//! walk that remains (the fossil horizon) goes over the live speculative
-//! fibers, at most one per CPU.
-//! Fossil collection prunes the range slots no in-flight or future reader
-//! can count; a latest time per word or range needs no pruning, since one
-//! at or below the horizon already counts for nobody.  Under `cfg(test)`
-//! the log scan all of this replaced is kept as the reference (`mod
-//! reference`) and every verdict is computed both ways and compared.
+//! those of its words and a ring per range — and a publish O(ranges it
+//! stamps + their registered readers), whatever the simulated CPU count
+//! and however many fibers the run has spawned.  Nothing walks the live
+//! fibers and nothing is swept: a publish time at or below every live
+//! reader's start counts for nobody, and a ring drops its oldest time
+//! first.  Under `cfg(test)` the log scan all of this replaced is kept as
+//! the reference (`mod reference`) and every verdict is computed both ways
+//! and compared.
 
 use super::*;
 
@@ -58,23 +59,6 @@ impl<'a> Scheduler<'a> {
     /// single-version reference: every range hit dooms).
     pub(super) fn mvcc(&self) -> bool {
         self.config.commit_log.ring_depth > 1
-    }
-
-    /// Prune the publish-index entries no live speculative reader — and
-    /// no future one, since fibers fork with `start_time >=` the current
-    /// pop time — can ever count.  Every lookup asks for publishes
-    /// strictly after a threshold `>= start_time`, so entries at or below
-    /// the horizon (the minimum `start_time` over live speculative fibers,
-    /// capped by the pop clock) are fossils.
-    pub(super) fn fossil_collect(&mut self, now: u64) {
-        let horizon = self
-            .live
-            .iter()
-            .map(|&fid| self.fibers[fid].start_time)
-            .fold(now, u64::min);
-        self.log.prune(horizon);
-        #[cfg(test)]
-        self.fossil_collect_log(now, horizon);
     }
 
     /// Publish a set of written addresses to main memory at `time`,
@@ -115,7 +99,8 @@ impl<'a> Scheduler<'a> {
                 // The registry holds a fiber under the ranges it read:
                 // every reader here read the range; `word` says whether it
                 // read one of the very words.
-                for &fid in self.log.readers(range) {
+                for cpu in self.log.readers(range) {
+                    let fid = self.on_cpu[cpu - 1].expect("a reader holds its CPU");
                     let fiber = &self.fibers[fid];
                     if fid == writer || fiber.start_time >= time {
                         continue;
@@ -218,9 +203,9 @@ impl<'a> Scheduler<'a> {
     /// `reads` (a segment's footprint), coarsened at the log's grain.  Only
     /// a range stamped after `since` can hold a hit, so one pass over the
     /// latest times of the ranges read clears a segment nothing was
-    /// published over without a hash probe (in md's replay, every
-    /// segment); the rest take a pass over the words read and, unless a
-    /// word was hit, one index lookup per range.
+    /// published over (in md's replay, every segment); the rest take a
+    /// pass over the words read and, unless a word was hit, one ring per
+    /// range.
     fn check_reads(&self, reads: &Runs, since: u64) -> ReadVerdict {
         let ranges = self.ranges_of(reads);
         let stamped = |run: &Run| self.log.any_range_since(*run, since);
@@ -253,16 +238,14 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Merge `words` into speculative fiber `fid`'s read set — except what
-    /// it wrote first — coarsened at the log's grain, and enter it in the
-    /// reader registry under every range new to it.
+    /// it wrote first — coarsened at the log's grain, and set its CPU's
+    /// reader bit under every range new to it.
     pub(super) fn register_reads(&mut self, fid: usize, words: &Runs) {
         let fresh = words.minus(&self.fibers[fid].writes);
         let ranges = self.ranges_of(&fresh);
         let fiber = &mut self.fibers[fid];
         let new_ranges = ranges.minus(&fiber.read_ranges);
-        for range in new_ranges.iter() {
-            self.log.register(range, fid);
-        }
+        self.log.register(&new_ranges, fiber.cpu);
         fiber.read_ranges.union(&new_ranges);
         fiber.reads.union(&fresh);
     }

@@ -19,10 +19,8 @@ impl<'a> Scheduler<'a> {
         debug_assert_eq!(root, 0);
         self.schedule(root, 0);
         while let Some(Reverse((time, _, fid))) = self.queue.pop() {
-            self.pop_count += 1;
-            if self.pop_count.is_multiple_of(FOSSIL_SWEEP_POPS) {
-                self.fossil_collect(time);
-            }
+            #[cfg(test)]
+            self.check_cpus_and_trim(time);
             // Sample off the virtual clock, so the series is
             // deterministic.
             if self.config.metrics.enabled && time >= self.next_metrics_tick {
@@ -45,11 +43,11 @@ impl<'a> Scheduler<'a> {
         model: ForkModel,
     ) -> usize {
         let fid = self.fibers.len();
+        if speculative {
+            self.on_cpu[cpu - 1] = Some(fid);
+        }
         self.fibers
             .push(Fiber::new(cpu, speculative, node, start, site, model));
-        if speculative {
-            self.live.push(fid);
-        }
         fid
     }
 

@@ -5,18 +5,13 @@
 use super::*;
 
 impl<'a> Scheduler<'a> {
-    fn acquire_cpu(cpu_free: &mut [bool]) -> Option<usize> {
-        for (i, free) in cpu_free.iter_mut().enumerate() {
-            if *free {
-                *free = false;
-                return Some(i + 1);
-            }
-        }
-        None
+    /// The first free simulated CPU; the fiber spawned on it takes it.
+    fn free_cpu(on_cpu: &[Option<usize>]) -> Option<usize> {
+        on_cpu.iter().position(Option::is_none).map(|i| i + 1)
     }
 
     pub(super) fn release_cpu(&mut self, cpu: usize) {
-        self.cpu_free[cpu - 1] = true;
+        self.on_cpu[cpu - 1] = None;
     }
 
     pub(super) fn process_fork(
@@ -46,12 +41,12 @@ impl<'a> Scheduler<'a> {
         // The governor may suppress the fork or pick a per-site model; a
         // denial is decided before any fork overhead is spent, exactly as
         // in the native runtime.
-        let cpu_free = &mut self.cpu_free;
+        let on_cpu = &self.on_cpu;
         let admission = protocol::admit_fork(pinned, &self.governor, point, requested, |model| {
             // Scanning for an idle CPU costs time on the forker.
             fiber.time += cost.find_cpu;
             fiber.stats.add(Phase::FindCpu, cost.find_cpu);
-            protocol::claim_cpu(model, facts, || Self::acquire_cpu(cpu_free))
+            protocol::claim_cpu(model, facts, || Self::free_cpu(on_cpu))
         });
         let (model, cpu) = match admission {
             Ok(granted) => granted,

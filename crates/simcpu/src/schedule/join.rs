@@ -228,7 +228,6 @@ impl<'a> Scheduler<'a> {
             return;
         }
         self.fibers[cf].retired = true;
-        self.live.retain(|&f| f != cf);
         debug_assert!(self.fibers[cf].speculative, "the root never retires");
         let fiber = &self.fibers[cf];
         let thread = Retirement {
@@ -245,10 +244,9 @@ impl<'a> Scheduler<'a> {
         let fiber = &mut self.fibers[cf];
         fiber.reads = Runs::default();
         fiber.writes = Runs::default();
-        for range in std::mem::take(&mut fiber.read_ranges).iter() {
-            self.log.unregister(range, cf);
-        }
         let cpu = fiber.cpu;
+        self.log
+            .unregister(&std::mem::take(&mut fiber.read_ranges), cpu);
         self.release_cpu(cpu);
         self.active_speculative = self.active_speculative.saturating_sub(1);
         if self.most_speculative == Some(cf) {

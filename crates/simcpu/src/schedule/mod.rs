@@ -19,8 +19,8 @@
 //! * `config.rs` — [`SimConfig`] and [`SimResult`];
 //! * `events.rs` — the event loop: segments, forks and joins of a fiber in
 //!   virtual time, and stopping a child at its next check point;
-//! * `conflict.rs` — publishing, the reads of a finished segment, the
-//!   reader registry and fossil collection;
+//! * `conflict.rs` — publishing, the reads of a finished segment and the
+//!   reader registry;
 //! * `fork.rs` — a fork point: admission, the CPU, the new fiber;
 //! * `join.rs` — a join: validation, retry, commit or rollback, the
 //!   cascade, retirement;
@@ -63,9 +63,6 @@ mod reference;
 mod tests;
 
 pub use config::{SimConfig, SimResult};
-
-/// Pops between fossil collections of the simulated log.
-const FOSSIL_SWEEP_POPS: u64 = 64;
 
 /// Virtual cycles between metrics samples: the sampler's cadence off the
 /// virtual clock, so sample ticks land at exact multiples of it and the
@@ -272,12 +269,12 @@ pub struct Scheduler<'a> {
     recording: &'a Recording,
     config: SimConfig,
     fibers: Vec<Fiber>,
-    /// The speculative fibers not yet retired, in spawn order — at most
-    /// one per virtual CPU, however many fibers the run has spawned.
-    live: Vec<usize>,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     queue_seq: u64,
-    cpu_free: Vec<bool>,
+    /// The speculative fiber on each simulated CPU (`cpu - 1`), `None`
+    /// where the CPU is free: a fiber holds its CPU from its fork until it
+    /// retires, so this names every fiber the log holds as a reader.
+    on_cpu: Vec<Option<usize>>,
     most_speculative: Option<usize>,
     active_speculative: usize,
     rng: SmallRng,
@@ -286,11 +283,11 @@ pub struct Scheduler<'a> {
     speculative: ThreadStats,
     /// The simulated commit log.  Publish times by word and by range id
     /// are what conflict detection looks up: word-level overlap tells a
-    /// genuine conflict from false sharing.  Its reader registry mirrors
-    /// the native log's per-range reader sets (`CommitLog::take_readers`):
-    /// every live speculative fiber sits under its `read_ranges`, so a
-    /// publish visits the readers of the ranges it stamps and nobody
-    /// else.  Pruned by fossil collection.
+    /// genuine conflict from false sharing.  Its reader masks mirror the
+    /// native log's (`CommitLog::take_readers`): every unretired
+    /// speculative fiber's CPU has its bit under the fiber's
+    /// `read_ranges`, so a publish visits the readers of the ranges it
+    /// stamps (through `on_cpu`) and nobody else.
     log: SimLog,
     /// The log the index replaced, kept as the tests' reference: every
     /// verdict looked up is also searched for the way it used to be.
@@ -308,8 +305,6 @@ pub struct Scheduler<'a> {
     sim_ring_overflows: u64,
     /// Where lifecycle points are written down.
     books: SimBooks,
-    /// Events popped so far (the fossil-collection clock).
-    pop_count: u64,
     /// Next virtual-cycle boundary a sample is due at.
     next_metrics_tick: u64,
 }
@@ -327,15 +322,14 @@ impl<'a> Scheduler<'a> {
         Scheduler {
             recording,
             fibers: Vec::new(),
-            live: Vec::new(),
             queue: BinaryHeap::new(),
             queue_seq: 0,
-            cpu_free: vec![true; num_cpus],
+            on_cpu: vec![None; num_cpus],
             most_speculative: None,
             active_speculative: 0,
             rng,
             speculative: ThreadStats::new(),
-            log: SimLog::new(config.commit_log.ring_depth),
+            log: SimLog::new(config.commit_log.ring_depth, num_cpus),
             #[cfg(test)]
             publishes: Vec::new(),
             governor,
@@ -347,7 +341,6 @@ impl<'a> Scheduler<'a> {
                 latency: LatencyRecorder::new(),
                 metrics: MetricsHub::new(config.metrics, 1),
             },
-            pop_count: 0,
             next_metrics_tick: METRICS_CADENCE_CYCLES,
             config,
         }

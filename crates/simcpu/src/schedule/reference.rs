@@ -1,6 +1,7 @@
 //! The publish log the index replaced, the scans over it and the
-//! all-fiber loops the live list replaced, as they were: the reference
-//! every looked-up verdict is compared against in this crate's tests.
+//! all-fiber loops the CPU table and the reader masks replaced, as they
+//! were: the reference every looked-up verdict is compared against in
+//! this crate's tests.
 //! It works word by word: every set of runs is expanded into its words
 //! first, and every range id is computed from a word's address.
 
@@ -22,15 +23,21 @@ impl Scheduler<'_> {
         (word * WORD_BYTES) >> self.config.commit_log.grain_log2
     }
 
-    /// Drop the leading run of entries at or below the horizon.
-    pub(super) fn fossil_collect_log(&mut self, now: u64, horizon: u64) {
-        let mut scanned = now;
-        for fiber in &self.fibers {
+    /// Check the CPU table against every fiber, and drop the leading run
+    /// of entries no lookup can count: at or below the horizon, the
+    /// earliest start of an unretired speculative fiber, capped by the pop
+    /// time `now` (a fiber forked later starts no earlier).  Every lookup
+    /// asks for publishes strictly after a time at or past such a start.
+    pub(super) fn check_cpus_and_trim(&mut self, now: u64) {
+        let mut on_cpu = vec![None; self.on_cpu.len()];
+        let mut horizon = now;
+        for (fid, fiber) in self.fibers.iter().enumerate() {
             if fiber.speculative && !fiber.retired {
-                scanned = scanned.min(fiber.start_time);
+                assert_eq!(on_cpu[fiber.cpu - 1].replace(fid), None);
+                horizon = horizon.min(fiber.start_time);
             }
         }
-        assert_eq!(horizon, scanned);
+        assert_eq!(on_cpu, self.on_cpu);
         let dead = self
             .publishes
             .iter()

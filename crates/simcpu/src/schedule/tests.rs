@@ -205,13 +205,13 @@ fn run_ops<C: TlsContext>(
     Ok(())
 }
 
-/// Index ≡ scan, live list ≡ all-fiber loop: random task trees with
+/// Index ≡ scan, CPU table ≡ all-fiber loop: random task trees with
 /// random footprints on six lines of two pages, replayed at word,
 /// line and page grain and ring depth 1, 2 and 4.  The comparison itself
-/// is in the scheduler — under `cfg(test)` every `check_reads`,
-/// `publish` and fossil horizon is also computed the
-/// old way (`mod reference`) and asserted equal — so this test only
-/// has to reach the paths, and says which ones it reached.
+/// is in the scheduler — under `cfg(test)` every `check_reads` and
+/// `publish` is also computed the old way, and the CPU table checked
+/// against every fiber at every pop (`mod reference`) — so this test
+/// only has to reach the paths, and says which ones it reached.
 #[test]
 fn index_and_registry_agree_with_the_log_scan_on_random_task_trees() {
     use proptest::prelude::*;
@@ -292,5 +292,75 @@ fn degenerate_grain_configs_are_normalized() {
             },
         );
         assert!(result.parallel_cycles > 0);
+    }
+}
+
+/// A chain as wide as the machine, entirely in flight before the root's
+/// first publish: chunk `k` runs on CPU `k`, reads one word of the line
+/// of word 0 and
+/// writes a word of its own elsewhere; the root writes word 0, which only
+/// the last chunk reads.  Replayed on 65 and 130 CPUs, that publish
+/// passes readers on both sides of a lane boundary precisely and dooms
+/// the one on the last CPU.  The scheduler checks every verdict against
+/// the log scan (`mod reference`); this test checks that the readers past
+/// CPU 64 were reached.
+#[test]
+fn readers_past_sixty_four_cpus_agree_with_the_log_scan() {
+    fn run<C: TlsContext>(
+        ctx: &mut C,
+        cells: mutls_membuf::GPtr<u64>,
+        i: usize,
+        chunks: usize,
+    ) -> SpecResult<()> {
+        let cont = task(move |ctx: &mut C| run(ctx, cells, i + 1, chunks));
+        let next = if i + 1 < chunks {
+            Some(ctx.fork(0, cont)?)
+        } else {
+            None
+        };
+        let read = if i + 1 == chunks { 0 } else { 1 + i % 6 };
+        let v = ctx.load(&cells, read)?;
+        // Registered as a reader now, long before the root publishes.
+        ctx.check_point()?;
+        ctx.work(400_000)?;
+        ctx.store(&cells, if i == 0 { 0 } else { 8 + i }, v + 1)?;
+        next.map_or(Ok(()), |handle| ctx.join(handle).map(drop))
+    }
+    for cpus in [65, 130] {
+        let memory = Arc::new(GlobalMemory::new(1 << 12));
+        let cells = memory.alloc::<u64>(8 + cpus + 1);
+        let recording = record_region(Arc::clone(&memory), move |ctx| run(ctx, cells, 0, cpus + 1));
+        let config = || SimConfig {
+            trace: true,
+            ..SimConfig::with_cpus(cpus)
+        };
+        let result = simulate(&recording, config());
+        assert_eq!(
+            ser(&result.report),
+            ser(&simulate(&recording, config()).report)
+        );
+        let ranks = |kind: fn(&EventKind) -> bool| -> Vec<u32> {
+            let events = result.events.iter().filter(|e| kind(&e.kind));
+            events.map(|e| e.rank).collect()
+        };
+        let conflicts = ranks(|kind| {
+            matches!(
+                kind,
+                EventKind::Rollback {
+                    reason: mutls_trace::RollbackCause::Conflict,
+                    ..
+                }
+            )
+        });
+        assert_eq!(conflicts, [cpus as u32]);
+        let passes = ranks(|kind| {
+            matches!(
+                kind,
+                EventKind::ValidateEnd {
+                    outcome: ValidateOutcome::PrecisePass
+                }
+            )
+        });
+        assert_eq!(passes, (1..cpus as u32).collect::<Vec<_>>());
     }
 }

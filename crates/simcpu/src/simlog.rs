@@ -2,25 +2,32 @@
 //!
 //! The native `CommitLog` answers "was this range stamped after my
 //! snapshot?" with one per-range lookup, and finds the readers a commit
-//! must doom in the stamped range's reader set (`take_readers`).  This is
-//! the simulator's equivalent.  Every conflict question the scheduler
-//! asks has the form "how many publishes touched this word / range id
-//! after virtual time `t`?", and the answer only ever matters up to the
-//! version-ring depth, so instead of a log of publish batches (searched
-//! per reader, per read) the log keeps, per word, the latest publish time
-//! and, per range id, one slot with the latest `ring_depth` publish times
-//! and the live speculative fibers registered as readers.  A word lookup
-//! is one index into a dense array (`addr / 8`; time 0, a word never
-//! published, is "since" nothing), so "was any word of this run published
-//! after `t`?" is one pass over a slice of it.  The latest publish time per
-//! range id is kept the same way, so a segment whose ranges were all left
-//! alone is cleared without a probe; a count of a range's publishes is one
-//! hash probe.
+//! must doom in the stamped range's reader mask (`take_readers`).  This is
+//! the simulator's equivalent, in the native log's shape: flat tables
+//! indexed by id and grown on demand, so a lookup is one index and a
+//! table costs what the ids written into it span.
 //!
-//! The maps here and in the scheduler hash with [`WordHasher`]: keys are
-//! range ids, regions and fiber indices the program itself produced, so a
-//! collision-resistant (and per-process random) SipHash buys nothing and
-//! costs most of a replay.
+//! Every conflict question the scheduler asks has the form "how many
+//! publishes touched this word / range id after virtual time `t`?", and
+//! the answer only ever matters up to the version-ring depth.  So the log
+//! keeps per word the latest publish time (time 0, an id never published,
+//! is "since" nothing), and per range id a ring of its latest
+//! `ring_depth` publish times, newest first.  "Was any word (or range) of
+//! this run published after `t`?" is one pass over a slice (or over the
+//! rings' first times); a count of a range's publishes is one pass over
+//! its ring.  Nothing is ever pruned: a time at or below every live
+//! reader's start counts for nobody, and a ring drops its oldest time
+//! first.
+//!
+//! The readers of a range id are bits, one per simulated CPU, in
+//! `⌈CPUs / 64⌉` masks, as the native log's reader masks hold one bit per
+//! rank: a speculative fiber holds its CPU until it retires, so the CPU
+//! names it.  Registering a segment's reads or retiring a fiber sets or
+//! clears one bit per range id of a whole [`Runs`].
+//!
+//! The scheduler's maps of a fiber's children hash with [`WordHasher`]:
+//! their keys are node ids the recording itself produced, so a
+//! collision-resistant (and per-process random) SipHash buys nothing.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -56,47 +63,36 @@ impl Hasher for WordHasher {
 /// A hash map with the deterministic [`WordHasher`].
 pub(crate) type DetMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
-/// Range slots below which a fossil sweep is not worth a pass.
-const MIN_SWEEP_SLOTS: usize = 1024;
-
-/// What the log keeps per range id — the sim's version ring and reader
-/// set of one commit-log slot.
-#[derive(Debug, Default)]
-struct RangeSlot {
-    /// Latest `depth` publish times, newest first.
-    times: Vec<u64>,
-    /// Live speculative fibers registered under this range id.
-    readers: Vec<usize>,
-}
-
 /// Publish times by word and by range id, and readers by range id (see
 /// the module docs).  Range ids are word indices shifted by the log's
-/// grain.
+/// grain.  Every table is indexed by id, 0 past its end, and grown on
+/// demand to the last id written.
 #[derive(Debug)]
 pub(crate) struct SimLog {
-    /// Latest publish time by word index (`addr / 8`), 0 where none;
-    /// grown on demand by `record`.
+    /// Latest publish time by word index (`addr / 8`), 0 where none.
     words: Vec<u64>,
-    /// Latest publish time by range id, kept like `words`: each slot's
-    /// newest time, dense, so a range left alone is seen without a hash
-    /// probe.
-    range_latest: Vec<u64>,
-    ranges: DetMap<u64, RangeSlot>,
+    /// The latest `depth` publish times of each range id, newest first, 0
+    /// where none: range `r`'s ring is `times[r * depth..][..depth]`, and
+    /// its latest time is the ring's first.
+    times: Vec<u64>,
+    /// Reader masks, `lanes` per range id: range `r`'s are
+    /// `readers[r * lanes..][..lanes]`, and the fiber on simulated CPU `c`
+    /// owns bit `(c - 1) % 64` of lane `(c - 1) / 64`.
+    readers: Vec<u64>,
     /// Times kept per range: the version-ring depth.
     depth: usize,
-    /// Range-slot count at which the next fossil sweep runs, so sweeping
-    /// stays amortized O(1) per slot however often it is offered.
-    sweep_at: usize,
+    /// Reader masks per range: `⌈CPUs / 64⌉`.
+    lanes: usize,
 }
 
 impl SimLog {
-    pub(crate) fn new(ring_depth: u32) -> Self {
+    pub(crate) fn new(ring_depth: u32, num_cpus: usize) -> Self {
         SimLog {
             words: Vec::new(),
-            range_latest: Vec::new(),
-            ranges: DetMap::default(),
+            times: Vec::new(),
+            readers: Vec::new(),
             depth: ring_depth.max(1) as usize,
-            sweep_at: MIN_SWEEP_SLOTS,
+            lanes: num_cpus.div_ceil(64).max(1),
         }
     }
 
@@ -105,97 +101,106 @@ impl SimLog {
     /// — a joiner's clock runs ahead of the event queue — so "latest" is by
     /// time, not by arrival.
     pub(crate) fn record(&mut self, time: u64, words: &Runs, ranges: &Runs) {
-        raise(&mut self.words, words, time);
-        raise(&mut self.range_latest, ranges, time);
+        cover(&mut self.words, words, 1);
+        for run in words.runs() {
+            for t in &mut self.words[run.start as usize..run.end as usize] {
+                *t = (*t).max(time);
+            }
+        }
+        let depth = self.depth;
+        cover(&mut self.times, ranges, depth);
         for range in ranges.iter() {
-            let times = &mut self.ranges.entry(range).or_default().times;
-            let at = times.partition_point(|&t| t > time);
-            if at < self.depth {
-                times.truncate(self.depth - 1);
-                times.insert(at, time);
+            let ring = &mut self.times[range as usize * depth..][..depth];
+            let at = ring.partition_point(|&t| t > time);
+            if at < depth {
+                ring[at..].rotate_right(1);
+                ring[at] = time;
             }
         }
     }
 
     /// Whether any word of `run` was published after `since`.
     pub(crate) fn any_word_since(&self, run: Run, since: u64) -> bool {
-        latest_since(&self.words, run, since)
+        latest_since(&self.words, 1, run, since)
     }
 
     /// Whether any range id of `run` was stamped after `since`.
     pub(crate) fn any_range_since(&self, run: Run, since: u64) -> bool {
-        latest_since(&self.range_latest, run, since)
+        latest_since(&self.times, self.depth, run, since)
     }
 
     /// Publishes that stamped `range` after `since`, counted up to the
     /// ring depth — every caller compares the count against at most that.
     pub(crate) fn range_since(&self, range: u64, since: u64) -> usize {
-        self.ranges.get(&range).map_or(0, |slot| {
-            slot.times.iter().take_while(|&&t| t > since).count()
+        let ring = slots(&self.times, range, self.depth);
+        ring.iter().take_while(|&&t| t > since).count()
+    }
+
+    /// The simulated CPUs whose fibers are registered as readers of
+    /// `range`, ascending.
+    pub(crate) fn readers(&self, range: u64) -> impl Iterator<Item = usize> + '_ {
+        let masks = slots(&self.readers, range, self.lanes);
+        masks.iter().enumerate().flat_map(|(lane, &mask)| {
+            let mut left = mask;
+            std::iter::from_fn(move || {
+                let bit = left.trailing_zeros() as usize;
+                left &= left.wrapping_sub(1);
+                (bit < 64).then_some(lane * 64 + bit + 1)
+            })
         })
     }
 
-    /// The fibers registered as readers of `range`.
-    pub(crate) fn readers(&self, range: u64) -> &[usize] {
-        self.ranges.get(&range).map_or(&[], |slot| &slot.readers)
-    }
-
-    /// Register fiber `fid`, not yet a reader of `range`, as one.
-    pub(crate) fn register(&mut self, range: u64, fid: usize) {
-        let readers = &mut self.ranges.entry(range).or_default().readers;
-        debug_assert!(!readers.contains(&fid));
-        readers.push(fid);
-    }
-
-    /// Remove fiber `fid` from the readers of `range`.
-    pub(crate) fn unregister(&mut self, range: u64, fid: usize) {
-        let readers = &mut self
-            .ranges
-            .get_mut(&range)
-            .expect("registered range")
-            .readers;
-        let at = readers
-            .iter()
-            .position(|&f| f == fid)
-            .expect("registered reader");
-        readers.swap_remove(at);
-    }
-
-    /// Fossil collection: drop every range with no reader left whose
-    /// latest publish is at or below `horizon` — no lookup with `since >=
-    /// horizon` can count it.  Words are not swept: a time at or below the
-    /// horizon already answers every such lookup as an absent word would.
-    pub(crate) fn prune(&mut self, horizon: u64) {
-        if self.ranges.len() < self.sweep_at {
-            return;
-        }
-        self.ranges.retain(|_, slot| {
-            !slot.readers.is_empty() || slot.times.first().is_some_and(|&t| t > horizon)
+    /// Register the fiber on simulated CPU `cpu` as a reader of every
+    /// range id of `ranges`, none of which it reads yet.
+    pub(crate) fn register(&mut self, ranges: &Runs, cpu: usize) {
+        cover(&mut self.readers, ranges, self.lanes);
+        self.each_mask(ranges, cpu, |mask, bit| {
+            debug_assert_eq!(*mask & bit, 0, "CPU {cpu} registered twice");
+            *mask |= bit;
         });
-        self.sweep_at = (2 * self.ranges.len()).max(MIN_SWEEP_SLOTS);
+    }
+
+    /// Remove the fiber on simulated CPU `cpu` from the readers of every
+    /// range id of `ranges`.
+    pub(crate) fn unregister(&mut self, ranges: &Runs, cpu: usize) {
+        self.each_mask(ranges, cpu, |mask, bit| *mask &= !bit);
+    }
+
+    /// Apply `f` to CPU `cpu`'s reader mask and bit under every range id
+    /// of `ranges` the table holds.
+    fn each_mask(&mut self, ranges: &Runs, cpu: usize, mut f: impl FnMut(&mut u64, u64)) {
+        let (lanes, lane, bit) = (self.lanes, (cpu - 1) / 64, 1 << ((cpu - 1) % 64));
+        for run in ranges.runs() {
+            let end = (run.end as usize * lanes).min(self.readers.len());
+            let start = (run.start as usize * lanes).min(end);
+            let masks = self.readers[start..end].iter_mut().skip(lane);
+            masks.step_by(lanes).for_each(|mask| f(mask, bit));
+        }
     }
 }
 
-/// Raise the latest time of every id of `ids` to `time`, growing `latest`
-/// to hold them.
-fn raise(latest: &mut Vec<u64>, ids: &Runs, time: u64) {
-    for run in ids.runs() {
-        let (start, end) = (run.start as usize, run.end as usize);
-        if end > latest.len() {
-            latest.resize(end, 0);
-        }
-        for t in &mut latest[start..end] {
-            *t = (*t).max(time);
+/// Grow `table`, `width` slots per id, to hold every id of `ids`.
+fn cover(table: &mut Vec<u64>, ids: &Runs, width: usize) {
+    if let Some(last) = ids.runs().last() {
+        let end = last.end as usize * width;
+        if end > table.len() {
+            table.resize(end, 0);
         }
     }
 }
 
-/// Whether any id of `run` has a latest time after `since` (an id past the
-/// end of `latest` has none).
-fn latest_since(latest: &[u64], run: Run, since: u64) -> bool {
-    let end = (run.end as usize).min(latest.len());
-    let start = (run.start as usize).min(end);
-    latest[start..end].iter().any(|&t| t > since)
+/// The `width` slots of id `id` in `table`, none past its end.
+fn slots(table: &[u64], id: u64, width: usize) -> &[u64] {
+    let start = (id as usize).saturating_mul(width);
+    table.get(start..start.saturating_add(width)).unwrap_or(&[])
+}
+
+/// Whether any id of `run` has a latest time, the first of its `width`
+/// slots of `table`, after `since` (an id past the end of `table` has none).
+fn latest_since(table: &[u64], width: usize, run: Run, since: u64) -> bool {
+    let end = (run.end as usize).saturating_mul(width).min(table.len());
+    let start = (run.start as usize).saturating_mul(width).min(end);
+    table[start..end].iter().step_by(width).any(|&t| t > since)
 }
 
 #[cfg(test)]
@@ -214,7 +219,7 @@ mod tests {
 
     #[test]
     fn range_counts_are_by_time_and_capped_at_the_ring_depth() {
-        let mut log = SimLog::new(2);
+        let mut log = SimLog::new(2, 1);
         log.record(50, &words(&[1, 2]), &words(&[1]));
         // A later call with an earlier time: the joiner's clock ran ahead.
         log.record(30, &words(&[1]), &words(&[1, 2]));
@@ -239,7 +244,7 @@ mod tests {
 
     #[test]
     fn a_word_past_the_index_was_never_published() {
-        let mut log = SimLog::new(4);
+        let mut log = SimLog::new(4, 1);
         assert!(!word_since(&log, 8, 0));
         assert!(!log.any_word_since(
             Run {
@@ -259,7 +264,7 @@ mod tests {
     /// the part of it the index covers when it runs past the index's end.
     #[test]
     fn a_run_is_hit_by_any_one_of_its_words() {
-        let mut log = SimLog::new(4);
+        let mut log = SimLog::new(4, 1);
         let run = Run { start: 4, end: 12 };
         log.record(9, &words(&[3, 12]), &Runs::default());
         assert!(!log.any_word_since(run, 0), "the neighbours on both sides");
@@ -295,7 +300,7 @@ mod tests {
 
     #[test]
     fn a_publish_at_time_zero_is_since_nothing() {
-        let mut log = SimLog::new(4);
+        let mut log = SimLog::new(4, 1);
         log.record(0, &words(&[1, 16]), &words(&[1]));
         assert!(!word_since(&log, 1, 0));
         assert!(!word_since(&log, 16, 0));
@@ -306,53 +311,91 @@ mod tests {
         assert!(word_since(&log, 1, 2));
     }
 
-    #[test]
-    fn pruning_drops_only_what_no_later_lookup_can_count() {
-        let mut log = SimLog::new(4);
-        for word in 0..MIN_SWEEP_SLOTS as u64 {
-            log.record(10, &words(&[word]), &words(&[word]));
-        }
-        log.record(20, &words(&[0]), &words(&[0]));
-        log.prune(10);
-        // Ranges are swept; words are kept and answer as absent ones would.
-        assert_eq!(log.ranges.len(), 1);
-        assert_eq!(log.words.len(), MIN_SWEEP_SLOTS);
-        assert!(word_since(&log, 0, 10));
-        assert!(!word_since(&log, 1, 10));
-        assert_eq!(log.range_since(0, 10), 1);
-        // Below the doubled threshold a sweep is skipped.
-        log.record(30, &words(&[1]), &words(&[1]));
-        log.prune(1000);
-        assert_eq!(log.ranges.len(), 2);
-        assert!(word_since(&log, 1, 20));
-        // Words do not count towards the threshold: one range slot over
-        // twice as many words as a sweep needs is not swept.
-        let mut words_only = SimLog::new(4);
-        let many = (0..2 * MIN_SWEEP_SLOTS as u64).map(Run::one).collect();
-        words_only.record(10, &many, &words(&[0]));
-        words_only.prune(10);
-        assert_eq!(words_only.ranges.len(), 1);
+    /// The CPUs registered as readers of `range`.
+    fn cpus(log: &SimLog, range: u64) -> Vec<usize> {
+        log.readers(range).collect()
     }
 
     #[test]
-    fn readers_come_and_go_and_keep_a_range_alive() {
-        let mut log = SimLog::new(4);
-        log.register(7, 3);
-        log.register(7, 5);
-        assert_eq!(log.readers(7), [3, 5]);
-        assert!(log.readers(8).is_empty());
-        log.unregister(7, 3);
-        assert_eq!(log.readers(7), [5]);
-        // Only a slot with neither a reader nor a countable publish goes.
-        for word in 0..MIN_SWEEP_SLOTS as u64 {
-            log.record(10, &words(&[word]), &words(&[100 + word]));
+    fn readers_are_one_bit_per_cpu_across_the_lane_boundary() {
+        assert_eq!(SimLog::new(4, 64).lanes, 1);
+        assert_eq!(SimLog::new(4, 65).lanes, 2);
+        let mut log = SimLog::new(4, 128);
+        assert_eq!(log.lanes, 2);
+        for cpu in [128, 1, 65, 64] {
+            log.register(&words(&[7]), cpu);
         }
-        log.prune(10);
-        assert_eq!(log.ranges.len(), 1);
-        log.unregister(7, 5);
-        log.sweep_at = 0;
-        log.prune(10);
-        assert!(log.ranges.is_empty());
+        assert_eq!(cpus(&log, 7), [1, 64, 65, 128]);
+        assert_eq!(
+            log.readers,
+            [0; 14]
+                .into_iter()
+                .chain([1 << 63 | 1, 1 << 63 | 1])
+                .collect::<Vec<_>>()
+        );
+        assert!(cpus(&log, 6).is_empty());
+        log.unregister(&words(&[7]), 64);
+        log.unregister(&words(&[7]), 65);
+        assert_eq!(cpus(&log, 7), [1, 128]);
+        log.unregister(&words(&[7]), 1);
+        log.unregister(&words(&[7]), 128);
+        assert!(cpus(&log, 7).is_empty());
+        assert!(log.readers.iter().all(|&mask| mask == 0));
+    }
+
+    #[test]
+    fn register_and_unregister_cover_every_range_of_every_run() {
+        let mut log = SimLog::new(4, 70);
+        let first: Runs = [(2, 5), (9, 10), (12, 20)]
+            .into_iter()
+            .map(|(start, end)| Run { start, end })
+            .collect();
+        let second: Runs = [Run { start: 4, end: 13 }].into_iter().collect();
+        log.register(&first, 3);
+        log.register(&second, 66);
+        let want = |range: u64, sets: &[(&Runs, usize)]| -> Vec<usize> {
+            sets.iter()
+                .filter(|(set, _)| set.intersects(Run::one(range)))
+                .map(|&(_, cpu)| cpu)
+                .collect()
+        };
+        for range in 0..24 {
+            let both = want(range, &[(&first, 3), (&second, 66)]);
+            assert_eq!(cpus(&log, range), both, "range {range}");
+        }
+        log.unregister(&first, 3);
+        for range in 0..24 {
+            assert_eq!(cpus(&log, range), want(range, &[(&second, 66)]));
+        }
+        log.unregister(&second, 66);
+        assert!(log.readers.iter().all(|&mask| mask == 0));
+    }
+
+    #[test]
+    fn a_range_past_either_table_has_no_readers_and_no_publishes() {
+        let mut log = SimLog::new(4, 8);
+        log.register(&words(&[3]), 2);
+        log.record(5, &words(&[40]), &words(&[5]));
+        // The readers end after range 3, the publish times after range 5.
+        assert_eq!((log.readers.len(), log.times.len()), (4, 6 * 4));
+        assert_eq!(cpus(&log, 3), [2]);
+        assert_eq!(log.range_since(5, 0), 1);
+        for range in [4, 5, 6, 1 << 40, u64::MAX] {
+            assert!(cpus(&log, range).is_empty(), "range {range}");
+        }
+        for range in [3, 6, 1 << 40, u64::MAX] {
+            assert_eq!(log.range_since(range, 0), 0, "range {range}");
+        }
+        assert!(!log.any_range_since(
+            Run {
+                start: 6,
+                end: 1 << 40
+            },
+            0
+        ));
+        // Leaving a range the table does not hold changes nothing.
+        log.unregister(&words(&[9]), 2);
+        assert_eq!(cpus(&log, 3), [2]);
     }
 
     #[test]
