@@ -52,8 +52,8 @@ use crate::manager::{CommitKind, Handoff, PromotedOutcome, SpecOutcome, ThreadMa
 use crate::protocol::{self, Price};
 use crate::stats::{Phase, ThreadStats};
 use crate::task::{
-    failure, over_range, task, typed_load, typed_store, JoinOutcome, Rank, SpecAbort, SpecResult,
-    TaskRef, TaskStatus, TlsContext, Word,
+    failure, over_range, task, JoinOutcome, Rank, SpecAbort, SpecResult, TaskRef, TaskStatus,
+    TlsContext, Word,
 };
 
 mod access;
@@ -266,22 +266,6 @@ impl TlsContext for SpecContext {
     #[inline(always)]
     fn store_word(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.spec_write(addr, value)
-    }
-
-    /// The trait's `load`, overridden for its attribute only: the typed
-    /// wrapper is the last level between the shells and the kernel.  On
-    /// this context alone — kernels over the default's contexts
-    /// (`DirectContext`, the simulator's recorder) are the sequential
-    /// reference and compile as they always did.
-    #[inline(always)]
-    fn load<T: Word>(&mut self, ptr: &GPtr<T>, index: usize) -> SpecResult<T> {
-        typed_load(self, ptr, index)
-    }
-
-    /// The trait's `store`, overridden for its attribute only.
-    #[inline(always)]
-    fn store<T: Word>(&mut self, ptr: &GPtr<T>, index: usize, value: T) -> SpecResult<()> {
-        typed_store(self, ptr, index, value)
     }
 
     fn fork(&mut self, point: u32, task: TaskRef<Self>) -> SpecResult<SpecHandle> {

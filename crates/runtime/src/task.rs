@@ -242,49 +242,37 @@ pub trait TlsContext: Sized {
         })
     }
 
-    /// Typed load from a [`GPtr`] allocation.
+    /// Typed load from a [`GPtr`] allocation; panics on an index past
+    /// `ptr.len()`.
+    ///
+    /// Inlined into the kernel for every context, so what an access costs
+    /// is decided one level down, by the context's
+    /// [`load_word`](Self::load_word): the native runtime's and the
+    /// simulator's recorder are inlined too, [`DirectContext`]'s — the
+    /// sequential reference — is a call.
+    ///
+    /// [`DirectContext`]: crate::DirectContext
+    #[inline(always)]
     fn load<T: Word>(&mut self, ptr: &GPtr<T>, index: usize) -> SpecResult<T> {
-        typed_load(self, ptr, index)
+        assert!(
+            index < ptr.len(),
+            "index {index} out of bounds {}",
+            ptr.len()
+        );
+        Ok(T::from_word(self.load_word(ptr.addr_of(index))?))
     }
 
-    /// Typed store into a [`GPtr`] allocation.
+    /// Typed store into a [`GPtr`] allocation; panics on an index past
+    /// `ptr.len()`.  Inlined like [`load`](Self::load).
+    #[inline(always)]
     fn store<T: Word>(&mut self, ptr: &GPtr<T>, index: usize, value: T) -> SpecResult<()> {
-        typed_store(self, ptr, index, value)
+        assert!(
+            index < ptr.len(),
+            "index {index} out of bounds {}",
+            ptr.len()
+        );
+        self.store_word(ptr.addr_of(index), value.to_word())
     }
-}
-
-/// [`TlsContext::load`], written once: the trait's default is this, and so
-/// is the `load` of a context that overrides the method only to hang an
-/// inlining attribute on it (the native runtime's, whose access path is
-/// inlined into the kernel level by level).
-#[inline(always)]
-pub(crate) fn typed_load<C: TlsContext, T: Word>(
-    ctx: &mut C,
-    ptr: &GPtr<T>,
-    index: usize,
-) -> SpecResult<T> {
-    assert!(
-        index < ptr.len(),
-        "index {index} out of bounds {}",
-        ptr.len()
-    );
-    Ok(T::from_word(ctx.load_word(ptr.addr_of(index))?))
-}
-
-/// [`TlsContext::store`], written once (see [`typed_load`]).
-#[inline(always)]
-pub(crate) fn typed_store<C: TlsContext, T: Word>(
-    ctx: &mut C,
-    ptr: &GPtr<T>,
-    index: usize,
-    value: T,
-) -> SpecResult<()> {
-    assert!(
-        index < ptr.len(),
-        "index {index} out of bounds {}",
-        ptr.len()
-    );
-    ctx.store_word(ptr.addr_of(index), value.to_word())
 }
 
 /// The edge cases of [`TlsContext::fork_range`], decided once for every
