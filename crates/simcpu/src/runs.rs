@@ -136,21 +136,6 @@ impl Runs {
         out
     }
 
-    /// Whether the set holds every id of `other`: one pass over both, no
-    /// allocation.  The runs are maximal, so each run of `other` must lie
-    /// inside one run of the set.
-    pub(crate) fn covers(&self, other: &Runs) -> bool {
-        if other.len > self.len {
-            return false;
-        }
-        let mut mine = self.runs.iter().peekable();
-        other.runs.iter().all(|run| {
-            while mine.next_if(|r| r.end <= run.start).is_some() {}
-            mine.peek()
-                .is_some_and(|r| r.start <= run.start && run.end <= r.end)
-        })
-    }
-
     /// Whether the set holds any id of `run`.
     pub(crate) fn intersects(&self, run: Run) -> bool {
         let at = self.runs.partition_point(|r| r.end <= run.start);
@@ -233,28 +218,6 @@ mod tests {
         assert_eq!(words.coarsen(4).iter().collect::<Vec<_>>(), [0, 1, 2]);
     }
 
-    /// A run of the other set must sit inside one run of the set: a run
-    /// straddling a gap is not covered, one that ends where a run ends is;
-    /// the empty set is covered by every set and covers only itself.
-    #[test]
-    fn covers_asks_each_run_for_one_run_around_it() {
-        let set = |runs: &[(u64, u64)]| -> Runs {
-            runs.iter()
-                .map(|&(start, end)| Run { start, end })
-                .collect()
-        };
-        let a = set(&[(2, 6), (8, 12), (20, 21)]);
-        assert!(a.covers(&a));
-        assert!(a.covers(&set(&[(2, 3), (5, 6), (8, 12), (20, 21)])));
-        assert!(a.covers(&set(&[(9, 10)])));
-        assert!(!a.covers(&set(&[(5, 9)])), "straddles the gap 6..8");
-        assert!(!a.covers(&set(&[(2, 6), (21, 22)])), "past the last run");
-        assert!(!a.covers(&set(&[(0, 1)])), "before the first run");
-        assert!(!a.covers(&set(&[(12, 13)])), "touches a run's end");
-        assert!(a.covers(&Runs::default()) && Runs::default().covers(&Runs::default()));
-        assert!(!Runs::default().covers(&set(&[(2, 3)])));
-    }
-
     /// Union, difference, intersection and coarsening of random sets,
     /// against the same operations on `BTreeSet`s of the ids.
     #[test]
@@ -280,9 +243,6 @@ mod tests {
             let minus = ra.minus(&rb);
             assert_canonical(&minus);
             assert_eq!(minus.iter().collect::<BTreeSet<_>>(), &a - &b);
-
-            assert_eq!(ra.covers(&rb), b.is_subset(&a), "{b:?} in {a:?}");
-            assert!(union.covers(&ra) && union.covers(&rb) && ra.covers(&minus));
 
             for start in 0..100 {
                 for len in [1, 3, 10] {

@@ -239,13 +239,8 @@ impl<'a> Scheduler<'a> {
 
     /// Merge `words` into speculative fiber `fid`'s read set — except what
     /// it wrote first — coarsened at the log's grain, and set its CPU's
-    /// reader bit under every range new to it.  Words the fiber has read
-    /// already add nothing: `read_ranges` is `reads` coarsened, so no range
-    /// can be new either.
+    /// reader bit under every range new to it.
     pub(super) fn register_reads(&mut self, fid: usize, words: &Runs) {
-        if self.fibers[fid].reads.covers(words) {
-            return;
-        }
         let fresh = words.minus(&self.fibers[fid].writes);
         let ranges = self.ranges_of(&fresh);
         let fiber = &mut self.fibers[fid];

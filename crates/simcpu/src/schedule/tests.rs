@@ -364,47 +364,3 @@ fn readers_past_sixty_four_cpus_agree_with_the_log_scan() {
         assert_eq!(passes, (1..cpus as u32).collect::<Vec<_>>());
     }
 }
-
-/// A segment that reads only words its fiber has read already leaves the
-/// fiber's `reads`, its `read_ranges` and the log's reader masks as they
-/// were; so does one that also rereads words the fiber wrote first.  A
-/// segment with one new word still registers its range.
-#[test]
-fn a_repeated_segment_registers_nothing_new() {
-    let words = |runs: &[(u64, u64)]| -> Runs {
-        runs.iter()
-            .map(|&(start, end)| Run { start, end })
-            .collect()
-    };
-    let recording = record_region(Arc::new(GlobalMemory::new(1 << 12)), |ctx| ctx.work(1));
-    // Line grain: a range id is a word index shifted by 3.
-    let mut sched = Scheduler::new(&recording, SimConfig::with_cpus(2));
-    let fid = sched.spawn_fiber(0, true, 1, 0, 1, ForkModel::Mixed);
-    sched.fibers[fid].writes = words(&[(20, 22)]);
-    sched.register_reads(fid, &words(&[(3, 12), (20, 30)]));
-    let books = |sched: &Scheduler| {
-        let fiber = &sched.fibers[fid];
-        let readers: Vec<(u64, usize)> = (0..8)
-            .flat_map(|range| sched.log.readers(range).map(move |cpu| (range, cpu)))
-            .collect();
-        (fiber.reads.clone(), fiber.read_ranges.clone(), readers)
-    };
-    let first = books(&sched);
-    assert_eq!(first.0, words(&[(3, 12), (22, 30)]));
-    assert_eq!(first.1, words(&[(0, 4)]));
-    assert_eq!(first.2, [(0, 1), (1, 1), (2, 1), (3, 1)]);
-    for again in [
-        words(&[(3, 12), (22, 30)]),
-        words(&[(5, 6), (29, 30)]),
-        words(&[(3, 12), (20, 30)]),
-        Runs::default(),
-    ] {
-        sched.register_reads(fid, &again);
-        assert_eq!(books(&sched), first, "{again:?}");
-    }
-    sched.register_reads(fid, &words(&[(11, 12), (40, 41)]));
-    let (reads, ranges, readers) = books(&sched);
-    assert_eq!(reads, words(&[(3, 12), (22, 30), (40, 41)]));
-    assert_eq!(ranges, words(&[(0, 4), (5, 6)]));
-    assert_eq!(readers, [(0, 1), (1, 1), (2, 1), (3, 1), (5, 1)]);
-}
