@@ -215,6 +215,194 @@ mod tests {
         );
     }
 
+    /// The outcome a site's child reports at step `i` of a script.
+    type Script = fn(usize) -> SiteOutcome;
+
+    const SCRIPTS: [(&str, Script); 7] = [
+        ("commits", |_| {
+            SiteOutcome::committed(10, 1, ForkModel::Mixed)
+        }),
+        ("conflicts then commits", |i| {
+            if i < 32 {
+                SiteOutcome::rolled_back(SpecFailure::ReadConflict, 7, 2, ForkModel::Mixed)
+            } else {
+                SiteOutcome::committed(10, 1, ForkModel::Mixed)
+            }
+        }),
+        ("every other conflicts", |i| {
+            if i % 2 == 0 {
+                SiteOutcome::rolled_back(SpecFailure::ReadConflict, 7, 2, ForkModel::Mixed)
+            } else {
+                SiteOutcome::committed(10, 1, ForkModel::Mixed)
+            }
+        }),
+        ("three in four overflow", |i| {
+            if i % 4 != 3 {
+                SiteOutcome::rolled_back(SpecFailure::BufferOverflow, 7, 2, ForkModel::Mixed)
+            } else {
+                SiteOutcome::committed(10, 1, ForkModel::Mixed)
+            }
+        }),
+        ("injected", |_| {
+            SiteOutcome::rolled_back(SpecFailure::Injected, 7, 2, ForkModel::Mixed)
+        }),
+        ("retried commits", |i| {
+            if i % 4 == 0 {
+                SiteOutcome::rolled_back(SpecFailure::ReadConflict, 7, 2, ForkModel::Mixed)
+            } else {
+                SiteOutcome::committed(10, 1, ForkModel::Mixed).with_retry(true)
+            }
+        }),
+        ("false sharing then commits", |i| {
+            if i < 40 {
+                SiteOutcome::rolled_back(SpecFailure::ReadConflict, 7, 2, ForkModel::Mixed)
+                    .with_false_sharing(i % 4 != 0)
+            } else {
+                SiteOutcome::committed(10, 1, ForkModel::Mixed)
+            }
+        }),
+    ];
+
+    /// Drive every script for 64 decisions, script `k` at site `k + 1`: a
+    /// step's outcome is recorded only when its fork was allowed.  Returns
+    /// one `+`/`-` string of decisions per script.
+    fn run_scripts(policy: PolicyKind) -> (Vec<String>, Vec<SiteProfile>) {
+        let governor = Governor::new(GovernorConfig::with_policy(policy));
+        let mut decisions = Vec::new();
+        for (k, (_, script)) in SCRIPTS.iter().enumerate() {
+            let site = k as SiteId + 1;
+            let mut line = String::new();
+            for i in 0..64 {
+                match governor.decide(site, ForkModel::Mixed) {
+                    ForkDecision::Allow(model) => {
+                        assert_eq!(model, ForkModel::Mixed);
+                        line.push('+');
+                        governor.record_fork(site);
+                        governor.record_outcome(site, &script(i));
+                    }
+                    ForkDecision::Deny => line.push('-'),
+                }
+            }
+            decisions.push(line);
+        }
+        (decisions, governor.snapshot())
+    }
+
+    /// Per site: its decisions, then every `SiteProfile` field (the rate
+    /// exactly, as its shortest round-trip decimal).
+    fn pin(policy: PolicyKind) -> Vec<(String, String)> {
+        let (decisions, profiles) = run_scripts(policy);
+        assert_eq!(profiles.len(), SCRIPTS.len());
+        decisions
+            .into_iter()
+            .zip(&profiles)
+            .map(|(line, p)| {
+                let profile = format!(
+                    "site {} forks {} throttled {} commits {} rollbacks {} overflows {} \
+                     conflicts {} false_sharing {} retries {} injected {} work {} wasted {} \
+                     stall {} rate {:?}",
+                    p.site,
+                    p.forks,
+                    p.throttled,
+                    p.commits,
+                    p.rollbacks,
+                    p.overflows,
+                    p.conflicts,
+                    p.false_sharing,
+                    p.retries,
+                    p.injected,
+                    p.committed_work,
+                    p.wasted_work,
+                    p.stall,
+                    p.rollback_rate
+                );
+                (line, profile)
+            })
+            .collect()
+    }
+
+    /// Every script's decisions and final profile under `Static`.
+    const STATIC_PIN: [(&str, &str); 7] = [
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 1 forks 64 throttled 0 commits 64 rollbacks 0 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 0 work 640 wasted 0 stall 64 rate 0.0",
+        ),
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 2 forks 64 throttled 0 commits 32 rollbacks 32 overflows 0 conflicts 32 false_sharing 0 retries 0 injected 0 work 320 wasted 224 stall 96 rate 0.0331969595732301",
+        ),
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 3 forks 64 throttled 0 commits 32 rollbacks 32 overflows 0 conflicts 32 false_sharing 0 retries 0 injected 0 work 320 wasted 224 stall 96 rate 0.47368421052631576",
+        ),
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 4 forks 64 throttled 0 commits 16 rollbacks 48 overflows 48 conflicts 0 false_sharing 0 retries 0 injected 0 work 160 wasted 336 stall 112 rate 0.7092177958708927",
+        ),
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 5 forks 64 throttled 0 commits 0 rollbacks 64 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 64 work 0 wasted 448 stall 128 rate 1.0",
+        ),
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 6 forks 64 throttled 0 commits 48 rollbacks 16 overflows 0 conflicts 16 false_sharing 0 retries 48 injected 0 work 480 wasted 112 stall 80 rate 0.21198022681011924",
+        ),
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 7 forks 64 throttled 0 commits 24 rollbacks 40 overflows 0 conflicts 40 false_sharing 30 retries 0 injected 0 work 240 wasted 280 stall 104 rate 0.07868019001538798",
+        ),
+    ];
+
+    /// The same scripts under `Throttle`.
+    const THROTTLE_PIN: [(&str, &str); 7] = [
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 1 forks 64 throttled 0 commits 64 rollbacks 0 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 0 work 640 wasted 0 stall 64 rate 0.0",
+        ),
+        (
+            "++++---------------+---------------+---------------+------------",
+            "site 2 forks 7 throttled 57 commits 2 rollbacks 5 overflows 0 conflicts 5 false_sharing 0 retries 0 injected 0 work 20 wasted 35 stall 12 rate 0.6358081828534276",
+        ),
+        (
+            "+++++---------------+---------------+---------------+-----------",
+            "site 3 forks 8 throttled 56 commits 2 rollbacks 6 overflows 0 conflicts 6 false_sharing 0 retries 0 injected 0 work 20 wasted 42 stall 14 rate 0.791488563810347",
+        ),
+        (
+            "++++---------------+---------------++---------------+-----------",
+            "site 4 forks 8 throttled 56 commits 3 rollbacks 5 overflows 5 conflicts 0 false_sharing 0 retries 0 injected 0 work 30 wasted 35 stall 13 rate 0.6145788199481895",
+        ),
+        (
+            "++++---------------+---------------+---------------+------------",
+            "site 5 forks 7 throttled 57 commits 0 rollbacks 7 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 7 work 0 wasted 49 stall 14 rate 1.0",
+        ),
+        (
+            "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
+            "site 6 forks 64 throttled 0 commits 48 rollbacks 16 overflows 0 conflicts 16 false_sharing 0 retries 48 injected 0 work 480 wasted 112 stall 80 rate 0.21198022681011924",
+        ),
+        (
+            "++++-------+-------+-------+-------+-------+-------+++++++++++++",
+            "site 7 forks 22 throttled 42 commits 14 rollbacks 8 overflows 0 conflicts 8 false_sharing 7 retries 0 injected 0 work 140 wasted 56 stall 30 rate 0.14452304308362737",
+        ),
+    ];
+
+    /// Both policies over every script: the exact allow/deny sequence and
+    /// the final profile of each site.
+    #[test]
+    fn decisions_are_pinned() {
+        for (policy, expected) in [
+            (PolicyKind::Static, STATIC_PIN),
+            (PolicyKind::Throttle, THROTTLE_PIN),
+        ] {
+            for (((name, _), got), want) in SCRIPTS.iter().zip(pin(policy)).zip(expected) {
+                assert_eq!(
+                    (got.0.as_str(), got.1.as_str()),
+                    want,
+                    "{policy}, script {name:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn outcomes_accumulate_work_and_stall() {
         let governor = Governor::new(GovernorConfig::default());
