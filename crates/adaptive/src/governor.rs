@@ -1,11 +1,15 @@
-//! The [`Governor`]: the profiler and the configured policy behind one
-//! thread-safe facade the runtime and the simulator both consult.
+//! The [`Governor`]: the per-site records and the configured policy
+//! behind one lock, consulted by the runtime and the simulator alike.
+
+use std::collections::BTreeMap;
+
+use parking_lot::Mutex;
 
 use mutls_membuf::{RollbackReason, SpecFailure};
 
 use crate::fork_model::ForkModel;
-use crate::policy::{build_policy, ForkDecision, GovernorConfig, GovernorPolicy};
-use crate::site::{SiteId, SiteProfile, SiteProfiler};
+use crate::policy::{throttles, ForkDecision, GovernorConfig, PolicyKind};
+use crate::site::{SiteId, SiteProfile, SiteRecord};
 
 /// Everything the runtime reports back about one joined (or discarded)
 /// speculative child.
@@ -20,7 +24,7 @@ pub struct SiteOutcome {
     pub false_sharing: bool,
     /// True when the child's conflict was repaired by value-predict-and-
     /// retry: the join *committed* (`committed` is true) at the cost of a
-    /// re-validation pass instead of a re-execution.  Policies treat this
+    /// re-validation pass instead of a re-execution.  Throttle treats this
     /// as a success, not a squash.
     pub retried: bool,
     /// Useful work the child contributed (ns native / cycles simulated).
@@ -83,86 +87,64 @@ impl SiteOutcome {
     }
 }
 
-/// The adaptive speculation governor.
+/// The adaptive speculation governor: the policy and one record per
+/// fork site, kept sorted by site ID behind one lock.
+#[derive(Debug)]
 pub struct Governor {
-    config: GovernorConfig,
-    profiler: SiteProfiler,
-    policy: Box<dyn GovernorPolicy>,
-}
-
-impl std::fmt::Debug for Governor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Governor")
-            .field("config", &self.config)
-            .field("policy", &self.policy.name())
-            .field("sites", &self.profiler.len())
-            .finish()
-    }
+    policy: PolicyKind,
+    sites: Mutex<BTreeMap<SiteId, SiteRecord>>,
 }
 
 impl Governor {
     /// Build a governor running the policy named in `config`.
     pub fn new(config: GovernorConfig) -> Self {
         Governor {
-            policy: build_policy(config.policy),
-            profiler: SiteProfiler::new(),
-            config,
+            policy: config.policy,
+            sites: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The governor's configuration.
-    pub fn config(&self) -> &GovernorConfig {
-        &self.config
-    }
-
     /// Decide whether fork-site `site` may speculate right now, and under
-    /// which model.  A denial is recorded in the site's profile.
+    /// which model.  `Static` is the throttle switched off.  A denial is
+    /// recorded in the site's profile.
     pub fn decide(&self, site: SiteId, default_model: ForkModel) -> ForkDecision {
-        self.profiler.with_site(site, |record| {
-            let decision = self.policy.decide(record, &self.config, default_model);
-            if !decision.allowed() {
-                record.throttled += 1;
-            }
-            decision
-        })
+        let mut sites = self.sites.lock();
+        let record = sites.entry(site).or_default();
+        if self.policy == PolicyKind::Throttle && throttles(record) {
+            record.throttled += 1;
+            return ForkDecision::Deny;
+        }
+        ForkDecision::Allow(default_model)
     }
 
     /// Record that a speculative thread was actually launched from `site`.
     pub fn record_fork(&self, site: SiteId) {
-        self.profiler.with_site(site, |record| record.forks += 1);
+        self.sites.lock().entry(site).or_default().forks += 1;
     }
 
     /// Record the outcome of a child launched from `site`.
     pub fn record_outcome(&self, site: SiteId, outcome: &SiteOutcome) {
-        let decay = self.config.decay;
-        self.profiler.with_site(site, |record| {
-            record.absorb(
-                outcome.reason(),
-                outcome.false_sharing,
-                outcome.retried,
-                outcome.work,
-                outcome.wasted_work,
-                outcome.stall,
-                decay,
-            );
-        });
+        self.sites.lock().entry(site).or_default().absorb(outcome);
     }
 
     /// Snapshot every profiled site, sorted by site ID.
     pub fn snapshot(&self) -> Vec<SiteProfile> {
-        self.profiler.snapshot()
+        let sites = self.sites.lock();
+        sites
+            .iter()
+            .map(|(&site, record)| SiteProfile::from_record(site, record))
+            .collect()
     }
 
     /// Forget all profiles (start of a new speculative region run).
     pub fn reset(&self) {
-        self.profiler.reset();
+        self.sites.lock().clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
 
     fn drive(governor: &Governor, site: SiteId, committed: bool, rounds: usize) -> (u64, u64) {
         let mut allowed = 0;
@@ -190,6 +172,10 @@ mod tests {
         let governor = Governor::new(GovernorConfig::default());
         let (allowed, denied) = drive(&governor, 1, false, 100);
         assert_eq!((allowed, denied), (100, 0));
+        assert_eq!(
+            governor.decide(1, ForkModel::InOrder),
+            ForkDecision::Allow(ForkModel::InOrder)
+        );
         let profile = &governor.snapshot()[0];
         assert_eq!(profile.rollbacks, 100);
         assert_eq!(profile.throttled, 0);
@@ -380,8 +366,8 @@ mod tests {
             "site 6 forks 64 throttled 0 commits 48 rollbacks 16 overflows 0 conflicts 16 false_sharing 0 retries 48 injected 0 work 480 wasted 112 stall 80 rate 0.21198022681011924",
         ),
         (
-            "++++-------+-------+-------+-------+-------+-------+++++++++++++",
-            "site 7 forks 22 throttled 42 commits 14 rollbacks 8 overflows 0 conflicts 8 false_sharing 7 retries 0 injected 0 work 140 wasted 56 stall 30 rate 0.14452304308362737",
+            "++++---------------+---------------+---------------+------------",
+            "site 7 forks 7 throttled 57 commits 1 rollbacks 6 overflows 0 conflicts 6 false_sharing 5 retries 0 injected 0 work 10 wasted 42 stall 13 rate 0.8083200962386461",
         ),
     ];
 
@@ -401,6 +387,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn snapshot_is_sorted_and_complete() {
+        let governor = Governor::new(GovernorConfig::default());
+        for site in [44u32, 2, 17, 300] {
+            governor.record_fork(site);
+            governor.record_outcome(site, &SiteOutcome::committed(5, 1, ForkModel::Mixed));
+        }
+        let rows = governor.snapshot();
+        let sites: Vec<u32> = rows.iter().map(|r| r.site).collect();
+        assert_eq!(sites, vec![2, 17, 44, 300]);
+        assert!(rows
+            .iter()
+            .all(|r| r.forks == 1 && r.commits == 1 && r.stall == 1));
+        governor.reset();
+        assert!(governor.snapshot().is_empty());
+    }
+
+    #[test]
+    fn governor_is_safe_under_concurrent_updates() {
+        let governor = std::sync::Arc::new(Governor::new(GovernorConfig::default()));
+        let handles: Vec<_> = (0..8u32)
+            .map(|t| {
+                let governor = std::sync::Arc::clone(&governor);
+                std::thread::spawn(move || {
+                    for i in 0..1000u32 {
+                        governor.record_fork(i % 13 + t % 2);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let rows = governor.snapshot();
+        assert_eq!(rows.len(), 14);
+        assert_eq!(rows.iter().map(|r| r.forks).sum::<u64>(), 8 * 1000);
     }
 
     #[test]

@@ -5,23 +5,24 @@
 //! unconditionally — even at fork sites that always roll back.  This crate
 //! adds the feedback loop:
 //!
-//! * [`SiteProfiler`] — a lock-striped (dashmap-style) registry keyed by
-//!   fork-site ID, accumulating commits, rollbacks, buffer overflows,
-//!   stall time and speculative work per site.
-//! * [`GovernorPolicy`] — pluggable fork-decision policies:
-//!   [`StaticPolicy`] (the seed's unconditional behaviour) and
-//!   [`ThrottlePolicy`] (suppress unprofitable sites, with exponential
-//!   decay and probe forks so sites can re-earn speculation).
-//! * [`Governor`] — the thread-safe facade `mutls-runtime`'s
+//! * [`Governor`] — the one fork-decision function `mutls-runtime`'s
 //!   `ThreadManager` and `mutls-simcpu`'s scheduler consult before
-//!   granting a speculative CPU, and report join outcomes back to.
+//!   granting a speculative CPU, and report join outcomes back to.  It
+//!   keeps one record per fork site (commits, rollbacks, buffer overflows,
+//!   stall time, speculative work; [`SiteProfile`] is the snapshot) in one
+//!   sorted map behind one lock.  [`PolicyKind::Static`] (the seed's
+//!   unconditional behaviour) is the throttle switched off;
+//!   [`PolicyKind::Throttle`] suppresses unprofitable sites, with
+//!   exponential decay and probe forks so sites can re-earn speculation.
+//!   Its tuning is constants: [`GovernorConfig`] names the policy and
+//!   nothing else.
 //! * [`GrainController`] — a per-region grain policy over commit-log
 //!   telemetry, applied nowhere: a commit log has one grain, fixed at
 //!   construction.  Kept only for the benchmark's grain-controller probe
 //!   (ROADMAP item 2(e) deletes it).
 //!
 //! The [`ForkModel`] type lives here (re-exported by `mutls-runtime` for
-//! compatibility) so policies can choose models without a dependency
+//! compatibility) so the governor can hand out models without a dependency
 //! cycle.
 //!
 //! ```
@@ -54,8 +55,5 @@ pub mod site;
 pub use fork_model::ForkModel;
 pub use governor::{Governor, SiteOutcome};
 pub use grain::{GrainAction, GrainControlConfig, GrainController};
-pub use policy::{
-    build_policy, ForkDecision, GovernorConfig, GovernorPolicy, PolicyKind, StaticPolicy,
-    ThrottlePolicy, FALSE_SHARING_DOMINANCE,
-};
-pub use site::{SiteId, SiteProfile, SiteProfiler, SiteRecord, SHARD_COUNT};
+pub use policy::{ForkDecision, GovernorConfig, PolicyKind};
+pub use site::{SiteId, SiteProfile};

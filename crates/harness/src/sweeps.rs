@@ -124,7 +124,7 @@ impl Point {
     pub fn runtime_config(&self, cpus: usize, seed: u64, observe: Observe) -> RuntimeConfig {
         let mut config = RuntimeConfig::with_cpus(cpus)
             .buffer(self.buffer)
-            .governor_policy(self.policy)
+            .governor(GovernorConfig::with_policy(self.policy))
             .commit_grain_log2(self.grain.grain_log2())
             .rollback_probability(self.rollback_probability)
             .seed(seed);
@@ -727,8 +727,8 @@ pub const CONFLICT: Experiment = Experiment {
 
 /// `overflow`: the memory-intensive benchmarks on the native runtime with
 /// [`BufferConfig::tiny`] buffers, so speculative threads roll back with
-/// `RollbackReason::Overflow` — the governor's overflow-rate threshold
-/// rather than its rollback-rate one.
+/// `RollbackReason::Overflow` — rollbacks the governor's rollback rate
+/// counts like any other.
 pub const OVERFLOW: Experiment = Experiment {
     name: "overflow",
     points: || {

@@ -1,7 +1,7 @@
 //! Runtime configuration.
 
 use crate::fork_model::ForkModel;
-use mutls_adaptive::{GovernorConfig, PolicyKind};
+use mutls_adaptive::GovernorConfig;
 use mutls_membuf::{BufferConfig, CommitLogConfig};
 use mutls_metrics::MetricsConfig;
 use mutls_trace::TraceConfig;
@@ -118,15 +118,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the full governor configuration (builder style).
+    /// Set the governor configuration (builder style).
     pub fn governor(mut self, governor: GovernorConfig) -> Self {
         self.governor = governor;
-        self
-    }
-
-    /// Select a governor policy with default tuning (builder style).
-    pub fn governor_policy(mut self, policy: PolicyKind) -> Self {
-        self.governor.policy = policy;
         self
     }
 
@@ -166,6 +160,7 @@ impl RuntimeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mutls_adaptive::PolicyKind;
 
     #[test]
     fn default_is_sensible() {
@@ -195,7 +190,8 @@ mod tests {
 
     #[test]
     fn governor_builders_select_policy() {
-        let c = RuntimeConfig::default().governor_policy(PolicyKind::Throttle);
+        let c =
+            RuntimeConfig::default().governor(GovernorConfig::with_policy(PolicyKind::Throttle));
         assert_eq!(c.governor.policy, PolicyKind::Throttle);
     }
 

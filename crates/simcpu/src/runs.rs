@@ -91,6 +91,12 @@ impl Runs {
         if other.is_empty() {
             return;
         }
+        if self.is_empty() {
+            // A copy, into the capacity the set already has.
+            self.runs.clone_from(&other.runs);
+            self.len = other.len;
+            return;
+        }
         let old = std::mem::take(self);
         let (mut i, mut j) = (0, 0);
         while i < old.runs.len() || j < other.runs.len() {
@@ -108,6 +114,9 @@ impl Runs {
 
     /// The ids of the set that `other` lacks.
     pub(crate) fn minus(&self, other: &Runs) -> Runs {
+        if other.is_empty() {
+            return self.clone();
+        }
         let mut out = Runs::default();
         let mut cut = other.runs.iter().peekable();
         for &run in &self.runs {
@@ -235,14 +244,23 @@ mod tests {
             assert_canonical(&ra);
             assert_eq!(ra.iter().collect::<BTreeSet<_>>(), a);
 
-            let mut union = ra.clone();
-            union.union(&rb);
-            assert_canonical(&union);
-            assert_eq!(union.iter().collect::<BTreeSet<_>>(), &a | &b);
+            // Each pair, and each side against the empty set: the
+            // generator draws an empty set too seldom to rely on.
+            let empty = (BTreeSet::new(), Runs::default());
+            for ((a, ra), (b, rb)) in [
+                ((&a, &ra), (&b, &rb)),
+                ((&a, &ra), (&empty.0, &empty.1)),
+                ((&empty.0, &empty.1), (&b, &rb)),
+            ] {
+                let mut union = ra.clone();
+                union.union(rb);
+                assert_canonical(&union);
+                assert_eq!(union.iter().collect::<BTreeSet<_>>(), a | b);
 
-            let minus = ra.minus(&rb);
-            assert_canonical(&minus);
-            assert_eq!(minus.iter().collect::<BTreeSet<_>>(), &a - &b);
+                let minus = ra.minus(rb);
+                assert_canonical(&minus);
+                assert_eq!(minus.iter().collect::<BTreeSet<_>>(), a - b);
+            }
 
             for start in 0..100 {
                 for len in [1, 3, 10] {

@@ -19,11 +19,7 @@ fn run(policy: PolicyKind) {
         RuntimeConfig::with_cpus(2)
             .memory_bytes(arena_bytes(kind, Scale::Tiny))
             .rollback_probability(1.0)
-            .governor(
-                GovernorConfig::with_policy(policy)
-                    .min_samples(2)
-                    .probe_interval(8),
-            ),
+            .governor(GovernorConfig::with_policy(policy)),
     );
     let memory = runtime.memory();
     let data = setup(kind, Scale::Tiny, &memory);

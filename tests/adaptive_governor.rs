@@ -192,11 +192,7 @@ fn native_runtime_is_correct_and_throttles_under_forced_rollbacks() {
         RuntimeConfig::with_cpus(2)
             .memory_bytes(arena_bytes(kind, Scale::Tiny))
             .rollback_probability(1.0)
-            .governor(
-                GovernorConfig::with_policy(PolicyKind::Throttle)
-                    .min_samples(2)
-                    .probe_interval(8),
-            ),
+            .governor(GovernorConfig::with_policy(PolicyKind::Throttle)),
     );
     let memory = runtime.memory();
     let data = setup(kind, Scale::Tiny, &memory);
