@@ -47,8 +47,9 @@ pub use sweeps::{run_points, Column, Engine, Experiment, GrainMode, Point, Row, 
 /// [`Row`] (same keys for every experiment and both engines).  v9: a row
 /// lost its per-region grain list and `commit_log.regrains`, a metrics
 /// snapshot `log_regrains` and the `grain_regions` gauges.  v10: a row's
-/// `commit_log` lost `shards`.
-pub const BENCH_SCHEMA_VERSION: u32 = 10;
+/// `commit_log` lost `shards`.  v11: a metrics snapshot lost
+/// `adopted_threads`.
+pub const BENCH_SCHEMA_VERSION: u32 = 11;
 
 /// Every experiment `mutls-experiments` accepts, in the order `all` runs
 /// them.

@@ -127,8 +127,6 @@ pub enum CounterId {
     TargetedDooms,
     /// MVCC precise validation passes.
     PrecisePasses,
-    /// Unjoined children adopted by a committing parent.
-    AdoptedThreads,
     /// Conflicts classified as suspected false sharing.
     FalseSharingSuspects,
     /// Work cycles discarded by rollbacks (ns native / virtual cycles
@@ -140,7 +138,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in scrape order.
-    pub const ALL: [CounterId; 17] = [
+    pub const ALL: [CounterId; 16] = [
         CounterId::Forks,
         CounterId::FailedForks,
         CounterId::ThrottledForks,
@@ -154,7 +152,6 @@ impl CounterId {
         CounterId::RetriesInFlight,
         CounterId::TargetedDooms,
         CounterId::PrecisePasses,
-        CounterId::AdoptedThreads,
         CounterId::FalseSharingSuspects,
         CounterId::WastedCycles,
         CounterId::CommittedCycles,
@@ -180,7 +177,6 @@ impl CounterId {
             CounterId::RetriesInFlight => "retries_in_flight",
             CounterId::TargetedDooms => "targeted_dooms",
             CounterId::PrecisePasses => "precise_passes",
-            CounterId::AdoptedThreads => "adopted_threads",
             CounterId::FalseSharingSuspects => "false_sharing_suspects",
             CounterId::WastedCycles => "wasted_cycles",
             CounterId::CommittedCycles => "committed_cycles",
@@ -203,7 +199,6 @@ impl CounterId {
             CounterId::RetriesInFlight => "Dooms shrugged off in flight by value re-validation",
             CounterId::TargetedDooms => "Readers doomed surgically by committing writers",
             CounterId::PrecisePasses => "MVCC precise validation passes",
-            CounterId::AdoptedThreads => "Unjoined children adopted by committing parents",
             CounterId::FalseSharingSuspects => "Conflicts classified as suspected false sharing",
             CounterId::WastedCycles => "Work discarded by rollbacks (ns native, cycles replay)",
             CounterId::CommittedCycles => {

@@ -1,5 +1,5 @@
 //! The join: a task's deposit or hand-back, and the joiner's wait,
-//! verdict and inherited children.
+//! verdict and the reap of the children it left unjoined.
 
 use super::*;
 
@@ -232,26 +232,14 @@ impl SpecContext {
         };
         let grandchildren = std::mem::take(&mut outcome.children);
         self.mgr.settle_child(child, site, model, outcome, verdict);
-        self.inherit_children(grandchildren, verdict.is_ok());
+        // A task counts only once its join commits it, and nothing joins
+        // what the child left unjoined: whatever the verdict, its subtree
+        // is discarded, as at a region's end and in the replay.
+        for grandchild in grandchildren {
+            self.mgr.reap_subtree(grandchild);
+        }
         self.mgr.release_cpu(child, self.rank);
         Ok(verdict)
-    }
-
-    /// The unjoined children of a finished child: when the child
-    /// *committed*, its state already reached the commit log (or the
-    /// parent's overlay), so the grandchildren ran on top of valid state —
-    /// adopt the completed ones into this joiner instead of
-    /// re-speculating their work (see README "Recovery pipeline").  A
-    /// child that rolled back invalidates the subtree.
-    fn inherit_children(&mut self, grandchildren: Vec<Rank>, committed: bool) {
-        for grandchild in grandchildren {
-            if committed {
-                let threads = self.mgr.adopt_subtree(grandchild, self.global.as_mut());
-                self.observe(0, Point::Adopted(threads));
-            } else {
-                self.mgr.reap_subtree(grandchild);
-            }
-        }
     }
 
     /// Back in the non-speculative role after the child promoted at this
@@ -271,10 +259,11 @@ impl SpecContext {
         self.stats.add(Phase::Idle, idle.as_nanos() as u64);
         self.stats.merge(&promoted.stats);
         *bookkeeping = now;
-        // Children a *failed* closure left unjoined ran ahead of a region
-        // that aborts here: nothing behind the failure may reach memory.
-        let ended = !matches!(promoted.status, TaskStatus::Failed(_));
-        self.inherit_children(promoted.children, ended);
+        // Children the closure left unjoined are discarded, as after a
+        // join.
+        for child in promoted.children {
+            self.mgr.reap_subtree(child);
+        }
         match promoted.status {
             TaskStatus::Failed(reason) => Err(failure(reason)),
             TaskStatus::Completed | TaskStatus::Barrier => Ok(Ok(promoted.kind)),

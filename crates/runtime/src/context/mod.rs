@@ -35,7 +35,8 @@
 //! * `sync.rs` — the poll: aborts, dooms and the child side of early
 //!   synchronization;
 //! * `join.rs` — the deposit and the hand-back, and the joiner's side:
-//!   wait, verdict, inherited children, resuming after a promotion;
+//!   wait, verdict, the reap of unjoined children, resuming after a
+//!   promotion;
 //! * `range.rs` — `fork_range`'s lazy split and the prices it cuts by.
 
 use std::ops::Range;

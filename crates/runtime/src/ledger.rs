@@ -112,9 +112,6 @@ pub enum Point {
     /// The joiner saw its child roll back and re-executed it inline, at
     /// this cost.
     JoinRolledBack(u64),
-    /// A committing joiner salvaged this many unjoined threads of its
-    /// child.
-    Adopted(u64),
     /// A doomed thread re-validated by value, at this cost, and kept
     /// running.
     RetriedInFlight(u64),
@@ -221,11 +218,6 @@ pub fn observe<B: Books>(books: &mut B, at: B::At, rank: u32, site: u32, point: 
         Point::JoinRolledBack(repair) => {
             books.latency().record(LatencyPhase::RepairDoomSet, repair);
         }
-        Point::Adopted(threads) => {
-            books
-                .registry()
-                .add(shard, CounterId::AdoptedThreads, threads);
-        }
         // `retries` counts retried *threads*, at their commit; this is
         // counted apart.
         Point::RetriedInFlight(took) => {
@@ -303,7 +295,6 @@ fn project(counters: &mut ThreadCounters, count: impl Fn(CounterId) -> u64) {
     counters.retries_succeeded = count(CounterId::Retries) + count(CounterId::RetriesInFlight);
     counters.targeted_dooms = count(CounterId::TargetedDooms);
     counters.precise_passes = count(CounterId::PrecisePasses);
-    counters.adopted_threads = count(CounterId::AdoptedThreads);
 }
 
 /// One snapshot of `books`' registry at `ts`, followed by what a registry

@@ -8,7 +8,7 @@
 //! which registry count, latency sample and trace event record it.  The
 //! registry is fed live and a scrape or a report only reads it; closing a
 //! finished thread's books — committed, rolled back or discarded with its
-//! subtree — is `close_books`, whoever consumed the outcome.
+//! subtree — is `settle_child`, whoever consumed the outcome.
 
 use super::*;
 
@@ -45,7 +45,7 @@ impl ThreadManager {
             .unregister_reader(outcome.buffer.read_addresses(), rank);
         let (site, model) = self.slots[rank - 1].launch_info();
         self.observe(rank, site, Point::Cascaded);
-        self.close_books(rank, site, model, outcome, Err(SpecFailure::Cascaded));
+        self.settle_child(rank, site, model, outcome, Err(SpecFailure::Cascaded));
         self.release_cpu(rank, 0);
     }
 
@@ -63,30 +63,17 @@ impl ThreadManager {
         }
     }
 
-    /// A joined (or promoted, or adopted) child's verdict is in: its books
-    /// are closed.  The caller still owns the CPU and releases it.
-    pub(crate) fn settle_child(
-        &self,
-        child: Rank,
-        site: SiteId,
-        model: ForkModel,
-        outcome: SpecOutcome,
-        verdict: Result<CommitKind, SpecFailure>,
-    ) {
-        self.close_books(child, site, model, outcome, verdict);
-    }
-
     /// Close the books of a thread whose fate is known — the one place a
-    /// finished thread is accounted for, whether it was joined, promoted,
-    /// adopted or discarded: book a committed thread's `fork_range` prices,
+    /// finished thread is accounted for, whether it was joined, promoted
+    /// or discarded: book a committed thread's `fork_range` prices,
     /// park its buffer for its CPU's next task
     /// (finalization is charged to the speculative path, as in the
     /// paper's breakdown), reclassify a rolled-back thread's work as
     /// wasted, feed the verdict to the governor's site profile — with the
     /// false-sharing classification and the retry verdict, so Throttle can
     /// tell the regimes apart — and fold the statistics into the
-    /// speculative path's.
-    fn close_books(
+    /// speculative path's.  The caller still owns the CPU and releases it.
+    pub(crate) fn settle_child(
         &self,
         rank: Rank,
         site: SiteId,

@@ -1,4 +1,4 @@
-//! The join: deposit, wait, validate, commit or roll back, adopt.
+//! The join: deposit, wait, validate, commit or roll back.
 //!
 //! # The join protocol
 //!
@@ -125,50 +125,6 @@ impl ThreadManager {
         drop(outcomes);
         slot.result_cv.notify_all();
         true
-    }
-
-    /// Opportunistically **adopt** the subtree rooted at `rank` instead of
-    /// reaping it: a grandchild left unjoined by a child that just
-    /// committed ran logically *after* state that has already reached the
-    /// commit log, so its work is only stale if validation says so — it
-    /// must not be re-speculated from scratch just because its joiner
-    /// finished first.  Non-blocking: a thread that already deposited a
-    /// `Completed` outcome is validated and committed/absorbed exactly
-    /// like a joined child (recursing into *its* unjoined children on
-    /// success); anything still running, failed, or conflicting is reaped
-    /// as before.  Returns the number of threads whose work was salvaged.
-    pub fn adopt_subtree(&self, rank: Rank, mut parent_buffer: Option<&mut GlobalBuffer>) -> u64 {
-        let taken = self.slots[rank - 1].result.lock().take();
-        let Some(mut outcome) = taken else {
-            // Still running: joining would block the adopter on an
-            // unbounded subtree — fall back to the reap.
-            self.reap_subtree(rank);
-            return 0;
-        };
-        if outcome.status != TaskStatus::Completed {
-            self.finish_discarded(rank, outcome);
-            return 0;
-        }
-        let verdict = self.validate_and_commit(rank, &mut outcome, parent_buffer.as_deref_mut());
-        let children = std::mem::take(&mut outcome.children);
-        let (site, model) = self.slots[rank - 1].launch_info();
-        self.settle_child(rank, site, model, outcome, verdict);
-        self.release_cpu(rank, 0);
-        if verdict.is_err() {
-            // `validate_and_commit` already unregistered the readers and
-            // planned the rollback recovery; the subtree below a
-            // conflicting thread read underneath it and only
-            // re-speculation repairs it.
-            for grandchild in children {
-                self.reap_subtree(grandchild);
-            }
-            return 0;
-        }
-        let mut adopted = 1;
-        for grandchild in children {
-            adopted += self.adopt_subtree(grandchild, parent_buffer.as_deref_mut());
-        }
-        adopted
     }
 
     /// Validate a finished child and either publish, retry or discard its

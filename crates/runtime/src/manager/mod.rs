@@ -15,7 +15,7 @@
 //! * `sync.rs` — synchronize only when it pays: the sync request, its
 //!   price, the promotion mailbox and the hand-back;
 //! * `join.rs` — the join protocol: deposit, wait, validate, commit or roll
-//!   back, adopt;
+//!   back;
 //! * `books.rs` — the books: settling a verdict, closing a thread's books,
 //!   the discards.
 //!
@@ -194,7 +194,7 @@ pub struct ThreadManager {
     /// Number of speculative threads currently in flight.
     active: AtomicUsize,
     /// **Exposure count**: speculative threads whose read set may still be
-    /// validated, absorbed or adopted.  While it is zero the
+    /// validated or absorbed.  While it is zero the
     /// non-speculative thread stores at native speed — memory only, no
     /// commit-log stamp, no reader dooming (`SpecContext::spec_write`).
     ///
@@ -216,7 +216,7 @@ pub struct ThreadManager {
     ///    from zero, a zero it reads is the current value, never a stale
     ///    one.
     ///
-    /// A `Failed` outcome is never validated, absorbed or adopted — its
+    /// A `Failed` outcome is never validated or absorbed — its
     /// joiner re-executes inline — so its read set is dead the instant it
     /// is deposited.  `Completed`/`Barrier` outcomes are validated against
     /// the log when consumed, possibly long after the task stopped, so they

@@ -50,8 +50,8 @@
 //! 3. *deposited outcome* — the finished task's [`SpecOutcome`] carries it
 //!    (read set, write set and all) to whoever consumes it;
 //! 4. *back* — every path that consumes or discards an outcome (join,
-//!    `adopt_subtree`, `reap_subtree`, `drain_subtree`, an orphaned
-//!    deposit), and a task that is promoted, hands it to
+//!    `reap_subtree`, `drain_subtree`, an orphaned deposit), and a task
+//!    that is promoted, hands it to
 //!    [`ThreadManager::return_buffer`], which clears and parks it
 //!    **before** the CPU is released, so the CPU's next task finds it.
 //!

@@ -201,20 +201,6 @@ fn every_discard_path_ends_with_no_exposure() {
         assert_eq!(m.exposed_speculations(), 0, "drain_subtree, {status:?}");
         assert_eq!(word(&m, unjoined), 0, "drain_subtree");
 
-        // Adopted (committed when Completed, discarded otherwise),
-        // with a still-running grandchild that adoption reaps.
-        let adoptee = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-        let running = m.try_acquire_cpu(adoptee, ForkModel::Mixed).unwrap();
-        let mut outcome = stopped(&m, adoptee, status);
-        outcome.children.push(running);
-        assert!(m.deposit_outcome(adoptee, outcome));
-        let adopted = m.adopt_subtree(adoptee, None);
-        assert_eq!(adopted, u64::from(status == TaskStatus::Completed));
-        assert_eq!(m.exposed_speculations(), 1, "the grandchild still runs");
-        assert!(!m.deposit_outcome(running, stopped(&m, running, cascaded)));
-        assert_eq!(m.exposed_speculations(), 0, "adopt_subtree, {status:?}");
-        assert_eq!((word(&m, adoptee), word(&m, running)), (0, 0), "adopt");
-
         assert_eq!(m.active_speculations(), 0);
         // Each path above handed the buffer back before releasing
         // the CPU, so no `stopped` ever had to build a second set.
@@ -471,59 +457,41 @@ fn commit_spares_logically_older_readers() {
 }
 
 #[test]
-fn adoption_salvages_a_deposited_grandchild() {
+fn a_reaped_subtree_keeps_no_work_finished_or_running() {
     let m = mgr(4);
     let mem = Arc::clone(m.memory());
     let cell = mem.alloc::<u64>(1);
     mem.set(&cell, 0, 7);
 
-    // A grandchild finished and deposited before its (committed)
-    // parent was joined — the classic orphan the old code reaped.
-    let gc = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-    let mut buffer = fresh_buffer(&m, gc);
+    // A thread that deposited clean work, with a child of its own still
+    // running: nothing joins either, so neither counts.
+    let done = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+    let running = m.try_acquire_cpu(done, ForkModel::Mixed).unwrap();
+    let mut buffer = fresh_buffer(&m, done);
     buffer.store(cell.addr_of(0), 42, 8).unwrap();
-    assert!(m.deposit_outcome(gc, completed(buffer)));
+    let mut outcome = completed(buffer);
+    outcome.children.push(running);
+    assert!(m.deposit_outcome(done, outcome));
 
-    assert_eq!(m.adopt_subtree(gc, None), 1, "clean work is salvaged");
-    assert_eq!(mem.get(&cell, 0), 42, "adopted writes reach memory");
-    assert!(
-        m.try_acquire_cpu(0, ForkModel::Mixed).is_ok(),
-        "the adopted thread's CPU is released"
-    );
-}
-
-#[test]
-fn adoption_still_reaps_conflicting_and_running_grandchildren() {
-    let m = mgr(4);
-    let mem = Arc::clone(m.memory());
-    let cell = mem.alloc::<u64>(1);
-    mem.set(&cell, 0, 7);
-
-    // Grandchild A read the cell before a predecessor overwrote it:
-    // adoption must validate, fail, and discard — not blindly commit.
-    let stale = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-    let mut stale_buf = fresh_buffer(&m, stale);
-    let _ = stale_buf
-        .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
-        .unwrap();
-    stale_buf.store(cell.addr_of(0), 99, 8).unwrap();
-
-    let mut pred = fresh_buffer(&m, 0);
-    pred.store(cell.addr_of(0), 13, 8).unwrap();
-    let mut pred_outcome = completed(pred);
-    m.validate_and_commit(0, &mut pred_outcome, None).unwrap();
-
-    assert!(m.deposit_outcome(stale, completed(stale_buf)));
-    assert_eq!(m.adopt_subtree(stale, None), 0, "stale work is discarded");
-    assert_eq!(mem.get(&cell, 0), 13, "the stale write never commits");
-
-    // Grandchild B never deposited: adoption must not block on it.
-    let running = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
-    assert_eq!(m.adopt_subtree(running, None), 0);
+    m.reap_subtree(done);
+    assert_eq!(mem.get(&cell, 0), 7, "unjoined work never reaches memory");
+    assert_eq!(counted(&m, done, CounterId::RollbacksOther), 1, "a cascade");
     assert!(
         m.abort_requested(running),
-        "a still-running grandchild is reaped as before"
+        "the running child is told to stop"
     );
+    assert_eq!(
+        m.active_speculations(),
+        1,
+        "and keeps its CPU until it does"
+    );
+
+    // It must not block the reaper: its own deposit cleans up.
+    let finished = stopped(&m, running, TaskStatus::Completed);
+    assert!(!m.deposit_outcome(running, finished));
+    assert_eq!(counted(&m, running, CounterId::RollbacksOther), 1);
+    assert_eq!(m.active_speculations(), 0);
+    assert_eq!(m.exposed_speculations(), 0);
 }
 
 #[test]

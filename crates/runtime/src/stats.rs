@@ -133,10 +133,6 @@ pub struct ThreadCounters {
     /// ring footprints proved the commits missed the word (mvcc — at
     /// ring depth 1 this is always zero).
     pub precise_passes: u64,
-    /// Unjoined threads of a committed child that were adopted
-    /// (validated and committed/absorbed) by this thread instead of
-    /// being reaped and re-speculated.
-    pub adopted_threads: u64,
     /// Loads issued.
     pub loads: u64,
     /// Stores issued.
@@ -346,12 +342,6 @@ impl RunReport {
     /// across both paths (see [`ThreadCounters::precise_passes`]).
     pub fn precise_passes(&self) -> u64 {
         self.critical.counters.precise_passes + self.speculative.counters.precise_passes
-    }
-
-    /// Committed-subtree adoptions across both paths (see
-    /// [`ThreadCounters::adopted_threads`]).
-    pub fn adopted_threads(&self) -> u64 {
-        self.critical.counters.adopted_threads + self.speculative.counters.adopted_threads
     }
 
     /// Power efficiency `η_power = T_s / (T_runtime_nonspec + Σ T_runtime_sp)`

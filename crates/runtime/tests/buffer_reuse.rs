@@ -11,9 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 
-use mutls_membuf::BufferConfig;
+use mutls_membuf::{BufferConfig, GPtr, GlobalMemory};
 use mutls_runtime::{
-    task, JoinOutcome, Runtime, RuntimeConfig, SpecContext, SpecFailure, TlsContext,
+    task, DirectContext, JoinOutcome, Runtime, RuntimeConfig, SpecContext, SpecFailure, SpecHandle,
+    TaskRef, TlsContext,
 };
 
 fn runtime(cpus: usize) -> Runtime {
@@ -150,9 +151,60 @@ fn first_touch_reads_register_the_rank_of_the_cpu_running_them() {
     assert_eq!(rt.manager().buffers_created(), 2);
 }
 
+/// A child, over any context, that forks a grandchild and never joins it:
+/// the grandchild stores `round` to `scratch[1]` — after a load from an
+/// unregistered address when `failing` — and the child stores `round` to
+/// `out[3]`.  Speculatively, a completing grandchild and its child meet at
+/// `done` before either deposits, and `nested` counts the grandchild's
+/// fork.
+fn leaves_a_grandchild<C: TlsContext + 'static>(
+    round: u64,
+    failing: bool,
+    out: GPtr<u64>,
+    scratch: GPtr<u64>,
+    done: Arc<Barrier>,
+    nested: Arc<AtomicU64>,
+    speculated: fn(&C::Handle) -> bool,
+) -> TaskRef<C> {
+    let finished = Arc::clone(&done);
+    let grandchild = task(move |ctx: &mut C| {
+        if failing {
+            ctx.load_word(1 << 40)?;
+        }
+        ctx.store(&scratch, 1, round)?;
+        if ctx.is_speculative() {
+            finished.wait();
+        }
+        Ok(())
+    });
+    task(move |ctx: &mut C| {
+        let handle = ctx.fork(5, Arc::clone(&grandchild))?;
+        if ctx.is_speculative() && speculated(&handle) {
+            nested.fetch_add(1, Ordering::Relaxed);
+            if !failing {
+                done.wait();
+            }
+        }
+        ctx.store(&out, 3, round)
+    })
+}
+
+/// What [`leaves_a_grandchild`] leaves in `scratch[1]` when it is forked
+/// and joined through `DirectContext`: the sequential reference.
+fn direct_scratch(round: u64, failing: bool) -> u64 {
+    let memory = Arc::new(GlobalMemory::new(1 << 16));
+    let (out, scratch) = (memory.alloc::<u64>(4), memory.alloc::<u64>(8));
+    let (done, nested) = (Arc::new(Barrier::new(2)), Arc::new(AtomicU64::new(0)));
+    let child = leaves_a_grandchild(round, failing, out, scratch, done, nested, |_| false);
+    let mut ctx = DirectContext::new(Arc::clone(&memory));
+    let handle = ctx.fork(4, child).expect("a direct fork cannot fail");
+    ctx.join(handle).expect("a sequential run cannot abort");
+    memory.get(&scratch, 1)
+}
+
 /// Every way an outcome leaves the system returns its buffers: 200 forks
-/// over two CPUs, through the join, `drain_subtree`, `reap_subtree`, an
-/// orphaned deposit and `adopt_subtree` of a completed, a failed and a
+/// over two CPUs, through the join, `drain_subtree`, `reap_subtree` and
+/// an orphaned deposit, of children and of a completed, a failed and a
 /// possibly still running grandchild, build two buffer sets in all.
 #[test]
 fn every_discard_path_hands_the_buffers_back() {
@@ -218,42 +270,27 @@ fn every_discard_path_hands_the_buffers_back() {
             Ok(())
         });
 
-        // A child that commits with a grandchild still unjoined: the
-        // joiner adopts the grandchild — committing it when it completed,
-        // discarding it when it failed (an unregistered address) — or
-        // reaps it when it has not deposited yet.  The grandchild's only
-        // store goes to a cell nothing asserts on, so every arm is
-        // sequential-equal.
+        // A child that commits with a grandchild still unjoined: nothing
+        // joins the grandchild, so the joiner reaps it whether it
+        // completed, failed (an unregistered address) or is still
+        // running, and its store to `scratch[1]` never lands — as under
+        // `DirectContext`, where an unjoined fork never runs.
         for failing in [false, true] {
             let done = Arc::new(Barrier::new(2));
-            let finished = Arc::clone(&done);
-            let grandchild = task(move |ctx: &mut SpecContext| {
-                if failing {
-                    ctx.load_word(1 << 40)?;
-                }
-                ctx.store(&scratch, 1, round)?;
-                if ctx.is_speculative() {
-                    finished.wait();
-                }
-                Ok(())
-            });
             let nested = Arc::clone(&nested_forks);
-            let child = task(move |ctx: &mut SpecContext| {
-                let handle = ctx.fork(5, Arc::clone(&grandchild))?;
-                if ctx.is_speculative() && handle.speculated() {
-                    nested.fetch_add(1, Ordering::Relaxed);
-                    if !failing {
-                        done.wait();
-                    }
-                }
-                ctx.store(&out, 3, round)
-            });
+            let speculated = SpecHandle::speculated;
+            let child = leaves_a_grandchild(round, failing, out, scratch, done, nested, speculated);
             rt.run(|ctx| {
                 let handle = ctx.fork(4, child)?;
                 forks += u64::from(handle.speculated());
                 assert_eq!(ctx.join(handle)?, JoinOutcome::Committed);
                 Ok(())
             });
+            assert_eq!(
+                rt.memory().get(&scratch, 1),
+                direct_scratch(round, failing),
+                "round {round}, failing {failing}: an unjoined grandchild ran"
+            );
         }
 
         let mem = rt.memory();
