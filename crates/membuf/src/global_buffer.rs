@@ -157,16 +157,6 @@ impl GlobalBuffer {
         self.words.reads()
     }
 
-    /// Whether the thread read the word at `addr` from shared state before
-    /// (or without) writing it.  The runtime uses this to tell a *blind*
-    /// store (write-only word: any registered reader is reading underneath
-    /// this thread's overlay) from a read-modify-write (registered readers
-    /// may be logical predecessors and must not be doomed at store time).
-    pub fn has_read(&self, addr: Addr) -> bool {
-        let word = self.words.entry(addr & !(WORD_BYTES - 1));
-        word.is_some_and(WordEntry::has_read)
-    }
-
     /// Number of buffered words the thread wrote (its write set).
     pub fn write_set_len(&self) -> usize {
         self.words.writes()
@@ -626,7 +616,7 @@ mod tests {
         assert_eq!(mem.get(&p, 0), 5);
         // A fully written word records no read → no false conflict.
         assert_eq!(buf.read_set_len(), 0);
-        assert!(!buf.has_read(a), "a store-only word carries no read");
+        assert!(buf.read_addresses().next().is_none());
     }
 
     #[test]
@@ -636,10 +626,13 @@ mod tests {
         mem.set(&p, 0, 0x1111_2222_3333_4444);
         let a = p.addr_of(0);
         buf.store(a, 0xAAAA, 2).unwrap();
-        assert!(!buf.has_read(a));
+        assert!(buf.read_addresses().next().is_none());
         assert_eq!(load(&mut buf, &mem, a, 8).unwrap(), 0x1111_2222_3333_AAAA);
         assert_eq!(load(&mut buf, &mem, a + 4, 4).unwrap(), 0x1111_2222);
-        assert!(buf.has_read(a), "the unwritten bytes came from memory");
+        assert!(
+            buf.read_addresses().eq([a]),
+            "the unwritten bytes came from memory"
+        );
     }
 
     #[test]
@@ -667,7 +660,7 @@ mod tests {
         assert_eq!(buf.load_logged(&mem, Some(&log), a, 8), Ok(5));
         buf.store(a, 9, 8).unwrap();
         assert_eq!(load(&mut buf, &mem, a, 8), Ok(9), "the own bytes win");
-        assert!(buf.has_read(a) && buf.write_set_len() == 1);
+        assert!(buf.read_addresses().eq([a]) && buf.write_set_len() == 1);
         // A value-identical commit to the word flags it all the same…
         log.record_word(a);
         assert!(!buf.validate_against(&log));

@@ -99,11 +99,7 @@ impl SpecContext {
             .store_or(addr, value, WORD_BYTES, |buffer, word_addr, data, mask| {
                 Self::first_store(mgr, buffer, word_addr, data, mask)
             })
-            .map_err(Self::map_buffer_error)?;
-        if self.reexec_depth > 0 {
-            self.doom_overlaid_readers(addr);
-        }
-        Ok(())
+            .map_err(Self::map_buffer_error)
     }
 
     /// A word enters the write set: the address is checked here, once.
@@ -131,43 +127,15 @@ impl SpecContext {
         self.mgr.commit_log().record_word(addr);
         let victims = self.mgr.doom_readers([addr], self.rank);
         if victims > 0 {
-            self.note_doom(DoomSource::Commit, victims);
-        }
-    }
-
-    /// A buffered store made during a rollback re-execution: if it is
-    /// *blind* (the thread never read this word), any registered reader of
-    /// the word is reading main memory underneath this uncommitted overlay
-    /// and can never validate against it — hard-doom it now, before it
-    /// wastes its window.  Three gates keep the doom surgical: it only
-    /// fires while re-executing (`reexec_depth > 0`, the one gate the
-    /// store site holds: there the registered readers are the
-    /// doomed-from-birth threads that speculated past the rolled-back join
-    /// — outside a re-execution a registered reader may be a logical
-    /// *predecessor* whose read is perfectly valid, e.g. a thread that
-    /// read the word and then forked this very continuation); RMW words
-    /// (read before written) are skipped for the same predecessor reason;
-    /// and only at **word** grain, where reader and writer provably touch
-    /// the same word — at coarser grains a registered "reader" may only
-    /// share the range (false sharing) and could still validate.
-    #[cold]
-    #[inline(never)]
-    fn doom_overlaid_readers(&mut self, addr: Addr) {
-        let blind = self
-            .global
-            .as_ref()
-            .is_some_and(|buffer| !buffer.has_read(addr));
-        if blind && self.mgr.commit_log().config().grain_log2 == mutls_membuf::WORD_GRAIN_LOG2 {
-            let victims = self.mgr.doom_readers_hard([addr], self.rank);
-            self.note_doom(DoomSource::Buffered, victims);
+            self.note_doom(victims);
         }
     }
 
     /// A store of this thread doomed `victims` running readers.  Out of
     /// line: the store path pays for it only when somebody was doomed.
     #[cold]
-    fn note_doom(&mut self, source: DoomSource, victims: u64) {
-        self.observe(0, Point::Doomed { source, victims });
+    fn note_doom(&mut self, victims: u64) {
+        self.observe(0, Point::Doomed(victims));
     }
 
     /// Write a lifecycle point of this thread down, under its rank: 0

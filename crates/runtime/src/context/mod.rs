@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use mutls_membuf::{Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, SpecFailure, WORD_BYTES};
 
-use mutls_trace::{DenyPolicy, DoomSource};
+use mutls_trace::DenyPolicy;
 
 use crate::fork_model::ForkModel;
 use crate::ledger::Point;
@@ -156,10 +156,8 @@ pub struct SpecContext {
     last_mark: Instant,
     op_counter: u32,
     /// Depth of rollback-triggered inline re-executions currently on the
-    /// stack.  While positive, this thread's *buffered* stores hard-doom
-    /// their registered readers: any child it re-forked that reads a
-    /// range this thread rewrites is doomed from birth (it reads main
-    /// memory underneath the uncommitted overlay) and should stop now.
+    /// stack.  While positive, a speculative thread forks nothing (see
+    /// `fork`).
     reexec_depth: u32,
     /// Set once this context, born speculative, was promoted.
     promotion: Option<Promotion>,
@@ -368,8 +366,7 @@ impl TlsContext for SpecContext {
                 // Rollback (squash): the parent re-executes the
                 // continuation inline; the squash already cascaded into
                 // the child's own speculative subtree above.  While the
-                // re-execution runs, this thread's buffered stores
-                // hard-doom their registered readers (see `spec_write`).
+                // re-execution runs, a speculative thread forks nothing.
                 self.reexec_depth += 1;
                 let repair_started = Instant::now();
                 let inline_result = self.run_inline(&task);

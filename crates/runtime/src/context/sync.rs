@@ -26,14 +26,13 @@ impl SpecContext {
             return Err(failure(SpecFailure::Cascaded));
         }
         if requests & DOOMED_HARD != 0 {
-            // A speculative writer's *buffered* store overlaps this
-            // thread's reads: the conflicting value is invisible in
-            // main memory, so no revalidation can help — stop now.
+            // This thread's own promotion failed validation: stop at
+            // every poll, even if the task swallowed the first error.
             return Err(failure(SpecFailure::ReadConflict));
         }
         if requests & DOOMED != 0 {
-            // A committing writer found this thread in the reader
-            // registry: its reads are (range-conservatively) stale.
+            // A publish found this thread in the reader registry: its
+            // reads are (range-conservatively) stale.
             // In-flight value-predict retry first: the registry is
             // range-granular, so the doom may be false sharing — if
             // every conflicting word still holds its first-read

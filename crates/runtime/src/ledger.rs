@@ -26,8 +26,8 @@ use mutls_metrics::{
     ScrapeExtras,
 };
 use mutls_trace::{
-    DenyPolicy, DoomSource, EventKind, LatencyPhase, LatencyRecorder, PlanArm, RollbackCause,
-    TraceEvent, ValidateOutcome,
+    DenyPolicy, EventKind, LatencyPhase, LatencyRecorder, PlanArm, RollbackCause, TraceEvent,
+    ValidateOutcome,
 };
 
 use crate::manager::ThreadManager;
@@ -85,13 +85,8 @@ pub enum Point {
     /// The write set was stamped into the commit log (version reservation
     /// plus stamping took this long).
     CommitStamped(u64),
-    /// A commit, a rollback or a buffered store doomed running threads.
-    Doomed {
-        /// What doomed them.
-        source: DoomSource,
-        /// How many.
-        victims: u64,
-    },
+    /// A publish doomed this many running threads.
+    Doomed(u64),
     /// The thread's write set was published or absorbed.
     Committed {
         /// A value-predict retry repaired its validation.
@@ -186,12 +181,12 @@ pub fn observe<B: Books>(books: &mut B, at: B::At, rank: u32, site: u32, point: 
             books.latency().record(LatencyPhase::CommitLockWait, took);
             books.keep(at, rank, site, EventKind::CommitLockWait { ns: took });
         }
-        Point::Doomed { source, victims } => {
+        Point::Doomed(victims) => {
             books
                 .registry()
                 .add(shard, CounterId::TargetedDooms, victims);
             if victims > 0 {
-                books.keep(at, rank, site, EventKind::Doom { source });
+                books.keep(at, rank, site, EventKind::Doom);
             }
         }
         Point::Committed {

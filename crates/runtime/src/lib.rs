@@ -81,6 +81,6 @@ pub use mutls_metrics as metrics;
 pub use mutls_metrics::{MetricsConfig, MetricsSeries, MetricsSnapshot};
 pub use mutls_trace as trace;
 pub use mutls_trace::{
-    DenyPolicy, DoomSource, EventKind, LatencyPhase, LatencyReport, LatencyRow, PlanArm, Recorder,
+    DenyPolicy, EventKind, LatencyPhase, LatencyReport, LatencyRow, PlanArm, Recorder,
     RollbackCause, TraceConfig, TraceEvent, ValidateOutcome,
 };

@@ -278,12 +278,6 @@ impl ThreadManager {
         if verdict.rollback.is_some() {
             self.commit_log
                 .unregister_reader(outcome.buffer.read_addresses(), child);
-            // Recovery rung 2 — the re-execution will rewrite the
-            // child's write ranges; doom their registered readers now
-            // instead of letting them burn their whole conflict window.
-            let victims = self.doom_readers(outcome.buffer.write_addresses(), child);
-            let source = DoomSource::Rollback;
-            note(Point::Doomed { source, victims });
             return Err(roll_back(verdict));
         }
 
@@ -313,8 +307,7 @@ impl ThreadManager {
                     self.commit_log.record(outcome.buffer.write_addresses());
                     note(Point::CommitStamped(elapsed_ns(stamp_started)));
                     let victims = self.doom_readers(outcome.buffer.write_addresses(), child);
-                    let source = DoomSource::Commit;
-                    note(Point::Doomed { source, victims });
+                    note(Point::Doomed(victims));
                 }
                 Ok(())
             }

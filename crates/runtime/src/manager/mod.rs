@@ -39,7 +39,7 @@ use mutls_membuf::{
     SpecFailure, Validation,
 };
 use mutls_metrics::MetricsHub;
-use mutls_trace::{DenyPolicy, DoomSource, Recorder};
+use mutls_trace::{DenyPolicy, Recorder};
 
 use crate::config::RuntimeConfig;
 use crate::context::{
@@ -105,8 +105,8 @@ const REQUESTS: u8 = ABORT | DOOMED | DOOMED_HARD | SYNC_POSTED;
 /// | `DEPOSITED` | deposit | release | set under `result`'s lock |
 /// | `ORPHANED` | reap | release | set before the reap's `take` |
 /// | `ABORT` | reap, drain | release | none: the poll reads nothing behind it |
-/// | `DOOMED` | committing writer | in-flight retry, release | none: a spurious doom is sound |
-/// | `DOOMED_HARD` | buffered writer, failed promotion | release | as `DOOMED` |
+/// | `DOOMED` | publish | in-flight retry, release | none: a spurious doom is sound |
+/// | `DOOMED_HARD` | failed promotion | release | as `DOOMED` |
 /// | `SYNC_POSTED` | `post_sync` | `take_sync`, release | `Release`, after `sync` is filled |
 ///
 /// The claim is one CAS from any word without `RUNNING` to exactly

@@ -191,7 +191,7 @@ impl ThreadManager {
     }
 
     /// True if the speculative thread `rank` was doomed surgically by a
-    /// committing writer (its registered reads are stale; an in-flight
+    /// publish (its registered reads are stale; an in-flight
     /// value-predict retry may still clear it).
     pub fn doom_requested(&self, rank: Rank) -> bool {
         rank != 0 && self.requests(rank) & DOOMED != 0
@@ -212,9 +212,9 @@ impl ThreadManager {
     }
 
     /// Doom exactly the threads registered as readers of the ranges
-    /// covering `addrs` — called by a committing writer right after the
-    /// ranges were stamped (or by a rollback about to re-execute them).
-    /// `exclude` (the finishing child, whose registrations are already
+    /// covering `addrs` — called by a publish (rank 0's exposed store, or a
+    /// join that commits to main memory) right after the ranges were
+    /// stamped.  `exclude` (the finishing child, whose registrations are already
     /// dead) is never doomed.  Returns how many threads were doomed.
     /// Enumeration is complete at any thread count: ranks past the
     /// registry's 63-rank bitmask sit in a spill set per range
@@ -229,36 +229,6 @@ impl ThreadManager {
     /// (`SpecContext::poll`), so a doom is the one thing that stops a
     /// reader whose stale data keeps it from ever reaching its join.
     pub fn doom_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I, exclude: Rank) -> u64 {
-        self.doom_readers_with(addrs, exclude, false)
-    }
-
-    /// Like [`doom_readers`](Self::doom_readers), but the conflicting
-    /// write is *buffered* (a speculative writer's private write-set), so
-    /// the victims' doom is **hard**: no value revalidation against main
-    /// memory can clear it.  This is what stops the doomed-from-birth
-    /// children of an inline re-execution within one poll interval —
-    /// they read main memory underneath their (re-executing) parent's
-    /// uncommitted writes and can never validate.
-    pub fn doom_readers_hard<I: IntoIterator<Item = Addr>>(&self, addrs: I, exclude: Rank) -> u64 {
-        self.doom_readers_with(addrs, exclude, true)
-    }
-
-    /// The logical-rank stamp of `rank`'s current task (0 for the
-    /// non-speculative thread, which is logically earliest).
-    fn logical_of(&self, rank: Rank) -> u64 {
-        if rank == 0 || rank > self.slots.len() {
-            0
-        } else {
-            self.slots[rank - 1].logical.load(Ordering::Acquire)
-        }
-    }
-
-    fn doom_readers_with<I: IntoIterator<Item = Addr>>(
-        &self,
-        addrs: I,
-        exclude: Rank,
-        hard: bool,
-    ) -> u64 {
         let set = self.commit_log.take_readers(addrs);
         if set.is_empty() {
             return 0;
@@ -284,12 +254,21 @@ impl ThreadManager {
             if slot.status.load(Ordering::Acquire) & RUNNING != 0
                 && slot.logical.load(Ordering::Acquire) >= committer
             {
-                let bit = if hard { DOOMED_HARD } else { DOOMED };
-                slot.status.fetch_or(bit, Ordering::Release);
+                slot.status.fetch_or(DOOMED, Ordering::Release);
                 doomed += 1;
             }
         }
         doomed
+    }
+
+    /// The logical-rank stamp of `rank`'s current task (0 for the
+    /// non-speculative thread, which is logically earliest).
+    fn logical_of(&self, rank: Rank) -> u64 {
+        if rank == 0 || rank > self.slots.len() {
+            0
+        } else {
+            self.slots[rank - 1].logical.load(Ordering::Acquire)
+        }
     }
 
     /// Release a virtual CPU after its outcome has been consumed: one

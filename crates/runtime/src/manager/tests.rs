@@ -494,18 +494,22 @@ fn a_reaped_subtree_keeps_no_work_finished_or_running() {
     assert_eq!(m.exposed_speculations(), 0);
 }
 
+/// A rollback dooms nobody: no value has changed yet.  The victim stays
+/// registered, so the publish of the re-execution's store — the one
+/// change of the value — is what dooms it, past any in-flight retry.
 #[test]
-fn rollback_recovery_dooms_readers_of_the_rewritten_ranges() {
+fn a_rolled_back_childs_readers_are_doomed_by_the_re_executions_publish() {
     let m = mgr(3);
     let mem = Arc::clone(m.memory());
     let cell = mem.alloc::<u64>(64);
     mem.set(&cell, 0, 1);
+    let word = cell.addr_of(32);
     let victim = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
 
     // The victim speculatively read the word the failing child wrote.
     let mut victim_buf = fresh_buffer(&m, victim);
     let _ = victim_buf
-        .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(32), 8)
+        .load_logged(&*mem, Some(m.commit_log()), word, 8)
         .unwrap();
 
     // The child read word 0, then a predecessor committed a different
@@ -515,7 +519,7 @@ fn rollback_recovery_dooms_readers_of_the_rewritten_ranges() {
     let _ = child_buf
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
-    child_buf.store(cell.addr_of(32), 9, 8).unwrap();
+    child_buf.store(word, 9, 8).unwrap();
     mem.set(&cell, 0, 2);
     m.commit_log().record_word(cell.addr_of(0));
 
@@ -524,10 +528,22 @@ fn rollback_recovery_dooms_readers_of_the_rewritten_ranges() {
         m.validate_and_commit(0, &mut outcome, None),
         Err(SpecFailure::ReadConflict)
     );
-    assert_eq!(counted(&m, 0, CounterId::TargetedDooms), 1);
+    assert!(!m.doom_requested(victim), "the rollback changed no value");
     assert!(
-        m.doom_requested(victim),
-        "reader of the to-be-rewritten range must be doomed"
+        m.commit_log().registered_readers(word).contains(victim),
+        "the victim stays registered for the publish to find"
+    );
+
+    // Rank 0 re-executes the child and stores word 32: memory, the
+    // commit-log stamp and the doom of the word's readers.
+    let dooms = counted(&m, 0, CounterId::TargetedDooms);
+    let mut rank0 = SpecContext::non_speculative(Arc::clone(&m));
+    rank0.spec_write(word, 9).unwrap();
+    assert!(m.doom_requested(victim), "the publish dooms the reader");
+    assert_eq!(counted(&m, 0, CounterId::TargetedDooms), dooms + 1);
+    assert!(
+        !victim_buf.revalidate_by_value(m.commit_log(), &*mem),
+        "the value changed: no in-flight retry clears this doom"
     );
 }
 

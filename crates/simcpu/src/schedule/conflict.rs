@@ -158,9 +158,7 @@ impl<'a> Scheduler<'a> {
         }
         let victims = newly_doomed.len() as u64;
         let cost = self.config.cost.doom_cycles(victims);
-        let source = DoomSource::Commit;
-        let doomed = Point::Doomed { source, victims };
-        self.observe(time, self.lane_of(writer), doomed);
+        self.observe(time, self.lane_of(writer), Point::Doomed(victims));
         for fid in newly_doomed {
             self.request_stop(fid, time);
         }

@@ -44,7 +44,7 @@ use mutls_metrics::{MetricsConfig, MetricsHub, MetricsSeries, MetricsSnapshot, R
 use mutls_runtime::ledger::{self, Books, Point};
 use mutls_runtime::protocol::{self, Forker, JoinFacts, JoinVerdict, Retirement};
 use mutls_runtime::{ForkModel, Phase, RunReport, RuntimeConfig, ThreadStats};
-use mutls_trace::{DenyPolicy, DoomSource, EventKind, LatencyRecorder, TraceEvent};
+use mutls_trace::{DenyPolicy, EventKind, LatencyRecorder, TraceEvent};
 
 use crate::cost::CostModel;
 use crate::record::{NodeId, Recording, Segment, SimEvent};

@@ -104,7 +104,8 @@ impl RollbackCause {
 pub enum PlanArm {
     /// Value-predict retry: re-stamp and commit in place.
     Retry,
-    /// Targeted dooming of the registered readers of the rewritten ranges.
+    /// Rollback and inline re-execution, whose publishes doom the
+    /// registered readers of what it rewrites.
     DoomSet,
     /// No recovery ladder ran (the thread died before its join).
     None,
@@ -117,29 +118,6 @@ impl PlanArm {
             PlanArm::Retry => "retry",
             PlanArm::DoomSet => "doomset",
             PlanArm::None => "none",
-        }
-    }
-}
-
-/// Who doomed a still-running speculative thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DoomSource {
-    /// A committing writer found the victim in the reader registry.
-    Commit,
-    /// A rollback about to re-execute the victim's read ranges.
-    Rollback,
-    /// A speculative writer's *buffered* store overlaps the victim's reads
-    /// (hard doom — no value revalidation can clear it).
-    Buffered,
-}
-
-impl DoomSource {
-    /// Stable lowercase label used in exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DoomSource::Commit => "commit",
-            DoomSource::Rollback => "rollback",
-            DoomSource::Buffered => "buffered",
         }
     }
 }
@@ -191,11 +169,8 @@ pub enum EventKind {
     },
     /// An in-flight value-predict retry cleared a doom without stopping.
     RetryInFlight,
-    /// A still-running thread was doomed.
-    Doom {
-        /// Who doomed it.
-        source: DoomSource,
-    },
+    /// A publish doomed still-running threads that had read its ranges.
+    Doom,
 }
 
 impl EventKind {
@@ -213,7 +188,7 @@ impl EventKind {
             EventKind::Commit => "Commit",
             EventKind::Rollback { .. } => "Rollback",
             EventKind::RetryInFlight => "RetryInFlight",
-            EventKind::Doom { .. } => "Doom",
+            EventKind::Doom => "Doom",
         }
     }
 
@@ -231,7 +206,10 @@ impl EventKind {
             out.push_str(&value);
         };
         match self {
-            EventKind::ForkAttempt | EventKind::Commit | EventKind::RetryInFlight => {}
+            EventKind::ForkAttempt
+            | EventKind::Commit
+            | EventKind::RetryInFlight
+            | EventKind::Doom => {}
             EventKind::ForkDenied { policy } => {
                 field(out, "policy", format!("\"{}\"", policy.label()));
             }
@@ -247,9 +225,6 @@ impl EventKind {
             EventKind::Rollback { reason, plan } => {
                 field(out, "reason", format!("\"{}\"", reason.label()));
                 field(out, "plan", format!("\"{}\"", plan.label()));
-            }
-            EventKind::Doom { source } => {
-                field(out, "source", format!("\"{}\"", source.label()));
             }
         }
     }

@@ -25,7 +25,8 @@ pub enum LatencyPhase {
     CommitLockWait,
     /// Conflict repaired in place by value-predict retry.
     RepairRetry,
-    /// Rollback repaired by inline re-execution under targeted dooming.
+    /// Rollback repaired by inline re-execution, whose publishes doom the
+    /// readers of what it rewrites.
     RepairDoomSet,
 }
 

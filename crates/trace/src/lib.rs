@@ -22,9 +22,7 @@ pub mod histogram;
 pub mod ring;
 
 pub use chrome::{chrome_trace_json, TraceRun};
-pub use event::{
-    DenyPolicy, DoomSource, EventKind, PlanArm, RollbackCause, TraceEvent, ValidateOutcome,
-};
+pub use event::{DenyPolicy, EventKind, PlanArm, RollbackCause, TraceEvent, ValidateOutcome};
 pub use histogram::{Histogram, LatencyPhase, LatencyRecorder, LatencyReport, LatencyRow};
 pub use ring::EventRing;
 

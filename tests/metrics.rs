@@ -291,7 +291,7 @@ fn assert_one_ledger(run: &str, report: &RunReport, events: &[TraceEvent], last:
     assert_eq!(report.throttled_forks(), throttled, "{run}: site table");
 
     let dooms = snapshot("targeted_dooms");
-    let doom_events = events_of(|k| matches!(k, EventKind::Doom { .. }));
+    let doom_events = events_of(|k| matches!(k, EventKind::Doom));
     assert!(
         dooms == 0 || doom_events > 0,
         "{run}: {dooms} dooms, no Doom event"
