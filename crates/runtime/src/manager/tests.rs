@@ -440,20 +440,6 @@ fn commit_spares_logically_older_readers() {
         "a logical predecessor's read legitimately precedes the write"
     );
     assert!(m.doom_requested(successor), "the successor's read is stale");
-
-    // The writer's own rollback dooms through the same filter: the
-    // readers of the ranges its re-execution is about to rewrite.
-    let mut writer_buf = fresh_buffer(&m, writer);
-    writer_buf.store(cell.addr_of(0), 9, 8).unwrap();
-    let _ = pred_buf
-        .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
-        .unwrap();
-    let outcome = completed(writer_buf);
-    m.doom_readers(outcome.buffer.write_addresses(), writer);
-    assert!(
-        !m.doom_requested(predecessor),
-        "rollback recovery must spare logical predecessors"
-    );
 }
 
 #[test]
