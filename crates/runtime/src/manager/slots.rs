@@ -214,8 +214,8 @@ impl ThreadManager {
     /// Doom exactly the threads registered as readers of the ranges
     /// covering `addrs` — called by a publish (rank 0's exposed store, or a
     /// join that commits to main memory) right after the ranges were
-    /// stamped.  `exclude` (the finishing child, whose registrations are already
-    /// dead) is never doomed.  Returns how many threads were doomed.
+    /// stamped.  `exclude` (the finishing child, whose registrations are
+    /// already dead) is never doomed.  Returns how many threads were doomed.
     /// Enumeration is complete at any thread count: ranks past the
     /// registry's 63-rank bitmask sit in a spill set per range
     /// (`CommitLogStats::reader_spills` counts their registrations).
