@@ -52,13 +52,14 @@
 //! page), the unit the log counts its stamps in.
 //!
 //! That table is all there is.  MUTLS confines speculative traffic to
-//! the *registered* address space (paper §IV-G: an access outside it
-//! rolls the thread back), and the runtime checks every address against
-//! it when the address enters a read or write set — before the log sees
-//! it.  An address at or past the window is therefore a bug in the
-//! caller, and every entry point that takes one panics with the address
-//! and the window size, exactly as `GlobalMemory::word` does for the same
-//! address one call earlier.
+//! the arena's allocated window (paper §IV-G: an access outside it rolls
+//! the thread back), and the runtime checks every address against it
+//! ([`GlobalMemory::is_allocated`](crate::GlobalMemory::is_allocated))
+//! when the address enters a read or write set — before the log sees it.
+//! An address at or past the window is therefore a bug in the caller, and
+//! every entry point that takes one panics with the address and the window
+//! size, exactly as `GlobalMemory::word` does for the same address one
+//! call earlier.
 //!
 //! ## Memory-ordering protocol
 //!

@@ -214,14 +214,45 @@ impl CommitLog {
     }
 
     /// Enumerate *and clear* the registered readers of every range
-    /// covering `addrs` — called by a committing writer immediately after
-    /// [`record`](Self::record), so the returned set is exactly the
-    /// threads whose read sets overlap the just-stamped ranges (tracked
-    /// bitmask ranks plus every spilled rank; enumeration is complete at
-    /// any thread count).  Clearing on enumeration bounds registry
-    /// staleness: the returned readers are about to be doomed and will
-    /// re-register when they re-execute.
+    /// covering `addrs` — [`take_readers_sparing`](Self::take_readers_sparing)
+    /// with nobody spared.
     pub fn take_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> ReaderSet {
+        self.take_readers_sparing(addrs, |_| false)
+    }
+
+    /// Enumerate the registered readers of every range covering `addrs`
+    /// and clear their registrations, except those of the ranks `spare`
+    /// keeps — called by a committing writer immediately after
+    /// [`record`](Self::record), so the returned set is exactly the
+    /// threads whose read sets overlap the just-stamped ranges and that
+    /// the writer does not spare (tracked bitmask ranks plus every spilled
+    /// rank; enumeration is complete at any thread count).
+    ///
+    /// Clearing what is returned bounds registry staleness: a returned
+    /// reader is doomed or no longer running, and a doomed reader
+    /// re-registers when it retries or re-executes.  A spared reader (a
+    /// running logical predecessor of the writer, whose read this commit
+    /// does not make stale) keeps its bit on exactly the ranges it was
+    /// found on, so a later publish by a logically earlier writer still
+    /// finds and dooms it.  `spare` is asked once per tracked rank, and
+    /// once per range for a spilled one.
+    ///
+    /// Per range the mask is read once and only bits of that read are
+    /// cleared (`fetch_and`, not a swap): a bit set after the read is
+    /// neither returned nor cleared, which is the missed-reader case of
+    /// the module docs — its snapshot covers this commit — and a spared
+    /// bit is never out of the mask, so no concurrent enumeration can miss
+    /// it.  A spill set is filtered under the spill lock, and its marker
+    /// bit is cleared under the same lock when the set empties, as in
+    /// [`unregister_reader`](Self::unregister_reader).
+    pub fn take_readers_sparing<I, F>(&self, addrs: I, mut spare: F) -> ReaderSet
+    where
+        I: IntoIterator<Item = Addr>,
+        F: FnMut(usize) -> bool,
+    {
+        // Tracked ranks asked so far, and which of them are spared.
+        let mut asked = 0u64;
+        let mut spared = 0u64;
         let mut bits = 0u64;
         let mut spilled: Vec<usize> = Vec::new();
         let mut last: Option<usize> = None;
@@ -237,15 +268,42 @@ impl CommitLog {
             // SC order and break the missed-reader argument of the
             // module docs (a relaxed load participates in no SC
             // total order).
-            if self.readers[local].load(Ordering::SeqCst) != 0 {
-                let taken = self.readers[local].swap(0, Ordering::SeqCst);
-                bits |= taken;
-                if taken & READER_SPILL_BIT != 0 {
-                    if let Some(set) = self.readers_spill.write().remove(&local) {
-                        spilled.extend(set);
-                    }
+            let seen = self.readers[local].load(Ordering::SeqCst);
+            if seen == 0 {
+                continue;
+            }
+            let mut fresh = seen & !asked & !READER_SPILL_BIT;
+            while fresh != 0 {
+                let tz = fresh.trailing_zeros();
+                fresh &= fresh - 1;
+                if spare(tz as usize + 1) {
+                    spared |= 1 << tz;
                 }
             }
+            asked |= seen & !READER_SPILL_BIT;
+            let mut keep = seen & spared;
+            if seen & READER_SPILL_BIT != 0 {
+                let mut spill = self.readers_spill.write();
+                if let Some(set) = spill.get_mut(&local) {
+                    set.retain(|&rank| {
+                        spare(rank) || {
+                            spilled.push(rank);
+                            false
+                        }
+                    });
+                    if set.is_empty() {
+                        spill.remove(&local);
+                    } else {
+                        keep |= READER_SPILL_BIT;
+                    }
+                }
+                // Under the lock: a spilled registrant inserts before it
+                // sets the marker.
+                self.readers[local].fetch_and(!(seen & !keep), Ordering::SeqCst);
+            } else if keep != seen {
+                self.readers[local].fetch_and(!(seen & !keep), Ordering::SeqCst);
+            }
+            bits |= seen & !keep;
         }
         ReaderSet::from_parts(bits, spilled)
     }
@@ -342,6 +400,33 @@ mod tests {
         log.unregister_reader([16], 100);
         let set = log.registered_readers(16);
         assert!(!set.contains(100) && set.contains(101));
+    }
+
+    #[test]
+    fn a_spared_reader_keeps_its_bit_where_it_was_found() {
+        // Ranks 2 and 100 (spilled) are spared, 3 and 101 are not; rank 2
+        // read word 8 only, so word 16 gains nothing.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 64);
+        for (addr, rank) in [(8, 2), (8, 3), (8, 100), (8, 101), (16, 3)] {
+            log.register_reader(addr, rank);
+        }
+        let mut asked = Vec::new();
+        let taken = log.take_readers_sparing([8, 16], |rank| {
+            asked.push(rank);
+            rank == 2 || rank == 100
+        });
+        assert_eq!(taken.ranks().collect::<Vec<_>>(), vec![3, 101]);
+        asked.sort_unstable();
+        assert_eq!(asked, vec![2, 3, 100, 101], "each rank asked once");
+        let kept = log.registered_readers(8);
+        assert_eq!(kept.ranks().collect::<Vec<_>>(), vec![2, 100]);
+        assert!(log.registered_readers(16).is_empty());
+        // Nobody spared: the rest goes, spill marker included.
+        assert_eq!(
+            log.take_readers([8]).ranks().collect::<Vec<_>>(),
+            vec![2, 100]
+        );
+        assert_eq!(log.readers[log.slot_of(8)].load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -18,8 +18,9 @@ pub enum BufferError {
     /// back (paper §IV-G2: "If the temporary buffer is used up, the
     /// speculative thread rolls back").
     OverflowFull,
-    /// The access touches an address outside every registered address
-    /// space; the speculative thread must roll back (paper §IV-G1).
+    /// The access touches an address outside what the arena has allocated
+    /// (`GlobalMemory::is_allocated`); the speculative thread must roll
+    /// back (paper §IV-G1).
     UnregisteredAddress,
     /// The access is misaligned with respect to its size, which the
     /// word-granular buffering scheme does not support.

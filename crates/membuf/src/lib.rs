@@ -15,8 +15,9 @@
 //! * [`GlobalMemory`] — a word-addressable shared main-memory arena
 //!   (the "global address space") built from relaxed atomics so that the
 //!   benign read/write races inherent to speculation are well defined.
-//! * [`AddressSpace`] — registration of static/heap/stack address ranges so
-//!   speculative accesses to unregistered addresses force a rollback.
+//!   Allocation *is* registration: what the arena's cursor has handed out
+//!   ([`GlobalMemory::is_allocated`]) is the whole set of addresses a
+//!   speculative access may touch, and one outside it forces a rollback.
 //! * [`CommitLog`] — the range-granular versioned record of every write
 //!   published to main memory; read-set entries are stamped with the log's
 //!   epoch observed at read time and join-time validation
@@ -29,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod address_space;
 pub mod commit_log;
 pub mod error;
 pub mod global_buffer;
@@ -37,7 +37,6 @@ pub mod memory;
 pub mod wordmap;
 mod zeroed;
 
-pub use address_space::AddressSpace;
 pub use commit_log::{
     CommitLog, CommitLogConfig, CommitLogStats, CommitVersion, ReaderSet, RegionId, RegionProfile,
     RingCheck, DEFAULT_RING_DEPTH, LINE_GRAIN_LOG2, MAX_RING_DEPTH, MAX_TRACKED_READERS,

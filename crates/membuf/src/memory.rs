@@ -106,6 +106,22 @@ impl GlobalMemory {
         self.next.load(Ordering::Relaxed)
     }
 
+    /// Whether `[addr, addr + len)` lies inside what the arena has handed
+    /// out: at or above [`BASE_ADDR`](Self::BASE_ADDR) and below the
+    /// allocation cursor.  This is the one bound on a speculative access
+    /// (paper §IV-G1, where heap allocation calls are intercepted):
+    /// allocation *is* registration, and an access outside it rolls the
+    /// thread back instead of faulting.  An access that would run past the
+    /// end of the address space — a garbage pointer read under speculation
+    /// — is outside.
+    #[inline]
+    pub fn is_allocated(&self, addr: Addr, len: u64) -> bool {
+        addr >= Self::BASE_ADDR
+            && addr
+                .checked_add(len)
+                .is_some_and(|end| end <= self.allocated_bytes())
+    }
+
     /// Read a typed element directly (non-speculative access path).
     pub fn get<T: Word>(&self, ptr: &GPtr<T>, index: usize) -> T {
         assert!(index < ptr.len, "index {index} out of bounds {}", ptr.len);
@@ -328,6 +344,19 @@ mod tests {
         let mem = GlobalMemory::new(64);
         let a = mem.alloc::<u64>(1);
         assert!(a.base_addr() >= GlobalMemory::BASE_ADDR);
+    }
+
+    #[test]
+    fn only_what_the_cursor_handed_out_is_allocated() {
+        let mem = GlobalMemory::new(1024);
+        let _ = mem.alloc::<u64>(4);
+        let cursor = mem.allocated_bytes();
+        assert!(!mem.is_allocated(0, WORD_BYTES), "below BASE_ADDR");
+        assert!(mem.is_allocated(cursor - WORD_BYTES, WORD_BYTES));
+        assert!(!mem.is_allocated(cursor, WORD_BYTES), "at the cursor");
+        // A wild pointer: `addr + len` wraps to 0, below the cursor, and
+        // must still be out.
+        assert!(!mem.is_allocated(u64::MAX - 7, WORD_BYTES));
     }
 
     #[test]

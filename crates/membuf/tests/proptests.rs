@@ -7,9 +7,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use mutls_membuf::{
-    AddressSpace, BufferConfig, BufferError, CommitLog, CommitLogConfig, GlobalBuffer,
-    GlobalMemory, MainMemory, WordEntry, WordMap, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_BYTES,
-    WORD_GRAIN_LOG2,
+    BufferConfig, BufferError, CommitLog, CommitLogConfig, GlobalBuffer, GlobalMemory, MainMemory,
+    WordEntry, WordMap, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_BYTES, WORD_GRAIN_LOG2,
 };
 
 /// Arbitrary word-aligned address within a small arena.
@@ -726,20 +725,5 @@ proptest! {
             // Depth-1 degeneration: exactly the legacy verdict.
             prop_assert_eq!(mvcc_valid, single_valid);
         }
-    }
-
-    /// Address-space registration: an address is contained iff it falls in
-    /// a registered range that has not been unregistered.
-    #[test]
-    fn address_space_registration_model(
-        ranges in proptest::collection::vec((1u64..2000, 1u64..64), 1..20),
-        probe in 1u64..2100,
-    ) {
-        let mut space = AddressSpace::new();
-        for (start, len) in &ranges {
-            space.register(*start, *len);
-        }
-        let expected = ranges.iter().any(|(s, l)| probe >= *s && probe < s + l);
-        prop_assert_eq!(space.contains(probe, 1), expected);
     }
 }

@@ -23,9 +23,9 @@ impl SpecContext {
     // **Every address in a set was checked on the way in.**  An address
     // enters the read set at its first touch, the write set at the first
     // store of its word, and either set when a child's buffer is absorbed
-    // (the child checked its own); `range_registered` runs there — before
-    // the insert, so not even a task that swallows the error can commit a
-    // wild word — and a hit does not ask again.
+    // (the child checked its own); `GlobalMemory::is_allocated` runs there
+    // — before the insert, so not even a task that swallows the error can
+    // commit a wild word — and a hit does not ask again.
 
     /// Read one word of shared program data.
     ///
@@ -62,7 +62,7 @@ impl SpecContext {
         buffer: &mut GlobalBuffer,
         word_addr: Addr,
     ) -> Result<u64, BufferError> {
-        if !mgr.range_registered(word_addr, WORD_BYTES) {
+        if !mgr.memory().is_allocated(word_addr, WORD_BYTES) {
             return Err(BufferError::UnregisteredAddress);
         }
         buffer.first_touch(mgr.memory().as_ref(), Some(mgr.commit_log()), word_addr)
@@ -111,7 +111,7 @@ impl SpecContext {
         data: u64,
         mask: u64,
     ) -> Result<(), BufferError> {
-        if !mgr.range_registered(word_addr, WORD_BYTES) {
+        if !mgr.memory().is_allocated(word_addr, WORD_BYTES) {
             return Err(BufferError::UnregisteredAddress);
         }
         buffer.first_store(word_addr, data, mask)

@@ -30,8 +30,7 @@
 //! of its own:
 //!
 //! * `access.rs` — the access shells: first touch and first store, rank
-//!   0's published stores, the overlay dooms of a re-execution, the poll
-//!   cadence;
+//!   0's published stores, the poll cadence;
 //! * `sync.rs` — the poll: aborts, dooms and the child side of early
 //!   synchronization;
 //! * `join.rs` — the deposit and the hand-back, and the joiner's side:
@@ -221,8 +220,9 @@ impl SpecContext {
         Arc::clone(self.mgr.memory())
     }
 
-    /// Allocate `count` elements of `T` from the shared arena and register
-    /// the range in the global address space.
+    /// Allocate `count` elements of `T` from the shared arena; what the
+    /// arena hands out is what a speculative access may touch
+    /// ([`GlobalMemory::is_allocated`]).
     ///
     /// # Panics
     /// Panics when called from a speculative context: speculative threads
@@ -232,10 +232,7 @@ impl SpecContext {
             self.rank == 0,
             "speculative threads may not allocate memory"
         );
-        let ptr = self.mgr.memory().alloc::<T>(count);
-        self.mgr
-            .register_range(ptr.base_addr(), (count as u64) * WORD_BYTES);
-        ptr
+        self.mgr.memory().alloc::<T>(count)
     }
 
     /// Per-thread statistics gathered so far (primarily for tests).

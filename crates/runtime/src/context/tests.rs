@@ -17,7 +17,7 @@ fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
     let deposit = |status: TaskStatus| {
         let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
         let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child);
-        ctx.spec_read(addr).expect("registered address");
+        ctx.spec_read(addr).expect("an allocated address");
         assert!(mgr.deposit_outcome(child, ctx.into_outcome(status)));
         child
     };

@@ -148,14 +148,13 @@ impl ThreadManager {
     /// write-set overlay, since the child could not observe those
     /// logically earlier writes at all.
     ///
-    /// The recovery ladder on a conflict:
-    ///
-    /// 1. **Value-predict retry**: if every conflicting read still holds
-    ///    its first-read value, re-stamp and commit in place — no
-    ///    re-execution, `Ok(CommitKind::Retried)`.
-    /// 2. **Targeted dooming**: otherwise enumerate the registered
-    ///    readers of the child's write ranges (the inline re-execution is
-    ///    about to rewrite them) and doom exactly those threads.
+    /// On a conflict, a **value-predict retry**: if every conflicting
+    /// read still holds its first-read value, re-stamp and commit in place
+    /// — no re-execution, `Ok(CommitKind::Retried)`.  Otherwise the child
+    /// rolls back and its joiner re-executes it inline; nothing is doomed
+    /// here.  The readers a write makes stale are doomed where it is
+    /// published (`doom_readers`): by this commit, or by the re-execution's
+    /// stores.
     ///
     /// Returns `Ok(kind)` on commit and `Err(reason)` on rollback.
     /// Validation/commit/finalize time is charged to the child's
@@ -228,7 +227,7 @@ impl ThreadManager {
         let log_valid = match log_verdict {
             Validation::Valid => true,
             Validation::Conflict { .. } => {
-                // Recovery rung 1 — value prediction: the current
+                // Recovery by value prediction: the current
                 // committed values validate the reads, so the execution
                 // is equivalent to one that read after those commits.
                 retried = outcome.buffer.revalidate_by_value(&self.commit_log, mem);

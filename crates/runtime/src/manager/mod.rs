@@ -29,14 +29,13 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use mutls_adaptive::{Governor, SiteId};
 use mutls_membuf::{
-    Addr, AddressSpace, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, MainMemory,
-    SpecFailure, Validation,
+    Addr, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, MainMemory, SpecFailure, Validation,
 };
 use mutls_metrics::MetricsHub;
 use mutls_trace::{DenyPolicy, Recorder};
@@ -186,7 +185,6 @@ pub struct ThreadManager {
     /// Versioned record of every write published to main memory; the
     /// substrate of real cross-thread conflict detection.
     commit_log: CommitLog,
-    address_space: RwLock<AddressSpace>,
     slots: Vec<Slot>,
     /// Rank of the most recently speculated thread still in flight
     /// (0 = none); used by the in-order forking model.
@@ -277,10 +275,6 @@ impl ThreadManager {
     pub fn new(config: RuntimeConfig) -> Arc<Self> {
         let memory = Arc::new(GlobalMemory::new(config.memory_bytes));
         let slots = (0..config.num_cpus).map(|_| Slot::new()).collect();
-        let mut space = AddressSpace::new();
-        // The whole arena below the allocation cursor grows as the program
-        // allocates; individual allocations register themselves.
-        space.register(GlobalMemory::BASE_ADDR, 0);
         // Size the log's dense fast path to the arena so every stamp and
         // lookup is a single atomic access with bounded memory; grain and
         // ring depth come from the runtime configuration.
@@ -289,7 +283,6 @@ impl ThreadManager {
             config,
             memory,
             commit_log,
-            address_space: RwLock::new(space),
             slots,
             most_speculative: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
@@ -365,33 +358,6 @@ impl ThreadManager {
     /// The shared commit log every published write is recorded in.
     pub fn commit_log(&self) -> &CommitLog {
         &self.commit_log
-    }
-
-    /// Register `[addr, addr+len)` as valid global data.
-    pub fn register_range(&self, addr: Addr, len: u64) {
-        self.address_space.write().register(addr, len);
-    }
-
-    /// Unregister a range (object deallocation).
-    pub fn unregister_range(&self, addr: Addr, len: u64) {
-        self.address_space.write().unregister(addr, len);
-    }
-
-    /// Whether an access is inside the registered global address space.
-    ///
-    /// Anything handed out by the arena's bump allocator is implicitly
-    /// registered (allocation *is* registration, as in §IV-G1 where heap
-    /// allocation calls are intercepted); explicitly registered ranges are
-    /// honoured in addition.
-    ///
-    /// An access that would run past the end of the address space — a
-    /// garbage pointer read under speculation — is in neither.
-    pub fn range_registered(&self, addr: Addr, len: u64) -> bool {
-        let in_arena = addr >= GlobalMemory::BASE_ADDR
-            && addr
-                .checked_add(len)
-                .is_some_and(|end| end <= self.memory.allocated_bytes());
-        in_arena || self.address_space.read().contains(addr, len)
     }
 
     /// Wait until no speculative thread is in flight.  Orphans were

@@ -229,34 +229,40 @@ impl ThreadManager {
     /// (`SpecContext::poll`), so a doom is the one thing that stops a
     /// reader whose stale data keeps it from ever reaching its join.
     pub fn doom_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I, exclude: Rank) -> u64 {
-        let set = self.commit_log.take_readers(addrs);
-        if set.is_empty() {
-            return 0;
-        }
+        // Only running threads are doomed — an idle slot's registration
+        // is stale, and so is the committer's.  A release between the
+        // check and the `fetch_or` leaves the bit on an idle word, which
+        // the next claim drops.
+        let live = |rank: Rank| {
+            rank != exclude
+                && rank <= self.slots.len()
+                && self.slots[rank - 1].status.load(Ordering::Acquire) & RUNNING != 0
+        };
         // Logical-order filter: a reader forked *before* the committing
         // writer executes logically earlier work, so its reads are
         // legitimately allowed to precede the write (the RMW-predecessor
         // pattern: the forker read the cell, forked the continuation,
-        // and the continuation's commit must not doom it).  Skipping a
+        // and the continuation's commit must not doom it).  Sparing a
         // predecessor is always sound: its read is not stale, so no
-        // verdict is owed to it.
+        // verdict is owed to it.  It keeps its registrations, so a later
+        // publish by a logically earlier writer still dooms it.  Rank 0
+        // (stamp 0) spares nobody; a task claimed after the committer
+        // holds a later stamp, so whatever the take returns is no
+        // predecessor.
         let committer = self.logical_of(exclude);
+        let spare = |rank: Rank| {
+            live(rank) && self.slots[rank - 1].logical.load(Ordering::Acquire) < committer
+        };
+        let set = self.commit_log.take_readers_sparing(addrs, spare);
+        // The dooms follow the whole take: a doomed reader's in-flight
+        // retry re-registers, and no later range of the take may clear
+        // that.
         let mut doomed = 0;
-        for rank in set.ranks() {
-            if rank == exclude || rank > self.slots.len() {
-                continue;
-            }
-            let slot = &self.slots[rank - 1];
-            // Only running threads are doomed — an idle slot's
-            // registration is stale.  A release between the check and the
-            // `fetch_or` leaves the bit on an idle word, which the next
-            // claim drops.
-            if slot.status.load(Ordering::Acquire) & RUNNING != 0
-                && slot.logical.load(Ordering::Acquire) >= committer
-            {
-                slot.status.fetch_or(DOOMED, Ordering::Release);
-                doomed += 1;
-            }
+        for rank in set.ranks().filter(|&rank| live(rank)) {
+            self.slots[rank - 1]
+                .status
+                .fetch_or(DOOMED, Ordering::Release);
+            doomed += 1;
         }
         doomed
     }

@@ -402,15 +402,20 @@ fn commit_dooms_a_reader_past_the_registry_bitmask_and_spares_an_older_one() {
 
     // The logical-order filter reaches a spilled rank too: CPU 5 is
     // recycled, so its task (stamp 71) is younger than rank 70's, and
-    // its commit takes rank 70's new registration without dooming it.
+    // its commit finds rank 70's new registration and spares it, spill
+    // set entry and all, for rank 0's next store to doom.
     m.release_cpu(5, 0);
     assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Ok(5));
     m.clear_doom(70);
     read_as(70);
     assert_eq!(commit_as(5), 0);
     assert!(!m.doom_requested(70), "a logically older reader is spared");
-    assert!(m.commit_log().registered_readers(addr).is_empty());
+    let kept = m.commit_log().registered_readers(addr);
+    assert_eq!(kept.ranks().collect::<Vec<_>>(), vec![70]);
     assert_eq!(m.commit_log().stats().reader_spills, 2);
+    assert_eq!(m.doom_readers([addr], 0), 1);
+    assert!(m.doom_requested(70), "the spared reader stays doomable");
+    assert!(m.commit_log().registered_readers(addr).is_empty());
 }
 
 #[test]
@@ -440,6 +445,31 @@ fn commit_spares_logically_older_readers() {
         "a logical predecessor's read legitimately precedes the write"
     );
     assert!(m.doom_requested(successor), "the successor's read is stale");
+}
+
+/// A reader the logical-order filter spares keeps its registration: a
+/// later publish by a logically earlier writer (here rank 0's store) finds
+/// it and dooms it.
+#[test]
+fn a_reader_a_commit_spares_stays_doomable() {
+    let m = mgr(2);
+    let mem = Arc::clone(m.memory());
+    let cell = mem.alloc::<u64>(1);
+    let addr = cell.addr_of(0);
+    let predecessor = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+    let writer = m.try_acquire_cpu(0, ForkModel::Mixed).unwrap();
+
+    let mut pred_buf = fresh_buffer(&m, predecessor);
+    let _ = pred_buf
+        .load_logged(&*mem, Some(m.commit_log()), addr, 8)
+        .unwrap();
+    assert_eq!(m.doom_readers([addr], writer), 0, "the writer spares it");
+    assert_eq!(
+        m.doom_readers([addr], 0),
+        1,
+        "the spared predecessor's read is now stale"
+    );
+    assert!(m.doom_requested(predecessor));
 }
 
 #[test]
@@ -531,19 +561,6 @@ fn a_rolled_back_childs_readers_are_doomed_by_the_re_executions_publish() {
         !victim_buf.revalidate_by_value(m.commit_log(), &*mem),
         "the value changed: no in-flight retry clears this doom"
     );
-}
-
-#[test]
-fn address_registration_flows_through() {
-    let m = mgr(1);
-    m.register_range(0x100, 0x40);
-    assert!(m.range_registered(0x100, 8));
-    assert!(!m.range_registered(0x200, 8));
-    // A wild pointer: `addr + len` wraps to 0, below the allocation
-    // cursor, and must still be outside everything.
-    assert!(!m.range_registered(u64::MAX - 7, 8));
-    m.unregister_range(0x100, 0x40);
-    assert!(!m.range_registered(0x100, 8));
 }
 
 /// A task's `fork_range` prices reach the site's books with its commit:

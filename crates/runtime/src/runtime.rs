@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mutls_membuf::{GPtr, GlobalMemory, WORD_BYTES};
+use mutls_membuf::{GPtr, GlobalMemory};
 use mutls_metrics::{MetricsSeries, MetricsSnapshot, Sampler};
 
 use crate::config::RuntimeConfig;
@@ -98,19 +98,17 @@ impl Runtime {
         Arc::clone(self.mgr.memory())
     }
 
-    /// Low-level access to the thread manager (used by the IR interpreter
-    /// and advanced integrations).
+    /// Low-level access to the thread manager (tests drive its protocols
+    /// and read its commit log through it).
     pub fn manager(&self) -> &Arc<ThreadManager> {
         &self.mgr
     }
 
-    /// Allocate `count` elements of `T` in the shared arena and register
-    /// the range in the global address space.
+    /// Allocate `count` elements of `T` in the shared arena; what the
+    /// arena hands out is what a speculative access may touch
+    /// ([`GlobalMemory::is_allocated`]).
     pub fn alloc<T: Word>(&self, count: usize) -> GPtr<T> {
-        let ptr = self.mgr.memory().alloc::<T>(count);
-        self.mgr
-            .register_range(ptr.base_addr(), (count as u64) * WORD_BYTES);
-        ptr
+        self.mgr.memory().alloc::<T>(count)
     }
 
     /// Execute a speculative region on the calling thread (rank 0) and

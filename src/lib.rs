@@ -3,7 +3,8 @@
 //! Facade crate re-exporting the whole MUTLS workspace:
 //!
 //! * [`membuf`] — speculative memory buffering (read/write sets, local
-//!   buffers, address spaces, the shared [`membuf::GlobalMemory`] arena).
+//!   buffers, the commit log, the shared [`membuf::GlobalMemory`] arena
+//!   whose allocated window bounds every speculative access).
 //! * [`adaptive`] — the adaptive speculation governor: per-fork-site
 //!   profiling plus the fork-throttling policy.
 //! * [`runtime`] — the native TLS runtime: virtual CPUs, fork models
