@@ -19,9 +19,6 @@ pub struct SiteOutcome {
     pub committed: bool,
     /// Failure reason when the child rolled back.
     pub failure: Option<SpecFailure>,
-    /// True when a conflict rollback was classified as suspected false
-    /// sharing (grain-induced, not genuine sharing).
-    pub false_sharing: bool,
     /// True when the child's conflict was repaired by value-predict-and-
     /// retry: the join *committed* (`committed` is true) at the cost of a
     /// re-validation pass instead of a re-execution.  Throttle treats this
@@ -45,7 +42,6 @@ impl SiteOutcome {
         SiteOutcome {
             committed: true,
             failure: None,
-            false_sharing: false,
             retried: false,
             work,
             wasted_work: 0,
@@ -59,20 +55,12 @@ impl SiteOutcome {
         SiteOutcome {
             committed: false,
             failure: Some(reason),
-            false_sharing: false,
             retried: false,
             work: 0,
             wasted_work: wasted,
             stall,
             model,
         }
-    }
-
-    /// Mark a rolled-back outcome as suspected false sharing (builder
-    /// style).
-    pub fn with_false_sharing(mut self, false_sharing: bool) -> Self {
-        self.false_sharing = false_sharing;
-        self
     }
 
     /// Mark a committed outcome as a value-predict retry (builder style).
@@ -239,10 +227,9 @@ mod tests {
                 SiteOutcome::committed(10, 1, ForkModel::Mixed).with_retry(true)
             }
         }),
-        ("false sharing then commits", |i| {
+        ("forty conflicts then commits", |i| {
             if i < 40 {
                 SiteOutcome::rolled_back(SpecFailure::ReadConflict, 7, 2, ForkModel::Mixed)
-                    .with_false_sharing(i % 4 != 0)
             } else {
                 SiteOutcome::committed(10, 1, ForkModel::Mixed)
             }
@@ -285,7 +272,7 @@ mod tests {
             .map(|(line, p)| {
                 let profile = format!(
                     "site {} forks {} throttled {} commits {} rollbacks {} overflows {} \
-                     conflicts {} false_sharing {} retries {} injected {} work {} wasted {} \
+                     conflicts {} retries {} injected {} work {} wasted {} \
                      stall {} rate {:?}",
                     p.site,
                     p.forks,
@@ -294,7 +281,6 @@ mod tests {
                     p.rollbacks,
                     p.overflows,
                     p.conflicts,
-                    p.false_sharing,
                     p.retries,
                     p.injected,
                     p.committed_work,
@@ -311,31 +297,31 @@ mod tests {
     const STATIC_PIN: [(&str, &str); 7] = [
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 1 forks 64 throttled 0 commits 64 rollbacks 0 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 0 work 640 wasted 0 stall 64 rate 0.0",
+            "site 1 forks 64 throttled 0 commits 64 rollbacks 0 overflows 0 conflicts 0 retries 0 injected 0 work 640 wasted 0 stall 64 rate 0.0",
         ),
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 2 forks 64 throttled 0 commits 32 rollbacks 32 overflows 0 conflicts 32 false_sharing 0 retries 0 injected 0 work 320 wasted 224 stall 96 rate 0.0331969595732301",
+            "site 2 forks 64 throttled 0 commits 32 rollbacks 32 overflows 0 conflicts 32 retries 0 injected 0 work 320 wasted 224 stall 96 rate 0.0331969595732301",
         ),
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 3 forks 64 throttled 0 commits 32 rollbacks 32 overflows 0 conflicts 32 false_sharing 0 retries 0 injected 0 work 320 wasted 224 stall 96 rate 0.47368421052631576",
+            "site 3 forks 64 throttled 0 commits 32 rollbacks 32 overflows 0 conflicts 32 retries 0 injected 0 work 320 wasted 224 stall 96 rate 0.47368421052631576",
         ),
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 4 forks 64 throttled 0 commits 16 rollbacks 48 overflows 48 conflicts 0 false_sharing 0 retries 0 injected 0 work 160 wasted 336 stall 112 rate 0.7092177958708927",
+            "site 4 forks 64 throttled 0 commits 16 rollbacks 48 overflows 48 conflicts 0 retries 0 injected 0 work 160 wasted 336 stall 112 rate 0.7092177958708927",
         ),
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 5 forks 64 throttled 0 commits 0 rollbacks 64 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 64 work 0 wasted 448 stall 128 rate 1.0",
+            "site 5 forks 64 throttled 0 commits 0 rollbacks 64 overflows 0 conflicts 0 retries 0 injected 64 work 0 wasted 448 stall 128 rate 1.0",
         ),
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 6 forks 64 throttled 0 commits 48 rollbacks 16 overflows 0 conflicts 16 false_sharing 0 retries 48 injected 0 work 480 wasted 112 stall 80 rate 0.21198022681011924",
+            "site 6 forks 64 throttled 0 commits 48 rollbacks 16 overflows 0 conflicts 16 retries 48 injected 0 work 480 wasted 112 stall 80 rate 0.21198022681011924",
         ),
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 7 forks 64 throttled 0 commits 24 rollbacks 40 overflows 0 conflicts 40 false_sharing 30 retries 0 injected 0 work 240 wasted 280 stall 104 rate 0.07868019001538798",
+            "site 7 forks 64 throttled 0 commits 24 rollbacks 40 overflows 0 conflicts 40 retries 0 injected 0 work 240 wasted 280 stall 104 rate 0.07868019001538798",
         ),
     ];
 
@@ -343,31 +329,31 @@ mod tests {
     const THROTTLE_PIN: [(&str, &str); 7] = [
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 1 forks 64 throttled 0 commits 64 rollbacks 0 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 0 work 640 wasted 0 stall 64 rate 0.0",
+            "site 1 forks 64 throttled 0 commits 64 rollbacks 0 overflows 0 conflicts 0 retries 0 injected 0 work 640 wasted 0 stall 64 rate 0.0",
         ),
         (
             "++++---------------+---------------+---------------+------------",
-            "site 2 forks 7 throttled 57 commits 2 rollbacks 5 overflows 0 conflicts 5 false_sharing 0 retries 0 injected 0 work 20 wasted 35 stall 12 rate 0.6358081828534276",
+            "site 2 forks 7 throttled 57 commits 2 rollbacks 5 overflows 0 conflicts 5 retries 0 injected 0 work 20 wasted 35 stall 12 rate 0.6358081828534276",
         ),
         (
             "+++++---------------+---------------+---------------+-----------",
-            "site 3 forks 8 throttled 56 commits 2 rollbacks 6 overflows 0 conflicts 6 false_sharing 0 retries 0 injected 0 work 20 wasted 42 stall 14 rate 0.791488563810347",
+            "site 3 forks 8 throttled 56 commits 2 rollbacks 6 overflows 0 conflicts 6 retries 0 injected 0 work 20 wasted 42 stall 14 rate 0.791488563810347",
         ),
         (
             "++++---------------+---------------++---------------+-----------",
-            "site 4 forks 8 throttled 56 commits 3 rollbacks 5 overflows 5 conflicts 0 false_sharing 0 retries 0 injected 0 work 30 wasted 35 stall 13 rate 0.6145788199481895",
+            "site 4 forks 8 throttled 56 commits 3 rollbacks 5 overflows 5 conflicts 0 retries 0 injected 0 work 30 wasted 35 stall 13 rate 0.6145788199481895",
         ),
         (
             "++++---------------+---------------+---------------+------------",
-            "site 5 forks 7 throttled 57 commits 0 rollbacks 7 overflows 0 conflicts 0 false_sharing 0 retries 0 injected 7 work 0 wasted 49 stall 14 rate 1.0",
+            "site 5 forks 7 throttled 57 commits 0 rollbacks 7 overflows 0 conflicts 0 retries 0 injected 7 work 0 wasted 49 stall 14 rate 1.0",
         ),
         (
             "++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++++",
-            "site 6 forks 64 throttled 0 commits 48 rollbacks 16 overflows 0 conflicts 16 false_sharing 0 retries 48 injected 0 work 480 wasted 112 stall 80 rate 0.21198022681011924",
+            "site 6 forks 64 throttled 0 commits 48 rollbacks 16 overflows 0 conflicts 16 retries 48 injected 0 work 480 wasted 112 stall 80 rate 0.21198022681011924",
         ),
         (
             "++++---------------+---------------+---------------+------------",
-            "site 7 forks 7 throttled 57 commits 1 rollbacks 6 overflows 0 conflicts 6 false_sharing 5 retries 0 injected 0 work 10 wasted 42 stall 13 rate 0.8083200962386461",
+            "site 7 forks 7 throttled 57 commits 1 rollbacks 6 overflows 0 conflicts 6 retries 0 injected 0 work 10 wasted 42 stall 13 rate 0.8083200962386461",
         ),
     ];
 

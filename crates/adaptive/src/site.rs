@@ -29,9 +29,6 @@ pub(crate) struct SiteRecord {
     pub overflows: u64,
     /// Rollbacks caused by a real cross-thread dependence violation.
     pub conflicts: u64,
-    /// Conflict rollbacks classified as suspected false sharing (the
-    /// tracking grain, not genuine sharing, most likely caused them).
-    pub false_sharing: u64,
     /// Commits repaired by value-predict-and-retry (a subset of
     /// `commits`, never counted in `rollbacks`).
     pub retries: u64,
@@ -86,10 +83,7 @@ impl SiteRecord {
                 self.wasted_work += outcome.wasted_work;
                 match reason {
                     RollbackReason::Overflow => self.overflows += 1,
-                    RollbackReason::Conflict => {
-                        self.conflicts += 1;
-                        self.false_sharing += outcome.false_sharing as u64;
-                    }
+                    RollbackReason::Conflict => self.conflicts += 1,
                     RollbackReason::Injected => self.injected += 1,
                     RollbackReason::Other => {}
                 }
@@ -116,8 +110,6 @@ pub struct SiteProfile {
     pub overflows: u64,
     /// Real dependence-violation rollbacks.
     pub conflicts: u64,
-    /// Conflicts classified as suspected false sharing.
-    pub false_sharing: u64,
     /// Commits repaired by value-predict-and-retry.
     pub retries: u64,
     /// Injected (sensitivity-mode) rollbacks.
@@ -142,7 +134,6 @@ impl SiteProfile {
             rollbacks: record.rollbacks,
             overflows: record.overflows,
             conflicts: record.conflicts,
-            false_sharing: record.false_sharing,
             retries: record.retries,
             injected: record.injected,
             committed_work: record.committed_work,

@@ -48,8 +48,10 @@ pub use sweeps::{run_points, Column, Engine, Experiment, GrainMode, Point, Row, 
 /// lost its per-region grain list and `commit_log.regrains`, a metrics
 /// snapshot `log_regrains` and the `grain_regions` gauges.  v10: a row's
 /// `commit_log` lost `shards`.  v11: a metrics snapshot lost
-/// `adopted_threads`.
-pub const BENCH_SCHEMA_VERSION: u32 = 11;
+/// `adopted_threads`.  v12: a row lost `suspected_false_sharing`, a
+/// report's counters and a metrics snapshot `false_sharing_suspects`, and
+/// a site profile `false_sharing`.
+pub const BENCH_SCHEMA_VERSION: u32 = 12;
 
 /// Every experiment `mutls-experiments` accepts, in the order `all` runs
 /// them.

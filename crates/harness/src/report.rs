@@ -191,7 +191,6 @@ pub fn format_site_table(title: &str, report: &RunReport) -> String {
             "retries",
             "rollbacks",
             "conflicts",
-            "false-share",
             "overflows",
             "injected",
             "rollback rate",
@@ -213,7 +212,6 @@ pub fn format_site_table(title: &str, report: &RunReport) -> String {
             profile.retries.to_string(),
             profile.rollbacks.to_string(),
             profile.conflicts.to_string(),
-            profile.false_sharing.to_string(),
             profile.overflows.to_string(),
             profile.injected.to_string(),
             format!("{:.2}", profile.rollback_rate),
@@ -229,7 +227,7 @@ pub fn format_site_table(title: &str, report: &RunReport) -> String {
     }
     let log = report.commit_log;
     let mut summary = vec!["commit-log".to_string()];
-    summary.resize(13, "-".to_string());
+    summary.resize(12, "-".to_string());
     summary.push(log.cas_retries.to_string());
     summary.push(log.ring_overflows.to_string());
     table.push_row(summary);
@@ -294,7 +292,6 @@ mod tests {
                     rollbacks: 2,
                     overflows: 1,
                     conflicts: 1,
-                    false_sharing: 0,
                     retries: 3,
                     injected: 0,
                     committed_work: 0,
@@ -318,11 +315,11 @@ mod tests {
         let text = format_site_table("Per-site profile — golden", &report);
         let expected = "\
 # Per-site profile — golden
-site              forks  throttled  commits  retries  rollbacks  conflicts  false-share  overflows  injected  rollback rate  wasted work  grain  cas-retries  ring-ovfl
--------------------------------------------------------------------------------------------------------------------------------------------------------------------------\n\
-matmult/quadrant  12     1          10       3        2          1          0            1          0         0.25           420          word   -            -        \n\
-site 999          4      0          0        0        0          0          0            0          0         0.00           0            -      -            -        \n\
-commit-log        -      -          -        -        -          -          -            -          -         -              -            -      0            0        \n";
+site              forks  throttled  commits  retries  rollbacks  conflicts  overflows  injected  rollback rate  wasted work  grain  cas-retries  ring-ovfl
+------------------------------------------------------------------------------------------------------------------------------------------------------------\n\
+matmult/quadrant  12     1          10       3        2          1          1          0         0.25           420          word   -            -        \n\
+site 999          4      0          0        0        0          0          0          0         0.00           0            -      -            -        \n\
+commit-log        -      -          -        -        -          -          -          -         -              -            -      0            0        \n";
         assert_eq!(text, expected);
     }
 

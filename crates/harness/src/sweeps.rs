@@ -340,8 +340,6 @@ pub struct Row {
     /// Rollbacks split by cause, indexed by
     /// [`RollbackReason::index`](mutls_membuf::RollbackReason::index).
     pub rollback_reasons: [u64; RollbackReason::COUNT],
-    /// Conflict rollbacks classified as suspected false sharing.
-    pub suspected_false_sharing: u64,
     /// Threads doomed surgically through the reader registry.
     pub targeted_dooms: u64,
     /// Validations a version-ring probe proved precise.
@@ -381,7 +379,6 @@ impl Row {
             retries: report.retries(),
             rolled_back: report.rolled_back_threads,
             rollback_reasons: report.rollback_reasons,
-            suspected_false_sharing: report.suspected_false_sharing(),
             targeted_dooms: report.targeted_dooms(),
             precise_passes: report.precise_passes(),
             wasted_work: report.wasted_work(),
@@ -438,8 +435,6 @@ pub mod col {
         /// Rolled-back threads with the per-cause split.
         ROLLED_BACK = "rolled back (C/O/I/X)",
             |r| format_rollback_cell(r.rolled_back, &r.rollback_reasons);
-        /// Suspected false-sharing conflicts.
-        FALSE_SHARE = "false-share", |r| r.suspected_false_sharing.to_string();
         /// Targeted dooms.
         DOOMS = "dooms", |r| r.targeted_dooms.to_string();
         /// Precise passes over ring probes that fell off the window.
@@ -806,7 +801,6 @@ pub const GRAIN: Experiment = Experiment {
                 col::COMMITTED,
                 col::RETRIES,
                 col::ROLLED_BACK,
-                col::FALSE_SHARE,
                 col::DOOMS,
                 col::PRECISE,
                 col::WASTED_US,

@@ -131,7 +131,7 @@ fn points_are_distinct_and_every_row_has_one_shape() {
         &blank_run(),
     ));
     assert!(reference.contains(&"schema_version".to_string()));
-    assert_eq!(BENCH_SCHEMA_VERSION, 11);
+    assert_eq!(BENCH_SCHEMA_VERSION, 12);
     for sweep in SWEEPS {
         let points = (sweep.points)();
         assert!(!points.is_empty(), "{} has no points", sweep.name);

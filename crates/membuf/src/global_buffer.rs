@@ -21,35 +21,30 @@
 //!
 //! Conflicts only occur when a speculative thread reads an address before a
 //! logically earlier thread writes it, so validation checks every record
-//! with a read against the commit log; commit then publishes every record
-//! with a write (masked by the bytes actually written).  Each join-time pass
-//! walks the one table.
+//! with a read against the commit log — one walk that also repairs what a
+//! value check can repair ([`GlobalBuffer::validate`]); commit then
+//! publishes every record with a write (masked by the bytes actually
+//! written).  Each join-time pass walks the one table.
 
-use crate::commit_log::{CommitLog, RingCheck, WORD_GRAIN_LOG2};
+use crate::commit_log::{CommitLog, RingCheck};
 use crate::error::BufferError;
 use crate::memory::{Addr, MainMemory, WORD_BYTES};
 use crate::wordmap::{byte_mask, WordEntry, WordMap};
 
-/// Outcome of a commit-log validation pass (see
-/// [`GlobalBuffer::validate_against_with`]).
+/// Outcome of the join's validation walk (see [`GlobalBuffer::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Validation {
-    /// No commit invalidated any read — the thread may commit.
+    /// No commit touched a word the thread read after the read: every read
+    /// probed clean, or precise through the version rings.
     Valid,
-    /// At least one read's range was committed after the read.
-    Conflict {
-        /// True when every conflicting word still holds its first-read
-        /// value — the conflict is most likely false sharing introduced
-        /// by a coarse tracking grain (or a value-identical ABA write).
-        suspected_false_sharing: bool,
-    },
-}
-
-impl Validation {
-    /// True when validation passed.
-    pub fn is_valid(&self) -> bool {
-        matches!(self, Validation::Valid)
-    }
+    /// Commits touched words the thread read, but every such word still
+    /// holds its first-read value: the reads were re-stamped in place and
+    /// the thread may commit without re-executing (the value-predict
+    /// retry).
+    Retried,
+    /// A touched word's value changed since the thread read it: a genuine
+    /// dependence violation.
+    Conflict,
 }
 
 /// Capacity configuration of a speculative thread's buffer: one map of
@@ -89,34 +84,15 @@ impl BufferConfig {
     }
 }
 
-/// Counters describing buffer activity, consumed by the statistics layer
-/// and the discrete-event simulator cost model.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BufferStats {
-    /// Speculative loads served (any source).
-    pub loads: u64,
-    /// Speculative stores buffered.
-    pub stores: u64,
-    /// Loads that had to touch main memory (first reads).
-    pub memory_loads: u64,
-    /// Words validated at join time.
-    pub validated_words: u64,
-    /// Words committed at join time.
-    pub committed_words: u64,
-    /// Hash conflicts that landed in the overflow area.
-    pub overflow_events: u64,
-    /// Reads whose range was committed after the read but whose *word*
-    /// the version ring proved untouched ([`RingCheck::Precise`]) —
-    /// false-sharing dooms MVCC validation survived.  Always 0 at ring
-    /// depth 1.
-    pub precise_passes: u64,
-}
-
 /// Per-thread buffering of global (static/heap/non-speculative-stack) data.
 #[derive(Debug)]
 pub struct GlobalBuffer {
     words: WordMap,
-    stats: BufferStats,
+    /// Reads whose range was committed after the read but whose *word* the
+    /// version ring proved untouched ([`RingCheck::Precise`]), summed over
+    /// every validation walk since the last [`clear`](Self::clear).  Always
+    /// 0 at ring depth 1.
+    precise_passes: u64,
     /// Thread rank registered in the commit log's reader registry on every
     /// first-touch read (0 = anonymous: snapshot without registering).
     reader: usize,
@@ -128,7 +104,7 @@ impl GlobalBuffer {
         let slots = config.read_capacity_words + config.write_capacity_words;
         GlobalBuffer {
             words: WordMap::new(slots, config.overflow_capacity),
-            stats: BufferStats::default(),
+            precise_passes: 0,
             reader: 0,
         }
     }
@@ -147,9 +123,11 @@ impl GlobalBuffer {
         self.reader
     }
 
-    /// Activity counters accumulated since the last [`clear`](Self::clear).
-    pub fn stats(&self) -> BufferStats {
-        self.stats
+    /// Reads the version rings passed precisely since the last
+    /// [`clear`](Self::clear): their range was committed after the read,
+    /// but no commit touched the word.
+    pub fn precise_passes(&self) -> u64 {
+        self.precise_passes
     }
 
     /// Number of buffered words the thread read (its read set).
@@ -213,7 +191,6 @@ impl GlobalBuffer {
     where
         F: FnOnce(&mut Self, Addr) -> Result<u64, BufferError>,
     {
-        self.stats.loads += 1;
         let (word_addr, offset, mask) = Self::split(addr, size)?;
         let word = match self.words.entry(word_addr) {
             Some(word) if word.complete() => word.data,
@@ -236,7 +213,6 @@ impl GlobalBuffer {
         word_addr: Addr,
     ) -> Result<u64, BufferError> {
         debug_assert_eq!(word_addr % WORD_BYTES, 0, "first touch of a word");
-        self.stats.memory_loads += 1;
         // Sample the log's epoch BEFORE reading the word: a commit racing
         // in between then stamps a higher version and validation flags the
         // read (conservatively), never misses it.
@@ -253,9 +229,8 @@ impl GlobalBuffer {
             })
             .unwrap_or(0);
         let value = mem.read_word(word_addr);
-        let (word, spilled) = self.words.note_read(word_addr, value, version)?;
         // A word in the overflow area is buffered all the same.
-        self.stats.overflow_events += u64::from(spilled);
+        let (word, _spilled) = self.words.note_read(word_addr, value, version)?;
         Ok(word)
     }
 
@@ -285,7 +260,6 @@ impl GlobalBuffer {
     where
         F: FnOnce(&mut Self, Addr, u64, u64) -> Result<(), BufferError>,
     {
-        self.stats.stores += 1;
         let (word_addr, offset, mask) = Self::split(addr, size)?;
         let data = value << (offset * 8);
         if self.words.update(word_addr, data, mask) {
@@ -306,8 +280,7 @@ impl GlobalBuffer {
         data: u64,
         mask: u64,
     ) -> Result<(), BufferError> {
-        let spilled = self.words.note_write(word_addr, data, mask)?;
-        self.stats.overflow_events += u64::from(spilled);
+        self.words.note_write(word_addr, data, mask)?;
         Ok(())
     }
 
@@ -318,7 +291,6 @@ impl GlobalBuffer {
     /// path).
     pub fn commit(&mut self, mem: &dyn MainMemory) {
         for entry in self.words.iter().filter(|e| e.written() != 0) {
-            self.stats.committed_words += 1;
             mem.write_word_masked(entry.addr, entry.data, entry.mask());
         }
     }
@@ -327,7 +299,7 @@ impl GlobalBuffer {
     /// (finalization after commit, or rollback).
     pub fn clear(&mut self) {
         self.words.clear();
-        self.stats = BufferStats::default();
+        self.precise_passes = 0;
     }
 
     /// The words the thread read, with their first reads and versions.
@@ -363,161 +335,107 @@ impl GlobalBuffer {
     /// same value is still flagged).  A word read and then overwritten
     /// keeps its read dependence.
     ///
-    /// This is the *real* dependence-violation check of paper §IV-F: the
-    /// log records exactly the writes published by logically earlier work,
-    /// so `version_of(addr) > read_version` means a logical predecessor
-    /// committed a write this thread should have observed.  At grains
-    /// coarser than a word the check is conservative: a commit to a
-    /// *different* word of the same range also fails validation (false
-    /// sharing), but a genuine conflict is never missed.
-    ///
-    /// With version rings
+    /// At grains coarser than a word the check is conservative: a commit
+    /// to a *different* word of the same range also fails it (false
+    /// sharing), but a genuine conflict is never missed.  With version
+    /// rings
     /// ([`CommitLogConfig::ring_depth`](crate::commit_log::CommitLogConfig::ring_depth)
-    /// `> 1`) the check goes through [`CommitLog::probe_written`]: a
-    /// post-snapshot commit whose ring footprint provably missed the
-    /// read *word* passes precisely
-    /// ([`precise_passes`](BufferStats::precise_passes)) rather than
-    /// dooming as false sharing; ring overflow falls back to the
-    /// single-version answer.  Missed conflicts stay impossible at
-    /// every depth.
+    /// `> 1`) a post-snapshot commit whose ring footprint provably missed
+    /// the read *word* passes precisely
+    /// ([`precise_passes`](Self::precise_passes)); ring overflow falls
+    /// back to the single-version answer.  The join uses
+    /// [`validate`](Self::validate), which also repairs what it can; this
+    /// is the same probe without the repair.
     pub fn validate_against(&mut self, log: &CommitLog) -> bool {
         for entry in self.words.iter().filter(WordEntry::has_read) {
-            self.stats.validated_words += 1;
             match log.probe_written(entry.addr, entry.version()) {
                 RingCheck::Clean => {}
-                RingCheck::Precise => self.stats.precise_passes += 1,
+                RingCheck::Precise => self.precise_passes += 1,
                 RingCheck::Touched { .. } | RingCheck::Overflow => return false,
             }
         }
         true
     }
 
-    /// Like [`validate_against`](Self::validate_against), additionally
-    /// classifying a conflict as *suspected false sharing*: every
-    /// conflicting word still holds its first-read value in main memory,
-    /// so the commits that advanced the range versions most likely wrote
-    /// *neighbouring* words of the shared ranges.
+    /// The join's validation (paper §IV-F) and its repair, in one walk over
+    /// the read set: each read is probed once against the [`CommitLog`],
+    /// and main memory is read only for a read whose word a later commit
+    /// touched (or may have touched).
     ///
-    /// The classification is an estimate, not a proof — a predecessor
-    /// that wrote the same value back (ABA) is indistinguishable from a
-    /// neighbour write.  At *word* grain, where false sharing is
-    /// structurally impossible, the estimate is suppressed entirely so a
-    /// value-identical ABA conflict (a genuine dependence violation) is
-    /// never soft-pedalled.  It feeds the per-reason statistics and lets
-    /// the adaptive governor back off differently when a coarse grain,
-    /// rather than genuine sharing, is causing rollbacks.
-    pub fn validate_against_with(&mut self, log: &CommitLog, mem: &dyn MainMemory) -> Validation {
-        let mut conflicted = false;
-        let mut values_unchanged = true;
-        // Ranges of one word can only conflict on the word itself.
-        let grain_can_false_share = log.config().grain_log2 > WORD_GRAIN_LOG2;
-        for entry in self.words.iter().filter(WordEntry::has_read) {
-            self.stats.validated_words += 1;
-            match log.probe_written(entry.addr, entry.version()) {
-                RingCheck::Clean => {}
-                // The ring proved the post-snapshot commits missed this
-                // word: the doom single-version validation would have
-                // charged as false sharing never happens.
-                RingCheck::Precise => self.stats.precise_passes += 1,
-                RingCheck::Touched { .. } | RingCheck::Overflow => {
-                    conflicted = true;
-                    if !grain_can_false_share || mem.read_word(entry.addr) != entry.read {
-                        // A changed value (or a word-grain range) proves
-                        // true sharing; stop scanning.
-                        values_unchanged = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !conflicted {
-            Validation::Valid
-        } else {
-            Validation::Conflict {
-                suspected_false_sharing: values_unchanged,
-            }
-        }
-    }
-
-    /// Value-predict retry, generalized to **time-travel retry**:
-    /// re-validate every read whose *range* conflicts under `log` by
-    /// comparing its first-read **value** against main memory right now,
-    /// revalidating against the version chain actually observed rather
-    /// than the current epoch.
+    /// Per read, the version-ring probe decides:
     ///
-    /// Returns `true` — and re-stamps the conflicting reads — when every
-    /// conflicting word still holds its first-read value: the commits that
-    /// advanced the range versions published the very values this thread
-    /// read (or only touched neighbouring words of a coarse range), so the
-    /// execution is equivalent to one that read *after* those commits and
-    /// the thread may commit without re-executing.  This covers both
-    /// grain-induced false sharing and the value-identical ABA case, which
-    /// is serializable for the same reason (the seed runtime's value
-    /// validation relied on exactly this).  What the thread wrote over a
-    /// word it read plays no part: the first read is what is compared.
-    ///
-    /// Per conflicting read, the version-ring probe decides the repair:
-    ///
+    /// * [`RingCheck::Clean`] — no commit wrote the range since the read.
     /// * [`RingCheck::Precise`] — the post-snapshot commits provably
-    ///   missed the word: no value check and no restamp at all (it will
-    ///   keep probing precise).
-    /// * [`RingCheck::Touched`] — the read is restamped to the *newest
-    ///   ring version that touched the word*, not the current epoch:
-    ///   later unrelated commits to the range stay precisely probeable
-    ///   instead of re-dooming the thread (this is the time travel, and
-    ///   it is never less conservative than the legacy fresh-snapshot
-    ///   restamp because the target is older).
-    /// * [`RingCheck::Overflow`] (and any touch at ring depth 1) — the
-    ///   legacy behavior: a fresh snapshot sampled *before* the value
-    ///   re-read, so a commit racing the retry stamps a higher version
-    ///   and a later validation pass flags the read again.
+    ///   missed the word: counted in
+    ///   [`precise_passes`](Self::precise_passes), no value check and no
+    ///   restamp (it will keep probing precise).
+    /// * [`RingCheck::Touched`] — the word's value decides: unchanged, the
+    ///   read is restamped to the *newest ring version that touched the
+    ///   word*, not the current epoch, so later unrelated commits to the
+    ///   range stay precisely probeable (time travel, never less
+    ///   conservative than a fresh snapshot because the target is older).
+    /// * [`RingCheck::Overflow`] (and any touch at ring depth 1) — a fresh
+    ///   snapshot sampled *before* the value read, so a commit racing the
+    ///   walk stamps a higher version and a later pass flags the read
+    ///   again.
     ///
-    /// On success the thread's **whole read set is re-registered** in
-    /// the per-range reader registry: the committer that doomed this
-    /// thread consumed its registrations for every range it stamped —
-    /// including ranges whose reads are clean here (read after that
-    /// commit) — and without the repair a *second* conflicting commit
-    /// would miss the thread and leave the doom to join-time validation
-    /// only.  (`register_reader` is an idempotent `fetch_or`; this is
-    /// the cold doom-repair path.)  On `false` (some value changed: a
-    /// genuine dependence violation) nothing is re-stamped.
-    pub fn revalidate_by_value(&mut self, log: &CommitLog, mem: &dyn MainMemory) -> bool {
+    /// A touched word still at its first-read value means the commits
+    /// published the very value the thread read (a value-identical ABA
+    /// write) or only wrote neighbouring words of a coarse range: the
+    /// execution is equivalent to one that read after them, and the walk
+    /// returns [`Validation::Retried`] with every such read restamped.
+    /// This repairs every range-only conflict by construction, so what it
+    /// cannot repair — a changed value — is a [`Validation::Conflict`],
+    /// and then nothing is restamped.  What the thread wrote over a word
+    /// it read plays no part: the first read is what is compared.
+    ///
+    /// Reader registrations are left alone: a caller whose thread was
+    /// doomed restores them with
+    /// [`restore_registrations`](Self::restore_registrations).
+    pub fn validate(&mut self, log: &CommitLog, mem: &dyn MainMemory) -> Validation {
         let mut refreshed: Vec<(Addr, u64)> = Vec::new();
         for entry in self.words.iter().filter(WordEntry::has_read) {
             let fresh = match log.probe_written(entry.addr, entry.version()) {
                 RingCheck::Clean => continue,
                 RingCheck::Precise => {
-                    self.stats.precise_passes += 1;
+                    self.precise_passes += 1;
                     continue;
                 }
-                // Time travel: every ring-known touch of this word is at
-                // most `newest_touch` and the value survived them all; a
-                // racing commit lands above the version the probe saw and
-                // re-flags the read later.
+                // Every ring-known touch of this word is at most
+                // `newest_touch`; a racing commit lands above the version
+                // the probe saw and re-flags the read later.
                 RingCheck::Touched { newest_touch } => newest_touch,
                 // Snapshot first, then the value read (the standard
                 // ordering).
                 RingCheck::Overflow => log.snapshot(entry.addr),
             };
-            self.stats.validated_words += 1;
             if mem.read_word(entry.addr) != entry.read {
-                return false;
+                return Validation::Conflict;
             }
             refreshed.push((entry.addr, fresh));
         }
-        if self.reader != 0 {
-            // Registry-driven re-read repair (see the doc comment): the
-            // dooming committer's take_readers cleared this thread's
-            // registrations; restore every one of them before declaring
-            // the retry succeeded.
-            for addr in self.read_addresses() {
-                log.register_reader(addr, self.reader);
-            }
+        if refreshed.is_empty() {
+            return Validation::Valid;
         }
         for (addr, version) in refreshed {
             self.words.refresh_version(addr, version);
         }
-        true
+        Validation::Retried
+    }
+
+    /// Register the **whole read set** again under this buffer's reader
+    /// rank (an anonymous buffer registers nothing).  A committer that
+    /// doomed the thread consumed its registrations for every range it
+    /// stamped — including ranges whose reads are clean (read after that
+    /// commit) — and without them a *second* conflicting commit would miss
+    /// the thread and leave the doom to its join.  `register_reader` is an
+    /// idempotent `fetch_or`; this is the cold doom-repair path.
+    pub fn restore_registrations(&self, log: &CommitLog) {
+        if self.reader != 0 {
+            for addr in self.read_addresses() {
+                log.register_reader(addr, self.reader);
+            }
+        }
     }
 
     /// Validate the reads against an arbitrary memory *view*.
@@ -526,14 +444,11 @@ impl GlobalBuffer {
     /// speculative parent joining its own child uses "parent's bytes
     /// overlaid on main memory" ([`overlay`](Self::overlay)) as the view,
     /// the non-speculative thread uses main memory directly.
-    pub fn validate_view<F: Fn(Addr) -> u64>(&mut self, view: F) -> bool {
-        for entry in self.words.iter().filter(WordEntry::has_read) {
-            self.stats.validated_words += 1;
-            if view(entry.addr) != entry.read {
-                return false;
-            }
-        }
-        true
+    pub fn validate_view<F: Fn(Addr) -> u64>(&self, view: F) -> bool {
+        self.words
+            .iter()
+            .filter(WordEntry::has_read)
+            .all(|entry| view(entry.addr) == entry.read)
     }
 
     /// Absorb a (validated) child buffer into this one: the child's writes
@@ -560,7 +475,6 @@ impl GlobalBuffer {
                 keep_spilled(read)?;
             }
             if entry.written() != 0 {
-                self.stats.committed_words += 1;
                 keep_spilled(self.words.merge(entry.addr, entry.data, entry.mask()))?;
             }
         }
@@ -581,6 +495,7 @@ mod tests {
     use super::*;
     use crate::commit_log::{CommitLog, CommitLogConfig, RING_BUCKET_LOG2};
     use crate::memory::GlobalMemory;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn setup() -> (GlobalMemory, GlobalBuffer) {
         let mem = GlobalMemory::new(4096);
@@ -665,11 +580,11 @@ mod tests {
         log.record_word(a);
         assert!(!buf.validate_against(&log));
         // …and the retry compares the *first read*, 5, not the own 9.
-        assert!(buf.revalidate_by_value(&log, &mem));
+        assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         assert!(buf.validate_against(&log));
         mem.set(&p, 0, 6);
         log.record_word(a);
-        assert!(!buf.revalidate_by_value(&log, &mem), "5 ≠ 6");
+        assert_eq!(buf.validate(&log, &mem), Validation::Conflict, "5 ≠ 6");
     }
 
     #[test]
@@ -685,7 +600,6 @@ mod tests {
         assert_eq!(mem.get(&p, 0), 0xFFFF_FFFF_FFFF_FFAB);
         assert_eq!(mem.get(&p, 1), 0x1234_5678_9ABC_DEF0);
         assert_eq!(mem.get(&p, 2), 4, "a word only read is not published");
-        assert_eq!(buf.stats().committed_words, 2);
     }
 
     #[test]
@@ -697,7 +611,6 @@ mod tests {
         buf.commit(&mem);
         assert_eq!(mem.get(&p, 0), 0);
         assert_eq!(buf.write_set_len(), 0);
-        assert_eq!(buf.stats(), BufferStats::default());
     }
 
     #[test]
@@ -711,23 +624,20 @@ mod tests {
             buf.store(p.addr_of(i), i as u64, 8).unwrap();
         }
         assert!(buf.overflow_pending());
-        assert_eq!(buf.stats().overflow_events, 2);
+        assert_eq!(buf.words.overflow_len(), 2);
         // The overflowed data is still readable and committable.
         assert_eq!(load(&mut buf, &mem, p.addr_of(32), 8).unwrap(), 32);
         buf.commit(&mem);
         assert_eq!(mem.get(&p, 33), 33);
     }
 
+    /// The walk repairs a value-unchanged conflict at every grain — a
+    /// neighbour write of a coarse range or a value-identical (ABA) write
+    /// of the word itself — and whatever it cannot repair, a changed
+    /// value, is a conflict, also when the commit only wrote a neighbour.
     #[test]
-    fn false_sharing_classification_follows_the_grain() {
-        // At line grain, a value-unchanged conflict is suspected false
-        // sharing; at word grain false sharing is structurally
-        // impossible, so the same value-unchanged (ABA) conflict must be
-        // classified as genuine — Throttle must not soft-pedal it.
-        for (config, expect_false_sharing) in [
-            (CommitLogConfig::line_grain(), true),
-            (CommitLogConfig::word_grain(), false),
-        ] {
+    fn the_walk_retries_every_unchanged_value_and_nothing_else() {
+        for config in [CommitLogConfig::line_grain(), CommitLogConfig::word_grain()] {
             let mem = GlobalMemory::new(4096);
             let log = CommitLog::with_config(config, mem.size_bytes());
             let mut buf = GlobalBuffer::new(BufferConfig::default());
@@ -736,18 +646,11 @@ mod tests {
             let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
             // Value-identical commit to the very word that was read.
             log.record_word(p.addr_of(0));
-            assert_eq!(
-                buf.validate_against_with(&log, &mem),
-                Validation::Conflict {
-                    suspected_false_sharing: expect_false_sharing
-                },
-                "grain_log2 {}",
-                config.grain_log2
-            );
+            let verdict = buf.validate(&log, &mem);
+            assert_eq!(verdict, Validation::Retried, "{config:?}");
+            assert_eq!(buf.validate(&log, &mem), Validation::Valid, "restamped");
         }
-        // A genuine neighbour-only write at line grain stays classified
-        // as suspected false sharing, and value changes prove sharing.
-        // (Single-version: a ring would pass the neighbour write precisely.)
+        // Single-version: a ring would pass the neighbour write precisely.
         let mem = GlobalMemory::new(4096);
         let log = CommitLog::with_config(
             CommitLogConfig::line_grain().ring_depth(1),
@@ -759,12 +662,52 @@ mod tests {
         mem.set(&p, 0, 9);
         log.record_word(p.addr_of(1)); // same line, different word
         assert_eq!(
-            buf.validate_against_with(&log, &mem),
-            Validation::Conflict {
-                suspected_false_sharing: false
-            },
-            "changed value proves true sharing even on a neighbour write"
+            buf.validate(&log, &mem),
+            Validation::Conflict,
+            "a changed value is a conflict even on a neighbour write"
         );
+    }
+
+    /// Main memory that counts its word reads.
+    struct CountingMemory<'a> {
+        mem: &'a GlobalMemory,
+        reads: AtomicU32,
+    }
+
+    impl MainMemory for CountingMemory<'_> {
+        fn read_word(&self, addr: Addr) -> u64 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.mem.read_word(addr)
+        }
+        fn write_word(&self, addr: Addr, value: u64) {
+            self.mem.write_word(addr, value);
+        }
+        fn size_bytes(&self) -> u64 {
+            self.mem.size_bytes()
+        }
+    }
+
+    /// One walk: a clean read and a precise one cost no memory read, a
+    /// touched one costs one, and each precise read is counted once.
+    #[test]
+    fn the_walk_reads_memory_only_for_touched_words() {
+        let mem = GlobalMemory::new(4096);
+        let log = mvcc_line_log();
+        let mut buf = GlobalBuffer::new(BufferConfig::default());
+        let p = mem.alloc::<u64>(32); // four lines
+        for i in [0, 8, 16] {
+            let _ = buf.load_logged(&mem, Some(&log), p.addr_of(i), 8).unwrap();
+        }
+        log.record_word(p.addr_of(1)); // word 0's neighbour: precise
+        log.record_word(p.addr_of(8)); // word 8, same value: touched
+        let counting = CountingMemory {
+            mem: &mem,
+            reads: AtomicU32::new(0),
+        };
+        assert_eq!(buf.validate(&log, &counting), Validation::Retried);
+        let reads = counting.reads.load(Ordering::Relaxed);
+        assert_eq!(reads, 1, "only the touched word is read");
+        assert_eq!(buf.precise_passes(), 1);
     }
 
     #[test]
@@ -796,7 +739,7 @@ mod tests {
         mem.set(&p, 0, 5);
         log.record_word(p.addr_of(0));
         assert!(!buf.validate_against(&log));
-        assert!(buf.revalidate_by_value(&log, &mem));
+        assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         // The read was re-stamped: validation passes until a new commit.
         assert!(buf.validate_against(&log));
         log.record_word(p.addr_of(0));
@@ -813,7 +756,7 @@ mod tests {
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
         mem.set(&p, 0, 6);
         log.record_word(p.addr_of(0));
-        assert!(!buf.revalidate_by_value(&log, &mem));
+        assert_eq!(buf.validate(&log, &mem), Validation::Conflict);
         // Nothing was re-stamped: the conflict is still visible.
         assert!(!buf.validate_against(&log));
     }
@@ -886,7 +829,7 @@ mod tests {
         log.record_word(p.addr_of(1));
         assert!(log.written_after(p.addr_of(0), 0), "range version moved");
         assert!(buf.validate_against(&log));
-        assert_eq!(buf.stats().precise_passes, 1);
+        assert_eq!(buf.precise_passes(), 1);
         // Depth-1 (single-version) would have doomed the same snapshot.
         let single = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(1), 4096);
         let mut single_buf = GlobalBuffer::new(BufferConfig::default());
@@ -898,6 +841,8 @@ mod tests {
         // A commit that does touch the read word still dooms precisely.
         log.record_word(p.addr_of(0));
         assert!(!buf.validate_against(&log));
+        buf.clear();
+        assert_eq!(buf.precise_passes(), 0, "a clear resets the count");
     }
 
     #[test]
@@ -916,7 +861,7 @@ mod tests {
         mem.set(&p, 0, 5);
         log.record_word(p.addr_of(0));
         assert!(!buf.validate_against(&log));
-        assert!(buf.revalidate_by_value(&log, &mem));
+        assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         // v2, in a bucket (and a footprint) of its own: a neighbour-word
         // commit after the restamp. Time travel put the read at v1, and
         // the ring shows v2 missed the word — validation passes precisely
@@ -932,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_re_registers_the_whole_read_set() {
+    fn a_restore_re_registers_the_whole_read_set() {
         let mem = GlobalMemory::new(4096);
         let log = mvcc_line_log();
         let mut buf = GlobalBuffer::for_reader(BufferConfig::default(), 5);
@@ -949,9 +894,12 @@ mod tests {
         log.record_word(p.addr_of(0));
         assert!(!log.registered_readers(p.addr_of(0)).contains(5));
         assert!(!log.registered_readers(far).contains(5));
-        // The in-flight retry must repair the registry for the entire
-        // read set — including the far range, whose read is clean.
-        assert!(buf.revalidate_by_value(&log, &mem));
+        // The walk leaves the registry alone; the restore repairs it for
+        // the entire read set — including the far range, whose read is
+        // clean.
+        assert_eq!(buf.validate(&log, &mem), Validation::Retried);
+        assert!(!log.registered_readers(p.addr_of(0)).contains(5));
+        buf.restore_registrations(&log);
         assert!(log.registered_readers(p.addr_of(0)).contains(5));
         assert!(log.registered_readers(far).contains(5));
     }
@@ -973,9 +921,9 @@ mod tests {
         }
         assert!(!buf.validate_against(&log), "overflow dooms conservatively");
         assert!(log.stats().ring_overflows > 0);
-        // The value is untouched, so the legacy fresh-snapshot retry
-        // still rescues the thread.
-        assert!(buf.revalidate_by_value(&log, &mem));
+        // The value is untouched, so the fresh-snapshot retry still
+        // rescues the thread.
+        assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         assert!(buf.validate_against(&log));
     }
 

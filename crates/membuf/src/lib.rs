@@ -43,6 +43,6 @@ pub use commit_log::{
     PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
 };
 pub use error::{BufferError, RollbackReason, SpecFailure};
-pub use global_buffer::{BufferConfig, BufferStats, GlobalBuffer, Validation};
+pub use global_buffer::{BufferConfig, GlobalBuffer, Validation};
 pub use memory::{Addr, GPtr, GlobalMemory, MainMemory, WORD_BYTES};
 pub use wordmap::{WordEntry, WordMap};

@@ -84,15 +84,24 @@ impl GlobalMemory {
     /// non-speculative path before or between speculative regions.
     ///
     /// # Panics
-    /// Panics if the arena capacity is exhausted.
+    /// Panics if the arena capacity is exhausted.  The cursor moves only
+    /// for an allocation that fits, so a caught exhaustion leaves the
+    /// allocated window — the bound on a speculative address — as it was.
     pub fn alloc<T: Word>(&self, count: usize) -> GPtr<T> {
-        let bytes = (count as u64) * WORD_BYTES;
-        let start = self.next.fetch_add(bytes, Ordering::Relaxed);
-        assert!(
-            start + bytes <= self.size_bytes(),
-            "GlobalMemory arena exhausted: requested {bytes} bytes at {start}, capacity {}",
-            self.size_bytes()
-        );
+        let capacity = self.size_bytes();
+        let bytes = (count as u64).checked_mul(WORD_BYTES);
+        let claimed = self
+            .next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |start| {
+                let end = bytes.and_then(|bytes| start.checked_add(bytes));
+                end.filter(|&end| end <= capacity)
+            });
+        let Ok(start) = claimed else {
+            panic!(
+                "GlobalMemory arena exhausted: requested {count} words at {}, capacity {capacity}",
+                self.allocated_bytes()
+            );
+        };
         GPtr {
             base: start,
             len: count,
@@ -357,6 +366,25 @@ mod tests {
         // A wild pointer: `addr + len` wraps to 0, below the cursor, and
         // must still be out.
         assert!(!mem.is_allocated(u64::MAX - 7, WORD_BYTES));
+    }
+
+    /// An exhausted allocation whose panic is caught — too many bytes, or
+    /// a byte count that overflows — leaves the cursor where it was, so
+    /// nothing past the arena counts as allocated.
+    #[test]
+    fn a_caught_exhaustion_leaves_the_cursor_alone() {
+        let mem = GlobalMemory::new(64);
+        let _ = mem.alloc::<u64>(2);
+        let cursor = mem.allocated_bytes();
+        for count in [1000, usize::MAX / 4] {
+            let alloc = std::panic::catch_unwind(|| mem.alloc::<u64>(count));
+            assert!(alloc.is_err(), "{count} words do not fit");
+            assert_eq!(mem.allocated_bytes(), cursor, "{count} words");
+            assert!(!mem.is_allocated(mem.size_bytes(), WORD_BYTES));
+        }
+        // What is left still fits.
+        let rest = (mem.size_bytes() - cursor) / WORD_BYTES;
+        assert_eq!(mem.alloc::<u64>(rest as usize).base_addr(), cursor);
     }
 
     #[test]

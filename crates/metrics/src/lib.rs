@@ -127,8 +127,6 @@ pub enum CounterId {
     TargetedDooms,
     /// MVCC precise validation passes.
     PrecisePasses,
-    /// Conflicts classified as suspected false sharing.
-    FalseSharingSuspects,
     /// Work cycles discarded by rollbacks (ns native / virtual cycles
     /// replay).
     WastedCycles,
@@ -138,7 +136,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in scrape order.
-    pub const ALL: [CounterId; 16] = [
+    pub const ALL: [CounterId; 15] = [
         CounterId::Forks,
         CounterId::FailedForks,
         CounterId::ThrottledForks,
@@ -152,7 +150,6 @@ impl CounterId {
         CounterId::RetriesInFlight,
         CounterId::TargetedDooms,
         CounterId::PrecisePasses,
-        CounterId::FalseSharingSuspects,
         CounterId::WastedCycles,
         CounterId::CommittedCycles,
     ];
@@ -177,7 +174,6 @@ impl CounterId {
             CounterId::RetriesInFlight => "retries_in_flight",
             CounterId::TargetedDooms => "targeted_dooms",
             CounterId::PrecisePasses => "precise_passes",
-            CounterId::FalseSharingSuspects => "false_sharing_suspects",
             CounterId::WastedCycles => "wasted_cycles",
             CounterId::CommittedCycles => "committed_cycles",
         }
@@ -199,7 +195,6 @@ impl CounterId {
             CounterId::RetriesInFlight => "Dooms shrugged off in flight by value re-validation",
             CounterId::TargetedDooms => "Readers doomed surgically by committing writers",
             CounterId::PrecisePasses => "MVCC precise validation passes",
-            CounterId::FalseSharingSuspects => "Conflicts classified as suspected false sharing",
             CounterId::WastedCycles => "Work discarded by rollbacks (ns native, cycles replay)",
             CounterId::CommittedCycles => {
                 "Speculative work that committed (ns native, cycles replay)"

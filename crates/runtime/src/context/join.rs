@@ -16,7 +16,6 @@ impl SpecContext {
             stats: self.stats,
             finished_at: Instant::now(),
             settled: self.settled,
-            suspect: self.suspect,
             prices: self.prices,
         }
     }

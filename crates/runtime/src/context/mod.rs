@@ -42,7 +42,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mutls_membuf::{Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, SpecFailure, WORD_BYTES};
+use mutls_membuf::{
+    Addr, BufferError, GPtr, GlobalBuffer, GlobalMemory, SpecFailure, Validation, WORD_BYTES,
+};
 
 use mutls_trace::DenyPolicy;
 
@@ -162,8 +164,6 @@ pub struct SpecContext {
     promotion: Option<Promotion>,
     /// A promotion attempt failed validation (see [`SpecOutcome::settled`]).
     settled: bool,
-    /// That validation found only a suspect of false sharing.
-    suspect: bool,
     /// What this task's `fork_range` bodies cost at speculative price, per
     /// fork site, until its commit books them.
     prices: Vec<(u32, Price)>,
@@ -184,7 +184,6 @@ impl SpecContext {
             reexec_depth: 0,
             promotion: None,
             settled: false,
-            suspect: false,
             prices: Vec::new(),
         }
     }

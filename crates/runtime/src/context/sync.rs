@@ -36,11 +36,14 @@ impl SpecContext {
             // In-flight value-predict retry first: the registry is
             // range-granular, so the doom may be false sharing — if
             // every conflicting word still holds its first-read
-            // value, re-stamp, shrug the doom off and keep running.
+            // value, re-stamp, restore the registrations the publish
+            // took, shrug the doom off and keep running.
             if let Some(buffer) = self.global.as_mut() {
                 let memory = self.mgr.memory();
+                let log = self.mgr.commit_log();
                 let retry_started = Instant::now();
-                if buffer.revalidate_by_value(self.mgr.commit_log(), memory.as_ref()) {
+                if buffer.validate(log, memory.as_ref()) != Validation::Conflict {
+                    buffer.restore_registrations(log);
                     self.mgr.clear_doom(self.rank);
                     let took = retry_started.elapsed().as_nanos() as u64;
                     self.observe(0, Point::RetriedInFlight(took));
@@ -93,7 +96,6 @@ impl SpecContext {
             stats: std::mem::take(&mut self.stats),
             finished_at: sync_started,
             settled: false,
-            suspect: false,
             prices: std::mem::take(&mut self.prices),
         };
         let verdict = self.mgr.validate_and_commit(rank, &mut outcome, None);
@@ -103,7 +105,6 @@ impl SpecContext {
                 self.global = Some(outcome.buffer);
                 self.stats = outcome.stats;
                 self.settled = true;
-                self.suspect = outcome.suspect;
                 self.mgr.doom_hard(rank);
                 return Err(failure(reason));
             }

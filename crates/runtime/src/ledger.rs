@@ -157,13 +157,6 @@ pub fn observe<B: Books>(books: &mut B, at: B::At, rank: u32, site: u32, point: 
             if let Some(retry) = retry {
                 books.latency().record(LatencyPhase::RepairRetry, retry);
             }
-            // A conservative doom *is* a false-sharing suspect: every
-            // conflicting word still held its first-read value.
-            if outcome == ValidateOutcome::ConservativeDoom {
-                books
-                    .registry()
-                    .add(shard, CounterId::FalseSharingSuspects, 1);
-            }
             books.keep(at, rank, site, EventKind::ValidateEnd { outcome });
         }
         // Replay only, and kept that way: a join that also had precise
@@ -286,7 +279,6 @@ fn project(counters: &mut ThreadCounters, count: impl Fn(CounterId) -> u64) {
     counters.forks = count(CounterId::Forks);
     counters.failed_forks = count(CounterId::FailedForks);
     counters.throttled_forks = count(CounterId::ThrottledForks);
-    counters.false_sharing_suspects = count(CounterId::FalseSharingSuspects);
     counters.retries_succeeded = count(CounterId::Retries) + count(CounterId::RetriesInFlight);
     counters.targeted_dooms = count(CounterId::TargetedDooms);
     counters.precise_passes = count(CounterId::PrecisePasses);

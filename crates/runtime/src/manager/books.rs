@@ -69,10 +69,9 @@ impl ThreadManager {
     /// park its buffer for its CPU's next task
     /// (finalization is charged to the speculative path, as in the
     /// paper's breakdown), reclassify a rolled-back thread's work as
-    /// wasted, feed the verdict to the governor's site profile — with the
-    /// false-sharing classification and the retry verdict, so Throttle can
-    /// tell the regimes apart — and fold the statistics into the
-    /// speculative path's.  The caller still owns the CPU and releases it.
+    /// wasted, feed the verdict to the governor's site profile — a
+    /// retried commit counts as a retry there — and fold the statistics
+    /// into the speculative path's.  The caller still owns the CPU and releases it.
     pub(crate) fn settle_child(
         &self,
         rank: Rank,
@@ -94,7 +93,6 @@ impl ThreadManager {
             site,
             model,
             fate: verdict.map(CommitKind::retried),
-            suspect: outcome.suspect,
         };
         let mut speculative = self.speculative.lock();
         let retired = protocol::retire(&mut stats, thread, &self.governor, &mut speculative);

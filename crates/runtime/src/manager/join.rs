@@ -32,10 +32,6 @@ pub struct SpecOutcome {
     /// unregistered and its precise passes counted.  The joiner rolls back
     /// without validating a second time.
     pub settled: bool,
-    /// Its validation found a conflict on range grain only, every
-    /// conflicting word still at its first-read value: a suspect of false
-    /// sharing, as the governor hears of its rollback.
-    pub(crate) suspect: bool,
     /// What the task's `fork_range` bodies cost, per fork site: booked if
     /// it commits, forgotten if not.
     pub(crate) prices: Vec<(SiteId, Price)>,
@@ -148,11 +144,15 @@ impl ThreadManager {
     /// write-set overlay, since the child could not observe those
     /// logically earlier writes at all.
     ///
-    /// On a conflict, a **value-predict retry**: if every conflicting
-    /// read still holds its first-read value, re-stamp and commit in place
-    /// — no re-execution, `Ok(CommitKind::Retried)`.  Otherwise the child
-    /// rolls back and its joiner re-executes it inline; nothing is doomed
-    /// here.  The readers a write makes stale are doomed where it is
+    /// The log check is one walk ([`GlobalBuffer::validate`]), and it
+    /// climbs the ladder as it goes: a read whose word the version ring
+    /// proves untouched passes precisely; a touched word still at its
+    /// first-read value is re-stamped in place — the **value-predict
+    /// retry**, a commit with no re-execution, `Ok(CommitKind::Retried)`;
+    /// a changed value is a conflict.  A conflict in the log, or a child
+    /// read the speculative parent's overlay contradicts, rolls the child
+    /// back as a conflict, and its joiner re-executes it inline; nothing is
+    /// doomed here.  The readers a write makes stale are doomed where it is
     /// published (`doom_readers`): by this commit, or by the re-execution's
     /// stores.
     ///
@@ -203,7 +203,7 @@ impl ThreadManager {
             // cause spurious dooms from here on.  In-flight doom-watch
             // revalidations may still have precise-passed before the final
             // failure — keep those counted.
-            let precise = outcome.buffer.stats().precise_passes;
+            let precise = outcome.buffer.precise_passes();
             self.commit_log
                 .unregister_reader(outcome.buffer.read_addresses(), child);
             let took = elapsed_ns(started);
@@ -219,24 +219,18 @@ impl ThreadManager {
             return Err(roll_back(verdict));
         }
 
-        // Dependence validation against the commit log (range grain,
-        // classifying suspected false sharing), plus the parent write-set
-        // overlay when the joiner is speculative.
-        let log_verdict = outcome.buffer.validate_against_with(&self.commit_log, mem);
-        let mut retried = false;
-        let log_valid = match log_verdict {
-            Validation::Valid => true,
-            Validation::Conflict { .. } => {
-                // Recovery by value prediction: the current
-                // committed values validate the reads, so the execution
-                // is equivalent to one that read after those commits.
-                retried = outcome.buffer.revalidate_by_value(&self.commit_log, mem);
-                retried
-            }
-        };
+        // Dependence validation against the commit log, repaired by value
+        // where it can be, plus the parent write-set overlay when the
+        // joiner is speculative.
+        let log_verdict = outcome.buffer.validate(&self.commit_log, mem);
+        let retried = log_verdict == Validation::Retried;
+        if retried {
+            // A committer that doomed the child took its registrations.
+            outcome.buffer.restore_registrations(&self.commit_log);
+        }
         // The joining parent's view of a word — its own uncommitted bytes
         // overlaid on main memory — serves overlay validation.
-        let valid = log_valid
+        let valid = log_verdict != Validation::Conflict
             && match &parent_buffer {
                 None => true,
                 Some(parent) => outcome
@@ -248,24 +242,14 @@ impl ThreadManager {
         // Single capture point for the buffer's ring-precision counter:
         // it covers both this join-time validation and any in-flight
         // doom-watch revalidations the thread survived along the way.
-        let precise_total = outcome.buffer.stats().precise_passes;
+        let precise_total = outcome.buffer.precise_passes();
         let facts = JoinFacts {
             dead: None,
             valid,
-            // Every conflicting word still held its first-read value: the
-            // rollback is most likely grain-induced false sharing (or a
-            // value-identical ABA write), not a proven dependence
-            // violation — recorded so the governor and the reports can
-            // tell the regimes apart.
-            suspect: log_verdict
-                == Validation::Conflict {
-                    suspected_false_sharing: true,
-                },
             retried,
             precise_pass: precise_total > 0,
         };
         let verdict = protocol::join_verdict(facts);
-        outcome.suspect = verdict.suspect();
         note(Point::PrecisePasses(precise_total));
         let validated = Point::Validated {
             outcome: verdict.outcome,

@@ -35,7 +35,7 @@ use rand::SeedableRng;
 
 use mutls_adaptive::{Governor, SiteId};
 use mutls_membuf::{
-    Addr, BufferStats, CommitLog, GlobalBuffer, GlobalMemory, MainMemory, SpecFailure, Validation,
+    Addr, CommitLog, GlobalBuffer, GlobalMemory, MainMemory, SpecFailure, Validation,
 };
 use mutls_metrics::MetricsHub;
 use mutls_trace::{DenyPolicy, Recorder};

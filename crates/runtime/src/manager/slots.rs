@@ -67,7 +67,7 @@ pub(super) fn is_clean(buffer: &GlobalBuffer) -> bool {
     !buffer.overflow_pending()
         && buffer.read_set_len() == 0
         && buffer.write_set_len() == 0
-        && buffer.stats() == BufferStats::default()
+        && buffer.precise_passes() == 0
 }
 
 impl ThreadManager {

@@ -102,7 +102,6 @@ fn completed(buffer: GlobalBuffer) -> SpecOutcome {
         stats: ThreadStats::new(),
         finished_at: Instant::now(),
         settled: false,
-        suspect: false,
         prices: Vec::new(),
     }
 }
@@ -306,6 +305,81 @@ fn value_predict_retry_commits_without_reexecution() {
     );
     assert_eq!(counted(&m, 1, CounterId::Retries), 1);
     assert_eq!(mem.get(&cell, 1), 9, "the retried write-set committed");
+}
+
+/// A child whose log conflict the value retry repairs, but whose read of
+/// a word its speculative parent has since written is stale, rolls back as
+/// a `Conflict`: what the ladder cannot repair is a conflict.
+#[test]
+fn a_retried_child_its_parent_overwrote_is_a_conflict() {
+    use mutls_trace::{EventKind, ValidateOutcome};
+    let config = RuntimeConfig::with_cpus(1).memory_bytes(1 << 16);
+    let m = ThreadManager::new(config.trace_events());
+    assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Ok(1));
+    let mem = Arc::clone(m.memory());
+    let cells = mem.alloc::<u64>(24);
+    // Two words of different lines: X, and Y at 5.
+    let (x, y) = (cells.addr_of(0), cells.addr_of(16));
+    mem.set(&cells, 16, 5);
+
+    // The child reads X's old value from memory, and Y.
+    let mut buffer = fresh_buffer(&m, 1);
+    for addr in [x, y] {
+        let _ = buffer.load_logged(&*mem, Some(m.commit_log()), addr, 8);
+    }
+    // A value-identical commit to Y: a range-only conflict, repaired by
+    // the retry.
+    m.commit_log().record_word(y);
+    // The speculative parent has buffered a write to X.
+    let mut parent = GlobalBuffer::new(m.config().buffer);
+    parent.store(x, 1, 8).unwrap();
+
+    let mut outcome = completed(buffer);
+    assert_eq!(
+        m.validate_and_commit(1, &mut outcome, Some(&mut parent)),
+        Err(SpecFailure::ReadConflict)
+    );
+    let verdicts: Vec<_> = m
+        .recorder()
+        .drain_events()
+        .into_iter()
+        .filter_map(|event| match event.kind {
+            EventKind::ValidateEnd { outcome } => Some(outcome),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(verdicts, [ValidateOutcome::Conflict]);
+    assert_eq!(parent.read_set_len(), 0, "nothing was absorbed");
+}
+
+/// A join that retries counts each precise pass once: the walk that
+/// repairs the conflict is the walk that probed the ring.
+#[test]
+fn a_retried_join_counts_each_precise_pass_once() {
+    let m = mgr_with_child();
+    let mem = Arc::clone(m.memory());
+    let cells = mem.alloc::<u64>(24);
+    // A line-aligned word, its neighbour, and a word of the next line.
+    let line = (0..8)
+        .find(|&i| cells.addr_of(i).is_multiple_of(64))
+        .unwrap();
+    let (read, neighbour, other) = (line, line + 1, line + 8);
+
+    let mut buffer = fresh_buffer(&m, 1);
+    for i in [read, other] {
+        let _ = buffer.load_logged(&*mem, Some(m.commit_log()), cells.addr_of(i), 8);
+    }
+    // A neighbour write: the ring passes `read` precisely.  A
+    // value-identical write of `other`: touched but unchanged, a retry.
+    m.commit_log().record_word(cells.addr_of(neighbour));
+    m.commit_log().record_word(cells.addr_of(other));
+
+    let mut outcome = completed(buffer);
+    assert_eq!(
+        m.validate_and_commit(1, &mut outcome, None),
+        Ok(CommitKind::Retried)
+    );
+    assert_eq!(counted(&m, 1, CounterId::PrecisePasses), 1);
 }
 
 #[test]
@@ -557,8 +631,9 @@ fn a_rolled_back_childs_readers_are_doomed_by_the_re_executions_publish() {
     rank0.spec_write(word, 9).unwrap();
     assert!(m.doom_requested(victim), "the publish dooms the reader");
     assert_eq!(counted(&m, 0, CounterId::TargetedDooms), dooms + 1);
-    assert!(
-        !victim_buf.revalidate_by_value(m.commit_log(), &*mem),
+    assert_eq!(
+        victim_buf.validate(m.commit_log(), &*mem),
+        Validation::Conflict,
         "the value changed: no in-flight retry clears this doom"
     );
 }

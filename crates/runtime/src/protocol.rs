@@ -92,9 +92,6 @@ pub struct JoinFacts {
     pub dead: Option<SpecFailure>,
     /// Every read validated, possibly after a value-predict retry.
     pub valid: bool,
-    /// The conflict is range-only: every conflicting word still holds its
-    /// first-read value (suspected false sharing).
-    pub suspect: bool,
     /// A value-predict retry repaired the validation.
     pub retried: bool,
     /// Some read passed precisely, through the version rings, at the join
@@ -111,29 +108,18 @@ pub struct JoinVerdict {
     pub rollback: Option<(SpecFailure, PlanArm)>,
 }
 
-impl JoinVerdict {
-    /// The child rolls back on a conflict that is range-only: the suspect
-    /// of false sharing its site hears of at retirement.
-    pub fn suspect(&self) -> bool {
-        self.outcome == ValidateOutcome::ConservativeDoom
-    }
-}
-
 /// D2, the verdict of a join (paper §IV-F, the README's recovery ladder).
 /// A thread that arrives dead is `Failed` with no recovery arm, whatever
 /// killed it: the ladder never ran.
 pub fn join_verdict(facts: JoinFacts) -> JoinVerdict {
     let (outcome, rollback) = match facts.dead {
         Some(reason) => (ValidateOutcome::Failed, Some((reason, PlanArm::None))),
-        // A read conflict has readers to doom, and can be a false one.
-        None if !facts.valid => {
-            let outcome = if facts.suspect {
-                ValidateOutcome::ConservativeDoom
-            } else {
-                ValidateOutcome::Conflict
-            };
-            (outcome, Some((SpecFailure::ReadConflict, PlanArm::DoomSet)))
-        }
+        // What the ladder could not repair is a conflict: its re-execution
+        // has readers to doom.
+        None if !facts.valid => (
+            ValidateOutcome::Conflict,
+            Some((SpecFailure::ReadConflict, PlanArm::DoomSet)),
+        ),
         None if facts.retried => (ValidateOutcome::Retried, None),
         None if facts.precise_pass => (ValidateOutcome::PrecisePass, None),
         None => (ValidateOutcome::Clean, None),
@@ -151,15 +137,11 @@ pub struct Retirement {
     /// `Ok(retried)` for a commit, the blamed failure for a rollback —
     /// `Cascaded` for a discard without a join of its own.
     pub fate: Result<bool, SpecFailure>,
-    /// Its join found a conflict on range grain only, every conflicting
-    /// word still at its first-read value (`ValidateOutcome::ConservativeDoom`).
-    pub suspect: bool,
 }
 
 /// D3, retirement: a rolled-back thread's work becomes wasted work, the
-/// site profile hears the outcome — the rollback of a suspect as
-/// suspected false sharing — the speculative path's statistics take the
-/// thread's, and the caller gets the `Retired` point to write down.
+/// site profile hears the outcome, the speculative path's statistics take
+/// the thread's, and the caller gets the `Retired` point to write down.
 pub fn retire(
     stats: &mut ThreadStats,
     thread: Retirement,
@@ -177,7 +159,7 @@ pub fn retire(
             stats.mark_work_wasted();
             let wasted = stats.get(Phase::WastedWork);
             let rolled_back = SiteOutcome::rolled_back(reason, wasted, stall, thread.model);
-            (rolled_back.with_false_sharing(thread.suspect), wasted)
+            (rolled_back, wasted)
         }
     };
     governor.record_outcome(thread.site, &outcome);
@@ -283,8 +265,6 @@ mod tests {
     use mutls_adaptive::{GovernorConfig, PolicyKind};
     use rand::SeedableRng;
     use ForkModel::{InOrder, Mixed, OutOfOrder};
-
-    const BOTH: [bool; 2] = [false, true];
 
     /// The model rule over `ForkModel::ALL` × forker speculative × anything
     /// in flight × forker is the latest: all 24 rows.  An allowed fork is
@@ -417,7 +397,7 @@ mod tests {
     }
 
     /// D2 over every combination of facts.  A row is the death, a pattern
-    /// over (valid, suspect, retried, precise pass) with `None` for
+    /// over (valid, retried, precise pass) with `None` for
     /// "either", and the verdict; exactly one row matches each combination.
     #[test]
     fn the_join_verdict_enumerated() {
@@ -427,21 +407,20 @@ mod tests {
         type Rollback = Option<(SpecFailure, PlanArm)>;
         type Row = (
             Option<SpecFailure>,
-            [Option<bool>; 4],
+            [Option<bool>; 3],
             ValidateOutcome,
             Rollback,
         );
         let (t, f, x) = (Some(true), Some(false), None);
         let doom_set = Some((ReadConflict, DoomSet));
         let mut rows: Vec<Row> = vec![
-            // Alive and valid: how it validated.  (A retry starts from a
-            // suspect conflict, so `suspect` may be set.)
-            (None, [t, x, t, x], Retried, None),
-            (None, [t, x, f, t], PrecisePass, None),
-            (None, [t, x, f, f], Clean, None),
-            // Alive and invalid: the ladder's second rung.
-            (None, [f, t, x, x], ConservativeDoom, doom_set),
-            (None, [f, f, x, x], Conflict, doom_set),
+            // Alive and valid: how it validated.
+            (None, [t, t, x], Retried, None),
+            (None, [t, f, t], PrecisePass, None),
+            (None, [t, f, f], Clean, None),
+            // Alive and invalid, a retry's overlay check included: what
+            // the ladder could not repair.
+            (None, [f, x, x], Conflict, doom_set),
         ];
         // Dead of anything, a conflict included: discarded unvalidated.
         let deaths = [
@@ -452,15 +431,14 @@ mod tests {
             Cascaded,
             NoSync,
         ];
-        rows.extend(deaths.map(|reason| (Some(reason), [x; 4], Failed, Some((reason, NoArm)))));
+        rows.extend(deaths.map(|reason| (Some(reason), [x; 3], Failed, Some((reason, NoArm)))));
         for dead in std::iter::once(None).chain(deaths.map(Some)) {
-            for bits in 0..16u32 {
-                let given = [0, 1, 2, 3].map(|bit| bits >> bit & 1 == 1);
-                let [valid, suspect, retried, precise_pass] = given;
+            for bits in 0..8u32 {
+                let given = [0, 1, 2].map(|bit| bits >> bit & 1 == 1);
+                let [valid, retried, precise_pass] = given;
                 let facts = JoinFacts {
                     dead,
                     valid,
-                    suspect,
                     retried,
                     precise_pass,
                 };
@@ -476,25 +454,24 @@ mod tests {
         }
     }
 
-    /// D3: committed / rolled back × a false-sharing suspect × retried —
-    /// what a recording governor, the speculative path and the `Retired`
-    /// point are handed.
+    /// D3: committed, retried or not, and rolled back — what a recording
+    /// governor, the speculative path and the `Retired` point are handed.
     #[test]
     fn retirement_tells_the_site_the_path_and_the_ledger() {
-        for (committed, flag) in BOTH.iter().flat_map(|&c| BOTH.map(|f| (c, f))) {
+        let conflict = SpecFailure::ReadConflict;
+        for fate in [Ok(false), Ok(true), Err(conflict)] {
             let governor = Governor::new(GovernorConfig::default());
             let mut speculative = ThreadStats::new();
             let mut stats = ThreadStats::new();
             stats.add(Phase::Work, 70);
             stats.add(Phase::Idle, 20);
             stats.add(Phase::Validation, 10);
-            let conflict = SpecFailure::ReadConflict;
             let thread = Retirement {
                 site: 9,
                 model: InOrder,
-                fate: if committed { Ok(flag) } else { Err(conflict) },
-                suspect: flag,
+                fate,
             };
+            let committed = fate.is_ok();
             let point = retire(&mut stats, thread, &governor, &mut speculative);
             let (cycles, total) = (70, 100);
             let retired = Point::Retired {
@@ -515,9 +492,7 @@ mod tests {
                 (commits, rollbacks, rollbacks)
             );
             assert_eq!((site.committed_work, site.wasted_work), (kept, wasted));
-            // Each flag is heard on its own side only.
-            assert_eq!(site.retries, (committed && flag) as u64);
-            assert_eq!(site.false_sharing, (!committed && flag) as u64);
+            assert_eq!(site.retries, (fate == Ok(true)) as u64);
 
             assert_eq!(speculative, stats);
         }

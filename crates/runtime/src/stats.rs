@@ -115,11 +115,6 @@ pub struct ThreadCounters {
     pub failed_forks: u64,
     /// Fork attempts suppressed by the adaptive speculation governor.
     pub throttled_forks: u64,
-    /// Conflict rollbacks whose conflicting words all still held their
-    /// first-read values — suspected *false sharing* introduced by a
-    /// commit-log grain coarser than a word (estimate; a value-identical
-    /// ABA write is indistinguishable).
-    pub false_sharing_suspects: u64,
     /// Conflicts repaired by value-predict-and-retry: at the join (the
     /// thread committed without re-execution) or in flight (a doom shrugged
     /// off).  Never counted as rollbacks.
@@ -320,12 +315,6 @@ impl RunReport {
         self.sites.iter().map(|s| s.throttled).sum()
     }
 
-    /// Conflict rollbacks classified as suspected false sharing (see
-    /// [`ThreadCounters::false_sharing_suspects`]).
-    pub fn suspected_false_sharing(&self) -> u64 {
-        self.speculative.counters.false_sharing_suspects
-    }
-
     /// Successful value-predict retries across both paths (see
     /// [`ThreadCounters::retries_succeeded`]).
     pub fn retries(&self) -> u64 {
@@ -447,11 +436,9 @@ mod tests {
     #[test]
     fn recovery_counters_surface_across_both_paths() {
         let mut report = RunReport::default();
-        report.speculative.counters.false_sharing_suspects = 5;
         report.speculative.counters.retries_succeeded = 4;
         report.speculative.counters.targeted_dooms = 2;
         report.critical.counters.targeted_dooms = 5;
-        assert_eq!(report.suspected_false_sharing(), 5);
         assert_eq!(report.retries(), 4);
         assert_eq!(report.targeted_dooms(), 7);
     }

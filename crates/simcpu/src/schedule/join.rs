@@ -71,19 +71,13 @@ impl<'a> Scheduler<'a> {
             // Whatever doomed the fiber and was not repaired.
             dead: doomed,
             valid: doomed.is_none(),
-            // Every word the fiber read still held its first-read value —
-            // the doom is grain (or ring-overflow) induced conservatism,
-            // not a proven dependence violation.
-            suspect: self.fibers[cf].doomed_false_sharing,
             retried: self.fibers[cf].retried,
             precise_pass: precise > 0,
         };
-        let verdict = protocol::join_verdict(facts);
-        self.fibers[cf].suspect = verdict.suspect();
         let JoinVerdict {
             outcome,
             mut rollback,
-        } = verdict;
+        } = protocol::join_verdict(facts);
         let validated = Point::Validated {
             outcome,
             took: validation,
@@ -234,7 +228,6 @@ impl<'a> Scheduler<'a> {
             site: fiber.site,
             model: fiber.model,
             fate,
-            suspect: fiber.suspect,
         };
         let stats = &mut self.fibers[cf].stats;
         let retired = protocol::retire(stats, thread, &self.governor, &mut self.speculative);

@@ -98,9 +98,9 @@ struct Touch {
 /// What one publish does to one in-flight reader of the ranges it stamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PublishVerdict {
-    /// Already doomed as suspected false sharing, and the batch wrote a
-    /// word it actually read: the doom is genuine after all (the native
-    /// classifier re-checks every read value at join time).
+    /// Already doomed on a range-only conflict, and the batch wrote a word
+    /// it actually read: the doom is genuine after all (the native join
+    /// re-checks every touched word's value).
     Genuine,
     /// The batch stamped a range the fiber read, but the version ring's
     /// footprint proves every published word missed its actual reads: it
@@ -153,7 +153,8 @@ struct Fiber {
     read_ranges: Runs,
     doomed: Option<SpecFailure>,
     /// True when the dooming conflict was range-only (no word of the
-    /// published batch was actually read) — suspected false sharing.
+    /// published batch was actually read): false sharing, which the join
+    /// repairs with a value-predict retry.
     doomed_false_sharing: bool,
     /// True when the fiber's conflict was repaired by value-predict-and-
     /// retry at its join (it committed without re-execution).
@@ -161,9 +162,6 @@ struct Fiber {
     /// Read-set entries that passed precisely through the version rings
     /// in flight: its join prices a ring probe for each.
     precise_passes: u64,
-    /// Its join found only a suspect of false sharing (see
-    /// `protocol::JoinVerdict::suspect`).
-    suspect: bool,
     /// Fiber waiting at a join for this fiber to stop.
     waiter: Option<usize>,
     blocked_since: u64,
@@ -212,7 +210,6 @@ impl Fiber {
             doomed_false_sharing: false,
             retried: false,
             precise_passes: 0,
-            suspect: false,
             waiter: None,
             blocked_since: 0,
             finished: None,

@@ -47,13 +47,9 @@ pub enum ValidateOutcome {
     /// Version validation conflicted but value prediction repaired every
     /// conflicting read in place (the thread still commits).
     Retried,
-    /// Genuine dependence conflict — the thread rolls back.
+    /// A conflict no recovery rung repaired — a word the thread read
+    /// changed value — and the thread rolls back.
     Conflict,
-    /// Conservative doom: the conflicting words all still held their
-    /// first-read values, so the rollback is (suspected) grain- or
-    /// ring-overflow-induced conservatism rather than a proven
-    /// dependence violation.
-    ConservativeDoom,
     /// The task had already failed before validation (overflow, cascade,
     /// doom); its buffers were discarded unvalidated.
     Failed,
@@ -67,7 +63,6 @@ impl ValidateOutcome {
             ValidateOutcome::PrecisePass => "precise-pass",
             ValidateOutcome::Retried => "retried",
             ValidateOutcome::Conflict => "conflict",
-            ValidateOutcome::ConservativeDoom => "conservative-doom",
             ValidateOutcome::Failed => "failed",
         }
     }
