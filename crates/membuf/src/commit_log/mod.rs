@@ -741,8 +741,10 @@ mod tests {
             ("register_reader, rank 200", |log| {
                 log.register_reader(4096 + 8, 200);
             }),
-            ("transfer_reader", |log| {
-                log.transfer_reader([8, 72], 3, 150)
+            ("register_reader, rank 150, then unregister_reader", |log| {
+                log.register_reader(8, 150);
+                log.register_reader(72, 150);
+                log.unregister_reader([8], 150);
             }),
         ];
         for (name, mutate) in mutators {

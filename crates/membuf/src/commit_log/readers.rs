@@ -43,7 +43,9 @@
 //!   thread that already finished dooms whatever now runs on that rank;
 //!   the doomed thread rolls back and re-executes — slower, never wrong.
 //!   Staleness is bounded by clearing masks on enumeration and by the
-//!   runtime unregistering a thread's reads when it is joined.
+//!   runtime unregistering a thread's reads once, whatever its fate, where
+//!   its buffer is returned to its CPU — before the CPU is released, so no
+//!   later task on that rank can lose a registration of its own to it.
 
 use std::sync::atomic::Ordering;
 
@@ -162,10 +164,10 @@ impl CommitLog {
     }
 
     /// Remove thread `rank` from the reader registry of every range
-    /// covering `addrs` (a joined thread's read set — committed or
-    /// squashed, its registrations are dead and would only cause spurious
-    /// dooms).  The spill marker stays sticky while other spilled ranks
-    /// remain; it is cleared when the last one leaves.
+    /// covering `addrs` (a finished thread's read set — committed, absorbed
+    /// or squashed, its registrations are dead and would only cause
+    /// spurious dooms).  The spill marker stays sticky while other spilled
+    /// ranks remain; it is cleared when the last one leaves.
     pub fn unregister_reader<I: IntoIterator<Item = Addr>>(&self, addrs: I, rank: usize) {
         let bit = reader_bit(rank);
         if bit == 0 {
@@ -190,26 +192,6 @@ impl CommitLog {
             } else {
                 self.readers[local].fetch_and(!bit, Ordering::SeqCst);
             }
-        }
-    }
-
-    /// Move the registrations for `addrs` from thread `from` to thread
-    /// `to` — a speculative parent absorbing its child's read set inherits
-    /// the child's dependences, so future commits to those ranges must
-    /// doom the *parent* now.
-    pub fn transfer_reader<I: IntoIterator<Item = Addr>>(&self, addrs: I, from: usize, to: usize) {
-        let mut last: Option<Addr> = None;
-        let grain = self.config.grain_log2;
-        for addr in addrs {
-            // Adjacent addresses of one range share a slot: skip repeats.
-            let range = addr >> grain;
-            if last == Some(range) {
-                continue;
-            }
-            last = Some(range);
-            // (No snapshot needed: the entry keeps the child's.)
-            let _ = self.register_reader(addr, to);
-            self.unregister_reader([addr], from);
         }
     }
 
@@ -439,23 +421,6 @@ mod tests {
         assert_eq!(log.stats().reader_spills, 2);
         log.clear();
         assert_eq!(log.stats().reader_spills, 0, "clear resets the counter");
-    }
-
-    #[test]
-    fn reader_transfer_moves_the_dependence_to_the_parent() {
-        let log = CommitLog::with_config(CommitLogConfig::word_grain(), (1 << 20) + 8);
-        log.register_reader(8, 4);
-        log.register_reader(1 << 20, 4); // a far region
-        log.register_reader(16, 99); // spilled rank transfers too
-        log.transfer_reader([8, 1 << 20], 4, 2);
-        for addr in [8u64, 1 << 20] {
-            let set = log.registered_readers(addr);
-            assert!(set.contains(2), "parent registered at {addr}");
-            assert!(!set.contains(4), "child unregistered at {addr}");
-        }
-        log.transfer_reader([16], 99, 100);
-        let set = log.registered_readers(16);
-        assert!(set.contains(100) && !set.contains(99));
     }
 
     #[test]

@@ -307,8 +307,8 @@ impl GlobalBuffer {
         self.words.iter().filter(WordEntry::has_read)
     }
 
-    /// The addresses the thread read (used by the runtime to register,
-    /// transfer and drop reader registrations).
+    /// The addresses the thread read (the ranges its reader registrations
+    /// cover, which the runtime retires when the buffer is returned).
     pub fn read_addresses(&self) -> impl Iterator<Item = Addr> + '_ {
         self.read_entries().map(|e| e.addr)
     }
@@ -389,9 +389,10 @@ impl GlobalBuffer {
     /// and then nothing is restamped.  What the thread wrote over a word
     /// it read plays no part: the first read is what is compared.
     ///
-    /// Reader registrations are left alone: a caller whose thread was
-    /// doomed restores them with
-    /// [`restore_registrations`](Self::restore_registrations).
+    /// Reader registrations are left alone: a thread that survives a doom
+    /// in flight restores them with
+    /// [`restore_registrations`](Self::restore_registrations), and at the
+    /// join they live on until the runtime retires them with the buffer.
     pub fn validate(&mut self, log: &CommitLog, mem: &dyn MainMemory) -> Validation {
         let mut refreshed: Vec<(Addr, u64)> = Vec::new();
         for entry in self.words.iter().filter(WordEntry::has_read) {
@@ -429,7 +430,8 @@ impl GlobalBuffer {
     /// stamped — including ranges whose reads are clean (read after that
     /// commit) — and without them a *second* conflicting commit would miss
     /// the thread and leave the doom to its join.  `register_reader` is an
-    /// idempotent `fetch_or`; this is the cold doom-repair path.
+    /// idempotent `fetch_or`; this is the cold doom-repair path of a
+    /// thread that survived its doom in flight (a join never needs it).
     pub fn restore_registrations(&self, log: &CommitLog) {
         if self.reader != 0 {
             for addr in self.read_addresses() {
@@ -456,10 +458,14 @@ impl GlobalBuffer {
     /// this thread's read dependences, so they are re-validated when this
     /// thread itself is eventually joined.
     ///
+    /// Each read taken is registered under this buffer's rank in `log`, as
+    /// at a first touch; a word this thread fully wrote takes neither.  The
+    /// child's own registrations are left to die with its buffer.
+    ///
     /// Used when a *speculative* parent joins its own speculative child —
     /// nothing may reach main memory until the whole subtree is joined by
     /// the non-speculative thread.
-    pub fn absorb(&mut self, child: &GlobalBuffer) -> Result<(), BufferError> {
+    pub fn absorb(&mut self, child: &GlobalBuffer, log: &CommitLog) -> Result<(), BufferError> {
         for entry in child.words.iter() {
             // The read first, against what this thread wrote before the
             // child's bytes land on top: a word this thread has fully
@@ -473,6 +479,8 @@ impl GlobalBuffer {
                     self.words
                         .insert_word_versioned(entry.addr, entry.read, entry.version());
                 keep_spilled(read)?;
+                // No snapshot: the entry keeps the (older) version it had.
+                let _ = log.register_reader(entry.addr, self.reader);
             }
             if entry.written() != 0 {
                 keep_spilled(self.words.merge(entry.addr, entry.data, entry.mask()))?;
@@ -800,7 +808,7 @@ mod tests {
         let _ = parent.load_logged(&mem, Some(&log), a, 8).unwrap();
         parent.store(a + 4, 0xAAAA_AAAA, 4).unwrap();
         assert!(parent.validate_against(&log), "the parent's read is fresh");
-        parent.absorb(&child).unwrap();
+        parent.absorb(&child, &log).unwrap();
         let merged = parent.words.get(a).unwrap();
         assert_eq!(merged.data, 0xAAAA_AAAA_3333_44BB);
         assert_eq!(merged.written(), 0b1111_0001);
@@ -809,6 +817,35 @@ mod tests {
             "the child's older read survives"
         );
         assert_eq!((parent.read_set_len(), parent.write_set_len()), (1, 1));
+    }
+
+    /// An absorb registers the parent on each read it takes — a tracked and
+    /// a spilled rank alike, in a far region too — and on no word the
+    /// parent fully wrote; the child's registrations stay as they were.
+    #[test]
+    fn absorb_registers_the_parent_on_each_read_it_takes() {
+        for parent_rank in [2, 99] {
+            let mem = GlobalMemory::new((1 << 20) + 64);
+            let log = CommitLog::with_config(CommitLogConfig::word_grain(), mem.size_bytes());
+            let p = mem.alloc::<u64>((1 << 17) + 1);
+            let (read, written, far) = (p.addr_of(0), p.addr_of(1), p.addr_of(1 << 17));
+            let mut child = GlobalBuffer::for_reader(BufferConfig::default(), 4);
+            for addr in [read, written, far] {
+                let _ = child.load_logged(&mem, Some(&log), addr, 8).unwrap();
+            }
+            let mut parent = GlobalBuffer::for_reader(BufferConfig::default(), parent_rank);
+            parent.store(written, 9, 8).unwrap();
+            parent.absorb(&child, &log).unwrap();
+            let mut taken: Vec<Addr> = parent.read_addresses().collect();
+            taken.sort_unstable();
+            assert_eq!(taken, [read, far], "the fully written word takes no read");
+            for addr in [read, written, far] {
+                let readers = log.registered_readers(addr);
+                assert!(readers.contains(4), "the child's registration stays");
+                let parent_registered = readers.contains(parent_rank);
+                assert_eq!(parent_registered, addr != written, "{addr:#x}");
+            }
+        }
     }
 
     /// Line-granular mvcc log, depth-4 rings of 64-version buckets.

@@ -421,7 +421,7 @@ proptest! {
             child.store(addr, value, WORD_BYTES).unwrap();
             last_written.insert(addr, value);
         }
-        parent.absorb(&child).unwrap();
+        parent.absorb(&child, &log).unwrap();
         // (a) absorbed writes are visible through the parent.
         for (&addr, &value) in &last_written {
             prop_assert_eq!(parent.load_logged(&mem, None, addr, WORD_BYTES).unwrap(), value);

@@ -158,8 +158,8 @@ impl SpecContext {
                 // child does, serves dispatched tasks on this OS thread
                 // until the child's closure hands the role back.
                 let s1_ns = wait_started.duration_since(forked_at).as_nanos() as u64;
-                let handoff = mgr
-                    .sync_pays(0, s1_ns)
+                let (handoff_ns, entry_ns) = mgr.sync_costs();
+                let handoff = protocol::sync_pays(0, handoff_ns, entry_ns, SYNC_BASE_NS, s1_ns)
                     .then(|| Arc::new(Handoff::new(s1_ns)));
                 if let Some(handoff) = &handoff {
                     mgr.post_sync(child, Arc::clone(handoff));

@@ -69,10 +69,6 @@ mod tests;
 /// with it, the doom flags and the sync request).
 const ABORT_POLL_INTERVAL: u32 = 256;
 
-/// A synchronization may cost at most one part in this many of the
-/// fork→join region it overlaps (see `ThreadManager::sync_pays`).
-pub(crate) const SYNC_PAYBACK: u64 = 8;
-
 /// How long a thread with nothing to run — a worker between tasks, a
 /// joiner at its join — spins (yielding the core each round) before it
 /// parks.  Long enough that the two waits of a loop that forks a tail of

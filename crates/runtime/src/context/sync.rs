@@ -63,7 +63,7 @@ impl SpecContext {
     /// non-speculative joiner reached the join while this task still runs
     /// and asks it to stop being speculative *here* — validate and commit
     /// what it has, release its CPU, and carry on as the non-speculative
-    /// thread itself.  Taken only when it pays (`ThreadManager::sync_pays`);
+    /// thread itself.  Taken only when it pays ([`protocol::sync_pays`]);
     /// a request turned down is gone, and the joiner simply waits for the
     /// deposit as if it had never asked.
     ///
@@ -81,7 +81,8 @@ impl SpecContext {
         };
         let global = self.global.as_ref().expect("only speculative tasks poll");
         let entries = global.read_set_len() + global.write_set_len();
-        if !self.mgr.sync_pays(entries, handoff.s1_ns()) {
+        let (handoff_ns, entry_ns) = self.mgr.sync_costs();
+        if !protocol::sync_pays(entries, handoff_ns, entry_ns, SYNC_BASE_NS, handoff.s1_ns()) {
             return Ok(());
         }
         let rank = self.rank;

@@ -40,9 +40,6 @@ impl ThreadManager {
     /// Discard a stopped thread without a join of its own — a cascaded
     /// rollback — and free its CPU.
     fn discard(&self, rank: Rank, outcome: SpecOutcome) {
-        // Dead registrations only cause spurious dooms.
-        self.commit_log
-            .unregister_reader(outcome.buffer.read_addresses(), rank);
         let (site, model) = self.slots[rank - 1].launch_info();
         self.observe(rank, site, Point::Cascaded);
         self.settle_child(rank, site, model, outcome, Err(SpecFailure::Cascaded));
@@ -66,7 +63,8 @@ impl ThreadManager {
     /// Close the books of a thread whose fate is known — the one place a
     /// finished thread is accounted for, whether it was joined, promoted
     /// or discarded: book a committed thread's `fork_range` prices,
-    /// park its buffer for its CPU's next task
+    /// retire its reader registrations and park its buffer for its CPU's
+    /// next task
     /// (finalization is charged to the speculative path, as in the
     /// paper's breakdown), reclassify a rolled-back thread's work as
     /// wasted, feed the verdict to the governor's site profile — a

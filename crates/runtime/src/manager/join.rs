@@ -28,9 +28,9 @@ pub struct SpecOutcome {
     pub finished_at: Instant,
     /// The task already ran [`ThreadManager::validate_and_commit`] on
     /// this buffer itself — a promotion attempt that failed — so the
-    /// `Failed` status *is* the verdict: it is traced, its readers are
-    /// unregistered and its precise passes counted.  The joiner rolls back
-    /// without validating a second time.
+    /// `Failed` status *is* the verdict: it is traced and its precise
+    /// passes counted.  The joiner rolls back without validating a second
+    /// time.
     pub settled: bool,
     /// What the task's `fork_range` bodies cost, per fork site: booked if
     /// it commits, forgotten if not.
@@ -156,6 +156,11 @@ impl ThreadManager {
     /// published (`doom_readers`): by this commit, or by the re-execution's
     /// stores.
     ///
+    /// The child's registrations die with its buffer
+    /// ([`return_buffer`](Self::return_buffer)), whatever the verdict: a
+    /// commit publishes with them, and `doom_readers` never dooms the
+    /// committer it excludes.
+    ///
     /// Returns `Ok(kind)` on commit and `Err(reason)` on rollback.
     /// Validation/commit/finalize time is charged to the child's
     /// statistics, matching the paper's attribution of those phases to the
@@ -199,13 +204,9 @@ impl ThreadManager {
             TaskStatus::Completed | TaskStatus::Barrier => None,
         };
         if let Some(reason) = failure {
-            // The thread is dead either way: its registrations would only
-            // cause spurious dooms from here on.  In-flight doom-watch
-            // revalidations may still have precise-passed before the final
-            // failure — keep those counted.
+            // In-flight doom-watch revalidations may still have
+            // precise-passed before the final failure — keep those counted.
             let precise = outcome.buffer.precise_passes();
-            self.commit_log
-                .unregister_reader(outcome.buffer.read_addresses(), child);
             let took = elapsed_ns(started);
             outcome.stats.add(Phase::Validation, took);
             let verdict = dead(reason);
@@ -224,10 +225,6 @@ impl ThreadManager {
         // joiner is speculative.
         let log_verdict = outcome.buffer.validate(&self.commit_log, mem);
         let retried = log_verdict == Validation::Retried;
-        if retried {
-            // A committer that doomed the child took its registrations.
-            outcome.buffer.restore_registrations(&self.commit_log);
-        }
         // The joining parent's view of a word — its own uncommitted bytes
         // overlaid on main memory — serves overlay validation.
         let valid = log_verdict != Validation::Conflict
@@ -259,16 +256,12 @@ impl ThreadManager {
         };
         note(validated);
         if verdict.rollback.is_some() {
-            self.commit_log
-                .unregister_reader(outcome.buffer.read_addresses(), child);
             return Err(roll_back(verdict));
         }
 
         // Injected rollback — only in the sensitivity experiment of paper
         // §V-D (`RuntimeConfig::rollback_probability` above zero).
         if self.draw_injected_rollback() {
-            self.commit_log
-                .unregister_reader(outcome.buffer.read_addresses(), child);
             return Err(roll_back(dead(SpecFailure::Injected)));
         }
 
@@ -280,10 +273,6 @@ impl ThreadManager {
         let commit_started = Instant::now();
         let commit_result = match parent_buffer {
             None => {
-                // The child's own registrations die before its writes
-                // publish, so an RMW thread never dooms itself.
-                self.commit_log
-                    .unregister_reader(outcome.buffer.read_addresses(), child);
                 outcome.buffer.commit(mem);
                 if outcome.buffer.write_set_len() > 0 {
                     let stamp_started = Instant::now();
@@ -294,31 +283,9 @@ impl ThreadManager {
                 }
                 Ok(())
             }
-            Some(parent) => {
-                let absorbed = parent.absorb(&outcome.buffer);
-                match absorbed {
-                    Ok(()) => {
-                        // The child's read dependences became the
-                        // parent's: future commits to those ranges must
-                        // doom the parent now.  Transferred only *after*
-                        // a successful absorb — on overflow the child is
-                        // discarded and the parent must not inherit
-                        // registrations for ranges it never read.
-                        self.commit_log.transfer_reader(
-                            outcome.buffer.read_addresses(),
-                            child,
-                            parent.reader(),
-                        );
-                    }
-                    Err(_) => {
-                        // The child is about to be discarded; its
-                        // registrations are dead.
-                        self.commit_log
-                            .unregister_reader(outcome.buffer.read_addresses(), child);
-                    }
-                }
-                absorbed
-            }
+            // The child's read dependences become the parent's, and so do
+            // the registrations a publish dooms the parent through.
+            Some(parent) => parent.absorb(&outcome.buffer, &self.commit_log),
         };
         outcome.stats.add(Phase::Commit, elapsed_ns(commit_started));
         match commit_result {

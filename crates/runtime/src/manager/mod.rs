@@ -41,9 +41,7 @@ use mutls_metrics::MetricsHub;
 use mutls_trace::{DenyPolicy, Recorder};
 
 use crate::config::RuntimeConfig;
-use crate::context::{
-    SpecContext, COLD_HANDOFF_NS, COLD_SYNC_ENTRY_NS, IDLE_SPIN, SYNC_BASE_NS, SYNC_PAYBACK,
-};
+use crate::context::{SpecContext, COLD_HANDOFF_NS, COLD_SYNC_ENTRY_NS, IDLE_SPIN};
 use crate::fork_model::ForkModel;
 use crate::ledger::Point;
 use crate::protocol::{self, Forker, JoinFacts, JoinVerdict, Price, Retirement};

@@ -51,12 +51,15 @@
 //!    (read set, write set and all) to whoever consumes it;
 //! 4. *back* — every path that consumes or discards an outcome (join,
 //!    `reap_subtree`, `drain_subtree`, an orphaned deposit), and a task
-//!    that is promoted, hands it to
-//!    [`ThreadManager::return_buffer`], which clears and parks it
-//!    **before** the CPU is released, so the CPU's next task finds it.
+//!    that is promoted, hands it to [`ThreadManager::return_buffer`]
+//!    (through `settle_child`), which unregisters its reads, clears it and
+//!    parks it **before** the CPU is released, so the CPU's next task
+//!    finds it.
 //!
 //! Because a buffer never changes CPU, the rank it registers its reads
-//! under is always the rank of the CPU running it.
+//! under is always the rank of the CPU running it.  A registration lives as
+//! long as the read it covers: made where a read enters a read set (a
+//! first touch, or an absorb), and dropped in step 4 and nowhere else.
 //!
 //! [`Runtime`]: crate::Runtime
 
@@ -90,11 +93,14 @@ impl ThreadManager {
         buffer
     }
 
-    /// Clear the buffer a finished task of virtual CPU `rank` left behind
-    /// and park it for the CPU's next task.  Must run before
-    /// [`release_cpu`](Self::release_cpu), or that task could start
-    /// without it.
+    /// Unregister the reads of the buffer a finished task of virtual CPU
+    /// `rank` left behind — whatever its fate, the one place that happens
+    /// — then clear it and park it for the CPU's next task.  Must run
+    /// before [`release_cpu`](Self::release_cpu), or that task could start
+    /// without it, and lose registrations of its own to this one.
     pub fn return_buffer(&self, rank: Rank, mut buffer: GlobalBuffer) {
+        self.commit_log
+            .unregister_reader(buffer.read_addresses(), rank);
         buffer.clear();
         *self.slots[rank - 1].buffer.lock() = Some(buffer);
     }
@@ -214,8 +220,9 @@ impl ThreadManager {
     /// Doom exactly the threads registered as readers of the ranges
     /// covering `addrs` — called by a publish (rank 0's exposed store, or a
     /// join that commits to main memory) right after the ranges were
-    /// stamped.  `exclude` (the finishing child, whose registrations are
-    /// already dead) is never doomed.  Returns how many threads were doomed.
+    /// stamped.  `exclude` (the publisher: rank 0, or the child a join
+    /// commits, still registered until its buffer is returned) is never
+    /// doomed.  Returns how many threads were doomed.
     /// Enumeration is complete at any thread count: ranks past the
     /// registry's 63-rank bitmask sit in a spill set per range
     /// (`CommitLogStats::reader_spills` counts their registrations).

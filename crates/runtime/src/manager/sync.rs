@@ -20,7 +20,9 @@
 //! (the fastest, not the mean: one slow first wake-up would price
 //! synchronization out for a whole run, and a sync not taken is never
 //! measured) and the per-entry cost is that of its own earlier promotions;
-//! the 8 and the 2 µs are constants (`sync_pays`).  A request turned down
+//! the 8 and the 2 µs are constants.  The rule itself is
+//! [`protocol::sync_pays`]; this module keeps the measurements it is
+//! priced from ([`ThreadManager::sync_costs`]).  A request turned down
 //! is gone, and the joiner waits for the deposit as it always did.  There
 //! is no switch because the measurements decide: on `compute_loop` (16 ms
 //! chunks, nothing buffered) every join synchronizes; on `dense_reads`
@@ -95,24 +97,18 @@ pub(crate) struct PromotedOutcome {
 }
 
 impl ThreadManager {
-    /// Estimated cost of synchronizing a task that buffers `entries`
-    /// words: the two hand-offs a promotion puts on the critical path (the
-    /// freed CPU's next dispatch and the hand-back), the promotion itself, and
-    /// validating, committing and clearing the entries — hand-off and
-    /// per-entry cost as the runtime measured them.
-    fn sync_cost_ns(&self, entries: usize) -> u64 {
+    /// What [`protocol::sync_pays`] prices a promotion from, as the
+    /// runtime measured it, in ns: the fastest hand-off (a promotion puts
+    /// two on the critical path: the freed CPU's next dispatch and the
+    /// hand-back) and the cost of validating, committing and clearing one
+    /// buffered entry in earlier promotions.
+    pub(crate) fn sync_costs(&self) -> (u64, u64) {
         let handoff = self.fastest_handoff_ns.load(Ordering::Relaxed);
         let per_entry = match self.sync_entries.load(Ordering::Relaxed) {
             0 => COLD_SYNC_ENTRY_NS,
             handled => self.sync_ns.load(Ordering::Relaxed) / handled,
         };
-        2 * handoff + SYNC_BASE_NS + entries as u64 * per_entry
-    }
-
-    /// Rule (4) of the module docs: synchronizing may cost at most
-    /// 1/[`SYNC_PAYBACK`] of the region it overlaps.
-    pub(crate) fn sync_pays(&self, entries: usize, s1_ns: u64) -> bool {
-        SYNC_PAYBACK.saturating_mul(self.sync_cost_ns(entries)) <= s1_ns
+        (handoff, per_entry)
     }
 
     /// Feed one promotion's measured cost back into the estimate.

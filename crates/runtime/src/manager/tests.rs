@@ -27,29 +27,21 @@ fn acquire_respects_cpu_count() {
     assert!(m.try_acquire_cpu(0, ForkModel::Mixed).is_ok());
 }
 
+/// What `protocol::sync_pays` prices a promotion from: the cold estimates
+/// until something is measured, then the mean cost per entry of the
+/// promotions that buffered anything, and the fastest hand-off, which a
+/// slower one (a first wake-up) never raises.
 #[test]
-fn synchronizing_may_cost_an_eighth_of_the_region_it_overlaps() {
+fn a_promotion_is_priced_from_the_runtimes_own_measurements() {
     let m = mgr(1);
-    // Nothing measured yet: two cold hand-offs, the base cost, and a
-    // cold price per entry.
-    let cold = 2 * COLD_HANDOFF_NS + SYNC_BASE_NS;
-    assert!(m.sync_pays(0, SYNC_PAYBACK * cold));
-    assert!(!m.sync_pays(0, SYNC_PAYBACK * cold - 1));
-    assert!(!m.sync_pays(0, 0), "forked and joined at once");
-    assert!(m.sync_pays(0, 16_000_000), "compute_loop's chunks");
-    assert!(!m.sync_pays(650, 12_000), "md's chunks");
+    assert_eq!(m.sync_costs(), (COLD_HANDOFF_NS, COLD_SYNC_ENTRY_NS));
     // 650 entries measured at 14 µs: 21 ns each from now on.
     m.record_sync(14_000, 650);
     m.record_sync(3_000, 0);
-    let measured = cold + 650 * 21;
-    assert!(m.sync_pays(650, SYNC_PAYBACK * measured));
-    assert!(!m.sync_pays(650, SYNC_PAYBACK * measured - 1));
-    // A hand-off between running threads replaces the cold estimate; a
-    // slower one (a first wake-up) never raises it.
+    assert_eq!(m.sync_costs(), (COLD_HANDOFF_NS, 21));
     m.fastest_handoff_ns.fetch_min(1_000, Ordering::Relaxed);
     m.fastest_handoff_ns.fetch_min(90_000, Ordering::Relaxed);
-    assert!(m.sync_pays(0, SYNC_PAYBACK * (2_000 + SYNC_BASE_NS)));
-    assert!(!m.sync_pays(650, 12_000), "md's chunks, warmed up");
+    assert_eq!(m.sync_costs(), (1_000, 21));
 }
 
 #[test]
@@ -380,6 +372,194 @@ fn a_retried_join_counts_each_precise_pass_once() {
         Ok(CommitKind::Retried)
     );
     assert_eq!(counted(&m, 1, CounterId::PrecisePasses), 1);
+}
+
+/// A retried join registers nothing again: validation decides there, and
+/// the child's registrations die with its buffer.  Rank 70 is past the
+/// registry's bitmask, so every registration it makes is a counted spill.
+#[test]
+fn a_retried_join_restores_no_registration() {
+    const N: usize = 12;
+    let m = mgr(70);
+    for rank in 1..=70 {
+        assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Ok(rank));
+    }
+    let mem = Arc::clone(m.memory());
+    // One word per line: N ranges at the default grain.
+    let cells = mem.alloc::<u64>(8 * N);
+    let mut buffer = m.take_buffer(70);
+    for i in 0..N {
+        let addr = cells.addr_of(8 * i);
+        let _ = buffer.load_logged(&*mem, Some(m.commit_log()), addr, 8);
+    }
+    let spills = m.commit_log().stats().reader_spills;
+    assert_eq!(spills, N as u64);
+
+    // A neighbour commits the very value the child read: a retry.
+    m.commit_log().record_word(cells.addr_of(0));
+    let mut outcome = completed(buffer);
+    let verdict = m.validate_and_commit(70, &mut outcome, None);
+    assert_eq!(verdict, Ok(CommitKind::Retried));
+    m.settle_child(70, 0, ForkModel::Mixed, outcome, verdict);
+    m.release_cpu(70, 0);
+    assert_eq!(m.commit_log().stats().reader_spills, spills);
+    for i in 0..N {
+        let readers = m.commit_log().registered_readers(cells.addr_of(8 * i));
+        assert!(readers.is_empty(), "word {i}: {readers:?}");
+    }
+}
+
+/// Every fate a thread can meet retires its reader registrations, once,
+/// where its buffer is returned: after `settle_child` the child's rank is
+/// registered on no range it read.  An absorb registers the parent on
+/// exactly the reads it takes — none on a word the parent fully wrote — and
+/// one that overflows on exactly those it took before it failed.
+#[test]
+fn every_fate_leaves_the_child_registered_on_nothing_it_read() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fate {
+        Committed,
+        Retried,
+        Conflict,
+        Injected,
+        FailedDeposit,
+        FailedPromotion,
+        Reaped,
+        Absorbed,
+        AbsorbOverflowed,
+    }
+    use Fate::*;
+    let fates = [
+        Committed,
+        Retried,
+        Conflict,
+        Injected,
+        FailedDeposit,
+        FailedPromotion,
+        Reaped,
+        Absorbed,
+        AbsorbOverflowed,
+    ];
+    for fate in fates {
+        let p = if fate == Injected { 1.0 } else { 0.0 };
+        let config = RuntimeConfig::with_cpus(2).memory_bytes(1 << 16);
+        let m = ThreadManager::new(config.rollback_probability(p));
+        let mem = Arc::clone(m.memory());
+        let registered =
+            |rank: Rank, addr: Addr| m.commit_log().registered_readers(addr).contains(rank);
+        // One word per line: a range each at the default grain.  The
+        // parent, if any, forked the child.
+        let cells = mem.alloc::<u64>(8 * 40);
+        let word = |i: usize| cells.addr_of(8 * i);
+        mem.set(&cells, 8 * 2, 7);
+        let absorbing = matches!(fate, Absorbed | AbsorbOverflowed);
+        let parent = absorbing.then(|| m.try_acquire_cpu(0, ForkModel::Mixed).unwrap());
+        let child = m
+            .try_acquire_cpu(parent.unwrap_or(0), ForkModel::Mixed)
+            .unwrap();
+
+        // The child reads its words and writes back the first: an RMW.
+        let mut buffer = m.take_buffer(child);
+        let words = if fate == AbsorbOverflowed { 40 } else { 3 };
+        for i in 0..words {
+            let _ = buffer.load_logged(&*mem, Some(m.commit_log()), word(i), 8);
+        }
+        buffer.store(word(0), 1, 8).unwrap();
+        let read: Vec<Addr> = buffer.read_addresses().collect();
+        assert_eq!(read.len(), words, "{fate:?}");
+        assert!(read.iter().all(|&addr| registered(child, addr)));
+        let mut outcome = completed(buffer);
+
+        // A predecessor commits word 1: the value the child read, or a
+        // new one.
+        if matches!(fate, Conflict | FailedPromotion) {
+            mem.set(&cells, 8, 5);
+        }
+        if matches!(fate, Retried | Conflict | FailedPromotion) {
+            m.commit_log().record_word(word(1));
+        }
+        // The speculative parent's buffer: word 2 fully written with the
+        // value the child read, or one too full to take the child's reads.
+        let mut parent_buffer = parent.map(|parent| match fate {
+            Absorbed => {
+                let mut buffer = m.take_buffer(parent);
+                buffer.store(word(2), 7, 8).unwrap();
+                buffer
+            }
+            _ => {
+                let mut buffer =
+                    GlobalBuffer::for_reader(mutls_membuf::BufferConfig::tiny(), parent);
+                let fill = mem.alloc::<u64>(64);
+                let full = (0..64).any(|i| buffer.store(fill.addr_of(i), 1, 8).is_err());
+                assert!(full, "the parent's buffer filled up");
+                buffer
+            }
+        });
+
+        // The verdict, and the outcome still to settle (a reap settles it).
+        let (verdict, unsettled) = match fate {
+            Committed | Retried | Conflict | Injected | Absorbed | AbsorbOverflowed => {
+                let verdict = m.validate_and_commit(child, &mut outcome, parent_buffer.as_mut());
+                (verdict, Some(outcome))
+            }
+            FailedDeposit => {
+                outcome.status = TaskStatus::Failed(SpecFailure::BufferOverflow);
+                assert!(m.deposit_outcome(child, outcome));
+                let mut outcome = m.wait_outcome_where(child, || false).unwrap();
+                let verdict = m.validate_and_commit(child, &mut outcome, None);
+                (verdict, Some(outcome))
+            }
+            FailedPromotion => {
+                // The child's own validation fails; it is doomed and
+                // unwinds, registrations and all, to its settled join.
+                let failed = m.validate_and_commit(child, &mut outcome, None);
+                let reason = failed.expect_err("the promotion's validation fails");
+                assert!(read.iter().all(|&addr| registered(child, addr)));
+                m.doom_hard(child);
+                outcome.status = TaskStatus::Failed(reason);
+                outcome.settled = true;
+                assert!(m.deposit_outcome(child, outcome));
+                (Err(reason), m.wait_outcome_where(child, || false))
+            }
+            Reaped => {
+                assert!(m.deposit_outcome(child, outcome));
+                m.reap_subtree(child);
+                (Err(SpecFailure::Cascaded), None)
+            }
+        };
+        let expected = match fate {
+            Committed | Absorbed => Ok(CommitKind::Committed),
+            Retried => Ok(CommitKind::Retried),
+            Conflict | FailedPromotion => Err(SpecFailure::ReadConflict),
+            Injected => Err(SpecFailure::Injected),
+            FailedDeposit | AbsorbOverflowed => Err(SpecFailure::BufferOverflow),
+            Reaped => Err(SpecFailure::Cascaded),
+        };
+        assert_eq!(verdict, expected, "{fate:?}");
+        if let Some(outcome) = unsettled {
+            // The commit arm publishes with the child registered, and the
+            // child is not doomed by its own write.
+            assert!(!m.doom_requested(child), "{fate:?}: self-doomed");
+            m.settle_child(child, 0, ForkModel::Mixed, outcome, verdict);
+            m.release_cpu(child, parent.unwrap_or(0));
+        }
+        for &addr in &read {
+            assert!(!registered(child, addr), "{fate:?}: child on {addr:#x}");
+        }
+        if let (Some(parent), Some(buffer)) = (parent, parent_buffer) {
+            let taken: Vec<Addr> = buffer.read_addresses().collect();
+            if fate == Absorbed {
+                assert_eq!(taken.len(), 2, "word 2 took no read");
+                assert!(!taken.contains(&word(2)));
+            } else {
+                assert!(taken.len() < read.len(), "the absorb overflowed");
+            }
+            for &addr in &read {
+                let held = registered(parent, addr);
+                assert_eq!(held, taken.contains(&addr), "{fate:?}: parent on {addr:#x}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -2,13 +2,15 @@
 //!
 //! Who may fork under which model (§IV-B), what a join makes of a validated
 //! or a conflicting child (§IV-F), what a retired thread leaves at its fork
-//! site, when an injected rollback is drawn and where a range is split are
-//! *decisions*: functions of a handful
+//! site, when an injected rollback is drawn, where a range is split and
+//! whether a running child synchronizes early (§IV-E/H) are *decisions*:
+//! functions of a handful
 //! of values.  The native runtime takes them on the wall clock, the
 //! simulator's replay on the virtual one, and both call the functions below
 //! — as both call [`ledger::observe`](crate::ledger::observe) for what is
 //! written down.  (The replay still records `fork_range` as the grain-1
-//! chain and never asks [`forker_share`]; ROADMAP item 4.)
+//! chain and never asks [`forker_share`], ROADMAP item 4, and synchronizes
+//! every joiner without asking [`sync_pays`], item 14.)
 //! The caller owns *when* and *how* (acquiring a CPU, reading a buffer or a
 //! fiber's footprint, charging a phase, dooming a rank) and hands over
 //! values, never itself; nothing here reads a clock or shared state.  What
@@ -241,6 +243,21 @@ pub fn forker_share(len: usize, cpus: usize, price: Price) -> usize {
     let (c, s) = price.sides();
     let kept = len as u128 * s / (cpus as u128 * c + s);
     (kept as usize).clamp(1, len - 1)
+}
+
+/// A synchronization may cost at most one part in this many of the
+/// fork→join region it overlaps (see [`sync_pays`]).
+pub const SYNC_PAYBACK: u64 = 8;
+
+/// D6, early synchronization (paper §IV-E/H): whether a running child that
+/// buffers `entries` words takes its joiner's request — while two
+/// hand-offs, a fixed `base` and `per_entry` per entry cost at most
+/// 1/[`SYNC_PAYBACK`] of `region`, the joiner's own fork→join time.  Every
+/// value but `entries` is in the caller's unit, as [`forker_share`] takes
+/// a [`Price`].
+pub fn sync_pays(entries: usize, handoff: u64, per_entry: u64, base: u64, region: u64) -> bool {
+    let cost = 2 * handoff + base + entries as u64 * per_entry;
+    SYNC_PAYBACK.saturating_mul(cost) <= region
 }
 
 /// D4, the injected draw (paper §V-D): whether a join whose validation
@@ -545,6 +562,83 @@ mod tests {
                     last = kept;
                 }
             }
+        }
+    }
+
+    /// D6 over the rows the runtime meets, with the hand-off and per-entry
+    /// cost it starts from, after one promotion measured 650 entries at
+    /// 14 µs (21 ns each), and after a hand-off of 1 µs: synchronizing may
+    /// cost an eighth of the region it overlaps, to the nanosecond.
+    #[test]
+    fn synchronizing_may_cost_an_eighth_of_the_region_it_overlaps() {
+        use crate::context::{COLD_HANDOFF_NS, COLD_SYNC_ENTRY_NS, SYNC_BASE_NS};
+        let cold = 2 * COLD_HANDOFF_NS + SYNC_BASE_NS;
+        let measured = cold + 650 * 21;
+        let warm = 2 * 1_000 + SYNC_BASE_NS;
+        // (hand-off, ns per entry, entries, region, pays?, why)
+        let rows = [
+            (
+                COLD_HANDOFF_NS,
+                COLD_SYNC_ENTRY_NS,
+                0,
+                SYNC_PAYBACK * cold,
+                true,
+                "cold, at the bound",
+            ),
+            (
+                COLD_HANDOFF_NS,
+                COLD_SYNC_ENTRY_NS,
+                0,
+                SYNC_PAYBACK * cold - 1,
+                false,
+                "cold, below",
+            ),
+            (
+                COLD_HANDOFF_NS,
+                COLD_SYNC_ENTRY_NS,
+                0,
+                0,
+                false,
+                "forked and joined at once",
+            ),
+            (
+                COLD_HANDOFF_NS,
+                COLD_SYNC_ENTRY_NS,
+                0,
+                16_000_000,
+                true,
+                "compute_loop's chunks",
+            ),
+            (
+                COLD_HANDOFF_NS,
+                COLD_SYNC_ENTRY_NS,
+                650,
+                12_000,
+                false,
+                "md's chunks",
+            ),
+            (
+                COLD_HANDOFF_NS,
+                21,
+                650,
+                SYNC_PAYBACK * measured,
+                true,
+                "measured, at the bound",
+            ),
+            (
+                COLD_HANDOFF_NS,
+                21,
+                650,
+                SYNC_PAYBACK * measured - 1,
+                false,
+                "measured, below",
+            ),
+            (1_000, 21, 0, SYNC_PAYBACK * warm, true, "a fast hand-off"),
+            (1_000, 21, 650, 12_000, false, "md's chunks, warmed up"),
+        ];
+        for (handoff, per_entry, entries, region, pays, why) in rows {
+            let got = sync_pays(entries, handoff, per_entry, SYNC_BASE_NS, region);
+            assert_eq!(got, pays, "{why}");
         }
     }
 
