@@ -280,7 +280,7 @@ pub fn breakdown(
     speculative_path: bool,
 ) -> Vec<BreakdownRow> {
     let recording = record_workload(kind, config.scale);
-    let phases: [Phase; 10] = Phase::ALL;
+    let phases: [Phase; 9] = Phase::ALL;
     let mut rows = Vec::new();
     for &cpus in cpus_list {
         let result = simulate_point(&recording, cpus, config.seed);

@@ -3,10 +3,13 @@
 //!
 //! Every write that reaches main memory while any speculative read set
 //! is exposed — a direct store by the non-speculative thread or a
-//! committed speculative write-set — is recorded here as one *commit
-//! batch*.  (With no read set exposed nobody holds a snapshot a stamp
-//! could invalidate, and the runtime's non-speculative thread skips the
-//! log entirely; see `ThreadManager`'s exposure count.)  A speculative
+//! committed speculative write-set — is recorded here in a *commit
+//! batch*: a committed write-set is one batch, and the non-speculative
+//! thread's direct stores are gathered into batches it publishes before
+//! anything validates against them (the flush rule below).  (With no read
+//! set exposed nobody holds a snapshot a stamp could invalidate, and the
+//! runtime's non-speculative thread skips the log entirely; see
+//! `ThreadManager`'s exposure count.)  A speculative
 //! read stamps its read-set entry with the version snapshot observed at
 //! read time; join-time validation then asks, per read entry, whether any
 //! logically earlier work committed a write covering that address *after*
@@ -83,6 +86,25 @@
 //! smaller, the read raced the commit and validation flags it; at worst
 //! this is a conservative false positive (the thread re-executes), never a
 //! missed conflict.
+//!
+//! **Flush before validation.**  A committer may stamp *late*: the
+//! runtime's non-speculative thread writes each store to memory at once
+//! but publishes its addresses in batches ([`CommitLog::publish`]), at a
+//! fork's dispatch, at the start of a join, at a check point, at a
+//! promoted context's hand-back, at the end of the run and whenever a
+//! batch is full.  That is sound because every validation against main
+//! memory runs after the committer's flush: the non-speculative thread
+//! validates only inside its join, after it flushed, and a promoted child
+//! validates only after its joiner posted the sync request from inside that
+//! join.  A late stamp then only adds conservative conflicts — a reader
+//! that loaded the new value before the stamp landed has a snapshot below
+//! it and is flagged (and its value check repairs it) — and never hides
+//! one.  The flush at a fork's dispatch keeps the new child's snapshot
+//! above every stamp of a store it can see, so a child is never flagged
+//! by a store older than itself.  Such a batch also skips every range no
+//! reader could hold stale (see [`CommitLog::publish`]): the version is
+//! still reserved first, which is what a reader registering after the
+//! check synchronizes with.
 //!
 //! One epoch orders every commit, so any two versions are comparable and
 //! [`CommitLog::epoch`] is the snapshot of every address in the window.
@@ -213,13 +235,16 @@ impl CommitLogConfig {
 /// benchmark ledger print them).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CommitLogStats {
-    /// Commit batches recorded (non-empty `record` calls).
+    /// Commit batches recorded: `record` and `record_word` calls, and
+    /// `publish` calls that stamped a range (each counted batch stamps at
+    /// least one).
     pub commits: u64,
     /// Range stamps *written* across all batches, cumulatively — the
     /// actual log traffic; coarser grains stamp fewer ranges per batch.
     pub stamp_writes: u64,
     /// Estimated wall-clock nanoseconds of commit publication — the
-    /// reservation-plus-stamp section (sampled: one batch in
+    /// reservation, the stamps and (for a `publish`) the take of each
+    /// range's readers (sampled: one batch in
     /// `2^LOCK_SAMPLE_LOG2` is timed, scaled up).  On coarse-resolution
     /// clocks short sections may register as zero.
     pub lock_ns: u64,
@@ -297,13 +322,13 @@ pub struct CommitLog {
     /// Range stamps per region of the window, indexed by region id;
     /// relaxed, telemetry only.
     region_stamps: Vec<AtomicU64>,
-    /// Multi-address commit batches recorded (monotone).  Doubles as the
-    /// batch path's lock-time sampling clock.
+    /// Multi-address commit batches recorded (monotone): those that
+    /// stamped at least one range.
     batches: AtomicU64,
-    /// Single-address commits recorded (the non-speculative direct-store
-    /// path).  Each is exactly one batch, one range stamp and one tick of
-    /// the sampling clock, so this is the only telemetry RMW that path
-    /// pays; the public totals add it in.
+    /// Single-address commits recorded (`record_word`).  Each is exactly
+    /// one batch, one range stamp and one tick of the sampling clock, so
+    /// this is the only telemetry RMW that path pays; the public totals add
+    /// it in.
     singles: AtomicU64,
     /// Range stamps written across all multi-address batches.
     stamped: AtomicU64,
@@ -649,7 +674,7 @@ mod tests {
         let window = 2u64 << log.region_log2();
         let (last, past) = (window - 8, window);
         type EntryPoint = fn(&CommitLog, Addr);
-        let entry_points: [(&str, EntryPoint); 9] = [
+        let entry_points: [(&str, EntryPoint); 10] = [
             ("snapshot", |log, a| {
                 log.snapshot(a);
             }),
@@ -664,6 +689,9 @@ mod tests {
             }),
             ("record_word", |log, a| {
                 log.record_word(a);
+            }),
+            ("publish", |log, a| {
+                log.publish(&mut vec![8, a], false, |_| false);
             }),
             ("register_reader", |log, a| {
                 log.register_reader(a, 1);
@@ -724,7 +752,7 @@ mod tests {
         // A mutator that forgot to raise the flag would leave its mark
         // behind the early return and fail its row.
         type Mutator = fn(&CommitLog);
-        let mutators: [(&str, Mutator); 5] = [
+        let mutators: [(&str, Mutator); 6] = [
             ("record", |log| {
                 for _ in 0..2 << RING_BUCKET_LOG2 {
                     log.record([8, 4096 + 16]);
@@ -734,6 +762,10 @@ mod tests {
             }),
             ("record_word", |log| {
                 log.record_word(4096 + 8);
+            }),
+            ("publish", |log| {
+                log.register_reader(8, 1);
+                log.publish(&mut vec![4096 + 16, 8], false, |_| false);
             }),
             ("register_reader, rank 1", |log| {
                 log.register_reader(8, 1);

@@ -26,7 +26,11 @@
 //! spilled (rank > 63) reader inserts into the spill set *under the
 //! spill lock* and sets the sticky spill-marker bit before re-reading
 //! the epoch; the lock's release/acquire edges plus the `SeqCst` epoch
-//! accesses give the same guarantee.  Hence:
+//! accesses give the same guarantee.  A reader registers each range
+//! **once**: a rank already in the range's mask (or spill set) skips the
+//! RMW, because its registration is earlier in the `SeqCst` order than
+//! the snapshot it now takes, and a take that clears it also returns the
+//! rank — so a skipped RMW is never a missed reader.  Hence:
 //!
 //! * **Missed reader ⇒ impossible** *to go uncorrected*: either the
 //!   committer enumerates the reader (eager doom), or the reader's
@@ -43,9 +47,10 @@
 //!   thread that already finished dooms whatever now runs on that rank;
 //!   the doomed thread rolls back and re-executes — slower, never wrong.
 //!   Staleness is bounded by clearing masks on enumeration and by the
-//!   runtime unregistering a thread's reads once, whatever its fate, where
-//!   its buffer is returned to its CPU — before the CPU is released, so no
-//!   later task on that rank can lose a registration of its own to it.
+//!   runtime unregistering, once and whatever the thread's fate, each
+//!   range its buffer set a registration on, where the buffer is returned
+//!   to its CPU — before the CPU is released, so no later task on that
+//!   rank can lose a registration of its own to it.
 
 use std::sync::atomic::Ordering;
 
@@ -132,6 +137,25 @@ impl ReaderSet {
     }
 }
 
+/// What a take has gathered so far, range by range (see
+/// [`CommitLog::take_readers_sparing`]).
+#[derive(Default)]
+pub(super) struct ReaderTake {
+    /// Tracked ranks asked so far, and which of them are spared.
+    asked: u64,
+    spared: u64,
+    /// Tracked ranks taken.
+    bits: u64,
+    /// Spilled ranks taken (one entry per range a rank was found on).
+    spilled: Vec<usize>,
+}
+
+impl ReaderTake {
+    pub(super) fn into_set(self) -> ReaderSet {
+        ReaderSet::from_parts(self.bits, self.spilled)
+    }
+}
+
 impl CommitLog {
     /// Register thread `rank` as a reader of `addr`'s range and return the
     /// read snapshot to stamp the read-set entry with.
@@ -144,23 +168,56 @@ impl CommitLog {
     /// committer whose [`take_readers`](Self::take_readers) misses the
     /// registration must therefore have published its epoch before this
     /// snapshot, so the snapshot covers the commit and the read is not
-    /// stale.  Rank 0 (the non-speculative thread) registers nothing.
+    /// stale.  A rank whose bit the range's mask already holds (or, past
+    /// the window, whose spill set already holds it) pays no RMW: that
+    /// registration is earlier in the `SeqCst` order than this snapshot,
+    /// and a take that clears it also returns the rank.  Rank 0 (the
+    /// non-speculative thread) registers nothing.
     pub fn register_reader(&self, addr: Addr, rank: usize) -> CommitVersion {
+        self.register(addr, rank).0
+    }
+
+    /// [`register_reader`](Self::register_reader), also saying whether this
+    /// call set the registration (`false` when it was already there, or
+    /// for rank 0) — what a buffer keeps to retire each range once.
+    pub(crate) fn register(&self, addr: Addr, rank: usize) -> (CommitVersion, bool) {
         let local = self.slot_of(addr);
         let bit = reader_bit(rank);
-        if bit != 0 {
-            self.touch();
-            if bit == READER_SPILL_BIT {
-                self.reader_spills.fetch_add(1, Ordering::Relaxed);
-                self.readers_spill
+        let set = match bit {
+            0 => false,
+            READER_SPILL_BIT => {
+                self.touch();
+                let inserted = self
+                    .readers_spill
                     .write()
                     .entry(local)
                     .or_default()
                     .insert(rank);
+                if inserted {
+                    self.reader_spills.fetch_add(1, Ordering::Relaxed);
+                    self.readers[local].fetch_or(bit, Ordering::SeqCst);
+                }
+                inserted
             }
-            self.readers[local].fetch_or(bit, Ordering::SeqCst);
-        }
-        self.epoch.load(Ordering::SeqCst)
+            _ if self.readers[local].load(Ordering::SeqCst) & bit != 0 => false,
+            _ => {
+                self.touch();
+                self.readers[local].fetch_or(bit, Ordering::SeqCst);
+                true
+            }
+        };
+        (self.epoch.load(Ordering::SeqCst), set)
+    }
+
+    /// Whether no read of slot `local`'s range can be stale: no rank is
+    /// registered on it, and no commit ever stamped it (so no take ever
+    /// cleared a registration there).  The mask load is `SeqCst`, after the
+    /// publishing commit reserved its version, as a take's is; it
+    /// synchronizes with any take that emptied the mask, so the stamp that
+    /// take followed is visible to the version load.
+    pub(super) fn unread(&self, local: usize) -> bool {
+        self.readers[local].load(Ordering::SeqCst) == 0
+            && self.dense[local].load(Ordering::Acquire) == 0
     }
 
     /// Remove thread `rank` from the reader registry of every range
@@ -204,11 +261,12 @@ impl CommitLog {
 
     /// Enumerate the registered readers of every range covering `addrs`
     /// and clear their registrations, except those of the ranks `spare`
-    /// keeps — called by a committing writer immediately after
-    /// [`record`](Self::record), so the returned set is exactly the
-    /// threads whose read sets overlap the just-stamped ranges and that
-    /// the writer does not spare (tracked bitmask ranks plus every spilled
-    /// rank; enumeration is complete at any thread count).
+    /// keeps — what a committing writer does right after stamping
+    /// ([`publish`](Self::publish) does both in one walk, range by range),
+    /// so the returned set is exactly the threads whose read sets overlap
+    /// the just-stamped ranges and that the writer does not spare (tracked
+    /// bitmask ranks plus every spilled rank; enumeration is complete at
+    /// any thread count).
     ///
     /// Clearing what is returned bounds registry staleness: a returned
     /// reader is doomed or no longer running, and a doomed reader
@@ -232,62 +290,69 @@ impl CommitLog {
         I: IntoIterator<Item = Addr>,
         F: FnMut(usize) -> bool,
     {
-        // Tracked ranks asked so far, and which of them are spared.
-        let mut asked = 0u64;
-        let mut spared = 0u64;
-        let mut bits = 0u64;
-        let mut spilled: Vec<usize> = Vec::new();
+        let mut take = ReaderTake::default();
         let mut last: Option<usize> = None;
         for addr in addrs {
             let local = self.slot_of(addr);
-            if last == Some(local) {
-                continue;
+            if last != Some(local) {
+                last = Some(local);
+                self.take_slot(local, &mut take, &mut spare);
             }
-            last = Some(local);
-            // Fast path: an unread range stays a single load — but
-            // it must be SeqCst, not relaxed, or it could miss a
-            // registration that precedes this enumeration in the
-            // SC order and break the missed-reader argument of the
-            // module docs (a relaxed load participates in no SC
-            // total order).
-            let seen = self.readers[local].load(Ordering::SeqCst);
-            if seen == 0 {
-                continue;
-            }
-            let mut fresh = seen & !asked & !READER_SPILL_BIT;
-            while fresh != 0 {
-                let tz = fresh.trailing_zeros();
-                fresh &= fresh - 1;
-                if spare(tz as usize + 1) {
-                    spared |= 1 << tz;
-                }
-            }
-            asked |= seen & !READER_SPILL_BIT;
-            let mut keep = seen & spared;
-            if seen & READER_SPILL_BIT != 0 {
-                let mut spill = self.readers_spill.write();
-                if let Some(set) = spill.get_mut(&local) {
-                    set.retain(|&rank| {
-                        spare(rank) || {
-                            spilled.push(rank);
-                            false
-                        }
-                    });
-                    if set.is_empty() {
-                        spill.remove(&local);
-                    } else {
-                        keep |= READER_SPILL_BIT;
-                    }
-                }
-                // Under the lock: a spilled registrant inserts before it
-                // sets the marker.
-                self.readers[local].fetch_and(!(seen & !keep), Ordering::SeqCst);
-            } else if keep != seen {
-                self.readers[local].fetch_and(!(seen & !keep), Ordering::SeqCst);
-            }
-            bits |= seen & !keep;
         }
-        ReaderSet::from_parts(bits, spilled)
+        take.into_set()
+    }
+
+    /// Take the readers of one range (slot `local`, window-checked) into
+    /// `take`: the per-range step of
+    /// [`take_readers_sparing`](Self::take_readers_sparing), and of the
+    /// publish walk, which takes each range right after stamping it.
+    pub(super) fn take_slot<F: FnMut(usize) -> bool>(
+        &self,
+        local: usize,
+        take: &mut ReaderTake,
+        spare: &mut F,
+    ) {
+        // Fast path: an unread range stays a single load — but it must be
+        // SeqCst, not relaxed, or it could miss a registration that
+        // precedes this enumeration in the SC order and break the
+        // missed-reader argument of the module docs (a relaxed load
+        // participates in no SC total order).
+        let seen = self.readers[local].load(Ordering::SeqCst);
+        if seen == 0 {
+            return;
+        }
+        let mut fresh = seen & !take.asked & !READER_SPILL_BIT;
+        while fresh != 0 {
+            let tz = fresh.trailing_zeros();
+            fresh &= fresh - 1;
+            if spare(tz as usize + 1) {
+                take.spared |= 1 << tz;
+            }
+        }
+        take.asked |= seen & !READER_SPILL_BIT;
+        let mut keep = seen & take.spared;
+        if seen & READER_SPILL_BIT != 0 {
+            let mut spill = self.readers_spill.write();
+            if let Some(set) = spill.get_mut(&local) {
+                set.retain(|&rank| {
+                    spare(rank) || {
+                        take.spilled.push(rank);
+                        false
+                    }
+                });
+                if set.is_empty() {
+                    spill.remove(&local);
+                } else {
+                    keep |= READER_SPILL_BIT;
+                }
+            }
+            // Under the lock: a spilled registrant inserts before it sets
+            // the marker.
+            self.readers[local].fetch_and(!(seen & !keep), Ordering::SeqCst);
+        } else if keep != seen {
+            self.readers[local].fetch_and(!(seen & !keep), Ordering::SeqCst);
+        }
+        take.bits |= seen & !keep;
     }
 
     /// The registered readers of `addr`'s range (tests and diagnostics;
@@ -342,6 +407,26 @@ mod tests {
         // Rank 0 (non-speculative) never registers.
         log.register_reader(24, 0);
         assert!(log.registered_readers(24).is_empty());
+    }
+
+    #[test]
+    fn a_rank_registers_each_range_once_until_a_take_clears_it() {
+        // Line grain: words 8 and 56 share a range.  A tracked rank and a
+        // spilled one each set their registration once; a repeat pays no
+        // RMW and counts no spill, and after a take the next read sets it
+        // again.
+        let log = CommitLog::with_config(CommitLogConfig::line_grain(), 1 << 12);
+        for rank in [5, 90] {
+            assert!(log.register(8, rank).1, "rank {rank}: first");
+            assert!(!log.register(56, rank).1, "rank {rank}: same range");
+            assert!(log.register(64, rank).1, "rank {rank}: next range");
+        }
+        assert_eq!(log.stats().reader_spills, 2);
+        let taken = log.take_readers([8]);
+        assert_eq!(taken.ranks().collect::<Vec<_>>(), vec![5, 90]);
+        assert!(log.register(16, 5).1 && log.register(16, 90).1);
+        assert!(!log.register(0, 0).1, "rank 0 registers nothing");
+        assert_eq!(log.stats().reader_spills, 3);
     }
 
     #[test]

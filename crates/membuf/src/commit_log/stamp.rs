@@ -1,4 +1,6 @@
 //! The commit log's **lock-free commit path**:
+//! [`publish`](CommitLog::publish) — the runtime's, which takes each
+//! stamped range's readers in the same walk —
 //! [`record`](CommitLog::record), [`record_word`](CommitLog::record_word)
 //! and the stamp loop underneath them.  (The guarantee it keeps and the
 //! ordering it is one half of are in the parent module.)
@@ -33,8 +35,8 @@
 //!
 //! The loop is written for any number of concurrent committers and
 //! tested that way below.  The runtime drives it with **one committer at
-//! a time**: its only commit sites are rank 0's direct store and a join
-//! that validates against main memory (a non-speculative joiner, or a
+//! a time**: its only commit sites are rank 0's batch of pending stores
+//! and a join that validates against main memory (a non-speculative joiner, or a
 //! child promoted while that joiner waits) — speculative joiners absorb
 //! instead — which is why `cas_retries` reads 0 on every ledger row, and
 //! why the log keeps one epoch: there is no committer contention for
@@ -43,10 +45,11 @@
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
+use super::readers::ReaderTake;
 use super::ring::footprint_bit;
 #[cfg(doc)]
 use super::CommitLogStats;
-use super::{CommitLog, CommitVersion, LOCK_SAMPLE_LOG2};
+use super::{CommitLog, CommitVersion, ReaderSet, LOCK_SAMPLE_LOG2};
 use crate::memory::Addr;
 
 /// Whether the commit that drew ticket `nth` from its path's counter has
@@ -65,7 +68,8 @@ impl CommitLog {
     /// The caller must have already written the data words to main memory
     /// (see the module-level ordering protocol).  The batch's version is
     /// reserved-and-published with one `SeqCst` `fetch_add` and the
-    /// touched slots raised by CAS.
+    /// touched slots raised by CAS.  The runtime publishes through
+    /// [`publish`](Self::publish), which also takes the readers.
     pub fn record<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> CommitVersion {
         let mut iter = addrs.into_iter();
         let Some(first) = iter.next() else {
@@ -73,38 +77,99 @@ impl CommitLog {
         };
         let mut addrs: Vec<Addr> = iter.collect();
         if addrs.is_empty() {
-            // Single-address batch: the non-speculative direct-store fast
-            // path — no sorting allocation.
+            // Single-address batch: no sorting allocation.
             return self.record_single(first);
         }
-        self.touch();
         addrs.push(first);
+        self.publish_batch(&mut addrs, false, |_| {})
+    }
+
+    /// Publish one batch of written addresses and take the readers of the
+    /// ranges it stamps, in one walk: the runtime's one publish (rank 0's
+    /// pending stores, a join's commit).  The caller wrote the data words
+    /// to main memory first.
+    ///
+    /// The batch is sorted and deduplicated in place — the walk allocates
+    /// nothing — one version is reserved for all of it, and each range is
+    /// stamped and then has its readers taken, by
+    /// [`take_readers_sparing`](Self::take_readers_sparing)'s rule with
+    /// `spare`, before the walk moves on.  The take follows the version's
+    /// reservation, which is all the missed-reader argument of the reader
+    /// registry asks of it.  Returns the version and the readers taken,
+    /// and leaves `batch` empty with its capacity kept; an empty batch
+    /// records nothing.
+    ///
+    /// With `skip_unread`, a range no reader could hold stale is not
+    /// stamped: no rank is registered on it and nothing stamped it before.
+    /// A reader holding a stale value of it registered before its snapshot,
+    /// and that snapshot precedes this reservation, so the check — which
+    /// follows the reservation — finds the registration, unless a take
+    /// cleared it (every take here follows a stamp of its range) or the
+    /// reader's buffer was returned (its read set is dead).  A reader that
+    /// registers after the check snapshots at or above this version,
+    /// synchronizes with the reservation, and reads the stored value.  The
+    /// caller must therefore take readers only through `publish`.
+    pub fn publish<F: FnMut(usize) -> bool>(
+        &self,
+        batch: &mut Vec<Addr>,
+        skip_unread: bool,
+        mut spare: F,
+    ) -> (CommitVersion, ReaderSet) {
+        let mut take = ReaderTake::default();
+        let version = self.publish_batch(batch, skip_unread, |local| {
+            self.take_slot(local, &mut take, &mut spare)
+        });
+        (version, take.into_set())
+    }
+
+    /// Sort, deduplicate and publish `batch` under one version, calling
+    /// `on_slot` with each slot it stamps, and leave it empty: the walk
+    /// under [`record`](Self::record) and [`publish`](Self::publish).
+    fn publish_batch(
+        &self,
+        batch: &mut Vec<Addr>,
+        skip_unread: bool,
+        on_slot: impl FnMut(usize),
+    ) -> CommitVersion {
+        if batch.is_empty() {
+            return self.epoch();
+        }
+        self.touch();
         // Ascending addresses put each region's addresses in one
         // contiguous run and equal ranges next to each other, so the
         // stamp walk can deduplicate by slot.
-        addrs.sort_unstable();
-        addrs.dedup();
-        let sample = lock_time_sampled(self.batches.fetch_add(1, Ordering::Relaxed));
+        batch.sort_unstable();
+        batch.dedup();
+        // Every batch reserves a version, counted or not: one in
+        // `2^LOCK_SAMPLE_LOG2` of them is timed.
+        let sample = lock_time_sampled(self.epoch.load(Ordering::Relaxed));
         let started = sample.then(Instant::now);
         let mut retries = 0u64;
-        let version = self.publish_run(&addrs, &mut retries);
-        if let Some(started) = started {
-            self.lock_ns.fetch_add(
-                (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
-                Ordering::Relaxed,
-            );
+        let (version, stamped) = self.publish_run(batch, &mut retries, skip_unread, on_slot);
+        // A batch that stamped nothing reserved a version but is no commit
+        // batch: every batch counted stamps at least one range.
+        if stamped > 0 {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.stamped.fetch_add(stamped, Ordering::Relaxed);
         }
-        if retries > 0 {
-            self.cas_retries.fetch_add(retries, Ordering::Relaxed);
-        }
+        self.close_batch(started, retries);
+        batch.clear();
         version
     }
 
     /// Publish one (sorted, deduplicated) batch.  Reserve-and-publish the
     /// version with one `SeqCst` `fetch_add`, then raise each touched slot
     /// by CAS, one region's addresses at a time (see the module docs for
-    /// why each step is sound).
-    fn publish_run(&self, run: &[Addr], retries: &mut u64) -> CommitVersion {
+    /// why each step is sound) — skipping, when `skip_unread`, every slot
+    /// nobody reads — and call `on_slot` with each slot right after its
+    /// stamp.  Returns the version and the slots stamped.
+    fn publish_run(
+        &self,
+        run: &[Addr],
+        retries: &mut u64,
+        skip_unread: bool,
+        mut on_slot: impl FnMut(usize),
+    ) -> (CommitVersion, u64) {
         let version = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut stamped = 0u64;
         // Addresses ascend, so each region's addresses form one
@@ -116,20 +181,25 @@ impl CommitLog {
             while end < run.len() && self.region_of(run[end]) == region {
                 end += 1;
             }
-            stamped += self.stamp_region_group_cas(&run[start..end], version, retries);
+            let group = &run[start..end];
+            stamped +=
+                self.stamp_region_group_cas(group, version, retries, skip_unread, &mut on_slot);
             start = end;
         }
-        self.stamped.fetch_add(stamped, Ordering::Relaxed);
-        version
+        (version, stamped)
     }
 
     /// CAS-stamp one region's (sorted, deduplicated) addresses with
-    /// `version`; returns the number of distinct slots stamped.
+    /// `version` — but, when `skip_unread`, no slot nobody reads — calling
+    /// `on_slot` with each slot once it is stamped; returns the number of
+    /// distinct slots stamped.
     fn stamp_region_group_cas(
         &self,
         group: &[Addr],
         version: CommitVersion,
         retries: &mut u64,
+        skip_unread: bool,
+        on_slot: &mut impl FnMut(usize),
     ) -> u64 {
         // The window check, on the group's first address: one region, so
         // all of the group is inside or none of it is.
@@ -140,10 +210,13 @@ impl CommitLog {
         // below publishes the whole slot's footprint in one ring merge
         // before the one dense CAS.
         let mut pending: Option<(usize, u64)> = None;
-        let flush = |pending: &mut Option<(usize, u64)>, retries: &mut u64| {
+        let mut flush = |pending: &mut Option<(usize, u64)>, retries: &mut u64| {
             let Some((local, footprint)) = pending.take() else {
-                return;
+                return 0;
             };
+            if skip_unread && self.unread(local) {
+                return 0;
+            }
             // Ring first (see `ring_merge`), then the monotone CAS-max: a
             // slot already at or above `version` was raised by a
             // concurrent later commit — the stamp is free, never lowered.
@@ -160,6 +233,8 @@ impl CommitLog {
                     }
                 }
             }
+            on_slot(local);
+            1
         };
         for &addr in group {
             let local = self.slot_at(addr);
@@ -170,13 +245,27 @@ impl CommitLog {
                 }
                 _ => {}
             }
-            flush(&mut pending, retries);
+            stamped += flush(&mut pending, retries);
             pending = Some((local, footprint_bit(addr)));
-            stamped += 1;
         }
-        flush(&mut pending, retries);
-        region_stamps.fetch_add(stamped, Ordering::Relaxed);
+        stamped += flush(&mut pending, retries);
+        if stamped > 0 {
+            region_stamps.fetch_add(stamped, Ordering::Relaxed);
+        }
         stamped
+    }
+
+    /// Book a batch's sampled publication time and its CAS retries.
+    fn close_batch(&self, started: Option<Instant>, retries: u64) {
+        if let Some(started) = started {
+            self.lock_ns.fetch_add(
+                (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
+                Ordering::Relaxed,
+            );
+        }
+        if retries > 0 {
+            self.cas_retries.fetch_add(retries, Ordering::Relaxed);
+        }
     }
 
     fn record_single(&self, addr: Addr) -> CommitVersion {
@@ -187,21 +276,16 @@ impl CommitLog {
         let version = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         // One address is a one-element region group: the window check
         // and the CAS-max apply unchanged.
-        let stamped = self.stamp_region_group_cas(&[addr], version, &mut retries);
+        let stamped =
+            self.stamp_region_group_cas(&[addr], version, &mut retries, false, &mut |_| {});
         debug_assert_eq!(stamped, 1);
-        if retries > 0 {
-            self.cas_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-        if let Some(started) = started {
-            self.lock_ns.fetch_add(
-                (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
-                Ordering::Relaxed,
-            );
-        }
+        self.close_batch(started, retries);
         version
     }
 
-    /// Record a single-word commit (the non-speculative direct-store path).
+    /// Record a single-word commit.  The runtime stamps rank 0's stores in
+    /// batches through [`publish`](Self::publish); this is the one-word
+    /// form, kept for callers that stamp a word at a time.
     pub fn record_word(&self, addr: Addr) -> CommitVersion {
         self.record_single(addr)
     }
@@ -456,6 +540,58 @@ mod tests {
         assert_eq!(stamps_at(WORD_GRAIN_LOG2), 64);
         assert_eq!(stamps_at(LINE_GRAIN_LOG2), 8);
         assert_eq!(stamps_at(PAGE_GRAIN_LOG2), 1);
+    }
+
+    #[test]
+    fn a_publish_stamps_one_version_and_takes_each_ranges_readers() {
+        // Word grain: 8, 16 and 24 are three ranges.  The batch arrives
+        // unsorted and with a repeat, rank 2 read 8, rank 3 read 16 and
+        // 40 (not published), and rank 3 is spared.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12);
+        let before = log.register_reader(8, 2);
+        log.register_reader(16, 3);
+        log.register_reader(40, 3);
+        let mut batch = vec![24, 8, 16, 8];
+        let (version, taken) = log.publish(&mut batch, false, |rank| rank == 3);
+        assert!(batch.is_empty() && batch.capacity() >= 4, "emptied, kept");
+        assert_eq!(version, before + 1);
+        for addr in [8, 16, 24] {
+            assert_eq!(log.version_of(addr), version);
+        }
+        assert_eq!(taken.ranks().collect::<Vec<_>>(), vec![2]);
+        assert!(log.registered_readers(8).is_empty());
+        assert!(log.registered_readers(16).contains(3), "spared");
+        assert!(log.registered_readers(40).contains(3), "not published");
+        let stats = log.stats();
+        assert_eq!((stats.commits, stats.stamp_writes), (1, 3));
+        // One address counts as `record_word` does; none records nothing.
+        log.publish(&mut vec![8], false, |_| false);
+        assert_eq!(
+            log.publish(&mut Vec::new(), false, |_| false).0,
+            version + 1
+        );
+        let stats = log.stats();
+        assert_eq!((stats.commits, stats.stamp_writes), (2, 4));
+    }
+
+    #[test]
+    fn a_publish_that_skips_unread_ranges_stamps_only_what_a_reader_may_hold() {
+        // Word grain: 8 has a reader, 16 was stamped before (a take may
+        // have cleared a reader there), 24 has neither and stays unstamped
+        // — but the batch still reserves its version.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12);
+        log.register_reader(8, 2);
+        log.record_word(16);
+        let (version, taken) = log.publish(&mut vec![24, 16, 8], true, |_| false);
+        assert_eq!(log.epoch(), version);
+        assert_eq!((log.version_of(8), log.version_of(16)), (version, version));
+        assert_eq!(log.version_of(24), 0, "nobody could read it stale");
+        assert!(taken.contains(2));
+        let stats = log.stats();
+        assert_eq!((stats.commits, stats.stamp_writes), (2, 3));
+        // A batch nobody could read stale reserves a version, no commit.
+        let (skipped, _) = log.publish(&mut vec![32], true, |_| false);
+        assert_eq!((skipped, log.stats().commits), (version + 1, 2));
     }
 
     #[test]

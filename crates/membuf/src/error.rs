@@ -5,14 +5,15 @@ use std::fmt;
 /// Reasons a buffered memory operation cannot be completed.
 ///
 /// A [`BufferError`] is not necessarily fatal for the whole speculative
-/// thread: the runtime decides whether to stall the thread until it can be
-/// joined (`OverflowPending`) or to roll it back immediately.
+/// thread: a word recorded in the overflow area (`OverflowPending`) is
+/// buffered all the same and the thread runs on; every other error rolls
+/// it back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferError {
     /// The hash-slot for the address is occupied by a different address and
     /// the linear overflow buffer still has room: the access has been
-    /// recorded there, but the thread should stop at its next check point
-    /// and wait to be joined.
+    /// recorded there.  Nothing stalls on it — the buffer reports it and
+    /// keeps the word, and the thread runs on until the area is full.
     OverflowPending,
     /// The overflow buffer is exhausted; the speculative thread must roll
     /// back (paper §IV-G2: "If the temporary buffer is used up, the

@@ -96,6 +96,16 @@ pub struct GlobalBuffer {
     /// Thread rank registered in the commit log's reader registry on every
     /// first-touch read (0 = anonymous: snapshot without registering).
     reader: usize,
+    /// One address in each range whose registration this buffer set (a
+    /// first touch or an absorb that found the rank's bit missing): what
+    /// is retired when the buffer is returned and restored after a doom,
+    /// one entry per range instead of one per read word.  At most one
+    /// entry per read, so bounded by the buffer's capacity.
+    registered: Vec<Addr>,
+    /// The write set's addresses, gathered for the commit log's publish
+    /// walk ([`write_batch`](Self::write_batch)); kept, like the map, for
+    /// the CPU's next task.
+    batch: Vec<Addr>,
 }
 
 impl GlobalBuffer {
@@ -106,6 +116,8 @@ impl GlobalBuffer {
             words: WordMap::new(slots, config.overflow_capacity),
             precise_passes: 0,
             reader: 0,
+            registered: Vec::new(),
+            batch: Vec::new(),
         }
     }
 
@@ -140,8 +152,10 @@ impl GlobalBuffer {
         self.words.writes()
     }
 
-    /// True if the map had to spill into its overflow area; the runtime
-    /// stalls the thread at its next check point in that case.
+    /// True if the map had to spill into its overflow area since the last
+    /// [`clear`](Self::clear).  Nothing stalls on it: the thread runs on
+    /// until the area is full, and the runtime reads the flag only to check
+    /// that a recycled buffer comes back clean.
     pub fn overflow_pending(&self) -> bool {
         self.words.overflow_pending()
     }
@@ -219,15 +233,7 @@ impl GlobalBuffer {
         // With a reader identity, registration precedes the snapshot
         // (CommitLog's seqlock protocol), so a committer that misses the
         // registration is covered by the snapshot.
-        let version = log
-            .map(|l| {
-                if self.reader != 0 {
-                    l.register_reader(word_addr, self.reader)
-                } else {
-                    l.snapshot(word_addr)
-                }
-            })
-            .unwrap_or(0);
+        let version = log.map_or(0, |l| self.register(l, word_addr));
         let value = mem.read_word(word_addr);
         // A word in the overflow area is buffered all the same.
         let (word, _spilled) = self.words.note_read(word_addr, value, version)?;
@@ -296,10 +302,43 @@ impl GlobalBuffer {
     }
 
     /// Discard all buffered state and reset the overflow flag
-    /// (finalization after commit, or rollback).
+    /// (finalization after commit, or rollback).  The caller retires the
+    /// registrations first ([`registered_ranges`](Self::registered_ranges)).
     pub fn clear(&mut self) {
         self.words.clear();
         self.precise_passes = 0;
+        self.registered.clear();
+        self.batch.clear();
+    }
+
+    /// The read snapshot of `word_addr` for a read entering the read set:
+    /// with a reader identity, the registration first (the log's seqlock
+    /// protocol), remembered when this call set it.
+    fn register(&mut self, log: &CommitLog, word_addr: Addr) -> u64 {
+        if self.reader == 0 {
+            return log.snapshot(word_addr);
+        }
+        let (version, set) = log.register(word_addr, self.reader);
+        if set {
+            self.registered.push(word_addr);
+        }
+        version
+    }
+
+    /// One address in each range this buffer registered its reader rank
+    /// on (see [`register_reader`](CommitLog::register_reader)): what the
+    /// runtime retires when the buffer is returned.
+    pub fn registered_ranges(&self) -> &[Addr] {
+        &self.registered
+    }
+
+    /// The addresses the thread wrote, as a batch for
+    /// [`CommitLog::publish`] (which sorts it and leaves it empty).
+    pub fn write_batch(&mut self) -> &mut Vec<Addr> {
+        self.batch.clear();
+        let written = self.words.iter().filter(|e| e.written() != 0);
+        self.batch.extend(written.map(|e| e.addr));
+        &mut self.batch
     }
 
     /// The words the thread read, with their first reads and versions.
@@ -307,18 +346,9 @@ impl GlobalBuffer {
         self.words.iter().filter(WordEntry::has_read)
     }
 
-    /// The addresses the thread read (the ranges its reader registrations
-    /// cover, which the runtime retires when the buffer is returned).
+    /// The addresses the thread read.
     pub fn read_addresses(&self) -> impl Iterator<Item = Addr> + '_ {
         self.read_entries().map(|e| e.addr)
-    }
-
-    /// The addresses the thread wrote.
-    pub fn write_addresses(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.words
-            .iter()
-            .filter(|e| e.written() != 0)
-            .map(|e| e.addr)
     }
 
     /// The word at `addr` as a logically later thread should see it: main
@@ -425,16 +455,19 @@ impl GlobalBuffer {
     }
 
     /// Register the **whole read set** again under this buffer's reader
-    /// rank (an anonymous buffer registers nothing).  A committer that
-    /// doomed the thread consumed its registrations for every range it
-    /// stamped — including ranges whose reads are clean (read after that
-    /// commit) — and without them a *second* conflicting commit would miss
-    /// the thread and leave the doom to its join.  `register_reader` is an
-    /// idempotent `fetch_or`; this is the cold doom-repair path of a
-    /// thread that survived its doom in flight (a join never needs it).
+    /// rank, one range at a time (an anonymous buffer registers nothing).
+    /// A committer that doomed the thread consumed its registrations for
+    /// every range it stamped — including ranges whose reads are clean
+    /// (read after that commit) — and without them a *second* conflicting
+    /// commit would miss the thread and leave the doom to its join.  Every
+    /// range the read set covers has an entry in
+    /// [`registered_ranges`](Self::registered_ranges), and
+    /// `register_reader` leaves a registration that is still there alone;
+    /// this is the cold doom-repair path of a thread that survived its
+    /// doom in flight (a join never needs it).
     pub fn restore_registrations(&self, log: &CommitLog) {
         if self.reader != 0 {
-            for addr in self.read_addresses() {
+            for &addr in &self.registered {
                 log.register_reader(addr, self.reader);
             }
         }
@@ -459,8 +492,9 @@ impl GlobalBuffer {
     /// thread itself is eventually joined.
     ///
     /// Each read taken is registered under this buffer's rank in `log`, as
-    /// at a first touch; a word this thread fully wrote takes neither.  The
-    /// child's own registrations are left to die with its buffer.
+    /// at a first touch (once per range); a word this thread fully wrote
+    /// takes neither.  The child's own registrations are left to die with
+    /// its buffer.
     ///
     /// Used when a *speculative* parent joins its own speculative child —
     /// nothing may reach main memory until the whole subtree is joined by
@@ -480,7 +514,7 @@ impl GlobalBuffer {
                         .insert_word_versioned(entry.addr, entry.read, entry.version());
                 keep_spilled(read)?;
                 // No snapshot: the entry keeps the (older) version it had.
-                let _ = log.register_reader(entry.addr, self.reader);
+                let _ = self.register(log, entry.addr);
             }
             if entry.written() != 0 {
                 keep_spilled(self.words.merge(entry.addr, entry.data, entry.mask()))?;
@@ -971,8 +1005,7 @@ mod tests {
         let _ = load(&mut buf, &mem, p.addr_of(1), 8).unwrap();
         buf.store(p.addr_of(2), 9, 8).unwrap();
         let reads: Vec<_> = buf.read_addresses().collect();
-        let writes: Vec<_> = buf.write_addresses().collect();
         assert_eq!(reads, vec![p.addr_of(1)]);
-        assert_eq!(writes, vec![p.addr_of(2)]);
+        assert_eq!(*buf.write_batch(), vec![p.addr_of(2)]);
     }
 }

@@ -148,8 +148,8 @@ pub struct WordMap {
     overflow: Vec<WordEntry>,
     overflow_capacity: usize,
     /// True once the overflow area has been used at least once since the
-    /// last clear; the runtime uses this to stall the thread at its next
-    /// check point.
+    /// last clear.  Nothing stalls on it: the runtime reads it only to
+    /// check that a recycled buffer comes back clean.
     overflow_pending: bool,
     /// Records with a read, and records with a written byte.
     reads: usize,
@@ -199,7 +199,9 @@ impl WordMap {
     }
 
     /// True once a hash conflict has pushed an entry into the overflow
-    /// area since the last [`clear`](Self::clear).
+    /// area since the last [`clear`](Self::clear).  A thread whose map
+    /// spilled runs on; only an insert into a full area fails it
+    /// ([`BufferError::OverflowFull`]).
     pub fn overflow_pending(&self) -> bool {
         self.overflow_pending
     }

@@ -72,13 +72,19 @@ impl SpecContext {
     ///
     /// Speculatively the store lands in the thread's write-set and stays
     /// private until the join commits it; non-speculatively the store is
-    /// published immediately and, **while any speculative read set is
-    /// exposed**, recorded in the commit log, which is what dooms any
-    /// in-flight logical successor that already read the address (the
-    /// store is a commit by definition — the non-speculative thread is
-    /// always logically earliest).  With no read set exposed nobody holds
-    /// a snapshot the stamp could invalidate, so the store runs at native
-    /// speed (see `ThreadManager`'s exposure count).
+    /// written to memory immediately and, **while any speculative read set
+    /// is exposed**, its address joins the context's pending batch, whose
+    /// publish stamps the commit log and dooms any in-flight logical
+    /// successor that already read the address (the store is a commit by
+    /// definition — the non-speculative thread is always logically
+    /// earliest).  The batch is published before anything validates
+    /// against it: at a fork's dispatch, the start of a join, a check
+    /// point, a promoted context's hand-back, the end of the run, and when
+    /// it holds `PENDING_CAP` (1 024) addresses (the flush rule in
+    /// `CommitLog`'s ordering protocol).  With no read set exposed nobody
+    /// holds a snapshot a stamp could invalidate, so the store runs at
+    /// native speed (see `ThreadManager`'s exposure count).  The arm
+    /// inlined into a kernel is the memory store, one branch and one call.
     #[inline(always)]
     pub fn spec_write(&mut self, addr: Addr, value: u64) -> SpecResult<()> {
         self.stats.counters.stores += 1;
@@ -91,7 +97,7 @@ impl SpecContext {
             // ordering protocol).
             mgr.memory().word(addr).store(value, Ordering::Relaxed);
             if mgr.exposed_speculations() != 0 {
-                self.publish_store(addr);
+                self.pend_store(addr);
             }
             return Ok(());
         };
@@ -117,15 +123,30 @@ impl SpecContext {
         buffer.first_store(word_addr, data, mask)
     }
 
-    /// Rank 0 stored `addr` while a speculative read set is exposed: stamp
-    /// the commit log and — the store is a commit by definition (rank 0 is
-    /// always logically earliest) — doom the word's registered readers
-    /// now, surgically, instead of letting them burn their whole conflict
-    /// window before failing validation.
+    /// Rank 0 stored `addr` while a speculative read set is exposed: add
+    /// it to the pending batch, and publish the batch once it is full.
     #[inline(never)]
-    fn publish_store(&mut self, addr: Addr) {
-        self.mgr.commit_log().record_word(addr);
-        let victims = self.mgr.doom_readers([addr], self.rank);
+    fn pend_store(&mut self, addr: Addr) {
+        self.pending.push(addr);
+        if self.pending.len() >= PENDING_CAP {
+            self.publish_pending();
+        }
+    }
+
+    /// Publish rank 0's pending stores: stamp the commit log and — a store
+    /// is a commit by definition (rank 0 is always logically earliest) —
+    /// doom the registered readers of their ranges, surgically, instead of
+    /// letting them burn their whole conflict window before failing
+    /// validation.  A range no reader could hold stale is not stamped:
+    /// rank 0 writes far more ranges than the speculative threads read
+    /// (`tree_writes`' rank 0 runs a whole half of the FFT while its child
+    /// is exposed), and each stamp faults in commit-log pages.
+    #[inline(never)]
+    pub(crate) fn publish_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let victims = self.mgr.publish(&mut self.pending, self.rank, true);
         if victims > 0 {
             self.note_doom(victims);
         }

@@ -30,6 +30,7 @@ impl SpecContext {
             mgr.deposit_outcome(rank, self.into_outcome(status));
             return;
         };
+        self.publish_pending();
         let finished_at = Instant::now();
         self.close_books(finished_at);
         mgr.hand_back(
@@ -112,6 +113,8 @@ impl SpecContext {
         forked_at: Instant,
     ) -> SpecResult<Result<CommitKind, SpecFailure>> {
         let mut bookkeeping = self.begin_overhead();
+        // Before anything validates: the child's verdict, or its promotion.
+        self.publish_pending();
         let verdict = self.join_child_from(child, site, model, forked_at, &mut bookkeeping);
         self.end_overhead(Phase::Join, bookkeeping);
         verdict

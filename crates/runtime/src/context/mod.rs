@@ -69,6 +69,11 @@ mod tests;
 /// with it, the doom flags and the sync request).
 const ABORT_POLL_INTERVAL: u32 = 256;
 
+/// The most exposed stores rank 0 holds unpublished: a full batch is
+/// published at once (8 KiB of addresses, one sort and one walk of the
+/// commit log).
+pub(crate) const PENDING_CAP: usize = 1024;
+
 /// How long a thread with nothing to run — a worker between tasks, a
 /// joiner at its join — spins (yielding the core each round) before it
 /// parks.  Long enough that the two waits of a loop that forks a tail of
@@ -163,6 +168,10 @@ pub struct SpecContext {
     /// What this task's `fork_range` bodies cost at speculative price, per
     /// fork site, until its commit books them.
     prices: Vec<(u32, Price)>,
+    /// Addresses rank 0 stored while a read set was exposed, not yet
+    /// published to the commit log (see `spec_write`); empty while the
+    /// context is speculative.
+    pending: Vec<Addr>,
 }
 
 impl SpecContext {
@@ -181,6 +190,7 @@ impl SpecContext {
             promotion: None,
             settled: false,
             prices: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -203,9 +213,11 @@ impl SpecContext {
         self.stats.add(Phase::Work, total.saturating_sub(claimed));
     }
 
-    /// Finish the non-speculative root context: return the critical-path
-    /// statistics and the children left for the caller to drain.
+    /// Finish the non-speculative root context: publish its pending
+    /// stores, return the critical-path statistics and the children left
+    /// for the caller to drain.
     pub(crate) fn finish(mut self) -> (ThreadStats, Vec<Rank>) {
+        self.publish_pending();
         self.close_books(Instant::now());
         (self.stats, self.children)
     }
@@ -321,6 +333,8 @@ impl TlsContext for SpecContext {
         // queue push orders this write before anything the child emits,
         // keeping the ring single-producer.
         self.observe(point, Point::SpecStart(child as u32));
+        // The child's snapshots must cover every store it can see.
+        self.publish_pending();
         self.mgr.dispatch(child, point, model, Arc::clone(&task));
         self.children.push(child);
         self.end_overhead(Phase::Fork, fork_started);
@@ -380,6 +394,10 @@ impl TlsContext for SpecContext {
 
     #[inline]
     fn check_point(&mut self) -> SpecResult<()> {
+        // Rank 0's pending stores reach a running stale reader here too.
+        if !self.pending.is_empty() {
+            self.publish_pending();
+        }
         self.check_abort()
     }
 

@@ -7,7 +7,9 @@ use mutls_metrics::CounterId;
 
 /// Hand-driven (no worker threads), so "deposited but unjoined" is a
 /// program point, not a race: rank 0's direct store is stamped exactly
-/// while the child's read set can still be validated.
+/// while the child's read set can still be validated.  A store joins rank
+/// 0's pending batch, so each count is read after the publish a join runs
+/// before it validates.
 #[test]
 fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
     let mgr = ThreadManager::new(RuntimeConfig::with_cpus(1).memory_bytes(1 << 16));
@@ -23,12 +25,14 @@ fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
     };
 
     rank0.spec_write(addr, 1).unwrap();
+    rank0.publish_pending();
     assert_eq!(mgr.commit_log().commits(), 0, "quiescent: memory only");
     assert_eq!(mgr.memory().read_word(addr), 1);
 
     // A failed child parked at its join exposes nothing.
     let failed = deposit(TaskStatus::Failed(SpecFailure::BufferOverflow));
     rank0.spec_write(addr, 2).unwrap();
+    rank0.publish_pending();
     assert_eq!(mgr.commit_log().commits(), 0, "dead read set: memory only");
     let mut outcome = mgr.wait_outcome_where(failed, || false).unwrap();
     assert_eq!(
@@ -41,6 +45,7 @@ fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
     // store under it must be stamped, and the join must conflict.
     let parked = deposit(TaskStatus::Completed);
     rank0.spec_write(addr, 3).unwrap();
+    rank0.publish_pending();
     assert_eq!(mgr.commit_log().commits(), 1, "exposed: published");
     let mut outcome = mgr.wait_outcome_where(parked, || false).unwrap();
     assert_eq!(
@@ -50,6 +55,7 @@ fn direct_stores_publish_exactly_while_a_read_set_is_exposed() {
     mgr.release_cpu(parked, 0);
 
     rank0.spec_write(addr, 4).unwrap();
+    rank0.publish_pending();
     assert_eq!(mgr.commit_log().commits(), 1, "quiescent again");
 }
 
@@ -142,4 +148,44 @@ fn a_speculative_forker_cuts_at_equal_price() {
     let forker = SpecContext::speculative(Arc::clone(&mgr), child);
     assert_eq!(forker.price_of(7), Price::default());
     assert_eq!(protocol::forker_share(64, 2, forker.price_of(7)), 64 / 3);
+}
+
+/// Exposed stores wait in rank 0's pending batch: N of them publish
+/// ⌈N / PENDING_CAP⌉ batches — each full one at once, the rest at the next
+/// publish point.  A word a running child read is stamped; a line nobody
+/// read, and nothing stamped, is not, and a batch of such lines alone is no
+/// commit.
+#[test]
+fn exposed_stores_publish_one_batch_per_cap() {
+    const N: usize = 2 * PENDING_CAP + PENDING_CAP / 2;
+    let mgr = ThreadManager::new(RuntimeConfig::with_cpus(1).memory_bytes(1 << 16));
+    let mut rank0 = SpecContext::non_speculative(Arc::clone(&mgr));
+    let cells = rank0.alloc::<u64>(N);
+    let (read, unread) = (cells.addr_of(0), cells.addr_of(N - 1));
+    // A running child reads the first word of each batch.
+    let child = mgr.try_acquire_cpu(0, ForkModel::Mixed).expect("idle CPU");
+    let mut ctx = SpecContext::speculative(Arc::clone(&mgr), child);
+    for i in (0..N).step_by(PENDING_CAP) {
+        ctx.spec_read(cells.addr_of(i))
+            .expect("an allocated address");
+    }
+    for i in 0..N {
+        rank0.spec_write(cells.addr_of(i), i as u64).unwrap();
+    }
+    let log = mgr.commit_log();
+    assert_eq!(log.commits(), (N / PENDING_CAP) as u64, "the full batches");
+    rank0.check_point().unwrap();
+    assert_eq!(log.commits(), N.div_ceil(PENDING_CAP) as u64);
+    assert!(log.version_of(read) > 0, "the child's read is stamped");
+    assert_eq!(log.version_of(unread), 0, "nobody read that line");
+    // A word stored twice in one batch is stamped once.
+    let stamps = log.stats().stamp_writes;
+    rank0.spec_write(read, 1).unwrap();
+    rank0.spec_write(read, 2).unwrap();
+    rank0.check_point().unwrap();
+    assert_eq!(log.stats().stamp_writes, stamps + 1);
+    let commits = log.commits();
+    rank0.spec_write(unread, 1).unwrap();
+    rank0.check_point().unwrap();
+    assert_eq!(log.commits(), commits, "nothing to stamp");
 }

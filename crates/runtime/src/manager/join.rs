@@ -153,13 +153,13 @@ impl ThreadManager {
     /// read the speculative parent's overlay contradicts, rolls the child
     /// back as a conflict, and its joiner re-executes it inline; nothing is
     /// doomed here.  The readers a write makes stale are doomed where it is
-    /// published (`doom_readers`): by this commit, or by the re-execution's
-    /// stores.
+    /// published ([`publish`](Self::publish)): by this commit, or by the
+    /// re-execution's stores.
     ///
     /// The child's registrations die with its buffer
     /// ([`return_buffer`](Self::return_buffer)), whatever the verdict: a
-    /// commit publishes with them, and `doom_readers` never dooms the
-    /// committer it excludes.
+    /// commit publishes with them, and `publish` never dooms its
+    /// committer.
     ///
     /// Returns `Ok(kind)` on commit and `Err(reason)` on rollback.
     /// Validation/commit/finalize time is charged to the child's
@@ -274,11 +274,11 @@ impl ThreadManager {
         let commit_result = match parent_buffer {
             None => {
                 outcome.buffer.commit(mem);
-                if outcome.buffer.write_set_len() > 0 {
-                    let stamp_started = Instant::now();
-                    self.commit_log.record(outcome.buffer.write_addresses());
-                    note(Point::CommitStamped(elapsed_ns(stamp_started)));
-                    let victims = self.doom_readers(outcome.buffer.write_addresses(), child);
+                let writes = outcome.buffer.write_batch();
+                if !writes.is_empty() {
+                    let publish_started = Instant::now();
+                    let victims = self.publish(writes, child, false);
+                    note(Point::CommitStamped(elapsed_ns(publish_started)));
                     note(Point::Doomed(victims));
                 }
                 Ok(())

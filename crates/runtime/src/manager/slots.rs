@@ -68,6 +68,7 @@ use super::*;
 /// Whether nothing of an earlier task is left in `buffer`.
 pub(super) fn is_clean(buffer: &GlobalBuffer) -> bool {
     !buffer.overflow_pending()
+        && buffer.registered_ranges().is_empty()
         && buffer.read_set_len() == 0
         && buffer.write_set_len() == 0
         && buffer.precise_passes() == 0
@@ -94,13 +95,14 @@ impl ThreadManager {
     }
 
     /// Unregister the reads of the buffer a finished task of virtual CPU
-    /// `rank` left behind — whatever its fate, the one place that happens
-    /// — then clear it and park it for the CPU's next task.  Must run
-    /// before [`release_cpu`](Self::release_cpu), or that task could start
+    /// `rank` left behind — whatever its fate, the one place that happens,
+    /// one RMW per range the buffer registered on — then clear it and park
+    /// it for the CPU's next task.  Must run before
+    /// [`release_cpu`](Self::release_cpu), or that task could start
     /// without it, and lose registrations of its own to this one.
     pub fn return_buffer(&self, rank: Rank, mut buffer: GlobalBuffer) {
-        self.commit_log
-            .unregister_reader(buffer.read_addresses(), rank);
+        let ranges = buffer.registered_ranges().iter().copied();
+        self.commit_log.unregister_reader(ranges, rank);
         buffer.clear();
         *self.slots[rank - 1].buffer.lock() = Some(buffer);
     }
@@ -217,14 +219,19 @@ impl ThreadManager {
         }
     }
 
-    /// Doom exactly the threads registered as readers of the ranges
-    /// covering `addrs` — called by a publish (rank 0's exposed store, or a
-    /// join that commits to main memory) right after the ranges were
-    /// stamped.  `exclude` (the publisher: rank 0, or the child a join
-    /// commits, still registered until its buffer is returned) is never
-    /// doomed.  Returns how many threads were doomed.
-    /// Enumeration is complete at any thread count: ranks past the
-    /// registry's 63-rank bitmask sit in a spill set per range
+    /// Publish `batch` — addresses `committer` already wrote to main
+    /// memory — and doom exactly the threads registered as readers of the
+    /// ranges it covers: the one publish of the runtime, for rank 0's
+    /// pending stores and for a join that commits to main memory.  One
+    /// walk of the commit log ([`CommitLog::publish`]) sorts the batch,
+    /// stamps each range under one version and takes its readers; the
+    /// dooms follow the whole take.  With `skip_unread` (rank 0's stores)
+    /// a range no reader could hold stale is not stamped; a join stamps
+    /// every range it writes, as the replay does.  `batch` is left empty.
+    /// `committer` (rank 0, or the child a join commits, still registered
+    /// until its buffer is returned) is never doomed.  Returns how many threads were
+    /// doomed.  Enumeration is complete at any thread count: ranks past
+    /// the registry's 63-rank bitmask sit in a spill set per range
     /// (`CommitLogStats::reader_spills` counts their registrations).
     ///
     /// Dooming is sound in every interleaving: a doomed thread rolls back
@@ -235,13 +242,13 @@ impl ThreadManager {
     /// speculative thread polls its flags and nothing else
     /// (`SpecContext::poll`), so a doom is the one thing that stops a
     /// reader whose stale data keeps it from ever reaching its join.
-    pub fn doom_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I, exclude: Rank) -> u64 {
+    pub fn publish(&self, batch: &mut Vec<Addr>, committer: Rank, skip_unread: bool) -> u64 {
         // Only running threads are doomed — an idle slot's registration
         // is stale, and so is the committer's.  A release between the
         // check and the `fetch_or` leaves the bit on an idle word, which
         // the next claim drops.
         let live = |rank: Rank| {
-            rank != exclude
+            rank != committer
                 && rank <= self.slots.len()
                 && self.slots[rank - 1].status.load(Ordering::Acquire) & RUNNING != 0
         };
@@ -256,11 +263,10 @@ impl ThreadManager {
         // (stamp 0) spares nobody; a task claimed after the committer
         // holds a later stamp, so whatever the take returns is no
         // predecessor.
-        let committer = self.logical_of(exclude);
-        let spare = |rank: Rank| {
-            live(rank) && self.slots[rank - 1].logical.load(Ordering::Acquire) < committer
-        };
-        let set = self.commit_log.take_readers_sparing(addrs, spare);
+        let stamp = self.logical_of(committer);
+        let spare =
+            |rank: Rank| live(rank) && self.slots[rank - 1].logical.load(Ordering::Acquire) < stamp;
+        let (_, set) = self.commit_log.publish(batch, skip_unread, spare);
         // The dooms follow the whole take: a doomed reader's in-flight
         // retry re-registers, and no later range of the take may clear
         // that.

@@ -667,7 +667,7 @@ fn commit_dooms_a_reader_past_the_registry_bitmask_and_spares_an_older_one() {
     let kept = m.commit_log().registered_readers(addr);
     assert_eq!(kept.ranks().collect::<Vec<_>>(), vec![70]);
     assert_eq!(m.commit_log().stats().reader_spills, 2);
-    assert_eq!(m.doom_readers([addr], 0), 1);
+    assert_eq!(m.publish(&mut vec![addr], 0, false), 1);
     assert!(m.doom_requested(70), "the spared reader stays doomable");
     assert!(m.commit_log().registered_readers(addr).is_empty());
 }
@@ -693,7 +693,7 @@ fn commit_spares_logically_older_readers() {
         .load_logged(&*mem, Some(m.commit_log()), cell.addr_of(0), 8)
         .unwrap();
 
-    assert_eq!(m.doom_readers([cell.addr_of(0)], writer), 1);
+    assert_eq!(m.publish(&mut vec![cell.addr_of(0)], writer, false), 1);
     assert!(
         !m.doom_requested(predecessor),
         "a logical predecessor's read legitimately precedes the write"
@@ -717,9 +717,13 @@ fn a_reader_a_commit_spares_stays_doomable() {
     let _ = pred_buf
         .load_logged(&*mem, Some(m.commit_log()), addr, 8)
         .unwrap();
-    assert_eq!(m.doom_readers([addr], writer), 0, "the writer spares it");
     assert_eq!(
-        m.doom_readers([addr], 0),
+        m.publish(&mut vec![addr], writer, false),
+        0,
+        "the writer spares it"
+    );
+    assert_eq!(
+        m.publish(&mut vec![addr], 0, false),
         1,
         "the spared predecessor's read is now stale"
     );
@@ -804,11 +808,13 @@ fn a_rolled_back_childs_readers_are_doomed_by_the_re_executions_publish() {
         "the victim stays registered for the publish to find"
     );
 
-    // Rank 0 re-executes the child and stores word 32: memory, the
-    // commit-log stamp and the doom of the word's readers.
+    // Rank 0 re-executes the child and stores word 32: memory, then — at
+    // the publish of its pending batch, which its next join, fork or check
+    // point runs — the commit-log stamp and the doom of the word's readers.
     let dooms = counted(&m, 0, CounterId::TargetedDooms);
     let mut rank0 = SpecContext::non_speculative(Arc::clone(&m));
     rank0.spec_write(word, 9).unwrap();
+    rank0.publish_pending();
     assert!(m.doom_requested(victim), "the publish dooms the reader");
     assert_eq!(counted(&m, 0, CounterId::TargetedDooms), dooms + 1);
     assert_eq!(
@@ -816,6 +822,39 @@ fn a_rolled_back_childs_readers_are_doomed_by_the_re_executions_publish() {
         Validation::Conflict,
         "the value changed: no in-flight retry clears this doom"
     );
+}
+
+/// A reader that reads every word of a line registers on it once and is
+/// retired from it once: a tracked rank, and a spilled one, whose one
+/// registration is one counted spill.  Returning the buffer leaves no bit
+/// behind on any word of the line.
+#[test]
+fn a_line_read_word_by_word_registers_and_retires_once() {
+    let m = mgr(70);
+    for rank in 1..=70 {
+        assert_eq!(m.try_acquire_cpu(0, ForkModel::Mixed), Ok(rank));
+    }
+    let mem = Arc::clone(m.memory());
+    let cells = mem.alloc::<u64>(16);
+    let first = (0..8)
+        .find(|&i| cells.addr_of(i).is_multiple_of(64))
+        .unwrap();
+    let line: Vec<Addr> = (first..first + 8).map(|i| cells.addr_of(i)).collect();
+    for rank in [1, 70] {
+        let mut buffer = m.take_buffer(rank);
+        for &addr in &line {
+            let _ = buffer.load_logged(&*mem, Some(m.commit_log()), addr, 8);
+        }
+        assert_eq!(buffer.read_set_len(), 8);
+        assert_eq!(buffer.registered_ranges(), &line[..1], "rank {rank}");
+        assert!(m.commit_log().registered_readers(line[7]).contains(rank));
+        m.return_buffer(rank, buffer);
+        for &addr in &line {
+            let readers = m.commit_log().registered_readers(addr);
+            assert!(readers.is_empty(), "rank {rank}: {readers:?} on {addr:#x}");
+        }
+    }
+    assert_eq!(m.commit_log().stats().reader_spills, 1);
 }
 
 /// A task's `fork_range` prices reach the site's books with its commit:

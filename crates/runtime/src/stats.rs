@@ -5,7 +5,9 @@
 //! `work / join / idle / fork / find CPU`, and of the *speculative path*
 //! into `wasted work / finalize / commit / validation / overflow / idle /
 //! fork / find CPU` (plus useful work).  [`Phase`] enumerates those
-//! categories and [`ThreadStats`] accumulates time per category, for both
+//! categories but the overflow stall, which nothing here takes — a thread
+//! whose buffer spills runs on until the overflow area is full, then rolls
+//! back — and [`ThreadStats`] accumulates time per category, for both
 //! the native runtime (nanoseconds) and the discrete-event simulator
 //! (virtual cycles) — the unit is opaque to this module.
 
@@ -40,13 +42,11 @@ pub enum Phase {
     Commit,
     /// Buffer finalization (clearing) after commit or rollback.
     Finalize,
-    /// Time lost to buffer-overflow stalls.
-    Overflow,
 }
 
 impl Phase {
     /// All phases in presentation order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Work,
         Phase::WastedWork,
         Phase::FindCpu,
@@ -56,7 +56,6 @@ impl Phase {
         Phase::Validation,
         Phase::Commit,
         Phase::Finalize,
-        Phase::Overflow,
     ];
 
     /// Human-readable label used in tables.
@@ -71,7 +70,6 @@ impl Phase {
             Phase::Validation => "validation",
             Phase::Commit => "commit",
             Phase::Finalize => "finalize",
-            Phase::Overflow => "overflow",
         }
     }
 }
