@@ -22,7 +22,8 @@
 //! One protocol, one file, each opening with its soundness argument and
 //! closing with its tests: this file (the one-sided guarantee, the window,
 //! the memory-ordering protocol; types, addressing, snapshots, versions and
-//! per-region telemetry), `stamp.rs` (the lock-free commit path),
+//! per-region telemetry), `stamp.rs` (the commit path, the log's one
+//! writer),
 //! `ring.rs` (the MVCC version rings) and `readers.rs` (the reader
 //! registry).
 //!
@@ -69,13 +70,14 @@
 //! Soundness under concurrency relies on the order of operations:
 //!
 //! * **Committer** (always executing logically earlier work): write the
-//!   data words to main memory *first*, then call [`CommitLog::record`],
-//!   which reserves-and-publishes the log's version with the `SeqCst`
-//!   epoch `fetch_add` *before* CAS-stamping the touched slots.  That
-//!   order keeps the invariant that matters: **a snapshot at least the
-//!   committer's version implies the committer's data is visible**, and
-//!   **a stale read implies a snapshot below the version the
-//!   validation-time slot carries**.
+//!   data words to main memory *first*, then call [`CommitLog::publish`]
+//!   — the one code that stamps the log or takes its readers — which
+//!   reserves-and-publishes the log's version with the `SeqCst` epoch
+//!   `fetch_add` *before* it CAS-stamps the touched slots, and takes each
+//!   stamped range's readers right after its stamp.  That order keeps the
+//!   invariant that matters: **a snapshot at least the committer's version
+//!   implies the committer's data is visible**, and **a stale read implies
+//!   a snapshot below the version the validation-time slot carries**.
 //! * **Reader** (a speculative thread): sample
 //!   [`CommitLog::snapshot`]`(addr)` — the log's epoch — with acquire
 //!   *before* loading the word from main memory.
@@ -235,16 +237,15 @@ impl CommitLogConfig {
 /// benchmark ledger print them).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CommitLogStats {
-    /// Commit batches recorded: `record` and `record_word` calls, and
-    /// `publish` calls that stamped a range (each counted batch stamps at
-    /// least one).
+    /// Commit batches recorded: `publish` calls that stamped a range (a
+    /// batch that skipped every range is not counted).
     pub commits: u64,
     /// Range stamps *written* across all batches, cumulatively — the
     /// actual log traffic; coarser grains stamp fewer ranges per batch.
     pub stamp_writes: u64,
     /// Estimated wall-clock nanoseconds of commit publication — the
-    /// reservation, the stamps and (for a `publish`) the take of each
-    /// range's readers (sampled: one batch in
+    /// reservation, the stamps and the take of each range's readers
+    /// (sampled: one batch in
     /// `2^LOCK_SAMPLE_LOG2` is timed, scaled up).  On coarse-resolution
     /// clocks short sections may register as zero.
     pub lock_ns: u64,
@@ -321,16 +322,11 @@ pub struct CommitLog {
     readers_spill: RwLock<HashMap<usize, HashSet<usize>>>,
     /// Range stamps per region of the window, indexed by region id;
     /// relaxed, telemetry only.
-    region_stamps: Vec<AtomicU64>,
-    /// Multi-address commit batches recorded (monotone): those that
-    /// stamped at least one range.
+    region_stamps: ZeroedAtomics,
+    /// Commit batches published (monotone): those that stamped at least
+    /// one range.
     batches: AtomicU64,
-    /// Single-address commits recorded (`record_word`).  Each is exactly
-    /// one batch, one range stamp and one tick of the sampling clock, so
-    /// this is the only telemetry RMW that path pays; the public totals add
-    /// it in.
-    singles: AtomicU64,
-    /// Range stamps written across all multi-address batches.
+    /// Range stamps written across all batches.
     stamped: AtomicU64,
     /// Estimated nanoseconds of commit publication: every
     /// `2^LOCK_SAMPLE_LOG2`-th batch is timed (two clock reads)
@@ -372,8 +368,6 @@ impl CommitLog {
         } else {
             0
         };
-        let mut region_stamps = Vec::with_capacity(region_count);
-        region_stamps.resize_with(region_count, AtomicU64::default);
         CommitLog {
             config,
             region_log2,
@@ -382,9 +376,8 @@ impl CommitLog {
             rings: ZeroedAtomics::new(ring_slots),
             readers: ZeroedAtomics::new(dense_slots),
             readers_spill: RwLock::new(HashMap::new()),
-            region_stamps,
+            region_stamps: ZeroedAtomics::new(region_count),
             batches: AtomicU64::new(0),
-            singles: AtomicU64::new(0),
             stamped: AtomicU64::new(0),
             lock_ns: AtomicU64::new(0),
             reader_spills: AtomicU64::new(0),
@@ -490,7 +483,7 @@ impl CommitLog {
 
     /// Number of commit batches recorded so far.
     pub fn commits(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed) + self.singles.load(Ordering::Relaxed)
+        self.batches.load(Ordering::Relaxed)
     }
 
     /// Aggregate activity counters since construction or the last
@@ -498,8 +491,7 @@ impl CommitLog {
     pub fn stats(&self) -> CommitLogStats {
         CommitLogStats {
             commits: self.commits(),
-            stamp_writes: self.stamped.load(Ordering::Relaxed)
-                + self.singles.load(Ordering::Relaxed),
+            stamp_writes: self.stamped.load(Ordering::Relaxed),
             lock_ns: self.lock_ns.load(Ordering::Relaxed),
             cas_retries: self.cas_retries.load(Ordering::Relaxed),
             reader_spills: self.reader_spills.load(Ordering::Relaxed),
@@ -530,27 +522,20 @@ impl CommitLog {
     /// registries and telemetry.  The caller quiesces the log's users
     /// first.  A log nothing was written into since construction or the
     /// last `clear` already is all of that, word for word, and is left
-    /// alone — its tables came as zero pages and stay unfaulted.
+    /// alone — its tables came as zero pages and stay unfaulted.  A used
+    /// log's mapped tables hand their pages back to the kernel instead of
+    /// being written, so a clear costs the pages the run touched, not the
+    /// arena's size.
     pub fn clear(&self) {
         if !self.touched.load(Ordering::Relaxed) {
             return;
         }
-        for v in self.dense.iter() {
-            v.store(0, Ordering::Relaxed);
-        }
-        for v in self.rings.iter() {
-            v.store(0, Ordering::Relaxed);
-        }
-        for r in self.readers.iter() {
-            r.store(0, Ordering::Relaxed);
+        for table in [&self.dense, &self.rings, &self.readers, &self.region_stamps] {
+            table.zero();
         }
         self.readers_spill.write().clear();
         self.epoch.store(0, Ordering::Release);
-        for stamps in &self.region_stamps {
-            stamps.store(0, Ordering::Relaxed);
-        }
         self.batches.store(0, Ordering::Relaxed);
-        self.singles.store(0, Ordering::Relaxed);
         self.stamped.store(0, Ordering::Relaxed);
         self.lock_ns.store(0, Ordering::Relaxed);
         self.reader_spills.store(0, Ordering::Relaxed);
@@ -558,6 +543,13 @@ impl CommitLog {
         self.ring_overflows.store(0, Ordering::Relaxed);
         self.touched.store(false, Ordering::Relaxed);
     }
+}
+
+/// A logical predecessor's commit of `addrs`, already in memory, that
+/// dooms nobody: the publish walk with every reader spared.
+#[cfg(test)]
+pub(crate) fn publish_sparing_all(log: &CommitLog, addrs: &[Addr]) -> CommitVersion {
+    log.publish(&mut addrs.to_vec(), false, |_| true).0
 }
 
 #[cfg(test)]
@@ -576,8 +568,8 @@ mod tests {
     fn versions_are_monotone_per_batch() {
         let log = word_log();
         assert_eq!(log.epoch(), 0);
-        let v1 = log.record([8, 16]);
-        let v2 = log.record([24]);
+        let v1 = publish_sparing_all(&log, &[8, 16]);
+        let v2 = publish_sparing_all(&log, &[24]);
         assert!(v2 > v1);
         assert_eq!(log.version_of(8), v1);
         assert_eq!(log.version_of(16), v1);
@@ -591,7 +583,7 @@ mod tests {
     fn written_after_flags_only_later_commits() {
         let log = word_log();
         let before = log.snapshot(64);
-        log.record_word(64);
+        publish_sparing_all(&log, &[64]);
         // A read stamped before the commit conflicts…
         assert!(log.written_after(64, before));
         // …a read stamped at (or after) the commit does not.
@@ -603,8 +595,8 @@ mod tests {
     #[test]
     fn rewrite_bumps_the_version() {
         let log = word_log();
-        let v1 = log.record_word(8);
-        let v2 = log.record_word(8);
+        let v1 = publish_sparing_all(&log, &[8]);
+        let v2 = publish_sparing_all(&log, &[8]);
         assert!(v2 > v1);
         assert!(log.written_after(8, v1));
     }
@@ -615,7 +607,7 @@ mod tests {
         // version (false sharing allowed)…
         let log = CommitLog::with_config(CommitLogConfig::line_grain(), 1 << 12);
         let before = log.snapshot(8);
-        log.record_word(8);
+        publish_sparing_all(&log, &[8]);
         assert!(log.written_after(8, before), "the written word conflicts");
         assert!(
             log.written_after(56, before),
@@ -633,12 +625,12 @@ mod tests {
         // one epoch, and every address snapshots it.
         let log = CommitLog::with_config(CommitLogConfig::word_grain(), 2 << 12);
         let region_bytes = 1u64 << log.region_log2();
-        let v_a = log.record_word(0);
-        let v_b = log.record_word(region_bytes);
+        let v_a = publish_sparing_all(&log, &[0]);
+        let v_b = publish_sparing_all(&log, &[region_bytes]);
         assert_eq!(v_a, 1);
         assert_eq!(v_b, 2, "the second region continues the epoch");
         assert_eq!(log.epoch(), 2);
-        let v_a2 = log.record_word(0);
+        let v_a2 = publish_sparing_all(&log, &[0]);
         assert_eq!(v_a2, 3);
         assert_eq!(log.epoch(), 3);
         assert_eq!(log.commits(), 3);
@@ -674,7 +666,7 @@ mod tests {
         let window = 2u64 << log.region_log2();
         let (last, past) = (window - 8, window);
         type EntryPoint = fn(&CommitLog, Addr);
-        let entry_points: [(&str, EntryPoint); 10] = [
+        let entry_points: [(&str, EntryPoint); 8] = [
             ("snapshot", |log, a| {
                 log.snapshot(a);
             }),
@@ -683,12 +675,6 @@ mod tests {
             }),
             ("probe_written", |log, a| {
                 log.probe_written(a, 0);
-            }),
-            ("record", |log, a| {
-                log.record([8, a]);
-            }),
-            ("record_word", |log, a| {
-                log.record_word(a);
             }),
             ("publish", |log, a| {
                 log.publish(&mut vec![8, a], false, |_| false);
@@ -721,8 +707,8 @@ mod tests {
     fn region_profiles_count_the_stamps_of_each_region() {
         let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 14);
         let region_bytes = 1u64 << log.region_log2();
-        log.record([8, 16, region_bytes]);
-        log.record_word(8);
+        publish_sparing_all(&log, &[8, 16, region_bytes]);
+        publish_sparing_all(&log, &[8]);
         let profile = |region, stamps| RegionProfile {
             region,
             grain_log2: WORD_GRAIN_LOG2,
@@ -743,7 +729,16 @@ mod tests {
     #[test]
     fn clear_after_any_one_mutator_leaves_a_freshly_built_log() {
         // Two regions, shallow rings: every table has something to lose.
-        let build = || CommitLog::with_config(CommitLogConfig::word_grain().ring_depth(2), 2 << 12);
+        // At 8 KiB every table is a box, which `clear` writes; at 1 MiB the
+        // per-range tables are mappings, whose pages `clear` drops.
+        for capacity in [2 << 12, 1 << 20] {
+            clear_leaves_a_freshly_built_log(capacity);
+        }
+    }
+
+    fn clear_leaves_a_freshly_built_log(capacity: u64) {
+        let build =
+            || CommitLog::with_config(CommitLogConfig::word_grain().ring_depth(2), capacity);
         let fresh = contents(&build());
         // `clear` on a log nothing used changes nothing.
         let unused = build();
@@ -752,16 +747,14 @@ mod tests {
         // A mutator that forgot to raise the flag would leave its mark
         // behind the early return and fail its row.
         type Mutator = fn(&CommitLog);
-        let mutators: [(&str, Mutator); 6] = [
-            ("record", |log| {
+        let mutators: [(&str, Mutator); 5] = [
+            ("publish, sparing every reader", |log| {
+                log.register_reader(8, 1);
                 for _ in 0..2 << RING_BUCKET_LOG2 {
-                    log.record([8, 4096 + 16]);
+                    publish_sparing_all(log, &[8, 4096 + 16]);
                 }
                 // Two whole buckets back on a depth-2 ring: counted.
                 assert_eq!(log.probe_written(8, 0), RingCheck::Overflow);
-            }),
-            ("record_word", |log| {
-                log.record_word(4096 + 8);
             }),
             ("publish", |log| {
                 log.register_reader(8, 1);
@@ -784,7 +777,10 @@ mod tests {
             mutate(&log);
             assert!(contents(&log) != fresh, "{name} left no mark to clear");
             log.clear();
-            assert!(contents(&log) == fresh, "{name} survived the clear");
+            assert!(
+                contents(&log) == fresh,
+                "{name} survived the clear of {capacity}"
+            );
         }
     }
 }

@@ -1,18 +1,18 @@
 //! The commit log's **reader registry**:
-//! [`register_reader`](CommitLog::register_reader),
-//! [`take_readers`](CommitLog::take_readers) and the [`ReaderSet`] they
-//! trade in.
+//! [`register_reader`](CommitLog::register_reader), the take that
+//! [`publish`](CommitLog::publish) runs on each range it stamps, and the
+//! [`ReaderSet`] they trade in.
 //!
 //! Alongside each range's version the log keeps a *reader registry*: a
 //! bitmask of the thread ids (ranks `1..=`[`MAX_TRACKED_READERS`]) whose
 //! read sets currently cover the range, plus — since the rank cap was
 //! lifted — a per-range **spill set** (a hash set behind the log's spill
 //! lock) holding the ranks beyond the bitmask window.  A committing
-//! writer can [`take_readers`](CommitLog::take_readers) of the ranges it
-//! just stamped and doom exactly those threads (*targeted dooming*)
-//! instead of squashing every logical successor; enumeration is complete
-//! at any thread count, so the old cascade fallback for >63-rank sweeps is
-//! gone.
+//! writer's [`publish`](CommitLog::publish) takes the readers of each
+//! range it stamps, and the writer dooms exactly those threads (*targeted
+//! dooming*) instead of squashing every logical successor; enumeration is
+//! complete at any thread count, so the old cascade fallback for >63-rank
+//! sweeps is gone.
 //!
 //! Registration stays **off the slow-path lock**: a tracked reader ORs its
 //! bit into the range's mask with a single atomic RMW and then
@@ -20,9 +20,9 @@
 //! since a snapshot sampled *before* the registration could let a racing
 //! committer both miss the bit and stay below the snapshot.  With the
 //! registration sequenced first (all four operations `SeqCst`), a
-//! committer whose [`take_readers`](CommitLog::take_readers) misses the
-//! bit must have published its epoch before the reader's snapshot, so
-//! the reader's snapshot covers the commit and no conflict existed.  A
+//! committer whose take misses the bit must have published its epoch
+//! before the reader's snapshot, so the reader's snapshot covers the
+//! commit and no conflict existed.  A
 //! spilled (rank > 63) reader inserts into the spill set *under the
 //! spill lock* and sets the sticky spill-marker bit before re-reading
 //! the epoch; the lock's release/acquire edges plus the `SeqCst` epoch
@@ -79,7 +79,7 @@ fn reader_bit(rank: usize) -> u64 {
 }
 
 /// The set of reader ranks enumerated from the registry for a batch of
-/// ranges (see [`CommitLog::take_readers`]): a bitmask for ranks
+/// ranges (see [`CommitLog::publish`]): a bitmask for ranks
 /// `1..=`[`MAX_TRACKED_READERS`] plus an explicit (sorted) list of
 /// spilled ranks beyond the window.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl ReaderSet {
 }
 
 /// What a take has gathered so far, range by range (see
-/// [`CommitLog::take_readers_sparing`]).
+/// [`CommitLog::publish`]).
 #[derive(Default)]
 pub(super) struct ReaderTake {
     /// Tracked ranks asked so far, and which of them are spared.
@@ -165,7 +165,7 @@ impl CommitLog {
     /// spill-set insert plus the sticky marker bit for ranks past the
     /// window — both off the slow-path lock) and the epoch is
     /// (re-)read *after* the registration is globally visible.  A
-    /// committer whose [`take_readers`](Self::take_readers) misses the
+    /// committer whose [`publish`](Self::publish) misses the
     /// registration must therefore have published its epoch before this
     /// snapshot, so the snapshot covers the commit and the read is not
     /// stale.  A rank whose bit the range's mask already holds (or, past
@@ -252,39 +252,24 @@ impl CommitLog {
         }
     }
 
-    /// Enumerate *and clear* the registered readers of every range
-    /// covering `addrs` — [`take_readers_sparing`](Self::take_readers_sparing)
-    /// with nobody spared.
+    /// [`take_readers_sparing`](Self::take_readers_sparing) with nobody
+    /// spared: what the benchmark's probes import.
+    #[doc(hidden)]
     pub fn take_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> ReaderSet {
         self.take_readers_sparing(addrs, |_| false)
     }
 
-    /// Enumerate the registered readers of every range covering `addrs`
-    /// and clear their registrations, except those of the ranks `spare`
-    /// keeps — what a committing writer does right after stamping
-    /// ([`publish`](Self::publish) does both in one walk, range by range),
-    /// so the returned set is exactly the threads whose read sets overlap
-    /// the just-stamped ranges and that the writer does not spare (tracked
-    /// bitmask ranks plus every spilled rank; enumeration is complete at
-    /// any thread count).
+    /// Take the readers of every range covering `addrs` by
+    /// [`publish`](Self::publish)'s rule, *without stamping the ranges*:
+    /// what the benchmark's probes import, and nothing else may call.
     ///
-    /// Clearing what is returned bounds registry staleness: a returned
-    /// reader is doomed or no longer running, and a doomed reader
-    /// re-registers when it retries or re-executes.  A spared reader (a
-    /// running logical predecessor of the writer, whose read this commit
-    /// does not make stale) keeps its bit on exactly the ranges it was
-    /// found on, so a later publish by a logically earlier writer still
-    /// finds and dooms it.  `spare` is asked once per tracked rank, and
-    /// once per range for a spilled one.
-    ///
-    /// Per range the mask is read once and only bits of that read are
-    /// cleared (`fetch_and`, not a swap): a bit set after the read is
-    /// neither returned nor cleared, which is the missed-reader case of
-    /// the module docs — its snapshot covers this commit — and a spared
-    /// bit is never out of the mask, so no concurrent enumeration can miss
-    /// it.  A spill set is filtered under the spill lock, and its marker
-    /// bit is cleared under the same lock when the set empties, as in
-    /// [`unregister_reader`](Self::unregister_reader).
+    /// A take without a stamp breaks `publish`'s skip-unread argument.  A
+    /// registration it clears leaves no stamp behind, so a later publish
+    /// with `skip_unread` finds neither a reader nor a stamp on the range
+    /// and skips it, while the reader may still hold a value read before
+    /// that publish: a missed conflict.  The runtime takes readers only
+    /// through `publish`, where every take follows its range's stamp.
+    #[doc(hidden)]
     pub fn take_readers_sparing<I, F>(&self, addrs: I, mut spare: F) -> ReaderSet
     where
         I: IntoIterator<Item = Addr>,
@@ -303,9 +288,18 @@ impl CommitLog {
     }
 
     /// Take the readers of one range (slot `local`, window-checked) into
-    /// `take`: the per-range step of
-    /// [`take_readers_sparing`](Self::take_readers_sparing), and of the
-    /// publish walk, which takes each range right after stamping it.
+    /// `take`: the per-range step of the publish walk, which takes each
+    /// range right after stamping it (and of
+    /// [`take_readers_sparing`](Self::take_readers_sparing)).
+    ///
+    /// The mask is read once and only bits of that read are cleared
+    /// (`fetch_and`, not a swap): a bit set after the read is neither
+    /// returned nor cleared, which is the missed-reader case of the module
+    /// docs — its snapshot covers this commit — and a spared bit is never
+    /// out of the mask, so no concurrent enumeration can miss it.  A spill
+    /// set is filtered under the spill lock, and its marker bit is cleared
+    /// under the same lock when the set empties, as in
+    /// [`unregister_reader`](Self::unregister_reader).
     pub(super) fn take_slot<F: FnMut(usize) -> bool>(
         &self,
         local: usize,
@@ -391,8 +385,8 @@ mod tests {
         let set = log.registered_readers(8);
         assert!(set.contains(3) && set.contains(5) && !set.contains(7));
         assert_eq!(set.len(), 2);
-        // Enumeration returns exactly the overlapping readers and clears.
-        let taken = log.take_readers([8]);
+        // A publish takes exactly the overlapping readers and clears them.
+        let taken = log.publish(&mut vec![8], false, |_| false).1;
         assert_eq!(taken.ranks().collect::<Vec<_>>(), vec![3, 5]);
         assert!(log.registered_readers(8).is_empty());
         assert!(
@@ -422,7 +416,7 @@ mod tests {
             assert!(log.register(64, rank).1, "rank {rank}: next range");
         }
         assert_eq!(log.stats().reader_spills, 2);
-        let taken = log.take_readers([8]);
+        let taken = log.publish(&mut vec![8], false, |_| false).1;
         assert_eq!(taken.ranks().collect::<Vec<_>>(), vec![5, 90]);
         assert!(log.register(16, 5).1 && log.register(16, 90).1);
         assert!(!log.register(0, 0).1, "rank 0 registers nothing");
@@ -437,7 +431,7 @@ mod tests {
         log.register_reader(8, 2);
         assert!(log.registered_readers(56).contains(2), "same line");
         assert!(!log.registered_readers(64).contains(2), "next line");
-        let taken = log.take_readers([48]);
+        let taken = log.publish(&mut vec![48], false, |_| false).1;
         assert!(taken.contains(2));
     }
 
@@ -450,7 +444,7 @@ mod tests {
         log.register_reader(8, MAX_TRACKED_READERS);
         log.register_reader(8, MAX_TRACKED_READERS + 1);
         log.register_reader(8, 200);
-        let set = log.take_readers([8]);
+        let set = log.publish(&mut vec![8], false, |_| false).1;
         assert!(set.contains(MAX_TRACKED_READERS));
         assert!(set.contains(MAX_TRACKED_READERS + 1));
         assert!(set.contains(200));
@@ -460,7 +454,7 @@ mod tests {
             vec![MAX_TRACKED_READERS, MAX_TRACKED_READERS + 1, 200]
         );
         // Cleared on take, spill set included.
-        assert!(log.take_readers([8]).is_empty());
+        assert!(log.publish(&mut vec![8], false, |_| false).1.is_empty());
         // Unregister removes a single spilled rank; the other survives.
         log.register_reader(16, 100);
         log.register_reader(16, 101);
@@ -478,7 +472,7 @@ mod tests {
             log.register_reader(addr, rank);
         }
         let mut asked = Vec::new();
-        let taken = log.take_readers_sparing([8, 16], |rank| {
+        let (_, taken) = log.publish(&mut vec![8, 16], false, |rank| {
             asked.push(rank);
             rank == 2 || rank == 100
         });
@@ -489,10 +483,8 @@ mod tests {
         assert_eq!(kept.ranks().collect::<Vec<_>>(), vec![2, 100]);
         assert!(log.registered_readers(16).is_empty());
         // Nobody spared: the rest goes, spill marker included.
-        assert_eq!(
-            log.take_readers([8]).ranks().collect::<Vec<_>>(),
-            vec![2, 100]
-        );
+        let (_, rest) = log.publish(&mut vec![8], false, |_| false);
+        assert_eq!(rest.ranks().collect::<Vec<_>>(), vec![2, 100]);
         assert_eq!(log.readers[log.slot_of(8)].load(Ordering::SeqCst), 0);
     }
 
@@ -511,22 +503,21 @@ mod tests {
     #[test]
     fn registered_reader_with_stale_snapshot_is_always_enumerated() {
         // The deterministic half of the seqlock argument: a reader whose
-        // registration precedes a commit is enumerated by that commit's
-        // take_readers — the "doom exactly the stale readers" contract.
+        // registration precedes a commit is taken by that commit's
+        // publish — the "doom exactly the stale readers" contract.
         let log = CommitLog::with_config(CommitLogConfig::word_grain(), 64);
         let snapshot = log.register_reader(8, 7);
-        let version = log.record_word(8);
+        let (version, taken) = log.publish(&mut vec![8], false, |_| false);
         assert!(version > snapshot, "the read is stale");
-        let taken = log.take_readers([8]);
         assert!(taken.contains(7), "stale reader missed by enumeration");
-        // A second enumeration finds nothing (cleared on take).
-        assert!(log.take_readers([8]).is_empty());
+        // A second publish takes nothing (cleared on take).
+        assert!(log.publish(&mut vec![8], false, |_| false).1.is_empty());
     }
 
     #[test]
     fn concurrent_registration_and_enumeration_never_strands_a_stale_reader() {
         // Concurrent hammer of the protocol: after a commit, a reader is
-        // either enumerated by some take_readers or its snapshot covers
+        // either taken by some publish or its snapshot covers
         // the commit (no conflict) — a reader can never be both stale and
         // permanently invisible.  The reader thread checks its own half.
         // Rank 77 exercises the spill-set path of the same argument.
@@ -544,8 +535,7 @@ mod tests {
                 let enumerated = std::sync::Arc::clone(&enumerated);
                 std::thread::spawn(move || {
                     while reader_done.load(Ordering::Acquire) == 0 {
-                        log.record_word(8);
-                        if log.take_readers([8]).contains(rank) {
+                        if log.publish(&mut vec![8], false, |_| false).1.contains(rank) {
                             enumerated.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -555,8 +545,8 @@ mod tests {
             for _ in 0..2_000 {
                 let snapshot = log.register_reader(8, rank);
                 if log.version_of(8) <= snapshot {
-                    // Snapshot covers every commit so far: a take_readers
-                    // that missed this registration missed nothing stale.
+                    // Snapshot covers every commit so far: a publish that
+                    // missed this registration missed nothing stale.
                     covered += 1;
                 }
             }

@@ -247,13 +247,13 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     use super::*;
-    use crate::commit_log::CommitLogConfig;
+    use crate::commit_log::{publish_sparing_all, CommitLogConfig};
 
     #[test]
     fn ring_probe_distinguishes_touched_from_false_sharing() {
         let log = CommitLog::with_config(CommitLogConfig::line_grain(), 1 << 12);
         assert_eq!(log.config().ring_depth, DEFAULT_RING_DEPTH);
-        let v = log.record_word(8);
+        let v = publish_sparing_all(&log, &[8]);
         // The written word conflicts…
         assert_eq!(
             log.probe_written(8, 0),
@@ -276,8 +276,8 @@ mod tests {
         // precise, and the touch restamp target is the bucket's newest
         // version (conservative for the older write).
         let log = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(4), 1 << 12);
-        let v1 = log.record_word(8);
-        let v2 = log.record_word(16);
+        let v1 = publish_sparing_all(&log, &[8]);
+        let v2 = publish_sparing_all(&log, &[16]);
         assert!(v2 > v1);
         assert_eq!(
             log.probe_written(8, 0),
@@ -294,7 +294,7 @@ mod tests {
     fn ring_depth_one_degenerates_to_single_version() {
         let log = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(1), 1 << 12);
         assert_eq!(log.config().ring_depth, 1);
-        let v = log.record_word(8);
+        let v = publish_sparing_all(&log, &[8]);
         // Any post-snapshot commit to the range flags any word of it —
         // exactly `written_after`, never Precise.
         assert_eq!(
@@ -312,7 +312,7 @@ mod tests {
         let bucket = 1u64 << RING_BUCKET_LOG2;
         let log = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(2), 1 << 12);
         for _ in 0..2 * bucket {
-            log.record_word(16);
+            publish_sparing_all(&log, &[16]);
         }
         assert_eq!(log.probe_written(8, 0), RingCheck::Overflow);
         assert_eq!(log.stats().ring_overflows, 1);
@@ -321,7 +321,7 @@ mod tests {
         // A deeper ring over the same commits stays precise.
         let deep = CommitLog::with_config(CommitLogConfig::line_grain().ring_depth(4), 1 << 12);
         for _ in 0..2 * bucket {
-            deep.record_word(16);
+            publish_sparing_all(&deep, &[16]);
         }
         assert_eq!(deep.probe_written(8, 0), RingCheck::Precise);
         assert_eq!(
@@ -350,7 +350,7 @@ mod tests {
             let stop = std::sync::Arc::clone(&stop);
             std::thread::spawn(move || {
                 while stop.load(Ordering::Acquire) == 0 {
-                    log.record([8, 24]);
+                    publish_sparing_all(&log, &[8, 24]);
                 }
             })
         };

@@ -1,46 +1,43 @@
-//! The commit log's **lock-free commit path**:
-//! [`publish`](CommitLog::publish) — the runtime's, which takes each
-//! stamped range's readers in the same walk —
-//! [`record`](CommitLog::record), [`record_word`](CommitLog::record_word)
-//! and the stamp loop underneath them.  (The guarantee it keeps and the
-//! ordering it is one half of are in the parent module.)
+//! The commit log's **commit path**: [`publish`](CommitLog::publish), the
+//! one code that stamps the log or takes its readers.  (The guarantee it
+//! keeps and the ordering it is one half of are in the parent module.)
 //!
-//! Commits publish **without any lock**:
+//! A publish is one walk over one batch of addresses its committer already
+//! wrote to main memory, without any lock:
 //!
-//! * **Version reservation = epoch publish.**  A committer reserves its
+//! * **Version reservation = epoch publish.**  The batch reserves its
 //!   version with one `SeqCst` `fetch_add` on the log's epoch.  The RMW
 //!   chain on the epoch word forms a release sequence, so a reader whose
 //!   [`snapshot`](CommitLog::snapshot) observes epoch `>= v`
 //!   synchronizes with committer `v`'s reservation — and the committer
-//!   wrote its data words to main memory *before* calling
-//!   [`record`](CommitLog::record) — hence the reader's subsequent data
-//!   loads see commit `v`'s values.  Contrapositive: a reader that read
-//!   *stale* data has a snapshot `< v`.
-//! * **CAS-published slots.**  Each touched range's dense slot is then
-//!   raised to `v` with a monotone `load → check → compare_exchange`
-//!   loop ([`stamp_writes`](CommitLogStats::stamp_writes) counts the
-//!   slots, [`cas_retries`](CommitLogStats::cas_retries) the loop
-//!   retries): if the slot already holds a version `>= v` a concurrent
-//!   later commit owns it and the stamp is free.  Committers stamping
-//!   **disjoint** ranges never contend; same-slot races cost a bounded
-//!   retry, never a wait.  Join-time validation reads the slot *after*
-//!   the relevant commit's `record` returned (the runtime's join
-//!   ordering), so the slot is `>= v` and any reader with a stale
-//!   snapshot `s < v` is flagged: missed conflicts stay structurally
-//!   impossible.
+//!   wrote its data words to main memory *before* calling `publish` —
+//!   hence the reader's subsequent data loads see commit `v`'s values.
+//!   Contrapositive: a reader that read *stale* data has a snapshot `< v`.
+//! * **Stamp, then take, range by range.**  The sorted batch is walked one
+//!   region at a time.  Each touched range's ring is merged first, then
+//!   its dense slot is raised to `v` with a monotone
+//!   `load → check → compare_exchange` loop
+//!   ([`stamp_writes`](CommitLogStats::stamp_writes) counts the slots,
+//!   [`cas_retries`](CommitLogStats::cas_retries) the loop retries), and
+//!   then the range's readers are taken (`readers.rs`) before the walk
+//!   moves on.  Join-time validation reads the slot *after* the relevant
+//!   commit's `publish` returned (the runtime's join ordering), so the slot
+//!   is `>= v` and any reader with a stale snapshot `s < v` is flagged:
+//!   missed conflicts stay structurally impossible.
 //!
 //! [`clear`](CommitLog::clear) is the one cold path; it runs between
 //! runs, with the log's users quiesced, and the reader-registry spill sets
 //! sit behind a lock of their own.
 //!
-//! The loop is written for any number of concurrent committers and
-//! tested that way below.  The runtime drives it with **one committer at
-//! a time**: its only commit sites are rank 0's batch of pending stores
-//! and a join that validates against main memory (a non-speculative joiner, or a
-//! child promoted while that joiner waits) — speculative joiners absorb
-//! instead — which is why `cas_retries` reads 0 on every ledger row, and
-//! why the log keeps one epoch: there is no committer contention for
-//! separate counters to spread.
+//! The loop is still written for any number of concurrent committers (a
+//! slot already at or above `v` was raised by a later commit, and the
+//! stamp is free) and tested that way below.  The runtime drives it with
+//! **one committer at a time**: its only commit sites are rank 0's batch of
+//! pending stores and a join that validates against main memory (a
+//! non-speculative joiner, or a child promoted while that joiner waits) —
+//! speculative joiners absorb instead — which is why `cas_retries` reads 0
+//! on every ledger row, and why the log keeps one epoch: there is no
+//! committer contention for separate counters to spread.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -52,52 +49,38 @@ use super::CommitLogStats;
 use super::{CommitLog, CommitVersion, ReaderSet, LOCK_SAMPLE_LOG2};
 use crate::memory::Addr;
 
-/// Whether the commit that drew ticket `nth` from its path's counter has
-/// its lock-hold time measured: one in `2^LOCK_SAMPLE_LOG2` is timed and
-/// its duration scaled up, so the hot publish path pays the two clock
-/// reads only on a small fraction of commits.
+/// Whether the batch reserving from epoch `nth` has its publication time
+/// measured: one in `2^LOCK_SAMPLE_LOG2` is timed and its duration scaled
+/// up, so the hot publish path pays the two clock reads only on a small
+/// fraction of batches.
 fn lock_time_sampled(nth: u64) -> bool {
     nth & ((1 << LOCK_SAMPLE_LOG2) - 1) == 0
 }
 
 impl CommitLog {
-    /// Record one commit batch covering `addrs` and return the version
-    /// it published (the current [`epoch`](Self::epoch) for an empty
-    /// batch, which records nothing).
-    ///
-    /// The caller must have already written the data words to main memory
-    /// (see the module-level ordering protocol).  The batch's version is
-    /// reserved-and-published with one `SeqCst` `fetch_add` and the
-    /// touched slots raised by CAS.  The runtime publishes through
-    /// [`publish`](Self::publish), which also takes the readers.
-    pub fn record<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> CommitVersion {
-        let mut iter = addrs.into_iter();
-        let Some(first) = iter.next() else {
-            return self.epoch();
-        };
-        let mut addrs: Vec<Addr> = iter.collect();
-        if addrs.is_empty() {
-            // Single-address batch: no sorting allocation.
-            return self.record_single(first);
-        }
-        addrs.push(first);
-        self.publish_batch(&mut addrs, false, |_| {})
-    }
-
     /// Publish one batch of written addresses and take the readers of the
-    /// ranges it stamps, in one walk: the runtime's one publish (rank 0's
-    /// pending stores, a join's commit).  The caller wrote the data words
-    /// to main memory first.
+    /// ranges it stamps, in one walk: the log's one writer, for rank 0's
+    /// pending stores and a join's commit alike.  The caller wrote the data
+    /// words to main memory first.
     ///
     /// The batch is sorted and deduplicated in place — the walk allocates
     /// nothing — one version is reserved for all of it, and each range is
-    /// stamped and then has its readers taken, by
-    /// [`take_readers_sparing`](Self::take_readers_sparing)'s rule with
-    /// `spare`, before the walk moves on.  The take follows the version's
-    /// reservation, which is all the missed-reader argument of the reader
-    /// registry asks of it.  Returns the version and the readers taken,
-    /// and leaves `batch` empty with its capacity kept; an empty batch
-    /// records nothing.
+    /// stamped and then has its readers taken before the walk moves on.
+    /// The take follows the version's reservation, which is all the
+    /// missed-reader argument of the reader registry asks of it.  Returns
+    /// the version and the readers taken, and leaves `batch` empty with its
+    /// capacity kept; an empty batch records nothing.
+    ///
+    /// The take returns and clears every reader registered on a stamped
+    /// range except the ranks `spare` keeps: a running logical predecessor
+    /// of the writer, whose read this commit does not make stale, keeps its
+    /// registration on exactly the ranges it was found on, so a later
+    /// publish by a logically earlier writer still finds and dooms it.
+    /// Clearing what is returned bounds registry staleness: a returned
+    /// reader is doomed or no longer running, and a doomed reader
+    /// re-registers when it retries or re-executes.  `spare` is asked once
+    /// per tracked rank, and once per range for a spilled one; a `spare`
+    /// that keeps every rank takes nobody and stamps what the commit stamps.
     ///
     /// With `skip_unread`, a range no reader could hold stale is not
     /// stamped: no rank is registered on it and nothing stamped it before.
@@ -116,23 +99,8 @@ impl CommitLog {
         mut spare: F,
     ) -> (CommitVersion, ReaderSet) {
         let mut take = ReaderTake::default();
-        let version = self.publish_batch(batch, skip_unread, |local| {
-            self.take_slot(local, &mut take, &mut spare)
-        });
-        (version, take.into_set())
-    }
-
-    /// Sort, deduplicate and publish `batch` under one version, calling
-    /// `on_slot` with each slot it stamps, and leave it empty: the walk
-    /// under [`record`](Self::record) and [`publish`](Self::publish).
-    fn publish_batch(
-        &self,
-        batch: &mut Vec<Addr>,
-        skip_unread: bool,
-        on_slot: impl FnMut(usize),
-    ) -> CommitVersion {
         if batch.is_empty() {
-            return self.epoch();
+            return (self.epoch(), take.into_set());
         }
         self.touch();
         // Ascending addresses put each region's addresses in one
@@ -145,16 +113,45 @@ impl CommitLog {
         let sample = lock_time_sampled(self.epoch.load(Ordering::Relaxed));
         let started = sample.then(Instant::now);
         let mut retries = 0u64;
-        let (version, stamped) = self.publish_run(batch, &mut retries, skip_unread, on_slot);
+        let (version, stamped) = self.publish_run(batch, &mut retries, skip_unread, |local| {
+            self.take_slot(local, &mut take, &mut spare)
+        });
         // A batch that stamped nothing reserved a version but is no commit
         // batch: every batch counted stamps at least one range.
         if stamped > 0 {
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.stamped.fetch_add(stamped, Ordering::Relaxed);
         }
-        self.close_batch(started, retries);
+        if let Some(started) = started {
+            self.lock_ns.fetch_add(
+                (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
+                Ordering::Relaxed,
+            );
+        }
+        if retries > 0 {
+            self.cas_retries.fetch_add(retries, Ordering::Relaxed);
+        }
         batch.clear();
-        version
+        (version, take.into_set())
+    }
+
+    /// [`publish`](Self::publish) of `addrs` sparing every reader: what the
+    /// benchmark's probes import.
+    #[doc(hidden)]
+    pub fn record<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> CommitVersion {
+        // A fn item, not a closure: one copy of the walk for every `I`.
+        fn spare_every_reader(_: usize) -> bool {
+            true
+        }
+        self.publish(&mut addrs.into_iter().collect(), false, spare_every_reader)
+            .0
+    }
+
+    /// [`record`](Self::record) of one address: what the benchmark's
+    /// probes import.
+    #[doc(hidden)]
+    pub fn record_word(&self, addr: Addr) -> CommitVersion {
+        self.record([addr])
     }
 
     /// Publish one (sorted, deduplicated) batch.  Reserve-and-publish the
@@ -254,41 +251,6 @@ impl CommitLog {
         }
         stamped
     }
-
-    /// Book a batch's sampled publication time and its CAS retries.
-    fn close_batch(&self, started: Option<Instant>, retries: u64) {
-        if let Some(started) = started {
-            self.lock_ns.fetch_add(
-                (started.elapsed().as_nanos() as u64) << LOCK_SAMPLE_LOG2,
-                Ordering::Relaxed,
-            );
-        }
-        if retries > 0 {
-            self.cas_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-    }
-
-    fn record_single(&self, addr: Addr) -> CommitVersion {
-        self.touch();
-        let sample = lock_time_sampled(self.singles.fetch_add(1, Ordering::Relaxed));
-        let started = sample.then(Instant::now);
-        let mut retries = 0u64;
-        let version = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        // One address is a one-element region group: the window check
-        // and the CAS-max apply unchanged.
-        let stamped =
-            self.stamp_region_group_cas(&[addr], version, &mut retries, false, &mut |_| {});
-        debug_assert_eq!(stamped, 1);
-        self.close_batch(started, retries);
-        version
-    }
-
-    /// Record a single-word commit.  The runtime stamps rank 0's stores in
-    /// batches through [`publish`](Self::publish); this is the one-word
-    /// form, kept for callers that stamp a word at a time.
-    pub fn record_word(&self, addr: Addr) -> CommitVersion {
-        self.record_single(addr)
-    }
 }
 
 #[cfg(test)]
@@ -296,15 +258,17 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     use super::*;
-    use crate::commit_log::{CommitLogConfig, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2};
+    use crate::commit_log::{
+        publish_sparing_all, CommitLogConfig, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2, WORD_GRAIN_LOG2,
+    };
 
     #[test]
     fn a_batch_publishes_one_version() {
         // A batch spanning two regions reserves one version from the one
         // epoch, and every range it touches carries it.
         let log = CommitLog::with_config(CommitLogConfig::default(), 1 << 16);
-        assert_eq!(log.record_word(0), 1);
-        assert_eq!(log.record([8, 4096]), 2);
+        assert_eq!(publish_sparing_all(&log, &[0]), 1);
+        assert_eq!(publish_sparing_all(&log, &[8, 4096]), 2);
         assert_eq!(log.version_of(8), 2);
         assert_eq!(log.version_of(4096), 2);
         assert_eq!(log.snapshot(0), 2);
@@ -329,7 +293,7 @@ mod tests {
             let stop = std::sync::Arc::clone(&stop);
             std::thread::spawn(move || {
                 for _ in 0..20_000 {
-                    log.record([8, 256, 1024]);
+                    publish_sparing_all(&log, &[8, 256, 1024]);
                 }
                 stop.store(1, Ordering::Release);
             })
@@ -373,7 +337,7 @@ mod tests {
                     let barrier = std::sync::Arc::clone(&barrier);
                     std::thread::spawn(move || {
                         barrier.wait();
-                        log.record_word(8)
+                        publish_sparing_all(&log, &[8])
                     })
                 })
                 .collect();
@@ -404,7 +368,7 @@ mod tests {
                 let barrier = std::sync::Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    log.record_word(i as Addr * 8)
+                    publish_sparing_all(&log, &[i as Addr * 8])
                 })
             })
             .collect();
@@ -440,7 +404,7 @@ mod tests {
                         barrier.wait();
                         let mut last = 0;
                         for _ in 0..2_000 {
-                            let v = log.record_word(8 + t * 16);
+                            let v = publish_sparing_all(&log, &[8 + t * 16]);
                             assert!(v > last, "reservations are monotone");
                             last = v;
                         }
@@ -466,7 +430,7 @@ mod tests {
         // Single-threaded commits never retry; clear() resets the counter.
         let log = CommitLog::with_config(CommitLogConfig::default(), 1 << 12);
         for i in 0..32u64 {
-            log.record([i * 8, i * 8 + 2048]);
+            publish_sparing_all(&log, &[i * 8, i * 8 + 2048]);
         }
         assert_eq!(
             log.stats().cas_retries,
@@ -485,9 +449,13 @@ mod tests {
         let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 13);
         let snap = log.register_reader(8, 3);
         assert_eq!(snap, 0);
-        assert_eq!(log.record([8, 64, 4096]), 1, "one version for both regions");
-        assert_eq!(log.record([8]), 2);
-        assert_eq!(log.record_word(16), 3);
+        assert_eq!(
+            publish_sparing_all(&log, &[8, 64, 4096]),
+            1,
+            "one version for both regions"
+        );
+        assert_eq!(publish_sparing_all(&log, &[8]), 2);
+        assert_eq!(publish_sparing_all(&log, &[16]), 3);
         assert!(log.written_after(8, snap));
         assert_eq!(log.version_of(64), 1, "word grain: 64 is its own slot");
         assert_eq!(
@@ -499,7 +467,7 @@ mod tests {
         let stats = log.stats();
         assert_eq!((stats.commits, stats.stamp_writes), (3, 5));
         assert!(
-            log.take_readers([8]).contains(3),
+            log.registered_readers(8).contains(3),
             "the reader is still registered"
         );
     }
@@ -513,7 +481,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u64 {
                     let addr = ((t * 500 + i) % 64) * 8 + 8;
-                    log.record_word(addr);
+                    publish_sparing_all(&log, &[addr]);
                     let _ = log.version_of(addr);
                 }
             }));
@@ -534,7 +502,7 @@ mod tests {
         let stamps_at = |grain_log2: u32| {
             let log =
                 CommitLog::with_config(CommitLogConfig::default().grain_log2(grain_log2), 1 << 12);
-            log.record(batch.iter().copied());
+            publish_sparing_all(&log, &batch);
             log.stats().stamp_writes
         };
         assert_eq!(stamps_at(WORD_GRAIN_LOG2), 64);
@@ -564,7 +532,7 @@ mod tests {
         assert!(log.registered_readers(40).contains(3), "not published");
         let stats = log.stats();
         assert_eq!((stats.commits, stats.stamp_writes), (1, 3));
-        // One address counts as `record_word` does; none records nothing.
+        // One address is one commit of one stamp; none records nothing.
         log.publish(&mut vec![8], false, |_| false);
         assert_eq!(
             log.publish(&mut Vec::new(), false, |_| false).0,
@@ -581,7 +549,7 @@ mod tests {
         // — but the batch still reserves its version.
         let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12);
         log.register_reader(8, 2);
-        log.record_word(16);
+        publish_sparing_all(&log, &[16]);
         let (version, taken) = log.publish(&mut vec![24, 16, 8], true, |_| false);
         assert_eq!(log.epoch(), version);
         assert_eq!((log.version_of(8), log.version_of(16)), (version, version));
@@ -595,10 +563,83 @@ mod tests {
     }
 
     #[test]
+    fn the_frozen_writers_publish_what_publish_publishes_and_take_no_reader() {
+        // `record` and `record_word` against `publish` sparing every
+        // reader, each on its own copy of one log: readers on 8 (rank 2)
+        // and on the next region (rank 70, spilled), 16 stamped before.
+        type Writer = fn(&CommitLog, &[Addr]) -> CommitVersion;
+        let record: Writer = |log, addrs| log.record(addrs.iter().copied());
+        let record_word: Writer = |log, addrs| log.record_word(addrs[0]);
+        let rows: [(&str, &[Addr], Writer); 6] = [
+            ("record, empty", &[], record),
+            ("record, one read word", &[8], record),
+            (
+                "record, repeats over two regions",
+                &[4096 + 8, 8, 16, 8, 24],
+                record,
+            ),
+            ("record_word, a read word", &[8], record_word),
+            ("record_word, unread", &[32], record_word),
+            (
+                "record_word, the spilled reader's",
+                &[4096 + 8],
+                record_word,
+            ),
+        ];
+        let probed: [Addr; 5] = [8, 16, 24, 32, 4096 + 8];
+        for grain in [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2] {
+            let build = || {
+                let log =
+                    CommitLog::with_config(CommitLogConfig::default().grain_log2(grain), 2 << 12);
+                log.register_reader(8, 2);
+                log.register_reader(4096 + 8, 70);
+                publish_sparing_all(&log, &[16]);
+                log
+            };
+            for (name, addrs, write) in rows {
+                let (wrapped, published) = (build(), build());
+                let before = published.stats();
+                let version = write(&wrapped, addrs);
+                let (expected, taken) = published.publish(&mut addrs.to_vec(), false, |_| true);
+                assert_eq!(version, expected, "{name}, grain {grain}");
+                assert!(taken.is_empty(), "{name}: the publish took a reader");
+                for addr in probed {
+                    assert_eq!(
+                        wrapped.version_of(addr),
+                        published.version_of(addr),
+                        "{name}"
+                    );
+                }
+                let (w, p) = (wrapped.stats(), published.stats());
+                assert_eq!(
+                    (
+                        w.commits - before.commits,
+                        w.stamp_writes - before.stamp_writes
+                    ),
+                    (
+                        p.commits - before.commits,
+                        p.stamp_writes - before.stamp_writes
+                    ),
+                    "{name}, grain {grain}"
+                );
+                assert!(wrapped.registered_readers(8).contains(2), "{name}");
+                assert!(wrapped.registered_readers(4096 + 8).contains(70), "{name}");
+                // What is left to take is what a real commit would take.
+                let taken = wrapped.take_readers(probed);
+                assert_eq!(
+                    taken,
+                    published.publish(&mut probed.to_vec(), false, |_| false).1
+                );
+                assert_eq!(taken.ranks().collect::<Vec<_>>(), vec![2, 70], "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn lock_time_is_sampled_but_counters_are_exact() {
         let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12);
         for i in 0..32u64 {
-            log.record_word(i * 8);
+            publish_sparing_all(&log, &[i * 8]);
         }
         // The counters are exact regardless of sampling.  (lock_ns is
         // not asserted non-zero: on coarse-resolution clocks a sampled

@@ -535,7 +535,7 @@ fn keep_spilled(inserted: Result<(), BufferError>) -> Result<(), BufferError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commit_log::{CommitLog, CommitLogConfig, RING_BUCKET_LOG2};
+    use crate::commit_log::{publish_sparing_all, CommitLog, CommitLogConfig, RING_BUCKET_LOG2};
     use crate::memory::GlobalMemory;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -619,13 +619,13 @@ mod tests {
         assert_eq!(load(&mut buf, &mem, a, 8), Ok(9), "the own bytes win");
         assert!(buf.read_addresses().eq([a]) && buf.write_set_len() == 1);
         // A value-identical commit to the word flags it all the same…
-        log.record_word(a);
+        publish_sparing_all(&log, &[a]);
         assert!(!buf.validate_against(&log));
         // …and the retry compares the *first read*, 5, not the own 9.
         assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         assert!(buf.validate_against(&log));
         mem.set(&p, 0, 6);
-        log.record_word(a);
+        publish_sparing_all(&log, &[a]);
         assert_eq!(buf.validate(&log, &mem), Validation::Conflict, "5 ≠ 6");
     }
 
@@ -687,7 +687,7 @@ mod tests {
             mem.set(&p, 0, 5);
             let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
             // Value-identical commit to the very word that was read.
-            log.record_word(p.addr_of(0));
+            publish_sparing_all(&log, &[p.addr_of(0)]);
             let verdict = buf.validate(&log, &mem);
             assert_eq!(verdict, Validation::Retried, "{config:?}");
             assert_eq!(buf.validate(&log, &mem), Validation::Valid, "restamped");
@@ -702,7 +702,7 @@ mod tests {
         let p = mem.alloc::<u64>(2);
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
         mem.set(&p, 0, 9);
-        log.record_word(p.addr_of(1)); // same line, different word
+        publish_sparing_all(&log, &[p.addr_of(1)]); // same line, different word
         assert_eq!(
             buf.validate(&log, &mem),
             Validation::Conflict,
@@ -740,8 +740,8 @@ mod tests {
         for i in [0, 8, 16] {
             let _ = buf.load_logged(&mem, Some(&log), p.addr_of(i), 8).unwrap();
         }
-        log.record_word(p.addr_of(1)); // word 0's neighbour: precise
-        log.record_word(p.addr_of(8)); // word 8, same value: touched
+        publish_sparing_all(&log, &[p.addr_of(1)]); // word 0's neighbour: precise
+        publish_sparing_all(&log, &[p.addr_of(8)]); // word 8, same value: touched
         let counting = CountingMemory {
             mem: &mem,
             reads: AtomicU32::new(0),
@@ -779,12 +779,12 @@ mod tests {
         // A value-identical (ABA) commit to the read word: version
         // validation flags it, value prediction validates it.
         mem.set(&p, 0, 5);
-        log.record_word(p.addr_of(0));
+        publish_sparing_all(&log, &[p.addr_of(0)]);
         assert!(!buf.validate_against(&log));
         assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         // The read was re-stamped: validation passes until a new commit.
         assert!(buf.validate_against(&log));
-        log.record_word(p.addr_of(0));
+        publish_sparing_all(&log, &[p.addr_of(0)]);
         assert!(!buf.validate_against(&log), "retry is not a free pass");
     }
 
@@ -797,7 +797,7 @@ mod tests {
         mem.set(&p, 0, 5);
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
         mem.set(&p, 0, 6);
-        log.record_word(p.addr_of(0));
+        publish_sparing_all(&log, &[p.addr_of(0)]);
         assert_eq!(buf.validate(&log, &mem), Validation::Conflict);
         // Nothing was re-stamped: the conflict is still visible.
         assert!(!buf.validate_against(&log));
@@ -810,17 +810,17 @@ mod tests {
         let p = mem.alloc::<u64>(3);
         mem.set(&p, 0, 10);
         // Read AFTER a commit: the snapshot version covers it.
-        log.record_word(p.addr_of(2));
+        publish_sparing_all(&log, &[p.addr_of(2)]);
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(2), 8).unwrap();
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
         assert!(buf.validate_against(&log));
         // A disjoint commit does not conflict.
-        log.record_word(p.addr_of(1));
+        publish_sparing_all(&log, &[p.addr_of(1)]);
         assert!(buf.validate_against(&log));
         // A commit covering the read address does — even when the value is
         // unchanged (the ABA case value comparison would miss).
         mem.set(&p, 0, 10);
-        log.record_word(p.addr_of(0));
+        publish_sparing_all(&log, &[p.addr_of(0)]);
         assert!(!buf.validate_against(&log));
     }
 
@@ -838,7 +838,7 @@ mod tests {
         // The child reads first, then a commit, then the parent reads.
         let _ = child.load_logged(&mem, Some(&log), a, 8).unwrap();
         child.store(a, 0xBB, 1).unwrap();
-        log.record_word(a);
+        publish_sparing_all(&log, &[a]);
         let _ = parent.load_logged(&mem, Some(&log), a, 8).unwrap();
         parent.store(a + 4, 0xAAAA_AAAA, 4).unwrap();
         assert!(parent.validate_against(&log), "the parent's read is fresh");
@@ -897,7 +897,7 @@ mod tests {
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
         // A neighbour-word commit advances the line's version; the ring
         // proves the read word was missed, so validation still passes.
-        log.record_word(p.addr_of(1));
+        publish_sparing_all(&log, &[p.addr_of(1)]);
         assert!(log.written_after(p.addr_of(0), 0), "range version moved");
         assert!(buf.validate_against(&log));
         assert_eq!(buf.precise_passes(), 1);
@@ -907,10 +907,10 @@ mod tests {
         let _ = single_buf
             .load_logged(&mem, Some(&single), p.addr_of(0), 8)
             .unwrap();
-        single.record_word(p.addr_of(1));
+        publish_sparing_all(&single, &[p.addr_of(1)]);
         assert!(!single_buf.validate_against(&single));
         // A commit that does touch the read word still dooms precisely.
-        log.record_word(p.addr_of(0));
+        publish_sparing_all(&log, &[p.addr_of(0)]);
         assert!(!buf.validate_against(&log));
         buf.clear();
         assert_eq!(buf.precise_passes(), 0, "a clear resets the count");
@@ -930,7 +930,7 @@ mod tests {
         // the ring, survived by the value check, restamped to v1 (the
         // version actually observed, not the then-current epoch).
         mem.set(&p, 0, 5);
-        log.record_word(p.addr_of(0));
+        publish_sparing_all(&log, &[p.addr_of(0)]);
         assert!(!buf.validate_against(&log));
         assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         // v2, in a bucket (and a footprint) of its own: a neighbour-word
@@ -938,12 +938,12 @@ mod tests {
         // the ring shows v2 missed the word — validation passes precisely
         // instead of re-dooming.
         while !(log.epoch() + 1).is_multiple_of(1 << RING_BUCKET_LOG2) {
-            log.record_word(pad);
+            publish_sparing_all(&log, &[pad]);
         }
-        log.record_word(p.addr_of(1));
+        publish_sparing_all(&log, &[p.addr_of(1)]);
         assert!(buf.validate_against(&log));
         // v3: touching the read word again still dooms.
-        log.record_word(p.addr_of(0));
+        publish_sparing_all(&log, &[p.addr_of(0)]);
         assert!(!buf.validate_against(&log), "retry is not a free pass");
     }
 
@@ -957,17 +957,15 @@ mod tests {
         let _ = buf.load_logged(&mem, Some(&log), p.addr_of(0), 8).unwrap();
         let far = p.addr_of(63);
         let _ = buf.load_logged(&mem, Some(&log), far, 8).unwrap();
-        // A committing writer dooms the thread and consumes its
-        // registrations for every stamped range — model both ranges.
-        let taken = log.take_readers([p.addr_of(0), far]);
-        assert!(taken.contains(5));
+        // A committing writer stores the values the thread read into both
+        // ranges, dooms the thread and consumes its registrations on each.
         mem.set(&p, 0, 7);
-        log.record_word(p.addr_of(0));
+        let (_, taken) = log.publish(&mut vec![p.addr_of(0), far], false, |_| false);
+        assert!(taken.contains(5));
         assert!(!log.registered_readers(p.addr_of(0)).contains(5));
         assert!(!log.registered_readers(far).contains(5));
         // The walk leaves the registry alone; the restore repairs it for
-        // the entire read set — including the far range, whose read is
-        // clean.
+        // the entire read set.
         assert_eq!(buf.validate(&log, &mem), Validation::Retried);
         assert!(!log.registered_readers(p.addr_of(0)).contains(5));
         buf.restore_registrations(&log);
@@ -988,7 +986,7 @@ mod tests {
         // Neighbour-only commits: individually precise-passable, but the
         // window has rolled past the snapshot.
         for _ in 0..2 << RING_BUCKET_LOG2 {
-            log.record_word(p.addr_of(1));
+            publish_sparing_all(&log, &[p.addr_of(1)]);
         }
         assert!(!buf.validate_against(&log), "overflow dooms conservatively");
         assert!(log.stats().ring_overflows > 0);

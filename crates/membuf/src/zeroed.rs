@@ -9,13 +9,14 @@
 //! the heap's top when the first runtime was dropped: the same program
 //! peaked at 11 or at 32 MiB.  A large table is therefore mapped from the
 //! kernel, whose pages are zero until touched, every time; a small one
-//! (every unit test's) comes from the allocator's zeroed pages.
+//! (every unit test's) comes from the allocator's zeroed pages.  Zeroing a
+//! mapped table again hands its pages back instead of writing them.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 mod os {
@@ -28,6 +29,9 @@ mod os {
         /// # Safety
         /// `addr` came from `map(len)` and nothing uses the mapping any more.
         pub fn munmap(addr: *mut u8, len: usize) -> i32;
+        /// # Safety
+        /// `addr..addr + len` lies within a mapping `map` made.
+        pub fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
     }
 
     /// A zero-filled mapping of `bytes` bytes, if the kernel grants it.
@@ -49,6 +53,9 @@ mod os {
     }
     pub unsafe fn munmap(_addr: *mut u8, _len: usize) -> i32 {
         0
+    }
+    pub unsafe fn madvise(_addr: *mut u8, _len: usize, _advice: i32) -> i32 {
+        -1
     }
 }
 
@@ -108,6 +115,25 @@ impl<T: Zeroable> Zeroed<T> {
     }
 }
 
+impl ZeroedAtomics {
+    /// Every word back to 0, at the cost of the pages that are not: a
+    /// mapped table drops its pages, so the next touch of each faults in a
+    /// zero page; a boxed one (below [`os::MAP_BYTES`]) stores 0 into every
+    /// word.  The caller keeps every other user of the table out until it
+    /// returns.
+    pub(crate) fn zero(&self) {
+        // SAFETY: the range is the whole of `map(len × 8)`, and it stays
+        // mapped: 4 = MADV_DONTNEED only swaps its private anonymous pages
+        // for zero pages, the value 0 of every `AtomicU64` in them.
+        if self.mapped && unsafe { os::madvise(self.ptr.as_ptr().cast(), self.len * 8, 4) } == 0 {
+            return;
+        }
+        for word in self.iter() {
+            word.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
 impl<T: Zeroable> Deref for Zeroed<T> {
     type Target = [T];
     #[inline]
@@ -150,7 +176,6 @@ impl<T: Zeroable + fmt::Debug> fmt::Debug for Zeroed<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn boxed_and_mapped_tables_start_at_zero_and_hold_what_is_stored() {
@@ -164,6 +189,14 @@ mod tests {
                 last.store(u64::MAX, Ordering::Relaxed);
                 assert_eq!(table[len - 1].load(Ordering::Relaxed), u64::MAX);
                 assert_eq!(table[len - 2].load(Ordering::Relaxed), 0);
+            }
+            // Zeroing a box writes it, a mapping drops its pages: both
+            // read 0 everywhere and take stores as before.
+            table.zero();
+            assert!(table.iter().all(|w| w.load(Ordering::Relaxed) == 0));
+            if let Some(first) = table.first() {
+                first.store(7, Ordering::Relaxed);
+                assert_eq!(table[0].load(Ordering::Relaxed), 7);
             }
         }
     }

@@ -27,6 +27,13 @@ fn word_log() -> CommitLog {
     CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12)
 }
 
+/// A logical predecessor's commit of `addrs`, already in memory, that
+/// dooms nobody: the log's publish walk with every reader spared.
+fn publish_sparing_all(log: &CommitLog, addrs: impl IntoIterator<Item = u64>) -> u64 {
+    log.publish(&mut addrs.into_iter().collect(), false, |_| true)
+        .0
+}
+
 /// One word of the [`WordMapModel`]: its first read, if any, and the bytes
 /// written over it.
 #[derive(Default, Clone, Copy)]
@@ -321,7 +328,7 @@ proptest! {
                 _ => {
                     let word_addr = addr & !(WORD_BYTES - 1);
                     mem.write_word(word_addr, value);
-                    log.record_word(word_addr);
+                    publish_sparing_all(&log, [word_addr]);
                     if model.first_read.contains_key(&word_addr) {
                         model.stale.insert(word_addr);
                     }
@@ -386,7 +393,7 @@ proptest! {
         }
         prop_assert!(buf.validate_against(&log), "no commit yet, must be valid");
         // One commit batch after every read; values unchanged (pure ABA).
-        log.record(commits.iter().copied());
+        publish_sparing_all(&log, commits.iter().copied());
         let overlaps = commits.iter().any(|a| reads.contains(a));
         prop_assert_eq!(
             !buf.validate_against(&log),
@@ -431,7 +438,7 @@ proptest! {
         // the child's reads.  All reads here happened before the child's
         // own writes, so even a read-modify-write address carries a
         // genuine dependence on the predecessor state.
-        log.record_word(late_commit);
+        publish_sparing_all(&log, [late_commit]);
         let dependent = child_reads.contains(&late_commit);
         prop_assert_eq!(!parent.validate_against(&log), dependent);
     }
@@ -456,7 +463,7 @@ proptest! {
             let _ = buf.load_logged(&mem, Some(&log), addr, WORD_BYTES).unwrap();
         }
         prop_assert!(buf.validate_against(&log), "no commit yet, must be valid");
-        log.record(commits.iter().copied());
+        publish_sparing_all(&log, commits.iter().copied());
         let word_overlap = commits.iter().any(|a| reads.contains(a));
         let range_overlap = commits
             .iter()
@@ -485,13 +492,13 @@ proptest! {
         let above = edge;              // first word of range k
         let snap_below = log.snapshot(below);
         let snap_above = log.snapshot(above);
-        log.record_word(below);
+        publish_sparing_all(&log, [below]);
         prop_assert!(log.written_after(below, snap_below));
         prop_assert!(
             !log.written_after(above, log.snapshot(above)),
             "write below the edge flagged the range above (grain {grain_log2}, k {k})"
         );
-        log.record_word(above);
+        publish_sparing_all(&log, [above]);
         prop_assert!(log.written_after(above, snap_above));
     }
 
@@ -519,7 +526,7 @@ proptest! {
             .map(|o| (ranges * grain - WORD_BYTES + o * grain).min(window - WORD_BYTES))
             .collect();
         let snaps: Vec<u64> = addrs.iter().map(|&a| log.snapshot(a)).collect();
-        log.record(addrs.iter().copied());
+        publish_sparing_all(&log, addrs.iter().copied());
         for (&addr, &snap) in addrs.iter().zip(&snaps) {
             prop_assert!(log.written_after(addr, snap), "addr {addr:#x} lost its stamp");
             prop_assert!(log.version_of(addr) > 0);
@@ -562,7 +569,7 @@ proptest! {
             .map(|(rank, _)| *rank)
             .collect();
         let doomed: std::collections::HashSet<usize> =
-            log.take_readers(writes.iter().copied()).ranks().collect();
+            log.publish(&mut writes.clone(), false, |_| false).1.ranks().collect();
         prop_assert!(
             doomed.is_subset(&cascade_victims),
             "doomed a thread the cascade would not have squashed: {doomed:?} vs {cascade_victims:?}"
@@ -572,7 +579,7 @@ proptest! {
             "doom set is not exactly the overlapping readers"
         );
         // Cleared on enumeration: nothing left to doom twice.
-        prop_assert!(log.take_readers(writes.iter().copied()).is_empty());
+        prop_assert!(log.publish(&mut writes.clone(), false, |_| false).1.is_empty());
         // Disjoint registrations survive untouched.
         for (rank, addr) in &registrations {
             if !overlapping.contains(rank) {
@@ -614,7 +621,7 @@ proptest! {
                 let addrs: Vec<u64> = batch.iter().map(|&s| addr_of(s)).collect();
                 std::thread::spawn(move || {
                     barrier.wait();
-                    log.record(addrs.iter().copied())
+                    publish_sparing_all(&log, addrs.iter().copied())
                 })
             })
             .collect();
@@ -688,8 +695,8 @@ proptest! {
         // batch.
         for batch in &batches {
             for _ in 0..stride {
-                mvcc_log.record(batch.iter().copied());
-                single_log.record(batch.iter().copied());
+                publish_sparing_all(&mvcc_log, batch.iter().copied());
+                publish_sparing_all(&single_log, batch.iter().copied());
             }
         }
         let mvcc_valid = mvcc_buf.validate_against(&mvcc_log);

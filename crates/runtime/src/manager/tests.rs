@@ -16,6 +16,14 @@ fn mgr_with_child() -> Arc<ThreadManager> {
     m
 }
 
+/// A logical predecessor commits `addr`, already in memory, without the
+/// doom a real commit issues (the publish walk with every reader spared):
+/// for a test whose verdict is validation's alone.  A test that wants the
+/// doom too calls `ThreadManager::publish`.
+fn commit_dooming_nobody(m: &ThreadManager, addr: Addr) {
+    m.commit_log().publish(&mut vec![addr], false, |_| true);
+}
+
 #[test]
 fn acquire_respects_cpu_count() {
     let m = mgr(2);
@@ -242,7 +250,7 @@ fn validate_and_commit_detects_a_real_predecessor_write() {
     // …then a logical predecessor commits a *different value* to it:
     // value prediction cannot save this join.
     mem.set(&cell, 0, 8);
-    m.commit_log().record_word(cell.addr_of(0));
+    commit_dooming_nobody(&m, cell.addr_of(0));
 
     let mut outcome = completed(buffer);
     assert_eq!(
@@ -288,7 +296,7 @@ fn value_predict_retry_commits_without_reexecution() {
     // A predecessor commits the *same* value (ABA / false sharing):
     // version validation conflicts, value prediction repairs it.
     mem.set(&cell, 0, 7);
-    m.commit_log().record_word(cell.addr_of(0));
+    commit_dooming_nobody(&m, cell.addr_of(0));
 
     let mut outcome = completed(buffer);
     assert_eq!(
@@ -321,7 +329,7 @@ fn a_retried_child_its_parent_overwrote_is_a_conflict() {
     }
     // A value-identical commit to Y: a range-only conflict, repaired by
     // the retry.
-    m.commit_log().record_word(y);
+    commit_dooming_nobody(&m, y);
     // The speculative parent has buffered a write to X.
     let mut parent = GlobalBuffer::new(m.config().buffer);
     parent.store(x, 1, 8).unwrap();
@@ -363,8 +371,8 @@ fn a_retried_join_counts_each_precise_pass_once() {
     }
     // A neighbour write: the ring passes `read` precisely.  A
     // value-identical write of `other`: touched but unchanged, a retry.
-    m.commit_log().record_word(cells.addr_of(neighbour));
-    m.commit_log().record_word(cells.addr_of(other));
+    commit_dooming_nobody(&m, cells.addr_of(neighbour));
+    commit_dooming_nobody(&m, cells.addr_of(other));
 
     let mut outcome = completed(buffer);
     assert_eq!(
@@ -396,7 +404,7 @@ fn a_retried_join_restores_no_registration() {
     assert_eq!(spills, N as u64);
 
     // A neighbour commits the very value the child read: a retry.
-    m.commit_log().record_word(cells.addr_of(0));
+    commit_dooming_nobody(&m, cells.addr_of(0));
     let mut outcome = completed(buffer);
     let verdict = m.validate_and_commit(70, &mut outcome, None);
     assert_eq!(verdict, Ok(CommitKind::Retried));
@@ -476,7 +484,7 @@ fn every_fate_leaves_the_child_registered_on_nothing_it_read() {
             mem.set(&cells, 8, 5);
         }
         if matches!(fate, Retried | Conflict | FailedPromotion) {
-            m.commit_log().record_word(word(1));
+            commit_dooming_nobody(&m, word(1));
         }
         // The speculative parent's buffer: word 2 fully written with the
         // value the child read, or one too full to take the child's reads.
@@ -795,7 +803,7 @@ fn a_rolled_back_childs_readers_are_doomed_by_the_re_executions_publish() {
         .unwrap();
     child_buf.store(word, 9, 8).unwrap();
     mem.set(&cell, 0, 2);
-    m.commit_log().record_word(cell.addr_of(0));
+    m.publish(&mut vec![cell.addr_of(0)], 0, false);
 
     let mut outcome = completed(child_buf);
     assert_eq!(
@@ -905,7 +913,7 @@ fn run_accumulators_reset_and_snapshot() {
     let registry = m.metrics().registry();
     assert_eq!(registry.counter_total(CounterId::CommittedCycles), 20);
     assert_eq!(registry.counter_total(CounterId::WastedCycles), 20);
-    m.commit_log().record_word(64);
+    m.publish(&mut vec![64], 0, false);
     m.reset_run();
     assert_eq!(m.run_snapshot().total(), 0);
     assert_eq!(registry.counter_total(CounterId::CommittedCycles), 0);

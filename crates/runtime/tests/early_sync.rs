@@ -209,9 +209,11 @@ fn a_failed_promotion_rolls_back_once_and_reexecutes() {
         let (outcome, report) = rt.run(|ctx| {
             let handle = ctx.fork(0, child)?;
             assert_eq!(read_rx.recv().expect("the child speculated"), 1);
-            // Data first, then the stamp: the commit log's ordering.
+            // Data first, then the stamp: the commit log's ordering.  No
+            // doom: the child must meet the request it cannot honour.
             rt.memory().set(&cells, 0, 2);
-            rt.manager().commit_log().record_word(cells.addr_of(0));
+            let log = rt.manager().commit_log();
+            log.publish(&mut vec![cells.addr_of(0)], false, |_| true);
             // Long enough a region that synchronizing pays.
             busy(ctx, Duration::from_millis(5))?;
             ctx.join(handle)

@@ -281,7 +281,7 @@ pub struct Scheduler<'a> {
     /// The simulated commit log.  Publish times by word and by range id
     /// are what conflict detection looks up: word-level overlap tells a
     /// genuine conflict from false sharing.  Its reader masks mirror the
-    /// native log's (`CommitLog::take_readers`): every unretired
+    /// native log's (`CommitLog::publish` takes them): every unretired
     /// speculative fiber's CPU has its bit under the fiber's
     /// `read_ranges`, so a publish visits the readers of the ranges it
     /// stamps (through `on_cpu`) and nobody else.

@@ -2,7 +2,7 @@
 //!
 //! The native `CommitLog` answers "was this range stamped after my
 //! snapshot?" with one per-range lookup, and finds the readers a commit
-//! must doom in the stamped range's reader mask (`take_readers`).  This is
+//! must doom in the stamped range's reader mask (`publish`).  This is
 //! the simulator's equivalent, in the native log's shape: flat tables
 //! indexed by id and grown on demand, so a lookup is one index and a
 //! table costs what the ids written into it span.
