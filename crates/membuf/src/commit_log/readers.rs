@@ -252,16 +252,10 @@ impl CommitLog {
         }
     }
 
-    /// [`take_readers_sparing`](Self::take_readers_sparing) with nobody
-    /// spared: what the benchmark's probes import.
-    #[doc(hidden)]
-    pub fn take_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> ReaderSet {
-        self.take_readers_sparing(addrs, |_| false)
-    }
-
     /// Take the readers of every range covering `addrs` by
-    /// [`publish`](Self::publish)'s rule, *without stamping the ranges*:
-    /// what the benchmark's probes import, and nothing else may call.
+    /// [`publish`](Self::publish)'s rule with nobody spared, *without
+    /// stamping the ranges*: what the benchmark's probes import, and
+    /// nothing else may call.
     ///
     /// A take without a stamp breaks `publish`'s skip-unread argument.  A
     /// registration it clears leaves no stamp behind, so a later publish
@@ -270,18 +264,14 @@ impl CommitLog {
     /// that publish: a missed conflict.  The runtime takes readers only
     /// through `publish`, where every take follows its range's stamp.
     #[doc(hidden)]
-    pub fn take_readers_sparing<I, F>(&self, addrs: I, mut spare: F) -> ReaderSet
-    where
-        I: IntoIterator<Item = Addr>,
-        F: FnMut(usize) -> bool,
-    {
+    pub fn take_readers<I: IntoIterator<Item = Addr>>(&self, addrs: I) -> ReaderSet {
         let mut take = ReaderTake::default();
         let mut last: Option<usize> = None;
         for addr in addrs {
             let local = self.slot_of(addr);
             if last != Some(local) {
                 last = Some(local);
-                self.take_slot(local, &mut take, &mut spare);
+                self.take_slot(local, &mut take, &mut |_| false);
             }
         }
         take.into_set()
@@ -290,7 +280,7 @@ impl CommitLog {
     /// Take the readers of one range (slot `local`, window-checked) into
     /// `take`: the per-range step of the publish walk, which takes each
     /// range right after stamping it (and of
-    /// [`take_readers_sparing`](Self::take_readers_sparing)).
+    /// [`take_readers`](Self::take_readers)).
     ///
     /// The mask is read once and only bits of that read are cleared
     /// (`fetch_and`, not a swap): a bit set after the read is neither
