@@ -73,11 +73,13 @@
 //!   data words to main memory *first*, then call [`CommitLog::publish`]
 //!   — the one code that stamps the log or takes its readers — which
 //!   reserves-and-publishes the log's version with the `SeqCst` epoch
-//!   `fetch_add` *before* it CAS-stamps the touched slots, and takes each
-//!   stamped range's readers right after its stamp.  That order keeps the
-//!   invariant that matters: **a snapshot at least the committer's version
-//!   implies the committer's data is visible**, and **a stale read implies
-//!   a snapshot below the version the validation-time slot carries**.
+//!   `fetch_add` *before* it stores the touched slots' stamps (one
+//!   committer at a time, `stamp.rs`: a stamp is a plain store), and takes
+//!   each stamped range's readers right after its stamp.  That order keeps
+//!   the invariant that matters: **a snapshot at least the committer's
+//!   version implies the committer's data is visible**, and **a stale read
+//!   implies a snapshot below the version the validation-time slot
+//!   carries**.
 //! * **Reader** (a speculative thread): sample
 //!   [`CommitLog::snapshot`]`(addr)` — the log's epoch — with acquire
 //!   *before* loading the word from main memory.
@@ -249,10 +251,9 @@ pub struct CommitLogStats {
     /// `2^LOCK_SAMPLE_LOG2` is timed, scaled up).  On coarse-resolution
     /// clocks short sections may register as zero.
     pub lock_ns: u64,
-    /// CAS retries on the stamp path, cumulative: same-slot
-    /// `compare_exchange` losses.  Disjoint-range committers should keep
-    /// it near zero at any thread count; the replay, whose log has one
-    /// committer, reports 0.
+    /// Always 0: the log has one committer, whose stamps are stores, not
+    /// CAS loops.  The field stays while the benchmark's frozen code reads
+    /// it (ROADMAP item 2(e) removes it with its readers).
     pub cas_retries: u64,
     /// Registrations by ranks greater than [`MAX_TRACKED_READERS`]: each
     /// lands in its range's spill set (an `RwLock` write on top of the
@@ -307,13 +308,13 @@ pub struct CommitLog {
     /// release sequence readers synchronize with).
     epoch: AtomicU64,
     /// Dense per-range versions: the range holding `addr` owns slot
-    /// `addr >> grain_log2`.  Raised monotonically via CAS.
+    /// `addr >> grain_log2`.  Raised by the one committer's stores.
     dense: ZeroedAtomics,
     /// Packed MVCC version-ring entries, `ring_depth` per dense slot
     /// (slot `local` owns `rings[local * depth .. (local + 1) * depth]`,
     /// indexed by version bucket modulo depth).  Empty at depth 1.
-    /// Published by CAS-merge *before* the dense version stamp (see the
-    /// module docs).
+    /// Stored by the one committer *before* the dense version stamp (see
+    /// the module docs).
     rings: ZeroedAtomics,
     /// Per-range reader bitmasks (same indexing as `dense`);
     /// registration/enumeration are lock-free atomic RMWs.
@@ -336,12 +337,13 @@ pub struct CommitLog {
     lock_ns: AtomicU64,
     /// Reader registrations that spilled past the bitmask window.
     reader_spills: AtomicU64,
-    /// CAS retries on the stamp path (same-slot losses); relaxed,
-    /// telemetry only.
-    cas_retries: AtomicU64,
     /// Ring probes that fell back to single-version conservatism
     /// ([`RingCheck::Overflow`]); relaxed, telemetry only.
     ring_overflows: AtomicU64,
+    /// Whether a publish is under way: the debug build's check that the
+    /// log has one committer at a time (`stamp.rs`).
+    #[cfg(debug_assertions)]
+    committing: AtomicBool,
     /// Whether anything was written into the log since construction or
     /// the last [`clear`](Self::clear): raised by every mutator
     /// ([`touch`](Self::touch)), so clearing a log nothing used — a
@@ -381,8 +383,9 @@ impl CommitLog {
             stamped: AtomicU64::new(0),
             lock_ns: AtomicU64::new(0),
             reader_spills: AtomicU64::new(0),
-            cas_retries: AtomicU64::new(0),
             ring_overflows: AtomicU64::new(0),
+            #[cfg(debug_assertions)]
+            committing: AtomicBool::new(false),
             touched: AtomicBool::new(false),
         }
     }
@@ -493,7 +496,7 @@ impl CommitLog {
             commits: self.commits(),
             stamp_writes: self.stamped.load(Ordering::Relaxed),
             lock_ns: self.lock_ns.load(Ordering::Relaxed),
-            cas_retries: self.cas_retries.load(Ordering::Relaxed),
+            cas_retries: 0,
             reader_spills: self.reader_spills.load(Ordering::Relaxed),
             ring_overflows: self.ring_overflows.load(Ordering::Relaxed),
             grain_log2: self.config.grain_log2,
@@ -539,7 +542,6 @@ impl CommitLog {
         self.stamped.store(0, Ordering::Relaxed);
         self.lock_ns.store(0, Ordering::Relaxed);
         self.reader_spills.store(0, Ordering::Relaxed);
-        self.cas_retries.store(0, Ordering::Relaxed);
         self.ring_overflows.store(0, Ordering::Relaxed);
         self.touched.store(false, Ordering::Relaxed);
     }

@@ -5,8 +5,8 @@
 //! With [`CommitLogConfig::ring_depth`]` > 1` every dense slot carries a
 //! small **ring of packed `(version, footprint)` entries** recording the
 //! recent commit history of the range, published lock-free on the same
-//! fast path (one CAS-merge per touched slot, *before* the dense version
-//! CAS).  The footprint is a 16-bit Bloom hash of the **word offsets
+//! fast path (one ring store per touched slot, *before* the dense version
+//! store).  The footprint is a 16-bit Bloom hash of the **word offsets
 //! written** within the range — deliberately value-independent, so a
 //! hash collision can only ever *add* conservatism (a value hash could
 //! collide two different values and mask a genuine conflict; an offset
@@ -14,14 +14,13 @@
 //!
 //! Entries are indexed by **version bucket**: bucket
 //! `version >> RING_BUCKET_LOG2` (64 consecutive versions) owns ring slot
-//! `bucket % ring_depth`.  A committer CAS-merges into its bucket's slot
-//! (same bucket: max the version, OR the footprint; older bucket:
-//! replace; newer bucket already present: leave it — the lost footprint
-//! is conservatively covered, because a validator of the displaced
-//! bucket sees the newer entry at its index and falls back).  That makes
-//! *overflow detection purely arithmetic*: a snapshot older than
-//! `ring_depth` buckets, or a probed bucket whose slot was reused by a
-//! newer bucket, yields [`RingCheck::Overflow`] (counted in
+//! `bucket % ring_depth`.  The one committer merges into its bucket's
+//! slot with a load and a store (same bucket: its version, the footprints
+//! OR-ed; an older bucket: replaced — versions rise strictly, so a newer
+//! bucket is never there).  That makes *overflow detection purely
+//! arithmetic*: a snapshot older than `ring_depth` buckets, or a probed
+//! bucket whose slot was reused by a newer bucket, yields
+//! [`RingCheck::Overflow`] (counted in
 //! [`CommitLogStats::ring_overflows`]) and validation falls back to the
 //! single-version conservatism of
 //! [`written_after`](CommitLog::written_after).
@@ -37,7 +36,7 @@
 //! dependence violation is flagged through every interleaving,
 //! because a committer's ring merge precedes its dense stamp and
 //! join-time validation runs after the relevant commit's
-//! [`record`](CommitLog::record) returned.  Depth 1 allocates no rings
+//! [`publish`](CommitLog::publish) returned.  Depth 1 allocates no rings
 //! and degenerates to exactly the single-version behavior — the
 //! reference the property tests sandwich deeper rings against.
 
@@ -138,7 +137,7 @@ impl CommitLog {
     /// write of the word always yields [`RingCheck::Touched`] or
     /// [`RingCheck::Overflow`] (a committer ring-merges before its
     /// dense stamp, and validation runs after the relevant commit's
-    /// [`record`](Self::record) returned — the same join-ordering
+    /// [`publish`](Self::publish) returned — the same join-ordering
     /// contract the single-version path relies on).  May be *more*
     /// precise: post-snapshot commits to other words of the range yield
     /// [`RingCheck::Precise`] instead of a false-sharing doom.  At
@@ -205,12 +204,12 @@ impl CommitLog {
         }
     }
 
-    /// CAS-merge a commit's `(version, footprint)` into slot `local`'s
-    /// ring, **before** the dense version stamp (so a probe that sees
-    /// the raised slot sees the ring entry too, under the join-ordering
-    /// contract).  Same bucket: max the version, OR the footprint;
-    /// older bucket: replace; newer bucket already present: leave it —
-    /// the displaced bucket's validators fall back conservatively.
+    /// Merge a commit's `(version, footprint)` into slot `local`'s ring,
+    /// **before** the dense version stamp (so a probe that sees the raised
+    /// slot sees the ring entry too, under the join-ordering contract).
+    /// Same bucket: the new version with the footprints OR-ed; older
+    /// bucket: replaced.  One committer stamps strictly rising versions,
+    /// so the entry there is always older than `version`.
     pub(super) fn ring_merge(&self, local: usize, version: CommitVersion, footprint: u64) {
         let depth = self.config.ring_depth as u64;
         if depth <= 1 || self.rings.is_empty() || version >= RING_VERSION_CAP {
@@ -218,27 +217,17 @@ impl CommitLog {
         }
         let bucket = version >> RING_BUCKET_LOG2;
         let slot = &self.rings[local * depth as usize + (bucket % depth) as usize];
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            let cur_bucket = ring_version(cur) >> RING_BUCKET_LOG2;
-            let proposed = if cur_bucket == bucket {
-                ring_pack(
-                    ring_version(cur).max(version),
-                    ring_footprint(cur) | footprint,
-                )
-            } else if cur_bucket < bucket {
-                ring_pack(version, footprint)
-            } else {
-                return;
-            };
-            if proposed == cur {
-                return;
-            }
-            match slot.compare_exchange_weak(cur, proposed, Ordering::Release, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        let cur = slot.load(Ordering::Relaxed);
+        debug_assert!(
+            ring_version(cur) < version,
+            "slot {local}'s ring already holds version {version} or later"
+        );
+        let footprint = if ring_version(cur) >> RING_BUCKET_LOG2 == bucket {
+            ring_footprint(cur) | footprint
+        } else {
+            footprint
+        };
+        slot.store(ring_pack(version, footprint), Ordering::Release);
     }
 }
 

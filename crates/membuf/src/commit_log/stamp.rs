@@ -2,6 +2,13 @@
 //! one code that stamps the log or takes its readers.  (The guarantee it
 //! keeps and the ordering it is one half of are in the parent module.)
 //!
+//! The log has **one committer at a time**: only the one non-speculative
+//! thread commits to main memory — rank 0's batch of pending stores, or a
+//! join that validates against main memory (a non-speculative joiner, or a
+//! child promoted while that joiner waits); speculative joiners absorb.  So
+//! the walk is written for one writer, and a debug build checks it:
+//! `publish` panics ("two committers overlap") if another is under way.
+//!
 //! A publish is one walk over one batch of addresses its committer already
 //! wrote to main memory, without any lock:
 //!
@@ -14,11 +21,10 @@
 //!   hence the reader's subsequent data loads see commit `v`'s values.
 //!   Contrapositive: a reader that read *stale* data has a snapshot `< v`.
 //! * **Stamp, then take, range by range.**  The sorted batch is walked one
-//!   region at a time.  Each touched range's ring is merged first, then
-//!   its dense slot is raised to `v` with a monotone
-//!   `load → check → compare_exchange` loop
-//!   ([`stamp_writes`](CommitLogStats::stamp_writes) counts the slots,
-//!   [`cas_retries`](CommitLogStats::cas_retries) the loop retries), and
+//!   region at a time.  Each touched range's ring entry is stored first,
+//!   then its dense slot is set to `v` by one release store (one committer:
+//!   versions rise strictly, so the slot is below `v`;
+//!   [`stamp_writes`](CommitLogStats::stamp_writes) counts the slots), and
 //!   then the range's readers are taken (`readers.rs`) before the walk
 //!   moves on.  Join-time validation reads the slot *after* the relevant
 //!   commit's `publish` returned (the runtime's join ordering), so the slot
@@ -28,16 +34,6 @@
 //! [`clear`](CommitLog::clear) is the one cold path; it runs between
 //! runs, with the log's users quiesced, and the reader-registry spill sets
 //! sit behind a lock of their own.
-//!
-//! The loop is still written for any number of concurrent committers (a
-//! slot already at or above `v` was raised by a later commit, and the
-//! stamp is free) and tested that way below.  The runtime drives it with
-//! **one committer at a time**: its only commit sites are rank 0's batch of
-//! pending stores and a join that validates against main memory (a
-//! non-speculative joiner, or a child promoted while that joiner waits) —
-//! speculative joiners absorb instead — which is why `cas_retries` reads 0
-//! on every ledger row, and why the log keeps one epoch: there is no
-//! committer contention for separate counters to spread.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -92,14 +88,25 @@ impl CommitLog {
     /// registers after the check snapshots at or above this version,
     /// synchronizes with the reservation, and reads the stored value.  The
     /// caller must therefore take readers only through `publish`.
+    ///
+    /// One publish at a time (the module docs): a debug build panics when
+    /// a publish starts while another is under way.
     pub fn publish<F: FnMut(usize) -> bool>(
         &self,
         batch: &mut Vec<Addr>,
         skip_unread: bool,
         mut spare: F,
     ) -> (CommitVersion, ReaderSet) {
+        // Relaxed: the guard checks that publishes never overlap, and adds
+        // no ordering between them that could hide a missing one.
+        #[cfg(debug_assertions)]
+        if self.committing.swap(true, Ordering::Relaxed) {
+            panic!("two committers overlap at epoch {}", self.epoch());
+        }
         let mut take = ReaderTake::default();
         if batch.is_empty() {
+            #[cfg(debug_assertions)]
+            self.committing.store(false, Ordering::Relaxed);
             return (self.epoch(), take.into_set());
         }
         self.touch();
@@ -112,8 +119,7 @@ impl CommitLog {
         // `2^LOCK_SAMPLE_LOG2` of them is timed.
         let sample = lock_time_sampled(self.epoch.load(Ordering::Relaxed));
         let started = sample.then(Instant::now);
-        let mut retries = 0u64;
-        let (version, stamped) = self.publish_run(batch, &mut retries, skip_unread, |local| {
+        let (version, stamped) = self.publish_run(batch, skip_unread, |local| {
             self.take_slot(local, &mut take, &mut spare)
         });
         // A batch that stamped nothing reserved a version but is no commit
@@ -128,10 +134,9 @@ impl CommitLog {
                 Ordering::Relaxed,
             );
         }
-        if retries > 0 {
-            self.cas_retries.fetch_add(retries, Ordering::Relaxed);
-        }
         batch.clear();
+        #[cfg(debug_assertions)]
+        self.committing.store(false, Ordering::Relaxed);
         (version, take.into_set())
     }
 
@@ -155,15 +160,14 @@ impl CommitLog {
     }
 
     /// Publish one (sorted, deduplicated) batch.  Reserve-and-publish the
-    /// version with one `SeqCst` `fetch_add`, then raise each touched slot
-    /// by CAS, one region's addresses at a time (see the module docs for
-    /// why each step is sound) — skipping, when `skip_unread`, every slot
+    /// version with one `SeqCst` `fetch_add`, then stamp each touched slot,
+    /// one region's addresses at a time (see the module docs for why each
+    /// step is sound) — skipping, when `skip_unread`, every slot
     /// nobody reads — and call `on_slot` with each slot right after its
     /// stamp.  Returns the version and the slots stamped.
     fn publish_run(
         &self,
         run: &[Addr],
-        retries: &mut u64,
         skip_unread: bool,
         mut on_slot: impl FnMut(usize),
     ) -> (CommitVersion, u64) {
@@ -179,22 +183,20 @@ impl CommitLog {
                 end += 1;
             }
             let group = &run[start..end];
-            stamped +=
-                self.stamp_region_group_cas(group, version, retries, skip_unread, &mut on_slot);
+            stamped += self.stamp_region_group(group, version, skip_unread, &mut on_slot);
             start = end;
         }
         (version, stamped)
     }
 
-    /// CAS-stamp one region's (sorted, deduplicated) addresses with
-    /// `version` — but, when `skip_unread`, no slot nobody reads — calling
+    /// Stamp one region's (sorted, deduplicated) addresses with `version`
+    /// — but, when `skip_unread`, no slot nobody reads — calling
     /// `on_slot` with each slot once it is stamped; returns the number of
     /// distinct slots stamped.
-    fn stamp_region_group_cas(
+    fn stamp_region_group(
         &self,
         group: &[Addr],
         version: CommitVersion,
-        retries: &mut u64,
         skip_unread: bool,
         on_slot: &mut impl FnMut(usize),
     ) -> u64 {
@@ -205,31 +207,23 @@ impl CommitLog {
         // Adjacent same-slot addresses accumulate one footprint (a coarse
         // range holds many words, each its own ring bit), so the flush
         // below publishes the whole slot's footprint in one ring merge
-        // before the one dense CAS.
+        // before the one dense store.
         let mut pending: Option<(usize, u64)> = None;
-        let mut flush = |pending: &mut Option<(usize, u64)>, retries: &mut u64| {
+        let mut flush = |pending: &mut Option<(usize, u64)>| {
             let Some((local, footprint)) = pending.take() else {
                 return 0;
             };
             if skip_unread && self.unread(local) {
                 return 0;
             }
-            // Ring first (see `ring_merge`), then the monotone CAS-max: a
-            // slot already at or above `version` was raised by a
-            // concurrent later commit — the stamp is free, never lowered.
+            // Ring first (see `ring_merge`), then the dense stamp.
             self.ring_merge(local, version, footprint);
             let slot = &self.dense[local];
-            let mut cur = slot.load(Ordering::Relaxed);
-            while cur < version {
-                match slot.compare_exchange_weak(cur, version, Ordering::Release, Ordering::Relaxed)
-                {
-                    Ok(_) => break,
-                    Err(actual) => {
-                        *retries += 1;
-                        cur = actual;
-                    }
-                }
-            }
+            debug_assert!(
+                slot.load(Ordering::Relaxed) < version,
+                "slot {local} already carries version {version} or later"
+            );
+            slot.store(version, Ordering::Release);
             on_slot(local);
             1
         };
@@ -242,10 +236,10 @@ impl CommitLog {
                 }
                 _ => {}
             }
-            stamped += flush(&mut pending, retries);
+            stamped += flush(&mut pending);
             pending = Some((local, footprint_bit(addr)));
         }
-        stamped += flush(&mut pending, retries);
+        stamped += flush(&mut pending);
         if stamped > 0 {
             region_stamps.fetch_add(stamped, Ordering::Relaxed);
         }
@@ -276,6 +270,20 @@ mod tests {
         assert_eq!(log.epoch(), 2);
         assert_eq!(log.commits(), 2);
         assert_eq!(log.stats().stamp_writes, 3);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "two committers")]
+    fn a_publish_inside_a_publish_trips_the_one_committer_guard() {
+        // The take asks `spare` about rank 2 while the outer publish is
+        // under way, so the inner publish overlaps it: no threads needed.
+        let log = CommitLog::with_config(CommitLogConfig::word_grain(), 1 << 12);
+        log.register_reader(8, 2);
+        log.publish(&mut vec![8], false, |_| {
+            log.publish(&mut vec![16], false, |_| true);
+            true
+        });
     }
 
     #[test]
@@ -322,98 +330,38 @@ mod tests {
     }
 
     #[test]
-    fn lock_free_two_committers_racing_one_slot() {
-        // The two-committer same-slot race, driven through a barrier so
-        // both CAS passes genuinely overlap: whatever the interleaving,
-        // the two reservations are distinct, the slot ends at their max,
-        // and the epoch equals the reservation count — no stamp is ever
-        // lost and no slot is ever lowered.
-        for _ in 0..200 {
-            let log = std::sync::Arc::new(CommitLog::with_config(CommitLogConfig::default(), 64));
-            let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let log = std::sync::Arc::clone(&log);
-                    let barrier = std::sync::Arc::clone(&barrier);
-                    std::thread::spawn(move || {
-                        barrier.wait();
-                        publish_sparing_all(&log, &[8])
-                    })
-                })
-                .collect();
-            let versions: Vec<CommitVersion> =
-                handles.into_iter().map(|h| h.join().unwrap()).collect();
-            assert_ne!(versions[0], versions[1], "reservations are unique");
-            assert_eq!(versions.iter().copied().max(), Some(2));
-            assert_eq!(log.version_of(8), 2, "slot holds the max stamp");
-            assert_eq!(log.snapshot(8), 2, "epoch equals the reservations");
-            assert_eq!(log.commits(), 2);
-        }
-    }
-
-    #[test]
-    fn lock_free_disjoint_committers_scale_without_losing_stamps() {
-        // N committers on N disjoint ranges: every stamp is
-        // visible afterwards, the versions are a permutation of 1..=N,
-        // and (disjoint slots) the barrier race costs no lost update.
-        const N: usize = 8;
-        let log = std::sync::Arc::new(CommitLog::with_config(
-            CommitLogConfig::word_grain(),
-            1 << 12,
-        ));
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(N));
-        let handles: Vec<_> = (0..N)
-            .map(|i| {
-                let log = std::sync::Arc::clone(&log);
-                let barrier = std::sync::Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    publish_sparing_all(&log, &[i as Addr * 8])
-                })
-            })
-            .collect();
-        let mut versions: Vec<CommitVersion> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        versions.sort_unstable();
-        assert_eq!(versions, (1..=N as u64).collect::<Vec<_>>());
-        for i in 0..N {
-            assert!(log.version_of(i as Addr * 8) > 0, "stamp {i} lost");
-        }
-        assert_eq!(log.epoch(), N as u64);
-        assert_eq!(log.stats().stamp_writes, N as u64);
-    }
-
-    #[test]
     fn lock_free_committers_racing_a_stale_reader_never_miss_a_conflict() {
-        // At every grain, two committers hammer one region while a reader
-        // registered before them holds its snapshot: the stale snapshot
-        // is flagged however the stamps interleave, and no stamp outruns
-        // the epoch it was reserved from.
+        // At every grain, a committer hammers one region while a reader
+        // registered before it holds its snapshot and probes it: the stale
+        // snapshot is flagged once the first stamp lands, and no stamp
+        // outruns the epoch it was reserved from.
         for grain in [WORD_GRAIN_LOG2, LINE_GRAIN_LOG2, PAGE_GRAIN_LOG2] {
             let log = std::sync::Arc::new(CommitLog::with_config(
                 CommitLogConfig::default().grain_log2(grain),
                 1 << 12,
             ));
             let stale = log.register_reader(8, 3);
-            let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
-            let committers: Vec<_> = (0..2)
-                .map(|t| {
-                    let log = std::sync::Arc::clone(&log);
-                    let barrier = std::sync::Arc::clone(&barrier);
-                    std::thread::spawn(move || {
-                        barrier.wait();
-                        let mut last = 0;
-                        for _ in 0..2_000 {
-                            let v = publish_sparing_all(&log, &[8 + t * 16]);
-                            assert!(v > last, "reservations are monotone");
-                            last = v;
-                        }
-                    })
+            let committer = {
+                let log = std::sync::Arc::clone(&log);
+                std::thread::spawn(move || {
+                    let mut last = 0;
+                    for i in 0..4_000 {
+                        let v = publish_sparing_all(&log, &[8 + (i % 2) * 16]);
+                        assert!(v > last, "reservations are monotone");
+                        last = v;
+                    }
                 })
-                .collect();
-            for h in committers {
-                h.join().unwrap();
+            };
+            while !committer.is_finished() {
+                // The stamp first, then the epoch: see the test above.
+                let version = log.version_of(8);
+                assert!(log.snapshot(8) >= version, "a stamp outran its epoch");
+                assert!(
+                    version == 0 || log.written_after(8, stale),
+                    "a stamp went back"
+                );
             }
+            committer.join().unwrap();
             assert!(
                 log.written_after(8, stale),
                 "stale reader slipped through a commit race at grain {grain}"
@@ -423,22 +371,6 @@ mod tests {
                 "a stamp outran the epoch it was reserved from"
             );
         }
-    }
-
-    #[test]
-    fn cas_retry_counts_are_consistent() {
-        // Single-threaded commits never retry; clear() resets the counter.
-        let log = CommitLog::with_config(CommitLogConfig::default(), 1 << 12);
-        for i in 0..32u64 {
-            publish_sparing_all(&log, &[i * 8, i * 8 + 2048]);
-        }
-        assert_eq!(
-            log.stats().cas_retries,
-            0,
-            "uncontended commits pay no retries"
-        );
-        log.clear();
-        assert_eq!(log.stats().cas_retries, 0);
     }
 
     #[test]
@@ -470,26 +402,6 @@ mod tests {
             log.registered_readers(8).contains(3),
             "the reader is still registered"
         );
-    }
-
-    #[test]
-    fn concurrent_commits_and_lookups_are_safe() {
-        let log = std::sync::Arc::new(CommitLog::with_config(CommitLogConfig::default(), 256));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let log = std::sync::Arc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..500u64 {
-                    let addr = ((t * 500 + i) % 64) * 8 + 8;
-                    publish_sparing_all(&log, &[addr]);
-                    let _ = log.version_of(addr);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(log.commits(), 2000);
     }
 
     #[test]

@@ -591,68 +591,6 @@ proptest! {
         }
     }
 
-    /// Lock-free commit-path interleaving property (PR 7): N real
-    /// committer threads CAS-publishing arbitrary mixes of disjoint and
-    /// colliding slots, released together through a barrier.  Afterwards
-    /// **every stamp is visible** (no lost update, whatever the
-    /// interleaving), the epoch equals the reservation count (exact and
-    /// monotone — `fetch_add` never skips or repeats), no slot exceeds
-    /// the epoch it was reserved from, and the aggregate counters are
-    /// exact.
-    #[test]
-    fn concurrent_disjoint_commits_never_lose_a_stamp(
-        batches in proptest::collection::vec(
-            proptest::collection::vec(0u64..64, 1..8), 2..8),
-    ) {
-        const REGIONS: u64 = 4;
-        let config = CommitLogConfig { grain_log2: WORD_GRAIN_LOG2, ..Default::default() };
-        // 64 word slots spread over four regions: slot i lives in region
-        // (i % 4), so batches span regions and colliding slots are
-        // common.  The property is about the CAS fast path.
-        let log = std::sync::Arc::new(CommitLog::with_config(config, REGIONS << 12));
-        let region_bytes = 1u64 << log.region_log2();
-        let addr_of = |slot: u64| (slot % REGIONS) * region_bytes + (slot / REGIONS) * WORD_BYTES;
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(batches.len()));
-        let handles: Vec<_> = batches
-            .iter()
-            .map(|batch| {
-                let log = std::sync::Arc::clone(&log);
-                let barrier = std::sync::Arc::clone(&barrier);
-                let addrs: Vec<u64> = batch.iter().map(|&s| addr_of(s)).collect();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    publish_sparing_all(&log, addrs.iter().copied())
-                })
-            })
-            .collect();
-        for h in handles {
-            let version = h.join().unwrap();
-            prop_assert!(version > 0, "a non-empty batch published no version");
-        }
-        // Every stamp visible: no interleaving loses an update.
-        let mut touched: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for batch in &batches {
-            for &slot in batch {
-                touched.insert(addr_of(slot));
-            }
-        }
-        for &addr in &touched {
-            prop_assert!(log.version_of(addr) > 0, "slot {addr:#x} lost its stamp");
-            prop_assert!(
-                log.version_of(addr) <= log.snapshot(addr),
-                "slot {addr:#x} outran the epoch"
-            );
-        }
-        // The epoch is exact: one reservation per batch, whatever regions
-        // the batch spans.
-        prop_assert_eq!(
-            log.epoch(),
-            batches.len() as u64,
-            "the epoch drifted from its reservation count"
-        );
-        prop_assert_eq!(log.commits(), batches.len() as u64);
-    }
-
     /// MVCC conservatism sandwich (PR 8): for arbitrary grains, ring
     /// depths (including the depth-1 degeneration), commit-batch
     /// interleavings and strides (a batch committed once, or over a whole

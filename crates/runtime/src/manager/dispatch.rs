@@ -24,6 +24,11 @@
 //! variable.  With both sides of a fork→join round trip inside their spin
 //! nobody is woken through the kernel.
 
+use std::any::Any;
+use std::io::{self, Write};
+use std::panic::{self, AssertUnwindSafe};
+use std::process;
+
 use super::*;
 
 impl ThreadManager {
@@ -87,7 +92,8 @@ impl ThreadManager {
     }
 
     /// Run one dispatched task to its end on the calling OS thread: a
-    /// worker's, or a displaced joiner's.
+    /// worker's, or a displaced joiner's.  A panic in it ends the process
+    /// ([`abort_on_task_panic`]).
     pub(super) fn run_task(self: &Arc<Self>, rank: Rank, task: TaskRef<SpecContext>) {
         let slot = &self.slots[rank - 1];
         let handoff = self
@@ -95,14 +101,37 @@ impl ThreadManager {
             .saturating_sub(slot.forked_ns.load(Ordering::Relaxed));
         self.fastest_handoff_ns
             .fetch_min(handoff.max(1), Ordering::Relaxed);
-        let mut ctx = SpecContext::speculative(Arc::clone(self), rank);
-        let status = match task(&mut ctx) {
-            Ok(()) => TaskStatus::Completed,
-            Err(SpecAbort::BarrierReached) => TaskStatus::Barrier,
-            Err(SpecAbort::Failed(reason)) => TaskStatus::Failed(reason),
+        let run = || {
+            let mut ctx = SpecContext::speculative(Arc::clone(self), rank);
+            let status = match task(&mut ctx) {
+                Ok(()) => TaskStatus::Completed,
+                Err(SpecAbort::BarrierReached) => TaskStatus::Barrier,
+                Err(SpecAbort::Failed(reason)) => TaskStatus::Failed(reason),
+            };
+            ctx.conclude(status);
         };
-        ctx.conclude(status);
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
+            abort_on_task_panic(rank, payload);
+        }
     }
+}
+
+/// End the process over a dispatched task's panic.  Nothing would hand the
+/// task's outcome back, so its joiner would wait for it forever: a panic —
+/// a failed check in the join path as much as a bug in the task — would
+/// show up as a hang.  The message is written to stderr directly, because
+/// a test harness captures `eprintln!` and would lose it with the process.
+#[cold]
+fn abort_on_task_panic(rank: Rank, payload: Box<dyn Any + Send>) -> ! {
+    let message = match payload.downcast_ref::<&str>() {
+        Some(message) => message,
+        None => payload.downcast_ref::<String>().map_or("?", String::as_str),
+    };
+    let _ = writeln!(
+        io::stderr(),
+        "mutls: the task of rank {rank} panicked: {message}; aborting, as its joiner would wait forever"
+    );
+    process::abort()
 }
 
 /// Loop of the `num_cpus` OS threads [`Runtime`](crate::Runtime) spawns:

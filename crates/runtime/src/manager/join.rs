@@ -273,6 +273,13 @@ impl ThreadManager {
         let commit_started = Instant::now();
         let commit_result = match parent_buffer {
             None => {
+                // The one-sided guarantee's outcome: after the flush, with
+                // no other committer, every word a `Valid` or `Retried`
+                // child read from memory still holds what it read.
+                debug_assert!(
+                    outcome.buffer.validate_view(|addr| mem.read_word(addr)),
+                    "rank {child}: a {log_verdict:?} join read a word memory no longer holds"
+                );
                 outcome.buffer.commit(mem);
                 let writes = outcome.buffer.write_batch();
                 if !writes.is_empty() {
